@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-block smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke fuzz-wal fuzz-repl fuzz-block fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly block-check obs-check ci clean
+.PHONY: all build vet test race bench bench-block bench-codec bench-e2e bench-compare bench-selftest fuzz-codec smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke fuzz-wal fuzz-repl fuzz-block fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly block-check obs-check ci clean
 
 all: build
 
@@ -24,6 +24,35 @@ bench:
 # merged range-scan hot path behind /v1/query/range.
 bench-block:
 	$(GO) test -run xxx -bench 'BlockEncode|RangeScan' -benchtime=1s ./internal/block/
+
+# Ingest-codec microbenchmarks on a 512-sample body: the single-pass
+# scanner against the encoding/json decode it replaced, and the append
+# encoder of the WAL record against json.Marshal.
+bench-codec:
+	$(GO) test -run xxx -bench 'BatchDecode|WALRecord' -benchmem -benchtime=1s ./internal/trace/
+
+# The end-to-end + per-layer benchmark (bench/README.md): every workload,
+# 5 untraced runs and one traced run each, about 12 minutes.
+BENCH_OUT ?= bench/out/all.json
+bench-e2e:
+	mkdir -p $(dir $(BENCH_OUT))
+	bash bench/run.sh -all -out $(BENCH_OUT)
+
+# Compare two bench-e2e result sets: make bench-compare A=old.json B=new.json
+# (exit 1 on any `worse`).
+bench-compare:
+	bash bench/run.sh -compare $(A) $(B)
+
+# The benchmark harness's own tests; bench/ is a module of its own, so
+# the root `go test ./...` does not reach them.
+bench-selftest:
+	cd bench && $(GO) test ./...
+
+# Fuzz the ingest codec against encoding/json: whatever the scanner
+# accepts decodes to the same value, no input panics or over-reads, and
+# the encoder's bytes equal json.Marshal's.
+fuzz-codec:
+	$(GO) test -run xxx -fuzz FuzzBatchCodec -fuzztime 30s ./internal/trace/
 
 # End-to-end smoke: generate a small dataset, export a model, start
 # powserved on a random port, replay the dataset with powload, and check

@@ -39,6 +39,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -46,6 +47,7 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -246,6 +248,13 @@ func main() {
 		1e3*latency.Quantile(0.50), 1e3*latency.Quantile(0.90), 1e3*latency.Quantile(0.99), 1e3*latency.Max())
 	fmt.Printf("powload: retries %d, redeliveries %d, duplicates absorbed %d, breaker opens %d\n",
 		total.Retries, total.Redeliveries, total.Duplicates, total.BreakerOpens)
+	// Batches the server's single-pass decoder handed to encoding/json:
+	// anything but 0 means some sender left the canonical wire form.
+	if n, err := scrapeCounter(client, baseURLs, "powserved_ingest_decode_fallback_total"); err == nil {
+		fmt.Printf("powload: server decode fallbacks %d\n", n)
+	} else {
+		fmt.Printf("powload: server decode fallbacks unknown (%v)\n", err)
+	}
 	// Goodput is the acknowledged-sample rate over the whole run,
 	// including time spent waiting out 429/503 windows — the number the
 	// overload smoke compares against measured capacity.
@@ -488,6 +497,33 @@ func pollIngested(client *http.Client, addrs []string, want int64) (int64, error
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
+}
+
+// scrapeCounter sums an unlabeled counter over every reachable server's
+// /metrics (a dead old primary is skipped, as in pollIngested).
+func scrapeCounter(client *http.Client, addrs []string, name string) (int64, error) {
+	var total int64
+	err := fmt.Errorf("no %s series on /metrics", name)
+	for _, addr := range addrs {
+		resp, gerr := client.Get(strings.TrimSuffix(addr, "/") + "/metrics")
+		if gerr != nil {
+			if err != nil {
+				err = gerr
+			}
+			continue
+		}
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if v, ok := strings.CutPrefix(sc.Text(), name+" "); ok {
+				if n, perr := strconv.ParseInt(v, 10, 64); perr == nil {
+					total += n
+					err = nil
+				}
+			}
+		}
+		resp.Body.Close()
+	}
+	return total, err
 }
 
 func fatal(err error) {

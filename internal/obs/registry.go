@@ -96,6 +96,16 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// CounterHelp is Counter with a # HELP line ahead of the family.
+func (r *Registry) CounterHelp(name, help string) *Counter {
+	c := &Counter{}
+	r.register(name, func(e *Exposition) {
+		e.Help(name, help)
+		e.Counter(name, float64(c.v.Load()))
+	})
+	return c
+}
+
 // Add increments the counter by n (n must be ≥ 0).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
@@ -238,6 +248,12 @@ func (e *Exposition) family(name, typ string) {
 	}
 	e.types[name] = typ
 	fmt.Fprintf(e.w, "# TYPE %s %s\n", name, typ)
+}
+
+// Help emits the # HELP line of a family; call it before the family's
+// first series. text must be a single line.
+func (e *Exposition) Help(name, text string) {
+	fmt.Fprintf(e.w, "# HELP %s %s\n", name, text)
 }
 
 // Counter emits an unlabeled counter series.

@@ -209,8 +209,9 @@ func TestDurableCoDelShedTombstone(t *testing.T) {
 		ch := make(chan result, 1)
 		go func() {
 			rec := httptest.NewRecorder()
+			b := sampleBatch("a1", seq, 1)
 			s.ingestDurable(rec, httptest.NewRequest(http.MethodPost, "/v1/samples", nil),
-				sampleBatch("a1", seq, 1))
+				b, &b.Samples, time.Now(), "")
 			ch <- result{rec.Code, rec.Header()}
 		}()
 		return ch

@@ -1,0 +1,234 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"hpcpower/internal/obs"
+	"hpcpower/internal/ship"
+	"hpcpower/internal/trace"
+	"hpcpower/internal/wal"
+)
+
+// postRaw POSTs body bytes as they are — the fallback tests need forms
+// json.Marshal never writes.
+func postRaw(t testing.TB, url string, body io.Reader, traceID string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/samples", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if traceID != "" {
+		req.Header.Set(obs.HeaderTraceID, traceID)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, readAll(t, resp)
+}
+
+// TestIngestDecodeFallback: shipper traffic stays on the scanner, and a
+// body outside the canonical form costs one fallback and is answered
+// the way encoding/json alone answered it before.
+func TestIngestDecodeFallback(t *testing.T) {
+	s, ts := newTestServer(t, DefaultConfig())
+	fallbacks := func() int64 { return s.metrics.decodeFallback.Value() }
+
+	sh := ship.New(ship.Config{URL: ts.URL + "/v1/samples", AgentID: "rack-7"})
+	var shipped int64
+	for _, b := range stampedBatches(11, 20) {
+		sh.Enqueue(b.Samples)
+		shipped += int64(len(b.Samples))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := sh.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	waitIngested(t, s, shipped)
+	if n := fallbacks(); n != 0 {
+		t.Fatalf("%d of 20 shipper batches fell back to encoding/json, want 0", n)
+	}
+
+	const samples = `"samples":[{"node":1,"job":2,"t":1700000000,"w":151.2},{"node":2,"job":2,"t":1700000000,"w":99}]`
+	for i, body := range []string{
+		`{"agent":"\u0061gent","seq":1,` + samples + `}`, // escaped agent ID
+		`{"AGENT":"agent","Seq":2,` + samples + `}`,      // upper-case keys
+		`{"agent":"agent","seq":1e3,` + samples + `}`,    // seq is not a plain integer
+		`{"agent":"agent","seq":4,` + samples + `} tail`, // trailing garbage
+	} {
+		// What the parent commit's handler did with these bytes.
+		var want trace.SampleBatch
+		wantStatus, wantBody := http.StatusAccepted, `{"accepted":2}`+"\n"
+		if err := json.NewDecoder(bytes.NewReader([]byte(body))).Decode(&want); err != nil {
+			wantStatus, wantBody = http.StatusBadRequest, fmt.Sprintf("{\"error\":%q}\n", "decoding batch: "+err.Error())
+		}
+		resp, got := postRaw(t, ts.URL, bytes.NewReader([]byte(body)), "")
+		if resp.StatusCode != wantStatus || string(got) != wantBody {
+			t.Errorf("%s:\n got %d %s\nwant %d %s", body, resp.StatusCode, got, wantStatus, wantBody)
+		}
+		if n := fallbacks(); n != int64(i+1) {
+			t.Errorf("%s: fallback counter at %d, want %d", body, n, i+1)
+		}
+	}
+	// The third body must have been refused, the others counted.
+	waitIngested(t, s, shipped+6)
+	_, metricsBody := get(t, ts.URL+"/metrics")
+	for _, line := range []string{
+		"# HELP powserved_ingest_decode_fallback_total ",
+		"# TYPE powserved_ingest_decode_fallback_total counter\npowserved_ingest_decode_fallback_total 4\n",
+	} {
+		if !bytes.Contains(metricsBody, []byte(line)) {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+	if err := obs.LintExposition(bytes.NewReader(metricsBody)); err != nil {
+		t.Errorf("/metrics violates the exposition format: %v", err)
+	}
+}
+
+// slowBody delivers its bytes only after a delay, as an agent on a bad
+// link does.
+type slowBody struct {
+	delay time.Duration
+	r     io.Reader
+}
+
+func (b *slowBody) Read(p []byte) (int, error) {
+	if b.delay > 0 {
+		time.Sleep(b.delay)
+		b.delay = 0
+	}
+	return b.r.Read(p)
+}
+
+// TestIngestE2EIncludesBodyRead: the e2e histogram and the ingest trace
+// event time the request from before the body is read, on the durable
+// path as on the memory-only path (the durable path used to restart the
+// clock after decode and admission).
+func TestIngestE2EIncludesBodyRead(t *testing.T) {
+	const delay = 60 * time.Millisecond
+	mem, tsMem := newTestServer(t, DefaultConfig())
+	dur, tsDur := newDurableServer(t, t.TempDir(), DurabilityConfig{})
+	defer func() { tsDur.Close(); dur.Close() }()
+
+	for name, tc := range map[string]struct {
+		s   *Server
+		url string
+	}{"memory": {mem, tsMem.URL}, "durable": {dur, tsDur.URL}} {
+		body, err := json.Marshal(stampedBatches(13, 1)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		traceID := obs.NewTraceID()
+		resp, out := postRaw(t, tc.url, &slowBody{delay: delay, r: bytes.NewReader(body)}, traceID)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: %d %s", name, resp.StatusCode, out)
+		}
+		if sum := tc.s.metrics.ingestE2E.Sum(); sum < delay.Seconds() {
+			t.Errorf("%s: powserved_ingest_e2e_seconds observed %.4fs, want at least the %v body read", name, sum, delay)
+		}
+		var ingest *obs.TraceEvent
+		for _, ev := range tc.s.metrics.traces.Recent(0) {
+			if ev.Trace == traceID && ev.Stage == "ingest" {
+				ingest = &ev
+			}
+		}
+		if ingest == nil {
+			t.Fatalf("%s: no ingest trace event for %s", name, traceID)
+		}
+		if ingest.DurMS < float64(delay.Milliseconds()) {
+			t.Errorf("%s: ingest trace event dur_ms %.2f, want at least %d", name, ingest.DurMS, delay.Milliseconds())
+		}
+	}
+}
+
+// TestRecoverParentWrittenWAL replays testdata/wal_pr11: a WAL written
+// by PR 11's json.Marshal encoder (stamped, traced, follower-applied
+// plsn, anonymous, tombstoned, and one agent ID that needs escapes)
+// with the answers PR 11's json.Unmarshal replay gave. The scanner must
+// reach the same analytics byte for byte, and the append encoder must
+// reproduce every record it can read.
+func TestRecoverParentWrittenWAL(t *testing.T) {
+	fixture := filepath.Join("testdata", "wal_pr11")
+	dir := t.TempDir()
+	segs, err := os.ReadDir(filepath.Join(fixture, "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range segs {
+		b, err := os.ReadFile(filepath.Join(fixture, "wal", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Recover()
+	if err != nil {
+		s.Close()
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer func() { srv.Close(); s.Close() }()
+	ts := srv.URL
+	if rep.RecordsReplayed != 6 || rep.SamplesReplayed != 13 || rep.Tombstoned != 1 || rep.DecodeErrors != 0 {
+		t.Errorf("recovery report %+v, want 6 records / 13 samples replayed, 1 tombstoned, 0 decode errors", *rep)
+	}
+	if got := s.dur.repl.replApplied.Load(); got != 42 {
+		t.Errorf("pull-loop frontier %d, want the highest plsn in the WAL, 42", got)
+	}
+	if n := s.metrics.decodeFallback.Value(); n != 1 {
+		t.Errorf("%d records fell back to encoding/json, want only the one with the escaped agent ID", n)
+	}
+	_, summary := get(t, ts+"/v1/summary")
+	for file, got := range map[string]string{
+		"summary.json":  string(summary),
+		"analytics.txt": analyticsDump(t, ts),
+	} {
+		want, err := os.ReadFile(filepath.Join(fixture, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s after replay:\n got %s\nwant %s", file, got, want)
+		}
+	}
+
+	err = s.dur.log.Replay(func(lsn uint64, typ wal.RecordType, body []byte) error {
+		if typ != wal.RecordData {
+			return nil
+		}
+		rec, err := s.decodeWALBody(body, nil)
+		if err != nil {
+			return fmt.Errorf("lsn %d: %w", lsn, err)
+		}
+		again, err := trace.AppendWALRecord(nil, &rec)
+		if err != nil {
+			return fmt.Errorf("lsn %d: %w", lsn, err)
+		}
+		if !bytes.Equal(again, body) {
+			t.Errorf("lsn %d re-encodes to\n %s\nparent wrote\n %s", lsn, again, body)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

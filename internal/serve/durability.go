@@ -255,24 +255,18 @@ func openDurability(cfg DurabilityConfig) (*durability, error) {
 	return d, nil
 }
 
-// walBody is the WAL record payload: the delivery-stamped batch, so
-// replay can rebuild both the store and the dedup index.
-type walBody struct {
-	Agent   string              `json:"agent,omitempty"`
-	Seq     uint64              `json:"seq,omitempty"`
-	Samples []trace.PowerSample `json:"samples"`
-	// PLSN is the primary's LSN for a record a follower applied off the
-	// replication stream (0 on records ingested directly). Recovery
-	// takes the max to find where the pull loop resumes.
-	PLSN uint64 `json:"plsn,omitempty"`
-	// Trace is the shipper-minted trace ID; it rides the WAL body (and
-	// therefore the replication stream, which carries bodies verbatim)
-	// so follower apply logs carry the same ID as the primary's ingest.
-	Trace string `json:"trace,omitempty"`
-}
-
-func encodeWALBody(agent string, seq uint64, samples []trace.PowerSample, traceID string) ([]byte, error) {
-	return json.Marshal(walBody{Agent: agent, Seq: seq, Samples: samples, Trace: traceID})
+// decodeWALBody decodes one WAL or replication record into dst[:0]: the
+// single-pass scanner for the canonical form every encoder of this
+// repository writes, encoding/json for anything else (a record written
+// by a foreign tool, or one a future version extends).
+func (s *Server) decodeWALBody(body []byte, dst []trace.PowerSample) (trace.WALRecord, error) {
+	if rec, ok := trace.ScanWALRecord(body, dst); ok {
+		return rec, nil
+	}
+	s.metrics.decodeFallback.Inc()
+	var rec trace.WALRecord
+	err := json.Unmarshal(body, &rec)
+	return rec, err
 }
 
 // Recover restores the latest valid snapshot into the store and dedup
@@ -365,6 +359,7 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	// may belong to a record that was still in flight at capture time,
 	// and skipping it here would lose acknowledged data.
 	maxPLSN := uint64(0)
+	var samples []trace.PowerSample // reused: neither the store nor the engine keeps a batch
 	err = log.Replay(func(lsn uint64, typ wal.RecordType, body []byte) error {
 		if typ != wal.RecordData {
 			return nil
@@ -381,11 +376,12 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 			rep.RecordsSkipped++
 			return nil
 		}
-		var wb walBody
-		if err := json.Unmarshal(body, &wb); err != nil {
+		wb, err := s.decodeWALBody(body, samples)
+		if err != nil {
 			rep.DecodeErrors++
 			return nil
 		}
+		samples = wb.Samples
 		if wb.PLSN > maxPLSN {
 			maxPLSN = wb.PLSN
 		}

@@ -353,7 +353,7 @@ func TestDurableBackpressureTombstones(t *testing.T) {
 		Samples: []trace.PowerSample{{Node: 1, JobID: 7, Unix: 60, PowerW: 123}},
 	}
 	rec := httptest.NewRecorder()
-	s.ingestDurable(rec, httptest.NewRequest(http.MethodPost, "/v1/samples", nil), batch)
+	s.ingestDurable(rec, httptest.NewRequest(http.MethodPost, "/v1/samples", nil), batch, &batch.Samples, time.Now(), "")
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("full queue: got %d, want 429", rec.Code)
 	}
@@ -377,7 +377,7 @@ func TestDurableBackpressureTombstones(t *testing.T) {
 		}
 	}()
 	rec = httptest.NewRecorder()
-	s.ingestDurable(rec, httptest.NewRequest(http.MethodPost, "/v1/samples", nil), batch)
+	s.ingestDurable(rec, httptest.NewRequest(http.MethodPost, "/v1/samples", nil), batch, &batch.Samples, time.Now(), "")
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("retry after 429: got %d, want 202 (dedup mark not rolled back?)", rec.Code)
 	}

@@ -28,6 +28,7 @@ type metrics struct {
 	batchesDuplicate *obs.Counter // (agent, seq) already counted — dedup hit
 	batchesStale     *obs.Counter // duplicate because older than the dedup window
 	redeliveries     *obs.Counter // batches flagged as re-sent by the agent
+	decodeFallback   *obs.Counter // bodies and WAL records decoded by encoding/json, not the scanner
 
 	// requestLatency is the per-endpoint request distribution; the
 	// legacy powserved_requests_total / _request_seconds_sum /
@@ -86,6 +87,8 @@ func newMetrics(queueDepth func() int) *metrics {
 		batchesDuplicate: reg.Counter("powserved_batches_duplicate_total"),
 		batchesStale:     reg.Counter("powserved_batches_stale_total"),
 		redeliveries:     reg.Counter("powserved_redeliveries_total"),
+		decodeFallback: reg.CounterHelp("powserved_ingest_decode_fallback_total",
+			"Ingest bodies and WAL/replication records outside the canonical JSON form, decoded by encoding/json instead of the single-pass scanner."),
 
 		requestLatency: reg.HistogramVec("powserved_request_latency_seconds", "endpoint", obs.DefaultLatencyBuckets),
 		requestErrors:  reg.CounterVec("powserved_request_errors_total", "endpoint"),

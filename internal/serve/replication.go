@@ -29,6 +29,7 @@ import (
 
 	"hpcpower/internal/obs"
 	"hpcpower/internal/repl"
+	"hpcpower/internal/trace"
 	"hpcpower/internal/wal"
 )
 
@@ -667,17 +668,24 @@ func (s *Server) applyReplicated(plsn uint64, body []byte) error {
 		storeMax(&rs.replApplied, plsn)
 		return nil
 	}
-	var wb walBody
-	if err := json.Unmarshal(body, &wb); err != nil {
+	// Everything below that reads the samples finishes before this
+	// function returns, whichever way it returns.
+	sp := samplePool.Get().(*[]trace.PowerSample)
+	defer samplePool.Put(sp)
+	wb, err := s.decodeWALBody(body, *sp)
+	if err != nil {
 		return fmt.Errorf("decoding replicated record %d: %w", plsn, err)
 	}
+	*sp = wb.Samples
 	d.applyMu.RLock()
 	if wb.Agent != "" {
 		// Mirror the primary's dedup decisions; the stream delivers each
 		// primary LSN at most once, so this never gates the apply.
 		s.dedup.Mark(wb.Agent, wb.Seq)
 	}
-	local, err := json.Marshal(walBody{Agent: wb.Agent, Seq: wb.Seq, Samples: wb.Samples, PLSN: plsn, Trace: wb.Trace})
+	wb.PLSN = plsn
+	bp := bufPool.Get().(*[]byte)
+	local, err := trace.AppendWALRecord((*bp)[:0], &wb)
 	if err != nil {
 		d.applyMu.RUnlock()
 		return err
@@ -685,6 +693,9 @@ func (s *Server) applyReplicated(plsn uint64, body []byte) error {
 	d.seqMu.Lock()
 	lsn, err := d.log.Append(local)
 	d.seqMu.Unlock()
+	// Append copied the record into its own frame.
+	*bp = local
+	bufPool.Put(bp)
 	if err != nil {
 		d.applyMu.RUnlock()
 		return fmt.Errorf("wal append: %w", err)

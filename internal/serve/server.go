@@ -21,10 +21,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -421,6 +423,60 @@ type ingestResponse struct {
 	Duplicate bool `json:"duplicate,omitempty"`
 }
 
+// bufPool recycles the byte buffers of the ingest path (request bodies,
+// encoded WAL records) and samplePool the decoded sample slices, so a
+// steady stream of same-sized batches allocates neither.
+var (
+	bufPool    = sync.Pool{New: func() any { return new([]byte) }}
+	samplePool = sync.Pool{New: func() any { return new([]trace.PowerSample) }}
+)
+
+// readInto is io.ReadAll into buf[:0].
+func readInto(buf []byte, r io.Reader) ([]byte, error) {
+	buf = buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// errReader yields err; decodeBatch chains it after the bytes that did
+// arrive.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// decodeBatch decodes an ingest body into dst[:0]. A body in the
+// canonical form (see trace.ScanBatch) takes the single-pass scanner.
+// Anything else goes through the json.Decoder call this handler always
+// made, on the same bytes — followed by readErr when the body could not
+// be read to its end — so such a request is accepted or refused, and
+// worded, exactly as before.
+func (s *Server) decodeBatch(body []byte, readErr error, dst []trace.PowerSample) (trace.SampleBatch, error) {
+	if readErr == nil {
+		if batch, ok := trace.ScanBatch(body, dst); ok {
+			return batch, nil
+		}
+		s.metrics.decodeFallback.Inc()
+	}
+	var src io.Reader = bytes.NewReader(body)
+	if readErr != nil {
+		src = io.MultiReader(src, errReader{readErr})
+	}
+	var batch trace.SampleBatch
+	err := json.NewDecoder(src).Decode(&batch)
+	return batch, err
+}
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
@@ -450,13 +506,25 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	var batch trace.SampleBatch
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes))
-	if err := dec.Decode(&batch); err != nil {
+	bp := bufPool.Get().(*[]byte)
+	if need := int(min(r.ContentLength, s.cfg.MaxBatchBytes)) + 1; cap(*bp) < need {
+		*bp = make([]byte, 0, need) // +1: the read that reports EOF needs room too
+	}
+	body, readErr := readInto(*bp, http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes))
+	sp := samplePool.Get().(*[]trace.PowerSample)
+	batch, err := s.decodeBatch(body, readErr, *sp)
+	// The decoded batch holds no reference into the body.
+	*bp = body
+	bufPool.Put(bp)
+	if err != nil {
 		s.metrics.batchesInvalid.Add(1)
 		errJSON(w, http.StatusBadRequest, "decoding batch: %v", err)
 		return
 	}
+	// The samples go back to the pool only where this handler has heard
+	// from resc: the worker or the shed callback is then done with them.
+	// Every other exit leaves them to the GC.
+	*sp = batch.Samples
 	if len(batch.Samples) == 0 {
 		s.metrics.batchesInvalid.Add(1)
 		errJSON(w, http.StatusBadRequest, "empty batch")
@@ -498,7 +566,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	defer func() { s.adm.limiter.Release(time.Since(start)) }()
 	if s.dur != nil {
-		s.ingestDurable(w, r, batch)
+		s.ingestDurable(w, r, batch, sp, start, traceID)
 		return
 	}
 	if batch.AgentID != "" {
@@ -515,13 +583,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resc := make(chan bool, 1)
-	err := s.ingestQ.Push(queuedBatch{
+	err = s.ingestQ.Push(queuedBatch{
 		samples: batch.Samples, trace: traceID,
 		agent: batch.AgentID, seq: batch.Seq, resc: resc,
 	})
 	switch {
 	case err == nil:
-		if !<-resc {
+		applied := <-resc
+		samplePool.Put(sp)
+		if !applied {
 			// Shed by CoDel before apply: onIngestShed already counted the
 			// refusal and freed the sequence number — never ack.
 			s.write429(w, "codel", 0)
@@ -553,9 +623,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // it; seqMu keeps LSN order equal to queue order so replay applies
 // records exactly as the live server did. The 202 is only written after
 // WaitDurable, so an acknowledged batch survives a crash.
-func (s *Server) ingestDurable(w http.ResponseWriter, r *http.Request, batch trace.SampleBatch) {
-	start := time.Now()
-	traceID := r.Header.Get(obs.HeaderTraceID)
+//
+// start and traceID come from handleIngest, so the e2e histogram, the
+// ingest trace event and the limiter all time the same interval — body
+// read and decode included — as on the memory-only path. sp is the
+// pooled backing of batch.Samples.
+func (s *Server) ingestDurable(w http.ResponseWriter, r *http.Request, batch trace.SampleBatch, sp *[]trace.PowerSample, start time.Time, traceID string) {
 	d := s.dur
 	d.applyMu.RLock()
 	if batch.AgentID != "" {
@@ -569,7 +642,10 @@ func (s *Server) ingestDurable(w http.ResponseWriter, r *http.Request, batch tra
 			return
 		}
 	}
-	body, err := encodeWALBody(batch.AgentID, batch.Seq, batch.Samples, traceID)
+	bp := bufPool.Get().(*[]byte)
+	body, err := trace.AppendWALRecord((*bp)[:0], &trace.WALRecord{
+		Agent: batch.AgentID, Seq: batch.Seq, Samples: batch.Samples, Trace: traceID,
+	})
 	if err != nil {
 		if batch.AgentID != "" {
 			s.dedup.Forget(batch.AgentID, batch.Seq)
@@ -580,6 +656,9 @@ func (s *Server) ingestDurable(w http.ResponseWriter, r *http.Request, batch tra
 	}
 	d.seqMu.Lock()
 	lsn, err := d.log.Append(body)
+	// Append copied the record into its own frame.
+	*bp = body
+	bufPool.Put(bp)
 	if err != nil {
 		d.seqMu.Unlock()
 		if batch.AgentID != "" {
@@ -643,7 +722,9 @@ func (s *Server) ingestDurable(w http.ResponseWriter, r *http.Request, batch tra
 		s.storageUnavailable(w, fmt.Sprintf("wal sync: %v", err))
 		return
 	}
-	if !<-resc {
+	applied := <-resc
+	samplePool.Put(sp)
+	if !applied {
 		// CoDel shed the batch after it was WAL'd: onIngestShed has
 		// already tombstoned the record and freed the sequence number —
 		// never ack samples that did not reach the store.

@@ -615,7 +615,10 @@ func (s *Shipper) switchTo(idx int) {
 
 // post sends one delivery attempt to t and classifies the response.
 func (s *Shipper) post(ctx context.Context, t *target, e *batchEntry) (res postResult, err error) {
-	body, err := json.Marshal(trace.SampleBatch{
+	// The canonical form the server's single-pass scanner reads. A fresh
+	// buffer per attempt: the transport may still be reading the body
+	// after Do has returned. 48 bytes covers a typical encoded sample.
+	body, err := trace.AppendBatch(make([]byte, 0, 64+len(s.cfg.AgentID)+48*len(e.samples)), &trace.SampleBatch{
 		AgentID:    s.cfg.AgentID,
 		Seq:        e.seq,
 		Redelivery: e.redelivery,

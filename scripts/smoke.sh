@@ -66,6 +66,10 @@ fi
 echo "smoke: metrics endpoint"
 curl -sf "$base/metrics" | grep -q "powserved_samples_ingested_total" || {
     echo "smoke: /metrics missing counters"; exit 1; }
+# Shipper traffic is in the canonical wire form: every batch above must
+# have taken the single-pass decoder, none the encoding/json fallback.
+curl -sf "$base/metrics" | grep -qx "powserved_ingest_decode_fallback_total 0" || {
+    echo "smoke: powload batches fell back to encoding/json"; exit 1; }
 
 echo "smoke: graceful shutdown"
 kill -TERM $server_pid
