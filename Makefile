@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-block bench-codec bench-e2e bench-compare bench-selftest fuzz-codec smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke fuzz-wal fuzz-repl fuzz-block fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly block-check obs-check ci clean
+.PHONY: all build vet test race bench bench-block bench-codec bench-wal bench-e2e bench-compare bench-selftest fuzz-codec smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke fuzz-wal fuzz-repl fuzz-block fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly block-check obs-check ci clean
 
 all: build
 
@@ -30,6 +30,13 @@ bench-block:
 # encoder of the WAL record against json.Marshal.
 bench-codec:
 	$(GO) test -run xxx -bench 'BatchDecode|WALRecord' -benchmem -benchtime=1s ./internal/trace/
+
+# WAL microbenchmarks on 24 KB records: Append (0 allocs/op — the frame
+# is encoded into a buffer the log owns), ReadRange of the newest record
+# of a 90 %-full 8 MiB segment (what the replication source does per
+# burst), and one full Replay of that segment.
+bench-wal:
+	$(GO) test -run xxx -bench 'Append|ReadRangeTail|Replay' -benchmem -benchtime=1s ./internal/wal/
 
 # The end-to-end + per-layer benchmark (bench/README.md): every workload,
 # 5 untraced runs and one traced run each, about 12 minutes.

@@ -58,6 +58,16 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
+// HistogramHelp is Histogram with a # HELP line ahead of the family.
+func (r *Registry) HistogramHelp(name, help string, bounds []float64) *Histogram {
+	h := NewHistogram(bounds)
+	r.register(name, func(e *Exposition) {
+		e.Help(name, help)
+		e.Histogram(name, h)
+	})
+	return h
+}
+
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	// Branchless-ish lower_bound: first bucket whose bound >= v.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -207,6 +208,13 @@ func TestSourceStreamTo(t *testing.T) {
 		records[lsn] = []byte(fmt.Sprintf("rec-%d", lsn))
 	}
 	s := testSource(t, records, nil)
+	var reads atomic.Int64 // one ObserveRead per catch-up burst
+	s.cfg.ObserveRead = func(d time.Duration) {
+		if d < 0 {
+			t.Errorf("ObserveRead(%v)", d)
+		}
+		reads.Add(1)
+	}
 	s.Advance(12)
 
 	pr, pw := io.Pipe()
@@ -269,6 +277,9 @@ func TestSourceStreamTo(t *testing.T) {
 	}
 	if s.Streamed() != int64(len(wantAll)) {
 		t.Fatalf("Streamed() = %d, want %d", s.Streamed(), len(wantAll))
+	}
+	if got := reads.Load(); got != 2 {
+		t.Fatalf("ObserveRead ran %d times, want once per burst ([3,12] and [13,18])", got)
 	}
 
 	cancel()

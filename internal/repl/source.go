@@ -26,6 +26,10 @@ type SourceConfig struct {
 	// burst written to a follower connection (only bursts that sent at
 	// least one record). It runs on the stream loop; keep it cheap.
 	ObserveSend func(records int64)
+	// ObserveRead, if set, receives the wall time of each catch-up
+	// burst's Read call — the WAL range read plus writing its frames to
+	// the connection. It runs on the stream loop; keep it cheap.
+	ObserveRead func(time.Duration)
 }
 
 // FollowerState is one registered follower's replication progress.
@@ -233,6 +237,7 @@ func (s *Source) StreamTo(ctx context.Context, w io.Writer, flush func(), from u
 
 		if hi >= next {
 			sent := int64(0)
+			start := time.Now()
 			err := s.cfg.Read(next, hi, func(lsn uint64, body []byte) error {
 				buf = AppendFrame(buf[:0], FrameData, lsn, body)
 				if _, err := w.Write(buf); err != nil {
@@ -241,6 +246,9 @@ func (s *Source) StreamTo(ctx context.Context, w io.Writer, flush func(), from u
 				sent++
 				return nil
 			})
+			if s.cfg.ObserveRead != nil {
+				s.cfg.ObserveRead(time.Since(start))
+			}
 			s.mu.Lock()
 			s.streamed += sent
 			s.mu.Unlock()

@@ -204,7 +204,8 @@ type durability struct {
 	// whose WAL record must never be applied or streamed). Seeded by the
 	// recovery tombstone scan, extended by the backpressure path before
 	// the LSN is marked done — so the replication stream, gated on the
-	// done watermark, always sees the cancellation first.
+	// done watermark, always sees the cancellation first — and pruned
+	// below the oldest on-disk LSN whenever a snapshot reaps a segment.
 	tombMu     sync.Mutex
 	tombstoned map[uint64]struct{}
 
@@ -528,9 +529,28 @@ func (d *durability) snapshotOnce(s *Server) error {
 	d.snapshots.Add(1)
 	d.snapLSN.Store(wm)
 	d.appendsSinceSnap.Add(-pending)
-	d.log.Reap(wm)
+	if removed, _ := d.log.Reap(wm); removed > 0 {
+		d.pruneTombstones()
+	}
 	wal.ReapSnapshotsFS(d.fsys, d.cfg.Dir, d.cfg.KeepSnapshots)
 	return nil
+}
+
+// pruneTombstones forgets cancellations of records that are no longer on
+// disk: a reaped LSN can be neither streamed nor replayed, and without
+// this the set grows for as long as the queue keeps refusing batches.
+func (d *durability) pruneTombstones() {
+	first, err := d.log.FirstLSN()
+	if err != nil {
+		return
+	}
+	d.tombMu.Lock()
+	for lsn := range d.tombstoned {
+		if lsn < first {
+			delete(d.tombstoned, lsn)
+		}
+	}
+	d.tombMu.Unlock()
 }
 
 // collect emits the wal_*, snapshot_*, recovery_*, and repl_* series

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -319,18 +320,17 @@ func TestReadyzTransitions(t *testing.T) {
 	}
 }
 
-// TestDurableBackpressureTombstones: a batch refused with 429 (queue
-// full) is already in the WAL — the handler must tombstone it so replay
-// never resurrects it, and the agent's re-send of the same sequence must
-// be accepted. Uses a worker-less server so the full queue is
-// deterministic, then recovers through the normal path.
-func TestDurableBackpressureTombstones(t *testing.T) {
-	dir := t.TempDir()
+// newQueueFullServer hand-builds a worker-less durable server over dir
+// whose one queue slot is taken, so every ingestDurable is refused with a
+// deterministic 429 after its record reached the WAL. The caller owns
+// the log and the dir lock.
+func newQueueFullServer(t *testing.T, dir string, segmentBytes int64) (*Server, *durability, *wal.Log) {
+	t.Helper()
 	dur, err := openDurability(DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, err := wal.Open(dir, wal.Options{Policy: wal.SyncNone})
+	log, err := wal.Open(dir, wal.Options{Policy: wal.SyncNone, SegmentBytes: segmentBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,8 +346,18 @@ func TestDurableBackpressureTombstones(t *testing.T) {
 	s.metrics = newMetrics(func() int { return s.ingestQ.Len() })
 	s.initAdmit()
 	s.ready.Store(true)
-
 	s.ingestQ.Push(queuedBatch{}) // occupy the only slot
+	return s, dur, log
+}
+
+// TestDurableBackpressureTombstones: a batch refused with 429 (queue
+// full) is already in the WAL — the handler must tombstone it so replay
+// never resurrects it, and the agent's re-send of the same sequence must
+// be accepted. Uses a worker-less server so the full queue is
+// deterministic, then recovers through the normal path.
+func TestDurableBackpressureTombstones(t *testing.T) {
+	dir := t.TempDir()
+	s, dur, log := newQueueFullServer(t, dir, 0)
 	batch := trace.SampleBatch{
 		AgentID: "a1", Seq: 1,
 		Samples: []trace.PowerSample{{Node: 1, JobID: 7, Unix: 60, PowerW: 123}},
@@ -407,6 +417,61 @@ func TestDurableBackpressureTombstones(t *testing.T) {
 	}
 	if js, ok := s2.store.JobPower(7); !ok || js.Samples != 1 {
 		t.Fatalf("job 7 after recovery: %+v ok=%v", js, ok)
+	}
+}
+
+// TestTombstonesPrunedOnReap: sustained queue-full overload cancels a WAL
+// record per refused batch, and the in-memory set of cancellations must
+// not outlive the records: once a snapshot reaps the segments that held
+// them it is bounded by what is still on disk, and what is still on disk
+// is still skipped by the replication stream.
+func TestTombstonesPrunedOnReap(t *testing.T) {
+	s, dur, log := newQueueFullServer(t, t.TempDir(), 1<<10)
+	defer dur.lock.Unlock()
+	defer log.Close()
+
+	const refused = 200
+	for seq := uint64(1); seq <= refused; seq++ {
+		batch := trace.SampleBatch{
+			AgentID: "a1", Seq: seq,
+			Samples: []trace.PowerSample{{Node: 1, JobID: 7, Unix: int64(60 * seq), PowerW: 123}},
+		}
+		rec := httptest.NewRecorder()
+		s.ingestDurable(rec, httptest.NewRequest(http.MethodPost, "/v1/samples", nil), batch, &batch.Samples, time.Now(), "")
+		if rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("full queue: got %d, want 429", rec.Code)
+		}
+	}
+	tombstones := func() int {
+		dur.tombMu.Lock()
+		defer dur.tombMu.Unlock()
+		return len(dur.tombstoned)
+	}
+	if got := tombstones(); got != refused {
+		t.Fatalf("%d live tombstones after %d refusals", got, refused)
+	}
+
+	if err := dur.snapshotOnce(s); err != nil {
+		t.Fatal(err)
+	}
+	first, err := log.FirstLSN()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := log.LastLSN()
+	if first <= 1 {
+		t.Fatal("the snapshot reaped no segment; the test needs a rotation")
+	}
+	got := tombstones()
+	if onDisk := int(last - first + 1); got == 0 || got > onDisk {
+		t.Fatalf("%d live tombstones with lsns %d..%d on disk, want between 1 and %d", got, first, last, onDisk)
+	}
+	// Every data record left on disk was cancelled: none may be streamed.
+	err = dur.readForRepl(first, last, func(lsn uint64, _ []byte) error {
+		return fmt.Errorf("streamed cancelled lsn %d", lsn)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

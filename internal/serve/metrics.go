@@ -52,6 +52,7 @@ type metrics struct {
 	groupCommit *obs.Histogram // powserved_group_commit_records per fsync
 	replApply   *obs.Histogram // powserved_repl_apply_seconds per streamed record
 	replSend    *obs.Histogram // powserved_repl_send_records per catch-up burst
+	replRead    *obs.Histogram // powserved_repl_stream_read_seconds per catch-up burst
 
 	// Slow-request accounting: requests at or over slowThreshold log a
 	// Warn with the endpoint, duration, and trace ID.
@@ -101,6 +102,9 @@ func newMetrics(queueDepth func() int) *metrics {
 		groupCommit:    reg.Histogram("powserved_group_commit_records", obs.SizeBuckets),
 		replApply:      reg.Histogram("powserved_repl_apply_seconds", obs.DefaultLatencyBuckets),
 		replSend:       reg.Histogram("powserved_repl_send_records", obs.SizeBuckets),
+		replRead: reg.HistogramHelp("powserved_repl_stream_read_seconds",
+			"Time the replication source spent on one catch-up burst: reading its WAL range and writing the frames to the follower connection.",
+			obs.DefaultLatencyBuckets),
 	}
 	if queueDepth != nil {
 		reg.GaugeFunc("powserved_ingest_queue_depth", func() float64 { return float64(queueDepth()) })

@@ -229,6 +229,11 @@ func TestTracePropagatesToFollower(t *testing.T) {
 	if !strings.Contains(string(mp), "powserved_repl_follower_acked_lsn{") {
 		t.Error("primary /metrics lacks powserved_repl_follower_acked_lsn after follower attach")
 	}
+	// Streaming that record was one catch-up burst, timed on the primary.
+	if !strings.Contains(string(mp), "# HELP powserved_repl_stream_read_seconds ") ||
+		strings.Contains(string(mp), "powserved_repl_stream_read_seconds_count 0\n") {
+		t.Error("primary /metrics lacks an observed powserved_repl_stream_read_seconds with HELP text")
+	}
 	if err := obs.LintExposition(bytes.NewReader(mp)); err != nil {
 		t.Errorf("primary /metrics with follower violates exposition format: %v", err)
 	}

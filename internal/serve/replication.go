@@ -184,9 +184,11 @@ type replState struct {
 	streamStop chan struct{}
 	streamOnce sync.Once
 
-	// onSend receives each catch-up burst's record count (primary side).
-	// Set once by NewDurable before the server accepts connections.
+	// onSend and onRead receive each catch-up burst's record count and
+	// read time (primary side). Set once by NewDurable before the server
+	// accepts connections.
 	onSend func(records int64)
+	onRead func(time.Duration)
 }
 
 func newReplState(cfg ReplicationConfig, ep *repl.EpochFile, d *durability) *replState {
@@ -210,6 +212,11 @@ func newReplState(cfg ReplicationConfig, ep *repl.EpochFile, d *durability) *rep
 		ObserveSend: func(records int64) {
 			if rs.onSend != nil {
 				rs.onSend(records)
+			}
+		},
+		ObserveRead: func(d time.Duration) {
+			if rs.onRead != nil {
+				rs.onRead(d)
 			}
 		},
 	})

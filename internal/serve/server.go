@@ -208,6 +208,7 @@ func NewDurable(store *tsdb.Store, model *mlearn.BDT, cfg Config, dcfg Durabilit
 	}
 	s.metrics.reg.AddCollector(dur.collect)
 	dur.repl.onSend = func(records int64) { s.metrics.replSend.Observe(float64(records)) }
+	dur.repl.onRead = s.metrics.replRead.ObserveDuration
 	s.ready.Store(false) // Recover flips it
 	return s, nil
 }

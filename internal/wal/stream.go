@@ -3,7 +3,9 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
+	"sort"
 )
 
 // This file is the replication-facing surface of the log: a bounded
@@ -15,7 +17,16 @@ import (
 // caller never asks for records past the durable watermark: a frame's
 // bytes are fully written (single write call under the append mutex)
 // before its LSN can be observed via SyncedLSN/LastLSN, and the scan
-// stops at `to` before it can touch an in-flight tail.
+// stops at `to` — its read-ahead may pull bytes of an in-flight tail
+// into the buffer, but nothing past `to` is ever parsed.
+//
+// What a read costs is what it returns, not what the segment holds:
+// append keeps a sparse (LSN, byte offset) index of the active segment,
+// so streaming the tail seeks to within indexStride bytes of the first
+// record asked for. Sealed segments, and the part of the active segment
+// written before this process opened it, are not indexed and are scanned
+// from their header — a lagging follower pays that once per segment,
+// then lives in the indexed tail.
 
 // ReapedError reports that a requested LSN has already been reaped: the
 // oldest record still on disk is First. Callers recover by bootstrapping
@@ -68,7 +79,13 @@ func (l *Log) SyncedLSN() uint64 {
 // order, reading the segment files directly. It returns a *ReapedError
 // if from predates the oldest segment (the caller must bootstrap from a
 // snapshot), fn's error if fn fails, and an error if the log ends before
-// `to` — callers are expected to bound `to` by LastLSN/SyncedLSN.
+// `to` — callers are expected to bound `to` by LastLSN/SyncedLSN. body
+// is only valid during fn.
+//
+// A range that starts in the indexed part of the active segment — the
+// tail a follower streams — is read from the nearest indexed frame at or
+// below `from`, without listing the directory; every other range walks
+// the segments from their headers.
 func (l *Log) ReadRange(from, to uint64, fn func(lsn uint64, typ RecordType, body []byte) error) error {
 	if from == 0 {
 		return fmt.Errorf("wal: read range from lsn 0 (lsns start at 1)")
@@ -76,6 +93,54 @@ func (l *Log) ReadRange(from, to uint64, fn func(lsn uint64, typ RecordType, bod
 	if to < from {
 		return nil
 	}
+	last := from - 1 // highest LSN delivered so far
+	// scan walks one segment file from byte offset off (0: from its
+	// header), whose first frame there is record lsn, and reports whether
+	// it delivered `to`.
+	scan := func(name string, off int64, lsn uint64) (done bool, err error) {
+		f, err := l.fsys.Open(filepath.Join(l.dir, name))
+		if err != nil {
+			return false, err
+		}
+		defer f.Close()
+		emit := func(typ RecordType, body []byte) error {
+			cur := lsn
+			lsn++
+			if cur < from {
+				return nil
+			}
+			if err := fn(cur, typ, body); err != nil {
+				return err
+			}
+			last = cur
+			if cur == to {
+				return errStopScan
+			}
+			return nil
+		}
+		if off == 0 {
+			_, _, _, err = scanSegment(f, emit)
+		} else if _, err = f.Seek(off, io.SeekStart); err == nil {
+			_, _, err = scanFramesAt(f, off, emit)
+		}
+		if err == errStopScan {
+			return true, nil
+		}
+		if err != nil && !truncatable(err) {
+			return false, err
+		}
+		return false, nil
+	}
+
+	if segFirst, e, ok := l.indexSeek(from); ok {
+		// from ≥ the active segment's first LSN, so the whole range lives
+		// in that one file, whatever rotates in the meantime.
+		if done, err := scan(segmentName(segFirst), e.off, e.lsn); err != nil || done {
+			return err
+		}
+		return fmt.Errorf("wal: read range [%d,%d] ended early at %d", from, to, last)
+	}
+
 	names, err := listSegments(l.fsys, l.dir)
 	if err != nil {
 		return fmt.Errorf("wal: listing %s: %w", l.dir, err)
@@ -90,8 +155,6 @@ func (l *Log) ReadRange(from, to uint64, fn func(lsn uint64, typ RecordType, bod
 	if from < oldest {
 		return &ReapedError{Requested: from, First: oldest}
 	}
-
-	last := from - 1 // highest LSN delivered so far
 	for i, name := range names {
 		first, ok := firstLSNFromName(name)
 		if !ok {
@@ -106,39 +169,33 @@ func (l *Log) ReadRange(from, to uint64, fn func(lsn uint64, typ RecordType, bod
 				continue
 			}
 		}
-		lsn := first
-		_, _, _, scanErr := l.scanFile(filepath.Join(l.dir, name), func(typ RecordType, body []byte) error {
-			cur := lsn
-			lsn++
-			if cur < from {
-				return nil
-			}
-			if cur > to {
-				return errStopScan
-			}
-			if err := fn(cur, typ, body); err != nil {
-				return err
-			}
-			last = cur
-			if cur == to {
-				return errStopScan
-			}
-			return nil
-		})
-		if scanErr == errStopScan {
-			return nil
-		}
-		if scanErr != nil && !truncatable(scanErr) {
-			return scanErr
-		}
-		if last == to {
-			return nil
+		if done, err := scan(name, 0, first); err != nil || done {
+			return err
 		}
 	}
 	if last < to {
 		return fmt.Errorf("wal: read range [%d,%d] ended early at %d", from, to, last)
 	}
 	return nil
+}
+
+// indexSeek returns the greatest offset-index entry at or below lsn and
+// the first LSN of the active segment it points into; ok is false when
+// the index does not reach back to lsn.
+func (l *Log) indexSeek(lsn uint64) (segFirst uint64, e indexEntry, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := l.indexedThrough(lsn)
+	if n == 0 {
+		return 0, indexEntry{}, false
+	}
+	return l.segFirst, l.index[n-1], true
+}
+
+// indexedThrough counts the index entries at or below lsn. Callers hold
+// l.mu.
+func (l *Log) indexedThrough(lsn uint64) int {
+	return sort.Search(len(l.index), func(i int) bool { return l.index[i].lsn > lsn })
 }
 
 // SetReapHold registers (or moves) a retention hold: Reap will keep

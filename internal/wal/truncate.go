@@ -49,6 +49,11 @@ func (l *Log) TruncateTo(lsn uint64) (droppedData int, err error) {
 	if l.nextLSN <= lsn+1 {
 		return 0, nil // nothing above lsn
 	}
+	// Forget the indexed frames about to go. What is left still describes
+	// the active segment if it survives as the boundary; if a sealed
+	// segment becomes active instead, every entry was above lsn and the
+	// index is empty, as for any segment this process did not write.
+	l.index = l.index[:l.indexedThrough(lsn)]
 	if l.f != nil {
 		if err := l.f.Close(); err != nil {
 			return 0, fmt.Errorf("wal: closing active segment: %w", err)

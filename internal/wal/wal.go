@@ -27,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -134,6 +135,10 @@ type Log struct {
 	segFirst uint64
 	nextLSN  uint64 // next LSN to assign
 	err      error  // sticky write failure: the log is dead past it
+	frame    []byte // append's encode buffer, reused across records
+	// index is the sparse offset index of the active segment (see
+	// indexEntry): ascending, always valid, possibly incomplete.
+	index []indexEntry
 
 	// smu guards the group-commit state. Lock order: mu may be taken
 	// while holding nothing; smu may be taken while holding mu (rotation
@@ -159,13 +164,32 @@ type Log struct {
 	closed bool
 }
 
+// indexEntry records that the frame of record lsn starts at byte off of
+// the active segment. append adds one at most every indexStride bytes,
+// so ReadRange can seek next to the records it was asked for instead of
+// scanning the segment from its header. The index is never wrong but may
+// not reach back to the segment's start (records that predate Open are
+// not indexed); a range it does not cover is scanned from the header.
+type indexEntry struct {
+	lsn uint64
+	off int64
+}
+
+// indexStride spaces index entries by bytes, not records, so a storm of
+// 17-byte tombstones cannot grow the index faster than large records do:
+// a segment holds at most SegmentBytes/indexStride+1 entries.
+const indexStride = 4 << 10
+
 // ErrClosed is returned by operations on a closed Log.
 var ErrClosed = fmt.Errorf("wal: log is closed")
 
-const segPrefix = "wal-"
+const (
+	segPrefix = "wal-"
+	segSuffix = ".seg"
+)
 
 func segmentName(firstLSN uint64) string {
-	return fmt.Sprintf("%s%020d.seg", segPrefix, firstLSN)
+	return fmt.Sprintf("%s%020d%s", segPrefix, firstLSN, segSuffix)
 }
 
 // listSegments returns the segment file names in dir, sorted ascending
@@ -177,7 +201,7 @@ func listSegments(fsys vfs.FS, dir string) ([]string, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasPrefix(e.Name(), segPrefix) && strings.HasSuffix(e.Name(), ".seg") {
+		if !e.IsDir() && strings.HasPrefix(e.Name(), segPrefix) && strings.HasSuffix(e.Name(), segSuffix) {
 			names = append(names, e.Name())
 		}
 	}
@@ -328,7 +352,8 @@ func (l *Log) truncateAt(path string, valid int64, later []string) error {
 	return nil
 }
 
-// scanFile scans one segment file.
+// scanFile scans one segment file from its header. body is only valid
+// during fn.
 func (l *Log) scanFile(path string, fn func(typ RecordType, body []byte) error) (first uint64, records int, valid int64, err error) {
 	f, err := l.fsys.Open(path)
 	if err != nil {
@@ -338,9 +363,16 @@ func (l *Log) scanFile(path string, fn func(typ RecordType, body []byte) error) 
 	return scanSegment(f, fn)
 }
 
+// firstLSNFromName parses a name segmentName wrote: the prefix, exactly
+// twenty decimal digits, the suffix.
 func firstLSNFromName(name string) (uint64, bool) {
-	var lsn uint64
-	_, err := fmt.Sscanf(name, segPrefix+"%020d.seg", &lsn)
+	const digits = 20
+	if len(name) != len(segPrefix)+digits+len(segSuffix) ||
+		!strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
+		return 0, false
+	}
+	// ParseUint takes neither a sign nor, in base 10, an underscore.
+	lsn, err := strconv.ParseUint(name[len(segPrefix):len(segPrefix)+digits], 10, 64)
 	return lsn, err == nil
 }
 
@@ -362,6 +394,7 @@ func (l *Log) newSegment(firstLSN uint64) error {
 		return err
 	}
 	l.f, l.fSize, l.segFirst = f, int64(len(hdr)), firstLSN
+	l.index = l.index[:0]
 	return nil
 }
 
@@ -405,8 +438,8 @@ func (l *Log) append(typ RecordType, body []byte) (uint64, error) {
 		}
 	}
 	start := time.Now()
-	frame := appendFrame(nil, typ, body)
-	if _, err := l.f.Write(frame); err != nil {
+	l.frame = appendFrame(l.frame[:0], typ, body)
+	if _, err := l.f.Write(l.frame); err != nil {
 		// Try to roll the (possibly partial) frame back off the tail so a
 		// transient failure — ENOSPC above all — leaves the log exactly as
 		// it was: the caller's batch was never assigned an LSN or acked,
@@ -427,8 +460,11 @@ func (l *Log) append(typ RecordType, body []byte) (uint64, error) {
 	if l.opts.ObserveAppend != nil {
 		l.opts.ObserveAppend(time.Since(start))
 	}
-	l.fSize += int64(len(frame))
 	lsn := l.nextLSN
+	if n := len(l.index); n == 0 || l.fSize-l.index[n-1].off >= indexStride {
+		l.index = append(l.index, indexEntry{lsn: lsn, off: l.fSize})
+	}
+	l.fSize += int64(len(l.frame))
 	l.nextLSN++
 	l.appends.Add(1)
 	return lsn, nil
@@ -585,6 +621,8 @@ func (l *Log) intervalSyncer() {
 
 // Replay streams every durable record in LSN order. It reads the
 // segment files directly and must not run concurrently with Append.
+// body is only valid during fn: the scan reuses one buffer, so a
+// callback that keeps a record copies it.
 func (l *Log) Replay(fn func(lsn uint64, typ RecordType, body []byte) error) error {
 	names, err := listSegments(l.fsys, l.dir)
 	if err != nil {
