@@ -20,10 +20,15 @@ race:
 bench:
 	$(GO) test -run xxx -bench 'IngestBatch|PredictEndpoint' -benchtime=1s .
 
-# Block-store benchmarks: Gorilla encode cost + bytes/sample, and the
-# merged range-scan hot path behind /v1/query/range.
+# Read-path benchmarks: Gorilla encode cost + bytes/sample, chunk decode
+# (ns/point), the range-scan hot path behind /v1/query/range; the
+# fleet-wide 6 h distribution pull behind /v1/query/distribution
+# (blocks only, straddling the frontier, head only); and the radix sort
+# under it against sort.Float64s.
 bench-block:
-	$(GO) test -run xxx -bench 'BlockEncode|RangeScan' -benchtime=1s ./internal/block/
+	$(GO) test -run xxx -bench 'BlockEncode|ChunkDecode|RangeScan' -benchmem -benchtime=1s ./internal/block/
+	$(GO) test -run xxx -bench 'Distribution' -benchmem -benchtime=1s ./internal/tsdb/
+	$(GO) test -run xxx -bench 'SortFloat64s' -benchmem -benchtime=1s ./internal/stats/
 
 # Ingest-codec microbenchmarks on a 512-sample body: the single-pass
 # scanner against the encoding/json decode it replaced, and the append
@@ -127,10 +132,14 @@ fuzz-repl:
 	$(GO) test -run xxx -fuzz FuzzReplStream -fuzztime 30s ./internal/repl/
 
 # Fuzz the block chunk decoder and the block-file index/read path:
-# arbitrary bytes must decode or error — never panic or over-read.
+# arbitrary bytes must decode or error — never panic or over-read — and
+# the word-buffered bit reader and the decoder on it must agree with the
+# byte-wise reference kept in the tests.
 fuzz-block:
 	$(GO) test -run xxx -fuzz FuzzChunkDecode -fuzztime 30s ./internal/block/
 	$(GO) test -run xxx -fuzz FuzzBlockIndex -fuzztime 30s ./internal/block/
+	$(GO) test -run xxx -fuzz FuzzBitReader -fuzztime 15s ./internal/block/
+	$(GO) test -run xxx -fuzz FuzzDecodeAgainstReference -fuzztime 15s ./internal/block/
 
 # Fuzz the fault-injection layer and WAL recovery under it: the
 # -fault-disk spec parser must never panic, and a single-byte flip

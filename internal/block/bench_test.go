@@ -118,6 +118,39 @@ func BenchmarkBlockEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkChunkDecode measures decoding one node's 2h window back into
+// points (ns/point): quantized is the phase-structured 0.1 W telemetry
+// of synthGen, where most values repeat; noisy re-draws every value, so
+// every point pays a full XOR window — the upper end of what a chunk
+// costs to read.
+func BenchmarkChunkDecode(b *testing.B) {
+	g := newSynthGen(7, 0)
+	rng := rand.New(rand.NewSource(7))
+	quantized, noisy := make([]Point, 120), make([]Point, 120)
+	for i := range quantized {
+		ts := int64(i) * 60
+		quantized[i] = Point{T: ts, V: g.sample()}
+		noisy[i] = Point{T: ts, V: math.Round((200+rng.NormFloat64()*10)*10) / 10}
+	}
+	for _, c := range []struct {
+		name string
+		pts  []Point
+	}{{"quantized", quantized}, {"noisy", noisy}} {
+		b.Run(c.name, func(b *testing.B) {
+			chunk := EncodeChunk(c.pts)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pts, err := DecodeChunk(chunk)
+				if err != nil || len(pts) != len(c.pts) {
+					b.Fatalf("decoded %d points, err %v", len(pts), err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.pts)), "ns/point")
+		})
+	}
+}
+
 // BenchmarkRangeScan measures a one-day range query over a week of
 // sealed per-minute blocks — the hot path behind /v1/query/range.
 func BenchmarkRangeScan(b *testing.B) {

@@ -12,7 +12,7 @@
 package block
 
 import (
-	"io"
+	"encoding/binary"
 )
 
 // bitWriter appends bits MSB-first into a byte slice.
@@ -50,40 +50,62 @@ func (w *bitWriter) writeBits(v uint64, n uint) {
 	}
 }
 
-// bitReader consumes bits MSB-first from a byte slice. Every read is
-// bounds-checked: decoding truncated or corrupt input returns
-// io.ErrUnexpectedEOF instead of panicking or over-reading — the
-// property the chunk-decode fuzzer locks in.
+// bitReader consumes bits MSB-first from a byte slice through a 64-bit
+// buffer: a read is a shift and a mask, and the slice is only touched
+// (and its end only checked) once per eight bytes. A read past the end
+// sets eof and returns zero bits, as does every read after it, so a
+// decoder checks eof once per point instead of once per bit; truncated
+// or corrupt input never panics and never over-reads — the property
+// the chunk-decode fuzzer locks in. The zero value over b is ready.
 type bitReader struct {
-	b   []byte
-	pos uint64 // bit cursor
+	b     []byte // bytes not yet loaded into buf
+	buf   uint64 // the unread bits are its low `valid` bits
+	valid uint
+	eof   bool
 }
 
-func (r *bitReader) readBits(n uint) (uint64, error) {
-	if n > 64 {
-		return 0, io.ErrUnexpectedEOF
+// readBits returns the next n ≤ 64 bits, most significant first.
+func (r *bitReader) readBits(n uint) uint64 {
+	if n <= r.valid {
+		r.valid -= n
+		return r.buf >> r.valid & (1<<n - 1)
 	}
-	if r.pos+uint64(n) > uint64(len(r.b))*8 {
-		return 0, io.ErrUnexpectedEOF
+	return r.readBitsRefill(n)
+}
+
+func (r *bitReader) readBit() uint64 {
+	if r.valid == 0 {
+		return r.readBitsRefill(1)
 	}
-	var v uint64
-	for n > 0 {
-		byteIdx := r.pos >> 3
-		bitOff := uint(r.pos & 7)
-		avail := 8 - bitOff
-		take := n
-		if take > avail {
-			take = avail
+	r.valid--
+	return r.buf >> r.valid & 1
+}
+
+// readBitsRefill serves a read that needs more than the buffer holds:
+// the buffered bits become the high part of the result, the next eight
+// bytes (fewer at the tail) are loaded, and the rest comes from them.
+func (r *bitReader) readBitsRefill(n uint) uint64 {
+	need := n - r.valid
+	high := r.buf & (1<<r.valid - 1)
+	if len(r.b) >= 8 {
+		r.buf = binary.BigEndian.Uint64(r.b)
+		r.b = r.b[8:]
+		r.valid = 64
+	} else {
+		r.buf = 0
+		for _, c := range r.b {
+			r.buf = r.buf<<8 | uint64(c)
 		}
-		chunk := uint64(r.b[byteIdx]>>(avail-take)) & ((1 << take) - 1)
-		v = v<<take | chunk
-		r.pos += uint64(take)
-		n -= take
+		r.valid = 8 * uint(len(r.b))
+		r.b = nil
 	}
-	return v, nil
+	if need > r.valid {
+		r.valid, r.eof = 0, true
+		return 0
+	}
+	r.valid -= need
+	return high<<need | r.buf>>r.valid&(1<<need-1)
 }
-
-func (r *bitReader) readBit() (uint64, error) { return r.readBits(1) }
 
 // zigzag maps signed to unsigned so small-magnitude deltas of either
 // sign encode in few bits.

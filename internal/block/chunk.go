@@ -1,9 +1,9 @@
 package block
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 )
@@ -82,24 +82,15 @@ type tsDecoder struct {
 	prevDelta int64
 }
 
-func (d *tsDecoder) read(r *bitReader) (int64, error) {
+func (d *tsDecoder) read(r *bitReader) int64 {
 	if d.n == 0 {
-		u, err := r.readBits(64)
-		if err != nil {
-			return 0, err
-		}
-		d.prevT = int64(u)
-		d.n++
-		return d.prevT, nil
+		d.prevT = int64(r.readBits(64))
+	} else {
+		d.prevDelta += unzigzag(readVarBits(r))
+		d.prevT += d.prevDelta
 	}
-	u, err := readVarBits(r)
-	if err != nil {
-		return 0, err
-	}
-	d.prevDelta += unzigzag(u)
-	d.prevT += d.prevDelta
 	d.n++
-	return d.prevT, nil
+	return d.prevT
 }
 
 // writeVarBits encodes an unsigned value on an exponential bit ladder:
@@ -128,20 +119,12 @@ func writeVarBits(w *bitWriter, u uint64) {
 	}
 }
 
-func readVarBits(r *bitReader) (uint64, error) {
-	b, err := r.readBit()
-	if err != nil {
-		return 0, err
+func readVarBits(r *bitReader) uint64 {
+	if r.readBit() == 0 {
+		return 0
 	}
-	if b == 0 {
-		return 0, nil
-	}
-	for _, n := range []uint{8, 16, 32} {
-		b, err = r.readBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 0 {
+	for n := uint(8); n <= 32; n <<= 1 {
+		if r.readBit() == 0 {
 			return r.readBits(n)
 		}
 	}
@@ -205,52 +188,30 @@ type xorDecoder struct {
 
 func (d *xorDecoder) read(r *bitReader) (float64, error) {
 	if d.n == 0 {
-		u, err := r.readBits(64)
-		if err != nil {
-			return 0, err
-		}
-		d.prev = u
+		d.prev = r.readBits(64)
 		d.leading = 65
 		d.n++
-		return math.Float64frombits(u), nil
-	}
-	d.n++
-	b, err := r.readBit()
-	if err != nil {
-		return 0, err
-	}
-	if b == 0 {
 		return math.Float64frombits(d.prev), nil
 	}
-	b, err = r.readBit()
-	if err != nil {
-		return 0, err
+	d.n++
+	if r.readBit() == 0 {
+		return math.Float64frombits(d.prev), nil
 	}
-	if b != 0 {
-		lead, err := r.readBits(5)
-		if err != nil {
-			return 0, err
-		}
-		sig, err := r.readBits(6)
-		if err != nil {
-			return 0, err
-		}
+	if r.readBit() != 0 {
+		hdr := uint(r.readBits(11)) // 5 bits of leading zeros, 6 of length
+		lead, sig := hdr>>6, hdr&0x3f
 		if sig == 0 {
 			sig = 64
 		}
-		if uint(lead)+uint(sig) > 64 {
+		if lead+sig > 64 {
 			return 0, corruptf("xor window %d+%d exceeds 64 bits", lead, sig)
 		}
-		d.leading = uint(lead)
-		d.trailing = 64 - uint(lead) - uint(sig)
+		d.leading = lead
+		d.trailing = 64 - lead - sig
 	} else if d.leading > 64 {
 		return 0, corruptf("xor window reuse before any window was declared")
 	}
-	mant, err := r.readBits(64 - d.leading - d.trailing)
-	if err != nil {
-		return 0, err
-	}
-	d.prev ^= mant << d.trailing
+	d.prev ^= r.readBits(64-d.leading-d.trailing) << d.trailing
 	return math.Float64frombits(d.prev), nil
 }
 
@@ -290,43 +251,104 @@ func preallocCount(count uint64) int {
 	return int(count)
 }
 
-// DecodeChunk decompresses a raw chunk. It never panics and never reads
-// past the payload: truncation and bit flips yield an error.
-func DecodeChunk(payload []byte) ([]Point, error) {
+// chunkIter decodes a raw chunk one point at a time, so each reader
+// keeps what it needs — points, values only, a caller's own point type
+// — without an intermediate []Point.
+type chunkIter struct {
+	r    bitReader
+	left uint64 // points not yet decoded
+	ts   tsDecoder
+	xd   xorDecoder
+}
+
+// init validates the chunk header and positions the iterator before
+// the first point.
+func (it *chunkIter) init(payload []byte) error {
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
-		return nil, corruptf("chunk header: bad point count")
+		return corruptf("chunk header: bad point count")
 	}
 	body := payload[n:]
 	// The first point costs 64+64 bits, every later one ≥ 1+1; a count
 	// that could not fit in the payload is rejected before any
 	// allocation or decoding.
 	if count > maxChunkPoints || (count > 0 && uint64(len(body))*8 < 128+(count-1)*2) {
-		return nil, corruptf("chunk claims %d points in %d bytes", count, len(body))
+		return corruptf("chunk claims %d points in %d bytes", count, len(body))
 	}
-	r := &bitReader{b: body}
-	var ts tsDecoder
-	var xd xorDecoder
-	out := make([]Point, 0, preallocCount(count))
-	for i := uint64(0); i < count; i++ {
-		t, err := ts.read(r)
+	*it = chunkIter{r: bitReader{b: body}, left: count}
+	return nil
+}
+
+// next decodes one point; call it it.left times. It never panics and
+// never reads past the payload: truncation and bit flips yield an error.
+func (it *chunkIter) next() (int64, float64, error) {
+	t := it.ts.read(&it.r)
+	v, err := it.xd.read(&it.r)
+	if it.r.eof {
+		return 0, 0, errTruncated
+	}
+	it.left--
+	return t, v, err
+}
+
+var errTruncated = corruptf("chunk truncated")
+
+// DecodeChunk decompresses a raw chunk. It never panics and never reads
+// past the payload: truncation and bit flips yield an error.
+func DecodeChunk(payload []byte) ([]Point, error) {
+	var it chunkIter
+	if err := it.init(payload); err != nil {
+		return nil, err
+	}
+	out := make([]Point, 0, preallocCount(it.left))
+	for it.left > 0 {
+		t, v, err := it.next()
 		if err != nil {
-			return nil, chunkErr(err)
-		}
-		v, err := xd.read(r)
-		if err != nil {
-			return nil, chunkErr(err)
+			return nil, err
 		}
 		out = append(out, Point{T: t, V: v})
 	}
 	return out, nil
 }
 
-func chunkErr(err error) error {
-	if err == io.ErrUnexpectedEOF {
-		return corruptf("chunk truncated")
+// appendChunkPoints appends to dst the raw chunk's points with
+// from ≤ t ≤ hi, each built by mk.
+func appendChunkPoints[P any](dst []P, payload []byte, from, hi int64, mk func(t int64, v float64) P) ([]P, error) {
+	var it chunkIter
+	if err := it.init(payload); err != nil {
+		return dst, err
 	}
-	return err
+	for it.left > 0 {
+		t, v, err := it.next()
+		if err != nil {
+			return dst, err
+		}
+		if t >= from && t <= hi {
+			dst = append(dst, mk(t, v))
+		}
+	}
+	return dst, nil
+}
+
+// appendChunkValues appends to dst the values of a raw chunk's points
+// with from ≤ t ≤ hi; all says the caller already knows (from the
+// index entry's [MinT, MaxT]) that every point qualifies, so the
+// per-point comparison is skipped.
+func appendChunkValues(dst []float64, payload []byte, from, hi int64, all bool) ([]float64, error) {
+	var it chunkIter
+	if err := it.init(payload); err != nil {
+		return dst, err
+	}
+	for it.left > 0 {
+		t, v, err := it.next()
+		if err != nil {
+			return dst, err
+		}
+		if all || (t >= from && t <= hi) {
+			dst = append(dst, v)
+		}
+	}
+	return dst, nil
 }
 
 // ---- rollup chunk -------------------------------------------------------
@@ -371,29 +393,19 @@ func DecodeAggChunk(payload []byte) ([]AggPoint, error) {
 	var xsum, xmin, xmax xorDecoder
 	out := make([]AggPoint, 0, preallocCount(count))
 	for i := uint64(0); i < count; i++ {
-		t, err := ts.read(r)
-		if err != nil {
-			return nil, chunkErr(err)
+		t := ts.read(r)
+		prevCount += unzigzag(readVarBits(r))
+		sum, errSum := xsum.read(r)
+		mn, errMin := xmin.read(r)
+		mx, errMax := xmax.read(r)
+		if r.eof {
+			return nil, errTruncated
 		}
-		cu, err := readVarBits(r)
-		if err != nil {
-			return nil, chunkErr(err)
-		}
-		prevCount += unzigzag(cu)
 		if prevCount < 0 {
 			return nil, corruptf("agg chunk has negative count")
 		}
-		sum, err := xsum.read(r)
-		if err != nil {
-			return nil, chunkErr(err)
-		}
-		mn, err := xmin.read(r)
-		if err != nil {
-			return nil, chunkErr(err)
-		}
-		mx, err := xmax.read(r)
-		if err != nil {
-			return nil, chunkErr(err)
+		if err := cmp.Or(errSum, errMin, errMax); err != nil {
+			return nil, err
 		}
 		out = append(out, AggPoint{T: t, Count: prevCount, Sum: sum, Min: mn, Max: mx})
 	}

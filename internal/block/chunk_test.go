@@ -169,12 +169,8 @@ func TestVarBitsLadder(t *testing.T) {
 	}
 	r := &bitReader{b: w.b}
 	for _, want := range vals {
-		got, err := readVarBits(r)
-		if err != nil {
-			t.Fatalf("read %d: %v", want, err)
-		}
-		if got != want {
-			t.Fatalf("got %d want %d", got, want)
+		if got := readVarBits(r); got != want || r.eof {
+			t.Fatalf("got %d (eof %v) want %d", got, r.eof, want)
 		}
 	}
 }

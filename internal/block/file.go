@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 
 	"hpcpower/internal/vfs"
 )
@@ -120,6 +121,38 @@ func (b *BlockInfo) entry(node int) (IndexEntry, bool) {
 	return IndexEntry{}, false
 }
 
+// overlaps reports whether the chunk has points inside [from, hi];
+// within, whether all of them are — then a scan need not compare each.
+func (e IndexEntry) overlaps(from, hi int64) bool { return e.MaxT >= from && e.MinT <= hi }
+func (e IndexEntry) within(from, hi int64) bool   { return e.MinT >= from && e.MaxT <= hi }
+
+// entryIn is entry for a read of [from, hi]: the node's chunk, if it
+// has one here that overlaps the range.
+func (b *BlockInfo) entryIn(node int, from, hi int64) (IndexEntry, bool) {
+	e, ok := b.entry(node)
+	return e, ok && e.overlaps(from, hi)
+}
+
+// pointsIn sums the point counts of the chunks a read of [from, hi]
+// for the given nodes (none means all) will decode — an upper bound on
+// what it returns, known before any chunk is read.
+func (b *BlockInfo) pointsIn(nodes []int, from, hi int64) int {
+	n := 0
+	for _, node := range nodes {
+		if e, ok := b.entryIn(node, from, hi); ok {
+			n += e.Count
+		}
+	}
+	if len(nodes) == 0 {
+		for _, e := range b.Series {
+			if e.overlaps(from, hi) {
+				n += e.Count
+			}
+		}
+	}
+	return n
+}
+
 func appendFrame(buf, payload []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
@@ -214,7 +247,7 @@ func writeBlockFile(fsys vfs.FS, path string, tier Tier, windowStart, windowLen 
 
 // OpenBlock validates a block file's trailer, index, and header and
 // returns its catalog record. Chunk payloads are not read (and not CRC
-// checked) here — readChunk verifies each on access.
+// checked) here — blockReader verifies each on access.
 func OpenBlock(fsys vfs.FS, path string) (*BlockInfo, error) {
 	st, err := fsys.Stat(path)
 	if err != nil {
@@ -289,7 +322,7 @@ func OpenBlock(fsys vfs.FS, path string) (*BlockInfo, error) {
 	if int64(len(payload)-4) != n*indexEntryLen {
 		return nil, corruptf("%s: index claims %d series in %d bytes", filepath.Base(path), n, len(payload)-4)
 	}
-	prevNode := int64(-1)
+	prevNode, prevEnd := int64(-1), int64(headerLen)
 	for i := int64(0); i < n; i++ {
 		rec := payload[4+i*indexEntryLen:]
 		e := IndexEntry{
@@ -307,34 +340,98 @@ func OpenBlock(fsys vfs.FS, path string) (*BlockInfo, error) {
 			return nil, corruptf("%s: index nodes not strictly ascending", filepath.Base(path))
 		}
 		prevNode = int64(e.Node)
-		if e.Off < headerLen || e.Len < 0 || e.Off+frameHdrLen+int64(e.Len) > idxOff || e.Samples < 0 {
+		// Frames lie between header and index in index order without
+		// overlapping, as the writer lays them out — what lets a scan
+		// read a run of entries as one region.
+		if e.Off < prevEnd || e.Len < 0 || e.Off+frameHdrLen+int64(e.Len) > idxOff || e.Samples < 0 {
 			return nil, corruptf("%s: series %d chunk out of bounds", filepath.Base(path), e.Node)
 		}
+		prevEnd = e.Off + frameHdrLen + int64(e.Len)
 		info.Series = append(info.Series, e)
 	}
 	return info, nil
 }
 
-// readChunk reads and CRC-verifies one series' chunk payload. Only
-// wrong bytes (CRC/length mismatches) classify as ErrCorrupt; a failed
-// ReadAt is a transient I/O error and must not get a good block
-// quarantined.
-func readChunk(fsys vfs.FS, info *BlockInfo, e IndexEntry) ([]byte, error) {
+// blockReader reads the chunk frames of one block through a single
+// handle into a buffer it reuses, so a scan over a block's series costs
+// one open however many chunks it touches. Payloads it returns alias
+// that buffer: they are valid until the next read or close. Only wrong
+// bytes (CRC/length mismatches) classify as ErrCorrupt; a failed ReadAt
+// is a transient I/O error and must not get a good block quarantined.
+type blockReader struct {
+	info *BlockInfo
+	f    vfs.File
+	buf  *[]byte
+	// region is the prefetched run of frames starting at file offset
+	// regionOff, from which chunk serves entries without another read.
+	region    []byte
+	regionOff int64
+}
+
+// maxPooledReadBuf bounds the frame buffers kept for reuse: a fleet-wide
+// region of a 2h block is about a megabyte per thousand nodes, and one
+// unusually large read should not pin its buffer forever.
+const maxPooledReadBuf = 8 << 20
+
+var readBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func openBlockReader(fsys vfs.FS, info *BlockInfo) (blockReader, error) {
 	f, err := fsys.Open(info.Path)
 	if err != nil {
-		return nil, err
+		return blockReader{}, err
 	}
-	defer f.Close()
-	frame := make([]byte, frameHdrLen+e.Len)
-	if _, err := f.ReadAt(frame, e.Off); err != nil {
-		return nil, fmt.Errorf("block: %s: series %d: %w", filepath.Base(info.Path), e.Node, err)
+	return blockReader{info: info, f: f, buf: readBufPool.Get().(*[]byte)}, nil
+}
+
+func (r *blockReader) close() {
+	r.f.Close()
+	if cap(*r.buf) <= maxPooledReadBuf {
+		readBufPool.Put(r.buf)
+	}
+}
+
+// read fills the reader's buffer with n bytes from file offset off.
+func (r *blockReader) read(off int64, n int) ([]byte, error) {
+	r.region = nil
+	if cap(*r.buf) < n {
+		*r.buf = make([]byte, n)
+	}
+	b := (*r.buf)[:n]
+	if _, err := r.f.ReadAt(b, off); err != nil {
+		return nil, fmt.Errorf("block: %s: reading %d bytes at %d: %w", filepath.Base(r.info.Path), n, off, err)
+	}
+	return b, nil
+}
+
+// prefetch reads the frames of entries — a run of consecutive index
+// entries, which OpenBlock checked lie in that order in the file — in
+// one ReadAt, so the chunk calls for them that follow touch no file.
+func (r *blockReader) prefetch(entries []IndexEntry) error {
+	first, last := entries[0], entries[len(entries)-1]
+	region, err := r.read(first.Off, int(last.Off-first.Off)+frameHdrLen+last.Len)
+	r.region, r.regionOff = region, first.Off
+	return err
+}
+
+// chunk reads (or takes from the prefetched region) and CRC-verifies
+// one series' chunk payload.
+func (r *blockReader) chunk(e IndexEntry) ([]byte, error) {
+	n := int64(frameHdrLen + e.Len)
+	var frame []byte
+	if off := e.Off - r.regionOff; off >= 0 && off+n <= int64(len(r.region)) {
+		frame = r.region[off : off+n]
+	} else {
+		var err error
+		if frame, err = r.read(e.Off, int(n)); err != nil {
+			return nil, err
+		}
 	}
 	if int(binary.LittleEndian.Uint32(frame[0:4])) != e.Len {
-		return nil, corruptf("%s: series %d frame length mismatch", filepath.Base(info.Path), e.Node)
+		return nil, corruptf("%s: series %d frame length mismatch", filepath.Base(r.info.Path), e.Node)
 	}
 	payload := frame[frameHdrLen:]
 	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(frame[4:8]) {
-		return nil, corruptf("%s: series %d chunk checksum mismatch", filepath.Base(info.Path), e.Node)
+		return nil, corruptf("%s: series %d chunk checksum mismatch", filepath.Base(r.info.Path), e.Node)
 	}
 	return payload, nil
 }

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -122,8 +123,33 @@ func FuzzBlockIndex(f *testing.F) {
 		if err != nil {
 			return // rejected: the only acceptable alternative to success
 		}
+		if len(info.Series) == 0 {
+			return
+		}
+		// Chunk by chunk, and as the one region a fleet-wide scan reads:
+		// the two must agree on which frames verify and on their bytes.
+		r, err := openBlockReader(vfs.OS, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.close()
+		rr, err := openBlockReader(vfs.OS, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rr.close()
+		if err := rr.prefetch(info.Series); err != nil {
+			t.Fatalf("region read of an index OpenBlock accepted: %v", err)
+		}
 		for _, e := range info.Series {
-			payload, err := readChunk(vfs.OS, info, e)
+			payload, err := r.chunk(e)
+			viaRegion, rerr := rr.chunk(e)
+			if rr.region == nil {
+				t.Fatalf("series %d: not served from the prefetched region", e.Node)
+			}
+			if (err == nil) != (rerr == nil) || !bytes.Equal(payload, viaRegion) {
+				t.Fatalf("series %d: chunk read (%v) and region read (%v) disagree", e.Node, err, rerr)
+			}
 			if err != nil {
 				continue
 			}

@@ -3,7 +3,11 @@ package block
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
+
+	"hpcpower/internal/stats"
+	"hpcpower/internal/vfs"
 )
 
 // Querier is the read API over a Store. All reads operate on the
@@ -56,40 +60,62 @@ func corruptIn(b *BlockInfo, err error) error {
 	return err
 }
 
+// upper turns the API's "to ≤ 0 means unbounded above" into a bound
+// the per-entry and per-point comparisons can use unconditionally.
+func upper(to int64) int64 {
+	if to <= 0 {
+		return math.MaxInt64
+	}
+	return to
+}
+
 // Range returns the node's raw points with from ≤ t ≤ to (to ≤ 0 means
-// unbounded above), in time order, decoded from raw-tier chunks. Window
+// unbounded), in time order, decoded from raw-tier chunks. Window
 // bounds in the index let whole blocks and whole chunks be skipped
 // without decoding.
 func (q *Querier) Range(node int, from, to int64) ([]Point, bool, error) {
-	var out []Point
+	return AppendRange(q, nil, node, from, to, func(t int64, v float64) Point { return Point{T: t, V: v} })
+}
+
+// AppendRange is Range for a caller with a point type of its own: the
+// points are decoded straight into dst, each built by mk, with no
+// []Point in between. dst grows once, by the index's point counts. When
+// corruption forces a quarantine-and-retry, dst is cut back to its
+// length at the call, so it never holds a point twice.
+func AppendRange[P any](q *Querier, dst []P, node int, from, to int64, mk func(t int64, v float64) P) ([]P, bool, error) {
+	start, hi := len(dst), upper(to)
 	degraded, err := q.heal(func() error {
-		out = out[:0]
-		for _, b := range q.s.tierBlocks(TierRaw, from, to) {
-			e, ok := b.entry(node)
-			if !ok || e.MaxT < from || (to > 0 && e.MinT > to) {
+		dst = dst[:start]
+		blocks := q.s.tierBlocks(TierRaw, from, to)
+		n := 0
+		for _, b := range blocks {
+			n += b.pointsIn([]int{node}, from, hi)
+		}
+		dst = slices.Grow(dst, n)
+		for _, b := range blocks {
+			e, ok := b.entryIn(node, from, hi)
+			if !ok {
 				continue
 			}
-			payload, err := readChunk(q.s.fsys, b, e)
+			r, err := openBlockReader(q.s.fsys, b)
+			if err != nil {
+				return err
+			}
+			payload, err := r.chunk(e)
+			if err == nil {
+				dst, err = appendChunkPoints(dst, payload, from, hi, mk)
+			}
+			r.close()
 			if err != nil {
 				return corruptIn(b, err)
-			}
-			pts, err := DecodeChunk(payload)
-			if err != nil {
-				return corruptIn(b, err)
-			}
-			for _, p := range pts {
-				if p.T < from || (to > 0 && p.T > to) {
-					continue
-				}
-				out = append(out, p)
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, degraded, err
+		return dst[:start], degraded, err
 	}
-	return out, degraded, nil
+	return dst, degraded, nil
 }
 
 // tierFor picks the coarsest tier whose step divides the requested one —
@@ -184,11 +210,7 @@ func (q *Querier) windowAggs(w windowBlocks, node int, pref Tier, step, from, to
 			if !ok {
 				return nil, nil
 			}
-			payload, err := readChunk(q.s.fsys, b, e)
-			if err != nil {
-				return nil, corruptIn(b, err)
-			}
-			aggs, err := DecodeAggChunk(payload)
+			aggs, err := readChunk(q.s.fsys, b, e, DecodeAggChunk)
 			return aggs, corruptIn(b, err)
 		}
 	}
@@ -199,11 +221,7 @@ func (q *Querier) windowAggs(w windowBlocks, node int, pref Tier, step, from, to
 		if !ok {
 			return nil, nil
 		}
-		payload, err := readChunk(q.s.fsys, raw, e)
-		if err != nil {
-			return nil, corruptIn(raw, err)
-		}
-		pts, err := DecodeChunk(payload)
+		pts, err := readChunk(q.s.fsys, raw, e, DecodeChunk)
 		if err != nil {
 			return nil, corruptIn(raw, err)
 		}
@@ -234,11 +252,7 @@ func (q *Querier) windowAggs(w windowBlocks, node int, pref Tier, step, from, to
 		if !ok {
 			return nil, nil
 		}
-		payload, err := readChunk(q.s.fsys, b, e)
-		if err != nil {
-			return nil, corruptIn(b, err)
-		}
-		aggs, err := DecodeAggChunk(payload)
+		aggs, err := readChunk(q.s.fsys, b, e, DecodeAggChunk)
 		if err != nil {
 			return nil, corruptIn(b, err)
 		}
@@ -254,64 +268,89 @@ func (q *Querier) windowAggs(w windowBlocks, node int, pref Tier, step, from, to
 	return nil, nil
 }
 
-// EachValue streams every raw value of the given nodes inside [from, to]
-// (to ≤ 0 unbounded) to fn, one chunk at a time — ECDF and quantile
-// extraction over months of data without materializing whole series.
-// A nil or empty nodes slice means all nodes. On corruption the damaged
-// block is quarantined and the whole stream restarts (degraded=true),
-// so fn must be restartable — reset accumulated state when it is called
-// after an error-free prefix. Callers below buffer values and reset the
-// buffer via the restart callback.
-func (q *Querier) EachValue(nodes []int, from, to int64, restart func(), fn func(node int, t int64, v float64)) (bool, error) {
-	want := map[int]struct{}{}
-	for _, n := range nodes {
-		want[n] = struct{}{}
-	}
-	return q.heal(func() error {
-		if restart != nil {
-			restart()
+// AppendValues appends to dst every raw value of the given nodes inside
+// [from, to] (to ≤ 0 unbounded; no nodes means all nodes) — the pull
+// behind ECDF and quantile extraction over months of data: only the
+// float64 values are kept, never the decoded points, and they arrive
+// grouped by block and node, not time sorted. Each block is opened
+// once; when all nodes are wanted its chunks are read as one region,
+// otherwise chunk by chunk through the same handle. dst grows once, by
+// the index's point counts. When corruption forces a quarantine-and-
+// retry (degraded=true), dst is cut back to its length at the call, so
+// it holds each surviving value exactly once.
+func (q *Querier) AppendValues(dst []float64, nodes []int, from, to int64) ([]float64, bool, error) {
+	start, hi := len(dst), upper(to)
+	nodes = slices.Clone(nodes)
+	slices.Sort(nodes)
+	nodes = slices.Compact(nodes)
+	degraded, err := q.heal(func() error {
+		dst = dst[:start]
+		blocks := q.s.tierBlocks(TierRaw, from, to)
+		n := 0
+		for _, b := range blocks {
+			n += b.pointsIn(nodes, from, hi)
 		}
-		for _, b := range q.s.tierBlocks(TierRaw, from, to) {
-			for i := range b.Series {
-				e := b.Series[i]
-				if len(want) > 0 {
-					if _, ok := want[e.Node]; !ok {
-						continue
-					}
-				}
-				if e.MaxT < from || (to > 0 && e.MinT > to) {
-					continue
-				}
-				payload, err := readChunk(q.s.fsys, b, e)
-				if err != nil {
-					return corruptIn(b, err)
-				}
-				pts, err := DecodeChunk(payload)
-				if err != nil {
-					return corruptIn(b, err)
-				}
-				for _, p := range pts {
-					if p.T < from || (to > 0 && p.T > to) {
-						continue
-					}
-					fn(e.Node, p.T, p.V)
-				}
+		dst = slices.Grow(dst, n)
+		for _, b := range blocks {
+			var err error
+			if dst, err = q.appendBlockValues(dst, b, nodes, from, hi); err != nil {
+				return corruptIn(b, err)
 			}
 		}
 		return nil
 	})
+	if err != nil {
+		return dst[:start], degraded, err
+	}
+	return dst, degraded, nil
+}
+
+// appendBlockValues is AppendValues over one block.
+func (q *Querier) appendBlockValues(dst []float64, b *BlockInfo, nodes []int, from, hi int64) ([]float64, error) {
+	if len(b.Series) == 0 {
+		return dst, nil
+	}
+	r, err := openBlockReader(q.s.fsys, b)
+	if err != nil {
+		return dst, err
+	}
+	defer r.close()
+	scan := func(e IndexEntry) error {
+		payload, err := r.chunk(e)
+		if err == nil {
+			dst, err = appendChunkValues(dst, payload, from, hi, e.within(from, hi))
+		}
+		return err
+	}
+	if len(nodes) == 0 {
+		if err := r.prefetch(b.Series); err != nil {
+			return dst, err
+		}
+		for _, e := range b.Series {
+			if e.overlaps(from, hi) {
+				if err := scan(e); err != nil {
+					return dst, err
+				}
+			}
+		}
+		return dst, nil
+	}
+	for _, node := range nodes {
+		if e, ok := b.entryIn(node, from, hi); ok {
+			if err := scan(e); err != nil {
+				return dst, err
+			}
+		}
+	}
+	return dst, nil
 }
 
 // Quantiles returns the requested quantiles (each in [0,1]) of all raw
 // values of the given nodes in [from, to], using the same nearest-rank
 // convention as internal/stats: q of n sorted values is the element at
-// ceil(q·n)−1. The value set is collected chunk-by-chunk; only the
-// float64 values (8 bytes each) are held, never the decoded points.
+// ceil(q·n)−1.
 func (q *Querier) Quantiles(nodes []int, from, to int64, qs []float64) ([]float64, bool, error) {
-	var vals []float64
-	degraded, err := q.EachValue(nodes, from, to,
-		func() { vals = vals[:0] },
-		func(_ int, _ int64, v float64) { vals = append(vals, v) })
+	vals, degraded, err := q.AppendValues(nil, nodes, from, to)
 	if err != nil {
 		return nil, degraded, err
 	}
@@ -319,7 +358,7 @@ func (q *Querier) Quantiles(nodes []int, from, to int64, qs []float64) ([]float6
 	if len(vals) == 0 {
 		return out, degraded, nil
 	}
-	sort.Float64s(vals)
+	stats.SortFloat64s(vals)
 	for i, qq := range qs {
 		if qq <= 0 {
 			out[i] = vals[0]
@@ -339,4 +378,19 @@ func (q *Querier) Quantiles(nodes []int, from, to int64, qs []float64) ([]float6
 		out[i] = vals[k]
 	}
 	return out, degraded, nil
+}
+
+// readChunk reads, verifies and decodes one chunk on a handle of its
+// own — for reads that touch one chunk of a block.
+func readChunk[T any](fsys vfs.FS, b *BlockInfo, e IndexEntry, decode func([]byte) ([]T, error)) ([]T, error) {
+	r, err := openBlockReader(fsys, b)
+	if err != nil {
+		return nil, err
+	}
+	defer r.close()
+	payload, err := r.chunk(e)
+	if err != nil {
+		return nil, err
+	}
+	return decode(payload)
 }

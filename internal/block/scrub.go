@@ -82,8 +82,13 @@ func (s *Store) verifyBlock(b *BlockInfo) (reason string, chunks int) {
 		}
 		return "", 0
 	}
+	r, err := openBlockReader(s.fsys, b)
+	if err != nil {
+		return "", 0
+	}
+	defer r.close()
 	for _, e := range b.Series {
-		if _, err := readChunk(s.fsys, b, e); err != nil {
+		if _, err := r.chunk(e); err != nil {
 			if errors.Is(err, ErrCorrupt) {
 				return err.Error(), chunks
 			}

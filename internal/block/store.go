@@ -1,10 +1,12 @@
 package block
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -304,6 +306,35 @@ func (s *Store) CompactPending() (int, error) {
 	return built, nil
 }
 
+// decodedSeries is one node's points of a raw block.
+type decodedSeries struct {
+	node int
+	pts  []Point
+}
+
+// decodeRaw reads and decodes every chunk of a raw block through one
+// handle.
+func (s *Store) decodeRaw(raw *BlockInfo) ([]decodedSeries, error) {
+	r, err := openBlockReader(s.fsys, raw)
+	if err != nil {
+		return nil, err
+	}
+	defer r.close()
+	series := make([]decodedSeries, 0, len(raw.Series))
+	for _, e := range raw.Series {
+		payload, err := r.chunk(e)
+		if err != nil {
+			return nil, err
+		}
+		pts, err := DecodeChunk(payload)
+		if err != nil {
+			return nil, err
+		}
+		series = append(series, decodedSeries{node: e.Node, pts: pts})
+	}
+	return series, nil
+}
+
 // compactWindow decodes one raw block and publishes its missing rollup
 // siblings.
 func (s *Store) compactWindow(raw *BlockInfo) (int, error) {
@@ -315,28 +346,16 @@ func (s *Store) compactWindow(raw *BlockInfo) (int, error) {
 	if have5m && have1h {
 		return 0, nil
 	}
-	type decoded struct {
-		node int
-		pts  []Point
+	series, err := s.decodeRaw(raw)
+	if errors.Is(err, ErrCorrupt) {
+		// The raw block rotted before its rollups were built:
+		// quarantine it and skip the window — the data this rollup
+		// would have carried is gone either way, and leaving the
+		// corrupt block cataloged would wedge the compactor forever.
+		s.quarantine(raw, err.Error())
+		return 0, nil
 	}
-	series := make([]decoded, 0, len(raw.Series))
-	for _, e := range raw.Series {
-		payload, err := readChunk(s.fsys, raw, e)
-		if err == nil {
-			var pts []Point
-			if pts, err = DecodeChunk(payload); err == nil {
-				series = append(series, decoded{node: e.Node, pts: pts})
-				continue
-			}
-		}
-		if errors.Is(err, ErrCorrupt) {
-			// The raw block rotted before its rollups were built:
-			// quarantine it and skip the window — the data this rollup
-			// would have carried is gone either way, and leaving the
-			// corrupt block cataloged would wedge the compactor forever.
-			s.quarantine(raw, err.Error())
-			return 0, nil
-		}
+	if err != nil {
 		return 0, err
 	}
 	built := 0
@@ -615,6 +634,6 @@ func (s *Store) tierBlocks(tier Tier, from, to int64) []*BlockInfo {
 		out = append(out, b)
 	}
 	s.mu.RUnlock()
-	sort.Slice(out, func(a, b int) bool { return out[a].WindowStart < out[b].WindowStart })
+	slices.SortFunc(out, func(a, b *BlockInfo) int { return cmp.Compare(a.WindowStart, b.WindowStart) })
 	return out
 }

@@ -169,7 +169,7 @@ func TestChunkCRCVerifiedOnRead(t *testing.T) {
 	fillStore(t, s, []int{1}, 1)
 
 	// Corrupt a chunk payload byte (not the index): OpenBlock still
-	// succeeds — readChunk must catch it at access time.
+	// succeeds — the chunk read must catch it at access time.
 	path := filepath.Join(dir, blockName(TierRaw, 0))
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -283,7 +283,7 @@ func TestRangeWindowFiltering(t *testing.T) {
 	}
 }
 
-func TestEachValueAndQuantiles(t *testing.T) {
+func TestAppendValuesAndQuantiles(t *testing.T) {
 	s := newTestStore(t, Config{WindowSeconds: 7200})
 	truth := fillStore(t, s, []int{0, 1}, 2)
 	var all []float64
@@ -292,13 +292,12 @@ func TestEachValueAndQuantiles(t *testing.T) {
 			all = append(all, p.V)
 		}
 	}
-	var streamed int
-	_, err := s.Querier().EachValue(nil, 0, 0, func() { streamed = 0 }, func(_ int, _ int64, _ float64) { streamed++ })
+	vals, _, err := s.Querier().AppendValues(nil, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if streamed != len(all) {
-		t.Fatalf("streamed %d values, want %d", streamed, len(all))
+	if len(vals) != len(all) {
+		t.Fatalf("appended %d values, want %d", len(vals), len(all))
 	}
 	qs, _, err := s.Querier().Quantiles(nil, 0, 0, []float64{0, 0.5, 0.95, 1})
 	if err != nil {
@@ -317,19 +316,18 @@ func TestEachValueAndQuantiles(t *testing.T) {
 		}
 	}
 
-	// Single-node filter.
-	var nodeOnly int
-	_, err = s.Querier().EachValue([]int{1}, 0, 0, func() { nodeOnly = 0 }, func(n int, _ int64, _ float64) {
-		if n != 1 {
-			t.Fatalf("filter leaked node %d", n)
-		}
-		nodeOnly++
-	})
+	// Single-node filter, appended behind what dst already holds.
+	vals, _, err = s.Querier().AppendValues([]float64{-1}, []int{1, 1}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nodeOnly != len(truth[1]) {
-		t.Fatalf("node filter streamed %d, want %d", nodeOnly, len(truth[1]))
+	if vals[0] != -1 || len(vals)-1 != len(truth[1]) {
+		t.Fatalf("node filter appended %d values behind %v, want %d behind -1", len(vals)-1, vals[0], len(truth[1]))
+	}
+	for i, p := range truth[1] {
+		if vals[1+i] != p.V {
+			t.Fatalf("node filter value %d = %v, want %v", i, vals[1+i], p.V)
+		}
 	}
 }
 

@@ -43,15 +43,16 @@ type LiveDist struct {
 	CDF  []stats.Point `json:"cdf"`
 }
 
-// DistFromValues reduces a value set to its LiveDist. The ECDF sorts a
-// copy of the input, so the result does not depend on value order — the
-// property that makes HTTP-pulled and in-process-replayed analytics
-// byte-identical.
+// DistFromValues reduces a value set to its LiveDist. It takes ownership
+// of values and sorts them in place (a fleet-wide pull is too large to
+// copy per query); the result does not depend on the order they arrive
+// in — the property that makes HTTP-pulled and in-process-replayed
+// analytics byte-identical. The LiveDist keeps no reference to values.
 func DistFromValues(values []float64) LiveDist {
 	if len(values) == 0 {
 		return LiveDist{}
 	}
-	e := stats.NewECDF(values)
+	e := stats.NewECDFInPlace(values)
 	return LiveDist{
 		N:    int64(e.N()),
 		Mean: e.Mean(),
@@ -72,7 +73,9 @@ type LiveInput struct {
 	Jobs     []LiveJob
 	// SamplePower is the distribution of every retained raw per-node
 	// sample (head + blocks), as computed by the store's distribution
-	// query — months of data reduced without materializing the series.
+	// query. The reduction is exact, so it holds the window's values —
+	// 8 bytes each, in one pooled buffer, sorted in place — but never
+	// the series: no timestamps, no decoded points, no per-node copies.
 	SamplePower LiveDist
 	Frontier    int64
 }

@@ -19,6 +19,7 @@ import (
 
 	"hpcpower/internal/block"
 	"hpcpower/internal/core"
+	"hpcpower/internal/stats"
 	"hpcpower/internal/trace"
 	"hpcpower/internal/tsdb"
 )
@@ -158,13 +159,25 @@ func Collect(store *tsdb.Store, system string, nodeTDPW float64) (core.LiveInput
 			SpatialSpreadPct:  st.SpatialSpreadPct,
 		})
 	}
-	var values []float64
-	_, err := store.EachValueMerged(nil, 0, 0, func() { values = values[:0] }, func(_ int, _ int64, v float64) {
-		values = append(values, v)
-	})
+	var err error
+	in.SamplePower, _, err = SamplePower(store, 0, 0)
+	return in, err
+}
+
+// SamplePower reduces every retained raw sample of every node with
+// from ≤ t ≤ to (to ≤ 0 unbounded), blocks and head, to its
+// distribution — the one reduction behind both GET
+// /v1/query/distribution and Collect, which is what keeps powanalyze
+// -source and -live-control byte-identical. The values are gathered
+// into a pooled buffer and sorted there; a warmed pull allocates little
+// beyond the LiveDist it returns. degraded reports a block quarantined
+// mid-scan.
+func SamplePower(store *tsdb.Store, from, to int64) (dist core.LiveDist, degraded bool, err error) {
+	buf := stats.GetFloats()
+	defer stats.PutFloats(buf)
+	*buf, degraded, err = store.AppendValuesMerged((*buf)[:0], nil, from, to)
 	if err != nil {
-		return in, err
+		return core.LiveDist{}, degraded, err
 	}
-	in.SamplePower = core.DistFromValues(values)
-	return in, nil
+	return core.DistFromValues(*buf), degraded, nil
 }

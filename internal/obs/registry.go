@@ -148,8 +148,16 @@ type CounterVec struct {
 
 // CounterVec registers and returns a one-label counter family.
 func (r *Registry) CounterVec(name, label string) *CounterVec {
+	return r.CounterVecHelp(name, "", label)
+}
+
+// CounterVecHelp is CounterVec with a # HELP line ahead of the family.
+func (r *Registry) CounterVecHelp(name, help, label string) *CounterVec {
 	v := &CounterVec{name: name, label: label, children: map[string]*Counter{}}
 	r.register(name, func(e *Exposition) {
+		if help != "" {
+			e.Help(name, help)
+		}
 		for _, lv := range v.labelValues() {
 			e.CounterL(name, v.label, lv, float64(v.With(lv).Value()))
 		}

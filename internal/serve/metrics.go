@@ -40,6 +40,10 @@ type metrics struct {
 
 	blockFlush *obs.Histogram // powserved_block_flush_seconds per head→block flush pass
 
+	// valuesScanned is what the query endpoints reduced or returned:
+	// "why was this query slow" answered as "it reduced 3.7 M samples".
+	valuesScanned *obs.CounterVec // powserved_query_values_scanned_total{endpoint}
+
 	// Admission-control surface: sheds by reason (limiter, queue, codel,
 	// agent_rate, memory, query, admin) and the delivered entries'
 	// queue-sojourn distribution — the signal CoDel acts on.
@@ -105,6 +109,9 @@ func newMetrics(queueDepth func() int) *metrics {
 		replRead: reg.HistogramHelp("powserved_repl_stream_read_seconds",
 			"Time the replication source spent on one catch-up burst: reading its WAL range and writing the frames to the follower connection.",
 			obs.DefaultLatencyBuckets),
+		valuesScanned: reg.CounterVecHelp("powserved_query_values_scanned_total",
+			"Stored samples a query endpoint read to build its answer: values reduced by /v1/query/distribution, points returned by /v1/query/range.",
+			"endpoint"),
 	}
 	if queueDepth != nil {
 		reg.GaugeFunc("powserved_ingest_queue_depth", func() float64 { return float64(queueDepth()) })

@@ -5,7 +5,7 @@ import (
 	"strconv"
 	"time"
 
-	"hpcpower/internal/core"
+	"hpcpower/internal/live"
 	"hpcpower/internal/obs"
 )
 
@@ -63,6 +63,7 @@ func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 			errJSON(w, http.StatusInternalServerError, "aggregate query: %v", err)
 			return
 		}
+		s.metrics.valuesScanned.With("query_range").Add(int64(len(aggs)))
 		writeJSON(w, http.StatusOK, map[string]any{
 			"node": node, "step": step, "frontier": frontier, "points": aggs,
 			"degraded": degraded,
@@ -74,6 +75,7 @@ func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 		errJSON(w, http.StatusInternalServerError, "range query: %v", err)
 		return
 	}
+	s.metrics.valuesScanned.With("query_range").Add(int64(len(points)))
 	writeJSON(w, http.StatusOK, map[string]any{
 		"node": node, "frontier": frontier, "points": points,
 		"degraded": degraded,
@@ -98,16 +100,14 @@ func (s *Server) handleQueryDistribution(w http.ResponseWriter, r *http.Request)
 		errJSON(w, http.StatusBadRequest, "bad to: %v", err)
 		return
 	}
-	var values []float64
-	degraded, err := s.store.EachValueMerged(nil, from, to,
-		func() { values = values[:0] },
-		func(_ int, _ int64, v float64) { values = append(values, v) })
+	dist, degraded, err := live.SamplePower(s.store, from, to)
 	if err != nil {
 		errJSON(w, http.StatusInternalServerError, "distribution scan: %v", err)
 		return
 	}
+	s.metrics.valuesScanned.With("query_distribution").Add(dist.N)
 	writeJSON(w, http.StatusOK, map[string]any{
-		"distribution": core.DistFromValues(values),
+		"distribution": dist,
 		"frontier":     s.store.BlockFrontier(),
 		"degraded":     degraded,
 	})

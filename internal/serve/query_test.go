@@ -6,12 +6,16 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"hpcpower/internal/block"
+	"hpcpower/internal/core"
+	"hpcpower/internal/obs"
+	"hpcpower/internal/stats"
 	"hpcpower/internal/trace"
 	"hpcpower/internal/tsdb"
 )
@@ -362,5 +366,87 @@ func TestSnapshotAfterFlushRecovery(t *testing.T) {
 	}
 	if got := queryDump(t, ts2.URL); got != want {
 		t.Fatalf("query surface differs after snapshot recovery")
+	}
+}
+
+// refDistribution is the distribution reduction as the endpoint did it
+// before it sorted in place: copy the values, sort.Float64s, reduce.
+func refDistribution(values []float64) core.LiveDist {
+	if len(values) == 0 {
+		return core.LiveDist{}
+	}
+	s := append([]float64(nil), values...)
+	sort.Float64s(s)
+	e := stats.NewECDF(s)
+	return core.LiveDist{
+		N: int64(e.N()), Mean: e.Mean(), Min: e.Quantile(0), Max: e.Quantile(1),
+		P50: e.Quantile(0.50), P80: e.Quantile(0.80), P95: e.Quantile(0.95),
+		CDF: e.Points(core.CDFPoints),
+	}
+}
+
+// TestQueryDistributionGolden compares GET /v1/query/distribution byte
+// for byte with the reference reduction over the samples that were
+// sent, on windows in blocks only, straddling the frontier, in the head
+// only, unbounded and empty — and checks that the values it reduced and
+// the points range reads returned are counted on /metrics.
+func TestQueryDistributionGolden(t *testing.T) {
+	s, ts := newBlockServer(t, DefaultConfig())
+	batches := blockBatches()
+	waitIngested(t, s, sendAll(t, ts.URL, batches))
+	if sealed, err := s.store.FlushBlocks(3 * qWindow); err != nil || sealed != 2 {
+		t.Fatalf("sealed %d windows, err %v", sealed, err)
+	}
+	var scanned int64
+	for _, w := range []struct {
+		name     string
+		from, to int64
+	}{
+		{"unbounded", 0, 0},
+		{"blocks only", qWindow + 600, 2*qWindow + 1799},
+		{"straddling the frontier", 3*qWindow - 1800, 3*qWindow + 299},
+		{"head only", 3 * qWindow, 3*qWindow + 599},
+		{"no samples", 10 * qWindow, 11 * qWindow},
+	} {
+		var values []float64
+		for _, b := range batches {
+			for _, smp := range b.Samples {
+				if smp.Unix >= w.from && (w.to <= 0 || smp.Unix <= w.to) {
+					values = append(values, smp.PowerW)
+				}
+			}
+		}
+		scanned += int64(len(values))
+		want, err := json.Marshal(map[string]any{
+			"distribution": refDistribution(values), "frontier": 3 * qWindow, "degraded": false,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, body := get(t, ts.URL+"/v1/query/distribution?from="+strconv.FormatInt(w.from, 10)+"&to="+strconv.FormatInt(w.to, 10))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", w.name, resp.StatusCode, body)
+		}
+		if string(body) != string(want)+"\n" {
+			t.Fatalf("%s: response differs from the reference reduction\n got %s\nwant %s", w.name, body, want)
+		}
+	}
+
+	resp, body := get(t, ts.URL+"/v1/query/range?node=1&from="+strconv.Itoa(qWindow)+"&to="+strconv.Itoa(qWindow+3599))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("range: %d %s", resp.StatusCode, body)
+	}
+	_, metrics := get(t, ts.URL+"/metrics")
+	for _, line := range []string{
+		"# HELP powserved_query_values_scanned_total ",
+		`powserved_query_values_scanned_total{endpoint="query_distribution"} ` + strconv.FormatInt(scanned, 10) + "\n",
+		`powserved_query_values_scanned_total{endpoint="query_range"} 60` + "\n",
+	} {
+		if !strings.Contains(string(metrics), line) {
+			t.Fatalf("/metrics lacks %q", line)
+		}
+	}
+	if err := obs.LintExposition(strings.NewReader(string(metrics))); err != nil {
+		t.Fatalf("exposition lint: %v", err)
 	}
 }

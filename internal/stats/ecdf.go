@@ -14,9 +14,16 @@ type ECDF struct {
 
 // NewECDF builds an ECDF from xs. The input is copied and sorted.
 func NewECDF(xs []float64) *ECDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
+	return NewECDFInPlace(append([]float64(nil), xs...))
+}
+
+// NewECDFInPlace builds an ECDF that takes ownership of xs: the slice
+// is sorted in place and backs the ECDF, so the caller must neither
+// modify nor reuse it while the ECDF is in use. For value sets too
+// large to copy (a fleet-wide sample distribution).
+func NewECDFInPlace(xs []float64) *ECDF {
+	SortFloat64s(xs)
+	return &ECDF{sorted: xs}
 }
 
 // N returns the sample size.

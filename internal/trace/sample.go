@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -29,6 +30,11 @@ func (s PowerSample) Validate() error {
 		return fmt.Errorf("trace: sample has non-positive time %d", s.Unix)
 	case s.PowerW < 0:
 		return fmt.Errorf("trace: sample has negative power %v", s.PowerW)
+	case math.IsNaN(s.PowerW) || math.IsInf(s.PowerW, 1):
+		// NaN is not < 0, so it needs a case of its own: it would poison
+		// the Welford moments and every sort downstream, and the record
+		// codec cannot write it.
+		return fmt.Errorf("trace: sample has non-finite power %v", s.PowerW)
 	}
 	return nil
 }

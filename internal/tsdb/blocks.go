@@ -1,7 +1,9 @@
 package tsdb
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
 
 	"hpcpower/internal/block"
@@ -109,10 +111,11 @@ func (s *Store) collectWindow(from, to int64) map[int][]block.Point {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for node, r := range sh.nodes {
-			pts := r.window(from, to)
-			if len(pts) == 0 {
+			n := r.countWindow(from, to)
+			if n == 0 {
 				continue
 			}
+			pts := r.appendWindow(make([]Point, 0, n), from, to)
 			bp := make([]block.Point, len(pts))
 			for j, p := range pts {
 				bp[j] = block.Point{T: p.Unix, V: p.PowerW}
@@ -149,28 +152,23 @@ func (s *Store) QueryRange(node int, from, to int64) ([]Point, bool, error) {
 		if to > 0 && to < bto {
 			bto = to
 		}
-		pts, deg, err := s.blocks.Querier().Range(node, from, bto)
-		degraded = deg
+		var err error
+		out, degraded, err = block.AppendRange(s.blocks.Querier(), out, node, from, bto,
+			func(t int64, v float64) Point { return Point{Unix: t, PowerW: v} })
 		if err != nil {
 			return nil, degraded, err
 		}
-		for _, p := range pts {
-			out = append(out, Point{Unix: p.T, PowerW: p.V})
-		}
 	}
-	hfrom := from
-	if f > hfrom {
-		hfrom = f
+	// Head points replayed below the frontier are the blocks' to serve.
+	if hfrom, hi := max(from, f), upper(to); hi >= hfrom {
+		out = s.appendNodeSeries(out, node, hfrom, hi)
 	}
-	if to <= 0 || to >= hfrom {
-		for _, p := range s.NodeSeries(node, hfrom, to) {
-			if p.Unix < f {
-				continue // replayed below the frontier: blocks own it
-			}
-			out = append(out, p)
-		}
+	// Blocks are time-sorted and rings are in arrival order, which is
+	// time order unless a late sample landed.
+	byTime := func(a, b Point) int { return cmp.Compare(a.Unix, b.Unix) }
+	if !slices.IsSortedFunc(out, byTime) {
+		slices.SortStableFunc(out, byTime)
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Unix < out[b].Unix })
 	return out, degraded, nil
 }
 
@@ -198,22 +196,23 @@ func (s *Store) QueryAgg(node int, from, to, step int64) ([]block.AggPoint, bool
 		}
 		out = aggs
 	}
-	hfrom := from
-	if f > hfrom {
-		hfrom = f
-	}
-	if to <= 0 || to >= hfrom {
-		var head []block.Point
-		for _, p := range s.NodeSeries(node, hfrom, to) {
-			if p.Unix < f {
-				continue
-			}
-			head = append(head, block.Point{T: p.Unix, V: p.PowerW})
+	if hfrom, hi := max(from, f), upper(to); hi >= hfrom {
+		pts := s.appendNodeSeries(nil, node, hfrom, hi)
+		head := make([]block.Point, len(pts))
+		for i, p := range pts {
+			head[i] = block.Point{T: p.Unix, V: p.PowerW}
 		}
-		sort.SliceStable(head, func(a, b int) bool { return head[a].T < head[b].T })
+		// Arrival order is time order unless a late sample landed.
+		byTime := func(a, b block.Point) int { return cmp.Compare(a.T, b.T) }
+		if !slices.IsSortedFunc(head, byTime) {
+			slices.SortStableFunc(head, byTime)
+		}
 		out = mergeAggs(out, block.Rollup(head, step), step)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].T < out[b].T })
+	byTime := func(a, b block.AggPoint) int { return cmp.Compare(a.T, b.T) }
+	if !slices.IsSortedFunc(out, byTime) {
+		slices.SortFunc(out, byTime)
+	}
 	return out, degraded, nil
 }
 
@@ -246,16 +245,17 @@ func mergeAggs(base, extra []block.AggPoint, step int64) []block.AggPoint {
 	return base
 }
 
-// EachValueMerged streams every raw value of the given nodes in
-// [from, to] (nil nodes = all known nodes, to ≤ 0 unbounded) across
-// blocks and head — the substrate for live ECDF/distribution pulls over
-// months of data. Values arrive grouped per source, not globally time
-// sorted; distribution consumers sort or bin anyway. When block-side
-// corruption forces a quarantine-and-retry, restart (if non-nil) is
-// called before the stream re-begins — reset accumulated state there;
-// head values are only emitted after the block side completes, so they
-// are never duplicated. degraded=true reports that a retry happened.
-func (s *Store) EachValueMerged(nodes []int, from, to int64, restart func(), fn func(node int, t int64, v float64)) (bool, error) {
+// AppendValuesMerged appends to dst every raw value of the given nodes
+// in [from, to] (no nodes = all nodes, to ≤ 0 unbounded) across blocks
+// and head — the substrate for live ECDF/distribution pulls over months
+// of data. Only the values are gathered — no timestamps, no points, no
+// per-node series — grouped per source, not time sorted; distribution
+// consumers sort or bin anyway. The block side decodes chunks straight
+// into dst; the head side reads each ring in place under its shard's
+// read lock. degraded=true reports that block-side corruption forced a
+// quarantine-and-retry; dst then still holds each surviving value
+// exactly once.
+func (s *Store) AppendValuesMerged(dst []float64, nodes []int, from, to int64) ([]float64, bool, error) {
 	f := s.frontier.Load()
 	var degraded bool
 	if s.blocks != nil && f > 0 && from < f {
@@ -263,31 +263,39 @@ func (s *Store) EachValueMerged(nodes []int, from, to int64, restart func(), fn 
 		if to > 0 && to < bto {
 			bto = to
 		}
-		deg, err := s.blocks.Querier().EachValue(nodes, from, bto, restart, fn)
-		degraded = deg
+		var err error
+		dst, degraded, err = s.blocks.Querier().AppendValues(dst, nodes, from, bto)
 		if err != nil {
-			return degraded, err
+			return dst, degraded, err
 		}
 	}
-	hfrom := from
-	if f > hfrom {
-		hfrom = f
+	// Head points replayed below the frontier are the blocks' to serve.
+	hfrom, hi := max(from, f), upper(to)
+	if hi < hfrom {
+		return dst, degraded, nil
 	}
-	if to > 0 && to < hfrom {
-		return degraded, nil
-	}
-	if nodes == nil {
-		nodes = s.NodeIDs()
-	}
-	for _, node := range nodes {
-		for _, p := range s.NodeSeries(node, hfrom, to) {
-			if p.Unix < f {
-				continue
+	if len(nodes) == 0 {
+		for i := range s.shards {
+			sh := &s.shards[i]
+			sh.mu.RLock()
+			for _, r := range sh.nodes {
+				dst = r.appendValues(dst, hfrom, hi)
 			}
-			fn(node, p.Unix, p.PowerW)
+			sh.mu.RUnlock()
 		}
+		return dst, degraded, nil
 	}
-	return degraded, nil
+	nodes = slices.Clone(nodes)
+	slices.Sort(nodes)
+	for _, node := range slices.Compact(nodes) {
+		sh := s.nodeShard(node)
+		sh.mu.RLock()
+		if r := sh.nodes[node]; r != nil {
+			dst = r.appendValues(dst, hfrom, hi)
+		}
+		sh.mu.RUnlock()
+	}
+	return dst, degraded, nil
 }
 
 // NodeIDs returns every node known to head or blocks, ascending.

@@ -170,12 +170,12 @@ func TestMergedReadsMatchControl(t *testing.T) {
 	}
 
 	// Merged value stream covers every sample exactly once.
-	var streamed int
-	if _, err := s.EachValueMerged(nil, 0, 0, func() { streamed = 0 }, func(_ int, _ int64, _ float64) { streamed++ }); err != nil {
+	vals, _, err := s.AppendValuesMerged(nil, nil, 0, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if streamed != len(samples) {
-		t.Fatalf("streamed %d values, want %d", streamed, len(samples))
+	if len(vals) != len(samples) {
+		t.Fatalf("appended %d values, want %d", len(vals), len(samples))
 	}
 }
 
@@ -247,12 +247,12 @@ func TestReplayAfterFlushNoDoubleIngest(t *testing.T) {
 
 	// Every sample served exactly once despite living in both ring and
 	// blocks.
-	var streamed int
-	if _, err := s2.EachValueMerged(nil, 0, 0, func() { streamed = 0 }, func(_ int, _ int64, _ float64) { streamed++ }); err != nil {
+	vals, _, err := s2.AppendValuesMerged(nil, nil, 0, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if streamed != len(samples) {
-		t.Fatalf("streamed %d values, want %d (double-serve?)", streamed, len(samples))
+	if len(vals) != len(samples) {
+		t.Fatalf("appended %d values, want %d (double-serve?)", len(vals), len(samples))
 	}
 }
 

@@ -1,5 +1,7 @@
 package tsdb
 
+import "math"
+
 // Point is one retained sample of a node's series.
 type Point struct {
 	Unix   int64   `json:"t"`
@@ -28,25 +30,73 @@ func (r *ring) append(p Point) {
 	}
 }
 
+// segments returns the retained points in insertion order as the two
+// contiguous runs of buf that hold them (the second is empty until the
+// ring has wrapped) — so a reader walks them in place, with no copy, no
+// modulo and no call per point.
+func (r *ring) segments() (older, newer []Point) {
+	if start := r.head - r.count; start >= 0 {
+		return r.buf[start:r.head], nil
+	}
+	return r.buf[len(r.buf)+r.head-r.count:], r.buf[:r.head]
+}
+
 // scan calls fn over the retained points in insertion order.
 func (r *ring) scan(fn func(Point)) {
-	start := r.head - r.count
-	if start < 0 {
-		start += len(r.buf)
+	older, newer := r.segments()
+	for _, p := range older {
+		fn(p)
 	}
-	for i := 0; i < r.count; i++ {
-		fn(r.buf[(start+i)%len(r.buf)])
+	for _, p := range newer {
+		fn(p)
 	}
 }
 
-// window returns a copy of the retained points with from ≤ Unix ≤ to
-// (to ≤ 0 means no upper bound), preserving insertion order.
-func (r *ring) window(from, to int64) []Point {
-	out := make([]Point, 0, r.count)
-	r.scan(func(p Point) {
-		if p.Unix >= from && (to <= 0 || p.Unix <= to) {
-			out = append(out, p)
+// appendWindow appends to dst the retained points with from ≤ Unix ≤ hi,
+// preserving insertion order.
+func (r *ring) appendWindow(dst []Point, from, hi int64) []Point {
+	older, newer := r.segments()
+	for _, seg := range [2][]Point{older, newer} {
+		for _, p := range seg {
+			if p.Unix >= from && p.Unix <= hi {
+				dst = append(dst, p)
+			}
 		}
-	})
-	return out
+	}
+	return dst
+}
+
+// appendValues is appendWindow keeping only the power readings.
+func (r *ring) appendValues(dst []float64, from, hi int64) []float64 {
+	older, newer := r.segments()
+	for _, seg := range [2][]Point{older, newer} {
+		for _, p := range seg {
+			if p.Unix >= from && p.Unix <= hi {
+				dst = append(dst, p.PowerW)
+			}
+		}
+	}
+	return dst
+}
+
+// countWindow is the number of points appendWindow would append.
+func (r *ring) countWindow(from, hi int64) int {
+	n := 0
+	older, newer := r.segments()
+	for _, seg := range [2][]Point{older, newer} {
+		for _, p := range seg {
+			if p.Unix >= from && p.Unix <= hi {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// upper turns the API's "to ≤ 0 means unbounded above" into a bound.
+func upper(to int64) int64 {
+	if to <= 0 {
+		return math.MaxInt64
+	}
+	return to
 }

@@ -20,6 +20,7 @@ package tsdb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -179,14 +180,21 @@ func (s *Store) Append(batch []trace.PowerSample) error {
 // from ≤ Unix ≤ to (to ≤ 0 means unbounded), in insertion order.
 // A node never seen yields an empty, non-nil slice.
 func (s *Store) NodeSeries(node int, from, to int64) []Point {
+	return s.appendNodeSeries([]Point{}, node, from, upper(to))
+}
+
+// appendNodeSeries appends the node's retained samples with
+// from ≤ Unix ≤ hi to dst in insertion order, read in place under the
+// shard lock; dst grows at most once.
+func (s *Store) appendNodeSeries(dst []Point, node int, from, hi int64) []Point {
 	sh := s.nodeShard(node)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	r := sh.nodes[node]
 	if r == nil {
-		return []Point{}
+		return dst
 	}
-	return r.window(from, to)
+	return r.appendWindow(slices.Grow(dst, r.countWindow(from, hi)), from, hi)
 }
 
 // JobPower returns the live characterization of a job, and whether any
