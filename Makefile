@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-block bench-codec bench-wal bench-e2e bench-compare bench-selftest fuzz-codec smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke fuzz-wal fuzz-repl fuzz-block fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly block-check obs-check ci clean
+.PHONY: all build vet test race bench bench-block bench-codec bench-wal bench-snapshot bench-e2e bench-compare bench-selftest fuzz-codec fuzz-snapshot smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke fuzz-wal fuzz-repl fuzz-block fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly block-check obs-check ci clean
 
 all: build
 
@@ -43,6 +43,15 @@ bench-codec:
 bench-wal:
 	$(GO) test -run xxx -bench 'Append|ReadRangeTail|Replay' -benchmem -benchtime=1s ./internal/wal/
 
+# Snapshot microbenchmarks on the end-to-end benchmark's store (1,024
+# nodes x 500 points in 1,440-point rings): ExportState is the time the
+# apply lock is held, SnapshotEncode the CPU a snapshot costs after
+# that, SnapshotDecode the decode share of a clean restart (binary image
+# vs the all-JSON one it replaced), RecoverClean the whole restart.
+bench-snapshot:
+	$(GO) test -run xxx -bench 'ExportState' -benchmem -benchtime=1s ./internal/tsdb/
+	$(GO) test -run xxx -bench 'SnapshotEncode|SnapshotDecode|RecoverClean' -benchmem -benchtime=1s ./internal/serve/
+
 # The end-to-end + per-layer benchmark (bench/README.md): every workload,
 # 5 untraced runs and one traced run each, about 12 minutes.
 BENCH_OUT ?= bench/out/all.json
@@ -65,6 +74,13 @@ bench-selftest:
 # the encoder's bytes equal json.Marshal's.
 fuzz-codec:
 	$(GO) test -run xxx -fuzz FuzzBatchCodec -fuzztime 30s ./internal/trace/
+
+# Fuzz the snapshot-image decoder and the restore behind it: no panic,
+# no allocation beyond a fixed multiple of the input, and whatever
+# decodes keeps ascending node ids and rings within the ring length.
+# Seeds are whole images, so the minimizer gets a short leash.
+fuzz-snapshot:
+	$(GO) test -run xxx -fuzz FuzzSnapshotDecode -fuzztime 20s -fuzzminimizetime 2s ./internal/serve/
 
 # End-to-end smoke: generate a small dataset, export a model, start
 # powserved on a random port, replay the dataset with powload, and check

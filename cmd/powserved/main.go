@@ -367,9 +367,18 @@ func main() {
 		if rep.StaleLock {
 			stale = " (stale lock from a dead instance)"
 		}
-		fmt.Printf("powserved: recovered %s in %s%s: snapshot lsn %d, %d records (%d samples) replayed, %d tombstoned, %d bytes truncated\n",
-			*dataDir, rep.Duration.Round(time.Millisecond), stale,
-			rep.SnapshotLSN, rep.RecordsReplayed, rep.SamplesReplayed, rep.Tombstoned, rep.TruncatedBytes)
+		snap := "no snapshot"
+		if rep.SnapshotFound {
+			format := "binary"
+			if rep.SnapshotLegacy {
+				format = "legacy JSON"
+			}
+			snap = fmt.Sprintf("snapshot lsn %d (%d bytes, %s, loaded in %s)",
+				rep.SnapshotLSN, rep.SnapshotBytes, format, rep.SnapshotLoad.Round(time.Millisecond))
+		}
+		fmt.Printf("powserved: recovered %s in %s%s: %s, %d records (%d samples) replayed, %d tombstoned, %d bytes truncated\n",
+			*dataDir, rep.Duration.Round(time.Millisecond), stale, snap,
+			rep.RecordsReplayed, rep.SamplesReplayed, rep.Tombstoned, rep.TruncatedBytes)
 	} else {
 		srv = serve.New(store, bdt, cfg)
 	}

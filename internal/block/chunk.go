@@ -233,6 +233,32 @@ func EncodeChunk(points []Point) []byte {
 	return w.b
 }
 
+// ChunkEncoder writes the same chunk point by point onto the end of a
+// caller's buffer, for callers whose points are not a []Point (the
+// snapshot image encodes tsdb's rings in place): Reset with the point
+// count, Add exactly that many points, then Bytes. EncodeChunk keeps
+// its own loop: the call per point that Add costs is 7–10 % of the
+// block flush's encode time.
+type ChunkEncoder struct {
+	w  bitWriter
+	ts tsEncoder
+	xe xorEncoder
+}
+
+// Reset starts a chunk of count points appended to dst.
+func (e *ChunkEncoder) Reset(dst []byte, count int) {
+	*e = ChunkEncoder{w: bitWriter{b: binary.AppendUvarint(dst, uint64(count))}}
+}
+
+// Add encodes the next point.
+func (e *ChunkEncoder) Add(t int64, v float64) {
+	e.ts.write(&e.w, t)
+	e.xe.write(&e.w, v)
+}
+
+// Bytes returns dst with the chunk appended.
+func (e *ChunkEncoder) Bytes() []byte { return e.w.b }
+
 // maxChunkPoints bounds a single chunk; a decoded count beyond it (or
 // beyond what the payload could possibly hold) is corruption, not an
 // allocation request.
@@ -251,19 +277,21 @@ func preallocCount(count uint64) int {
 	return int(count)
 }
 
-// chunkIter decodes a raw chunk one point at a time, so each reader
+// ChunkIter decodes a raw chunk one point at a time, so each reader
 // keeps what it needs — points, values only, a caller's own point type
 // — without an intermediate []Point.
-type chunkIter struct {
+type ChunkIter struct {
 	r    bitReader
 	left uint64 // points not yet decoded
 	ts   tsDecoder
 	xd   xorDecoder
 }
 
-// init validates the chunk header and positions the iterator before
-// the first point.
-func (it *chunkIter) init(payload []byte) error {
+// Init validates the chunk header and positions the iterator before
+// the first point. A point count the payload could not hold is an
+// error, so Left is safe to size an allocation with: it never exceeds
+// four times len(payload).
+func (it *ChunkIter) Init(payload []byte) error {
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return corruptf("chunk header: bad point count")
@@ -275,13 +303,16 @@ func (it *chunkIter) init(payload []byte) error {
 	if count > maxChunkPoints || (count > 0 && uint64(len(body))*8 < 128+(count-1)*2) {
 		return corruptf("chunk claims %d points in %d bytes", count, len(body))
 	}
-	*it = chunkIter{r: bitReader{b: body}, left: count}
+	*it = ChunkIter{r: bitReader{b: body}, left: count}
 	return nil
 }
 
-// next decodes one point; call it it.left times. It never panics and
+// Left is the number of points not yet decoded.
+func (it *ChunkIter) Left() int { return int(it.left) }
+
+// Next decodes one point; call it Left times. It never panics and
 // never reads past the payload: truncation and bit flips yield an error.
-func (it *chunkIter) next() (int64, float64, error) {
+func (it *ChunkIter) Next() (int64, float64, error) {
 	t := it.ts.read(&it.r)
 	v, err := it.xd.read(&it.r)
 	if it.r.eof {
@@ -296,13 +327,13 @@ var errTruncated = corruptf("chunk truncated")
 // DecodeChunk decompresses a raw chunk. It never panics and never reads
 // past the payload: truncation and bit flips yield an error.
 func DecodeChunk(payload []byte) ([]Point, error) {
-	var it chunkIter
-	if err := it.init(payload); err != nil {
+	var it ChunkIter
+	if err := it.Init(payload); err != nil {
 		return nil, err
 	}
 	out := make([]Point, 0, preallocCount(it.left))
 	for it.left > 0 {
-		t, v, err := it.next()
+		t, v, err := it.Next()
 		if err != nil {
 			return nil, err
 		}
@@ -314,12 +345,12 @@ func DecodeChunk(payload []byte) ([]Point, error) {
 // appendChunkPoints appends to dst the raw chunk's points with
 // from ≤ t ≤ hi, each built by mk.
 func appendChunkPoints[P any](dst []P, payload []byte, from, hi int64, mk func(t int64, v float64) P) ([]P, error) {
-	var it chunkIter
-	if err := it.init(payload); err != nil {
+	var it ChunkIter
+	if err := it.Init(payload); err != nil {
 		return dst, err
 	}
 	for it.left > 0 {
-		t, v, err := it.next()
+		t, v, err := it.Next()
 		if err != nil {
 			return dst, err
 		}
@@ -335,12 +366,12 @@ func appendChunkPoints[P any](dst []P, payload []byte, from, hi int64, mk func(t
 // index entry's [MinT, MaxT]) that every point qualifies, so the
 // per-point comparison is skipped.
 func appendChunkValues(dst []float64, payload []byte, from, hi int64, all bool) ([]float64, error) {
-	var it chunkIter
-	if err := it.init(payload); err != nil {
+	var it ChunkIter
+	if err := it.Init(payload); err != nil {
 		return dst, err
 	}
 	for it.left > 0 {
-		t, v, err := it.next()
+		t, v, err := it.Next()
 		if err != nil {
 			return dst, err
 		}

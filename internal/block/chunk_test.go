@@ -33,6 +33,25 @@ func randPoints(rng *rand.Rand, n int, adversarial bool) []Point {
 	return pts
 }
 
+// TestChunkEncoderMatchesEncodeChunk: the point-by-point encoder writes
+// EncodeChunk's bytes, after whatever its buffer already held.
+func TestChunkEncoderMatchesEncodeChunk(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var e ChunkEncoder
+	for trial := 0; trial < 100; trial++ {
+		pts := randPoints(rng, rng.Intn(300), trial%5 == 4)
+		prefix := []byte("prefix")[:trial%7]
+		e.Reset(append([]byte(nil), prefix...), len(pts))
+		for _, p := range pts {
+			e.Add(p.T, p.V)
+		}
+		got, want := e.Bytes(), EncodeChunk(pts)
+		if string(got[:len(prefix)]) != string(prefix) || string(got[len(prefix):]) != string(want) {
+			t.Fatalf("trial %d: %d points after a %d-byte prefix encode differently from EncodeChunk", trial, len(pts), len(prefix))
+		}
+	}
+}
+
 func TestChunkRoundTripLossless(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {

@@ -83,10 +83,11 @@ func (c *DurabilityConfig) withDefaults() DurabilityConfig {
 	return d
 }
 
-// snapshotImage is the JSON payload of one snapshot file: the full TSDB
-// and dedup state plus the apply frontier. Replay applies exactly the WAL
-// records with LSN > AppliedLSN and not in Extras — everything else is
-// already inside the image.
+// snapshotImage is the payload of one snapshot file: the full TSDB and
+// dedup state plus the apply frontier, laid out by encodeSnapshotImage
+// (snapimage.go). Replay applies exactly the WAL records with
+// LSN > AppliedLSN and not in Extras — everything else is already inside
+// the image.
 type snapshotImage struct {
 	Store *tsdb.StoreState   `json:"store"`
 	Dedup *tsdb.DeduperState `json:"dedup"`
@@ -112,7 +113,10 @@ type snapshotImage struct {
 type RecoveryReport struct {
 	SnapshotFound    bool
 	SnapshotLSN      uint64
-	SnapshotsSkipped int // corrupt snapshot files skipped over
+	SnapshotsSkipped int           // corrupt snapshot files skipped over
+	SnapshotBytes    int           // payload size of the snapshot that was loaded
+	SnapshotLoad     time.Duration // its read + decode + install; Duration − SnapshotLoad is WAL open + replay
+	SnapshotLegacy   bool          // it was the all-JSON image written before the binary format
 	StaleLock        bool
 	RecordsReplayed  int64
 	SamplesReplayed  int64
@@ -217,6 +221,8 @@ type durability struct {
 	snapLSN          atomic.Uint64 // frontier watermark of the last snapshot
 	snapshots        atomic.Int64
 	snapshotErrors   atomic.Int64
+	snapLastBytes    atomic.Int64 // payload size of the last snapshot
+	snapLastNanos    atomic.Int64 // capture → renamed file, last snapshot
 
 	recovered atomic.Bool
 	report    RecoveryReport
@@ -290,10 +296,13 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 		return nil, fmt.Errorf("serve: reading snapshots: %w", err)
 	}
 	rep.SnapshotsSkipped = skipped
-	var img snapshotImage
+	img := &snapshotImage{}
 	if found {
-		if err := json.Unmarshal(payload, &img); err != nil {
+		if img, rep.SnapshotLegacy, err = decodeSnapshotImage(payload); err != nil {
 			return nil, fmt.Errorf("serve: snapshot %d payload: %w", snapLSN, err)
+		}
+		if rep.SnapshotLegacy {
+			s.metrics.legacySnapshots.Inc()
 		}
 		if img.Store != nil {
 			if err := s.store.RestoreState(img.Store); err != nil {
@@ -311,6 +320,7 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 			}
 		}
 		rep.SnapshotFound, rep.SnapshotLSN = true, img.AppliedLSN
+		rep.SnapshotBytes, rep.SnapshotLoad = len(payload), time.Since(start)
 	}
 
 	// New appends must never reuse an LSN the snapshot already covers,
@@ -483,7 +493,7 @@ func (d *durability) snapshotLoop(s *Server) {
 			if !due {
 				continue
 			}
-			if err := d.snapshotOnce(s); err != nil {
+			if _, _, err := d.snapshotOnce(s); err != nil {
 				d.snapshotErrors.Add(1)
 			}
 			last = time.Now()
@@ -493,8 +503,10 @@ func (d *durability) snapshotLoop(s *Server) {
 
 // snapshotOnce captures a consistent (store, dedup, frontier) image,
 // makes the WAL durable past it, persists the snapshot, and reaps the
-// segments and snapshots it obsoletes.
-func (d *durability) snapshotOnce(s *Server) error {
+// segments and snapshots it obsoletes. It returns the snapshot's LSN and
+// the payload it wrote, which is what a bootstrapping follower is sent.
+func (d *durability) snapshotOnce(s *Server) (uint64, []byte, error) {
+	start := time.Now()
 	d.applyMu.Lock()
 	wm, extras := d.tracker.Load().frontier()
 	img := snapshotImage{
@@ -517,23 +529,25 @@ func (d *durability) snapshotOnce(s *Server) error {
 	// record is on disk — otherwise a crash could lose an acked batch and
 	// the snapshot would reject the agent's re-send as a duplicate.
 	if err := d.log.Sync(); err != nil {
-		return err
+		return 0, nil, err
 	}
-	payload, err := json.Marshal(&img)
+	payload, err := encodeSnapshotImage(&img)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
 	if err := wal.WriteSnapshotFS(d.fsys, d.cfg.Dir, wm, payload); err != nil {
-		return err
+		return 0, nil, err
 	}
 	d.snapshots.Add(1)
+	d.snapLastBytes.Store(int64(len(payload)))
+	d.snapLastNanos.Store(int64(time.Since(start)))
 	d.snapLSN.Store(wm)
 	d.appendsSinceSnap.Add(-pending)
 	if removed, _ := d.log.Reap(wm); removed > 0 {
 		d.pruneTombstones()
 	}
 	wal.ReapSnapshotsFS(d.fsys, d.cfg.Dir, d.cfg.KeepSnapshots)
-	return nil
+	return wm, payload, nil
 }
 
 // pruneTombstones forgets cancellations of records that are no longer on
@@ -577,11 +591,21 @@ func (d *durability) collect(e *obs.Exposition) {
 	e.Counter("powserved_snapshots_total", float64(d.snapshots.Load()))
 	e.Counter("powserved_snapshot_errors_total", float64(d.snapshotErrors.Load()))
 	e.Gauge("powserved_snapshot_last_lsn", float64(d.snapLSN.Load()))
+	e.Help("powserved_snapshot_last_bytes", "Payload size of the most recent snapshot written.")
+	e.Gauge("powserved_snapshot_last_bytes", float64(d.snapLastBytes.Load()))
+	e.Help("powserved_snapshot_last_seconds", "Time the most recent snapshot took, from state capture to the renamed file.")
+	e.Gauge("powserved_snapshot_last_seconds", time.Duration(d.snapLastNanos.Load()).Seconds())
 	if d.recovered.Load() {
 		rep := d.report
 		e.Gauge("powserved_recovery_snapshot_found", float64(b2i(rep.SnapshotFound)))
 		e.Gauge("powserved_recovery_snapshot_lsn", float64(rep.SnapshotLSN))
 		e.Gauge("powserved_recovery_snapshots_skipped", float64(rep.SnapshotsSkipped))
+		e.Help("powserved_recovery_snapshot_bytes", "Payload size of the snapshot the last recovery loaded.")
+		e.Gauge("powserved_recovery_snapshot_bytes", float64(rep.SnapshotBytes))
+		e.Help("powserved_recovery_snapshot_seconds", "Read, decode and install time of that snapshot; recovery_seconds minus this is WAL open and replay.")
+		e.Gauge("powserved_recovery_snapshot_seconds", rep.SnapshotLoad.Seconds())
+		e.Help("powserved_recovery_snapshot_legacy", "1 when that snapshot was the all-JSON image written before the binary format.")
+		e.Gauge("powserved_recovery_snapshot_legacy", float64(b2i(rep.SnapshotLegacy)))
 		e.Gauge("powserved_recovery_records_replayed", float64(rep.RecordsReplayed))
 		e.Gauge("powserved_recovery_samples_replayed", float64(rep.SamplesReplayed))
 		e.Gauge("powserved_recovery_records_skipped", float64(rep.RecordsSkipped))
@@ -616,7 +640,7 @@ func (d *durability) close(s *Server) {
 	d.wg.Wait()
 	if d.log != nil {
 		if d.recovered.Load() {
-			if err := d.snapshotOnce(s); err != nil {
+			if _, _, err := d.snapshotOnce(s); err != nil {
 				d.snapshotErrors.Add(1)
 			}
 		}

@@ -451,7 +451,7 @@ func TestTombstonesPrunedOnReap(t *testing.T) {
 		t.Fatalf("%d live tombstones after %d refusals", got, refused)
 	}
 
-	if err := dur.snapshotOnce(s); err != nil {
+	if _, _, err := dur.snapshotOnce(s); err != nil {
 		t.Fatal(err)
 	}
 	first, err := log.FirstLSN()

@@ -155,7 +155,7 @@ func TestPromoteDuringSnapshotBootstrap(t *testing.T) {
 	waitIngested(t, p, total)
 	// Reap the early WAL so the follower is forced through the
 	// snapshot-bootstrap path, not a plain stream from LSN 1.
-	if err := p.dur.snapshotOnce(p); err != nil {
+	if _, _, err := p.dur.snapshotOnce(p); err != nil {
 		t.Fatal(err)
 	}
 

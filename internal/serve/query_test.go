@@ -351,7 +351,7 @@ func TestSnapshotAfterFlushRecovery(t *testing.T) {
 	waitIngested(t, s1, total)
 	fr := adminFlush(t, ts1.URL)
 	want := queryDump(t, ts1.URL)
-	if err := s1.dur.snapshotOnce(s1); err != nil {
+	if _, _, err := s1.dur.snapshotOnce(s1); err != nil {
 		t.Fatal(err)
 	}
 	crash(t, s1, ts1)

@@ -603,8 +603,9 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleReplSnapshot takes a fresh snapshot and serves it — the
-// follower-bootstrap payload, exactly the on-disk snapshot image.
+// handleReplSnapshot takes a fresh snapshot and serves the payload it
+// wrote — the follower-bootstrap payload, exactly the on-disk snapshot
+// image, without reading the file back.
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	rs, ok := s.replReady(w, r)
 	if !ok {
@@ -614,18 +615,14 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 		rs.notPrimary(w, "cascading replication is not supported — bootstrap from the primary")
 		return
 	}
-	d := s.dur
-	if err := d.snapshotOnce(s); err != nil {
+	lsn, payload, err := s.dur.snapshotOnce(s)
+	if err != nil {
 		errJSON(w, http.StatusInternalServerError, "taking snapshot: %v", err)
 		return
 	}
-	lsn, payload, found, _, err := wal.LatestSnapshot(d.cfg.Dir)
-	if err != nil || !found {
-		errJSON(w, http.StatusInternalServerError, "reading snapshot: %v", err)
-		return
-	}
 	w.Header().Set(HeaderReplSnapshotLSN, strconv.FormatUint(lsn, 10))
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(payload)
 }
@@ -758,9 +755,13 @@ func (s *Server) applyReplicated(plsn uint64, body []byte) error {
 func (s *Server) installReplSnapshot(plsn uint64, payload []byte) error {
 	d := s.dur
 	rs := d.repl
-	var img snapshotImage
-	if err := json.Unmarshal(payload, &img); err != nil {
+	img, legacy, err := decodeSnapshotImage(payload)
+	if err != nil {
 		return fmt.Errorf("decoding snapshot payload: %w", err)
+	}
+	if legacy {
+		s.metrics.legacySnapshots.Inc()
+		rs.cfg.Logf("repl: bootstrap payload at lsn %d is a JSON snapshot image: the primary predates the binary format", plsn)
 	}
 	if img.Store == nil || img.Dedup == nil {
 		return fmt.Errorf("snapshot image is missing store or dedup state")
@@ -786,7 +787,7 @@ func (s *Server) installReplSnapshot(plsn uint64, payload []byte) error {
 	rs.setBootExtras(img.Extras)
 	storeMax(&rs.replApplied, img.AppliedLSN)
 	d.applyMu.Unlock()
-	if err := d.snapshotOnce(s); err != nil {
+	if _, _, err := d.snapshotOnce(s); err != nil {
 		return fmt.Errorf("persisting bootstrap snapshot: %w", err)
 	}
 	return nil

@@ -288,7 +288,7 @@ func TestFollowerBootstrapFromSnapshot(t *testing.T) {
 	batches := stampedBatches(13, 40)
 	total := sendAll(t, tsP.URL, batches)
 	waitIngested(t, primary, total)
-	if err := primary.dur.snapshotOnce(primary); err != nil {
+	if _, _, err := primary.dur.snapshotOnce(primary); err != nil {
 		t.Fatal(err)
 	}
 	first, err := primary.dur.log.FirstLSN()

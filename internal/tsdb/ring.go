@@ -22,6 +22,19 @@ func newRing(capacity int) *ring {
 	return &ring{buf: make([]Point, capacity)}
 }
 
+// ringOf is the ring a stream of appends ending in pts (oldest first)
+// leaves behind. A slice that already has the ring's capacity becomes
+// its buffer; any other is copied, keeping the newest capacity points.
+func ringOf(pts []Point, capacity int) *ring {
+	if cap(pts) == capacity {
+		return &ring{buf: pts[:capacity], head: len(pts) % capacity, count: len(pts)}
+	}
+	r := newRing(capacity)
+	r.count = copy(r.buf, pts[max(0, len(pts)-capacity):])
+	r.head = r.count % capacity
+	return r
+}
+
 func (r *ring) append(p Point) {
 	r.buf[r.head] = p
 	r.head = (r.head + 1) % len(r.buf)

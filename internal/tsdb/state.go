@@ -81,9 +81,9 @@ func (s *Store) ExportState() *StoreState {
 		sh.mu.RLock()
 		st.ShardAccs[i] = sh.acc.State()
 		for node, r := range sh.nodes {
-			ns := NodeState{Node: node, Points: make([]Point, 0, r.count)}
-			r.scan(func(p Point) { ns.Points = append(ns.Points, p) })
-			st.Nodes = append(st.Nodes, ns)
+			older, newer := r.segments()
+			pts := append(append(make([]Point, 0, r.count), older...), newer...)
+			st.Nodes = append(st.Nodes, NodeState{Node: node, Points: pts})
 		}
 		sh.mu.RUnlock()
 	}
@@ -124,56 +124,30 @@ func exportJob(id uint64, j *jobState) JobStateExport {
 	return e
 }
 
-// RestoreState loads a captured state into an empty store. The shard
-// count must match (per-shard accumulators cannot be redistributed);
-// the ring length may differ — points re-append into the configured
-// rings, naturally keeping the most recent window.
+// RestoreState loads a captured state into an empty store: InstallState
+// with the guard that nothing has been ingested yet.
 func (s *Store) RestoreState(st *StoreState) error {
 	if s.ingested.Load() != 0 {
 		return fmt.Errorf("tsdb: restore into a non-empty store (%d samples ingested)", s.ingested.Load())
 	}
-	if st.Shards != len(s.shards) {
-		return fmt.Errorf("tsdb: snapshot has %d shards, store is configured for %d — restart with -shards %d",
-			st.Shards, len(s.shards), st.Shards)
-	}
-	if len(st.ShardAccs) != st.Shards {
-		return fmt.Errorf("tsdb: snapshot has %d shard accumulators for %d shards", len(st.ShardAccs), st.Shards)
-	}
-	for i := range s.shards {
-		s.shards[i].acc = stats.AccumFromState(st.ShardAccs[i])
-	}
-	for _, ns := range st.Nodes {
-		if ns.Node < 0 {
-			return fmt.Errorf("tsdb: snapshot has negative node %d", ns.Node)
-		}
-		sh := s.nodeShard(ns.Node)
-		r := newRing(s.ringLen)
-		for _, p := range ns.Points {
-			r.append(p)
-		}
-		sh.nodes[ns.Node] = r
-	}
-	for _, je := range st.Jobs {
-		j, err := restoreJob(je)
-		if err != nil {
-			return fmt.Errorf("tsdb: job %d: %w", je.ID, err)
-		}
-		s.jobShard(je.ID).jobs[je.ID] = j
-	}
-	s.ingested.Store(st.Ingested)
-	s.raiseFrontier(st.BlockFrontier)
-	s.recountMem()
-	return nil
+	return s.InstallState(st)
 }
 
-// InstallState replaces a live store's contents with a captured state —
-// the follower-bootstrap path, where a standby that has fallen behind
-// the primary's reaped WAL installs a full snapshot over whatever it
-// has. Everything is validated and built off to the side first, then
-// swapped in under the stripe locks, so a failed install leaves the
-// store untouched. Callers wanting a consistent cut for concurrent
-// readers must quiesce writers around the call (the serving layer holds
-// its apply lock).
+// InstallState replaces a store's contents with a captured state — the
+// follower-bootstrap path, where a standby that has fallen behind the
+// primary's reaped WAL installs a full snapshot over whatever it has.
+// The shard count must match (per-shard accumulators cannot be
+// redistributed); the ring length may differ — each ring keeps the most
+// recent window that fits. Everything is validated and built off to the
+// side first, then swapped in under the stripe locks, so a failed
+// install leaves the store untouched. Callers wanting a consistent cut
+// for concurrent readers must quiesce writers around the call (the
+// serving layer holds its apply lock).
+//
+// The store takes ownership of st: a Points slice whose capacity is the
+// configured ring length becomes that ring's buffer, so the caller must
+// not install st twice into stores that go on ingesting, nor read it
+// after the store has.
 func (s *Store) InstallState(st *StoreState) error {
 	if st.Shards != len(s.shards) {
 		return fmt.Errorf("tsdb: snapshot has %d shards, store is configured for %d — restart with -shards %d",
@@ -190,11 +164,7 @@ func (s *Store) InstallState(st *StoreState) error {
 		if ns.Node < 0 {
 			return fmt.Errorf("tsdb: snapshot has negative node %d", ns.Node)
 		}
-		r := newRing(s.ringLen)
-		for _, p := range ns.Points {
-			r.append(p)
-		}
-		nodes[mix(uint64(ns.Node))&s.mask][ns.Node] = r
+		nodes[mix(uint64(ns.Node))&s.mask][ns.Node] = ringOf(ns.Points, s.ringLen)
 	}
 	jobs := make([]map[uint64]*jobState, len(s.jobShards))
 	for i := range jobs {

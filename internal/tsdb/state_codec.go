@@ -1,0 +1,121 @@
+package tsdb
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+
+	"hpcpower/internal/block"
+)
+
+// Binary form of StoreState.Nodes — the rings, which are all but a
+// percent of a snapshot's bytes. The rest of the state stays with its
+// owner's JSON; this section is what the snapshot image (internal/serve)
+// places after it:
+//
+//	uvarint nodeCount
+//	nodeCount × { uvarint node, u32le chunkLen, chunk }
+//
+// in ascending node order, the order ExportState writes. chunk is an
+// internal/block raw chunk (uvarint point count, then delta-of-delta
+// timestamps interleaved with XOR-compressed values, lossless to the
+// bit), holding the ring's points oldest first.
+
+// minNodeBytes is the least one node can occupy: a one-byte id, the
+// chunk length, and the one-byte header of an empty chunk.
+const minNodeBytes = 1 + 4 + 1
+
+// AppendNodes appends the binary form of st.Nodes to dst.
+func (st *StoreState) AppendNodes(dst []byte) []byte {
+	points := 0
+	for i := range st.Nodes {
+		points += len(st.Nodes[i].Points)
+	}
+	// Regular one-minute series at sensor resolution take about seven
+	// bytes a point; growing once up front spares the doubling copies.
+	dst = slices.Grow(dst, 16*len(st.Nodes)+8*points)
+	dst = binary.AppendUvarint(dst, uint64(len(st.Nodes)))
+	var enc block.ChunkEncoder
+	for i := range st.Nodes {
+		ns := &st.Nodes[i]
+		dst = binary.AppendUvarint(dst, uint64(ns.Node))
+		lenAt := len(dst)
+		enc.Reset(append(dst, 0, 0, 0, 0), len(ns.Points))
+		for _, p := range ns.Points {
+			enc.Add(p.Unix, p.PowerW)
+		}
+		dst = enc.Bytes()
+		binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
+	}
+	return dst
+}
+
+// DecodeNodes parses a section AppendNodes wrote into st.Nodes, each
+// ring decoded straight into the slice the store will keep. Arbitrary
+// bytes yield an error, never a panic, and never an allocation beyond a
+// fixed multiple of len(b): every count is checked against the bytes
+// that are left before anything is sized by it. Node ids must ascend
+// strictly, no ring may hold more than st.RingLen points, and nothing
+// may follow the last node.
+func (st *StoreState) DecodeNodes(b []byte) error {
+	count, n := binary.Uvarint(b)
+	if n <= 0 {
+		return fmt.Errorf("tsdb: nodes section: bad node count")
+	}
+	b = b[n:]
+	if count > uint64(len(b))/minNodeBytes {
+		return fmt.Errorf("tsdb: nodes section claims %d nodes in %d bytes", count, len(b))
+	}
+	var nodes []NodeState // nil for an empty store, as ExportState leaves it
+	if count > 0 {
+		nodes = make([]NodeState, count)
+	}
+	prev := -1
+	var it block.ChunkIter
+	for i := range nodes {
+		id, n := binary.Uvarint(b)
+		if n <= 0 || id > math.MaxInt || len(b)-n < 4 {
+			return fmt.Errorf("tsdb: nodes section: node %d of %d is cut short or has a bad id", i, count)
+		}
+		if int(id) <= prev {
+			return fmt.Errorf("tsdb: nodes section: node %d after node %d, want strictly ascending ids", id, prev)
+		}
+		prev = int(id)
+		chunkLen := binary.LittleEndian.Uint32(b[n:])
+		b = b[n+4:]
+		if uint64(chunkLen) > uint64(len(b)) {
+			return fmt.Errorf("tsdb: nodes section: node %d claims a %d-byte chunk, %d bytes left", id, chunkLen, len(b))
+		}
+		if err := it.Init(b[:chunkLen]); err != nil {
+			return fmt.Errorf("tsdb: nodes section: node %d: %w", id, err)
+		}
+		b = b[chunkLen:]
+		if it.Left() > st.RingLen {
+			return fmt.Errorf("tsdb: nodes section: node %d holds %d points, ring length is %d", id, it.Left(), st.RingLen)
+		}
+		// A ring comes back in a buffer of the full ring length, which
+		// InstallState adopts instead of allocating its own and copying.
+		// Below a quarter full it gets just its length: that keeps what a
+		// hostile RingLen can make a short chunk allocate within four
+		// times what the chunk's own bytes justify.
+		capacity := it.Left()
+		if capacity*4 >= st.RingLen {
+			capacity = st.RingLen
+		}
+		pts := make([]Point, it.Left(), capacity)
+		for j := range pts {
+			t, v, err := it.Next()
+			if err != nil {
+				return fmt.Errorf("tsdb: nodes section: node %d: %w", id, err)
+			}
+			pts[j] = Point{Unix: t, PowerW: v}
+		}
+		nodes[i] = NodeState{Node: int(id), Points: pts}
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("tsdb: nodes section: %d bytes after the last node", len(b))
+	}
+	st.Nodes = nodes
+	return nil
+}

@@ -13,9 +13,11 @@
 package vfs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"sync/atomic"
 )
@@ -97,7 +99,15 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	// Sized from Stat, so a snapshot is one allocation and one read
+	// instead of io.ReadAll's regrowth copies; the spare MinRead bytes
+	// let the read that finds EOF fit without growing.
+	var buf bytes.Buffer
+	if fi, err := fsys.Stat(name); err == nil && fi.Size() < math.MaxInt32 {
+		buf.Grow(int(fi.Size()) + bytes.MinRead)
+	}
+	_, err = buf.ReadFrom(f)
+	return buf.Bytes(), err
 }
 
 // tempSeq makes CreateTemp names unique within a process.
