@@ -1,6 +1,14 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-block bench-codec bench-wal bench-snapshot bench-e2e bench-compare bench-selftest fuzz-codec fuzz-snapshot smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke fuzz-wal fuzz-repl fuzz-block fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly block-check obs-check ci clean
+.PHONY: all build vet test race bench bench-block bench-codec bench-wal bench-snapshot bench-e2e bench-compare bench-selftest fuzz-codec fuzz-snapshot smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state block-check obs-check ci clean
+
+# The fuzz and bench targets below are the CI gates: .github/workflows/ci.yml
+# calls them by name, one step per target, so a gate is spelled here and
+# nowhere else. CI runs the microbenchmarks at BENCHTIME=0.5s.
+BENCHTIME ?= 1s
+gobench = $(GO) test -run xxx -bench $(1) -benchmem -benchtime=$(BENCHTIME) $(2)
+# $(call gofuzz,FuzzTarget,time,package)
+gofuzz = $(GO) test -run xxx -fuzz $(1) -fuzztime $(2) $(3)
 
 all: build
 
@@ -18,7 +26,7 @@ race:
 
 # Serving-layer benchmarks (tsdb write hot path + predict handler).
 bench:
-	$(GO) test -run xxx -bench 'IngestBatch|PredictEndpoint' -benchtime=1s .
+	$(GO) test -run xxx -bench 'IngestBatch|PredictEndpoint' -benchtime=$(BENCHTIME) .
 
 # Read-path benchmarks: Gorilla encode cost + bytes/sample, chunk decode
 # (ns/point), the range-scan hot path behind /v1/query/range; the
@@ -26,22 +34,22 @@ bench:
 # (blocks only, straddling the frontier, head only); and the radix sort
 # under it against sort.Float64s.
 bench-block:
-	$(GO) test -run xxx -bench 'BlockEncode|ChunkDecode|RangeScan' -benchmem -benchtime=1s ./internal/block/
-	$(GO) test -run xxx -bench 'Distribution' -benchmem -benchtime=1s ./internal/tsdb/
-	$(GO) test -run xxx -bench 'SortFloat64s' -benchmem -benchtime=1s ./internal/stats/
+	$(call gobench,'BlockEncode|ChunkDecode|RangeScan',./internal/block/)
+	$(call gobench,'Distribution',./internal/tsdb/)
+	$(call gobench,'SortFloat64s',./internal/stats/)
 
 # Ingest-codec microbenchmarks on a 512-sample body: the single-pass
 # scanner against the encoding/json decode it replaced, and the append
 # encoder of the WAL record against json.Marshal.
 bench-codec:
-	$(GO) test -run xxx -bench 'BatchDecode|WALRecord' -benchmem -benchtime=1s ./internal/trace/
+	$(call gobench,'BatchDecode|WALRecord',./internal/trace/)
 
 # WAL microbenchmarks on 24 KB records: Append (0 allocs/op — the frame
 # is encoded into a buffer the log owns), ReadRange of the newest record
 # of a 90 %-full 8 MiB segment (what the replication source does per
 # burst), and one full Replay of that segment.
 bench-wal:
-	$(GO) test -run xxx -bench 'Append|ReadRangeTail|Replay' -benchmem -benchtime=1s ./internal/wal/
+	$(call gobench,'Append|ReadRangeTail|Replay',./internal/wal/)
 
 # Snapshot microbenchmarks on the end-to-end benchmark's store (1,024
 # nodes x 500 points in 1,440-point rings): ExportState is the time the
@@ -49,8 +57,8 @@ bench-wal:
 # that, SnapshotDecode the decode share of a clean restart (binary image
 # vs the all-JSON one it replaced), RecoverClean the whole restart.
 bench-snapshot:
-	$(GO) test -run xxx -bench 'ExportState' -benchmem -benchtime=1s ./internal/tsdb/
-	$(GO) test -run xxx -bench 'SnapshotEncode|SnapshotDecode|RecoverClean' -benchmem -benchtime=1s ./internal/serve/
+	$(call gobench,'ExportState',./internal/tsdb/)
+	$(call gobench,'SnapshotEncode|SnapshotDecode|RecoverClean',./internal/serve/)
 
 # The end-to-end + per-layer benchmark (bench/README.md): every workload,
 # 5 untraced runs and one traced run each, about 12 minutes.
@@ -73,14 +81,14 @@ bench-selftest:
 # accepts decodes to the same value, no input panics or over-reads, and
 # the encoder's bytes equal json.Marshal's.
 fuzz-codec:
-	$(GO) test -run xxx -fuzz FuzzBatchCodec -fuzztime 30s ./internal/trace/
+	$(call gofuzz,FuzzBatchCodec,30s,./internal/trace/)
 
 # Fuzz the snapshot-image decoder and the restore behind it: no panic,
 # no allocation beyond a fixed multiple of the input, and whatever
 # decodes keeps ascending node ids and rings within the ring length.
 # Seeds are whole images, so the minimizer gets a short leash.
 fuzz-snapshot:
-	$(GO) test -run xxx -fuzz FuzzSnapshotDecode -fuzztime 20s -fuzzminimizetime 2s ./internal/serve/
+	$(call gofuzz,FuzzSnapshotDecode,20s -fuzzminimizetime 2s,./internal/serve/)
 
 # End-to-end smoke: generate a small dataset, export a model, start
 # powserved on a random port, replay the dataset with powload, and check
@@ -140,51 +148,63 @@ anomaly-smoke:
 # Fuzz the WAL segment reader: arbitrary corruption must yield clean
 # truncation or a typed error, never a panic or a silently wrong record.
 fuzz-wal:
-	$(GO) test -run xxx -fuzz FuzzSegmentRead -fuzztime 30s ./internal/wal/
+	$(call gofuzz,FuzzSegmentRead,30s,./internal/wal/)
+
+# Fuzz WAL recovery under the fault-injection layer: a single-byte flip
+# anywhere in a sealed segment must recover to an exact prefix of the
+# original records.
+fuzz-wal-bitflip:
+	$(call gofuzz,FuzzWALBitFlip,30s,./internal/wal/)
 
 # Fuzz the replication stream reader: arbitrary bytes must yield clean
 # frames, ErrTorn, or a typed corruption error — never a panic.
 fuzz-repl:
-	$(GO) test -run xxx -fuzz FuzzReplStream -fuzztime 30s ./internal/repl/
+	$(call gofuzz,FuzzReplStream,30s,./internal/repl/)
 
-# Fuzz the block chunk decoder and the block-file index/read path:
-# arbitrary bytes must decode or error — never panic or over-read — and
-# the word-buffered bit reader and the decoder on it must agree with the
-# byte-wise reference kept in the tests.
-fuzz-block:
-	$(GO) test -run xxx -fuzz FuzzChunkDecode -fuzztime 30s ./internal/block/
-	$(GO) test -run xxx -fuzz FuzzBlockIndex -fuzztime 30s ./internal/block/
-	$(GO) test -run xxx -fuzz FuzzBitReader -fuzztime 15s ./internal/block/
-	$(GO) test -run xxx -fuzz FuzzDecodeAgainstReference -fuzztime 15s ./internal/block/
+# Fuzz the block chunk decoder, the block-file index/read path, and the
+# word-buffered bit reader with the decoder on it: arbitrary bytes must
+# decode or error — never panic or over-read — and the last two must
+# agree with the byte-wise reference kept in the tests.
+fuzz-block-chunk:
+	$(call gofuzz,FuzzChunkDecode,15s,./internal/block/)
 
-# Fuzz the fault-injection layer and WAL recovery under it: the
-# -fault-disk spec parser must never panic, and a single-byte flip
-# anywhere in a sealed segment must recover to an exact prefix of the
-# original records.
+fuzz-block-index:
+	$(call gofuzz,FuzzBlockIndex,15s,./internal/block/)
+
+fuzz-block-ref:
+	$(call gofuzz,FuzzBitReader,10s,./internal/block/)
+	$(call gofuzz,FuzzDecodeAgainstReference,10s,./internal/block/)
+
+# Fuzz the -fault-disk spec parser: it must never panic.
 fuzz-vfs:
-	$(GO) test -run xxx -fuzz FuzzParseFaultSpec -fuzztime 15s ./internal/vfs/
-	$(GO) test -run xxx -fuzz FuzzWALBitFlip -fuzztime 30s ./internal/wal/
+	$(call gofuzz,FuzzParseFaultSpec,15s,./internal/vfs/)
 
 # Fuzz the admission-spec parser: arbitrary specs must parse or error —
 # never panic — and every accepted spec must round-trip through String.
 fuzz-admit:
-	$(GO) test -run xxx -fuzz FuzzParseConfig -fuzztime 30s ./internal/admit/
+	$(call gofuzz,FuzzParseConfig,15s,./internal/admit/)
 
 # Fuzz the election and frontier wire decoders: arbitrary bytes from an
 # untrusted peer must decode or error — never panic — and every
 # accepted message must survive an encode/decode round trip.
 fuzz-elect:
-	$(GO) test -run xxx -fuzz FuzzElectDecode -fuzztime 30s ./internal/elect/
-	$(GO) test -run xxx -fuzz FuzzFrontierDecode -fuzztime 30s ./internal/repl/
+	$(call gofuzz,FuzzElectDecode,15s,./internal/elect/)
+
+fuzz-frontier:
+	$(call gofuzz,FuzzFrontierDecode,15s,./internal/repl/)
 
 # Fuzz the anomaly layer: the rule-spec parser must parse or error
 # (and every accepted spec must round-trip through String), and
 # fingerprint / engine-state JSON from a snapshot or peer must restore
 # or error — never panic, never poison the engine.
-fuzz-anomaly:
-	$(GO) test -run xxx -fuzz FuzzParseRules -fuzztime 30s ./internal/anomaly/
-	$(GO) test -run xxx -fuzz FuzzFingerprintDecode -fuzztime 15s ./internal/anomaly/
-	$(GO) test -run xxx -fuzz FuzzEngineStateDecode -fuzztime 15s ./internal/anomaly/
+fuzz-anomaly-rules:
+	$(call gofuzz,FuzzParseRules,15s,./internal/anomaly/)
+
+fuzz-anomaly-fingerprint:
+	$(call gofuzz,FuzzFingerprintDecode,15s,./internal/anomaly/)
+
+fuzz-anomaly-state:
+	$(call gofuzz,FuzzEngineStateDecode,15s,./internal/anomaly/)
 
 # Block-store gate: vet plus the block and tsdb packages (encode/decode
 # losslessness, rollup exactness, head/block merge, crash frontier)

@@ -69,7 +69,7 @@ func (s *Server) initAdmit() {
 // batchFootprint estimates a queued batch's heap bytes for the memory
 // watermark: slice/struct headers plus per-sample storage.
 func batchFootprint(qb queuedBatch) int {
-	return 128 + 48*len(qb.samples) + len(qb.agent) + len(qb.trace)
+	return 128 + 48*len(qb.Samples) + len(qb.Agent) + len(qb.Trace)
 }
 
 // pressure computes the load level the priority gate sheds on:
@@ -91,11 +91,12 @@ func (s *Server) memBytes() int64 {
 	return s.store.MemoryBytes() + s.ingestQ.Bytes() + s.dedup.MemoryBytes()
 }
 
-// write429 answers an admission shed: 429 over_capacity with both
-// retry hints. hint <= 0 derives one from queue occupancy, so an idle
-// refusal asks the shipper back almost immediately while a backed-up
-// one pushes the retry storm out.
-func (s *Server) write429(w http.ResponseWriter, reason string, hint time.Duration) {
+// overCapacity counts and answers an admission shed: 429 over_capacity
+// with both retry hints. hint <= 0 derives one from queue occupancy, so
+// an idle refusal asks the shipper back almost immediately while a
+// backed-up one pushes the retry storm out.
+func (s *Server) overCapacity(w http.ResponseWriter, reason string, hint time.Duration) {
+	s.metrics.admitShed.With(reason).Inc()
 	if hint <= 0 {
 		occ := float64(s.ingestQ.Len()) / float64(s.ingestQ.Cap())
 		hint = 50*time.Millisecond + time.Duration(occ*float64(time.Second))
@@ -110,12 +111,6 @@ func (s *Server) write429(w http.ResponseWriter, reason string, hint time.Durati
 	errJSONCode(w, http.StatusTooManyRequests, CodeOverCapacity, "over capacity: %s", reason)
 }
 
-// overCapacity counts and answers an admission shed.
-func (s *Server) overCapacity(w http.ResponseWriter, reason string, hint time.Duration) {
-	s.metrics.admitShed.With(reason).Inc()
-	s.write429(w, reason, hint)
-}
-
 // gated wraps a handler in the priority gate: query class sheds at
 // critical pressure (memory watermark), admin class already at elevated
 // pressure, and both respect their concurrency quotas.
@@ -128,37 +123,6 @@ func (s *Server) gated(c admit.Class, reason string, h http.HandlerFunc) http.Ha
 		}
 		defer release()
 		h(w, r)
-	}
-}
-
-// onIngestShed is the CoDel queue's shed callback: the entry was WAL'd
-// (durable path) but will never be applied, so cancel it exactly like
-// the queue-full path — tombstone before markDone, then free the
-// sequence number — and release the waiting handler with "not applied".
-//
-// Runs under the queue lock. It must not take applyMu: the handler that
-// pushed this entry holds an applyMu read lock while calling Push, so
-// waiting for applyMu here (with a snapshot writer pending) would
-// deadlock the ingest path. Doing the bookkeeping outside applyMu is
-// safe: a snapshot cut between the shed and the tombstone write can at
-// worst make replay re-apply a never-acked record, which the dedup
-// index then settles as a duplicate of the agent's retry.
-func (s *Server) onIngestShed(qb queuedBatch) {
-	s.metrics.batchesRejected.Add(1)
-	s.metrics.admitShed.With("codel").Inc()
-	if d := s.dur; d != nil && qb.lsn != 0 {
-		d.markTombstoned(qb.lsn)
-		tr := d.tracker.Load()
-		if tlsn, terr := d.log.AppendTombstone(qb.lsn); terr == nil {
-			tr.markDone(tlsn)
-		}
-		tr.markDone(qb.lsn)
-	}
-	if qb.agent != "" {
-		s.dedup.Forget(qb.agent, qb.seq)
-	}
-	if qb.resc != nil {
-		qb.resc <- false
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"hpcpower/internal/admit"
 	"hpcpower/internal/trace"
 	"hpcpower/internal/tsdb"
-	"hpcpower/internal/wal"
 )
 
 // sampleBatch builds an n-sample batch for one agent/sequence.
@@ -109,8 +108,8 @@ func TestMemEvalHysteresis(t *testing.T) {
 
 	// Queue bytes are the controllable component: one 20-sample batch
 	// accounts 128 + 48×20 = 1088 bytes > watermark.
-	big := queuedBatch{samples: make([]trace.PowerSample, 20)}
-	small := queuedBatch{samples: make([]trace.PowerSample, 15)} // 848 bytes: dead band
+	big := queuedBatch{WALRecord: trace.WALRecord{Samples: make([]trace.PowerSample, 20)}}
+	small := queuedBatch{WALRecord: trace.WALRecord{Samples: make([]trace.PowerSample, 15)}} // 848 bytes: dead band
 	if err := s.ingestQ.Push(big); err != nil {
 		t.Fatal(err)
 	}
@@ -168,117 +167,6 @@ func TestAgentRateLimit429(t *testing.T) {
 	resp, body = postJSON(t, ts.URL+"/v1/samples", sampleBatch("polite", 1, 1))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("other agent must be unaffected: %d %s", resp.StatusCode, body)
-	}
-}
-
-// TestDurableCoDelShedTombstone: an entry shed by the CoDel queue after
-// it was WAL'd must (a) answer 429, never 202, (b) tombstone the record
-// so replay skips it, and (c) free the sequence number for the retry.
-// Worker-less server with a 1ns target/interval so the second queued
-// entry is deterministically shed on dequeue.
-func TestDurableCoDelShedTombstone(t *testing.T) {
-	dir := t.TempDir()
-	dur, err := openDurability(DurabilityConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, err := wal.Open(dir, wal.Options{Policy: wal.SyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dur.log = log
-	cfg := durableConfig()
-	cfg.QueueDepth = 8
-	cfg.Admit.Target = time.Nanosecond
-	cfg.Admit.Interval = time.Nanosecond
-	s := &Server{
-		store: durableStore(),
-		cfg:   cfg,
-		dedup: tsdb.NewDeduper(tsdb.DedupConfig{}),
-		dur:   dur,
-	}
-	s.metrics = newMetrics(func() int { return s.ingestQ.Len() })
-	s.initAdmit()
-	s.ready.Store(true)
-
-	type result struct {
-		code int
-		hdr  http.Header
-	}
-	send := func(seq uint64) chan result {
-		ch := make(chan result, 1)
-		go func() {
-			rec := httptest.NewRecorder()
-			b := sampleBatch("a1", seq, 1)
-			s.ingestDurable(rec, httptest.NewRequest(http.MethodPost, "/v1/samples", nil),
-				b, &b.Samples, time.Now(), "")
-			ch <- result{rec.Code, rec.Header()}
-		}()
-		return ch
-	}
-	waitQueued := func() {
-		deadline := time.Now().Add(2 * time.Second)
-		for s.ingestQ.Len() == 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("batch never queued")
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-
-	// First entry: delivered (first over-target dequeue only arms the
-	// CoDel interval clock). Ack it by hand — no workers, no markDone, so
-	// recovery replays it like a pre-apply crash.
-	r1 := send(1)
-	waitQueued()
-	time.Sleep(time.Millisecond) // sojourn ≥ target
-	qb1, ok := s.ingestQ.Pop()
-	if !ok || qb1.seq != 1 {
-		t.Fatalf("pop 1 = %+v ok=%v", qb1, ok)
-	}
-	qb1.resc <- true
-	if res := <-r1; res.code != http.StatusAccepted {
-		t.Fatalf("first batch: %d, want 202", res.code)
-	}
-
-	// Second entry: a full interval has now passed above target, so this
-	// dequeue enters drop state and sheds it. Pop blocks afterwards (the
-	// queue is empty) — run it async and unblock it via Close.
-	r2 := send(2)
-	waitQueued()
-	time.Sleep(time.Millisecond)
-	go s.ingestQ.Pop()
-	res := <-r2
-	if res.code != http.StatusTooManyRequests {
-		t.Fatalf("shed batch: %d, want 429", res.code)
-	}
-	if res.hdr.Get(HeaderOverCapacity) != "1" {
-		t.Fatal("shed 429 must carry the over-capacity marker")
-	}
-	// The sequence number is free again: the retry is not a duplicate.
-	if dup, _ := s.dedup.Mark("a1", 2); dup {
-		t.Fatal("shed batch's sequence must be forgotten for the retry")
-	}
-	s.ingestQ.Close(true)
-
-	// Crash and recover: the shed record must stay dead, the delivered
-	// (but never markDone'd) one must replay.
-	log.Close()
-	dur.lock.Abandon()
-	s2, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s2.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if rep.Tombstoned != 1 {
-		t.Fatalf("tombstoned %d records on replay, want 1", rep.Tombstoned)
-	}
-	if got := s2.store.Ingested(); got != 1 {
-		t.Fatalf("recovered %d samples, want 1 — the shed copy must stay dead", got)
 	}
 }
 

@@ -188,28 +188,20 @@ type durability struct {
 	// disk is the storage-health monitor state (see disk.go).
 	disk diskState
 
-	// applyMu is the snapshot-consistency lock. Readers: the ingest
-	// accept path (dedup mark → WAL append → enqueue, one atomic unit)
-	// and the worker apply path (store append → markDone). Writer: the
-	// snapshot capture, which therefore sees store, dedup, and tracker at
-	// a single batch boundary.
+	// applyMu is the snapshot-consistency lock and seqMu orders WAL
+	// appends with enqueues; pipeline.go states who takes them and when.
 	applyMu sync.RWMutex
-	// seqMu orders WAL appends with enqueues so LSN order equals queue
-	// order: replay applies records in LSN order, and with one ingest
-	// worker the live apply order must match for the recovered analytics
-	// to be byte-identical.
-	seqMu sync.Mutex
+	seqMu   sync.Mutex
 	// tracker is swapped wholesale when a deposed primary rejoins
-	// (election.go), and the shed path must read it without applyMu
-	// (admit.go) — hence the atomic pointer rather than a plain field.
+	// (election.go), and the shed path must read it without applyMu —
+	// hence the atomic pointer rather than a plain field.
 	tracker atomic.Pointer[applyTracker]
 
-	// tombstoned is the live set of cancelled LSNs (queue-full batches
-	// whose WAL record must never be applied or streamed). Seeded by the
-	// recovery tombstone scan, extended by the backpressure path before
-	// the LSN is marked done — so the replication stream, gated on the
-	// done watermark, always sees the cancellation first — and pruned
-	// below the oldest on-disk LSN whenever a snapshot reaps a segment.
+	// tombstoned is the live set of cancelled LSNs (refused batches whose
+	// WAL record must never be applied or streamed). Seeded by the
+	// recovery tombstone scan, extended by the pipeline's cancel stage,
+	// and pruned below the oldest on-disk LSN whenever a snapshot reaps a
+	// segment.
 	tombMu     sync.Mutex
 	tombstoned map[uint64]struct{}
 
@@ -396,18 +388,10 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 		if wb.PLSN > maxPLSN {
 			maxPLSN = wb.PLSN
 		}
-		if wb.Agent != "" {
-			s.dedup.Mark(wb.Agent, wb.Seq)
-		}
-		if err := s.store.Append(wb.Samples); err != nil {
+		s.stamp(wb.Agent, wb.Seq)
+		if err := s.fold(wb.Samples, wb.Trace); err != nil {
 			rep.DecodeErrors++
 			return nil
-		}
-		if s.anom != nil {
-			// Detector time is sample-driven, so replay reproduces the
-			// live run's alert decisions exactly (and replayed batches
-			// keep their trace IDs on any transitions they trigger).
-			s.anom.ObserveBatch(wb.Samples, wb.Trace)
 		}
 		rep.RecordsReplayed++
 		rep.SamplesReplayed += int64(len(wb.Samples))

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -321,9 +322,9 @@ func TestReadyzTransitions(t *testing.T) {
 }
 
 // newQueueFullServer hand-builds a worker-less durable server over dir
-// whose one queue slot is taken, so every ingestDurable is refused with a
-// deterministic 429 after its record reached the WAL. The caller owns
-// the log and the dir lock.
+// whose one queue slot is taken, so every accept is refused as outFull
+// after its record reached the WAL. The caller owns the log and the dir
+// lock.
 func newQueueFullServer(t *testing.T, dir string, segmentBytes int64) (*Server, *durability, *wal.Log) {
 	t.Helper()
 	dur, err := openDurability(DurabilityConfig{Dir: dir})
@@ -350,76 +351,6 @@ func newQueueFullServer(t *testing.T, dir string, segmentBytes int64) (*Server, 
 	return s, dur, log
 }
 
-// TestDurableBackpressureTombstones: a batch refused with 429 (queue
-// full) is already in the WAL — the handler must tombstone it so replay
-// never resurrects it, and the agent's re-send of the same sequence must
-// be accepted. Uses a worker-less server so the full queue is
-// deterministic, then recovers through the normal path.
-func TestDurableBackpressureTombstones(t *testing.T) {
-	dir := t.TempDir()
-	s, dur, log := newQueueFullServer(t, dir, 0)
-	batch := trace.SampleBatch{
-		AgentID: "a1", Seq: 1,
-		Samples: []trace.PowerSample{{Node: 1, JobID: 7, Unix: 60, PowerW: 123}},
-	}
-	rec := httptest.NewRecorder()
-	s.ingestDurable(rec, httptest.NewRequest(http.MethodPost, "/v1/samples", nil), batch, &batch.Samples, time.Now(), "")
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("full queue: got %d, want 429", rec.Code)
-	}
-	if rec.Header().Get(HeaderOverCapacity) != "1" {
-		t.Fatal("queue-full 429 must carry the over-capacity marker")
-	}
-
-	s.ingestQ.Pop() // free the slot; the agent retries the same sequence
-	// Stand in for the missing workers on the retry only: ack the entry
-	// so ingestDurable's applied-wait completes (without markDone, so
-	// recovery still replays the record like a pre-apply crash).
-	go func() {
-		for {
-			qb, ok := s.ingestQ.Pop()
-			if !ok {
-				return
-			}
-			if qb.resc != nil {
-				qb.resc <- true
-			}
-		}
-	}()
-	rec = httptest.NewRecorder()
-	s.ingestDurable(rec, httptest.NewRequest(http.MethodPost, "/v1/samples", nil), batch, &batch.Samples, time.Now(), "")
-	if rec.Code != http.StatusAccepted {
-		t.Fatalf("retry after 429: got %d, want 202 (dedup mark not rolled back?)", rec.Code)
-	}
-	s.ingestQ.Close(true)
-
-	// Crash before the (worker-less) apply: only the WAL has the data.
-	log.Close()
-	dur.lock.Abandon()
-
-	s2, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s2.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if rep.Tombstoned != 1 {
-		t.Fatalf("tombstoned %d records on replay, want 1", rep.Tombstoned)
-	}
-	if rep.RecordsReplayed != 1 {
-		t.Fatalf("replayed %d records, want 1 (the retry only)", rep.RecordsReplayed)
-	}
-	if got := s2.store.Ingested(); got != 1 {
-		t.Fatalf("recovered %d samples, want exactly 1 — the 503'd copy must stay dead", got)
-	}
-	if js, ok := s2.store.JobPower(7); !ok || js.Samples != 1 {
-		t.Fatalf("job 7 after recovery: %+v ok=%v", js, ok)
-	}
-}
-
 // TestTombstonesPrunedOnReap: sustained queue-full overload cancels a WAL
 // record per refused batch, and the in-memory set of cancellations must
 // not outlive the records: once a snapshot reaps the segments that held
@@ -436,10 +367,8 @@ func TestTombstonesPrunedOnReap(t *testing.T) {
 			AgentID: "a1", Seq: seq,
 			Samples: []trace.PowerSample{{Node: 1, JobID: 7, Unix: int64(60 * seq), PowerW: 123}},
 		}
-		rec := httptest.NewRecorder()
-		s.ingestDurable(rec, httptest.NewRequest(http.MethodPost, "/v1/samples", nil), batch, &batch.Samples, time.Now(), "")
-		if rec.Code != http.StatusTooManyRequests {
-			t.Fatalf("full queue: got %d, want 429", rec.Code)
+		if o := s.accept(context.Background(), &batch, ""); o.kind != outFull {
+			t.Fatalf("full queue: outcome %d, want outFull", o.kind)
 		}
 	}
 	tombstones := func() int {

@@ -1,0 +1,324 @@
+package serve
+
+// The ingest pipeline. Every sample powserved holds got there through
+// the stages in this file — stamp → log → enqueue → apply → done, with
+// cancel as the rollback and await as the ack gate — fed from three
+// sources: the live handler (accept, then a worker), the follower's
+// stream (applyReplicated: logs with the primary's LSN, applies inline)
+// and WAL replay (Recover: nothing to log). A memory-only server runs
+// the same code with the WAL as a no-op: log assigns LSN 0 and await has
+// no fsync to wait for.
+//
+// Locks are taken in the order applyMu(R) → seqMu → queue lock. This is
+// the normative statement of the rules; DESIGN.md points here.
+//
+//  1. applyMu.RLock covers stamp → log → enqueue as one unit (and, on
+//     the worker and the follower, apply with its markDone), so the
+//     takers of the write lock — snapshot capture, a follower's snapshot
+//     install, a rejoin's WAL truncation — see store, dedup index and
+//     apply tracker at one batch boundary. The read lock is never
+//     re-entered: with a writer pending, a nested RLock waits behind the
+//     writer while the writer waits for the outer one.
+//  2. seqMu covers the WAL append together with the queue push, so LSN
+//     order is queue order: replay applies records in LSN order, and
+//     with one ingest worker that is the order the live server applied
+//     them in — what byte-identical recovery needs.
+//  3. A cancelled LSN enters the tombstone set before it is marked done:
+//     the replication stream is gated on the done watermark and must
+//     see the cancellation first.
+//  4. The queue's shed callback runs under the queue lock and must touch
+//     neither applyMu nor seqMu — the handler that pushed the entry holds
+//     both around Push. A snapshot cut between a shed and its tombstone
+//     can at worst make replay re-apply a record nobody was acked for,
+//     which dedup settles as the duplicate of the agent's retry.
+//  5. Every fsync and replication wait happens outside all locks, and a
+//     failed fsync never acks.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"log/slog"
+	"time"
+
+	"hpcpower/internal/admit"
+	"hpcpower/internal/obs"
+	"hpcpower/internal/trace"
+)
+
+// queuedBatch is one batch in flight through the pipeline: the record as
+// the WAL holds it, the sequence number the WAL gave it (0 when there is
+// no WAL), and the channel the live handler waits on — true once applied,
+// false when shed before apply, so a 202 is never written for samples
+// that did not reach the store.
+type queuedBatch struct {
+	trace.WALRecord
+	lsn  uint64
+	resc chan bool // buffered(1); nil off the live path
+}
+
+// outcomeKind is what became of one batch handed to accept. Everything
+// from outShed on is a refusal.
+type outcomeKind uint8
+
+const (
+	outAccepted    outcomeKind = iota
+	outDuplicate               // (agent, seq) already counted
+	outStale                   // a duplicate older than the dedup window
+	outShed                    // CoDel shed it after enqueue
+	outFull                    // queue at capacity
+	outDraining                // Push lost the race with Close
+	outStorage                 // WAL append or fsync failed
+	outReplication             // durable here, no follower ack in time
+	outEncode                  // the WAL record could not be encoded
+)
+
+// outcome is accept's by-value answer. held means the batch is still
+// queued: a worker or the shed callback may yet read its samples. lsn is
+// an accepted batch's; err is the cause, worded for the client, of
+// outStorage, outReplication and outEncode.
+type outcome struct {
+	kind outcomeKind
+	held bool
+	lsn  uint64
+	err  error
+}
+
+// stamp marks (agent, seq) as counted and reports whether it already
+// was; an unstamped batch is never a duplicate.
+func (s *Server) stamp(agent string, seq uint64) (dup, stale bool) {
+	if agent == "" {
+		return false, false
+	}
+	return s.dedup.Mark(agent, seq)
+}
+
+// log appends qb's record to the WAL, setting qb.lsn, and — for a live
+// batch — pushes qb onto the ingest queue inside the same seqMu hold.
+// The caller holds applyMu.RLock and cancels qb on any answer but
+// outAccepted.
+func (s *Server) log(qb *queuedBatch, enqueue bool) outcome {
+	d := s.dur
+	var pushErr error
+	if d == nil {
+		if enqueue {
+			pushErr = s.ingestQ.Push(*qb)
+		}
+	} else {
+		bp := bufPool.Get().(*[]byte)
+		body, err := trace.AppendWALRecord((*bp)[:0], &qb.WALRecord)
+		if err != nil {
+			bufPool.Put(bp)
+			return outcome{kind: outEncode, err: fmt.Errorf("encoding wal record: %w", err)}
+		}
+		d.seqMu.Lock()
+		qb.lsn, err = d.log.Append(body)
+		if err == nil && enqueue {
+			pushErr = s.ingestQ.Push(*qb)
+		}
+		d.seqMu.Unlock()
+		// Append copied the record into its own frame.
+		*bp = body
+		bufPool.Put(bp)
+		if err != nil {
+			// A failing WAL (transient ENOSPC/EIO or a poisoned log) is
+			// storage trouble, not a client error: the shipper spills and
+			// comes back, exactly like backpressure.
+			return outcome{kind: outStorage, err: fmt.Errorf("wal append: %w", err)}
+		}
+	}
+	switch {
+	case pushErr == nil:
+		if d != nil {
+			d.appendsSinceSnap.Add(1)
+		}
+		return outcome{kind: outAccepted, lsn: qb.lsn}
+	case errors.Is(pushErr, admit.ErrFull):
+		return outcome{kind: outFull}
+	default:
+		return outcome{kind: outDraining}
+	}
+}
+
+// cancel withdraws a batch that was stamped, and perhaps logged, but will
+// never be applied: the record is tombstoned so neither replay nor the
+// replication stream resurrects it, and the sequence number is freed for
+// the agent's retry. It runs under applyMu.RLock from accept and under
+// the queue lock from the shed callback, and takes no lock of its own
+// above the tombstone set's.
+func (s *Server) cancel(qb *queuedBatch) {
+	if d := s.dur; d != nil && qb.lsn != 0 {
+		d.tombMu.Lock()
+		d.tombstoned[qb.lsn] = struct{}{}
+		d.tombMu.Unlock()
+		tr := d.tracker.Load()
+		if tlsn, err := d.log.AppendTombstone(qb.lsn); err == nil {
+			tr.markDone(tlsn)
+		}
+		tr.markDone(qb.lsn)
+	}
+	if qb.Agent != "" {
+		s.dedup.Forget(qb.Agent, qb.Seq)
+	}
+}
+
+// onIngestShed is the CoDel queue's shed callback: cancel the entry and
+// release the waiting handler with "not applied". The handler counts the
+// refusal.
+func (s *Server) onIngestShed(qb queuedBatch) {
+	s.cancel(&qb)
+	if qb.resc != nil {
+		qb.resc <- false
+	}
+}
+
+// fold is the store half of apply, and all of it for WAL replay, which
+// has no LSN to mark (Recover installs the frontier wholesale) and
+// reports through its RecoveryReport. Detector time is sample-driven, so
+// every source reproduces the same alert decisions, and a batch keeps its
+// trace ID on any transition it triggers.
+func (s *Server) fold(samples []trace.PowerSample, traceID string) error {
+	err := s.store.Append(samples)
+	if err == nil && s.anom != nil {
+		s.anom.ObserveBatch(samples, traceID)
+	}
+	return err
+}
+
+// apply folds one logged batch into the store and marks its LSN done.
+// The caller holds applyMu.RLock when there is a WAL, so a snapshot never
+// records an LSN as applied while its samples are half-folded, and the
+// engine-state cut lands on the same batch boundary as the store's.
+// Batches are validated before they are logged: an error here is a
+// programming error, and the LSN is done all the same.
+func (s *Server) apply(qb *queuedBatch) error {
+	err := s.fold(qb.Samples, qb.Trace)
+	if d := s.dur; d != nil {
+		d.tracker.Load().markDone(qb.lsn)
+	}
+	if err == nil {
+		s.metrics.samplesIngested.Add(int64(len(qb.Samples)))
+	}
+	return err
+}
+
+func (s *Server) ingestWorker() {
+	defer s.workerWG.Done()
+	for {
+		qb, ok := s.ingestQ.Pop()
+		if !ok {
+			return
+		}
+		d := s.dur
+		if d != nil {
+			d.applyMu.RLock()
+		}
+		start := time.Now()
+		err := s.apply(&qb)
+		if d != nil {
+			d.applyMu.RUnlock()
+			// Applied; if it is also fsynced this makes the record
+			// streamable to followers right away.
+			d.advanceRepl()
+		}
+		if err != nil {
+			s.metrics.batchesInvalid.Add(1)
+		} else {
+			s.traceStage("batch applied", obs.TraceEvent{
+				Trace: qb.Trace, Stage: "apply", LSN: int64(qb.lsn),
+				Samples: len(qb.Samples), Status: "applied",
+			}, time.Since(start))
+		}
+		if qb.resc != nil {
+			qb.resc <- true
+		}
+	}
+}
+
+// await holds the ack until it is true: the record fsynced, the batch
+// applied and, under semi-sync replication, durably applied by every
+// registered follower (no follower, no wait). No lock is held.
+func (s *Server) await(ctx context.Context, qb *queuedBatch) outcome {
+	d := s.dur
+	if d != nil {
+		if err := d.log.WaitDurable(qb.lsn); err != nil {
+			// Fsyncgate: the fsync covering this LSN failed, so the record's
+			// durability is unknowable and the WAL has sealed itself. Never
+			// ack. The 503 makes the agent re-send; the batch stays queued
+			// and will be applied, and the dedup mark turns the retry into a
+			// counted-once duplicate once a restarted node can make it
+			// durable.
+			return outcome{kind: outStorage, held: true, err: fmt.Errorf("wal sync: %w", err)}
+		}
+	}
+	if !<-qb.resc {
+		return outcome{kind: outShed}
+	}
+	if d != nil && d.repl.cfg.SyncAck && !d.repl.isFollower.Load() {
+		// The record is fsynced, so publishing the watermark inline starts
+		// the stream hop now instead of on the next tick.
+		d.advanceRepl()
+		ctx, stop := context.WithTimeout(ctx, d.repl.cfg.SyncAckTimeout)
+		err := d.repl.source.WaitReplicated(ctx, qb.lsn)
+		stop()
+		if err != nil {
+			// Durable locally but not replicated: refuse the ack so the
+			// shipper re-sends; dedup turns the retry into a counted-once
+			// duplicate once a follower is reachable again.
+			return outcome{kind: outReplication, err: fmt.Errorf("replication ack: %w", err)}
+		}
+	}
+	return outcome{kind: outAccepted, lsn: qb.lsn}
+}
+
+// accept takes one validated batch from the live handler through the
+// pipeline and answers what became of it.
+func (s *Server) accept(ctx context.Context, batch *trace.SampleBatch, traceID string) outcome {
+	qb := queuedBatch{WALRecord: trace.WALRecord{
+		Agent: batch.AgentID, Seq: batch.Seq, Samples: batch.Samples, Trace: traceID,
+	}}
+	d := s.dur
+	if d != nil {
+		d.applyMu.RLock()
+	}
+	// Stamp before enqueue so two racing deliveries of the same
+	// (agent, seq) cannot both be counted.
+	var o outcome
+	if dup, stale := s.stamp(qb.Agent, qb.Seq); stale {
+		o.kind = outStale
+	} else if dup {
+		o.kind = outDuplicate
+	} else {
+		qb.resc = make(chan bool, 1)
+		if o = s.log(&qb, true); o.kind != outAccepted {
+			s.cancel(&qb)
+		}
+	}
+	if d != nil {
+		d.applyMu.RUnlock()
+	}
+	if o.kind != outAccepted {
+		return o
+	}
+	return s.await(ctx, &qb)
+}
+
+// traceStage records a traced batch's passage through one stage: the
+// trace-ring event, stamped here with its duration and time, and the
+// debug log line.
+func (s *Server) traceStage(msg string, ev obs.TraceEvent, d time.Duration) {
+	if ev.Trace == "" {
+		return
+	}
+	ev.DurMS = float64(d) / float64(time.Millisecond)
+	ev.Unix = time.Now().Unix()
+	s.metrics.traces.Record(ev)
+	s.metrics.logger.Debug(msg,
+		slog.String("trace_id", ev.Trace),
+		slog.String("agent", ev.Agent),
+		slog.Int64("seq", ev.Seq),
+		slog.Int64("lsn", ev.LSN),
+		slog.Int64("plsn", ev.PLSN),
+		slog.Int("samples", ev.Samples),
+		slog.Duration("dur", d))
+}

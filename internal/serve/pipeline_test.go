@@ -1,0 +1,571 @@
+package serve
+
+import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"hpcpower/internal/anomaly"
+	"hpcpower/internal/trace"
+	"hpcpower/internal/tsdb"
+	"hpcpower/internal/vfs"
+)
+
+// codelWindow is the CoDel target and interval of the pipeline tests'
+// servers: long enough that an unprovoked batch never sits above it,
+// short enough to provoke a shed in two sleeps.
+const codelWindow = 20 * time.Millisecond
+
+func waitFor(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// parkWorker parks the server's single ingest worker: it pops an empty
+// entry whose ack channel nobody reads until release is called, and so
+// pops nothing else meanwhile.
+func parkWorker(t testing.TB, s *Server) (release func()) {
+	t.Helper()
+	gate := make(chan bool)
+	if err := s.ingestQ.Push(queuedBatch{resc: gate}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the worker to pop the parking entry", func() bool { return s.ingestQ.Len() == 0 })
+	return func() { <-gate }
+}
+
+// whileQueueFull runs send against a queue with no free slot.
+func whileQueueFull(t testing.TB, s *Server, send func()) {
+	t.Helper()
+	release := parkWorker(t, s)
+	for s.ingestQ.Len() < s.ingestQ.Cap() {
+		if err := s.ingestQ.Push(queuedBatch{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send()
+	release()
+	waitFor(t, "the queue to drain", func() bool { return s.ingestQ.Len() == 0 })
+}
+
+// whileShedding runs send so that the batch it enqueues is the one CoDel
+// sheds: the worker stays parked while the batch waits behind a filler;
+// popping the filler over target arms the interval clock, and a full
+// interval later the batch itself is popped, still over target.
+func whileShedding(t testing.TB, s *Server, send func()) {
+	t.Helper()
+	release := parkWorker(t, s)
+	filler := make(chan bool)
+	if err := s.ingestQ.Push(queuedBatch{resc: filler}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for deadline := time.Now().Add(5 * time.Second); s.ingestQ.Len() < 2; {
+			if time.Now().After(deadline) {
+				t.Error("the batch never queued")
+				break
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+		time.Sleep(codelWindow + codelWindow/2)
+		release()
+		time.Sleep(codelWindow + codelWindow/2)
+		<-filler
+	}()
+	send() // answered once the worker, let go twice, sheds the batch
+	<-done
+}
+
+// pipelineConfig is durableConfig with the CoDel window the helpers above
+// rely on.
+func pipelineConfig() Config {
+	cfg := durableConfig()
+	cfg.Admit.Target = codelWindow
+	cfg.Admit.Interval = codelWindow
+	return cfg
+}
+
+// quietDurability keeps the background machinery out of a test's way: no
+// scheduled snapshot, one disk check at start.
+func quietDurability(dir string) DurabilityConfig {
+	return DurabilityConfig{
+		Dir:               dir,
+		SnapshotInterval:  time.Hour,
+		SnapshotEvery:     1 << 30,
+		DiskCheckInterval: time.Hour,
+	}
+}
+
+// newPipelineServer builds a memory-only server, or with a data dir a
+// recovered durable one. The caller owns shutdown.
+func newPipelineServer(t testing.TB, store *tsdb.Store, cfg Config, dcfg *DurabilityConfig) (*Server, *httptest.Server) {
+	t.Helper()
+	if dcfg == nil {
+		s := New(store, nil, cfg)
+		return s, httptest.NewServer(s.Handler())
+	}
+	s, err := NewDurable(store, nil, cfg, *dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Recover(); err != nil {
+		s.Close()
+		t.Fatal(err)
+	}
+	return s, httptest.NewServer(s.Handler())
+}
+
+// batchCounters is the accounting of POST /v1/samples: every decoded
+// batch lands in exactly one of accepted, duplicate, rejected, invalid.
+type batchCounters struct {
+	accepted, duplicate, stale, rejected, invalid int64
+	shed                                          map[string]int64
+}
+
+var shedReasons = []string{"queue", "codel", "limiter", "agent_rate", "memory"}
+
+func readBatchCounters(s *Server) batchCounters {
+	m := s.metrics
+	c := batchCounters{
+		accepted: m.batchesAccepted.Value(), duplicate: m.batchesDuplicate.Value(),
+		stale: m.batchesStale.Value(), rejected: m.batchesRejected.Value(),
+		invalid: m.batchesInvalid.Value(), shed: map[string]int64{},
+	}
+	for _, r := range shedReasons {
+		c.shed[r] = m.admitShed.With(r).Value()
+	}
+	return c
+}
+
+// outcomeEnv is what one TestIngestOutcomes row runs against.
+type outcomeEnv struct {
+	s     *Server
+	url   string
+	ffs   *vfs.FaultFS // durable servers only
+	batch trace.SampleBatch
+}
+
+func (e *outcomeEnv) post(t testing.TB) (*http.Response, []byte) {
+	t.Helper()
+	return postJSON(t, e.url+"/v1/samples", e.batch)
+}
+
+// TestIngestOutcomes pins, for every way accept can answer and in both
+// modes, the whole client-visible and operator-visible result: status,
+// error code, headers, the batch counters (each decoded batch counted
+// exactly once), the shed reason, what a re-send of the same (agent, seq)
+// gets — and, for a durable server, that a crash right afterwards
+// recovers exactly what the live store held, with every cancelled record
+// tombstoned.
+func TestIngestOutcomes(t *testing.T) {
+	const n = 3 // samples per batch
+	type row struct {
+		name        string
+		durableOnly bool
+		cfg         func(*Config)
+		dcfg        func(*DurabilityConfig)
+		setup       func(t *testing.T, e *outcomeEnv)
+		run         func(t *testing.T, e *outcomeEnv) (*http.Response, []byte) // nil: a plain post
+		status      int
+		body        string // substring of the response body
+		code        string
+		headers     []string
+		want        batchCounters // deltas over run
+		shed        string        // the admit_shed reason that moves, if any
+		// resend is what a re-send of the same (agent, seq) must get:
+		// "accepted", "duplicate", or — where the server cannot answer
+		// again — "free" / "marked" as the state of the dedup index.
+		resend     string
+		heal       func(e *outcomeEnv) // before the re-send
+		stored     int64               // samples in the live store at the end
+		tombstoned int64               // durable: cancelled records a recovery reports
+	}
+	rows := []row{
+		{
+			name: "accepted", status: http.StatusAccepted, body: `"accepted":3`,
+			want: batchCounters{accepted: 1}, resend: "duplicate", stored: n,
+		},
+		{
+			name: "duplicate",
+			setup: func(t *testing.T, e *outcomeEnv) {
+				if resp, body := e.post(t); resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("first delivery: %d %s", resp.StatusCode, body)
+				}
+			},
+			status: http.StatusAccepted, body: `"duplicate":true`,
+			want: batchCounters{duplicate: 1}, resend: "duplicate", stored: n,
+		},
+		{
+			name: "stale duplicate",
+			cfg:  func(c *Config) { c.DedupWindow = 64 },
+			setup: func(t *testing.T, e *outcomeEnv) {
+				ahead := sampleBatch(e.batch.AgentID, e.batch.Seq+64, n)
+				if resp, body := postJSON(t, e.url+"/v1/samples", ahead); resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("delivery ahead of the window: %d %s", resp.StatusCode, body)
+				}
+			},
+			status: http.StatusAccepted, body: `"duplicate":true`,
+			want: batchCounters{duplicate: 1, stale: 1}, resend: "duplicate", stored: n,
+		},
+		{
+			name: "queue full",
+			cfg:  func(c *Config) { c.QueueDepth = 2 },
+			run: func(t *testing.T, e *outcomeEnv) (resp *http.Response, body []byte) {
+				whileQueueFull(t, e.s, func() { resp, body = e.post(t) })
+				return resp, body
+			},
+			status: http.StatusTooManyRequests, code: CodeOverCapacity,
+			headers: []string{"Retry-After", HeaderRetryAfterMs, HeaderOverCapacity},
+			want:    batchCounters{rejected: 1}, shed: "queue",
+			resend: "accepted", stored: n, tombstoned: 1,
+		},
+		{
+			name: "CoDel shed",
+			run: func(t *testing.T, e *outcomeEnv) (resp *http.Response, body []byte) {
+				whileShedding(t, e.s, func() { resp, body = e.post(t) })
+				return resp, body
+			},
+			status: http.StatusTooManyRequests, code: CodeOverCapacity,
+			headers: []string{"Retry-After", HeaderRetryAfterMs, HeaderOverCapacity},
+			want:    batchCounters{rejected: 1}, shed: "codel",
+			resend: "accepted", stored: n, tombstoned: 1,
+		},
+		{
+			name: "draining race",
+			// The queue closes under a handler already past the drain gate.
+			setup:  func(t *testing.T, e *outcomeEnv) { e.s.ingestQ.Close(true) },
+			status: http.StatusServiceUnavailable, body: "server draining",
+			headers: []string{"Retry-After"},
+			want:    batchCounters{rejected: 1}, resend: "free", tombstoned: 1,
+		},
+		{
+			name: "WAL append error", durableOnly: true,
+			setup: func(t *testing.T, e *outcomeEnv) {
+				e.ffs.Configure(func(c *vfs.FaultConfig) { c.WriteErrProb = 1; c.PathSubstring = "wal-" })
+			},
+			status: http.StatusServiceUnavailable, body: "wal append", code: CodeStorageDegraded,
+			headers: []string{"Retry-After", HeaderStorageDegraded},
+			want:    batchCounters{rejected: 1},
+			heal:    func(e *outcomeEnv) { e.ffs.Configure(func(c *vfs.FaultConfig) { c.WriteErrProb = 0 }) },
+			resend:  "accepted", stored: n,
+		},
+		{
+			name: "fsync error", durableOnly: true,
+			setup: func(t *testing.T, e *outcomeEnv) {
+				e.ffs.Configure(func(c *vfs.FaultConfig) { c.SyncErrProb = 1; c.PathSubstring = "wal-" })
+			},
+			status: http.StatusServiceUnavailable, body: "wal sync", code: CodeStorageDegraded,
+			headers: []string{"Retry-After", HeaderStorageDegraded},
+			// Never acked, but queued: the worker applies it, the mark stays,
+			// and the record is on disk for the restart to find.
+			want: batchCounters{rejected: 1}, resend: "marked", stored: n,
+		},
+		{
+			name: "semi-sync timeout", durableOnly: true,
+			dcfg: func(d *DurabilityConfig) {
+				d.Replication = &ReplicationConfig{SyncAck: true, SyncAckTimeout: 50 * time.Millisecond}
+			},
+			// A registered follower that never acknowledges.
+			setup:  func(t *testing.T, e *outcomeEnv) { e.s.dur.repl.source.Register("ghost", 0) },
+			status: http.StatusInternalServerError, body: "replication ack",
+			want: batchCounters{rejected: 1}, resend: "duplicate", stored: n,
+		},
+	}
+	for _, r := range rows {
+		for _, durable := range []bool{false, true} {
+			if r.durableOnly && !durable {
+				continue
+			}
+			mode := "memory-only"
+			if durable {
+				mode = "durable"
+			}
+			t.Run(r.name+"/"+mode, func(t *testing.T) {
+				cfg := pipelineConfig()
+				if r.cfg != nil {
+					r.cfg(&cfg)
+				}
+				e := &outcomeEnv{batch: sampleBatch("a1", 1, n)}
+				var dcfg *DurabilityConfig
+				dir := t.TempDir()
+				if durable {
+					e.ffs = vfs.NewFault(vfs.OS, vfs.FaultConfig{})
+					q := quietDurability(dir)
+					q.FS = e.ffs
+					if r.dcfg != nil {
+						r.dcfg(&q)
+					}
+					dcfg = &q
+				}
+				s, ts := newPipelineServer(t, durableStore(), cfg, dcfg)
+				e.s, e.url = s, ts.URL
+				if !durable {
+					defer func() { ts.Close(); s.Close() }()
+				}
+				if r.setup != nil {
+					r.setup(t, e)
+				}
+
+				before := readBatchCounters(s)
+				run := r.run
+				if run == nil {
+					run = func(t *testing.T, e *outcomeEnv) (*http.Response, []byte) { return e.post(t) }
+				}
+				resp, body := run(t, e)
+				if resp.StatusCode != r.status || !strings.Contains(string(body), r.body) {
+					t.Fatalf("answer %d %s, want %d with %q", resp.StatusCode, body, r.status, r.body)
+				}
+				var eb struct {
+					Code string `json:"code"`
+				}
+				if err := json.Unmarshal(body, &eb); err != nil || eb.Code != r.code {
+					t.Errorf("body %s: code %q (%v), want %q", body, eb.Code, err, r.code)
+				}
+				for _, h := range []string{"Retry-After", HeaderRetryAfterMs, HeaderOverCapacity, HeaderStorageDegraded} {
+					if got, want := resp.Header.Get(h) != "", slices.Contains(r.headers, h); got != want {
+						t.Errorf("header %s present=%v, want %v", h, got, want)
+					}
+				}
+				after := readBatchCounters(s)
+				got := batchCounters{
+					accepted: after.accepted - before.accepted, duplicate: after.duplicate - before.duplicate,
+					stale: after.stale - before.stale, rejected: after.rejected - before.rejected,
+					invalid: after.invalid - before.invalid,
+				}
+				want := r.want
+				if got.accepted != want.accepted || got.duplicate != want.duplicate || got.stale != want.stale ||
+					got.rejected != want.rejected || got.invalid != 0 {
+					t.Errorf("batch counters moved by %+v, want %+v", got, want)
+				}
+				for _, reason := range shedReasons {
+					wantShed := int64(0)
+					if reason == r.shed {
+						wantShed = 1
+					}
+					if d := after.shed[reason] - before.shed[reason]; d != wantShed {
+						t.Errorf("admit_shed{reason=%q} moved by %d, want %d", reason, d, wantShed)
+					}
+				}
+
+				if r.heal != nil {
+					r.heal(e)
+				}
+				switch r.resend {
+				case "accepted":
+					if resp, body := e.post(t); resp.StatusCode != http.StatusAccepted || !strings.Contains(string(body), `"accepted":3`) {
+						t.Errorf("re-send: %d %s, want it accepted", resp.StatusCode, body)
+					}
+				case "duplicate":
+					if resp, body := e.post(t); resp.StatusCode != http.StatusAccepted || !strings.Contains(string(body), `"duplicate":true`) {
+						t.Errorf("re-send: %d %s, want a duplicate ack", resp.StatusCode, body)
+					}
+				case "free", "marked":
+					if dup, _ := s.dedup.Mark(e.batch.AgentID, e.batch.Seq); dup != (r.resend == "marked") {
+						t.Errorf("dedup index holds the sequence: %v, want %s", dup, r.resend)
+					}
+				}
+				waitIngested(t, s, r.stored)
+				if got := s.store.Ingested(); got != r.stored {
+					t.Errorf("live store holds %d samples, want %d", got, r.stored)
+				}
+				if !durable {
+					return
+				}
+
+				// Crash and recover on a healthy disk: the store comes back as
+				// it was, and every cancelled record stays dead.
+				crash(t, s, ts)
+				s.ingestQ.Close(true)
+				s2, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := s2.Recover()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s2.Close()
+				if rep.Tombstoned != r.tombstoned {
+					t.Errorf("recovery skipped %d tombstoned records, want %d", rep.Tombstoned, r.tombstoned)
+				}
+				if got := s2.store.Ingested(); got != r.stored {
+					t.Errorf("recovered store holds %d samples, want %d", got, r.stored)
+				}
+				if js, ok := s2.store.JobPower(7); r.stored > 0 && (!ok || js.Samples != r.stored) {
+					t.Errorf("job 7 after recovery: %+v ok=%v, want %d samples", js, ok, r.stored)
+				}
+			})
+		}
+	}
+}
+
+// fourSourcesStream is the seeded delivery sequence TestFourSourcesAgree
+// plays: a flatlining job that fires an alert (every batch of it traced),
+// random batches of other jobs between its slices, one batch delivered
+// twice and one that the server is made to shed and that is never
+// re-sent.
+type delivery struct {
+	batch trace.SampleBatch
+	trace string
+	shed  bool
+}
+
+func fourSourcesStream() []delivery {
+	const agent = "four"
+	flat := flatBatches(agent, 61, 2, 1_700_000_000, 45, 210)
+	noise := stampedBatches(16, len(flat)+2)
+	var out []delivery
+	seq := uint64(0)
+	next := func(b trace.SampleBatch, traceID string) delivery {
+		seq++
+		b.AgentID, b.Seq = agent, seq
+		return delivery{batch: b, trace: traceID}
+	}
+	for i, b := range flat {
+		out = append(out, next(b, "trace-four"), next(noise[i], ""))
+		switch i {
+		case 2:
+			out = append(out, out[len(out)-1]) // the same (agent, seq) again
+		case 4:
+			victim := next(noise[len(flat)], "")
+			victim.shed = true
+			out = append(out, victim)
+		}
+	}
+	return append(out, next(noise[len(flat)+1], ""))
+}
+
+// play delivers the stream to a server the way a shipper would, except
+// that the shed victim is not re-sent.
+func play(t *testing.T, s *Server, url string, stream []delivery) {
+	t.Helper()
+	send := func(d delivery) int { return postTraced(t, url, d.trace, d.batch).StatusCode }
+	for _, d := range stream {
+		if d.shed {
+			var code int
+			whileShedding(t, s, func() { code = send(d) })
+			if code != http.StatusTooManyRequests {
+				t.Fatalf("seq %d: %d, want the provoked shed's 429", d.batch.Seq, code)
+			}
+			continue
+		}
+		// An unprovoked shed (a stalled test machine) is the agent's to
+		// retry; it leaves the same state behind.
+		for code := send(d); code != http.StatusAccepted; code = send(d) {
+			if code != http.StatusTooManyRequests {
+				t.Fatalf("seq %d: %d", d.batch.Seq, code)
+			}
+		}
+	}
+}
+
+// sourceState is everything TestFourSourcesAgree compares, rendered to
+// one string.
+func sourceState(t *testing.T, s *Server, stream []delivery) string {
+	t.Helper()
+	st := struct {
+		Summary any
+		Jobs    map[uint64]any
+		Resend  map[uint64]bool // would a re-send of this seq be a duplicate
+		Events  []anomaly.Event
+	}{Summary: s.store.Summarize(), Jobs: map[uint64]any{}, Resend: map[uint64]bool{}}
+	for _, id := range s.store.Jobs() {
+		st.Jobs[id], _ = s.store.JobPower(id)
+	}
+	for _, d := range stream {
+		if _, seen := st.Resend[d.batch.Seq]; !seen {
+			st.Resend[d.batch.Seq], _ = s.dedup.Mark(d.batch.AgentID, d.batch.Seq)
+		}
+	}
+	st.Events = s.anom.Events(anomaly.Filter{Node: -1})
+	out, err := json.MarshalIndent(st, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestFourSourcesAgree is the property the one-pipeline design exists to
+// protect: the same delivery sequence — with a duplicate, a shed and a
+// traced alert in it — leaves identical analytics, dedup decisions and
+// alert history behind whether it came through a memory-only server, a
+// durable primary, that primary's follower, or a replay of the primary's
+// WAL after a crash.
+func TestFourSourcesAgree(t *testing.T) {
+	stream := fourSourcesStream()
+	var applied int64
+	seen := map[uint64]bool{}
+	for _, d := range stream {
+		if !d.shed && !seen[d.batch.Seq] {
+			applied += int64(len(d.batch.Samples))
+		}
+		seen[d.batch.Seq] = true
+	}
+	withEngine := func() (*tsdb.Store, Config) {
+		store := durableStore()
+		cfg := pipelineConfig()
+		cfg.Anomaly = anomaly.NewEngine(anomaly.Config{Lookup: store.JobFingerprint})
+		return store, cfg
+	}
+
+	store, cfg := withEngine()
+	mem, tsMem := newPipelineServer(t, store, cfg, nil)
+	defer func() { tsMem.Close(); mem.Close() }()
+	play(t, mem, tsMem.URL, stream)
+	waitIngested(t, mem, applied)
+	want := sourceState(t, mem, stream)
+	if !strings.Contains(want, `"trace": "trace-four"`) || !strings.Contains(want, `"type": "fire"`) {
+		t.Fatalf("the stream fired no traced alert:\n%s", want)
+	}
+
+	dir := t.TempDir()
+	store, cfg = withEngine()
+	dcfg := quietDurability(dir)
+	primary, tsP := newPipelineServer(t, store, cfg, &dcfg)
+	store, cfg = withEngine()
+	fcfg := quietDurability(t.TempDir())
+	fcfg.Replication = followerCfg(tsP.URL)
+	follower, tsF := newPipelineServer(t, store, cfg, &fcfg)
+	play(t, primary, tsP.URL, stream)
+	waitIngested(t, primary, applied)
+	last := primary.dur.log.LastLSN() // the stream ends on an applied batch
+	waitFor(t, "the follower to catch up", func() bool {
+		return follower.dur.repl.replApplied.Load() == last
+	})
+	got := map[string]string{
+		"durable primary": sourceState(t, primary, stream),
+		"follower":        sourceState(t, follower, stream),
+	}
+	tsF.Close()
+	follower.Close()
+
+	crash(t, primary, tsP)
+	primary.ingestQ.Close(true)
+	store, cfg = withEngine()
+	rcfg := quietDurability(dir)
+	recovered, tsR := newPipelineServer(t, store, cfg, &rcfg)
+	defer func() { tsR.Close(); recovered.Close() }()
+	if rep := recovered.dur.report; rep.SnapshotFound || rep.Tombstoned != 1 {
+		t.Fatalf("recovery: snapshot found %v, %d tombstoned; want a pure replay with the one shed record cancelled",
+			rep.SnapshotFound, rep.Tombstoned)
+	}
+	got["recovered primary"] = sourceState(t, recovered, stream)
+
+	for source, state := range got {
+		if state != want {
+			t.Errorf("%s disagrees with the memory-only server:\n%s\nwant:\n%s", source, state, want)
+		}
+	}
+}

@@ -5,8 +5,8 @@ package serve
 // (GET /v1/repl/stream), hands out bootstrap snapshots
 // (GET /v1/repl/snapshot), and collects follower acknowledgements
 // (POST /v1/repl/ack). A follower runs a pull loop (internal/repl)
-// that replays the stream through applyReplicated — local WAL append,
-// dedup mark, TSDB apply — so its analytics track the primary
+// that feeds the stream through applyReplicated into the same ingest
+// pipeline the live handler uses, so its analytics track the primary
 // byte-for-byte, and serves read-only queries meanwhile.
 //
 // Failover is epoch-fenced: POST /v1/promote stops the pull loop and
@@ -19,7 +19,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"path/filepath"
 	"strconv"
@@ -658,11 +657,11 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"role": RolePrimary, "epoch": epoch})
 }
 
-// applyReplicated is the follower's apply path for one streamed
-// record: dedup mark (so post-promotion redeliveries land as
-// duplicates), local WAL append stamped with the primary's LSN (so
-// reconnects resume exactly), TSDB apply, and a durability wait —
-// the pull loop only acks what would survive a follower crash.
+// applyReplicated feeds one streamed record through the ingest
+// pipeline (pipeline.go): stamp, so post-promotion redeliveries land as
+// duplicates; log, stamped with the primary's LSN so reconnects resume
+// exactly; apply, inline; and a durability wait — the pull loop only
+// acks what would survive a follower crash.
 func (s *Server) applyReplicated(plsn uint64, body []byte) error {
 	start := time.Now()
 	d := s.dur
@@ -681,67 +680,33 @@ func (s *Server) applyReplicated(plsn uint64, body []byte) error {
 		return fmt.Errorf("decoding replicated record %d: %w", plsn, err)
 	}
 	*sp = wb.Samples
+	qb := queuedBatch{WALRecord: wb}
+	qb.PLSN = plsn
 	d.applyMu.RLock()
-	if wb.Agent != "" {
-		// Mirror the primary's dedup decisions; the stream delivers each
-		// primary LSN at most once, so this never gates the apply.
-		s.dedup.Mark(wb.Agent, wb.Seq)
-	}
-	wb.PLSN = plsn
-	bp := bufPool.Get().(*[]byte)
-	local, err := trace.AppendWALRecord((*bp)[:0], &wb)
-	if err != nil {
+	// Mirror the primary's dedup decisions; the stream delivers each
+	// primary LSN at most once, so the stamp never gates the apply.
+	s.stamp(qb.Agent, qb.Seq)
+	if o := s.log(&qb, false); o.kind != outAccepted {
 		d.applyMu.RUnlock()
-		return err
+		return o.err
 	}
-	d.seqMu.Lock()
-	lsn, err := d.log.Append(local)
-	d.seqMu.Unlock()
-	// Append copied the record into its own frame.
-	*bp = local
-	bufPool.Put(bp)
-	if err != nil {
-		d.applyMu.RUnlock()
-		return fmt.Errorf("wal append: %w", err)
-	}
-	appendErr := s.store.Append(wb.Samples)
-	if appendErr == nil && s.anom != nil {
-		// The follower's engine tracks alert state in lockstep with the
-		// primary (delivery stays gated off until promotion).
-		s.anom.ObserveBatch(wb.Samples, wb.Trace)
-	}
-	d.tracker.Load().markDone(lsn)
+	// The follower's engine tracks alert state in lockstep with the
+	// primary (delivery stays gated off until promotion).
+	err = s.apply(&qb)
 	storeMax(&rs.replApplied, plsn)
 	d.applyMu.RUnlock()
-	if appendErr != nil {
-		// Records are validated on the primary before they reach the WAL;
-		// a failure here is a programming error, not a stream hiccup.
-		return fmt.Errorf("store append: %w", appendErr)
+	if err != nil {
+		return fmt.Errorf("store append: %w", err)
 	}
-	d.appendsSinceSnap.Add(1)
-	s.metrics.samplesIngested.Add(int64(len(wb.Samples)))
-	if err := d.log.WaitDurable(lsn); err != nil {
+	if err := d.log.WaitDurable(qb.lsn); err != nil {
 		return fmt.Errorf("wal sync: %w", err)
 	}
 	d.advanceRepl()
-	// The repl.Follower's ObserveApply hook feeds the replApply
-	// histogram; here we only stamp the trace ring and debug log.
-	dur := time.Since(start)
-	if wb.Trace != "" {
-		s.metrics.traces.Record(obs.TraceEvent{
-			Trace: wb.Trace, Stage: "repl_apply", Agent: wb.Agent, Seq: int64(wb.Seq),
-			LSN: int64(lsn), PLSN: int64(plsn), Samples: len(wb.Samples),
-			DurMS: float64(dur) / float64(time.Millisecond),
-			Unix:  time.Now().Unix(), Status: "applied",
-		})
-		s.metrics.logger.Debug("replicated batch applied",
-			slog.String("trace_id", wb.Trace),
-			slog.String("agent", wb.Agent),
-			slog.Uint64("seq", wb.Seq),
-			slog.Uint64("plsn", plsn),
-			slog.Uint64("lsn", lsn),
-			slog.Int("samples", len(wb.Samples)))
-	}
+	// The repl.Follower's ObserveApply hook feeds the replApply histogram.
+	s.traceStage("replicated batch applied", obs.TraceEvent{
+		Trace: qb.Trace, Stage: "repl_apply", Agent: qb.Agent, Seq: int64(qb.Seq),
+		LSN: int64(qb.lsn), PLSN: int64(plsn), Samples: len(qb.Samples), Status: "applied",
+	}, time.Since(start))
 	return nil
 }
 
@@ -809,15 +774,6 @@ func (d *durability) readForRepl(from, to uint64, emit func(lsn uint64, body []b
 		}
 		return emit(lsn, body)
 	})
-}
-
-// markTombstoned records a cancelled LSN so the stream skips it. It
-// must run before the LSN is marked applied — a streamer gated on the
-// watermark must already see the tombstone.
-func (d *durability) markTombstoned(lsn uint64) {
-	d.tombMu.Lock()
-	d.tombstoned[lsn] = struct{}{}
-	d.tombMu.Unlock()
 }
 
 // advanceRepl publishes the streamable watermark: records both applied

@@ -127,22 +127,6 @@ type Server struct {
 	draining  atomic.Bool
 }
 
-// queuedBatch is one ingest-queue entry: the samples plus the WAL
-// sequence number that recorded them (0 when durability is off), the
-// batch's trace ID for the apply-stage trace event, the (agent, seq)
-// delivery stamp so a CoDel shed can free the sequence number, and the
-// ack channel the handler waits on — true once the batch is applied,
-// false when it was shed before apply, so a 202 is never written for
-// samples that did not reach the store.
-type queuedBatch struct {
-	lsn     uint64
-	samples []trace.PowerSample
-	trace   string
-	agent   string
-	seq     uint64
-	resc    chan bool // buffered(1); nil in tests that bypass the ack
-}
-
 // New builds a server around a store and an optional prediction model,
 // and starts its ingest workers. Call Close (or Shutdown) to drain.
 func New(store *tsdb.Store, model *mlearn.BDT, cfg Config) *Server {
@@ -279,81 +263,6 @@ func timeoutJSON(h http.Handler, d time.Duration) http.Handler {
 	})
 }
 
-func (s *Server) ingestWorker() {
-	defer s.workerWG.Done()
-	for {
-		qb, ok := s.ingestQ.Pop()
-		if !ok {
-			return
-		}
-		// Under durability the apply and its markDone are one unit wrt
-		// the snapshot capture lock, so a snapshot never records an LSN
-		// as applied while its samples are only half-folded.
-		if s.dur != nil {
-			s.dur.applyMu.RLock()
-		}
-		applyStart := time.Now()
-		err := s.store.Append(qb.samples)
-		if err == nil && s.anom != nil {
-			// Inside the applyMu read lock (when durable): a snapshot's
-			// engine-state cut lands on the same batch boundary as its
-			// store state, so restore never re-fires or loses an alert.
-			s.anom.ObserveBatch(qb.samples, qb.trace)
-		}
-		if s.dur != nil {
-			s.dur.tracker.Load().markDone(qb.lsn)
-			s.dur.applyMu.RUnlock()
-			// The record is applied; if it is also fsynced this makes it
-			// streamable to followers right away.
-			s.dur.advanceRepl()
-		}
-		if err != nil {
-			// Validated before enqueue; a failure here is a programming
-			// error — count it, don't crash the drain loop.
-			s.metrics.batchesInvalid.Add(1)
-		} else {
-			s.metrics.samplesIngested.Add(int64(len(qb.samples)))
-			if qb.trace != "" {
-				d := time.Since(applyStart)
-				s.metrics.traces.Record(obs.TraceEvent{
-					Trace: qb.trace, Stage: "apply", LSN: int64(qb.lsn),
-					Samples: len(qb.samples), DurMS: float64(d) / float64(time.Millisecond),
-					Unix: time.Now().Unix(), Status: "applied",
-				})
-				s.metrics.logger.Debug("batch applied",
-					slog.String("trace_id", qb.trace),
-					slog.Uint64("lsn", qb.lsn),
-					slog.Int("samples", len(qb.samples)))
-			}
-		}
-		if qb.resc != nil {
-			qb.resc <- true
-		}
-	}
-}
-
-// traceIngest records the ingest-stage trace event and its debug log
-// line after a successful accept; lsn is 0 on the memory-only path.
-func (s *Server) traceIngest(traceID string, batch trace.SampleBatch, lsn uint64, d time.Duration) {
-	s.metrics.ingestE2E.ObserveDuration(d)
-	if traceID == "" {
-		return
-	}
-	s.metrics.traces.Record(obs.TraceEvent{
-		Trace: traceID, Stage: "ingest", Agent: batch.AgentID, Seq: int64(batch.Seq),
-		LSN: int64(lsn), Samples: len(batch.Samples),
-		DurMS: float64(d) / float64(time.Millisecond),
-		Unix:  time.Now().Unix(), Status: "accepted",
-	})
-	s.metrics.logger.Debug("batch ingested",
-		slog.String("trace_id", traceID),
-		slog.String("agent", batch.AgentID),
-		slog.Uint64("seq", batch.Seq),
-		slog.Uint64("lsn", lsn),
-		slog.Int("samples", len(batch.Samples)),
-		slog.Duration("dur", d))
-}
-
 // Close stops accepting ingest work and drains the queue. Safe against
 // concurrent ingest handlers: a Push racing Close gets ErrClosed (never
 // a panic), and workers apply the remaining backlog before exiting.
@@ -405,6 +314,13 @@ func retryAfterSeconds(depth, capacity int) int {
 
 func (s *Server) retryAfter() int {
 	return retryAfterSeconds(s.ingestQ.Len(), s.ingestQ.Cap())
+}
+
+// drainingUnavailable answers a write that met the drain, at the gate or
+// by losing Push's race with Close.
+func (s *Server) drainingUnavailable(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
+	errJSON(w, http.StatusServiceUnavailable, "server draining")
 }
 
 // storageUnavailable answers a write request with the storage-degraded
@@ -480,8 +396,7 @@ func (s *Server) decodeBatch(body []byte, readErr error, dst []trace.PowerSample
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		errJSON(w, http.StatusServiceUnavailable, "server draining")
+		s.drainingUnavailable(w)
 		return
 	}
 	if !s.ready.Load() {
@@ -512,7 +427,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		*bp = make([]byte, 0, need) // +1: the read that reports EOF needs room too
 	}
 	body, readErr := readInto(*bp, http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes))
+	// The samples go back to the pool on every exit but the one that
+	// leaves the batch queued with nobody waiting on it: there a worker or
+	// the shed callback may still be reading them.
 	sp := samplePool.Get().(*[]trace.PowerSample)
+	held := false
+	defer func() {
+		if !held {
+			samplePool.Put(sp)
+		}
+	}()
 	batch, err := s.decodeBatch(body, readErr, *sp)
 	// The decoded batch holds no reference into the body.
 	*bp = body
@@ -522,9 +446,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		errJSON(w, http.StatusBadRequest, "decoding batch: %v", err)
 		return
 	}
-	// The samples go back to the pool only where this handler has heard
-	// from resc: the worker or the shed callback is then done with them.
-	// Every other exit leaves them to the GC.
 	*sp = batch.Samples
 	if len(batch.Samples) == 0 {
 		s.metrics.batchesInvalid.Add(1)
@@ -539,9 +460,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if batch.Redelivery {
 		s.metrics.redeliveries.Add(1)
 	}
-	if batch.AgentID != "" {
-		s.metrics.observeAgent(batch.AgentID, r.Header)
-	}
 	// Propagate the shipper-minted trace ID: echo it on the response and
 	// carry it through the WAL and apply stages so one grep follows the
 	// batch end to end.
@@ -550,6 +468,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(obs.HeaderTraceID, traceID)
 	}
 	if batch.AgentID != "" {
+		s.metrics.observeAgent(batch.AgentID, r.Header)
 		// Per-agent token bucket: one misbehaving agent exhausts its own
 		// budget and gets a precise Retry-After; the fleet is untouched.
 		if ok, retry := s.adm.buckets.Allow(batch.AgentID); !ok {
@@ -566,192 +485,41 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func() { s.adm.limiter.Release(time.Since(start)) }()
-	if s.dur != nil {
-		s.ingestDurable(w, r, batch, sp, start, traceID)
-		return
+	o := s.accept(r.Context(), &batch, traceID)
+	held = o.held
+	if o.kind >= outShed {
+		s.metrics.batchesRejected.Add(1)
 	}
-	if batch.AgentID != "" {
-		// Mark before enqueue so two racing deliveries of the same
-		// (agent, seq) cannot both be counted; rolled back below if the
-		// batch is refused.
-		if dup, stale := s.dedup.Mark(batch.AgentID, batch.Seq); dup {
-			s.metrics.batchesDuplicate.Add(1)
-			if stale {
-				s.metrics.batchesStale.Add(1)
-			}
-			writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: 0, Duplicate: true})
-			return
-		}
-	}
-	resc := make(chan bool, 1)
-	err = s.ingestQ.Push(queuedBatch{
-		samples: batch.Samples, trace: traceID,
-		agent: batch.AgentID, seq: batch.Seq, resc: resc,
-	})
-	switch {
-	case err == nil:
-		applied := <-resc
-		samplePool.Put(sp)
-		if !applied {
-			// Shed by CoDel before apply: onIngestShed already counted the
-			// refusal and freed the sequence number — never ack.
-			s.write429(w, "codel", 0)
-			return
-		}
+	switch o.kind {
+	case outAccepted:
 		s.metrics.batchesAccepted.Add(1)
 		writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: len(batch.Samples)})
-		s.traceIngest(traceID, batch, 0, time.Since(start))
-	case errors.Is(err, admit.ErrClosed):
-		if batch.AgentID != "" {
-			s.dedup.Forget(batch.AgentID, batch.Seq)
+		d := time.Since(start)
+		s.metrics.ingestE2E.ObserveDuration(d)
+		s.traceStage("batch ingested", obs.TraceEvent{
+			Trace: traceID, Stage: "ingest", Agent: batch.AgentID, Seq: int64(batch.Seq),
+			LSN: int64(o.lsn), Samples: len(batch.Samples), Status: "accepted",
+		}, d)
+	case outDuplicate, outStale:
+		// Already counted — acknowledge, so the agent stops re-sending.
+		s.metrics.batchesDuplicate.Add(1)
+		if o.kind == outStale {
+			s.metrics.batchesStale.Add(1)
 		}
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		errJSON(w, http.StatusServiceUnavailable, "server draining")
-	default:
-		// Backpressure: bounded queue full. The agent owns the retry — and
-		// must be able to re-send this sequence number successfully.
-		if batch.AgentID != "" {
-			s.dedup.Forget(batch.AgentID, batch.Seq)
-		}
-		s.metrics.batchesRejected.Add(1)
+		writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: 0, Duplicate: true})
+	case outShed:
+		s.overCapacity(w, "codel", 0)
+	case outFull:
+		// Backpressure: the agent owns the retry, and cancel has made sure
+		// it can re-send this sequence number successfully.
 		s.overCapacity(w, "queue", 0)
+	case outDraining:
+		s.drainingUnavailable(w)
+	case outStorage:
+		s.storageUnavailable(w, o.err.Error())
+	case outReplication, outEncode:
+		errJSON(w, http.StatusInternalServerError, "%v", o.err)
 	}
-}
-
-// ingestDurable is the crash-safe accept path. Under one applyMu read
-// lock — one atomic unit from the snapshot capturer's point of view — it
-// marks the delivery stamp, appends the batch to the WAL, and enqueues
-// it; seqMu keeps LSN order equal to queue order so replay applies
-// records exactly as the live server did. The 202 is only written after
-// WaitDurable, so an acknowledged batch survives a crash.
-//
-// start and traceID come from handleIngest, so the e2e histogram, the
-// ingest trace event and the limiter all time the same interval — body
-// read and decode included — as on the memory-only path. sp is the
-// pooled backing of batch.Samples.
-func (s *Server) ingestDurable(w http.ResponseWriter, r *http.Request, batch trace.SampleBatch, sp *[]trace.PowerSample, start time.Time, traceID string) {
-	d := s.dur
-	d.applyMu.RLock()
-	if batch.AgentID != "" {
-		if dup, stale := s.dedup.Mark(batch.AgentID, batch.Seq); dup {
-			d.applyMu.RUnlock()
-			s.metrics.batchesDuplicate.Add(1)
-			if stale {
-				s.metrics.batchesStale.Add(1)
-			}
-			writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: 0, Duplicate: true})
-			return
-		}
-	}
-	bp := bufPool.Get().(*[]byte)
-	body, err := trace.AppendWALRecord((*bp)[:0], &trace.WALRecord{
-		Agent: batch.AgentID, Seq: batch.Seq, Samples: batch.Samples, Trace: traceID,
-	})
-	if err != nil {
-		if batch.AgentID != "" {
-			s.dedup.Forget(batch.AgentID, batch.Seq)
-		}
-		d.applyMu.RUnlock()
-		errJSON(w, http.StatusInternalServerError, "encoding wal record: %v", err)
-		return
-	}
-	d.seqMu.Lock()
-	lsn, err := d.log.Append(body)
-	// Append copied the record into its own frame.
-	*bp = body
-	bufPool.Put(bp)
-	if err != nil {
-		d.seqMu.Unlock()
-		if batch.AgentID != "" {
-			s.dedup.Forget(batch.AgentID, batch.Seq)
-		}
-		d.applyMu.RUnlock()
-		// A failing WAL (transient ENOSPC/EIO or a poisoned log) is
-		// storage trouble, not a client error: 503 + Retry-After tells
-		// the shipper to spill and come back, exactly like backpressure.
-		s.metrics.batchesRejected.Add(1)
-		s.storageUnavailable(w, fmt.Sprintf("wal append: %v", err))
-		return
-	}
-	resc := make(chan bool, 1)
-	pushErr := admit.ErrClosed
-	if !s.draining.Load() {
-		pushErr = s.ingestQ.Push(queuedBatch{
-			lsn: lsn, samples: batch.Samples, trace: traceID,
-			agent: batch.AgentID, seq: batch.Seq, resc: resc,
-		})
-	}
-	d.seqMu.Unlock()
-	if pushErr != nil {
-		// The record is in the WAL but will never be applied: cancel it
-		// with a tombstone so replay skips it, and free the agent to
-		// re-send the same sequence number. The in-memory set must grow
-		// before markDone — once the LSN is inside the done watermark the
-		// replication stream may read it.
-		d.markTombstoned(lsn)
-		tr := d.tracker.Load()
-		if tlsn, terr := d.log.AppendTombstone(lsn); terr == nil {
-			tr.markDone(tlsn)
-		}
-		tr.markDone(lsn)
-		if batch.AgentID != "" {
-			s.dedup.Forget(batch.AgentID, batch.Seq)
-		}
-		d.applyMu.RUnlock()
-		s.metrics.batchesRejected.Add(1)
-		if errors.Is(pushErr, admit.ErrFull) {
-			s.overCapacity(w, "queue", 0)
-		} else {
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-			errJSON(w, http.StatusServiceUnavailable, "server draining")
-		}
-		return
-	}
-	d.applyMu.RUnlock()
-	d.appendsSinceSnap.Add(1)
-	// Fsync wait happens outside every lock: group-commit latency never
-	// blocks snapshots or other accepts.
-	if err := d.log.WaitDurable(lsn); err != nil {
-		// Fsyncgate: the fsync covering this LSN failed, so the record's
-		// durability is unknowable and the WAL has sealed itself — no
-		// later fsync can retroactively save it. Never ack. The 503 makes
-		// the agent re-send; the batch is queued and will be applied, and
-		// the dedup mark turns the retry into a counted-once duplicate
-		// ack once a recovered (restarted) node can make it durable.
-		// (The queued entry stays owned by the worker or the shed
-		// callback — no resc wait here.)
-		s.storageUnavailable(w, fmt.Sprintf("wal sync: %v", err))
-		return
-	}
-	applied := <-resc
-	samplePool.Put(sp)
-	if !applied {
-		// CoDel shed the batch after it was WAL'd: onIngestShed has
-		// already tombstoned the record and freed the sequence number —
-		// never ack samples that did not reach the store.
-		s.write429(w, "codel", 0)
-		return
-	}
-	if rs := d.repl; rs != nil && rs.cfg.SyncAck && !rs.isFollower.Load() {
-		// Semi-sync replication: hold the 202 until every registered
-		// follower has durably applied the record (no follower, no wait).
-		// The record is fsynced here, so publishing the watermark inline
-		// starts the stream hop immediately instead of on the next tick.
-		d.advanceRepl()
-		ctx, cancel := context.WithTimeout(r.Context(), rs.cfg.SyncAckTimeout)
-		err := rs.source.WaitReplicated(ctx, lsn)
-		cancel()
-		if err != nil {
-			// Durable locally but not replicated: refuse the ack so the
-			// shipper re-sends; the dedup index turns the retry into a
-			// counted-once duplicate once a follower is reachable again.
-			errJSON(w, http.StatusInternalServerError, "replication ack: %v", err)
-			return
-		}
-	}
-	s.metrics.batchesAccepted.Add(1)
-	writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: len(batch.Samples)})
-	s.traceIngest(traceID, batch, lsn, time.Since(start))
 }
 
 func (s *Server) handleNodeSeries(w http.ResponseWriter, r *http.Request) {
