@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-block bench-codec bench-wal bench-snapshot bench-e2e bench-compare bench-selftest fuzz-codec fuzz-snapshot smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state block-check obs-check ci clean
+.PHONY: all build vet test race bench bench-block bench-codec bench-wal bench-snapshot bench-tsdb bench-e2e bench-compare bench-selftest fuzz-codec fuzz-snapshot smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state block-check obs-check ci clean
 
 # The fuzz and bench targets below are the CI gates: .github/workflows/ci.yml
 # calls them by name, one step per target, so a gate is spelled here and
@@ -59,6 +59,14 @@ bench-wal:
 bench-snapshot:
 	$(call gobench,'ExportState',./internal/tsdb/)
 	$(call gobench,'SnapshotEncode|SnapshotDecode|RecoverClean',./internal/serve/)
+
+# TSDB write-path microbenchmarks in steady state (rings, jobs and a full
+# open-minute window exist; 0 allocs/op): Append on the batches the fleet
+# ships (512 distinct nodes, jobs on contiguous runs of 1-64 nodes) and
+# on the worst case for its per-run job pass (a new job every sample),
+# plus ExportState, which reads everything Append writes.
+bench-tsdb:
+	$(call gobench,'AppendFleet|AppendInterleaved|ExportState',./internal/tsdb/)
 
 # The end-to-end + per-layer benchmark (bench/README.md): every workload,
 # 5 untraced runs and one traced run each, about 12 minutes.

@@ -10,9 +10,11 @@ package hpcpower_test
 
 import (
 	"bytes"
+	"math"
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"hpcpower"
 	"hpcpower/internal/anomaly"
@@ -498,7 +500,7 @@ func ingestBatchLoop(b *testing.B, store *tsdb.Store, observe func([]trace.Power
 // anomaly engine evaluating the default rule set against every job in
 // every batch — the full detection hot path riding the write path.
 // Compare with BenchmarkIngestBatch to see the detection overhead;
-// TestDetectorOverheadBound pins it at ≤5%.
+// TestDetectorOverheadBound pins it at ≤ 12 ns/sample.
 func BenchmarkIngestBatchDetectors(b *testing.B) {
 	store := tsdb.New(tsdb.Config{Shards: 16, RingLen: 1440})
 	eng := anomaly.NewEngine(anomaly.Config{Lookup: store.JobFingerprint})
@@ -509,45 +511,53 @@ func BenchmarkIngestBatchDetectors(b *testing.B) {
 }
 
 // TestDetectorOverheadBound asserts the detection hot path costs at
-// most 5% of ingest throughput: the per-sample fingerprint fold is
+// most 12 ns per ingested sample: the per-sample fingerprint fold is
 // already part of the store's append (and allocation-free, see
 // anomaly.TestFingerprintUpdateAllocFree), so the engine only adds
-// per-batch job grouping and rule evaluation. Timing comparisons are
-// noisy, so the bound takes the best of a few trials and only then
-// fails.
+// per-batch job grouping and rule evaluation. The bound used to be 5 %
+// of BenchmarkIngestBatch, which was 9–10 ns/sample while Append took
+// 90–100 µs per batch; Append now takes about 53 µs, the engine still
+// the 7–10 ns/sample it always did on this batch (a new job every
+// sample, so grouping is a map lookup per sample), and a share of a
+// shrinking base would fail the engine for the store getting faster.
+// So the engine's own calls are timed and the bound is absolute, near
+// what the 5 % allowed. Timing is noisy, so the bound takes the best
+// of a few trials and only then fails.
 func TestDetectorOverheadBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison")
 	}
-	measure := func(withDetectors bool) float64 {
+	const boundNs = 12.0
+	measure := func() (detectNs, restNs float64) {
+		var spent time.Duration
+		var samples int
 		res := testing.Benchmark(func(b *testing.B) {
 			store := tsdb.New(tsdb.Config{Shards: 16, RingLen: 1440})
-			var observe func([]trace.PowerSample)
-			if withDetectors {
-				eng := anomaly.NewEngine(anomaly.Config{Lookup: store.JobFingerprint})
-				defer eng.Close()
-				observe = func(batch []trace.PowerSample) { eng.ObserveBatch(batch, "") }
-			}
-			ingestBatchLoop(b, store, observe)
+			eng := anomaly.NewEngine(anomaly.Config{Lookup: store.JobFingerprint})
+			defer eng.Close()
+			spent, samples = 0, 0
+			ingestBatchLoop(b, store, func(batch []trace.PowerSample) {
+				start := time.Now()
+				eng.ObserveBatch(batch, "")
+				spent += time.Since(start)
+				samples += len(batch)
+			})
 		})
-		return float64(res.NsPerOp())
+		detectNs = float64(spent.Nanoseconds()) / float64(samples)
+		return detectNs, float64(res.T.Nanoseconds())/float64(samples) - detectNs
 	}
 	const trials = 5
-	best := 0.0
+	best := math.Inf(1)
 	for i := 0; i < trials; i++ {
-		base := measure(false)
-		det := measure(true)
-		overhead := (det - base) / base
-		if overhead <= 0.05 {
-			t.Logf("trial %d: detection overhead %.2f%% (base %.0fns/op, detectors %.0fns/op)",
-				i+1, 100*overhead, base, det)
+		detect, rest := measure()
+		if detect <= boundNs {
+			t.Logf("trial %d: detection %.1f ns/sample beside %.1f ns/sample for the rest of the ingest loop (%.1f%%)",
+				i+1, detect, rest, 100*detect/rest)
 			return
 		}
-		if i == 0 || overhead < best {
-			best = overhead
-		}
+		best = min(best, detect)
 	}
-	t.Fatalf("detection overhead %.2f%% > 5%% across %d trials", 100*best, trials)
+	t.Fatalf("detection costs %.1f ns/sample > %.0f ns/sample across %d trials", best, boundNs, trials)
 }
 
 // BenchmarkPredictEndpoint measures the in-process POST /v1/predict

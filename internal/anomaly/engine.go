@@ -171,21 +171,28 @@ func (e *Engine) ObserveBatch(samples []trace.PowerSample, traceID string) {
 		return
 	}
 	sc := e.scratch.Get().(*obsScratch)
+	// Agents ship a batch grouped by job, so the previous sample's entry
+	// (prev, -1 before the first) usually serves and the map is asked
+	// once per run of equal job IDs.
+	prev := int32(-1)
 	for i := range samples {
 		smp := &samples[i]
 		if smp.JobID == 0 {
 			continue // idle/system samples carry no job to characterize
 		}
-		if j, ok := sc.idx[smp.JobID]; ok {
-			bj := &sc.jobs[j]
-			if smp.Unix > bj.last {
-				bj.last = smp.Unix
-				bj.node = smp.Node
+		if prev < 0 || sc.jobs[prev].id != smp.JobID {
+			j, ok := sc.idx[smp.JobID]
+			if !ok {
+				j = int32(len(sc.jobs))
+				sc.idx[smp.JobID] = j
+				sc.jobs = append(sc.jobs, batchJob{id: smp.JobID, node: smp.Node, last: smp.Unix})
 			}
-			continue
+			prev = j
 		}
-		sc.idx[smp.JobID] = int32(len(sc.jobs))
-		sc.jobs = append(sc.jobs, batchJob{id: smp.JobID, node: smp.Node, last: smp.Unix})
+		if bj := &sc.jobs[prev]; smp.Unix > bj.last {
+			bj.last = smp.Unix
+			bj.node = smp.Node
+		}
 	}
 	var events []Event
 	for i := range sc.jobs {

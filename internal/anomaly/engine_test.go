@@ -149,6 +149,32 @@ func TestEngineFireAndResolve(t *testing.T) {
 	}
 }
 
+// TestObserveBatchGroupsSplitRuns: a job whose samples come in several
+// runs of one batch — around idle samples and another job — is still
+// one job of that batch, and its alert names the node of its newest
+// sample wherever in the batch that sample sits.
+func TestObserveBatchGroupsSplitRuns(t *testing.T) {
+	h := newHarness(t, Config{})
+	const job, other = 42, 43
+	start := int64(1_700_000_000)
+	for m := int64(0); m < 45; m++ {
+		at := start + m*60
+		batch := []trace.PowerSample{
+			{Node: 1, JobID: job, Unix: at, PowerW: 200},
+			{Node: 2, JobID: job, Unix: at + 30, PowerW: 200}, // the newest
+			{Node: 9, JobID: 0, Unix: at + 50, PowerW: 60},
+			{Node: 5, JobID: other, Unix: at + 40, PowerW: 150 + 80*float64(m%2)},
+			{Node: 3, JobID: job, Unix: at + 10, PowerW: 200},
+		}
+		h.store.apply(batch)
+		h.eng.ObserveBatch(batch, "t")
+	}
+	fs := fires(h.eng)
+	if len(fs) != 1 || fs[0].Rule != DetectFlatline || fs[0].Job != job || fs[0].Node != 2 {
+		t.Fatalf("fire events = %+v, want one flatline on job %d naming node 2", fs, job)
+	}
+}
+
 // TestEngineDedupWhileFiring: a firing pair emits exactly one fire
 // event no matter how long the condition keeps holding.
 func TestEngineDedupWhileFiring(t *testing.T) {

@@ -71,3 +71,69 @@ func BenchmarkDistribution(b *testing.B) {
 		})
 	}
 }
+
+// benchAgentBatches lays a 1,024-node fleet out as two agents of 512
+// distinct nodes each, every job on a contiguous run of nodes — runLen
+// picks each run's length — and returns one batch per agent. This is the
+// shape ship and bench/powbench/fleet.go emit: one batch is one tick of
+// one agent, grouped by job.
+func benchAgentBatches(runLen func(*rand.Rand) int) [2][]trace.PowerSample {
+	const agentNodes = 512
+	rng := rand.New(rand.NewSource(42))
+	var batches [2][]trace.PowerSample
+	job := uint64(0)
+	for a := range batches {
+		end := (a + 1) * agentNodes
+		for node := a * agentNodes; node < end; {
+			job++
+			n := min(runLen(rng), end-node)
+			for ; n > 0; n-- {
+				w := math.Round((90+rng.Float64()*170)*10) / 10
+				batches[a] = append(batches[a], trace.PowerSample{Node: node, JobID: job, PowerW: w})
+				node++
+			}
+		}
+	}
+	return batches
+}
+
+// benchAppendTicks appends one batch per iteration, the agents taking
+// turns and the clock moving one minute per tick, into a store that has
+// already seen more ticks than a job's open-minute window holds — so
+// rings and jobs exist and every tick closes a minute: steady state.
+func benchAppendTicks(b *testing.B, batches [2][]trace.PowerSample) {
+	s := New(DefaultConfig())
+	tick := int64(0)
+	appendTick := func() {
+		batch := batches[tick%2]
+		unix := 1_700_000_040 + tick/2*60
+		for i := range batch {
+			batch[i].Unix = unix
+		}
+		if err := s.Append(batch); err != nil {
+			b.Fatal(err)
+		}
+		tick++
+	}
+	for tick < 2*(spatialWindowMinutes+4) {
+		appendTick()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		appendTick()
+	}
+}
+
+// BenchmarkAppendFleet is Append on the fleet's own batches: jobs on
+// contiguous runs of 1–64 nodes.
+func BenchmarkAppendFleet(b *testing.B) {
+	benchAppendTicks(b, benchAgentBatches(func(r *rand.Rand) int { return 1 + r.Intn(64) }))
+}
+
+// BenchmarkAppendInterleaved is the same fleet with every job on one
+// node, so no two neighbouring samples share a job: the worst case for
+// Append's per-run job pass, which then locks and looks up per sample.
+func BenchmarkAppendInterleaved(b *testing.B) {
+	benchAppendTicks(b, benchAgentBatches(func(*rand.Rand) int { return 1 }))
+}

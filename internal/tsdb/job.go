@@ -1,9 +1,6 @@
 package tsdb
 
 import (
-	"math"
-	"sort"
-
 	"hpcpower/internal/anomaly"
 	"hpcpower/internal/stats"
 )
@@ -31,12 +28,17 @@ type jobState struct {
 	// Spatial spread: per-minute min/max across nodes. Open minutes live
 	// in a bounded window; when a minute is evicted its spread folds into
 	// spreadAcc — queries merge the window on the fly, so nothing is lost.
-	minutes   map[int64]*minuteAgg
+	// The window is minutes[:nMinutes], ascending by minute: telemetry
+	// arrives roughly in time order, so a sample usually lands in the
+	// last entry and the oldest minute is always index 0.
+	minutes   [spatialWindowMinutes]minuteAgg
+	nMinutes  int
 	spreadAcc stats.Accumulator
 }
 
 // minuteAgg is the min/max/count of one telemetry minute of one job.
 type minuteAgg struct {
+	minute   int64
 	min, max float64
 	n        int
 }
@@ -49,11 +51,7 @@ const spatialWindowMinutes = 16
 func newJobState() *jobState {
 	med, _ := stats.NewP2Quantile(0.5)
 	p95, _ := stats.NewP2Quantile(0.95)
-	return &jobState{
-		med: med, p95: p95,
-		nodes:   map[int]struct{}{},
-		minutes: map[int64]*minuteAgg{},
-	}
+	return &jobState{med: med, p95: p95, nodes: map[int]struct{}{}}
 }
 
 func (j *jobState) add(node int, unix int64, w float64) {
@@ -61,52 +59,52 @@ func (j *jobState) add(node int, unix int64, w float64) {
 	j.med.Add(w)
 	j.p95.Add(w)
 	j.fp.Update(unix, w)
-	j.nodes[node] = struct{}{}
+	if _, seen := j.nodes[node]; !seen {
+		j.nodes[node] = struct{}{}
+	}
 	if j.firstUnix == 0 || unix < j.firstUnix {
 		j.firstUnix = unix
 	}
 	if unix > j.lastUnix {
 		j.lastUnix = unix
 	}
+	j.addToMinute(unix/60, w)
+}
 
-	minute := unix / 60
-	m := j.minutes[minute]
-	if m == nil {
-		m = &minuteAgg{min: w, max: w}
-		j.minutes[minute] = m
-		if len(j.minutes) > spatialWindowMinutes {
-			j.evictOldestMinute()
-		}
-	} else {
+// addToMinute folds w into its minute of the open window, opening the
+// minute if need be. Opening one more than the window holds closes the
+// oldest: the spread of minutes[0] folds into spreadAcc — or, when the
+// new minute is itself older than every open one, it closes at once
+// and, holding a single sample, contributes nothing.
+func (j *jobState) addToMinute(minute int64, w float64) {
+	// i is where the minute belongs: every entry before it is older.
+	i := j.nMinutes
+	for i > 0 && j.minutes[i-1].minute >= minute {
+		i--
+	}
+	if i < j.nMinutes && j.minutes[i].minute == minute {
+		m := &j.minutes[i]
 		if w < m.min {
 			m.min = w
 		}
 		if w > m.max {
 			m.max = w
 		}
+		m.n++
+		return
 	}
-	m.n++
-}
-
-// sortedMinutes returns the open minute keys in ascending order.
-func (j *jobState) sortedMinutes() []int64 {
-	keys := make([]int64, 0, len(j.minutes))
-	for k := range j.minutes {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	return keys
-}
-
-func (j *jobState) evictOldestMinute() {
-	oldest := int64(math.MaxInt64)
-	for k := range j.minutes {
-		if k < oldest {
-			oldest = k
+	if j.nMinutes == len(j.minutes) {
+		if i == 0 {
+			return
 		}
+		j.foldMinute(&j.minutes[0])
+		i--
+		copy(j.minutes[:i], j.minutes[1:])
+	} else {
+		copy(j.minutes[i+1:], j.minutes[i:j.nMinutes])
+		j.nMinutes++
 	}
-	j.foldMinute(j.minutes[oldest])
-	delete(j.minutes, oldest)
+	j.minutes[i] = minuteAgg{minute: minute, min: w, max: w, n: 1}
 }
 
 // foldMinute folds one closed minute into the spread accumulator. Minutes
@@ -151,8 +149,8 @@ type JobStats struct {
 // serialized, restored, and queried again — are byte-identical.
 func (j *jobState) snapshot(id uint64) JobStats {
 	spread := j.spreadAcc // value copy; folding below does not touch j
-	for _, k := range j.sortedMinutes() {
-		if m := j.minutes[k]; m.n >= 2 {
+	for _, m := range j.minutes[:j.nMinutes] {
+		if m.n >= 2 {
 			spread.Add(m.max - m.min)
 		}
 	}

@@ -14,8 +14,9 @@ const (
 	// entry that carry each node's buffer.
 	ringOverheadBytes = 64
 	// jobStateBytes is a fixed estimate of one jobState: Welford + two P²
-	// estimators + peak/spread accumulators plus the bounded nodes and
-	// minutes maps. Jobs with thousands of nodes exceed it, but job count
+	// estimators + peak/spread accumulators and the fixed open-minute
+	// window (about 1.3 KB in all) plus the nodes map, the one part that
+	// grows. Jobs with thousands of nodes exceed it, but job count
 	// dwarfs node-set variance at fleet scale and the watermark only needs
 	// to be proportional, not exact.
 	jobStateBytes = 2048

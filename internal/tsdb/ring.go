@@ -37,7 +37,9 @@ func ringOf(pts []Point, capacity int) *ring {
 
 func (r *ring) append(p Point) {
 	r.buf[r.head] = p
-	r.head = (r.head + 1) % len(r.buf)
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
 	if r.count < len(r.buf) {
 		r.count++
 	}

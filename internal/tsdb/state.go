@@ -1,7 +1,9 @@
 package tsdb
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hpcpower/internal/anomaly"
@@ -117,9 +119,8 @@ func exportJob(id uint64, j *jobState) JobStateExport {
 		e.Nodes = append(e.Nodes, n)
 	}
 	sort.Ints(e.Nodes)
-	for _, k := range j.sortedMinutes() {
-		m := j.minutes[k]
-		e.Minutes = append(e.Minutes, MinuteState{Minute: k, Min: m.min, Max: m.max, N: m.n})
+	for _, m := range j.minutes[:j.nMinutes] {
+		e.Minutes = append(e.Minutes, MinuteState{Minute: m.minute, Min: m.min, Max: m.max, N: m.n})
 	}
 	return e
 }
@@ -208,6 +209,9 @@ func restoreJob(e JobStateExport) (*jobState, error) {
 	if !e.FP.Valid() {
 		return nil, fmt.Errorf("fingerprint state is incoherent")
 	}
+	if len(e.Minutes) > spatialWindowMinutes {
+		return nil, fmt.Errorf("%d open minutes, the window holds %d", len(e.Minutes), spatialWindowMinutes)
+	}
 	j := &jobState{
 		acc:       stats.AccumFromState(e.Acc),
 		med:       med,
@@ -216,14 +220,23 @@ func restoreJob(e JobStateExport) (*jobState, error) {
 		nodes:     make(map[int]struct{}, len(e.Nodes)),
 		firstUnix: e.FirstUnix,
 		lastUnix:  e.LastUnix,
-		minutes:   make(map[int64]*minuteAgg, len(e.Minutes)),
+		nMinutes:  len(e.Minutes),
 		spreadAcc: stats.AccumFromState(e.Spread),
 	}
 	for _, n := range e.Nodes {
 		j.nodes[n] = struct{}{}
 	}
-	for _, m := range e.Minutes {
-		j.minutes[m.Minute] = &minuteAgg{min: m.Min, max: m.Max, n: m.N}
+	for i, m := range e.Minutes {
+		j.minutes[i] = minuteAgg{minute: m.Minute, min: m.Min, max: m.Max, n: m.N}
+	}
+	// The exporter writes the window ascending; an image from elsewhere
+	// is put in order, and a minute listed twice has no one meaning.
+	open := j.minutes[:j.nMinutes]
+	slices.SortFunc(open, func(a, b minuteAgg) int { return cmp.Compare(a.minute, b.minute) })
+	for i := 1; i < len(open); i++ {
+		if open[i].minute == open[i-1].minute {
+			return nil, fmt.Errorf("open minute %d listed twice", open[i].minute)
+		}
 	}
 	return j, nil
 }

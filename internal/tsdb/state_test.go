@@ -218,6 +218,40 @@ func TestRestoreStateValidation(t *testing.T) {
 		t.Fatal("inconsistent shard accumulators accepted")
 	}
 
+	// A job's open minutes come from outside too: out of order is put in
+	// order, a minute listed twice or more minutes than the window holds
+	// is refused.
+	withMinutes := func(minutes ...int64) *StoreState {
+		img := *st
+		job := img.Jobs[0]
+		job.Minutes = nil
+		for _, m := range minutes {
+			job.Minutes = append(job.Minutes, MinuteState{Minute: m, Min: 40, Max: 50 + float64(m), N: 2})
+		}
+		img.Jobs = []JobStateExport{job}
+		return &img
+	}
+	sorted := New(cfg)
+	if err := sorted.RestoreState(withMinutes(7, 3, 5)); err != nil {
+		t.Fatalf("out-of-order minutes refused: %v", err)
+	}
+	if got := sorted.ExportState().Jobs[0].Minutes; len(got) != 3 || got[0].Minute != 3 || got[1].Minute != 5 || got[2].Minute != 7 || got[2].Max != 57 {
+		t.Fatalf("out-of-order minutes restored as %+v", got)
+	}
+	if err := New(cfg).RestoreState(withMinutes(3, 5, 3)); err == nil {
+		t.Fatal("duplicate open minute accepted")
+	}
+	var tooMany []int64
+	for m := int64(1); m <= spatialWindowMinutes+1; m++ {
+		tooMany = append(tooMany, m)
+	}
+	if err := New(cfg).RestoreState(withMinutes(tooMany...)); err == nil {
+		t.Fatal("more open minutes than the window holds accepted")
+	}
+	if err := New(cfg).RestoreState(withMinutes(tooMany[1:]...)); err != nil {
+		t.Fatalf("a full window refused: %v", err)
+	}
+
 	d := NewDeduper(DedupConfig{Window: 64})
 	d.Mark("a", 1)
 	ds := d.ExportState()

@@ -52,6 +52,7 @@ type Store struct {
 	jobMask   uint64
 
 	ringLen  int
+	scratch  sync.Pool    // *appendScratch
 	ingested atomic.Int64 // total samples accepted
 	memBytes atomic.Int64 // accounted structural footprint (see memory.go)
 
@@ -102,6 +103,7 @@ func New(cfg Config) *Store {
 	for i := range s.jobShards {
 		s.jobShards[i].jobs = map[uint64]*jobState{}
 	}
+	s.scratch.New = func() any { return &appendScratch{next: make([]int, n)} }
 	return s
 }
 
@@ -127,24 +129,47 @@ func (s *Store) jobShard(id uint64) *jobShard {
 // Append ingests a batch of samples. The batch is validated up front and
 // rejected whole on the first malformed sample (the ingest API's lenient
 // skipping happens a layer up, in the stream reader); a valid batch is
-// then grouped by shard so each stripe lock is taken once.
+// then counting-sorted by node shard so each stripe lock is taken once
+// and each shard sees its samples in batch order, and folded into the
+// job analytics one run of equal job IDs at a time — agents ship a batch
+// grouped by job, so that is one lock and one lookup per job.
 func (s *Store) Append(batch []trace.PowerSample) error {
-	for i, smp := range batch {
-		if err := smp.Validate(); err != nil {
+	sc := s.scratch.Get().(*appendScratch)
+	defer s.putScratch(sc)
+	// next[k] counts shard k's samples, then becomes where in order its
+	// next sample index goes: order is the batch's indices by shard,
+	// batch order kept within a shard.
+	next := sc.next
+	clear(next)
+	for i := range batch {
+		if err := batch[i].Validate(); err != nil {
 			return fmt.Errorf("tsdb: sample %d: %w", i, err)
 		}
+		next[mix(uint64(batch[i].Node))&s.mask]++
 	}
-	// Group sample indices by node shard to amortize locking.
-	byShard := map[uint64][]int{}
-	for i, smp := range batch {
-		k := mix(uint64(smp.Node)) & s.mask
-		byShard[k] = append(byShard[k], i)
+	first := 0
+	for k, n := range next {
+		next[k] = first
+		first += n
 	}
-	for k, idxs := range byShard {
+	if cap(sc.order) < len(batch) {
+		sc.order = make([]int, len(batch))
+	}
+	order := sc.order[:len(batch)]
+	for i := range batch {
+		k := mix(uint64(batch[i].Node)) & s.mask
+		order[next[k]] = i
+		next[k]++
+	}
+	start := 0
+	for k, end := range next {
+		if start == end {
+			continue
+		}
 		sh := &s.shards[k]
 		sh.mu.Lock()
-		for _, i := range idxs {
-			smp := batch[i]
+		for _, i := range order[start:end] {
+			smp := &batch[i]
 			r := sh.nodes[smp.Node]
 			if r == nil {
 				r = newRing(s.ringLen)
@@ -155,25 +180,53 @@ func (s *Store) Append(batch []trace.PowerSample) error {
 			sh.acc.Add(smp.PowerW)
 		}
 		sh.mu.Unlock()
+		start = end
 	}
 	// Per-job streaming analytics (jobID 0 marks idle/system samples).
-	for _, smp := range batch {
-		if smp.JobID == 0 {
-			continue
+	for rest := batch; len(rest) > 0; {
+		id := rest[0].JobID
+		n := 1
+		for n < len(rest) && rest[n].JobID == id {
+			n++
 		}
-		js := s.jobShard(smp.JobID)
-		js.mu.Lock()
-		st := js.jobs[smp.JobID]
-		if st == nil {
-			st = newJobState()
-			js.jobs[smp.JobID] = st
-			s.memBytes.Add(jobStateBytes)
+		if id != 0 {
+			s.addToJob(id, rest[:n])
 		}
-		st.add(smp.Node, smp.Unix, smp.PowerW)
-		js.mu.Unlock()
+		rest = rest[n:]
 	}
 	s.ingested.Add(int64(len(batch)))
 	return nil
+}
+
+// addToJob folds a run of one job's samples into its streaming state.
+func (s *Store) addToJob(id uint64, run []trace.PowerSample) {
+	js := s.jobShard(id)
+	js.mu.Lock()
+	defer js.mu.Unlock()
+	st := js.jobs[id]
+	if st == nil {
+		st = newJobState()
+		js.jobs[id] = st
+		s.memBytes.Add(jobStateBytes)
+	}
+	for i := range run {
+		st.add(run[i].Node, run[i].Unix, run[i].PowerW)
+	}
+}
+
+// appendScratch is the sort space of one Append call: one int per shard
+// and one per sample.
+type appendScratch struct{ next, order []int }
+
+// maxPooledOrder bounds the scratch the pool keeps: agents ship batches
+// of a few hundred samples, and one 8 MiB body of some 200 k samples
+// should not pin its megabytes forever.
+const maxPooledOrder = 1 << 14
+
+func (s *Store) putScratch(sc *appendScratch) {
+	if cap(sc.order) <= maxPooledOrder {
+		s.scratch.Put(sc)
+	}
 }
 
 // NodeSeries returns the retained samples of a node with
