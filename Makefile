@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-block bench-codec bench-wal bench-snapshot bench-tsdb bench-e2e bench-compare bench-selftest fuzz-codec fuzz-snapshot smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state block-check obs-check ci clean
+.PHONY: all build vet test race bench bench-block bench-codec bench-wal bench-snapshot bench-tsdb bench-e2e bench-compare bench-selftest fuzz-codec fuzz-snapshot smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state block-check obs-check ci clean
 
 # The fuzz and bench targets below are the CI gates: .github/workflows/ci.yml
 # calls them by name, one step per target, so a gate is spelled here and
@@ -183,7 +183,15 @@ fuzz-block-ref:
 	$(call gofuzz,FuzzBitReader,10s,./internal/block/)
 	$(call gofuzz,FuzzDecodeAgainstReference,10s,./internal/block/)
 
-# Fuzz the -fault-disk spec parser: it must never panic.
+# Fuzz the key=value grammar every spec string shares: the tokenizer
+# never panics and Parse(String()) is the identity on a table of every
+# field kind; ParseBytes agrees with the suffix-table parser it replaced.
+fuzz-spec:
+	$(call gofuzz,FuzzPairs,15s,./internal/spec/)
+	$(call gofuzz,FuzzParseBytes,10s,./internal/spec/)
+
+# Fuzz the -fault-disk spec parser: it must never panic, accept only
+# in-range values, and round-trip every accepted spec through String.
 fuzz-vfs:
 	$(call gofuzz,FuzzParseFaultSpec,15s,./internal/vfs/)
 

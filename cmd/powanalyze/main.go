@@ -41,7 +41,7 @@ func main() {
 		system      = flag.String("system", "live", "system label for the live report")
 		nodeTDP     = flag.Float64("tdp", 0, "node TDP in watts for the live report's TDP fractions (0 = omit)")
 		liveRing    = flag.Int("live-ring", 16384, "retained samples per node in -live-control replay (must match the server's -ring)")
-		liveShards  = flag.Int("live-shards", 16, "store shards in -live-control replay (must match the server's -shards)")
+		liveShards  = flag.Int("live-shards", 16, "store shards in -live-control replay (must match the server's, which is 16)")
 	)
 	flag.Parse()
 	if *source != "" || *liveControl != "" {

@@ -75,7 +75,7 @@ func main() {
 		verify       = flag.Bool("verify", true, "verify the server's ingested count via /healthz afterwards")
 		failover     = flag.String("failover", "", "comma-separated standby base URLs to fail over to")
 
-		anomalySpec   = flag.String("anomaly", "", `inject synthetic anomaly jobs after the main load, e.g. "flatline=2,zombie=1,normal=4" (profile=count; "normal" jobs are healthy controls)`)
+		anomalySpec   = flag.String("anomaly", "", `inject synthetic anomaly jobs after the main load, comma-separated profile=count, e.g. "flatline=2,zombie=1,normal=4" ("normal" jobs are healthy controls; a repeated profile adds); keys:`+"\n"+anomaly.InjectSpec(nil).Usage())
 		anomalyMin    = flag.Int("anomaly-minutes", 120, "minutes of telemetry per injected job")
 		anomalyBase   = flag.Float64("anomaly-base-watts", 220, "healthy working power level for injected jobs")
 		anomalyVerify = flag.Bool("anomaly-verify", false, "score the server's fired alerts against the injected ground truth (needs -anomaly)")

@@ -64,7 +64,7 @@ func (p *peerFlag) Set(v string) error {
 
 // electionConfig assembles the elect.Config shared by data nodes and
 // the witness from the command-line topology.
-func electionConfig(id, advertise, dataDir string, peers []elect.Peer, hb, ttl time.Duration, lead, witness bool) (elect.Config, error) {
+func electionConfig(id, advertise, dataDir string, peers []elect.Peer, hb time.Duration, lead, witness bool) (elect.Config, error) {
 	if dataDir == "" {
 		return elect.Config{}, fmt.Errorf("elections need -data-dir (the promise file must survive restarts)")
 	}
@@ -85,7 +85,6 @@ func electionConfig(id, advertise, dataDir string, peers []elect.Peer, hb, ttl t
 		Witness:        witness,
 		Lead:           lead,
 		HeartbeatEvery: hb,
-		LeaseTTL:       ttl,
 		State:          st,
 		Transport:      &elect.HTTPTransport{},
 		Logf: func(format string, args ...any) {

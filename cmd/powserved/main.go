@@ -7,7 +7,6 @@
 // Usage:
 //
 //	powserved -addr :8080 -model model.json
-//	powserved -addr 127.0.0.1:0 -train traces/emmy   # train at startup
 //	powserved -addr :8080 -data-dir /var/lib/powserved   # crash-safe
 //
 // With -data-dir the ingest path is crash-safe: accepted batches are
@@ -56,8 +55,8 @@
 // Overload protection is always on: an AIMD concurrency limiter and a
 // CoDel-style ingest queue shed excess load with 429 over_capacity +
 // Retry-After once ack latency degrades, well before the node falls
-// over. -admit tunes the layer (and adds per-agent rate limits);
-// -mem-watermark arms memory-pressure degraded mode, which sheds
+// over. -admit tunes the layer (and adds per-agent rate limits); its
+// mem-watermark key arms memory-pressure degraded mode, which sheds
 // ingest and forces early block flushes until accounted memory drops
 // back under the resume level.
 //
@@ -86,10 +85,10 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
-	"hpcpower"
 	"hpcpower/internal/admit"
 	"hpcpower/internal/anomaly"
 	"hpcpower/internal/block"
@@ -105,17 +104,12 @@ func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address (host:port, :0 picks a free port)")
 		model   = flag.String("model", "", "BDT model file from powpredict -save-model")
-		train   = flag.String("train", "", "dataset directory to train a BDT on at startup (alternative to -model)")
-		shards  = flag.Int("shards", 16, "TSDB shards (rounded up to a power of two)")
 		ring    = flag.Int("ring", 1440, "retained samples per node (1440 = one day of minutes)")
-		queue   = flag.Int("queue", 256, "ingest queue depth in batches (backpressure threshold)")
 		workers = flag.Int("workers", 4, "ingest worker goroutines")
 
-		admitSpec = flag.String("admit", "", `admission-control spec, comma-separated key=value, e.g. "target=50ms,min-inflight=8,agent-rate=100" (keys: target, interval, min-inflight, max-inflight, latency-ratio, backoff, step, agent-rate, agent-burst, query-slots, admin-slots, mem-watermark, mem-resume; empty = defaults)`)
-		memWater  = flag.String("mem-watermark", "", `accounted-memory degraded-mode watermark, e.g. "256MiB" (shorthand for the admit spec's mem-watermark key; empty = disabled)`)
+		admitSpec = flag.String("admit", "", `admission-control spec, comma-separated key=value, e.g. "target=50ms,min-inflight=8,agent-rate=100,mem-watermark=256MiB" (empty = defaults); keys:`+"\n"+new(admit.Config).Spec().Usage())
 
 		blocksDir    = flag.String("blocks-dir", "", "directory for the on-disk block store (empty = head-only, rings are the whole store)")
-		blockWindow  = flag.Int64("block-window", 7200, "block file time span in seconds")
 		flushEvery   = flag.Duration("flush-interval", time.Minute, "head→block flush cadence (0 = manual via POST /v1/admin/flush)")
 		flushGrace   = flag.Duration("flush-grace", 5*time.Minute, "hold the flush cut this far behind wall clock for late samples")
 		compactEvery = flag.Duration("compact-interval", 30*time.Second, "block compactor + retention cadence")
@@ -124,31 +118,26 @@ func main() {
 		retain1h     = flag.Duration("retention-1h", 0, "1h rollup retention (0 = keep forever)")
 		scrubEvery   = flag.Duration("scrub-interval", 0, "background integrity scrub cadence for sealed blocks (0 = manual via POST /v1/admin/scrub)")
 
-		dataDir    = flag.String("data-dir", "", "data directory for the write-ahead log and snapshots (empty = memory-only)")
-		fsync      = flag.String("fsync", "batch", "WAL fsync policy: batch (fsync before every ack), interval, off")
-		fsyncEvery = flag.Duration("fsync-interval", 100*time.Millisecond, "fsync cadence with -fsync interval")
-		segBytes   = flag.Int64("segment-bytes", 64<<20, "WAL segment rotation size")
-		snapEvery  = flag.Duration("snapshot-interval", 20*time.Second, "time between snapshots")
-		snapBatch  = flag.Int64("snapshot-every", 4096, "also snapshot after this many WAL appends")
-		diskCheck  = flag.Duration("disk-check-interval", 2*time.Second, "storage-health monitor cadence (write probe + free-space watermark)")
-		diskLow    = flag.Int64("disk-low-bytes", 0, "degrade ingest when data-dir free space falls below this (0 = probe-only)")
-		diskResume = flag.Int64("disk-resume-bytes", 0, "clear a space-triggered degrade above this free-space level (0 = 2x -disk-low-bytes)")
-		faultDisk  = flag.String("fault-disk", "", `inject disk faults for drills, e.g. "seed=1,write-eio=0.01,enospc-after=1048576,enospc-for=10s" (keys: seed, read-eio, write-eio, sync-eio, bitflip, torn, enospc-after, enospc-for, latency, path)`)
+		dataDir   = flag.String("data-dir", "", "data directory for the write-ahead log and snapshots (empty = memory-only)")
+		fsync     = flag.String("fsync", "batch", "WAL fsync policy: batch (fsync before every ack), interval (every 100ms), off")
+		snapEvery = flag.Duration("snapshot-interval", 20*time.Second, "time between snapshots")
+		snapBatch = flag.Int64("snapshot-every", 4096, "also snapshot after this many WAL appends")
+		diskCheck = flag.Duration("disk-check-interval", 2*time.Second, "storage-health monitor cadence (write probe + free-space watermark)")
+		diskLow   = flag.Int64("disk-low-bytes", 0, "degrade ingest when data-dir free space falls below this, until it is back above twice this (0 = probe-only)")
+		faultDisk = flag.String("fault-disk", "", `inject disk faults for drills, comma-separated key=value, e.g. "seed=1,write-eio=0.01,enospc-after=1048576,enospc-for=10s"; keys:`+"\n"+new(vfs.FaultConfig).Spec().Usage())
 
 		role       = flag.String("role", "primary", `replication role: "primary", "follower" (needs -data-dir), or "witness" (vote-only election member, no data plane)`)
 		follow     = flag.String("follow", "", "primary base URL to replicate from (required with -role follower)")
 		followerID = flag.String("follower-id", "", "this follower's ID on the primary (default \"follower\")")
 		epochFile  = flag.String("epoch-file", "", "replication epoch file (default <data-dir>/EPOCH)")
-		replAck    = flag.String("repl-ack", "async", `ack mode: "async", or "sync" to ack ingest only after followers applied`)
-		replAckTO  = flag.Duration("repl-ack-timeout", 5*time.Second, "max wait for follower acks with -repl-ack sync")
+		replAck    = flag.String("repl-ack", "async", `ack mode: "async", or "sync" to ack ingest only after followers applied (waits at most 5s)`)
 
 		electID   = flag.String("elect-id", "", "this node's election ID (elections are enabled by -peer)")
 		advertise = flag.String("advertise", "", "base URL peers and shippers use to reach this node (required with -peer; behind a chaos proxy, the proxy URL)")
-		hbEvery   = flag.Duration("heartbeat-interval", 250*time.Millisecond, "election heartbeat / failure-detection cadence")
-		leaseTTL  = flag.Duration("lease-ttl", 0, "leader lease TTL (0 = 4x -heartbeat-interval)")
+		hbEvery   = flag.Duration("heartbeat-interval", 250*time.Millisecond, "election heartbeat / failure-detection cadence; the leader lease lasts 4 heartbeats")
 
 		anomalyOn    = flag.Bool("anomaly", false, "enable streaming power-fingerprint anomaly detection and alerting (GET /v1/anomalies)")
-		anomalyRules = flag.String("anomaly-rules", "", `detector rule spec, semicolon-separated, e.g. "flatline:min-duration=10m,min-watts=100;zombie:severity=critical" (implies -anomaly; empty = built-in defaults)`)
+		anomalyRules = flag.String("anomaly-rules", "", `detector rule spec, semicolon-separated "detector:key=value,..." with detector one of `+strings.Join(anomaly.Profiles(), ", ")+`, e.g. "flatline:min-duration=10m,min-w=100;zombie:severity=critical" (implies -anomaly; empty = built-in defaults); keys:`+"\n"+new(anomaly.Rule).Spec().Usage())
 		alertWebhook = flag.String("alert-webhook", "", "POST fired/resolved alert events to this URL with retries and backoff (implies -anomaly)")
 		alertRing    = flag.Int("alert-ring", 4096, "retained alert events served by GET /v1/anomalies")
 
@@ -169,7 +158,7 @@ func main() {
 	if *role == "witness" {
 		// Vote-only member: no store, no WAL, no model — just the
 		// election state machine behind a minimal HTTP front.
-		ecfg, err := electionConfig(*electID, *advertise, *dataDir, peers, *hbEvery, *leaseTTL, false, true)
+		ecfg, err := electionConfig(*electID, *advertise, *dataDir, peers, *hbEvery, false, true)
 		if err != nil {
 			fatal(err)
 		}
@@ -191,46 +180,19 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *memWater != "" {
-		// -mem-watermark is the ergonomic spelling; an explicit
-		// mem-watermark key inside -admit wins.
-		wm, err := admit.ParseBytes(*memWater)
-		if err != nil {
-			fatal(fmt.Errorf("-mem-watermark: %v", err))
-		}
-		if admitCfg.MemWatermark == 0 {
-			admitCfg.MemWatermark = wm
-		}
-	}
 	if s := admitCfg.String(); s != "" {
 		fmt.Printf("powserved: admission control: %s\n", s)
 	}
 
 	var bdt *mlearn.BDT
-	switch {
-	case *model != "" && *train != "":
-		fatal(fmt.Errorf("use -model or -train, not both"))
-	case *model != "":
-		m, err := mlearn.LoadBDTFile(*model)
+	if *model != "" {
+		bdt, err = mlearn.LoadBDTFile(*model)
 		if err != nil {
 			fatal(err)
 		}
-		bdt = m
-		fmt.Printf("powserved: loaded model %s (depth %d, %d leaves)\n", *model, m.Depth(), m.Leaves())
-	case *train != "":
-		ds, err := hpcpower.Load(*train)
-		if err != nil {
-			fatal(err)
-		}
-		m := mlearn.NewBDT(mlearn.DefaultTreeParams())
-		if err := m.Fit(mlearn.SamplesFromDataset(ds)); err != nil {
-			fatal(err)
-		}
-		bdt = m
-		fmt.Printf("powserved: trained on %s: %d jobs (depth %d, %d leaves)\n",
-			*train, len(ds.Jobs), m.Depth(), m.Leaves())
-	default:
-		fmt.Println("powserved: no model (-model/-train); POST /v1/predict will answer 503")
+		fmt.Printf("powserved: loaded model %s (depth %d, %d leaves)\n", *model, bdt.Depth(), bdt.Leaves())
+	} else {
+		fmt.Println("powserved: no model (-model); POST /v1/predict will answer 503")
 	}
 
 	// All WAL, snapshot, and block file I/O flows through one vfs.FS so a
@@ -245,7 +207,7 @@ func main() {
 		fmt.Printf("powserved: DISK FAULT INJECTION ACTIVE: %s\n", *faultDisk)
 	}
 
-	store := tsdb.New(tsdb.Config{Shards: *shards, RingLen: *ring})
+	store := tsdb.New(tsdb.Config{RingLen: *ring})
 
 	// Streaming anomaly detection: the engine evaluates the store's
 	// per-job fingerprints once per ingested batch and runs the alert
@@ -290,7 +252,6 @@ func main() {
 		// the flush loop and crash recovery see the on-disk frontier.
 		bs, err := block.Open(block.Config{
 			Dir:             *blocksDir,
-			WindowSeconds:   *blockWindow,
 			RetentionRaw:    *retainRaw,
 			Retention5m:     *retain5m,
 			Retention1h:     *retain1h,
@@ -310,7 +271,6 @@ func main() {
 			*blocksDir, st.Raw.Blocks, st.Rollup5m.Blocks, st.Rollup1h.Blocks, st.FrontierUnix)
 	}
 	cfg := serve.Config{
-		QueueDepth:         *queue,
 		IngestWorkers:      *workers,
 		Admit:              admitCfg,
 		Anomaly:            anom,
@@ -333,21 +293,17 @@ func main() {
 		srv, err = serve.NewDurable(store, bdt, cfg, serve.DurabilityConfig{
 			Dir:               *dataDir,
 			Policy:            policy,
-			SyncInterval:      *fsyncEvery,
-			SegmentBytes:      *segBytes,
 			SnapshotInterval:  *snapEvery,
 			SnapshotEvery:     *snapBatch,
 			FS:                fsys,
 			DiskCheckInterval: *diskCheck,
 			DiskLowBytes:      *diskLow,
-			DiskResumeBytes:   *diskResume,
 			Replication: &serve.ReplicationConfig{
-				Role:           *role,
-				PrimaryURL:     *follow,
-				FollowerID:     *followerID,
-				EpochFile:      *epochFile,
-				SyncAck:        *replAck == "sync",
-				SyncAckTimeout: *replAckTO,
+				Role:       *role,
+				PrimaryURL: *follow,
+				FollowerID: *followerID,
+				EpochFile:  *epochFile,
+				SyncAck:    *replAck == "sync",
 				Logf: func(format string, args ...any) {
 					fmt.Printf("powserved: repl: "+format+"\n", args...)
 					obs.Component(logger, "repl").Info(fmt.Sprintf(format, args...))
@@ -392,7 +348,7 @@ func main() {
 		// configured primary leads (with an expired lease until its
 		// first quorum round); a follower campaigns only after the
 		// lease window passes in silence.
-		ecfg, err := electionConfig(*electID, *advertise, *dataDir, peers, *hbEvery, *leaseTTL, *role == serve.RolePrimary, false)
+		ecfg, err := electionConfig(*electID, *advertise, *dataDir, peers, *hbEvery, *role == serve.RolePrimary, false)
 		if err != nil {
 			fatal(err)
 		}

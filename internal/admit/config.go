@@ -2,10 +2,9 @@ package admit
 
 import (
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
 	"time"
+
+	"hpcpower/internal/spec"
 )
 
 // Config parameterizes the whole admission layer. The zero value means
@@ -104,217 +103,40 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// specKeys is the canonical key order String renders and ParseConfig
-// accepts; keeping one table makes the round trip mechanical.
-var specKeys = []string{
-	"target", "interval",
-	"min-inflight", "max-inflight", "latency-ratio", "backoff", "step",
-	"agent-rate", "agent-burst",
-	"query-slots", "admin-slots",
-	"mem-watermark", "mem-resume",
+// Spec is the -admit grammar bound to c: one row per key, in the order
+// String renders. Zero fields are left out, so the empty spec is the
+// zero Config (defaults).
+func (c *Config) Spec() spec.Set {
+	return spec.Set{
+		spec.Duration("target", &c.Target, "CoDel sojourn target of the ingest queue (0 = 100ms, negative = no queue shedding)"),
+		spec.Duration("interval", &c.Interval, "CoDel control interval (0 = 1s)").Min(0),
+		spec.Int("min-inflight", &c.MinInflight, "AIMD limiter floor (0 = 16)").Min(0),
+		spec.Int("max-inflight", &c.MaxInflight, "AIMD limiter ceiling and starting point (0 = 1024, negative = no limiter)"),
+		spec.Float("latency-ratio", &c.LatencyRatio, "shrink the limit when window latency exceeds this x baseline (0 = 1.5)").Min(0),
+		spec.Float("backoff", &c.Backoff, "multiplicative decrease on an overloaded window, in (0,1) (0 = 0.8)").Min(0),
+		spec.Duration("step", &c.Step, "limiter and memory-monitor cadence (0 = 100ms)").Min(0),
+		spec.Float("agent-rate", &c.AgentRate, "per-agent token refill in batches/s (0 = no per-agent limit)").Min(0),
+		spec.Int("agent-burst", &c.AgentBurst, "per-agent bucket depth in batches (0 = 2 x agent-rate, at least 8)").Min(0),
+		spec.Int("query-slots", &c.QuerySlots, "concurrent query-class requests (0 = 64)").Min(0),
+		spec.Int("admin-slots", &c.AdminSlots, "concurrent admin-class requests (0 = 4)").Min(0),
+		spec.Bytes("mem-watermark", &c.MemWatermark, "accounted memory that trips degraded mode (0 = off)"),
+		spec.Bytes("mem-resume", &c.MemResume, "accounted memory that clears degraded mode (0 = 80% of mem-watermark)"),
+	}
 }
 
 // ParseConfig parses a comma-separated key=value admission spec, e.g.
 //
 //	target=50ms,interval=500ms,min-inflight=8,agent-rate=100,mem-watermark=256MiB
 //
-// Keys: target, interval (durations; target may be negative to disable
-// queue shedding), min-inflight, max-inflight (int; max-inflight may be
-// negative to disable the limiter), latency-ratio, backoff, agent-rate
-// (floats), step (duration), agent-burst, query-slots, admin-slots
-// (ints), mem-watermark, mem-resume (bytes, with optional K/M/G or
-// KiB/MiB/GiB suffixes, 1024-based). Unknown keys are an error so typos
-// in smoke scripts fail loudly. The empty spec is the zero Config
-// (defaults). ParseConfig(c.String()) round-trips for every c it
-// accepts.
-func ParseConfig(spec string) (Config, error) {
+// Unknown keys are an error so typos in smoke scripts fail loudly, and
+// ParseConfig(c.String()) round-trips for every c it accepts.
+func ParseConfig(s string) (Config, error) {
 	var cfg Config
-	if strings.TrimSpace(spec) == "" {
-		return cfg, nil
-	}
-	for _, kv := range strings.Split(spec, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return Config{}, fmt.Errorf("admit: spec %q: missing '='", kv)
-		}
-		var err error
-		switch k {
-		case "target":
-			cfg.Target, err = time.ParseDuration(v)
-		case "interval":
-			cfg.Interval, err = parsePositiveDuration(v)
-		case "min-inflight":
-			cfg.MinInflight, err = parseNonNegInt(v)
-		case "max-inflight":
-			cfg.MaxInflight, err = strconv.Atoi(v)
-		case "latency-ratio":
-			cfg.LatencyRatio, err = parseFiniteNonNeg(v)
-		case "backoff":
-			cfg.Backoff, err = parseFiniteNonNeg(v)
-		case "step":
-			cfg.Step, err = parsePositiveDuration(v)
-		case "agent-rate":
-			cfg.AgentRate, err = parseFiniteNonNeg(v)
-		case "agent-burst":
-			cfg.AgentBurst, err = parseNonNegInt(v)
-		case "query-slots":
-			cfg.QuerySlots, err = parseNonNegInt(v)
-		case "admin-slots":
-			cfg.AdminSlots, err = parseNonNegInt(v)
-		case "mem-watermark":
-			cfg.MemWatermark, err = ParseBytes(v)
-		case "mem-resume":
-			cfg.MemResume, err = ParseBytes(v)
-		default:
-			return Config{}, fmt.Errorf("admit: spec: unknown key %q", k)
-		}
-		if err != nil {
-			return Config{}, fmt.Errorf("admit: spec %q: %v", kv, err)
-		}
+	if err := cfg.Spec().Parse(s); err != nil {
+		return Config{}, fmt.Errorf("admit: spec: %w", err)
 	}
 	return cfg, nil
 }
 
-// String renders the spec in canonical key order, omitting zero fields —
-// the exact inverse of ParseConfig, so ParseConfig(c.String()) == c.
-func (c Config) String() string {
-	var parts []string
-	add := func(key, val string) { parts = append(parts, key+"="+val) }
-	for _, k := range specKeys {
-		switch k {
-		case "target":
-			if c.Target != 0 {
-				add(k, c.Target.String())
-			}
-		case "interval":
-			if c.Interval != 0 {
-				add(k, c.Interval.String())
-			}
-		case "min-inflight":
-			if c.MinInflight != 0 {
-				add(k, strconv.Itoa(c.MinInflight))
-			}
-		case "max-inflight":
-			if c.MaxInflight != 0 {
-				add(k, strconv.Itoa(c.MaxInflight))
-			}
-		case "latency-ratio":
-			if c.LatencyRatio != 0 {
-				add(k, formatFloat(c.LatencyRatio))
-			}
-		case "backoff":
-			if c.Backoff != 0 {
-				add(k, formatFloat(c.Backoff))
-			}
-		case "step":
-			if c.Step != 0 {
-				add(k, c.Step.String())
-			}
-		case "agent-rate":
-			if c.AgentRate != 0 {
-				add(k, formatFloat(c.AgentRate))
-			}
-		case "agent-burst":
-			if c.AgentBurst != 0 {
-				add(k, strconv.Itoa(c.AgentBurst))
-			}
-		case "query-slots":
-			if c.QuerySlots != 0 {
-				add(k, strconv.Itoa(c.QuerySlots))
-			}
-		case "admin-slots":
-			if c.AdminSlots != 0 {
-				add(k, strconv.Itoa(c.AdminSlots))
-			}
-		case "mem-watermark":
-			if c.MemWatermark != 0 {
-				add(k, strconv.FormatInt(c.MemWatermark, 10))
-			}
-		case "mem-resume":
-			if c.MemResume != 0 {
-				add(k, strconv.FormatInt(c.MemResume, 10))
-			}
-		}
-	}
-	return strings.Join(parts, ",")
-}
-
-// byteSuffixes is checked longest-first so "MiB" never parses as a
-// trailing "B". All suffixes are 1024-based (K == KiB).
-var byteSuffixes = []struct {
-	suf   string
-	shift int
-}{
-	{"kib", 10}, {"mib", 20}, {"gib", 30},
-	{"kb", 10}, {"mb", 20}, {"gb", 30},
-	{"k", 10}, {"m", 20}, {"g", 30},
-}
-
-// ParseBytes parses a byte count with an optional binary suffix:
-// "1048576", "4K", "256MiB", "2g". Suffixes are 1024-based (K == KiB).
-func ParseBytes(v string) (int64, error) {
-	s := strings.TrimSpace(v)
-	lower := strings.ToLower(s)
-	shift := 0
-	for _, bs := range byteSuffixes {
-		if strings.HasSuffix(lower, bs.suf) && len(lower) > len(bs.suf) {
-			s = strings.TrimSpace(s[:len(s)-len(bs.suf)])
-			shift = bs.shift
-			break
-		}
-	}
-	n, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad byte count %q", v)
-	}
-	if math.IsNaN(n) || math.IsInf(n, 0) || n < 0 {
-		return 0, fmt.Errorf("byte count %q must be finite and non-negative", v)
-	}
-	out := n * float64(int64(1)<<shift)
-	if out >= math.MaxInt64 {
-		return 0, fmt.Errorf("byte count %q overflows", v)
-	}
-	return int64(out), nil
-}
-
-func parsePositiveDuration(v string) (time.Duration, error) {
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return 0, err
-	}
-	if d < 0 {
-		return 0, fmt.Errorf("must not be negative")
-	}
-	return d, nil
-}
-
-func parseNonNegInt(v string) (int, error) {
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, err
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("must not be negative")
-	}
-	return n, nil
-}
-
-func parseFiniteNonNeg(v string) (float64, error) {
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, err
-	}
-	if math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
-		return 0, fmt.Errorf("must be finite and non-negative")
-	}
-	return f, nil
-}
-
-// formatFloat renders a float so that ParseFloat round-trips exactly.
-func formatFloat(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
-}
+// String is the exact inverse of ParseConfig: ParseConfig(c.String()) == c.
+func (c Config) String() string { return c.Spec().String() }

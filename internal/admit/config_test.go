@@ -79,30 +79,6 @@ func TestConfigStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseBytes(t *testing.T) {
-	cases := map[string]int64{
-		"0":     0,
-		"1024":  1024,
-		"4K":    4096,
-		"4KiB":  4096,
-		"4kb":   4096,
-		"2M":    2 << 20,
-		"2MiB":  2 << 20,
-		"1G":    1 << 30,
-		"1.5K":  1536,
-		" 8 K ": 8192,
-	}
-	for in, want := range cases {
-		got, err := ParseBytes(in)
-		if err != nil {
-			t.Fatalf("ParseBytes(%q): %v", in, err)
-		}
-		if got != want {
-			t.Fatalf("ParseBytes(%q) = %d, want %d", in, got, want)
-		}
-	}
-}
-
 func TestWithDefaults(t *testing.T) {
 	d := Config{}.WithDefaults()
 	if d.Target != 100*time.Millisecond || d.Interval != time.Second ||

@@ -18,6 +18,7 @@ func FuzzParseRules(f *testing.F) {
 	f.Add("flatline:rel-std=")
 	f.Add("flatline:rel-std=NaN")
 	f.Add("flatline:min-duration=9999999h")
+	f.Add("overshoot:min-w=5")
 	f.Fuzz(func(t *testing.T, spec string) {
 		rules, err := ParseRules(spec)
 		if err != nil {

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
-	"strings"
 
+	"hpcpower/internal/spec"
 	"hpcpower/internal/trace"
 )
 
@@ -27,39 +26,32 @@ func Profiles() []string {
 	return []string{DetectFlatline, DetectZombie, DetectOvershoot, DetectDrift}
 }
 
+// InjectSpec is the powload -anomaly grammar bound to n: every profile
+// is a key whose value is a job count.
+func InjectSpec(n *int) spec.Set {
+	var set spec.Set
+	for _, p := range append(Profiles(), ProfileNormal) {
+		set = append(set, spec.Int(p, n, "jobs of the "+p+" profile to inject").Range(1, 10000))
+	}
+	return set
+}
+
 // ParseInjectSpec parses "flatline=2,zombie=1,overshoot=2,drift=1":
 // how many jobs of each anomalous profile to inject. Keys may repeat
 // (counts add); unknown profiles and non-positive counts are errors.
-func ParseInjectSpec(spec string) (map[string]int, error) {
+func ParseInjectSpec(s string) (map[string]int, error) {
 	out := map[string]int{}
-	for _, kv := range strings.Split(spec, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return nil, fmt.Errorf("anomaly: inject spec %q is not profile=count", kv)
-		}
-		k = strings.TrimSpace(k)
-		valid := false
-		for _, p := range Profiles() {
-			if k == p {
-				valid = true
-				break
-			}
-		}
-		if k == ProfileNormal {
-			valid = true
-		}
-		if !valid {
-			return nil, fmt.Errorf("anomaly: unknown profile %q (want %s or normal)", k, strings.Join(Profiles(), ", "))
-		}
-		n, err := strconv.Atoi(strings.TrimSpace(v))
-		if err != nil || n < 1 || n > 10000 {
-			return nil, fmt.Errorf("anomaly: bad count %q for profile %q", v, k)
+	var n int
+	set := InjectSpec(&n)
+	err := spec.Pairs(s, func(k, v string) error {
+		if err := set.Apply(k, v); err != nil {
+			return err
 		}
 		out[k] += n
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("anomaly: inject spec: %w", err)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("anomaly: empty inject spec")

@@ -2,9 +2,11 @@ package anomaly
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
+
+	"hpcpower/internal/spec"
 )
 
 // Detector names. Each detector reads a different face of the
@@ -23,20 +25,11 @@ const (
 	SeverityCritical = "critical"
 )
 
+var severities = []string{SeverityInfo, SeverityWarning, SeverityCritical}
+
 // SeverityLevel returns the rank of a severity (info 0 < warning 1 <
 // critical 2); unknown strings rank below info.
-func SeverityLevel(s string) int {
-	switch s {
-	case SeverityInfo:
-		return 0
-	case SeverityWarning:
-		return 1
-	case SeverityCritical:
-		return 2
-	default:
-		return -1
-	}
-}
+func SeverityLevel(s string) int { return slices.Index(severities, s) }
 
 // Rule is one detector instance with its thresholds and hysteresis
 // parameters. Durations are in sample time: a condition must hold for
@@ -81,75 +74,86 @@ type Rule struct {
 	Runs int `json:"runs,omitempty"`
 }
 
-// DefaultRule returns the tuned default rule for a detector. The
-// thresholds are set so the fault-free synthetic paper workload fires
-// nothing (pinned by TestDefaultRulesZeroFalsePositives) while the
-// injector's anomaly profiles are caught well inside the smoke's
-// precision/recall bounds.
+// defaultRules holds the tuned default rule of every detector, in
+// evaluation order. The thresholds are set so the fault-free synthetic
+// paper workload fires nothing (pinned by
+// TestDefaultRulesZeroFalsePositives) while the injector's anomaly
+// profiles are caught well inside the smoke's precision/recall bounds.
+var defaultRules = []Rule{
+	{Detector: DetectFlatline, Name: DetectFlatline, Severity: SeverityCritical,
+		MinDuration: 15 * time.Minute, ResolveAfter: 10 * time.Minute,
+		MinSamples: 15, MinW: 80, RelStd: 0.01, HighFrac: 0.60},
+	{Detector: DetectZombie, Name: DetectZombie, Severity: SeverityWarning,
+		MinDuration: 10 * time.Minute, ResolveAfter: 10 * time.Minute,
+		MinSamples: 10, MinW: 80, LowFrac: 0.35},
+	// The paper's healthy envelope is 10-12% mean overshoot, but
+	// individual fault-free jobs reach the high 30s over a lifetime;
+	// 50% is comfortably past anything the clean workload produces
+	// while spiky runaways land well above it.
+	{Detector: DetectOvershoot, Name: DetectOvershoot, Severity: SeverityCritical,
+		MinDuration: 2 * time.Minute, ResolveAfter: 10 * time.Minute,
+		MinSamples: 20, OvershootPct: 50},
+	{Detector: DetectDrift, Name: DetectDrift, Severity: SeverityWarning,
+		MinDuration: 10 * time.Minute, ResolveAfter: 20 * time.Minute,
+		MinSamples: 15, MinW: 40, DriftFrac: 0.20, Runs: 3},
+}
+
+// DefaultRule returns the tuned default rule for a detector.
 func DefaultRule(detector string) (Rule, error) {
-	switch detector {
-	case DetectFlatline:
-		return Rule{
-			Detector: DetectFlatline, Name: DetectFlatline, Severity: SeverityCritical,
-			MinDuration: 15 * time.Minute, ResolveAfter: 10 * time.Minute,
-			MinSamples: 15, MinW: 80, RelStd: 0.01, HighFrac: 0.60,
-		}, nil
-	case DetectZombie:
-		return Rule{
-			Detector: DetectZombie, Name: DetectZombie, Severity: SeverityWarning,
-			MinDuration: 10 * time.Minute, ResolveAfter: 10 * time.Minute,
-			MinSamples: 10, MinW: 80, LowFrac: 0.35,
-		}, nil
-	case DetectOvershoot:
-		// The paper's healthy envelope is 10-12% mean overshoot, but
-		// individual fault-free jobs reach the high 30s over a lifetime;
-		// 50% is comfortably past anything the clean workload produces
-		// while spiky runaways land well above it.
-		return Rule{
-			Detector: DetectOvershoot, Name: DetectOvershoot, Severity: SeverityCritical,
-			MinDuration: 2 * time.Minute, ResolveAfter: 10 * time.Minute,
-			MinSamples: 20, OvershootPct: 50,
-		}, nil
-	case DetectDrift:
-		return Rule{
-			Detector: DetectDrift, Name: DetectDrift, Severity: SeverityWarning,
-			MinDuration: 10 * time.Minute, ResolveAfter: 20 * time.Minute,
-			MinSamples: 15, MinW: 40, DriftFrac: 0.20, Runs: 3,
-		}, nil
-	default:
-		return Rule{}, fmt.Errorf("anomaly: unknown detector %q", detector)
+	for _, r := range defaultRules {
+		if r.Detector == detector {
+			return r, nil
+		}
 	}
+	return Rule{}, fmt.Errorf("anomaly: unknown detector %q", detector)
 }
 
 // DefaultRules returns the full default rule set, one rule per
 // detector, in a fixed order.
-func DefaultRules() []Rule {
-	out := make([]Rule, 0, 4)
-	for _, d := range []string{DetectFlatline, DetectZombie, DetectOvershoot, DetectDrift} {
-		r, _ := DefaultRule(d)
-		out = append(out, r)
+func DefaultRules() []Rule { return slices.Clone(defaultRules) }
+
+// Spec is the key=value half of the -anomaly-rules grammar bound to r:
+// one row per key, in the order String renders. Every key that applies
+// to r's detector is rendered, zero or not, so a formatted rule is
+// self-describing.
+func (r *Rule) Spec() spec.Set {
+	const year = float64(365 * 24 * time.Hour)
+	only := func(detectors ...string) (string, bool) {
+		return strings.Join(detectors, "/"), slices.Contains(detectors, r.Detector)
 	}
-	return out
+	return spec.Set{
+		spec.String("name", &r.Name, "rule name in events, metric labels and alert state (default: the detector)").Always(),
+		spec.Enum("severity", &r.Severity, "alert severity", severities...).Always(),
+		spec.Duration("min-duration", &r.MinDuration, "sample time the condition must hold before the alert fires").Range(0, year).Always(),
+		spec.Duration("resolve-after", &r.ResolveAfter, "sample time the condition must stay clear before it resolves").Range(0, year).Always(),
+		spec.Int("min-samples", &r.MinSamples, "samples a job needs before the rule looks at it (warmup)").Range(1, 1<<30).Always(),
+		spec.Float("min-w", &r.MinW, "absolute watts floor for the level / peak / starting baseline").Range(0, 1e9).Always().When(only(DetectFlatline, DetectZombie, DetectDrift)),
+		spec.Float("rel-std", &r.RelStd, "fire when the windowed relative std falls below this").Above(0, 1).Always().When(only(DetectFlatline)),
+		spec.Float("high-frac", &r.HighFrac, "high power = fast EWMA at least this fraction of the sustained peak").Above(0, 1).Always().When(only(DetectFlatline)),
+		spec.Float("low-frac", &r.LowFrac, "power floor = fast EWMA at most this fraction of the sustained peak").Above(0, 1).Always().When(only(DetectZombie)),
+		spec.Float("overshoot-pct", &r.OvershootPct, "fire when lifetime (max-mean)/mean exceeds this many percent").Above(0, 1e6).Always().When(only(DetectOvershoot)),
+		spec.Float("drift-frac", &r.DriftFrac, "fire when a same-direction run moved the baseline by this fraction").Above(0, 100).Always().When(only(DetectDrift)),
+		spec.Int("runs", &r.Runs, "same-direction phase shifts a run needs (one shift is a step, not a drift)").Range(1, 1<<20).Always().When(only(DetectDrift)),
+	}
 }
 
 // ParseRules parses a rule-set spec: semicolon-separated rules, each
-// "detector" or "detector:key=value,key=value". Keys override the
-// detector's defaults; unknown detectors, unknown keys, keys that do
-// not apply to the detector, and out-of-range values are errors. The
-// spec "default" (or "") yields DefaultRules. Examples:
+// "detector" or "detector:key=value,key=value", e.g.
 //
 //	flatline:rel-std=0.02,min-duration=20m;overshoot:overshoot-pct=30
-//	zombie:severity=critical,low-frac=0.3
 //
-// Every accepted spec round-trips through FormatRules.
-func ParseRules(spec string) ([]Rule, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "default" {
+// Keys override the detector's defaults; unknown detectors, unknown
+// keys, keys that do not apply to the detector and out-of-range values
+// are errors. "default" (or "") yields DefaultRules. Every accepted
+// spec round-trips through FormatRules.
+func ParseRules(s string) ([]Rule, error) {
+	s = strings.TrimSpace(s)
+	if s == "" || s == "default" {
 		return DefaultRules(), nil
 	}
 	var rules []Rule
 	names := map[string]struct{}{}
-	for _, part := range strings.Split(spec, ";") {
+	for _, part := range strings.Split(s, ";") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
@@ -160,23 +164,12 @@ func ParseRules(spec string) ([]Rule, error) {
 		if err != nil {
 			return nil, err
 		}
-		if strings.TrimSpace(args) != "" {
-			for _, kv := range strings.Split(args, ",") {
-				kv = strings.TrimSpace(kv)
-				if kv == "" {
-					continue
-				}
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					return nil, fmt.Errorf("anomaly: rule %q: %q is not key=value", det, kv)
-				}
-				if err := r.set(strings.TrimSpace(k), strings.TrimSpace(v)); err != nil {
-					return nil, fmt.Errorf("anomaly: rule %q: %w", det, err)
-				}
-			}
-		}
-		if err := r.validate(); err != nil {
+		if err := r.Spec().Parse(args); err != nil {
 			return nil, fmt.Errorf("anomaly: rule %q: %w", det, err)
+		}
+		// The name is part of the grammar, so it cannot hold its separators.
+		if r.Name == "" || strings.ContainsAny(r.Name, ";:,= \t\n\"") {
+			return nil, fmt.Errorf("anomaly: rule %q: name %q is empty or contains reserved characters", det, r.Name)
 		}
 		if _, dup := names[r.Name]; dup {
 			return nil, fmt.Errorf("anomaly: duplicate rule name %q (use name= to distinguish)", r.Name)
@@ -190,150 +183,10 @@ func ParseRules(spec string) ([]Rule, error) {
 	return rules, nil
 }
 
-// set applies one key=value override, enforcing detector applicability.
-func (r *Rule) set(key, val string) error {
-	parseFrac := func() (float64, error) {
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return 0, fmt.Errorf("%s: %v", key, err)
-		}
-		if !(f > 0 && f <= 1) { // flipped comparison also rejects NaN
-			return 0, fmt.Errorf("%s must be in (0, 1], got %v", key, f)
-		}
-		return f, nil
-	}
-	switch key {
-	case "name":
-		if val == "" {
-			return fmt.Errorf("name must not be empty")
-		}
-		r.Name = val
-	case "severity":
-		if SeverityLevel(val) < 0 {
-			return fmt.Errorf("severity must be info, warning, or critical, got %q", val)
-		}
-		r.Severity = val
-	case "min-duration", "resolve-after":
-		d, err := time.ParseDuration(val)
-		if err != nil {
-			return fmt.Errorf("%s: %v", key, err)
-		}
-		if d < 0 || d > 365*24*time.Hour {
-			return fmt.Errorf("%s out of range: %v", key, d)
-		}
-		if key == "min-duration" {
-			r.MinDuration = d
-		} else {
-			r.ResolveAfter = d
-		}
-	case "min-samples":
-		n, err := strconv.Atoi(val)
-		if err != nil || n < 1 || n > 1<<30 {
-			return fmt.Errorf("min-samples must be a positive integer, got %q", val)
-		}
-		r.MinSamples = n
-	case "min-w":
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || !(f >= 0 && f <= 1e9) {
-			return fmt.Errorf("min-w must be a non-negative number of watts, got %q", val)
-		}
-		r.MinW = f
-	case "rel-std":
-		if r.Detector != DetectFlatline {
-			return fmt.Errorf("rel-std only applies to flatline")
-		}
-		f, err := parseFrac()
-		if err != nil {
-			return err
-		}
-		r.RelStd = f
-	case "high-frac":
-		if r.Detector != DetectFlatline {
-			return fmt.Errorf("high-frac only applies to flatline")
-		}
-		f, err := parseFrac()
-		if err != nil {
-			return err
-		}
-		r.HighFrac = f
-	case "low-frac":
-		if r.Detector != DetectZombie {
-			return fmt.Errorf("low-frac only applies to zombie")
-		}
-		f, err := parseFrac()
-		if err != nil {
-			return err
-		}
-		r.LowFrac = f
-	case "overshoot-pct":
-		if r.Detector != DetectOvershoot {
-			return fmt.Errorf("overshoot-pct only applies to overshoot")
-		}
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || !(f > 0 && f <= 1e6) {
-			return fmt.Errorf("overshoot-pct must be a positive percentage, got %q", val)
-		}
-		r.OvershootPct = f
-	case "drift-frac":
-		if r.Detector != DetectDrift {
-			return fmt.Errorf("drift-frac only applies to drift")
-		}
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || !(f > 0 && f <= 100) {
-			return fmt.Errorf("drift-frac must be a positive fraction, got %q", val)
-		}
-		r.DriftFrac = f
-	case "runs":
-		if r.Detector != DetectDrift {
-			return fmt.Errorf("runs only applies to drift")
-		}
-		n, err := strconv.Atoi(val)
-		if err != nil || n < 1 || n > 1<<20 {
-			return fmt.Errorf("runs must be a positive integer, got %q", val)
-		}
-		r.Runs = n
-	default:
-		return fmt.Errorf("unknown key %q", key)
-	}
-	return nil
-}
-
-// validate checks cross-field coherence after overrides.
-func (r *Rule) validate() error {
-	if r.Name == "" {
-		return fmt.Errorf("rule has no name")
-	}
-	if strings.ContainsAny(r.Name, ";:,= \t\n\"") {
-		return fmt.Errorf("name %q contains reserved characters", r.Name)
-	}
-	if SeverityLevel(r.Severity) < 0 {
-		return fmt.Errorf("bad severity %q", r.Severity)
-	}
-	return nil
-}
-
 // String renders the rule in spec syntax, emitting every applicable
 // key so the output is self-describing and parses back to the same
 // rule (round-trip pinned by TestParseRulesRoundTrip and the fuzzer).
-func (r Rule) String() string {
-	var b strings.Builder
-	b.WriteString(r.Detector)
-	b.WriteString(":name=")
-	b.WriteString(r.Name)
-	fmt.Fprintf(&b, ",severity=%s,min-duration=%s,resolve-after=%s,min-samples=%d",
-		r.Severity, r.MinDuration, r.ResolveAfter, r.MinSamples)
-	switch r.Detector {
-	case DetectFlatline:
-		fmt.Fprintf(&b, ",min-w=%g,rel-std=%g,high-frac=%g", r.MinW, r.RelStd, r.HighFrac)
-	case DetectZombie:
-		fmt.Fprintf(&b, ",min-w=%g,low-frac=%g", r.MinW, r.LowFrac)
-	case DetectOvershoot:
-		fmt.Fprintf(&b, ",overshoot-pct=%g", r.OvershootPct)
-	case DetectDrift:
-		fmt.Fprintf(&b, ",min-w=%g,drift-frac=%g,runs=%d", r.MinW, r.DriftFrac, r.Runs)
-	}
-	return b.String()
-}
+func (r Rule) String() string { return r.Detector + ":" + r.Spec().String() }
 
 // FormatRules renders a rule set in spec syntax (see ParseRules).
 func FormatRules(rules []Rule) string {

@@ -69,6 +69,7 @@ func TestParseRulesErrors(t *testing.T) {
 		"zombie:rel-std=0.5",        // key does not apply to detector
 		"overshoot:low-frac=0.5",    // key does not apply to detector
 		"drift:overshoot-pct=10",    // key does not apply to detector
+		"overshoot:min-w=5",         // overshoot reads no watts floor (and String would drop it)
 		"flatline:severity=fatal",   // unknown severity
 		"flatline:min-duration=xyz", // bad duration
 		"flatline:min-duration=-5m", // negative duration

@@ -2,17 +2,18 @@ package anomaly
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hpcpower/internal/obs"
+	"hpcpower/internal/retry"
 )
 
 // Sink delivers alert events somewhere. Send must never block the
@@ -113,13 +114,14 @@ type WebhookConfig struct {
 // WebhookSink POSTs events to an HTTP endpoint from a single background
 // goroutine with at-least-once-effort semantics: bounded queue,
 // exponential backoff with full jitter, Retry-After honored, and a
-// consecutive-failure health breaker — the same discipline the shipper
-// applies to sample batches, self-contained here.
+// consecutive-failure health breaker — the discipline the shipper
+// applies to sample batches, from the same internal/retry kit.
 type WebhookSink struct {
 	cfg    WebhookConfig
 	client *http.Client
 	queue  chan Event
-	stopc  chan struct{}
+	ctx    context.Context // done = Close was called
+	stop   context.CancelFunc
 	wg     sync.WaitGroup
 	logger *slog.Logger
 
@@ -159,9 +161,9 @@ func NewWebhookSink(cfg WebhookConfig) (*WebhookSink, error) {
 		cfg:    cfg,
 		client: cfg.Client,
 		queue:  make(chan Event, cfg.MaxPending),
-		stopc:  make(chan struct{}),
 		logger: cfg.Logger,
 	}
+	s.ctx, s.stop = context.WithCancel(context.Background())
 	s.wg.Add(1)
 	go s.run()
 	return s, nil
@@ -187,7 +189,7 @@ func (s *WebhookSink) run() {
 	rng := rand.New(rand.NewSource(seed))
 	for {
 		select {
-		case <-s.stopc:
+		case <-s.ctx.Done():
 			return
 		case ev := <-s.queue:
 			s.deliver(rng, ev)
@@ -203,6 +205,7 @@ func (s *WebhookSink) deliver(rng *rand.Rand, ev Event) {
 		s.fail(fmt.Sprintf("encoding event %d: %v", ev.Seq, err))
 		return
 	}
+	backoff := retry.Backoff{Base: s.cfg.BaseBackoff, Max: s.cfg.MaxBackoff}
 	for attempt := 0; attempt < s.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			s.retries.Add(1)
@@ -221,10 +224,8 @@ func (s *WebhookSink) deliver(rng *rand.Rand, ev Event) {
 			s.fail(err.Error())
 			return
 		}
-		select {
-		case <-s.stopc:
+		if retry.Sleep(s.ctx, backoff.Delay(rng, attempt, retryAfter)) != nil {
 			return
-		case <-time.After(s.backoff(rng, attempt, retryAfter)):
 		}
 	}
 }
@@ -248,28 +249,7 @@ func (s *WebhookSink) post(body []byte, ev Event) (time.Duration, error) {
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		return 0, nil
 	}
-	var hint time.Duration
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		if secs, perr := strconv.Atoi(ra); perr == nil && secs > 0 {
-			hint = time.Duration(secs) * time.Second
-		}
-	}
-	return hint, fmt.Errorf("webhook: %s", resp.Status)
-}
-
-// backoff computes the sleep before the next attempt: the server's
-// Retry-After hint jittered over [hint/2, hint] when present, else
-// full jitter over an exponentially growing cap.
-func (s *WebhookSink) backoff(rng *rand.Rand, attempt int, retryAfter time.Duration) time.Duration {
-	if retryAfter > 0 {
-		half := retryAfter / 2
-		return half + time.Duration(rng.Int63n(int64(half)+1))
-	}
-	cap := s.cfg.BaseBackoff << uint(attempt)
-	if cap > s.cfg.MaxBackoff || cap <= 0 {
-		cap = s.cfg.MaxBackoff
-	}
-	return time.Duration(rng.Int63n(int64(cap)) + 1)
+	return retry.RetryAfter(resp.Header), fmt.Errorf("webhook: %s", resp.Status)
 }
 
 func (s *WebhookSink) fail(msg string) {
@@ -298,7 +278,7 @@ func (s *WebhookSink) Health() SinkHealth {
 // (counted) — alerting is best-effort delivery over an authoritative
 // ring.
 func (s *WebhookSink) Close() {
-	close(s.stopc)
+	s.stop()
 	s.wg.Wait()
 	s.dropped.Add(int64(len(s.queue)))
 }

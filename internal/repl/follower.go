@@ -4,12 +4,15 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hpcpower/internal/retry"
 )
 
 // FollowerConfig wires the follower pull loop to a primary and to the
@@ -149,22 +152,15 @@ func (f *Follower) Stats() FollowerStats {
 
 func (f *Follower) run() {
 	defer f.wg.Done()
-	backoff := 50 * time.Millisecond
-	const maxBackoff = 2 * time.Second
-	first := true
-	for f.ctx.Err() == nil {
-		if !first {
+	backoff := retry.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second}
+	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	for attempt := -1; f.ctx.Err() == nil; attempt++ { // -1: the first connect is not a retry
+		if attempt >= 0 {
 			f.reconnects.Add(1)
-			select {
-			case <-f.ctx.Done():
+			if retry.Sleep(f.ctx, backoff.Delay(rng, attempt, 0)) != nil {
 				return
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > maxBackoff {
-				backoff = maxBackoff
 			}
 		}
-		first = false
 		if f.needBootstrap.Load() {
 			if err := f.bootstrap(); err != nil {
 				if f.ctx.Err() == nil {
@@ -179,7 +175,7 @@ func (f *Follower) run() {
 			f.cfg.Logf("repl: follower %s: stream: %v", f.cfg.ID, err)
 		}
 		if progressed {
-			backoff = 50 * time.Millisecond
+			attempt = -1 // next reconnect waits from Base again
 		}
 	}
 }

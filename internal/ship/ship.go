@@ -1,7 +1,7 @@
 // Package ship is the fault-tolerant delivery side of the online
 // telemetry path: a Shipper takes the wire batches a monitoring agent
-// collects (rapl.PushAgent) and gets them to a powserved ingest endpoint
-// through an unreliable network.
+// collects and gets them to a powserved ingest endpoint through an
+// unreliable network.
 //
 // Delivery contract — at-least-once transport, exactly-once analytics:
 //
@@ -56,6 +56,7 @@ import (
 	"time"
 
 	"hpcpower/internal/obs"
+	"hpcpower/internal/retry"
 	"hpcpower/internal/trace"
 )
 
@@ -449,7 +450,7 @@ func (s *Shipper) deliver(ctx context.Context, e *batchEntry) error {
 			if rotations++; rotations%len(s.targets) == 0 {
 				// A full lap found no primary (mid-promotion window):
 				// back off before lapping again.
-				if err := s.sleep(ctx, s.backoff(attempt, 0)); err != nil {
+				if err := retry.Sleep(ctx, s.backoff(attempt, 0)); err != nil {
 					return err
 				}
 			}
@@ -472,7 +473,7 @@ func (s *Shipper) deliver(ctx context.Context, e *batchEntry) error {
 				slog.Uint64("seq", e.seq),
 				slog.String("target", t.url),
 				slog.Duration("retry_after", res.retryAfter))
-			if err := s.sleep(ctx, s.backoff(attempt, res.retryAfter)); err != nil {
+			if err := retry.Sleep(ctx, s.backoff(attempt, res.retryAfter)); err != nil {
 				return err
 			}
 			continue
@@ -492,7 +493,7 @@ func (s *Shipper) deliver(ctx context.Context, e *batchEntry) error {
 				slog.Uint64("seq", e.seq),
 				slog.String("target", t.url),
 				slog.Duration("retry_after", res.retryAfter))
-			if err := s.sleep(ctx, s.backoff(attempt, res.retryAfter)); err != nil {
+			if err := retry.Sleep(ctx, s.backoff(attempt, res.retryAfter)); err != nil {
 				return err
 			}
 			continue
@@ -549,7 +550,7 @@ func (s *Shipper) deliver(ctx context.Context, e *batchEntry) error {
 				continue
 			}
 		}
-		if err := s.sleep(ctx, s.backoff(attempt, res.retryAfter)); err != nil {
+		if err := retry.Sleep(ctx, s.backoff(attempt, res.retryAfter)); err != nil {
 			return err
 		}
 	}
@@ -589,7 +590,7 @@ func (s *Shipper) pickTarget(ctx context.Context) (t *target, probe bool, err er
 				minWait = wait
 			}
 		}
-		if err := s.sleep(ctx, minWait); err != nil {
+		if err := retry.Sleep(ctx, minWait); err != nil {
 			return nil, false, err
 		}
 	}
@@ -701,20 +702,7 @@ func (s *Shipper) post(ctx context.Context, t *target, e *batchEntry) (res postR
 		}
 		res.degraded = resp.Header.Get("X-Storage-Degraded") == "1"
 		res.overCap = resp.Header.Get("X-Over-Capacity") == "1"
-		// Prefer the millisecond hint: Retry-After rounds an idle-queue
-		// "come right back" up to a whole second.
-		if v := resp.Header.Get("X-Retry-After-Ms"); v != "" {
-			if ms, perr := strconv.ParseInt(v, 10, 64); perr == nil && ms > 0 {
-				res.retryAfter = time.Duration(ms) * time.Millisecond
-			}
-		} else if v := resp.Header.Get("Retry-After"); v != "" {
-			if secs, perr := strconv.Atoi(v); perr == nil && secs > 0 {
-				res.retryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		if res.retryAfter > s.cfg.MaxBackoff {
-			res.retryAfter = s.cfg.MaxBackoff
-		}
+		res.retryAfter = min(retry.RetryAfter(resp.Header), s.cfg.MaxBackoff)
 		return res, nil
 	default:
 		return res, nil
@@ -731,39 +719,11 @@ func storeMaxEpoch(u *atomic.Uint64, v uint64) {
 	}
 }
 
-// backoff computes the next retry delay: jitter over the server's
-// Retry-After hint when present, otherwise full jitter over an
-// exponentially growing ceiling — rand(0, min(MaxBackoff, Base·2^attempt)).
+// backoff draws the next retry delay (retry.Backoff.Delay) from the
+// shipper's seeded jitter source, which flushes on several goroutines
+// share.
 func (s *Shipper) backoff(attempt int, retryAfter time.Duration) time.Duration {
-	if retryAfter > 0 {
-		// Jitter over [retryAfter/2, retryAfter]: every shipper refused in
-		// the same shed window gets the same hint, and honoring it exactly
-		// would march them all back in one thundering herd.
-		s.rngMu.Lock()
-		d := retryAfter/2 + time.Duration(s.rng.Int63n(int64(retryAfter/2)+1))
-		s.rngMu.Unlock()
-		return d
-	}
-	ceil := s.cfg.BaseBackoff << uint(min(attempt, 30))
-	if ceil > s.cfg.MaxBackoff || ceil <= 0 {
-		ceil = s.cfg.MaxBackoff
-	}
 	s.rngMu.Lock()
-	d := time.Duration(s.rng.Int63n(int64(ceil) + 1))
-	s.rngMu.Unlock()
-	return d
-}
-
-func (s *Shipper) sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	defer s.rngMu.Unlock()
+	return retry.Backoff{Base: s.cfg.BaseBackoff, Max: s.cfg.MaxBackoff}.Delay(s.rng, attempt, retryAfter)
 }

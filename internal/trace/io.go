@@ -385,29 +385,3 @@ func (d *Dataset) ReadSeriesCSV(r io.Reader) error {
 		cur.Power = append(cur.Power, pw)
 	}
 }
-
-// WriteJobsJSONL writes one JSON object per job — a convenience format for
-// downstream tools that prefer JSON over CSV.
-func (d *Dataset) WriteJobsJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for i := range d.Jobs {
-		if err := enc.Encode(&d.Jobs[i]); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-	}
-	return nil
-}
-
-// ReadJobsJSONL parses jobs from a JSONL stream, appending to d.Jobs.
-func (d *Dataset) ReadJobsJSONL(r io.Reader) error {
-	dec := json.NewDecoder(r)
-	for {
-		var j Job
-		if err := dec.Decode(&j); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		d.Jobs = append(d.Jobs, j)
-	}
-}

@@ -158,35 +158,6 @@ func TestLoadMissingDir(t *testing.T) {
 	}
 }
 
-func TestJobsJSONLRoundTrip(t *testing.T) {
-	d := testDataset()
-	var buf bytes.Buffer
-	if err := d.WriteJobsJSONL(&buf); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 2 {
-		t.Errorf("jsonl lines = %d", lines)
-	}
-	var got Dataset
-	if err := got.ReadJobsJSONL(&buf); err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if len(got.Jobs) != 2 || got.Jobs[1].App != "FASTEST" {
-		t.Errorf("jsonl jobs = %+v", got.Jobs)
-	}
-	// Times survive exactly through JSON.
-	if !got.Jobs[0].Start.Equal(d.Jobs[0].Start) {
-		t.Errorf("jsonl time mismatch")
-	}
-}
-
-func TestJSONLBadInput(t *testing.T) {
-	var d Dataset
-	if err := d.ReadJobsJSONL(strings.NewReader("{not json")); err == nil {
-		t.Error("expected error")
-	}
-}
-
 func TestWriteJobsCSVGolden(t *testing.T) {
 	// Pin the schema: the header row is part of the released-data contract.
 	var d Dataset

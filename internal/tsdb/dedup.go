@@ -186,7 +186,7 @@ func (d *Deduper) InstallState(st *DeduperState) error {
 // d.mu and guarantee d.agents is the map to fill.
 func (d *Deduper) restoreLocked(st *DeduperState) error {
 	if st.Window != d.window {
-		return fmt.Errorf("tsdb: snapshot dedup window %d does not match configured window %d — restart with -dedup-window %d",
+		return fmt.Errorf("tsdb: snapshot dedup window %d does not match configured window %d — start the server with serve.Config.DedupWindow = %d",
 			st.Window, d.window, st.Window)
 	}
 	words := int(d.window / 64)

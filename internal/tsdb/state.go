@@ -151,7 +151,7 @@ func (s *Store) RestoreState(st *StoreState) error {
 // after the store has.
 func (s *Store) InstallState(st *StoreState) error {
 	if st.Shards != len(s.shards) {
-		return fmt.Errorf("tsdb: snapshot has %d shards, store is configured for %d — restart with -shards %d",
+		return fmt.Errorf("tsdb: snapshot has %d shards, store is configured for %d — open the store with tsdb.Config.Shards = %d",
 			st.Shards, len(s.shards), st.Shards)
 	}
 	if len(st.ShardAccs) != st.Shards {

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"io/fs"
 	"math/rand"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
+
+	"hpcpower/internal/spec"
 )
 
 // FaultConfig describes the faults a FaultFS injects. The zero value
@@ -300,54 +301,37 @@ func flipBit(p []byte, n int, bit int64) {
 	p[bit/8] ^= 1 << uint(bit%8)
 }
 
+// Spec is the -fault-disk grammar bound to c: one row per key, in the
+// order String renders. Zero fields are left out.
+func (c *FaultConfig) Spec() spec.Set {
+	return spec.Set{
+		spec.Int("seed", &c.Seed, "seed of the fault sequence"),
+		spec.Prob("read-eio", &c.ReadErrProb, "per-read EIO probability"),
+		spec.Prob("write-eio", &c.WriteErrProb, "per-write EIO probability"),
+		spec.Prob("sync-eio", &c.SyncErrProb, "per-fsync EIO probability"),
+		spec.Prob("bitflip", &c.BitFlipProb, "per-read probability of one flipped bit in the returned data"),
+		spec.Bool("torn", &c.TornWrites, "a failed write lands a partial prefix first"),
+		spec.Int("enospc-after", &c.WriteBudget, "bytes written before writes fail with ENOSPC (0 = never)").Min(0),
+		spec.Duration("enospc-for", &c.ENOSPCFor, "length of the ENOSPC outage (0 = until restart)").Min(0),
+		spec.Duration("latency", &c.Latency, "delay added to every faultable operation").Min(0),
+		spec.String("path", &c.PathSubstring, "inject only into files whose path contains this"),
+	}
+}
+
 // ParseFaultSpec parses a comma-separated key=value fault spec into a
 // FaultConfig, e.g.
 //
 //	seed=7,write-eio=0.001,sync-eio=0,bitflip=1e-6,torn=1,enospc-after=4194304,enospc-for=5s,latency=1ms,path=wal-
 //
-// Unknown keys are an error so typos in smoke scripts fail loudly.
-func ParseFaultSpec(spec string) (FaultConfig, error) {
+// Unknown keys, out-of-range values and a torn that is not 0/1/true/false
+// are errors, so typos in smoke scripts fail loudly.
+func ParseFaultSpec(s string) (FaultConfig, error) {
 	var cfg FaultConfig
-	if strings.TrimSpace(spec) == "" {
-		return cfg, nil
-	}
-	for _, kv := range strings.Split(spec, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return cfg, fmt.Errorf("vfs: fault spec %q: missing '='", kv)
-		}
-		var err error
-		switch k {
-		case "seed":
-			cfg.Seed, err = strconv.ParseInt(v, 10, 64)
-		case "read-eio":
-			cfg.ReadErrProb, err = strconv.ParseFloat(v, 64)
-		case "write-eio":
-			cfg.WriteErrProb, err = strconv.ParseFloat(v, 64)
-		case "sync-eio":
-			cfg.SyncErrProb, err = strconv.ParseFloat(v, 64)
-		case "bitflip":
-			cfg.BitFlipProb, err = strconv.ParseFloat(v, 64)
-		case "torn":
-			cfg.TornWrites = v == "1" || v == "true"
-		case "enospc-after":
-			cfg.WriteBudget, err = strconv.ParseInt(v, 10, 64)
-		case "enospc-for":
-			cfg.ENOSPCFor, err = time.ParseDuration(v)
-		case "latency":
-			cfg.Latency, err = time.ParseDuration(v)
-		case "path":
-			cfg.PathSubstring = v
-		default:
-			return cfg, fmt.Errorf("vfs: fault spec: unknown key %q", k)
-		}
-		if err != nil {
-			return cfg, fmt.Errorf("vfs: fault spec %q: %v", kv, err)
-		}
+	if err := cfg.Spec().Parse(s); err != nil {
+		return FaultConfig{}, fmt.Errorf("vfs: fault spec: %w", err)
 	}
 	return cfg, nil
 }
+
+// String is the inverse of ParseFaultSpec.
+func (c FaultConfig) String() string { return c.Spec().String() }

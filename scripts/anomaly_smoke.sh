@@ -24,38 +24,15 @@
 # Nothing may panic anywhere.
 set -eu
 
+name=anomaly-smoke
 workdir=$(mktemp -d)
 server_pid=""
 chaos_pid=""
 trap 'kill $server_pid $chaos_pid 2>/dev/null || true; rm -rf "$workdir"' EXIT INT TERM
 
-echo "anomaly-smoke: building binaries (-race)"
-go build -race -o "$workdir/powsim" ./cmd/powsim
-go build -race -o "$workdir/powserved" ./cmd/powserved
-go build -race -o "$workdir/powchaos" ./cmd/powchaos
-go build -race -o "$workdir/powload" ./cmd/powload
-
-echo "anomaly-smoke: generating dataset (emmy, 2% scale)"
-"$workdir/powsim" -system emmy -scale 0.02 -seed 42 -out "$workdir/traces" >/dev/null
-
-# wait_addr <logfile>: echo the bound address once the daemon reports it.
-wait_addr() {
-    i=0
-    while [ $i -lt 150 ]; do
-        a=$(sed -n 's/^pow[a-z]*: listening on \([^ ]*\).*/\1/p' "$1" | head -n1)
-        [ -n "$a" ] && { echo "$a"; return 0; }
-        sleep 0.1
-        i=$((i + 1))
-    done
-    echo "anomaly-smoke: daemon did not report its address" >&2
-    cat "$1" >&2
-    return 1
-}
-
-# metric <addr> <name>: print a metric's value (empty if absent).
-metric() {
-    curl -sf "http://$1/metrics" | sed -n "s/^$2 \\(.*\\)/\\1/p"
-}
+. "$(dirname "$0")/lib.sh"
+build_bins -race powsim powserved powchaos powload
+gen_dataset
 
 # ---- phase 1: clean control — zero alerts on the paper workload -----
 echo "anomaly-smoke: phase 1: fault-free paper workload must stay silent"

@@ -10,44 +10,17 @@
 # fault-free run to numerical tolerance. Binaries are built -race.
 set -eu
 
+name=chaos-smoke
 workdir=$(mktemp -d)
 server_pid=""
 proxy_pid=""
 trap 'kill $server_pid $proxy_pid 2>/dev/null || true; rm -rf "$workdir"' EXIT INT TERM
 
-echo "chaos-smoke: building binaries (-race)"
-go build -race -o "$workdir/powsim" ./cmd/powsim
-go build -race -o "$workdir/powserved" ./cmd/powserved
-go build -race -o "$workdir/powchaos" ./cmd/powchaos
-go build -race -o "$workdir/powload" ./cmd/powload
-
-echo "chaos-smoke: generating dataset (emmy, 2% scale)"
-"$workdir/powsim" -system emmy -scale 0.02 -seed 42 -out "$workdir/traces" >/dev/null
+. "$(dirname "$0")/lib.sh"
+build_bins -race powsim powserved powchaos powload
+gen_dataset
 
 MAX_SAMPLES=40000
-
-# wait_addr <logfile>: echo the bound address once the daemon reports it.
-wait_addr() {
-    i=0
-    while [ $i -lt 100 ]; do
-        a=$(sed -n 's/^pow[a-z]*: listening on \([^ ]*\).*/\1/p' "$1" | head -n1)
-        [ -n "$a" ] && { echo "$a"; return 0; }
-        sleep 0.1
-        i=$((i + 1))
-    done
-    echo "chaos-smoke: daemon did not report its address" >&2
-    cat "$1" >&2
-    return 1
-}
-
-# dump_jobs <base-url> <outdir>: save every job's live characterization.
-dump_jobs() {
-    curl -sf "$1/v1/jobs" | tr -d '{}[]"' | sed 's/jobs://' | tr ',' '\n' >"$2/ids"
-    while read -r id; do
-        [ -n "$id" ] || continue
-        curl -sf "$1/v1/jobs/$id/power" >"$2/job-$id.json"
-    done <"$2/ids"
-}
 
 # ---- run 1: fault-free baseline -------------------------------------
 # One ingest worker and one pusher keep sample order identical across
@@ -58,8 +31,7 @@ server_pid=$!
 base_addr=$(wait_addr "$workdir/base.log")
 "$workdir/powload" -addr "http://$base_addr" -dataset "$workdir/traces/emmy" \
     -batch 256 -concurrency 1 -max-samples $MAX_SAMPLES
-mkdir -p "$workdir/baseline"
-dump_jobs "http://$base_addr" "$workdir/baseline"
+dump_state "http://$base_addr" "$workdir/baseline"
 kill -TERM $server_pid && wait $server_pid 2>/dev/null || true
 server_pid=""
 
@@ -86,8 +58,7 @@ grep -q "fault mode verified: zero loss, zero double-counting" "$workdir/load.lo
 retries=$(sed -n 's/^powload: retries \([0-9]*\),.*/\1/p' "$workdir/load.log")
 [ "${retries:-0}" -gt 0 ] || { echo "chaos-smoke: no retries — chaos did not bite"; exit 1; }
 
-mkdir -p "$workdir/chaos-jobs"
-dump_jobs "http://$srv_addr" "$workdir/chaos-jobs"
+dump_state "http://$srv_addr" "$workdir/chaos-jobs"
 
 echo "chaos-smoke: checking delivery-health counters on /metrics"
 curl -sf "http://$srv_addr/metrics" >"$workdir/metrics.txt"

@@ -12,49 +12,21 @@
 # Binaries are built -race.
 set -eu
 
+name=crash-smoke
 workdir=$(mktemp -d)
 server_pid=""
 load_pid=""
 trap 'kill $server_pid $load_pid 2>/dev/null || true; rm -rf "$workdir"' EXIT INT TERM
 
-echo "crash-smoke: building binaries (-race)"
-go build -race -o "$workdir/powsim" ./cmd/powsim
-go build -race -o "$workdir/powserved" ./cmd/powserved
-go build -race -o "$workdir/powload" ./cmd/powload
-
-echo "crash-smoke: generating dataset (emmy, 2% scale)"
-"$workdir/powsim" -system emmy -scale 0.02 -seed 42 -out "$workdir/traces" >/dev/null
+. "$(dirname "$0")/lib.sh"
+build_bins -race powsim powserved powload
+gen_dataset
 
 MAX_SAMPLES=60000
 KILL_AT=$((MAX_SAMPLES / 3))
 # One pusher and one ingest worker keep apply order identical across
 # runs (WAL order = sequence order), so recovery is byte-reproducible.
 SRV_FLAGS="-workers 1 -snapshot-interval 1s -snapshot-every 64"
-
-# wait_addr <logfile>: echo the bound address once the daemon reports it.
-wait_addr() {
-    i=0
-    while [ $i -lt 150 ]; do
-        a=$(sed -n 's/^pow[a-z]*: listening on \([^ ]*\).*/\1/p' "$1" | head -n1)
-        [ -n "$a" ] && { echo "$a"; return 0; }
-        sleep 0.1
-        i=$((i + 1))
-    done
-    echo "crash-smoke: daemon did not report its address" >&2
-    cat "$1" >&2
-    return 1
-}
-
-# dump_state <base-url> <outdir>: summary + every job's characterization.
-dump_state() {
-    mkdir -p "$2"
-    curl -sf "$1/v1/summary" >"$2/summary.json"
-    curl -sf "$1/v1/jobs" | tr -d '{}[]"' | sed 's/jobs://' | tr ',' '\n' >"$2/ids"
-    while read -r id; do
-        [ -n "$id" ] || continue
-        curl -sf "$1/v1/jobs/$id/power" >"$2/job-$id.json"
-    done <"$2/ids"
-}
 
 # ---- run 1: control (durable, never crashes) ------------------------
 echo "crash-smoke: control run (durable, no crash)"

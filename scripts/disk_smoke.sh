@@ -21,51 +21,17 @@
 # Nothing may panic anywhere.
 set -eu
 
+name=disk-smoke
 workdir=$(mktemp -d)
 server_pid=""
 load_pid=""
 trap 'kill $server_pid $load_pid 2>/dev/null || true; rm -rf "$workdir"' EXIT INT TERM
 
-echo "disk-smoke: building binaries (-race)"
-go build -race -o "$workdir/powsim" ./cmd/powsim
-go build -race -o "$workdir/powserved" ./cmd/powserved
-go build -race -o "$workdir/powload" ./cmd/powload
-
-echo "disk-smoke: generating dataset (emmy, 2% scale)"
-"$workdir/powsim" -system emmy -scale 0.02 -seed 42 -out "$workdir/traces" >/dev/null
+. "$(dirname "$0")/lib.sh"
+build_bins -race powsim powserved powload
+gen_dataset
 
 MAX_SAMPLES=60000
-
-# wait_addr <logfile>: echo the bound address once the daemon reports it.
-wait_addr() {
-    i=0
-    while [ $i -lt 150 ]; do
-        a=$(sed -n 's/^pow[a-z]*: listening on \([^ ]*\).*/\1/p' "$1" | head -n1)
-        [ -n "$a" ] && { echo "$a"; return 0; }
-        sleep 0.1
-        i=$((i + 1))
-    done
-    echo "disk-smoke: daemon did not report its address" >&2
-    cat "$1" >&2
-    return 1
-}
-
-# metric <addr> <name>: print the metric's current value (empty if absent).
-metric() {
-    curl -sf "http://$1/metrics" | sed -n "s/^$2 \\(.*\\)/\\1/p"
-}
-
-# wait_metric <addr> <name> <want> <tries>: poll until the metric equals want.
-wait_metric() {
-    i=0
-    while [ $i -lt "$4" ]; do
-        [ "$(metric "$1" "$2")" = "$3" ] && return 0
-        sleep 0.1
-        i=$((i + 1))
-    done
-    echo "disk-smoke: $2 never reached $3" >&2
-    return 1
-}
 
 # ---- drill 1: ENOSPC window mid-ingest ------------------------------
 echo "disk-smoke: drill 1: ENOSPC window (budget 1.5MB, recovers after 6s)"

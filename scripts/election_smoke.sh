@@ -35,6 +35,7 @@
 # Binaries are built -race.
 set -eu
 
+name=election-smoke
 workdir=$(mktemp -d)
 a_pid=""; b_pid=""; w_pid=""; load_pid=""; ctl_pid=""
 pa_pid=""; pb_pid=""; pab_pid=""; paw_pid=""; pba_pid=""; pbw_pid=""
@@ -49,14 +50,9 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-echo "election-smoke: building binaries (-race)"
-go build -race -o "$workdir/powsim" ./cmd/powsim
-go build -race -o "$workdir/powserved" ./cmd/powserved
-go build -race -o "$workdir/powchaos" ./cmd/powchaos
-go build -race -o "$workdir/powload" ./cmd/powload
-
-echo "election-smoke: generating dataset (emmy, 2% scale)"
-"$workdir/powsim" -system emmy -scale 0.02 -seed 42 -out "$workdir/traces" >/dev/null
+. "$(dirname "$0")/lib.sh"
+build_bins -race powsim powserved powchaos powload
+gen_dataset
 
 # The advertise/peer graph is circular (a node must know its proxy URL
 # before either exists), so the drill uses fixed ports.
@@ -71,19 +67,6 @@ MAX_SAMPLES=60000
 # runs, so the final state is byte-comparable with the control.
 SRV_FLAGS="-workers 1 -snapshot-interval 1s -snapshot-every 64"
 ELECT_FLAGS="-heartbeat-interval 100ms"
-
-wait_addr() {
-    i=0
-    while [ $i -lt 150 ]; do
-        addr=$(sed -n 's/^pow[a-z]*: listening on \([^ ]*\).*/\1/p' "$1" | head -n1)
-        [ -n "$addr" ] && return 0
-        sleep 0.1
-        i=$((i + 1))
-    done
-    echo "election-smoke: daemon behind $1 did not report its address" >&2
-    cat "$1" >&2
-    return 1
-}
 
 # readyz <node>: the node's /readyz body (direct, out-of-band of the
 # proxied data path), empty on connection failure.
@@ -172,24 +155,13 @@ require_load_alive() {
 }
 
 # ---- control: same dataset, one durable server, zero faults ---------
-dump_state() {
-    mkdir -p "$2"
-    curl -sf "$1/v1/summary" >"$2/summary.json"
-    curl -sf "$1/v1/jobs" | tr -d '{}[]"' | sed 's/jobs://' | tr ',' '\n' >"$2/ids"
-    while read -r id; do
-        [ -n "$id" ] || continue
-        curl -sf "$1/v1/jobs/$id/power" >"$2/job-$id.json"
-    done <"$2/ids"
-}
-
 echo "election-smoke: control run"
 mkdir -p "$workdir/ctl-data"
 # shellcheck disable=SC2086
 "$workdir/powserved" -addr 127.0.0.1:0 -data-dir "$workdir/ctl-data" $SRV_FLAGS \
     >"$workdir/ctl.log" 2>&1 &
 ctl_pid=$!
-wait_addr "$workdir/ctl.log"
-ctl_addr=$addr
+ctl_addr=$(wait_addr "$workdir/ctl.log")
 "$workdir/powload" -addr "http://$ctl_addr" -dataset "$workdir/traces/emmy" \
     -batch 256 -concurrency 1 -max-samples $MAX_SAMPLES -fault >"$workdir/ctl-load.log"
 grep -q "fault mode verified" "$workdir/ctl-load.log" || {
@@ -241,9 +213,9 @@ start_proxy pba_pid "$PBA" "$PA"
 start_proxy pbw_pid "$PBW" "$W_ADDR"
 start_a
 start_b
-wait_addr "$workdir/a.log"
-wait_addr "$workdir/b.log"
-wait_addr "$workdir/w.log"
+wait_addr "$workdir/a.log" >/dev/null
+wait_addr "$workdir/b.log" >/dev/null
+wait_addr "$workdir/w.log" >/dev/null
 
 leader=$(wait_leader 15)
 [ "$leader" = "a" ] || { echo "election-smoke: configured primary a did not lead first (got $leader)"; exit 1; }

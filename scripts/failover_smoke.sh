@@ -17,6 +17,7 @@
 # Binaries are built -race.
 set -eu
 
+name=failover-smoke
 workdir=$(mktemp -d)
 primary_pid=""
 follower_pid=""
@@ -24,14 +25,9 @@ chaos_pid=""
 load_pid=""
 trap 'kill $primary_pid $follower_pid $chaos_pid $load_pid 2>/dev/null || true; rm -rf "$workdir"' EXIT INT TERM
 
-echo "failover-smoke: building binaries (-race)"
-go build -race -o "$workdir/powsim" ./cmd/powsim
-go build -race -o "$workdir/powserved" ./cmd/powserved
-go build -race -o "$workdir/powchaos" ./cmd/powchaos
-go build -race -o "$workdir/powload" ./cmd/powload
-
-echo "failover-smoke: generating dataset (emmy, 2% scale)"
-"$workdir/powsim" -system emmy -scale 0.02 -seed 42 -out "$workdir/traces" >/dev/null
+. "$(dirname "$0")/lib.sh"
+build_bins -race powsim powserved powchaos powload
+gen_dataset
 
 MAX_SAMPLES=60000
 KILL_AT=$((MAX_SAMPLES / 3))
@@ -40,31 +36,6 @@ KILL_AT=$((MAX_SAMPLES / 3))
 # Debug-level structured logs carry the shipper-minted trace IDs, which
 # the trace-propagation checks below grep across both nodes.
 SRV_FLAGS="-workers 1 -snapshot-interval 1s -snapshot-every 64 -log-level debug"
-
-# wait_addr <logfile>: echo the bound address once the daemon reports it.
-wait_addr() {
-    i=0
-    while [ $i -lt 150 ]; do
-        a=$(sed -n 's/^pow[a-z]*: listening on \([^ ]*\).*/\1/p' "$1" | head -n1)
-        [ -n "$a" ] && { echo "$a"; return 0; }
-        sleep 0.1
-        i=$((i + 1))
-    done
-    echo "failover-smoke: daemon did not report its address" >&2
-    cat "$1" >&2
-    return 1
-}
-
-# dump_state <base-url> <outdir>: summary + every job's characterization.
-dump_state() {
-    mkdir -p "$2"
-    curl -sf "$1/v1/summary" >"$2/summary.json"
-    curl -sf "$1/v1/jobs" | tr -d '{}[]"' | sed 's/jobs://' | tr ',' '\n' >"$2/ids"
-    while read -r id; do
-        [ -n "$id" ] || continue
-        curl -sf "$1/v1/jobs/$id/power" >"$2/job-$id.json"
-    done <"$2/ids"
-}
 
 # ---- run 1: control (single durable server, no chaos, no crash) -----
 echo "failover-smoke: control run"

@@ -33,6 +33,7 @@
 # Nothing may panic anywhere.
 set -eu
 
+name=overload-smoke
 workdir=$(mktemp -d)
 server_pid=""
 follower_pid=""
@@ -40,53 +41,17 @@ chaos_pid=""
 load_pid=""
 trap 'kill $server_pid $follower_pid $chaos_pid $load_pid 2>/dev/null || true; rm -rf "$workdir"' EXIT INT TERM
 
-echo "overload-smoke: building binaries (-race)"
-go build -race -o "$workdir/powsim" ./cmd/powsim
-go build -race -o "$workdir/powserved" ./cmd/powserved
-go build -race -o "$workdir/powchaos" ./cmd/powchaos
-go build -race -o "$workdir/powload" ./cmd/powload
-
-echo "overload-smoke: generating dataset (emmy, 2% scale)"
-"$workdir/powsim" -system emmy -scale 0.02 -seed 42 -out "$workdir/traces" >/dev/null
+. "$(dirname "$0")/lib.sh"
+build_bins -race powsim powserved powchaos powload
+gen_dataset
 
 MAX_SAMPLES=60000
-
-# wait_addr <logfile>: echo the bound address once the daemon reports it.
-wait_addr() {
-    i=0
-    while [ $i -lt 150 ]; do
-        a=$(sed -n 's/^pow[a-z]*: listening on \([^ ]*\).*/\1/p' "$1" | head -n1)
-        [ -n "$a" ] && { echo "$a"; return 0; }
-        sleep 0.1
-        i=$((i + 1))
-    done
-    echo "overload-smoke: daemon did not report its address" >&2
-    cat "$1" >&2
-    return 1
-}
-
-# metric <addr> <name>: print an unlabeled metric's value (empty if absent).
-metric() {
-    curl -sf "http://$1/metrics" | sed -n "s/^$2 \\(.*\\)/\\1/p"
-}
 
 # shed_total <addr>: sum of powserved_admit_shed_total across reasons.
 shed_total() {
     curl -sf "http://$1/metrics" \
         | sed -n 's/^powserved_admit_shed_total{[^}]*} \([0-9]*\)/\1/p' \
         | awk '{s += $1} END {print s + 0}'
-}
-
-# wait_metric <addr> <name> <want> <tries>: poll until the metric equals want.
-wait_metric() {
-    i=0
-    while [ $i -lt "$4" ]; do
-        [ "$(metric "$1" "$2")" = "$3" ] && return 0
-        sleep 0.1
-        i=$((i + 1))
-    done
-    echo "overload-smoke: $2 never reached $3 (last: $(metric "$1" "$2"))" >&2
-    return 1
 }
 
 # goodput <loadlog>: the acked-samples/s figure powload printed.
@@ -125,7 +90,7 @@ AGENT_RATE=$(awk "BEGIN {printf \"%.3f\", 0.7 * $CAP / (16 * 512)}")
 echo "overload-smoke: phase 1: 16 pushers vs per-agent ceiling ${AGENT_RATE} batches/s (70% of capacity)"
 mkdir -p "$workdir/pri-data" "$workdir/fol-data"
 "$workdir/powserved" -addr 127.0.0.1:0 -data-dir "$workdir/pri-data" \
-    -admit "agent-rate=$AGENT_RATE,agent-burst=2" -mem-watermark 64MiB \
+    -admit "agent-rate=$AGENT_RATE,agent-burst=2,mem-watermark=64MiB" \
     >"$workdir/pri.log" 2>&1 &
 server_pid=$!
 pri_addr=$(wait_addr "$workdir/pri.log")
@@ -214,7 +179,7 @@ echo "overload-smoke: phase 2a: memory watermark drill (2MiB, fat batches)"
 # fat batches sit queued (that cap would hold accounted memory just
 # *under* the watermark).
 "$workdir/powserved" -addr 127.0.0.1:0 -ring 64 \
-    -admit "step=20ms,min-inflight=48" -mem-watermark 2MiB \
+    -admit "step=20ms,min-inflight=48,mem-watermark=2MiB" \
     >"$workdir/run2.log" 2>&1 &
 server_pid=$!
 addr2=$(wait_addr "$workdir/run2.log")
@@ -247,7 +212,7 @@ server_pid=""
 # ---- phase 2b: pinned degraded mode — the 429 surface ---------------
 echo "overload-smoke: phase 2b: pinned watermark (16KiB) — 429 surface"
 "$workdir/powserved" -addr 127.0.0.1:0 -ring 64 \
-    -admit "step=20ms" -mem-watermark 16KiB \
+    -admit "step=20ms,mem-watermark=16KiB" \
     >"$workdir/run3.log" 2>&1 &
 server_pid=$!
 addr3=$(wait_addr "$workdir/run3.log")

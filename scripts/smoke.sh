@@ -11,18 +11,13 @@
 # to an in-process replay control (powanalyze -live-control).
 set -eu
 
+name=smoke
 workdir=$(mktemp -d)
 trap 'kill $server_pid 2>/dev/null || true; rm -rf "$workdir"' EXIT INT TERM
 
-echo "smoke: building binaries"
-go build -o "$workdir/powsim" ./cmd/powsim
-go build -o "$workdir/powpredict" ./cmd/powpredict
-go build -o "$workdir/powserved" ./cmd/powserved
-go build -o "$workdir/powload" ./cmd/powload
-go build -o "$workdir/powanalyze" ./cmd/powanalyze
-
-echo "smoke: generating dataset (emmy, 2% scale)"
-"$workdir/powsim" -system emmy -scale 0.02 -seed 42 -out "$workdir/traces" >/dev/null
+. "$(dirname "$0")/lib.sh"
+build_bins powsim powpredict powserved powload powanalyze
+gen_dataset
 
 echo "smoke: exporting BDT model"
 "$workdir/powpredict" -save-model "$workdir/model.json" "$workdir/traces/emmy" >/dev/null
@@ -31,15 +26,7 @@ echo "smoke: starting powserved on a random port"
 "$workdir/powserved" -addr 127.0.0.1:0 -model "$workdir/model.json" >"$workdir/served.log" 2>&1 &
 server_pid=$!
 
-addr=""
-for _ in $(seq 1 50); do
-    addr=$(sed -n 's/^powserved: listening on //p' "$workdir/served.log")
-    [ -n "$addr" ] && break
-    kill -0 $server_pid 2>/dev/null || { cat "$workdir/served.log"; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "smoke: server did not report its address"; cat "$workdir/served.log"; exit 1; }
-base="http://$addr"
+base="http://$(wait_addr "$workdir/served.log")"
 echo "smoke: server at $base"
 
 echo "smoke: replaying telemetry with powload"
@@ -77,20 +64,6 @@ wait $server_pid
 server_pid=""
 
 # ---- block-store pass: flush → SIGKILL → restart → parity -----------
-
-# wait_addr <logfile>: echo the bound address once the daemon reports it.
-wait_addr() {
-    i=0
-    while [ $i -lt 150 ]; do
-        a=$(sed -n 's/^powserved: listening on \([^ ]*\).*/\1/p' "$1" | head -n1)
-        [ -n "$a" ] && { echo "$a"; return 0; }
-        sleep 0.1
-        i=$((i + 1))
-    done
-    echo "smoke: block server did not report its address" >&2
-    cat "$1" >&2
-    return 1
-}
 
 # Single worker + single pusher keep the JobStats streams byte-
 # reproducible; the ring must match powanalyze -live-ring (16384), and
