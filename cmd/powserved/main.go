@@ -332,9 +332,9 @@ func main() {
 			snap = fmt.Sprintf("snapshot lsn %d (%d bytes, %s, loaded in %s)",
 				rep.SnapshotLSN, rep.SnapshotBytes, format, rep.SnapshotLoad.Round(time.Millisecond))
 		}
-		fmt.Printf("powserved: recovered %s in %s%s: %s, %d records (%d samples) replayed, %d tombstoned, %d bytes truncated\n",
+		fmt.Printf("powserved: recovered %s in %s%s: %s, %d records (%d samples) replayed, %d tombstoned, %d decode errors, %d bytes truncated\n",
 			*dataDir, rep.Duration.Round(time.Millisecond), stale, snap,
-			rep.RecordsReplayed, rep.SamplesReplayed, rep.Tombstoned, rep.TruncatedBytes)
+			rep.RecordsReplayed, rep.SamplesReplayed, rep.Tombstoned, rep.DecodeErrors, rep.TruncatedBytes)
 	} else {
 		srv = serve.New(store, bdt, cfg)
 	}

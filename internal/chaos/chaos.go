@@ -280,8 +280,8 @@ func (p *Proxy) flapDesc() string {
 // Stats returns a snapshot of the injection counters.
 func (p *Proxy) Stats() Stats {
 	return Stats{
-		Flap:  p.flapDesc(),
-		Flaps: p.flaps.Load(),
+		Flap:        p.flapDesc(),
+		Flaps:       p.flaps.Load(),
 		Requests:    p.requests.Load(),
 		Forwarded:   p.forwarded.Load(),
 		Clean:       p.clean.Load(),

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -198,8 +199,8 @@ type durability struct {
 	tracker atomic.Pointer[applyTracker]
 
 	// tombstoned is the live set of cancelled LSNs (refused batches whose
-	// WAL record must never be applied or streamed). Seeded by the
-	// recovery tombstone scan, extended by the pipeline's cancel stage,
+	// WAL record must never be applied or streamed). Seeded by the WAL's
+	// open scan, extended by the pipeline's cancel stage,
 	// and pruned below the oldest on-disk LSN whenever a snapshot reaps a
 	// segment.
 	tombMu     sync.Mutex
@@ -266,6 +267,102 @@ func (s *Server) decodeWALBody(body []byte, dst []trace.PowerSample) (trace.WALR
 	var rec trace.WALRecord
 	err := json.Unmarshal(body, &rec)
 	return rec, err
+}
+
+// replayBuffers is how many decoded records replay's decoder may run ahead
+// of its consumer, each in a sample buffer of its own that the consumer
+// hands back. Two would already overlap decode with apply; four absorb a
+// run of short records behind a long one. More buys nothing: replay goes
+// at the pace of the slower stage, not of the hand-off.
+const replayBuffers = 4
+
+// replay applies every data record past the snapshot frontier, in LSN
+// order — the order the live server applied them — and returns the
+// highest primary LSN a replayed record carried. Dedup marks are
+// re-recorded but never gate replay: a mark captured in the snapshot may
+// belong to a record that was still in flight at capture time, and
+// skipping it here would lose acknowledged data.
+//
+// It is a two-stage pipeline: the log.Replay callback reads, filters and
+// decodes; one consumer goroutine (applyReplayed) stamps and folds in
+// channel order, which is LSN order. The consumer has exited by the time
+// replay returns, with an error or without.
+func (s *Server) replay(log *wal.Log, img *snapshotImage, tombstoned map[uint64]struct{}, rep *RecoveryReport) (maxPLSN uint64, err error) {
+	applied := make(map[uint64]struct{}, len(img.Extras))
+	for _, e := range img.Extras {
+		applied[e] = struct{}{}
+	}
+	// Neither the store nor the engine keeps a batch, so the sample
+	// buffers go round: free → decoder → decoded → consumer → free.
+	free := make(chan []trace.PowerSample, replayBuffers)
+	for i := 0; i < replayBuffers; i++ {
+		free <- nil
+	}
+	// One slot per buffer: a send never waits for anything but a buffer.
+	decoded := make(chan trace.WALRecord, replayBuffers)
+	var folded replayTally
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.applyReplayed(decoded, free, &folded)
+	}()
+	err = log.Replay(func(lsn uint64, typ wal.RecordType, body []byte) error {
+		if typ != wal.RecordData {
+			return nil
+		}
+		if _, ok := tombstoned[lsn]; ok {
+			rep.Tombstoned++
+			return nil
+		}
+		if lsn <= img.AppliedLSN {
+			rep.RecordsSkipped++
+			return nil
+		}
+		if _, ok := applied[lsn]; ok {
+			rep.RecordsSkipped++
+			return nil
+		}
+		buf := <-free
+		wb, err := s.decodeWALBody(body, buf)
+		if err != nil {
+			free <- buf
+			rep.DecodeErrors++
+			return nil
+		}
+		if wb.PLSN > maxPLSN {
+			maxPLSN = wb.PLSN
+		}
+		decoded <- wb
+		return nil
+	})
+	close(decoded)
+	<-done
+	rep.RecordsReplayed = folded.records
+	rep.SamplesReplayed = folded.samples
+	rep.DecodeErrors += folded.refused
+	return maxPLSN, err
+}
+
+// replayTally is the consumer's share of the RecoveryReport, read by
+// replay once the consumer is done.
+type replayTally struct {
+	records, samples int64
+	refused          int64 // decoded, but the store would not take it
+}
+
+// applyReplayed is replay's consumer: until replay joins it, the only
+// writer of the store, the dedup index and the alert engine.
+func (s *Server) applyReplayed(decoded <-chan trace.WALRecord, free chan<- []trace.PowerSample, tally *replayTally) {
+	for wb := range decoded {
+		s.stamp(wb.Agent, wb.Seq)
+		if err := s.fold(wb.Samples, wb.Trace); err != nil {
+			tally.refused++
+		} else {
+			tally.records++
+			tally.samples += int64(len(wb.Samples))
+		}
+		free <- wb.Samples[:0]
+	}
 }
 
 // Recover restores the latest valid snapshot into the store and dedup
@@ -340,65 +437,16 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	}
 	d.log = log
 
-	applied := map[uint64]struct{}{}
-	for _, e := range img.Extras {
-		applied[e] = struct{}{}
-	}
-	// Pass 1: a tombstone cancels an earlier record, so collect them all
-	// before applying anything.
-	tombstoned := map[uint64]struct{}{}
-	err = log.Replay(func(lsn uint64, typ wal.RecordType, body []byte) error {
-		if typ == wal.RecordTombstone {
-			tombstoned[wal.DecodeTombstone(body)] = struct{}{}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("serve: wal tombstone scan: %w", err)
-	}
-	// Pass 2: apply every data record past the snapshot frontier, in LSN
-	// order — the order the live server applied them. Dedup marks are
-	// re-recorded but never gate replay: a mark captured in the snapshot
-	// may belong to a record that was still in flight at capture time,
-	// and skipping it here would lose acknowledged data.
-	maxPLSN := uint64(0)
-	var samples []trace.PowerSample // reused: neither the store nor the engine keeps a batch
-	err = log.Replay(func(lsn uint64, typ wal.RecordType, body []byte) error {
-		if typ != wal.RecordData {
-			return nil
-		}
-		if _, ok := tombstoned[lsn]; ok {
-			rep.Tombstoned++
-			return nil
-		}
-		if lsn <= img.AppliedLSN {
-			rep.RecordsSkipped++
-			return nil
-		}
-		if _, ok := applied[lsn]; ok {
-			rep.RecordsSkipped++
-			return nil
-		}
-		wb, err := s.decodeWALBody(body, samples)
-		if err != nil {
-			rep.DecodeErrors++
-			return nil
-		}
-		samples = wb.Samples
-		if wb.PLSN > maxPLSN {
-			maxPLSN = wb.PLSN
-		}
-		s.stamp(wb.Agent, wb.Seq)
-		if err := s.fold(wb.Samples, wb.Trace); err != nil {
-			rep.DecodeErrors++
-			return nil
-		}
-		rep.RecordsReplayed++
-		rep.SamplesReplayed += int64(len(wb.Samples))
-		return nil
-	})
+	// A tombstone cancels an earlier record, so all of them must be known
+	// before anything is applied; the open scan has already read them.
+	tombstoned := log.Tombstones()
+	maxPLSN, err := s.replay(log, img, tombstoned, &rep)
 	if err != nil {
 		return nil, fmt.Errorf("serve: wal replay: %w", err)
+	}
+	if rep.DecodeErrors > 0 {
+		s.metrics.logger.Warn("recovery dropped wal records that passed their CRC: acknowledged data is missing from the recovered state",
+			slog.Int64("records", rep.DecodeErrors))
 	}
 
 	// Everything on disk is now in the store: the frontier is the last
@@ -594,6 +642,8 @@ func (d *durability) collect(e *obs.Exposition) {
 		e.Gauge("powserved_recovery_samples_replayed", float64(rep.SamplesReplayed))
 		e.Gauge("powserved_recovery_records_skipped", float64(rep.RecordsSkipped))
 		e.Gauge("powserved_recovery_tombstoned", float64(rep.Tombstoned))
+		e.Help("powserved_recovery_decode_errors", "CRC-valid WAL records the last recovery could not decode or the store refused: acknowledged data missing from the recovered state.")
+		e.Gauge("powserved_recovery_decode_errors", float64(rep.DecodeErrors))
 		e.Gauge("powserved_recovery_truncated_bytes", float64(rep.TruncatedBytes))
 		e.Gauge("powserved_recovery_stale_lock", float64(b2i(rep.StaleLock)))
 		e.Gauge("powserved_recovery_seconds", rep.Duration.Seconds())

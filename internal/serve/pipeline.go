@@ -5,7 +5,9 @@ package serve
 // cancel as the rollback and await as the ack gate — fed from three
 // sources: the live handler (accept, then a worker), the follower's
 // stream (applyReplicated: logs with the primary's LSN, applies inline)
-// and WAL replay (Recover: nothing to log). A memory-only server runs
+// and WAL replay (Recover: nothing to log; the replay consumer goroutine
+// is the sole writer of store, dedup index and alert engine until Recover
+// joins it, before anything else can reach them). A memory-only server runs
 // the same code with the WAL as a no-op: log assigns LSN 0 and await has
 // no fsync to wait for.
 //

@@ -1,0 +1,485 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"log/slog"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
+	"syscall"
+	"testing"
+	"time"
+
+	"hpcpower/internal/anomaly"
+	"hpcpower/internal/rng"
+	"hpcpower/internal/trace"
+	"hpcpower/internal/tsdb"
+	"hpcpower/internal/vfs"
+	"hpcpower/internal/wal"
+)
+
+// segmentReads counts what a restart reads of the WAL — Opens of segment
+// files and the bytes read through them — and calls onOpen, if set, with
+// the running number of each Open before it happens.
+type segmentReads struct {
+	vfs.FS
+	opens, bytes atomic.Int64
+	onOpen       func(n int64)
+}
+
+func (c *segmentReads) Open(name string) (vfs.File, error) {
+	if !strings.HasPrefix(filepath.Base(name), "wal-") {
+		return c.FS.Open(name)
+	}
+	n := c.opens.Add(1)
+	if c.onOpen != nil {
+		c.onOpen(n)
+	}
+	f, err := c.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &countedFile{File: f, bytes: &c.bytes}, nil
+}
+
+type countedFile struct {
+	vfs.File
+	bytes *atomic.Int64
+}
+
+func (f *countedFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	f.bytes.Add(int64(n))
+	return n, err
+}
+
+// replayFixture is a data directory whose restart takes every branch of
+// replay, and the live server that tells what the restart must arrive at.
+type replayFixture struct {
+	dir     string
+	want    string           // durableState of the control
+	samples map[uint64]int64 // per replayed LSN, the samples its record adds
+	total   int64            // the control's Ingested
+}
+
+// The fixture's snapshot covers LSNs 1–3 and, out of order, 5; it was
+// taken by a follower that had pulled up to primary LSN 39.
+const (
+	fixtureSnapLSN  = 3
+	fixtureExtraLSN = 5
+	fixtureReplLSN  = 39
+	fixturePLSN     = 41
+)
+
+func withEngine() (*tsdb.Store, Config) {
+	store := durableStore()
+	cfg := pipelineConfig()
+	cfg.Anomaly = anomaly.NewEngine(anomaly.Config{Lookup: store.JobFingerprint})
+	return store, cfg
+}
+
+// durableState is everything a snapshot would hold of s, as JSON.
+func durableState(t testing.TB, s *Server) string {
+	t.Helper()
+	out, err := json.Marshal(struct {
+		Store   *tsdb.StoreState
+		Dedup   *tsdb.DeduperState
+		Anomaly *anomaly.EngineState
+	}{s.store.ExportState(), s.dedup.ExportState(), s.anom.ExportState()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// buildReplayFixture writes, by hand, a WAL in segments of segmentBytes
+// (0 for one segment) and a snapshot beside it:
+//
+//	lsn 1–3  applied, inside the snapshot (at or below its LSN)
+//	lsn 4    in flight when the snapshot was cut: replayed
+//	lsn 5    applied ahead of 4, a boot extra of the snapshot
+//	lsn 6    a record the queue refused, cancelled by the tombstone at 8
+//	lsn 7    a follower's record, stamped with primary LSN 41
+//	lsn 9    a CRC-valid body that will not decode
+//	lsn 11   an unstamped record the store refuses (negative power)
+//	others   a flatlining, traced job that fires an alert, and noise
+//
+// The control is a memory-only server that was sent, over HTTP, the
+// batches of the applied records in the order the crashed server applied
+// them: 1, 2, 3, 5, 4, 7, 10, 12, ….
+func buildReplayFixture(t *testing.T, segmentBytes int64) *replayFixture {
+	t.Helper()
+	const agent, traceID = "replay", "trace-replay"
+	flat := flatBatches(agent, 61, 2, 1_700_000_000, 45, 210)
+	noise := stampedBatches(23, 8)
+	seq := uint64(0)
+	rec := func(b trace.SampleBatch, traceID string) trace.WALRecord {
+		seq++
+		return trace.WALRecord{Agent: agent, Seq: seq, Samples: b.Samples, Trace: traceID}
+	}
+	// records[i] is the record at LSN i+1; nil where the log holds
+	// something else.
+	records := []*trace.WALRecord{}
+	add := func(r trace.WALRecord) { records = append(records, &r) }
+	add(rec(flat[0], traceID)) // 1
+	add(rec(noise[0], ""))     // 2
+	add(rec(flat[1], traceID)) // 3
+	add(rec(noise[1], ""))     // 4
+	add(rec(flat[2], traceID)) // 5
+	add(rec(noise[7], ""))     // 6
+	followed := rec(flat[3], traceID)
+	followed.PLSN = fixturePLSN
+	add(followed)                  // 7
+	records = append(records, nil) // 8: the tombstone
+	records = append(records, nil) // 9: the undecodable body
+	add(rec(flat[4], traceID))     // 10
+	refused := []trace.PowerSample{{Node: 1, JobID: 2, Unix: 1_700_000_000, PowerW: -5}}
+	add(trace.WALRecord{Samples: refused}) // 11
+	for i := 5; i < len(flat); i++ {
+		r := rec(flat[i], traceID)
+		r.PLSN = uint64(30 + i) // all below fixturePLSN: the maximum wins, not the last
+		add(r)
+		if n := i - 3; n < 7 {
+			add(rec(noise[n], ""))
+		}
+	}
+
+	store, cfg := withEngine()
+	ctl, ts := newPipelineServer(t, store, cfg, nil)
+	defer func() { ts.Close(); ctl.Close() }()
+	send := func(lsn uint64) {
+		r := records[lsn-1]
+		b := trace.SampleBatch{AgentID: r.Agent, Seq: r.Seq, Samples: r.Samples}
+		if code := postTraced(t, ts.URL, r.Trace, b).StatusCode; code != http.StatusAccepted {
+			t.Fatalf("control, lsn %d: status %d", lsn, code)
+		}
+	}
+	for _, lsn := range []uint64{1, 2, 3, fixtureExtraLSN} {
+		send(lsn)
+	}
+	img := &snapshotImage{
+		Store: ctl.store.ExportState(), Dedup: ctl.dedup.ExportState(), Anomaly: ctl.anom.ExportState(),
+		AppliedLSN: fixtureSnapLSN, Extras: []uint64{fixtureExtraLSN}, ReplLSN: fixtureReplLSN,
+	}
+	payload, err := encodeSnapshotImage(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := &replayFixture{dir: t.TempDir(), samples: map[uint64]int64{}}
+	for lsn := uint64(4); lsn <= uint64(len(records)); lsn++ {
+		if lsn == fixtureExtraLSN || lsn == 6 || lsn == 11 || records[lsn-1] == nil {
+			continue
+		}
+		send(lsn)
+		fx.samples[lsn] = int64(len(records[lsn-1].Samples))
+	}
+	fx.want, fx.total = durableState(t, ctl), ctl.store.Ingested()
+	if !strings.Contains(fx.want, `"type":"fire"`) || !strings.Contains(fx.want, traceID) {
+		t.Fatalf("the control fired no traced alert:\n%s", fx.want)
+	}
+
+	log, err := wal.Open(fx.dir, wal.Options{Policy: wal.SyncNone, SegmentBytes: segmentBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range records {
+		lsn := uint64(i + 1)
+		var got uint64
+		switch {
+		case lsn == 8:
+			got, err = log.AppendTombstone(6)
+		case lsn == 9:
+			got, err = log.Append([]byte(`{"agent":"replay","seq":900,"samples":[{"node":`))
+		default:
+			var body []byte
+			if body, err = trace.AppendWALRecord(nil, r); err != nil {
+				t.Fatal(err)
+			}
+			got, err = log.Append(body)
+		}
+		if err != nil || got != lsn {
+			t.Fatalf("writing lsn %d: got lsn %d, err %v", lsn, got, err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.WriteSnapshot(fx.dir, fixtureSnapLSN, payload); err != nil {
+		t.Fatal(err)
+	}
+	return fx
+}
+
+// recoverFixture restarts a server on fx.dir through fsys and checks
+// what replay arrived at and what it reported against the control.
+func recoverFixture(t *testing.T, fx *replayFixture, fsys vfs.FS) *Server {
+	t.Helper()
+	store, cfg := withEngine()
+	var logged bytes.Buffer
+	cfg.Logger = slog.New(slog.NewTextHandler(&logged, nil))
+	dcfg := quietDurability(fx.dir)
+	dcfg.FS = fsys
+	s, err := NewDurable(store, nil, cfg, dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Recover()
+	if err != nil {
+		s.Close()
+		t.Fatal(err)
+	}
+	if warns := strings.Count(logged.String(), "level=WARN"); warns != 1 || !strings.Contains(logged.String(), "records=2") {
+		t.Errorf("want one warning for the 2 dropped records, logged:\n%s", logged.String())
+	}
+	// The counters the sequential, three-pass replay reports for this
+	// directory.
+	got := [...]int64{rep.RecordsReplayed, rep.SamplesReplayed, rep.RecordsSkipped, rep.Tombstoned, rep.DecodeErrors, int64(rep.SnapshotLSN)}
+	want := [...]int64{int64(len(fx.samples)), sum(fx.samples), 4, 1, 2, fixtureSnapLSN}
+	if got != want || !rep.SnapshotFound {
+		t.Errorf("replayed/samples/skipped/tombstoned/decode errors/snapshot lsn %v, want %v (snapshot found: %v)", got, want, rep.SnapshotFound)
+	}
+	if got := s.dur.repl.replApplied.Load(); got != fixturePLSN {
+		t.Errorf("replApplied %d, want %d", got, fixturePLSN)
+	}
+	if got := s.store.Ingested(); got != fx.total {
+		t.Errorf("recovered %d samples, the control holds %d", got, fx.total)
+	}
+	if got := durableState(t, s); got != fx.want {
+		t.Errorf("recovered state differs from the live control\n got: %s\nwant: %s", got, fx.want)
+	}
+	return s
+}
+
+// TestReplayMatchesLiveControl: replay through the decode/apply pipeline
+// reports what the sequential replay reported and leaves store, dedup
+// index and alert engine byte-identical to a server that was simply sent
+// the same batches — on a log of one segment and of many.
+func TestReplayMatchesLiveControl(t *testing.T) {
+	for _, segmentBytes := range []int64{0, 512} {
+		t.Run(fmt.Sprintf("segment bytes %d", segmentBytes), func(t *testing.T) {
+			fx := buildReplayFixture(t, segmentBytes)
+			s := recoverFixture(t, fx, nil)
+			defer s.Close()
+			body := scrape(t, s)
+			if !strings.Contains(body, "\npowserved_recovery_decode_errors 2\n") {
+				t.Errorf("/metrics lacks powserved_recovery_decode_errors 2")
+			}
+		})
+	}
+}
+
+func scrape(t testing.TB, s *Server) string {
+	t.Helper()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	_, body := get(t, ts.URL+"/metrics")
+	return string(body)
+}
+
+// TestRestartReadsTheLogTwice: NewDurable + Recover open and read every
+// segment twice — the open scan and the replay — and no third time for
+// the tombstones.
+func TestRestartReadsTheLogTwice(t *testing.T) {
+	fx := buildReplayFixture(t, 512)
+	segs, err := filepath.Glob(filepath.Join(fx.dir, "wal-*.seg"))
+	if err != nil || len(segs) < 4 {
+		t.Fatalf("%d segments (%v), want at least 4", len(segs), err)
+	}
+	var onDisk int64
+	for _, seg := range segs {
+		st, err := vfs.OS.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += st.Size()
+	}
+	reads := &segmentReads{FS: vfs.OS}
+	s := recoverFixture(t, fx, reads)
+	defer s.Close()
+	if got, want := reads.opens.Load(), int64(2*len(segs)); got != want {
+		t.Errorf("%d opens of %d segment files, want %d", got, len(segs), want)
+	}
+	if got := reads.bytes.Load(); got != 2*onDisk {
+		t.Errorf("read %d bytes of a %d-byte log, want %d", got, onDisk, 2*onDisk)
+	}
+}
+
+// TestReplayReadErrorJoinsConsumer: reads start failing with EIO during
+// the replay pass while the consumer is held inside its first record, the
+// records decoded behind it waiting in the channel. Recover must not
+// return before the consumer has applied them and exited; then it reports
+// the error. Once the disk reads again, a fresh server recovers the
+// directory completely.
+func TestReplayReadErrorJoinsConsumer(t *testing.T) {
+	fx := buildReplayFixture(t, 512)
+	segs, err := filepath.Glob(filepath.Join(fx.dir, "wal-*.seg"))
+	if err != nil || len(segs) < 4 {
+		t.Fatalf("%d segments (%v), want at least 4", len(segs), err)
+	}
+	// The consumer is held on lsn 4, so the decoder gets as far as its
+	// replayBuffers records reach — lsn 11 — and the segment that fails
+	// must start no later than that.
+	failing, failingFirst := 0, uint64(0)
+	for i, seg := range segs {
+		var first uint64
+		if _, err := fmt.Sscanf(filepath.Base(seg), "wal-%d.seg", &first); err != nil {
+			t.Fatal(err)
+		}
+		if first > 4 && first <= 11 {
+			failing, failingFirst = i, first
+		}
+	}
+	if failing == 0 {
+		t.Fatalf("no segment starts between lsn 5 and 11: %v", segs)
+	}
+	// The open scan opens every segment once; the replay pass arms the
+	// hold with its first Open, and its Open of the failing segment is
+	// the first thing to see the fault.
+	var hold atomic.Bool
+	held, release := make(chan struct{}, 1), make(chan struct{})
+	ffs := vfs.NewFault(vfs.OS, vfs.FaultConfig{})
+	reads := &segmentReads{FS: ffs, onOpen: func(n int64) {
+		switch n {
+		case int64(len(segs) + 1):
+			hold.Store(true)
+		case int64(len(segs) + failing + 1):
+			ffs.Configure(func(c *vfs.FaultConfig) { c.ReadErrProb = 1 })
+		}
+	}}
+	store, cfg := withEngine()
+	cfg.Anomaly = anomaly.NewEngine(anomaly.Config{Lookup: func(job uint64) (anomaly.Fingerprint, bool) {
+		if hold.Load() {
+			select {
+			case held <- struct{}{}:
+			default:
+			}
+			<-release
+		}
+		return store.JobFingerprint(job)
+	}})
+	dcfg := quietDurability(fx.dir)
+	dcfg.FS = reads
+	s, err := NewDurable(store, nil, cfg, dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered := make(chan error, 1)
+	go func() {
+		_, err := s.Recover()
+		recovered <- err
+	}()
+	<-held
+	waitFor(t, "the replay pass to hit the read error", func() bool { return ffs.Stats().ReadErrors > 0 })
+	select {
+	case err := <-recovered:
+		t.Fatalf("Recover returned (%v) while the replay consumer was still applying", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	err = <-recovered
+	ingested := s.store.Ingested()
+	if !errors.Is(err, syscall.EIO) || !strings.Contains(err.Error(), "wal replay") {
+		t.Fatalf("Recover: %v, want the replay's EIO", err)
+	}
+	// Everything decoded before the error was applied, nothing else.
+	var want int64
+	for lsn, n := range fx.samples {
+		if lsn < failingFirst {
+			want += n
+		}
+	}
+	inSnapshot := fx.total - sum(fx.samples)
+	if replayed := ingested - inSnapshot; replayed != want {
+		t.Errorf("%d samples replayed when Recover returned, want the %d of the records before lsn %d", replayed, want, failingFirst)
+	}
+	s.Close()
+
+	ffs.Configure(func(c *vfs.FaultConfig) { c.ReadErrProb = 0 })
+	reads.onOpen = nil
+	recoverFixture(t, fx, reads).Close()
+}
+
+func sum(m map[uint64]int64) (total int64) {
+	for _, n := range m {
+		total += n
+	}
+	return total
+}
+
+// writeCrashImage fills dir with what a crash leaves of the end-to-end
+// benchmark's recover-crash run: no snapshot and a WAL of 1,000 records
+// × 512 samples — two agents of 512 nodes each, one record per agent and
+// minute, jobs on runs of 16 nodes. It returns the records' total size.
+func writeCrashImage(tb testing.TB, dir string) (records int, logBytes int64) {
+	tb.Helper()
+	const agentNodes = 512
+	records = 1000
+	log, err := wal.Open(dir, wal.Options{Policy: wal.SyncNone})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	src := rng.New(42)
+	level := make([]float64, 2*agentNodes)
+	for n := range level {
+		level[n] = 90 + 170*src.Float64()
+	}
+	samples := make([]trace.PowerSample, agentNodes)
+	var body []byte
+	for r := 0; r < records; r++ {
+		agent, tick := r%2, int64(r/2)
+		for i := range samples {
+			n := agent*agentNodes + i
+			w := math.Round(level[n]*(1+0.05*src.Norm())*10) / 10
+			samples[i] = trace.PowerSample{Node: n, JobID: uint64(n/16 + 1), Unix: 1_700_000_040 + tick*60, PowerW: math.Max(w, 0)}
+		}
+		rec := trace.WALRecord{Agent: fmt.Sprintf("agent-%d", agent), Seq: uint64(tick + 1), Samples: samples}
+		if body, err = trace.AppendWALRecord(body[:0], &rec); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := log.Append(body); err != nil {
+			tb.Fatal(err)
+		}
+		logBytes += int64(len(body))
+	}
+	if err := log.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return records, logBytes
+}
+
+// BenchmarkRecoverCrash is a whole restart after a crash with no snapshot
+// — NewDurable + Recover over writeCrashImage's WAL, the alert engine on.
+// Bytes are the log's; run it with -cpu 1,2 to see what the second core
+// buys and that the hand-off costs nothing without one.
+func BenchmarkRecoverCrash(b *testing.B) {
+	dir := b.TempDir()
+	records, logBytes := writeCrashImage(b, dir)
+	b.SetBytes(logBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		store := tsdb.New(tsdb.DefaultConfig())
+		cfg := DefaultConfig()
+		cfg.Anomaly = anomaly.NewEngine(anomaly.Config{Lookup: store.JobFingerprint})
+		s, err := NewDurable(store, nil, cfg, DurabilityConfig{Dir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := s.Recover()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if rep.RecordsReplayed != int64(records) || rep.DecodeErrors != 0 {
+			b.Fatalf("replayed %d records with %d decode errors, want %d and 0", rep.RecordsReplayed, rep.DecodeErrors, records)
+		}
+		crash(b, s, httptest.NewServer(s.Handler()))
+		b.StartTimer()
+	}
+}

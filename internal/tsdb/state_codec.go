@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
 
 	"hpcpower/internal/block"
 )
@@ -58,6 +60,11 @@ func (st *StoreState) AppendNodes(dst []byte) []byte {
 // that are left before anything is sized by it. Node ids must ascend
 // strictly, no ring may hold more than st.RingLen points, and nothing
 // may follow the last node.
+//
+// The framing is walked once; the chunks, which are where the time goes,
+// are then decoded by up to GOMAXPROCS workers over contiguous node
+// ranges. The error is the one a node-by-node decoder would stop at: the
+// bad chunk of the lowest node, before any framing error behind it.
 func (st *StoreState) DecodeNodes(b []byte) error {
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
@@ -71,26 +78,75 @@ func (st *StoreState) DecodeNodes(b []byte) error {
 	if count > 0 {
 		nodes = make([]NodeState, count)
 	}
+	// framed nodes have an id in nodes and a chunk in chunks; framingErr is
+	// why the walk stopped short of count.
+	chunks := make([][]byte, 0, count)
+	var framingErr error
 	prev := -1
-	var it block.ChunkIter
 	for i := range nodes {
 		id, n := binary.Uvarint(b)
 		if n <= 0 || id > math.MaxInt || len(b)-n < 4 {
-			return fmt.Errorf("tsdb: nodes section: node %d of %d is cut short or has a bad id", i, count)
+			framingErr = fmt.Errorf("tsdb: nodes section: node %d of %d is cut short or has a bad id", i, count)
+			break
 		}
 		if int(id) <= prev {
-			return fmt.Errorf("tsdb: nodes section: node %d after node %d, want strictly ascending ids", id, prev)
+			framingErr = fmt.Errorf("tsdb: nodes section: node %d after node %d, want strictly ascending ids", id, prev)
+			break
 		}
 		prev = int(id)
 		chunkLen := binary.LittleEndian.Uint32(b[n:])
 		b = b[n+4:]
 		if uint64(chunkLen) > uint64(len(b)) {
-			return fmt.Errorf("tsdb: nodes section: node %d claims a %d-byte chunk, %d bytes left", id, chunkLen, len(b))
+			framingErr = fmt.Errorf("tsdb: nodes section: node %d claims a %d-byte chunk, %d bytes left", id, chunkLen, len(b))
+			break
 		}
-		if err := it.Init(b[:chunkLen]); err != nil {
+		nodes[i].Node = int(id)
+		chunks = append(chunks, b[:chunkLen])
+		b = b[chunkLen:]
+	}
+
+	// Ranges ascend with the worker index, so the first worker with an
+	// error holds the lowest bad node. The first range is decoded here.
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(chunks)))
+	errs := make([]error, workers)
+	decode := func(w int) {
+		lo, hi := w*len(chunks)/workers, (w+1)*len(chunks)/workers
+		errs[w] = st.decodeRings(nodes[lo:hi], chunks[lo:hi])
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			decode(w)
+		}()
+	}
+	decode(0)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	if framingErr != nil {
+		return framingErr
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("tsdb: nodes section: %d bytes after the last node", len(b))
+	}
+	st.Nodes = nodes
+	return nil
+}
+
+// decodeRings fills nodes[i].Points from chunks[i], stopping at the first
+// chunk that will not decode or that holds more than a ring.
+func (st *StoreState) decodeRings(nodes []NodeState, chunks [][]byte) error {
+	var it block.ChunkIter
+	for i, chunk := range chunks {
+		id := nodes[i].Node
+		if err := it.Init(chunk); err != nil {
 			return fmt.Errorf("tsdb: nodes section: node %d: %w", id, err)
 		}
-		b = b[chunkLen:]
 		if it.Left() > st.RingLen {
 			return fmt.Errorf("tsdb: nodes section: node %d holds %d points, ring length is %d", id, it.Left(), st.RingLen)
 		}
@@ -111,11 +167,7 @@ func (st *StoreState) DecodeNodes(b []byte) error {
 			}
 			pts[j] = Point{Unix: t, PowerW: v}
 		}
-		nodes[i] = NodeState{Node: int(id), Points: pts}
+		nodes[i].Points = pts
 	}
-	if len(b) != 0 {
-		return fmt.Errorf("tsdb: nodes section: %d bytes after the last node", len(b))
-	}
-	st.Nodes = nodes
 	return nil
 }

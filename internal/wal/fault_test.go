@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -200,6 +201,35 @@ func TestSnapshotWriteFailureKeepsPrevious(t *testing.T) {
 	}
 }
 
+// TestReadErrorIsNotATornTail: a read that fails says nothing about what
+// is on disk. Open must refuse to start rather than truncate the log at
+// the frame it could not read, and Replay must report the error rather
+// than end early as if the log stopped there.
+func TestReadErrorIsNotATornTail(t *testing.T) {
+	dir := t.TempDir()
+	l, ffs := openFaultLog(t, dir, Options{Policy: SyncNone})
+	for i := 0; i < 5; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("record-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ffs.Configure(func(c *vfs.FaultConfig) { c.ReadErrProb = 1 })
+	err := l.Replay(func(uint64, RecordType, []byte) error { return nil })
+	if !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Replay over failing reads: %v, want EIO", err)
+	}
+	l.Close()
+
+	if _, err := Open(dir, Options{Policy: SyncNone, FS: ffs}); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Open over failing reads: %v, want EIO", err)
+	}
+	ffs.Configure(func(c *vfs.FaultConfig) { c.ReadErrProb = 0 })
+	l2, _ := openFaultLog(t, dir, Options{Policy: SyncNone})
+	if st := l2.Stats(); st.RecoveredRecords != 5 || st.TruncatedBytes != 0 {
+		t.Fatalf("after the failed Open: %d records, %d bytes truncated; want all 5 and none", st.RecoveredRecords, st.TruncatedBytes)
+	}
+}
+
 // --- FuzzWALBitFlip -------------------------------------------------
 
 var (
@@ -210,8 +240,8 @@ var (
 	walTemplateErr    error
 )
 
-// buildWALTemplate appends a deterministic set of records into a
-// single-segment log (the default 64 MiB rotation threshold keeps
+// buildWALTemplate appends a deterministic set of records, every fourth
+// followed by a tombstone, into a single-segment log (the default 64 MiB rotation threshold keeps
 // everything in one file) and captures the segment bytes. Fuzz workers
 // share it read-only.
 func buildWALTemplate() {
@@ -237,6 +267,15 @@ func buildWALTemplate() {
 		if err := l.WaitDurable(lsn); err != nil {
 			walTemplateErr = err
 			return
+		}
+		if i%4 == 3 {
+			// Cancel the record before last, so recovery has tombstones to
+			// account for.
+			walTemplateBodies = append(walTemplateBodies, tombstoneBody(lsn-1))
+			if _, err := l.AppendTombstone(lsn - 1); err != nil {
+				walTemplateErr = err
+				return
+			}
 		}
 	}
 	if err := l.Close(); err != nil {
@@ -269,7 +308,8 @@ func buildWALTemplate() {
 // FuzzWALBitFlip corrupts one byte of a sealed segment at an arbitrary
 // offset and re-opens the log. Recovery must never panic, and replay
 // must surface an exact prefix of the original records — never a record
-// at or past the corruption, never a record with altered content.
+// at or past the corruption, never a record with altered content — and
+// the tombstones Open collected are exactly the ones that replay sees.
 // (CRC32-C over type‖body catches any single-byte flip in a frame; a
 // flip in the 16-byte segment header either invalidates the magic —
 // dropping the whole segment — or shifts the base LSN, which the lsn
@@ -306,13 +346,20 @@ func FuzzWALBitFlip(f *testing.F) {
 		defer l.Close()
 		var lsns []uint64
 		var got [][]byte
+		cancelled := map[uint64]struct{}{}
 		err = l.Replay(func(lsn uint64, typ RecordType, body []byte) error {
 			lsns = append(lsns, lsn)
 			got = append(got, append([]byte(nil), body...))
+			if typ == RecordTombstone {
+				cancelled[DecodeTombstone(body)] = struct{}{}
+			}
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("replay after recovery must be clean (recovery should have truncated): %v", err)
+		}
+		if open := l.Tombstones(); !maps.Equal(open, cancelled) {
+			t.Fatalf("Open reports tombstones %v, replay of the recovered log sees %v", open, cancelled)
 		}
 		if len(got) > len(walTemplateBodies) {
 			t.Fatalf("replay surfaced %d records, template only had %d", len(got), len(walTemplateBodies))

@@ -119,7 +119,8 @@ func (fr *frameReader) release() {
 // is only valid during fn: the next frame overwrites it.
 //
 // err is nil on a clean EOF, wraps ErrTorn on an incomplete tail, is a
-// *CorruptError on damaged bytes, or is fn's error (scanning stops).
+// *CorruptError on damaged bytes, wraps the reader's error when a read
+// fails, or is fn's error (scanning stops).
 // A frame is never delivered to fn unless its CRC checks out — there is
 // no path that yields a silently wrong record.
 func scanSegment(r io.Reader, fn func(typ RecordType, body []byte) error) (firstLSN uint64, records int, validBytes int64, err error) {
@@ -150,7 +151,7 @@ func readSegmentHeader(r io.Reader) (firstLSN uint64, err error) {
 		if n == 0 && rerr == io.EOF {
 			return 0, fmt.Errorf("empty segment: %w", ErrTorn)
 		}
-		return 0, fmt.Errorf("segment header: %w", ErrTorn)
+		return 0, tornOrReadError("segment header", 0, rerr)
 	}
 	if string(hdr[:8]) != segMagic {
 		return 0, &CorruptError{Offset: 0, Reason: "bad magic"}
@@ -169,7 +170,7 @@ func (fr *frameReader) scanFrames(off int64, fn func(typ RecordType, body []byte
 			return records, off, nil
 		}
 		if rerr != nil {
-			return records, off, fmt.Errorf("frame header at %d: %w", off, ErrTorn)
+			return records, off, tornOrReadError("frame header", off, rerr)
 		}
 		bodyLen := binary.LittleEndian.Uint32(fh[0:4])
 		wantCRC := binary.LittleEndian.Uint32(fh[4:8])
@@ -182,7 +183,7 @@ func (fr *frameReader) scanFrames(off int64, fn func(typ RecordType, body []byte
 		}
 		body := fr.body[:bodyLen]
 		if _, rerr := io.ReadFull(fr.br, body); rerr != nil {
-			return records, off, fmt.Errorf("frame body at %d: %w", off, ErrTorn)
+			return records, off, tornOrReadError("frame body", off, rerr)
 		}
 		crc := crc32.Update(0, crcTable, fh[8:9])
 		crc = crc32.Update(crc, crcTable, body)
@@ -200,6 +201,16 @@ func (fr *frameReader) scanFrames(off int64, fn func(typ RecordType, body []byte
 		records++
 		off += int64(frameHeaderSize) + int64(bodyLen)
 	}
+}
+
+// tornOrReadError tells a stream that ended inside what (ErrTorn: the
+// bytes are not there, truncate) from a read that failed (the bytes may
+// well be there: an EIO must stop the scan, not shorten the log).
+func tornOrReadError(what string, off int64, rerr error) error {
+	if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%s at %d: %w", what, off, ErrTorn)
+	}
+	return fmt.Errorf("wal: reading %s at %d: %w", what, off, rerr)
 }
 
 // truncatable reports whether err is the kind recovery absorbs by

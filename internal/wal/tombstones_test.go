@@ -1,0 +1,146 @@
+package wal
+
+import (
+	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"hpcpower/internal/vfs"
+)
+
+// replayTombstones is the set a full Replay collects: what Tombstones
+// must report without that pass.
+func replayTombstones(t testing.TB, l *Log) map[uint64]struct{} {
+	t.Helper()
+	set := map[uint64]struct{}{}
+	err := l.Replay(func(_ uint64, typ RecordType, body []byte) error {
+		if typ == RecordTombstone {
+			set[DecodeTombstone(body)] = struct{}{}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// writeCancellingLog fills dir with 30 data records in small segments,
+// every third one cancelled by a tombstone two records later, and returns
+// the segment names.
+func writeCancellingLog(t *testing.T, dir string) []string {
+	t.Helper()
+	l, err := Open(dir, Options{Policy: SyncNone, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pending []uint64
+	for i := 0; i < 30; i++ {
+		lsn, err := l.Append([]byte(fmt.Sprintf("record-%02d-padding-padding", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			pending = append(pending, lsn)
+		}
+		if i%3 == 2 {
+			if _, err := l.AppendTombstone(pending[0]); err != nil {
+				t.Fatal(err)
+			}
+			pending = pending[1:]
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(vfs.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 4 {
+		t.Fatalf("want at least 4 segments, got %d", len(segs))
+	}
+	return segs
+}
+
+// TestOpenCollectsTombstones: the set Open's scan reports is the set a
+// Replay of the log it kept collects — all of it on a clean log, the
+// part before the tear on a torn tail, and nothing of a segment dropped
+// for a continuity break (nor of those behind it).
+func TestOpenCollectsTombstones(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, dir string, segs []string)
+		// kept is how many of the ten tombstones survive, when known.
+		kept int
+	}{
+		{"clean", func(*testing.T, string, []string) {}, 10},
+		{"torn tail", func(t *testing.T, dir string, segs []string) {
+			// Cut the last segment that holds a tombstone inside its last
+			// tombstone frame: the ones before the tear must be kept.
+			for i := len(segs) - 1; i >= 0; i-- {
+				path := filepath.Join(dir, segs[i])
+				f, err := os.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var lastType RecordType
+				_, _, valid, err := scanSegment(f, func(typ RecordType, _ []byte) error {
+					lastType = typ
+					return nil
+				})
+				f.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if lastType != RecordTombstone {
+					if err := os.Remove(path); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				if err := os.Truncate(path, valid-3); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			t.Fatal("no segment ends in a tombstone")
+		}, -1},
+		{"continuity break", func(t *testing.T, dir string, segs []string) {
+			// The second segment's name no longer matches its header.
+			first, _ := firstLSNFromName(segs[1])
+			if err := os.Rename(filepath.Join(dir, segs[1]), filepath.Join(dir, segmentName(first+1))); err != nil {
+				t.Fatal(err)
+			}
+		}, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			segs := writeCancellingLog(t, dir)
+			ref := openTest(t, dir, Options{Policy: SyncNone})
+			all := replayTombstones(t, ref)
+			ref.Close()
+			if len(all) != 10 {
+				t.Fatalf("the log holds %d tombstones, want 10", len(all))
+			}
+			tc.damage(t, dir, segs)
+
+			l := openTest(t, dir, Options{Policy: SyncNone})
+			got, want := l.Tombstones(), replayTombstones(t, l)
+			if !maps.Equal(got, want) {
+				t.Fatalf("Open reports %v, a replay of the kept log sees %v", got, want)
+			}
+			switch {
+			case tc.kept >= 0 && len(got) != tc.kept:
+				t.Fatalf("%d tombstones kept, want %d", len(got), tc.kept)
+			case tc.kept < 0 && (len(got) == 0 || len(got) >= len(all)):
+				t.Fatalf("%d of %d tombstones kept, want some but not all", len(got), len(all))
+			}
+			if tc.name == "continuity break" && l.Stats().DroppedSegments == 0 {
+				t.Fatal("no segment was dropped")
+			}
+		})
+	}
+}

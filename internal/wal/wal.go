@@ -160,6 +160,8 @@ type Log struct {
 	truncatedBytes             int64
 	droppedSegments            int
 	recoveredRecords           int64
+	// tombstones is what Open's scan found cancelled; see Tombstones.
+	tombstones map[uint64]struct{}
 
 	closed bool
 }
@@ -251,9 +253,25 @@ func (l *Log) recoverSegments() error {
 	}
 	expect := uint64(0) // expected firstLSN of the next segment (0 = any)
 	lastIdx := -1
+	// The scan reads and CRCs every frame anyway, so it also notes which
+	// LSNs the tombstones cancel: per segment, kept only once the segment
+	// (or its valid prefix) is known to stay in the log.
+	l.tombstones = map[uint64]struct{}{}
+	var cancelled []uint64
+	keepCancelled := func() {
+		for _, lsn := range cancelled {
+			l.tombstones[lsn] = struct{}{}
+		}
+	}
 	for i, name := range names {
 		path := filepath.Join(l.dir, name)
-		first, records, valid, scanErr := l.scanFile(path, nil)
+		cancelled = cancelled[:0]
+		first, records, valid, scanErr := l.scanFile(path, func(typ RecordType, body []byte) error {
+			if typ == RecordTombstone {
+				cancelled = append(cancelled, DecodeTombstone(body))
+			}
+			return nil
+		})
 		nameLSN, nameOK := firstLSNFromName(name)
 		mismatch := scanErr == nil &&
 			(!nameOK || nameLSN != first || (expect != 0 && first != expect))
@@ -278,12 +296,14 @@ func (l *Log) recoverSegments() error {
 				}
 				lastIdx = i - 1
 			} else {
+				keepCancelled()
 				l.recoveredRecords += int64(records)
 				l.nextLSN = first + uint64(records)
 				lastIdx = i
 			}
 			break
 		}
+		keepCancelled()
 		l.recoveredRecords += int64(records)
 		l.nextLSN = first + uint64(records)
 		expect = first + uint64(records)
@@ -650,6 +670,14 @@ func (l *Log) Replay(fn func(lsn uint64, typ RecordType, body []byte) error) err
 	}
 	return nil
 }
+
+// Tombstones returns the LSNs cancelled by the tombstones Open's recovery
+// scan read in the prefix of the log it kept — the set a Replay right
+// after Open would collect, without reading the log again. A segment
+// dropped for a continuity break contributes none; the frames before a
+// torn tail do. The Log never touches the set after Open: it is the
+// caller's to keep and extend.
+func (l *Log) Tombstones() map[uint64]struct{} { return l.tombstones }
 
 // Reap deletes segments whose records are all ≤ throughLSN (covered by a
 // snapshot), always keeping the active segment. Registered reap holds
