@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-block bench-codec bench-wal bench-snapshot bench-tsdb bench-e2e bench-compare bench-selftest fuzz-codec fuzz-snapshot smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state block-check obs-check ci clean
+.PHONY: all build vet test race bench bench-block bench-codec bench-wal bench-snapshot bench-tsdb bench-e2e bench-compare bench-selftest fuzz-codec fuzz-snapshot fuzz-sort smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state block-check obs-check ci clean
 
 # The fuzz and bench targets below are the CI gates: .github/workflows/ci.yml
 # calls them by name, one step per target, so a gate is spelled here and
@@ -31,12 +31,17 @@ bench:
 # Read-path benchmarks: Gorilla encode cost + bytes/sample, chunk decode
 # (ns/point), the range-scan hot path behind /v1/query/range; the
 # fleet-wide 6 h distribution pull behind /v1/query/distribution
-# (blocks only, straddling the frontier, head only); and the radix sort
-# under it against sort.Float64s.
+# (blocks only, straddling the frontier, head only) and the head half of
+# it on one ring (window found by search, and by filtering when the ring
+# holds a late arrival); the sort under it (counting for quantised
+# readings, radix for continuous ones, and what a failed counting attempt
+# costs) against sort.Float64s; and the range response's append encoder
+# against encoding/json.
 bench-block:
 	$(call gobench,'BlockEncode|ChunkDecode|RangeScan',./internal/block/)
-	$(call gobench,'Distribution',./internal/tsdb/)
+	$(call gobench,'Distribution|RingWindow',./internal/tsdb/)
 	$(call gobench,'SortFloat64s',./internal/stats/)
+	$(call gobench,'RangeResponseEncode',./internal/serve/)
 
 # Ingest-codec microbenchmarks on a 512-sample body: the single-pass
 # scanner against the encoding/json decode it replaced, and the append
@@ -102,6 +107,12 @@ fuzz-codec:
 # Seeds are whole images, so the minimizer gets a short leash.
 fuzz-snapshot:
 	$(call gofuzz,FuzzSnapshotDecode,20s -fuzzminimizetime 2s,./internal/serve/)
+
+# Fuzz SortFloat64s against slices.Sort on inputs read as float64s, short
+# and repeated up to a length that takes the counting path: the same
+# order on every path, NaNs first.
+fuzz-sort:
+	$(call gofuzz,FuzzSortFloat64s,15s,./internal/stats/)
 
 # End-to-end smoke: generate a small dataset, export a model, start
 # powserved on a random port, replay the dataset with powload, and check

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hpcpower/internal/obs"
+	"hpcpower/internal/stats"
 )
 
 // metrics is the server's observability surface, built on obs.Registry:
@@ -122,6 +123,7 @@ func newMetrics(queueDepth func() int) *metrics {
 	// Legacy per-endpoint and per-agent families, derived at scrape time.
 	reg.AddCollector(m.collectLegacyRequests)
 	reg.AddCollector(m.collectAgents)
+	reg.AddCollector(collectSortPaths)
 	obs.RegisterRuntime(reg)
 	return m
 }
@@ -248,6 +250,16 @@ func (m *metrics) collectAgents(e *obs.Exposition) {
 	for i, name := range names {
 		e.GaugeL("powserved_agent_spill_depth", "agent", name, float64(reps[i].spillDepth))
 	}
+}
+
+// collectSortPaths emits stats.SortPaths: which way the process's large
+// sorts went — in a server, the ones under /v1/query/distribution.
+func collectSortPaths(e *obs.Exposition) {
+	counted, radix, gaveUp := stats.SortPaths()
+	e.Help("powserved_sort_total", "Sorts of 1,024 values or more by path: count sorted by counting distinct values, radix ran the radix passes, gave_up are the radix sorts that tried counting first and found too many distinct values.")
+	e.CounterL("powserved_sort_total", "path", "count", float64(counted))
+	e.CounterL("powserved_sort_total", "path", "radix", float64(radix))
+	e.CounterL("powserved_sort_total", "path", "gave_up", float64(gaveUp))
 }
 
 // breakerStateValue encodes the reported breaker state as a numeric

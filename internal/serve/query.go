@@ -64,10 +64,7 @@ func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.metrics.valuesScanned.With("query_range").Add(int64(len(aggs)))
-		writeJSON(w, http.StatusOK, map[string]any{
-			"node": node, "step": step, "frontier": frontier, "points": aggs,
-			"degraded": degraded,
-		})
+		writeRangeResponse(w, &rangeResponse{node: node, step: step, frontier: frontier, degraded: degraded, aggs: aggs})
 		return
 	}
 	points, degraded, err := s.store.QueryRange(node, from, to)
@@ -76,10 +73,7 @@ func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.valuesScanned.With("query_range").Add(int64(len(points)))
-	writeJSON(w, http.StatusOK, map[string]any{
-		"node": node, "frontier": frontier, "points": points,
-		"degraded": degraded,
-	})
+	writeRangeResponse(w, &rangeResponse{node: node, frontier: frontier, degraded: degraded, points: points})
 }
 
 func (s *Server) handleQueryNodes(w http.ResponseWriter, r *http.Request) {

@@ -441,6 +441,10 @@ func TestQueryDistributionGolden(t *testing.T) {
 		"# HELP powserved_query_values_scanned_total ",
 		`powserved_query_values_scanned_total{endpoint="query_distribution"} ` + strconv.FormatInt(scanned, 10) + "\n",
 		`powserved_query_values_scanned_total{endpoint="query_range"} 60` + "\n",
+		"# HELP powserved_sort_total ",
+		`powserved_sort_total{path="count"} `,
+		`powserved_sort_total{path="radix"} `,
+		`powserved_sort_total{path="gave_up"} `,
 	} {
 		if !strings.Contains(string(metrics), line) {
 			t.Fatalf("/metrics lacks %q", line)

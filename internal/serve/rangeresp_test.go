@@ -1,0 +1,154 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"hpcpower/internal/block"
+	"hpcpower/internal/rng"
+	"hpcpower/internal/trace"
+	"hpcpower/internal/tsdb"
+)
+
+// viaEncodingJSON is the response as handleQueryRange wrote it before it
+// had an encoder of its own; ok is whether Encode succeeded.
+func viaEncodingJSON(r *rangeResponse) ([]byte, bool) {
+	m := map[string]any{"node": r.node, "frontier": r.frontier, "points": r.points, "degraded": r.degraded}
+	if r.step > 0 {
+		m["step"], m["points"] = r.step, r.aggs
+	}
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(m)
+	return buf.Bytes(), err == nil
+}
+
+// TestRangeResponseMatchesEncodingJSON pins the append encoder to the
+// bytes of json.NewEncoder(w).Encode(map[string]any{…}), raw and step=.
+func TestRangeResponseMatchesEncodingJSON(t *testing.T) {
+	// Every form encoding/json has for a float64: plain, both exponent
+	// forms and the numbers on either side of where they start, −0,
+	// integers, sensor readings at 0.1 W, the extremes.
+	floats := []float64{0, math.Copysign(0, -1), 1, -1, 151, 151.2, 90.1, 349.9, 0.1, 0.30000000000000004,
+		1e-7, 1.5e-7, -1e-7, 1e-6, 9.99e-7, 1e20, 1e21, 1.5e21, -1e21, 1e22, 1e100, 1e-100,
+		123456789.125, 5e-324, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	var points []tsdb.Point
+	var aggs []block.AggPoint
+	for i, f := range floats {
+		points = append(points, tsdb.Point{Unix: 1_700_000_000 + int64(i)*60, PowerW: f})
+		aggs = append(aggs, block.AggPoint{T: int64(i) * 300, Count: int64(i), Sum: f, Min: floats[(i+1)%len(floats)], Max: floats[(i+2)%len(floats)]})
+	}
+	cases := map[string]rangeResponse{
+		"raw nil points":       {node: 3, frontier: 7200},
+		"raw empty points":     {node: 3, frontier: 7200, points: []tsdb.Point{}},
+		"raw degraded":         {node: 0, frontier: 0, degraded: true, points: points[:3]},
+		"raw every float form": {node: math.MaxInt32, frontier: math.MaxInt64, points: points},
+		"raw negative times":   {node: 1, frontier: -1, points: []tsdb.Point{{Unix: math.MinInt64, PowerW: 1}, {Unix: -60, PowerW: 2}}},
+		"raw with aggs set":    {node: 1, points: points[:2], aggs: aggs[:1]}, // step 0: aggs are not part of it
+		"step nil points":      {node: 3, step: 300, frontier: 7200},
+		"step empty points":    {node: 3, step: 300, frontier: 7200, aggs: []block.AggPoint{}},
+		"step degraded":        {node: 9, step: 1, frontier: 14400, degraded: true, aggs: aggs[:2]},
+		"step every form":      {node: 1023, step: 3600, frontier: 1_700_000_000, aggs: aggs},
+		"raw NaN":              {points: []tsdb.Point{{Unix: 1, PowerW: 1}, {Unix: 2, PowerW: math.NaN()}}},
+		"raw +Inf":             {points: []tsdb.Point{{Unix: 1, PowerW: math.Inf(1)}}},
+		"step -Inf min":        {step: 60, aggs: []block.AggPoint{{T: 0, Count: 1, Sum: 1, Min: math.Inf(-1), Max: 1}}},
+		"step NaN sum":         {step: 60, aggs: []block.AggPoint{{T: 0, Count: 1, Sum: math.NaN(), Min: 1, Max: 1}}},
+		"step overflowed max":  {step: 60, aggs: []block.AggPoint{{T: 0, Count: 2, Sum: 2, Min: 1, Max: math.Inf(1)}}},
+	}
+	for name, r := range cases {
+		want, wantOK := viaEncodingJSON(&r)
+		got, ok := r.appendJSON([]byte("kept:"))
+		if ok != wantOK {
+			t.Errorf("%s: ok = %v, json.Encoder succeeded = %v", name, ok, wantOK)
+			continue
+		}
+		if ok && !bytes.Equal(got, append([]byte("kept:"), want...)) {
+			t.Errorf("%s:\n got %s\nwant kept:%s", name, got, want)
+		}
+	}
+}
+
+// rangeFixtureServer holds six hours of node 1 at 0.1 W (and a second
+// node around it), the first four hours sealed into two blocks and the
+// last two in the head: the 360-point read the dashboards make.
+func rangeFixtureServer(t testing.TB) string {
+	s, ts := newBlockServer(t, DefaultConfig())
+	src := rng.New(20)
+	var samples []trace.PowerSample
+	for tick := int64(0); tick < 360; tick++ {
+		for node := 0; node < 2; node++ {
+			w := math.Round((90+260*src.Float64())*10) / 10
+			samples = append(samples, trace.PowerSample{Node: node, JobID: 1, Unix: qWindow + tick*60, PowerW: w})
+		}
+	}
+	if err := s.store.Append(samples); err != nil {
+		t.Fatal(err)
+	}
+	if sealed, err := s.store.FlushBlocks(3 * qWindow); err != nil || sealed != 2 {
+		t.Fatalf("sealed %d windows, err %v, want 2", sealed, err)
+	}
+	if _, err := s.store.Blocks().CompactPending(); err != nil {
+		t.Fatal(err)
+	}
+	return ts.URL
+}
+
+// TestRangeResponseFixture compares what the handler sends over HTTP with
+// testdata/range_*.json, which are the bodies the encoding/json handler
+// of PR 19 (commit 5cd4e74) sent for the same store and requests.
+func TestRangeResponseFixture(t *testing.T) {
+	url := rangeFixtureServer(t)
+	for file, query := range map[string]string{
+		"range_360_raw.json":  fmt.Sprintf("/v1/query/range?node=1&from=%d&to=%d", qWindow, 4*qWindow-1),
+		"range_360_step.json": fmt.Sprintf("/v1/query/range?node=1&from=%d&to=%d&step=300", qWindow, 4*qWindow-1),
+		"range_none.json":     "/v1/query/range?node=7&from=1&to=2",
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, got := get(t, url+query)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("%s: status %d, content type %q", query, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: body differs from testdata/%s:\n got %.200s\nwant %.200s", query, file, got, want)
+		}
+	}
+}
+
+// BenchmarkRangeResponseEncode is the encode share of a six-hour raw
+// range read, 360 points at 0.1 W: the append encoder into its pooled
+// buffer against the encoding/json call it replaced.
+func BenchmarkRangeResponseEncode(b *testing.B) {
+	src := rng.New(20)
+	r := &rangeResponse{node: 17, frontier: 1_700_000_000, points: make([]tsdb.Point, 360)}
+	for i := range r.points {
+		r.points[i] = tsdb.Point{Unix: 1_700_000_000 + int64(i)*60, PowerW: math.Round((90+260*src.Float64())*10) / 10}
+	}
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf := responsePool.Get().(*[]byte)
+			*buf, _ = r.appendJSON((*buf)[:0])
+			io.Discard.Write(*buf)
+			responsePool.Put(buf)
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			err := json.NewEncoder(io.Discard).Encode(map[string]any{
+				"node": r.node, "frontier": r.frontier, "points": r.points, "degraded": r.degraded})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -451,7 +451,7 @@ func appendRecord(dst []byte, f *fields) ([]byte, error) {
 			dst = append(dst, `,"t":`...)
 			dst = strconv.AppendInt(dst, s.Unix, 10)
 			dst = append(dst, `,"w":`...)
-			dst = appendFloat(dst, s.PowerW)
+			dst = AppendJSONFloat(dst, s.PowerW)
 			dst = append(dst, '}')
 		}
 		dst = append(dst, ']')
@@ -467,10 +467,11 @@ func appendRecord(dst []byte, f *fields) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// appendFloat formats a finite float64 the way encoding/json does:
+// AppendJSONFloat formats a finite float64 the way encoding/json does:
 // shortest round-trip digits, exponent form only below 1e-6 and from
-// 1e21, and a two-digit exponent's leading zero dropped.
-func appendFloat(dst []byte, v float64) []byte {
+// 1e21, and a two-digit exponent's leading zero dropped. The query
+// responses of internal/serve are written with it too.
+func AppendJSONFloat(dst []byte, v float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

@@ -3,6 +3,7 @@ package tsdb
 import (
 	"cmp"
 	"errors"
+	"math"
 	"slices"
 	"sort"
 
@@ -88,14 +89,19 @@ func (s *Store) headSpan() (minT, maxT int64, ok bool) {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for _, r := range sh.nodes {
-			r.scan(func(p Point) {
-				if !ok || p.Unix < minT {
-					minT = p.Unix
+			r.window(math.MinInt64, math.MaxInt64, func(run []Point) {
+				if r.ordered() {
+					run = []Point{run[0], run[len(run)-1]} // a run in time order spans its ends
 				}
-				if !ok || p.Unix > maxT {
-					maxT = p.Unix
+				for _, p := range run {
+					if !ok || p.Unix < minT {
+						minT = p.Unix
+					}
+					if !ok || p.Unix > maxT {
+						maxT = p.Unix
+					}
+					ok = true
 				}
-				ok = true
 			})
 		}
 		sh.mu.RUnlock()
@@ -111,16 +117,16 @@ func (s *Store) collectWindow(from, to int64) map[int][]block.Point {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for node, r := range sh.nodes {
-			n := r.countWindow(from, to)
-			if n == 0 {
-				continue
+			var bp []block.Point
+			r.window(from, to, func(run []Point) {
+				bp = slices.Grow(bp, len(run))
+				for _, p := range run {
+					bp = append(bp, block.Point{T: p.Unix, V: p.PowerW})
+				}
+			})
+			if len(bp) > 0 {
+				out[node] = bp
 			}
-			pts := r.appendWindow(make([]Point, 0, n), from, to)
-			bp := make([]block.Point, len(pts))
-			for j, p := range pts {
-				bp[j] = block.Point{T: p.Unix, V: p.PowerW}
-			}
-			out[node] = bp
 		}
 		sh.mu.RUnlock()
 	}

@@ -1,6 +1,9 @@
 package tsdb
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // Point is one retained sample of a node's series.
 type Point struct {
@@ -16,6 +19,11 @@ type ring struct {
 	buf   []Point
 	head  int // index of the next write
 	count int // number of valid entries, ≤ len(buf)
+	// sinceLate counts appends, the last late arrival (a point older than
+	// the one before it) being the first. The late point's predecessor is
+	// sinceLate points back, so once sinceLate ≥ count the pair is no
+	// longer both retained: see ordered.
+	sinceLate int
 }
 
 func newRing(capacity int) *ring {
@@ -25,17 +33,43 @@ func newRing(capacity int) *ring {
 // ringOf is the ring a stream of appends ending in pts (oldest first)
 // leaves behind. A slice that already has the ring's capacity becomes
 // its buffer; any other is copied, keeping the newest capacity points.
-func ringOf(pts []Point, capacity int) *ring {
+// sinceLate is lateIndex's count over pts, or 0 to have it taken here.
+func ringOf(pts []Point, capacity, sinceLate int) *ring {
+	if sinceLate == 0 {
+		sinceLate = len(pts) - lateIndex(pts)
+	}
 	if cap(pts) == capacity {
-		return &ring{buf: pts[:capacity], head: len(pts) % capacity, count: len(pts)}
+		return &ring{buf: pts[:capacity], head: len(pts) % capacity, count: len(pts), sinceLate: sinceLate}
 	}
 	r := newRing(capacity)
 	r.count = copy(r.buf, pts[max(0, len(pts)-capacity):])
 	r.head = r.count % capacity
+	r.sinceLate = sinceLate
 	return r
 }
 
+// lateIndex is the index of the last point of pts that is older than
+// the one before it, 0 if pts is in time order.
+func lateIndex(pts []Point) int {
+	for i := len(pts) - 1; i > 0; i-- {
+		if pts[i].Unix < pts[i-1].Unix {
+			return i
+		}
+	}
+	return 0
+}
+
 func (r *ring) append(p Point) {
+	prev := r.head
+	if prev == 0 {
+		prev = len(r.buf)
+	}
+	// In an empty ring the slot before head holds no point; whatever the
+	// compare says, sinceLate ≥ count = 1 after this append.
+	if p.Unix < r.buf[prev-1].Unix {
+		r.sinceLate = 0
+	}
+	r.sinceLate++
 	r.buf[r.head] = p
 	if r.head++; r.head == len(r.buf) {
 		r.head = 0
@@ -44,6 +78,11 @@ func (r *ring) append(p Point) {
 		r.count++
 	}
 }
+
+// ordered reports whether the retained points are in time order (equal
+// timestamps allowed): no late arrival is retained together with the
+// point it arrived after.
+func (r *ring) ordered() bool { return r.sinceLate >= r.count }
 
 // segments returns the retained points in insertion order as the two
 // contiguous runs of buf that hold them (the second is empty until the
@@ -56,55 +95,75 @@ func (r *ring) segments() (older, newer []Point) {
 	return r.buf[len(r.buf)+r.head-r.count:], r.buf[:r.head]
 }
 
-// scan calls fn over the retained points in insertion order.
-func (r *ring) scan(fn func(Point)) {
+// window calls yield with the retained points with from ≤ Unix ≤ hi, in
+// insertion order, as runs of buf. An ordered ring has at most two, one
+// a segment, found by binary search; a ring holding a late arrival is
+// filtered point by point and yields each maximal run.
+func (r *ring) window(from, hi int64, yield func(run []Point)) {
 	older, newer := r.segments()
-	for _, p := range older {
-		fn(p)
+	if r.ordered() {
+		for _, seg := range [2][]Point{older, newer} {
+			if run := timeRange(seg, from, hi); len(run) > 0 {
+				yield(run)
+			}
+		}
+		return
 	}
-	for _, p := range newer {
-		fn(p)
+	for _, seg := range [2][]Point{older, newer} {
+		start := -1 // of the run being extended
+		for i, p := range seg {
+			switch in := p.Unix >= from && p.Unix <= hi; {
+			case in && start < 0:
+				start = i
+			case !in && start >= 0:
+				yield(seg[start:i])
+				start = -1
+			}
+		}
+		if start >= 0 {
+			yield(seg[start:])
+		}
 	}
+}
+
+// timeRange is the part of a time-ordered seg with from ≤ Unix ≤ hi. The
+// ends are tried first: a window that covers seg, or misses it, costs
+// two loads and not two searches through memory nobody has touched
+// since it was written.
+func timeRange(seg []Point, from, hi int64) []Point {
+	if len(seg) == 0 || seg[0].Unix > hi || seg[len(seg)-1].Unix < from {
+		return nil
+	}
+	if seg[len(seg)-1].Unix > hi {
+		seg = seg[:sort.Search(len(seg), func(i int) bool { return seg[i].Unix > hi })]
+	}
+	if seg[0].Unix < from {
+		seg = seg[sort.Search(len(seg), func(i int) bool { return seg[i].Unix >= from }):]
+	}
+	return seg
 }
 
 // appendWindow appends to dst the retained points with from ≤ Unix ≤ hi,
 // preserving insertion order.
 func (r *ring) appendWindow(dst []Point, from, hi int64) []Point {
-	older, newer := r.segments()
-	for _, seg := range [2][]Point{older, newer} {
-		for _, p := range seg {
-			if p.Unix >= from && p.Unix <= hi {
-				dst = append(dst, p)
-			}
-		}
-	}
+	r.window(from, hi, func(run []Point) { dst = append(dst, run...) })
 	return dst
 }
 
 // appendValues is appendWindow keeping only the power readings.
 func (r *ring) appendValues(dst []float64, from, hi int64) []float64 {
-	older, newer := r.segments()
-	for _, seg := range [2][]Point{older, newer} {
-		for _, p := range seg {
-			if p.Unix >= from && p.Unix <= hi {
-				dst = append(dst, p.PowerW)
-			}
+	r.window(from, hi, func(run []Point) {
+		for _, p := range run {
+			dst = append(dst, p.PowerW)
 		}
-	}
+	})
 	return dst
 }
 
 // countWindow is the number of points appendWindow would append.
 func (r *ring) countWindow(from, hi int64) int {
 	n := 0
-	older, newer := r.segments()
-	for _, seg := range [2][]Point{older, newer} {
-		for _, p := range seg {
-			if p.Unix >= from && p.Unix <= hi {
-				n++
-			}
-		}
-	}
+	r.window(from, hi, func(run []Point) { n += len(run) })
 	return n
 }
 

@@ -39,6 +39,10 @@ type StoreState struct {
 type NodeState struct {
 	Node   int     `json:"node"`
 	Points []Point `json:"points"`
+	// sinceLate is the ring's count of that name when whoever filled in
+	// Points had it at hand (ExportState, DecodeNodes); 0 leaves it to
+	// InstallState to walk Points for.
+	sinceLate int
 }
 
 // MinuteState is one still-open spatial-spread minute of a job.
@@ -85,7 +89,7 @@ func (s *Store) ExportState() *StoreState {
 		for node, r := range sh.nodes {
 			older, newer := r.segments()
 			pts := append(append(make([]Point, 0, r.count), older...), newer...)
-			st.Nodes = append(st.Nodes, NodeState{Node: node, Points: pts})
+			st.Nodes = append(st.Nodes, NodeState{Node: node, Points: pts, sinceLate: r.sinceLate})
 		}
 		sh.mu.RUnlock()
 	}
@@ -165,7 +169,7 @@ func (s *Store) InstallState(st *StoreState) error {
 		if ns.Node < 0 {
 			return fmt.Errorf("tsdb: snapshot has negative node %d", ns.Node)
 		}
-		nodes[mix(uint64(ns.Node))&s.mask][ns.Node] = ringOf(ns.Points, s.ringLen)
+		nodes[mix(uint64(ns.Node))&s.mask][ns.Node] = ringOf(ns.Points, s.ringLen, ns.sinceLate)
 	}
 	jobs := make([]map[uint64]*jobState, len(s.jobShards))
 	for i := range jobs {

@@ -160,14 +160,19 @@ func (st *StoreState) decodeRings(nodes []NodeState, chunks [][]byte) error {
 			capacity = st.RingLen
 		}
 		pts := make([]Point, it.Left(), capacity)
+		late, prev := 0, int64(math.MinInt64) // as lateIndex would find it
 		for j := range pts {
 			t, v, err := it.Next()
 			if err != nil {
 				return fmt.Errorf("tsdb: nodes section: node %d: %w", id, err)
 			}
+			if t < prev {
+				late = j
+			}
+			prev = t
 			pts[j] = Point{Unix: t, PowerW: v}
 		}
-		nodes[i].Points = pts
+		nodes[i].Points, nodes[i].sinceLate = pts, len(pts)-late
 	}
 	return nil
 }

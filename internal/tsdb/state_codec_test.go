@@ -204,7 +204,7 @@ func TestRingOf(t *testing.T) {
 		{"longer than the ring keeps the newest", pts(11), 8, false},
 		{"empty", nil, 8, false},
 	} {
-		r := ringOf(tc.in, tc.capacity)
+		r := ringOf(tc.in, tc.capacity, 0)
 		if adopted := len(tc.in) > 0 && &r.buf[0] == &tc.in[0]; adopted != tc.adopted {
 			t.Errorf("%s: adopted %v, want %v", tc.name, adopted, tc.adopted)
 		}
@@ -216,8 +216,7 @@ func TestRingOf(t *testing.T) {
 		want = want[max(0, len(want)-tc.capacity):]
 		r.append(Point{Unix: 100})
 		r.append(Point{Unix: 101})
-		var got []Point
-		r.scan(func(p Point) { got = append(got, p) })
+		got := r.appendWindow(nil, math.MinInt64, math.MaxInt64)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d points after two appends, want %d", tc.name, len(got), len(want))
 		}
