@@ -1,10 +1,16 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-block bench-codec bench-wal bench-snapshot bench-tsdb bench-e2e bench-compare bench-selftest fuzz-codec fuzz-snapshot fuzz-sort smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state block-check obs-check ci clean
+# The fuzz and bench targets below are the CI gates, spelled here and
+# nowhere else: `make ci` runs every gate, and .github/workflows/ci.yml
+# calls the drills by script and the rest through the fuzz-all and
+# bench-all aggregates. A new fuzz or bench gate joins its list here.
+# CI runs the microbenchmarks at BENCHTIME=0.5s.
+FUZZ_TARGETS = fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state fuzz-codec fuzz-snapshot fuzz-sort
+BENCH_TARGETS = bench-selftest bench bench-block bench-codec bench-wal bench-snapshot bench-tsdb
+SMOKE_TARGETS = smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke
 
-# The fuzz and bench targets below are the CI gates: .github/workflows/ci.yml
-# calls them by name, one step per target, so a gate is spelled here and
-# nowhere else. CI runs the microbenchmarks at BENCHTIME=0.5s.
+.PHONY: all build vet test race bench-e2e bench-compare block-check obs-check ci clean fuzz-all bench-all $(FUZZ_TARGETS) $(BENCH_TARGETS) $(SMOKE_TARGETS)
+
 BENCHTIME ?= 1s
 gobench = $(GO) test -run xxx -bench $(1) -benchmem -benchtime=$(BENCHTIME) $(2)
 # $(call gofuzz,FuzzTarget,time,package)
@@ -253,4 +259,8 @@ obs-check:
 	$(GO) test -race -count=1 ./internal/obs/
 	$(GO) test -count=1 -run 'TestMetrics|TestIngestTrace|TestTracePropagates' ./internal/serve/
 
-ci: vet build race obs-check block-check smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke
+fuzz-all: $(FUZZ_TARGETS)
+
+bench-all: $(BENCH_TARGETS)
+
+ci: vet build race obs-check block-check $(SMOKE_TARGETS) fuzz-all bench-all

@@ -41,11 +41,10 @@ func main() {
 		system      = flag.String("system", "live", "system label for the live report")
 		nodeTDP     = flag.Float64("tdp", 0, "node TDP in watts for the live report's TDP fractions (0 = omit)")
 		liveRing    = flag.Int("live-ring", 16384, "retained samples per node in -live-control replay (must match the server's -ring)")
-		liveShards  = flag.Int("live-shards", 16, "store shards in -live-control replay (must match the server's, which is 16)")
 	)
 	flag.Parse()
 	if *source != "" || *liveControl != "" {
-		if err := runLive(*source, *liveControl, *system, *nodeTDP, *liveShards, *liveRing); err != nil {
+		if err := runLive(*source, *liveControl, *system, *nodeTDP, *liveRing); err != nil {
 			fatal(err)
 		}
 		return
@@ -120,7 +119,7 @@ func exportCSV(dir string, r *core.Report) error {
 
 // runLive executes the live-store analytics: pull from a running
 // powserved (-source) or replay a dataset in process (-live-control).
-func runLive(source, controlDir, system string, nodeTDP float64, shards, ring int) error {
+func runLive(source, controlDir, system string, nodeTDP float64, ring int) error {
 	var (
 		in  core.LiveInput
 		err error
@@ -136,7 +135,7 @@ func runLive(source, controlDir, system string, nodeTDP float64, shards, ring in
 		if err != nil {
 			return err
 		}
-		in, err = live.Replay(ds, system, nodeTDP, live.ReplayConfig{Shards: shards, RingLen: ring})
+		in, err = live.Replay(ds, system, nodeTDP, ring)
 	}
 	if err != nil {
 		return err

@@ -7,7 +7,6 @@
 //
 //	powreport                    # 10% scale, seed 42
 //	powreport -scale 1 -seed 42  # the full five-month study
-//	powreport -source http://127.0.0.1:8080   # live-store report from a running powserved
 package main
 
 import (
@@ -18,36 +17,17 @@ import (
 
 	"hpcpower"
 	"hpcpower/internal/core"
-	"hpcpower/internal/live"
 	"hpcpower/internal/policy"
 	"hpcpower/internal/report"
 )
 
 func main() {
 	var (
-		scale   = flag.Float64("scale", 0.1, "fraction of the 5-month study window in (0, 1]")
-		seed    = flag.Uint64("seed", 42, "generator seed")
-		mdPath  = flag.String("md", "", "also write a Markdown reproduction record to this file")
-		source  = flag.String("source", "", "powserved base URL: print the live-store distribution/overshoot report instead of the offline study")
-		system  = flag.String("system", "live", "system label for the -source report")
-		nodeTDP = flag.Float64("tdp", 0, "node TDP in watts for the -source report's TDP fractions (0 = omit)")
+		scale  = flag.Float64("scale", 0.1, "fraction of the 5-month study window in (0, 1]")
+		seed   = flag.Uint64("seed", 42, "generator seed")
+		mdPath = flag.String("md", "", "also write a Markdown reproduction record to this file")
 	)
 	flag.Parse()
-
-	if *source != "" {
-		in, err := live.Pull(*source, *system, *nodeTDP)
-		if err != nil {
-			fatal(err)
-		}
-		r, err := core.AnalyzeLive(in)
-		if err != nil {
-			fatal(err)
-		}
-		if err := report.WriteLive(os.Stdout, r); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	fmt.Printf("hpcpower paper report — scale %.2f, seed %d\n\n", *scale, *seed)
 	if err := hpcpower.WriteSpecs(os.Stdout, []hpcpower.SystemSpec{hpcpower.Emmy(), hpcpower.Meggie()}); err != nil {

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"hpcpower/internal/elect"
+	"hpcpower/internal/vfs"
 )
 
 // electStateName is the election state file inside -data-dir, next to
@@ -63,8 +64,9 @@ func (p *peerFlag) Set(v string) error {
 }
 
 // electionConfig assembles the elect.Config shared by data nodes and
-// the witness from the command-line topology.
-func electionConfig(id, advertise, dataDir string, peers []elect.Peer, hb time.Duration, lead, witness bool) (elect.Config, error) {
+// the witness from the command-line topology; the promise file goes
+// through fsys, as every other durable file of the node does.
+func electionConfig(fsys vfs.FS, id, advertise, dataDir string, peers []elect.Peer, hb time.Duration, lead, witness bool) (elect.Config, error) {
 	if dataDir == "" {
 		return elect.Config{}, fmt.Errorf("elections need -data-dir (the promise file must survive restarts)")
 	}
@@ -74,7 +76,11 @@ func electionConfig(id, advertise, dataDir string, peers []elect.Peer, hb time.D
 	if advertise == "" {
 		return elect.Config{}, fmt.Errorf("elections need -advertise (the URL peers dial; behind a chaos proxy this is the proxy, not the bind address)")
 	}
-	st, err := elect.OpenStateFile(filepath.Join(dataDir, electStateName))
+	if witness {
+		// No server opens (and sweeps) a witness's data dir.
+		vfs.RemoveTemps(fsys, dataDir)
+	}
+	st, err := elect.OpenStateFile(fsys, filepath.Join(dataDir, electStateName))
 	if err != nil {
 		return elect.Config{}, err
 	}

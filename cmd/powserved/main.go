@@ -155,10 +155,23 @@ func main() {
 		fatal(err)
 	}
 	logger := obs.NewLogger(obs.LogConfig{Level: level, Format: *logFormat, Output: os.Stderr})
+	// Every durable file — WAL, snapshots, blocks, the fencing epoch and
+	// the election promise, a witness's included — goes through one
+	// vfs.FS, so a single -fault-disk spec exercises them all.
+	var fsys vfs.FS = vfs.OS
+	if *faultDisk != "" {
+		fcfg, err := vfs.ParseFaultSpec(*faultDisk)
+		if err != nil {
+			fatal(err)
+		}
+		fsys = vfs.NewFault(vfs.OS, fcfg)
+		fmt.Printf("powserved: DISK FAULT INJECTION ACTIVE: %s\n", *faultDisk)
+	}
+
 	if *role == "witness" {
 		// Vote-only member: no store, no WAL, no model — just the
 		// election state machine behind a minimal HTTP front.
-		ecfg, err := electionConfig(*electID, *advertise, *dataDir, peers, *hbEvery, false, true)
+		ecfg, err := electionConfig(fsys, *electID, *advertise, *dataDir, peers, *hbEvery, false, true)
 		if err != nil {
 			fatal(err)
 		}
@@ -193,18 +206,6 @@ func main() {
 		fmt.Printf("powserved: loaded model %s (depth %d, %d leaves)\n", *model, bdt.Depth(), bdt.Leaves())
 	} else {
 		fmt.Println("powserved: no model (-model); POST /v1/predict will answer 503")
-	}
-
-	// All WAL, snapshot, and block file I/O flows through one vfs.FS so a
-	// single -fault-disk spec exercises every durability path at once.
-	var fsys vfs.FS = vfs.OS
-	if *faultDisk != "" {
-		fcfg, err := vfs.ParseFaultSpec(*faultDisk)
-		if err != nil {
-			fatal(err)
-		}
-		fsys = vfs.NewFault(vfs.OS, fcfg)
-		fmt.Printf("powserved: DISK FAULT INJECTION ACTIVE: %s\n", *faultDisk)
 	}
 
 	store := tsdb.New(tsdb.Config{RingLen: *ring})
@@ -348,7 +349,7 @@ func main() {
 		// configured primary leads (with an expired lease until its
 		// first quorum round); a follower campaigns only after the
 		// lease window passes in silence.
-		ecfg, err := electionConfig(*electID, *advertise, *dataDir, peers, *hbEvery, *role == serve.RolePrimary, false)
+		ecfg, err := electionConfig(fsys, *electID, *advertise, *dataDir, peers, *hbEvery, *role == serve.RolePrimary, false)
 		if err != nil {
 			fatal(err)
 		}

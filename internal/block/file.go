@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -61,7 +61,7 @@ func (t Tier) String() string {
 // A reader trusts nothing: trailer magic + CRC gate the index offset,
 // the index frame CRC gates the entries, every entry is bounds-checked
 // against the file, and each chunk frame re-verifies its own CRC on
-// read. Files are immutable after the atomic tmp+rename publish.
+// read. Files are immutable once vfs.WriteFileAtomic has published them.
 const (
 	fileVersion   = 1
 	headerLen     = 24
@@ -214,33 +214,16 @@ func writeBlockFile(fsys vfs.FS, path string, tier Tier, windowStart, windowLen 
 	buf = append(buf, trailer...)
 	buf = append(buf, magicTrailer[:]...)
 
-	// Atomic publish: tmp file in the same directory, fsync, rename,
-	// fsync the directory — a crash leaves either no file or a complete
-	// one, never a torn block.
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	// A crash leaves no file or a complete one. A failed directory fsync
+	// fails the seal: the window is not catalogued and the flush frontier
+	// stays below it until a retry publishes the same bytes durably.
+	err := vfs.WriteFileAtomic(fsys, path, func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("block: publishing %s: %w", filepath.Base(path), err)
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return nil, err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return nil, err
-	}
-	_ = fsys.SyncDir(filepath.Dir(path))
 	info.Bytes = int64(len(buf))
 	return info, nil
 }

@@ -126,5 +126,7 @@ func (s *Store) quarantinePath(path string) {
 		s.quarantineNow.Add(1)
 	}
 	s.quarantined.Add(1)
+	// Not a publish: a rename the crash undoes is redone by the next
+	// Open, which finds the block corrupt again.
 	_ = s.fsys.SyncDir(filepath.Dir(path))
 }

@@ -65,12 +65,11 @@ type Store struct {
 	fsys vfs.FS
 
 	// sealMu serializes every publish of a block file (flush and
-	// compaction): the dup-check, the tmp+rename write, and the catalog
+	// compaction): the dup-check, the atomic write, and the catalog
 	// insert happen as one unit. Without it, two concurrent flushes of
 	// the same window (background loop + POST /v1/admin/flush) could
-	// both pass the dup check and race O_TRUNC writes on the same .tmp
-	// path — publishing a torn file or a catalog entry whose offsets
-	// and CRCs describe the loser's bytes.
+	// both pass the dup check and rename over each other — leaving a
+	// catalog entry whose offsets and CRCs describe the loser's bytes.
 	sealMu sync.Mutex
 
 	mu     sync.RWMutex
@@ -94,7 +93,7 @@ type Store struct {
 }
 
 // Open scans dir for published blocks (ignoring unknown and corrupt
-// files — a torn .tmp from a crash is swept away) and returns the store.
+// files — a temp file from a crash is swept away) and returns the store.
 func Open(cfg Config) (*Store, error) {
 	if cfg.WindowSeconds <= 0 {
 		cfg.WindowSeconds = DefaultWindowSeconds
@@ -118,16 +117,13 @@ func Open(cfg Config) (*Store, error) {
 	for t := range s.blocks {
 		s.blocks[t] = map[int64]*BlockInfo{}
 	}
+	vfs.RemoveTemps(s.fsys, cfg.Dir)
 	entries, err := s.fsys.ReadDir(cfg.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("block: scanning %s: %w", cfg.Dir, err)
 	}
 	for _, de := range entries {
 		name := de.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			s.fsys.Remove(filepath.Join(cfg.Dir, name))
-			continue
-		}
 		if strings.HasSuffix(name, quarantineSuffix) {
 			s.quarantineNow.Add(1)
 			continue

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"hpcpower/internal/vfs"
 )
 
 func writeLegacyState(path, contents string) error {
@@ -138,7 +140,7 @@ func newGroup(t *testing.T) *group {
 	peerB := Peer{ID: "b", URL: "http://b"}
 	peerW := Peer{ID: "w", URL: "http://w", Witness: true}
 	mk := func(id, url string, peers []Peer, clock *fakeClock, lead, witness bool) *Elector {
-		sf, err := OpenStateFile(filepath.Join(dir, id+".promised"))
+		sf, err := OpenStateFile(vfs.OS, filepath.Join(dir, id+".promised"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,13 +399,58 @@ func TestCampaignWithSkewedCandidateAgainstHealthyLeader(t *testing.T) {
 	}
 }
 
+// dirSyncFS sends directory fsyncs, and nothing else, through a FaultFS.
+type dirSyncFS struct {
+	vfs.FS
+	dirs *vfs.FaultFS
+}
+
+func (d dirSyncFS) SyncDir(dir string) error { return d.dirs.SyncDir(dir) }
+
+// TestVoteNotGrantedUntilPromiseIsDurable: the promise file is renamed
+// into place but the directory fsync fails, so a crash could still bring
+// the old promise back. The voter must refuse, and must not remember a
+// promise it was not able to keep; the same request is granted once the
+// disk takes it.
+func TestVoteNotGrantedUntilPromiseIsDurable(t *testing.T) {
+	dirs := vfs.NewFault(vfs.OS, vfs.FaultConfig{SyncErrProb: 1})
+	sf, err := OpenStateFile(dirSyncFS{vfs.OS, dirs}, filepath.Join(t.TempDir(), "ELECT"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := New(Config{
+		ID: "w", URL: "http://w", Witness: true,
+		State: sf, Clock: newFakeClock(), Transport: &memTransport{net: newMemNet()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := VoteRequest{From: "a", URL: "http://a", Epoch: 7}
+	if resp := w.OnVote(req); resp.Granted {
+		t.Fatal("vote granted on a promise whose rename is not durable")
+	}
+	if got := dirs.Stats().SyncErrors; got != 1 {
+		t.Fatalf("%d directory fsyncs failed, want 1", got)
+	}
+	if got := sf.Promised(); got != 0 {
+		t.Fatalf("Promised() = %d after a failed store, want 0", got)
+	}
+	dirs.Configure(func(c *vfs.FaultConfig) { c.SyncErrProb = 0 })
+	if resp := w.OnVote(req); !resp.Granted {
+		t.Fatal("vote refused after the disk recovered")
+	}
+	if got := sf.Promised(); got != 7 {
+		t.Fatalf("Promised() = %d, want 7", got)
+	}
+}
+
 // TestVotePromiseSurvivesRestart: a voter that granted an epoch and
 // crashed must refuse the same epoch after restart — the fsynced state
 // file is what makes epochs unique across crashes.
 func TestVotePromiseSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "promised")
-	sf, err := OpenStateFile(path)
+	sf, err := OpenStateFile(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +469,7 @@ func TestVotePromiseSurvivesRestart(t *testing.T) {
 		t.Fatal("first grant refused")
 	}
 	// "Crash": reopen the state file into a fresh elector.
-	sf2, err := OpenStateFile(path)
+	sf2, err := OpenStateFile(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +540,7 @@ func TestRestartedExPrimaryAtIncumbentEpochDefers(t *testing.T) {
 	g.mu.Lock()
 	g.dataEpochs["a"] = 2
 	g.mu.Unlock()
-	sf, err := OpenStateFile(filepath.Join(t.TempDir(), "a2.promised"))
+	sf, err := OpenStateFile(vfs.OS, filepath.Join(t.TempDir(), "a2.promised"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +594,7 @@ func TestRestartedExPrimaryAtIncumbentEpochDefers(t *testing.T) {
 // only through a campaign.
 func TestBootAsFollowerWhenEpochPromised(t *testing.T) {
 	dir := t.TempDir()
-	sf, err := OpenStateFile(filepath.Join(dir, "promised"))
+	sf, err := OpenStateFile(vfs.OS, filepath.Join(dir, "promised"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +634,7 @@ func TestBootFollowerRegainsLeadershipByCampaign(t *testing.T) {
 	g.tickAll()
 	// Restart the leader with its promise file carrying its own epoch
 	// (it stored epoch 2 when it won an election, say).
-	sf, err := OpenStateFile(filepath.Join(t.TempDir(), "a.promised"))
+	sf, err := OpenStateFile(vfs.OS, filepath.Join(t.TempDir(), "a.promised"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,7 +727,7 @@ func TestStaleCandidateRefused(t *testing.T) {
 func TestWitnessFrontierSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "promised")
-	sf, err := OpenStateFile(path)
+	sf, err := OpenStateFile(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -696,7 +743,7 @@ func TestWitnessFrontierSurvivesRestart(t *testing.T) {
 	}
 	w := mkWitness(sf)
 	w.OnHeartbeat(HeartbeatRequest{From: "a", URL: "http://a", Epoch: 3, FrontierEpoch: 3, FrontierLSN: 77})
-	sf2, err := OpenStateFile(path)
+	sf2, err := OpenStateFile(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -721,7 +768,7 @@ func TestStateFileParsesLegacySingleField(t *testing.T) {
 	if err := writeLegacyState(path, "5\n"); err != nil {
 		t.Fatal(err)
 	}
-	sf, err := OpenStateFile(path)
+	sf, err := OpenStateFile(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -734,7 +781,7 @@ func TestStateFileParsesLegacySingleField(t *testing.T) {
 	if err := sf.NoteFrontier(2, 9); err != nil {
 		t.Fatal(err)
 	}
-	sf2, err := OpenStateFile(path)
+	sf2, err := OpenStateFile(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -749,7 +796,7 @@ func TestStateFileParsesLegacySingleField(t *testing.T) {
 func TestStateFileRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "promised")
-	sf, err := OpenStateFile(path)
+	sf, err := OpenStateFile(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -759,7 +806,7 @@ func TestStateFileRejectsGarbage(t *testing.T) {
 	if err := sf.Store(2); err != nil {
 		t.Fatal(err)
 	}
-	sf2, err := OpenStateFile(path)
+	sf2, err := OpenStateFile(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,12 @@ package elect
 
 import (
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
+
+	"hpcpower/internal/vfs"
 )
 
 // StateFile persists the two durable facts election safety needs:
@@ -20,13 +22,13 @@ import (
 //     candidate behind that point, or the group would truncate acked
 //     records when the stale winner forces the data-holder to rejoin.
 //
-// Both are fsynced (tmp file + fsync + rename + directory sync) before
-// the reply that depends on them leaves the node, and both only move
-// forward.
+// Both are durable (vfs.WriteFileAtomic) before the reply that depends
+// on them leaves the node, and both only move forward.
 //
 // File format: "promised [frontierEpoch frontierLSN]\n". The one-field
 // form is the pre-frontier format and still parses (frontier 0,0).
 type StateFile struct {
+	fsys      vfs.FS
 	path      string
 	promised  uint64
 	frontierE uint64
@@ -34,11 +36,11 @@ type StateFile struct {
 }
 
 // OpenStateFile loads the promised epoch and max-seen frontier from
-// path, treating a missing file as a node that has promised and seen
-// nothing.
-func OpenStateFile(path string) (*StateFile, error) {
-	s := &StateFile{path: path}
-	data, err := os.ReadFile(path)
+// path, treating a missing file — and nothing else: a read error fails
+// the open — as a node that has promised and seen nothing.
+func OpenStateFile(fsys vfs.FS, path string) (*StateFile, error) {
+	s := &StateFile{fsys: fsys, path: path}
+	data, err := vfs.ReadFile(fsys, path)
 	if os.IsNotExist(err) {
 		return s, nil
 	}
@@ -94,32 +96,12 @@ func (s *StateFile) NoteFrontier(epoch, lsn uint64) error {
 }
 
 func (s *StateFile) write(promised, fe, fl uint64) error {
-	tmp := s.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	err := vfs.WriteFileAtomic(s.fsys, s.path, func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "%d %d %d\n", promised, fe, fl)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("elect: write state: %w", err)
-	}
-	if _, err := fmt.Fprintf(f, "%d %d %d\n", promised, fe, fl); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("elect: write state: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("elect: sync state: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("elect: close state: %w", err)
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("elect: rename state: %w", err)
-	}
-	if dir, err := os.Open(filepath.Dir(s.path)); err == nil {
-		dir.Sync()
-		dir.Close()
 	}
 	s.promised, s.frontierE, s.frontierL = promised, fe, fl
 	return nil

@@ -73,53 +73,35 @@ func getJSON(client *http.Client, url string, v any) error {
 	return nil
 }
 
-// ReplayConfig sizes the control-path store. The defaults must match
-// the powserved instance being compared against: JobStats are
-// order-dependent streams (so the server needs -workers 1 and a
-// single-pusher loader), and the sample distribution covers exactly the
-// retained points (so RingLen must match).
-type ReplayConfig struct {
-	Shards  int // 0 = 16
-	RingLen int // 0 = 16384
-	// WindowSeconds is the block window. 0 = block.DefaultWindowSeconds.
-	WindowSeconds int64
-	// BatchSize slices the flattened sample stream. 0 = 512. Boundaries
-	// do not affect the result (appends are order-preserving); the knob
-	// exists to mirror the loader exactly anyway.
-	BatchSize int
-}
+// replayBatch slices the flattened sample stream as the loader does.
+// Boundaries do not affect the result: appends are order-preserving.
+const replayBatch = 512
 
 // Replay drives a dataset's flattened sample stream through an
 // in-process tsdb.Store with a temporary block store attached, flushes
 // and compacts, and collects the live input — the same code path a
-// powserved instance runs, minus HTTP.
-func Replay(ds *trace.Dataset, system string, nodeTDPW float64, cfg ReplayConfig) (core.LiveInput, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 16
-	}
-	if cfg.RingLen <= 0 {
-		cfg.RingLen = 16384
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 512
-	}
+// powserved instance runs, minus HTTP. ringLen must be the -ring of the
+// powserved instance being compared against: the sample distribution
+// covers exactly the retained points. (JobStats are order-dependent
+// streams, so that server also needs a single-pusher loader.)
+func Replay(ds *trace.Dataset, system string, nodeTDPW float64, ringLen int) (core.LiveInput, error) {
 	samples := trace.FlattenSeries(ds)
 	if len(samples) == 0 {
 		return core.LiveInput{}, fmt.Errorf("live: dataset has no time-resolved series")
 	}
-	store := tsdb.New(tsdb.Config{Shards: cfg.Shards, RingLen: cfg.RingLen})
+	store := tsdb.New(tsdb.Config{RingLen: ringLen})
 	dir, err := os.MkdirTemp("", "powblocks-control-*")
 	if err != nil {
 		return core.LiveInput{}, err
 	}
 	defer os.RemoveAll(dir)
-	bs, err := block.Open(block.Config{Dir: dir, WindowSeconds: cfg.WindowSeconds})
+	bs, err := block.Open(block.Config{Dir: dir})
 	if err != nil {
 		return core.LiveInput{}, err
 	}
 	store.AttachBlocks(bs)
-	for off := 0; off < len(samples); off += cfg.BatchSize {
-		end := off + cfg.BatchSize
+	for off := 0; off < len(samples); off += replayBatch {
+		end := off + replayBatch
 		if end > len(samples) {
 			end = len(samples)
 		}

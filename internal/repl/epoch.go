@@ -3,18 +3,21 @@ package repl
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
+
+	"hpcpower/internal/vfs"
 )
 
 // EpochFile persists the fencing epoch: a monotonically increasing
-// counter bumped on every promotion. It is written with the same
-// tmp + fsync + rename discipline as snapshots, so a crash mid-bump
-// leaves either the old epoch or the new one — never a torn value — and
-// a restarted stale primary still knows it was fenced.
+// counter bumped on every promotion. It is published by
+// vfs.WriteFileAtomic, as snapshots are, so a crash mid-bump leaves
+// either the old epoch or the new one — never a torn value — and a
+// restarted stale primary still knows it was fenced.
 type EpochFile struct {
+	fsys vfs.FS
 	path string
 
 	mu    sync.Mutex
@@ -22,9 +25,11 @@ type EpochFile struct {
 }
 
 // OpenEpochFile loads (or initializes to 0) the epoch stored at path.
-func OpenEpochFile(path string) (*EpochFile, error) {
-	e := &EpochFile{path: path}
-	data, err := os.ReadFile(path)
+// Only a missing file means epoch 0: a file that cannot be read fails
+// the open, or an I/O error would un-fence a deposed primary.
+func OpenEpochFile(fsys vfs.FS, path string) (*EpochFile, error) {
+	e := &EpochFile{fsys: fsys, path: path}
+	data, err := vfs.ReadFile(fsys, path)
 	switch {
 	case os.IsNotExist(err):
 		return e, nil
@@ -48,44 +53,19 @@ func (e *EpochFile) Epoch() uint64 {
 
 // Store persists epoch if it is ahead of the current value; the epoch
 // is forward-only, so a delayed write can never un-fence a primary.
+// Epoch() advances only once the new value is durable.
 func (e *EpochFile) Store(epoch uint64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if epoch <= e.epoch {
 		return nil
 	}
-	dir := filepath.Dir(e.path)
-	tmp, err := os.CreateTemp(dir, ".epoch-*.tmp")
+	err := vfs.WriteFileAtomic(e.fsys, e.path, func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "%d\n", epoch)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("repl: epoch temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	if _, err := fmt.Fprintf(tmp, "%d\n", epoch); err != nil {
-		cleanup()
-		return fmt.Errorf("repl: writing epoch: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("repl: syncing epoch: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("repl: closing epoch: %w", err)
-	}
-	if err := os.Rename(tmpName, e.path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("repl: renaming epoch: %w", err)
-	}
-	d, err := os.Open(dir)
-	if err == nil {
-		if serr := d.Sync(); serr != nil && err == nil {
-			err = serr
-		}
-		d.Close()
-	}
-	if err != nil {
-		return fmt.Errorf("repl: syncing epoch dir: %w", err)
+		return fmt.Errorf("repl: storing epoch %d: %w", epoch, err)
 	}
 	e.epoch = epoch
 	return nil

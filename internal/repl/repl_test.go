@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hpcpower/internal/vfs"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -87,7 +89,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestEpochFilePersistsForwardOnly(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "EPOCH")
-	e, err := OpenEpochFile(path)
+	e, err := OpenEpochFile(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func TestEpochFilePersistsForwardOnly(t *testing.T) {
 		t.Fatalf("epoch = %d, want 3", e.Epoch())
 	}
 	// Survives a reopen (simulated restart of a fenced primary).
-	e2, err := OpenEpochFile(path)
+	e2, err := OpenEpochFile(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +117,7 @@ func TestEpochFilePersistsForwardOnly(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not-a-number\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenEpochFile(path); err == nil {
+	if _, err := OpenEpochFile(vfs.OS, path); err == nil {
 		t.Fatal("corrupt epoch file accepted")
 	}
 }

@@ -68,6 +68,7 @@ func SimulateOpts(nodes int, reqs []Request, opts Options) ([]Placement, error) 
 	}
 	s := newSim(nodes)
 	s.opts = opts
+	// Arrival order: submit time, then ID for determinism.
 	order := make([]int, len(reqs))
 	for i := range order {
 		order[i] = i
@@ -81,6 +82,8 @@ func SimulateOpts(nodes int, reqs []Request, opts Options) ([]Placement, error) 
 	}
 	for len(s.queue) > 0 || s.running.Len() > 0 {
 		if s.running.Len() == 0 {
+			// Queue non-empty but nothing running cannot happen: the head
+			// always fits an empty machine (size and power checked above).
 			return nil, fmt.Errorf("sched: deadlock with %d queued jobs", len(s.queue))
 		}
 		next := (*s.running)[0].end

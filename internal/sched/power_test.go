@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"time"
 
@@ -13,20 +16,22 @@ func estPerNode(w float64) func(*Request) float64 {
 	return func(r *Request) float64 { return w * float64(r.Nodes) }
 }
 
-func TestSimulateOptsMatchesSimulateWithoutOptions(t *testing.T) {
-	reqs := randomRequests(rng.New(3), 150, 16)
-	a, err := Simulate(16, reqs)
+// TestSimulatePlacementsDigest pins every placement (job, start, end and
+// node IDs, in returned order) of the seeded workload to the digest the
+// 45-line Simulate body produced before it became SimulateOpts with no
+// options: gen's released datasets are built on these placements.
+func TestSimulatePlacementsDigest(t *testing.T) {
+	ps, err := Simulate(16, randomRequests(rng.New(3), 150, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateOpts(16, reqs, Options{})
-	if err != nil {
-		t.Fatal(err)
+	h := sha256.New()
+	for _, p := range ps {
+		fmt.Fprintln(h, p.ID, p.Start.UnixNano(), p.End.UnixNano(), p.NodeIDs)
 	}
-	for i := range a {
-		if a[i].ID != b[i].ID || !a[i].Start.Equal(b[i].Start) {
-			t.Fatalf("divergence at %d", i)
-		}
+	const want = "d143042a8c0c8410a6127c2affea4781144bee42b7eb768bcc4a14b5febc667e"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("placements digest %s, want %s", got, want)
 	}
 }
 

@@ -56,56 +56,7 @@ type Placement struct {
 // time. Requests need not be sorted. Jobs larger than the machine are
 // rejected with an error.
 func Simulate(nodes int, reqs []Request) ([]Placement, error) {
-	if nodes <= 0 {
-		return nil, fmt.Errorf("sched: machine with %d nodes", nodes)
-	}
-	for i := range reqs {
-		if err := reqs[i].Validate(); err != nil {
-			return nil, err
-		}
-		if reqs[i].Nodes > nodes {
-			return nil, fmt.Errorf("sched: request %d needs %d of %d nodes", reqs[i].ID, reqs[i].Nodes, nodes)
-		}
-	}
-	s := newSim(nodes)
-	// Arrival order: submit time, then ID for determinism.
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := &reqs[order[a]], &reqs[order[b]]
-		if !ra.Submit.Equal(rb.Submit) {
-			return ra.Submit.Before(rb.Submit)
-		}
-		return ra.ID < rb.ID
-	})
-
-	for _, idx := range order {
-		r := reqs[idx]
-		// Drain completions that happen before this arrival.
-		s.advanceTo(r.Submit)
-		s.queue = append(s.queue, r)
-		s.schedule(r.Submit)
-	}
-	// Drain the queue to completion.
-	for len(s.queue) > 0 || s.running.Len() > 0 {
-		if s.running.Len() == 0 {
-			// Queue non-empty but nothing running cannot happen: the head
-			// always fits an empty machine (size checked above).
-			return nil, fmt.Errorf("sched: deadlock with %d queued jobs", len(s.queue))
-		}
-		next := (*s.running)[0].end
-		s.advanceTo(next)
-		s.schedule(next)
-	}
-	sort.Slice(s.placed, func(a, b int) bool {
-		if !s.placed[a].Start.Equal(s.placed[b].Start) {
-			return s.placed[a].Start.Before(s.placed[b].Start)
-		}
-		return s.placed[a].ID < s.placed[b].ID
-	})
-	return s.placed, nil
+	return SimulateOpts(nodes, reqs, Options{})
 }
 
 // runningJob tracks an executing job inside the simulator.

@@ -233,12 +233,15 @@ func openDurability(cfg DurabilityConfig) (*durability, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Under the lock a temp file is a dead instance's; a snapshot's is
+	// megabytes.
+	vfs.RemoveTemps(cfg.FS, cfg.Dir)
 	rcfg, err := cfg.Replication.withDefaults(cfg.Dir)
 	if err != nil {
 		lock.Unlock()
 		return nil, err
 	}
-	ep, err := repl.OpenEpochFile(rcfg.EpochFile)
+	ep, err := repl.OpenEpochFile(cfg.FS, rcfg.EpochFile)
 	if err != nil {
 		lock.Unlock()
 		return nil, err

@@ -179,8 +179,8 @@ func TestDurableCrashRecoveryMatchesControl(t *testing.T) {
 }
 
 // TestRecoverAcrossSnapshots: a graceful restart recovers from the final
-// snapshot with nothing to replay; a crash after more traffic replays
-// only the WAL tail past it.
+// snapshot with nothing to replay (and sweeps a dead instance's temp
+// files); a crash after more traffic replays only the WAL tail past it.
 func TestRecoverAcrossSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	batches := stampedBatches(9, 30)
@@ -195,9 +195,23 @@ func TestRecoverAcrossSnapshots(t *testing.T) {
 	ts1.Close()
 	s1.Close() // graceful: takes a final snapshot
 
+	// What an instance killed mid-publish leaves: a half-written snapshot
+	// ahead of the real one and an epoch bump. Opening the dir sweeps
+	// both, and recovery reads what it would have read without them.
+	litter := []string{"snap-00000000000000009999.snap.4242-7.tmp", "EPOCH.4242-8.tmp"}
+	for _, name := range litter {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("PWRSNP1\ntorn"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
 	s2, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, name := range litter {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("%s survived the open: %v", name, err)
+		}
 	}
 	rep, err := s2.Recover()
 	if err != nil {

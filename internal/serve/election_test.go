@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hpcpower/internal/elect"
+	"hpcpower/internal/vfs"
 )
 
 // startSoloElection attaches a single-node elector (no peers: quorum
@@ -17,7 +18,7 @@ import (
 // wiring without a full group.
 func startSoloElection(t testing.TB, s *Server, ts *httptest.Server, lead bool) *elect.Elector {
 	t.Helper()
-	st, err := elect.OpenStateFile(filepath.Join(t.TempDir(), "elect-state"))
+	st, err := elect.OpenStateFile(vfs.OS, filepath.Join(t.TempDir(), "elect-state"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hpcpower/internal/units"
+	"hpcpower/internal/vfs"
 )
 
 // On-disk layout of a released dataset directory:
@@ -74,28 +75,17 @@ func Load(dir string) (*Dataset, error) {
 	return d, nil
 }
 
+// writeFileAtomic publishes one dataset file as the server publishes its
+// durable ones, buffered: the CSV writers emit a row at a time. I/O
+// errors come back as *fs.PathError, naming the operation and the file.
 func writeFileAtomic(path string, write func(io.Writer) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := write(bw); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("trace: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("trace: %w", err)
-	}
-	return os.Rename(tmp, path)
+	return vfs.WriteFileAtomic(vfs.OS, path, func(w io.Writer) error {
+		bw := bufio.NewWriterSize(w, 1<<20)
+		if err := write(bw); err != nil {
+			return err
+		}
+		return bw.Flush()
+	})
 }
 
 func readFile(path string, read func(io.Reader) error) error {

@@ -1,12 +1,15 @@
 package tsdb
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"syscall"
 	"testing"
 
 	"hpcpower/internal/block"
 	"hpcpower/internal/trace"
+	"hpcpower/internal/vfs"
 )
 
 const testWindow = 7200
@@ -320,5 +323,56 @@ func TestFlushHeadOnly(t *testing.T) {
 	}
 	if f := s.BlockFrontier(); f != 0 {
 		t.Fatalf("frontier %d, want 0", f)
+	}
+}
+
+// dirSyncFS sends directory fsyncs, and nothing else, through a FaultFS.
+type dirSyncFS struct {
+	vfs.FS
+	dirs *vfs.FaultFS
+}
+
+func (d dirSyncFS) SyncDir(dir string) error { return d.dirs.SyncDir(dir) }
+
+// TestFlushFrontierWaitsForDurableSeal: a window whose block file was
+// renamed into place but whose directory fsync failed is not sealed. The
+// flush reports the error, the frontier stays below the window (reads
+// keep coming from the head), and the next flush seals it for good.
+func TestFlushFrontierWaitsForDurableSeal(t *testing.T) {
+	dirs := vfs.NewFault(vfs.OS, vfs.FaultConfig{})
+	s := New(Config{Shards: 4, RingLen: 100000})
+	bs, err := block.Open(block.Config{Dir: t.TempDir(), WindowSeconds: testWindow, FS: dirSyncFS{vfs.OS, dirs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AttachBlocks(bs)
+	samples := synthSamples([]int{0, 1}, 2)
+	appendAll(t, s, samples)
+	if sealed, err := s.FlushBlocks(2 * testWindow); err != nil || sealed != 1 {
+		t.Fatalf("first window: sealed %d, %v", sealed, err)
+	}
+
+	dirs.Configure(func(c *vfs.FaultConfig) { c.SyncErrProb = 1 })
+	sealed, err := s.FlushBlocks(3 * testWindow)
+	if !errors.Is(err, syscall.EIO) || sealed != 0 {
+		t.Fatalf("flush under a failing directory fsync: sealed %d, %v; want 0 and EIO", sealed, err)
+	}
+	if f := s.BlockFrontier(); f != 2*testWindow {
+		t.Fatalf("frontier %d after the failed seal, want %d", f, 2*testWindow)
+	}
+	if f := bs.Frontier(); f != 2*testWindow {
+		t.Fatalf("the unsealed window is catalogued: block frontier %d", f)
+	}
+
+	dirs.Configure(func(c *vfs.FaultConfig) { c.SyncErrProb = 0 })
+	if sealed, err := s.FlushBlocks(3 * testWindow); err != nil || sealed != 1 {
+		t.Fatalf("retry: sealed %d, %v", sealed, err)
+	}
+	if f := s.BlockFrontier(); f != 3*testWindow {
+		t.Fatalf("frontier %d after the retry, want %d", f, 3*testWindow)
+	}
+	vals, _, err := s.AppendValuesMerged(nil, nil, 0, 0)
+	if err != nil || len(vals) != len(samples) {
+		t.Fatalf("%d values served (%v), want %d", len(vals), err, len(samples))
 	}
 }

@@ -1,9 +1,10 @@
 // Package vfs is the filesystem seam under every durable byte powserved
 // writes: a minimal FS/File interface with a passthrough OS
 // implementation and a deterministic fault injector (FaultFS), so the
-// WAL, snapshot, and block-store code paths can be driven through EIO,
-// ENOSPC, torn writes, and bit rot in tests and smoke drills without
-// touching a real failing disk.
+// WAL, snapshot, block-store, fencing-epoch and election-state code
+// paths can be driven through EIO, ENOSPC, torn writes, and bit rot in
+// tests and smoke drills without touching a real failing disk. Files
+// that are replaced whole are published by WriteFileAtomic.
 //
 // The interface is deliberately small — exactly the operations the
 // durability layer performs (open/create, write, positional read, sync,
@@ -19,6 +20,8 @@ import (
 	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync/atomic"
 )
 
@@ -114,10 +117,12 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 var tempSeq atomic.Uint64
 
 // CreateTemp creates a new file in dir with a name built from pattern
-// (the first "*" is replaced; no "*" appends the suffix), mirroring
-// os.CreateTemp but routed through fsys. Names are unique per process
-// (pid + counter), which is all the durability layer needs — stray
-// temp files from a dead process are swept or ignored by recovery.
+// (the first "*" is replaced; no "*" appends the suffix), as
+// os.CreateTemp does, but through fsys and with the mode of the WAL's
+// segments (0644 before umask): WriteFileAtomic renames the file to
+// where it is meant to be read, a released dataset by other users.
+// Names are unique per process (pid + counter); stray temp files from a
+// dead process are swept by RemoveTemps.
 func CreateTemp(fsys FS, dir, pattern string) (File, error) {
 	prefix, suffix := pattern, ""
 	for i := 0; i < len(pattern); i++ {
@@ -129,11 +134,64 @@ func CreateTemp(fsys FS, dir, pattern string) (File, error) {
 	for attempt := 0; attempt < 1000; attempt++ {
 		name := fmt.Sprintf("%s%s%d-%d%s", dir+string(os.PathSeparator), prefix,
 			os.Getpid(), tempSeq.Add(1), suffix)
-		f, err := fsys.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
+		f, err := fsys.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 		if os.IsExist(err) {
 			continue
 		}
 		return f, err
 	}
 	return nil, fmt.Errorf("vfs: could not create temp file in %s", dir)
+}
+
+// tempSuffix ends the name of every file WriteFileAtomic has not yet
+// published; no reader of a durable file matches it.
+const tempSuffix = ".tmp"
+
+// WriteFileAtomic is the one way a durable file is published: write
+// streams the contents into a unique temp file beside path, which is
+// fsynced, closed, renamed over path, and made durable by an fsync of
+// the directory. A crash or a failure at any step leaves path holding
+// its previous bytes or the new ones, never a mix, and no failure
+// leaves the temp file behind. A failed directory fsync is returned
+// although the rename has happened: path reads as the new bytes, but
+// they are not durable yet, so the caller must not report them stored.
+//
+// Errors come back as the filesystem gave them (a *fs.PathError naming
+// the operation and the file); callers add what was being published.
+func WriteFileAtomic(fsys FS, path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	tmp, err := CreateTemp(fsys, dir, filepath.Base(path)+".*"+tempSuffix)
+	if err != nil {
+		return err
+	}
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		// Best effort: if this fails too, RemoveTemps sweeps what is left.
+		_ = fsys.Remove(tmp.Name())
+		return err
+	}
+	return fsys.SyncDir(dir)
+}
+
+// RemoveTemps deletes the temp files a process that died inside
+// WriteFileAtomic left in dir. The caller must own dir (hold its lock):
+// a live writer's temp file looks the same. Best effort, hence no error:
+// a temp file that will not go costs space, not correctness, and a dir
+// that cannot be listed fails whatever the caller opens in it next.
+func RemoveTemps(fsys FS, dir string) {
+	entries, _ := fsys.ReadDir(dir)
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), tempSuffix) {
+			_ = fsys.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
 }

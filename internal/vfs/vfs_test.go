@@ -1,7 +1,9 @@
 package vfs
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -271,5 +273,109 @@ func TestParseFaultSpec(t *testing.T) {
 		if cfg, err := ParseFaultSpec(bad); err == nil {
 			t.Errorf("ParseFaultSpec(%q) accepted a bad spec: %+v", bad, cfg)
 		}
+	}
+}
+
+// publishFS is a FaultFS whose directory fsyncs answer to a FaultFS of
+// their own, so a case can fail the directory and nothing else.
+type publishFS struct {
+	*FaultFS
+	dirs *FaultFS
+}
+
+func (p publishFS) SyncDir(dir string) error { return p.dirs.SyncDir(dir) }
+
+// TestWriteFileAtomic drives the publish protocol through every step
+// that can fail. Whatever happens, the target holds its old bytes or the
+// new ones, never a mix, and no temp file remains.
+func TestWriteFileAtomic(t *testing.T) {
+	oldBytes, newBytes := []byte("old contents\n"), []byte("the new, longer contents\n")
+	cases := []struct {
+		name    string
+		fresh   bool // no file at the target beforehand
+		file    FaultConfig
+		dir     FaultConfig
+		wantErr error  // nil: the publish succeeds
+		want    []byte // what the target holds afterwards; nil: absent
+	}{
+		{name: "first publish", fresh: true, want: newBytes},
+		{name: "rename onto an existing file", want: newBytes},
+		{name: "write EIO", file: FaultConfig{WriteErrProb: 1}, wantErr: syscall.EIO, want: oldBytes},
+		{name: "write EIO, nothing to keep", fresh: true, file: FaultConfig{WriteErrProb: 1}, wantErr: syscall.EIO},
+		{name: "torn write", file: FaultConfig{Seed: 3, WriteErrProb: 1, TornWrites: true}, wantErr: syscall.EIO, want: oldBytes},
+		{name: "sync EIO", file: FaultConfig{SyncErrProb: 1}, wantErr: syscall.EIO, want: oldBytes},
+		{name: "ENOSPC", file: FaultConfig{WriteBudget: 1}, wantErr: syscall.ENOSPC, want: oldBytes},
+		// The rename has happened: the new bytes are visible, the error
+		// says they are not durable.
+		{name: "dir sync EIO", dir: FaultConfig{SyncErrProb: 1}, wantErr: syscall.EIO, want: newBytes},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "STATE")
+			fsys := publishFS{NewFault(OS, FaultConfig{}), NewFault(OS, FaultConfig{})}
+			publish := func(b []byte) error {
+				return WriteFileAtomic(fsys, path, func(w io.Writer) error {
+					// Two writes, as a header and a payload are.
+					if _, err := w.Write(b[:4]); err != nil {
+						return err
+					}
+					_, err := w.Write(b[4:])
+					return err
+				})
+			}
+			if !tc.fresh {
+				if err := publish(oldBytes); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fsys.Configure(func(c *FaultConfig) { *c = tc.file })
+			fsys.dirs.Configure(func(c *FaultConfig) { *c = tc.dir })
+			err := publish(newBytes)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("publish error = %v, want %v", err, tc.wantErr)
+			}
+			got, err := os.ReadFile(path)
+			if tc.want == nil && !os.IsNotExist(err) {
+				t.Fatalf("target exists after a failed first publish: %q, %v", got, err)
+			}
+			if tc.want != nil && (err != nil || !bytes.Equal(got, tc.want)) {
+				t.Fatalf("target holds %q (%v), want %q", got, err, tc.want)
+			}
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				if e.Name() != "STATE" {
+					t.Fatalf("publish left %s behind", e.Name())
+				}
+			}
+		})
+	}
+}
+
+func TestRemoveTemps(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"snap-1.snap.77-1.tmp", "EPOCH.77-2.tmp", "EPOCH", "wal-1.log"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "blocks.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	RemoveTemps(OS, dir)
+	RemoveTemps(OS, filepath.Join(dir, "no such dir")) // nothing to sweep, nothing to report
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var left []string
+	for _, e := range ents {
+		left = append(left, e.Name())
+	}
+	if got := strings.Join(left, " "); got != "EPOCH blocks.tmp wal-1.log" {
+		t.Fatalf("after the sweep the dir holds %q, want the published files and the directory", got)
 	}
 }

@@ -25,14 +25,9 @@ type FileLock struct {
 // ErrLocked wraps the refusal when another live process holds the lock.
 var ErrLocked = fmt.Errorf("wal: data dir is locked by another running instance")
 
-// LockDir validates dir (it must exist, be a directory, and be
+// LockDirFS validates dir (it must exist, be a directory, and be
 // writable) and takes its exclusive lock, failing fast with a clear
-// error otherwise — the powserved startup contract.
-func LockDir(dir string) (*FileLock, error) {
-	return LockDirFS(vfs.OS, dir)
-}
-
-// LockDirFS is LockDir through an explicit filesystem. When the FS
+// error otherwise — the powserved startup contract. When the FS
 // cannot expose a real file descriptor (vfs.Fder), the flock step is
 // skipped — single-process tests with synthetic filesystems keep the
 // create/validate semantics without kernel locking.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,9 +17,9 @@ import (
 //
 //	magic[8] lsn[u64le] payloadLen[u64le] crc[u32le] payload
 //
-// A snapshot is written to a temp file, fsynced, and renamed into place,
-// so a crash mid-write leaves either the previous snapshot or a stray
-// .tmp (ignored) — never a half-visible one. The LSN records the applied
+// A snapshot is published by vfs.WriteFileAtomic, so a crash mid-write
+// leaves either the previous snapshot or a stray temp file (swept at the
+// next open) — never a half-visible one. The LSN records the applied
 // watermark the payload state corresponds to: recovery loads the latest
 // CRC-valid snapshot and replays the WAL strictly after it.
 const (
@@ -37,10 +38,9 @@ func WriteSnapshot(dir string, lsn uint64, payload []byte) error {
 	return WriteSnapshotFS(vfs.OS, dir, lsn, payload)
 }
 
-// WriteSnapshotFS is WriteSnapshot through an explicit filesystem. Every
-// failure path removes the temp file, so repeated failing attempts (a
-// full or erroring disk) never accumulate .tmp litter, and the previous
-// snapshot is untouched until the final rename.
+// WriteSnapshotFS is WriteSnapshot through an explicit filesystem. The
+// previous snapshot is untouched until the rename, and no failure leaves
+// a temp file behind (vfs.WriteFileAtomic).
 func WriteSnapshotFS(fsys vfs.FS, dir string, lsn uint64, payload []byte) error {
 	hdr := make([]byte, snapHeaderSize)
 	copy(hdr, snapMagic)
@@ -48,34 +48,17 @@ func WriteSnapshotFS(fsys vfs.FS, dir string, lsn uint64, payload []byte) error 
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[24:28], crc32.Checksum(payload, crcTable))
 
-	tmp, err := vfs.CreateTemp(fsys, dir, snapPrefix+"*.tmp")
+	err := vfs.WriteFileAtomic(fsys, filepath.Join(dir, snapshotName(lsn)), func(w io.Writer) error {
+		if _, err := w.Write(hdr); err != nil {
+			return err
+		}
+		_, err := w.Write(payload)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("wal: snapshot temp file: %w", err)
+		return fmt.Errorf("wal: writing snapshot: %w", err)
 	}
-	tmpName := tmp.Name()
-	cleanup := func() { tmp.Close(); fsys.Remove(tmpName) }
-	if _, err := tmp.Write(hdr); err != nil {
-		cleanup()
-		return fmt.Errorf("wal: snapshot header: %w", err)
-	}
-	if _, err := tmp.Write(payload); err != nil {
-		cleanup()
-		return fmt.Errorf("wal: snapshot payload: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("wal: snapshot fsync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		fsys.Remove(tmpName)
-		return fmt.Errorf("wal: snapshot close: %w", err)
-	}
-	final := filepath.Join(dir, snapshotName(lsn))
-	if err := fsys.Rename(tmpName, final); err != nil {
-		fsys.Remove(tmpName)
-		return fmt.Errorf("wal: snapshot rename: %w", err)
-	}
-	return syncDir(fsys, dir)
+	return nil
 }
 
 // readSnapshot loads and verifies one snapshot file.
@@ -144,12 +127,7 @@ func LatestSnapshotFS(fsys vfs.FS, dir string) (lsn uint64, payload []byte, foun
 	return 0, nil, false, skippedCorrupt, nil
 }
 
-// ReapSnapshots removes all but the newest keep snapshots.
-func ReapSnapshots(dir string, keep int) (removed int, err error) {
-	return ReapSnapshotsFS(vfs.OS, dir, keep)
-}
-
-// ReapSnapshotsFS is ReapSnapshots through an explicit filesystem.
+// ReapSnapshotsFS removes all but the newest keep snapshots.
 func ReapSnapshotsFS(fsys vfs.FS, dir string, keep int) (removed int, err error) {
 	if keep < 1 {
 		keep = 1

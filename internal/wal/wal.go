@@ -213,7 +213,7 @@ func listSegments(fsys vfs.FS, dir string) ([]string, error) {
 
 // Open scans dir, truncates any torn or corrupt tail, and returns a Log
 // positioned to append after the last valid record. The caller must hold
-// the directory lock (LockDir) for the lifetime of the Log.
+// the directory lock (LockDirFS) for the lifetime of the Log.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 64 << 20

@@ -331,7 +331,7 @@ func TestSnapshotWriteLatestAndCorruptFallback(t *testing.T) {
 
 	// Reap keeps the newest.
 	WriteSnapshot(dir, 30, []byte("state-at-30"))
-	removed, err := ReapSnapshots(dir, 1)
+	removed, err := ReapSnapshotsFS(vfs.OS, dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestNoSnapshotFound(t *testing.T) {
 
 func TestLockDirFailFast(t *testing.T) {
 	t.Run("missing dir", func(t *testing.T) {
-		_, err := LockDir(filepath.Join(t.TempDir(), "nope"))
+		_, err := LockDirFS(vfs.OS, filepath.Join(t.TempDir(), "nope"))
 		if err == nil || !errors.Is(err, err) || !contains(err.Error(), "does not exist") {
 			t.Fatalf("want clear missing-dir error, got %v", err)
 		}
@@ -361,7 +361,7 @@ func TestLockDirFailFast(t *testing.T) {
 	t.Run("not a directory", func(t *testing.T) {
 		f := filepath.Join(t.TempDir(), "file")
 		os.WriteFile(f, []byte("x"), 0o644)
-		if _, err := LockDir(f); err == nil || !contains(err.Error(), "not a directory") {
+		if _, err := LockDirFS(vfs.OS, f); err == nil || !contains(err.Error(), "not a directory") {
 			t.Fatalf("want not-a-directory error, got %v", err)
 		}
 	})
@@ -372,7 +372,7 @@ func TestLockDirFailFast(t *testing.T) {
 		dir := t.TempDir()
 		os.Chmod(dir, 0o500)
 		defer os.Chmod(dir, 0o755)
-		if _, err := LockDir(dir); err == nil || !contains(err.Error(), "not writable") {
+		if _, err := LockDirFS(vfs.OS, dir); err == nil || !contains(err.Error(), "not writable") {
 			t.Fatalf("want unwritable error, got %v", err)
 		}
 	})
@@ -380,7 +380,7 @@ func TestLockDirFailFast(t *testing.T) {
 
 func TestLockDirLiveAndStale(t *testing.T) {
 	dir := t.TempDir()
-	l1, err := LockDir(dir)
+	l1, err := LockDirFS(vfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,8 +388,8 @@ func TestLockDirLiveAndStale(t *testing.T) {
 		t.Fatal("fresh lock reported stale")
 	}
 	// flock treats separately opened descriptors independently even in
-	// one process, so a second LockDir contends like a second daemon.
-	if _, err := LockDir(dir); !errors.Is(err, ErrLocked) {
+	// one process, so a second LockDirFS contends like a second daemon.
+	if _, err := LockDirFS(vfs.OS, dir); !errors.Is(err, ErrLocked) {
 		t.Fatalf("second lock: err = %v, want ErrLocked", err)
 	} else if !contains(err.Error(), fmt.Sprint(os.Getpid())) {
 		t.Fatalf("lock error does not name the holder pid: %v", err)
@@ -401,7 +401,7 @@ func TestLockDirLiveAndStale(t *testing.T) {
 	// Stale lock: the file exists but no process holds the flock — as
 	// after a SIGKILL. Acquisition must succeed and flag it.
 	os.WriteFile(filepath.Join(dir, "LOCK"), []byte("999999\n"), 0o644)
-	l2, err := LockDir(dir)
+	l2, err := LockDirFS(vfs.OS, dir)
 	if err != nil {
 		t.Fatalf("stale lock not taken over: %v", err)
 	}
