@@ -6,7 +6,7 @@ GO ?= go
 # bench-all aggregates. A new fuzz or bench gate joins its list here.
 # CI runs the microbenchmarks at BENCHTIME=0.5s.
 FUZZ_TARGETS = fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state fuzz-codec fuzz-snapshot fuzz-sort
-BENCH_TARGETS = bench-selftest bench bench-block bench-codec bench-wal bench-snapshot bench-tsdb
+BENCH_TARGETS = bench-selftest bench bench-block bench-codec bench-wal bench-snapshot bench-tsdb bench-mlearn
 SMOKE_TARGETS = smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke
 
 .PHONY: all build vet test race bench-e2e bench-compare block-check obs-check ci clean fuzz-all bench-all $(FUZZ_TARGETS) $(BENCH_TARGETS) $(SMOKE_TARGETS)
@@ -83,6 +83,17 @@ bench-snapshot:
 # plus ExportState, which reads everything Append writes.
 bench-tsdb:
 	$(call gobench,'AppendFleet|AppendInterleaved|ExportState',./internal/tsdb/)
+
+# Prediction-study microbenchmarks (the paper's Figs. 14-15, Emmy at a
+# tenth of the study): BDTFit on 5,000 synthetic jobs, KNNPredict (one
+# selection pass over the user's history, 0 allocs/op), and EvaluateAll,
+# ten splits x three models, on one core and on two: the splits are
+# fitted concurrently, so -2 should read about a quarter below -1 (KNN
+# and FLDA halve, the allocation-bound BDT fits barely move), and -1 no
+# worse than walking the splits in turn.
+bench-mlearn:
+	$(call gobench,'BDTFit|KNNPredict',./internal/mlearn/)
+	$(GO) test -run xxx -bench 'EvaluateAll' -benchmem -benchtime=$(BENCHTIME) -cpu 1,2 ./internal/mlearn/
 
 # The end-to-end + per-layer benchmark (bench/README.md): every workload,
 # 5 untraced runs and one traced run each, about 12 minutes.

@@ -20,6 +20,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"hpcpower"
 )
@@ -40,13 +41,16 @@ func main() {
 		fatal(err)
 	}
 
+	start := time.Now()
 	results, err := hpcpower.EvaluatePredictors(ds, *seed)
 	if err != nil {
 		fatal(err)
 	}
+	evalTime := time.Since(start)
 	if err := hpcpower.WritePrediction(os.Stdout, ds.Meta.System, results); err != nil {
 		fatal(err)
 	}
+	fmt.Printf("evaluated %s: %d validation predictions per model in %.2fs\n", ds.Meta.System, results[0].N, evalTime.Seconds())
 
 	if *whatIf != "" {
 		f, err := parseFeatures(*whatIf)

@@ -57,13 +57,16 @@ func main() {
 			fatal(err)
 		}
 
+		start = time.Now()
 		results, err := hpcpower.EvaluatePredictors(ds, *seed)
 		if err != nil {
 			fatal(err)
 		}
+		evalTime := time.Since(start)
 		if err := hpcpower.WritePrediction(os.Stdout, ds.Meta.System, results); err != nil {
 			fatal(err)
 		}
+		fmt.Printf("evaluated %s: %d validation predictions per model in %.2fs\n\n", ds.Meta.System, results[0].N, evalTime.Seconds())
 		predictions[ds.Meta.System] = results
 		for _, r := range results {
 			predSummaries[ds.Meta.System] = append(predSummaries[ds.Meta.System],

@@ -141,8 +141,10 @@ func LoadBDT(r io.Reader) (PredictModel, error) { return mlearn.LoadBDT(r) }
 // LoadBDTFile reads a model file written by SaveBDTFile.
 func LoadBDTFile(path string) (PredictModel, error) { return mlearn.LoadBDTFile(path) }
 
-// EvaluatePredictors reproduces Figs. 14-15: BDT, KNN and FLDA under ten
-// stratified 80/20 splits.
+// EvaluatePredictors reproduces Figs. 14-15: BDT, KNN and FLDA under the
+// same ten stratified 80/20 splits. The splits are evaluated on every
+// available core; the results depend on ds and seed alone, not on the
+// core count.
 func EvaluatePredictors(ds *Dataset, seed uint64) ([]EvalResult, error) {
 	return mlearn.EvaluateAll(mlearn.SamplesFromDataset(ds), mlearn.DefaultEvalConfig(seed))
 }

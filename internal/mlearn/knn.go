@@ -1,9 +1,6 @@
 package mlearn
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // KNNParams tunes the k-nearest-neighbour regressor.
 type KNNParams struct {
@@ -24,6 +21,11 @@ func DefaultKNNParams() KNNParams {
 // in (user, ln nodes, ln walltime) space. Its characteristic failure mode
 // — blending configurations that are close in size/walltime but far in
 // power — is exactly the weakness the paper reports.
+//
+// Neighbours are ordered nearer first; among equidistant candidates (a
+// user resubmitting one (nodes, walltime) configuration, the common case)
+// the one earlier in the training set wins, so the prediction is a
+// function of the training set and its order alone.
 type KNN struct {
 	params KNNParams
 	// samples grouped by user for fast same-user lookup.
@@ -66,38 +68,62 @@ func (k *KNN) Fit(samples []Sample) error {
 	return nil
 }
 
+// neighbour is one selected candidate: its distance to the query and its
+// target.
+type neighbour struct{ d, y float64 }
+
+// knnStackK is the largest K whose selection lives on Predict's stack; a
+// larger K costs one allocation per call.
+const knnStackK = 32
+
 // Predict implements Model.
 func (k *KNN) Predict(f Features) float64 {
 	if len(k.all) == 0 {
 		return k.global
 	}
 	q := [2]float64{lnNodes(f), lnWall(f)}
-	type scored struct {
-		d float64
-		y float64
+	var stack [knnStackK]neighbour
+	best := stack[:0]
+	if k.params.K > len(stack) {
+		best = make([]neighbour, 0, k.params.K)
 	}
-	var cands []scored
 	// Same-user candidates at zero penalty.
-	for _, r := range k.byUser[f.User] {
-		cands = append(cands, scored{d: dist2(q, r.x), y: r.y})
+	own := k.byUser[f.User]
+	for i := range own {
+		best = keepNearest(best, k.params.K, dist2(q, own[i].x), own[i].y)
 	}
 	// If the user's history cannot fill k neighbours, widen to the whole
 	// training set with the mismatch penalty.
-	if len(cands) < k.params.K {
-		for _, r := range k.all {
-			cands = append(cands, scored{d: dist2(q, r.x) + k.params.UserMismatchPenalty, y: r.y})
+	if len(own) < k.params.K {
+		for i := range k.all {
+			best = keepNearest(best, k.params.K, dist2(q, k.all[i].x)+k.params.UserMismatchPenalty, k.all[i].y)
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].d < cands[b].d })
-	n := k.params.K
-	if n > len(cands) {
-		n = len(cands)
-	}
 	var sum float64
-	for i := 0; i < n; i++ {
-		sum += cands[i].y
+	for _, n := range best {
+		sum += n.y
 	}
-	return sum / float64(n)
+	return sum / float64(len(best))
+}
+
+// keepNearest offers one candidate to best, the at most k nearest seen so
+// far in ascending distance. A candidate no nearer than the current k-th
+// is dropped, and one as near as a kept neighbour goes behind it: earlier
+// candidates win ties.
+func keepNearest(best []neighbour, k int, d, y float64) []neighbour {
+	if len(best) == k {
+		if !(d < best[k-1].d) {
+			return best
+		}
+		best = best[:k-1]
+	}
+	i := len(best)
+	best = best[:i+1]
+	for ; i > 0 && d < best[i-1].d; i-- {
+		best[i] = best[i-1]
+	}
+	best[i] = neighbour{d, y}
+	return best
 }
 
 func dist2(a, b [2]float64) float64 {

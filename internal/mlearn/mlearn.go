@@ -19,6 +19,8 @@ package mlearn
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"hpcpower/internal/rng"
 	"hpcpower/internal/stats"
@@ -163,10 +165,22 @@ func DefaultEvalConfig(seed uint64) EvalConfig {
 }
 
 // Evaluate trains and validates the model built by factory on cfg.Reps
-// random stratified splits and pools the results.
+// random stratified splits and pools the results. The splits are fitted
+// concurrently on up to GOMAXPROCS goroutines; factory is only called on
+// the caller's goroutine, and the result does not depend on how many
+// cores ran it.
 func Evaluate(samples []Sample, factory func() Model, cfg EvalConfig) (EvalResult, error) {
-	if len(samples) < 20 {
-		return EvalResult{}, fmt.Errorf("mlearn: only %d samples", len(samples))
+	cfg, err := cfg.checked(len(samples))
+	if err != nil {
+		return EvalResult{}, err
+	}
+	return evaluate(drawSplits(samples, cfg), factory, cfg)
+}
+
+// checked fills cfg's defaults and refuses a sample set too small to split.
+func (cfg EvalConfig) checked(n int) (EvalConfig, error) {
+	if n < 20 {
+		return cfg, fmt.Errorf("mlearn: only %d samples", n)
 	}
 	if cfg.Reps <= 0 {
 		cfg.Reps = 10
@@ -174,20 +188,72 @@ func Evaluate(samples []Sample, factory func() Model, cfg EvalConfig) (EvalResul
 	if cfg.CDFPoints <= 0 {
 		cfg.CDFPoints = 200
 	}
+	return cfg, nil
+}
+
+// drawSplits draws cfg.Reps stratified splits, the rep-th from the rep-th
+// substream of cfg.Seed.
+func drawSplits(samples []Sample, cfg EvalConfig) []Split {
 	root := rng.New(cfg.Seed)
+	splits := make([]Split, cfg.Reps)
+	for rep := range splits {
+		splits[rep] = StratifiedSplit(samples, cfg.ValidFrac, root.Split(uint64(rep)))
+	}
+	return splits
+}
+
+// evaluate fits one model per split and pools the validation errors. The
+// splits are only read, so several models may be evaluated on the same ones.
+func evaluate(splits []Split, factory func() Model, cfg EvalConfig) (EvalResult, error) {
+	// One slot per repetition, written by whichever worker runs it: the
+	// absolute error of each validation sample in order, or the Fit error.
+	type slot struct {
+		errPct []float64
+		err    error
+	}
+	type job struct {
+		rep int
+		m   Model
+	}
+	slots := make([]slot, len(splits))
+	jobs := make(chan job)
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(splits)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				sp, out := splits[j.rep], &slots[j.rep]
+				if out.err = j.m.Fit(sp.Train); out.err != nil {
+					continue
+				}
+				out.errPct = make([]float64, len(sp.Valid))
+				for i, v := range sp.Valid {
+					p := Prediction{Features: v.Features, Actual: v.PowerW, Predicted: j.m.Predict(v.Features)}
+					out.errPct[i] = p.AbsErrPct()
+				}
+			}
+		}()
+	}
 	var name string
-	var errs []float64
-	perUserErrs := map[string][]float64{}
-	for rep := 0; rep < cfg.Reps; rep++ {
-		sp := StratifiedSplit(samples, cfg.ValidFrac, root.Split(uint64(rep)))
+	for rep := range splits {
 		m := factory()
 		name = m.Name()
-		if err := m.Fit(sp.Train); err != nil {
-			return EvalResult{}, err
+		jobs <- job{rep, m}
+	}
+	close(jobs)
+	wg.Wait()
+
+	// Merge in repetition order, so the pooled lists are the ones a single
+	// goroutine walking the splits in turn would have built.
+	var errs []float64
+	perUserErrs := map[string][]float64{}
+	for rep, sl := range slots {
+		if sl.err != nil {
+			return EvalResult{}, sl.err
 		}
-		for _, v := range sp.Valid {
-			p := Prediction{Features: v.Features, Actual: v.PowerW, Predicted: m.Predict(v.Features)}
-			e := p.AbsErrPct()
+		for i, v := range splits[rep].Valid {
+			e := sl.errPct[i]
 			if math.IsNaN(e) {
 				continue
 			}
@@ -200,7 +266,7 @@ func Evaluate(samples []Sample, factory func() Model, cfg EvalConfig) (EvalResul
 	}
 	cdf := stats.NewECDF(errs)
 	res := EvalResult{
-		Model: name, Reps: cfg.Reps, N: len(errs),
+		Model: name, Reps: len(splits), N: len(errs),
 		ErrCDF:        cdf.Points(cfg.CDFPoints),
 		MeanErrPct:    cdf.Mean(),
 		MedianErrPct:  cdf.Quantile(0.5),
@@ -217,8 +283,14 @@ func Evaluate(samples []Sample, factory func() Model, cfg EvalConfig) (EvalResul
 	return res, nil
 }
 
-// EvaluateAll runs the paper's three models (Fig. 14) on one dataset.
+// EvaluateAll runs the paper's three models (Fig. 14) on one dataset,
+// all three on the same cfg.Reps splits.
 func EvaluateAll(samples []Sample, cfg EvalConfig) ([]EvalResult, error) {
+	cfg, err := cfg.checked(len(samples))
+	if err != nil {
+		return nil, err
+	}
+	splits := drawSplits(samples, cfg)
 	factories := []func() Model{
 		func() Model { return NewBDT(DefaultTreeParams()) },
 		func() Model { return NewKNN(DefaultKNNParams()) },
@@ -226,7 +298,7 @@ func EvaluateAll(samples []Sample, cfg EvalConfig) ([]EvalResult, error) {
 	}
 	var out []EvalResult
 	for _, f := range factories {
-		r, err := Evaluate(samples, f, cfg)
+		r, err := evaluate(splits, f, cfg)
 		if err != nil {
 			return nil, err
 		}

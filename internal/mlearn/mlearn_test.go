@@ -3,6 +3,7 @@ package mlearn
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"hpcpower/internal/gen"
@@ -181,6 +182,110 @@ func TestKNNUnseenUserFallsBack(t *testing.T) {
 	p := m.Predict(Features{User: "stranger", Nodes: 4, WallHours: 6})
 	if p <= 0 || math.IsNaN(p) {
 		t.Errorf("unseen-user prediction = %v", p)
+	}
+}
+
+// TestKNNTiesByTrainingOrder: among equidistant neighbours the earlier
+// training rows are the ones averaged, and a history shorter than K is
+// topped up from the penalised global set in the same order.
+func TestKNNTiesByTrainingOrder(t *testing.T) {
+	var data []Sample
+	for i := 0; i < 30; i++ {
+		data = append(data, Sample{Features: Features{User: "a", Nodes: 4, WallHours: 8}, PowerW: 100 + float64(i)})
+	}
+	for i := 0; i < 3; i++ {
+		data = append(data, Sample{Features: Features{User: "b", Nodes: 4, WallHours: 8}, PowerW: 200 + float64(i)})
+	}
+	m := NewKNN(DefaultKNNParams())
+	if err := m.Fit(data); err != nil {
+		t.Fatal(err)
+	}
+	// All 30 of a's rows are at distance 0: rows 0..4 win.
+	if got, want := m.Predict(Features{User: "a", Nodes: 4, WallHours: 8}), (100+101+102+103+104)/5.0; got != want {
+		t.Errorf("tied prediction = %v, want the mean of the first five rows %v", got, want)
+	}
+	// b has 3 rows (distance 0); the other two come from the whole set
+	// at distance 0 + penalty, which a's rows 0 and 1 head.
+	if got, want := m.Predict(Features{User: "b", Nodes: 4, WallHours: 8}), (200+201+202+100+101)/5.0; got != want {
+		t.Errorf("short-history prediction = %v, want %v", got, want)
+	}
+}
+
+// predictBySorting is the sort-everything KNN this package shipped before
+// selection: gather every candidate, sort, average the first K. The sort
+// is stable, so it also states the tie rule; on all-distinct distances it
+// is the old Predict exactly. (Reference for one anchor window, ROADMAP 7(b).)
+func predictBySorting(k *KNN, f Features) float64 {
+	q := [2]float64{lnNodes(f), lnWall(f)}
+	var cands []neighbour
+	for _, r := range k.byUser[f.User] {
+		cands = append(cands, neighbour{d: dist2(q, r.x), y: r.y})
+	}
+	if len(cands) < k.params.K {
+		for _, r := range k.all {
+			cands = append(cands, neighbour{d: dist2(q, r.x) + k.params.UserMismatchPenalty, y: r.y})
+		}
+	}
+	sort.SliceStable(cands, func(a, b int) bool { return cands[a].d < cands[b].d })
+	n := min(k.params.K, len(cands))
+	var sum float64
+	for _, c := range cands[:n] {
+		sum += c.y
+	}
+	return sum / float64(n)
+}
+
+func TestKNNSelectionMatchesSorting(t *testing.T) {
+	src := rng.New(21)
+	users := []string{"u1", "u2", "u3", "u4", "u5", "u6"}
+	askers := append([]string{"stranger"}, users...)
+	for trial := 0; trial < 40; trial++ {
+		// Continuous walltimes: every distance is distinct. Every fourth
+		// trial draws from three walltimes instead, so ties abound.
+		wall := func() float64 { return 0.5 + 47*src.Float64() }
+		if trial%4 == 3 {
+			wall = func() float64 { return []float64{2, 6, 24}[src.Intn(3)] }
+		}
+		n := 1 + src.Intn(200)
+		data := make([]Sample, n)
+		for i := range data {
+			// u6 is rare: its history is usually shorter than K.
+			u := users[src.Intn(5)]
+			if src.Intn(40) == 0 {
+				u = users[5]
+			}
+			data[i] = Sample{Features: Features{User: u, Nodes: 1 + src.Intn(64), WallHours: wall()}, PowerW: 60 + 200*src.Float64()}
+		}
+		m := NewKNN(KNNParams{K: []int{1, 5, 25, 40}[trial%4], UserMismatchPenalty: 4})
+		if err := m.Fit(data); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50; i++ {
+			f := Features{User: askers[src.Intn(len(askers))], Nodes: 1 + src.Intn(64), WallHours: wall()}
+			if got, want := m.Predict(f), predictBySorting(m, f); got != want {
+				t.Fatalf("trial %d (n=%d, K=%d): Predict(%+v) = %v, sorting gives %v", trial, n, m.params.K, f, got, want)
+			}
+		}
+	}
+}
+
+func TestKNNPredictDoesNotAllocate(t *testing.T) {
+	data := samples(t, "Emmy")
+	m := NewKNN(DefaultKNNParams())
+	if err := m.Fit(data); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		m.Predict(data[i%len(data)].Features)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("KNN.Predict allocates %v times per call", allocs)
+	}
+	// An unseen user takes the widening pass over the whole set.
+	if allocs := testing.AllocsPerRun(20, func() { m.Predict(Features{User: "stranger", Nodes: 4, WallHours: 6}) }); allocs != 0 {
+		t.Errorf("KNN.Predict allocates %v times per call for an unseen user", allocs)
 	}
 }
 
@@ -391,6 +496,48 @@ func BenchmarkBDTPredict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Predict(data[i%len(data)].Features)
+	}
+}
+
+var emmyBenchSamples []Sample
+
+// benchSamples is Emmy at a tenth of the study, the scale the end-to-end
+// benchmark's analyze-offline workload runs at; generated once, since the
+// testing package calls a benchmark several times to settle b.N.
+func benchSamples(b *testing.B) []Sample {
+	if emmyBenchSamples == nil {
+		ds, err := gen.Generate(gen.EmmyConfig(0.1, 42))
+		if err != nil {
+			b.Fatal(err)
+		}
+		emmyBenchSamples = SamplesFromDataset(ds)
+	}
+	return emmyBenchSamples
+}
+
+func BenchmarkKNNPredict(b *testing.B) {
+	data := benchSamples(b)
+	m := NewKNN(DefaultKNNParams())
+	if err := m.Fit(data); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Predict(data[i%len(data)].Features)
+	}
+}
+
+// BenchmarkEvaluateAll is the whole Fig. 14 study; run it with -cpu 1,2
+// to see what the second core buys.
+func BenchmarkEvaluateAll(b *testing.B) {
+	data := benchSamples(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EvaluateAll(data, DefaultEvalConfig(7)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
