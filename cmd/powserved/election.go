@@ -93,9 +93,6 @@ func electionConfig(fsys vfs.FS, id, advertise, dataDir string, peers []elect.Pe
 		HeartbeatEvery: hb,
 		State:          st,
 		Transport:      &elect.HTTPTransport{},
-		Logf: func(format string, args ...any) {
-			fmt.Printf("powserved: "+format+"\n", args...)
-		},
 	}, nil
 }
 

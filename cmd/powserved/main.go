@@ -175,6 +175,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		ecfg.Logger = logger // a data node's elector inherits the server's
 		if err := runWitness(*addr, ecfg); err != nil {
 			fatal(err)
 		}
@@ -305,10 +306,6 @@ func main() {
 				FollowerID: *followerID,
 				EpochFile:  *epochFile,
 				SyncAck:    *replAck == "sync",
-				Logf: func(format string, args ...any) {
-					fmt.Printf("powserved: repl: "+format+"\n", args...)
-					obs.Component(logger, "repl").Info(fmt.Sprintf(format, args...))
-				},
 			},
 		})
 		if err != nil {

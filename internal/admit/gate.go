@@ -77,14 +77,6 @@ func (g *Gate) claim(held *atomic.Int64, slots int64, shed *atomic.Uint64) (func
 	return func() { held.Add(-1) }, true
 }
 
-// Held returns the currently held slot counts per gated class.
-func (g *Gate) Held() (query, admin int) {
-	if g == nil {
-		return 0, 0
-	}
-	return int(g.queryHeld.Load()), int(g.adminHeld.Load())
-}
-
 // ShedCounts returns cumulative refusals per gated class.
 func (g *Gate) ShedCounts() (query, admin uint64) {
 	if g == nil {

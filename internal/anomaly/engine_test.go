@@ -316,7 +316,7 @@ func TestEngineEventFilters(t *testing.T) {
 	start := int64(1_700_000_000)
 	h.feed(flatSeries(21, 1, start, 60, 150), 10, "t") // flatline (critical)
 	// Zombie: active then floor.
-	zs, _ := GenProfile(ProfileZombie, 22, 2, start, 120, 220, 7)
+	zs, _ := GenProfile(DetectZombie, 22, 2, start, 120, 220, 7)
 	h.feed(zs, 10, "t")
 
 	all := h.eng.Events(Filter{Node: -1})
@@ -398,7 +398,7 @@ func TestParseInjectSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m[ProfileFlatline] != 3 || m[ProfileZombie] != 1 || m[ProfileNormal] != 3 {
+	if m[DetectFlatline] != 3 || m[DetectZombie] != 1 || m[ProfileNormal] != 3 {
 		t.Fatalf("parsed %v", m)
 	}
 	for _, bad := range []string{"", "wat=1", "flatline", "flatline=0", "flatline=-1", "flatline=x"} {
@@ -409,7 +409,7 @@ func TestParseInjectSpec(t *testing.T) {
 }
 
 func TestScore(t *testing.T) {
-	labels := Labels{1: ProfileFlatline, 2: ProfileZombie, 3: ProfileNormal}
+	labels := Labels{1: DetectFlatline, 2: DetectZombie, 3: ProfileNormal}
 	fs := []Event{
 		{Type: EventFire, Job: 1, Detector: DetectFlatline},
 		{Type: EventFire, Job: 2, Detector: DetectOvershoot}, // wrong detector: miss

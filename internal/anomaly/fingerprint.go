@@ -230,19 +230,6 @@ func (f *Fingerprint) Mean() float64 {
 	return f.Sum / float64(f.N)
 }
 
-// Std returns the lifetime population standard deviation.
-func (f *Fingerprint) Std() float64 {
-	if f.N == 0 {
-		return 0
-	}
-	m := f.Mean()
-	v := f.SumSq/float64(f.N) - m*m
-	if v < 0 {
-		v = 0 // floating-point cancellation guard
-	}
-	return math.Sqrt(v)
-}
-
 // RelStdFast returns the windowed relative standard deviation — the
 // EWMA variance proxy over the fast baseline — the flatline detector's
 // variance-collapse signal.

@@ -38,33 +38,6 @@ func TestFingerprintBasics(t *testing.T) {
 	}
 }
 
-func TestFingerprintStdMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var f Fingerprint
-	var ws []float64
-	for i := 0; i < 500; i++ {
-		w := 200 + 30*rng.NormFloat64()
-		if w < 1 {
-			w = 1
-		}
-		ws = append(ws, w)
-		f.Update(int64(1000+i*60), w)
-	}
-	var sum float64
-	for _, w := range ws {
-		sum += w
-	}
-	mean := sum / float64(len(ws))
-	var sq float64
-	for _, w := range ws {
-		sq += (w - mean) * (w - mean)
-	}
-	want := math.Sqrt(sq / float64(len(ws)))
-	if got := f.Std(); math.Abs(got-want) > 1e-6*want {
-		t.Fatalf("Std = %v, want %v", got, want)
-	}
-}
-
 // TestFingerprintUpdateAllocFree pins the hot-path budget: folding a
 // sample into a fingerprint allocates nothing (it runs inside the tsdb
 // job-shard lock on every ingested sample).

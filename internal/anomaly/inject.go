@@ -11,14 +11,9 @@ import (
 
 // Injection profiles: synthetic single-node job power series with a
 // known anomaly class, used by powload -anomaly and the anomaly smoke
-// to measure detector precision/recall against ground truth.
-const (
-	ProfileNormal    = "normal" // control: phased, noisy, healthy job
-	ProfileFlatline  = DetectFlatline
-	ProfileZombie    = DetectZombie
-	ProfileOvershoot = DetectOvershoot
-	ProfileDrift     = DetectDrift
-)
+// to measure detector precision/recall against ground truth. An
+// anomalous profile carries its detector's name (Profiles).
+const ProfileNormal = "normal" // control: phased, noisy, healthy job
 
 // Profiles lists the anomalous profile names (the injectable classes;
 // "normal" is the control and detects as nothing).

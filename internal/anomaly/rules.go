@@ -196,12 +196,3 @@ func FormatRules(rules []Rule) string {
 	}
 	return strings.Join(parts, ";")
 }
-
-// RuleNames returns the rule names in evaluation order.
-func RuleNames(rules []Rule) []string {
-	out := make([]string, len(rules))
-	for i, r := range rules {
-		out[i] = r.Name
-	}
-	return out
-}

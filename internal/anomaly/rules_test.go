@@ -1,7 +1,6 @@
 package anomaly
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -128,14 +127,6 @@ func TestParseRulesRoundTrip(t *testing.T) {
 					spec, i, again[i], rules[i])
 			}
 		}
-	}
-}
-
-func TestRuleNames(t *testing.T) {
-	names := RuleNames(DefaultRules())
-	joined := strings.Join(names, ",")
-	if joined != "flatline,zombie,overshoot,drift" {
-		t.Fatalf("RuleNames = %q", joined)
 	}
 }
 

@@ -16,7 +16,6 @@ package apps
 
 import (
 	"fmt"
-	"sort"
 
 	"hpcpower/internal/cluster"
 )
@@ -192,16 +191,6 @@ func ByName(name string) (Profile, error) {
 	return Profile{}, fmt.Errorf("apps: unknown application %q", name)
 }
 
-// Names returns all application names, sorted.
-func Names() []string {
-	names := make([]string, len(catalog))
-	for i, p := range catalog {
-		names[i] = p.Name
-	}
-	sort.Strings(names)
-	return names
-}
-
 // ClassShare sums ShareNodeHours per class.
 func ClassShare() map[Class]float64 {
 	m := map[Class]float64{}
@@ -209,12 +198,6 @@ func ClassShare() map[Class]float64 {
 		m[p.Class] += p.ShareNodeHours
 	}
 	return m
-}
-
-// MeanPower returns the application's mean per-node power in watts on the
-// given system.
-func (p Profile) MeanPower(spec cluster.Spec) float64 {
-	return p.PowerFrac[spec.Arch] * float64(spec.NodeTDP)
 }
 
 // Validate reports the first problem with the profile, if any.

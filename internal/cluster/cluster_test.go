@@ -39,26 +39,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestTotalTDP(t *testing.T) {
-	if got := float64(Emmy().TotalTDP()); got != 560*210 {
-		t.Errorf("Emmy TotalTDP = %v", got)
-	}
-	if got := float64(Meggie().TotalTDP()); got != 728*195 {
-		t.Errorf("Meggie TotalTDP = %v", got)
-	}
-}
-
-func TestLinpackPowerFrac(t *testing.T) {
-	// Emmy: 170 kW / 560 nodes = 303 W/node... Table 1's LINPACK power
-	// includes peripheals beyond PKG+DRAM, so the fraction exceeds 1 —
-	// the paper's §4 statement is that LINPACK consumes >95% of TDP.
-	for _, s := range Systems() {
-		if f := s.LinpackPowerFrac(); f < 0.95 {
-			t.Errorf("%s LINPACK fraction = %v, want >= 0.95", s.Name, f)
-		}
-	}
-}
-
 func TestSpecValidateRejects(t *testing.T) {
 	bad := Emmy()
 	bad.Nodes = 0

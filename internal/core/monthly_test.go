@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -53,84 +51,5 @@ func TestMonthlyConsistencyErrors(t *testing.T) {
 	empty.Jobs = nil
 	if _, err := AnalyzeMonthlyConsistency(empty); err == nil {
 		t.Error("empty dataset accepted")
-	}
-}
-
-func TestStreamPowerDistributionMatchesExact(t *testing.T) {
-	ds, err := gen.Generate(gen.EmmyConfig(0.02, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ds.WriteJobsCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := StreamPowerDistribution(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := AnalyzePowerDistribution(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed.Jobs != exact.Summary.N {
-		t.Fatalf("jobs: %d vs %d", streamed.Jobs, exact.Summary.N)
-	}
-	if relErr(streamed.MeanW, exact.Summary.Mean) > 1e-6 {
-		t.Errorf("mean: %v vs %v", streamed.MeanW, exact.Summary.Mean)
-	}
-	if relErr(streamed.StdW, exact.Summary.Std) > 1e-6 {
-		t.Errorf("std: %v vs %v", streamed.StdW, exact.Summary.Std)
-	}
-	if relErr(streamed.MinW, exact.Summary.Min) > 1e-6 || relErr(streamed.MaxW, exact.Summary.Max) > 1e-6 {
-		t.Errorf("extrema: [%v,%v] vs [%v,%v]", streamed.MinW, streamed.MaxW, exact.Summary.Min, exact.Summary.Max)
-	}
-	// P² estimates: within a few percent of the exact order statistics.
-	if relErr(streamed.MedianW, exact.Summary.Median) > 0.03 {
-		t.Errorf("median: %v vs %v", streamed.MedianW, exact.Summary.Median)
-	}
-	if relErr(streamed.P95W, exact.Summary.P95) > 0.03 {
-		t.Errorf("p95: %v vs %v", streamed.P95W, exact.Summary.P95)
-	}
-	// The streaming Pearson proxies agree in sign and rough size with the
-	// exact Spearman correlations.
-	ct, err := AnalyzeCorrelations(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed.LengthPowerPearson <= 0 || ct.Length.R <= 0 {
-		t.Errorf("length correlations disagree: %v vs %v", streamed.LengthPowerPearson, ct.Length.R)
-	}
-}
-
-func relErr(a, b float64) float64 {
-	if a == b {
-		return 0
-	}
-	den := b
-	if den == 0 {
-		den = 1
-	}
-	return absf(a-b) / absf(den)
-}
-
-func absf(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func TestStreamPowerDistributionErrors(t *testing.T) {
-	if _, err := StreamPowerDistribution(strings.NewReader("")); err == nil {
-		t.Error("empty stream accepted")
-	}
-	if _, err := StreamPowerDistribution(strings.NewReader("a,b\n1,2\n")); err == nil {
-		t.Error("missing columns accepted")
-	}
-	bad := "job_id,user,app,nodes,submit_unix,start_unix,end_unix,req_walltime_s,avg_power_per_node_w,energy_j,instrumented,temporal_cv_pct,peak_overshoot_pct,pct_time_above_mean10,avg_spatial_spread_w,spatial_spread_pct,pct_time_spread_above_avg,node_energy_spread_pct\n" +
-		"1,u,a,x,0,0,0,0,abc,0,false,0,0,0,0,0,0,0\n"
-	if _, err := StreamPowerDistribution(strings.NewReader(bad)); err == nil {
-		t.Error("malformed row accepted")
 	}
 }

@@ -3,9 +3,12 @@ package elect
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"sync"
 	"time"
+
+	"hpcpower/internal/obs"
 )
 
 // Clock abstracts time so tests can skew, freeze, and jump it. Safety
@@ -69,7 +72,9 @@ type Config struct {
 	// Rand yields jitter in [0,1) for election timeouts. Nil means
 	// math/rand.
 	Rand func() float64
-	Logf func(format string, args ...any)
+	// Logger receives one record per state change, refused vote and
+	// failed persist, under component "elect". nil discards.
+	Logger *slog.Logger
 
 	// Epoch returns the local data epoch (nil on a witness). The
 	// campaign epoch is max(promised, Epoch())+1 so election epochs
@@ -115,7 +120,8 @@ type Status struct {
 // Elector runs failure detection and leader election for one node. All
 // exported methods are safe for concurrent use.
 type Elector struct {
-	cfg Config
+	cfg    Config
+	logger *slog.Logger
 
 	mu          sync.Mutex
 	isLeader    bool
@@ -156,16 +162,14 @@ func New(cfg Config) (*Elector, error) {
 	if cfg.Rand == nil {
 		cfg.Rand = rand.Float64
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 	if !cfg.Witness && (cfg.Epoch == nil || cfg.PromoteTo == nil) {
 		return nil, fmt.Errorf("elect: data node needs Epoch and PromoteTo")
 	}
 	e := &Elector{
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		cfg:    cfg,
+		logger: obs.Component(cfg.Logger, "elect").With(slog.String("id", cfg.ID)),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	now := cfg.Clock.Now()
 	e.reasonAt = now
@@ -282,7 +286,7 @@ func (e *Elector) NoteLocalPromotion(epoch uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.cfg.State.Store(epoch); err != nil {
-		e.cfg.Logf("elect: persist promotion epoch %d: %v", epoch, err)
+		e.persistFailed("promotion epoch", epoch, err)
 	}
 	e.isLeader = true
 	e.myEpoch = epoch
@@ -291,11 +295,17 @@ func (e *Elector) NoteLocalPromotion(epoch uint64) {
 	e.transition(fmt.Sprintf("manual promotion at epoch %d", epoch))
 }
 
+// persistFailed logs a promise the state file did not take: the epoch
+// stays unpromised on disk, and the caller backs off.
+func (e *Elector) persistFailed(what string, epoch uint64, err error) {
+	e.logger.Error("persisting "+what+" failed", slog.Uint64("epoch", epoch), slog.Any("err", err))
+}
+
 // transition records a state-change reason. Caller holds mu.
 func (e *Elector) transition(reason string) {
 	e.reason = reason
 	e.reasonAt = e.cfg.Clock.Now()
-	e.cfg.Logf("elect: %s", reason)
+	e.logger.Info("election state changed", slog.String("reason", reason))
 }
 
 // becomeFollower steps down. Caller holds mu.
@@ -444,7 +454,7 @@ func (e *Elector) heartbeatRound(ctx context.Context) {
 	}
 	if deposedBy != nil {
 		if err := e.cfg.State.Store(deposedBy.Epoch); err != nil {
-			e.cfg.Logf("elect: persist higher epoch %d: %v", deposedBy.Epoch, err)
+			e.persistFailed("higher epoch", deposedBy.Epoch, err)
 		}
 		e.leaderEpoch = deposedBy.Epoch
 		e.leaderID = deposedBy.LeaderID
@@ -491,7 +501,7 @@ func (e *Elector) followerTick(ctx context.Context) {
 	}
 	epoch++
 	if err := e.cfg.State.Store(epoch); err != nil {
-		e.cfg.Logf("elect: persist campaign epoch %d: %v", epoch, err)
+		e.persistFailed("campaign epoch", epoch, err)
 		e.leaseUntil = now.Add(e.electionTimeout())
 		e.mu.Unlock()
 		return
@@ -546,7 +556,7 @@ func (e *Elector) followerTick(ctx context.Context) {
 	if ahead != nil {
 		// A higher epoch exists; adopt what we learned and back off.
 		if err := e.cfg.State.Store(ahead.Epoch); err != nil {
-			e.cfg.Logf("elect: persist higher epoch %d: %v", ahead.Epoch, err)
+			e.persistFailed("higher epoch", ahead.Epoch, err)
 		}
 		if ahead.LeaderID != "" {
 			e.leaderEpoch, e.leaderID, e.leaderURL = ahead.Epoch, ahead.LeaderID, ahead.LeaderURL
@@ -566,7 +576,7 @@ func (e *Elector) followerTick(ctx context.Context) {
 		return
 	}
 	if err := e.cfg.PromoteTo(epoch); err != nil {
-		e.cfg.Logf("elect: promote to epoch %d refused: %v", epoch, err)
+		e.logger.Warn("promotion refused", slog.Uint64("epoch", epoch), slog.Any("err", err))
 		e.leaseUntil = e.cfg.Clock.Now().Add(e.electionTimeout())
 		e.transition(fmt.Sprintf("won epoch %d but promotion refused", epoch))
 		return
@@ -596,7 +606,7 @@ func (e *Elector) OnHeartbeat(req HeartbeatRequest) HeartbeatResponse {
 	// quorum. The residual round only matters for vacuous (no-follower)
 	// acks; with a live sync follower its own data covers the gap.
 	if err := e.cfg.State.NoteFrontier(req.FrontierEpoch, req.FrontierLSN); err != nil {
-		e.cfg.Logf("elect: persist frontier %d/%d: %v", req.FrontierEpoch, req.FrontierLSN, err)
+		e.logger.Error("persisting frontier failed", slog.Uint64("frontier_epoch", req.FrontierEpoch), slog.Uint64("frontier_lsn", req.FrontierLSN), slog.Any("err", err))
 		resp.Epoch = promised
 		return resp
 	}
@@ -610,7 +620,7 @@ func (e *Elector) OnHeartbeat(req HeartbeatRequest) HeartbeatResponse {
 		resp.LeaderID, resp.LeaderURL = e.leaderID, e.leaderURL
 	default:
 		if err := e.cfg.State.Store(req.Epoch); err != nil {
-			e.cfg.Logf("elect: persist heartbeat epoch %d: %v", req.Epoch, err)
+			e.persistFailed("heartbeat epoch", req.Epoch, err)
 			resp.Epoch = promised
 			return resp
 		}
@@ -650,12 +660,14 @@ func (e *Elector) OnVote(req VoteRequest) VoteResponse {
 	if fe, fl := e.knownFrontier(); frontierLess(req.FrontierEpoch, req.FrontierLSN, fe, fl) {
 		resp.Epoch = promised
 		resp.LeaderID, resp.LeaderURL = e.leaderID, e.leaderURL
-		e.cfg.Logf("elect: refusing vote for %q at epoch %d: candidate frontier %d/%d behind known %d/%d",
-			req.From, req.Epoch, req.FrontierEpoch, req.FrontierLSN, fe, fl)
+		e.logger.Warn("refusing vote: candidate frontier behind the known one",
+			slog.String("candidate", req.From), slog.Uint64("epoch", req.Epoch),
+			slog.Uint64("frontier_epoch", req.FrontierEpoch), slog.Uint64("frontier_lsn", req.FrontierLSN),
+			slog.Uint64("known_epoch", fe), slog.Uint64("known_lsn", fl))
 		return resp
 	}
 	if err := e.cfg.State.Store(req.Epoch); err != nil {
-		e.cfg.Logf("elect: persist vote epoch %d: %v", req.Epoch, err)
+		e.persistFailed("vote epoch", req.Epoch, err)
 		resp.Epoch = promised
 		return resp
 	}

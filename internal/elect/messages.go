@@ -21,7 +21,6 @@ const (
 	maxMessageBytes = 4096
 	maxIDLen        = 256
 	maxURLLen       = 2048
-	maxReasonLen    = 512
 )
 
 var errTooLarge = errors.New("elect: message too large")

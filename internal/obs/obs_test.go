@@ -14,18 +14,15 @@ import (
 func TestCounterGaugeExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_ops_total")
-	g := r.Gauge("test_depth")
 	r.GaugeFunc("test_live", func() float64 { return 7 })
 	c.Add(3)
 	c.Inc()
-	g.Set(2.5)
 
 	var buf bytes.Buffer
 	r.WritePrometheus(&buf)
 	out := buf.String()
 	for _, want := range []string{
 		"# TYPE test_ops_total counter\ntest_ops_total 4\n",
-		"# TYPE test_depth gauge\ntest_depth 2.5\n",
 		"# TYPE test_live gauge\ntest_live 7\n",
 	} {
 		if !strings.Contains(out, want) {
@@ -40,10 +37,9 @@ func TestCounterGaugeExposition(t *testing.T) {
 func TestVecExposition(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("test_requests_total", "endpoint")
-	gv := r.GaugeVec("test_state", "agent")
+	r.AddCollector(func(e *Exposition) { e.GaugeL("test_state", "agent", "a1", 1) })
 	cv.With("ingest").Add(2)
 	cv.With("query").Add(1)
-	gv.With("a1").Set(1)
 
 	var buf bytes.Buffer
 	r.WritePrometheus(&buf)

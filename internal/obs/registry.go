@@ -1,6 +1,7 @@
 // Package obs is the observability layer of the serving stack: a
-// dependency-free metrics registry (counters, gauges, fixed-bucket
-// latency histograms with Prometheus text exposition), structured
+// dependency-free metrics registry (counters, gauges read at scrape
+// time, fixed-bucket latency histograms with Prometheus text
+// exposition), structured
 // leveled logging on log/slog with per-component loggers, batch tracing
 // (trace IDs minted by the shipper and propagated through ingest, the
 // WAL, and replication), and runtime introspection (pprof on a separate
@@ -115,24 +116,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a settable float64 metric.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Gauge registers and returns a settable gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	g := &Gauge{}
-	r.register(name, func(e *Exposition) { e.Gauge(name, g.Value()) })
-	return g
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return bitsFloat(g.bits.Load()) }
-
 // GaugeFunc registers a gauge whose value is read from fn at scrape
 // time — for state owned elsewhere (queue depth, goroutine count).
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
@@ -178,47 +161,6 @@ func (v *CounterVec) With(lv string) *Counter {
 }
 
 func (v *CounterVec) labelValues() []string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make([]string, 0, len(v.children))
-	for lv := range v.children {
-		out = append(out, lv)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// GaugeVec is a family of gauges partitioned by one label.
-type GaugeVec struct {
-	name, label string
-	mu          sync.Mutex
-	children    map[string]*Gauge
-}
-
-// GaugeVec registers and returns a one-label gauge family.
-func (r *Registry) GaugeVec(name, label string) *GaugeVec {
-	v := &GaugeVec{name: name, label: label, children: map[string]*Gauge{}}
-	r.register(name, func(e *Exposition) {
-		for _, lv := range v.labelValues() {
-			e.GaugeL(name, v.label, lv, v.With(lv).Value())
-		}
-	})
-	return v
-}
-
-// With returns (creating if needed) the child gauge for label value lv.
-func (v *GaugeVec) With(lv string) *Gauge {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g := v.children[lv]
-	if g == nil {
-		g = &Gauge{}
-		v.children[lv] = g
-	}
-	return g
-}
-
-func (v *GaugeVec) labelValues() []string {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	out := make([]string, 0, len(v.children))

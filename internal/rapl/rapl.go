@@ -58,9 +58,6 @@ type Counter struct {
 // NewCounter returns a zeroed counter for the domain.
 func NewCounter(d Domain) *Counter { return &Counter{domain: d} }
 
-// Domain returns the counter's domain.
-func (c *Counter) Domain() Domain { return c.domain }
-
 // Add accumulates powerW drawn for duration d.
 func (c *Counter) Add(powerW float64, d time.Duration) error {
 	if powerW < 0 {
@@ -78,12 +75,6 @@ func (c *Counter) Add(powerW float64, d time.Duration) error {
 
 // Read returns the visible 32-bit register value (wrapped ticks).
 func (c *Counter) Read() uint32 { return uint32(c.ticks % counterModulus) }
-
-// TotalJoules returns the true accumulated energy (test oracle; real
-// hardware does not expose this).
-func (c *Counter) TotalJoules() float64 {
-	return float64(c.ticks)*EnergyUnitJ + c.fracJ
-}
 
 // Reading is one sampled counter value with its timestamp.
 type Reading struct {
@@ -119,16 +110,6 @@ func (s *Sampler) Observe(r Reading) (powerW float64, ok bool, err error) {
 	joules := float64(deltaTicks) * EnergyUnitJ
 	s.last = r
 	return joules / dt, true, nil
-}
-
-// MaxIntervalFor returns the longest sampling interval that can observe
-// powerW without risking a double wrap (which Observe cannot detect).
-func MaxIntervalFor(powerW float64) time.Duration {
-	if powerW <= 0 {
-		return time.Duration(1<<62 - 1)
-	}
-	fullRange := float64(counterModulus) * EnergyUnitJ // joules per wrap
-	return time.Duration(fullRange / powerW * float64(time.Second))
 }
 
 // NodeMeter bundles the PKG and DRAM counters of one node and reports

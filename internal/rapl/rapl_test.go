@@ -11,14 +11,8 @@ var t0 = time.Date(2018, 10, 1, 0, 0, 0, 0, time.UTC)
 
 func TestCounterAccumulates(t *testing.T) {
 	c := NewCounter(PKG)
-	if c.Domain() != PKG {
-		t.Errorf("domain = %v", c.Domain())
-	}
 	if err := c.Add(100, time.Second); err != nil {
 		t.Fatal(err)
-	}
-	if got := c.TotalJoules(); math.Abs(got-100) > 1e-9 {
-		t.Errorf("TotalJoules = %v, want 100", got)
 	}
 	// Visible register: 100 J / (2^-16 J) ticks.
 	want := uint32(100 * 65536)
@@ -47,9 +41,9 @@ func TestCounterQuantizationConservesEnergy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := 1e-6 * steps
-	if got := c.TotalJoules(); math.Abs(got-want)/want > 1e-9 {
-		t.Errorf("TotalJoules = %v, want %v", got, want)
+	// 0.1 J in all: 6553 whole ticks, none of which a single addition reaches.
+	if got, want := c.Read(), uint32(6553); got != want {
+		t.Errorf("Read = %d ticks, want %d", got, want)
 	}
 }
 
@@ -63,10 +57,6 @@ func TestCounterWraps(t *testing.T) {
 	wantTicks := uint64(70000*65536) % (uint64(1) << 32)
 	if got := c.Read(); got != uint32(wantTicks) {
 		t.Errorf("Read = %d, want %d (wrap at %.0f J)", got, wantTicks, wrapJ)
-	}
-	// TotalJoules still exact.
-	if got := c.TotalJoules(); math.Abs(got-70000) > 1e-6 {
-		t.Errorf("TotalJoules = %v", got)
 	}
 }
 
@@ -126,18 +116,6 @@ func TestSamplerRejectsNonMonotonicTime(t *testing.T) {
 	}
 	if _, _, err := s.Observe(Reading{At: t0.Add(-time.Second), Value: 1}); err == nil {
 		t.Error("backwards sample accepted")
-	}
-}
-
-func TestMaxIntervalFor(t *testing.T) {
-	// At 210 W (node TDP) the 65536 J range lasts ~312 s: one-minute
-	// sampling (the study's interval) is safe by a factor of ~5.
-	max := MaxIntervalFor(210)
-	if max < 4*time.Minute || max > 7*time.Minute {
-		t.Errorf("MaxIntervalFor(210) = %v", max)
-	}
-	if MaxIntervalFor(0) < time.Hour*1000 {
-		t.Error("zero power should never wrap")
 	}
 }
 

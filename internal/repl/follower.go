@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -12,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hpcpower/internal/obs"
 	"hpcpower/internal/retry"
 )
 
@@ -53,9 +55,9 @@ type FollowerConfig struct {
 	StallTimeout time.Duration
 	// Client is the HTTP client; nil means http.DefaultClient.
 	Client *http.Client
-	// Logf, if set, receives one line per notable event (reconnect,
-	// bootstrap, epoch change).
-	Logf func(format string, args ...any)
+	// Logger receives one record per notable event (a failed stream or
+	// bootstrap, a snapshot install) under component "repl". nil discards.
+	Logger *slog.Logger
 	// ObserveApply, if set, receives the wall time of each successful
 	// Apply call — the per-record replication apply latency. It runs on
 	// the stream loop, so it must be cheap.
@@ -81,6 +83,7 @@ type FollowerStats struct {
 type Follower struct {
 	cfg    FollowerConfig
 	client *http.Client
+	logger *slog.Logger
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -111,10 +114,10 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.StallTimeout <= 0 {
 		cfg.StallTimeout = 5 * time.Second
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
+	f := &Follower{
+		cfg: cfg, client: cfg.Client,
+		logger: obs.Component(cfg.Logger, "repl").With(slog.String("follower", cfg.ID)),
 	}
-	f := &Follower{cfg: cfg, client: cfg.Client}
 	f.needBootstrap.Store(cfg.ForceBootstrap)
 	if f.client == nil {
 		f.client = http.DefaultClient
@@ -164,7 +167,7 @@ func (f *Follower) run() {
 		if f.needBootstrap.Load() {
 			if err := f.bootstrap(); err != nil {
 				if f.ctx.Err() == nil {
-					f.cfg.Logf("repl: follower %s: forced bootstrap: %v", f.cfg.ID, err)
+					f.logger.Warn("forced bootstrap failed", slog.Any("err", err))
 				}
 				continue
 			}
@@ -172,7 +175,7 @@ func (f *Follower) run() {
 		}
 		progressed, err := f.streamOnce()
 		if err != nil && f.ctx.Err() == nil {
-			f.cfg.Logf("repl: follower %s: stream: %v", f.cfg.ID, err)
+			f.logger.Warn("stream ended", slog.Any("err", err))
 		}
 		if progressed {
 			attempt = -1 // next reconnect waits from Base again
@@ -194,7 +197,7 @@ func (f *Follower) observeEpoch(epoch uint64) {
 	}
 	if f.cfg.ObserveEpoch != nil {
 		if err := f.cfg.ObserveEpoch(epoch); err != nil {
-			f.cfg.Logf("repl: follower %s: persisting epoch %d: %v", f.cfg.ID, epoch, err)
+			f.logger.Error("persisting primary epoch failed", slog.Uint64("epoch", epoch), slog.Any("err", err))
 		}
 	}
 }
@@ -335,7 +338,7 @@ func (f *Follower) bootstrap() error {
 		return fmt.Errorf("installing snapshot at lsn %d: %w", lsn, err)
 	}
 	f.snapshotInstalls.Add(1)
-	f.cfg.Logf("repl: follower %s: installed snapshot at lsn %d (%d bytes)", f.cfg.ID, lsn, len(payload))
+	f.logger.Info("installed snapshot", slog.Uint64("lsn", lsn), slog.Int("bytes", len(payload)))
 	f.ack(lsn)
 	return nil
 }

@@ -151,13 +151,6 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 // Epoch returns the primary's epoch from the stream header.
 func (sr *StreamReader) Epoch() uint64 { return sr.epoch }
 
-// StartLSN returns the resume point echoed in the stream header.
-func (sr *StreamReader) StartLSN() uint64 { return sr.startLSN }
-
-// Offset returns the number of stream bytes consumed so far (the end of
-// the last complete frame).
-func (sr *StreamReader) Offset() int64 { return sr.off }
-
 // Next decodes the next frame. It returns io.EOF on a clean end at a
 // frame boundary, an error wrapping ErrTorn on a mid-frame end, and a
 // *CorruptError on damaged bytes. A frame is never returned unless its
@@ -197,11 +190,4 @@ func (sr *StreamReader) Next() (Frame, error) {
 	}
 	sr.off += int64(frameHeaderSize) + int64(bodyLen)
 	return Frame{Type: typ, LSN: lsn, Body: body}, nil
-}
-
-// Torn reports whether err is the kind a follower absorbs by
-// reconnecting: a torn stream or corrupt bytes.
-func Torn(err error) bool {
-	var ce *CorruptError
-	return errors.Is(err, ErrTorn) || errors.As(err, &ce)
 }

@@ -54,13 +54,13 @@ func FuzzReplStream(f *testing.F) {
 			fr.Body = append([]byte(nil), fr.Body...)
 			frames = append(frames, fr)
 		}
-		off := sr.Offset()
+		off := sr.off
 		if off < headerSize || off > int64(len(data)) {
 			t.Fatalf("consumed offset %d out of range [%d, %d]", off, headerSize, len(data))
 		}
 		// Re-encode what was accepted: it must reproduce data[:off]
 		// exactly — the reader cannot have invented or altered a frame.
-		enc := AppendHeader(nil, sr.Epoch(), sr.StartLSN())
+		enc := AppendHeader(nil, sr.Epoch(), sr.startLSN)
 		for _, fr := range frames {
 			enc = AppendFrame(enc, fr.Type, fr.LSN, fr.Body)
 		}

@@ -29,8 +29,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.Epoch() != 7 || sr.StartLSN() != 100 {
-		t.Fatalf("header = (epoch %d, start %d), want (7, 100)", sr.Epoch(), sr.StartLSN())
+	if sr.Epoch() != 7 || sr.startLSN != 100 {
+		t.Fatalf("header = (epoch %d, start %d), want (7, 100)", sr.Epoch(), sr.startLSN)
 	}
 	for i, want := range bodies {
 		fr, err := sr.Next()
@@ -63,7 +63,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err == nil {
 			continue
 		}
-		if !Torn(err) {
+		if !errors.Is(err, ErrTorn) {
 			t.Fatalf("truncated stream error = %v, want torn", err)
 		}
 		break
@@ -230,8 +230,8 @@ func TestSourceStreamTo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.Epoch() != 1 || sr.StartLSN() != 3 {
-		t.Fatalf("header = (%d, %d), want (1, 3)", sr.Epoch(), sr.StartLSN())
+	if sr.Epoch() != 1 || sr.startLSN != 3 {
+		t.Fatalf("header = (%d, %d), want (1, 3)", sr.Epoch(), sr.startLSN)
 	}
 
 	// Catch-up covers [3, 12] minus the tombstoned LSNs; a later Advance

@@ -99,14 +99,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return a1*b1 + t>>32 + w1>>32, a * b
 }
 
-// IntRange returns a uniform integer in [lo, hi] inclusive.
-func (s *Source) IntRange(lo, hi int) int {
-	if hi < lo {
-		lo, hi = hi, lo
-	}
-	return lo + s.Intn(hi-lo+1)
-}
-
 // Norm returns a standard normal deviate (Marsaglia polar method).
 func (s *Source) Norm() float64 {
 	if s.hasGauss {
@@ -161,30 +153,8 @@ func (s *Source) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(s.Normal(mu, sigma))
 }
 
-// Pareto returns a Pareto(shape alpha, scale xm) deviate: xm * U^(-1/alpha).
-func (s *Source) Pareto(alpha, xm float64) float64 {
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return xm * math.Pow(u, -1/alpha)
-}
-
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool { return s.Float64() < p }
-
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
 
 // Shuffle randomizes the order of n elements using the provided swap.
 func (s *Source) Shuffle(n int, swap func(i, j int)) {
@@ -216,46 +186,4 @@ func (s *Source) Choice(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// Zipf draws values in [1, n] with probability proportional to 1/rank^s0,
-// using precomputed cumulative weights for efficiency.
-type Zipf struct {
-	cum []float64 // cumulative normalized weights, cum[n-1] == 1
-}
-
-// NewZipf builds a Zipf sampler over ranks 1..n with exponent exponent > 0.
-func NewZipf(n int, exponent float64) *Zipf {
-	if n <= 0 {
-		panic("rng: NewZipf with non-positive n")
-	}
-	cum := make([]float64, n)
-	var total float64
-	for i := 0; i < n; i++ {
-		total += 1 / math.Pow(float64(i+1), exponent)
-		cum[i] = total
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	return &Zipf{cum: cum}
-}
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cum) }
-
-// Draw samples a rank in [1, n].
-func (z *Zipf) Draw(s *Source) int {
-	u := s.Float64()
-	// Binary search for the first cum[i] > u.
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] > u {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo + 1
 }

@@ -86,9 +86,9 @@ func (d *durability) diskLoop() {
 // checkDisk runs one health pass: WAL poison first (terminal), then the
 // free-space watermark, then an end-to-end write+fsync probe through
 // the same vfs the WAL writes through. Recovery is hysteretic: once
-// degraded on space, free bytes must climb past the resume watermark
-// (default 2× the low watermark) before ingest reopens, so a disk
-// hovering at the threshold does not flap.
+// degraded on space, free bytes must climb past twice the low watermark
+// before ingest reopens, so a disk hovering at the threshold does not
+// flap.
 func (d *durability) checkDisk() {
 	if d.log != nil {
 		if err := d.log.Err(); err != nil {
@@ -103,15 +103,11 @@ func (d *durability) checkDisk() {
 	}
 	if ok && d.cfg.DiskLowBytes > 0 {
 		low := uint64(d.cfg.DiskLowBytes)
-		resume := uint64(d.cfg.DiskResumeBytes)
-		if resume <= low {
-			resume = 2 * low
-		}
 		if free < low {
 			d.setDegraded(true, fmt.Sprintf("disk free %d bytes below watermark %d", free, low))
 			return
 		}
-		if d.disk.degraded.Load() && free < resume {
+		if d.disk.degraded.Load() && free < 2*low {
 			return // hold degraded until clearly out of the woods
 		}
 	}

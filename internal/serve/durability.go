@@ -39,8 +39,6 @@ type DurabilityConfig struct {
 	// SnapshotEvery also snapshots after this many WAL appends since the
 	// last one. 0 means 4096.
 	SnapshotEvery int64
-	// KeepSnapshots retains this many snapshot files. 0 means 3.
-	KeepSnapshots int
 	// Replication configures the node's replication role; nil means a
 	// standalone primary (streamable, never following).
 	Replication *ReplicationConfig
@@ -52,14 +50,14 @@ type DurabilityConfig struct {
 	// that flips ingest into degraded mode. 0 means 2 s.
 	DiskCheckInterval time.Duration
 	// DiskLowBytes degrades ingest when the data filesystem's free
-	// space falls below it. 0 disables the watermark check (the write
-	// probe still runs).
+	// space falls below it; once degraded on space, ingest reopens only
+	// when free space exceeds twice it. 0 disables the watermark check
+	// (the write probe still runs).
 	DiskLowBytes int64
-	// DiskResumeBytes is the hysteresis level: once degraded on space,
-	// ingest reopens only when free space exceeds it. 0 means
-	// 2×DiskLowBytes.
-	DiskResumeBytes int64
 }
+
+// keepSnapshots is how many snapshot files a data directory retains.
+const keepSnapshots = 3
 
 func (c *DurabilityConfig) withDefaults() DurabilityConfig {
 	d := *c
@@ -71,9 +69,6 @@ func (c *DurabilityConfig) withDefaults() DurabilityConfig {
 	}
 	if d.SnapshotEvery <= 0 {
 		d.SnapshotEvery = 4096
-	}
-	if d.KeepSnapshots <= 0 {
-		d.KeepSnapshots = 3
 	}
 	if d.FS == nil {
 		d.FS = vfs.OS
@@ -368,6 +363,31 @@ func (s *Server) applyReplayed(decoded <-chan trace.WALRecord, free chan<- []tra
 	}
 }
 
+// install replaces the store, the dedup index and the alert engine's
+// state with a snapshot image's: what Recover does once on a fresh server
+// and a follower's bootstrap does over a live one, under applyMu. Store
+// and dedup index are each built to the side and swapped in, so an image
+// either of them refuses leaves that one untouched. A nil alert state (a
+// writer running without an engine) resets ours, and Restore never
+// re-delivers the events it carries.
+func (s *Server) install(img *snapshotImage) error {
+	if img.Store == nil || img.Dedup == nil {
+		return fmt.Errorf("snapshot image is missing store or dedup state")
+	}
+	if err := s.store.InstallState(img.Store); err != nil {
+		return err
+	}
+	if err := s.dedup.InstallState(img.Dedup); err != nil {
+		return err
+	}
+	if s.anom != nil {
+		if _, err := s.anom.RestoreState(img.Anomaly); err != nil {
+			return fmt.Errorf("restoring anomaly state: %w", err)
+		}
+	}
+	return nil
+}
+
 // Recover restores the latest valid snapshot into the store and dedup
 // index, opens the WAL (truncating any torn tail), and replays the
 // records past the snapshot frontier. It must run before the server
@@ -396,20 +416,8 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 		if rep.SnapshotLegacy {
 			s.metrics.legacySnapshots.Inc()
 		}
-		if img.Store != nil {
-			if err := s.store.RestoreState(img.Store); err != nil {
-				return nil, fmt.Errorf("serve: restoring snapshot %d: %w", snapLSN, err)
-			}
-		}
-		if img.Dedup != nil {
-			if err := s.dedup.RestoreState(img.Dedup); err != nil {
-				return nil, fmt.Errorf("serve: restoring snapshot %d dedup: %w", snapLSN, err)
-			}
-		}
-		if img.Anomaly != nil && s.anom != nil {
-			if _, err := s.anom.RestoreState(img.Anomaly); err != nil {
-				return nil, fmt.Errorf("serve: restoring snapshot %d anomaly state: %w", snapLSN, err)
-			}
+		if err := s.install(img); err != nil {
+			return nil, fmt.Errorf("serve: restoring snapshot %d: %w", snapLSN, err)
 		}
 		rep.SnapshotFound, rep.SnapshotLSN = true, img.AppliedLSN
 		rep.SnapshotBytes, rep.SnapshotLoad = len(payload), time.Since(start)
@@ -581,7 +589,7 @@ func (d *durability) snapshotOnce(s *Server) (uint64, []byte, error) {
 	if removed, _ := d.log.Reap(wm); removed > 0 {
 		d.pruneTombstones()
 	}
-	wal.ReapSnapshotsFS(d.fsys, d.cfg.Dir, d.cfg.KeepSnapshots)
+	wal.ReapSnapshotsFS(d.fsys, d.cfg.Dir, keepSnapshots)
 	return wm, payload, nil
 }
 

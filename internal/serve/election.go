@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -53,8 +54,8 @@ func (s *Server) StartElection(ctx context.Context, cfg elect.Config) (*elect.El
 	cfg.Frontier = func() (uint64, uint64) {
 		return rs.epoch.Epoch(), d.commitFrontier()
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = rs.cfg.Logf
+	if cfg.Logger == nil {
+		cfg.Logger = s.cfg.Logger
 	}
 	el, err := elect.New(cfg)
 	if err != nil {
@@ -141,7 +142,7 @@ func (s *Server) maybeRejoin(epoch uint64, leaderID, leaderURL string) {
 	go func() {
 		defer rs.rejoining.Store(false)
 		if err := s.rejoin(epoch, leaderID, leaderURL); err != nil {
-			rs.cfg.Logf("repl: rejoin to %q (%s): %v", leaderID, leaderURL, err)
+			rs.logger.Warn("rejoin failed", slog.String("leader", leaderID), slog.String("leader_url", leaderURL), slog.Any("err", err))
 		}
 	}()
 }
@@ -177,7 +178,7 @@ func (s *Server) rejoin(epoch uint64, leaderID, leaderURL string) error {
 	}
 	rs.stopFollower()
 	if wasPrimary {
-		rs.cfg.Logf("repl: deposed by %q (epoch %d) — negotiating rejoin", leaderID, epoch)
+		rs.logger.Warn("deposed: negotiating rejoin", slog.String("leader", leaderID), slog.Uint64("epoch", epoch))
 		// Best-effort queue drain: accepted-but-unapplied batches hold
 		// WAL LSNs the truncation may remove; the gate above stops new
 		// ones and this wait lets stragglers clear before the cut.
@@ -205,7 +206,7 @@ func (s *Server) rejoin(epoch uint64, leaderID, leaderURL string) error {
 		}
 		if dropped > 0 {
 			rs.divergedRecords.Add(int64(dropped))
-			rs.cfg.Logf("repl: rolled back %d diverged record(s) past lsn %d", dropped, fr.UpstreamLSN)
+			rs.logger.Warn("rolled back diverged records", slog.Int("records", dropped), slog.Uint64("past_lsn", fr.UpstreamLSN))
 		}
 		d.tracker.Store(newApplyTracker(d.log.LastLSN()))
 	}
@@ -220,8 +221,8 @@ func (s *Server) rejoin(epoch uint64, leaderID, leaderURL string) error {
 	rs.fenced.Store(false)
 	d.applyMu.Unlock()
 	rs.rejoins.Add(1)
-	rs.cfg.Logf("repl: rejoining as follower of %q at %s (epoch %d, shared history to lsn %d)",
-		leaderID, leaderURL, target, fr.UpstreamLSN)
+	rs.logger.Info("rejoining as follower", slog.String("leader", leaderID), slog.String("leader_url", leaderURL),
+		slog.Uint64("epoch", target), slog.Uint64("shared_history_lsn", fr.UpstreamLSN))
 	return rs.startFollowerTo(s, leaderURL, true)
 }
 

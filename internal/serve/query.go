@@ -35,20 +35,30 @@ func parseUnixParam(r *http.Request, name string) (int64, bool, error) {
 	return n, true, err
 }
 
+// parseWindow reads a read's from= and to= Unix bounds (absent is 0, the
+// store's "unbounded") and answers the 400 itself when one is malformed.
+func parseWindow(w http.ResponseWriter, r *http.Request) (from, to int64, ok bool) {
+	from, _, err := parseUnixParam(r, "from")
+	if err != nil {
+		errJSON(w, http.StatusBadRequest, "bad from: %v", err)
+		return 0, 0, false
+	}
+	to, _, err = parseUnixParam(r, "to")
+	if err != nil {
+		errJSON(w, http.StatusBadRequest, "bad to: %v", err)
+		return 0, 0, false
+	}
+	return from, to, true
+}
+
 func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 	node, err := strconv.Atoi(r.URL.Query().Get("node"))
 	if err != nil || node < 0 {
 		errJSON(w, http.StatusBadRequest, "bad node %q", r.URL.Query().Get("node"))
 		return
 	}
-	from, _, err := parseUnixParam(r, "from")
-	if err != nil {
-		errJSON(w, http.StatusBadRequest, "bad from: %v", err)
-		return
-	}
-	to, _, err := parseUnixParam(r, "to")
-	if err != nil {
-		errJSON(w, http.StatusBadRequest, "bad to: %v", err)
+	from, to, ok := parseWindow(w, r)
+	if !ok {
 		return
 	}
 	step, hasStep, err := parseUnixParam(r, "step")
@@ -84,14 +94,8 @@ func (s *Server) handleQueryNodes(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQueryDistribution(w http.ResponseWriter, r *http.Request) {
-	from, _, err := parseUnixParam(r, "from")
-	if err != nil {
-		errJSON(w, http.StatusBadRequest, "bad from: %v", err)
-		return
-	}
-	to, _, err := parseUnixParam(r, "to")
-	if err != nil {
-		errJSON(w, http.StatusBadRequest, "bad to: %v", err)
+	from, to, ok := parseWindow(w, r)
+	if !ok {
 		return
 	}
 	dist, degraded, err := live.SamplePower(s.store, from, to)

@@ -19,6 +19,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"path/filepath"
 	"strconv"
@@ -98,8 +99,6 @@ type ReplicationConfig struct {
 	// StallTimeout kills a follower's stream connection that delivers
 	// nothing for this long (asymmetric partitions). 0 means 5 s.
 	StallTimeout time.Duration
-	// Logf, if set, receives one line per notable replication event.
-	Logf func(format string, args ...any)
 }
 
 func (c *ReplicationConfig) withDefaults(dir string) (ReplicationConfig, error) {
@@ -125,9 +124,6 @@ func (c *ReplicationConfig) withDefaults(dir string) (ReplicationConfig, error) 
 	}
 	if r.SyncAckTimeout <= 0 {
 		r.SyncAckTimeout = 5 * time.Second
-	}
-	if r.Logf == nil {
-		r.Logf = func(string, ...any) {}
 	}
 	return r, nil
 }
@@ -184,10 +180,12 @@ type replState struct {
 	streamOnce sync.Once
 
 	// onSend and onRead receive each catch-up burst's record count and
-	// read time (primary side). Set once by NewDurable before the server
+	// read time (primary side); logger gets one record per role, epoch or
+	// stream event. All three are set once by NewDurable before the server
 	// accepts connections.
 	onSend func(records int64)
 	onRead func(time.Duration)
+	logger *slog.Logger
 }
 
 func newReplState(cfg ReplicationConfig, ep *repl.EpochFile, d *durability) *replState {
@@ -196,6 +194,7 @@ func newReplState(cfg ReplicationConfig, ep *repl.EpochFile, d *durability) *rep
 		epoch:      ep,
 		bootExtras: map[uint64]struct{}{},
 		streamStop: make(chan struct{}),
+		logger:     obs.Component(nil, "repl"),
 	}
 	rs.isFollower.Store(cfg.Role == RoleFollower)
 	rs.primaryHintURL = cfg.PrimaryURL
@@ -285,7 +284,8 @@ func (rs *replState) observeRequestEpoch(r *http.Request) {
 	}
 	storeMax(&rs.fencedBy, e)
 	if !rs.fenced.Swap(true) {
-		rs.cfg.Logf("repl: fenced at epoch %d by peer epoch %d — refusing writes", rs.epoch.Epoch(), e)
+		rs.logger.Warn("fenced by a higher peer epoch: refusing writes",
+			slog.Uint64("epoch", rs.epoch.Epoch()), slog.Uint64("peer_epoch", e))
 	}
 }
 
@@ -374,7 +374,7 @@ func (rs *replState) startFollowerTo(s *Server, primaryURL string, forceBootstra
 		ForceBootstrap: forceBootstrap,
 		AckEvery:       rs.cfg.AckEvery,
 		StallTimeout:   rs.cfg.StallTimeout,
-		Logf:           rs.cfg.Logf,
+		Logger:         s.cfg.Logger,
 		ObserveApply:   s.metrics.replApply.ObserveDuration,
 	})
 	if err != nil {
@@ -456,7 +456,7 @@ func (s *Server) promoteTo(target uint64) (epoch uint64, err error) {
 		if target > rs.fencedBy.Load() {
 			rs.fenced.Store(false)
 		}
-		rs.cfg.Logf("repl: primary advanced to epoch %d", target)
+		rs.logger.Info("primary advanced its epoch", slog.Uint64("epoch", target))
 		return target, nil
 	}
 	rs.stopFollower()
@@ -484,7 +484,7 @@ func (s *Server) promoteTo(target uint64) (epoch uint64, err error) {
 		s.anom.SetDeliver(true)
 	}
 	d.advanceRepl()
-	rs.cfg.Logf("repl: promoted to primary at epoch %d (applied primary lsn %d)", next, rs.replApplied.Load())
+	rs.logger.Info("promoted to primary", slog.Uint64("epoch", next), slog.Uint64("applied_primary_lsn", rs.replApplied.Load()))
 	return next, nil
 }
 
@@ -598,7 +598,7 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	if err := rs.source.StreamTo(ctx, w, fl.Flush, from); err != nil && ctx.Err() == nil {
-		rs.cfg.Logf("repl: stream to follower %s: %v", id, err)
+		rs.logger.Warn("stream to follower ended", slog.String("follower", id), slog.Any("err", err))
 	}
 }
 
@@ -726,28 +726,12 @@ func (s *Server) installReplSnapshot(plsn uint64, payload []byte) error {
 	}
 	if legacy {
 		s.metrics.legacySnapshots.Inc()
-		rs.cfg.Logf("repl: bootstrap payload at lsn %d is a JSON snapshot image: the primary predates the binary format", plsn)
-	}
-	if img.Store == nil || img.Dedup == nil {
-		return fmt.Errorf("snapshot image is missing store or dedup state")
+		rs.logger.Warn("bootstrap payload is a JSON snapshot image: the primary predates the binary format", slog.Uint64("lsn", plsn))
 	}
 	d.applyMu.Lock()
-	if err := s.store.InstallState(img.Store); err != nil {
+	if err := s.install(img); err != nil {
 		d.applyMu.Unlock()
 		return err
-	}
-	if err := s.dedup.InstallState(img.Dedup); err != nil {
-		d.applyMu.Unlock()
-		return err
-	}
-	if s.anom != nil {
-		// Adopt the primary's alert timeline wholesale (a nil state — a
-		// primary running without an engine — resets ours). Restore never
-		// re-delivers the carried events.
-		if _, err := s.anom.RestoreState(img.Anomaly); err != nil {
-			d.applyMu.Unlock()
-			return fmt.Errorf("restoring anomaly state: %w", err)
-		}
 	}
 	rs.setBootExtras(img.Extras)
 	storeMax(&rs.replApplied, img.AppliedLSN)

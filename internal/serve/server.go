@@ -193,6 +193,7 @@ func NewDurable(store *tsdb.Store, model *mlearn.BDT, cfg Config, dcfg Durabilit
 	s.metrics.reg.AddCollector(dur.collect)
 	dur.repl.onSend = func(records int64) { s.metrics.replSend.Observe(float64(records)) }
 	dur.repl.onRead = s.metrics.replRead.ObserveDuration
+	dur.repl.logger = obs.Component(cfg.Logger, "repl")
 	s.ready.Store(false) // Recover flips it
 	return s, nil
 }
@@ -528,18 +529,9 @@ func (s *Server) handleNodeSeries(w http.ResponseWriter, r *http.Request) {
 		errJSON(w, http.StatusBadRequest, "bad node id %q", r.PathValue("id"))
 		return
 	}
-	var from, to int64
-	if v := r.URL.Query().Get("from"); v != "" {
-		if from, err = strconv.ParseInt(v, 10, 64); err != nil {
-			errJSON(w, http.StatusBadRequest, "bad from: %v", err)
-			return
-		}
-	}
-	if v := r.URL.Query().Get("to"); v != "" {
-		if to, err = strconv.ParseInt(v, 10, 64); err != nil {
-			errJSON(w, http.StatusBadRequest, "bad to: %v", err)
-			return
-		}
+	from, to, ok := parseWindow(w, r)
+	if !ok {
+		return
 	}
 	points := s.store.NodeSeries(node, from, to)
 	writeJSON(w, http.StatusOK, map[string]any{"node": node, "points": points})

@@ -143,8 +143,8 @@ type batchEntry struct {
 
 // Shipper delivers sample batches with retries, spill buffering, and a
 // circuit breaker. Enqueue is safe to call concurrently with one
-// running Run/Flush loop; the loop itself must not run concurrently
-// with another loop on the same Shipper.
+// running Flush; Flush itself must not run concurrently with another
+// Flush on the same Shipper.
 type Shipper struct {
 	cfg    Config
 	client *http.Client
@@ -153,7 +153,6 @@ type Shipper struct {
 	mu      sync.Mutex
 	pending []*batchEntry // FIFO: pending[0] is next to ship
 	seq     uint64
-	wake    chan struct{}
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -234,7 +233,6 @@ func New(cfg Config) *Shipper {
 		cfg:    cfg,
 		client: cfg.Client,
 		logger: obs.Component(cfg.Logger, "ship"),
-		wake:   make(chan struct{}, 1),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 	for i, u := range cfg.URLs {
@@ -270,10 +268,6 @@ func (s *Shipper) Enqueue(samples []trace.PowerSample) uint64 {
 	}
 	s.mu.Unlock()
 	s.enqueued.Add(1)
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
 	return seq
 }
 
@@ -314,25 +308,6 @@ func (s *Shipper) Stats() Stats {
 		Target:          cur.url,
 		Breaker:         cur.breaker.stateName(),
 		Epoch:           s.maxEpoch.Load(),
-	}
-}
-
-// Run drains the spill buffer until ctx is cancelled, blocking while the
-// buffer is empty. Undelivered batches stay pending across calls.
-func (s *Shipper) Run(ctx context.Context) error {
-	for {
-		e := s.next()
-		if e == nil {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-s.wake:
-				continue
-			}
-		}
-		if err := s.deliver(ctx, e); err != nil {
-			return err
-		}
 	}
 }
 

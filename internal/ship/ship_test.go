@@ -256,8 +256,8 @@ func TestShipperMaxAttemptsExhaustion(t *testing.T) {
 	}
 }
 
-// TestShipperConcurrentEnqueue races Enqueue against a Run loop — the
-// -race CI job is the real assertion here; delivery completeness is
+// TestShipperConcurrentEnqueue races Enqueue against a delivery loop —
+// the -race CI job is the real assertion here; delivery completeness is
 // checked too.
 func TestShipperConcurrentEnqueue(t *testing.T) {
 	var srv ackServer
@@ -267,7 +267,13 @@ func TestShipperConcurrentEnqueue(t *testing.T) {
 	s := New(Config{URL: ts.URL, AgentID: "a", MaxPending: 1024})
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan struct{})
-	go func() { defer close(runDone); s.Run(ctx) }()
+	go func() {
+		defer close(runDone)
+		for ctx.Err() == nil {
+			s.Flush(ctx)
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
 
 	var wg sync.WaitGroup
 	const producers, perProducer = 4, 50

@@ -83,13 +83,6 @@ func SpearmanTest(xs, ys []float64) CorrResult {
 	return CorrResult{R: r, P: corrPValue(r, n), N: n}
 }
 
-// PearsonTest computes the Pearson correlation and its two-sided p-value.
-func PearsonTest(xs, ys []float64) CorrResult {
-	r := Pearson(xs, ys)
-	n := len(xs)
-	return CorrResult{R: r, P: corrPValue(r, n), N: n}
-}
-
 // corrPValue returns the two-sided p-value for correlation r at sample
 // size n via the Student-t approximation.
 func corrPValue(r float64, n int) float64 {

@@ -131,18 +131,6 @@ func TestSpearmanTestSignificance(t *testing.T) {
 	}
 }
 
-func TestPearsonTest(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	ys := []float64{1.1, 2.2, 2.8, 4.3, 5.1, 5.8, 7.2, 8.1}
-	res := PearsonTest(xs, ys)
-	if res.R < 0.99 {
-		t.Errorf("R = %v", res.R)
-	}
-	if res.P > 1e-5 {
-		t.Errorf("P = %v", res.P)
-	}
-}
-
 func TestCorrPValueEdge(t *testing.T) {
 	if got := corrPValue(1, 100); got != 0 {
 		t.Errorf("p(r=1) = %v", got)

@@ -156,14 +156,6 @@ func (h *Histogram) Density(i int) float64 {
 	return float64(h.Counts[i]) / (float64(h.Total) * h.BinWidth())
 }
 
-// Fraction returns the fraction of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.Total)
-}
-
 // PDFPoints returns the (bin center, density) series of the histogram.
 func (h *Histogram) PDFPoints() []Point {
 	pts := make([]Point, len(h.Counts))
@@ -171,15 +163,4 @@ func (h *Histogram) PDFPoints() []Point {
 		pts[i] = Point{X: h.BinCenter(i), Y: h.Density(i)}
 	}
 	return pts
-}
-
-// Mode returns the center of the bin with the highest count.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
 }

@@ -141,9 +141,6 @@ func P2FromState(s P2State) (*P2Quantile, error) {
 	}, nil
 }
 
-// N returns the number of observations.
-func (q *P2Quantile) N() int { return q.n }
-
 // Value returns the current quantile estimate; NaN before any data.
 func (q *P2Quantile) Value() float64 {
 	switch {

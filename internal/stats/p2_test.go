@@ -57,8 +57,8 @@ func TestP2AgainstExactQuantiles(t *testing.T) {
 		if math.Abs(got-exact)/math.Abs(exact) > 0.02 {
 			t.Errorf("p=%v: P² = %v, exact = %v", p, got, exact)
 		}
-		if q.N() != n {
-			t.Errorf("N = %d", q.N())
+		if q.n != n {
+			t.Errorf("N = %d", q.n)
 		}
 	}
 }

@@ -107,13 +107,3 @@ func StudentTCDF(t, df float64) float64 {
 // StudentTSF returns the survival function P(T > t) of the Student-t
 // distribution with df degrees of freedom.
 func StudentTSF(t, df float64) float64 { return 1 - StudentTCDF(t, df) }
-
-// NormalCDF returns the standard normal CDF Phi(z).
-func NormalCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
-// NormalSF returns the standard normal survival function 1 - Phi(z).
-func NormalSF(z float64) float64 {
-	return 0.5 * math.Erfc(z/math.Sqrt2)
-}

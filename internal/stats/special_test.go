@@ -62,7 +62,7 @@ func TestStudentTCDF(t *testing.T) {
 	// Known quantile: for df=10, P(T <= 1.812) ≈ 0.95.
 	approx(t, "t10", StudentTCDF(1.8125, 10), 0.95, 1e-3)
 	// Large df approaches the normal distribution.
-	approx(t, "t->normal", StudentTCDF(1.96, 1e6), NormalCDF(1.96), 1e-4)
+	approx(t, "t->normal", StudentTCDF(1.96, 1e6), 0.5*math.Erfc(-1.96/math.Sqrt2), 1e-4)
 	// Symmetry: F(-t) = 1 - F(t).
 	approx(t, "t symmetry", StudentTCDF(-2.5, 7), 1-StudentTCDF(2.5, 7), 1e-10)
 	// Infinities.
@@ -75,11 +75,4 @@ func TestStudentTCDF(t *testing.T) {
 
 func TestStudentTSF(t *testing.T) {
 	approx(t, "SF", StudentTSF(2, 10), 1-StudentTCDF(2, 10), 1e-12)
-}
-
-func TestNormalCDF(t *testing.T) {
-	approx(t, "Phi(0)", NormalCDF(0), 0.5, 1e-12)
-	approx(t, "Phi(1.96)", NormalCDF(1.96), 0.975, 1e-3)
-	approx(t, "Phi(-1.96)", NormalCDF(-1.96), 0.025, 1e-3)
-	approx(t, "SF", NormalSF(1.5), 1-NormalCDF(1.5), 1e-12)
 }

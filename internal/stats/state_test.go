@@ -80,10 +80,10 @@ func TestP2StateRoundTrip(t *testing.T) {
 			restored.Add(x)
 		}
 		cv, rv := control.Value(), restored.Value()
-		if control.N() != restored.N() ||
+		if control.n != restored.n ||
 			(cv != rv && !(math.IsNaN(cv) && math.IsNaN(rv))) {
 			t.Fatalf("trial %d (n=%d cut=%d): restored value %v (n=%d) != control %v (n=%d)",
-				trial, n, cut, rv, restored.N(), cv, control.N())
+				trial, n, cut, rv, restored.n, cv, control.n)
 		}
 	}
 }
@@ -96,7 +96,7 @@ func TestP2FromStateValidation(t *testing.T) {
 		t.Fatal("inconsistent initial buffer accepted")
 	}
 	q, err := P2FromState(P2State{P: 0.5})
-	if err != nil || q.N() != 0 {
+	if err != nil || q.n != 0 {
 		t.Fatalf("empty state: %v", err)
 	}
 }

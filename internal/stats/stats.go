@@ -45,21 +45,6 @@ func Variance(xs []float64) float64 {
 // Std returns the population standard deviation of xs.
 func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// SampleVariance returns the unbiased sample variance (denominator n-1),
-// or NaN when fewer than two values are given.
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)-1)
-}
-
 // Min returns the minimum of xs, or NaN for an empty slice.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -3,54 +3,10 @@ package stats
 import (
 	"math"
 	"sort"
-
-	"hpcpower/internal/rng"
 )
 
-// This file adds the remaining inferential tools the repository's
-// analyses and ablations use: Kendall's tau (a second rank correlation to
-// cross-check Spearman), the two-sample Kolmogorov-Smirnov test (used to
-// compare distributions across systems and to validate dataset round
-// trips), and bootstrap confidence intervals for arbitrary statistics.
-
-// KendallTau returns Kendall's tau-b rank correlation between xs and ys,
-// handling ties. It panics when lengths differ and returns NaN for fewer
-// than two points or all-tied inputs. O(n²) — fine for the ≤10⁵ samples
-// of this study's analyses.
-func KendallTau(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic("stats: length mismatch")
-	}
-	n := len(xs)
-	if n < 2 {
-		return math.NaN()
-	}
-	var concordant, discordant float64
-	var tiesX, tiesY float64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx := xs[i] - xs[j]
-			dy := ys[i] - ys[j]
-			switch {
-			case dx == 0 && dy == 0:
-				// double tie: counts toward neither
-			case dx == 0:
-				tiesX++
-			case dy == 0:
-				tiesY++
-			case dx*dy > 0:
-				concordant++
-			default:
-				discordant++
-			}
-		}
-	}
-	denom := math.Sqrt((concordant + discordant + tiesX) * (concordant + discordant + tiesY))
-	if denom == 0 {
-		return math.NaN()
-	}
-	return (concordant - discordant) / denom
-}
+// This file holds the two-sample Kolmogorov-Smirnov test, used to compare
+// distributions across systems and to validate dataset round trips.
 
 // KSResult holds a two-sample Kolmogorov-Smirnov test outcome.
 type KSResult struct {
@@ -119,24 +75,4 @@ func clamp01(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-// BootstrapCI estimates a two-sided confidence interval for statistic f
-// over xs by non-parametric bootstrap with the given number of resamples
-// (percentile method). confidence is e.g. 0.95.
-func BootstrapCI(xs []float64, f func([]float64) float64, resamples int, confidence float64, src *rng.Source) (lo, hi float64) {
-	if len(xs) == 0 || resamples < 2 || confidence <= 0 || confidence >= 1 {
-		return math.NaN(), math.NaN()
-	}
-	vals := make([]float64, 0, resamples)
-	buf := make([]float64, len(xs))
-	for r := 0; r < resamples; r++ {
-		for i := range buf {
-			buf[i] = xs[src.Intn(len(xs))]
-		}
-		vals = append(vals, f(buf))
-	}
-	sort.Float64s(vals)
-	alpha := (1 - confidence) / 2
-	return quantileSorted(vals, alpha), quantileSorted(vals, 1-alpha)
 }

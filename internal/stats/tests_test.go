@@ -7,55 +7,6 @@ import (
 	"hpcpower/internal/rng"
 )
 
-func TestKendallTauPerfect(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{10, 20, 30, 40, 50}
-	approx(t, "tau +1", KendallTau(xs, ys), 1, 1e-12)
-	rev := []float64{50, 40, 30, 20, 10}
-	approx(t, "tau -1", KendallTau(xs, rev), -1, 1e-12)
-}
-
-func TestKendallTauKnown(t *testing.T) {
-	// One swapped pair among 4: C=5, D=1, tau = 4/6.
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{1, 2, 4, 3}
-	approx(t, "tau", KendallTau(xs, ys), 4.0/6, 1e-12)
-}
-
-func TestKendallTauTies(t *testing.T) {
-	xs := []float64{1, 1, 2, 3}
-	ys := []float64{1, 2, 3, 4}
-	tau := KendallTau(xs, ys)
-	if math.IsNaN(tau) || tau <= 0 || tau > 1 {
-		t.Errorf("tau with ties = %v", tau)
-	}
-	if !math.IsNaN(KendallTau([]float64{1, 1}, []float64{2, 2})) {
-		t.Error("all-tied should be NaN")
-	}
-	if !math.IsNaN(KendallTau([]float64{1}, []float64{2})) {
-		t.Error("n=1 should be NaN")
-	}
-}
-
-func TestKendallAgreesWithSpearmanSign(t *testing.T) {
-	src := rng.New(4)
-	n := 200
-	xs, ys := make([]float64, n), make([]float64, n)
-	for i := range xs {
-		xs[i] = src.Float64()
-		ys[i] = xs[i] + 0.3*src.Norm()
-	}
-	tau := KendallTau(xs, ys)
-	rho := Spearman(xs, ys)
-	if tau <= 0 || rho <= 0 {
-		t.Fatalf("tau=%v rho=%v", tau, rho)
-	}
-	// For bivariate normal-ish data, rho ≈ 1.5·tau (rule of thumb).
-	if tau >= rho {
-		t.Errorf("tau %v should be below rho %v", tau, rho)
-	}
-}
-
 func TestKSSameDistribution(t *testing.T) {
 	src := rng.New(5)
 	a := make([]float64, 600)
@@ -115,41 +66,6 @@ func TestKSPValueMonotone(t *testing.T) {
 	if ksPValue(0) != 1 {
 		t.Error("ksPValue(0) != 1")
 	}
-}
-
-func TestBootstrapCI(t *testing.T) {
-	src := rng.New(7)
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = src.Normal(10, 2)
-	}
-	lo, hi := BootstrapCI(xs, Mean, 400, 0.95, src)
-	if !(lo < 10 && 10 < hi) {
-		t.Errorf("CI [%v, %v] misses the true mean", lo, hi)
-	}
-	// Interval width should be around 4·σ/√n ≈ 0.36.
-	if w := hi - lo; w < 0.1 || w > 1 {
-		t.Errorf("CI width = %v", w)
-	}
-	// Degenerate inputs.
-	if lo, _ := BootstrapCI(nil, Mean, 100, 0.95, src); !math.IsNaN(lo) {
-		t.Error("empty input should give NaN")
-	}
-	if lo, _ := BootstrapCI(xs, Mean, 1, 0.95, src); !math.IsNaN(lo) {
-		t.Error("single resample should give NaN")
-	}
-	if lo, _ := BootstrapCI(xs, Mean, 100, 1.5, src); !math.IsNaN(lo) {
-		t.Error("bad confidence should give NaN")
-	}
-}
-
-func TestKendallPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch did not panic")
-		}
-	}()
-	KendallTau([]float64{1}, []float64{1, 2})
 }
 
 func BenchmarkKSTest(b *testing.B) {

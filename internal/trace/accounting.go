@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"hpcpower/internal/units"
 )
 
 // This file implements an sacct-style accounting-log interchange format.
@@ -207,22 +205,4 @@ func (d *Dataset) JoinPower(src *Dataset) int {
 		joined++
 	}
 	return joined
-}
-
-// TotalEnergy sums the energy of all jobs in the dataset.
-func (d *Dataset) TotalEnergy() units.Joules {
-	var e units.Joules
-	for i := range d.Jobs {
-		e += d.Jobs[i].Energy
-	}
-	return e
-}
-
-// TotalNodeHours sums the node-hours of all jobs in the dataset.
-func (d *Dataset) TotalNodeHours() units.NodeHours {
-	var nh units.NodeHours
-	for i := range d.Jobs {
-		nh += d.Jobs[i].NodeHours()
-	}
-	return nh
 }

@@ -132,19 +132,3 @@ func TestJoinPower(t *testing.T) {
 		t.Errorf("joined %d unknown jobs", n)
 	}
 }
-
-func TestTotals(t *testing.T) {
-	d := testDataset()
-	var wantE float64
-	var wantNH float64
-	for i := range d.Jobs {
-		wantE += float64(d.Jobs[i].Energy)
-		wantNH += float64(d.Jobs[i].NodeHours())
-	}
-	if got := float64(d.TotalEnergy()); got != wantE {
-		t.Errorf("TotalEnergy = %v, want %v", got, wantE)
-	}
-	if got := float64(d.TotalNodeHours()); got != wantNH {
-		t.Errorf("TotalNodeHours = %v, want %v", got, wantNH)
-	}
-}

@@ -1,10 +1,5 @@
 package trace
 
-import (
-	"fmt"
-	"time"
-)
-
 // Dataset slicing utilities: the paper's analyses repeatedly restrict the
 // job table — to one month (robustness), to one application (Fig. 4), to
 // multi-node jobs (Figs. 8-10). These helpers produce consistent
@@ -38,72 +33,7 @@ func (d *Dataset) ByApp(app string) *Dataset {
 	return d.FilterJobs(func(j *Job) bool { return j.App == app })
 }
 
-// ByUser returns the sub-dataset of one user's jobs.
-func (d *Dataset) ByUser(user string) *Dataset {
-	return d.FilterJobs(func(j *Job) bool { return j.User == user })
-}
-
 // MultiNode returns the sub-dataset of jobs with at least minNodes nodes.
 func (d *Dataset) MultiNode(minNodes int) *Dataset {
 	return d.FilterJobs(func(j *Job) bool { return j.Nodes >= minNodes })
-}
-
-// TimeWindow returns the sub-dataset of jobs STARTING in [from, to), with
-// the system series clipped to the same window and meta adjusted.
-func (d *Dataset) TimeWindow(from, to time.Time) (*Dataset, error) {
-	if !to.After(from) {
-		return nil, fmt.Errorf("trace: empty window [%v, %v)", from, to)
-	}
-	out := d.FilterJobs(func(j *Job) bool {
-		return !j.Start.Before(from) && j.Start.Before(to)
-	})
-	out.Meta.Start, out.Meta.End = from, to
-	out.System = nil
-	for _, s := range d.System {
-		if !s.Time.Before(from) && s.Time.Before(to) {
-			out.System = append(out.System, s)
-		}
-	}
-	return out, nil
-}
-
-// Merge combines datasets from the SAME system (e.g. monthly releases)
-// into one. Job IDs must be disjoint; metadata must agree.
-func Merge(parts ...*Dataset) (*Dataset, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("trace: nothing to merge")
-	}
-	out := &Dataset{
-		Meta:   parts[0].Meta,
-		Series: map[uint64][]NodeSeries{},
-	}
-	seen := map[uint64]bool{}
-	for _, p := range parts {
-		if p.Meta.System != out.Meta.System ||
-			p.Meta.TotalNodes != out.Meta.TotalNodes ||
-			p.Meta.NodeTDPW != out.Meta.NodeTDPW {
-			return nil, fmt.Errorf("trace: merging incompatible systems %q and %q",
-				out.Meta.System, p.Meta.System)
-		}
-		if p.Meta.Start.Before(out.Meta.Start) {
-			out.Meta.Start = p.Meta.Start
-		}
-		if p.Meta.End.After(out.Meta.End) {
-			out.Meta.End = p.Meta.End
-		}
-		for i := range p.Jobs {
-			j := p.Jobs[i]
-			if seen[j.ID] {
-				return nil, fmt.Errorf("trace: duplicate job %d across parts", j.ID)
-			}
-			seen[j.ID] = true
-			out.Jobs = append(out.Jobs, j)
-		}
-		for id, s := range p.Series {
-			out.Series[id] = s
-		}
-		out.System = append(out.System, p.System...)
-	}
-	out.SortJobs()
-	return out, nil
 }

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestFilterJobs(t *testing.T) {
 	d := testDataset()
@@ -26,75 +23,10 @@ func TestByAppByUserMultiNode(t *testing.T) {
 	if got := d.ByApp("FASTEST"); len(got.Jobs) != 1 || got.Jobs[0].App != "FASTEST" {
 		t.Errorf("ByApp = %+v", got.Jobs)
 	}
-	if got := d.ByUser("u001"); len(got.Jobs) != 1 || got.Jobs[0].User != "u001" {
-		t.Errorf("ByUser = %+v", got.Jobs)
-	}
 	if got := d.MultiNode(2); len(got.Jobs) != 2 {
 		t.Errorf("MultiNode(2) = %d jobs", len(got.Jobs))
 	}
 	if got := d.MultiNode(100); len(got.Jobs) != 0 {
 		t.Errorf("MultiNode(100) = %d jobs", len(got.Jobs))
 	}
-}
-
-func TestTimeWindow(t *testing.T) {
-	d := testDataset()
-	from := t0.Add(5 * time.Minute)
-	to := t0.Add(time.Hour)
-	// Both jobs start at t0+10min: inside the window.
-	got, err := d.TimeWindow(from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Jobs) != 2 {
-		t.Errorf("window jobs = %d", len(got.Jobs))
-	}
-	if !got.Meta.Start.Equal(from) || !got.Meta.End.Equal(to) {
-		t.Errorf("meta window = %v..%v", got.Meta.Start, got.Meta.End)
-	}
-	// System samples clipped: original has t0 and t0+1m, both before from.
-	if len(got.System) != 0 {
-		t.Errorf("system samples = %d", len(got.System))
-	}
-	// Empty window rejected.
-	if _, err := d.TimeWindow(to, from); err == nil {
-		t.Error("inverted window accepted")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	d := testDataset()
-	a := d.FilterJobs(func(j *Job) bool { return j.ID == 1 })
-	b := d.FilterJobs(func(j *Job) bool { return j.ID == 2 })
-	merged, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged.Jobs) != 2 || len(merged.Series) != 1 {
-		t.Fatalf("merged: %d jobs, %d series", len(merged.Jobs), len(merged.Series))
-	}
-	if err := mergedValidate(merged); err != nil {
-		t.Errorf("merged invalid: %v", err)
-	}
-	// Duplicate IDs rejected.
-	if _, err := Merge(a, a); err == nil {
-		t.Error("duplicate jobs accepted")
-	}
-	// Incompatible systems rejected.
-	other := testDataset()
-	other.Meta.System = "Other"
-	if _, err := Merge(a, other); err == nil {
-		t.Error("incompatible systems accepted")
-	}
-	if _, err := Merge(); err == nil {
-		t.Error("empty merge accepted")
-	}
-}
-
-func mergedValidate(d *Dataset) error {
-	// System samples are concatenated (duplicates allowed across parts in
-	// this test); validate jobs only.
-	clone := *d
-	clone.System = nil
-	return clone.Validate()
 }

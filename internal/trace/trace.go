@@ -106,15 +106,6 @@ type NodeSeries struct {
 	Power []float64 // watts, one entry per minute
 }
 
-// Energy returns the total energy of the series.
-func (ns *NodeSeries) Energy() units.Joules {
-	var e float64
-	for _, p := range ns.Power {
-		e += p * units.SecondsPerSample
-	}
-	return units.Joules(e)
-}
-
 // SystemSample is one minute of whole-cluster telemetry: how many nodes
 // were executing jobs, and the total power drawn by all compute nodes.
 // Figs. 1 and 2 are drawn from this series.
@@ -153,17 +144,6 @@ func (d *Dataset) Job(id uint64) *Job {
 		}
 	}
 	return nil
-}
-
-// InstrumentedJobs returns the jobs that carry time-resolved metrics.
-func (d *Dataset) InstrumentedJobs() []*Job {
-	var out []*Job
-	for i := range d.Jobs {
-		if d.Jobs[i].Instrumented {
-			out = append(out, &d.Jobs[i])
-		}
-	}
-	return out
 }
 
 // SortJobs orders the job table by start time, then ID — the order

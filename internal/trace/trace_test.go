@@ -63,14 +63,6 @@ func TestJobValidate(t *testing.T) {
 	}
 }
 
-func TestNodeSeriesEnergy(t *testing.T) {
-	ns := NodeSeries{Power: []float64{100, 200, 300}}
-	want := units.Joules((100 + 200 + 300) * 60)
-	if got := ns.Energy(); got != want {
-		t.Errorf("Energy = %v, want %v", got, want)
-	}
-}
-
 func testDataset() *Dataset {
 	d := &Dataset{
 		Meta: Meta{
@@ -150,10 +142,6 @@ func TestDatasetAccessors(t *testing.T) {
 	}
 	if j := d.Job(99); j != nil {
 		t.Error("Job(99) should be nil")
-	}
-	inst := d.InstrumentedJobs()
-	if len(inst) != 1 || inst[0].ID != 2 {
-		t.Errorf("InstrumentedJobs = %v", inst)
 	}
 	users := d.Users()
 	if len(users) != 2 || users[0] != "u001" || users[1] != "u002" {

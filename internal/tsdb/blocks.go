@@ -144,30 +144,49 @@ func floorMod(t, step int64) int64 {
 	return m
 }
 
+// span is one side's share of a merged read: [from, to], or nothing to
+// serve when ok is false.
+type span struct {
+	from, to int64
+	ok       bool
+}
+
+// split cuts a read of [from, to] (to ≤ 0 unbounded) at the flush
+// frontier F: sealed blocks serve [from, min(to, F−1)], the head serves
+// [max(from, F), to]. Head points replayed below F are the blocks' to
+// serve, so no sample is served twice.
+func (s *Store) split(from, to int64) (blocks, head span) {
+	f := s.frontier.Load()
+	if s.blocks != nil && f > 0 && from < f {
+		blocks = span{from: from, to: f - 1, ok: true}
+		if to > 0 && to < blocks.to {
+			blocks.to = to
+		}
+	}
+	head = span{from: max(from, f), to: upper(to)}
+	head.ok = head.to >= head.from
+	return blocks, head
+}
+
 // QueryRange is the merged range read: raw points of the node with
 // from ≤ t ≤ to (to ≤ 0 unbounded), blocks below the frontier, head at
 // or above it, in time order. degraded=true means block-side corruption
 // was quarantined mid-read and the result may be missing the damaged
 // window's raw points.
 func (s *Store) QueryRange(node int, from, to int64) ([]Point, bool, error) {
-	f := s.frontier.Load()
+	blk, head := s.split(from, to)
 	var out []Point
 	var degraded bool
-	if s.blocks != nil && f > 0 && from < f {
-		bto := f - 1
-		if to > 0 && to < bto {
-			bto = to
-		}
+	if blk.ok {
 		var err error
-		out, degraded, err = block.AppendRange(s.blocks.Querier(), out, node, from, bto,
+		out, degraded, err = block.AppendRange(s.blocks.Querier(), out, node, blk.from, blk.to,
 			func(t int64, v float64) Point { return Point{Unix: t, PowerW: v} })
 		if err != nil {
 			return nil, degraded, err
 		}
 	}
-	// Head points replayed below the frontier are the blocks' to serve.
-	if hfrom, hi := max(from, f), upper(to); hi >= hfrom {
-		out = s.appendNodeSeries(out, node, hfrom, hi)
+	if head.ok {
+		out = s.appendNodeSeries(out, node, head.from, head.to)
 	}
 	// Blocks are time-sorted and rings are in arrival order, which is
 	// time order unless a late sample landed.
@@ -187,33 +206,29 @@ func (s *Store) QueryAgg(node int, from, to, step int64) ([]block.AggPoint, bool
 	if step <= 0 {
 		step = 60
 	}
-	f := s.frontier.Load()
+	blk, head := s.split(from, to)
 	var out []block.AggPoint
 	var degraded bool
-	if s.blocks != nil && f > 0 && from < f {
-		bto := f - 1
-		if to > 0 && to < bto {
-			bto = to
-		}
-		aggs, deg, err := s.blocks.Querier().RangeAgg(node, from, bto, step)
+	if blk.ok {
+		aggs, deg, err := s.blocks.Querier().RangeAgg(node, blk.from, blk.to, step)
 		degraded = deg
 		if err != nil {
 			return nil, degraded, err
 		}
 		out = aggs
 	}
-	if hfrom, hi := max(from, f), upper(to); hi >= hfrom {
-		pts := s.appendNodeSeries(nil, node, hfrom, hi)
-		head := make([]block.Point, len(pts))
+	if head.ok {
+		pts := s.appendNodeSeries(nil, node, head.from, head.to)
+		raw := make([]block.Point, len(pts))
 		for i, p := range pts {
-			head[i] = block.Point{T: p.Unix, V: p.PowerW}
+			raw[i] = block.Point{T: p.Unix, V: p.PowerW}
 		}
 		// Arrival order is time order unless a late sample landed.
 		byTime := func(a, b block.Point) int { return cmp.Compare(a.T, b.T) }
-		if !slices.IsSortedFunc(head, byTime) {
-			slices.SortStableFunc(head, byTime)
+		if !slices.IsSortedFunc(raw, byTime) {
+			slices.SortStableFunc(raw, byTime)
 		}
-		out = mergeAggs(out, block.Rollup(head, step), step)
+		out = mergeAggs(out, block.Rollup(raw, step), step)
 	}
 	byTime := func(a, b block.AggPoint) int { return cmp.Compare(a.T, b.T) }
 	if !slices.IsSortedFunc(out, byTime) {
@@ -262,22 +277,16 @@ func mergeAggs(base, extra []block.AggPoint, step int64) []block.AggPoint {
 // quarantine-and-retry; dst then still holds each surviving value
 // exactly once.
 func (s *Store) AppendValuesMerged(dst []float64, nodes []int, from, to int64) ([]float64, bool, error) {
-	f := s.frontier.Load()
+	blk, head := s.split(from, to)
 	var degraded bool
-	if s.blocks != nil && f > 0 && from < f {
-		bto := f - 1
-		if to > 0 && to < bto {
-			bto = to
-		}
+	if blk.ok {
 		var err error
-		dst, degraded, err = s.blocks.Querier().AppendValues(dst, nodes, from, bto)
+		dst, degraded, err = s.blocks.Querier().AppendValues(dst, nodes, blk.from, blk.to)
 		if err != nil {
 			return dst, degraded, err
 		}
 	}
-	// Head points replayed below the frontier are the blocks' to serve.
-	hfrom, hi := max(from, f), upper(to)
-	if hi < hfrom {
+	if !head.ok {
 		return dst, degraded, nil
 	}
 	if len(nodes) == 0 {
@@ -285,7 +294,7 @@ func (s *Store) AppendValuesMerged(dst []float64, nodes []int, from, to int64) (
 			sh := &s.shards[i]
 			sh.mu.RLock()
 			for _, r := range sh.nodes {
-				dst = r.appendValues(dst, hfrom, hi)
+				dst = r.appendValues(dst, head.from, head.to)
 			}
 			sh.mu.RUnlock()
 		}
@@ -297,7 +306,7 @@ func (s *Store) AppendValuesMerged(dst []float64, nodes []int, from, to int64) (
 		sh := s.nodeShard(node)
 		sh.mu.RLock()
 		if r := sh.nodes[node]; r != nil {
-			dst = r.appendValues(dst, hfrom, hi)
+			dst = r.appendValues(dst, head.from, head.to)
 		}
 		sh.mu.RUnlock()
 	}

@@ -105,13 +105,6 @@ func (d *Deduper) Forget(agent string, seq uint64) {
 	aw.bits[seq/64%(d.window/64)] &^= 1 << (seq % 64)
 }
 
-// Agents returns the number of tracked agents.
-func (d *Deduper) Agents() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.agents)
-}
-
 // DeduperState is the exact serializable image of a Deduper, part of the
 // powserved crash-recovery snapshot. Restoring it preserves the dedup
 // decisions, so replaying an already-marked (agent, seq) after recovery
@@ -153,53 +146,33 @@ func (d *Deduper) ExportState() *DeduperState {
 	return st
 }
 
-// RestoreState loads a captured dedup index into an empty Deduper. The
-// window must match the configured one — the bitmap layout is
-// window-dependent and cannot be rescaled.
-func (d *Deduper) RestoreState(st *DeduperState) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.agents) != 0 {
-		return fmt.Errorf("tsdb: dedup restore into a non-empty index (%d agents)", len(d.agents))
-	}
-	return d.restoreLocked(st)
-}
-
-// InstallState replaces a live dedup index with a captured one — the
-// follower-bootstrap path. The snapshot's windows subsume whatever the
-// local index knew: every (agent, seq) marked locally before the
-// bootstrap is also marked in a snapshot taken at a later LSN, so
-// swapping wholesale keeps redelivered batches counting as duplicates.
+// InstallState replaces the dedup index with a captured one: what crash
+// recovery loads into an empty index and a follower's bootstrap over a
+// live one. There the snapshot's windows subsume whatever the local
+// index knew — every (agent, seq) marked locally before the bootstrap is
+// also marked in a snapshot taken at a later LSN — so swapping wholesale
+// keeps redelivered batches counting as duplicates. The window must
+// match the configured one (the bitmap layout is window-dependent and
+// cannot be rescaled); a refused state leaves the index untouched.
 func (d *Deduper) InstallState(st *DeduperState) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	old := d.agents
-	d.agents = make(map[string]*agentWindow, len(st.Agents))
-	if err := d.restoreLocked(st); err != nil {
-		d.agents = old
-		return err
-	}
-	return nil
-}
-
-// restoreLocked validates st and loads it into d.agents. Callers hold
-// d.mu and guarantee d.agents is the map to fill.
-func (d *Deduper) restoreLocked(st *DeduperState) error {
 	if st.Window != d.window {
 		return fmt.Errorf("tsdb: snapshot dedup window %d does not match configured window %d — start the server with serve.Config.DedupWindow = %d",
 			st.Window, d.window, st.Window)
 	}
 	words := int(d.window / 64)
+	agents := make(map[string]*agentWindow, len(st.Agents))
 	for _, a := range st.Agents {
 		if len(a.Bits) != words {
 			return fmt.Errorf("tsdb: snapshot agent %q has %d bitmap words, window needs %d", a.ID, len(a.Bits), words)
 		}
-		d.agents[a.ID] = &agentWindow{
+		agents[a.ID] = &agentWindow{
 			init: a.Init, maxSeq: a.MaxSeq,
 			bits: append([]uint64(nil), a.Bits...), touched: a.Touched,
 		}
 	}
-	d.clock = st.Clock
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.agents, d.clock = agents, st.Clock
 	return nil
 }
 

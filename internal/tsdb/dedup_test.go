@@ -71,7 +71,7 @@ func TestDeduperAgentEviction(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		d.Mark(fmt.Sprintf("agent-%d", i), 1)
 	}
-	if got := d.Agents(); got != 4 {
+	if got := len(d.ExportState().Agents); got != 4 {
 		t.Fatalf("tracked agents = %d, want 4", got)
 	}
 	// The most recent agent survived.

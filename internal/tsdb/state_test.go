@@ -172,7 +172,7 @@ func TestSnapshotReplaySuffixProperty(t *testing.T) {
 		if err := recovered.RestoreState(img.Store); err != nil {
 			t.Fatal(err)
 		}
-		if err := recoveredDedup.RestoreState(img.Dedup); err != nil {
+		if err := recoveredDedup.InstallState(img.Dedup); err != nil {
 			t.Fatal(err)
 		}
 
@@ -255,14 +255,11 @@ func TestRestoreStateValidation(t *testing.T) {
 	d := NewDeduper(DedupConfig{Window: 64})
 	d.Mark("a", 1)
 	ds := d.ExportState()
-	if err := NewDeduper(DedupConfig{Window: 128}).RestoreState(ds); err == nil {
+	if err := NewDeduper(DedupConfig{Window: 128}).InstallState(ds); err == nil {
 		t.Fatal("dedup window mismatch accepted")
 	}
-	if err := d.RestoreState(ds); err == nil {
-		t.Fatal("dedup restore into non-empty index accepted")
-	}
 	d2 := NewDeduper(DedupConfig{Window: 64})
-	if err := d2.RestoreState(ds); err != nil {
+	if err := d2.InstallState(ds); err != nil {
 		t.Fatal(err)
 	}
 	if dup, _ := d2.Mark("a", 1); !dup {

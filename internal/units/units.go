@@ -28,20 +28,6 @@ const SampleInterval = time.Minute
 // SecondsPerSample is SampleInterval expressed in seconds.
 const SecondsPerSample = 60.0
 
-// WattHours converts energy to watt-hours.
-func (j Joules) WattHours() float64 { return float64(j) / 3600.0 }
-
-// KilowattHours converts energy to kilowatt-hours.
-func (j Joules) KilowattHours() float64 { return float64(j) / 3.6e6 }
-
-// EnergyOver returns the energy consumed by drawing power p for duration d.
-func EnergyOver(p Watts, d time.Duration) Joules {
-	return Joules(float64(p) * d.Seconds())
-}
-
-// EnergyPerSample returns the energy of one minute-long sample at power p.
-func EnergyPerSample(p Watts) Joules { return Joules(float64(p) * SecondsPerSample) }
-
 // String renders power with a watt suffix, e.g. "149.0 W".
 func (w Watts) String() string { return fmt.Sprintf("%.1f W", float64(w)) }
 
@@ -78,14 +64,6 @@ func NodeHoursOf(n int, d time.Duration) NodeHours {
 	return NodeHours(float64(n) * d.Hours())
 }
 
-// Percent expresses part/whole as a percentage; it returns 0 when whole is 0.
-func Percent(part, whole float64) float64 {
-	if whole == 0 {
-		return 0
-	}
-	return 100 * part / whole
-}
-
 // Clamp bounds v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {
@@ -119,15 +97,3 @@ func (g TimeGrid) At(i int) time.Time { return g.Start.Add(time.Duration(i) * Sa
 
 // End returns the instant just past the final sample.
 func (g TimeGrid) End() time.Time { return g.At(g.N) }
-
-// Index returns the sample index containing instant t, clamped to the grid.
-func (g TimeGrid) Index(t time.Time) int {
-	i := int(t.Sub(g.Start) / SampleInterval)
-	if i < 0 {
-		return 0
-	}
-	if i >= g.N {
-		return g.N - 1
-	}
-	return i
-}

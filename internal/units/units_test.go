@@ -7,40 +7,6 @@ import (
 	"time"
 )
 
-func TestEnergyOver(t *testing.T) {
-	tests := []struct {
-		p    Watts
-		d    time.Duration
-		want Joules
-	}{
-		{100, time.Second, 100},
-		{100, time.Minute, 6000},
-		{0, time.Hour, 0},
-		{210, time.Hour, 756000},
-	}
-	for _, tt := range tests {
-		if got := EnergyOver(tt.p, tt.d); math.Abs(float64(got-tt.want)) > 1e-9 {
-			t.Errorf("EnergyOver(%v, %v) = %v, want %v", tt.p, tt.d, got, tt.want)
-		}
-	}
-}
-
-func TestEnergyConversions(t *testing.T) {
-	j := Joules(3.6e6)
-	if got := j.WattHours(); math.Abs(got-1000) > 1e-9 {
-		t.Errorf("WattHours = %v, want 1000", got)
-	}
-	if got := j.KilowattHours(); math.Abs(got-1) > 1e-9 {
-		t.Errorf("KilowattHours = %v, want 1", got)
-	}
-}
-
-func TestEnergyPerSample(t *testing.T) {
-	if got := EnergyPerSample(2); got != 120 {
-		t.Errorf("EnergyPerSample(2) = %v, want 120", got)
-	}
-}
-
 func TestMinutes(t *testing.T) {
 	tests := []struct {
 		d    time.Duration
@@ -63,15 +29,6 @@ func TestMinutes(t *testing.T) {
 func TestNodeHoursOf(t *testing.T) {
 	if got := NodeHoursOf(4, 90*time.Minute); math.Abs(float64(got)-6) > 1e-9 {
 		t.Errorf("NodeHoursOf(4, 90m) = %v, want 6", got)
-	}
-}
-
-func TestPercent(t *testing.T) {
-	if got := Percent(1, 4); got != 25 {
-		t.Errorf("Percent(1,4) = %v, want 25", got)
-	}
-	if got := Percent(1, 0); got != 0 {
-		t.Errorf("Percent(1,0) = %v, want 0", got)
 	}
 }
 
@@ -109,15 +66,6 @@ func TestTimeGrid(t *testing.T) {
 	}
 	if got := g.End(); got != start.Add(10*time.Minute) {
 		t.Errorf("End = %v", got)
-	}
-	if got := g.Index(start.Add(5*time.Minute + 30*time.Second)); got != 5 {
-		t.Errorf("Index mid = %d, want 5", got)
-	}
-	if got := g.Index(start.Add(-time.Hour)); got != 0 {
-		t.Errorf("Index before = %d, want 0", got)
-	}
-	if got := g.Index(start.Add(time.Hour)); got != 9 {
-		t.Errorf("Index after = %d, want 9", got)
 	}
 }
 

@@ -261,9 +261,3 @@ func (u *User) SampleConfig(src *rng.Source, diversity float64) Config {
 	}
 	return u.Configs[src.Choice(weights)]
 }
-
-// NodeLadder exposes the request ladder (for tests and doc tooling).
-func NodeLadder() []int { return append([]int(nil), nodeLadder...) }
-
-// WallLadder exposes the walltime ladder in hours.
-func WallLadder() []float64 { return append([]float64(nil), wallLadder...) }

@@ -46,7 +46,7 @@ func TestPopulationShape(t *testing.T) {
 				t.Errorf("%s wall use %v", u.ID, c.WallUseMean)
 			}
 			inLadder := false
-			for _, n := range NodeLadder() {
+			for _, n := range nodeLadder {
 				if c.Nodes == n {
 					inLadder = true
 				}
@@ -213,7 +213,7 @@ func TestSnapHelpers(t *testing.T) {
 }
 
 func TestWallLadderValues(t *testing.T) {
-	wl := WallLadder()
+	wl := wallLadder
 	if wl[0] != 1 || wl[len(wl)-1] != 72 {
 		t.Errorf("wall ladder = %v", wl)
 	}

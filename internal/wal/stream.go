@@ -212,13 +212,6 @@ func (l *Log) SetReapHold(id string, lsn uint64) {
 	l.holds[id] = lsn
 }
 
-// ReleaseReapHold removes the hold registered under id.
-func (l *Log) ReleaseReapHold(id string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.holds, id)
-}
-
 // reapCeiling caps a requested reap-through LSN by the registered holds.
 func (l *Log) reapCeiling(throughLSN uint64) uint64 {
 	l.mu.Lock()
