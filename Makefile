@@ -8,7 +8,7 @@ GO ?= go
 # a list: both run it straight after the build, because bench/ compiles
 # against the tree and a symbol it uses going missing should fail in the
 # first minute, not the last step.
-FUZZ_TARGETS = fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state fuzz-codec fuzz-snapshot fuzz-sort
+FUZZ_TARGETS = fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state fuzz-codec fuzz-snapshot fuzz-sort fuzz-bdt
 BENCH_TARGETS = bench bench-block bench-codec bench-wal bench-snapshot bench-tsdb bench-mlearn
 SMOKE_TARGETS = smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke
 
@@ -88,12 +88,15 @@ bench-tsdb:
 	$(call gobench,'AppendFleet|AppendInterleaved|ExportState',./internal/tsdb/)
 
 # Prediction-study microbenchmarks (the paper's Figs. 14-15, Emmy at a
-# tenth of the study): BDTFit on 5,000 synthetic jobs, KNNPredict (one
-# selection pass over the user's history, 0 allocs/op), and EvaluateAll,
-# ten splits x three models, on one core and on two: the splits are
-# fitted concurrently, so -2 should read about a quarter below -1 (KNN
-# and FLDA halve, the allocation-bound BDT fits barely move), and -1 no
-# worse than walking the splits in turn.
+# tenth of the study): BDTFit on 5,000 synthetic jobs (about 120
+# allocs/op: the columns, the orders and the nodes; thousands mean a node
+# copies or sorts its rows again), KNNPredict (one selection pass over the
+# user's history, 0 allocs/op), and EvaluateAll, ten splits x three
+# models, on one core and on two: the splits are drawn and fitted
+# concurrently, so -2 should read about a third below -1 (the BDT fits
+# no longer allocate per node and scale like KNN and FLDA; pooling the
+# errors and the CDFs stay on one core), and -1 no worse than walking
+# the splits in turn.
 bench-mlearn:
 	$(call gobench,'BDTFit|KNNPredict',./internal/mlearn/)
 	$(GO) test -run xxx -bench 'EvaluateAll' -benchmem -benchtime=$(BENCHTIME) -cpu 1,2 ./internal/mlearn/
@@ -127,6 +130,13 @@ fuzz-codec:
 # Seeds are whole images, so the minimizer gets a short leash.
 fuzz-snapshot:
 	$(call gofuzz,FuzzSnapshotDecode,20s -fuzzminimizetime 2s,./internal/serve/)
+
+# Fuzz BDT.Fit against the fit it replaced (every node sorting its own
+# rows, stably): small training sets full of equal feature values, equal
+# user means and MinLeaf edges must save the same tree byte for byte, and
+# the saved tree must load and predict as the fitted one.
+fuzz-bdt:
+	$(call gofuzz,FuzzBDTFit,15s,./internal/mlearn/)
 
 # Fuzz SortFloat64s against slices.Sort on inputs read as float64s, short
 # and repeated up to a length that takes the counting path: the same

@@ -500,7 +500,7 @@ func ingestBatchLoop(b *testing.B, store *tsdb.Store, observe func([]trace.Power
 // anomaly engine evaluating the default rule set against every job in
 // every batch — the full detection hot path riding the write path.
 // Compare with BenchmarkIngestBatch to see the detection overhead;
-// TestDetectorOverheadBound pins it at ≤ 12 ns/sample.
+// TestDetectorOverheadBound pins it against a reference kernel.
 func BenchmarkIngestBatchDetectors(b *testing.B) {
 	store := tsdb.New(tsdb.Config{Shards: 16, RingLen: 1440})
 	eng := anomaly.NewEngine(anomaly.Config{Lookup: store.JobFingerprint})
@@ -510,54 +510,81 @@ func BenchmarkIngestBatchDetectors(b *testing.B) {
 	})
 }
 
+// splitmixKernel runs n dependent splitmix64 steps from x: a fixed piece
+// of arithmetic whose time measures the machine, not the repository.
+func splitmixKernel(x uint64, n int) uint64 {
+	for i := 0; i < n; i++ {
+		x += 0x9e3779b97f4a7c15
+		x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+		x = (x ^ x>>27) * 0x94d049bb133111eb
+		x ^= x >> 31
+	}
+	return x
+}
+
+var splitmixSink uint64 // keeps the kernel's result live
+
+// detectorKernelRatio bounds the engine's cost per sample in kernel steps.
+// Single trials measured 2.4–3.2 on an idle machine and 2.0–3.3 beside two
+// spinning processes (one machine, a step ≈ 4 ns there), so 4.5 leaves
+// 1.4× over the healthy maximum: the old 12 ns/sample was 3 steps, inside
+// that spread.
+const detectorKernelRatio = 4.5
+
 // TestDetectorOverheadBound asserts the detection hot path costs at
-// most 12 ns per ingested sample: the per-sample fingerprint fold is
-// already part of the store's append (and allocation-free, see
-// anomaly.TestFingerprintUpdateAllocFree), so the engine only adds
-// per-batch job grouping and rule evaluation. The bound used to be 5 %
-// of BenchmarkIngestBatch, which was 9–10 ns/sample while Append took
-// 90–100 µs per batch; Append now takes about 53 µs, the engine still
-// the 7–10 ns/sample it always did on this batch (a new job every
-// sample, so grouping is a map lookup per sample), and a share of a
-// shrinking base would fail the engine for the store getting faster.
-// So the engine's own calls are timed and the bound is absolute, near
-// what the 5 % allowed. Timing is noisy, so the bound takes the best
-// of a few trials and only then fails.
+// most detectorKernelRatio reference-kernel steps per ingested sample:
+// the per-sample fingerprint fold is already part of the store's append
+// (and allocation-free, see anomaly.TestFingerprintUpdateAllocFree), so
+// the engine only adds per-batch job grouping and rule evaluation —
+// 7–13 ns/sample on this batch (a new job every sample, so grouping is a
+// map lookup per sample), 2 to 3.3 kernel steps.
+//
+// The bound has been two other things. As 5 % of BenchmarkIngestBatch it
+// would have failed the engine for the store getting faster (Append went
+// from 90–100 µs to about 53 µs per batch). As an absolute 12 ns/sample
+// it failed whenever both cores were busy (20.7 ns in a loaded run). So
+// each batch's engine call is followed by one kernel step per sample,
+// both are timed, and the bound is on the ratio: a busy or slow machine
+// stretches both, a slower engine only one, and unlike Append the kernel
+// does not get faster. Timing is still noisy, so the bound takes the
+// best of a few trials and only then fails.
 func TestDetectorOverheadBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison")
 	}
-	const boundNs = 12.0
-	measure := func() (detectNs, restNs float64) {
-		var spent time.Duration
+	measure := func() (detectNs, kernelNs, restNs float64) {
+		var spent, kernel time.Duration
 		var samples int
 		res := testing.Benchmark(func(b *testing.B) {
 			store := tsdb.New(tsdb.Config{Shards: 16, RingLen: 1440})
 			eng := anomaly.NewEngine(anomaly.Config{Lookup: store.JobFingerprint})
 			defer eng.Close()
-			spent, samples = 0, 0
+			spent, kernel, samples = 0, 0, 0
 			ingestBatchLoop(b, store, func(batch []trace.PowerSample) {
 				start := time.Now()
 				eng.ObserveBatch(batch, "")
-				spent += time.Since(start)
+				mid := time.Now()
+				splitmixSink = splitmixKernel(splitmixSink, len(batch))
+				spent += mid.Sub(start)
+				kernel += time.Since(mid)
 				samples += len(batch)
 			})
 		})
-		detectNs = float64(spent.Nanoseconds()) / float64(samples)
-		return detectNs, float64(res.T.Nanoseconds())/float64(samples) - detectNs
+		perSample := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(samples) }
+		return perSample(spent), perSample(kernel), perSample(res.T - spent - kernel)
 	}
 	const trials = 5
 	best := math.Inf(1)
 	for i := 0; i < trials; i++ {
-		detect, rest := measure()
-		if detect <= boundNs {
-			t.Logf("trial %d: detection %.1f ns/sample beside %.1f ns/sample for the rest of the ingest loop (%.1f%%)",
-				i+1, detect, rest, 100*detect/rest)
+		detect, kernel, rest := measure()
+		if detect <= detectorKernelRatio*kernel {
+			t.Logf("trial %d: detection %.1f ns/sample = %.2f kernel steps of %.2f ns, beside %.1f ns/sample for the rest of the ingest loop",
+				i+1, detect, detect/kernel, kernel, rest)
 			return
 		}
-		best = min(best, detect)
+		best = min(best, detect/kernel)
 	}
-	t.Fatalf("detection costs %.1f ns/sample > %.0f ns/sample across %d trials", best, boundNs, trials)
+	t.Fatalf("detection costs %.2f kernel steps per sample > %.1f across %d trials", best, detectorKernelRatio, trials)
 }
 
 // BenchmarkPredictEndpoint measures the in-process POST /v1/predict

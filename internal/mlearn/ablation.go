@@ -136,9 +136,13 @@ var AblationSets = []FeatureSet{
 
 // EvaluateAblation runs the BDT with each feature subset.
 func EvaluateAblation(samples []Sample, cfg EvalConfig) ([]AblationResult, error) {
+	splits, cfg, err := drawSplits(samples, cfg)
+	if err != nil {
+		return nil, err
+	}
 	var out []AblationResult
 	for _, fs := range AblationSets {
-		res, err := Evaluate(samples, Masked(func() Model { return NewBDT(DefaultTreeParams()) }, fs), cfg)
+		res, err := evaluate(splits, Masked(func() Model { return NewBDT(DefaultTreeParams()) }, fs), cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -147,35 +151,40 @@ func EvaluateAblation(samples []Sample, cfg EvalConfig) ([]AblationResult, error
 	return out, nil
 }
 
-// FeatureImportance reports each feature's share of the total SSE
-// reduction over a fitted tree's splits — which feature the tree leans
-// on, and in which order it tends to split.
+// splitFeatures names what a node can split on, in the order the fit
+// considers them.
+var splitFeatures = [3]string{"user", "nodes", "wall"}
+
+// splitFeature indexes splitFeatures for an interior node.
+func (n *treeNode) splitFeature() int {
+	if n.userSet != nil {
+		return 0
+	}
+	return 1 + n.featIdx
+}
+
+// FeatureImportance reports how much of the fitted tree's splitting each
+// feature does: a split at depth d counts 2^-d — the root 1, its children
+// a half each — and the three totals are scaled to sum to 1. It measures
+// which feature the tree leans on and how early, not SSE reduction.
 func (t *BDT) FeatureImportance() map[string]float64 {
-	imp := map[string]float64{"user": 0, "nodes": 0, "wall": 0}
+	var weights [3]float64
 	var walk func(n *treeNode, weight float64)
 	walk = func(n *treeNode, weight float64) {
 		if n == nil || n.isLeaf {
 			return
 		}
-		switch {
-		case n.userSet != nil:
-			imp["user"] += weight
-		case n.featIdx == 0:
-			imp["nodes"] += weight
-		default:
-			imp["wall"] += weight
-		}
+		weights[n.splitFeature()] += weight
 		walk(n.left, weight/2)
 		walk(n.right, weight/2)
 	}
 	walk(t.root, 1)
-	var total float64
-	for _, v := range imp {
-		total += v
-	}
-	if total > 0 {
-		for k := range imp {
-			imp[k] /= total
+	total := weights[0] + weights[1] + weights[2]
+	imp := map[string]float64{}
+	for i, name := range splitFeatures {
+		imp[name] = weights[i]
+		if total > 0 {
+			imp[name] /= total
 		}
 	}
 	return imp
@@ -188,12 +197,5 @@ func (t *BDT) RootSplitFeature() string {
 	if t.root == nil || t.root.isLeaf {
 		return ""
 	}
-	switch {
-	case t.root.userSet != nil:
-		return "user"
-	case t.root.featIdx == 0:
-		return "nodes"
-	default:
-		return "wall"
-	}
+	return splitFeatures[t.root.splitFeature()]
 }

@@ -1,6 +1,7 @@
 package mlearn
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -132,6 +133,13 @@ func TestFeatureImportanceAndRootSplit(t *testing.T) {
 	if total < 0.999 || total > 1.001 {
 		t.Errorf("importances sum to %v", total)
 	}
+	// The shares are scaled by a total summed in a fixed order, not in map
+	// order: every call gives the same bits.
+	for i := 0; i < 50; i++ {
+		if again := m.FeatureImportance(); !reflect.DeepEqual(again, imp) {
+			t.Fatalf("call %d: importance %v, first call %v", i+2, again, imp)
+		}
+	}
 	// The paper describes a user-first hierarchy; on synthetic data the
 	// root may pick walltime instead (it proxies the application), but
 	// the user must remain a heavyweight feature near the top.
@@ -254,6 +262,14 @@ func TestGridSearchKNN(t *testing.T) {
 	if byLabel["k=25"].FracBelow10 >= byLabel["k=1"].FracBelow10 {
 		t.Errorf("k=25 (%v) not worse than k=1 (%v)",
 			byLabel["k=25"].FracBelow10, byLabel["k=1"].FracBelow10)
+	}
+	// The grid draws its splits once; they are the ones Evaluate draws.
+	alone, err := Evaluate(data, func() Model { return NewKNN(DefaultKNNParams()) }, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := DefaultKNNParams().K; k != 5 || !reflect.DeepEqual(byLabel["k=5"], alone) {
+		t.Errorf("grid point k=5 differs from Evaluate on its own (default k = %d)", k)
 	}
 	if _, err := GridSearchKNN(data, nil, cfg); err == nil {
 		t.Error("empty grid accepted")

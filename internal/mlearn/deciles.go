@@ -1,11 +1,8 @@
 package mlearn
 
 import (
-	"fmt"
-	"math"
 	"sort"
 
-	"hpcpower/internal/rng"
 	"hpcpower/internal/stats"
 )
 
@@ -31,34 +28,17 @@ type VolumeBucket struct {
 // ErrorByUserVolume evaluates the model across cfg.Reps stratified splits
 // and buckets per-user mean errors by user activity quartile.
 func ErrorByUserVolume(samples []Sample, factory func() Model, cfg EvalConfig) ([]VolumeBucket, error) {
-	if len(samples) < 20 {
-		return nil, fmt.Errorf("mlearn: only %d samples", len(samples))
+	splits, _, err := drawSplits(samples, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Reps <= 0 {
-		cfg.Reps = 10
+	_, _, perUserErrs, err := score(splits, factory)
+	if err != nil {
+		return nil, err
 	}
 	jobCount := map[string]int{}
 	for _, s := range samples {
 		jobCount[s.User]++
-	}
-
-	root := rng.New(cfg.Seed)
-	perUserErrs := map[string][]float64{}
-	for rep := 0; rep < cfg.Reps; rep++ {
-		sp := StratifiedSplit(samples, cfg.ValidFrac, root.Split(uint64(rep)))
-		m := factory()
-		if err := m.Fit(sp.Train); err != nil {
-			return nil, err
-		}
-		for _, v := range sp.Valid {
-			p := Prediction{Features: v.Features, Actual: v.PowerW, Predicted: m.Predict(v.Features)}
-			if e := p.AbsErrPct(); !math.IsNaN(e) {
-				perUserErrs[v.User] = append(perUserErrs[v.User], e)
-			}
-		}
-	}
-	if len(perUserErrs) == 0 {
-		return nil, fmt.Errorf("mlearn: no validation predictions")
 	}
 
 	type userErr struct {

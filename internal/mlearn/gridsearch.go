@@ -23,11 +23,15 @@ func GridSearchBDT(samples []Sample, depths, minLeaves []int, cfg EvalConfig) ([
 	if len(depths) == 0 || len(minLeaves) == 0 {
 		return nil, fmt.Errorf("mlearn: empty grid")
 	}
+	splits, cfg, err := drawSplits(samples, cfg)
+	if err != nil {
+		return nil, err
+	}
 	var out []GridPoint
 	for _, d := range depths {
 		for _, ml := range minLeaves {
 			params := TreeParams{MaxDepth: d, MinLeaf: ml}
-			res, err := Evaluate(samples, func() Model { return NewBDT(params) }, cfg)
+			res, err := evaluate(splits, func() Model { return NewBDT(params) }, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -46,10 +50,14 @@ func GridSearchKNN(samples []Sample, ks []int, cfg EvalConfig) ([]GridPoint, err
 	if len(ks) == 0 {
 		return nil, fmt.Errorf("mlearn: empty grid")
 	}
+	splits, cfg, err := drawSplits(samples, cfg)
+	if err != nil {
+		return nil, err
+	}
 	var out []GridPoint
 	for _, k := range ks {
 		params := KNNParams{K: k, UserMismatchPenalty: DefaultKNNParams().UserMismatchPenalty}
-		res, err := Evaluate(samples, func() Model { return NewKNN(params) }, cfg)
+		res, err := evaluate(splits, func() Model { return NewKNN(params) }, cfg)
 		if err != nil {
 			return nil, err
 		}

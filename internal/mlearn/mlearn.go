@@ -21,6 +21,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"hpcpower/internal/rng"
 	"hpcpower/internal/stats"
@@ -84,12 +85,7 @@ func StratifiedSplit(samples []Sample, validFrac float64, src *rng.Source) Split
 	if validFrac <= 0 || validFrac >= 1 {
 		validFrac = 0.2
 	}
-	byUser := map[string][]int{}
-	for i := range samples {
-		byUser[samples[i].User] = append(byUser[samples[i].User], i)
-	}
 	var sp Split
-	// Iterate deterministically: order indices, not map order.
 	order := make([]int, len(samples))
 	for i := range order {
 		order[i] = i
@@ -170,17 +166,38 @@ func DefaultEvalConfig(seed uint64) EvalConfig {
 // the caller's goroutine, and the result does not depend on how many
 // cores ran it.
 func Evaluate(samples []Sample, factory func() Model, cfg EvalConfig) (EvalResult, error) {
-	cfg, err := cfg.checked(len(samples))
+	splits, cfg, err := drawSplits(samples, cfg)
 	if err != nil {
 		return EvalResult{}, err
 	}
-	return evaluate(drawSplits(samples, cfg), factory, cfg)
+	return evaluate(splits, factory, cfg)
 }
 
-// checked fills cfg's defaults and refuses a sample set too small to split.
-func (cfg EvalConfig) checked(n int) (EvalConfig, error) {
-	if n < 20 {
-		return cfg, fmt.Errorf("mlearn: only %d samples", n)
+// eachRep calls fn(0) … fn(n-1), on up to GOMAXPROCS goroutines, and
+// returns when all have. A caller keeps its result independent of the core
+// count by giving each repetition its own slot to write.
+func eachRep(n int, fn func(rep int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := int(next.Add(1)) - 1; rep < n; rep = int(next.Add(1)) - 1 {
+				fn(rep)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// drawSplits fills cfg's defaults, refuses a sample set too small to split
+// and draws cfg.Reps stratified splits, the rep-th from the rep-th substream
+// of cfg.Seed: a study draws once and evaluates every model and setting on
+// the same splits.
+func drawSplits(samples []Sample, cfg EvalConfig) ([]Split, EvalConfig, error) {
+	if len(samples) < 20 {
+		return nil, cfg, fmt.Errorf("mlearn: only %d samples", len(samples))
 	}
 	if cfg.Reps <= 0 {
 		cfg.Reps = 10
@@ -188,81 +205,61 @@ func (cfg EvalConfig) checked(n int) (EvalConfig, error) {
 	if cfg.CDFPoints <= 0 {
 		cfg.CDFPoints = 200
 	}
-	return cfg, nil
-}
-
-// drawSplits draws cfg.Reps stratified splits, the rep-th from the rep-th
-// substream of cfg.Seed.
-func drawSplits(samples []Sample, cfg EvalConfig) []Split {
 	root := rng.New(cfg.Seed)
 	splits := make([]Split, cfg.Reps)
-	for rep := range splits {
+	eachRep(len(splits), func(rep int) {
 		splits[rep] = StratifiedSplit(samples, cfg.ValidFrac, root.Split(uint64(rep)))
-	}
-	return splits
+	})
+	return splits, cfg, nil
 }
 
-// evaluate fits one model per split and pools the validation errors. The
-// splits are only read, so several models may be evaluated on the same ones.
-func evaluate(splits []Split, factory func() Model, cfg EvalConfig) (EvalResult, error) {
-	// One slot per repetition, written by whichever worker runs it: the
-	// absolute error of each validation sample in order, or the Fit error.
-	type slot struct {
-		errPct []float64
-		err    error
+// score fits one model per split and pools the absolute errors of the
+// validation predictions, all of them and by user, in repetition order: the
+// lists a single goroutine walking the splits in turn would have built. The
+// splits are only read, so several models may be scored on the same ones.
+func score(splits []Split, factory func() Model) (name string, errs []float64, perUser map[string][]float64, err error) {
+	models := make([]Model, len(splits))
+	for rep := range models {
+		models[rep] = factory()
+		name = models[rep].Name()
 	}
-	type job struct {
-		rep int
-		m   Model
-	}
-	slots := make([]slot, len(splits))
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(splits)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				sp, out := splits[j.rep], &slots[j.rep]
-				if out.err = j.m.Fit(sp.Train); out.err != nil {
-					continue
-				}
-				out.errPct = make([]float64, len(sp.Valid))
-				for i, v := range sp.Valid {
-					p := Prediction{Features: v.Features, Actual: v.PowerW, Predicted: j.m.Predict(v.Features)}
-					out.errPct[i] = p.AbsErrPct()
-				}
-			}
-		}()
-	}
-	var name string
-	for rep := range splits {
-		m := factory()
-		name = m.Name()
-		jobs <- job{rep, m}
-	}
-	close(jobs)
-	wg.Wait()
-
-	// Merge in repetition order, so the pooled lists are the ones a single
-	// goroutine walking the splits in turn would have built.
-	var errs []float64
-	perUserErrs := map[string][]float64{}
-	for rep, sl := range slots {
-		if sl.err != nil {
-			return EvalResult{}, sl.err
+	// One slot per repetition: the absolute error of each validation
+	// sample in order, or the Fit error.
+	errPct, fitErr := make([][]float64, len(splits)), make([]error, len(splits))
+	eachRep(len(splits), func(rep int) {
+		m, sp := models[rep], splits[rep]
+		if fitErr[rep] = m.Fit(sp.Train); fitErr[rep] != nil {
+			return
 		}
-		for i, v := range splits[rep].Valid {
-			e := sl.errPct[i]
-			if math.IsNaN(e) {
-				continue
+		errPct[rep] = make([]float64, len(sp.Valid))
+		for i, v := range sp.Valid {
+			p := Prediction{Features: v.Features, Actual: v.PowerW, Predicted: m.Predict(v.Features)}
+			errPct[rep][i] = p.AbsErrPct()
+		}
+	})
+	perUser = map[string][]float64{}
+	for rep, sp := range splits {
+		if fitErr[rep] != nil {
+			return name, nil, nil, fitErr[rep]
+		}
+		for i, v := range sp.Valid {
+			if e := errPct[rep][i]; !math.IsNaN(e) {
+				errs = append(errs, e)
+				perUser[v.User] = append(perUser[v.User], e)
 			}
-			errs = append(errs, e)
-			perUserErrs[v.User] = append(perUserErrs[v.User], e)
 		}
 	}
 	if len(errs) == 0 {
-		return EvalResult{}, fmt.Errorf("mlearn: no valid predictions")
+		return name, nil, nil, fmt.Errorf("mlearn: no valid predictions")
+	}
+	return name, errs, perUser, nil
+}
+
+// evaluate scores the model on the splits and summarises the pooled errors.
+func evaluate(splits []Split, factory func() Model, cfg EvalConfig) (EvalResult, error) {
+	name, errs, perUserErrs, err := score(splits, factory)
+	if err != nil {
+		return EvalResult{}, err
 	}
 	cdf := stats.NewECDF(errs)
 	res := EvalResult{
@@ -286,11 +283,10 @@ func evaluate(splits []Split, factory func() Model, cfg EvalConfig) (EvalResult,
 // EvaluateAll runs the paper's three models (Fig. 14) on one dataset,
 // all three on the same cfg.Reps splits.
 func EvaluateAll(samples []Sample, cfg EvalConfig) ([]EvalResult, error) {
-	cfg, err := cfg.checked(len(samples))
+	splits, cfg, err := drawSplits(samples, cfg)
 	if err != nil {
 		return nil, err
 	}
-	splits := drawSplits(samples, cfg)
 	factories := []func() Model{
 		func() Model { return NewBDT(DefaultTreeParams()) },
 		func() Model { return NewKNN(DefaultKNNParams()) },

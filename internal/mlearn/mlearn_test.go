@@ -504,7 +504,7 @@ var emmyBenchSamples []Sample
 // benchSamples is Emmy at a tenth of the study, the scale the end-to-end
 // benchmark's analyze-offline workload runs at; generated once, since the
 // testing package calls a benchmark several times to settle b.N.
-func benchSamples(b *testing.B) []Sample {
+func benchSamples(b testing.TB) []Sample {
 	if emmyBenchSamples == nil {
 		ds, err := gen.Generate(gen.EmmyConfig(0.1, 42))
 		if err != nil {

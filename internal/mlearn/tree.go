@@ -1,9 +1,10 @@
 package mlearn
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // TreeParams tunes the CART regression tree.
@@ -63,220 +64,253 @@ func (t *BDT) Fit(samples []Sample) error {
 	if len(samples) == 0 {
 		return fmt.Errorf("mlearn: BDT fit on empty training set")
 	}
-	rows := make([]treeRow, len(samples))
+	f := newTreeFitter(samples, t.params)
 	var sum float64
-	for i, s := range samples {
-		rows[i] = treeRow{
-			user: s.User,
-			x:    [2]float64{lnNodes(s.Features), lnWall(s.Features)},
-			y:    s.PowerW,
-		}
-		sum += s.PowerW
+	for _, y := range f.y {
+		sum += y
 	}
 	t.fallback = sum / float64(len(samples))
-	t.root = t.build(rows, 0)
+	t.root = f.build(0, len(samples), 0)
 	return nil
 }
 
-type treeRow struct {
-	user string
-	x    [2]float64
-	y    float64
+// treeFitter is the working state of one Fit: the samples as columns, and
+// three orders of the training rows. Every node of the tree owns the same
+// window [lo, hi) of all three; splitting a node partitions the three
+// windows stably, so its children find their rows already in training order
+// and in ascending order of each feature (equal values in training order),
+// and nothing below the root sorts rows or allocates more than the nodes.
+//
+// Floating-point sums are not associative and the saved tree is compared
+// byte for byte, so the orders are part of the result: node sums and
+// per-user sums run in training order, prefix sums in sorted order.
+type treeFitter struct {
+	params TreeParams
+	y      []float64
+	x      [2][]float64 // ln nodes, ln wall
+	user   []int32      // index into names
+	names  []string     // distinct users, sorted
+	// order[0] is training order; order[1+f] is ascending x[f].
+	order    [3][]int32
+	scratch  []int32 // the right-hand rows of the window being partitioned
+	goesLeft []bool  // by row, valid for the node being split
+
+	// Per-user sums of the node being searched, the users it has, and —
+	// set when the user split wins — each one's place among them.
+	userSum  []float64
+	userN    []int32
+	users    []int32
+	userRank []int32
 }
 
-// build grows the tree recursively.
-func (t *BDT) build(rows []treeRow, depth int) *treeNode {
-	mean, sse := meanSSE(rows)
-	leaf := func() *treeNode {
-		return &treeNode{
-			isLeaf: true, value: mean,
-			std: math.Sqrt(sse / float64(len(rows))), n: len(rows),
-		}
+func newTreeFitter(samples []Sample, p TreeParams) *treeFitter {
+	n := len(samples)
+	number := map[string]int32{}
+	for i := range samples {
+		number[samples[i].User] = 0
 	}
-	if depth >= t.params.MaxDepth || len(rows) < 2*t.params.MinLeaf || sse <= 1e-12 {
-		return leaf()
+	names := make([]string, 0, len(number))
+	for u := range number {
+		names = append(names, u)
 	}
-	best := t.bestSplit(rows, sse)
-	if best == nil {
-		return leaf()
+	slices.Sort(names)
+	for i, u := range names {
+		number[u] = int32(i)
 	}
-	var left, right []treeRow
+	f := &treeFitter{
+		params: p, names: names,
+		y: make([]float64, n), x: [2][]float64{make([]float64, n), make([]float64, n)}, user: make([]int32, n),
+		order:   [3][]int32{make([]int32, n), make([]int32, n), make([]int32, n)},
+		scratch: make([]int32, n), goesLeft: make([]bool, n),
+		userSum: make([]float64, len(names)), userN: make([]int32, len(names)),
+		users: make([]int32, 0, len(names)), userRank: make([]int32, len(names)),
+	}
+	for i := range samples {
+		s := &samples[i]
+		f.y[i], f.x[0][i], f.x[1][i], f.user[i] = s.PowerW, lnNodes(s.Features), lnWall(s.Features), number[s.User]
+		f.order[0][i] = int32(i)
+	}
+	for feat, x := range f.x {
+		order := f.order[1+feat]
+		copy(order, f.order[0])
+		slices.SortFunc(order, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(x[a], x[b]), cmp.Compare(a, b))
+		})
+	}
+	return f
+}
+
+// build grows the subtree over the window [lo, hi).
+func (f *treeFitter) build(lo, hi, depth int) *treeNode {
+	rows, n, minLeaf := f.order[0][lo:hi], hi-lo, f.params.MinLeaf
+	var sum, sse float64
 	for _, r := range rows {
-		if best.goesLeft(r) {
-			left = append(left, r)
-		} else {
-			right = append(right, r)
+		sum += f.y[r]
+	}
+	mean := sum / float64(n)
+	for _, r := range rows {
+		d := f.y[r] - mean
+		sse += d * d
+	}
+	node := &treeNode{isLeaf: true, value: mean, std: math.Sqrt(sse / float64(n)), n: n}
+	if depth >= f.params.MaxDepth || n < 2*minLeaf || sse <= 1e-12 {
+		return node
+	}
+
+	// The candidates in the order user, nodes, wall; a later one wins only
+	// with a strictly greater SSE reduction. feat -1 is the user split.
+	gain, k, found := f.userSplit(rows)
+	feat, threshold := -1, 0.0
+	for nf := range f.x {
+		if g, thr, ok := f.numericSplit(nf, lo, hi, sum); ok && (!found || g > gain) {
+			gain, feat, threshold, found = g, nf, thr, true
 		}
 	}
-	if len(left) < t.params.MinLeaf || len(right) < t.params.MinLeaf {
-		return leaf()
+	if !found || gain <= 1e-12 {
+		return node
 	}
-	node := &treeNode{
-		userSet:   best.userSet,
-		featIdx:   best.featIdx,
-		threshold: best.threshold,
+
+	nL := 0
+	if feat < 0 {
+		for i, u := range f.users {
+			f.userRank[u] = int32(i)
+		}
+		for _, r := range rows {
+			f.goesLeft[r] = int(f.userRank[f.user[r]]) <= k
+		}
+	} else {
+		for _, r := range rows {
+			f.goesLeft[r] = f.x[feat][r] <= threshold
+		}
 	}
-	node.left = t.build(left, depth+1)
-	node.right = t.build(right, depth+1)
+	for _, r := range rows {
+		if f.goesLeft[r] {
+			nL++
+		}
+	}
+	if nL < minLeaf || n-nL < minLeaf {
+		return node
+	}
+	*node = treeNode{featIdx: max(feat, 0), threshold: threshold}
+	if feat < 0 {
+		node.userSet = make(map[string]bool, k+1)
+		for _, u := range f.users[:k+1] {
+			node.userSet[f.names[u]] = true
+		}
+	}
+	for _, order := range f.order {
+		w, nl, nr := order[lo:hi], 0, 0
+		for _, r := range w {
+			if f.goesLeft[r] {
+				w[nl] = r
+				nl++
+			} else {
+				f.scratch[nr] = r
+				nr++
+			}
+		}
+		copy(w[nl:], f.scratch[:nr])
+	}
+	node.left = f.build(lo, lo+nL, depth+1)
+	node.right = f.build(lo+nL, hi, depth+1)
 	return node
 }
 
-type candidateSplit struct {
-	userSet   map[string]bool
-	featIdx   int
-	threshold float64
-	gain      float64
-}
-
-func (c *candidateSplit) goesLeft(r treeRow) bool {
-	if c.userSet != nil {
-		return c.userSet[r.user]
+// userSplit orders the node's users by mean target and scans prefix
+// partitions — the optimal subset split for L2 loss (Fisher 1958 / CART).
+// It leaves the ordered users in f.users; the best split sends
+// f.users[:k+1] left.
+func (f *treeFitter) userSplit(rows []int32) (gain float64, k int, ok bool) {
+	// Clear the sums of the node searched before this one.
+	for _, u := range f.users {
+		f.userSum[u], f.userN[u] = 0, 0
 	}
-	return r.x[c.featIdx] <= c.threshold
-}
-
-// bestSplit searches the categorical user split and both numeric splits,
-// returning the one with the highest SSE reduction (nil if none helps).
-func (t *BDT) bestSplit(rows []treeRow, parentSSE float64) *candidateSplit {
-	var best *candidateSplit
-	consider := func(c *candidateSplit) {
-		if c != nil && (best == nil || c.gain > best.gain) {
-			best = c
-		}
-	}
-	consider(t.bestUserSplit(rows, parentSSE))
-	consider(t.bestNumericSplit(rows, 0, parentSSE))
-	consider(t.bestNumericSplit(rows, 1, parentSSE))
-	if best != nil && best.gain <= 1e-12 {
-		return nil
-	}
-	return best
-}
-
-// bestUserSplit orders users by mean target and scans prefix partitions —
-// the optimal subset split for L2 loss (Fisher 1958 / CART).
-func (t *BDT) bestUserSplit(rows []treeRow, parentSSE float64) *candidateSplit {
-	type ustat struct {
-		user string
-		sum  float64
-		n    int
-	}
-	agg := map[string]*ustat{}
+	f.users = f.users[:0]
 	for _, r := range rows {
-		u := agg[r.user]
-		if u == nil {
-			u = &ustat{user: r.user}
-			agg[r.user] = u
+		u := f.user[r]
+		if f.userN[u] == 0 {
+			f.users = append(f.users, u)
 		}
-		u.sum += r.y
-		u.n++
+		f.userSum[u] += f.y[r]
+		f.userN[u]++
 	}
-	if len(agg) < 2 {
-		return nil
+	if len(f.users) < 2 {
+		return 0, 0, false
 	}
-	users := make([]*ustat, 0, len(agg))
-	for _, u := range agg {
-		users = append(users, u)
-	}
-	sort.Slice(users, func(a, b int) bool {
-		ma := users[a].sum / float64(users[a].n)
-		mb := users[b].sum / float64(users[b].n)
+	slices.SortFunc(f.users, func(a, b int32) int {
+		ma, mb := f.userSum[a]/float64(f.userN[a]), f.userSum[b]/float64(f.userN[b])
 		if ma != mb {
-			return ma < mb
+			return cmp.Compare(ma, mb)
 		}
-		return users[a].user < users[b].user
+		return cmp.Compare(a, b) // by name: users are numbered in name order
 	})
-	// Prefix scan over the ordered users.
 	var totalSum float64
-	totalN := 0
-	for _, u := range users {
-		totalSum += u.sum
-		totalN += u.n
+	for _, u := range f.users {
+		totalSum += f.userSum[u]
 	}
 	// SSE(left)+SSE(right) is minimized by maximizing
 	// sumL^2/nL + sumR^2/nR (standard variance-reduction identity).
-	var bestScore float64 = math.Inf(-1)
-	bestK := -1
+	bestScore, k := math.Inf(-1), -1
 	var sumL float64
 	nL := 0
-	for k := 0; k < len(users)-1; k++ {
-		sumL += users[k].sum
-		nL += users[k].n
-		nR := totalN - nL
-		if nL < t.params.MinLeaf || nR < t.params.MinLeaf {
+	for i, u := range f.users[:len(f.users)-1] {
+		sumL += f.userSum[u]
+		nL += int(f.userN[u])
+		nR := len(rows) - nL
+		if nL < f.params.MinLeaf || nR < f.params.MinLeaf {
 			continue
 		}
 		sumR := totalSum - sumL
-		score := sumL*sumL/float64(nL) + sumR*sumR/float64(nR)
-		if score > bestScore {
-			bestScore = score
-			bestK = k
+		if score := sumL*sumL/float64(nL) + sumR*sumR/float64(nR); score > bestScore {
+			bestScore, k = score, i
 		}
-	}
-	if bestK < 0 {
-		return nil
-	}
-	set := make(map[string]bool, bestK+1)
-	for k := 0; k <= bestK; k++ {
-		set[users[k].user] = true
 	}
 	// gain = parentSSE − (SSE_L + SSE_R) = bestScore − totalSum²/totalN.
-	gain := bestScore - totalSum*totalSum/float64(totalN)
-	return &candidateSplit{userSet: set, gain: gain}
+	return bestScore - totalSum*totalSum/float64(len(rows)), k, k >= 0
 }
 
-// bestNumericSplit scans thresholds between consecutive distinct values.
-func (t *BDT) bestNumericSplit(rows []treeRow, feat int, parentSSE float64) *candidateSplit {
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return rows[idx[a]].x[feat] < rows[idx[b]].x[feat] })
-	var totalSum float64
-	for _, r := range rows {
-		totalSum += r.y
-	}
-	totalN := len(rows)
-	var bestScore float64 = math.Inf(-1)
-	bestThreshold := 0.0
+// numericSplit scans thresholds between consecutive distinct values of
+// feature feat; totalSum is the window's target sum.
+func (f *treeFitter) numericSplit(feat, lo, hi int, totalSum float64) (gain, threshold float64, ok bool) {
+	x, idx, n := f.x[feat], f.order[1+feat][lo:hi], hi-lo
+	bestScore := math.Inf(-1)
 	var sumL float64
-	for i := 0; i < totalN-1; i++ {
-		r := rows[idx[i]]
-		sumL += r.y
-		next := rows[idx[i+1]]
-		if r.x[feat] == next.x[feat] {
+	for i, r := range idx[:n-1] {
+		sumL += f.y[r]
+		v, next := x[r], x[idx[i+1]]
+		if v == next {
 			continue // not a valid threshold between equal values
 		}
-		nL := i + 1
-		nR := totalN - nL
-		if nL < t.params.MinLeaf || nR < t.params.MinLeaf {
+		nL, nR := i+1, n-i-1
+		if nL < f.params.MinLeaf || nR < f.params.MinLeaf {
 			continue
 		}
 		sumR := totalSum - sumL
-		score := sumL*sumL/float64(nL) + sumR*sumR/float64(nR)
-		if score > bestScore {
-			bestScore = score
-			bestThreshold = (r.x[feat] + next.x[feat]) / 2
+		if score := sumL*sumL/float64(nL) + sumR*sumR/float64(nR); score > bestScore {
+			bestScore, threshold = score, (v+next)/2
 		}
 	}
-	if math.IsInf(bestScore, -1) {
-		return nil
-	}
-	gain := bestScore - totalSum*totalSum/float64(totalN)
-	return &candidateSplit{featIdx: feat, threshold: bestThreshold, gain: gain}
+	return bestScore - totalSum*totalSum/float64(n), threshold, !math.IsInf(bestScore, -1)
 }
 
-func meanSSE(rows []treeRow) (mean, sse float64) {
-	var sum float64
-	for _, r := range rows {
-		sum += r.y
+// leafFor walks the fitted tree down to the leaf f falls in.
+func (t *BDT) leafFor(f Features) *treeNode {
+	x := [2]float64{lnNodes(f), lnWall(f)}
+	node := t.root
+	for !node.isLeaf {
+		var left bool
+		if node.userSet != nil {
+			left = node.userSet[f.User]
+		} else {
+			left = x[node.featIdx] <= node.threshold
+		}
+		if left {
+			node = node.left
+		} else {
+			node = node.right
+		}
 	}
-	mean = sum / float64(len(rows))
-	for _, r := range rows {
-		d := r.y - mean
-		sse += d * d
-	}
-	return mean, sse
+	return node
 }
 
 // Predict implements Model.
@@ -284,17 +318,7 @@ func (t *BDT) Predict(f Features) float64 {
 	if t.root == nil {
 		return t.fallback
 	}
-	row := treeRow{user: f.User, x: [2]float64{lnNodes(f), lnWall(f)}}
-	node := t.root
-	for !node.isLeaf {
-		c := candidateSplit{userSet: node.userSet, featIdx: node.featIdx, threshold: node.threshold}
-		if c.goesLeft(row) {
-			node = node.left
-		} else {
-			node = node.right
-		}
-	}
-	return node.value
+	return t.leafFor(f).value
 }
 
 // PredictWithStd returns the prediction together with the std of the
@@ -305,17 +329,8 @@ func (t *BDT) PredictWithStd(f Features) (pred, std float64, n int) {
 	if t.root == nil {
 		return t.fallback, 0, 0
 	}
-	row := treeRow{user: f.User, x: [2]float64{lnNodes(f), lnWall(f)}}
-	node := t.root
-	for !node.isLeaf {
-		c := candidateSplit{userSet: node.userSet, featIdx: node.featIdx, threshold: node.threshold}
-		if c.goesLeft(row) {
-			node = node.left
-		} else {
-			node = node.right
-		}
-	}
-	return node.value, node.std, node.n
+	leaf := t.leafFor(f)
+	return leaf.value, leaf.std, leaf.n
 }
 
 // Depth returns the fitted tree's depth (diagnostics, ablations).
