@@ -200,7 +200,7 @@ func checkDecodeAgainstReference(t *testing.T, payload []byte) {
 		}
 	}
 	// The values-only path is the same decode with the points dropped.
-	vals, err := appendChunkValues(nil, payload, math.MinInt64, math.MaxInt64, false)
+	vals, err := appendChunkValues(nil, payload, math.MinInt64, math.MaxInt64)
 	if err != nil || len(vals) != len(want) {
 		t.Fatalf("values-only decode: %d values, err %v; want %d", len(vals), err, len(want))
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"hpcpower/internal/stats"
 )
 
 // Point is one raw sample of a series: a unix-seconds timestamp and a
@@ -333,7 +335,9 @@ func DecodeChunk(payload []byte) ([]Point, error) {
 }
 
 // appendChunkPoints appends to dst the raw chunk's points with
-// from ≤ t ≤ hi, each built by mk.
+// from ≤ t ≤ hi, each built by mk. A raw chunk is in time order
+// (WriteRaw refuses one that is not), so decoding stops at the first
+// point past hi.
 func appendChunkPoints[P any](dst []P, payload []byte, from, hi int64, mk func(t int64, v float64) P) ([]P, error) {
 	var it ChunkIter
 	if err := it.Init(payload); err != nil {
@@ -341,35 +345,51 @@ func appendChunkPoints[P any](dst []P, payload []byte, from, hi int64, mk func(t
 	}
 	for it.left > 0 {
 		t, v, err := it.Next()
-		if err != nil {
+		if err != nil || t > hi {
 			return dst, err
 		}
-		if t >= from && t <= hi {
+		if t >= from {
 			dst = append(dst, mk(t, v))
 		}
 	}
 	return dst, nil
 }
 
-// appendChunkValues appends to dst the values of a raw chunk's points
-// with from ≤ t ≤ hi; all says the caller already knows (from the
-// index entry's [MinT, MaxT]) that every point qualifies, so the
-// per-point comparison is skipped.
-func appendChunkValues(dst []float64, payload []byte, from, hi int64, all bool) ([]float64, error) {
+// appendChunkValues is appendChunkPoints keeping only the values.
+func appendChunkValues(dst []float64, payload []byte, from, hi int64) ([]float64, error) {
 	var it ChunkIter
 	if err := it.Init(payload); err != nil {
 		return dst, err
 	}
 	for it.left > 0 {
 		t, v, err := it.Next()
-		if err != nil {
+		if err != nil || t > hi {
 			return dst, err
 		}
-		if all || (t >= from && t <= hi) {
+		if t >= from {
 			dst = append(dst, v)
 		}
 	}
 	return dst, nil
+}
+
+// tallyChunkValues is appendChunkValues into a tally: errTallyFull when
+// it gives up.
+func tallyChunkValues(tally *stats.Tally, payload []byte, from, hi int64) error {
+	var it ChunkIter
+	if err := it.Init(payload); err != nil {
+		return err
+	}
+	for it.left > 0 {
+		t, v, err := it.Next()
+		if err != nil || t > hi {
+			return err
+		}
+		if t >= from && !tally.Add(v) {
+			return errTallyFull
+		}
+	}
+	return nil
 }
 
 // ---- rollup chunk -------------------------------------------------------

@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"hpcpower/internal/stats"
 )
 
 // randPoints generates a sample stream with the shapes real telemetry
@@ -87,6 +90,27 @@ func TestChunkEmptyAndSingle(t *testing.T) {
 		if len(dec) != len(pts) {
 			t.Fatalf("got %d points, want %d", len(dec), len(pts))
 		}
+	}
+}
+
+// TestChunkReadsStopPastWindow: every chunk reader stops decoding at the
+// first point past the window's end — WriteRaw guarantees a chunk is in
+// time order, so nothing after it can be inside. An out-of-order chunk,
+// which WriteRaw refuses, shows where they stop.
+func TestChunkReadsStopPastWindow(t *testing.T) {
+	payload := EncodeChunk([]Point{{T: 60, V: 1}, {T: 120, V: 2}, {T: 240, V: 3}, {T: 180, V: 4}})
+	pts, err := appendChunkPoints(nil, payload, 90, 200, func(t int64, v float64) Point { return Point{T: t, V: v} })
+	if err != nil || !slices.Equal(pts, []Point{{T: 120, V: 2}}) {
+		t.Fatalf("points %v, err %v", pts, err)
+	}
+	vals, err := appendChunkValues(nil, payload, 90, 200)
+	if err != nil || !slices.Equal(vals, []float64{2}) {
+		t.Fatalf("values %v, err %v", vals, err)
+	}
+	tally := stats.GetTally()
+	defer stats.PutTally(tally)
+	if err := tallyChunkValues(tally, payload, 90, 200); err != nil || !slices.Equal(tally.Sorted(), []stats.ValueCount{{V: 2, N: 1}}) {
+		t.Fatalf("tally %v, err %v", tally.Sorted(), err)
 	}
 }
 

@@ -7,9 +7,11 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
+	"hpcpower/internal/stats"
 	"hpcpower/internal/vfs"
 )
 
@@ -55,15 +57,18 @@ func (t Tier) String() string {
 //	                node u64 | frameOff u64 | payloadLen u32 | count u32
 //	                | minT i64 | maxT i64 | minV f64 | maxV f64
 //	                | samples u64                              (64 B each)
+//	                then (version 2) the value table, table.go
 //	trailer (20 B): indexFrameOff u64 | indexFrameLen u32
 //	                | crc32c(first 12 trailer bytes) u32 | magic "KLBP"
 //
 // A reader trusts nothing: trailer magic + CRC gate the index offset,
-// the index frame CRC gates the entries, every entry is bounds-checked
-// against the file, and each chunk frame re-verifies its own CRC on
-// read. Files are immutable once vfs.WriteFileAtomic has published them.
+// the index frame CRC gates the entries and the table, every entry is
+// bounds-checked against the file, and each chunk frame re-verifies its
+// own CRC on read. Files are immutable once vfs.WriteFileAtomic has
+// published them. The reader takes the current version and the one
+// before it: a version-1 file is a block without a value table.
 const (
-	fileVersion   = 1
+	fileVersion   = 2
 	headerLen     = 24
 	trailerLen    = 20
 	frameHdrLen   = 8
@@ -99,6 +104,10 @@ type BlockInfo struct {
 	WindowLen   int64
 	Bytes       int64
 	Series      []IndexEntry // sorted by Node
+	// Values is a raw block's value table: each distinct sample value,
+	// ascending, with the number of samples that hold it. Nil when the
+	// block has none (see table.go).
+	Values []stats.ValueCount
 }
 
 // End returns the exclusive end of the block's time window.
@@ -112,10 +121,19 @@ func (b *BlockInfo) entry(node int) (IndexEntry, bool) {
 	return IndexEntry{}, false
 }
 
-// overlaps reports whether the chunk has points inside [from, hi];
-// within, whether all of them are — then a scan need not compare each.
+// overlaps reports whether the chunk has points inside [from, hi].
 func (e IndexEntry) overlaps(from, hi int64) bool { return e.MaxT >= from && e.MinT <= hi }
-func (e IndexEntry) within(from, hi int64) bool   { return e.MinT >= from && e.MaxT <= hi }
+
+// within reports whether every point of the block lies inside
+// [from, hi], by its index.
+func (b *BlockInfo) within(from, hi int64) bool {
+	for _, e := range b.Series {
+		if e.MinT < from || e.MaxT > hi {
+			return false
+		}
+	}
+	return true
+}
 
 // entryIn is entry for a read of [from, hi]: the node's chunk, if it
 // has one here that overlaps the range.
@@ -163,8 +181,9 @@ type encodedSeries struct {
 	maxV    float64
 }
 
-// writeBlockFile assembles and atomically publishes one block file.
-func writeBlockFile(fsys vfs.FS, path string, tier Tier, windowStart, windowLen int64, series []encodedSeries) (*BlockInfo, error) {
+// writeBlockFile assembles and atomically publishes one block file, with
+// the value table of its samples if it has one (raw tier only).
+func writeBlockFile(fsys vfs.FS, path string, tier Tier, windowStart, windowLen int64, series []encodedSeries, table []stats.ValueCount) (*BlockInfo, error) {
 	sort.Slice(series, func(a, b int) bool { return series[a].node < series[b].node })
 
 	buf := make([]byte, 0, 4096)
@@ -194,6 +213,10 @@ func writeBlockFile(fsys vfs.FS, path string, tier Tier, windowStart, windowLen 
 		idx = binary.LittleEndian.AppendUint64(idx, math.Float64bits(e.MinV))
 		idx = binary.LittleEndian.AppendUint64(idx, math.Float64bits(e.MaxV))
 		idx = binary.LittleEndian.AppendUint64(idx, uint64(e.Samples))
+	}
+	idx, tabled := appendTable(idx, table)
+	if tabled {
+		info.Values = slices.Clone(table)
 	}
 	idxOff := int64(len(buf))
 	buf = appendFrame(buf, idx)
@@ -262,8 +285,9 @@ func OpenBlock(fsys vfs.FS, path string) (*BlockInfo, error) {
 	if [4]byte(hdr[:4]) != magicHeader {
 		return nil, corruptf("%s: bad header magic", filepath.Base(path))
 	}
-	if hdr[4] != fileVersion {
-		return nil, corruptf("%s: unsupported version %d", filepath.Base(path), hdr[4])
+	version := hdr[4]
+	if version != fileVersion && version != fileVersion-1 {
+		return nil, corruptf("%s: unsupported version %d", filepath.Base(path), version)
 	}
 	tier := Tier(hdr[5])
 	if tier >= tierCount {
@@ -293,10 +317,13 @@ func OpenBlock(fsys vfs.FS, path string) (*BlockInfo, error) {
 		return nil, corruptf("%s: index checksum mismatch", filepath.Base(path))
 	}
 	n := int64(binary.LittleEndian.Uint32(payload[0:4]))
-	if int64(len(payload)-4) != n*indexEntryLen {
+	entriesEnd := 4 + n*indexEntryLen
+	if int64(len(payload)) < entriesEnd || (version == 1 && int64(len(payload)) != entriesEnd) {
 		return nil, corruptf("%s: index claims %d series in %d bytes", filepath.Base(path), n, len(payload)-4)
 	}
 	prevNode, prevEnd := int64(-1), int64(headerLen)
+	var points uint64
+	pointsAreSamples := true
 	for i := int64(0); i < n; i++ {
 		rec := payload[4+i*indexEntryLen:]
 		e := IndexEntry{
@@ -321,7 +348,20 @@ func OpenBlock(fsys vfs.FS, path string) (*BlockInfo, error) {
 			return nil, corruptf("%s: series %d chunk out of bounds", filepath.Base(path), e.Node)
 		}
 		prevEnd = e.Off + frameHdrLen + int64(e.Len)
+		points += uint64(e.Count)
+		pointsAreSamples = pointsAreSamples && e.Samples == int64(e.Count)
 		info.Series = append(info.Series, e)
+	}
+	if version == 1 {
+		return info, nil
+	}
+	if info.Values, err = decodeTable(payload[entriesEnd:], points); err != nil {
+		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
+	}
+	// A table stands for the samples a decode of the block yields: only a
+	// raw block has one, and there every point is one sample.
+	if info.Values != nil && (tier != TierRaw || !pointsAreSamples) {
+		return nil, corruptf("%s: value table on a block whose points are not its samples", filepath.Base(path))
 	}
 	return info, nil
 }

@@ -280,9 +280,7 @@ func (q *Querier) windowAggs(w windowBlocks, node int, pref Tier, step, from, to
 // it holds each surviving value exactly once.
 func (q *Querier) AppendValues(dst []float64, nodes []int, from, to int64) ([]float64, bool, error) {
 	start, hi := len(dst), upper(to)
-	nodes = slices.Clone(nodes)
-	slices.Sort(nodes)
-	nodes = slices.Compact(nodes)
+	nodes = uniqueNodes(nodes)
 	degraded, err := q.heal(func() error {
 		dst = dst[:start]
 		blocks := q.s.tierBlocks(TierRaw, from, to)
@@ -307,75 +305,171 @@ func (q *Querier) AppendValues(dst []float64, nodes []int, from, to int64) ([]fl
 
 // appendBlockValues is AppendValues over one block.
 func (q *Querier) appendBlockValues(dst []float64, b *BlockInfo, nodes []int, from, hi int64) ([]float64, error) {
+	err := q.eachChunk(b, nodes, from, hi, func(payload []byte) (err error) {
+		dst, err = appendChunkValues(dst, payload, from, hi)
+		return err
+	})
+	return dst, err
+}
+
+// eachChunk hands fn the verified payload of each chunk of b that a read
+// of the given nodes (none means all) over [from, hi] touches, through one
+// handle. When all nodes are wanted the chunks are read as one region,
+// otherwise chunk by chunk.
+func (q *Querier) eachChunk(b *BlockInfo, nodes []int, from, hi int64, fn func(payload []byte) error) error {
 	if len(b.Series) == 0 {
-		return dst, nil
+		return nil
 	}
 	r, err := openBlockReader(q.s.fsys, b)
 	if err != nil {
-		return dst, err
+		return err
 	}
 	defer r.close()
 	scan := func(e IndexEntry) error {
 		payload, err := r.chunk(e)
-		if err == nil {
-			dst, err = appendChunkValues(dst, payload, from, hi, e.within(from, hi))
+		if err != nil {
+			return err
 		}
-		return err
+		return fn(payload)
 	}
 	if len(nodes) == 0 {
 		if err := r.prefetch(b.Series); err != nil {
-			return dst, err
+			return err
 		}
 		for _, e := range b.Series {
 			if e.overlaps(from, hi) {
 				if err := scan(e); err != nil {
-					return dst, err
+					return err
 				}
 			}
 		}
-		return dst, nil
+		return nil
 	}
 	for _, node := range nodes {
 		if e, ok := b.entryIn(node, from, hi); ok {
 			if err := scan(e); err != nil {
-				return dst, err
+				return err
 			}
 		}
 	}
-	return dst, nil
+	return nil
+}
+
+// errTallyFull stops a TallyValues scan whose tally gave up.
+var errTallyFull = errors.New("block: value tally full")
+
+// TallyValues adds to t, which must be empty, every raw value of the
+// given nodes inside [from, to] (to ≤ 0 unbounded; no nodes means all
+// nodes): what AppendValues would append, as counts. A fleet-wide tally
+// adds the value table of each block whose samples all lie inside the
+// window and decodes nothing of it; edge blocks, blocks without a table
+// and node subsets are decoded, a chunk only up to its first point past
+// to. ok is false when t gave up — more distinct values than a tally
+// holds, or a NaN: t is then spent, and the caller gathers the values
+// with AppendValues instead. degraded is AppendValues's; a retry after a
+// quarantine starts t over.
+//
+// Fleet-wide tallies count the blocks they visit, by path, in Stats.
+func (q *Querier) TallyValues(t *stats.Tally, nodes []int, from, to int64) (ok, degraded bool, err error) {
+	hi := upper(to)
+	nodes = uniqueNodes(nodes)
+	var paths [distPaths]int64
+	degraded, err = q.heal(func() error {
+		t.Reset()
+		paths = [distPaths]int64{}
+		for _, b := range q.s.tierBlocks(TierRaw, from, to) {
+			whole := b.within(from, hi)
+			switch {
+			case !whole:
+				paths[distEdge]++
+			case b.Values == nil:
+				paths[distNoTable]++
+			case len(nodes) == 0:
+				paths[distTable]++
+				for _, c := range b.Values {
+					if !t.AddN(c.V, c.N) {
+						return errTallyFull
+					}
+				}
+				continue
+			}
+			err := q.eachChunk(b, nodes, from, hi, func(payload []byte) error {
+				return tallyChunkValues(t, payload, from, hi)
+			})
+			if err != nil {
+				return corruptIn(b, err)
+			}
+		}
+		return nil
+	})
+	if len(nodes) == 0 {
+		for p, n := range paths {
+			q.s.distBlocks[p].Add(n)
+		}
+	}
+	if errors.Is(err, errTallyFull) {
+		return false, degraded, nil
+	}
+	return err == nil, degraded, err
+}
+
+// uniqueNodes is nodes sorted and without repeats, in a copy.
+func uniqueNodes(nodes []int) []int {
+	nodes = slices.Clone(nodes)
+	slices.Sort(nodes)
+	return slices.Compact(nodes)
 }
 
 // Quantiles returns the requested quantiles (each in [0,1]) of all raw
 // values of the given nodes in [from, to], using the same nearest-rank
 // convention as internal/stats: q of n sorted values is the element at
-// ceil(q·n)−1.
+// ceil(q·n)−1. The values are counted (TallyValues), not sorted — unless
+// they hold more distinct values than a tally does.
 func (q *Querier) Quantiles(nodes []int, from, to int64, qs []float64) ([]float64, bool, error) {
-	vals, degraded, err := q.AppendValues(nil, nodes, from, to)
+	t := stats.GetTally()
+	defer stats.PutTally(t)
+	ok, degraded, err := q.TallyValues(t, nodes, from, to)
 	if err != nil {
 		return nil, degraded, err
 	}
+	var n int
+	var at func(rank int) float64
+	if ok {
+		counts := t.Sorted()
+		for _, c := range counts {
+			n += int(c.N)
+		}
+		at = func(rank int) float64 {
+			for _, c := range counts {
+				if rank < int(c.N) {
+					return c.V
+				}
+				rank -= int(c.N)
+			}
+			panic("block: rank past the tally")
+		}
+	} else {
+		vals, deg, err := q.AppendValues(nil, nodes, from, to)
+		degraded = degraded || deg
+		if err != nil {
+			return nil, degraded, err
+		}
+		stats.SortFloat64s(vals)
+		n, at = len(vals), func(rank int) float64 { return vals[rank] }
+	}
 	out := make([]float64, len(qs))
-	if len(vals) == 0 {
+	if n == 0 {
 		return out, degraded, nil
 	}
-	stats.SortFloat64s(vals)
 	for i, qq := range qs {
-		if qq <= 0 {
-			out[i] = vals[0]
-			continue
+		k := 0
+		switch {
+		case qq >= 1:
+			k = n - 1
+		case qq > 0:
+			k = min(int(math.Ceil(qq*float64(n)))-1, n-1)
 		}
-		if qq >= 1 {
-			out[i] = vals[len(vals)-1]
-			continue
-		}
-		k := int(math.Ceil(qq*float64(len(vals)))) - 1
-		if k < 0 {
-			k = 0
-		}
-		if k >= len(vals) {
-			k = len(vals) - 1
-		}
-		out[i] = vals[k]
+		out[i] = at(k)
 	}
 	return out, degraded, nil
 }

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hpcpower/internal/stats"
 	"hpcpower/internal/vfs"
 )
 
@@ -78,6 +79,7 @@ type Store struct {
 	compactions atomic.Int64
 	gcDeleted   atomic.Int64
 	flushes     atomic.Int64
+	distBlocks  [distPaths]atomic.Int64 // raw blocks fleet-wide tallies visited, by path
 
 	// Integrity-scrubber accounting (see scrub.go).
 	scrubRuns     atomic.Int64
@@ -176,10 +178,12 @@ func (s *Store) Frontier() int64 {
 }
 
 // WriteRaw seals one window: it encodes every series' points into a
-// Gorilla chunk and publishes the raw-tier block file atomically.
-// Points must lie inside [windowStart, windowStart+Window()) and be
-// time-sorted per series. Re-sealing a published window returns
-// ErrExists without touching the file.
+// Gorilla chunk, tallies their values into the block's value table, and
+// publishes the raw-tier block file atomically. Points must lie inside
+// [windowStart, windowStart+Window()) and be time-sorted per series —
+// equal timestamps allowed, a decreasing one refused: reads stop at a
+// chunk's first point past their window. Re-sealing a published window
+// returns ErrExists without touching the file.
 func (s *Store) WriteRaw(windowStart int64, series map[int][]Point) (*BlockInfo, error) {
 	start := time.Now()
 	win := s.cfg.WindowSeconds
@@ -189,6 +193,9 @@ func (s *Store) WriteRaw(windowStart int64, series map[int][]Point) (*BlockInfo,
 	if dup {
 		return nil, ErrExists
 	}
+	tally := stats.GetTally()
+	defer stats.PutTally(tally)
+	counting := true
 	var enc []encodedSeries
 	for node, pts := range series {
 		if node < 0 {
@@ -198,30 +205,34 @@ func (s *Store) WriteRaw(windowStart int64, series map[int][]Point) (*BlockInfo,
 			continue
 		}
 		es := encodedSeries{node: node, count: len(pts), samples: int64(len(pts))}
-		es.minT, es.maxT = pts[0].T, pts[0].T
+		es.minT, es.maxT = pts[0].T, pts[len(pts)-1].T
 		es.minV, es.maxV = pts[0].V, pts[0].V
+		prevT := pts[0].T
 		for _, p := range pts {
 			if p.T < windowStart || p.T >= windowStart+win {
 				return nil, fmt.Errorf("block: point t=%d outside window [%d,%d)", p.T, windowStart, windowStart+win)
 			}
-			if p.T < es.minT {
-				es.minT = p.T
+			if p.T < prevT {
+				return nil, fmt.Errorf("block: node %d: point t=%d after t=%d, points must be time-sorted", node, p.T, prevT)
 			}
-			if p.T > es.maxT {
-				es.maxT = p.T
-			}
+			prevT = p.T
 			if p.V < es.minV {
 				es.minV = p.V
 			}
 			if p.V > es.maxV {
 				es.maxV = p.V
 			}
+			counting = counting && tally.Add(p.V)
 		}
 		es.payload = EncodeChunk(pts)
 		enc = append(enc, es)
 	}
 	if len(enc) == 0 {
 		return nil, fmt.Errorf("block: window %d has no points", windowStart)
+	}
+	var table []stats.ValueCount
+	if counting {
+		table = tally.Sorted()
 	}
 	// Seal under the publish lock: the re-check is authoritative because
 	// every writer holds sealMu from its dup-check through its catalog
@@ -237,7 +248,7 @@ func (s *Store) WriteRaw(windowStart int64, series map[int][]Point) (*BlockInfo,
 		return nil, ErrExists
 	}
 	path := filepath.Join(s.cfg.Dir, blockName(TierRaw, windowStart))
-	info, err := writeBlockFile(s.fsys, path, TierRaw, windowStart, win, enc)
+	info, err := writeBlockFile(s.fsys, path, TierRaw, windowStart, win, enc, table)
 	if err != nil {
 		return nil, err
 	}
@@ -377,7 +388,7 @@ func (s *Store) compactWindow(raw *BlockInfo) (int, error) {
 			continue
 		}
 		path := filepath.Join(s.cfg.Dir, blockName(tier, raw.WindowStart))
-		info, err := writeBlockFile(s.fsys, path, tier, raw.WindowStart, raw.WindowLen, enc)
+		info, err := writeBlockFile(s.fsys, path, tier, raw.WindowStart, raw.WindowLen, enc, nil)
 		if err != nil {
 			s.sealMu.Unlock()
 			return built, err
@@ -514,7 +525,21 @@ type Stats struct {
 	// BytesPerSample is the raw tier's storage cost per sample — the
 	// headline number against the in-memory ring's 16 bytes/point.
 	BytesPerSample float64 `json:"bytes_per_sample"`
+	// The raw blocks fleet-wide value tallies (distribution pulls) have
+	// visited: added whole from the block's value table, decoded as an
+	// edge of the window, decoded whole for want of a table.
+	DistTable   int64 `json:"dist_table"`
+	DistEdge    int64 `json:"dist_edge"`
+	DistNoTable int64 `json:"dist_no_table"`
 }
+
+// Indices into Store.distBlocks.
+const (
+	distTable = iota
+	distEdge
+	distNoTable
+	distPaths
+)
 
 // Stats reduces the catalog.
 func (s *Store) Stats() Stats {
@@ -546,6 +571,9 @@ func (s *Store) Stats() Stats {
 	out.ScrubCorrupt = s.scrubCorrupt.Load()
 	out.Quarantined = s.quarantined.Load()
 	out.QuarantineFiles = s.quarantineNow.Load()
+	out.DistTable = s.distBlocks[distTable].Load()
+	out.DistEdge = s.distBlocks[distEdge].Load()
+	out.DistNoTable = s.distBlocks[distNoTable].Load()
 	if out.Raw.Samples > 0 {
 		out.BytesPerSample = float64(out.Raw.Bytes) / float64(out.Raw.Samples)
 	}

@@ -7,12 +7,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"hpcpower/internal/stats"
 	"hpcpower/internal/vfs"
 )
 
@@ -68,11 +70,188 @@ func TestWriteRawValidation(t *testing.T) {
 	if _, err := s.WriteRaw(0, map[int][]Point{}); err == nil {
 		t.Fatal("empty window accepted")
 	}
+	// Reads stop at a chunk's first point past their window, which is
+	// only sound if no later point is earlier.
+	if _, err := s.WriteRaw(0, map[int][]Point{0: {{T: 60, V: 1}}, 1: {{T: 120, V: 1}, {T: 60, V: 2}}}); err == nil {
+		t.Fatal("a series whose time decreases was accepted")
+	}
+	if _, err := s.WriteRaw(7200, map[int][]Point{0: {{T: 7260, V: 1}, {T: 7260, V: 2}}}); err != nil {
+		t.Fatalf("equal timestamps refused: %v", err)
+	}
 	if _, err := s.WriteRaw(0, map[int][]Point{0: {{T: 100, V: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.WriteRaw(0, map[int][]Point{0: {{T: 200, V: 2}}}); !errors.Is(err, ErrExists) {
 		t.Fatalf("re-seal returned %v, want ErrExists", err)
+	}
+}
+
+// countValues is a value table by brute force. Not for −0: a map key
+// does not tell it from +0.
+func countValues(vals []float64) []stats.ValueCount {
+	m := map[float64]uint64{}
+	for _, v := range vals {
+		m[v]++
+	}
+	var out []stats.ValueCount
+	for v, n := range m {
+		out = append(out, stats.ValueCount{V: v, N: n})
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].V < out[b].V })
+	return out
+}
+
+func pointValues(series map[int][]Point) []float64 {
+	var vals []float64
+	for _, pts := range series {
+		for _, p := range pts {
+			vals = append(vals, p.V)
+		}
+	}
+	return vals
+}
+
+// TestValueTable: a raw block carries the table of its values, and a
+// reopened store reads back the same table; a block whose values the
+// format cannot hold exactly, or that has more distinct values than a
+// tally does, carries none, and neither do rollups.
+func TestValueTable(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestStore(t, Config{Dir: dir, WindowSeconds: 7200})
+	rng := rand.New(rand.NewSource(3))
+	windows := []struct {
+		name  string
+		nodes int
+		value func(n int, t int64) float64
+		table bool
+	}{
+		{"0.1 W", 3, func(n int, t int64) float64 { return math.Round((150+10*rng.Float64())*10) / 10 }, true},
+		{"continuous, 8,400 distinct", 70, func(int, int64) float64 { return 100 + rng.Float64() }, false},
+		{"a −0", 2, func(n int, t int64) float64 { return math.Copysign(float64(t%7200/60), -1) }, false},
+		{"milliwatts", 3, func(n int, t int64) float64 { return float64(100000+n*1000+int(t%1000)) / 1000 }, true},
+		{"more digits than the format keeps", 1, func(n int, t int64) float64 { return 1 + math.Sqrt(float64(t+2))/1000 }, false},
+	}
+	values := make([][]float64, len(windows))
+	for i, w := range windows {
+		ws := int64(i) * 7200
+		series := map[int][]Point{}
+		for n := 0; n < w.nodes; n++ {
+			for ts := ws; ts < ws+7200; ts += 60 {
+				series[n] = append(series[n], Point{T: ts, V: w.value(n, ts)})
+			}
+		}
+		if _, err := s.WriteRaw(ws, series); err != nil {
+			t.Fatal(err)
+		}
+		values[i] = pointValues(series)
+	}
+	if _, err := s.CompactPending(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(s *Store, label string) {
+		t.Helper()
+		raw := s.tierBlocks(TierRaw, 0, 0)
+		if len(raw) != len(windows) {
+			t.Fatalf("%s: %d raw blocks, want %d", label, len(raw), len(windows))
+		}
+		for i, w := range windows {
+			if got := raw[i].Values; !w.table {
+				if got != nil {
+					t.Errorf("%s: %s: a table of %d values, want none", label, w.name, len(got))
+				}
+			} else if want := countValues(values[i]); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %s: table of %d values differs from the %d counted by brute force", label, w.name, len(got), len(want))
+			}
+		}
+		for _, tier := range []Tier{Tier5m, Tier1h} {
+			for _, b := range s.tierBlocks(tier, 0, 0) {
+				if b.Values != nil {
+					t.Errorf("%s: a %s rollup carries a value table", label, tier)
+				}
+			}
+		}
+	}
+	check(s, "sealed")
+	check(newTestStore(t, Config{Dir: dir, WindowSeconds: 7200}), "reopened")
+
+	// 0.1 W readings take about three bytes an entry, not a float's eight.
+	table := countValues(values[0])
+	if enc, ok := appendTable(nil, table); !ok || len(enc) > 3*len(table)+3 {
+		t.Fatalf("a table of %d values encodes to %d bytes", len(table), len(enc))
+	}
+}
+
+// TestVersion1Block: testdata/raw_v1.blk was written by the version-1
+// writer (PR 24's WriteRaw): nodes 0–7, a point a minute over [0, 7200)
+// reading v1Reading. The reader opens it as a block without a value
+// table and serves it by decoding, with the answers a version-2 block of
+// the same points gives from its table.
+func TestVersion1Block(t *testing.T) {
+	v1Reading := func(n int, t int64) float64 {
+		return math.Round((100+float64(n%97)+float64(t%1740)/29)*10) / 10
+	}
+	series := map[int][]Point{}
+	for n := 0; n < 8; n++ {
+		for ts := int64(0); ts < 7200; ts += 60 {
+			series[n] = append(series[n], Point{T: ts, V: v1Reading(n, ts)})
+		}
+	}
+	raw, err := os.ReadFile("testdata/raw_v1.blk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw[4] != 1 {
+		t.Fatalf("testdata/raw_v1.blk is version %d", raw[4])
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, blockName(TierRaw, 0)), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v1 := newTestStore(t, Config{Dir: dir, WindowSeconds: 7200})
+	v2 := newTestStore(t, Config{WindowSeconds: 7200})
+	if _, err := v2.WriteRaw(0, series); err != nil {
+		t.Fatal(err)
+	}
+	if b := v1.tierBlocks(TierRaw, 0, 0); len(b) != 1 || b[0].Values != nil {
+		t.Fatalf("the version-1 block opened as %d blocks (or with a table)", len(b))
+	}
+	all := pointValues(series)
+	sort.Float64s(all)
+	qs := []float64{0, 0.25, 0.5, 0.95, 1}
+	for _, c := range []struct {
+		name string
+		s    *Store
+	}{{"version 1", v1}, {"version 2", v2}} {
+		for n, want := range series {
+			if got, _, err := c.s.Querier().Range(n, 0, 0); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: node %d: %d points, err %v", c.name, n, len(got), err)
+			}
+		}
+		got, _, err := c.s.Querier().Quantiles(nil, 0, 0, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range qs {
+			want := all[len(all)-1]
+			if q < 1 {
+				want = all[max(int(math.Ceil(q*float64(len(all))))-1, 0)]
+			}
+			if got[i] != want {
+				t.Fatalf("%s: quantile %v = %v, want %v", c.name, q, got[i], want)
+			}
+		}
+		tally := stats.GetTally()
+		ok, _, err := c.s.Querier().TallyValues(tally, nil, 0, 0)
+		if !ok || err != nil || !reflect.DeepEqual(tally.Sorted(), countValues(all)) {
+			t.Fatalf("%s: tally (counted %v, err %v) differs from the brute-force table", c.name, ok, err)
+		}
+		stats.PutTally(tally)
+	}
+	if st := v1.Stats(); st.DistNoTable != 2 || st.DistTable != 0 {
+		t.Fatalf("version 1: %d blocks decoded for want of a table, %d from one; want 2 and 0", st.DistNoTable, st.DistTable)
+	}
+	if st := v2.Stats(); st.DistTable != 2 || st.DistNoTable != 0 {
+		t.Fatalf("version 2: %d blocks from their table, %d decoded for want of one; want 2 and 0", st.DistTable, st.DistNoTable)
 	}
 }
 
@@ -303,22 +482,40 @@ func TestAppendValuesAndQuantiles(t *testing.T) {
 	if len(vals) != len(all) {
 		t.Fatalf("appended %d values, want %d", len(vals), len(all))
 	}
-	qs, _, err := s.Querier().Quantiles(nil, 0, 0, []float64{0, 0.5, 0.95, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Float64s(all)
-	wantQ := []float64{
-		all[0],
-		all[int(math.Ceil(0.5*float64(len(all))))-1],
-		all[int(math.Ceil(0.95*float64(len(all))))-1],
-		all[len(all)-1],
-	}
-	for i := range qs {
-		if qs[i] != wantQ[i] {
-			t.Fatalf("quantile %d: %v want %v", i, qs[i], wantQ[i])
+	checkQuantiles := func(label string, s *Store, nodes []int, all []float64) {
+		t.Helper()
+		qs, _, err := s.Querier().Quantiles(nodes, 0, 0, []float64{0, 0.5, 0.95, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Float64s(all)
+		wantQ := []float64{
+			all[0],
+			all[int(math.Ceil(0.5*float64(len(all))))-1],
+			all[int(math.Ceil(0.95*float64(len(all))))-1],
+			all[len(all)-1],
+		}
+		for i := range qs {
+			if qs[i] != wantQ[i] {
+				t.Fatalf("%s: quantile %d: %v want %v", label, i, qs[i], wantQ[i])
+			}
 		}
 	}
+	checkQuantiles("all nodes, from the tables", s, nil, all)
+	checkQuantiles("node 1, decoded", s, []int{1}, pointValues(map[int][]Point{1: truth[1]}))
+	// More distinct values than a tally holds: gathered and sorted.
+	rng := rand.New(rand.NewSource(5))
+	continuous := map[int][]Point{}
+	for n := 0; n < 70; n++ {
+		for ts := int64(0); ts < 7200; ts += 60 {
+			continuous[n] = append(continuous[n], Point{T: ts, V: rng.NormFloat64()})
+		}
+	}
+	sc := newTestStore(t, Config{WindowSeconds: 7200})
+	if _, err := sc.WriteRaw(0, continuous); err != nil {
+		t.Fatal(err)
+	}
+	checkQuantiles("continuous", sc, nil, pointValues(continuous))
 
 	// Single-node filter, appended behind what dst already holds.
 	vals, _, err = s.Querier().AppendValues([]float64{-1}, []int{1, 1}, 0, 0)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"hpcpower/internal/stats"
 )
@@ -31,7 +32,8 @@ type LiveJob struct {
 	SpatialSpreadPct  float64 `json:"spatial_spread_pct"`
 }
 
-// LiveDist is one live distribution: the ECDF reduction of a value set.
+// LiveDist is one live distribution: the ECDF reduction of a value set
+// (DistFromValues), or of its counts (DistFromCounts).
 type LiveDist struct {
 	N    int64         `json:"n"`
 	Mean float64       `json:"mean"`
@@ -65,6 +67,70 @@ func DistFromValues(values []float64) LiveDist {
 	}
 }
 
+// DistFromCounts is DistFromValues over the values counts stands for —
+// each V repeated N times, ascending by V as stats.Tally.Sorted returns
+// them — and gives the same LiveDist, bit for bit: the mean is the same
+// ascending run of additions (a value added N times, never multiplied by
+// N), and the type-7 quantiles and CDF points read the same ranks.
+func DistFromCounts(counts []stats.ValueCount) LiveDist {
+	n := 0
+	var sum float64
+	for _, c := range counts {
+		n += int(c.N)
+		for range c.N {
+			sum += c.V
+		}
+	}
+	if n == 0 {
+		return LiveDist{}
+	}
+	r := rankReader{counts: counts}
+	// stats.ECDF.Quantile's interpolation, with sorted[i] read by rank.
+	quantile := func(q float64) float64 {
+		h := q * float64(n-1)
+		i := int(math.Floor(h))
+		if n == 1 || i >= n-1 {
+			return r.at(n - 1)
+		}
+		lo := r.at(i)
+		return lo + (h-float64(i))*(r.at(i+1)-lo)
+	}
+	d := LiveDist{N: int64(n), Mean: sum / float64(n)}
+	d.Min = quantile(0)
+	d.P50 = quantile(0.50)
+	d.P80 = quantile(0.80)
+	d.P95 = quantile(0.95)
+	d.Max = quantile(1)
+	// stats.ECDF.Points(CDFPoints).
+	m := min(CDFPoints, n)
+	d.CDF = make([]stats.Point, 0, m)
+	for i := 0; i < m; i++ {
+		idx := i * (n - 1) / max(m-1, 1)
+		d.CDF = append(d.CDF, stats.Point{X: r.at(idx), Y: float64(idx+1) / float64(n)})
+	}
+	return d
+}
+
+// rankReader reads the value of rank i (0-based, ascending) of the
+// multiset a run of counts stands for, walking forward from the last
+// rank it read — so reading ranks in ascending order costs one pass.
+type rankReader struct {
+	counts []stats.ValueCount
+	j      int // counts[j] holds the last rank read
+	below  int // ranks before counts[j]
+}
+
+func (r *rankReader) at(i int) float64 {
+	if i < r.below {
+		r.j, r.below = 0, 0
+	}
+	for i >= r.below+int(r.counts[r.j].N) {
+		r.below += int(r.counts[r.j].N)
+		r.j++
+	}
+	return r.counts[r.j].V
+}
+
 // LiveInput is everything the live analytics need, assembled by the CLI
 // adapters (HTTP pull or in-process replay).
 type LiveInput struct {
@@ -73,9 +139,10 @@ type LiveInput struct {
 	Jobs     []LiveJob
 	// SamplePower is the distribution of every retained raw per-node
 	// sample (head + blocks), as computed by the store's distribution
-	// query. The reduction is exact, so it holds the window's values —
-	// 8 bytes each, in one pooled buffer, sorted in place — but never
-	// the series: no timestamps, no decoded points, no per-node copies.
+	// query. The reduction is exact: it counts the window's values (or,
+	// when they repeat too little, holds them — 8 bytes each, in one
+	// pooled buffer, sorted in place) but never the series: no
+	// timestamps, no decoded points, no per-node copies.
 	SamplePower LiveDist
 	Frontier    int64
 }

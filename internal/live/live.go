@@ -150,16 +150,29 @@ func Collect(store *tsdb.Store, system string, nodeTDPW float64) (core.LiveInput
 // from ≤ t ≤ to (to ≤ 0 unbounded), blocks and head, to its
 // distribution — the one reduction behind both GET
 // /v1/query/distribution and Collect, which is what keeps powanalyze
-// -source and -live-control byte-identical. The values are gathered
-// into a pooled buffer and sorted there; a warmed pull allocates little
-// beyond the LiveDist it returns. degraded reports a block quarantined
-// mid-scan.
+// -source and -live-control byte-identical. The samples are counted
+// (tsdb.Store.TallyValues: the value tables of the blocks the window
+// covers, edge blocks and the head decoded into the tally) and reduced
+// by core.DistFromCounts; values that repeat too little to count are
+// gathered into a pooled buffer and sorted there instead, with the same
+// answer. A warmed pull allocates little beyond the LiveDist it
+// returns. degraded reports a block quarantined mid-scan.
 func SamplePower(store *tsdb.Store, from, to int64) (dist core.LiveDist, degraded bool, err error) {
-	buf := stats.GetFloats()
-	defer stats.PutFloats(buf)
-	*buf, degraded, err = store.AppendValuesMerged((*buf)[:0], nil, from, to)
+	tally := stats.GetTally()
+	defer stats.PutTally(tally)
+	counted, degraded, err := store.TallyValues(tally, from, to)
 	if err != nil {
 		return core.LiveDist{}, degraded, err
 	}
-	return core.DistFromValues(*buf), degraded, nil
+	if counted {
+		return core.DistFromCounts(tally.Sorted()), degraded, nil
+	}
+	buf := stats.GetFloats()
+	defer stats.PutFloats(buf)
+	var deg bool
+	*buf, deg, err = store.AppendValuesMerged((*buf)[:0], nil, from, to)
+	if err != nil {
+		return core.LiveDist{}, degraded || deg, err
+	}
+	return core.DistFromValues(*buf), degraded || deg, nil
 }

@@ -2,11 +2,15 @@ package live
 
 import (
 	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"hpcpower/internal/block"
 	"hpcpower/internal/core"
+	"hpcpower/internal/stats"
 	"hpcpower/internal/trace"
 	"hpcpower/internal/tsdb"
 )
@@ -45,24 +49,69 @@ func reading(n int, unix int64) float64 {
 	return math.Round((100+float64(n%97)+float64(unix%1740)/29)*10) / 10
 }
 
-func TestSamplePowerMatchesDistFromValues(t *testing.T) {
-	s, values := fleetStore(t, 40)
-	got, degraded, err := SamplePower(s, 0, 0)
-	if err != nil || degraded {
-		t.Fatalf("degraded %v, err %v", degraded, err)
+// sample is one reading the store serves, for brute-force answers.
+type sample struct {
+	t int64
+	v float64
+}
+
+// mixedStore holds, in block files: a version-1 block over [0, w) (the
+// PR 24 writer's testdata/raw_v1.blk: nodes 0–7, reading), a block of
+// continuous readings over [w, 2w) — 8,400 distinct values, more than a
+// tally holds, so it has no value table — and three 0.1 W fleet windows
+// over [2w, 5w); one more window in the head, with late samples on
+// either side of a head window. It returns every sample it serves.
+func mixedStore(t *testing.T) (*tsdb.Store, *block.Store, []sample) {
+	t.Helper()
+	dir := t.TempDir()
+	v1, err := os.ReadFile("../block/testdata/raw_v1.blk")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want := core.DistFromValues(values); !reflect.DeepEqual(got, want) {
-		t.Fatalf("SamplePower = %+v\nwant %+v", got, want)
+	if err := os.WriteFile(filepath.Join(dir, "raw-0000000000000000.blk"), v1, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	in, err := Collect(s, "emmy", 0)
-	if err != nil || !reflect.DeepEqual(in.SamplePower, got) || in.Frontier != 4*testWindow {
-		t.Fatalf("Collect: sample power %+v at frontier %d, err %v", in.SamplePower, in.Frontier, err)
+	bs, err := block.Open(block.Config{Dir: dir, WindowSeconds: testWindow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served []sample
+	for n := 0; n < 8; n++ {
+		for unix := int64(0); unix < testWindow; unix += 60 {
+			served = append(served, sample{unix, reading(n, unix)})
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	continuous := map[int][]block.Point{}
+	for n := 100; n < 170; n++ {
+		for unix := int64(testWindow); unix < 2*testWindow; unix += 60 {
+			p := block.Point{T: unix, V: 200 + rng.Float64()}
+			continuous[n] = append(continuous[n], p)
+			served = append(served, sample{p.T, p.V})
+		}
+	}
+	if info, err := bs.WriteRaw(testWindow, continuous); err != nil || info.Values != nil {
+		t.Fatalf("continuous block: err %v (or it has a value table)", err)
 	}
 
+	s := tsdb.New(tsdb.Config{Shards: 4, RingLen: 1024})
+	s.AttachBlocks(bs)
+	batch := make([]trace.PowerSample, 40)
+	for unix := int64(2 * testWindow); unix < 6*testWindow; unix += 60 {
+		for n := range batch {
+			batch[n] = trace.PowerSample{Node: n, JobID: uint64(n/8 + 1), Unix: unix, PowerW: reading(n, unix)}
+			served = append(served, sample{unix, batch[n].PowerW})
+		}
+		if err := s.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sealed, err := s.FlushBlocks(5 * testWindow); err != nil || sealed != 3 {
+		t.Fatalf("sealed %d windows, err %v", sealed, err)
+	}
 	// Late samples in the head: every third ring now holds points out of
 	// time order and is filtered point by point, the others are searched.
-	// A window inside the head must hold the same readings either way.
-	from, to := int64(4*testWindow+600), int64(4*testWindow+4200)
+	from, to := int64(5*testWindow+600), int64(5*testWindow+4200)
 	var late []trace.PowerSample
 	for n := 0; n < 40; n += 3 {
 		late = append(late,
@@ -74,30 +123,73 @@ func TestSamplePowerMatchesDistFromValues(t *testing.T) {
 	if err := s.Append(late); err != nil {
 		t.Fatal(err)
 	}
-	var window []float64
-	for unix := from; unix <= to; unix += 60 { // from is on a tick
-		for n := 0; n < 40; n++ {
-			window = append(window, reading(n, unix))
-		}
-	}
 	for _, smp := range late {
-		values = append(values, smp.PowerW)
-		if smp.Unix >= from && smp.Unix <= to {
-			window = append(window, smp.PowerW)
-		}
+		served = append(served, sample{smp.Unix, smp.PowerW})
 	}
+	return s, bs, served
+}
+
+// TestSamplePowerMatchesDistFromValues: wherever the window falls —
+// over whole blocks (their tables), cutting blocks at either end
+// (decoded), across the flush frontier, in the head among late samples,
+// over a version-1 block or over one whose readings are continuous — the
+// distribution is DistFromValues over the samples brute force finds in
+// it, bit for bit; and where counting gives up, the values path answers
+// instead, the same way.
+func TestSamplePowerMatchesDistFromValues(t *testing.T) {
+	s, bs, served := mixedStore(t)
+	const w = testWindow
 	for _, c := range []struct {
-		from, to int64
-		values   []float64
-	}{{0, 0, values}, {from, to, window}} {
+		name                 string
+		from, to             int64
+		table, edge, noTable int64 // raw blocks visited, by path
+		counted              bool
+	}{
+		{"whole blocks", 2 * w, 4*w - 1, 2, 0, 0, true},
+		{"blocks cut at both ends", 2*w + 600, 4*w + 1799, 1, 2, 0, true},
+		{"across the frontier", 4*w + 1200, 5*w + 1800, 0, 1, 0, true},
+		{"in the head, among late samples", 5*w + 600, 5*w + 4200, 0, 0, 0, true},
+		{"the version-1 block", 0, w - 1, 0, 0, 1, true},
+		{"the continuous block's last ten minutes", 2*w - 600, 2*w + 1799, 0, 2, 0, true},
+		{"the continuous block whole: counting gives up", w, 3*w - 1, 0, 0, 1, false},
+		{"unbounded", 0, 0, 0, 0, 1, false},
+	} {
+		var values []float64
+		for _, smp := range served {
+			if smp.t >= c.from && (c.to <= 0 || smp.t <= c.to) {
+				values = append(values, smp.v)
+			}
+		}
+		before := bs.Stats()
 		got, degraded, err := SamplePower(s, c.from, c.to)
 		if err != nil || degraded {
-			t.Fatalf("[%d, %d] with late samples: degraded %v, err %v", c.from, c.to, degraded, err)
+			t.Fatalf("%s: degraded %v, err %v", c.name, degraded, err)
 		}
-		if want := core.DistFromValues(c.values); !reflect.DeepEqual(got, want) {
-			t.Fatalf("[%d, %d] with late samples: SamplePower has n %d, mean %v, p95 %v, want n %d, mean %v, p95 %v (or the CDFs differ)",
-				c.from, c.to, got.N, got.Mean, got.P95, want.N, want.Mean, want.P95)
+		if want := core.DistFromValues(values); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: SamplePower has n %d, mean %v, p95 %v, want n %d, mean %v, p95 %v (or the CDFs differ)",
+				c.name, got.N, got.Mean, got.P95, want.N, want.Mean, want.P95)
 		}
+		after := bs.Stats()
+		if table, edge, noTable := after.DistTable-before.DistTable, after.DistEdge-before.DistEdge, after.DistNoTable-before.DistNoTable; !c.counted {
+			if noTable < 1 {
+				t.Errorf("%s: gave up before decoding a block without a table", c.name)
+			}
+		} else if table != c.table || edge != c.edge || noTable != c.noTable {
+			t.Errorf("%s: %d blocks from their tables, %d edges, %d without a table; want %d, %d, %d",
+				c.name, table, edge, noTable, c.table, c.edge, c.noTable)
+		}
+		tally := stats.GetTally()
+		if counted, _, err := s.TallyValues(tally, c.from, c.to); err != nil || counted != c.counted {
+			t.Errorf("%s: tally counted %v, want %v (err %v)", c.name, counted, c.counted, err)
+		}
+		stats.PutTally(tally)
+	}
+	in, err := Collect(s, "emmy", 0)
+	if err != nil || in.Frontier != 5*w {
+		t.Fatalf("Collect: frontier %d, err %v", in.Frontier, err)
+	}
+	if got, _, _ := SamplePower(s, 0, 0); !reflect.DeepEqual(in.SamplePower, got) {
+		t.Fatalf("Collect: sample power %+v, SamplePower %+v", in.SamplePower, got)
 	}
 }
 

@@ -266,4 +266,8 @@ func (s *Server) collectBlocks(e *obs.Exposition) {
 	e.Counter("powserved_scrub_corrupt_total", float64(st.ScrubCorrupt))
 	e.Counter("powserved_quarantine_renamed_total", float64(st.Quarantined))
 	e.Gauge("powserved_quarantine_files", float64(st.QuarantineFiles))
+	e.Help("powserved_distribution_blocks_total", "Raw blocks fleet-wide distribution pulls visited, by path: table added the block's (value, count) table, edge decoded a block the window cuts, no_table decoded a block the window covers that carries no table.")
+	e.CounterL("powserved_distribution_blocks_total", "path", "table", float64(st.DistTable))
+	e.CounterL("powserved_distribution_blocks_total", "path", "edge", float64(st.DistEdge))
+	e.CounterL("powserved_distribution_blocks_total", "path", "no_table", float64(st.DistNoTable))
 }

@@ -445,6 +445,12 @@ func TestQueryDistributionGolden(t *testing.T) {
 		`powserved_sort_total{path="count"} `,
 		`powserved_sort_total{path="radix"} `,
 		`powserved_sort_total{path="gave_up"} `,
+		"# HELP powserved_distribution_blocks_total ",
+		// Unbounded adds both blocks' tables; blocks only and straddling
+		// cut them: three edges.
+		`powserved_distribution_blocks_total{path="table"} 2` + "\n",
+		`powserved_distribution_blocks_total{path="edge"} 3` + "\n",
+		`powserved_distribution_blocks_total{path="no_table"} 0` + "\n",
 	} {
 		if !strings.Contains(string(metrics), line) {
 			t.Fatalf("/metrics lacks %q", line)

@@ -103,64 +103,156 @@ func sortRadix(xs []float64) {
 	}
 }
 
-// sortCounted sorts xs by counting its distinct values, and reports
-// whether it did. One read of xs tallies every value's order key in an
-// open-addressing table small enough to stay in L2; the distinct keys
-// are then sorted and each written back as a run. The result is the one
-// the radix passes produce — equal keys are equal bit patterns, so −0
-// still precedes +0 — and depends on the multiset alone.
+// sortCounted sorts xs by counting its distinct values in a Tally, and
+// reports whether it did; each distinct value is then written back as a
+// run. The result is the one the radix passes produce — the tally's
+// order is the key's, so −0 still precedes +0 — and depends on the
+// multiset alone.
 //
 // It gives up, with xs untouched, on the first NaN (the radix path owns
 // moving those to the front) and on distinct value maxDistinct+1: a
 // continuous input costs maxDistinct table inserts, not a pass.
 func sortCounted(xs []float64) bool {
-	t := countTables.Get().(*countTable)
-	defer countTables.Put(t)
-	used := t.used[:0]
-	defer func() {
-		for _, i := range used {
-			t.slots[i] = countSlot{}
-		}
-	}()
-	for _, x := range xs {
-		k := sortKey(x)
-		for i := countHome(k); ; i = (i + 1) & (countSlots - 1) {
-			s := &t.slots[i]
-			if s.key == k {
-				s.n++
-				break
-			}
-			if s.key != 0 {
-				continue
-			}
-			// An empty slot: key 0 belongs to a NaN, and no NaN gets in.
-			if x != x || len(used) == maxDistinct {
-				return false
-			}
-			s.key, s.n = k, 1
-			used = append(used, uint32(i))
-			break
-		}
+	t := GetTally()
+	defer PutTally(t)
+	if !t.AddAll(xs) {
+		return false
 	}
-	vals := t.vals[:0]
-	for _, i := range used {
-		vals = append(vals, fromSortKey(t.slots[i].key))
-	}
-	sortRadix(vals)
 	out := xs
-	for _, x := range vals {
-		k := sortKey(x)
-		i := countHome(k)
-		for t.slots[i].key != k {
-			i = (i + 1) & (countSlots - 1)
-		}
-		run := out[:t.slots[i].n]
+	for _, c := range t.Sorted() {
+		run := out[:c.N]
 		for j := range run {
-			run[j] = x
+			run[j] = c.V
 		}
 		out = out[len(run):]
 	}
 	return true
+}
+
+// Tally counts how often each distinct value occurs, in an
+// open-addressing table keyed by the value's order key and small enough
+// to stay in L2. For readings that repeat — 0.1 W power samples — the
+// counts are the distribution itself, and they merge by addition: a
+// sealed block stores its tally and a fleet-wide pull adds it up.
+//
+// A tally holds at most maxDistinct values and no NaN. The add that
+// would break either returns false and adds nothing; the tally is then
+// spent, and its caller goes back to the values. Take one from GetTally
+// and hand it back with PutTally.
+type Tally struct {
+	slots [countSlots]countSlot
+	n     int                     // distinct values held
+	used  [maxDistinct]uint32     // slots filled, in order of first sight
+	vals  [maxDistinct]float64    // Sorted's scratch
+	pairs [maxDistinct]ValueCount // what Sorted returns
+}
+
+// ValueCount is one distinct value of a Tally and the number of times it
+// was added.
+type ValueCount struct {
+	V float64
+	N uint64
+}
+
+// Add counts x once.
+func (t *Tally) Add(x float64) bool { return t.AddN(x, 1) }
+
+// AddAll counts every value of xs once, and stops where Add would have
+// returned false. It is AddN's probe written out in the loop: a value
+// already held — most of them, for readings that repeat — costs a probe
+// and no call, which is a quarter of the counting sort's time.
+func (t *Tally) AddAll(xs []float64) bool {
+	for _, x := range xs {
+		k := sortKey(x)
+		for i := countHome(k); ; i = (i + 1) & (countSlots - 1) {
+			s := &t.slots[i]
+			if s.key == k && k != 0 {
+				s.n++
+				break
+			}
+			if s.key == 0 {
+				if !t.claim(i, k, x) {
+					return false
+				}
+				s.n = 1
+				break
+			}
+		}
+	}
+	return true
+}
+
+// AddN counts x n times.
+func (t *Tally) AddN(x float64, n uint64) bool {
+	k := sortKey(x)
+	i := t.slot(k)
+	if (t.slots[i].key != k || k == 0) && !t.claim(i, k, x) {
+		return false
+	}
+	t.slots[i].n += n
+	return true
+}
+
+// claim takes the empty slot i for x, whose key is k, and reports
+// whether it could: no NaN gets in (one of them has the empty slot's
+// key 0), nor value maxDistinct+1.
+func (t *Tally) claim(i, k uint64, x float64) bool {
+	if x != x || t.n == maxDistinct {
+		return false
+	}
+	t.slots[i].key = k
+	t.used[t.n] = uint32(i)
+	t.n++
+	return true
+}
+
+// slot is the index of k's slot: the one holding it, or the empty one
+// its linear probe ends at.
+func (t *Tally) slot(k uint64) uint64 {
+	i := countHome(k)
+	for t.slots[i].key != k && t.slots[i].key != 0 {
+		i = (i + 1) & (countSlots - 1)
+	}
+	return i
+}
+
+// Sorted returns the values counted, ascending in SortFloat64s's order,
+// each with its count. The slice belongs to the tally: it is valid until
+// the next Add, AddN, Reset or PutTally.
+func (t *Tally) Sorted() []ValueCount {
+	if t.n == 0 {
+		return nil
+	}
+	vals := t.vals[:t.n]
+	for j, i := range t.used[:t.n] {
+		vals[j] = fromSortKey(t.slots[i].key)
+	}
+	sortRadix(vals)
+	pairs := t.pairs[:t.n]
+	for j, x := range vals {
+		pairs[j] = ValueCount{V: x, N: t.slots[t.slot(sortKey(x))].n}
+	}
+	return pairs
+}
+
+// Reset empties the tally.
+func (t *Tally) Reset() {
+	for _, i := range t.used[:t.n] {
+		t.slots[i] = countSlot{}
+	}
+	t.n = 0
+}
+
+var tallies = sync.Pool{New: func() any { return new(Tally) }}
+
+// GetTally returns an empty Tally from a pool.
+func GetTally() *Tally { return tallies.Get().(*Tally) }
+
+// PutTally empties t and returns it to the pool; nothing may use it, or
+// a slice Sorted returned, afterwards.
+func PutTally(t *Tally) {
+	t.Reset()
+	tallies.Put(t)
 }
 
 const (
@@ -194,18 +286,8 @@ func countHome(k uint64) uint64 { return k * countHashMul >> (64 - countBits) }
 
 type countSlot struct {
 	key uint64 // sortKey of the value; 0 marks an empty slot
-	n   uint32
+	n   uint64
 }
-
-// countTable is sortCounted's working set, all slots empty while it
-// waits in the pool.
-type countTable struct {
-	slots [countSlots]countSlot
-	used  [maxDistinct]uint32 // slots filled, in order of first sight
-	vals  [maxDistinct]float64
-}
-
-var countTables = sync.Pool{New: func() any { return new(countTable) }}
 
 // Indices into sortPaths.
 const (

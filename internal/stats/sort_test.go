@@ -103,10 +103,16 @@ func TestSortFloat64sMatchesSortFloat64s(t *testing.T) {
 		gen     func() []float64
 		counted bool
 	}{
-		"quantised":           {func() []float64 { return quantised(rng, n) }, true},
-		"continuous":          {func() []float64 { return continuous(rng, n) }, false},
-		"one value":           {func() []float64 { return distinctValues(rng, n, 1) }, true},
-		"few distinct":        {func() []float64 { return distinctValues(rng, n, 40) }, true},
+		"quantised":    {func() []float64 { return quantised(rng, n) }, true},
+		"continuous":   {func() []float64 { return continuous(rng, n) }, false},
+		"one value":    {func() []float64 { return distinctValues(rng, n, 1) }, true},
+		"few distinct": {func() []float64 { return distinctValues(rng, n, 40) }, true},
+		// The one NaN whose order key is the empty slot's.
+		"few distinct and an all-ones NaN": {func() []float64 {
+			xs := distinctValues(rng, n, 40)
+			xs[n/2] = math.Float64frombits(0xffffffffffffffff)
+			return xs
+		}, false},
 		"exactly maxDistinct": {func() []float64 { return distinctValues(rng, n, maxDistinct) }, true},
 		"maxDistinct + 1":     {func() []float64 { return distinctValues(rng, n, maxDistinct+1) }, false},
 		"few distinct, then continuous": {func() []float64 {
@@ -163,7 +169,7 @@ func TestSortFloat64sMatchesSortFloat64s(t *testing.T) {
 		}
 		counted, radix, gaveUp := SortPaths()
 		switch name {
-		case "duplicated specials and NaNs": // gave up, partitioned, then counted the rest
+		case "duplicated specials and NaNs", "few distinct and an all-ones NaN": // gave up, partitioned, then counted the rest
 			if counted-counted0 != 1 || gaveUp-gaveUp0 != 1 {
 				t.Errorf("%s: SortPaths moved by %d counted, %d gave up, want 1 and 1", name, counted-counted0, gaveUp-gaveUp0)
 			}
@@ -192,6 +198,72 @@ func distinctValues(rng *rand.Rand, n, d int) []float64 {
 	}
 	rng.Shuffle(n, func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
 	return xs
+}
+
+// TestTally: Sorted is the count of what was added, by bit pattern, in
+// SortFloat64s's order (−0 before +0); AddN adds to a value's count;
+// a NaN of any bit pattern, and distinct value maxDistinct+1, are refused
+// and change nothing; Reset empties the tally.
+func TestTally(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	xs := distinctValues(rng, 5000, 300)
+	xs = append(xs, 0, math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 5e-324, -5e-324, math.MaxFloat64)
+	tally := GetTally()
+	defer PutTally(tally)
+	if !tally.AddAll(xs[:2000]) {
+		t.Fatal("AddAll refused readings")
+	}
+	for _, x := range xs[2000:] {
+		if !tally.Add(x) {
+			t.Fatalf("Add refused %v", x)
+		}
+	}
+	if !tally.AddN(50.1, 7) || !tally.AddN(-3, 2) {
+		t.Fatal("AddN refused a reading")
+	}
+	xs = append(xs, -3, -3, 50.1, 50.1, 50.1, 50.1, 50.1, 50.1, 50.1)
+	sorted := slices.Clone(xs)
+	SortFloat64s(sorted)
+	var want []ValueCount
+	for _, x := range sorted {
+		if n := len(want); n > 0 && math.Float64bits(want[n-1].V) == math.Float64bits(x) {
+			want[n-1].N++
+		} else {
+			want = append(want, ValueCount{V: x, N: 1})
+		}
+	}
+	same := func(label string) {
+		t.Helper()
+		got := tally.Sorted()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d values, want %d", label, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i].V) != math.Float64bits(want[i].V) || got[i].N != want[i].N {
+				t.Fatalf("%s: entry %d = %v, want %v", label, i, got[i], want[i])
+			}
+		}
+	}
+	same("added")
+	for _, bits := range []uint64{0x7ff8000000000001, 0xfff8000000000001, 0xffffffffffffffff, 0x7fffffffffffffff} {
+		nan := math.Float64frombits(bits)
+		if tally.Add(nan) || tally.AddN(nan, 3) || tally.AddAll([]float64{nan}) {
+			t.Fatalf("NaN %#x counted", bits)
+		}
+	}
+	same("after the NaNs")
+
+	tally.Reset()
+	if got := tally.Sorted(); got != nil {
+		t.Fatalf("reset tally holds %v", got)
+	}
+	full := distinctValues(rng, maxDistinct, maxDistinct)
+	if !tally.AddAll(full) || tally.Add(1e9) || tally.AddN(1e9, 2) || tally.AddAll([]float64{1e9}) {
+		t.Fatal("the tally held more than maxDistinct values")
+	}
+	if !tally.Add(full[0]) || len(tally.Sorted()) != maxDistinct {
+		t.Fatalf("a full tally: %d values, and a held one refused", len(tally.Sorted()))
+	}
 }
 
 // TestSortFloat64sOrderIndependent pins what live/offline parity rests

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hpcpower/internal/block"
+	"hpcpower/internal/core"
 	"hpcpower/internal/stats"
 	"hpcpower/internal/trace"
 )
@@ -47,26 +48,34 @@ func benchFleetStore(b *testing.B) (s *Store, frontier int64) {
 }
 
 // BenchmarkDistribution measures one fleet-wide 6 h distribution pull
-// (368,640 values gathered and sorted, the work behind GET
+// (368,640 values counted and reduced, the work behind GET
 // /v1/query/distribution) with the window in blocks only, straddling
-// the flush frontier, and in the head only.
+// the flush frontier, and in the head only. "blocks" is three whole
+// blocks, all answered from their value tables — the best case; the
+// -unaligned windows start mid-block, as query-mixed's do, so the blocks
+// at their edges are decoded.
 func BenchmarkDistribution(b *testing.B) {
 	s, f := benchFleetStore(b)
 	const sixHours = 6*3600 - 60
 	for _, c := range []struct {
 		name string
 		from int64
-	}{{"blocks", f - 8*3600}, {"straddling", f - 3*3600}, {"head", f + 60}} {
+	}{
+		{"blocks", f - 8*3600},
+		{"blocks-unaligned", f - 8*3600 + 37*60},
+		{"straddling", f - 3*3600},
+		{"straddling-unaligned", f - 3*3600 - 17*60},
+		{"head", f + 60},
+	} {
 		b.Run(c.name, func(b *testing.B) {
-			var vals []float64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				var err error
-				vals, _, err = s.AppendValuesMerged(vals[:0], nil, c.from, c.from+sixHours)
-				if err != nil || len(vals) != 1024*360 {
-					b.Fatalf("pulled %d values, err %v", len(vals), err)
+				tally := stats.GetTally()
+				ok, _, err := s.TallyValues(tally, c.from, c.from+sixHours)
+				if d := core.DistFromCounts(tally.Sorted()); !ok || err != nil || d.N != 1024*360 {
+					b.Fatalf("counted %v: %d values, err %v", ok, d.N, err)
 				}
-				stats.SortFloat64s(vals)
+				stats.PutTally(tally)
 			}
 		})
 	}

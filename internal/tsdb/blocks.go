@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"hpcpower/internal/block"
+	"hpcpower/internal/stats"
 )
 
 // Head/block split: the sharded rings stay the hot head of the store;
@@ -311,6 +312,41 @@ func (s *Store) AppendValuesMerged(dst []float64, nodes []int, from, to int64) (
 		sh.mu.RUnlock()
 	}
 	return dst, degraded, nil
+}
+
+// TallyValues is the fleet-wide AppendValuesMerged into a tally: every
+// raw value with from ≤ t ≤ to (to ≤ 0 unbounded), blocks and head, is
+// added to t, which must be empty — sealed blocks the window covers by
+// their value tables, edge blocks decoded, each ring read in place under
+// its shard's read lock. ok is false when t gave up (more distinct
+// values than it holds, or a NaN): t is spent, and the caller gathers the
+// values with AppendValuesMerged instead. degraded is
+// AppendValuesMerged's.
+func (s *Store) TallyValues(t *stats.Tally, from, to int64) (ok, degraded bool, err error) {
+	blk, head := s.split(from, to)
+	ok = true
+	if blk.ok {
+		if ok, degraded, err = s.blocks.Querier().TallyValues(t, nil, blk.from, blk.to); !ok || err != nil {
+			return ok, degraded, err
+		}
+	}
+	if !head.ok {
+		return ok, degraded, nil
+	}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for _, r := range sh.nodes {
+			if ok = r.tallyValues(t, head.from, head.to); !ok {
+				break
+			}
+		}
+		sh.mu.RUnlock()
+		if !ok {
+			break
+		}
+	}
+	return ok, degraded, nil
 }
 
 // NodeIDs returns every node known to head or blocks, ascending.

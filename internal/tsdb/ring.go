@@ -3,6 +3,8 @@ package tsdb
 import (
 	"math"
 	"sort"
+
+	"hpcpower/internal/stats"
 )
 
 // Point is one retained sample of a node's series.
@@ -158,6 +160,18 @@ func (r *ring) appendValues(dst []float64, from, hi int64) []float64 {
 		}
 	})
 	return dst
+}
+
+// tallyValues is appendValues into a tally, and reports false where
+// the tally gave up.
+func (r *ring) tallyValues(t *stats.Tally, from, hi int64) bool {
+	ok := true
+	r.window(from, hi, func(run []Point) {
+		for i := 0; ok && i < len(run); i++ {
+			ok = t.Add(run[i].PowerW)
+		}
+	})
+	return ok
 }
 
 // countWindow is the number of points appendWindow would append.

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"hpcpower/internal/stats"
 	"hpcpower/internal/trace"
 )
 
@@ -37,6 +38,24 @@ func wantValues(sealed, head []trace.PowerSample, frontier int64, nodes []int, f
 	}
 	sort.Float64s(out)
 	return out
+}
+
+// tallyValues is TallyValues's answer expanded back into values, and
+// whether it degraded.
+func tallyValues(t *testing.T, s *Store, from, to int64) (vals []float64, degraded bool) {
+	t.Helper()
+	tally := stats.GetTally()
+	defer stats.PutTally(tally)
+	ok, degraded, err := s.TallyValues(tally, from, to)
+	if err != nil || !ok {
+		t.Fatalf("TallyValues [%d, %d]: counted %v, err %v", from, to, ok, err)
+	}
+	for _, c := range tally.Sorted() {
+		for range c.N {
+			vals = append(vals, c.V)
+		}
+	}
+	return vals, degraded
 }
 
 func sameValues(t *testing.T, label string, got, want []float64) {
@@ -109,17 +128,18 @@ func TestAppendValuesMergedMatchesBruteForce(t *testing.T) {
 			}
 			sameValues(t, label, got[1:], wantValues(sealed, head, f, nodes, w.from, w.to))
 		}
+		tallied, _ := tallyValues(t, s, w.from, w.to)
+		sameValues(t, w.name+", tallied", tallied, wantValues(sealed, head, f, nil, w.from, w.to))
 	}
 }
 
-// TestAppendValuesMergedSurvivesCorruptChunk flips a byte inside the
-// chunk region of the middle block: the scan has already appended the
-// first block's values when it trips, the block is quarantined, and the
-// retry must leave every surviving value in dst exactly once.
-func TestAppendValuesMergedSurvivesCorruptChunk(t *testing.T) {
+// corruptFixture is valuesFixture with a byte flipped inside the chunk
+// region of the middle block, and the samples that survive its
+// quarantine.
+func corruptFixture(t *testing.T) (s *Store, surviving, head []trace.PowerSample, f int64, path string) {
 	dir := t.TempDir()
 	s, sealed, head, f := valuesFixture(t, dir)
-	path := filepath.Join(dir, fmt.Sprintf("raw-%016d.blk", 2*testWindow))
+	path = filepath.Join(dir, fmt.Sprintf("raw-%016d.blk", 2*testWindow))
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -128,12 +148,21 @@ func TestAppendValuesMergedSurvivesCorruptChunk(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var surviving []trace.PowerSample
 	for _, smp := range sealed {
 		if smp.Unix < 2*testWindow || smp.Unix >= 3*testWindow {
 			surviving = append(surviving, smp)
 		}
 	}
+	return s, surviving, head, f, path
+}
+
+// TestAppendValuesMergedSurvivesCorruptChunk: the scan has already
+// appended the first block's values when it trips over the corrupt
+// chunk, the block is quarantined, and the retry must leave every
+// surviving value in dst exactly once. A tally that decodes the block —
+// the window cuts it — starts over the same way.
+func TestAppendValuesMergedSurvivesCorruptChunk(t *testing.T) {
+	s, surviving, head, f, path := corruptFixture(t)
 	for _, nodes := range [][]int{nil, {1, 3}} {
 		got, degraded, err := s.AppendValuesMerged([]float64{-1}, nodes, 0, 0)
 		if err != nil {
@@ -151,6 +180,14 @@ func TestAppendValuesMergedSurvivesCorruptChunk(t *testing.T) {
 	if _, err := os.Stat(path + ".quarantine"); err != nil {
 		t.Fatalf("corrupt block not quarantined: %v", err)
 	}
+
+	s, surviving, head, f, _ = corruptFixture(t)
+	from := int64(2*testWindow + 60)
+	tallied, degraded := tallyValues(t, s, from, 0)
+	if !degraded {
+		t.Fatal("a tally through the corrupt chunk did not degrade")
+	}
+	sameValues(t, "tallied", tallied, wantValues(surviving, head, f, nil, from, 0))
 }
 
 // TestQueryRangeOrdersLateSample: the merged range read skips its sort
@@ -241,6 +278,19 @@ func TestDistributionPullsBesideAppendAndFlush(t *testing.T) {
 				// A batch is visible in the rings before it is counted.
 				if n := int64(len(vals)); n < before || n > after+batchLen {
 					t.Errorf("pull returned %d values with %d..%d ingested", n, before, after)
+					return
+				}
+				tally := stats.GetTally()
+				before = s.Ingested()
+				counted, _, err := s.TallyValues(tally, 0, 0)
+				after = s.Ingested()
+				var n int64
+				for _, c := range tally.Sorted() {
+					n += int64(c.N)
+				}
+				stats.PutTally(tally)
+				if !counted || err != nil || n < before || n > after+batchLen {
+					t.Errorf("tally (counted %v) held %d values with %d..%d ingested, err %v", counted, n, before, after, err)
 					return
 				}
 				if _, _, err := s.QueryRange(3, 0, 0); err != nil {
