@@ -8,9 +8,9 @@ GO ?= go
 # a list: both run it straight after the build, because bench/ compiles
 # against the tree and a symbol it uses going missing should fail in the
 # first minute, not the last step.
-FUZZ_TARGETS = fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-vfs fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state fuzz-codec fuzz-snapshot fuzz-sort fuzz-bdt
+FUZZ_TARGETS = fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state fuzz-codec fuzz-snapshot fuzz-sort fuzz-bdt
 BENCH_TARGETS = bench bench-block bench-codec bench-wal bench-snapshot bench-tsdb bench-mlearn
-SMOKE_TARGETS = smoke chaos-smoke crash-smoke failover-smoke election-smoke disk-smoke overload-smoke anomaly-smoke
+SMOKE_TARGETS = smoke chaos-smoke failover-smoke election-smoke overload-smoke anomaly-smoke
 
 .PHONY: all build vet test race bench-e2e bench-compare bench-selftest block-check obs-check ci clean fuzz-all bench-all $(FUZZ_TARGETS) $(BENCH_TARGETS) $(SMOKE_TARGETS)
 
@@ -155,11 +155,6 @@ smoke:
 chaos-smoke:
 	./scripts/chaos_smoke.sh
 
-# Crash smoke: SIGKILL powserved mid-ingest, corrupt the WAL tail, and
-# verify the recovered analytics are byte-identical to a control run.
-crash-smoke:
-	./scripts/crash_smoke.sh
-
 # Failover smoke: replicated primary/standby pair under ≥10% injected
 # faults; SIGKILL the primary mid-ingest, promote the standby, and
 # verify zero loss, byte-identical analytics, and stale-primary fencing.
@@ -175,14 +170,6 @@ failover-smoke:
 # loss, and analytics byte-identical to a fault-free control.
 election-smoke:
 	./scripts/election_smoke.sh
-
-# Disk-fault smoke: powserved under an injected filesystem (vfs.FaultFS)
-# — an ENOSPC window mid-ingest, probe EIO, and an offline bit flip of a
-# sealed block. Verifies 503 storage_degraded backpressure with zero
-# loss, self-clearing degraded mode, and scrub quarantine with
-# bit-exact rollup fallback.
-disk-smoke:
-	./scripts/disk_smoke.sh
 
 # Overload smoke: drive the admission layer at 2x measured capacity
 # through a fault-injecting proxy (with a replicating follower) and
@@ -235,11 +222,6 @@ fuzz-block-ref:
 fuzz-spec:
 	$(call gofuzz,FuzzPairs,15s,./internal/spec/)
 	$(call gofuzz,FuzzParseBytes,10s,./internal/spec/)
-
-# Fuzz the -fault-disk spec parser: it must never panic, accept only
-# in-range values, and round-trip every accepted spec through String.
-fuzz-vfs:
-	$(call gofuzz,FuzzParseFaultSpec,15s,./internal/vfs/)
 
 # Fuzz the admission-spec parser: arbitrary specs must parse or error —
 # never panic — and every accepted spec must round-trip through String.

@@ -64,9 +64,8 @@ func (p *peerFlag) Set(v string) error {
 }
 
 // electionConfig assembles the elect.Config shared by data nodes and
-// the witness from the command-line topology; the promise file goes
-// through fsys, as every other durable file of the node does.
-func electionConfig(fsys vfs.FS, id, advertise, dataDir string, peers []elect.Peer, hb time.Duration, lead, witness bool) (elect.Config, error) {
+// the witness from the command-line topology.
+func electionConfig(id, advertise, dataDir string, peers []elect.Peer, hb time.Duration, lead, witness bool) (elect.Config, error) {
 	if dataDir == "" {
 		return elect.Config{}, fmt.Errorf("elections need -data-dir (the promise file must survive restarts)")
 	}
@@ -78,9 +77,9 @@ func electionConfig(fsys vfs.FS, id, advertise, dataDir string, peers []elect.Pe
 	}
 	if witness {
 		// No server opens (and sweeps) a witness's data dir.
-		vfs.RemoveTemps(fsys, dataDir)
+		vfs.RemoveTemps(vfs.OS, dataDir)
 	}
-	st, err := elect.OpenStateFile(fsys, filepath.Join(dataDir, electStateName))
+	st, err := elect.OpenStateFile(vfs.OS, filepath.Join(dataDir, electStateName))
 	if err != nil {
 		return elect.Config{}, err
 	}

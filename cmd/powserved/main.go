@@ -96,7 +96,6 @@ import (
 	"hpcpower/internal/obs"
 	"hpcpower/internal/serve"
 	"hpcpower/internal/tsdb"
-	"hpcpower/internal/vfs"
 	"hpcpower/internal/wal"
 )
 
@@ -124,7 +123,6 @@ func main() {
 		snapBatch = flag.Int64("snapshot-every", 4096, "also snapshot after this many WAL appends")
 		diskCheck = flag.Duration("disk-check-interval", 2*time.Second, "storage-health monitor cadence (write probe + free-space watermark)")
 		diskLow   = flag.Int64("disk-low-bytes", 0, "degrade ingest when data-dir free space falls below this, until it is back above twice this (0 = probe-only)")
-		faultDisk = flag.String("fault-disk", "", `inject disk faults for drills, comma-separated key=value, e.g. "seed=1,write-eio=0.01,enospc-after=1048576,enospc-for=10s"; keys:`+"\n"+new(vfs.FaultConfig).Spec().Usage())
 
 		role       = flag.String("role", "primary", `replication role: "primary", "follower" (needs -data-dir), or "witness" (vote-only election member, no data plane)`)
 		follow     = flag.String("follow", "", "primary base URL to replicate from (required with -role follower)")
@@ -155,23 +153,10 @@ func main() {
 		fatal(err)
 	}
 	logger := obs.NewLogger(obs.LogConfig{Level: level, Format: *logFormat, Output: os.Stderr})
-	// Every durable file — WAL, snapshots, blocks, the fencing epoch and
-	// the election promise, a witness's included — goes through one
-	// vfs.FS, so a single -fault-disk spec exercises them all.
-	var fsys vfs.FS = vfs.OS
-	if *faultDisk != "" {
-		fcfg, err := vfs.ParseFaultSpec(*faultDisk)
-		if err != nil {
-			fatal(err)
-		}
-		fsys = vfs.NewFault(vfs.OS, fcfg)
-		fmt.Printf("powserved: DISK FAULT INJECTION ACTIVE: %s\n", *faultDisk)
-	}
-
 	if *role == "witness" {
 		// Vote-only member: no store, no WAL, no model — just the
 		// election state machine behind a minimal HTTP front.
-		ecfg, err := electionConfig(fsys, *electID, *advertise, *dataDir, peers, *hbEvery, false, true)
+		ecfg, err := electionConfig(*electID, *advertise, *dataDir, peers, *hbEvery, false, true)
 		if err != nil {
 			fatal(err)
 		}
@@ -259,7 +244,6 @@ func main() {
 			Retention1h:     *retain1h,
 			CompactInterval: *compactEvery,
 			ScrubInterval:   *scrubEvery,
-			FS:              fsys,
 		})
 		if err != nil {
 			fatal(err)
@@ -297,7 +281,6 @@ func main() {
 			Policy:            policy,
 			SnapshotInterval:  *snapEvery,
 			SnapshotEvery:     *snapBatch,
-			FS:                fsys,
 			DiskCheckInterval: *diskCheck,
 			DiskLowBytes:      *diskLow,
 			Replication: &serve.ReplicationConfig{
@@ -346,7 +329,7 @@ func main() {
 		// configured primary leads (with an expired lease until its
 		// first quorum round); a follower campaigns only after the
 		// lease window passes in silence.
-		ecfg, err := electionConfig(fsys, *electID, *advertise, *dataDir, peers, *hbEvery, *role == serve.RolePrimary, false)
+		ecfg, err := electionConfig(*electID, *advertise, *dataDir, peers, *hbEvery, *role == serve.RolePrimary, false)
 		if err != nil {
 			fatal(err)
 		}

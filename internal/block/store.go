@@ -53,7 +53,7 @@ type Config struct {
 	// callable).
 	ScrubInterval time.Duration
 	// FS is the filesystem blocks are written and read through. Nil
-	// means vfs.OS; tests and fault drills inject a vfs.FaultFS here.
+	// means vfs.OS; tests inject a vfs.FaultFS here.
 	FS vfs.FS
 }
 
@@ -94,8 +94,9 @@ type Store struct {
 	started  atomic.Bool
 }
 
-// Open scans dir for published blocks (ignoring unknown and corrupt
-// files — a temp file from a crash is swept away) and returns the store.
+// Open scans dir for published blocks (ignoring unknown files,
+// quarantining corrupt ones — a temp file from a crash is swept away) and
+// returns the store. A block it cannot read fails the open.
 func Open(cfg Config) (*Store, error) {
 	if cfg.WindowSeconds <= 0 {
 		cfg.WindowSeconds = DefaultWindowSeconds
@@ -135,16 +136,17 @@ func Open(cfg Config) (*Store, error) {
 		}
 		path := filepath.Join(cfg.Dir, name)
 		info, err := OpenBlock(s.fsys, path)
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			// A block the disk would not let us read may well be whole:
+			// serving without it would answer its window short.
+			return nil, fmt.Errorf("block: opening %s: %w", name, err)
+		}
 		if err != nil {
-			if errors.Is(err, ErrCorrupt) {
-				// Damaged on disk while we were away: quarantine it now so
-				// the catalog only ever holds servable blocks and the
-				// evidence survives under a name no reader trusts.
-				s.quarantinePath(path)
-				s.scrubCorrupt.Add(1)
-			}
-			// Unreadable blocks (transient I/O errors) are skipped, not
-			// fatal: the store serves what it can.
+			// Damaged on disk while we were away: quarantine it now so
+			// the catalog only ever holds servable blocks and the
+			// evidence survives under a name no reader trusts.
+			s.quarantinePath(path)
+			s.scrubCorrupt.Add(1)
 			continue
 		}
 		s.blocks[info.Tier][info.WindowStart] = info

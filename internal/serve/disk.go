@@ -121,7 +121,7 @@ func (d *durability) checkDisk() {
 
 // probeWrite proves the data directory still takes durable writes:
 // create, write, fsync, close, remove — through the injected vfs, so
-// fault drills degrade the probe exactly like the WAL.
+// injected faults degrade the probe exactly like the WAL.
 func (d *durability) probeWrite() error {
 	path := filepath.Join(d.cfg.Dir, ".disk-probe")
 	f, err := d.fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)

@@ -44,7 +44,7 @@ type DurabilityConfig struct {
 	Replication *ReplicationConfig
 	// FS is the filesystem every durable artifact (WAL segments,
 	// snapshots, lock file, disk probe) goes through. Nil means vfs.OS;
-	// fault drills inject a vfs.FaultFS here.
+	// tests inject a vfs.FaultFS here.
 	FS vfs.FS
 	// DiskCheckInterval is the cadence of the storage-health monitor
 	// that flips ingest into degraded mode. 0 means 2 s.

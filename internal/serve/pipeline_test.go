@@ -387,7 +387,6 @@ func TestIngestOutcomes(t *testing.T) {
 				// Crash and recover on a healthy disk: the store comes back as
 				// it was, and every cancelled record stays dead.
 				crash(t, s, ts)
-				s.ingestQ.Close(true)
 				s2, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir})
 				if err != nil {
 					t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -366,6 +367,44 @@ func TestSnapshotAfterFlushRecovery(t *testing.T) {
 	}
 	if got := queryDump(t, ts2.URL); got != want {
 		t.Fatalf("query surface differs after snapshot recovery")
+	}
+}
+
+// TestScrubQuarantinesFlippedBlock: POST /v1/admin/scrub finds one byte
+// flipped in a sealed raw block, /metrics counts the quarantine, and the
+// 5m answer for the window comes back the same from the rollup tier.
+func TestScrubQuarantinesFlippedBlock(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newBlockDurableServer(t, dir)
+	defer func() { ts.Close(); s.Close() }()
+	waitIngested(t, s, sendAll(t, ts.URL, blockBatches()))
+	adminFlush(t, ts.URL)
+	query := func() string {
+		_, body := get(t, ts.URL+"/v1/query/range?node=2&from=0&to=4102444800&step=300")
+		return regexp.MustCompile(`"degraded":[a-z]+,?`).ReplaceAllString(string(body), "")
+	}
+	before := query()
+	raw := rawBlockFiles(t, dir)[0]
+	b, err := os.ReadFile(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[100] ^= 0xff // inside the first chunk
+	if err := os.WriteFile(raw, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var rep scrubResponse
+	if _, body := postJSON(t, ts.URL+"/v1/admin/scrub", nil); json.Unmarshal(body, &rep) != nil || rep.Blocks == nil || rep.Blocks.Corrupt < 1 {
+		t.Fatalf("scrub answered %s, want a corrupt block", body)
+	}
+	_, metrics := get(t, ts.URL+"/metrics")
+	for _, name := range []string{"powserved_quarantine_files", "powserved_scrub_corrupt_total"} {
+		if m := regexp.MustCompile(`(?m)^` + name + ` [1-9]`).Find(metrics); m == nil {
+			t.Errorf("/metrics: %s is not at least 1", name)
+		}
+	}
+	if after := query(); after != before {
+		t.Fatalf("the 5m answer changed with the raw block quarantined\n got %s\nwant %s", after, before)
 	}
 }
 

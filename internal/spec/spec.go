@@ -1,5 +1,5 @@
 // Package spec owns the "key=value,key=value" grammar behind powserved's
-// -admit, -fault-disk and -anomaly-rules flags and powload's -anomaly.
+// -admit and -anomaly-rules flags and powload's -anomaly.
 // A Set is an ordered table of typed fields, each bound to the variable
 // it configures; Parse, its inverse String, the wording of every error
 // and the key list shown by -help (Usage) all derive from that one
@@ -37,12 +37,12 @@ func Pairs(s string, fn func(key, val string) error) error {
 }
 
 // Field binds one key to one variable. Build it with a kind constructor
-// (Duration, Int, Float, Prob, Bytes, Bool, Enum, String) and narrow it
+// (Duration, Int, Float, Bytes, Enum, String) and narrow it
 // with Min / Range / Above, Always and When.
 type Field struct {
 	key, doc string
 	kind     string  // names the type in Usage; one holding '|' lists every accepted value
-	ptr      any     // *time.Duration, *int, *int64, *float64, *bool or *string; read and written by reflection
+	ptr      any     // *time.Duration, *int, *int64, *float64 or *string; read and written by reflection
 	lo, hi   float64 // accepted numeric range, inclusive (lo exclusive when open)
 	open     bool
 	always   bool   // String renders the zero value too
@@ -63,15 +63,9 @@ func Int[N int | int64](key string, p *N, doc string) Field { return field(key, 
 // Float is a finite decimal number.
 func Float(key string, p *float64, doc string) Field { return field(key, "float", doc, p) }
 
-// Prob is a probability: a Float in [0, 1].
-func Prob(key string, p *float64, doc string) Field { return Float(key, p, doc).Range(0, 1) }
-
 // Bytes is a non-negative byte count with an optional 1024-based suffix
 // ("4096", "4K", "256MiB"); String renders it as plain decimal.
 func Bytes(key string, p *int64, doc string) Field { return field(key, "bytes", doc, p).Min(0) }
-
-// Bool is strict: 0, 1, true or false.
-func Bool(key string, p *bool, doc string) Field { return field(key, "0|1|true|false", doc, p) }
 
 // Enum is one of values.
 func Enum(key string, p *string, doc string, values ...string) Field {
@@ -132,8 +126,6 @@ func (f *Field) set(val string) bool {
 			return false
 		}
 		v.SetFloat(x)
-	case reflect.Bool:
-		v.SetBool(val == "1" || val == "true")
 	case reflect.String:
 		v.SetString(val)
 	}

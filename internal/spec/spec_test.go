@@ -15,9 +15,7 @@ type allKinds struct {
 	I     int
 	I64   int64
 	F     float64
-	P     float64
 	B     int64
-	Flag  bool
 	E     string
 	S     string
 	Gated int
@@ -30,9 +28,7 @@ func (a *allKinds) spec() Set {
 		Int("i", &a.I, "an int").Min(-3).Always(),
 		Int("i64", &a.I64, "an int64"),
 		Float("f", &a.F, "a float").Above(0, 10),
-		Prob("p", &a.P, "a probability"),
 		Bytes("b", &a.B, "a byte count"),
-		Bool("flag", &a.Flag, "a bool"),
 		Enum("e", &a.E, "an enum", "x", "y"),
 		String("s", &a.S, "a string"),
 		Int("gated", &a.Gated, "an int that needs mode=on").When("mode on", a.Mode == "on"),
@@ -63,21 +59,21 @@ func TestPairs(t *testing.T) {
 func TestParseEveryKind(t *testing.T) {
 	var a allKinds
 	a.Mode = "on"
-	spec := "d=1h30m,i=-3,i64=-9223372036854775808,f=2.5,p=1,b=1.5KiB,flag=true,e=y,s=wal-,gated=7"
+	spec := "d=1h30m,i=-3,i64=-9223372036854775808,f=2.5,b=1.5KiB,e=y,s=wal-,gated=7"
 	if err := a.spec().Parse(spec); err != nil {
 		t.Fatal(err)
 	}
-	want := allKinds{D: 90 * time.Minute, I: -3, I64: math.MinInt64, F: 2.5, P: 1, B: 1536,
-		Flag: true, E: "y", S: "wal-", Gated: 7, Mode: "on"}
+	want := allKinds{D: 90 * time.Minute, I: -3, I64: math.MinInt64, F: 2.5, B: 1536,
+		E: "y", S: "wal-", Gated: 7, Mode: "on"}
 	if a != want {
 		t.Fatalf("Parse = %+v, want %+v", a, want)
 	}
-	if got, want := a.spec().String(), "d=1h30m0s,i=-3,i64=-9223372036854775808,f=2.5,p=1,b=1536,flag=true,e=y,s=wal-,gated=7"; got != want {
+	if got, want := a.spec().String(), "d=1h30m0s,i=-3,i64=-9223372036854775808,f=2.5,b=1536,e=y,s=wal-,gated=7"; got != want {
 		t.Fatalf("String = %q, want %q", got, want)
 	}
 	// Zero fields are left out unless Always; a repeated key overwrites.
 	var z allKinds
-	if err := z.spec().Parse("i=1,i=0,flag=0"); err != nil {
+	if err := z.spec().Parse("i=1,i=0,b=0"); err != nil {
 		t.Fatal(err)
 	}
 	if got := z.spec().String(); got != "i=0" {
@@ -87,7 +83,7 @@ func TestParseEveryKind(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	for spec, want := range map[string]string{
-		"nope=1":        `unknown key "nope" (keys: d, i, i64, f, p, b, flag, e, s, gated)`,
+		"nope=1":        `unknown key "nope" (keys: d, i, i64, f, b, e, s, gated)`,
 		"d":             `"d": missing '='`,
 		"d=xyz":         `d="xyz": want duration in [0s, 8760h0m0s]`,
 		"d=-1ns":        `d="-1ns": want duration in [0s, 8760h0m0s]`,
@@ -99,15 +95,9 @@ func TestParseErrors(t *testing.T) {
 		"f=NaN":         `want float`,
 		"f=+Inf":        `want float`,
 		"f=11":          `want float`,
-		"p=1.01":        `p="1.01": want float in [0, 1]`,
-		"p=-0.1":        `want float in [0, 1]`,
-		"p=NaN":         `want float in [0, 1]`,
 		"b=-1":          `b="-1": want bytes >= 0`,
 		"b=NaNMiB":      `want bytes`,
 		"b=1e300G":      `want bytes`,
-		"flag=yes":      `flag="yes": want 0|1|true|false`,
-		"flag=TRUE":     `want 0|1|true|false`,
-		"flag=":         `want 0|1|true|false`,
 		"e=z":           `e="z": want x|y`,
 		"gated=1":       `gated only applies to mode on`,
 		"i=1,gated=bad": `gated only applies to mode on`,
@@ -128,8 +118,8 @@ func TestParseErrors(t *testing.T) {
 func TestUsage(t *testing.T) {
 	got := new(allKinds).spec().Usage()
 	lines := strings.Split(got, "\n")
-	if len(lines) != 10 {
-		t.Fatalf("Usage has %d lines, want 10:\n%s", len(lines), got)
+	if len(lines) != 8 {
+		t.Fatalf("Usage has %d lines, want 8:\n%s", len(lines), got)
 	}
 	for _, want := range []string{
 		"  d              duration in [0s, 8760h0m0s] a duration",
@@ -218,11 +208,11 @@ func FuzzParseBytes(f *testing.F) {
 func FuzzPairs(f *testing.F) {
 	for _, s := range []string{
 		"",
-		"d=1h30m,i=-3,i64=7,f=2.5,p=0.25,b=1.5KiB,flag=1,e=y,s=wal-",
+		"d=1h30m,i=-3,i64=7,f=2.5,b=1.5KiB,e=y,s=wal-",
 		" d=1s , i=2 ,",
 		",,,=,==",
-		"f=NaN,p=+Inf",
-		"flag=yes",
+		"f=NaN,f=+Inf",
+		"e=yes",
 		"s=a=b,e=x",
 		"gated=3",
 		"d=8760h,b=1e300G",
@@ -241,7 +231,7 @@ func FuzzPairs(f *testing.F) {
 		if err := a.spec().Parse(s); err != nil {
 			return
 		}
-		if a.D < 0 || a.I < -3 || !(a.F > 0 && a.F <= 10 || a.F == 0) || !(a.P >= 0 && a.P <= 1) || a.B < 0 || (a.E != "" && a.E != "x" && a.E != "y") {
+		if a.D < 0 || a.I < -3 || !(a.F > 0 && a.F <= 10 || a.F == 0) || a.B < 0 || (a.E != "" && a.E != "x" && a.E != "y") {
 			t.Fatalf("Parse(%q) accepted out-of-range values: %+v", s, a)
 		}
 		out := a.spec().String()

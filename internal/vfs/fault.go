@@ -1,15 +1,12 @@
 package vfs
 
 import (
-	"fmt"
 	"io/fs"
 	"math/rand"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
-
-	"hpcpower/internal/spec"
 )
 
 // FaultConfig describes the faults a FaultFS injects. The zero value
@@ -36,8 +33,6 @@ type FaultConfig struct {
 	// after the budget is exhausted writes fail with ENOSPC for this
 	// duration, then space "frees" and the budget becomes unlimited.
 	ENOSPCFor time.Duration
-	// Latency is added to every faultable operation.
-	Latency time.Duration
 	// PathSubstring, when non-empty, restricts fault injection to files
 	// whose path contains it. Non-matching files pass through.
 	PathSubstring string
@@ -94,15 +89,6 @@ func (f *FaultFS) faulted(name string) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.cfg.PathSubstring == "" || strings.Contains(name, f.cfg.PathSubstring)
-}
-
-func (f *FaultFS) lag() {
-	f.mu.Lock()
-	d := f.cfg.Latency
-	f.mu.Unlock()
-	if d > 0 {
-		time.Sleep(d)
-	}
 }
 
 // roll draws against prob under the lock.
@@ -204,7 +190,6 @@ func (f *FaultFS) Truncate(name string, size int64) error     { return f.inner.T
 
 func (f *FaultFS) SyncDir(dir string) error {
 	if f.faulted(dir) {
-		f.lag()
 		if err := f.admitSync(); err != nil {
 			return &fs.PathError{Op: "syncdir", Path: dir, Err: err}
 		}
@@ -228,7 +213,6 @@ func (ff *faultFile) Seek(offset int64, whence int) (int64, error) {
 func (ff *faultFile) Truncate(size int64) error { return ff.inner.Truncate(size) }
 
 func (ff *faultFile) Write(p []byte) (int, error) {
-	ff.fs.lag()
 	allow, ferr := ff.fs.admitWrite(len(p))
 	if ferr != nil {
 		n := 0
@@ -242,7 +226,6 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 }
 
 func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
-	ff.fs.lag()
 	allow, ferr := ff.fs.admitWrite(len(p))
 	if ferr != nil {
 		n := 0
@@ -255,7 +238,6 @@ func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
 }
 
 func (ff *faultFile) Read(p []byte) (int, error) {
-	ff.fs.lag()
 	bit, ferr := ff.fs.admitRead(len(p))
 	if ferr != nil {
 		return 0, &fs.PathError{Op: "read", Path: ff.inner.Name(), Err: ferr}
@@ -266,7 +248,6 @@ func (ff *faultFile) Read(p []byte) (int, error) {
 }
 
 func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) {
-	ff.fs.lag()
 	bit, ferr := ff.fs.admitRead(len(p))
 	if ferr != nil {
 		return 0, &fs.PathError{Op: "read", Path: ff.inner.Name(), Err: ferr}
@@ -277,7 +258,6 @@ func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (ff *faultFile) Sync() error {
-	ff.fs.lag()
 	if err := ff.fs.admitSync(); err != nil {
 		return &fs.PathError{Op: "sync", Path: ff.inner.Name(), Err: err}
 	}
@@ -300,38 +280,3 @@ func flipBit(p []byte, n int, bit int64) {
 	}
 	p[bit/8] ^= 1 << uint(bit%8)
 }
-
-// Spec is the -fault-disk grammar bound to c: one row per key, in the
-// order String renders. Zero fields are left out.
-func (c *FaultConfig) Spec() spec.Set {
-	return spec.Set{
-		spec.Int("seed", &c.Seed, "seed of the fault sequence"),
-		spec.Prob("read-eio", &c.ReadErrProb, "per-read EIO probability"),
-		spec.Prob("write-eio", &c.WriteErrProb, "per-write EIO probability"),
-		spec.Prob("sync-eio", &c.SyncErrProb, "per-fsync EIO probability"),
-		spec.Prob("bitflip", &c.BitFlipProb, "per-read probability of one flipped bit in the returned data"),
-		spec.Bool("torn", &c.TornWrites, "a failed write lands a partial prefix first"),
-		spec.Int("enospc-after", &c.WriteBudget, "bytes written before writes fail with ENOSPC (0 = never)").Min(0),
-		spec.Duration("enospc-for", &c.ENOSPCFor, "length of the ENOSPC outage (0 = until restart)").Min(0),
-		spec.Duration("latency", &c.Latency, "delay added to every faultable operation").Min(0),
-		spec.String("path", &c.PathSubstring, "inject only into files whose path contains this"),
-	}
-}
-
-// ParseFaultSpec parses a comma-separated key=value fault spec into a
-// FaultConfig, e.g.
-//
-//	seed=7,write-eio=0.001,sync-eio=0,bitflip=1e-6,torn=1,enospc-after=4194304,enospc-for=5s,latency=1ms,path=wal-
-//
-// Unknown keys, out-of-range values and a torn that is not 0/1/true/false
-// are errors, so typos in smoke scripts fail loudly.
-func ParseFaultSpec(s string) (FaultConfig, error) {
-	var cfg FaultConfig
-	if err := cfg.Spec().Parse(s); err != nil {
-		return FaultConfig{}, fmt.Errorf("vfs: fault spec: %w", err)
-	}
-	return cfg, nil
-}
-
-// String is the inverse of ParseFaultSpec.
-func (c FaultConfig) String() string { return c.Spec().String() }

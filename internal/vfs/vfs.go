@@ -3,7 +3,7 @@
 // implementation and a deterministic fault injector (FaultFS), so the
 // WAL, snapshot, block-store, fencing-epoch and election-state code
 // paths can be driven through EIO, ENOSPC, torn writes, and bit rot in
-// tests and smoke drills without touching a real failing disk. Files
+// tests without touching a real failing disk. Files
 // that are replaced whole are published by WriteFileAtomic.
 //
 // The interface is deliberately small — exactly the operations the
@@ -95,7 +95,8 @@ func (osFS) SyncDir(dir string) error {
 	return d.Sync()
 }
 
-// ReadFile reads the whole named file through fsys.
+// ReadFile reads the whole named file through fsys. Reads that end before
+// the file does are an error, not a shorter file.
 func ReadFile(fsys FS, name string) ([]byte, error) {
 	f, err := fsys.Open(name)
 	if err != nil {
@@ -106,10 +107,14 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 	// instead of io.ReadAll's regrowth copies; the spare MinRead bytes
 	// let the read that finds EOF fit without growing.
 	var buf bytes.Buffer
+	size := int64(-1)
 	if fi, err := fsys.Stat(name); err == nil && fi.Size() < math.MaxInt32 {
-		buf.Grow(int(fi.Size()) + bytes.MinRead)
+		size = fi.Size()
+		buf.Grow(int(size) + bytes.MinRead)
 	}
-	_, err = buf.ReadFrom(f)
+	if _, err = buf.ReadFrom(f); err == nil && int64(buf.Len()) < size {
+		err = fmt.Errorf("vfs: reading %s: reads ended at byte %d of %d: %w", name, buf.Len(), size, io.ErrUnexpectedEOF)
+	}
 	return buf.Bytes(), err
 }
 

@@ -230,52 +230,6 @@ func TestFaultFSPathFilter(t *testing.T) {
 	hit.Close()
 }
 
-func TestParseFaultSpec(t *testing.T) {
-	cfg, err := ParseFaultSpec("seed=7,write-eio=0.25,sync-eio=0.5,read-eio=0.125,bitflip=1,torn=1,enospc-after=4096,enospc-for=5s,latency=1ms,path=wal-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := FaultConfig{
-		Seed: 7, WriteErrProb: 0.25, SyncErrProb: 0.5, ReadErrProb: 0.125,
-		BitFlipProb: 1, TornWrites: true, WriteBudget: 4096,
-		ENOSPCFor: 5 * time.Second, Latency: time.Millisecond, PathSubstring: "wal-",
-	}
-	if cfg != want {
-		t.Fatalf("ParseFaultSpec = %+v, want %+v", cfg, want)
-	}
-	if _, err := ParseFaultSpec(""); err != nil {
-		t.Fatalf("empty spec: %v", err)
-	}
-	if _, err := ParseFaultSpec("bogus=1"); err == nil {
-		t.Fatal("unknown key accepted")
-	}
-	if _, err := ParseFaultSpec("seed"); err == nil {
-		t.Fatal("missing '=' accepted")
-	}
-	if got, want := cfg.String(), "seed=7,read-eio=0.125,write-eio=0.25,sync-eio=0.5,bitflip=1,torn=true,enospc-after=4096,enospc-for=5s,latency=1ms,path=wal-"; got != want {
-		t.Fatalf("String = %q, want %q", got, want)
-	}
-	for _, ok := range []string{"torn=0", "torn=false", "torn=true", "write-eio=0", "bitflip=1", "enospc-for=0s", "seed=-3"} {
-		if _, err := ParseFaultSpec(ok); err != nil {
-			t.Errorf("ParseFaultSpec(%q): %v", ok, err)
-		}
-	}
-	for _, bad := range []string{
-		"read-eio=-0.1", "read-eio=1.5", // probabilities live in [0, 1]
-		"write-eio=NaN", "write-eio=2",
-		"sync-eio=+Inf", "sync-eio=-1",
-		"bitflip=1.0001", "bitflip=nan",
-		"enospc-after=-1", // a negative budget, outage or delay means nothing
-		"enospc-for=-5s",
-		"latency=-1ms",
-		"torn=yes", "torn=2", "torn=", "torn=TRUE", // strict bool
-	} {
-		if cfg, err := ParseFaultSpec(bad); err == nil {
-			t.Errorf("ParseFaultSpec(%q) accepted a bad spec: %+v", bad, cfg)
-		}
-	}
-}
-
 // publishFS is a FaultFS whose directory fsyncs answer to a FaultFS of
 // their own, so a case can fail the directory and nothing else.
 type publishFS struct {

@@ -23,7 +23,9 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -102,8 +104,7 @@ type Options struct {
 	// fsync amortized over.
 	ObserveGroupCommit func(records int64)
 	// FS is the filesystem the log reads and writes through. Nil means
-	// vfs.OS (the real disk); tests and fault drills inject a
-	// vfs.FaultFS here.
+	// vfs.OS (the real disk); tests inject a vfs.FaultFS here.
 	FS vfs.FS
 }
 
@@ -380,7 +381,30 @@ func (l *Log) scanFile(path string, fn func(typ RecordType, body []byte) error) 
 		return 0, 0, 0, err
 	}
 	defer f.Close()
-	return scanSegment(f, fn)
+	r := &countedReader{Reader: f}
+	first, records, valid, err = scanSegment(r, fn)
+	if err == nil || errors.Is(err, ErrTorn) {
+		// A scan ends, cleanly or at a torn tail, only where the file does:
+		// reads that stopped short of that failed, and must not cut the log.
+		if st, serr := l.fsys.Stat(path); serr != nil {
+			err = serr
+		} else if r.n < st.Size() {
+			err = fmt.Errorf("wal: reading %s: reads ended at byte %d of %d: %w", filepath.Base(path), r.n, st.Size(), io.ErrUnexpectedEOF)
+		}
+	}
+	return first, records, valid, err
+}
+
+// countedReader counts the bytes it delivers.
+type countedReader struct {
+	io.Reader
+	n int64
+}
+
+func (r *countedReader) Read(p []byte) (n int, err error) {
+	n, err = r.Reader.Read(p)
+	r.n += int64(n)
+	return n, err
 }
 
 // firstLSNFromName parses a name segmentName wrote: the prefix, exactly

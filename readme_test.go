@@ -8,20 +8,19 @@ import (
 
 	"hpcpower/internal/admit"
 	"hpcpower/internal/anomaly"
-	"hpcpower/internal/vfs"
 )
 
 // specArg finds a spec-string flag followed by a quoted argument,
 // wherever README.md shows one: fenced command lines and inline code
 // alike (inline code may wrap, hence (?s)). powserved's boolean -anomaly
 // is never followed by a quote, so "anomaly" here is powload's.
-var specArg = regexp.MustCompile(`(?s)-(admit|fault-disk|anomaly-rules|anomaly)\s+(?:"([^"]*)"|'([^']*)')`)
+var specArg = regexp.MustCompile(`(?s)-(admit|anomaly-rules|anomaly)\s+(?:"([^"]*)"|'([^']*)')`)
 
-// TestREADMESpecExamplesParse runs every -admit, -fault-disk,
-// -anomaly-rules and powload -anomaly argument README.md shows through
-// the parser the flag uses, and checks that the key tables the README
-// prints are the parsers' own Usage(): documentation that names a key
-// or a value the parser rejects fails here, not in an operator's shell.
+// TestREADMESpecExamplesParse runs every -admit, -anomaly-rules and
+// powload -anomaly argument README.md shows through the parser the flag
+// uses, and checks that the key tables the README prints are the parsers'
+// own Usage(): documentation that names a key or a value the parser
+// rejects fails here, not in an operator's shell.
 func TestREADMESpecExamplesParse(t *testing.T) {
 	raw, err := os.ReadFile("README.md")
 	if err != nil {
@@ -30,7 +29,6 @@ func TestREADMESpecExamplesParse(t *testing.T) {
 	readme := string(raw)
 	parsers := map[string]func(string) error{
 		"admit":         func(s string) error { _, err := admit.ParseConfig(s); return err },
-		"fault-disk":    func(s string) error { _, err := vfs.ParseFaultSpec(s); return err },
 		"anomaly-rules": func(s string) error { _, err := anomaly.ParseRules(s); return err },
 		"anomaly":       func(s string) error { _, err := anomaly.ParseInjectSpec(s); return err },
 	}
@@ -49,7 +47,6 @@ func TestREADMESpecExamplesParse(t *testing.T) {
 	}
 	for flag, usage := range map[string]string{
 		"admit":         new(admit.Config).Spec().Usage(),
-		"fault-disk":    new(vfs.FaultConfig).Spec().Usage(),
 		"anomaly-rules": new(anomaly.Rule).Spec().Usage(),
 		"anomaly":       anomaly.InjectSpec(nil).Usage(),
 	} {

@@ -2,7 +2,7 @@
 # A drill sets `name` (its log prefix) and `workdir`, installs its own
 # EXIT trap (the pids to kill differ per drill), then sources this file:
 #
-#     name=crash-smoke
+#     name=chaos-smoke
 #     workdir=$(mktemp -d)
 #     . "$(dirname "$0")/lib.sh"
 #     build_bins -race powsim powserved powload

@@ -22,6 +22,7 @@ import (
 var allowUnused = map[string]string{
 	// Seams a surviving test drives something else through.
 	"obs.LintExposition":     "the exposition-format lint that serve's /metrics tests and `make obs-check` run over a live scrape",
+	"vfs.NewFault":           "the failing disk the wal, tsdb, elect and serve tests run on",
 	"vfs.FaultFS.Configure":  "wal, block and serve fault tests arm the faults after a clean set-up",
 	"vfs.FaultFS.Stats":      "the same tests prove a fault fired before they trust a green result",
 	"wal.FileLock.Abandon":   "crash tests drop the flock without unlocking, as a killed process does",
