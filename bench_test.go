@@ -549,7 +549,7 @@ const detectorKernelRatio = 4.5
 // does not get faster. Timing is still noisy, so the bound takes the
 // best of a few trials and only then fails.
 func TestDetectorOverheadBound(t *testing.T) {
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		t.Skip("timing comparison")
 	}
 	measure := func() (detectNs, kernelNs, restNs float64) {

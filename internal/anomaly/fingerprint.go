@@ -9,7 +9,7 @@
 //
 //   - Fingerprint: an O(1), allocation-free per-job sketch updated once
 //     per sample on the ingest hot path (inside the tsdb job-shard lock,
-//     next to the existing Welford/P²/overshoot state): running moments,
+//     next to the existing Welford/overshoot state): running moments,
 //     fast/slow EWMA baselines, an EWMA variance proxy, CUSUM
 //     phase-change detection, and a small FFT-free shape histogram.
 //   - Rules + detectors: a pluggable rule set (cryptomining-like

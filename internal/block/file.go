@@ -214,7 +214,7 @@ func writeBlockFile(fsys vfs.FS, path string, tier Tier, windowStart, windowLen 
 		idx = binary.LittleEndian.AppendUint64(idx, math.Float64bits(e.MaxV))
 		idx = binary.LittleEndian.AppendUint64(idx, uint64(e.Samples))
 	}
-	idx, tabled := appendTable(idx, table)
+	idx, tabled := AppendTable(idx, table)
 	if tabled {
 		info.Values = slices.Clone(table)
 	}
@@ -355,7 +355,7 @@ func OpenBlock(fsys vfs.FS, path string) (*BlockInfo, error) {
 	if version == 1 {
 		return info, nil
 	}
-	if info.Values, err = decodeTable(payload[entriesEnd:], points); err != nil {
+	if info.Values, err = DecodeTable(nil, payload[entriesEnd:], points); err != nil {
 		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
 	}
 	// A table stands for the samples a decode of the block yields: only a

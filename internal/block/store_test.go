@@ -176,7 +176,7 @@ func TestValueTable(t *testing.T) {
 
 	// 0.1 W readings take about three bytes an entry, not a float's eight.
 	table := countValues(values[0])
-	if enc, ok := appendTable(nil, table); !ok || len(enc) > 3*len(table)+3 {
+	if enc, ok := AppendTable(nil, table); !ok || len(enc) > 3*len(table)+3 {
 		t.Fatalf("a table of %d values encodes to %d bytes", len(table), len(enc))
 	}
 }

@@ -3,6 +3,7 @@ package block
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"hpcpower/internal/stats"
 )
@@ -22,7 +23,8 @@ import (
 // readings, which makes an entry ≈ 3 bytes. A block with no such scale
 // up to maxTableScale (a −0, or more digits than the fleet reports) or
 // more distinct values than a stats.Tally holds carries no table, and
-// neither do rollup blocks.
+// neither do rollup blocks. The same codec carries each job's power count
+// table in a tsdb snapshot image.
 const maxTableScale = 9
 
 var pow10 = [maxTableScale + 1]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
@@ -53,10 +55,10 @@ next:
 	return -1
 }
 
-// appendTable appends the encoding of table (ascending, as a Tally's
+// AppendTable appends the encoding of table (ascending, as a Tally's
 // Sorted returns it) to dst, and reports whether it is a table: false
 // means dst got the "no table" marker.
-func appendTable(dst []byte, table []stats.ValueCount) ([]byte, bool) {
+func AppendTable(dst []byte, table []stats.ValueCount) ([]byte, bool) {
 	s := tableScale(table)
 	if len(table) == 0 || s < 0 {
 		return binary.AppendUvarint(dst, 0), false
@@ -73,11 +75,12 @@ func appendTable(dst []byte, table []stats.ValueCount) ([]byte, bool) {
 	return dst, true
 }
 
-// decodeTable reads a value table that must run to the end of b and
-// whose counts must sum to samples: nil for the "no table" marker.
-// Anything else is corruption: values that do not strictly ascend, a
-// zero count, a scale past maxTableScale, bytes left over.
-func decodeTable(b []byte, samples uint64) ([]stats.ValueCount, error) {
+// DecodeTable reads a value table that must run to the end of b and
+// whose counts must sum to samples, into dst's storage (grown if need
+// be): dst[:0] for the "no table" marker. Anything else is corruption:
+// values that do not strictly ascend, a zero count, a scale past
+// maxTableScale, bytes left over.
+func DecodeTable(dst []stats.ValueCount, b []byte, samples uint64) ([]stats.ValueCount, error) {
 	distinct, n := binary.Uvarint(b)
 	if n <= 0 {
 		return nil, corruptf("value table: bad length")
@@ -87,7 +90,7 @@ func decodeTable(b []byte, samples uint64) ([]stats.ValueCount, error) {
 		if len(b) != 0 {
 			return nil, corruptf("value table: %d bytes after an empty table", len(b))
 		}
-		return nil, nil
+		return dst[:0], nil
 	}
 	// An entry takes at least two bytes: bound the allocation by them.
 	if len(b) == 0 || distinct > uint64(len(b)-1)/2 {
@@ -98,7 +101,7 @@ func decodeTable(b []byte, samples uint64) ([]stats.ValueCount, error) {
 	}
 	p := pow10[b[0]]
 	b = b[1:]
-	table := make([]stats.ValueCount, distinct)
+	table := slices.Grow(dst[:0], int(distinct))[:distinct]
 	var k int64
 	var total uint64
 	for i := range table {

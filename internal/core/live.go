@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"hpcpower/internal/stats"
 )
@@ -71,7 +70,8 @@ func DistFromValues(values []float64) LiveDist {
 // each V repeated N times, ascending by V as stats.Tally.Sorted returns
 // them — and gives the same LiveDist, bit for bit: the mean is the same
 // ascending run of additions (a value added N times, never multiplied by
-// N), and the type-7 quantiles and CDF points read the same ranks.
+// N), and the type-7 quantiles and CDF points read the same ranks
+// (stats.RankReader).
 func DistFromCounts(counts []stats.ValueCount) LiveDist {
 	n := 0
 	var sum float64
@@ -84,51 +84,21 @@ func DistFromCounts(counts []stats.ValueCount) LiveDist {
 	if n == 0 {
 		return LiveDist{}
 	}
-	r := rankReader{counts: counts}
-	// stats.ECDF.Quantile's interpolation, with sorted[i] read by rank.
-	quantile := func(q float64) float64 {
-		h := q * float64(n-1)
-		i := int(math.Floor(h))
-		if n == 1 || i >= n-1 {
-			return r.at(n - 1)
-		}
-		lo := r.at(i)
-		return lo + (h-float64(i))*(r.at(i+1)-lo)
-	}
+	r := stats.NewRankReader(stats.ValueCounts(counts))
 	d := LiveDist{N: int64(n), Mean: sum / float64(n)}
-	d.Min = quantile(0)
-	d.P50 = quantile(0.50)
-	d.P80 = quantile(0.80)
-	d.P95 = quantile(0.95)
-	d.Max = quantile(1)
+	d.Min = r.Quantile(0, n)
+	d.P50 = r.Quantile(0.50, n)
+	d.P80 = r.Quantile(0.80, n)
+	d.P95 = r.Quantile(0.95, n)
+	d.Max = r.Quantile(1, n)
 	// stats.ECDF.Points(CDFPoints).
 	m := min(CDFPoints, n)
 	d.CDF = make([]stats.Point, 0, m)
 	for i := 0; i < m; i++ {
 		idx := i * (n - 1) / max(m-1, 1)
-		d.CDF = append(d.CDF, stats.Point{X: r.at(idx), Y: float64(idx+1) / float64(n)})
+		d.CDF = append(d.CDF, stats.Point{X: r.At(idx), Y: float64(idx+1) / float64(n)})
 	}
 	return d
-}
-
-// rankReader reads the value of rank i (0-based, ascending) of the
-// multiset a run of counts stands for, walking forward from the last
-// rank it read — so reading ranks in ascending order costs one pass.
-type rankReader struct {
-	counts []stats.ValueCount
-	j      int // counts[j] holds the last rank read
-	below  int // ranks before counts[j]
-}
-
-func (r *rankReader) at(i int) float64 {
-	if i < r.below {
-		r.j, r.below = 0, 0
-	}
-	for i >= r.below+int(r.counts[r.j].N) {
-		r.below += int(r.counts[r.j].N)
-		r.j++
-	}
-	return r.counts[r.j].V
 }
 
 // LiveInput is everything the live analytics need, assembled by the CLI

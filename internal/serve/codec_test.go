@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -99,14 +100,19 @@ func TestIngestDecodeFallback(t *testing.T) {
 }
 
 // slowBody delivers its bytes only after a delay, as an agent on a bad
-// link does.
+// link does. The delay starts once gate is closed.
 type slowBody struct {
+	gate  <-chan struct{}
 	delay time.Duration
 	r     io.Reader
 }
 
 func (b *slowBody) Read(p []byte) (int, error) {
 	if b.delay > 0 {
+		select {
+		case <-b.gate:
+		case <-time.After(10 * time.Second):
+		}
 		time.Sleep(b.delay)
 		b.delay = 0
 	}
@@ -116,31 +122,38 @@ func (b *slowBody) Read(p []byte) (int, error) {
 // TestIngestE2EIncludesBodyRead: the e2e histogram and the ingest trace
 // event time the request from before the body is read, on the durable
 // path as on the memory-only path (the durable path used to restart the
-// clock after decode and admission).
+// clock after decode and admission). The body's delay waits for a wrapper
+// around the server's handler to be entered, so all of it falls after
+// the server has the request in hand.
 func TestIngestE2EIncludesBodyRead(t *testing.T) {
 	const delay = 60 * time.Millisecond
-	mem, tsMem := newTestServer(t, DefaultConfig())
+	mem, _ := newTestServer(t, DefaultConfig())
 	dur, tsDur := newDurableServer(t, t.TempDir(), DurabilityConfig{})
 	defer func() { tsDur.Close(); dur.Close() }()
 
-	for name, tc := range map[string]struct {
-		s   *Server
-		url string
-	}{"memory": {mem, tsMem.URL}, "durable": {dur, tsDur.URL}} {
+	for name, s := range map[string]*Server{"memory": mem, "durable": dur} {
+		entered := make(chan struct{})
+		var once sync.Once
+		h := s.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			once.Do(func() { close(entered) })
+			h.ServeHTTP(w, r)
+		}))
 		body, err := json.Marshal(stampedBatches(13, 1)[0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		traceID := obs.NewTraceID()
-		resp, out := postRaw(t, tc.url, &slowBody{delay: delay, r: bytes.NewReader(body)}, traceID)
+		resp, out := postRaw(t, ts.URL, &slowBody{gate: entered, delay: delay, r: bytes.NewReader(body)}, traceID)
+		ts.Close()
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("%s: %d %s", name, resp.StatusCode, out)
 		}
-		if sum := tc.s.metrics.ingestE2E.Sum(); sum < delay.Seconds() {
+		if sum := s.metrics.ingestE2E.Sum(); sum < delay.Seconds() {
 			t.Errorf("%s: powserved_ingest_e2e_seconds observed %.4fs, want at least the %v body read", name, sum, delay)
 		}
 		var ingest *obs.TraceEvent
-		for _, ev := range tc.s.metrics.traces.Recent(0) {
+		for _, ev := range s.metrics.traces.Recent(0) {
 			if ev.Trace == traceID && ev.Stage == "ingest" {
 				ingest = &ev
 			}

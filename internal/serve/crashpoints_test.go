@@ -70,6 +70,11 @@ type recordFS struct {
 // no workload here holds two temp files for one target at once.
 var tempName = regexp.MustCompile(`\.\d+-\d+\.tmp$`)
 
+// lockLine stands in the log for the process id wal.LockDirFS writes to
+// data/LOCK, which only a contender's error message reads: a torn case is
+// named by the write's length, so the names do not vary with the pid.
+const lockLine = "10000\n"
+
 func (r *recordFS) log(op fsOp) {
 	if strings.HasSuffix(op.path, ".disk-probe") {
 		return
@@ -82,6 +87,9 @@ func (r *recordFS) log(op fsOp) {
 		return tempName.ReplaceAllString(p, ".tmp")
 	}
 	op.path, op.to, op.data = rel(op.path), rel(op.to), slices.Clone(op.data)
+	if op.kind == "write" && op.path == filepath.Join("data", "LOCK") {
+		op.data = []byte(lockLine)
+	}
 	r.mu.Lock()
 	r.ops = append(r.ops, op)
 	r.mu.Unlock()

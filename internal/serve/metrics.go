@@ -262,6 +262,13 @@ func collectSortPaths(e *obs.Exposition) {
 	e.CounterL("powserved_sort_total", "path", "gave_up", float64(gaveUp))
 }
 
+// collectJobs emits how many jobs answer their median and p95 from a
+// coarse count table.
+func (s *Server) collectJobs(e *obs.Exposition) {
+	e.Help("powserved_job_quantiles_coarse", "Jobs held whose median_w and p95_w are within half a bucket rather than exact: a reading off the 0.1 W grid, or readings spanning more than 204.8 W, coarsened the job's count table.")
+	e.Gauge("powserved_job_quantiles_coarse", float64(s.store.CoarseJobs()))
+}
+
 // breakerStateValue encodes the reported breaker state as a numeric
 // gauge: 0 closed (healthy), 1 half-open (probing), 2 open (tripped).
 func breakerStateValue(s string) int {

@@ -153,6 +153,7 @@ func New(store *tsdb.Store, model *mlearn.BDT, cfg Config) *Server {
 	}
 	s.ready.Store(true) // nothing to recover
 	s.metrics = newMetrics(func() int { return s.ingestQ.Len() })
+	s.metrics.reg.AddCollector(s.collectJobs)
 	if s.anom != nil {
 		s.metrics.reg.AddCollector(s.collectAnomaly)
 	}

@@ -4,22 +4,26 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"slices"
 )
 
-// Snapshot payload, version 1 — what a snapshot file carries after the
+// Snapshot payload, version 2 — what a snapshot file carries after the
 // wal package's header and CRC, and what GET /v1/repl/snapshot serves:
 //
-//	"PSNI"  version(1)  metaLen[u32le]  meta  nodes
+//	"PSNI"  version(2)  metaLen[u32le]  meta  nodesLen[u64le]  nodes  tables
 //
-// meta is the snapshotImage as JSON with Store.Nodes left out (jobs,
-// shard accumulators, dedup, anomaly state and the LSN frontiers: about
-// a percent of the bytes); nodes is the rings, in the binary form
-// tsdb.StoreState.AppendNodes documents, running to the end of the
-// payload. Payloads written before this format are the whole
-// snapshotImage as JSON and start with '{'.
+// meta is the snapshotImage as JSON with Store.Nodes and every job's
+// Store.Jobs[i].Table left out (jobs, shard accumulators, dedup, anomaly
+// state and the LSN frontiers: about a percent of the bytes); nodes is
+// the rings, in the binary form tsdb.StoreState.AppendNodes documents;
+// tables is the jobs' quantile tables, in the binary form
+// tsdb.StoreState.AppendTables documents, running to the end of the
+// payload. Version 1 is the same without nodesLen and tables, its jobs
+// carrying P² estimators in the meta instead; payloads written before
+// version 1 are the whole snapshotImage as JSON and start with '{'.
 const (
 	snapImageMagic   = "PSNI"
-	snapImageVersion = 1
+	snapImageVersion = 2
 	snapImageHeader  = len(snapImageMagic) + 1 + 4
 )
 
@@ -28,6 +32,10 @@ const (
 func encodeSnapshotImage(img *snapshotImage) ([]byte, error) {
 	meta, store := *img, *img.Store
 	store.Nodes = nil
+	store.Jobs = slices.Clone(store.Jobs)
+	for i := range store.Jobs {
+		store.Jobs[i].Table = nil
+	}
 	meta.Store = &store
 	mj, err := json.Marshal(&meta)
 	if err != nil {
@@ -38,12 +46,18 @@ func encodeSnapshotImage(img *snapshotImage) ([]byte, error) {
 	out = append(out, snapImageVersion)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(mj)))
 	out = append(out, mj...)
-	return img.Store.AppendNodes(out), nil
+	out = append(out, 0, 0, 0, 0, 0, 0, 0, 0)
+	nodesAt := len(out)
+	out = img.Store.AppendNodes(out)
+	binary.LittleEndian.PutUint64(out[nodesAt-8:], uint64(len(out)-nodesAt))
+	return img.Store.AppendTables(out), nil
 }
 
-// decodeSnapshotImage is the one reader: the current format by its
+// decodeSnapshotImage is the one reader: versions 2 and 1 by their
 // magic, and — legacy true — the all-JSON payload that snapshots written
-// before it and bootstrap responses of a not yet upgraded primary carry.
+// before them and bootstrap responses of a not yet upgraded primary
+// carry. A job from a version-1 or JSON payload has no table: restoring
+// it seeds one from its P² estimators.
 func decodeSnapshotImage(payload []byte) (img *snapshotImage, legacy bool, err error) {
 	img = &snapshotImage{}
 	if len(payload) > 0 && payload[0] == '{' {
@@ -55,8 +69,9 @@ func decodeSnapshotImage(payload []byte) (img *snapshotImage, legacy bool, err e
 	if len(payload) < snapImageHeader || string(payload[:len(snapImageMagic)]) != snapImageMagic {
 		return nil, false, fmt.Errorf("not a snapshot image: no %q magic and not JSON", snapImageMagic)
 	}
-	if v := payload[len(snapImageMagic)]; v != snapImageVersion {
-		return nil, false, fmt.Errorf("snapshot image version %d, this build reads version %d and JSON", v, snapImageVersion)
+	version := payload[len(snapImageMagic)]
+	if version != 1 && version != snapImageVersion {
+		return nil, false, fmt.Errorf("snapshot image version %d, this build reads versions 1 and %d and JSON", version, snapImageVersion)
 	}
 	metaLen := binary.LittleEndian.Uint32(payload[snapImageHeader-4:])
 	body := payload[snapImageHeader:]
@@ -69,7 +84,18 @@ func decodeSnapshotImage(payload []byte) (img *snapshotImage, legacy bool, err e
 	if img.Store == nil {
 		return nil, false, fmt.Errorf("snapshot image meta has no store")
 	}
-	if err := img.Store.DecodeNodes(body[metaLen:]); err != nil {
+	nodes := body[metaLen:]
+	if version == snapImageVersion {
+		if len(nodes) < 8 || binary.LittleEndian.Uint64(nodes) > uint64(len(nodes)-8) {
+			return nil, false, fmt.Errorf("snapshot image: nodes section length is cut short or runs past the payload")
+		}
+		n := binary.LittleEndian.Uint64(nodes)
+		if err := img.Store.DecodeTables(nodes[8+n:]); err != nil {
+			return nil, false, err
+		}
+		nodes = nodes[8 : 8+n]
+	}
+	if err := img.Store.DecodeNodes(nodes); err != nil {
 		return nil, false, err
 	}
 	return img, false, nil

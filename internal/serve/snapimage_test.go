@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -165,10 +166,25 @@ func TestRecoverBinaryAndLegacyAgree(t *testing.T) {
 // directory written at PR 14 — an all-JSON snapshot at LSN 41 (wrapped,
 // full, partial and one-point rings, a fired alert, dedup state) and a
 // WAL whose last four records lie past it — with the answers the PR 14
-// server gave before it was killed. Then the same store is snapshotted
-// by this writer and restarted once more.
+// server gave before it was killed (median_w and p95_w since replaced by
+// what the count tables seeded from its P² estimators answer). Then the
+// same store is snapshotted by this writer and restarted once more.
 func TestRecoverParentWrittenSnapshot(t *testing.T) {
-	fixture := filepath.Join("testdata", "snap_pr14")
+	restoreFixture(t, "snap_pr14", true, 41)
+}
+
+// TestRecoverVersion1Snapshot does the same for testdata/snap_v1, written
+// by the last build whose binary image (version 1) carried P² estimators:
+// a snapshot at LSN 59 of a 432-reading job at 0.1 W, a three-reading job
+// and a flatline that fired an alert, then four WAL records past it. The
+// three-reading job's median and p95 are its exact ones; the large job's
+// come from a coarse table seeded from its estimators.
+func TestRecoverVersion1Snapshot(t *testing.T) {
+	restoreFixture(t, "snap_v1", false, 59)
+}
+
+func restoreFixture(t *testing.T, name string, legacy bool, lsn uint64) {
+	fixture := filepath.Join("testdata", name)
 	dir := t.TempDir()
 	files, err := os.ReadDir(filepath.Join(fixture, "data"))
 	if err != nil {
@@ -193,12 +209,12 @@ func TestRecoverParentWrittenSnapshot(t *testing.T) {
 	}
 
 	s, ts, rep := newSnapServer(t, dir, DurabilityConfig{})
-	if !rep.SnapshotFound || !rep.SnapshotLegacy || rep.SnapshotLSN != 41 || rep.RecordsReplayed != 4 || rep.DecodeErrors != 0 {
-		t.Errorf("report %+v, want the legacy snapshot at lsn 41 and 4 records replayed", *rep)
+	if !rep.SnapshotFound || rep.SnapshotLegacy != legacy || rep.SnapshotLSN != lsn || rep.RecordsReplayed != 4 || rep.DecodeErrors != 0 {
+		t.Errorf("report %+v, want the snapshot at lsn %d (legacy %v) and 4 records replayed", *rep, lsn, legacy)
 	}
 	requireSameServed(t, "parent-written snapshot", servedState(t, s, ts.URL), want)
 	ts.Close()
-	s.Close() // final snapshot, in the binary form
+	s.Close() // final snapshot, in the current form
 
 	s, ts, rep = newSnapServer(t, dir, DurabilityConfig{})
 	defer func() { ts.Close(); s.Close() }()
@@ -457,15 +473,32 @@ func FuzzSnapshotDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	_, v1, found, _, err := wal.LatestSnapshot(filepath.Join("testdata", "snap_v1", "data"))
+	if err != nil || !found {
+		f.Fatalf("version-1 fixture: found %v, err %v", found, err)
+	}
+	// The last table's last count, one too high: the counts no longer add
+	// up to the job's samples.
+	badTable := append([]byte(nil), valid...)
+	badTable[len(badTable)-1]++
 	f.Add(valid)
 	f.Add(legacy)
 	f.Add(empty)
 	f.Add(valid[:len(valid)/2])
 	f.Add(append(append([]byte(nil), valid...), 0))
-	f.Add([]byte(snapImageMagic + "\x02\x00\x00\x00\x00"))
-	// A node count and a point count far beyond the bytes behind them.
-	f.Add(append(append([]byte(nil), empty[:len(empty)-1]...), 0xff, 0xff, 0xff, 0xff, 0x0f))
-	f.Add(append(append([]byte(nil), empty[:len(empty)-1]...), 1, 0, 5, 0, 0, 0, 0xff, 0xff, 0xff, 0x07, 0))
+	f.Add([]byte(snapImageMagic + "\x03\x00\x00\x00\x00"))
+	// A node count and a point count far beyond the bytes behind them, as
+	// the nodes section of the empty image (which ends in the section's
+	// length, its node count 0 and its table count 0).
+	withNodes := func(nodes ...byte) []byte {
+		out := append([]byte(nil), empty[:len(empty)-10]...)
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(nodes)))
+		return append(append(out, nodes...), 0)
+	}
+	f.Add(withNodes(0xff, 0xff, 0xff, 0xff, 0x0f))
+	f.Add(withNodes(1, 0, 5, 0, 0, 0, 0xff, 0xff, 0xff, 0x07, 0))
+	f.Add(v1)
+	f.Add(badTable)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var img *snapshotImage
@@ -482,6 +515,18 @@ func FuzzSnapshotDecode(f *testing.F) {
 				t.Fatalf("binary image decoded node %d after %d with %d points, ring length %d", n.Node, prev, len(n.Points), img.Store.RingLen)
 			}
 			prev = n.Node
+		}
+		for _, j := range img.Store.Jobs {
+			if data[len(snapImageMagic)] != snapImageVersion || data[0] == '{' {
+				break
+			}
+			var sum int64
+			for _, c := range j.Table.Counts {
+				sum += int64(c)
+			}
+			if sum != j.Acc.N || len(j.Table.Counts) > 2048 {
+				t.Fatalf("version-2 image decoded job %d with %d samples and a table of %d buckets counting %d", j.ID, j.Acc.N, len(j.Table.Counts), sum)
+			}
 		}
 		// Restore either takes the state or refuses it; it must not panic.
 		fresh := tsdb.New(tsdb.Config{Shards: 4, RingLen: 8})

@@ -95,12 +95,3 @@ func BenchmarkSpearman(b *testing.B) {
 		Spearman(xs, ys)
 	}
 }
-
-func BenchmarkP2Add(b *testing.B) {
-	src := rng.New(97)
-	q, _ := NewP2Quantile(0.95)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q.Add(src.Float64())
-	}
-}

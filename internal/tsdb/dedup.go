@@ -10,8 +10,8 @@ import (
 // per-agent sliding window over batch sequence numbers. The transport is
 // at-least-once (the shipper re-sends until it sees a 202), so the same
 // (AgentID, Seq) can arrive twice — once counted, the redelivery must be
-// dropped before it reaches the Welford/P²/overshoot accumulators, which
-// cannot un-add a sample.
+// dropped before it reaches the Welford/count-table/overshoot
+// accumulators, which cannot un-add a sample.
 //
 // Per agent it keeps the highest sequence seen plus a fixed bitmap of
 // the last Window sequences, so moderately out-of-order redelivery is

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"hpcpower/internal/rng"
-	"hpcpower/internal/stats"
+	"hpcpower/internal/trace"
 )
 
 // TestInstallStateReplacesLiveStore: a snapshot installed over a live,
@@ -37,6 +37,15 @@ func TestInstallStateReplacesLiveStore(t *testing.T) {
 	for _, b := range randomBatches(rng.New(99), 10) {
 		applyThroughDedup(t, follower, fd, b)
 	}
+	// The readings are off the 0.1 W grid, so every job is coarse: the
+	// follower has counted its own, one of them a job the primary never
+	// had, before the image brings the primary's.
+	if err := follower.Append([]trace.PowerSample{{Node: 1, JobID: 77, Unix: 1_700_000_000, PowerW: 150.05}}); err != nil {
+		t.Fatal(err)
+	}
+	if follower.CoarseJobs() == 0 || primary.CoarseJobs() == 0 {
+		t.Fatalf("coarse jobs: follower %d, primary %d, want some on both", follower.CoarseJobs(), primary.CoarseJobs())
+	}
 
 	if err := follower.InstallState(st); err != nil {
 		t.Fatal(err)
@@ -46,6 +55,9 @@ func TestInstallStateReplacesLiveStore(t *testing.T) {
 	}
 	if follower.Ingested() != primary.Ingested() {
 		t.Fatalf("ingested = %d, want %d", follower.Ingested(), primary.Ingested())
+	}
+	if follower.CoarseJobs() != primary.CoarseJobs() {
+		t.Fatalf("coarse jobs after install = %d, want the image's %d", follower.CoarseJobs(), primary.CoarseJobs())
 	}
 
 	// And the store keeps working: the stream continues where the
@@ -84,7 +96,7 @@ func TestInstallStateValidationLeavesStoreUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := bad.ExportState()
-	st.Jobs = append(st.Jobs, JobStateExport{ID: 999, Med: stats.P2State{N: -1}})
+	st.Jobs = append(st.Jobs, JobStateExport{ID: 999, Table: &TableState{Counts: []uint32{3}}})
 	if err := s.InstallState(st); err == nil {
 		t.Fatal("corrupt job state accepted")
 	}

@@ -9,12 +9,13 @@ import (
 // the paper's per-job power metrics (§4) computed online, one sample at a
 // time, in O(1) memory per job. A query at any instant returns the same
 // quantities the offline analysis would compute over the samples seen so
-// far — Welford moments, P² quantiles, running peak overshoot, and the
-// per-minute spatial spread across the job's nodes.
+// far — Welford moments, the readings counted for an exact median and
+// p95 (quantiles.go), running peak overshoot, and the per-minute spatial
+// spread across the job's nodes.
 type jobState struct {
-	acc      stats.Accumulator // all samples of the job, all nodes
-	med, p95 *stats.P2Quantile
-	nodes    map[int]struct{} // distinct nodes seen
+	acc   stats.Accumulator // all samples of the job, all nodes
+	table powerTable        // the same samples, counted by reading
+	nodes map[int]struct{}  // distinct nodes seen
 
 	// fp is the job's anomaly-detection fingerprint (EWMA baselines,
 	// CUSUM phase tracking, shape sketch), updated in the same locked
@@ -49,15 +50,13 @@ type minuteAgg struct {
 const spatialWindowMinutes = 16
 
 func newJobState() *jobState {
-	med, _ := stats.NewP2Quantile(0.5)
-	p95, _ := stats.NewP2Quantile(0.95)
-	return &jobState{med: med, p95: p95, nodes: map[int]struct{}{}}
+	return &jobState{nodes: map[int]struct{}{}}
 }
 
-func (j *jobState) add(node int, unix int64, w float64) {
+// add folds one sample in and returns the bytes the job's table grew by.
+func (j *jobState) add(node int, unix int64, w float64) int64 {
 	j.acc.Add(w)
-	j.med.Add(w)
-	j.p95.Add(w)
+	grown := j.table.add(w)
 	j.fp.Update(unix, w)
 	if _, seen := j.nodes[node]; !seen {
 		j.nodes[node] = struct{}{}
@@ -69,6 +68,7 @@ func (j *jobState) add(node int, unix int64, w float64) {
 		j.lastUnix = unix
 	}
 	j.addToMinute(unix/60, w)
+	return grown
 }
 
 // addToMinute folds w into its minute of the open window, opening the
@@ -126,12 +126,16 @@ type JobStats struct {
 	FirstUnix int64 `json:"first_unix"`
 	LastUnix  int64 `json:"last_unix"`
 
-	MeanW   float64 `json:"mean_w"`
-	StdW    float64 `json:"std_w"`
-	MinW    float64 `json:"min_w"`
-	MaxW    float64 `json:"max_w"`
-	MedianW float64 `json:"median_w"` // P² estimate
-	P95W    float64 `json:"p95_w"`    // P² estimate
+	MeanW float64 `json:"mean_w"`
+	StdW  float64 `json:"std_w"`
+	MinW  float64 `json:"min_w"`
+	MaxW  float64 `json:"max_w"`
+	// MedianW and P95W are the type-7 quantiles of every sample of the
+	// job, exact while its readings are on the 0.1 W grid and span at most
+	// 204.8 W, otherwise within half a bucket of the table they are read
+	// from (quantiles.go).
+	MedianW float64 `json:"median_w"`
+	P95W    float64 `json:"p95_w"`
 
 	// PeakOvershootPct is (max − mean)/mean in percent (Fig. 6/7a).
 	PeakOvershootPct float64 `json:"peak_overshoot_pct"`
@@ -154,6 +158,7 @@ func (j *jobState) snapshot(id uint64) JobStats {
 			spread.Add(m.max - m.min)
 		}
 	}
+	med, p95 := j.table.quantiles(j.acc.N(), j.acc.Min(), j.acc.Max())
 	s := JobStats{
 		JobID:     id,
 		Samples:   j.acc.N(),
@@ -164,8 +169,8 @@ func (j *jobState) snapshot(id uint64) JobStats {
 		StdW:      j.acc.Std(),
 		MinW:      j.acc.Min(),
 		MaxW:      j.acc.Max(),
-		MedianW:   j.med.Value(),
-		P95W:      j.p95.Value(),
+		MedianW:   med,
+		P95W:      p95,
 	}
 	if s.MeanW > 0 {
 		s.PeakOvershootPct = 100 * (s.MaxW - s.MeanW) / s.MeanW

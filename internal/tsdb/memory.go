@@ -3,22 +3,23 @@ package tsdb
 // Memory accounting for the admission layer's watermark. The store does
 // not track every byte the runtime allocates; it tracks the *structural*
 // footprint — what grows without bound as the fleet grows: one fixed-size
-// ring per node and one bounded streaming state per job. Both are
-// accounted once at creation (rings are pre-allocated at full capacity,
-// job state is bounded by the spatial-window cap), so the hot append path
-// pays nothing: no per-sample arithmetic, no extra atomics.
+// ring per node and one bounded streaming state per job. Rings and job
+// state are accounted once at creation (rings are pre-allocated at full
+// capacity, job state is bounded by the spatial-window cap), a job's
+// quantile table each time it grows (it is capped at 8 KB), so the hot
+// append path pays nothing per sample: no arithmetic, no atomics.
 const (
 	// pointBytes is sizeof(Point): one int64 + one float64.
 	pointBytes = 16
 	// ringOverheadBytes covers the ring struct, slice header, and map
 	// entry that carry each node's buffer.
 	ringOverheadBytes = 64
-	// jobStateBytes is a fixed estimate of one jobState: Welford + two P²
-	// estimators + peak/spread accumulators and the fixed open-minute
-	// window (about 1.3 KB in all) plus the nodes map, the one part that
-	// grows. Jobs with thousands of nodes exceed it, but job count
-	// dwarfs node-set variance at fleet scale and the watermark only needs
-	// to be proportional, not exact.
+	// jobStateBytes is a fixed estimate of one jobState without its
+	// quantile table: Welford, fingerprint and spread accumulators and the
+	// fixed open-minute window (about 1 KB in all) plus the nodes map, the
+	// one part that grows unaccounted. Jobs with thousands of nodes exceed
+	// it, but job count dwarfs node-set variance at fleet scale and the
+	// watermark only needs to be proportional, not exact.
 	jobStateBytes = 2048
 )
 
@@ -30,7 +31,8 @@ func (s *Store) ringBytes() int64 {
 
 // MemoryBytes returns the accounted structural footprint of the store:
 // node rings plus job streaming state. It is a single atomic load,
-// maintained at ring/job creation and recounted on snapshot restore.
+// maintained at ring/job creation and table growth and recounted on
+// snapshot restore.
 func (s *Store) MemoryBytes() int64 { return s.memBytes.Load() }
 
 // recountMem rebuilds the memory account from the live maps — used after
@@ -44,14 +46,16 @@ func (s *Store) recountMem() {
 		nodes += len(sh.nodes)
 		sh.mu.RUnlock()
 	}
-	jobs := 0
+	var jobs int64
 	for i := range s.jobShards {
 		js := &s.jobShards[i]
 		js.mu.RLock()
-		jobs += len(js.jobs)
+		for _, j := range js.jobs {
+			jobs += jobStateBytes + j.table.bytes()
+		}
 		js.mu.RUnlock()
 	}
-	s.memBytes.Store(int64(nodes)*s.ringBytes() + int64(jobs)*jobStateBytes)
+	s.memBytes.Store(int64(nodes)*s.ringBytes() + jobs)
 }
 
 // dedupAgentOverheadBytes covers one agentWindow struct, its slice

@@ -1,14 +1,16 @@
 package tsdb
 
 import (
+	"math"
 	"testing"
 
+	"hpcpower/internal/rng"
 	"hpcpower/internal/trace"
 )
 
 // TestMemoryBytesAccounting checks the structural account: zero when
-// empty, grows once per new node/job (not per sample), and is rebuilt
-// by snapshot restore.
+// empty, grows once per new node/job and with a job's quantile table
+// (not per sample), and is rebuilt by snapshot restore.
 func TestMemoryBytesAccounting(t *testing.T) {
 	s := New(Config{Shards: 4, RingLen: 100})
 	if got := s.MemoryBytes(); got != 0 {
@@ -22,16 +24,19 @@ func TestMemoryBytesAccounting(t *testing.T) {
 	if err := s.Append(batch); err != nil {
 		t.Fatal(err)
 	}
-	want := 2*s.ringBytes() + jobStateBytes // 2 nodes, 1 job
-	if got := s.MemoryBytes(); got != want {
-		t.Fatalf("MemoryBytes = %d, want %d", got, want)
+	// 2 nodes, 1 job and its table.
+	want := func(s *Store) int64 { return 2*s.ringBytes() + jobStateBytes + s.jobShard(10).jobs[10].table.bytes() }
+	if got := s.MemoryBytes(); got != want(s) || want(s) <= 2*s.ringBytes()+jobStateBytes {
+		t.Fatalf("MemoryBytes = %d, want %d", got, want(s))
 	}
-	// More samples into existing nodes/jobs must not change the account.
+	// More samples into existing nodes/jobs, within the span the job's
+	// table covers, must not change the account.
+	before := s.MemoryBytes()
 	if err := s.Append(batch); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.MemoryBytes(); got != want {
-		t.Fatalf("MemoryBytes after re-append = %d, want %d", got, want)
+	if got := s.MemoryBytes(); got != before {
+		t.Fatalf("MemoryBytes after re-append = %d, want %d", got, before)
 	}
 
 	// Restore rebuilds the account.
@@ -40,8 +45,8 @@ func TestMemoryBytesAccounting(t *testing.T) {
 	if err := fresh.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
-	if got := fresh.MemoryBytes(); got != want {
-		t.Fatalf("restored MemoryBytes = %d, want %d", got, want)
+	if got := fresh.MemoryBytes(); got != want(fresh) {
+		t.Fatalf("restored MemoryBytes = %d, want %d", got, want(fresh))
 	}
 
 	// InstallState over a live store recounts too.
@@ -50,8 +55,38 @@ func TestMemoryBytesAccounting(t *testing.T) {
 	if err := live.InstallState(st); err != nil {
 		t.Fatal(err)
 	}
-	if got := live.MemoryBytes(); got != want {
-		t.Fatalf("installed MemoryBytes = %d, want %d", got, want)
+	if got := live.MemoryBytes(); got != want(live) {
+		t.Fatalf("installed MemoryBytes = %d, want %d", got, want(live))
+	}
+}
+
+// TestQuantileTableBoundedForFleetJob: a job shaped like the end-to-end
+// benchmark's — 64 nodes at one base level with phases, ±17 % noise and
+// per-node offsets, at 0.1 W, at the top of the 90–330 W fleet range —
+// keeps an exact table of at most 8 KB, whatever order its readings
+// come in, and its account is what the table holds.
+func TestQuantileTableBoundedForFleetJob(t *testing.T) {
+	src := rng.New(5)
+	s := New(DefaultConfig())
+	for tick := int64(0); tick < 720; tick++ {
+		level := 260 * [3]float64{0.92, 1.08, 0.97}[tick*3/720]
+		batch := make([]trace.PowerSample, 64)
+		for n := range batch {
+			z := (src.Float64() + src.Float64() + src.Float64() + src.Float64() - 2) * 1.7320508
+			w := math.Round((level*(1+0.05*z)+float64(n%61)/10-3)*10) / 10
+			batch[n] = trace.PowerSample{Node: n, JobID: 1, Unix: 1_700_000_000 + tick*60, PowerW: w}
+		}
+		src.Shuffle(len(batch), func(i, k int) { batch[i], batch[k] = batch[k], batch[i] })
+		if err := s.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j := s.jobShard(1).jobs[1]
+	if j.table.coarse() || j.table.bytes() > 8<<10 || s.CoarseJobs() != 0 {
+		t.Fatalf("table of %d bytes, coarse %v (store counts %d coarse jobs), want exact within 8 KB", j.table.bytes(), j.table.coarse(), s.CoarseJobs())
+	}
+	if want := 64*s.ringBytes() + jobStateBytes + j.table.bytes(); s.MemoryBytes() != want {
+		t.Fatalf("MemoryBytes %d, want %d", s.MemoryBytes(), want)
 	}
 }
 

@@ -55,10 +55,15 @@ type MinuteState struct {
 
 // JobStateExport is the streaming state of one job.
 type JobStateExport struct {
-	ID        uint64           `json:"id"`
-	Acc       stats.AccumState `json:"acc"`
-	Med       stats.P2State    `json:"med"`
-	P95       stats.P2State    `json:"p95"`
+	ID  uint64           `json:"id"`
+	Acc stats.AccumState `json:"acc"`
+	// Table is the job's readings, counted. The snapshot image carries it
+	// in a binary section of its own (AppendTables), not in its JSON.
+	Table *TableState `json:"table,omitempty"`
+	// Med and P95 are the P² estimators an image written before the count
+	// tables carries in Table's place: restore seeds a table from them.
+	Med       *p2Markers       `json:"med,omitempty"`
+	P95       *p2Markers       `json:"p95,omitempty"`
 	Nodes     []int            `json:"nodes"`
 	FirstUnix int64            `json:"first_unix"`
 	LastUnix  int64            `json:"last_unix"`
@@ -111,8 +116,7 @@ func exportJob(id uint64, j *jobState) JobStateExport {
 	e := JobStateExport{
 		ID:        id,
 		Acc:       j.acc.State(),
-		Med:       j.med.State(),
-		P95:       j.p95.State(),
+		Table:     j.table.state(),
 		FirstUnix: j.firstUnix,
 		LastUnix:  j.lastUnix,
 		Spread:    j.spreadAcc.State(),
@@ -175,12 +179,16 @@ func (s *Store) InstallState(st *StoreState) error {
 	for i := range jobs {
 		jobs[i] = map[uint64]*jobState{}
 	}
+	coarse := 0
 	for _, je := range st.Jobs {
 		j, err := restoreJob(je)
 		if err != nil {
 			return fmt.Errorf("tsdb: job %d: %w", je.ID, err)
 		}
 		jobs[mix(je.ID)&s.jobMask][je.ID] = j
+		if j.table.coarse() {
+			coarse++
+		}
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -196,19 +204,22 @@ func (s *Store) InstallState(st *StoreState) error {
 		js.mu.Unlock()
 	}
 	s.ingested.Store(st.Ingested)
+	s.coarse.Store(int64(coarse))
 	s.raiseFrontier(st.BlockFrontier)
 	s.recountMem()
 	return nil
 }
 
 func restoreJob(e JobStateExport) (*jobState, error) {
-	med, err := stats.P2FromState(e.Med)
-	if err != nil {
-		return nil, fmt.Errorf("median estimator: %w", err)
+	var table powerTable
+	var err error
+	if e.Table != nil {
+		table, err = tableFromState(e.Table, e.Acc.N)
+	} else {
+		table, err = seedTable(e.Med, e.P95, e.Acc.N)
 	}
-	p95, err := stats.P2FromState(e.P95)
 	if err != nil {
-		return nil, fmt.Errorf("p95 estimator: %w", err)
+		return nil, err
 	}
 	if !e.FP.Valid() {
 		return nil, fmt.Errorf("fingerprint state is incoherent")
@@ -218,8 +229,7 @@ func restoreJob(e JobStateExport) (*jobState, error) {
 	}
 	j := &jobState{
 		acc:       stats.AccumFromState(e.Acc),
-		med:       med,
-		p95:       p95,
+		table:     table,
 		fp:        e.FP,
 		nodes:     make(map[int]struct{}, len(e.Nodes)),
 		firstUnix: e.FirstUnix,

@@ -9,12 +9,13 @@ import (
 	"sync"
 
 	"hpcpower/internal/block"
+	"hpcpower/internal/stats"
 )
 
 // Binary form of StoreState.Nodes — the rings, which are all but a
 // percent of a snapshot's bytes. The rest of the state stays with its
-// owner's JSON; this section is what the snapshot image (internal/serve)
-// places after it:
+// owner's JSON but for the jobs' tables (AppendTables, below); this
+// section is what the snapshot image (internal/serve) places after it:
 //
 //	uvarint nodeCount
 //	nodeCount × { uvarint node, u32le chunkLen, chunk }
@@ -173,6 +174,98 @@ func (st *StoreState) decodeRings(nodes []NodeState, chunks [][]byte) error {
 			pts[j] = Point{Unix: t, PowerW: v}
 		}
 		nodes[i].Points, nodes[i].sinceLate = pts, len(pts)-late
+	}
+	return nil
+}
+
+// Binary form of every job's Table, the snapshot image's section after
+// the rings:
+//
+//	uvarint jobCount
+//	jobCount × { u8 shift, u32le tableLen, table }
+//
+// in the order of st.Jobs. table is an internal/block value table
+// (block.AppendTable) over the buckets in use, each bucket's index as its
+// value: integers, so the codec's scale is 0 and an entry is a one-byte
+// delta and a count of one to three bytes.
+
+// AppendTables appends the binary form of every job's table to dst;
+// every job must have one, as ExportState leaves them.
+func (st *StoreState) AppendTables(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(st.Jobs)))
+	var entries []stats.ValueCount
+	for i := range st.Jobs {
+		t := st.Jobs[i].Table
+		entries = entries[:0]
+		for j, c := range t.Counts {
+			if c != 0 {
+				entries = append(entries, stats.ValueCount{V: float64(t.Lo + int64(j)), N: uint64(c)})
+			}
+		}
+		dst = append(dst, t.Shift, 0, 0, 0, 0)
+		lenAt := len(dst) - 4
+		dst, _ = block.AppendTable(dst, entries)
+		binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
+	}
+	return dst
+}
+
+// DecodeTables parses a section AppendTables wrote into the Table of each
+// of st.Jobs, which must already hold the jobs it was written for. A
+// table's counts must add up to its job's samples, its values must be
+// integers spanning at most maxTableBuckets, and nothing may follow the
+// last table; arbitrary bytes yield an error, never a panic, and leave
+// st.Jobs as they were.
+func (st *StoreState) DecodeTables(b []byte) error {
+	count, n := binary.Uvarint(b)
+	if n <= 0 || count != uint64(len(st.Jobs)) {
+		return fmt.Errorf("tsdb: tables section: bad table count for %d jobs", len(st.Jobs))
+	}
+	b = b[n:]
+	tables := make([]*TableState, len(st.Jobs))
+	var entries []stats.ValueCount
+	for i := range tables {
+		id := st.Jobs[i].ID
+		if len(b) < 5 {
+			return fmt.Errorf("tsdb: tables section: job %d is cut short", id)
+		}
+		t := &TableState{Shift: b[0]}
+		tableLen := binary.LittleEndian.Uint32(b[1:])
+		b = b[5:]
+		if uint64(tableLen) > uint64(len(b)) {
+			return fmt.Errorf("tsdb: tables section: job %d claims a %d-byte table, %d bytes left", id, tableLen, len(b))
+		}
+		samples := st.Jobs[i].Acc.N
+		var err error
+		entries, err = block.DecodeTable(entries, b[:tableLen], uint64(samples))
+		b = b[tableLen:]
+		switch {
+		case err != nil:
+			return fmt.Errorf("tsdb: tables section: job %d: %w", id, err)
+		case len(entries) == 0 && samples != 0:
+			return fmt.Errorf("tsdb: tables section: job %d has no table for %d samples", id, samples)
+		case len(entries) > 0:
+			// The span bounds the allocation; where the buckets lie is
+			// tableFromState's to check, as for a table from JSON.
+			lo, hi := entries[0].V, entries[len(entries)-1].V
+			if !(hi-lo < maxTableBuckets) {
+				return fmt.Errorf("tsdb: tables section: job %d: buckets %v to %v", id, lo, hi)
+			}
+			t.Lo, t.Counts = int64(lo), make([]uint32, int64(hi-lo)+1)
+			for _, e := range entries {
+				if e.V != math.Trunc(e.V) || e.N > math.MaxUint32 {
+					return fmt.Errorf("tsdb: tables section: job %d: %d samples in bucket %v", id, e.N, e.V)
+				}
+				t.Counts[int64(e.V)-t.Lo] = uint32(e.N)
+			}
+		}
+		tables[i] = t
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("tsdb: tables section: %d bytes after the last table", len(b))
+	}
+	for i, t := range tables {
+		st.Jobs[i].Table = t
 	}
 	return nil
 }

@@ -10,7 +10,8 @@ import (
 
 // randomBatches synthesizes nBatches idempotently-stamped ingest batches
 // over a small cluster, with enough job/node overlap to exercise every
-// piece of streaming state (rings, shard accs, P² markers, open minutes).
+// piece of streaming state (rings, shard accs, quantile tables — coarse,
+// since the readings are not on the 0.1 W grid — and open minutes).
 func randomBatches(src *rng.Source, nBatches int) []trace.SampleBatch {
 	batches := make([]trace.SampleBatch, nBatches)
 	for b := range batches {

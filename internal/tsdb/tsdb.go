@@ -8,9 +8,11 @@
 //     index; each shard holds a lock-striped map of bounded ring buffers,
 //     so concurrent agent pushes for different nodes never contend;
 //   - per-job analytics are *incremental*: every sample folds into
-//     Welford moments, P² quantile markers, a running peak, and a
-//     per-minute spatial min/max — a query is a reduction of O(1) state,
-//     never a scan over raw samples;
+//     Welford moments, a count table of 0.1 W steps (the median and p95,
+//     exact for readings on that grid), a running peak, and a per-minute
+//     spatial min/max — a
+//     query is a reduction of bounded state, never a scan over raw
+//     samples;
 //   - store-wide summaries merge the per-shard accumulators with
 //     stats.Accumulator.Merge, the same sharded-then-reduced pattern the
 //     offline generator uses.
@@ -55,6 +57,7 @@ type Store struct {
 	scratch  sync.Pool    // *appendScratch
 	ingested atomic.Int64 // total samples accepted
 	memBytes atomic.Int64 // accounted structural footprint (see memory.go)
+	coarse   atomic.Int64 // jobs whose quantile table is coarse
 
 	// Head/block split (see blocks.go): sealed windows flush to blocks,
 	// frontier divides block-served from ring-served time.
@@ -209,8 +212,16 @@ func (s *Store) addToJob(id uint64, run []trace.PowerSample) {
 		js.jobs[id] = st
 		s.memBytes.Add(jobStateBytes)
 	}
+	wasCoarse := st.table.coarse()
+	var grown int64
 	for i := range run {
-		st.add(run[i].Node, run[i].Unix, run[i].PowerW)
+		grown += st.add(run[i].Node, run[i].Unix, run[i].PowerW)
+	}
+	if grown != 0 {
+		s.memBytes.Add(grown)
+	}
+	if !wasCoarse && st.table.coarse() {
+		s.coarse.Add(1)
 	}
 }
 
@@ -337,3 +348,10 @@ func (s *Store) Summarize() Summary {
 
 // Ingested returns the total number of samples accepted so far.
 func (s *Store) Ingested() int64 { return s.ingested.Load() }
+
+// CoarseJobs counts the jobs the store holds whose median and p95 are
+// read within half a bucket rather than exactly: a reading off the 0.1 W
+// grid, or readings spanning more than 204.8 W. A table never turns exact
+// again and only InstallState replaces jobs, so this is a count of jobs
+// now, reset to the installed image's on every install.
+func (s *Store) CoarseJobs() int64 { return s.coarse.Load() }

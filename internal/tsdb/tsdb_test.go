@@ -75,8 +75,15 @@ func TestAppendRejectsMalformed(t *testing.T) {
 }
 
 // TestJobPowerMatchesOffline checks that the incremental per-job
-// characterization equals an offline pass over the same samples.
+// characterization equals an offline pass over the same samples: with
+// the median and p95 bit for bit for readings on the 0.1 W grid, and
+// within half a 0.2 W bucket for readings off it.
 func TestJobPowerMatchesOffline(t *testing.T) {
+	t.Run("0.1 W", func(t *testing.T) { testJobPowerMatchesOffline(t, true) })
+	t.Run("off grid", func(t *testing.T) { testJobPowerMatchesOffline(t, false) })
+}
+
+func testJobPowerMatchesOffline(t *testing.T, onGrid bool) {
 	s := New(Config{Shards: 8, RingLen: 512})
 	// A 3-node job with 40 minutes of samples, deterministic shape.
 	const nodes, mins = 3, 40
@@ -86,6 +93,9 @@ func TestJobPowerMatchesOffline(t *testing.T) {
 	for m := 0; m < mins; m++ {
 		for n := 0; n < nodes; n++ {
 			w := 120 + 10*math.Sin(float64(m)/5) + 3*float64(n)
+			if onGrid {
+				w = math.Round(w*10) / 10
+			}
 			all = append(all, w)
 			batch = append(batch, sample(n, 42, base+int64(60*m), w))
 		}
@@ -122,8 +132,24 @@ func TestJobPowerMatchesOffline(t *testing.T) {
 	if st.FirstUnix != base || st.LastUnix != base+int64(60*(mins-1)) {
 		t.Errorf("window [%d, %d]", st.FirstUnix, st.LastUnix)
 	}
-	// P² estimates land near the exact quantiles for this smooth stream.
-	close("median", st.MedianW, 123, 6)
+	// On the grid the median and p95 are the offline ones, bit for bit;
+	// off it the job is coarse and they are within half a bucket.
+	if got := s.CoarseJobs(); got != int64(b2i(!onGrid)) {
+		t.Errorf("coarse jobs = %d, on grid %v", got, onGrid)
+	}
+	for _, q := range []struct {
+		name string
+		got  float64
+		p    float64
+	}{{"median", st.MedianW, 0.5}, {"p95", st.P95W, 0.95}} {
+		want := stats.Quantile(all, q.p)
+		if onGrid && math.Float64bits(q.got) != math.Float64bits(want) {
+			t.Errorf("%s = %v, offline %v", q.name, q.got, want)
+		}
+		if !onGrid {
+			close(q.name, q.got, want, 0.1+1e-9)
+		}
+	}
 }
 
 func TestIdleSamplesSkipJobAnalytics(t *testing.T) {
