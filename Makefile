@@ -4,13 +4,16 @@ GO ?= go
 # nowhere else: `make ci` runs every gate, and .github/workflows/ci.yml
 # calls the drills by script and the rest through the fuzz-all and
 # bench-all aggregates. A new fuzz or bench gate joins its list here.
+# The failover drills (chaos proxy, SIGKILL + promotion + fencing, the
+# election rounds) are in-process tests that `race` runs:
+# TestPipelineZeroLossZeroDup and TestFailoverRounds.
 # CI runs the microbenchmarks at BENCHTIME=0.5s. bench-selftest is not in
 # a list: both run it straight after the build, because bench/ compiles
 # against the tree and a symbol it uses going missing should fail in the
 # first minute, not the last step.
 FUZZ_TARGETS = fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state fuzz-codec fuzz-snapshot fuzz-sort fuzz-bdt
 BENCH_TARGETS = bench bench-block bench-codec bench-wal bench-snapshot bench-tsdb bench-mlearn
-SMOKE_TARGETS = smoke chaos-smoke failover-smoke election-smoke overload-smoke anomaly-smoke
+SMOKE_TARGETS = smoke overload-smoke anomaly-smoke
 
 .PHONY: all build vet test race bench-e2e bench-compare bench-selftest block-check obs-check ci clean fuzz-all bench-all $(FUZZ_TARGETS) $(BENCH_TARGETS) $(SMOKE_TARGETS)
 
@@ -149,27 +152,6 @@ fuzz-sort:
 # zero dropped batches + offline/online prediction parity.
 smoke:
 	./scripts/smoke.sh
-
-# Chaos smoke: replay through a fault-injecting proxy and verify zero
-# loss / zero double-counting against a fault-free baseline.
-chaos-smoke:
-	./scripts/chaos_smoke.sh
-
-# Failover smoke: replicated primary/standby pair under ≥10% injected
-# faults; SIGKILL the primary mid-ingest, promote the standby, and
-# verify zero loss, byte-identical analytics, and stale-primary fencing.
-failover-smoke:
-	./scripts/failover_smoke.sh
-
-# Election smoke (jepsen-lite): a 3-node failover group — primary,
-# standby, witness — behind per-link chaos proxies, driven through six
-# rounds of SIGKILLs, symmetric and asymmetric partitions, and link
-# flaps with no operator intervention. Verifies bounded leader
-# recovery, a single lease-holder at every settled point, automatic
-# rejoin of deposed primaries (diverged-WAL truncation), zero acked
-# loss, and analytics byte-identical to a fault-free control.
-election-smoke:
-	./scripts/election_smoke.sh
 
 # Overload smoke: drive the admission layer at 2x measured capacity
 # through a fault-injecting proxy (with a replicating follower) and

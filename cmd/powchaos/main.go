@@ -13,20 +13,6 @@
 // everything else is forwarded untouched. The injection PRNG is seeded,
 // so a chaos run is reproducible. SIGINT/SIGTERM stop the proxy and
 // print the injection counters.
-//
-// -partition starts the proxy inside a network split: "to-server"
-// drops requests before the backend sees them, "from-server" forwards
-// them but drops the response, and "both" is a symmetric split. The
-// mode can be flipped at runtime without restarting, and
-// /chaosctl/flap toggles a partition on and off at a fixed period to
-// model a flapping link:
-//
-//	curl -X POST 'http://127.0.0.1:9090/chaosctl/partition?mode=to-server'
-//	curl -X POST 'http://127.0.0.1:9090/chaosctl/partition?mode='
-//	curl -X POST 'http://127.0.0.1:9090/chaosctl/flap?mode=both&period=500ms'
-//	curl -X POST 'http://127.0.0.1:9090/chaosctl/flap?period=0'
-//
-// /chaosctl/* is served by the proxy itself and never forwarded.
 package main
 
 import (
@@ -54,7 +40,6 @@ func main() {
 		latency   = flag.Duration("latency", 0, "added latency before forwarding")
 		jitter    = flag.Duration("jitter", 0, "uniform ± jitter on the added latency")
 		path      = flag.String("path", "", "inject faults only on this path prefix (\"\" = all)")
-		partition = flag.String("partition", "", `partition mode: "", "to-server", "from-server", or "both"`)
 		seed      = flag.Int64("seed", 1, "fault-injection PRNG seed")
 		logLevel  = flag.String("log-level", "info", "structured log level: debug, info, warn, error")
 		logFormat = flag.String("log-format", "text", `structured log format: "text" or "json"`)
@@ -77,7 +62,6 @@ func main() {
 		ResetRate: *reset, TruncateRate: *truncate,
 		Latency: *latency, Jitter: *jitter,
 		PathPrefix: *path,
-		Partition:  *partition,
 		Seed:       *seed,
 		Logger:     logger,
 	})

@@ -18,10 +18,11 @@
 // batches are pushed as fast as the server admits them.
 //
 // -fault targets an unreliable path (e.g. a powchaos proxy): retries
-// are unlimited (bounded only by -fault-timeout), the summary reports
-// retries/redeliveries/duplicates, and verification demands the server
-// ingested *exactly* the samples sent — zero loss and zero
-// double-counting. The exit status is non-zero if any sample is lost.
+// are unlimited (bounded only by a five-minute delivery deadline), the
+// summary reports retries/redeliveries/duplicates, and verification
+// demands the server ingested *exactly* the samples sent — zero loss
+// and zero double-counting. The exit status is non-zero if any sample
+// is lost.
 //
 // -failover lists standby base URLs (comma-separated). Every shipper
 // then delivers with replication-aware failover: a dead, fenced, or
@@ -60,20 +61,23 @@ import (
 	"hpcpower/internal/trace"
 )
 
+// faultDeadline bounds delivery in -fault mode: retries are unlimited,
+// so a dead server must still end the run.
+const faultDeadline = 5 * time.Minute
+
 func main() {
 	var (
-		addr         = flag.String("addr", "http://127.0.0.1:8080", "powserved (or powchaos) base URL")
-		dataset      = flag.String("dataset", "", "powsim dataset directory (required)")
-		batchSize    = flag.Int("batch", 512, "samples per ingest request")
-		concurrency  = flag.Int("concurrency", 8, "concurrent pushers (one shipper each)")
-		rate         = flag.Float64("rate", 0, "target samples/s across all pushers (0 = unthrottled)")
-		maxSamples   = flag.Int("max-samples", 0, "stop after this many samples (0 = whole dataset)")
-		retries      = flag.Int("retries", 8, "delivery attempts per batch without -fault (failed batches are dropped after)")
-		fault        = flag.Bool("fault", false, "fault-injection mode: unlimited retries, strict zero-loss/zero-dup verification")
-		faultTimeout = flag.Duration("fault-timeout", 5*time.Minute, "overall delivery deadline in -fault mode")
-		agentPrefix  = flag.String("agent", "powload", "agent ID prefix (one agent per pusher)")
-		verify       = flag.Bool("verify", true, "verify the server's ingested count via /healthz afterwards")
-		failover     = flag.String("failover", "", "comma-separated standby base URLs to fail over to")
+		addr        = flag.String("addr", "http://127.0.0.1:8080", "powserved (or powchaos) base URL")
+		dataset     = flag.String("dataset", "", "powsim dataset directory (required)")
+		batchSize   = flag.Int("batch", 512, "samples per ingest request")
+		concurrency = flag.Int("concurrency", 8, "concurrent pushers (one shipper each)")
+		rate        = flag.Float64("rate", 0, "target samples/s across all pushers (0 = unthrottled)")
+		maxSamples  = flag.Int("max-samples", 0, "stop after this many samples (0 = whole dataset)")
+		retries     = flag.Int("retries", 8, "delivery attempts per batch without -fault (failed batches are dropped after)")
+		fault       = flag.Bool("fault", false, "fault-injection mode: unlimited retries, strict zero-loss/zero-dup verification")
+		agentPrefix = flag.String("agent", "powload", "agent ID prefix (one agent per pusher)")
+		verify      = flag.Bool("verify", true, "verify the server's ingested count via /healthz afterwards")
+		failover    = flag.String("failover", "", "comma-separated standby base URLs to fail over to")
 
 		anomalySpec   = flag.String("anomaly", "", `inject synthetic anomaly jobs after the main load, comma-separated profile=count, e.g. "flatline=2,zombie=1,normal=4" ("normal" jobs are healthy controls; a repeated profile adds); keys:`+"\n"+anomaly.InjectSpec(nil).Usage())
 		anomalyMin    = flag.Int("anomaly-minutes", 120, "minutes of telemetry per injected job")
@@ -141,7 +145,7 @@ func main() {
 	ctx := context.Background()
 	if *fault {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *faultTimeout)
+		ctx, cancel = context.WithTimeout(ctx, faultDeadline)
 		defer cancel()
 	}
 	maxAttempts := *retries + 1

@@ -2,14 +2,12 @@ package chaos
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -298,265 +296,5 @@ func waitStoreIngested(t *testing.T, store *tsdb.Store, want int64) {
 	}
 	if got := store.Ingested(); got != want {
 		t.Fatalf("store ingested %d, want %d", got, want)
-	}
-}
-
-func TestAsymmetricPartitionToServer(t *testing.T) {
-	var hits atomic.Int64
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		w.WriteHeader(http.StatusAccepted)
-	}))
-	defer backend.Close()
-	p, ts := newProxy(t, Config{Target: backend.URL, Partition: PartitionToServer})
-
-	// Requests die on the client side of the split: the backend never
-	// sees them and the client gets a transport error, not a status.
-	for i := 0; i < 3; i++ {
-		if _, err := http.Post(ts.URL+"/v1/samples", "application/json", strings.NewReader("{}")); err == nil {
-			t.Fatal("to-server partition delivered a response, want transport error")
-		}
-	}
-	if hits.Load() != 0 {
-		t.Fatalf("backend saw %d requests across a to-server partition, want 0", hits.Load())
-	}
-	st := p.Stats()
-	if st.Partitioned != 3 || st.Forwarded != 0 || st.Partition != PartitionToServer {
-		t.Errorf("stats = %+v, want 3 partitioned, 0 forwarded", st)
-	}
-
-	// Healing the partition restores clean pass-through.
-	if err := p.SetPartition(PartitionNone); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/samples", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || hits.Load() != 1 {
-		t.Fatalf("after healing: status %d, backend hits %d; want 202 and 1", resp.StatusCode, hits.Load())
-	}
-}
-
-func TestAsymmetricPartitionFromServer(t *testing.T) {
-	var hits atomic.Int64
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		w.WriteHeader(http.StatusAccepted)
-	}))
-	defer backend.Close()
-	p, ts := newProxy(t, Config{Target: backend.URL, Partition: PartitionFromServer})
-
-	// The backend processes every request; the client never learns it.
-	// This is the partition shape that turns retries into duplicates.
-	for i := 0; i < 3; i++ {
-		if _, err := http.Post(ts.URL+"/v1/samples", "application/json", strings.NewReader("{}")); err == nil {
-			t.Fatal("from-server partition delivered a response, want transport error")
-		}
-	}
-	if hits.Load() != 3 {
-		t.Fatalf("backend saw %d requests, want 3 (requests cross, responses don't)", hits.Load())
-	}
-	if st := p.Stats(); st.Partitioned != 3 || st.Forwarded != 3 {
-		t.Errorf("stats = %+v, want 3 partitioned and 3 forwarded", st)
-	}
-}
-
-func TestPartitionRespectsPathPrefix(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer backend.Close()
-	_, ts := newProxy(t, Config{Target: backend.URL, PathPrefix: "/v1/samples", Partition: PartitionToServer})
-
-	// Non-matching paths (health checks, metrics scrapes) cross the
-	// partition untouched.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("non-prefixed path got %d across a scoped partition, want 200", resp.StatusCode)
-	}
-	if _, err := http.Post(ts.URL+"/v1/samples", "application/json", strings.NewReader("{}")); err == nil {
-		t.Fatal("prefixed path crossed a to-server partition")
-	}
-}
-
-func TestPartitionControlEndpoint(t *testing.T) {
-	var hits atomic.Int64
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer backend.Close()
-	p, ts := newProxy(t, Config{Target: backend.URL})
-
-	getMode := func() string {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/chaosctl/partition")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out struct {
-			Partition string `json:"partition"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out.Partition
-	}
-
-	if m := getMode(); m != PartitionNone {
-		t.Fatalf("initial mode %q, want none", m)
-	}
-	resp, err := http.Post(ts.URL+"/chaosctl/partition?mode=to-server", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || getMode() != PartitionToServer {
-		t.Fatalf("set via query: status %d mode %q, want 200 / to-server", resp.StatusCode, getMode())
-	}
-	// JSON body form.
-	resp, err = http.Post(ts.URL+"/chaosctl/partition", "application/json",
-		strings.NewReader(`{"mode":"from-server"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if getMode() != PartitionFromServer {
-		t.Fatalf("set via body: mode %q, want from-server", getMode())
-	}
-	// Unknown modes are rejected and leave the mode unchanged.
-	resp, err = http.Post(ts.URL+"/chaosctl/partition?mode=sideways", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || p.Partition() != PartitionFromServer {
-		t.Fatalf("bad mode: status %d partition %q, want 400 / from-server kept", resp.StatusCode, p.Partition())
-	}
-	// The control plane is local: nothing above reached the backend,
-	// even under an active partition.
-	if hits.Load() != 0 {
-		t.Fatalf("backend saw %d control-plane requests, want 0", hits.Load())
-	}
-}
-
-func TestSymmetricPartitionBoth(t *testing.T) {
-	var hits atomic.Int64
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		w.WriteHeader(http.StatusAccepted)
-	}))
-	defer backend.Close()
-	p, ts := newProxy(t, Config{Target: backend.URL, Partition: PartitionBoth})
-
-	// A symmetric split: like to-server, requests die before the
-	// backend, but the mode is reported distinctly so drills can tell
-	// which shape of partition is active.
-	for i := 0; i < 3; i++ {
-		if _, err := http.Post(ts.URL+"/v1/samples", "application/json", strings.NewReader("{}")); err == nil {
-			t.Fatal("symmetric partition delivered a response, want transport error")
-		}
-	}
-	if hits.Load() != 0 {
-		t.Fatalf("backend saw %d requests across a symmetric partition, want 0", hits.Load())
-	}
-	st := p.Stats()
-	if st.Partitioned != 3 || st.Forwarded != 0 || st.Partition != PartitionBoth {
-		t.Errorf("stats = %+v, want 3 partitioned, 0 forwarded, mode both", st)
-	}
-	if err := p.SetPartition(PartitionNone); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/samples", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || hits.Load() != 1 {
-		t.Fatalf("after healing: status %d, backend hits %d; want 202 and 1", resp.StatusCode, hits.Load())
-	}
-}
-
-func TestFlapControlEndpoint(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusAccepted)
-	}))
-	defer backend.Close()
-	p, ts := newProxy(t, Config{Target: backend.URL})
-
-	getFlap := func() string {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/chaosctl/flap")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out struct {
-			Flap string `json:"flap"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out.Flap
-	}
-
-	if f := getFlap(); f != "" {
-		t.Fatalf("initial flap %q, want idle", f)
-	}
-	resp, err := http.Post(ts.URL+"/chaosctl/flap?mode=both&period=5ms", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || getFlap() != "both@5ms" {
-		t.Fatalf("start flap: status %d state %q, want 200 / both@5ms", resp.StatusCode, getFlap())
-	}
-
-	// The loop must actually toggle the partition: watch for at least
-	// one cut and one heal.
-	sawCut, sawHeal := false, false
-	deadline := time.Now().Add(5 * time.Second)
-	for (!sawCut || !sawHeal) && time.Now().Before(deadline) {
-		switch p.Partition() {
-		case PartitionBoth:
-			sawCut = true
-		case PartitionNone:
-			if p.Stats().Flaps > 0 {
-				sawHeal = true
-			}
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if !sawCut || !sawHeal {
-		t.Fatalf("flap loop never toggled: sawCut=%v sawHeal=%v flaps=%d", sawCut, sawHeal, p.Stats().Flaps)
-	}
-
-	// Stopping heals the link and reports idle.
-	resp, err = http.Post(ts.URL+"/chaosctl/flap?mode=&period=0", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if getFlap() != "" || p.Partition() != PartitionNone {
-		t.Fatalf("after stop: flap %q partition %q, want idle/none", getFlap(), p.Partition())
-	}
-
-	// Bad modes and bad periods are rejected.
-	for _, q := range []string{"mode=sideways&period=1s", "mode=both&period=soon"} {
-		resp, err = http.Post(ts.URL+"/chaosctl/flap?"+q, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("flap %q: status %d, want 400", q, resp.StatusCode)
-		}
 	}
 }

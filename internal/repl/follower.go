@@ -246,6 +246,17 @@ func (f *Follower) streamOnce() (progressed bool, err error) {
 	if err != nil {
 		return false, err
 	}
+	if local := f.cfg.Epoch(); local > 0 && sr.Epoch() > local {
+		// A primary was elected or promoted since we last applied from
+		// one — perhaps over us, if we led in between: past our cursor
+		// its LSNs may be another history. Install its snapshot first.
+		// (Epoch 0 has applied nothing.)
+		f.logger.Info("primary epoch is past ours: bootstrapping",
+			slog.Uint64("epoch", local), slog.Uint64("primary_epoch", sr.Epoch()))
+		f.needBootstrap.Store(true)
+		cancel() // the stream never ends on its own: do not drain it
+		return false, nil
+	}
 	f.observeEpoch(sr.Epoch())
 
 	applied := f.cfg.Applied()
@@ -327,15 +338,17 @@ func (f *Follower) bootstrap() error {
 	if err != nil {
 		return fmt.Errorf("snapshot response lacks X-Repl-Snapshot-LSN: %w", err)
 	}
-	if e, err := strconv.ParseUint(resp.Header.Get("X-Repl-Epoch"), 10, 64); err == nil {
-		f.observeEpoch(e)
-	}
 	payload, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return fmt.Errorf("snapshot body: %w", err)
 	}
 	if err := f.cfg.Bootstrap(lsn, payload); err != nil {
 		return fmt.Errorf("installing snapshot at lsn %d: %w", lsn, err)
+	}
+	// Only an installed snapshot adopts the primary's epoch: a crash
+	// before it leaves ours behind, and the next stream bootstraps again.
+	if e, err := strconv.ParseUint(resp.Header.Get("X-Repl-Epoch"), 10, 64); err == nil {
+		f.observeEpoch(e)
 	}
 	f.snapshotInstalls.Add(1)
 	f.logger.Info("installed snapshot", slog.Uint64("lsn", lsn), slog.Int("bytes", len(payload)))

@@ -50,11 +50,16 @@ func newDurableServer(t testing.TB, dir string, dcfg DurabilityConfig) (*Server,
 
 // crash simulates a SIGKILL: no drain, no final snapshot — just drop
 // the background machinery and abandon (not cleanly unlock) the dir
-// lock, leaving disk exactly as a dead process would. ts may be nil.
+// lock, leaving disk exactly as a dead process would. An attached
+// elector stops too: a dead node neither heartbeats nor votes. ts may
+// be nil.
 func crash(t testing.TB, s *Server, ts *httptest.Server) {
 	t.Helper()
 	if ts != nil {
 		ts.Close()
+	}
+	if el := s.elector.Load(); el != nil {
+		el.Close()
 	}
 	s.ingestQ.Close(true)
 	d := s.dur

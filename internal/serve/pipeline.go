@@ -256,21 +256,49 @@ func (s *Server) await(ctx context.Context, qb *queuedBatch) outcome {
 	if !<-qb.resc {
 		return outcome{kind: outShed}
 	}
+	return s.awaitReplicated(ctx, qb.lsn)
+}
+
+// awaitReplicated is await's last gate: under semi-sync replication a
+// primary acks lsn only once every registered follower has durably
+// applied it.
+func (s *Server) awaitReplicated(ctx context.Context, lsn uint64) outcome {
+	d := s.dur
 	if d != nil && d.repl.cfg.SyncAck && !d.repl.isFollower.Load() {
 		// The record is fsynced, so publishing the watermark inline starts
 		// the stream hop now instead of on the next tick.
 		d.advanceRepl()
 		ctx, stop := context.WithTimeout(ctx, d.repl.cfg.SyncAckTimeout)
-		err := d.repl.source.WaitReplicated(ctx, qb.lsn)
+		err := d.repl.source.WaitReplicated(ctx, lsn)
 		stop()
 		if err != nil {
 			// Durable locally but not replicated: refuse the ack so the
-			// shipper re-sends; dedup turns the retry into a counted-once
-			// duplicate once a follower is reachable again.
+			// shipper re-sends; the retry is a duplicate, acked once a
+			// follower holds the record (awaitDuplicate).
 			return outcome{kind: outReplication, err: fmt.Errorf("replication ack: %w", err)}
 		}
 	}
-	return outcome{kind: outAccepted, lsn: qb.lsn}
+	return outcome{kind: outAccepted, lsn: lsn}
+}
+
+// awaitDuplicate holds a duplicate's ack to what its original's needs.
+// The original was logged at an earlier LSN but may not be durable yet,
+// or not replicated — a retry usually follows an ack that timed out
+// waiting for the follower, and acking it then would let a failover
+// lose the batch. Taking applyMu's write lock waits out a stamp → log
+// in flight, so the last LSN covers the original.
+func (s *Server) awaitDuplicate(ctx context.Context) outcome {
+	d := s.dur
+	d.applyMu.Lock()
+	last := d.log.LastLSN()
+	d.applyMu.Unlock()
+	if err := d.log.WaitDurable(last); err != nil {
+		return outcome{kind: outStorage, err: fmt.Errorf("wal sync: %w", err)}
+	}
+	if o := s.awaitReplicated(ctx, last); o.kind != outAccepted {
+		return o
+	}
+	return outcome{kind: outDuplicate}
 }
 
 // accept takes one validated batch from the live handler through the
@@ -299,7 +327,10 @@ func (s *Server) accept(ctx context.Context, batch *trace.SampleBatch, traceID s
 	if d != nil {
 		d.applyMu.RUnlock()
 	}
-	if o.kind != outAccepted {
+	switch {
+	case o.kind == outDuplicate && d != nil:
+		return s.awaitDuplicate(ctx)
+	case o.kind != outAccepted:
 		return o
 	}
 	return s.await(ctx, &qb)

@@ -185,8 +185,9 @@ func TestIngestOutcomes(t *testing.T) {
 		want        batchCounters // deltas over run
 		shed        string        // the admit_shed reason that moves, if any
 		// resend is what a re-send of the same (agent, seq) must get:
-		// "accepted", "duplicate", or — where the server cannot answer
-		// again — "free" / "marked" as the state of the dedup index.
+		// "accepted", "duplicate", "unreplicated" (refused until the
+		// follower acks, then a duplicate), or — where the server cannot
+		// answer again — "free" / "marked" as the state of the dedup index.
 		resend     string
 		heal       func(e *outcomeEnv) // before the re-send
 		stored     int64               // samples in the live store at the end
@@ -280,7 +281,7 @@ func TestIngestOutcomes(t *testing.T) {
 			// A registered follower that never acknowledges.
 			setup:  func(t *testing.T, e *outcomeEnv) { e.s.dur.repl.source.Register("ghost", 0) },
 			status: http.StatusInternalServerError, body: "replication ack",
-			want: batchCounters{rejected: 1}, resend: "duplicate", stored: n,
+			want: batchCounters{rejected: 1}, resend: "unreplicated", stored: n,
 		},
 	}
 	for _, r := range rows {
@@ -370,6 +371,16 @@ func TestIngestOutcomes(t *testing.T) {
 				case "duplicate":
 					if resp, body := e.post(t); resp.StatusCode != http.StatusAccepted || !strings.Contains(string(body), `"duplicate":true`) {
 						t.Errorf("re-send: %d %s, want a duplicate ack", resp.StatusCode, body)
+					}
+				case "unreplicated":
+					// Its original is not on the follower, so the duplicate is
+					// not acked either — a failover now would lose it.
+					if resp, body := e.post(t); resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "replication ack") {
+						t.Errorf("re-send before the follower acks: %d %s, want a 500 replication ack", resp.StatusCode, body)
+					}
+					s.dur.repl.source.Ack("ghost", s.dur.log.LastLSN())
+					if resp, body := e.post(t); resp.StatusCode != http.StatusAccepted || !strings.Contains(string(body), `"duplicate":true`) {
+						t.Errorf("re-send after the follower acked: %d %s, want a duplicate ack", resp.StatusCode, body)
 					}
 				case "free", "marked":
 					if dup, _ := s.dedup.Mark(e.batch.AgentID, e.batch.Seq); dup != (r.resend == "marked") {

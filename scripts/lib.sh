@@ -2,7 +2,7 @@
 # A drill sets `name` (its log prefix) and `workdir`, installs its own
 # EXIT trap (the pids to kill differ per drill), then sources this file:
 #
-#     name=chaos-smoke
+#     name=overload-smoke
 #     workdir=$(mktemp -d)
 #     . "$(dirname "$0")/lib.sh"
 #     build_bins -race powsim powserved powload
@@ -54,15 +54,4 @@ wait_metric() {
     done
     echo "$name: $2 never reached $3 (last: $(metric "$1" "$2"))" >&2
     return 1
-}
-
-# dump_state <base-url> <outdir>: summary + every job's characterization.
-dump_state() {
-    mkdir -p "$2"
-    curl -sf "$1/v1/summary" >"$2/summary.json"
-    curl -sf "$1/v1/jobs" | tr -d '{}[]"' | sed 's/jobs://' | tr ',' '\n' >"$2/ids"
-    while read -r id; do
-        [ -n "$id" ] || continue
-        curl -sf "$1/v1/jobs/$id/power" >"$2/job-$id.json"
-    done <"$2/ids"
 }
