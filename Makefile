@@ -14,7 +14,7 @@ GO ?= go
 # a list: both run it straight after the build, because bench/ compiles
 # against the tree and a symbol it uses going missing should fail in the
 # first minute, not the last step.
-FUZZ_TARGETS = fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state fuzz-codec fuzz-snapshot fuzz-sort fuzz-bdt
+FUZZ_TARGETS = fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-epoch fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state fuzz-codec fuzz-snapshot fuzz-sort fuzz-bdt
 BENCH_TARGETS = bench bench-block bench-codec bench-wal bench-snapshot bench-tsdb bench-mlearn
 SMOKE_TARGETS = smoke
 
@@ -206,6 +206,9 @@ fuzz-elect:
 
 fuzz-frontier:
 	$(call gofuzz,FuzzFrontierDecode,15s,./internal/repl/)
+
+fuzz-epoch:
+	$(call gofuzz,FuzzEpochFile,15s,./internal/repl/)
 
 # Fuzz the anomaly layer: the rule-spec parser must parse or error
 # (and every accepted spec must round-trip through String), and

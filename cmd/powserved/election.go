@@ -65,7 +65,7 @@ func (p *peerFlag) Set(v string) error {
 
 // electionConfig assembles the elect.Config shared by data nodes and
 // the witness from the command-line topology.
-func electionConfig(id, advertise, dataDir string, peers []elect.Peer, hb time.Duration, lead, witness bool) (elect.Config, error) {
+func electionConfig(id, advertise, dataDir string, peers []elect.Peer, hb time.Duration, witness bool) (elect.Config, error) {
 	if dataDir == "" {
 		return elect.Config{}, fmt.Errorf("elections need -data-dir (the promise file must survive restarts)")
 	}
@@ -88,7 +88,6 @@ func electionConfig(id, advertise, dataDir string, peers []elect.Peer, hb time.D
 		URL:            strings.TrimRight(advertise, "/"),
 		Peers:          peers,
 		Witness:        witness,
-		Lead:           lead,
 		HeartbeatEvery: hb,
 		State:          st,
 		Transport:      &elect.HTTPTransport{},
@@ -114,15 +113,8 @@ func runWitness(addr string, cfg elect.Config) error {
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		st := el.Status()
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{
-			"status":          "ready",
-			"role":            st.Role,
-			"election":        st,
-			"leader_id":       st.LeaderID,
-			"leader_url":      st.LeaderURL,
-			"epoch":           st.Epoch,
-			"last_transition": st.LastTransition,
-		})
+		// The shape of a data node's: the election block holds the rest.
+		json.NewEncoder(w).Encode(map[string]any{"status": "ready", "role": st.Role, "epoch": st.Epoch, "election": st})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		st := el.Status()

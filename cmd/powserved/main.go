@@ -34,23 +34,26 @@
 //
 // Failover can also drive itself. Give each member an -elect-id, an
 // -advertise URL, and the other members as repeatable -peer flags, and
-// add a vote-only witness so two survivors always form a quorum:
+// add a vote-only witness so two survivors always form a quorum. The
+// data nodes set no -role or -follow:
 //
 //	powserved -addr :8080 -data-dir /var/lib/pow-a -elect-id a \
 //	          -advertise http://127.0.0.1:8080 \
 //	          -peer b=http://127.0.0.1:8081 -peer w=http://127.0.0.1:8082,witness
-//	powserved -addr :8081 -data-dir /var/lib/pow-b -role follower \
-//	          -follow http://127.0.0.1:8080 -elect-id b \
+//	powserved -addr :8081 -data-dir /var/lib/pow-b -elect-id b \
 //	          -advertise http://127.0.0.1:8081 \
 //	          -peer a=http://127.0.0.1:8080 -peer w=http://127.0.0.1:8082,witness
 //	powserved -addr :8082 -data-dir /var/lib/pow-w -role witness -elect-id w \
 //	          -advertise http://127.0.0.1:8082 \
 //	          -peer a=http://127.0.0.1:8080 -peer b=http://127.0.0.1:8081
 //
-// The group detects a dead or partitioned primary within the lease
-// TTL, elects the standby with the witness's vote, fences the old
-// epoch, and — when the deposed primary returns — truncates its
-// diverged WAL suffix and rejoins it as a follower automatically.
+// The election decides who leads: a data node that led its last epoch
+// (the EPOCH record in -data-dir says so) leads it again once a quorum
+// round confirms it, any other boots a follower. The group detects a
+// dead or partitioned primary within the lease TTL, elects the standby
+// with the witness's vote, fences the old epoch, and — when the deposed
+// primary returns — truncates its diverged WAL suffix and rejoins it as
+// a follower automatically.
 //
 // Overload protection is always on: an AIMD concurrency limiter and a
 // CoDel-style ingest queue shed excess load with 429 over_capacity +
@@ -124,10 +127,9 @@ func main() {
 		diskCheck = flag.Duration("disk-check-interval", 2*time.Second, "storage-health monitor cadence (write probe + free-space watermark)")
 		diskLow   = flag.Int64("disk-low-bytes", 0, "degrade ingest when data-dir free space falls below this, until it is back above twice this (0 = probe-only)")
 
-		role       = flag.String("role", "primary", `replication role: "primary", "follower" (needs -data-dir), or "witness" (vote-only election member, no data plane)`)
-		follow     = flag.String("follow", "", "primary base URL to replicate from (required with -role follower)")
-		followerID = flag.String("follower-id", "", "this follower's ID on the primary (default \"follower\")")
-		epochFile  = flag.String("epoch-file", "", "replication epoch file (default <data-dir>/EPOCH)")
+		role       = flag.String("role", "", `replication role: "primary" (empty means primary), "follower" (needs -data-dir and -follow), or "witness" (vote-only election member, no data plane); a data node under -peer takes its role from its epoch record and sets none`)
+		follow     = flag.String("follow", "", "primary base URL to replicate from (with -role follower only)")
+		followerID = flag.String("follower-id", "", `this follower's ID on the primary (empty: -elect-id under -peer, else "follower")`)
 		replAck    = flag.String("repl-ack", "async", `ack mode: "async", or "sync" to ack ingest only after followers applied (waits at most 5s)`)
 
 		electID   = flag.String("elect-id", "", "this node's election ID (elections are enabled by -peer)")
@@ -156,7 +158,7 @@ func main() {
 	if *role == "witness" {
 		// Vote-only member: no store, no WAL, no model — just the
 		// election state machine behind a minimal HTTP front.
-		ecfg, err := electionConfig(*electID, *advertise, *dataDir, peers, *hbEvery, false, true)
+		ecfg, err := electionConfig(*electID, *advertise, *dataDir, peers, *hbEvery, true)
 		if err != nil {
 			fatal(err)
 		}
@@ -166,11 +168,17 @@ func main() {
 		}
 		return
 	}
-	if len(peers) > 0 && *dataDir == "" {
-		fatal(fmt.Errorf("-peer requires -data-dir (elections ride the durable epoch)"))
+	elected := len(peers) > 0
+	if *followerID == "" && elected {
+		*followerID = *electID
 	}
-	if *role == serve.RoleFollower && *dataDir == "" {
-		fatal(fmt.Errorf("-role follower requires -data-dir (replication rides the WAL)"))
+	// Refuse flags that would quietly run a second primary, data dir or not.
+	replCfg := &serve.ReplicationConfig{Role: *role, PrimaryURL: *follow, FollowerID: *followerID, SyncAck: *replAck == "sync"}
+	if err := replCfg.Check(elected); err != nil {
+		fatal(err)
+	}
+	if *dataDir == "" && (elected || *role == serve.RoleFollower) {
+		fatal(fmt.Errorf("-peer and -role follower require -data-dir (elections and replication ride the WAL)"))
 	}
 	if *replAck != "async" && *replAck != "sync" {
 		fatal(fmt.Errorf("-repl-ack %q: want async or sync", *replAck))
@@ -268,6 +276,9 @@ func main() {
 	if blocks == nil {
 		cfg.BlockFlushInterval = 0
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	var srv *serve.Server
 	if *dataDir != "" {
 		policy, err := wal.ParseSyncPolicy(*fsync)
@@ -283,16 +294,26 @@ func main() {
 			SnapshotEvery:     *snapBatch,
 			DiskCheckInterval: *diskCheck,
 			DiskLowBytes:      *diskLow,
-			Replication: &serve.ReplicationConfig{
-				Role:       *role,
-				PrimaryURL: *follow,
-				FollowerID: *followerID,
-				EpochFile:  *epochFile,
-				SyncAck:    *replAck == "sync",
-			},
+			Replication:       replCfg,
 		})
 		if err != nil {
 			fatal(err)
+		}
+		if elected {
+			// Self-driving failover: the elector attaches before recovery
+			// (the boot role comes from the epoch record) and so before the
+			// listener binds: /v1/elect/* is routable from the first request.
+			ecfg, err := electionConfig(*electID, *advertise, *dataDir, peers, *hbEvery, false)
+			if err != nil {
+				fatal(err)
+			}
+			el, err := srv.StartElection(ctx, ecfg)
+			if err != nil {
+				fatal(err)
+			}
+			defer el.Close()
+			fmt.Printf("powserved: election group: id %s, %d peer(s), heartbeat %s\n",
+				*electID, len(peers), *hbEvery)
 		}
 		// Recover the pre-crash state before binding: a client that can
 		// connect always sees fully recovered analytics.
@@ -318,28 +339,6 @@ func main() {
 			rep.RecordsReplayed, rep.SamplesReplayed, rep.Tombstoned, rep.DecodeErrors, rep.TruncatedBytes)
 	} else {
 		srv = serve.New(store, bdt, cfg)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if len(peers) > 0 {
-		// Self-driving failover: attach the elector before the listener
-		// binds so /v1/elect/* is routable from the first request. The
-		// configured primary leads (with an expired lease until its
-		// first quorum round); a follower campaigns only after the
-		// lease window passes in silence.
-		ecfg, err := electionConfig(*electID, *advertise, *dataDir, peers, *hbEvery, *role == serve.RolePrimary, false)
-		if err != nil {
-			fatal(err)
-		}
-		el, err := srv.StartElection(ctx, ecfg)
-		if err != nil {
-			fatal(err)
-		}
-		defer el.Close()
-		fmt.Printf("powserved: election group: id %s, %d peer(s), heartbeat %s\n",
-			*electID, len(peers), *hbEvery)
 	}
 
 	// SIGUSR1 promotes a follower to primary (same as POST /v1/promote):
@@ -372,11 +371,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *dataDir != "" {
-		fmt.Printf("powserved: listening on %s (role %s)\n", bound, *role)
-	} else {
-		fmt.Printf("powserved: listening on %s\n", bound)
-	}
+	fmt.Printf("powserved: listening on %s\n", bound) // the role is on /readyz
 
 	start := time.Now()
 	if err := <-done; err != nil {

@@ -51,11 +51,11 @@ type Config struct {
 	// Witness marks a vote-only member: it answers heartbeats and
 	// votes but never campaigns and never leads.
 	Witness bool
-	// Lead starts this node as the leader candidate (the configured
-	// primary). Its lease is invalid at boot: it must complete one
-	// quorum heartbeat round before HasLease turns true, so a deposed
-	// primary restarting with a stale epoch discovers the new leader
-	// instead of acking at the stale epoch.
+	// Lead says this node's own history records winning its data epoch,
+	// Epoch(), which no other node can then hold. Unless it promised a
+	// later epoch since, it boots leading Epoch() with the lease invalid
+	// until one quorum heartbeat round, so a deposed primary restarting
+	// discovers the new leader instead of acking at the stale epoch.
 	Lead bool
 
 	// HeartbeatEvery is the leader heartbeat / tick cadence. 0 means
@@ -103,18 +103,18 @@ type Config struct {
 
 // Status is a point-in-time view of the election state for /readyz.
 type Status struct {
-	Role             string        `json:"role"`
-	ID               string        `json:"id"`
-	LeaderID         string        `json:"leader_id"`
-	LeaderURL        string        `json:"leader_url"`
-	Epoch            uint64        `json:"epoch"`
-	FrontierEpoch    uint64        `json:"frontier_epoch"`
-	FrontierLSN      uint64        `json:"frontier_lsn"`
-	HasLease         bool          `json:"has_lease"`
-	LeaseRemaining   time.Duration `json:"-"`
-	WitnessOK        bool          `json:"witness_ok"`
-	LastTransition   string        `json:"last_transition"`
-	LastTransitionAt time.Time     `json:"-"`
+	Role             string    `json:"role"`
+	ID               string    `json:"id"`
+	LeaderID         string    `json:"leader_id"`
+	LeaderURL        string    `json:"leader_url"`
+	Epoch            uint64    `json:"epoch"`
+	FrontierEpoch    uint64    `json:"frontier_epoch"`
+	FrontierLSN      uint64    `json:"frontier_lsn"`
+	HasLease         bool      `json:"has_lease"`
+	LeaseRemainingMS int64     `json:"lease_remaining_ms"`
+	WitnessOK        bool      `json:"witness_ok"`
+	LastTransition   string    `json:"last_transition"`
+	LastTransitionAt time.Time `json:"-"`
 }
 
 // Elector runs failure detection and leader election for one node. All
@@ -176,24 +176,15 @@ func New(cfg Config) (*Elector, error) {
 	switch {
 	case cfg.Witness:
 		e.reason = "witness"
-	case cfg.Lead && cfg.State.Promised() == 0:
-		// Configured primary with no promise history: lead at the
-		// recovered data epoch, but with the lease already expired — no
-		// acks until a quorum round confirms no higher epoch exists.
+	case cfg.Lead && cfg.State.Promised() <= cfg.Epoch():
+		// Lead the epoch this node won, lease expired until a quorum
+		// round. A promise past it went to a later campaign, perhaps
+		// another node's, so its own ack would count toward a quorum it
+		// left: such a node boots a follower and campaigns if need be.
 		e.isLeader = true
 		e.myEpoch = cfg.Epoch()
 		e.leaderID, e.leaderURL, e.leaderEpoch = cfg.ID, cfg.URL, e.myEpoch
-		e.reason = "boot as configured primary (lease pending quorum)"
-	case cfg.Lead:
-		// Configured primary, but the promise file is non-empty: some
-		// epoch ≤ promised may have been granted to another node (the
-		// file records the epoch, not the grantee), so assuming
-		// leadership here could put two unfenced leaders at the same
-		// epoch. Boot as a follower instead — if nobody else leads, the
-		// first election timeout restores leadership through a proper
-		// campaign.
-		e.leaseUntil = now.Add(e.electionTimeout())
-		e.reason = fmt.Sprintf("boot as follower (epoch %d may be promised elsewhere)", cfg.State.Promised())
+		e.reason = fmt.Sprintf("boot as leader of epoch %d (lease pending quorum)", e.myEpoch)
 	default:
 		// Follower: give an existing leader a full timeout to be heard
 		// before campaigning.
@@ -270,7 +261,7 @@ func (e *Elector) Status() Status {
 		st.Epoch = e.myEpoch
 		if now.Before(e.leaseUntil) {
 			st.HasLease = true
-			st.LeaseRemaining = e.leaseUntil.Sub(now)
+			st.LeaseRemainingMS = e.leaseUntil.Sub(now).Milliseconds()
 		}
 	default:
 		st.Role = "follower"

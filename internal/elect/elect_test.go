@@ -233,7 +233,7 @@ func (g *group) advanceAll(d time.Duration) {
 func TestLeaderAcquiresLeaseAfterQuorumRound(t *testing.T) {
 	g := newGroup(t)
 	if g.a.HasLease() {
-		t.Fatal("configured primary must boot without a lease")
+		t.Fatal("the leader of the data epoch must boot without a lease")
 	}
 	g.tickAll()
 	if !g.a.HasLease() {
@@ -585,13 +585,13 @@ func TestRestartedExPrimaryAtIncumbentEpochDefers(t *testing.T) {
 	}
 }
 
-// TestBootAsFollowerWhenEpochPromised: a node configured with Lead=true
-// whose promise file is non-empty must NOT boot as leader — the promised
-// epoch may have been granted to another node, and booting as leader at
-// it would put two unfenced leaders at the same epoch (the exact
-// sequence that loses acked records: the impostor deposes the real
-// leader, which then truncates on rejoin). Leadership must come back
-// only through a campaign.
+// TestBootAsFollowerWhenEpochPromised: a node that led epoch 3 (Lead)
+// but has promised epoch 4 since must NOT boot as leader — the promise
+// may have gone to another node's campaign, and counting its own vote at
+// epoch 3 could assemble a quorum beside a leader of epoch 4 (the
+// sequence that loses acked records: the stale leader acks, then
+// truncates on rejoin). Leadership must come back only through a
+// campaign.
 func TestBootAsFollowerWhenEpochPromised(t *testing.T) {
 	dir := t.TempDir()
 	sf, err := OpenStateFile(vfs.OS, filepath.Join(dir, "promised"))
@@ -611,19 +611,44 @@ func TestBootAsFollowerWhenEpochPromised(t *testing.T) {
 		State: sf, Clock: clock,
 		Transport: &memTransport{net: newMemNet()},
 		Rand:      func() float64 { return 0.5 },
-		Epoch:     func() uint64 { return 4 },
+		Epoch:     func() uint64 { return 3 },
 		PromoteTo: func(uint64) error { promoted++; return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.IsLeader() {
-		t.Fatal("Lead=true with a non-empty promise file must boot as follower")
+		t.Fatal("Lead=true with a promise past the led epoch must boot as follower")
 	}
 	if st := e.Status(); st.Role != "follower" {
 		t.Fatalf("want follower, got %+v", st)
 	}
 	_ = promoted
+
+	// The same node with nothing promised past the epoch it led boots
+	// leading it, whether its promise file is empty or holds that epoch,
+	// and holds no lease before a quorum round.
+	for _, promised := range []uint64{0, 3} {
+		sf, err := OpenStateFile(vfs.OS, filepath.Join(t.TempDir(), "promised"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sf.Store(promised); err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(Config{
+			ID: "a", URL: "http://a", Peers: []Peer{{ID: "w", URL: "http://w", Witness: true}},
+			Lead: true, HeartbeatEvery: hb, LeaseTTL: ttl, State: sf, Clock: clock,
+			Transport: &memTransport{net: newMemNet()}, Rand: func() float64 { return 0.5 },
+			Epoch: func() uint64 { return 3 }, PromoteTo: func(uint64) error { return nil },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := e.Status(); st.Role != "leader" || st.Epoch != 3 || st.HasLease {
+			t.Fatalf("promised %d: want the leader of epoch 3 without a lease, got %+v", promised, st)
+		}
+	}
 }
 
 // TestBootFollowerRegainsLeadershipByCampaign: the boot-as-follower rule
@@ -632,13 +657,13 @@ func TestBootAsFollowerWhenEpochPromised(t *testing.T) {
 func TestBootFollowerRegainsLeadershipByCampaign(t *testing.T) {
 	g := newGroup(t)
 	g.tickAll()
-	// Restart the leader with its promise file carrying its own epoch
-	// (it stored epoch 2 when it won an election, say).
+	// Restart the leader of epoch 1 with its promise file past it (it
+	// granted epoch 2 to a campaign that came to nothing, say).
 	sf, err := OpenStateFile(vfs.OS, filepath.Join(t.TempDir(), "a.promised"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sf.Store(1); err != nil {
+	if err := sf.Store(2); err != nil {
 		t.Fatal(err)
 	}
 	a2, err := New(Config{

@@ -3,9 +3,63 @@ package repl
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+
+	"hpcpower/internal/vfs"
 )
+
+// FuzzEpochFile writes arbitrary bytes as an EPOCH record and opens it:
+// the open yields a record or an error, never a panic; the one-field
+// "N\n" form of the previous format reads as epoch N, not led; and
+// whatever opened, a Store or a Lead past it reopens as written.
+func FuzzEpochFile(f *testing.F) {
+	for _, seed := range []string{"0\n", "7\n", "7 7\n", "9 4\n", "4 9\n", "", "x\n", "18446744073709551615\n", "1 2 3"} {
+		f.Add([]byte(seed), uint64(3), true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, next uint64, lead bool) {
+		path := filepath.Join(t.TempDir(), "EPOCH")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, err := OpenEpochFile(vfs.OS, path)
+		n, perr := strconv.ParseUint(strings.TrimSuffix(string(data), "\n"), 10, 64)
+		if oneField := perr == nil && string(data) == fmt.Sprintf("%d\n", n); oneField {
+			if err != nil {
+				t.Fatalf("one-field record %q refused: %v", data, err)
+			}
+			if epoch, led := e.State(); epoch != n || led {
+				t.Fatalf("one-field record %q reads as %d, led %v; want %d, not led", data, epoch, led, n)
+			}
+		}
+		if err != nil {
+			return
+		}
+		epoch, led := e.State()
+		store := e.Store
+		if lead {
+			store = e.Lead
+		}
+		if err := store(next); err != nil {
+			t.Fatal(err)
+		}
+		if next > epoch {
+			epoch, led = next, lead
+		}
+		again, err := OpenEpochFile(vfs.OS, path)
+		if err != nil {
+			t.Fatalf("reopening after storing %d (lead %v) over %q: %v", next, lead, data, err)
+		}
+		if ge, gl := again.State(); ge != epoch || gl != led {
+			t.Fatalf("after storing %d (lead %v) over %q: reopened %d, led %v; want %d, led %v", next, lead, data, ge, gl, epoch, led)
+		}
+	})
+}
 
 // FuzzReplStream feeds arbitrary bytes to the replication stream
 // decoder, mirroring the WAL's FuzzSegmentRead. The contract under any

@@ -113,13 +113,61 @@ func TestEpochFilePersistsForwardOnly(t *testing.T) {
 	if e2.Epoch() != 3 {
 		t.Fatalf("reopened epoch = %d, want 3", e2.Epoch())
 	}
-	// Garbage in the file is refused, not misread as epoch 0.
-	if err := os.WriteFile(path, []byte("not-a-number\n"), 0o644); err != nil {
+	// Garbage in the file is refused, not misread as epoch 0, and so is
+	// a led epoch past the epoch.
+	for _, bad := range []string{"not-a-number\n", "3 4\n", "1 1 1\n", "\n"} {
+		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenEpochFile(vfs.OS, path); err == nil {
+			t.Fatalf("corrupt epoch file %q accepted", bad)
+		}
+	}
+}
+
+// TestEpochFileLed: Store adopts an epoch as a follower and keeps the
+// led epoch; Lead records leading it; the record survives a reopen, and
+// the one-field form reads as an epoch this node did not lead.
+func TestEpochFileLed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "EPOCH")
+	e, err := OpenEpochFile(vfs.OS, path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenEpochFile(vfs.OS, path); err == nil {
-		t.Fatal("corrupt epoch file accepted")
+	state := func(e *EpochFile, epoch uint64, led bool) {
+		t.Helper()
+		if ge, gl := e.State(); ge != epoch || gl != led {
+			t.Fatalf("State() = %d, %v; want %d, %v", ge, gl, epoch, led)
+		}
 	}
+	state(e, 0, false)
+	for _, step := range []struct {
+		lead  bool
+		epoch uint64
+		led   bool
+	}{{true, 1, true}, {false, 2, false}, {true, 3, true}, {true, 3, true}, {false, 3, true}, {false, 5, false}} {
+		store := e.Store
+		if step.lead {
+			store = e.Lead
+		}
+		if err := store(step.epoch); err != nil {
+			t.Fatal(err)
+		}
+		state(e, step.epoch, step.led)
+		again, err := OpenEpochFile(vfs.OS, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		state(again, step.epoch, step.led)
+	}
+	if err := os.WriteFile(path, []byte("7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := OpenEpochFile(vfs.OS, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state(old, 7, false)
 }
 
 // testSource builds a Source over an in-memory record slice.

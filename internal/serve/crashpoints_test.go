@@ -3,12 +3,14 @@ package serve
 // The crash-point enumerator: a seeded, single-worker, wal.SyncBatch
 // workload runs over a disk that logs every mutating operation, and every
 // crash point of that log, in three models (see checkCrashInvariants), is
-// restarted the way powserved starts; then every read of the restart of
-// the final directory is failed in turn. A case is a subtest, e.g.
+// restarted the way powserved starts an elected node; then every read of
+// the restart of the final directory is failed in turn. A case is a
+// subtest, e.g.
 //
 //	go test -run 'TestCrashPoints/op031-torn0-synced' ./internal/serve/
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,8 +27,10 @@ import (
 	"sync"
 	"syscall"
 	"testing"
+	"time"
 
 	"hpcpower/internal/block"
+	"hpcpower/internal/elect"
 	"hpcpower/internal/rng"
 	"hpcpower/internal/trace"
 	"hpcpower/internal/vfs"
@@ -272,12 +276,35 @@ func (img dirImage) disk(t testing.TB) *recordFS {
 	return &recordFS{FS: vfs.OS, root: root}
 }
 
-// restart starts a node on fsys as powserved does with -blocks-dir and
-// -data-dir, background loops quiet. An error is a refusal to start.
-func restart(fsys *recordFS) (*Server, error) {
+// frozenClock is an election clock that moves only when told to.
+type frozenClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *frozenClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *frozenClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
+// restart starts a node on fsys as powserved does with -blocks-dir,
+// -data-dir and -peer, background loops quiet, in a group of itself: its
+// elector is attached before recovery and ticked by hand on a frozen
+// clock. It returns the role the node booted as, from its epoch record,
+// and then wins the election — at once if it booted leading, by
+// campaigning for the next epoch if it booted a follower — so that it
+// takes writes. An error is a refusal to start.
+func restart(t testing.TB, fsys *recordFS) (*Server, string, error) {
 	bs, err := block.Open(block.Config{Dir: filepath.Join(fsys.root, "blocks"), WindowSeconds: crashWindow, FS: fsys})
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	store := durableStore()
 	store.AttachBlocks(bs)
@@ -285,13 +312,35 @@ func restart(fsys *recordFS) (*Server, error) {
 	dcfg.FS, dcfg.SegmentBytes = fsys, crashSegmentBytes
 	s, err := NewDurable(store, nil, durableConfig(), dcfg)
 	if err != nil {
-		return nil, err
+		return nil, "", err
+	}
+	st, err := elect.OpenStateFile(vfs.OS, filepath.Join(t.TempDir(), "ELECT"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // no Run loop: the ticks below are the only ones
+	clock := &frozenClock{now: time.Unix(crashT0, 0)}
+	el, err := s.StartElection(ctx, elect.Config{ID: "crash", URL: "http://crash", State: st,
+		Clock: clock, Transport: &elect.HTTPTransport{}, Rand: func() float64 { return 0 }})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if _, err := s.Recover(); err != nil {
+		el.Close()
 		s.Close()
-		return nil, err
+		return nil, "", err
 	}
-	return s, nil
+	booted := el.Status().Role
+	if rs := s.dur.repl; rs.isFollower.Load() != (booted == "follower") {
+		t.Fatalf("the data plane booted follower %v, the elector %s", rs.isFollower.Load(), booted)
+	}
+	clock.advance(time.Hour)
+	el.Tick(ctx)
+	if !el.HasLease() {
+		t.Fatalf("a group of one did not elect its node: %+v", el.Status())
+	}
+	return s, booted, nil
 }
 
 // crashState is everything a restart arrives at: store, dedup index and
@@ -319,6 +368,9 @@ type crashRecording struct {
 	// to sealedTo.
 	sealedAt int
 	sealedTo int64
+	// ops[promotedAt] is the rename that publishes the EPOCH record of
+	// the promotion the first boot's election win made.
+	promotedAt int
 	// control is the never-crashed node's analyticsDump once every batch
 	// was re-sent.
 	control string
@@ -328,7 +380,8 @@ func (rec *crashRecording) acked(batch, crashAt int) bool {
 	return rec.ackedAt[batch] >= 0 && rec.ackedAt[batch] <= crashAt
 }
 
-// recordCrashWorkload boots an empty node, ingests four batches (the WAL
+// recordCrashWorkload boots an empty node, which wins its first election
+// and so writes its promotion to EPOCH, ingests four batches (the WAL
 // rotates), snapshots (a segment is reaped), ingests two more, seals and
 // compacts the block window of all six, ingests one more, and has the last
 // refused with the queue full, so cancel tombstones its record.
@@ -345,7 +398,7 @@ func recordCrashWorkload(t *testing.T) *crashRecording {
 		}
 	}
 	fsys := dirImage{}.disk(t)
-	s, err := restart(fsys)
+	s, _, err := restart(t, fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,6 +440,12 @@ func recordCrashWorkload(t *testing.T) *crashRecording {
 	if !slices.ContainsFunc(rec.ops, func(op fsOp) bool { return op.kind == "remove" && strings.HasPrefix(op.path, "data/wal-") }) {
 		t.Fatal("the snapshot reaped no WAL segment")
 	}
+	rec.promotedAt = slices.IndexFunc(rec.ops, func(op fsOp) bool {
+		return op.kind == "rename" && op.to == filepath.Join("data", epochFileName)
+	})
+	if rec.promotedAt < 0 {
+		t.Fatal("the promotion wrote no EPOCH record")
+	}
 
 	for i, b := range rec.batches {
 		b.Redelivery = i != 7
@@ -415,9 +474,20 @@ func recordCrashWorkload(t *testing.T) *crashRecording {
 //     analytics are the never-crashed node's.
 func (rec *crashRecording) checkCrashInvariants(t *testing.T, k, torn int, synced bool) {
 	fsys := crashImage(rec.ops, k, torn, synced).disk(t)
-	s, err := restart(fsys)
+	s, booted, err := restart(t, fsys)
 	if err != nil {
 		t.Fatalf("restart refused: %v", err)
+	}
+	// The boot role comes from the epoch record: a follower until the
+	// promotion's rename lands, from then on the leader of the epoch
+	// it won, advertising its own WAL's frontier.
+	if want := map[bool]string{false: "follower", true: "leader"}[k > rec.promotedAt]; booted != want {
+		t.Errorf("booted as %s, want %s", booted, want)
+	}
+	if booted == "leader" {
+		if st, local := s.elector.Load().Status(), s.dur.tracker.Load().frontierLSN(); st.FrontierEpoch != s.dur.repl.epoch.Epoch() || st.FrontierLSN != local {
+			t.Errorf("booted leading epoch %d and advertising %d/%d, not its own WAL's frontier %d", s.dur.repl.epoch.Epoch(), st.FrontierEpoch, st.FrontierLSN, local)
+		}
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer crash(t, s, ts)
@@ -454,7 +524,7 @@ func (rec *crashRecording) checkCrashInvariants(t *testing.T, k, torn int, synce
 		for _, op := range own[:j] {
 			img.apply(op)
 		}
-		s2, err := restart(img.disk(t))
+		s2, _, err := restart(t, img.disk(t))
 		if err != nil {
 			t.Fatalf("crashed again after recovery's %+v: restart refused: %v", own[j-1], err)
 		}
@@ -511,7 +581,7 @@ func TestCrashPoints(t *testing.T) {
 
 	final := crashImage(rec.ops, len(rec.ops), 0, false)
 	fsys := final.disk(t)
-	s, err := restart(fsys)
+	s, _, err := restart(t, fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +596,7 @@ func TestCrashPoints(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				fsys := final.disk(t)
 				fsys.failRead, fsys.fault = r, fault
-				s, err := restart(fsys)
+				s, _, err := restart(t, fsys)
 				if err != nil {
 					return // refused to start
 				}
@@ -558,7 +628,7 @@ func TestCrashPoints(t *testing.T) {
 		snap := img[newest]
 		snap.data = slices.Clone(snap.data)
 		snap.data[len(snap.data)/2] ^= 0xff
-		s, err := restart(img.disk(t))
+		s, _, err := restart(t, img.disk(t))
 		if err == nil {
 			crash(t, s, nil)
 			t.Fatal("started; it must refuse")

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
@@ -59,6 +60,9 @@ type DurabilityConfig struct {
 
 // keepSnapshots is how many snapshot files a data directory retains.
 const keepSnapshots = 3
+
+// epochFileName is the node's epoch record (repl.EpochFile) in Dir.
+const epochFileName = "EPOCH"
 
 func (c *DurabilityConfig) withDefaults() DurabilityConfig {
 	d := *c
@@ -225,6 +229,10 @@ type durability struct {
 // locked by a live instance) and opens the WAL without replaying it.
 func openDurability(cfg DurabilityConfig) (*durability, error) {
 	cfg = cfg.withDefaults()
+	rcfg, err := cfg.Replication.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	lock, err := wal.LockDirFS(cfg.FS, cfg.Dir)
 	if err != nil {
 		return nil, err
@@ -232,12 +240,7 @@ func openDurability(cfg DurabilityConfig) (*durability, error) {
 	// Under the lock a temp file is a dead instance's; a snapshot's is
 	// megabytes.
 	vfs.RemoveTemps(cfg.FS, cfg.Dir)
-	rcfg, err := cfg.Replication.withDefaults(cfg.Dir)
-	if err != nil {
-		lock.Unlock()
-		return nil, err
-	}
-	ep, err := repl.OpenEpochFile(cfg.FS, rcfg.EpochFile)
+	ep, err := repl.OpenEpochFile(cfg.FS, filepath.Join(cfg.Dir, epochFileName))
 	if err != nil {
 		lock.Unlock()
 		return nil, err
@@ -493,10 +496,10 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	// pull-loop watermark, raised by any primary-stamped records the WAL
 	// tail replayed past it.
 	rs := d.repl
-	// A primary claims epoch 1 on first boot (0 means "never led");
-	// promotion always lands at 2 or above, which a drill can assert.
-	if rs.cfg.Role == RolePrimary && rs.epoch.Epoch() == 0 {
-		if err := rs.epoch.Store(1); err != nil {
+	// A static primary claims epoch 1 on first boot (0: never led), so a
+	// promotion lands at 2 or above; an elected node waits to win one.
+	if !rs.isFollower.Load() && rs.epoch.Epoch() == 0 {
+		if err := rs.epoch.Lead(1); err != nil {
 			return nil, fmt.Errorf("serve: initializing epoch: %w", err)
 		}
 	}
@@ -506,7 +509,7 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	}
 	storeMax(&rs.replApplied, ra)
 	rs.setBootExtras(img.ReplExtras)
-	if rs.cfg.Role == RolePrimary {
+	if !rs.isFollower.Load() {
 		// A primary that previously followed (a promoted standby
 		// restarting) serves its old pull frontier as the divergence
 		// point for its deposed predecessor's rejoin.
@@ -527,7 +530,7 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	go d.advanceLoop()
 	go d.diskLoop()
 	if rs.cfg.Role == RoleFollower {
-		if err := rs.startFollower(s); err != nil {
+		if err := rs.startFollowerTo(s, rs.cfg.PrimaryURL, false); err != nil {
 			return nil, fmt.Errorf("serve: starting follower pull loop: %w", err)
 		}
 	}

@@ -34,17 +34,27 @@ import (
 
 // StartElection attaches an elector to this server and runs it until
 // ctx ends. The caller provides the group topology (ID, URL, Peers,
-// Lead, cadence, State, Transport); the data-plane callbacks — Epoch,
-// PromoteTo, LeaderChanged, Frontier — are wired here and must be left
-// nil.
-// Requires a durable server (NewDurable + Recover not yet necessary:
-// the elector refuses promotion until recovery completes).
+// cadence, State, Transport); the boot state (Lead) and the data-plane
+// callbacks — Epoch, PromoteTo, LeaderChanged, Frontier — are wired
+// here. It runs between NewDurable and Recover, on a server with no
+// role set: the node boots from its epoch record, the primary of the
+// epoch it led (lease pending a quorum round) or else a follower with
+// no upstream. The elector refuses promotion until recovery completes.
 func (s *Server) StartElection(ctx context.Context, cfg elect.Config) (*elect.Elector, error) {
 	d := s.dur
 	if d == nil || d.repl == nil {
 		return nil, fmt.Errorf("serve: election requires a durable, replication-capable server")
 	}
+	if d.recovered.Load() {
+		return nil, fmt.Errorf("serve: StartElection must run before Recover: the boot role comes from the epoch record")
+	}
 	rs := d.repl
+	if err := rs.cfg.Check(true); err != nil {
+		return nil, err
+	}
+	_, led := rs.epoch.State()
+	rs.isFollower.Store(!led)
+	cfg.Lead = led
 	cfg.Epoch = rs.epoch.Epoch
 	cfg.PromoteTo = func(epoch uint64) error {
 		_, err := s.PromoteTo(epoch)
@@ -72,13 +82,13 @@ func (s *Server) StartElection(ctx context.Context, cfg elect.Config) (*elect.El
 // at or above every ingest ack released to clients (safety — anything
 // below could be elected away and lost), and at or below what a valid
 // successor is guaranteed to hold (liveness — or the standby could
-// never take over from a dead primary). For a follower that line is the
-// upstream LSN it durably applied. For a primary with registered
-// followers it is their min acked LSN: semi-sync acks waited for all of
-// them, so released ≤ minAcked ≤ each follower's applied. With no
-// follower registered the local apply frontier stands — vacuous
-// semi-sync acks live on this node alone, which is exactly the history
-// the vote check exists to protect.
+// never take over from a dead primary). The epoch record says which
+// LSN space it counts in. A node that followed its epoch reports the
+// upstream LSN it durably applied. One that led it reports its own: with
+// registered followers their min acked LSN — semi-sync acks waited for
+// all of them, so released ≤ minAcked ≤ each follower's applied — and
+// with none the local apply frontier, since vacuous semi-sync acks live
+// on this node alone, exactly the history the vote check protects.
 func (d *durability) commitFrontier() uint64 {
 	if !d.recovered.Load() {
 		return 0
@@ -87,7 +97,7 @@ func (d *durability) commitFrontier() uint64 {
 	if rs == nil {
 		return d.tracker.Load().frontierLSN()
 	}
-	if rs.isFollower.Load() {
+	if epoch, led := rs.epoch.State(); epoch > 0 && !led {
 		return rs.replApplied.Load()
 	}
 	local := d.tracker.Load().frontierLSN()
@@ -105,17 +115,12 @@ func (s *Server) handleReplFrontier(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	d := s.dur
-	var local uint64
-	if d.recovered.Load() {
-		local = d.tracker.Load().frontierLSN()
-	}
 	writeJSON(w, http.StatusOK, repl.Frontier{
 		ID:          rs.cfg.FollowerID,
 		Epoch:       rs.epoch.Epoch(),
 		Role:        rs.role(),
 		UpstreamLSN: rs.upstreamAtPromote.Load(),
-		LocalLSN:    local,
+		LocalLSN:    s.dur.tracker.Load().frontierLSN(), // replReady: recovered
 	})
 }
 
@@ -164,27 +169,29 @@ func (s *Server) maybeRejoin(epoch uint64, leaderID, leaderURL string) {
 //     stream can extend.
 //
 // Over-truncation is safe (the bootstrap reinstalls everything), as is
-// skipping: the tracker watermark and dedup absorb replays. A node that
-// was already a follower (retargeting to a new leader) skips the
-// truncation — its WAL is its own timeline and recovery gates replay on
-// the snapshot frontier.
+// skipping: the tracker watermark and dedup absorb replays. While the
+// epoch record says this node led its epoch — a failed attempt's too —
+// it truncates; any other node just follows: the pull loop resumes on
+// the leader of the epoch it followed and bootstraps first from that of
+// a later one (repl.Follower).
 func (s *Server) rejoin(epoch uint64, leaderID, leaderURL string) error {
 	d := s.dur
 	rs := d.repl
-	wasPrimary := !rs.isFollower.Swap(true)
+	rs.isFollower.Store(true)
 	if s.anom != nil {
 		// Back to silent tracking: the new leader owns alert delivery.
 		s.anom.SetDeliver(false)
 	}
 	rs.stopFollower()
-	if wasPrimary {
-		rs.logger.Warn("deposed: negotiating rejoin", slog.String("leader", leaderID), slog.Uint64("epoch", epoch))
-		// Best-effort queue drain: accepted-but-unapplied batches hold
-		// WAL LSNs the truncation may remove; the gate above stops new
-		// ones and this wait lets stragglers clear before the cut.
-		for i := 0; i < 50 && s.ingestQ.Len() > 0; i++ {
-			time.Sleep(10 * time.Millisecond)
-		}
+	if _, led := rs.epoch.State(); !led {
+		return rs.startFollowerTo(s, leaderURL, false)
+	}
+	rs.logger.Warn("deposed: negotiating rejoin", slog.String("leader", leaderID), slog.Uint64("epoch", epoch))
+	// Best-effort queue drain: accepted-but-unapplied batches hold WAL
+	// LSNs the truncation may remove; the gate above stops new ones and
+	// this wait lets stragglers clear before the cut.
+	for i := 0; i < 50 && s.ingestQ.Len() > 0; i++ {
+		time.Sleep(10 * time.Millisecond)
 	}
 	fr, err := fetchFrontier(leaderURL, rs.epoch.Epoch())
 	if err != nil {
@@ -198,18 +205,16 @@ func (s *Server) rejoin(epoch uint64, leaderID, leaderURL string) error {
 		target = fr.Epoch
 	}
 	d.applyMu.Lock()
-	if wasPrimary {
-		dropped, err := d.log.TruncateTo(fr.UpstreamLSN)
-		if err != nil {
-			d.applyMu.Unlock()
-			return fmt.Errorf("truncating diverged wal suffix at %d: %w", fr.UpstreamLSN, err)
-		}
-		if dropped > 0 {
-			rs.divergedRecords.Add(int64(dropped))
-			rs.logger.Warn("rolled back diverged records", slog.Int("records", dropped), slog.Uint64("past_lsn", fr.UpstreamLSN))
-		}
-		d.tracker.Store(newApplyTracker(d.log.LastLSN()))
+	dropped, err := d.log.TruncateTo(fr.UpstreamLSN)
+	if err != nil {
+		d.applyMu.Unlock()
+		return fmt.Errorf("truncating diverged wal suffix at %d: %w", fr.UpstreamLSN, err)
 	}
+	if dropped > 0 {
+		rs.divergedRecords.Add(int64(dropped))
+		rs.logger.Warn("rolled back diverged records", slog.Int("records", dropped), slog.Uint64("past_lsn", fr.UpstreamLSN))
+	}
+	d.tracker.Store(newApplyTracker(d.log.LastLSN()))
 	// The new leader's LSN space is not ours: restart the pull cursor
 	// from zero and let the forced bootstrap set the real floor.
 	rs.replApplied.Store(0)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,21 +14,26 @@ import (
 	"hpcpower/internal/vfs"
 )
 
-// startSoloElection attaches a single-node elector (no peers: quorum
-// of one) to a durable server — enough to exercise the serve-side
-// wiring without a full group.
-func startSoloElection(t testing.TB, s *Server, ts *httptest.Server, lead bool) *elect.Elector {
+// newElectedServer builds a durable server over dir as powserved runs a
+// data node under -peer — elector attached before recovery, no role set
+// — and serves it. With no peers the group is this node alone, a quorum
+// of one: enough to exercise the serve-side wiring without a full group.
+func newElectedServer(t testing.TB, dir string, peers ...elect.Peer) (*Server, *httptest.Server, *elect.Elector) {
 	t.Helper()
+	s, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
 	st, err := elect.OpenStateFile(vfs.OS, filepath.Join(t.TempDir(), "elect-state"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
 	el, err := s.StartElection(ctx, elect.Config{
 		ID:             "solo",
 		URL:            ts.URL,
-		Lead:           lead,
+		Peers:          peers,
 		HeartbeatEvery: 10 * time.Millisecond,
 		State:          st,
 		Transport:      &elect.HTTPTransport{},
@@ -35,8 +41,11 @@ func startSoloElection(t testing.TB, s *Server, ts *httptest.Server, lead bool) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(el.Close)
-	return el
+	t.Cleanup(func() { cancel(); el.Close(); ts.Close(); s.Close() })
+	if _, err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	return s, ts, el
 }
 
 // TestFrontierEndpoint: a primary reports its identity, epoch, role,
@@ -190,11 +199,10 @@ func TestPromoteDuringSnapshotBootstrap(t *testing.T) {
 // the election block — role, leader, epoch, lease, witness health, and
 // the last transition — plus the rejoin counters.
 func TestReadyzElectionShape(t *testing.T) {
-	s, ts := newDurableServer(t, t.TempDir(), DurabilityConfig{})
-	defer func() { ts.Close(); s.Close() }()
-	el := startSoloElection(t, s, ts, true)
+	_, ts, el := newElectedServer(t, t.TempDir())
 
-	// A solo leader (quorum of one) regains its lease after one round.
+	// A fresh node boots a follower; alone it wins the first election
+	// and holds the lease after one round.
 	deadline := time.Now().Add(5 * time.Second)
 	for !el.HasLease() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -230,5 +238,115 @@ func TestReadyzElectionShape(t *testing.T) {
 	b := stampedBatches(5, 1)[0]
 	if resp, body := postJSON(t, ts.URL+"/v1/samples", b); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("leased ingest = %d %s", resp.StatusCode, body)
+	}
+}
+
+// deadPeers are group members nobody answers for, so that a node among
+// them can never assemble a quorum and keeps the boot state it took.
+func deadPeers(t *testing.T) []elect.Peer {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	return []elect.Peer{{ID: "x", URL: dead.URL}, {ID: "w", URL: dead.URL, Witness: true}}
+}
+
+// TestParentEpochRecordBootsFollower: a data dir whose EPOCH holds the
+// one-field record of the previous format still opens. The record does
+// not say the node led its epoch, so under an elector it boots a
+// follower advertising its replication cursor — for a node that only
+// ever led, 0, never its own LSNs under an epoch another node might
+// hold — and campaigns with that. Without an elector the static role
+// flags decide, as before.
+func TestParentEpochRecordBootsFollower(t *testing.T) {
+	dirP, dirF := t.TempDir(), t.TempDir()
+	p, tsP := newDurableServer(t, dirP, DurabilityConfig{})
+	f, tsF := newFollowerServer(t, dirF, tsP.URL, DurabilityConfig{})
+	total := sendAll(t, tsP.URL, stampedBatches(31, 6))
+	waitIngested(t, f, total)
+	applied := f.dur.repl.replApplied.Load()
+	if applied == 0 {
+		t.Fatal("the follower applied nothing")
+	}
+	tsF.Close()
+	f.Close()
+	tsP.Close()
+	p.Close()
+	for _, dir := range []string{dirP, dirF} {
+		if err := os.WriteFile(filepath.Join(dir, epochFileName), []byte("1\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, tc := range []struct {
+		dir      string
+		frontier uint64
+	}{{dirP, 0}, {dirF, applied}} {
+		s, ts, el := newElectedServer(t, tc.dir, deadPeers(t)...)
+		if st := el.Status(); !s.dur.repl.isFollower.Load() || st.Role != "follower" {
+			t.Fatalf("%s booted follower %v, elector %+v; want a follower", tc.dir, s.dur.repl.isFollower.Load(), st)
+		}
+		if st := el.Status(); st.FrontierEpoch != 1 || st.FrontierLSN != tc.frontier {
+			t.Errorf("%s advertises %d/%d, want 1/%d", tc.dir, st.FrontierEpoch, st.FrontierLSN, tc.frontier)
+		}
+		if resp, body := postJSON(t, ts.URL+"/v1/samples", stampedBatches(32, 1)[0]); resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), CodeNotPrimary) {
+			t.Errorf("%s ingest = %d %s, want 503 %s", tc.dir, resp.StatusCode, body, CodeNotPrimary)
+		}
+		el.Close()
+		ts.Close()
+		s.Close()
+	}
+
+	s, ts := newDurableServer(t, dirP, DurabilityConfig{})
+	defer func() { ts.Close(); s.Close() }()
+	if code, m := readyzJSON(t, ts.URL); code != http.StatusOK || m["role"] != RolePrimary || m["epoch"] != float64(1) {
+		t.Fatalf("static reopen readyz = %d %v, want the primary at epoch 1", code, m)
+	}
+}
+
+// TestReplStreamNeedsLease: under an elector a primary serves its stream
+// and its bootstrap snapshot only while it holds the lease for its own
+// epoch. A node that led its epoch boots leading it, but until a quorum
+// round confirms that no successor exists it refuses with no_lease;
+// once it holds the lease it serves.
+func TestReplStreamNeedsLease(t *testing.T) {
+	dir := t.TempDir()
+	p, ts := newDurableServer(t, dir, DurabilityConfig{})
+	sendAll(t, ts.URL, stampedBatches(41, 3))
+	ts.Close()
+	p.Close()
+
+	for _, lease := range []bool{false, true} {
+		var peers []elect.Peer
+		if !lease {
+			peers = deadPeers(t)
+		}
+		s, ts, el := newElectedServer(t, dir, peers...)
+		if st := el.Status(); s.dur.repl.isFollower.Load() || st.Role != "leader" {
+			t.Fatalf("the leader of epoch 1 booted follower %v, elector %+v", s.dur.repl.isFollower.Load(), st)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for lease && !el.HasLease() && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		for _, path := range []string{"/v1/repl/stream?follower=x&from=1", "/v1/repl/snapshot?follower=x"} {
+			ctx, cancel := context.WithCancel(context.Background())
+			req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+path, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := make([]byte, 512)
+			n, _ := resp.Body.Read(body)
+			cancel()
+			resp.Body.Close()
+			switch {
+			case lease && resp.StatusCode != http.StatusOK:
+				t.Errorf("with the lease, %s = %d %s", path, resp.StatusCode, body[:n])
+			case !lease && (resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body[:n]), CodeNoLease)):
+				t.Errorf("without the lease, %s = %d %s, want 503 %s", path, resp.StatusCode, body[:n], CodeNoLease)
+			}
+		}
+		el.Close()
+		ts.Close()
+		s.Close()
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -71,18 +70,16 @@ const (
 
 // ReplicationConfig configures a durable server's replication role.
 // The zero value (and a nil pointer in DurabilityConfig) means a
-// standalone primary — always streamable, never following.
+// standalone primary — always streamable, never following. An elected
+// node (StartElection) sets neither Role nor PrimaryURL.
 type ReplicationConfig struct {
-	// Role is RolePrimary (default) or RoleFollower.
+	// Role is RolePrimary (the default, also "") or RoleFollower.
 	Role string
-	// PrimaryURL is the primary's base URL; required for RoleFollower.
+	// PrimaryURL is the primary's base URL, for RoleFollower only.
 	PrimaryURL string
 	// FollowerID names this follower in the primary's registry and reap
 	// holds. Defaults to "follower".
 	FollowerID string
-	// EpochFile is the fsynced fencing-epoch file. Defaults to
-	// <Dir>/EPOCH.
-	EpochFile string
 	// SyncAck makes a primary acknowledge ingest (202) only after every
 	// registered follower has durably applied the batch — semi-sync
 	// replication: a promoted follower already holds everything the
@@ -101,26 +98,32 @@ type ReplicationConfig struct {
 	StallTimeout time.Duration
 }
 
-func (c *ReplicationConfig) withDefaults(dir string) (ReplicationConfig, error) {
+// Check refuses role settings that would quietly start a second
+// primary: an unknown role, any role at all when elected, and a primary
+// URL without RoleFollower (or RoleFollower without one). It reads no
+// data dir, so a daemon checks its flags with it before locking one.
+func (r ReplicationConfig) Check(elected bool) error {
+	switch {
+	case r.Role != "" && r.Role != RolePrimary && r.Role != RoleFollower:
+		return fmt.Errorf("serve: unknown replication role %q (want %q or %q)", r.Role, RolePrimary, RoleFollower)
+	case elected && r.Role != "":
+		return fmt.Errorf("serve: an elected node takes its role from its epoch record, not from role %q", r.Role)
+	case (r.Role == RoleFollower) != (r.PrimaryURL != ""):
+		return fmt.Errorf("serve: role %q with primary URL %q: a follower needs one, any other node would run a second primary", r.Role, r.PrimaryURL)
+	}
+	return nil
+}
+
+func (c *ReplicationConfig) withDefaults() (ReplicationConfig, error) {
 	var r ReplicationConfig
 	if c != nil {
 		r = *c
 	}
-	switch r.Role {
-	case "":
-		r.Role = RolePrimary
-	case RolePrimary, RoleFollower:
-	default:
-		return r, fmt.Errorf("serve: unknown replication role %q (want %q or %q)", r.Role, RolePrimary, RoleFollower)
-	}
-	if r.Role == RoleFollower && r.PrimaryURL == "" {
-		return r, fmt.Errorf("serve: replication role %q needs a primary URL", RoleFollower)
+	if err := r.Check(false); err != nil {
+		return r, err
 	}
 	if r.FollowerID == "" {
 		r.FollowerID = "follower"
-	}
-	if r.EpochFile == "" {
-		r.EpochFile = filepath.Join(dir, "EPOCH")
 	}
 	if r.SyncAckTimeout <= 0 {
 		r.SyncAckTimeout = 5 * time.Second
@@ -269,7 +272,7 @@ func (rs *replState) notPrimary(w http.ResponseWriter, msg string) {
 // observeRequestEpoch folds a peer-reported epoch into the fencing
 // state: a primary that sees a higher epoch than its own has been
 // superseded by a promotion and fences itself — stickily, until
-// operator intervention (the process is restarted as a follower).
+// it rejoins a successor or restarts from its epoch record.
 func (rs *replState) observeRequestEpoch(r *http.Request) {
 	v := r.Header.Get(HeaderReplEpoch)
 	if v == "" {
@@ -348,20 +351,17 @@ func (rs *replState) lagRecords() uint64 {
 	return 0
 }
 
+// stopStreams ends every in-flight follower stream (graceful shutdown
+// would wait them out); followers reconnect, here or to a successor.
 func (rs *replState) stopStreams() {
 	rs.streamOnce.Do(func() { close(rs.streamStop) })
 }
 
-// startFollower wires and starts the pull loop against the serving
-// layer's apply path, targeting the configured primary.
-func (rs *replState) startFollower(s *Server) error {
-	return rs.startFollowerTo(s, rs.cfg.PrimaryURL, false)
-}
-
-// startFollowerTo starts the pull loop against an explicit upstream —
-// the rejoin path retargets a deposed primary at its successor, with
-// forceBootstrap set so the first connect installs a snapshot instead
-// of extending a diverged timeline.
+// startFollowerTo wires and starts the pull loop against the serving
+// layer's apply path and primaryURL — the rejoin path retargets a
+// deposed primary at its successor, with forceBootstrap set so the
+// first connect installs a snapshot instead of extending a diverged
+// timeline.
 func (rs *replState) startFollowerTo(s *Server, primaryURL string, forceBootstrap bool) error {
 	f, err := repl.StartFollower(repl.FollowerConfig{
 		PrimaryURL:     primaryURL,
@@ -416,7 +416,7 @@ func (rs *replState) stopFollower() {
 // informs an attached elector so the election state tracks the manual
 // promotion instead of campaigning against it.
 func (s *Server) Promote() (epoch uint64, err error) {
-	epoch, err = s.promoteTo(0)
+	epoch, err = s.PromoteTo(0)
 	if err != nil {
 		return 0, err
 	}
@@ -426,15 +426,12 @@ func (s *Server) Promote() (epoch uint64, err error) {
 	return epoch, nil
 }
 
-// PromoteTo promotes to exactly epoch — the election path: the elector
-// won a quorum of votes for this precise epoch, so the data epoch must
-// land on it (not one past it). Must NOT call back into the elector
-// (it is invoked under the elector's lock).
-func (s *Server) PromoteTo(epoch uint64) (uint64, error) {
-	return s.promoteTo(epoch)
-}
-
-func (s *Server) promoteTo(target uint64) (epoch uint64, err error) {
+// PromoteTo promotes to exactly target — the election path: the
+// elector won a quorum of votes for this precise epoch, so the data
+// epoch must land on it (not one past it); 0 means one past the
+// current epoch. Must NOT call back into the elector (it is invoked
+// under the elector's lock).
+func (s *Server) PromoteTo(target uint64) (epoch uint64, err error) {
 	d := s.dur
 	if d == nil || d.repl == nil {
 		return 0, fmt.Errorf("serve: promotion requires a durable server")
@@ -450,7 +447,7 @@ func (s *Server) promoteTo(target uint64) (epoch uint64, err error) {
 		}
 		// Already primary, promoted to a higher epoch (an elector
 		// re-winning leadership after a lease lapse).
-		if err := rs.epoch.Store(target); err != nil {
+		if err := rs.epoch.Lead(target); err != nil {
 			return 0, fmt.Errorf("serve: persisting promotion epoch %d: %w", target, err)
 		}
 		if target > rs.fencedBy.Load() {
@@ -464,7 +461,7 @@ func (s *Server) promoteTo(target uint64) (epoch uint64, err error) {
 	if target > next {
 		next = target
 	}
-	if err := rs.epoch.Store(next); err != nil {
+	if err := rs.epoch.Lead(next); err != nil {
 		return 0, fmt.Errorf("serve: persisting promotion epoch %d: %w", next, err)
 	}
 	// The upstream frontier freezes at promotion: everything this node
@@ -509,16 +506,9 @@ func (s *Server) replGateIngest(w http.ResponseWriter, r *http.Request) bool {
 			rs.epoch.Epoch(), rs.fencedBy.Load())
 		return false
 	}
-	// With an elector attached, a primary only acks while it holds the
-	// leader lease: a partitioned primary that cannot reach a quorum
-	// goes silent instead of acking writes its successor will not have.
-	if el := s.elector.Load(); el != nil && !el.HasLease() {
-		w.Header().Set(HeaderReplLease, "expired")
-		errJSONCode(w, http.StatusServiceUnavailable, CodeNoLease,
-			"leader lease expired: cannot reach an election quorum — writes may be lost, try another node")
-		return false
-	}
-	return true
+	// Under an elector a primary acks only with the lease: cut off from a
+	// quorum it goes silent rather than ack what its successor lacks.
+	return s.leaseHeld(w, 0)
 }
 
 // replReady answers the common replication-endpoint preconditions,
@@ -538,6 +528,30 @@ func (s *Server) replReady(w http.ResponseWriter, r *http.Request) (*replState, 
 	return rs, true
 }
 
+// replServes answers whether this node may serve its history to a
+// follower, writing the refusal if not: never as a follower, and under
+// an elector only with the lease for its own epoch — else it could hand
+// out a history its successor replaced.
+func (s *Server) replServes(w http.ResponseWriter, rs *replState, followerMsg string) bool {
+	if rs.isFollower.Load() {
+		rs.notPrimary(w, followerMsg)
+		return false
+	}
+	return s.leaseHeld(w, rs.epoch.Epoch())
+}
+
+// leaseHeld reports whether an attached elector (if any) holds the lease
+// at epoch (0: its own), writing the no_lease refusal when not.
+func (s *Server) leaseHeld(w http.ResponseWriter, epoch uint64) bool {
+	if el := s.elector.Load(); el == nil || el.HasLease() && (epoch == 0 || el.Status().Epoch == epoch) {
+		return true
+	}
+	w.Header().Set(HeaderReplLease, "expired")
+	errJSONCode(w, http.StatusServiceUnavailable, CodeNoLease,
+		"leader lease expired: cannot reach an election quorum — writes may be lost, try another node")
+	return false
+}
+
 // handleReplStream serves one follower's stream connection. It is
 // routed around the request-timeout wrapper: the connection is
 // long-lived by design and needs http.Flusher, which
@@ -547,8 +561,7 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if rs.isFollower.Load() {
-		rs.notPrimary(w, "cascading replication is not supported — stream from the primary")
+	if !s.replServes(w, rs, "cascading replication is not supported — stream from the primary") {
 		return
 	}
 	id := r.URL.Query().Get("follower")
@@ -610,8 +623,7 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if rs.isFollower.Load() {
-		rs.notPrimary(w, "cascading replication is not supported — bootstrap from the primary")
+	if !s.replServes(w, rs, "cascading replication is not supported — bootstrap from the primary") {
 		return
 	}
 	lsn, payload, err := s.dur.snapshotOnce(s)
@@ -734,7 +746,9 @@ func (s *Server) installReplSnapshot(plsn uint64, payload []byte) error {
 		return err
 	}
 	rs.setBootExtras(img.Extras)
-	storeMax(&rs.replApplied, img.AppliedLSN)
+	// Not a max: after a primary of a later epoch, the old cursor may
+	// count another node's LSNs.
+	rs.replApplied.Store(img.AppliedLSN)
 	d.applyMu.Unlock()
 	if _, _, err := d.snapshotOnce(s); err != nil {
 		return fmt.Errorf("persisting bootstrap snapshot: %w", err)
@@ -801,23 +815,10 @@ func (d *durability) advanceLoop() {
 	}
 }
 
-// StopReplicationStreams ends every in-flight follower stream — called
-// before graceful HTTP shutdown, which would otherwise wait the
-// streams out. Followers reconnect (to this node or its successor).
-func (s *Server) StopReplicationStreams() {
-	if s.dur != nil && s.dur.repl != nil {
-		s.dur.repl.stopStreams()
-	}
-}
-
 // collect emits the repl_* series into the registry's exposition.
 func (rs *replState) collect(e *obs.Exposition) {
 	e.Gauge("powserved_repl_epoch", float64(rs.epoch.Epoch()))
-	roleVal := float64(1)
-	if rs.isFollower.Load() {
-		roleVal = 0
-	}
-	e.Gauge("powserved_repl_role", roleVal)
+	e.Gauge("powserved_repl_role", float64(1-b2i(rs.isFollower.Load()))) // 1 = primary
 	e.Gauge("powserved_repl_fenced", float64(b2i(rs.fenced.Load())))
 	e.Gauge("powserved_repl_lag_records", float64(rs.lagRecords()))
 	e.Gauge("powserved_repl_watermark", float64(rs.source.Watermark()))

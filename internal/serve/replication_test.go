@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hpcpower/internal/elect"
 )
 
 // followerCfg returns a ReplicationConfig for a test follower of the
@@ -363,5 +366,63 @@ func TestReadyzJSONShape(t *testing.T) {
 	}
 	if m["role"] != RolePrimary || m["fenced"] != false {
 		t.Fatalf("durable readyz = %v", m)
+	}
+}
+
+// TestReplicationConfigCheck: role settings that would quietly start a
+// second primary are refused — by Check, which a daemon runs on its
+// flags with or without a data dir, and by NewDurable before it locks
+// the dir — and the ones that name one role are taken.
+func TestReplicationConfigCheck(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     *ReplicationConfig
+		elected bool
+		refuse  string // "" when taken
+	}{
+		{"default primary", &ReplicationConfig{}, false, ""},
+		{"explicit primary", &ReplicationConfig{Role: RolePrimary}, false, ""},
+		{"static follower", &ReplicationConfig{Role: RoleFollower, PrimaryURL: "http://p"}, false, ""},
+		{"follower without a primary URL", &ReplicationConfig{Role: RoleFollower}, false, "a follower needs one"},
+		{"primary URL without role follower", &ReplicationConfig{PrimaryURL: "http://p"}, false, "second primary"},
+		{"primary URL with role primary", &ReplicationConfig{Role: RolePrimary, PrimaryURL: "http://p"}, false, "second primary"},
+		{"unknown role", &ReplicationConfig{Role: "leader"}, false, "unknown replication role"},
+		{"elected, no role", &ReplicationConfig{FollowerID: "b"}, true, ""},
+		{"elected with role primary", &ReplicationConfig{Role: RolePrimary}, true, "epoch record"},
+		{"elected with role follower", &ReplicationConfig{Role: RoleFollower, PrimaryURL: "http://p"}, true, "epoch record"},
+		{"elected with a primary URL", &ReplicationConfig{PrimaryURL: "http://p"}, true, "second primary"},
+		{"elected with an unknown role", &ReplicationConfig{Role: "witness"}, true, "unknown replication role"},
+	} {
+		err := tc.cfg.Check(tc.elected)
+		if tc.refuse == "" && err != nil || tc.refuse != "" && (err == nil || !strings.Contains(err.Error(), tc.refuse)) {
+			t.Errorf("%s: Check(%v) = %v, want %q", tc.name, tc.elected, err, tc.refuse)
+		}
+		if tc.elected || tc.refuse == "" {
+			continue
+		}
+		// NewDurable refuses the same before it locks the dir: a second
+		// open of the dir is not refused as locked.
+		dir := t.TempDir()
+		if s, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir, Replication: tc.cfg}); err == nil || !strings.Contains(err.Error(), tc.refuse) {
+			if s != nil {
+				s.Close()
+			}
+			t.Errorf("%s: NewDurable = %v, want %q", tc.name, err, tc.refuse)
+		}
+		s, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir})
+		if err != nil {
+			t.Fatalf("%s: the refused open left the dir locked: %v", tc.name, err)
+		}
+		s.Close()
+	}
+
+	// StartElection refuses a server configured with a role.
+	s, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: t.TempDir(), Replication: followerCfg("http://p")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.StartElection(context.Background(), elect.Config{ID: "a"}); err == nil || !strings.Contains(err.Error(), "epoch record") {
+		t.Errorf("StartElection on a static follower = %v, want a refusal naming the epoch record", err)
 	}
 }

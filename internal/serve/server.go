@@ -676,17 +676,7 @@ func (s *Server) readyzBody(status string) map[string]any {
 	body["rejoins"] = rs.rejoins.Load()
 	body["diverged_records"] = rs.divergedRecords.Load()
 	if el := s.elector.Load(); el != nil {
-		st := el.Status()
-		body["election"] = map[string]any{
-			"role":               st.Role,
-			"leader_id":          st.LeaderID,
-			"leader_url":         st.LeaderURL,
-			"epoch":              st.Epoch,
-			"has_lease":          st.HasLease,
-			"lease_remaining_ms": st.LeaseRemaining.Milliseconds(),
-			"witness_ok":         st.WitnessOK,
-			"last_transition":    st.LastTransition,
-		}
+		body["election"] = el.Status()
 	}
 	return body
 }
@@ -718,7 +708,9 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) (boundAddr str
 		case <-ctx.Done():
 			// Follower streams never end on their own; cut them so the
 			// graceful shutdown below does not wait out its full timeout.
-			s.StopReplicationStreams()
+			if s.dur != nil {
+				s.dur.repl.stopStreams()
+			}
 			shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			shutErr := hs.Shutdown(shutCtx)

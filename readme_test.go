@@ -2,7 +2,9 @@ package hpcpower
 
 import (
 	"os"
+	"os/exec"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -50,5 +52,86 @@ func TestREADMESpecExamplesParse(t *testing.T) {
 		if !strings.Contains(readme, "```text\n"+usage+"\n```") {
 			t.Errorf("README.md's -%s key table is not the parser's Usage(); it should read:\n%s", flag, usage)
 		}
+	}
+}
+
+// flagRow is one row of README.md's powserved flag table, and
+// flagCount the sentence that counts them.
+var (
+	flagRow   = regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)` \\| (\\w+) \\| (?:`([^`]*)`)? \\|")
+	flagCount = regexp.MustCompile(`The (\d+) flags:`)
+)
+
+// helpFlags runs powserved -help and returns each flag's type and
+// default as flag.PrintDefaults prints them: "bool" for a flag with no
+// type word, and the default unquoted, "" when it is the zero value.
+func helpFlags(t *testing.T) map[string][2]string {
+	t.Helper()
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go command to build powserved with")
+	}
+	out, err := exec.Command(goBin, "run", "./cmd/powserved", "-help").CombinedOutput()
+	if err != nil {
+		t.Fatalf("powserved -help: %v\n%s", err, out)
+	}
+	header := regexp.MustCompile(`^  -(\S+)(?: (\S+))?$`)
+	dflt := regexp.MustCompile(`\(default (.+)\)$`)
+	flags := map[string][2]string{}
+	name := ""
+	for _, line := range strings.Split(string(out), "\n") {
+		if m := header.FindStringSubmatch(line); m != nil {
+			name = m[1]
+			typ := m[2]
+			if typ == "" {
+				typ = "bool"
+			}
+			flags[name] = [2]string{typ, ""}
+			continue
+		}
+		if m := dflt.FindStringSubmatch(line); m != nil && name != "" {
+			v := m[1]
+			if u, err := strconv.Unquote(v); err == nil {
+				v = u
+			}
+			flags[name] = [2]string{flags[name][0], v}
+		}
+	}
+	if len(flags) == 0 {
+		t.Fatalf("found no flag in powserved -help:\n%s", out)
+	}
+	return flags
+}
+
+// TestREADMEFlagTable checks README.md's powserved flag table against
+// the daemon's own flag set: the same names, each with the type and the
+// default -help prints, and the count above the table right.
+func TestREADMEFlagTable(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := helpFlags(t)
+	rows := flagRow.FindAllStringSubmatch(string(raw), -1)
+	got := map[string][2]string{}
+	for _, m := range rows {
+		got[m[1]] = [2]string{m[2], m[3]}
+	}
+	for name, w := range want {
+		g, ok := got[name]
+		switch {
+		case !ok:
+			t.Errorf("README.md's flag table lacks -%s (%s, default %q)", name, w[0], w[1])
+		case g != w:
+			t.Errorf("README.md says -%s is %s with default %q; powserved -help says %s with default %q", name, g[0], g[1], w[0], w[1])
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("README.md's flag table lists -%s, which powserved does not have", name)
+		}
+	}
+	if m := flagCount.FindStringSubmatch(string(raw)); m == nil || m[1] != strconv.Itoa(len(want)) {
+		t.Errorf("README.md counts %v flags; powserved has %d", m, len(want))
 	}
 }
