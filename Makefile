@@ -93,19 +93,20 @@ bench-snapshot:
 bench-tsdb:
 	$(call gobench,'AppendFleet|AppendInterleaved|ExportState',./internal/tsdb/)
 
-# Prediction-study microbenchmarks (the paper's Figs. 14-15, Emmy at a
-# tenth of the study): BDTFit on 5,000 synthetic jobs (about 120
-# allocs/op: the columns, the orders and the nodes; thousands mean a node
-# copies or sorts its rows again), KNNPredict (one selection pass over the
-# user's history, 0 allocs/op), and EvaluateAll, ten splits x three
-# models, on one core and on two: the splits are drawn and fitted
-# concurrently, so -2 should read about a third below -1 (the BDT fits
-# no longer allocate per node and scale like KNN and FLDA; pooling the
-# errors and the CDFs stay on one core), and -1 no worse than walking
-# the splits in turn.
+# The paper's study, microbenchmarked (Emmy at a tenth of the study):
+# BDTFit on 5,000 synthetic jobs (about 125 allocs/op: the columns, the
+# counting orders and the nodes; thousands mean a node copies or sorts
+# its rows again), KNNPredict (one selection pass over the user's
+# history, 0 allocs/op), and, on one core and on two, EvaluateAll (ten
+# splits x three models, drawn and fitted concurrently: -2 should read
+# about a third below -1, and -1 no worse than walking the splits in
+# turn) and internal/core's AnalyzeAll (Figs. 1-13: AnalyzeSystem, then
+# the other nine analyses at once, so Analyze uses both cores and -2
+# should read well below -1).
 bench-mlearn:
 	$(call gobench,'BDTFit|KNNPredict',./internal/mlearn/)
 	$(GO) test -run xxx -bench 'EvaluateAll' -benchmem -benchtime=$(BENCHTIME) -cpu 1,2 ./internal/mlearn/
+	$(GO) test -run xxx -bench 'AnalyzeAll' -benchmem -benchtime=$(BENCHTIME) -cpu 1,2 ./internal/core/
 
 # The end-to-end + per-layer benchmark (bench/README.md): every workload,
 # 5 untraced runs and one traced run each, about 12 minutes.

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // The claims checker turns the paper's findings into executable
 // assertions: every bullet of the introduction/discussion becomes a
@@ -111,10 +114,16 @@ func CheckClaims(emmy, meggie *Report, pred map[string][]PredSummary) []Claim {
 			emmy.Variability.MeanPowerStdPct, emmy.Clusters.ByNodes.MeanStdPct,
 			emmy.Clusters.ByNodes.FracBelow10Pct))
 
-	// §5: prediction quality and model ordering.
-	for system, results := range pred {
+	// §5: prediction quality and model ordering, one claim per system in
+	// name order.
+	systems := make([]string, 0, len(pred))
+	for system := range pred {
+		systems = append(systems, system)
+	}
+	sort.Strings(systems)
+	for _, system := range systems {
 		byName := map[string]PredSummary{}
-		for _, r := range results {
+		for _, r := range pred[system] {
 			byName[r.Model] = r
 		}
 		bdt, okB := byName["BDT"]

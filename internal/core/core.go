@@ -114,6 +114,9 @@ func AnalyzePowerDistribution(ds *trace.Dataset) (PowerDistribution, error) {
 	if len(ds.Jobs) == 0 {
 		return PowerDistribution{}, fmt.Errorf("core: dataset has no jobs")
 	}
+	if ds.Meta.NodeTDPW <= 0 {
+		return PowerDistribution{}, fmt.Errorf("core: invalid node TDP")
+	}
 	powers := perNodePowers(ds)
 	d := PowerDistribution{
 		System:  ds.Meta.System,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -493,5 +494,32 @@ func TestCheckClaimsOnGenerated(t *testing.T) {
 	claims = CheckClaims(&broken, rm, pred)
 	if ClaimsHold(claims) {
 		t.Error("broken stranded-power claim not detected")
+	}
+}
+
+// TestCheckClaimsSameOnEveryCall: with two systems' prediction results,
+// the claims come out in one order (the systems' names sorted) on every
+// call, so powreport prints its prediction lines in one order.
+func TestCheckClaimsSameOnEveryCall(t *testing.T) {
+	re, err := AnalyzeAll(emmy(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm, err := AnalyzeAll(meggie(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := map[string][]PredSummary{
+		"Meggie": {{Model: "BDT", FracBelow10: 91}, {Model: "FLDA", FracBelow10: 70}},
+		"Emmy":   {{Model: "BDT", FracBelow10: 89}, {Model: "FLDA", FracBelow10: 55}},
+	}
+	first := CheckClaims(re, rm, pred)
+	for i := 2; i <= 20; i++ {
+		if again := CheckClaims(re, rm, pred); !reflect.DeepEqual(again, first) {
+			t.Fatalf("call %d: claims differ from the first call's:\n%+v\n%+v", i, again, first)
+		}
+	}
+	if n := len(first); first[n-2].ID != "prediction-Emmy" || first[n-1].ID != "prediction-Meggie" {
+		t.Errorf("prediction claims: %s, %s", first[n-2].ID, first[n-1].ID)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"hpcpower/internal/apps"
 	"hpcpower/internal/trace"
 )
@@ -21,37 +23,41 @@ type Report struct {
 	Clusters     ClusterVariability // Fig. 13
 }
 
-// AnalyzeAll runs the full single-system battery.
+// AnalyzeAll runs the full single-system battery. AnalyzeSystem runs
+// first, since it validates the dataset; the other nine only read it and
+// run at once, each into its own field. A refused dataset returns the
+// error of the first failing step in the battery's order.
 func AnalyzeAll(ds *trace.Dataset) (*Report, error) {
 	r := &Report{System: ds.Meta.System, Jobs: len(ds.Jobs)}
 	var err error
 	if r.SystemLevel, err = AnalyzeSystem(ds); err != nil {
 		return nil, err
 	}
-	if r.Distribution, err = AnalyzePowerDistribution(ds); err != nil {
-		return nil, err
+	steps := [...]func() error{
+		func() (err error) { r.Distribution, err = AnalyzePowerDistribution(ds); return },
+		func() error { r.AppPower = AnalyzeAppPower(ds, apps.KeyApps); return nil },
+		func() (err error) { r.Correlations, err = AnalyzeCorrelations(ds); return },
+		func() (err error) { r.Splits, err = AnalyzeLengthSizeSplits(ds); return },
+		func() (err error) { r.Temporal, err = AnalyzeTemporal(ds); return },
+		func() (err error) { r.Spatial, err = AnalyzeSpatial(ds); return },
+		func() (err error) { r.Users, err = AnalyzeUserConcentration(ds); return },
+		func() (err error) { r.Variability, err = AnalyzeUserVariability(ds); return },
+		func() (err error) { r.Clusters, err = AnalyzeClusterVariability(ds); return },
 	}
-	r.AppPower = AnalyzeAppPower(ds, apps.KeyApps)
-	if r.Correlations, err = AnalyzeCorrelations(ds); err != nil {
-		return nil, err
+	var errs [len(steps)]error
+	var wg sync.WaitGroup
+	for i, step := range steps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = step()
+		}()
 	}
-	if r.Splits, err = AnalyzeLengthSizeSplits(ds); err != nil {
-		return nil, err
-	}
-	if r.Temporal, err = AnalyzeTemporal(ds); err != nil {
-		return nil, err
-	}
-	if r.Spatial, err = AnalyzeSpatial(ds); err != nil {
-		return nil, err
-	}
-	if r.Users, err = AnalyzeUserConcentration(ds); err != nil {
-		return nil, err
-	}
-	if r.Variability, err = AnalyzeUserVariability(ds); err != nil {
-		return nil, err
-	}
-	if r.Clusters, err = AnalyzeClusterVariability(ds); err != nil {
-		return nil, err
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return r, nil
 }

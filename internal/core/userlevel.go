@@ -93,20 +93,24 @@ const MinJobsPerGroup = 3
 // AnalyzeUserVariability computes Fig. 12.
 func AnalyzeUserVariability(ds *trace.Dataset) (UserVariability, error) {
 	type agg struct{ pow, nodes, hours []float64 }
+	// Users in the order of their first job, so the means below add up in
+	// the same order on every run.
 	byUser := map[string]*agg{}
+	var users []*agg
 	for i := range ds.Jobs {
 		j := &ds.Jobs[i]
 		a := byUser[j.User]
 		if a == nil {
 			a = &agg{}
 			byUser[j.User] = a
+			users = append(users, a)
 		}
 		a.pow = append(a.pow, float64(j.AvgPowerPerNode))
 		a.nodes = append(a.nodes, float64(j.Nodes))
 		a.hours = append(a.hours, j.Runtime().Hours())
 	}
 	var powStd, nodeStd, hourStd []float64
-	for _, a := range byUser {
+	for _, a := range users {
 		if len(a.pow) < MinJobsPerGroup {
 			continue
 		}

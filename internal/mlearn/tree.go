@@ -127,17 +127,69 @@ func newTreeFitter(samples []Sample, p TreeParams) *treeFitter {
 	}
 	for i := range samples {
 		s := &samples[i]
-		f.y[i], f.x[0][i], f.x[1][i], f.user[i] = s.PowerW, lnNodes(s.Features), lnWall(s.Features), number[s.User]
+		f.y[i], f.user[i] = s.PowerW, number[s.User]
 		f.order[0][i] = int32(i)
 	}
-	for feat, x := range f.x {
-		order := f.order[1+feat]
-		copy(order, f.order[0])
-		slices.SortFunc(order, func(a, b int32) int {
-			return cmp.Or(cmp.Compare(x[a], x[b]), cmp.Compare(a, b))
-		})
-	}
+	f.orderFeatures(samples)
 	return f
+}
+
+// orderFeatures fills both feature columns and orders each by counting:
+// node counts and requested walltimes repeat, so a fit sees a few dozen
+// distinct values. Each distinct raw value gets a slot and its log once;
+// the slots are ranked by cmp.Compare on their logs, raw values with one
+// log (Nodes <= 1, WallHours <= 0.1, every NaN) sharing a rank; and the
+// rows are placed by rank in training order. That is ascending x with
+// equal values in training order, NaN first: the order a stable
+// comparison sort on (x, row) gives.
+func (f *treeFitter) orderFeatures(samples []Sample) {
+	slotOf := f.scratch // free until build partitions
+	slot := map[float64]int32{}
+	var logs []float64
+	for feat, ln := range [2]func(Features) float64{lnNodes, lnWall} {
+		clear(slot)
+		logs = logs[:0]
+		for i := range samples {
+			s := samples[i].Features
+			v := s.WallHours
+			if feat == 0 {
+				v = float64(s.Nodes)
+			}
+			k, ok := slot[v]
+			if !ok { // a NaN is never found again: each gets its own slot
+				k = int32(len(logs))
+				slot[v] = k
+				logs = append(logs, ln(s))
+			}
+			slotOf[i], f.x[feat][i] = k, logs[k]
+		}
+		byLog := make([]int32, len(logs))
+		for k := range byLog {
+			byLog[k] = int32(k)
+		}
+		slices.SortFunc(byLog, func(a, b int32) int { return cmp.Compare(logs[a], logs[b]) })
+		// rank[k] is slot k's place among the distinct logs; next[r] is
+		// where the next row of rank r goes.
+		rank, next := make([]int32, len(logs)), make([]int32, len(logs)+1)
+		r := int32(0)
+		for i, k := range byLog {
+			if i > 0 && cmp.Compare(logs[byLog[i-1]], logs[k]) != 0 {
+				r++
+			}
+			rank[k] = r
+		}
+		for _, k := range slotOf {
+			next[rank[k]+1]++
+		}
+		for j := 1; j < len(next); j++ {
+			next[j] += next[j-1]
+		}
+		order := f.order[1+feat]
+		for i, k := range slotOf {
+			order[next[rank[k]]] = int32(i)
+			next[rank[k]]++
+		}
+	}
 }
 
 // build grows the subtree over the window [lo, hi).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -103,6 +104,39 @@ func TestBDTFitPinned(t *testing.T) {
 	}
 }
 
+// TestBDTFitNaNWallPinned pins the tree fitted on a small set with NaN
+// walltimes beside walltimes and node counts that share a log: the fit
+// orders NaN first, as cmp.Compare does. fitByResorting orders with <,
+// under which NaN is unordered, so this set is pinned by hash instead.
+func TestBDTFitNaNWallPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("hash pinned on amd64, this is %s", runtime.GOARCH)
+	}
+	data := synthetic(240, 0.02, 5)
+	for i := range data {
+		switch i % 7 {
+		case 1:
+			data[i].WallHours = math.NaN()
+		case 3:
+			data[i].Nodes, data[i].WallHours = 0, 0.1
+		case 5:
+			data[i].Nodes, data[i].WallHours = 1, 0.05
+		}
+	}
+	for p, want := range map[TreeParams]string{
+		DefaultTreeParams():       "ab0b621761a3e516863247beb140b2f58edf8f8262f6b7c711551d1a06fde0fc",
+		{MaxDepth: 4, MinLeaf: 3}: "bf0fa3177d5404be296f2d23c737e4c6ae446e9ba614e5eb48f950be392a6660",
+	} {
+		m := NewBDT(p)
+		if err := m.Fit(data); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(savedTree(t, m))); got != want {
+			t.Errorf("%+v: saved tree (%d leaves) hashes to %s, want %s", p, m.Leaves(), got, want)
+		}
+	}
+}
+
 // FuzzBDTFit draws small training sets from a few users, node counts,
 // walltimes and power levels, so that equal feature values, equal user
 // means and leaves at the MinLeaf edge are the rule: the fitter must save
@@ -116,13 +150,15 @@ func FuzzBDTFit(f *testing.F) {
 		if len(raw) == 0 || len(raw) > 256 {
 			return
 		}
+		// Nodes 0 and 1 share a log, as do WallHours 0.05 and 0.1: an even
+		// row draws from the first four values, an odd row from the last four.
 		users := []string{"u1", "u2", "u3", "*"}
-		nodes := []int{1, 2, 4, 64}
-		walls := []float64{0.05, 1, 6, 24}
+		nodes := []int{0, 1, 2, 4, 64}
+		walls := []float64{0.05, 0.1, 1, 6, 24}
 		data := make([]Sample, len(raw))
 		for i, b := range raw {
 			data[i] = Sample{
-				Features: Features{User: users[b&3], Nodes: nodes[b>>2&3], WallHours: walls[b>>4&3]},
+				Features: Features{User: users[b&3], Nodes: nodes[int(b>>2&3)+i%2], WallHours: walls[int(b>>4&3)+i%2]},
 				PowerW:   100 + 25*float64(b>>6) + float64(i%3),
 			}
 		}
