@@ -9,6 +9,11 @@ GO ?= go
 # (TestFailoverRounds), overload and the memory watermark
 # (TestOverloadRounds), anomaly detection through faults
 # (TestAnomalyRounds) and every crash point of one node (TestCrashPoints).
+# What those drills claim (no acked batch lost or doubled, one
+# lease-holder per epoch, follower equals primary, analytics equal a
+# fault-free control, the frontier never regresses, no shipper gives up)
+# is stated once, in internal/serve/invariants_test.go.
+# fmt-check fails on any file gofmt would rewrite.
 # smoke is the one drill that runs the real binaries and SIGKILLs one.
 # CI runs the microbenchmarks at BENCHTIME=0.5s. bench-selftest is not in
 # a list: both run it straight after the build, because bench/ compiles
@@ -18,7 +23,7 @@ FUZZ_TARGETS = fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-epoch fuzz
 BENCH_TARGETS = bench bench-block bench-codec bench-wal bench-snapshot bench-tsdb bench-mlearn
 SMOKE_TARGETS = smoke
 
-.PHONY: all build vet test race bench-e2e bench-compare bench-selftest block-check obs-check ci clean fuzz-all bench-all $(FUZZ_TARGETS) $(BENCH_TARGETS) $(SMOKE_TARGETS)
+.PHONY: all build fmt-check vet test race bench-e2e bench-compare bench-selftest block-check obs-check ci clean fuzz-all bench-all $(FUZZ_TARGETS) $(BENCH_TARGETS) $(SMOKE_TARGETS)
 
 BENCHTIME ?= 1s
 gobench = $(GO) test -run xxx -bench $(1) -benchmem -benchtime=$(BENCHTIME) $(2)
@@ -29,6 +34,9 @@ all: build
 
 build:
 	$(GO) build ./...
+
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -242,4 +250,4 @@ fuzz-all: $(FUZZ_TARGETS)
 
 bench-all: $(BENCH_TARGETS)
 
-ci: vet build bench-selftest race obs-check block-check $(SMOKE_TARGETS) fuzz-all bench-all
+ci: fmt-check vet build bench-selftest race obs-check block-check $(SMOKE_TARGETS) fuzz-all bench-all

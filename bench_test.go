@@ -287,7 +287,7 @@ func BenchmarkFig13ClusterVariability(b *testing.B) {
 func BenchmarkFig14PredictionError(b *testing.B) {
 	emmy, _ := benchData(b)
 	samples := mlearn.SamplesFromDataset(emmy)
-	cfg := mlearn.EvalConfig{Reps: 3, ValidFrac: 0.2, Seed: 7}
+	cfg := mlearn.EvalConfig{Reps: 3, Seed: 7}
 	var results []mlearn.EvalResult
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -313,7 +313,7 @@ func BenchmarkFig14PredictionError(b *testing.B) {
 func BenchmarkFig15PerUserError(b *testing.B) {
 	emmy, _ := benchData(b)
 	samples := mlearn.SamplesFromDataset(emmy)
-	cfg := mlearn.EvalConfig{Reps: 3, ValidFrac: 0.2, Seed: 7}
+	cfg := mlearn.EvalConfig{Reps: 3, Seed: 7}
 	var res mlearn.EvalResult
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -388,7 +388,7 @@ func BenchmarkAblationBackfill(b *testing.B) {
 func BenchmarkAblationFeatures(b *testing.B) {
 	emmy, _ := benchData(b)
 	samples := mlearn.SamplesFromDataset(emmy)
-	cfg := mlearn.EvalConfig{Reps: 2, ValidFrac: 0.2, Seed: 7}
+	cfg := mlearn.EvalConfig{Reps: 2, Seed: 7}
 	var results []mlearn.AblationResult
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -413,7 +413,7 @@ func BenchmarkAblationFeatures(b *testing.B) {
 func BenchmarkAblationTreeParams(b *testing.B) {
 	emmy, _ := benchData(b)
 	samples := mlearn.SamplesFromDataset(emmy)
-	cfg := mlearn.EvalConfig{Reps: 2, ValidFrac: 0.2, Seed: 7}
+	cfg := mlearn.EvalConfig{Reps: 2, Seed: 7}
 	var grid []mlearn.GridPoint
 	var err error
 	for i := 0; i < b.N; i++ {

@@ -44,10 +44,6 @@ type Config struct {
 	// CompactInterval is the cadence of the background compact+retention
 	// loop started by Start. 0 means 30s.
 	CompactInterval time.Duration
-	// ObserveFlush, if set, receives the duration of each WriteRaw.
-	ObserveFlush func(time.Duration)
-	// ObserveCompact, if set, receives the duration of each rollup build.
-	ObserveCompact func(time.Duration)
 	// ScrubInterval is the cadence of the background integrity scrubber
 	// started by Start. 0 disables background scrubbing (Scrub stays
 	// callable).
@@ -187,7 +183,6 @@ func (s *Store) Frontier() int64 {
 // chunk's first point past their window. Re-sealing a published window
 // returns ErrExists without touching the file.
 func (s *Store) WriteRaw(windowStart int64, series map[int][]Point) (*BlockInfo, error) {
-	start := time.Now()
 	win := s.cfg.WindowSeconds
 	s.mu.RLock()
 	_, dup := s.blocks[TierRaw][windowStart]
@@ -258,9 +253,6 @@ func (s *Store) WriteRaw(windowStart int64, series map[int][]Point) (*BlockInfo,
 	s.blocks[TierRaw][windowStart] = info
 	s.mu.Unlock()
 	s.flushes.Add(1)
-	if s.cfg.ObserveFlush != nil {
-		s.cfg.ObserveFlush(time.Since(start))
-	}
 	return info, nil
 }
 
@@ -326,7 +318,6 @@ func (s *Store) decodeRaw(raw *BlockInfo) ([]decodedSeries, error) {
 // compactWindow decodes one raw block and publishes its missing rollup
 // siblings.
 func (s *Store) compactWindow(raw *BlockInfo) (int, error) {
-	start := time.Now()
 	s.mu.RLock()
 	_, have5m := s.blocks[Tier5m][raw.WindowStart]
 	_, have1h := s.blocks[Tier1h][raw.WindowStart]
@@ -401,9 +392,6 @@ func (s *Store) compactWindow(raw *BlockInfo) (int, error) {
 		s.sealMu.Unlock()
 		s.compactions.Add(1)
 		built++
-	}
-	if s.cfg.ObserveCompact != nil {
-		s.cfg.ObserveCompact(time.Since(start))
 	}
 	return built, nil
 }

@@ -59,12 +59,9 @@ type Config struct {
 	Lead bool
 
 	// HeartbeatEvery is the leader heartbeat / tick cadence. 0 means
-	// 250 ms.
+	// 250 ms. A quorum round keeps the lease alive for four of them, and
+	// a follower that hears no leader for as long campaigns.
 	HeartbeatEvery time.Duration
-	// LeaseTTL is how long a quorum round keeps the lease alive, and
-	// how long a follower waits without hearing a leader before it
-	// campaigns. 0 means 4 × HeartbeatEvery.
-	LeaseTTL time.Duration
 
 	State     *StateFile
 	Clock     Clock
@@ -153,9 +150,6 @@ func New(cfg Config) (*Elector, error) {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 250 * time.Millisecond
 	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 4 * cfg.HeartbeatEvery
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = RealClock()
 	}
@@ -194,10 +188,13 @@ func New(cfg Config) (*Elector, error) {
 	return e, nil
 }
 
-// electionTimeout returns LeaseTTL plus jitter so two followers do not
-// campaign in lockstep.
+// leaseTTL is how long a quorum round keeps the lease alive.
+func (e *Elector) leaseTTL() time.Duration { return 4 * e.cfg.HeartbeatEvery }
+
+// electionTimeout returns the lease TTL plus jitter so two followers do
+// not campaign in lockstep.
 func (e *Elector) electionTimeout() time.Duration {
-	return e.cfg.LeaseTTL + time.Duration(float64(e.cfg.LeaseTTL)*e.cfg.Rand())
+	return e.leaseTTL() + time.Duration(float64(e.leaseTTL())*e.cfg.Rand())
 }
 
 func (e *Elector) quorum() int { return (len(e.cfg.Peers)+1)/2 + 1 }
@@ -282,7 +279,7 @@ func (e *Elector) NoteLocalPromotion(epoch uint64) {
 	e.isLeader = true
 	e.myEpoch = epoch
 	e.leaderID, e.leaderURL, e.leaderEpoch = e.cfg.ID, e.cfg.URL, epoch
-	e.leaseUntil = e.cfg.Clock.Now().Add(e.cfg.LeaseTTL)
+	e.leaseUntil = e.cfg.Clock.Now().Add(e.leaseTTL())
 	e.transition(fmt.Sprintf("manual promotion at epoch %d", epoch))
 }
 
@@ -454,7 +451,7 @@ func (e *Elector) heartbeatRound(ctx context.Context) {
 		return
 	}
 	if acks >= e.quorum() {
-		e.leaseUntil = e.cfg.Clock.Now().Add(e.cfg.LeaseTTL)
+		e.leaseUntil = e.cfg.Clock.Now().Add(e.leaseTTL())
 	} else if !e.cfg.Clock.Now().Before(e.leaseUntil) && e.reason != "lease lost: no quorum" {
 		e.transition("lease lost: no quorum")
 	}
@@ -575,7 +572,7 @@ func (e *Elector) followerTick(ctx context.Context) {
 	e.isLeader = true
 	e.myEpoch = epoch
 	e.leaderID, e.leaderURL, e.leaderEpoch = e.cfg.ID, e.cfg.URL, epoch
-	e.leaseUntil = e.cfg.Clock.Now().Add(e.cfg.LeaseTTL)
+	e.leaseUntil = e.cfg.Clock.Now().Add(e.leaseTTL())
 	e.transition(fmt.Sprintf("won election: leading at epoch %d (%d/%d votes)", epoch, grants, e.quorum()))
 }
 

@@ -147,11 +147,11 @@ func newGroup(t *testing.T) *group {
 		cfg := Config{
 			ID: id, URL: url, Peers: peers,
 			Witness: witness, Lead: lead,
-			HeartbeatEvery: hb, LeaseTTL: ttl,
-			State:     sf,
-			Clock:     clock,
-			Transport: &memTransport{net: g.net, from: url},
-			Rand:      func() float64 { return 0.5 },
+			HeartbeatEvery: hb,
+			State:          sf,
+			Clock:          clock,
+			Transport:      &memTransport{net: g.net, from: url},
+			Rand:           func() float64 { return 0.5 },
 		}
 		if !witness {
 			cfg.Epoch = func() uint64 {
@@ -548,8 +548,7 @@ func TestRestartedExPrimaryAtIncumbentEpochDefers(t *testing.T) {
 		ID: "a", URL: "http://a",
 		Peers:          []Peer{{ID: "b", URL: "http://b"}, {ID: "w", URL: "http://w", Witness: true}},
 		Lead:           true,
-		HeartbeatEvery: hb, LeaseTTL: ttl,
-		State: sf, Clock: g.ca,
+		HeartbeatEvery: hb, State: sf, Clock: g.ca,
 		Transport: &memTransport{net: g.net, from: "http://a"},
 		Rand:      func() float64 { return 0.5 },
 		Epoch:     func() uint64 { return 2 },
@@ -607,8 +606,7 @@ func TestBootAsFollowerWhenEpochPromised(t *testing.T) {
 		ID: "a", URL: "http://a",
 		Peers:          []Peer{{ID: "w", URL: "http://w", Witness: true}},
 		Lead:           true,
-		HeartbeatEvery: hb, LeaseTTL: ttl,
-		State: sf, Clock: clock,
+		HeartbeatEvery: hb, State: sf, Clock: clock,
 		Transport: &memTransport{net: newMemNet()},
 		Rand:      func() float64 { return 0.5 },
 		Epoch:     func() uint64 { return 3 },
@@ -638,7 +636,7 @@ func TestBootAsFollowerWhenEpochPromised(t *testing.T) {
 		}
 		e, err := New(Config{
 			ID: "a", URL: "http://a", Peers: []Peer{{ID: "w", URL: "http://w", Witness: true}},
-			Lead: true, HeartbeatEvery: hb, LeaseTTL: ttl, State: sf, Clock: clock,
+			Lead: true, HeartbeatEvery: hb, State: sf, Clock: clock,
 			Transport: &memTransport{net: newMemNet()}, Rand: func() float64 { return 0.5 },
 			Epoch: func() uint64 { return 3 }, PromoteTo: func(uint64) error { return nil },
 		})
@@ -670,8 +668,7 @@ func TestBootFollowerRegainsLeadershipByCampaign(t *testing.T) {
 		ID: "a", URL: "http://a",
 		Peers:          []Peer{{ID: "b", URL: "http://b"}, {ID: "w", URL: "http://w", Witness: true}},
 		Lead:           true,
-		HeartbeatEvery: hb, LeaseTTL: ttl,
-		State: sf, Clock: g.ca,
+		HeartbeatEvery: hb, State: sf, Clock: g.ca,
 		Transport: &memTransport{net: g.net, from: "http://a"},
 		Rand:      func() float64 { return 0.5 },
 		Epoch: func() uint64 {

@@ -72,7 +72,7 @@ func TestMaskedModelHidesFeatures(t *testing.T) {
 
 func TestAblationOrdering(t *testing.T) {
 	data := samples(t, "Emmy")
-	cfg := EvalConfig{Reps: 3, ValidFrac: 0.2, Seed: 5}
+	cfg := EvalConfig{Reps: 3, Seed: 5}
 	results, err := EvaluateAblation(data, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestAblationOrdering(t *testing.T) {
 
 func TestBaselineWorseThanBDT(t *testing.T) {
 	data := samples(t, "Emmy")
-	cfg := EvalConfig{Reps: 3, ValidFrac: 0.2, Seed: 6}
+	cfg := EvalConfig{Reps: 3, Seed: 6}
 	base, err := Evaluate(data, func() Model { return NewBaseline() }, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestPredictStdBoundsThrottleRisk(t *testing.T) {
 
 func TestGridSearchBDT(t *testing.T) {
 	data := samples(t, "Emmy")
-	cfg := EvalConfig{Reps: 2, ValidFrac: 0.2, Seed: 8}
+	cfg := EvalConfig{Reps: 2, Seed: 8}
 	grid, err := GridSearchBDT(data, []int{4, 12, 22}, []int{1, 8}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestGridSearchBDT(t *testing.T) {
 
 func TestGridSearchKNN(t *testing.T) {
 	data := samples(t, "Emmy")
-	cfg := EvalConfig{Reps: 2, ValidFrac: 0.2, Seed: 9}
+	cfg := EvalConfig{Reps: 2, Seed: 9}
 	grid, err := GridSearchKNN(data, []int{1, 5, 25}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +278,7 @@ func TestGridSearchKNN(t *testing.T) {
 
 func TestErrorByUserVolume(t *testing.T) {
 	data := samples(t, "Emmy")
-	cfg := EvalConfig{Reps: 3, ValidFrac: 0.2, Seed: 10}
+	cfg := EvalConfig{Reps: 3, Seed: 10}
 	buckets, err := ErrorByUserVolume(data, func() Model { return NewBDT(DefaultTreeParams()) }, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -149,15 +149,18 @@ type EvalResult struct {
 
 // EvalConfig parameterizes Evaluate.
 type EvalConfig struct {
-	Reps      int     // number of random splits (paper: 10)
-	ValidFrac float64 // validation fraction (paper: 0.2)
+	Reps      int // number of random splits (paper: 10)
 	Seed      uint64
 	CDFPoints int
 }
 
+// validFrac is the share of each split held out for validation (paper:
+// 0.2).
+const validFrac = 0.2
+
 // DefaultEvalConfig returns the paper's evaluation methodology.
 func DefaultEvalConfig(seed uint64) EvalConfig {
-	return EvalConfig{Reps: 10, ValidFrac: 0.2, Seed: seed, CDFPoints: 200}
+	return EvalConfig{Reps: 10, Seed: seed, CDFPoints: 200}
 }
 
 // Evaluate trains and validates the model built by factory on cfg.Reps
@@ -208,7 +211,7 @@ func drawSplits(samples []Sample, cfg EvalConfig) ([]Split, EvalConfig, error) {
 	root := rng.New(cfg.Seed)
 	splits := make([]Split, cfg.Reps)
 	eachRep(len(splits), func(rep int) {
-		splits[rep] = StratifiedSplit(samples, cfg.ValidFrac, root.Split(uint64(rep)))
+		splits[rep] = StratifiedSplit(samples, validFrac, root.Split(uint64(rep)))
 	})
 	return splits, cfg, nil
 }

@@ -534,7 +534,7 @@ func BenchmarkEvaluateAll(b *testing.B) {
 
 func ExampleEvaluate() {
 	data := synthetic(400, 0.01, 13)
-	res, err := Evaluate(data, func() Model { return NewBDT(DefaultTreeParams()) }, EvalConfig{Reps: 3, ValidFrac: 0.2, Seed: 1})
+	res, err := Evaluate(data, func() Model { return NewBDT(DefaultTreeParams()) }, EvalConfig{Reps: 3, Seed: 1})
 	if err != nil {
 		panic(err)
 	}

@@ -90,24 +90,6 @@ func (s *Source) Watermark() uint64 {
 	return s.watermark
 }
 
-// WaitAdvanced blocks until the watermark reaches lsn or the context
-// ends.
-func (s *Source) WaitAdvanced(ctx context.Context, lsn uint64) error {
-	for {
-		s.mu.Lock()
-		wm, ch := s.watermark, s.advanceCh
-		s.mu.Unlock()
-		if wm >= lsn {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("repl: waiting for the watermark to reach lsn %d (at %d): %w", lsn, wm, ctx.Err())
-		case <-ch:
-		}
-	}
-}
-
 // Register adds a follower (idempotent) and pins WAL retention at its
 // acknowledged LSN, so segments it still needs are not reaped. ackFloor
 // seeds the acknowledged LSN for a follower resuming mid-log.

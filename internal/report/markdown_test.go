@@ -27,7 +27,7 @@ func TestWriteMarkdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, err := mlearn.EvaluateAll(mlearn.SamplesFromDataset(e), mlearn.EvalConfig{Reps: 2, ValidFrac: 0.2, Seed: 1})
+	preds, err := mlearn.EvaluateAll(mlearn.SamplesFromDataset(e), mlearn.EvalConfig{Reps: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,7 @@ func TestRenderFullReport(t *testing.T) {
 	}
 
 	// Prediction rendering.
-	res, err := mlearn.EvaluateAll(mlearn.SamplesFromDataset(ds), mlearn.EvalConfig{Reps: 2, ValidFrac: 0.2, Seed: 1})
+	res, err := mlearn.EvaluateAll(mlearn.SamplesFromDataset(ds), mlearn.EvalConfig{Reps: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestMemPressureShedsIngest(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Admit.MemWatermark = 1024 // one ring blows straight through this
 	cfg.Admit.Step = 5 * time.Millisecond
-	s, ts := newTestServer(t, cfg)
+	s, ts := testNode{cfg: cfg, model: trainedModel(t)}.start(t)
 
 	// First batch is admitted (not yet degraded) and creates rings + job
 	// state well beyond the watermark.
@@ -40,13 +40,7 @@ func TestMemPressureShedsIngest(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("pre-pressure ingest: %d %s", resp.StatusCode, body)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !s.adm.memDegraded.Load() {
-		if time.Now().After(deadline) {
-			t.Fatalf("mem monitor never degraded; memBytes=%d", s.memBytes())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the mem monitor to degrade", s.adm.memDegraded.Load)
 
 	resp, body = postJSON(t, ts.URL+"/v1/samples", sampleBatch("a1", 2, 1))
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -146,10 +140,7 @@ func TestMemEvalHysteresis(t *testing.T) {
 // an agent that exceeds its burst gets 429 over_capacity with a
 // sub-second retry hint while a second agent is untouched.
 func TestAgentRateLimit429(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Admit.AgentRate = 1
-	cfg.Admit.AgentBurst = 2
-	_, ts := newTestServer(t, cfg)
+	_, ts := testNode{cfg: Config{Admit: admit.Config{AgentRate: 1, AgentBurst: 2}}}.start(t)
 
 	for seq := uint64(1); seq <= 2; seq++ {
 		resp, body := postJSON(t, ts.URL+"/v1/samples", sampleBatch("hog", seq, 1))

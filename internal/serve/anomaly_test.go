@@ -6,12 +6,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,26 +21,11 @@ import (
 	"hpcpower/internal/obs"
 	"hpcpower/internal/ship"
 	"hpcpower/internal/trace"
-	"hpcpower/internal/tsdb"
 )
 
-// newAnomalyServer builds a memory-only server with a detector engine
-// wired to its store.
-func newAnomalyServer(t testing.TB) (*Server, *httptest.Server) {
-	t.Helper()
-	store := tsdb.New(tsdb.Config{Shards: 4, RingLen: 256})
-	eng := anomaly.NewEngine(anomaly.Config{Lookup: store.JobFingerprint})
-	cfg := DefaultConfig()
-	cfg.IngestWorkers = 1
-	cfg.Anomaly = eng
-	s := New(store, nil, cfg)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-	return s, ts
-}
+// anomalyNode is a memory-only node with one ingest worker, running the
+// default detectors.
+var anomalyNode = testNode{anomaly: true, cfg: Config{IngestWorkers: 1}}
 
 // flatBatches slices a constant-power single-job series into 5-sample
 // batches — small time-slices, so the engine's batch-granular hysteresis
@@ -86,17 +68,12 @@ func anomalyEvents(t testing.TB, url, query string) []anomaly.Event {
 // the job.
 func waitAnomalyFires(t testing.TB, url string, job uint64, want int) []anomaly.Event {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		evs := anomalyEvents(t, url, "?type=fire&job="+fmtUint(job))
-		if len(evs) >= want {
-			return evs
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %d has %d fire events, want %d", job, len(evs), want)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	var evs []anomaly.Event
+	waitFor(t, fmt.Sprintf("%d fire events of job %d", want, job), func() bool {
+		evs = anomalyEvents(t, url, "?type=fire&job="+fmtUint(job))
+		return len(evs) >= want
+	})
+	return evs
 }
 
 func fmtUint(u uint64) string { return strconv.FormatUint(u, 10) }
@@ -105,18 +82,9 @@ func fmtUint(u uint64) string { return strconv.FormatUint(u, 10) }
 // HTTP fires through GET /v1/anomalies, shows as active, serves its
 // fingerprint, carries its batch's trace ID, and surfaces in /readyz.
 func TestAnomalyHTTPFireActiveFingerprint(t *testing.T) {
-	s, ts := newAnomalyServer(t)
+	s, ts := anomalyNode.start(t)
 	const job, node = 42, 3
-	start := int64(1_700_000_000)
-	total := int64(0)
-	for _, b := range flatBatches("fl", job, node, start, 45, 200) {
-		resp := postTraced(t, ts.URL, "trace-flat", b)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("ingest status %d", resp.StatusCode)
-		}
-		total += int64(len(b.Samples))
-	}
-	waitIngested(t, s, total)
+	waitIngested(t, s, sendAll(t, ts.URL, flatBatches("fl", job, node, 1_700_000_000, 45, 200), obs.HeaderTraceID, "trace-flat"))
 	fires := waitAnomalyFires(t, ts.URL, job, 1)
 	ev := fires[0]
 	if ev.Detector != "flatline" || ev.Job != job || ev.Node != node {
@@ -188,7 +156,7 @@ func TestAnomalyHTTPFireActiveFingerprint(t *testing.T) {
 
 // TestAnomalyDisabled: without an engine the endpoint answers 501.
 func TestAnomalyDisabled(t *testing.T) {
-	_, ts := newTestServer(t, DefaultConfig())
+	_, ts := testNode{}.start(t)
 	resp, _ := get(t, ts.URL+"/v1/anomalies")
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("status %d, want 501", resp.StatusCode)
@@ -198,18 +166,9 @@ func TestAnomalyDisabled(t *testing.T) {
 // TestAnomalyStreamServesBacklog: stream=1 replays the matching ring
 // backlog as NDJSON.
 func TestAnomalyStreamServesBacklog(t *testing.T) {
-	s, ts := newAnomalyServer(t)
+	s, ts := anomalyNode.start(t)
 	const job = 7
-	start := int64(1_700_000_000)
-	total := int64(0)
-	for _, b := range flatBatches("st", job, 1, start, 45, 190) {
-		resp, _ := postJSON(t, ts.URL+"/v1/samples", b)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatal("ingest refused")
-		}
-		total += int64(len(b.Samples))
-	}
-	waitIngested(t, s, total)
+	waitIngested(t, s, sendAll(t, ts.URL, flatBatches("st", job, 1, 1_700_000_000, 45, 190)))
 	waitAnomalyFires(t, ts.URL, job, 1)
 
 	resp, err := http.Get(ts.URL + "/v1/anomalies?stream=1&type=fire")
@@ -233,24 +192,6 @@ func TestAnomalyStreamServesBacklog(t *testing.T) {
 	}
 }
 
-// newAnomalyDurableServer is newDurableServer with a detector engine.
-func newAnomalyDurableServer(t testing.TB, dir string) (*Server, *httptest.Server) {
-	t.Helper()
-	store := durableStore()
-	eng := anomaly.NewEngine(anomaly.Config{Lookup: store.JobFingerprint})
-	cfg := durableConfig()
-	cfg.Anomaly = eng
-	s, err := NewDurable(store, nil, cfg, DurabilityConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Recover(); err != nil {
-		s.Close()
-		t.Fatal(err)
-	}
-	return s, httptest.NewServer(s.Handler())
-}
-
 // TestAnomalyStateRidesSnapshots is the failover/restart contract at
 // the serving layer: an alert fired before a restart stays active and
 // does not re-fire after recovery, because both the fingerprints (tsdb
@@ -260,22 +201,12 @@ func TestAnomalyStateRidesSnapshots(t *testing.T) {
 	const job = 61
 	start := int64(1_700_000_000)
 
-	s1, ts1 := newAnomalyDurableServer(t, dir)
-	total := int64(0)
-	for _, b := range flatBatches("snap", job, 2, start, 45, 210) {
-		resp := postTraced(t, ts1.URL, "trace-snap", b)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatal("ingest refused")
-		}
-		total += int64(len(b.Samples))
-	}
-	waitIngested(t, s1, total)
+	s1, ts1 := testNode{dir: dir, anomaly: true}.start(t)
+	waitIngested(t, s1, sendAll(t, ts1.URL, flatBatches("snap", job, 2, start, 45, 210), obs.HeaderTraceID, "trace-snap"))
 	waitAnomalyFires(t, ts1.URL, job, 1)
-	ts1.Close()
 	s1.Close() // takes the final snapshot
 
-	s2, ts2 := newAnomalyDurableServer(t, dir)
-	defer func() { ts2.Close(); s2.Close() }()
+	s2, ts2 := testNode{dir: dir, anomaly: true}.start(t)
 	st := s2.anom.Snapshot()
 	if st.Fired != 1 || st.Active != 1 {
 		t.Fatalf("restored engine: fired %d active %d, want 1/1", st.Fired, st.Active)
@@ -286,24 +217,10 @@ func TestAnomalyStateRidesSnapshots(t *testing.T) {
 
 	// Keep the condition holding on the restarted node: no duplicate
 	// fire (the restored machine knows it is already firing).
-	more := flatBatches("snap2", job, 2, start+45*60, 30, 210)
-	total2 := int64(0)
-	for _, b := range more {
-		resp, _ := postJSON(t, ts2.URL+"/v1/samples", b)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatal("ingest refused after restart")
-		}
-		total2 += int64(len(b.Samples))
-	}
+	total2 := sendAll(t, ts2.URL, flatBatches("snap2", job, 2, start+45*60, 30, 210))
 	// Throughput counters are not part of the carried state, so the
 	// restarted engine counts only post-restart samples.
-	deadline := time.Now().Add(5 * time.Second)
-	for s2.anom.Snapshot().Samples < total2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("engine observed %d of %d samples", s2.anom.Snapshot().Samples, total2)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the engine to observe every sample", func() bool { return s2.anom.Snapshot().Samples >= total2 })
 	if got := s2.anom.Snapshot().Fired; got != 1 {
 		t.Fatalf("restarted node re-fired: fired counter %d, want 1", got)
 	}
@@ -315,26 +232,9 @@ func TestAnomalyStateRidesSnapshots(t *testing.T) {
 // TestAnomalyFollowerDeliveryGating: a follower's engine tracks state
 // silently; promotion flips delivery on.
 func TestAnomalyFollowerDeliveryGating(t *testing.T) {
-	primary, tsP := newDurableServer(t, t.TempDir(), DurabilityConfig{})
-	defer func() { tsP.Close(); primary.Close() }()
-
-	dir := t.TempDir()
-	store := durableStore()
-	eng := anomaly.NewEngine(anomaly.Config{Lookup: store.JobFingerprint})
-	cfg := durableConfig()
-	cfg.Anomaly = eng
-	s, err := NewDurable(store, nil, cfg, DurabilityConfig{
-		Dir:         dir,
-		Replication: followerCfg(tsP.URL),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Recover(); err != nil {
-		s.Close()
-		t.Fatal(err)
-	}
-	defer s.Close()
+	_, tsP := testNode{dir: t.TempDir()}.start(t)
+	s, _ := testNode{dir: t.TempDir(), follow: tsP.URL, anomaly: true}.start(t)
+	eng := s.anom
 	if eng.Delivering() {
 		t.Fatal("follower engine delivers alerts before promotion")
 	}
@@ -349,18 +249,9 @@ func TestAnomalyFollowerDeliveryGating(t *testing.T) {
 // TestAnomalyMetricsLint: with the engine enabled (and a fired alert),
 // every legacy family survives and the full exposition still lints.
 func TestAnomalyMetricsLint(t *testing.T) {
-	s, ts := newAnomalyServer(t)
+	s, ts := anomalyNode.start(t)
 	const job = 9
-	start := int64(1_700_000_000)
-	total := int64(0)
-	for _, b := range flatBatches("m", job, 0, start, 45, 150) {
-		resp, _ := postJSON(t, ts.URL+"/v1/samples", b)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatal("ingest refused")
-		}
-		total += int64(len(b.Samples))
-	}
-	waitIngested(t, s, total)
+	waitIngested(t, s, sendAll(t, ts.URL, flatBatches("m", job, 0, 1_700_000_000, 45, 150)))
 	waitAnomalyFires(t, ts.URL, job, 1)
 
 	_, body := get(t, ts.URL+"/metrics")
@@ -421,31 +312,6 @@ func (l *lockedBuffer) String() string {
 	return l.b.String()
 }
 
-// newRuleServer is a node running the default rules, its alert log sink
-// writing to alerts; with dir, a durable one.
-func newRuleServer(t *testing.T, dir string, alerts io.Writer) (*Server, *httptest.Server) {
-	t.Helper()
-	store := durableStore()
-	cfg := durableConfig()
-	cfg.Anomaly = anomaly.NewEngine(anomaly.Config{Lookup: store.JobFingerprint,
-		Sinks: []anomaly.Sink{anomaly.NewLogSink(obs.NewLogger(obs.LogConfig{Output: alerts}))}})
-	if dir == "" {
-		return newPipelineServer(t, store, cfg, nil)
-	}
-	dcfg := quietDurability(dir)
-	return newPipelineServer(t, store, cfg, &dcfg)
-}
-
-// untraced is a node's alert history with the trace IDs, which only a
-// shipper mints, taken out.
-func untraced(s *Server) []anomaly.Event {
-	evs := s.anom.Events(anomaly.Filter{Node: -1})
-	for i := range evs {
-		evs[i].Trace = ""
-	}
-	return evs
-}
-
 func TestAnomalyRounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("anomaly rounds take seconds")
@@ -461,8 +327,7 @@ func TestAnomalyRounds(t *testing.T) {
 func anomalyRound(t *testing.T, seed uint64) {
 	dir := t.TempDir()
 	var alerts lockedBuffer
-	s, ts := newRuleServer(t, dir, &alerts)
-	defer func() { ts.Close(); s.Close() }()
+	s, ts := testNode{dir: dir, quiet: true, anomaly: true, alerts: &alerts}.start(t)
 
 	var mix []string
 	for _, p := range anomaly.Profiles() {
@@ -490,7 +355,7 @@ func anomalyRound(t *testing.T, seed uint64) {
 			b := trace.SampleBatch{AgentID: "labeled", Samples: ser[off : off+5]}
 			b.Seq = sh.Enqueue(b.Samples)
 			sent = append(sent, b)
-			total += 5
+			total += int64(len(b.Samples))
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -498,22 +363,19 @@ func anomalyRound(t *testing.T, seed uint64) {
 	if err := sh.Flush(ctx); err != nil {
 		t.Fatalf("%v: %+v", err, sh.Stats())
 	}
-	if st := sh.Stats(); st.Retries == 0 || st.DroppedSamples != 0 {
-		t.Fatalf("the faults did not bite, or the shipper gave up: %+v", st)
+	checkShipped(t, "the shipper", sh.Stats(), len(sent))
+	if st := sh.Stats(); st.Retries == 0 {
+		t.Fatalf("the faults did not bite: %+v", st)
 	}
 	waitIngested(t, s, total)
+	checkAckedOnce(t, s, sent, len(sent))
 
 	fires := s.anom.Events(anomaly.Filter{Type: anomaly.EventFire, Node: -1})
 	if v := anomaly.Score(labels, fires); v.Precision != 1 || v.Recall != 1 {
 		t.Fatalf("precision %.2f, recall %.2f: missed %v, false fires on %v", v.Precision, v.Recall, v.Missed, v.FalseJobs)
 	}
-	ctl, ctlTS := newRuleServer(t, "", io.Discard)
-	defer func() { ctlTS.Close(); ctl.Close() }()
-	waitIngested(t, ctl, sendAll(t, ctlTS.URL, sent))
-	want := untraced(ctl)
-	if got := untraced(s); !reflect.DeepEqual(got, want) {
-		t.Fatalf("alerts differ from the fault-free control's\n got %+v\nwant %+v", got, want)
-	}
+	control := controlAnalytics(t, anomalyNode, sent)
+	checkSameAsControl(t, "the node", analyticsOf(t, s, ts.URL), control, 0)
 	// Every batch again, as the redelivery it now is: nothing moves.
 	for _, b := range sent {
 		b.Redelivery = true
@@ -522,8 +384,10 @@ func anomalyRound(t *testing.T, seed uint64) {
 			t.Fatalf("redelivering seq %d: %d %s", b.Seq, resp.StatusCode, body)
 		}
 	}
-	if got := untraced(s); !reflect.DeepEqual(got, want) || s.store.Ingested() != total {
-		t.Fatalf("the redeliveries moved the node: %d samples, alerts %+v", s.store.Ingested(), got)
+	checkAckedOnce(t, s, sent, len(sent))
+	checkSameAsControl(t, "after the redeliveries", analyticsOf(t, s, ts.URL), control, 0)
+	if t.Failed() {
+		t.FailNow()
 	}
 
 	// One trace ID links the batch that fired, its WAL record and the page.
@@ -573,8 +437,7 @@ func cleanEmmyRound(t *testing.T) {
 		batches = append(batches, trace.SampleBatch{AgentID: "emmy", Seq: uint64(len(batches) + 1),
 			Samples: samples[off:min(off+512, len(samples))]})
 	}
-	s, ts := newRuleServer(t, "", io.Discard)
-	defer func() { ts.Close(); s.Close() }()
+	s, ts := anomalyNode.start(t)
 	waitIngested(t, s, sendAll(t, ts.URL, batches))
 	if fires := s.anom.Events(anomaly.Filter{Type: anomaly.EventFire, Node: -1}); len(fires) != 0 {
 		t.Fatalf("%d fires on the clean workload, first %+v", len(fires), fires[0])

@@ -20,30 +20,11 @@ import (
 	"hpcpower/internal/wal"
 )
 
-// postRaw POSTs body bytes as they are — the fallback tests need forms
-// json.Marshal never writes.
-func postRaw(t testing.TB, url string, body io.Reader, traceID string) (*http.Response, []byte) {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/samples", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if traceID != "" {
-		req.Header.Set(obs.HeaderTraceID, traceID)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, readAll(t, resp)
-}
-
 // TestIngestDecodeFallback: shipper traffic stays on the scanner, and a
 // body outside the canonical form costs one fallback and is answered
 // the way encoding/json alone answered it before.
 func TestIngestDecodeFallback(t *testing.T) {
-	s, ts := newTestServer(t, DefaultConfig())
+	s, ts := testNode{}.start(t)
 	fallbacks := func() int64 { return s.metrics.decodeFallback.Value() }
 
 	sh := ship.New(ship.Config{URL: ts.URL + "/v1/samples", AgentID: "rack-7"})
@@ -75,7 +56,7 @@ func TestIngestDecodeFallback(t *testing.T) {
 		if err := json.NewDecoder(bytes.NewReader([]byte(body))).Decode(&want); err != nil {
 			wantStatus, wantBody = http.StatusBadRequest, fmt.Sprintf("{\"error\":%q}\n", "decoding batch: "+err.Error())
 		}
-		resp, got := postRaw(t, ts.URL, bytes.NewReader([]byte(body)), "")
+		resp, got := postRaw(t, ts.URL+"/v1/samples", bytes.NewReader([]byte(body)))
 		if resp.StatusCode != wantStatus || string(got) != wantBody {
 			t.Errorf("%s:\n got %d %s\nwant %d %s", body, resp.StatusCode, got, wantStatus, wantBody)
 		}
@@ -127,9 +108,8 @@ func (b *slowBody) Read(p []byte) (int, error) {
 // the server has the request in hand.
 func TestIngestE2EIncludesBodyRead(t *testing.T) {
 	const delay = 60 * time.Millisecond
-	mem, _ := newTestServer(t, DefaultConfig())
-	dur, tsDur := newDurableServer(t, t.TempDir(), DurabilityConfig{})
-	defer func() { tsDur.Close(); dur.Close() }()
+	mem, _ := testNode{}.start(t)
+	dur, _ := testNode{dir: t.TempDir()}.start(t)
 
 	for name, s := range map[string]*Server{"memory": mem, "durable": dur} {
 		entered := make(chan struct{})
@@ -144,7 +124,7 @@ func TestIngestE2EIncludesBodyRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		traceID := obs.NewTraceID()
-		resp, out := postRaw(t, ts.URL, &slowBody{gate: entered, delay: delay, r: bytes.NewReader(body)}, traceID)
+		resp, out := postRaw(t, ts.URL+"/v1/samples", &slowBody{gate: entered, delay: delay, r: bytes.NewReader(body)}, obs.HeaderTraceID, traceID)
 		ts.Close()
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("%s: %d %s", name, resp.StatusCode, out)
@@ -189,20 +169,10 @@ func TestRecoverParentWrittenWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Recover()
-	if err != nil {
-		s.Close()
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(s.Handler())
-	defer func() { srv.Close(); s.Close() }()
+	s, srv := testNode{dir: dir}.start(t)
 	ts := srv.URL
-	if rep.RecordsReplayed != 6 || rep.SamplesReplayed != 13 || rep.Tombstoned != 1 || rep.DecodeErrors != 0 {
-		t.Errorf("recovery report %+v, want 6 records / 13 samples replayed, 1 tombstoned, 0 decode errors", *rep)
+	if rep := s.dur.report; rep.RecordsReplayed != 6 || rep.SamplesReplayed != 13 || rep.Tombstoned != 1 || rep.DecodeErrors != 0 {
+		t.Errorf("recovery report %+v, want 6 records / 13 samples replayed, 1 tombstoned, 0 decode errors", rep)
 	}
 	if got := s.dur.repl.replApplied.Load(); got != 42 {
 		t.Errorf("pull-loop frontier %d, want the highest plsn in the WAL, 42", got)

@@ -11,7 +11,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"io/fs"
@@ -29,7 +28,6 @@ import (
 	"testing"
 	"time"
 
-	"hpcpower/internal/block"
 	"hpcpower/internal/elect"
 	"hpcpower/internal/rng"
 	"hpcpower/internal/trace"
@@ -301,57 +299,28 @@ func (c *frozenClock) advance(d time.Duration) {
 // and then wins the election — at once if it booted leading, by
 // campaigning for the next epoch if it booted a follower — so that it
 // takes writes. An error is a refusal to start.
-func restart(t testing.TB, fsys *recordFS) (*Server, string, error) {
-	bs, err := block.Open(block.Config{Dir: filepath.Join(fsys.root, "blocks"), WindowSeconds: crashWindow, FS: fsys})
-	if err != nil {
-		return nil, "", err
-	}
-	store := durableStore()
-	store.AttachBlocks(bs)
-	dcfg := quietDurability(filepath.Join(fsys.root, "data"))
-	dcfg.FS, dcfg.SegmentBytes = fsys, crashSegmentBytes
-	s, err := NewDurable(store, nil, durableConfig(), dcfg)
-	if err != nil {
-		return nil, "", err
-	}
-	st, err := elect.OpenStateFile(vfs.OS, filepath.Join(t.TempDir(), "ELECT"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // no Run loop: the ticks below are the only ones
+func restart(t testing.TB, fsys *recordFS) (*Server, *httptest.Server, string, error) {
 	clock := &frozenClock{now: time.Unix(crashT0, 0)}
-	el, err := s.StartElection(ctx, elect.Config{ID: "crash", URL: "http://crash", State: st,
-		Clock: clock, Transport: &elect.HTTPTransport{}, Rand: func() float64 { return 0 }})
+	s, ts, err := testNode{dir: filepath.Join(fsys.root, "data"), quiet: true, blockWindow: crashWindow,
+		dur:   DurabilityConfig{FS: fsys, SegmentBytes: crashSegmentBytes},
+		elect: &elect.Config{ID: "crash", URL: "http://crash", Clock: clock, Rand: func() float64 { return 0 }},
+	}.tryStart(t)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, "", err
 	}
-	if _, err := s.Recover(); err != nil {
-		el.Close()
-		s.Close()
-		return nil, "", err
-	}
+	el := s.elector.Load()
 	booted := el.Status().Role
 	if rs := s.dur.repl; rs.isFollower.Load() != (booted == "follower") {
 		t.Fatalf("the data plane booted follower %v, the elector %s", rs.isFollower.Load(), booted)
 	}
 	clock.advance(time.Hour)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // no Run loop: this tick is the only one
 	el.Tick(ctx)
 	if !el.HasLease() {
 		t.Fatalf("a group of one did not elect its node: %+v", el.Status())
 	}
-	return s, booted, nil
-}
-
-// crashState is everything a restart arrives at: store, dedup index and
-// block catalog.
-func crashState(t testing.TB, s *Server) string {
-	t.Helper()
-	out, err := json.Marshal([]any{s.store.ExportState(), s.dedup.ExportState(), s.store.Blocks().Stats()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
+	return s, ts, booted, nil
 }
 
 // crashRecording is one run of the workload: its batches (one agent; each
@@ -371,9 +340,9 @@ type crashRecording struct {
 	// ops[promotedAt] is the rename that publishes the EPOCH record of
 	// the promotion the first boot's election win made.
 	promotedAt int
-	// control is the never-crashed node's analyticsDump once every batch
+	// control is the never-crashed node's analytics once every batch
 	// was re-sent.
-	control string
+	control analytics
 }
 
 func (rec *crashRecording) acked(batch, crashAt int) bool {
@@ -398,11 +367,10 @@ func recordCrashWorkload(t *testing.T) *crashRecording {
 		}
 	}
 	fsys := dirImage{}.disk(t)
-	s, _, err := restart(t, fsys)
+	s, ts, _, err := restart(t, fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
 	defer crash(t, s, ts)
 	logged := func() int {
 		rec.ops = append(rec.ops, fsys.take()...)
@@ -453,7 +421,7 @@ func recordCrashWorkload(t *testing.T) *crashRecording {
 			t.Fatalf("re-sending batch %d: %d %s", i+1, resp.StatusCode, body)
 		}
 	}
-	rec.control = analyticsDump(t, ts.URL)
+	rec.control = analyticsOf(t, s, ts.URL)
 	return rec
 }
 
@@ -463,10 +431,9 @@ func recordCrashWorkload(t *testing.T) *crashRecording {
 // completed fsync: power loss; names stay as they stood). It checks that
 //
 //   - every batch acked before the crash is present, once;
-//   - no batch is half-applied;
-//   - the block frontier is not below the last completed publish's;
 //   - the store holds what a fresh one fed the present batches in order
-//     holds;
+//     holds: no batch is half-applied;
+//   - the block frontier is not below the last completed publish's;
 //   - a torn write to the WAL is truncated away;
 //   - a second crash after each of recovery's own operations, and a second
 //     restart, arrive at the same state;
@@ -474,7 +441,7 @@ func recordCrashWorkload(t *testing.T) *crashRecording {
 //     analytics are the never-crashed node's.
 func (rec *crashRecording) checkCrashInvariants(t *testing.T, k, torn int, synced bool) {
 	fsys := crashImage(rec.ops, k, torn, synced).disk(t)
-	s, booted, err := restart(t, fsys)
+	s, ts, booted, err := restart(t, fsys)
 	if err != nil {
 		t.Fatalf("restart refused: %v", err)
 	}
@@ -489,22 +456,17 @@ func (rec *crashRecording) checkCrashInvariants(t *testing.T, k, torn int, synce
 			t.Errorf("booted leading epoch %d and advertising %d/%d, not its own WAL's frontier %d", s.dur.repl.epoch.Epoch(), st.FrontierEpoch, st.FrontierLSN, local)
 		}
 	}
-	ts := httptest.NewServer(s.Handler())
 	defer crash(t, s, ts)
-	own, state := fsys.take(), crashState(t, s)
+	own, state := fsys.take(), stateOf(s).String()
 
+	acked := 0
+	for acked < len(rec.batches) && rec.acked(acked, k) {
+		acked++
+	}
 	fresh := durableStore()
-	for i, b := range rec.batches {
-		js, _ := s.store.JobPower(uint64(i + 1))
-		switch n := int64(len(b.Samples)); {
-		case js.Samples == n:
-			if err := fresh.Append(b.Samples); err != nil {
-				t.Fatal(err)
-			}
-		case rec.acked(i, k):
-			t.Errorf("batch %d was acked and holds %d of its %d samples", i+1, js.Samples, n)
-		case js.Samples != 0:
-			t.Errorf("unacked batch %d holds %d samples, want 0 or %d", i+1, js.Samples, n)
+	for _, b := range checkAckedOnce(t, s, rec.batches, acked) {
+		if err := fresh.Append(b.Samples); err != nil {
+			t.Fatal(err)
 		}
 	}
 	got, want := s.store.ExportState(), fresh.ExportState()
@@ -512,8 +474,8 @@ func (rec *crashRecording) checkCrashInvariants(t *testing.T, k, torn int, synce
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("the store differs from one fed the present batches\n got %+v\nwant %+v", got, want)
 	}
-	if f := s.store.BlockFrontier(); k >= rec.sealedAt && f < rec.sealedTo {
-		t.Errorf("block frontier %d, below the %d a completed publish raised it to", f, rec.sealedTo)
+	if k >= rec.sealedAt {
+		checkFrontierHeld(t, s, rec.sealedTo)
 	}
 	if torn > 0 && strings.HasPrefix(rec.ops[k].path, "data/wal-") && s.dur.report.TruncatedBytes == 0 {
 		t.Errorf("the torn write to %s was not truncated", rec.ops[k].path)
@@ -524,14 +486,14 @@ func (rec *crashRecording) checkCrashInvariants(t *testing.T, k, torn int, synce
 		for _, op := range own[:j] {
 			img.apply(op)
 		}
-		s2, _, err := restart(t, img.disk(t))
+		s2, ts2, _, err := restart(t, img.disk(t))
 		if err != nil {
 			t.Fatalf("crashed again after recovery's %+v: restart refused: %v", own[j-1], err)
 		}
-		if again := crashState(t, s2); again != state {
+		if again := stateOf(s2).String(); again != state {
 			t.Errorf("crashed again after recovery's %+v: the second restart arrived elsewhere\n got %s\nwant %s", own[j-1], again, state)
 		}
-		crash(t, s2, nil)
+		crash(t, s2, ts2)
 	}
 
 	for i, b := range rec.batches {
@@ -540,9 +502,7 @@ func (rec *crashRecording) checkCrashInvariants(t *testing.T, k, torn int, synce
 			t.Fatalf("re-sending batch %d: %d %s", i+1, resp.StatusCode, body)
 		}
 	}
-	if got := analyticsDump(t, ts.URL); got != rec.control {
-		t.Errorf("after the re-send the analytics differ from the never-crashed node's\n got %s\nwant %s", got, rec.control)
-	}
+	checkSameAsControl(t, "after the re-send", analyticsOf(t, s, ts.URL), rec.control, 0)
 }
 
 // refusedReads are read faults that once started a node on less than its
@@ -581,12 +541,12 @@ func TestCrashPoints(t *testing.T) {
 
 	final := crashImage(rec.ops, len(rec.ops), 0, false)
 	fsys := final.disk(t)
-	s, _, err := restart(t, fsys)
+	s, ts, _, err := restart(t, fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := crashState(t, s)
-	crash(t, s, nil)
+	full := stateOf(s).String()
+	crash(t, s, ts)
 	if fsys.reads < 20 {
 		t.Fatalf("the restart made %d reads; refusedReads names the 20th", fsys.reads)
 	}
@@ -596,15 +556,15 @@ func TestCrashPoints(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				fsys := final.disk(t)
 				fsys.failRead, fsys.fault = r, fault
-				s, _, err := restart(t, fsys)
+				s, ts, _, err := restart(t, fsys)
 				if err != nil {
 					return // refused to start
 				}
-				defer crash(t, s, nil)
+				defer crash(t, s, ts)
 				if slices.Contains(refusedReads, name) {
 					t.Error("started; it must refuse")
 				}
-				if got := crashState(t, s); got != full {
+				if got := stateOf(s).String(); got != full {
 					t.Errorf("started with less than the full state\n got %s\nwant %s", got, full)
 				}
 			})
@@ -628,9 +588,9 @@ func TestCrashPoints(t *testing.T) {
 		snap := img[newest]
 		snap.data = slices.Clone(snap.data)
 		snap.data[len(snap.data)/2] ^= 0xff
-		s, _, err := restart(t, img.disk(t))
+		s, ts, _, err := restart(t, img.disk(t))
 		if err == nil {
-			crash(t, s, nil)
+			crash(t, s, ts)
 			t.Fatal("started; it must refuse")
 		}
 		if !strings.Contains(err.Error(), "lsn") {

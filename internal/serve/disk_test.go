@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -13,23 +14,16 @@ import (
 // waitDegraded polls /readyz until storage_degraded matches want.
 func waitDegraded(t *testing.T, url string, want bool) map[string]any {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, body := get(t, url+"/readyz")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/readyz: %d %s", resp.StatusCode, body)
+	var rb map[string]any
+	waitFor(t, fmt.Sprintf("/readyz to report storage_degraded=%v", want), func() bool {
+		var code int
+		if code, rb = readyzJSON(t, url); code != http.StatusOK {
+			t.Fatalf("/readyz: %d %v", code, rb)
 		}
-		var rb map[string]any
-		if err := json.Unmarshal(body, &rb); err != nil {
-			t.Fatalf("unmarshal /readyz %s: %v", body, err)
-		}
-		if got, _ := rb["storage_degraded"].(bool); got == want {
-			return rb
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("/readyz never reported storage_degraded=%v", want)
-	return nil
+		got, _ := rb["storage_degraded"].(bool)
+		return got == want
+	})
+	return rb
 }
 
 // TestStorageDegradedRejectsIngestAndRecovers drives the degraded-mode
@@ -48,12 +42,7 @@ func TestStorageDegradedRejectsIngestAndRecovers(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ffs := vfs.NewFault(vfs.OS, tc.boot)
-			s, ts := newDurableServer(t, t.TempDir(), DurabilityConfig{
-				FS:                ffs,
-				DiskCheckInterval: 10 * time.Millisecond,
-			})
-			defer s.Close()
-			defer ts.Close()
+			_, ts := testNode{dir: t.TempDir(), dur: DurabilityConfig{FS: ffs, DiskCheckInterval: 10 * time.Millisecond}}.start(t)
 
 			batches := stampedBatches(7, 4)
 			if tc.fail != (vfs.FaultConfig{}) {
@@ -123,12 +112,7 @@ func TestStorageDegradedRejectsIngestAndRecovers(t *testing.T) {
 // the disk "recovers"; /readyz names the restart-required condition.
 func TestWALFsyncFailureMapsToStorageDegraded(t *testing.T) {
 	ffs := vfs.NewFault(vfs.OS, vfs.FaultConfig{})
-	s, ts := newDurableServer(t, t.TempDir(), DurabilityConfig{
-		FS:                ffs,
-		DiskCheckInterval: 10 * time.Millisecond,
-	})
-	defer s.Close()
-	defer ts.Close()
+	_, ts := testNode{dir: t.TempDir(), dur: DurabilityConfig{FS: ffs, DiskCheckInterval: 10 * time.Millisecond}}.start(t)
 
 	batches := stampedBatches(11, 3)
 	resp, body := postJSON(t, ts.URL+"/v1/samples", batches[0])

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -129,13 +130,17 @@ type RecoveryReport struct {
 	Duration         time.Duration
 }
 
-// applyTracker tracks which WAL LSNs have been folded into the store: a
-// watermark (every LSN ≤ it is done) plus the sparse set of done LSNs
-// above it. LSNs are contiguous, so the watermark chases the set.
+// applyTracker tracks which WAL LSNs have been folded into the store or
+// cancelled — or, on a memory-only server, which tickets (ticketLog) are
+// done: a watermark (every LSN ≤ it is done) plus the sparse set of done
+// LSNs above it. LSNs are contiguous, so the watermark chases the set.
 type applyTracker struct {
 	mu        sync.Mutex
 	watermark uint64
 	done      map[uint64]struct{}
+	// advanced is closed when the watermark next moves; nil until a wait
+	// needs it, so marking an LSN done allocates nothing.
+	advanced chan struct{}
 }
 
 func newApplyTracker(watermark uint64) *applyTracker {
@@ -145,16 +150,46 @@ func newApplyTracker(watermark uint64) *applyTracker {
 func (t *applyTracker) markDone(lsn uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if lsn <= t.watermark {
+	switch {
+	case lsn <= t.watermark:
+		return
+	case lsn == t.watermark+1:
+		t.watermark++
+	default:
+		t.done[lsn] = struct{}{}
 		return
 	}
-	t.done[lsn] = struct{}{}
 	for {
 		if _, ok := t.done[t.watermark+1]; !ok {
-			return
+			break
 		}
 		delete(t.done, t.watermark+1)
 		t.watermark++
+	}
+	if t.advanced != nil {
+		close(t.advanced)
+		t.advanced = nil
+	}
+}
+
+// wait blocks until the watermark reaches lsn or ctx ends.
+func (t *applyTracker) wait(ctx context.Context, lsn uint64) error {
+	for {
+		t.mu.Lock()
+		if t.watermark >= lsn {
+			t.mu.Unlock()
+			return nil
+		}
+		if t.advanced == nil {
+			t.advanced = make(chan struct{})
+		}
+		ch := t.advanced
+		t.mu.Unlock()
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-ch:
+		}
 	}
 }
 

@@ -13,40 +13,16 @@ import (
 	"testing"
 	"time"
 
-	"hpcpower/internal/chaos"
 	"hpcpower/internal/rng"
 	"hpcpower/internal/trace"
 	"hpcpower/internal/tsdb"
 	"hpcpower/internal/wal"
 )
 
-// durableConfig pins the knobs that make recovery byte-identical: one
-// ingest worker (apply order = LSN order) and a matching store shape
-// across restarts.
-func durableConfig() Config {
-	cfg := DefaultConfig()
-	cfg.IngestWorkers = 1
-	return cfg
-}
-
+// durableStore is the store shape of a testNode, for a test that builds
+// its server by hand.
 func durableStore() *tsdb.Store {
 	return tsdb.New(tsdb.Config{Shards: 4, RingLen: 256})
-}
-
-// newDurableServer builds, recovers, and serves a durable server over
-// dir. The caller owns shutdown.
-func newDurableServer(t testing.TB, dir string, dcfg DurabilityConfig) (*Server, *httptest.Server) {
-	t.Helper()
-	dcfg.Dir = dir
-	s, err := NewDurable(durableStore(), nil, durableConfig(), dcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Recover(); err != nil {
-		s.Close()
-		t.Fatal(err)
-	}
-	return s, httptest.NewServer(s.Handler())
 }
 
 // crash simulates a SIGKILL: no drain, no final snapshot — just drop
@@ -126,36 +102,13 @@ func stampedBatches(seed uint64, n int) []trace.SampleBatch {
 	return out
 }
 
-// controlDump is the analyticsDump of a node that took batches in order
-// and saw no fault: what every node of a faulted run must serve.
-func controlDump(t testing.TB, batches []trace.SampleBatch) string {
-	t.Helper()
-	ctl, ts := newDurableServer(t, t.TempDir(), DurabilityConfig{})
-	defer func() { ts.Close(); ctl.Close() }()
-	waitIngested(t, ctl, sendAll(t, ts.URL, batches))
-	return analyticsDump(t, ts.URL)
-}
-
-// faultyIngestURL puts a seeded chaos.Proxy in front of target's ingest
-// path and returns the ingest URL through it.
-func faultyIngestURL(t testing.TB, target string, faults chaos.Config) string {
-	t.Helper()
-	faults.Target, faults.PathPrefix = target, "/v1/samples"
-	faults.Client = &http.Client{Timeout: 5 * time.Second}
-	p, err := chaos.New(faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(p)
-	t.Cleanup(ts.Close)
-	return ts.URL + "/v1/samples"
-}
-
-func sendAll(t testing.TB, url string, batches []trace.SampleBatch) int64 {
+// sendAll posts batches in order, with the header pairs given, and
+// answers the samples they hold.
+func sendAll(t testing.TB, url string, batches []trace.SampleBatch, header ...string) int64 {
 	t.Helper()
 	var samples int64
 	for _, b := range batches {
-		resp, body := postJSON(t, url+"/v1/samples", b)
+		resp, body := postJSON(t, url+"/v1/samples", b, header...)
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("seq %d: %d %s", b.Seq, resp.StatusCode, body)
 		}
@@ -171,14 +124,13 @@ func TestRecoverAcrossSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	batches := stampedBatches(9, 30)
 
-	s1, ts1 := newDurableServer(t, dir, DurabilityConfig{})
+	s1, ts1 := testNode{dir: dir}.start(t)
 	var n1 int64
 	for _, b := range batches[:20] {
 		postJSON(t, ts1.URL+"/v1/samples", b)
 		n1 += int64(len(b.Samples))
 	}
 	waitIngested(t, s1, n1)
-	ts1.Close()
 	s1.Close() // graceful: takes a final snapshot
 
 	// What an instance killed mid-publish leaves: a half-written snapshot
@@ -190,7 +142,7 @@ func TestRecoverAcrossSnapshots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s2, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir})
+	s2, err := NewDurable(durableStore(), nil, DefaultConfig(), DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,16 +173,8 @@ func TestRecoverAcrossSnapshots(t *testing.T) {
 	waitIngested(t, s2, n1+n2)
 	crash(t, s2, ts2)
 
-	s3, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err = s3.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if rep.RecordsReplayed != int64(len(batches)-20) {
+	s3, _ := testNode{dir: dir}.start(t)
+	if rep := s3.dur.report; rep.RecordsReplayed != int64(len(batches)-20) {
 		t.Fatalf("replayed %d records, want %d", rep.RecordsReplayed, len(batches)-20)
 	}
 	if got := s3.store.Ingested(); got != n1+n2 {
@@ -242,7 +186,7 @@ func TestRecoverAcrossSnapshots(t *testing.T) {
 // completes, and during graceful drain.
 func TestReadyzTransitions(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir})
+	s, err := NewDurable(durableStore(), nil, DefaultConfig(), DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,11 +240,9 @@ func newQueueFullServer(t *testing.T, dir string, segmentBytes int64) (*Server, 
 		t.Fatal(err)
 	}
 	dur.log = log
-	cfg := durableConfig()
-	cfg.QueueDepth = 1 // no workers drain it
 	s := &Server{
 		store: durableStore(),
-		cfg:   cfg,
+		cfg:   Config{QueueDepth: 1}, // no workers drain it
 		dedup: tsdb.NewDeduper(tsdb.DedupConfig{}),
 		dur:   dur,
 	}
@@ -367,7 +309,7 @@ func TestTombstonesPrunedOnReap(t *testing.T) {
 // TestNewDurableFailFast: a missing, non-directory, or already-locked
 // data dir is refused at construction with a descriptive error.
 func TestNewDurableFailFast(t *testing.T) {
-	if _, err := NewDurable(durableStore(), nil, durableConfig(),
+	if _, err := NewDurable(durableStore(), nil, DefaultConfig(),
 		DurabilityConfig{Dir: filepath.Join(t.TempDir(), "nope")}); err == nil ||
 		!strings.Contains(err.Error(), "does not exist") {
 		t.Fatalf("missing dir: %v", err)
@@ -377,24 +319,24 @@ func TestNewDurableFailFast(t *testing.T) {
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDurable(durableStore(), nil, durableConfig(),
+	if _, err := NewDurable(durableStore(), nil, DefaultConfig(),
 		DurabilityConfig{Dir: file}); err == nil || !strings.Contains(err.Error(), "not a directory") {
 		t.Fatalf("non-dir: %v", err)
 	}
 
 	dir := t.TempDir()
-	s1, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir})
+	s1, err := NewDurable(durableStore(), nil, DefaultConfig(), DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDurable(durableStore(), nil, durableConfig(),
+	if _, err := NewDurable(durableStore(), nil, DefaultConfig(),
 		DurabilityConfig{Dir: dir}); err == nil || !strings.Contains(err.Error(), "locked") {
 		t.Fatalf("live lock: %v", err)
 	}
 	s1.dur.lock.Abandon() // die without cleanup: LOCK file stays behind
 
 	// Stale lock (previous holder died): opens fine and reports it.
-	s2, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir})
+	s2, err := NewDurable(durableStore(), nil, DefaultConfig(), DurabilityConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,24 +354,16 @@ func TestNewDurableFailFast(t *testing.T) {
 // ingest produces snapshots without any shutdown.
 func TestSnapshotSchedulerRuns(t *testing.T) {
 	dir := t.TempDir()
-	s, ts := newDurableServer(t, dir, DurabilityConfig{
+	s, ts := testNode{dir: dir, dur: DurabilityConfig{
 		SnapshotInterval: 50 * time.Millisecond,
 		SnapshotEvery:    8,
-	})
-	defer func() { ts.Close(); s.Close() }()
+	}}.start(t)
 	total := sendAll(t, ts.URL, stampedBatches(5, 40))
 	waitIngested(t, s, total)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitFor(t, "the scheduler to write a snapshot", func() bool {
 		snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-		if len(snaps) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no snapshot written by the scheduler")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return len(snaps) > 0
+	})
 	// Metrics expose the wal_*/snapshot_* series.
 	_, body := get(t, ts.URL+"/metrics")
 	for _, want := range []string{"powserved_wal_appends_total", "powserved_snapshots_total", "powserved_recovery_records_replayed"} {

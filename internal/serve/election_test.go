@@ -11,48 +11,20 @@ import (
 	"time"
 
 	"hpcpower/internal/elect"
-	"hpcpower/internal/vfs"
 )
 
-// newElectedServer builds a durable server over dir as powserved runs a
-// data node under -peer — elector attached before recovery, no role set
-// — and serves it. With no peers the group is this node alone, a quorum
-// of one: enough to exercise the serve-side wiring without a full group.
-func newElectedServer(t testing.TB, dir string, peers ...elect.Peer) (*Server, *httptest.Server, *elect.Elector) {
-	t.Helper()
-	s, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	st, err := elect.OpenStateFile(vfs.OS, filepath.Join(t.TempDir(), "elect-state"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	el, err := s.StartElection(ctx, elect.Config{
-		ID:             "solo",
-		URL:            ts.URL,
-		Peers:          peers,
-		HeartbeatEvery: 10 * time.Millisecond,
-		State:          st,
-		Transport:      &elect.HTTPTransport{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cancel(); el.Close(); ts.Close(); s.Close() })
-	if _, err := s.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	return s, ts, el
+// electedNode is a durable node over dir as powserved runs a data node
+// under -peer — elector attached before recovery, no role set. With no
+// peers the group is this node alone, a quorum of one: enough to exercise
+// the serve-side wiring without a full group.
+func electedNode(dir string, peers ...elect.Peer) testNode {
+	return testNode{dir: dir, elect: &elect.Config{ID: "solo", Peers: peers, HeartbeatEvery: 10 * time.Millisecond}}
 }
 
 // TestFrontierEndpoint: a primary reports its identity, epoch, role,
 // and the upstream watermark frozen at promotion time.
 func TestFrontierEndpoint(t *testing.T) {
-	p, tsP := newDurableServer(t, t.TempDir(), DurabilityConfig{})
-	defer func() { tsP.Close(); p.Close() }()
+	_, tsP := testNode{dir: t.TempDir()}.start(t)
 	sendAll(t, tsP.URL, stampedBatches(3, 5))
 
 	resp, body := get(t, tsP.URL+"/v1/repl/frontier")
@@ -68,8 +40,7 @@ func TestFrontierEndpoint(t *testing.T) {
 
 	// A follower answers too (the rejoin path validates the role and
 	// refuses), and its upstream watermark is meaningless-but-present.
-	f, tsF := newFollowerServer(t, t.TempDir(), tsP.URL, DurabilityConfig{})
-	defer func() { tsF.Close(); f.Close() }()
+	_, tsF := testNode{dir: t.TempDir(), follow: tsP.URL}.start(t)
 	resp, body = get(t, tsF.URL+"/v1/repl/frontier")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"role":"follower"`) {
 		t.Fatalf("follower frontier = %d %s", resp.StatusCode, body)
@@ -79,10 +50,8 @@ func TestFrontierEndpoint(t *testing.T) {
 // TestNotPrimaryCarriesLeaderHint: a follower's 503 tells the shipper
 // where the primary is, so failover is one hop instead of a scan.
 func TestNotPrimaryCarriesLeaderHint(t *testing.T) {
-	p, tsP := newDurableServer(t, t.TempDir(), DurabilityConfig{})
-	defer func() { tsP.Close(); p.Close() }()
-	f, tsF := newFollowerServer(t, t.TempDir(), tsP.URL, DurabilityConfig{})
-	defer func() { tsF.Close(); f.Close() }()
+	_, tsP := testNode{dir: t.TempDir()}.start(t)
+	_, tsF := testNode{dir: t.TempDir(), follow: tsP.URL}.start(t)
 
 	resp, body := postJSON(t, tsF.URL+"/v1/samples", stampedBatches(1, 1)[0])
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -100,10 +69,8 @@ func TestNotPrimaryCarriesLeaderHint(t *testing.T) {
 // group as a follower of that leader, and converge to byte-identical
 // analytics.
 func TestDeposedPrimaryRejoins(t *testing.T) {
-	a, tsA := newDurableServer(t, t.TempDir(), DurabilityConfig{})
-	defer func() { tsA.Close(); a.Close() }()
-	b, tsB := newDurableServer(t, t.TempDir(), DurabilityConfig{})
-	defer func() { tsB.Close(); b.Close() }()
+	a, tsA := testNode{dir: t.TempDir()}.start(t)
+	b, tsB := testNode{dir: t.TempDir()}.start(t)
 
 	// Divergent histories: nothing A holds was ever replicated to B
 	// and vice versa.
@@ -159,8 +126,7 @@ func TestDeposedPrimaryRejoins(t *testing.T) {
 // resurrect the pull loop — whichever side wins, the node ends up a
 // working primary.
 func TestPromoteDuringSnapshotBootstrap(t *testing.T) {
-	p, tsP := newDurableServer(t, t.TempDir(), DurabilityConfig{SegmentBytes: 256})
-	defer func() { tsP.Close(); p.Close() }()
+	p, tsP := testNode{dir: t.TempDir(), dur: DurabilityConfig{SegmentBytes: 256}}.start(t)
 	total := sendAll(t, tsP.URL, stampedBatches(13, 40))
 	waitIngested(t, p, total)
 	// Reap the early WAL so the follower is forced through the
@@ -169,8 +135,7 @@ func TestPromoteDuringSnapshotBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, tsF := newFollowerServer(t, t.TempDir(), tsP.URL, DurabilityConfig{})
-	defer func() { tsF.Close(); f.Close() }()
+	f, tsF := testNode{dir: t.TempDir(), follow: tsP.URL}.start(t)
 	// Race the promotion against the bootstrap: no sleep, fire
 	// immediately after the pull loop starts.
 	epoch, err := f.Promote()
@@ -184,7 +149,7 @@ func TestPromoteDuringSnapshotBootstrap(t *testing.T) {
 	// The node must now behave as a primary: accept writes at the new
 	// epoch and never flip back to follower.
 	b := stampedBatches(77, 1)[0]
-	resp, body := postJSONEpoch(t, tsF.URL+"/v1/samples", epoch, b)
+	resp, body := postJSON(t, tsF.URL+"/v1/samples", b, HeaderReplEpoch, fmtUint(epoch))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("post-promotion ingest = %d %s", resp.StatusCode, body)
 	}
@@ -199,17 +164,12 @@ func TestPromoteDuringSnapshotBootstrap(t *testing.T) {
 // the election block — role, leader, epoch, lease, witness health, and
 // the last transition — plus the rejoin counters.
 func TestReadyzElectionShape(t *testing.T) {
-	_, ts, el := newElectedServer(t, t.TempDir())
+	s, ts := electedNode(t.TempDir()).start(t)
+	el := s.elector.Load()
 
 	// A fresh node boots a follower; alone it wins the first election
 	// and holds the lease after one round.
-	deadline := time.Now().Add(5 * time.Second)
-	for !el.HasLease() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if !el.HasLease() {
-		t.Fatal("solo leader never acquired its lease")
-	}
+	waitFor(t, "the solo leader's lease", el.HasLease)
 
 	code, m := readyzJSON(t, ts.URL)
 	if code != http.StatusOK {
@@ -258,17 +218,15 @@ func deadPeers(t *testing.T) []elect.Peer {
 // flags decide, as before.
 func TestParentEpochRecordBootsFollower(t *testing.T) {
 	dirP, dirF := t.TempDir(), t.TempDir()
-	p, tsP := newDurableServer(t, dirP, DurabilityConfig{})
-	f, tsF := newFollowerServer(t, dirF, tsP.URL, DurabilityConfig{})
+	p, tsP := testNode{dir: dirP}.start(t)
+	f, _ := testNode{dir: dirF, follow: tsP.URL}.start(t)
 	total := sendAll(t, tsP.URL, stampedBatches(31, 6))
 	waitIngested(t, f, total)
 	applied := f.dur.repl.replApplied.Load()
 	if applied == 0 {
 		t.Fatal("the follower applied nothing")
 	}
-	tsF.Close()
 	f.Close()
-	tsP.Close()
 	p.Close()
 	for _, dir := range []string{dirP, dirF} {
 		if err := os.WriteFile(filepath.Join(dir, epochFileName), []byte("1\n"), 0o644); err != nil {
@@ -280,7 +238,8 @@ func TestParentEpochRecordBootsFollower(t *testing.T) {
 		dir      string
 		frontier uint64
 	}{{dirP, 0}, {dirF, applied}} {
-		s, ts, el := newElectedServer(t, tc.dir, deadPeers(t)...)
+		s, ts := electedNode(tc.dir, deadPeers(t)...).start(t)
+		el := s.elector.Load()
 		if st := el.Status(); !s.dur.repl.isFollower.Load() || st.Role != "follower" {
 			t.Fatalf("%s booted follower %v, elector %+v; want a follower", tc.dir, s.dur.repl.isFollower.Load(), st)
 		}
@@ -291,12 +250,10 @@ func TestParentEpochRecordBootsFollower(t *testing.T) {
 			t.Errorf("%s ingest = %d %s, want 503 %s", tc.dir, resp.StatusCode, body, CodeNotPrimary)
 		}
 		el.Close()
-		ts.Close()
 		s.Close()
 	}
 
-	s, ts := newDurableServer(t, dirP, DurabilityConfig{})
-	defer func() { ts.Close(); s.Close() }()
+	_, ts := testNode{dir: dirP}.start(t)
 	if code, m := readyzJSON(t, ts.URL); code != http.StatusOK || m["role"] != RolePrimary || m["epoch"] != float64(1) {
 		t.Fatalf("static reopen readyz = %d %v, want the primary at epoch 1", code, m)
 	}
@@ -309,9 +266,8 @@ func TestParentEpochRecordBootsFollower(t *testing.T) {
 // once it holds the lease it serves.
 func TestReplStreamNeedsLease(t *testing.T) {
 	dir := t.TempDir()
-	p, ts := newDurableServer(t, dir, DurabilityConfig{})
+	p, ts := testNode{dir: dir}.start(t)
 	sendAll(t, ts.URL, stampedBatches(41, 3))
-	ts.Close()
 	p.Close()
 
 	for _, lease := range []bool{false, true} {
@@ -319,13 +275,13 @@ func TestReplStreamNeedsLease(t *testing.T) {
 		if !lease {
 			peers = deadPeers(t)
 		}
-		s, ts, el := newElectedServer(t, dir, peers...)
+		s, ts := electedNode(dir, peers...).start(t)
+		el := s.elector.Load()
 		if st := el.Status(); s.dur.repl.isFollower.Load() || st.Role != "leader" {
 			t.Fatalf("the leader of epoch 1 booted follower %v, elector %+v", s.dur.repl.isFollower.Load(), st)
 		}
-		deadline := time.Now().Add(5 * time.Second)
-		for lease && !el.HasLease() && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
+		if lease {
+			waitFor(t, "the lease", el.HasLease)
 		}
 		for _, path := range []string{"/v1/repl/stream?follower=x&from=1", "/v1/repl/snapshot?follower=x"} {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -346,7 +302,6 @@ func TestReplStreamNeedsLease(t *testing.T) {
 			}
 		}
 		el.Close()
-		ts.Close()
 		s.Close()
 	}
 }

@@ -28,6 +28,7 @@ import (
 
 	"hpcpower/internal/chaos"
 	"hpcpower/internal/elect"
+	"hpcpower/internal/obs"
 	"hpcpower/internal/rng"
 	"hpcpower/internal/ship"
 	"hpcpower/internal/trace"
@@ -119,6 +120,7 @@ type foNode struct {
 	front  *front
 	egress atomic.Bool
 	srv    atomic.Pointer[Server] // nil while dead
+	log    lockedBuffer           // its processes' log lines, which describe prints
 }
 
 func (n *foNode) rejoins() int64 { return n.srv.Load().dur.repl.rejoins.Load() }
@@ -136,15 +138,13 @@ type foCluster struct {
 	fed     int                 // batches enqueued so far
 	samples int64               // samples in them
 
-	wg    sync.WaitGroup // the flusher and the winner sampler
-	winMu sync.Mutex
-	wins  map[uint64]string // epoch → the node seen leading at it
-	split string            // the first epoch seen with two leaders
+	wg     sync.WaitGroup // the flusher and the winner sampler
+	leases leaseLog       // every epoch seen led, and by whom
 }
 
 func newFailoverCluster(t *testing.T, seed uint64) *foCluster {
 	ctx, cancel := context.WithCancel(context.Background())
-	c := &foCluster{t: t, seed: seed, ctx: ctx, kick: make(chan struct{}, 1), wins: map[uint64]string{}}
+	c := &foCluster{t: t, seed: seed, ctx: ctx, kick: make(chan struct{}, 1)}
 
 	wst, err := elect.OpenStateFile(vfs.OS, filepath.Join(t.TempDir(), "ELECT"))
 	if err != nil {
@@ -193,7 +193,7 @@ func newFailoverCluster(t *testing.T, seed uint64) *foCluster {
 		}
 	}()
 	go c.sampleWinners()
-	t.Cleanup(func() { cancel(); c.wg.Wait(); c.stop() })
+	t.Cleanup(func() { cancel(); c.wg.Wait() })
 
 	src := rng.New(seed)
 	c.batches = make([]trace.SampleBatch, 4*foPhase*len(faultKinds))
@@ -204,7 +204,7 @@ func newFailoverCluster(t *testing.T, seed uint64) *foCluster {
 			samples[j] = trace.PowerSample{Node: node, JobID: 1 + uint64(node/4),
 				Unix: 1_700_000_000 + int64(60*i) + int64(src.Uint64()%60), PowerW: 100 + 300*src.Float64()}
 		}
-		c.batches[i] = trace.SampleBatch{AgentID: "ctl", Seq: uint64(i + 1), Samples: samples}
+		c.batches[i] = trace.SampleBatch{AgentID: "fo", Samples: samples}
 	}
 	return c
 }
@@ -214,27 +214,20 @@ func newFailoverCluster(t *testing.T, seed uint64) *foCluster {
 // its epoch record. isolated starts it partitioned off.
 func (c *foCluster) start(n *foNode, isolated bool) {
 	c.t.Helper()
-	rc := ReplicationConfig{FollowerID: n.id, SyncAck: true, SyncAckTimeout: foSyncAck,
-		AckEvery: time.Millisecond, HeartbeatEvery: 25 * time.Millisecond, StallTimeout: time.Second}
-	s, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: n.dir, Replication: &rc})
-	if err != nil {
-		c.t.Fatal(err)
-	}
 	st, err := elect.OpenStateFile(vfs.OS, filepath.Join(n.dir, "ELECT"))
 	if err != nil {
 		c.t.Fatal(err)
 	}
 	other := c.other(n)
 	n.cut(isolated, isolated)
-	_, err = s.StartElection(c.ctx, elect.Config{ID: n.id, URL: n.front.ts.URL,
-		Peers:          []elect.Peer{{ID: other.id, URL: other.front.ts.URL}, {ID: "w", URL: c.witness.URL, Witness: true}},
-		HeartbeatEvery: foHeartbeat, State: st, Transport: &cutTransport{cut: &n.egress}})
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	if _, err := s.Recover(); err != nil {
-		c.t.Fatal(err)
-	}
+	s, _ := testNode{dir: n.dir, cfg: Config{Logger: obs.NewLogger(obs.LogConfig{Output: &n.log})},
+		dur: DurabilityConfig{Replication: &ReplicationConfig{FollowerID: n.id,
+			SyncAck: true, SyncAckTimeout: foSyncAck, AckEvery: time.Millisecond,
+			HeartbeatEvery: 25 * time.Millisecond, StallTimeout: time.Second}},
+		elect: &elect.Config{ID: n.id, URL: n.front.ts.URL,
+			Peers:          []elect.Peer{{ID: other.id, URL: other.front.ts.URL}, {ID: "w", URL: c.witness.URL, Witness: true}},
+			HeartbeatEvery: foHeartbeat, State: st, Transport: &cutTransport{cut: &n.egress}},
+	}.start(c.t)
 	var h http.Handler = s.Handler()
 	n.front.h.Store(&h)
 	n.srv.Store(s)
@@ -259,35 +252,16 @@ func (n *foNode) cut(ingress, egress bool) {
 	}
 }
 
-func (c *foCluster) stop() {
-	for _, n := range c.nodes {
-		if s := n.srv.Swap(nil); s != nil {
-			n.front.h.Store(nil)
-			s.elector.Load().Close()
-			s.dur.repl.stopStreams()
-			s.Close()
-		}
-	}
-}
-
 // sampleWinners records, until the run ends, which node leads at which
-// epoch: no epoch may ever have two.
+// epoch.
 func (c *foCluster) sampleWinners() {
 	defer c.wg.Done()
 	for c.ctx.Err() == nil {
 		for _, n := range c.nodes {
-			s := n.srv.Load()
-			if s == nil {
-				continue
-			}
-			if st := s.elector.Load().Status(); st.Role == "leader" {
-				c.winMu.Lock()
-				if prev, ok := c.wins[st.Epoch]; !ok {
-					c.wins[st.Epoch] = n.id
-				} else if prev != n.id && c.split == "" {
-					c.split = fmt.Sprintf("epoch %d led by %s and by %s", st.Epoch, prev, n.id)
+			if s := n.srv.Load(); s != nil {
+				if st := s.elector.Load().Status(); st.Role == "leader" {
+					c.leases.saw(st.Epoch, n.id)
 				}
-				c.winMu.Unlock()
 			}
 		}
 		time.Sleep(time.Millisecond)
@@ -297,10 +271,10 @@ func (c *foCluster) sampleWinners() {
 // feed enqueues the next n batches at the shipper's pace.
 func (c *foCluster) feed(n int) {
 	for ; n > 0; n-- {
-		b := c.batches[c.fed]
+		b := &c.batches[c.fed]
 		c.fed++
 		c.samples += int64(len(b.Samples))
-		c.sh.Enqueue(b.Samples)
+		b.Seq = c.sh.Enqueue(b.Samples)
 		select {
 		case c.kick <- struct{}{}:
 		default:
@@ -334,6 +308,9 @@ func (c *foCluster) describe() string {
 			n.id, rs.role(), rs.epoch.Epoch(), rs.fenced.Load(), rs.currentUpstream(), s.store.Ingested(),
 			rs.lagRecords(), rs.rejoins.Load(), n.front.cut.Load(), n.egress.Load(), s.elector.Load().Status())
 	}
+	for _, n := range c.nodes {
+		fmt.Fprintf(&b, "%s's log:\n%s", n.id, n.log.String())
+	}
 	return b.String()
 }
 
@@ -357,7 +334,8 @@ func (c *foCluster) other(n *foNode) *foNode {
 
 // settle waits out a round and checks the invariants at the point it
 // reaches: one lease-holder that took every batch shipped so far exactly
-// once, and the other node following it with no replication lag.
+// once, and the other node following it with no replication lag and the
+// same state.
 func (c *foCluster) settle() *foNode {
 	c.t.Helper()
 	var leader *foNode
@@ -381,19 +359,16 @@ func (c *foCluster) settle() *foNode {
 	})
 	// A slow fsync behind a heartbeat can lapse the lease for a moment;
 	// two holders is the violation.
-	if hs := c.leaseHolders(); len(hs) > 1 {
-		c.t.Fatalf("%d lease-holders at a settled point\n%s", len(hs), c.describe())
+	var holders []string
+	for _, n := range c.leaseHolders() {
+		holders = append(holders, n.id)
 	}
-	if got := ls.store.Ingested(); got != c.samples {
-		c.t.Fatalf("leader %s ingested %d samples, shipped %d\n%s", leader.id, got, c.samples, c.describe())
-	}
-	if st := c.sh.Stats(); st.DroppedSamples != 0 || st.PoisonedBatches != 0 {
-		c.t.Fatalf("shipper gave up on batches: %+v", st)
-	}
-	c.winMu.Lock()
-	defer c.winMu.Unlock()
-	if c.split != "" {
-		c.t.Fatal(c.split)
+	checkOneLeaseHolder(c.t, holders, &c.leases)
+	checkAckedOnce(c.t, ls, c.batches[:c.fed], c.fed)
+	checkFollowerMatches(c.t, ls, ss)
+	checkShipped(c.t, "the shipper", c.sh.Stats(), c.fed)
+	if c.t.Failed() {
+		c.t.Fatalf("at the settled point led by %s\n%s", leader.id, c.describe())
 	}
 	return leader
 }
@@ -538,11 +513,12 @@ func TestFailoverRounds(t *testing.T) {
 				t.Fatalf("the faults did not bite: %+v", st)
 			}
 
-			control := controlDump(t, c.batches)
+			control := controlAnalytics(t, testNode{dir: t.TempDir()}, c.batches)
 			for _, n := range c.nodes {
-				if got := analyticsDump(t, n.front.ts.URL); got != control {
-					t.Fatalf("%s's analytics differ from the control\n%s", n.id, c.describe())
-				}
+				checkSameAsControl(t, n.id, analyticsOf(t, n.srv.Load(), n.front.ts.URL), control, 0)
+			}
+			if t.Failed() {
+				t.Fatal(c.describe())
 			}
 			_, metrics := get(t, leader.front.ts.URL+"/metrics")
 			for _, m := range []string{"powserved_repl_epoch ", "powserved_repl_rejoins_total ", "powserved_elect_diverged_records ", "powserved_repl_lag_records 0"} {

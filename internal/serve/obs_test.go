@@ -3,10 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"hpcpower/internal/obs"
 )
@@ -77,8 +77,7 @@ var legacyMetricNames = []string{
 // /metrics scrape with every family populated.
 func scrapeMetrics(t *testing.T) string {
 	t.Helper()
-	s, ts := newDurableServer(t, t.TempDir(), DurabilityConfig{})
-	defer func() { ts.Close(); s.Close() }()
+	s, ts := testNode{dir: t.TempDir()}.start(t)
 
 	total := sendAll(t, ts.URL, stampedBatches(7, 8))
 	waitIngested(t, s, total)
@@ -134,25 +133,10 @@ func TestMetricsExpositionLint(t *testing.T) {
 	}
 }
 
-// postTraced POSTs a batch with an X-Trace-Id header, returning the
-// response.
-func postTraced(t *testing.T, url, traceID string, body any) *http.Response {
+// postTraced POSTs a batch with an X-Trace-Id header.
+func postTraced(t testing.TB, url, traceID string, body any) *http.Response {
 	t.Helper()
-	buf, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/samples", bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(obs.HeaderTraceID, traceID)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	resp, _ := postJSON(t, url+"/v1/samples", body, obs.HeaderTraceID, traceID)
 	return resp
 }
 
@@ -160,8 +144,7 @@ func postTraced(t *testing.T, url, traceID string, body any) *http.Response {
 // wanted stage (or times out).
 func waitTraceStages(t *testing.T, url, traceID string, stages ...string) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitFor(t, fmt.Sprintf("trace %s to reach stages %v", traceID, stages), func() bool {
 		_, body := get(t, url+"/debug/traces/recent?trace="+traceID)
 		var out struct {
 			Traces []obs.TraceEvent `json:"traces"`
@@ -175,29 +158,20 @@ func waitTraceStages(t *testing.T, url, traceID string, stages ...string) {
 				seen[ev.Stage] = true
 			}
 		}
-		missing := ""
 		for _, st := range stages {
 			if !seen[st] {
-				missing = st
-				break
+				return false
 			}
 		}
-		if missing == "" {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("trace %s never reached stage %q (ring: %s)", traceID, missing, body)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		return true
+	})
 }
 
 // TestIngestTraceRoundTrip: an X-Trace-Id sent with a durable ingest is
 // echoed on the ack and lands in the trace ring with both the ingest
 // and apply stages.
 func TestIngestTraceRoundTrip(t *testing.T) {
-	s, ts := newDurableServer(t, t.TempDir(), DurabilityConfig{})
-	defer func() { ts.Close(); s.Close() }()
+	_, ts := testNode{dir: t.TempDir()}.start(t)
 
 	traceID := obs.NewTraceID()
 	batch := stampedBatches(3, 1)[0]
@@ -215,10 +189,8 @@ func TestIngestTraceRoundTrip(t *testing.T) {
 // the replication stream, so the follower's ring holds a repl_apply
 // event under the same ID the shipper minted.
 func TestTracePropagatesToFollower(t *testing.T) {
-	primary, tsP := newDurableServer(t, t.TempDir(), DurabilityConfig{})
-	defer func() { tsP.Close(); primary.Close() }()
-	follower, tsF := newFollowerServer(t, t.TempDir(), tsP.URL, DurabilityConfig{})
-	defer func() { tsF.Close(); follower.Close() }()
+	_, tsP := testNode{dir: t.TempDir()}.start(t)
+	follower, tsF := testNode{dir: t.TempDir(), follow: tsP.URL}.start(t)
 
 	traceID := obs.NewTraceID()
 	batch := stampedBatches(5, 1)[0]

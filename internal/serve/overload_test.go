@@ -12,11 +12,9 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,7 +25,6 @@ import (
 	"hpcpower/internal/rng"
 	"hpcpower/internal/ship"
 	"hpcpower/internal/trace"
-	"hpcpower/internal/tsdb"
 )
 
 var overloadSeeds = []uint64{1, 2}
@@ -113,17 +110,16 @@ func shipAll(t *testing.T, shippers []*overloadShipper) {
 	wg.Wait()
 }
 
-// checkShipped: every batch acked, none given up on, and each 429 the
-// shipper was answered is one it waited out in place.
-func checkShipped(t *testing.T, shippers []*overloadShipper) {
+// checkShippers: every shipper flushed and gave up on nothing, and each
+// 429 it was answered is one it waited out in place.
+func checkShippers(t *testing.T, shippers []*overloadShipper) {
 	t.Helper()
 	for _, o := range shippers {
-		st := o.sh.Stats()
-		if o.err != nil || st.ShippedBatches != int64(len(o.batches)) || st.DroppedSamples != 0 ||
-			st.ExhaustedBatch != 0 || st.PoisonedBatches != 0 {
-			t.Errorf("%s: %v, %+v", o.batches[0].AgentID, o.err, st)
+		checkShipped(t, o.batches[0].AgentID, o.sh.Stats(), len(o.batches))
+		if o.err != nil {
+			t.Errorf("%s: %v", o.batches[0].AgentID, o.err)
 		}
-		if got := o.got429.Load(); st.ShedWaits != got {
+		if st, got := o.sh.Stats(), o.got429.Load(); st.ShedWaits != got {
 			t.Errorf("%s: %d shed waits for %d 429s", o.batches[0].AgentID, st.ShedWaits, got)
 		}
 	}
@@ -135,31 +131,6 @@ func shedTotal(s *Server) int64 {
 		n += s.metrics.admitShed.With(r).Value()
 	}
 	return n
-}
-
-// sameAnalytics compares a node's analyticsDump with the control's: every
-// job body byte for byte, and the store-wide summary with its mean and
-// spread to 1e-9. Each job is one agent's, applied in that agent's order,
-// but the store-wide accumulators fold the agents in arrival order.
-func sameAnalytics(got, want string) error {
-	gs, gjobs, _ := strings.Cut(got, "\n")
-	ws, wjobs, _ := strings.Cut(want, "\n")
-	if gjobs != wjobs {
-		return fmt.Errorf("job analytics differ\n got %s\nwant %s", gjobs, wjobs)
-	}
-	var g, w tsdb.Summary
-	if json.Unmarshal([]byte(gs), &g) != nil || json.Unmarshal([]byte(ws), &w) != nil {
-		return fmt.Errorf("summaries %s / %s", gs, ws)
-	}
-	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
-	if !near(g.MeanW, w.MeanW) || !near(g.StdW, w.StdW) {
-		return fmt.Errorf("summary %s, want %s", gs, ws)
-	}
-	g.MeanW, g.StdW, w.MeanW, w.StdW = 0, 0, 0, 0
-	if g != w {
-		return fmt.Errorf("summary %s, want %s", gs, ws)
-	}
-	return nil
 }
 
 // TestOverloadRounds runs, per seed, the admission round and the
@@ -183,13 +154,9 @@ func TestOverloadRounds(t *testing.T) {
 // bucket, keeps its accounted memory under the watermark, and ends, like
 // its follower, with exactly the control's samples and analytics.
 func admissionRound(t *testing.T, seed uint64) {
-	cfg := durableConfig()
-	cfg.Admit = admit.Config{AgentRate: ovRate, AgentBurst: ovBurst, MemWatermark: ovWatermark}
-	pcfg := DurabilityConfig{Dir: t.TempDir()}
-	primary, tsP := newPipelineServer(t, durableStore(), cfg, &pcfg)
-	defer func() { tsP.Close(); primary.Close() }()
-	follower, tsF := newFollowerServer(t, t.TempDir(), tsP.URL, DurabilityConfig{})
-	defer func() { tsF.Close(); follower.Close() }()
+	primary, tsP := testNode{dir: t.TempDir(),
+		cfg: Config{Admit: admit.Config{AgentRate: ovRate, AgentBurst: ovBurst, MemWatermark: ovWatermark}}}.start(t)
+	follower, _ := testNode{dir: t.TempDir(), follow: tsP.URL}.start(t)
 	url := faultyIngestURL(t, tsP.URL, chaos.Config{Err5xxRate: 0.03, ResetRate: 0.02, TruncateRate: 0.02, Seed: int64(seed)})
 
 	src := rng.New(seed)
@@ -200,7 +167,6 @@ func admissionRound(t *testing.T, seed uint64) {
 		batches = append(batches, b...)
 		shippers[i] = newOverloadShipper(url, b, int64(seed)*100+int64(i))
 	}
-	total := int64(len(batches) * ovNodes * ovMinutes)
 
 	var peak atomic.Int64
 	stop := make(chan struct{})
@@ -222,7 +188,7 @@ func admissionRound(t *testing.T, seed uint64) {
 	close(stop)
 	<-sampled
 
-	checkShipped(t, shippers)
+	checkShippers(t, shippers)
 	var retries, dups int64
 	for _, o := range shippers {
 		st := o.sh.Stats()
@@ -255,18 +221,10 @@ func admissionRound(t *testing.T, seed uint64) {
 	if after := shedTotal(primary); after != shed {
 		t.Errorf("still shedding after the load stopped: %d → %d", shed, after)
 	}
-	for name, s := range map[string]*Server{"primary": primary, "follower": follower} {
-		if got := s.store.Ingested(); got != total {
-			t.Errorf("%s ingested %d samples, shipped %d", name, got, total)
-		}
-	}
-	pd := analyticsDump(t, tsP.URL)
-	if fd := analyticsDump(t, tsF.URL); fd != pd {
-		t.Errorf("the follower's analytics differ from the primary's\n got %s\nwant %s", fd, pd)
-	}
-	if err := sameAnalytics(pd, controlDump(t, batches)); err != nil {
-		t.Errorf("the primary's analytics differ from the control's: %v", err)
-	}
+	checkAckedOnce(t, primary, batches, len(batches))
+	checkFollowerMatches(t, primary, follower)
+	checkSameAsControl(t, "the primary", analyticsOf(t, primary, tsP.URL),
+		controlAnalytics(t, testNode{dir: t.TempDir()}, batches), 1e-9)
 }
 
 // watermarkRound parks the one ingest worker of a memory-only node while
@@ -276,21 +234,18 @@ func admissionRound(t *testing.T, seed uint64) {
 // nodes, so what the store keeps stays under the resume level), and every
 // sample lands exactly once.
 func watermarkRound(t *testing.T, seed uint64) {
-	cfg := DefaultConfig()
-	cfg.IngestWorkers = 1
 	// The limiter's floor sits above the shipper count, so the limiter
 	// cannot hold the queue just under the watermark.
-	cfg.Admit = admit.Config{Step: 5 * time.Millisecond, MinInflight: 48, MemWatermark: fatMark}
-	s, ts := newPipelineServer(t, tsdb.New(tsdb.Config{Shards: 4, RingLen: 64}), cfg, nil)
-	defer func() { ts.Close(); s.Close() }()
+	s, ts := testNode{ringLen: 64,
+		cfg: Config{IngestWorkers: 1, Admit: admit.Config{Step: 5 * time.Millisecond, MinInflight: 48, MemWatermark: fatMark}}}.start(t)
 
 	src := rng.New(seed)
 	shippers := make([]*overloadShipper, fatAgents+1)
-	var total int64
+	var batches []trace.SampleBatch
 	for i := range shippers {
 		b := agentBatches(src, "fat", i, fatBatches, 0, 64, fatSamples/64)
+		batches = append(batches, b...)
 		shippers[i] = newOverloadShipper(ts.URL+"/v1/samples", b, int64(seed)*100+int64(i))
-		total += int64(fatBatches * fatSamples)
 	}
 	late := shippers[fatAgents]
 
@@ -307,12 +262,10 @@ func watermarkRound(t *testing.T, seed uint64) {
 	<-done
 	<-lateDone
 
-	checkShipped(t, shippers)
-	waitIngested(t, s, total)
+	checkShippers(t, shippers)
+	waitIngested(t, s, int64(len(batches)*fatSamples))
 	waitFor(t, "degraded mode to clear", func() bool { return !s.adm.memDegraded.Load() })
-	if got := s.store.Ingested(); got != total {
-		t.Errorf("ingested %d samples, shipped %d", got, total)
-	}
+	checkAckedOnce(t, s, batches, len(batches))
 	if n := s.metrics.admitShed.With("memory").Value(); n < 1 {
 		t.Errorf("admit_shed_total{reason=memory} %d: nothing was shed while degraded", n)
 	}

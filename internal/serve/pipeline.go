@@ -8,8 +8,9 @@ package serve
 // and WAL replay (Recover: nothing to log; the replay consumer goroutine
 // is the sole writer of store, dedup index and alert engine until Recover
 // joins it, before anything else can reach them). A memory-only server runs
-// the same code with the WAL as a no-op: log assigns LSN 0 and await has
-// no fsync to wait for.
+// the same code with the WAL as a no-op: log assigns LSN 0, await has no
+// fsync to wait for, and an enqueue ticket (ticketLog) stands in for the
+// LSN a duplicate waits on.
 //
 // Locks are taken in the order applyMu(R) → seqMu → queue lock. This is
 // the normative statement of the rules; DESIGN.md points here.
@@ -35,12 +36,16 @@ package serve
 //     which dedup settles as the duplicate of the agent's retry.
 //  5. Every fsync and replication wait happens outside all locks, and a
 //     failed fsync never acks.
+//  6. Without a WAL nothing is locked: a stamped batch takes its ticket
+//     before its stamp, so a duplicate that finds the stamp finds its
+//     original's ticket taken (awaitDuplicate).
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
+	"sync/atomic"
 	"time"
 
 	"hpcpower/internal/admit"
@@ -50,13 +55,30 @@ import (
 
 // queuedBatch is one batch in flight through the pipeline: the record as
 // the WAL holds it, the sequence number the WAL gave it (0 when there is
-// no WAL), and the channel the live handler waits on — true once applied,
-// false when shed before apply, so a 202 is never written for samples
-// that did not reach the store.
+// no WAL) or else its enqueue ticket, and the channel the live handler
+// waits on — true once applied, false when shed before apply, so a 202 is
+// never written for samples that did not reach the store.
 type queuedBatch struct {
 	trace.WALRecord
-	lsn  uint64
-	resc chan bool // buffered(1); nil off the live path
+	lsn    uint64
+	ticket uint64    // memory-only: the ticketLog's number for it
+	resc   chan bool // buffered(1); nil off the live path
+}
+
+// ticketLog is what a memory-only server keeps of its batches for
+// awaitDuplicate: each stamped batch takes the next ticket, and done
+// tracks the tickets applied, cancelled or settled as duplicates.
+type ticketLog struct {
+	last atomic.Uint64 // the newest ticket taken
+	done *applyTracker
+}
+
+// markDone marks a ticket done; 0, an unstamped or logged batch's, is
+// none.
+func (tl *ticketLog) markDone(ticket uint64) {
+	if ticket != 0 {
+		tl.done.markDone(ticket)
+	}
 }
 
 // outcomeKind is what became of one batch handed to accept. Everything
@@ -166,10 +188,13 @@ func (s *Server) cancel(qb *queuedBatch) {
 	if qb.Agent != "" {
 		s.dedup.Forget(qb.Agent, qb.Seq)
 	}
-	if logged {
+	switch {
+	case logged:
 		tr := d.tracker.Load()
 		tr.markDone(tlsn)
 		tr.markDone(qb.lsn)
+	case d == nil:
+		s.tickets.markDone(qb.ticket)
 	}
 }
 
@@ -206,6 +231,8 @@ func (s *Server) apply(qb *queuedBatch) error {
 	err := s.fold(qb.Samples, qb.Trace)
 	if d := s.dur; d != nil {
 		d.tracker.Load().markDone(qb.lsn)
+	} else {
+		s.tickets.markDone(qb.ticket)
 	}
 	if err == nil {
 		s.metrics.samplesIngested.Add(int64(len(qb.Samples)))
@@ -294,23 +321,24 @@ func (s *Server) awaitReplicated(ctx context.Context, lsn uint64) outcome {
 // applied, durable and, under semi-sync replication, replicated. A retry
 // usually follows an ack that timed out, so the original may still be
 // queued, or not on the follower, and acking the retry then would let a
-// shed or a failover lose the batch. Taking applyMu's write lock waits
-// out a stamp → log in flight, so the last LSN covers the original; once
-// the streamable watermark (applied and durable) reaches it, the original
-// was applied or cancelled, and a cancel freed its (agent, seq): the
-// duplicate then gets the shed's 429 and the agent's next retry is logged
-// afresh. A memory-only server has no LSN to wait for and acks a
-// duplicate at once.
+// shed or a failover lose the batch. The last ticket taken covers the
+// original (rule 6); with a WAL, taking applyMu's write lock waits out a
+// stamp → log in flight, so the last LSN does. Once that is durable and
+// the apply tracker's watermark reaches it, the original was applied or
+// cancelled, and a cancel freed its (agent, seq): the duplicate then gets
+// the shed's 429 and the agent's next retry is logged afresh.
 func (s *Server) awaitDuplicate(ctx context.Context, agent string, seq uint64) outcome {
-	d := s.dur
-	d.applyMu.Lock()
-	last := d.log.LastLSN()
-	d.applyMu.Unlock()
-	if err := d.log.WaitDurable(last); err != nil {
-		return outcome{kind: outStorage, err: fmt.Errorf("wal sync: %w", err)}
+	done, last := s.tickets.done, s.tickets.last.Load()
+	if d := s.dur; d != nil {
+		d.applyMu.Lock()
+		last = d.log.LastLSN()
+		d.applyMu.Unlock()
+		if err := d.log.WaitDurable(last); err != nil {
+			return outcome{kind: outStorage, err: fmt.Errorf("wal sync: %w", err)}
+		}
+		done = d.tracker.Load()
 	}
-	d.advanceRepl()
-	if d.repl.source.WaitAdvanced(ctx, last) != nil || !s.dedup.Seen(agent, seq) {
+	if done.wait(ctx, last) != nil || !s.dedup.Seen(agent, seq) {
 		return outcome{kind: outShed}
 	}
 	if o := s.awaitReplicated(ctx, last); o.kind != outAccepted {
@@ -328,14 +356,20 @@ func (s *Server) accept(ctx context.Context, batch *trace.SampleBatch, traceID s
 	d := s.dur
 	if d != nil {
 		d.applyMu.RLock()
+	} else if qb.Agent != "" {
+		qb.ticket = s.tickets.last.Add(1) // before the stamp: rule 6
 	}
 	// Stamp before enqueue so two racing deliveries of the same
 	// (agent, seq) cannot both be counted.
 	var o outcome
-	if dup, stale := s.stamp(qb.Agent, qb.Seq); stale {
-		o.kind = outStale
-	} else if dup {
+	if dup, stale := s.stamp(qb.Agent, qb.Seq); dup || stale {
+		// Its ticket is done at once, so a duplicate never waits for
+		// itself.
+		s.tickets.markDone(qb.ticket)
 		o.kind = outDuplicate
+		if stale {
+			o.kind = outStale
+		}
 	} else {
 		qb.resc = make(chan bool, 1)
 		if o = s.log(&qb, true); o.kind != outAccepted {
@@ -346,7 +380,7 @@ func (s *Server) accept(ctx context.Context, batch *trace.SampleBatch, traceID s
 		d.applyMu.RUnlock()
 	}
 	switch {
-	case o.kind == outDuplicate && d != nil:
+	case o.kind == outDuplicate:
 		return s.awaitDuplicate(ctx, qb.Agent, qb.Seq)
 	case o.kind != outAccepted:
 		return o

@@ -3,15 +3,13 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"hpcpower/internal/anomaly"
+	"hpcpower/internal/admit"
 	"hpcpower/internal/trace"
-	"hpcpower/internal/tsdb"
 	"hpcpower/internal/vfs"
 )
 
@@ -31,9 +29,9 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 	}
 }
 
-// parkWorker parks the server's single ingest worker: it pops an empty
-// entry whose ack channel nobody reads until release is called, and so
-// pops nothing else meanwhile.
+// parkWorker parks an idle ingest worker: it pops an empty entry whose
+// ack channel nobody reads until release is called, and so pops nothing
+// else meanwhile.
 func parkWorker(t testing.TB, s *Server) (release func()) {
 	t.Helper()
 	gate := make(chan bool)
@@ -88,43 +86,10 @@ func whileShedding(t testing.TB, s *Server, send func()) {
 	<-done
 }
 
-// pipelineConfig is durableConfig with the CoDel window the helpers above
-// rely on.
-func pipelineConfig() Config {
-	cfg := durableConfig()
-	cfg.Admit.Target = codelWindow
-	cfg.Admit.Interval = codelWindow
-	return cfg
-}
-
-// quietDurability keeps the background machinery out of a test's way: no
-// scheduled snapshot, one disk check at start.
-func quietDurability(dir string) DurabilityConfig {
-	return DurabilityConfig{
-		Dir:               dir,
-		SnapshotInterval:  time.Hour,
-		SnapshotEvery:     1 << 30,
-		DiskCheckInterval: time.Hour,
-	}
-}
-
-// newPipelineServer builds a memory-only server, or with a data dir a
-// recovered durable one. The caller owns shutdown.
-func newPipelineServer(t testing.TB, store *tsdb.Store, cfg Config, dcfg *DurabilityConfig) (*Server, *httptest.Server) {
-	t.Helper()
-	if dcfg == nil {
-		s := New(store, nil, cfg)
-		return s, httptest.NewServer(s.Handler())
-	}
-	s, err := NewDurable(store, nil, cfg, *dcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Recover(); err != nil {
-		s.Close()
-		t.Fatal(err)
-	}
-	return s, httptest.NewServer(s.Handler())
+// codelConfig is a server configuration with the one ingest worker and
+// the CoDel window the helpers above rely on.
+func codelConfig() Config {
+	return Config{IngestWorkers: 1, Admit: admit.Config{Target: codelWindow, Interval: codelWindow}}
 }
 
 // batchCounters is the accounting of POST /v1/samples: every decoded
@@ -294,27 +259,21 @@ func TestIngestOutcomes(t *testing.T) {
 				mode = "durable"
 			}
 			t.Run(r.name+"/"+mode, func(t *testing.T) {
-				cfg := pipelineConfig()
+				node := testNode{cfg: codelConfig()}
 				if r.cfg != nil {
-					r.cfg(&cfg)
+					r.cfg(&node.cfg)
 				}
 				e := &outcomeEnv{batch: sampleBatch("a1", 1, n)}
-				var dcfg *DurabilityConfig
 				dir := t.TempDir()
 				if durable {
 					e.ffs = vfs.NewFault(vfs.OS, vfs.FaultConfig{})
-					q := quietDurability(dir)
-					q.FS = e.ffs
+					node.dir, node.quiet, node.dur.FS = dir, true, e.ffs
 					if r.dcfg != nil {
-						r.dcfg(&q)
+						r.dcfg(&node.dur)
 					}
-					dcfg = &q
 				}
-				s, ts := newPipelineServer(t, durableStore(), cfg, dcfg)
+				s, ts := node.start(t)
 				e.s, e.url = s, ts.URL
-				if !durable {
-					defer func() { ts.Close(); s.Close() }()
-				}
 				if r.setup != nil {
 					r.setup(t, e)
 				}
@@ -398,16 +357,8 @@ func TestIngestOutcomes(t *testing.T) {
 				// Crash and recover on a healthy disk: the store comes back as
 				// it was, and every cancelled record stays dead.
 				crash(t, s, ts)
-				s2, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep, err := s2.Recover()
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s2.Close()
-				if rep.Tombstoned != r.tombstoned {
+				s2, _ := testNode{dir: dir}.start(t)
+				if rep := s2.dur.report; rep.Tombstoned != r.tombstoned {
 					t.Errorf("recovery skipped %d tombstoned records, want %d", rep.Tombstoned, r.tombstoned)
 				}
 				if got := s2.store.Ingested(); got != r.stored {
@@ -424,82 +375,102 @@ func TestIngestOutcomes(t *testing.T) {
 // TestDuplicateWaitsForItsOriginal: a re-send that arrives while its
 // original is still queued behind a blocked worker is not acked before the
 // original is applied, and when CoDel sheds the original the re-send gets
-// the same 429 over_capacity, so the agent's next retry is applied once.
+// the same 429 over_capacity, so the agent's next retry is applied once —
+// in both modes.
 func TestDuplicateWaitsForItsOriginal(t *testing.T) {
 	for _, shed := range []bool{false, true} {
 		t.Run(map[bool]string{false: "applied", true: "shed"}[shed], func(t *testing.T) {
-			q := quietDurability(t.TempDir())
-			s, ts := newPipelineServer(t, durableStore(), pipelineConfig(), &q)
-			defer func() { ts.Close(); s.Close() }()
-			batch := sampleBatch("a1", 1, 3)
-			type answer struct {
-				code int
-				body string
-			}
-			post := func() <-chan answer {
-				c := make(chan answer, 1)
-				go func() {
-					resp, body := postJSON(t, ts.URL+"/v1/samples", batch)
-					c <- answer{resp.StatusCode, string(body)}
-				}()
-				return c
-			}
-
-			release := parkWorker(t, s)
-			filler := make(chan bool)
-			if err := s.ingestQ.Push(queuedBatch{resc: filler}); err != nil {
-				t.Fatal(err)
-			}
-			original := post()
-			waitFor(t, "the original to queue", func() bool { return s.ingestQ.Len() == 2 })
-			dup := post()
-			waitFor(t, "the re-send to reach the pipeline", func() bool {
-				return s.adm.limiter.Inflight() == 2 || s.metrics.batchesDuplicate.Value() > 0
+			t.Run("durable", func(t *testing.T) {
+				duplicateWaits(t, testNode{dir: t.TempDir(), quiet: true, cfg: codelConfig()}, shed)
 			})
-			select {
-			case a := <-dup:
-				t.Errorf("re-send answered %d %s while its original was still queued", a.code, a.body)
-				dup = nil
-			case <-time.After(2 * codelWindow):
-			}
-			if shed {
-				// The worker pops the filler over target, then the original a
-				// full interval later, still over target: CoDel sheds it.
-				time.Sleep(codelWindow + codelWindow/2)
-				release()
-				time.Sleep(codelWindow + codelWindow/2)
-				<-filler
-			} else {
-				release()
-				<-filler
-			}
-
-			want := answer{http.StatusAccepted, `"accepted":3`}
-			wantDup := answer{http.StatusAccepted, `"duplicate":true`}
-			if shed {
-				want = answer{http.StatusTooManyRequests, CodeOverCapacity}
-				wantDup = want
-			}
-			for name, c := range map[string]<-chan answer{"original": original, "re-send": dup} {
-				w := map[string]answer{"original": want, "re-send": wantDup}[name]
-				if c == nil {
-					continue // answered too early, reported above
-				}
-				if a := <-c; a.code != w.code || !strings.Contains(a.body, w.body) {
-					t.Errorf("%s: %d %s, want %d with %q", name, a.code, a.body, w.code, w.body)
-				}
-			}
-			if shed {
-				if resp, body := postJSON(t, ts.URL+"/v1/samples", batch); resp.StatusCode != http.StatusAccepted ||
-					!strings.Contains(string(body), `"accepted":3`) {
-					t.Fatalf("the agent's next retry: %d %s, want it applied", resp.StatusCode, body)
-				}
-			}
-			waitIngested(t, s, 3)
-			if got := s.store.Ingested(); got != 3 {
-				t.Fatalf("store holds %d samples, want the batch once", got)
-			}
+			t.Run("memory-only", func(t *testing.T) { duplicateWaits(t, testNode{cfg: codelConfig()}, shed) })
+			t.Run("memory-only-workers=4", func(t *testing.T) {
+				cfg := codelConfig()
+				cfg.IngestWorkers = 4
+				duplicateWaits(t, testNode{cfg: cfg}, shed)
+			})
 		})
+	}
+}
+
+func duplicateWaits(t *testing.T, node testNode, shed bool) {
+	s, ts := node.start(t)
+	batch := sampleBatch("a1", 1, 3)
+	type answer struct {
+		code int
+		body string
+	}
+	post := func() <-chan answer {
+		c := make(chan answer, 1)
+		go func() {
+			resp, body := postJSON(t, ts.URL+"/v1/samples", batch)
+			c <- answer{resp.StatusCode, string(body)}
+		}()
+		return c
+	}
+
+	parked := make([]func(), s.cfg.IngestWorkers)
+	for i := range parked {
+		parked[i] = parkWorker(t, s)
+	}
+	filler := make(chan bool)
+	if err := s.ingestQ.Push(queuedBatch{resc: filler}); err != nil {
+		t.Fatal(err)
+	}
+	original := post()
+	waitFor(t, "the original to queue", func() bool { return s.ingestQ.Len() == 2 })
+	dup := post()
+	waitFor(t, "the re-send to reach the pipeline", func() bool {
+		return s.adm.limiter.Inflight() == 2 || s.metrics.batchesDuplicate.Value() > 0
+	})
+	select {
+	case a := <-dup:
+		t.Errorf("re-send answered %d %s while its original was still queued", a.code, a.body)
+		dup = nil
+	case <-time.After(2 * codelWindow):
+	}
+	if shed {
+		// One worker pops the filler over target, then the original a
+		// full interval later, still over target: CoDel sheds it. The
+		// others stay parked until the answers are in.
+		time.Sleep(codelWindow + codelWindow/2)
+		parked[0]()
+		time.Sleep(codelWindow + codelWindow/2)
+		<-filler
+	} else {
+		for _, release := range parked {
+			release()
+		}
+		<-filler
+	}
+
+	want := answer{http.StatusAccepted, `"accepted":3`}
+	wantDup := answer{http.StatusAccepted, `"duplicate":true`}
+	if shed {
+		want = answer{http.StatusTooManyRequests, CodeOverCapacity}
+		wantDup = want
+	}
+	for name, c := range map[string]<-chan answer{"original": original, "re-send": dup} {
+		w := map[string]answer{"original": want, "re-send": wantDup}[name]
+		if c == nil {
+			continue // answered too early, reported above
+		}
+		if a := <-c; a.code != w.code || !strings.Contains(a.body, w.body) {
+			t.Errorf("%s: %d %s, want %d with %q", name, a.code, a.body, w.code, w.body)
+		}
+	}
+	if shed {
+		for _, release := range parked[1:] {
+			release()
+		}
+		if resp, body := postJSON(t, ts.URL+"/v1/samples", batch); resp.StatusCode != http.StatusAccepted ||
+			!strings.Contains(string(body), `"accepted":3`) {
+			t.Fatalf("the agent's next retry: %d %s, want it applied", resp.StatusCode, body)
+		}
+	}
+	waitIngested(t, s, 3)
+	if got := s.store.Ingested(); got != 3 {
+		t.Fatalf("store holds %d samples, want the batch once", got)
 	}
 }
 
@@ -563,32 +534,6 @@ func play(t *testing.T, s *Server, url string, stream []delivery) {
 	}
 }
 
-// sourceState is everything TestFourSourcesAgree compares, rendered to
-// one string.
-func sourceState(t *testing.T, s *Server, stream []delivery) string {
-	t.Helper()
-	st := struct {
-		Summary any
-		Jobs    map[uint64]any
-		Resend  map[uint64]bool // would a re-send of this seq be a duplicate
-		Events  []anomaly.Event
-	}{Summary: s.store.Summarize(), Jobs: map[uint64]any{}, Resend: map[uint64]bool{}}
-	for _, id := range s.store.Jobs() {
-		st.Jobs[id], _ = s.store.JobPower(id)
-	}
-	for _, d := range stream {
-		if _, seen := st.Resend[d.batch.Seq]; !seen {
-			st.Resend[d.batch.Seq], _ = s.dedup.Mark(d.batch.AgentID, d.batch.Seq)
-		}
-	}
-	st.Events = s.anom.Events(anomaly.Filter{Node: -1})
-	out, err := json.MarshalIndent(st, "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
-}
-
 // TestFourSourcesAgree is the property the one-pipeline design exists to
 // protect: the same delivery sequence — with a duplicate, a shed and a
 // traced alert in it — leaves identical analytics, dedup decisions and
@@ -605,55 +550,41 @@ func TestFourSourcesAgree(t *testing.T) {
 		}
 		seen[d.batch.Seq] = true
 	}
-	withEngine := func() (*tsdb.Store, Config) {
-		store := durableStore()
-		cfg := pipelineConfig()
-		cfg.Anomaly = anomaly.NewEngine(anomaly.Config{Lookup: store.JobFingerprint})
-		return store, cfg
-	}
+	// A node's dedup marks are its dedup decisions; the LRU clock is not.
+	dump := func(s *Server) string { return stateOf(s).forgetDeliveries().String() }
+	node := testNode{cfg: codelConfig(), anomaly: true, quiet: true}
 
-	store, cfg := withEngine()
-	mem, tsMem := newPipelineServer(t, store, cfg, nil)
-	defer func() { tsMem.Close(); mem.Close() }()
+	mem, tsMem := node.start(t)
 	play(t, mem, tsMem.URL, stream)
 	waitIngested(t, mem, applied)
-	want := sourceState(t, mem, stream)
-	if !strings.Contains(want, `"trace": "trace-four"`) || !strings.Contains(want, `"type": "fire"`) {
+	want := dump(mem)
+	if !strings.Contains(want, `"type":"fire"`) || !strings.Contains(want, `"trace":"trace-four"`) {
 		t.Fatalf("the stream fired no traced alert:\n%s", want)
 	}
 
 	dir := t.TempDir()
-	store, cfg = withEngine()
-	dcfg := quietDurability(dir)
-	primary, tsP := newPipelineServer(t, store, cfg, &dcfg)
-	store, cfg = withEngine()
-	fcfg := quietDurability(t.TempDir())
-	fcfg.Replication = followerCfg(tsP.URL)
-	follower, tsF := newPipelineServer(t, store, cfg, &fcfg)
+	node.dir = dir
+	primary, tsP := node.start(t)
+	node.dir, node.follow = t.TempDir(), tsP.URL
+	follower, _ := node.start(t)
 	play(t, primary, tsP.URL, stream)
 	waitIngested(t, primary, applied)
 	last := primary.dur.log.LastLSN() // the stream ends on an applied batch
 	waitFor(t, "the follower to catch up", func() bool {
 		return follower.dur.repl.replApplied.Load() == last
 	})
-	got := map[string]string{
-		"durable primary": sourceState(t, primary, stream),
-		"follower":        sourceState(t, follower, stream),
-	}
-	tsF.Close()
+	got := map[string]string{"durable primary": dump(primary), "follower": dump(follower)}
 	follower.Close()
 
 	crash(t, primary, tsP)
 	primary.ingestQ.Close(true)
-	store, cfg = withEngine()
-	rcfg := quietDurability(dir)
-	recovered, tsR := newPipelineServer(t, store, cfg, &rcfg)
-	defer func() { tsR.Close(); recovered.Close() }()
+	node.dir, node.follow = dir, ""
+	recovered, _ := node.start(t)
 	if rep := recovered.dur.report; rep.SnapshotFound || rep.Tombstoned != 1 {
 		t.Fatalf("recovery: snapshot found %v, %d tombstoned; want a pure replay with the one shed record cancelled",
 			rep.SnapshotFound, rep.Tombstoned)
 	}
-	got["recovered primary"] = sourceState(t, recovered, stream)
+	got["recovered primary"] = dump(recovered)
 
 	for source, state := range got {
 		if state != want {

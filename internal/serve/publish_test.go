@@ -203,7 +203,7 @@ func TestUnreadableFencingFileRefusesStart(t *testing.T) {
 	if sf, err := elect.OpenStateFile(unreadable("ELECT"), filepath.Join(dir, "ELECT")); !errors.Is(err, syscall.EIO) {
 		t.Errorf("OpenStateFile on an unreadable file = %v, %v; want EIO", sf, err)
 	}
-	s, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir, FS: unreadable("EPOCH")})
+	s, err := NewDurable(durableStore(), nil, DefaultConfig(), DurabilityConfig{Dir: dir, FS: unreadable("EPOCH")})
 	if !errors.Is(err, syscall.EIO) {
 		t.Fatalf("NewDurable with an unreadable EPOCH = %v, %v; want EIO", s, err)
 	}

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"hpcpower/internal/block"
 	"hpcpower/internal/core"
@@ -23,24 +21,9 @@ import (
 
 const qWindow = 7200
 
-// newBlockServer builds a non-durable server with a block store attached
-// (manual flush only — BlockFlushInterval stays 0 in tests).
-func newBlockServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
-	t.Helper()
-	store := tsdb.New(tsdb.Config{Shards: 4, RingLen: 1024})
-	bs, err := block.Open(block.Config{Dir: t.TempDir(), WindowSeconds: qWindow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.AttachBlocks(bs)
-	s := New(store, nil, cfg)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-	return s, ts
-}
+// blockNode is a memory-only node with a block store attached (manual
+// flush only: BlockFlushInterval stays 0 in tests).
+var blockNode = testNode{ringLen: 1024, blockWindow: qWindow}
 
 // blockBatches spans two whole 2h windows of per-minute samples plus a
 // short head-only tail in the third, for four nodes.
@@ -72,7 +55,7 @@ func blockBatches() []trace.SampleBatch {
 }
 
 func TestQueryEndpoints(t *testing.T) {
-	s, ts := newBlockServer(t, DefaultConfig())
+	s, ts := blockNode.start(t)
 	batches := blockBatches()
 	total := sendAll(t, ts.URL, batches)
 	waitIngested(t, s, total)
@@ -182,7 +165,7 @@ func TestQueryEndpoints(t *testing.T) {
 }
 
 func TestAdminFlushWithoutBlocks(t *testing.T) {
-	_, ts := newTestServer(t, DefaultConfig())
+	_, ts := testNode{}.start(t)
 	resp, err := http.Post(ts.URL+"/v1/admin/flush", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -193,37 +176,11 @@ func TestAdminFlushWithoutBlocks(t *testing.T) {
 	}
 }
 
-// newBlockDurableServer is newDurableServer plus an attached block store
-// under dir/blocks, with snapshots pushed out of the way so tests control
-// exactly when (and whether) one is taken.
-func newBlockDurableServer(t testing.TB, dir string) (*Server, *httptest.Server) {
-	t.Helper()
-	walDir := filepath.Join(dir, "wal")
-	blkDir := filepath.Join(dir, "blocks")
-	for _, d := range []string{walDir, blkDir} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	store := durableStore()
-	bs, err := block.Open(block.Config{Dir: blkDir, WindowSeconds: qWindow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.AttachBlocks(bs)
-	s, err := NewDurable(store, nil, durableConfig(), DurabilityConfig{
-		Dir:              walDir,
-		SnapshotInterval: time.Hour,
-		SnapshotEvery:    1 << 30,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Recover(); err != nil {
-		s.Close()
-		t.Fatal(err)
-	}
-	return s, httptest.NewServer(s.Handler())
+// blockDurableNode is a durable node under root, its WAL in root/wal and
+// its blocks in root/blocks, with snapshots out of the way so tests
+// control exactly when (and whether) one is taken.
+func blockDurableNode(root string) testNode {
+	return testNode{dir: filepath.Join(root, "wal"), quiet: true, blockWindow: qWindow}
 }
 
 func adminFlush(t testing.TB, url string) flushResponse {
@@ -294,8 +251,7 @@ func rawBlockFiles(t testing.TB, dir string) []string {
 func TestCrashBetweenFlushAndSnapshot(t *testing.T) {
 	batches := blockBatches()
 
-	ctl, ctlTS := newBlockDurableServer(t, t.TempDir())
-	defer func() { ctlTS.Close(); ctl.Close() }()
+	ctl, ctlTS := blockDurableNode(t.TempDir()).start(t)
 	total := sendAll(t, ctlTS.URL, batches)
 	waitIngested(t, ctl, total)
 	adminFlush(t, ctlTS.URL)
@@ -303,7 +259,7 @@ func TestCrashBetweenFlushAndSnapshot(t *testing.T) {
 	wantQueries := queryDump(t, ctlTS.URL)
 
 	dir := t.TempDir()
-	s1, ts1 := newBlockDurableServer(t, dir)
+	s1, ts1 := blockDurableNode(dir).start(t)
 	sendAll(t, ts1.URL, batches)
 	waitIngested(t, s1, total)
 	fr := adminFlush(t, ts1.URL)
@@ -315,8 +271,7 @@ func TestCrashBetweenFlushAndSnapshot(t *testing.T) {
 	// the way, so the WAL still describes every sample ever ingested.
 	crash(t, s1, ts1)
 
-	s2, ts2 := newBlockDurableServer(t, dir)
-	defer func() { ts2.Close(); s2.Close() }()
+	s2, ts2 := blockDurableNode(dir).start(t)
 	if got := s2.store.Ingested(); got != total {
 		t.Fatalf("recovery replayed %d samples, want %d", got, total)
 	}
@@ -347,7 +302,7 @@ func TestCrashBetweenFlushAndSnapshot(t *testing.T) {
 func TestSnapshotAfterFlushRecovery(t *testing.T) {
 	batches := blockBatches()
 	dir := t.TempDir()
-	s1, ts1 := newBlockDurableServer(t, dir)
+	s1, ts1 := blockDurableNode(dir).start(t)
 	total := sendAll(t, ts1.URL, batches)
 	waitIngested(t, s1, total)
 	fr := adminFlush(t, ts1.URL)
@@ -357,8 +312,7 @@ func TestSnapshotAfterFlushRecovery(t *testing.T) {
 	}
 	crash(t, s1, ts1)
 
-	s2, ts2 := newBlockDurableServer(t, dir)
-	defer func() { ts2.Close(); s2.Close() }()
+	s2, ts2 := blockDurableNode(dir).start(t)
 	if f := s2.store.BlockFrontier(); f != fr.Frontier {
 		t.Fatalf("frontier %d, want %d", f, fr.Frontier)
 	}
@@ -375,8 +329,7 @@ func TestSnapshotAfterFlushRecovery(t *testing.T) {
 // 5m answer for the window comes back the same from the rollup tier.
 func TestScrubQuarantinesFlippedBlock(t *testing.T) {
 	dir := t.TempDir()
-	s, ts := newBlockDurableServer(t, dir)
-	defer func() { ts.Close(); s.Close() }()
+	s, ts := blockDurableNode(dir).start(t)
 	waitIngested(t, s, sendAll(t, ts.URL, blockBatches()))
 	adminFlush(t, ts.URL)
 	query := func() string {
@@ -430,7 +383,7 @@ func refDistribution(values []float64) core.LiveDist {
 // only, unbounded and empty — and checks that the values it reduced and
 // the points range reads returned are counted on /metrics.
 func TestQueryDistributionGolden(t *testing.T) {
-	s, ts := newBlockServer(t, DefaultConfig())
+	s, ts := blockNode.start(t)
 	batches := blockBatches()
 	waitIngested(t, s, sendAll(t, ts.URL, batches))
 	if sealed, err := s.store.FlushBlocks(3 * qWindow); err != nil || sealed != 2 {

@@ -78,7 +78,7 @@ func TestRangeResponseMatchesEncodingJSON(t *testing.T) {
 // node around it), the first four hours sealed into two blocks and the
 // last two in the head: the 360-point read the dashboards make.
 func rangeFixtureServer(t testing.TB) string {
-	s, ts := newBlockServer(t, DefaultConfig())
+	s, ts := blockNode.start(t)
 	src := rng.New(20)
 	var samples []trace.PowerSample
 	for tick := int64(0); tick < 360; tick++ {

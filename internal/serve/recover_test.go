@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -63,7 +62,7 @@ func (f *countedFile) Read(p []byte) (int, error) {
 // replay, and the live server that tells what the restart must arrive at.
 type replayFixture struct {
 	dir     string
-	want    string           // durableState of the control
+	want    string           // the control's state
 	samples map[uint64]int64 // per replayed LSN, the samples its record adds
 	total   int64            // the control's Ingested
 }
@@ -76,27 +75,6 @@ const (
 	fixtureReplLSN  = 39
 	fixturePLSN     = 41
 )
-
-func withEngine() (*tsdb.Store, Config) {
-	store := durableStore()
-	cfg := pipelineConfig()
-	cfg.Anomaly = anomaly.NewEngine(anomaly.Config{Lookup: store.JobFingerprint})
-	return store, cfg
-}
-
-// durableState is everything a snapshot would hold of s, as JSON.
-func durableState(t testing.TB, s *Server) string {
-	t.Helper()
-	out, err := json.Marshal(struct {
-		Store   *tsdb.StoreState
-		Dedup   *tsdb.DeduperState
-		Anomaly *anomaly.EngineState
-	}{s.store.ExportState(), s.dedup.ExportState(), s.anom.ExportState()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
-}
 
 // buildReplayFixture writes, by hand, a WAL in segments of segmentBytes
 // (0 for one segment) and a snapshot beside it:
@@ -150,9 +128,7 @@ func buildReplayFixture(t *testing.T, segmentBytes int64) *replayFixture {
 		}
 	}
 
-	store, cfg := withEngine()
-	ctl, ts := newPipelineServer(t, store, cfg, nil)
-	defer func() { ts.Close(); ctl.Close() }()
+	ctl, ts := anomalyNode.start(t)
 	send := func(lsn uint64) {
 		r := records[lsn-1]
 		b := trace.SampleBatch{AgentID: r.Agent, Seq: r.Seq, Samples: r.Samples}
@@ -179,7 +155,7 @@ func buildReplayFixture(t *testing.T, segmentBytes int64) *replayFixture {
 		send(lsn)
 		fx.samples[lsn] = int64(len(records[lsn-1].Samples))
 	}
-	fx.want, fx.total = durableState(t, ctl), ctl.store.Ingested()
+	fx.want, fx.total = stateOf(ctl).String(), ctl.store.Ingested()
 	if !strings.Contains(fx.want, `"type":"fire"`) || !strings.Contains(fx.want, traceID) {
 		t.Fatalf("the control fired no traced alert:\n%s", fx.want)
 	}
@@ -217,23 +193,14 @@ func buildReplayFixture(t *testing.T, segmentBytes int64) *replayFixture {
 }
 
 // recoverFixture restarts a server on fx.dir through fsys and checks
-// what replay arrived at and what it reported against the control.
-func recoverFixture(t *testing.T, fx *replayFixture, fsys vfs.FS) *Server {
+// what replay arrived at and what it reported against the control. It
+// answers the server's URL.
+func recoverFixture(t *testing.T, fx *replayFixture, fsys vfs.FS) string {
 	t.Helper()
-	store, cfg := withEngine()
 	var logged bytes.Buffer
-	cfg.Logger = slog.New(slog.NewTextHandler(&logged, nil))
-	dcfg := quietDurability(fx.dir)
-	dcfg.FS = fsys
-	s, err := NewDurable(store, nil, cfg, dcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Recover()
-	if err != nil {
-		s.Close()
-		t.Fatal(err)
-	}
+	s, ts := testNode{dir: fx.dir, quiet: true, dur: DurabilityConfig{FS: fsys}, anomaly: true,
+		cfg: Config{Logger: slog.New(slog.NewTextHandler(&logged, nil))}}.start(t)
+	rep := s.dur.report
 	if warns := strings.Count(logged.String(), "level=WARN"); warns != 1 || !strings.Contains(logged.String(), "records=2") {
 		t.Errorf("want one warning for the 2 dropped records, logged:\n%s", logged.String())
 	}
@@ -250,10 +217,10 @@ func recoverFixture(t *testing.T, fx *replayFixture, fsys vfs.FS) *Server {
 	if got := s.store.Ingested(); got != fx.total {
 		t.Errorf("recovered %d samples, the control holds %d", got, fx.total)
 	}
-	if got := durableState(t, s); got != fx.want {
+	if got := stateOf(s).String(); got != fx.want {
 		t.Errorf("recovered state differs from the live control\n got: %s\nwant: %s", got, fx.want)
 	}
-	return s
+	return ts.URL
 }
 
 // TestReplayMatchesLiveControl: replay through the decode/apply pipeline
@@ -264,22 +231,12 @@ func TestReplayMatchesLiveControl(t *testing.T) {
 	for _, segmentBytes := range []int64{0, 512} {
 		t.Run(fmt.Sprintf("segment bytes %d", segmentBytes), func(t *testing.T) {
 			fx := buildReplayFixture(t, segmentBytes)
-			s := recoverFixture(t, fx, nil)
-			defer s.Close()
-			body := scrape(t, s)
-			if !strings.Contains(body, "\npowserved_recovery_decode_errors 2\n") {
+			_, body := get(t, recoverFixture(t, fx, nil)+"/metrics")
+			if !strings.Contains(string(body), "\npowserved_recovery_decode_errors 2\n") {
 				t.Errorf("/metrics lacks powserved_recovery_decode_errors 2")
 			}
 		})
 	}
-}
-
-func scrape(t testing.TB, s *Server) string {
-	t.Helper()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	_, body := get(t, ts.URL+"/metrics")
-	return string(body)
 }
 
 // TestRestartReadsTheLogTwice: NewDurable + Recover open and read every
@@ -300,8 +257,7 @@ func TestRestartReadsTheLogTwice(t *testing.T) {
 		onDisk += st.Size()
 	}
 	reads := &segmentReads{FS: vfs.OS}
-	s := recoverFixture(t, fx, reads)
-	defer s.Close()
+	recoverFixture(t, fx, reads)
 	if got, want := reads.opens.Load(), int64(2*len(segs)); got != want {
 		t.Errorf("%d opens of %d segment files, want %d", got, len(segs), want)
 	}
@@ -352,7 +308,8 @@ func TestReplayReadErrorJoinsConsumer(t *testing.T) {
 			ffs.Configure(func(c *vfs.FaultConfig) { c.ReadErrProb = 1 })
 		}
 	}}
-	store, cfg := withEngine()
+	store := durableStore()
+	cfg := Config{IngestWorkers: 1}
 	cfg.Anomaly = anomaly.NewEngine(anomaly.Config{Lookup: func(job uint64) (anomaly.Fingerprint, bool) {
 		if hold.Load() {
 			select {
@@ -363,9 +320,7 @@ func TestReplayReadErrorJoinsConsumer(t *testing.T) {
 		}
 		return store.JobFingerprint(job)
 	}})
-	dcfg := quietDurability(fx.dir)
-	dcfg.FS = reads
-	s, err := NewDurable(store, nil, cfg, dcfg)
+	s, err := NewDurable(store, nil, cfg, DurabilityConfig{Dir: fx.dir, FS: reads})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +357,7 @@ func TestReplayReadErrorJoinsConsumer(t *testing.T) {
 
 	ffs.Configure(func(c *vfs.FaultConfig) { c.ReadErrProb = 0 })
 	reads.onOpen = nil
-	recoverFixture(t, fx, reads).Close()
+	recoverFixture(t, fx, reads)
 }
 
 func sum(m map[uint64]int64) (total int64) {

@@ -1,82 +1,15 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"hpcpower/internal/elect"
 )
-
-// followerCfg returns a ReplicationConfig for a test follower of the
-// given primary, with cadences tightened for test speed.
-func followerCfg(primaryURL string) *ReplicationConfig {
-	return &ReplicationConfig{
-		Role:           RoleFollower,
-		PrimaryURL:     primaryURL,
-		FollowerID:     "f1",
-		AckEvery:       10 * time.Millisecond,
-		HeartbeatEvery: 25 * time.Millisecond,
-		StallTimeout:   2 * time.Second,
-	}
-}
-
-// newFollowerServer builds, recovers, and serves a follower of
-// primaryURL over dir.
-func newFollowerServer(t testing.TB, dir, primaryURL string, dcfg DurabilityConfig) (*Server, *httptest.Server) {
-	t.Helper()
-	dcfg.Dir = dir
-	if dcfg.Replication == nil {
-		dcfg.Replication = followerCfg(primaryURL)
-	}
-	s, err := NewDurable(durableStore(), nil, durableConfig(), dcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Recover(); err != nil {
-		s.Close()
-		t.Fatal(err)
-	}
-	return s, httptest.NewServer(s.Handler())
-}
-
-// postJSONEpoch is postJSON with an X-Repl-Epoch header — what a
-// shipper that has observed a promotion sends.
-func postJSONEpoch(t testing.TB, url string, epoch uint64, body any) (*http.Response, []byte) {
-	t.Helper()
-	buf, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(HeaderReplEpoch, strconv.FormatUint(epoch, 10))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := readAll(t, resp)
-	return resp, out
-}
-
-func readAll(t testing.TB, resp *http.Response) []byte {
-	t.Helper()
-	var b bytes.Buffer
-	if _, err := b.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return b.Bytes()
-}
 
 func readyzJSON(t testing.TB, url string) (int, map[string]any) {
 	t.Helper()
@@ -92,11 +25,10 @@ func readyzJSON(t testing.TB, url string) (int, map[string]any) {
 // its own durable pipeline, serves byte-identical analytics read-only,
 // survives its own crash, and resumes exactly where it stopped.
 func TestReplicationEndToEnd(t *testing.T) {
-	primary, tsP := newDurableServer(t, t.TempDir(), DurabilityConfig{})
-	defer func() { tsP.Close(); primary.Close() }()
+	primary, tsP := testNode{dir: t.TempDir()}.start(t)
 
 	dirF := t.TempDir()
-	follower, tsF := newFollowerServer(t, dirF, tsP.URL, DurabilityConfig{})
+	follower, tsF := testNode{dir: dirF, follow: tsP.URL}.start(t)
 
 	batches := stampedBatches(21, 50)
 	total := sendAll(t, tsP.URL, batches[:40])
@@ -154,8 +86,7 @@ func TestReplicationEndToEnd(t *testing.T) {
 	total += sendAll(t, tsP.URL, batches[40:])
 	waitIngested(t, primary, total)
 
-	follower2, tsF2 := newFollowerServer(t, dirF, tsP.URL, DurabilityConfig{})
-	defer func() { tsF2.Close(); follower2.Close() }()
+	follower2, tsF2 := testNode{dir: dirF, follow: tsP.URL}.start(t)
 	waitIngested(t, follower2, total)
 	if got, want := analyticsDump(t, tsF2.URL), analyticsDump(t, tsP.URL); got != want {
 		t.Fatal("follower analytics diverged after crash + resume")
@@ -166,29 +97,21 @@ func TestReplicationEndToEnd(t *testing.T) {
 // registered follower already applied the batch durably — checked by
 // reading the follower's counter immediately after the ack, no polling.
 func TestSemiSyncAck(t *testing.T) {
-	primary, tsP := newDurableServer(t, t.TempDir(), DurabilityConfig{
+	primary, tsP := testNode{dir: t.TempDir(), dur: DurabilityConfig{
 		Replication: &ReplicationConfig{SyncAck: true, SyncAckTimeout: 3 * time.Second, HeartbeatEvery: 25 * time.Millisecond},
-	})
-	defer func() { tsP.Close(); primary.Close() }()
+	}}.start(t)
 
 	batches := stampedBatches(4, 20)
 	// No follower registered: no wait, plain 202s.
 	n := sendAll(t, tsP.URL, batches[:5])
 	waitIngested(t, primary, n)
 
-	follower, tsF := newFollowerServer(t, t.TempDir(), tsP.URL, DurabilityConfig{})
-	defer func() { tsF.Close(); follower.Close() }()
+	follower, _ := testNode{dir: t.TempDir(), follow: tsP.URL}.start(t)
 	// Wait for the follower to register (first stream request).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, cnt := primary.dur.repl.source.MinAcked(); cnt > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("follower never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the follower to register", func() bool {
+		_, cnt := primary.dur.repl.source.MinAcked()
+		return cnt > 0
+	})
 
 	for _, b := range batches[5:] {
 		resp, body := postJSON(t, tsP.URL+"/v1/samples", b)
@@ -206,10 +129,8 @@ func TestSemiSyncAck(t *testing.T) {
 // verify the epoch bump, verify redelivered batches dedup, and verify
 // the stale primary is fenced with the distinct 409 code — stickily.
 func TestPromotionAndFencing(t *testing.T) {
-	primary, tsP := newDurableServer(t, t.TempDir(), DurabilityConfig{})
-	defer func() { tsP.Close(); primary.Close() }()
-	follower, tsF := newFollowerServer(t, t.TempDir(), tsP.URL, DurabilityConfig{})
-	defer func() { tsF.Close(); follower.Close() }()
+	primary, tsP := testNode{dir: t.TempDir()}.start(t)
+	follower, tsF := testNode{dir: t.TempDir(), follow: tsP.URL}.start(t)
 
 	batches := stampedBatches(8, 32)
 	total := sendAll(t, tsP.URL, batches[:30])
@@ -250,7 +171,7 @@ func TestPromotionAndFencing(t *testing.T) {
 
 	// Fencing: the first write carrying the new epoch fences the old
 	// primary — 409, distinct code, fenced header.
-	resp, body = postJSONEpoch(t, tsP.URL+"/v1/samples", pr.Epoch, batches[31])
+	resp, body = postJSON(t, tsP.URL+"/v1/samples", batches[31], HeaderReplEpoch, fmtUint(pr.Epoch))
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("stale primary ingest: got %d, want 409", resp.StatusCode)
 	}
@@ -285,8 +206,7 @@ func TestPromotionAndFencing(t *testing.T) {
 // tail — and the installed dedup index must survive promotion, turning
 // every redelivered batch into a duplicate (zero double-counting).
 func TestFollowerBootstrapFromSnapshot(t *testing.T) {
-	primary, tsP := newDurableServer(t, t.TempDir(), DurabilityConfig{SegmentBytes: 256})
-	defer func() { tsP.Close(); primary.Close() }()
+	primary, tsP := testNode{dir: t.TempDir(), dur: DurabilityConfig{SegmentBytes: 256}}.start(t)
 
 	batches := stampedBatches(13, 40)
 	total := sendAll(t, tsP.URL, batches)
@@ -302,22 +222,14 @@ func TestFollowerBootstrapFromSnapshot(t *testing.T) {
 		t.Fatalf("reap left oldest lsn %d; the bootstrap path needs a gap", first)
 	}
 
-	follower, tsF := newFollowerServer(t, t.TempDir(), tsP.URL, DurabilityConfig{})
-	defer func() { tsF.Close(); follower.Close() }()
+	follower, tsF := testNode{dir: t.TempDir(), follow: tsP.URL}.start(t)
 	waitIngested(t, follower, total)
 	if got, want := analyticsDump(t, tsF.URL), analyticsDump(t, tsP.URL); got != want {
 		t.Fatal("bootstrapped follower analytics differ from primary")
 	}
 	// The store state lands (satisfying waitIngested) before the
 	// install's own bookkeeping finishes — poll the counter briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for follower.dur.repl.followerStats().SnapshotInstalls != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("snapshot installs = %d, want 1",
-				follower.dur.repl.followerStats().SnapshotInstalls)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "one snapshot install", func() bool { return follower.dur.repl.followerStats().SnapshotInstalls == 1 })
 
 	if _, err := follower.Promote(); err != nil {
 		t.Fatal(err)
@@ -343,7 +255,7 @@ func TestFollowerBootstrapFromSnapshot(t *testing.T) {
 // replication fields on durable servers and stays minimal on
 // memory-only ones — with the status codes of the original probe.
 func TestReadyzJSONShape(t *testing.T) {
-	s, ts := newTestServer(t, DefaultConfig())
+	_, ts := testNode{}.start(t)
 	code, m := readyzJSON(t, ts.URL)
 	if code != http.StatusOK || m["status"] != "ready" {
 		t.Fatalf("memory readyz = %d %v", code, m)
@@ -351,10 +263,8 @@ func TestReadyzJSONShape(t *testing.T) {
 	if _, ok := m["role"]; ok {
 		t.Fatalf("memory readyz should not report a role: %v", m)
 	}
-	_ = s
 
-	d, tsD := newDurableServer(t, t.TempDir(), DurabilityConfig{})
-	defer func() { tsD.Close(); d.Close() }()
+	_, tsD := testNode{dir: t.TempDir()}.start(t)
 	code, m = readyzJSON(t, tsD.URL)
 	if code != http.StatusOK {
 		t.Fatalf("durable readyz = %d", code)
@@ -403,13 +313,13 @@ func TestReplicationConfigCheck(t *testing.T) {
 		// NewDurable refuses the same before it locks the dir: a second
 		// open of the dir is not refused as locked.
 		dir := t.TempDir()
-		if s, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir, Replication: tc.cfg}); err == nil || !strings.Contains(err.Error(), tc.refuse) {
+		if s, err := NewDurable(durableStore(), nil, DefaultConfig(), DurabilityConfig{Dir: dir, Replication: tc.cfg}); err == nil || !strings.Contains(err.Error(), tc.refuse) {
 			if s != nil {
 				s.Close()
 			}
 			t.Errorf("%s: NewDurable = %v, want %q", tc.name, err, tc.refuse)
 		}
-		s, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir})
+		s, err := NewDurable(durableStore(), nil, DefaultConfig(), DurabilityConfig{Dir: dir})
 		if err != nil {
 			t.Fatalf("%s: the refused open left the dir locked: %v", tc.name, err)
 		}
@@ -417,7 +327,8 @@ func TestReplicationConfigCheck(t *testing.T) {
 	}
 
 	// StartElection refuses a server configured with a role.
-	s, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: t.TempDir(), Replication: followerCfg("http://p")})
+	s, err := NewDurable(durableStore(), nil, DefaultConfig(), DurabilityConfig{Dir: t.TempDir(),
+		Replication: &ReplicationConfig{Role: RoleFollower, PrimaryURL: "http://p"}})
 	if err != nil {
 		t.Fatal(err)
 	}

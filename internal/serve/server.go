@@ -52,10 +52,6 @@ type Config struct {
 	QueueDepth int
 	// IngestWorkers drains the queue into the store. 0 means 4.
 	IngestWorkers int
-	// MaxBatchBytes bounds an ingest request body. 0 means 8 MiB.
-	MaxBatchBytes int64
-	// RequestTimeout bounds handler time per request. 0 means 10 s.
-	RequestTimeout time.Duration
 	// DedupWindow is the per-agent reordering tolerance (batches) of the
 	// idempotent-ingest index. 0 means 4096.
 	DedupWindow int
@@ -90,8 +86,15 @@ type Config struct {
 
 // DefaultConfig returns the sizing powserved starts with.
 func DefaultConfig() Config {
-	return Config{QueueDepth: 256, IngestWorkers: 4, MaxBatchBytes: 8 << 20, RequestTimeout: 10 * time.Second}
+	return Config{QueueDepth: 256, IngestWorkers: 4}
 }
+
+const (
+	// maxBatchBytes bounds an ingest request body.
+	maxBatchBytes = 8 << 20
+	// requestTimeout bounds handler time per request.
+	requestTimeout = 10 * time.Second
+)
 
 // Server wires the TSDB, the prediction model, and the HTTP API.
 type Server struct {
@@ -103,6 +106,7 @@ type Server struct {
 	metrics *metrics
 	dedup   *tsdb.Deduper
 	dur     *durability     // nil: ingest is memory-only (no WAL)
+	tickets *ticketLog      // memory-only: the stand-in for the WAL
 	anom    *anomaly.Engine // nil: anomaly detection disabled
 	ready   atomic.Bool     // false until recovery completes
 
@@ -136,18 +140,13 @@ func New(store *tsdb.Store, model *mlearn.BDT, cfg Config) *Server {
 	if cfg.IngestWorkers <= 0 {
 		cfg.IngestWorkers = 4
 	}
-	if cfg.MaxBatchBytes <= 0 {
-		cfg.MaxBatchBytes = 8 << 20
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 10 * time.Second
-	}
 	s := &Server{
 		store:     store,
 		model:     model,
 		cfg:       cfg,
 		mux:       http.NewServeMux(),
 		dedup:     tsdb.NewDeduper(tsdb.DedupConfig{Window: cfg.DedupWindow}),
+		tickets:   &ticketLog{done: newApplyTracker(0)},
 		anom:      cfg.Anomaly,
 		flushStop: make(chan struct{}),
 	}
@@ -237,7 +236,7 @@ func (s *Server) routes() {
 // timeout applied (ingest and predict are fast; the timeout guards the
 // query endpoints against pathological windows).
 func (s *Server) Handler() http.Handler {
-	timed := timeoutJSON(s.mux, s.cfg.RequestTimeout)
+	timed := timeoutJSON(s.mux, requestTimeout)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// The replication stream is long-lived by design and needs
 		// http.Flusher — http.TimeoutHandler provides neither, so it is
@@ -425,10 +424,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	bp := bufPool.Get().(*[]byte)
-	if need := int(min(r.ContentLength, s.cfg.MaxBatchBytes)) + 1; cap(*bp) < need {
+	if need := int(min(r.ContentLength, maxBatchBytes)) + 1; cap(*bp) < need {
 		*bp = make([]byte, 0, need) // +1: the read that reports EOF needs room too
 	}
-	body, readErr := readInto(*bp, http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes))
+	body, readErr := readInto(*bp, http.MaxBytesReader(w, r.Body, maxBatchBytes))
 	// The samples go back to the pool on every exit but the one that
 	// leaves the batch queued with nobody waiting on it: there a worker or
 	// the shed callback may still be reading them.

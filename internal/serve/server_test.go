@@ -44,24 +44,30 @@ func trainedModel(t testing.TB) *mlearn.BDT {
 	return m
 }
 
-func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
-	t.Helper()
-	s := New(tsdb.New(tsdb.Config{Shards: 4, RingLen: 256}), trainedModel(t), cfg)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-	return s, ts
-}
-
-func postJSON(t testing.TB, url string, body any) (*http.Response, []byte) {
+// postJSON POSTs body as JSON, with the header pairs given (name,
+// value, …).
+func postJSON(t testing.TB, url string, body any, header ...string) (*http.Response, []byte) {
 	t.Helper()
 	buf, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
+	return postRaw(t, url, bytes.NewReader(buf), header...)
+}
+
+// postRaw POSTs body's bytes as they are — the fallback tests need forms
+// json.Marshal never writes — with the header pairs given.
+func postRaw(t testing.TB, url string, body io.Reader, header ...string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,17 +97,11 @@ func get(t testing.TB, url string) (*http.Response, []byte) {
 // asynchronous behind the bounded queue).
 func waitIngested(t testing.TB, s *Server, want int64) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.store.Ingested() < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("ingested %d of %d before timeout", s.store.Ingested(), want)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, fmt.Sprintf("%d samples ingested", want), func() bool { return s.store.Ingested() >= want })
 }
 
 func TestIngestAndQueryRoundTrip(t *testing.T) {
-	s, ts := newTestServer(t, DefaultConfig())
+	s, ts := testNode{}.start(t)
 	batch := trace.SampleBatch{}
 	for m := 0; m < 10; m++ {
 		for n := 0; n < 4; n++ {
@@ -170,7 +170,7 @@ func TestIngestAndQueryRoundTrip(t *testing.T) {
 }
 
 func TestIngestRejectsBadBatches(t *testing.T) {
-	_, ts := newTestServer(t, DefaultConfig())
+	_, ts := testNode{}.start(t)
 	for name, body := range map[string]string{
 		"not json":       "xyzzy",
 		"empty batch":    `{"samples":[]}`,
@@ -198,9 +198,7 @@ func TestPredictMatchesOfflineModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(tsdb.New(tsdb.DefaultConfig()), loaded, DefaultConfig())
-	ts := httptest.NewServer(s.Handler())
-	defer func() { ts.Close(); s.Close() }()
+	_, ts := testNode{model: loaded}.start(t)
 
 	for _, f := range []PredictRequest{
 		{User: "u001", Nodes: 4, WallHours: 2},
@@ -232,9 +230,7 @@ func TestPredictMatchesOfflineModel(t *testing.T) {
 }
 
 func TestPredictWithoutModel(t *testing.T) {
-	s := New(tsdb.New(tsdb.DefaultConfig()), nil, DefaultConfig())
-	ts := httptest.NewServer(s.Handler())
-	defer func() { ts.Close(); s.Close() }()
+	_, ts := testNode{}.start(t)
 	resp, _ := postJSON(t, ts.URL+"/v1/predict", PredictRequest{User: "u", Nodes: 1, WallHours: 1})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("predict without model: status %d", resp.StatusCode)
@@ -242,7 +238,7 @@ func TestPredictWithoutModel(t *testing.T) {
 }
 
 func TestMetricsAndHealth(t *testing.T) {
-	s, ts := newTestServer(t, DefaultConfig())
+	s, ts := testNode{}.start(t)
 	batch := trace.SampleBatch{Samples: []trace.PowerSample{{Node: 0, JobID: 1, Unix: 60, PowerW: 50}}}
 	postJSON(t, ts.URL+"/v1/samples", batch)
 	waitIngested(t, s, 1)
@@ -336,7 +332,7 @@ func TestGracefulShutdown(t *testing.T) {
 // the second must be acknowledged without re-counting, and both the
 // duplicate and redelivery counters must surface on /metrics.
 func TestIngestDeduplicates(t *testing.T) {
-	s, ts := newTestServer(t, DefaultConfig())
+	s, ts := testNode{}.start(t)
 	batch := trace.SampleBatch{
 		AgentID: "agent-x", Seq: 1,
 		Samples: []trace.PowerSample{{Node: 1, JobID: 7, Unix: 60, PowerW: 100}},
@@ -409,23 +405,13 @@ func TestIngestDeduplicates(t *testing.T) {
 // TestIngestRecordsAgentReports checks the agent-health headers a
 // shipper stamps on deliveries are republished as /metrics gauges.
 func TestIngestRecordsAgentReports(t *testing.T) {
-	_, ts := newTestServer(t, DefaultConfig())
+	_, ts := testNode{}.start(t)
 	batch := trace.SampleBatch{
 		AgentID: "node-17", Seq: 1,
 		Samples: []trace.PowerSample{{Node: 1, JobID: 1, Unix: 60, PowerW: 50}},
 	}
-	buf, _ := json.Marshal(batch)
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/samples", bytes.NewReader(buf))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(HeaderBreakerState, "half-open")
-	req.Header.Set(HeaderAgentRetries, "42")
-	req.Header.Set(HeaderSpillDepth, "9")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	resp, _ := postJSON(t, ts.URL+"/v1/samples", batch,
+		HeaderBreakerState, "half-open", HeaderAgentRetries, "42", HeaderSpillDepth, "9")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -467,9 +453,7 @@ func TestRetryAfterScalesWithQueueOccupancy(t *testing.T) {
 
 	// End to end: a rejection from a saturated queue carries the
 	// full-queue hint, not the old hardcoded "1".
-	s := New(tsdb.New(tsdb.Config{Shards: 2, RingLen: 64}), nil, Config{QueueDepth: 2, IngestWorkers: 1})
-	ts := httptest.NewServer(s.Handler())
-	defer func() { ts.Close(); s.Close() }()
+	_, ts := testNode{cfg: Config{QueueDepth: 2, IngestWorkers: 1}}.start(t)
 	batch := trace.SampleBatch{Samples: []trace.PowerSample{{Node: 1, JobID: 1, Unix: 60, PowerW: 10}}}
 	sawFull := false
 	for i := 0; i < 500 && !sawFull; i++ {
@@ -514,7 +498,7 @@ func TestTimeoutResponseIsJSON(t *testing.T) {
 	}
 
 	// Handlers that finish in time keep their own Content-Type.
-	_, hts := newTestServer(t, DefaultConfig())
+	_, hts := testNode{}.start(t)
 	resp, _ = get(t, hts.URL+"/metrics")
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("/metrics Content-Type = %q, want text/plain (not clobbered by the timeout wrapper)", ct)
@@ -530,10 +514,8 @@ func TestTimeoutResponseIsJSON(t *testing.T) {
 // must be queryable afterwards (no accepted-then-lost samples), and no
 // send may race the queue close (panics would crash the handler).
 func TestCloseMidFloodKeepsAcceptedBatches(t *testing.T) {
-	store := tsdb.New(tsdb.Config{Shards: 4, RingLen: 4096})
-	s := New(store, nil, Config{QueueDepth: 8, IngestWorkers: 1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	s, ts := testNode{cfg: Config{QueueDepth: 8, IngestWorkers: 1}}.start(t)
+	store := s.store
 
 	const flooders = 8
 	var wg sync.WaitGroup
@@ -601,7 +583,7 @@ func TestCloseMidFloodKeepsAcceptedBatches(t *testing.T) {
 }
 
 func TestJobsListEndpoint(t *testing.T) {
-	s, ts := newTestServer(t, DefaultConfig())
+	s, ts := testNode{}.start(t)
 	resp, body := get(t, ts.URL+"/v1/jobs")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"jobs":[]`) {
 		t.Fatalf("empty jobs list: %d %s", resp.StatusCode, body)

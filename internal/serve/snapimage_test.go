@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"hpcpower/internal/anomaly"
 	"hpcpower/internal/rng"
 	"hpcpower/internal/trace"
 	"hpcpower/internal/tsdb"
@@ -21,54 +20,9 @@ import (
 	"hpcpower/internal/wal"
 )
 
-// newSnapServer recovers a durable server with detectors on over dir: a
-// 4-shard store with 32-point rings, the shape testdata/snap_pr14 was
-// written with. The caller owns shutdown.
-func newSnapServer(t testing.TB, dir string, dcfg DurabilityConfig) (*Server, *httptest.Server, *RecoveryReport) {
-	t.Helper()
-	store := tsdb.New(tsdb.Config{Shards: 4, RingLen: 32})
-	cfg := durableConfig()
-	cfg.Anomaly = anomaly.NewEngine(anomaly.Config{Lookup: store.JobFingerprint})
-	dcfg.Dir = dir
-	s, err := NewDurable(store, nil, cfg, dcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Recover()
-	if err != nil {
-		s.Close()
-		t.Fatal(err)
-	}
-	return s, httptest.NewServer(s.Handler()), rep
-}
-
-// servedState is everything a restart must bring back: the summary, the
-// job list and every job's power, the alert timeline, every node's ring.
-func servedState(t testing.TB, s *Server, url string) map[string]string {
-	t.Helper()
-	_, summary := get(t, url+"/v1/summary")
-	_, anomalies := get(t, url+"/v1/anomalies")
-	var series strings.Builder
-	for _, n := range s.store.NodeIDs() {
-		_, body := get(t, url+"/v1/nodes/"+fmtUint(uint64(n))+"/series")
-		series.Write(body)
-	}
-	return map[string]string{
-		"summary.json":   string(summary),
-		"analytics.txt":  analyticsDump(t, url),
-		"anomalies.json": string(anomalies),
-		"series.txt":     series.String(),
-	}
-}
-
-func requireSameServed(t testing.TB, what string, got, want map[string]string) {
-	t.Helper()
-	for name, w := range want {
-		if got[name] != w {
-			t.Errorf("%s: %s differs:\n got %s\nwant %s", what, name, got[name], w)
-		}
-	}
-}
+// snapNode is a durable node with detectors on over dir: a 4-shard store
+// with 32-point rings, the shape testdata/snap_pr14 was written with.
+func snapNode(dir string) testNode { return testNode{dir: dir, ringLen: 32, anomaly: true} }
 
 // fillSnapServer ingests a flatlining job that wraps its ring and fires
 // an alert, random late samples over eight nodes, and a one-point node.
@@ -112,14 +66,13 @@ func legacyPayload(t testing.TB, payload []byte) []byte {
 // binary image and from the all-JSON image serves the same bytes, and
 // the report says which one it read.
 func TestRecoverBinaryAndLegacyAgree(t *testing.T) {
-	src, tsSrc, _ := newSnapServer(t, t.TempDir(), DurabilityConfig{})
+	src, tsSrc := snapNode(t.TempDir()).start(t)
 	fillSnapServer(t, src, tsSrc.URL)
 	lsn, payload, err := src.dur.snapshotOnce(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := servedState(t, src, tsSrc.URL)
-	tsSrc.Close()
+	want := stateOf(src).String()
 	src.Close()
 	if payload[0] == '{' || !bytes.HasPrefix(payload, []byte(snapImageMagic)) {
 		t.Fatalf("snapshotOnce wrote a payload starting %q, want the %q image", payload[:8], snapImageMagic)
@@ -137,9 +90,10 @@ func TestRecoverBinaryAndLegacyAgree(t *testing.T) {
 		if err := wal.WriteSnapshot(dir, lsn, tc.payload); err != nil {
 			t.Fatal(err)
 		}
-		s, ts, rep := newSnapServer(t, dir, DurabilityConfig{})
+		s, ts := snapNode(dir).start(t)
+		rep := s.dur.report
 		if !rep.SnapshotFound || rep.SnapshotLegacy != tc.legacy || rep.SnapshotBytes != len(tc.payload) || rep.RecordsReplayed != 0 {
-			t.Errorf("%s: report %+v, want a %d-byte snapshot, legacy %v, nothing replayed", tc.name, *rep, len(tc.payload), tc.legacy)
+			t.Errorf("%s: report %+v, want a %d-byte snapshot, legacy %v, nothing replayed", tc.name, rep, len(tc.payload), tc.legacy)
 		}
 		if rep.SnapshotLoad <= 0 || rep.SnapshotLoad > rep.Duration {
 			t.Errorf("%s: snapshot load %v of a %v recovery", tc.name, rep.SnapshotLoad, rep.Duration)
@@ -147,7 +101,9 @@ func TestRecoverBinaryAndLegacyAgree(t *testing.T) {
 		if got := s.metrics.legacySnapshots.Value(); got != int64(b2i(tc.legacy)) {
 			t.Errorf("%s: legacy decode counter %d", tc.name, got)
 		}
-		requireSameServed(t, tc.name, servedState(t, s, ts.URL), want)
+		if got := stateOf(s).String(); got != want {
+			t.Errorf("%s: the restored state differs\n got %s\nwant %s", tc.name, got, want)
+		}
 		_, metrics := get(t, ts.URL+"/metrics")
 		for _, line := range []string{
 			"powserved_recovery_snapshot_bytes " + fmtUint(uint64(len(tc.payload))),
@@ -157,8 +113,6 @@ func TestRecoverBinaryAndLegacyAgree(t *testing.T) {
 				t.Errorf("%s: /metrics lacks %q", tc.name, line)
 			}
 		}
-		ts.Close()
-		s.Close()
 	}
 }
 
@@ -199,50 +153,50 @@ func restoreFixture(t *testing.T, name string, legacy bool, lsn uint64) {
 			t.Fatal(err)
 		}
 	}
-	want := map[string]string{}
-	for _, name := range []string{"summary.json", "analytics.txt", "anomalies.json", "series.txt"} {
-		b, err := os.ReadFile(filepath.Join(fixture, name))
-		if err != nil {
-			t.Fatal(err)
+	// What the server that wrote the directory answered: the summary, the
+	// job list and every job's power, the alert timeline, every node's ring.
+	served := func(what string, s *Server, url string) {
+		_, anomalies := get(t, url+"/v1/anomalies")
+		var series strings.Builder
+		for _, n := range s.store.NodeIDs() {
+			_, body := get(t, url+"/v1/nodes/"+fmtUint(uint64(n))+"/series")
+			series.Write(body)
 		}
-		want[name] = string(b)
+		analytics := analyticsDump(t, url)
+		summary, _, _ := strings.Cut(analytics, "\n")
+		for name, got := range map[string]string{"summary.json": summary + "\n", "analytics.txt": analytics,
+			"anomalies.json": string(anomalies), "series.txt": series.String()} {
+			if want, err := os.ReadFile(filepath.Join(fixture, name)); err != nil || got != string(want) {
+				t.Errorf("%s: %s differs (%v):\n got %s\nwant %s", what, name, err, got, want)
+			}
+		}
 	}
 
-	s, ts, rep := newSnapServer(t, dir, DurabilityConfig{})
-	if !rep.SnapshotFound || rep.SnapshotLegacy != legacy || rep.SnapshotLSN != lsn || rep.RecordsReplayed != 4 || rep.DecodeErrors != 0 {
-		t.Errorf("report %+v, want the snapshot at lsn %d (legacy %v) and 4 records replayed", *rep, lsn, legacy)
+	s, ts := snapNode(dir).start(t)
+	if rep := s.dur.report; !rep.SnapshotFound || rep.SnapshotLegacy != legacy || rep.SnapshotLSN != lsn || rep.RecordsReplayed != 4 || rep.DecodeErrors != 0 {
+		t.Errorf("report %+v, want the snapshot at lsn %d (legacy %v) and 4 records replayed", rep, lsn, legacy)
 	}
-	requireSameServed(t, "parent-written snapshot", servedState(t, s, ts.URL), want)
-	ts.Close()
+	served("parent-written snapshot", s, ts.URL)
 	s.Close() // final snapshot, in the current form
 
-	s, ts, rep = newSnapServer(t, dir, DurabilityConfig{})
-	defer func() { ts.Close(); s.Close() }()
-	if !rep.SnapshotFound || rep.SnapshotLegacy || rep.RecordsReplayed != 0 {
-		t.Errorf("second restart: report %+v, want a binary snapshot and nothing replayed", *rep)
+	s, ts = snapNode(dir).start(t)
+	if rep := s.dur.report; !rep.SnapshotFound || rep.SnapshotLegacy || rep.RecordsReplayed != 0 {
+		t.Errorf("second restart: report %+v, want a binary snapshot and nothing replayed", rep)
 	}
-	requireSameServed(t, "re-written snapshot", servedState(t, s, ts.URL), want)
+	served("re-written snapshot", s, ts.URL)
 }
 
 // TestRecoverDifferentRingLen: a snapshot restores into shorter and
 // longer rings, keeping the newest points that fit.
 func TestRecoverDifferentRingLen(t *testing.T) {
 	dir := t.TempDir()
-	src, tsSrc, _ := newSnapServer(t, dir, DurabilityConfig{})
+	src, tsSrc := snapNode(dir).start(t)
 	fillSnapServer(t, src, tsSrc.URL)
 	want := src.store.NodeSeries(3, 0, 0)
-	tsSrc.Close()
 	src.Close()
 	for _, ringLen := range []int{8, 32, 100} {
-		store := tsdb.New(tsdb.Config{Shards: 4, RingLen: ringLen})
-		s, err := NewDurable(store, nil, durableConfig(), DurabilityConfig{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Recover(); err != nil {
-			t.Fatalf("ring length %d: %v", ringLen, err)
-		}
-		got := store.NodeSeries(3, 0, 0)
+		s, _ := testNode{dir: dir, ringLen: ringLen}.start(t)
+		got := s.store.NodeSeries(3, 0, 0)
 		keep := min(ringLen, len(want))
 		if len(got) != keep {
 			t.Fatalf("ring length %d: node 3 holds %d points, want %d", ringLen, len(got), keep)
@@ -267,12 +221,7 @@ func TestSnapshotImageVersionError(t *testing.T) {
 	if err := wal.WriteSnapshot(dir, 7, payload); err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewDurable(durableStore(), nil, durableConfig(), DurabilityConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	_, err = s.Recover()
+	_, _, err := testNode{dir: dir}.tryStart(t)
 	if err == nil || !strings.Contains(err.Error(), "version 9") || strings.Contains(err.Error(), "invalid character") {
 		t.Fatalf("Recover error %v, want one naming version 9", err)
 	}
@@ -285,21 +234,20 @@ func TestSnapshotImageVersionError(t *testing.T) {
 // payload a not yet upgraded primary serves, counts it, and ends up in
 // the state the binary payload installs.
 func TestInstallLegacyBootstrapPayload(t *testing.T) {
-	src, tsSrc, _ := newSnapServer(t, t.TempDir(), DurabilityConfig{})
-	defer func() { tsSrc.Close(); src.Close() }()
+	src, tsSrc := snapNode(t.TempDir()).start(t)
 	fillSnapServer(t, src, tsSrc.URL)
 	lsn, payload, err := src.dur.snapshotOnce(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := servedState(t, src, tsSrc.URL)
+	want := stateOf(src).String()
 
 	for _, tc := range []struct {
 		name    string
 		payload []byte
 		legacy  int64
 	}{{"legacy", legacyPayload(t, payload), 1}, {"binary", payload, 0}} {
-		dst, tsDst, _ := newSnapServer(t, t.TempDir(), DurabilityConfig{})
+		dst, tsDst := snapNode(t.TempDir()).start(t)
 		// The install replaces whatever the follower held.
 		if resp, _ := postJSON(t, tsDst.URL+"/v1/samples", stampedBatches(5, 1)[0]); resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("pre-install ingest: %d", resp.StatusCode)
@@ -307,7 +255,9 @@ func TestInstallLegacyBootstrapPayload(t *testing.T) {
 		if err := dst.installReplSnapshot(lsn, tc.payload); err != nil {
 			t.Fatalf("%s: install: %v", tc.name, err)
 		}
-		requireSameServed(t, tc.name+" bootstrap", servedState(t, dst, tsDst.URL), want)
+		if got := stateOf(dst).String(); got != want {
+			t.Errorf("%s bootstrap: the installed state differs\n got %s\nwant %s", tc.name, got, want)
+		}
 		if got := dst.metrics.legacySnapshots.Value(); got != tc.legacy {
 			t.Errorf("%s: legacy decode counter %d, want %d", tc.name, got, tc.legacy)
 		}
@@ -316,8 +266,6 @@ func TestInstallLegacyBootstrapPayload(t *testing.T) {
 		if err != nil || !found || !bytes.HasPrefix(local, []byte(snapImageMagic)) {
 			t.Errorf("%s: local snapshot after install: found %v, err %v", tc.name, found, err)
 		}
-		tsDst.Close()
-		dst.Close()
 	}
 }
 
@@ -327,8 +275,9 @@ func TestInstallLegacyBootstrapPayload(t *testing.T) {
 // and read it back through the server's filesystem cannot answer.
 func TestReplSnapshotServedWithoutReadingBack(t *testing.T) {
 	ffs := vfs.NewFault(vfs.OS, vfs.FaultConfig{})
-	s, ts, _ := newSnapServer(t, t.TempDir(), DurabilityConfig{FS: ffs})
-	defer func() { ts.Close(); s.Close() }()
+	n := snapNode(t.TempDir())
+	n.dur.FS = ffs
+	s, ts := n.start(t)
 	fillSnapServer(t, s, ts.URL)
 	ffs.Configure(func(c *vfs.FaultConfig) {
 		c.ReadErrProb = 1
