@@ -66,9 +66,10 @@ bench-block:
 	$(call gobench,'SortFloat64s',./internal/stats/)
 	$(call gobench,'RangeResponseEncode',./internal/serve/)
 
-# Ingest-codec microbenchmarks on a 512-sample body: the single-pass
-# scanner against the encoding/json decode it replaced, and the append
-# encoder of the WAL record against json.Marshal.
+# Ingest-codec microbenchmarks on a 512-sample body of 0.1 W readings
+# in the encoder's own layout, so they time the codec's fast paths: the
+# single-pass scanner against the encoding/json decode it replaced, and
+# the append encoder of the WAL record against json.Marshal.
 bench-codec:
 	$(call gobench,'BatchDecode|WALRecord',./internal/trace/)
 
@@ -135,9 +136,12 @@ bench-selftest:
 
 # Fuzz the ingest codec against encoding/json: whatever the scanner
 # accepts decodes to the same value, no input panics or over-reads, and
-# the encoder's bytes equal json.Marshal's.
+# the encoder's bytes equal json.Marshal's; then number by number,
+# scanFloat against strconv.ParseFloat and AppendJSONFloat against
+# json.Marshal, on and off the 0.1 W grid.
 fuzz-codec:
 	$(call gofuzz,FuzzBatchCodec,30s,./internal/trace/)
+	$(call gofuzz,FuzzJSONNumber,15s,./internal/trace/)
 
 # Fuzz the snapshot-image decoder and the restore behind it: no panic,
 # no allocation beyond a fixed multiple of the input, and whatever

@@ -30,11 +30,18 @@ import (
 // under the same rule, and absent keys leave the zero value. Strings
 // hold printable ASCII without escapes. seq, plsn and job are plain
 // non-negative integers, node and t plain integers, all in range for
-// their Go type; w is any JSON number strconv.ParseFloat can represent;
+// their Go type; w is any JSON number in float64's range, converted to
+// the bits strconv.ParseFloat (encoding/json's own conversion) returns;
 // redelivery is true or false. Not accepted, hence left to encoding/json:
 // null anywhere, unknown, duplicate or differently-cased keys, string
 // escapes and non-ASCII, fractions or exponents on integer fields,
 // out-of-range numbers, and anything after the object.
+//
+// Inside that grammar the scanner and the encoder take exact shortcuts
+// for what the fleet sends: a sample in the encoder's own layout, a
+// reading with a few decimals, and — writing — a reading on the 0.1 W
+// grid. Each shortcut gives the general path's answer for the same
+// bytes, and anything it does not cover takes the general path.
 
 // WALRecord is the payload of one WAL data record: the delivery-stamped
 // batch, so replay can rebuild both the store and the dedup index. The
@@ -221,7 +228,13 @@ func scanSamples(b []byte, i int, dst []PowerSample) ([]PowerSample, int) {
 	}
 }
 
+// scanSample scans one sample. The layout appendRecord writes is read
+// by scanSampleLiteral; any other spelling of a sample restarts at its
+// '{' on the general key loop below.
 func scanSample(b []byte, i int, s *PowerSample) int {
+	if next := scanSampleLiteral(b, i, s); next >= 0 {
+		return next
+	}
 	if i >= len(b) || b[i] != '{' {
 		return -1
 	}
@@ -284,6 +297,37 @@ func scanSample(b []byte, i int, s *PowerSample) int {
 	}
 }
 
+// scanSampleLiteral reads {"node":N,"job":J,"t":T,"w":W} with no
+// whitespace, through the same value scanners as the key loop. It
+// writes s only on success, so a mismatch leaves s for the key loop.
+func scanSampleLiteral(b []byte, i int, s *PowerSample) int {
+	if !hasLiteral(b, i, `{"node":`) {
+		return -1
+	}
+	node, i := scanInt(b, i+len(`{"node":`))
+	if i < 0 || int64(int(node)) != node || !hasLiteral(b, i, `,"job":`) {
+		return -1
+	}
+	job, i := scanUint(b, i+len(`,"job":`))
+	if i < 0 || !hasLiteral(b, i, `,"t":`) {
+		return -1
+	}
+	unix, i := scanInt(b, i+len(`,"t":`))
+	if i < 0 || !hasLiteral(b, i, `,"w":`) {
+		return -1
+	}
+	w, i := scanFloat(b, i+len(`,"w":`))
+	if i < 0 || i >= len(b) || b[i] != '}' {
+		return -1
+	}
+	*s = PowerSample{Node: int(node), JobID: job, Unix: unix, PowerW: w}
+	return i + 1
+}
+
+func hasLiteral(b []byte, i int, lit string) bool {
+	return len(b)-i >= len(lit) && string(b[i:i+len(lit)]) == lit
+}
+
 func skipSpace(b []byte, i int) int {
 	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
 		i++
@@ -331,7 +375,12 @@ func scanUint(b []byte, i int) (uint64, int) {
 		}
 		return 0, i + 1
 	}
+	// Nineteen digits cannot overflow: 10¹⁹−1 < 2⁶⁴. The overflow test
+	// runs from the twentieth on.
 	var v uint64
+	for safe := min(len(b), i+19); i < safe && b[i] >= '0' && b[i] <= '9'; i++ {
+		v = v*10 + uint64(b[i]-'0')
+	}
 	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
 		d := uint64(b[i] - '0')
 		if v > (math.MaxUint64-d)/10 {
@@ -360,29 +409,53 @@ func scanInt(b []byte, i int) (int64, int) {
 	return 0, -1
 }
 
-// scanFloat checks the JSON number grammar and leaves the conversion to
-// strconv.ParseFloat, the function encoding/json itself calls, so both
-// round identically and both refuse a number beyond float64's range.
+// exactPow10 holds the powers of ten a float64 represents exactly.
+var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// scanFloat scans a JSON number and returns the float64 that
+// strconv.ParseFloat, the conversion encoding/json itself calls, returns
+// for it; a number beyond float64's range is refused as ParseFloat
+// refuses it. A number without an exponent and with at most 15
+// significant digits is m / 10^f with both operands exact float64s, so
+// one correctly rounded division gives ParseFloat's bits (Clinger's fast
+// path); every other number goes to ParseFloat itself.
 func scanFloat(b []byte, i int) (float64, int) {
 	start := i
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
 	if i >= len(b) || b[i] < '0' || b[i] > '9' {
 		return 0, -1
 	}
+	// m gathers every digit; sig counts them from the first non-zero
+	// one, and m is used only while sig ≤ 15, before it could wrap.
+	var m uint64
+	sig, frac := 0, 0
 	if b[i] == '0' {
 		i++
 	} else {
-		i = skipDigits(b, i)
+		for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+			m = m*10 + uint64(b[i]-'0')
+			sig++
+		}
 	}
 	if i < len(b) && b[i] == '.' {
 		if i+1 >= len(b) || b[i+1] < '0' || b[i+1] > '9' {
 			return 0, -1
 		}
-		i = skipDigits(b, i+1)
+		for i++; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+			m = m*10 + uint64(b[i]-'0')
+			if m != 0 {
+				sig++
+			}
+			frac++
+		}
 	}
+	exact := sig <= 15 && frac < len(exactPow10)
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		exact = false
 		i++
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
@@ -391,6 +464,13 @@ func scanFloat(b []byte, i int) (float64, int) {
 			return 0, -1
 		}
 		i = skipDigits(b, i)
+	}
+	if exact {
+		v := float64(m) / exactPow10[frac]
+		if neg {
+			v = -v // after the division, so "-0" stays −0
+		}
+		return v, i
 	}
 	v, err := strconv.ParseFloat(string(b[start:i]), 64)
 	if err != nil {
@@ -471,7 +551,25 @@ func appendRecord(dst []byte, f *fields) ([]byte, error) {
 // shortest round-trip digits, exponent form only below 1e-6 and from
 // 1e21, and a two-digit exponent's leading zero dropped. The query
 // responses of internal/serve are written with it too.
+//
+// A non-zero v that is exactly ±float64(k)/10 for an integer k below
+// 2⁴⁰ — a reading on the 0.1 W grid — is written as k/10 and, when
+// k%10 ≠ 0, one decimal: at most 13 significant digits name exactly one
+// float64, and no shorter decimal lies within half an ulp of v, so that
+// is the shortest form strconv would find.
 func AppendJSONFloat(dst []byte, v float64) []byte {
+	if a := math.Abs(v); v != 0 && a*10 < 1<<40 {
+		if k := uint64(a*10 + 0.5); float64(k)/10 == a {
+			if v < 0 {
+				dst = append(dst, '-')
+			}
+			dst = strconv.AppendUint(dst, k/10, 10)
+			if r := k % 10; r != 0 {
+				dst = append(dst, '.', byte('0'+r))
+			}
+			return dst
+		}
+	}
 	format := byte('f')
 	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

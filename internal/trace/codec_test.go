@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -240,8 +241,91 @@ func TestAppendMatchesJSONMarshal(t *testing.T) {
 	checkAppend(t, SampleBatch{AgentID: "a1", Seq: 1, Samples: benchSamples()}, 3, "4f2a")
 }
 
+// TestGridReadingsMatchJSON runs the 0.1 W grid through the oracles:
+// every k/10 for k < 2¹⁷, its neighbours one ulp either side, the
+// negatives of all three, and −0. Each is written by AppendJSONFloat
+// against json.Marshal and read back by scanFloat against
+// strconv.ParseFloat, encoding/json's conversion; the first 6,144 also
+// cross checkAppend as one record.
+func TestGridReadingsMatchJSON(t *testing.T) {
+	samples := make([]PowerSample, 0, 6<<10)
+	check := func(w float64) {
+		want, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := AppendJSONFloat(nil, w)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSONFloat(%v) = %s, json.Marshal says %s", w, got, want)
+		}
+		if v, n := scanFloat(got, 0); n != len(got) || math.Float64bits(v) != math.Float64bits(w) {
+			t.Fatalf("scanFloat(%s) = %v, %d", got, v, n)
+		}
+		if len(samples) < cap(samples) {
+			samples = append(samples, PowerSample{Node: len(samples), JobID: 1, Unix: 1_700_000_000, PowerW: w})
+		}
+	}
+	check(math.Copysign(0, -1))
+	for k := 0; k < 1<<17; k++ {
+		v := float64(k) / 10
+		for _, w := range []float64{v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1))} {
+			check(w)
+			check(-w)
+		}
+	}
+	checkAppend(t, SampleBatch{AgentID: "a1", Seq: 1, Samples: samples}, 2, "4f2a")
+}
+
+// checkSameVerdict is checkScan on a body inside the scanner's grammar
+// but for its numbers, which the scanner must then accept exactly when
+// encoding/json does.
+func checkSameVerdict(t *testing.T, body string) {
+	t.Helper()
+	batchOK, recOK := checkScan(t, []byte(body))
+	var b SampleBatch
+	want := json.Unmarshal([]byte(body), &b) == nil
+	if batchOK != want || recOK != want {
+		t.Errorf("%s: accepted as batch %v, as record %v; encoding/json accepts it: %v", body, batchOK, recOK, want)
+	}
+}
+
+// TestNumberBoundaries walks the edges of the exact shortcuts, each in
+// the encoder's own sample layout and in a reordered, spaced one:
+// decimals either side of 15 significant digits and of 10²², and
+// integers either side of 19 digits and of their type's range.
+func TestNumberBoundaries(t *testing.T) {
+	for _, w := range []string{
+		"0", "-0", "-0.0", "0.05", "-0.05", "123.0", "123.00", "151.2", "151.20000000000002", "0.30000000000000004",
+		"123456789012345", "1234567890123456", "-123456789012345", "-1234567890123456",
+		"0.123456789012345", "0.1234567890123456", "12345678.9012345", "12345678.90123456",
+		"99999999999999.9", "999999999999999.9", "999999999999999", "9999999999999999",
+		"9007199254740993", "4503599627370497.5", "0.000123456789012345", "0.0001234567890123456",
+		"0.0000000000000000000001", "0.00000000000000000000001", "1e-22", "100000000000000000000000",
+		"1.00000000000000000000", "1.7976931348623157e308", "1e400", "4.9e-324",
+	} {
+		checkSameVerdict(t, `{"samples":[{"node":1,"job":2,"t":3,"w":`+w+`}]}`)
+		checkSameVerdict(t, `{"samples":[{"w": `+w+` ,"node":1}]}`)
+	}
+	for _, n := range []string{
+		"0", "-0", "1000000000000000000", "-1000000000000000000",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+		"9999999999999999999", "-9999999999999999999", "10000000000000000000", "-10000000000000000000",
+		"18446744073709551615", "18446744073709551616", "18446744073709551619", "18446744073709551620",
+		"99999999999999999999", "184467440737095516150",
+	} {
+		checkSameVerdict(t, `{"seq":`+n+`,"samples":[]}`)
+		checkSameVerdict(t, `{"samples":[{"node":`+n+`,"job":2,"t":3,"w":4}]}`)
+		checkSameVerdict(t, `{"samples":[{"node":1,"job":`+n+`,"t":3,"w":4}]}`)
+		checkSameVerdict(t, `{"samples":[{"node":1,"job":2,"t":`+n+`,"w":4}]}`)
+		checkSameVerdict(t, `{"samples":[{"t":3, "job":`+n+`}]}`)
+		checkSameVerdict(t, `{"samples":[{"job":2,"t":`+n+`,"node":`+n+`}]}`)
+	}
+}
+
 func FuzzBatchCodec(f *testing.F) {
 	f.Add([]byte(canonicalBody), "a1", "4f2a", uint64(7), uint64(9), uint64(42), math.Float64bits(151.2), int64(17), int64(1_700_000_000))
+	f.Add([]byte(`{"samples":[{"node":17,"job":42,"t":1700000000,"w":151.2},{"node":-9223372036854775808,"job":18446744073709551615,"t":9223372036854775807,"w":0.05}]}`), "a", "t", uint64(1), uint64(2), uint64(3), math.Float64bits(0.1), int64(4), int64(5))
+	f.Add([]byte(`{"samples":[{"node":17,"job":42,"t":1700000000,"w":151.2 },{ "node":17,"job":42,"t":1700000000,"w":0.1234567890123456},{"job":42,"node":17,"w":-0.0,"t":1700000000}]}`), "a", "t", uint64(1), uint64(2), uint64(3), math.Float64bits(-151.2), int64(4), int64(5))
 	f.Add([]byte(canonicalRecord), `<>&"\`, "\x00\x1f\xff", uint64(math.MaxUint64), uint64(0), uint64(math.MaxUint64), math.Float64bits(5e-324), int64(math.MinInt64), int64(math.MaxInt64))
 	f.Add([]byte(`{"agent":"a1","Seq":1e3,"samples":[{"w":1E+2}],"samples":null} x`), "", "", uint64(0), uint64(1), uint64(0), math.Float64bits(1e21), int64(0), int64(0))
 	f.Add([]byte(" {\"samples\" : [ { } , {\"w\":-0} ] }\n"), "\u00e9\u2028", "t", uint64(1), uint64(1), uint64(1), math.Float64bits(math.Copysign(0, -1)), int64(-1), int64(-1))
@@ -261,15 +345,64 @@ func FuzzBatchCodec(f *testing.F) {
 		if int64(int(node)) != node {
 			node = 0
 		}
+		// Half the readings are on the 0.1 W grid, which uniform bit
+		// patterns would almost never hit.
+		grid := float64(wbits%(1<<20)) / 10
+		if wbits&(1<<20) != 0 {
+			grid = -grid
+		}
 		checkAppend(t, SampleBatch{AgentID: agent, Seq: seq, Redelivery: seq%2 == 1, Samples: []PowerSample{
 			{Node: int(node), JobID: job, Unix: unix, PowerW: math.Float64frombits(wbits)},
-			{Node: 1, JobID: 2, Unix: 3, PowerW: 4.5},
+			{Node: 1, JobID: 2, Unix: 3, PowerW: grid},
 		}}, plsn, traceID)
 	})
 }
 
-// TestBatchDecodeAllocs pins the scanner's allocation budget: with a
-// reused destination the only allocation left is the agent string.
+// FuzzJSONNumber holds the number conversions to the functions
+// encoding/json calls: scanFloat to strconv.ParseFloat on any text, and
+// AppendJSONFloat to json.Marshal on any bits and on the 0.1 W grid.
+func FuzzJSONNumber(f *testing.F) {
+	for _, s := range []string{"151.2", "-0", "-0.0", "0.05", "123.0", "1e-22", "0.0000000000000000000001",
+		"0.1234567890123456", "9007199254740993", "18446744073709551616", "1.5E+2", "1e999",
+		"05", "5.", ".5", "+5", "-", "1e", "0x10", "1_0", "Inf", "NaN", " 1", "1 ", "1,"} {
+		f.Add(s, math.Float64bits(151.2))
+	}
+	f.Fuzz(func(t *testing.T, text string, bits uint64) {
+		b := []byte(text)
+		v, n := scanFloat(b[:len(b):len(b)], 0)
+		want, err := strconv.ParseFloat(text, 64)
+		// A JSON number starts with '-' or a digit and ends with a
+		// digit, which keeps json.Valid's surrounding whitespace out.
+		digit := func(c byte) bool { return c >= '0' && c <= '9' }
+		number := len(b) > 0 && (b[0] == '-' || digit(b[0])) && digit(b[len(b)-1]) && json.Valid(b)
+		switch {
+		case number && err == nil && (n != len(b) || math.Float64bits(v) != math.Float64bits(want)):
+			t.Fatalf("scanFloat(%q) = %v, %d; strconv.ParseFloat says %v", text, v, n, want)
+		case number && err != nil && n >= 0:
+			t.Fatalf("scanFloat(%q) = %v, %d; strconv.ParseFloat says %v", text, v, n, err)
+		case !number && n == len(b):
+			t.Fatalf("scanFloat accepted %q, which is not a JSON number", text)
+		case n > 0 && n < len(b):
+			if p, err := strconv.ParseFloat(text[:n], 64); err != nil || math.Float64bits(p) != math.Float64bits(v) {
+				t.Fatalf("scanFloat(%q) = %v at %d; strconv.ParseFloat(%q) = %v, %v", text, v, n, text[:n], p, err)
+			}
+		}
+		grid := float64(bits%(1<<40)) / 10
+		for _, w := range []float64{math.Float64frombits(bits), grid, -grid, v} {
+			want, err := json.Marshal(w)
+			if err != nil {
+				continue // NaN, ±Inf
+			}
+			if got := AppendJSONFloat(nil, w); !bytes.Equal(got, want) {
+				t.Fatalf("AppendJSONFloat(%v) = %s, json.Marshal says %s", w, got, want)
+			}
+		}
+	})
+}
+
+// TestBatchDecodeAllocs pins the codec's allocation budget: with a
+// reused destination the scanner allocates only the agent and trace
+// strings, in the encoder's layout or off it, and the encoder nothing.
 func TestBatchDecodeAllocs(t *testing.T) {
 	body := benchBatchBody(t)
 	dst := make([]PowerSample, 0, 512)
@@ -282,10 +415,28 @@ func TestBatchDecodeAllocs(t *testing.T) {
 	if allocs > 1 {
 		t.Errorf("ScanBatch allocates %.0f times per 512-sample batch, want at most 1", allocs)
 	}
+	// The same samples off the encoder's layout take the key loop.
+	spaced := bytes.ReplaceAll(body, []byte(`{"node":`), []byte(`{ "node":`))
+	allocs = testing.AllocsPerRun(100, func() {
+		if b, ok := ScanBatch(spaced, dst); !ok || len(b.Samples) != 512 {
+			t.Fatalf("scan failed: ok=%v samples=%d", ok, len(b.Samples))
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("ScanBatch allocates %.0f times per off-layout 512-sample batch, want at most 1", allocs)
+	}
 	rec := benchWALRecord()
 	buf, err := AppendWALRecord(nil, &rec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if r, ok := ScanWALRecord(buf, dst); !ok || len(r.Samples) != 512 {
+			t.Fatalf("scan failed: ok=%v samples=%d", ok, len(r.Samples))
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("ScanWALRecord allocates %.0f times per 512-sample record, want at most 2 (agent and trace)", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { buf, _ = AppendWALRecord(buf[:0], &rec) }); allocs != 0 {
 		t.Errorf("AppendWALRecord into a reused buffer allocates %.0f times, want 0", allocs)
