@@ -19,7 +19,7 @@ GO ?= go
 # a list: both run it straight after the build, because bench/ compiles
 # against the tree and a symbol it uses going missing should fail in the
 # first minute, not the last step.
-FUZZ_TARGETS = fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-frontier fuzz-epoch fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state fuzz-codec fuzz-snapshot fuzz-sort fuzz-bdt
+FUZZ_TARGETS = fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-epoch fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state fuzz-codec fuzz-snapshot fuzz-sort fuzz-bdt
 BENCH_TARGETS = bench bench-block bench-codec bench-wal bench-snapshot bench-tsdb bench-mlearn
 SMOKE_TARGETS = smoke
 
@@ -211,14 +211,11 @@ fuzz-spec:
 fuzz-admit:
 	$(call gofuzz,FuzzParseConfig,15s,./internal/admit/)
 
-# Fuzz the election and frontier wire decoders: arbitrary bytes from an
-# untrusted peer must decode or error — never panic — and every
-# accepted message must survive an encode/decode round trip.
+# Fuzz the election wire decoders: arbitrary bytes from an untrusted
+# peer must decode or error — never panic — and every accepted message
+# must survive an encode/decode round trip.
 fuzz-elect:
 	$(call gofuzz,FuzzElectDecode,15s,./internal/elect/)
-
-fuzz-frontier:
-	$(call gofuzz,FuzzFrontierDecode,15s,./internal/repl/)
 
 fuzz-epoch:
 	$(call gofuzz,FuzzEpochFile,15s,./internal/repl/)

@@ -52,8 +52,8 @@
 // round confirms it, any other boots a follower. The group detects a
 // dead or partitioned primary within the lease TTL, elects the standby
 // with the witness's vote, fences the old epoch, and — when the deposed
-// primary returns — truncates its diverged WAL suffix and rejoins it as
-// a follower automatically.
+// primary returns — rejoins it as a follower automatically, replacing
+// its own records with the new leader's snapshot.
 //
 // Overload protection is always on: an AIMD concurrency limiter and a
 // CoDel-style ingest queue shed excess load with 429 over_capacity +

@@ -642,9 +642,10 @@ func (e *Elector) OnVote(req VoteRequest) VoteResponse {
 	// Up-to-dateness (Raft §5.4.1, adapted): refuse any candidate whose
 	// data frontier is behind the highest this voter can attest to — its
 	// own data, or a frontier a leader reported in a heartbeat. Electing
-	// such a candidate would force the real data-holder to truncate
-	// acked records when it rejoins. The refusal does not burn a
-	// promise, so the epoch stays winnable by an up-to-date candidate.
+	// such a candidate would make the real data-holder replace acked
+	// records with the candidate's snapshot when it rejoins. The refusal
+	// does not burn a promise, so the epoch stays winnable by an
+	// up-to-date candidate.
 	if fe, fl := e.knownFrontier(); frontierLess(req.FrontierEpoch, req.FrontierLSN, fe, fl) {
 		resp.Epoch = promised
 		resp.LeaderID, resp.LeaderURL = e.leaderID, e.leaderURL

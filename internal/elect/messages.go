@@ -57,7 +57,8 @@ type HeartbeatResponse struct {
 // behind the highest frontier the voter has seen (its own, or one
 // learned from leader heartbeats) — the Raft §5.4.1 up-to-dateness rule
 // adapted for a data-less witness. Without it a freshly-restarted stale
-// node could win an election and truncate acked records on rejoin.
+// node could win an election and make the data-holder drop acked
+// records on rejoin.
 type VoteRequest struct {
 	From          string `json:"from"`
 	URL           string `json:"url"`

@@ -19,7 +19,7 @@ import (
 //   - the highest committed data frontier (epoch, LSN) this node has
 //     seen — its own, or one learned from a leader's heartbeat. A voter
 //     that has seen acked data reach (e, l) must never elect a
-//     candidate behind that point, or the group would truncate acked
+//     candidate behind that point, or the group would drop acked
 //     records when the stale winner forces the data-holder to rejoin.
 //
 // Both are durable (vfs.WriteFileAtomic) before the reply that depends

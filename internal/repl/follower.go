@@ -39,14 +39,8 @@ type FollowerConfig struct {
 	Apply func(lsn uint64, body []byte) error
 	// Bootstrap installs a full snapshot taken at lsn, replacing local
 	// state; used when the primary has reaped the records the loop
-	// would otherwise resume from.
+	// would otherwise resume from, or leads an epoch past ours.
 	Bootstrap func(lsn uint64, payload []byte) error
-	// ForceBootstrap makes the loop install a snapshot before its first
-	// stream, regardless of how far behind it is. A deposed primary
-	// rejoining after divergence uses this: records it applied beyond
-	// the new primary's frontier cannot be un-applied from the store,
-	// so only a snapshot install yields a state the stream can extend.
-	ForceBootstrap bool
 
 	// AckEvery is the acknowledgement cadence. 0 means 200 ms.
 	AckEvery time.Duration
@@ -118,7 +112,6 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 		cfg: cfg, client: cfg.Client,
 		logger: obs.Component(cfg.Logger, "repl").With(slog.String("follower", cfg.ID)),
 	}
-	f.needBootstrap.Store(cfg.ForceBootstrap)
 	if f.client == nil {
 		f.client = http.DefaultClient
 	}
@@ -167,7 +160,7 @@ func (f *Follower) run() {
 		if f.needBootstrap.Load() {
 			if err := f.bootstrap(); err != nil {
 				if f.ctx.Err() == nil {
-					f.logger.Warn("forced bootstrap failed", slog.Any("err", err))
+					f.logger.Warn("bootstrap failed", slog.Any("err", err))
 				}
 				continue
 			}

@@ -228,9 +228,9 @@ type durability struct {
 	// appends with enqueues; pipeline.go states who takes them and when.
 	applyMu sync.RWMutex
 	seqMu   sync.Mutex
-	// tracker is swapped wholesale when a deposed primary rejoins
-	// (election.go), and the shed path must read it without applyMu —
-	// hence the atomic pointer rather than a plain field.
+	// tracker is replaced by Recover once the log is replayed, and the
+	// shed path reads it without applyMu — hence the atomic pointer
+	// rather than a plain field.
 	tracker atomic.Pointer[applyTracker]
 
 	// tombstoned is the live set of cancelled LSNs (refused batches whose
@@ -544,12 +544,6 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	}
 	storeMax(&rs.replApplied, ra)
 	rs.setBootExtras(img.ReplExtras)
-	if !rs.isFollower.Load() {
-		// A primary that previously followed (a promoted standby
-		// restarting) serves its old pull frontier as the divergence
-		// point for its deposed predecessor's rejoin.
-		rs.upstreamAtPromote.Store(rs.replApplied.Load())
-	}
 
 	st := log.Stats()
 	rep.TruncatedBytes = st.TruncatedBytes
@@ -565,7 +559,7 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	go d.advanceLoop()
 	go d.diskLoop()
 	if rs.cfg.Role == RoleFollower {
-		if err := rs.startFollowerTo(s, rs.cfg.PrimaryURL, false); err != nil {
+		if err := rs.startFollowerTo(s, rs.cfg.PrimaryURL); err != nil {
 			return nil, fmt.Errorf("serve: starting follower pull loop: %w", err)
 		}
 	}

@@ -13,23 +13,16 @@ package serve
 //     lapsed (see replication.go), so a partitioned primary goes
 //     silent instead of acking writes its successor will not have;
 //   - automatic rejoin: when the elector reports a foreign leader, a
-//     deposed primary negotiates the divergence point via
-//     GET /v1/repl/frontier, truncates its WAL back to it, and
-//     re-enters the group as a follower with a forced snapshot
-//     bootstrap.
+//     deposed primary stops acking and follows it like any other node;
+//     the leader's later epoch makes the pull loop install its snapshot
+//     first (repl.Follower).
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
-	"net/http"
-	"strconv"
-	"strings"
-	"time"
 
 	"hpcpower/internal/elect"
-	"hpcpower/internal/repl"
 )
 
 // StartElection attaches an elector to this server and runs it until
@@ -107,23 +100,6 @@ func (d *durability) commitFrontier() uint64 {
 	return local
 }
 
-// handleReplFrontier serves this node's replication frontier — the
-// negotiation endpoint a deposed primary hits to learn where shared
-// history ends (see repl.Frontier).
-func (s *Server) handleReplFrontier(w http.ResponseWriter, r *http.Request) {
-	rs, ok := s.replReady(w, r)
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, repl.Frontier{
-		ID:          rs.cfg.FollowerID,
-		Epoch:       rs.epoch.Epoch(),
-		Role:        rs.role(),
-		UpstreamLSN: rs.upstreamAtPromote.Load(),
-		LocalLSN:    s.dur.tracker.Load().frontierLSN(), // replReady: recovered
-	})
-}
-
 // maybeRejoin is the elector's LeaderChanged hook: some other node
 // leads at epoch. It re-fires every election tick while that holds, so
 // it must be cheap, idempotent, and must retry a failed rejoin — the
@@ -153,108 +129,26 @@ func (s *Server) maybeRejoin(epoch uint64, leaderID, leaderURL string) {
 }
 
 // rejoin demotes this node under a foreign leader and re-enters the
-// replication group as its follower:
-//
-//  1. stop acking (isFollower flips first) and stop any old pull loop;
-//  2. fetch the leader's frontier — its UpstreamLSN is the last LSN of
-//     ours it had applied when it was promoted, i.e. the end of shared
-//     history in our own LSN space;
-//  3. under the apply lock, truncate our WAL back to that point (the
-//     suffix was never replicated — those are the diverged records the
-//     powserved_elect_diverged_records counter reports), reset the
-//     apply tracker, and adopt the leader's epoch;
-//  4. restart the pull loop against the leader with a forced snapshot
-//     bootstrap — applied-beyond-frontier state cannot be un-applied
-//     record-by-record, only a snapshot install yields a store the
-//     stream can extend.
-//
-// Over-truncation is safe (the bootstrap reinstalls everything), as is
-// skipping: the tracker watermark and dedup absorb replays. While the
-// epoch record says this node led its epoch — a failed attempt's too —
-// it truncates; any other node just follows: the pull loop resumes on
-// the leader of the epoch it followed and bootstraps first from that of
-// a later one (repl.Follower).
+// replication group as its follower, the way any node follows: stop
+// acking (isFollower flips first), silence alert delivery, stop any old
+// pull loop and start one against the leader. repl.Follower's epoch rule
+// does the rest: a leader of a later epoch than ours has its snapshot
+// installed, and only then is its epoch adopted. Until the image is
+// installed and persisted the epoch record still says this node led its
+// epoch, so a crash or a second rejoin derives the same bootstrap from
+// disk. A primary demoted while the record says so counts as a rejoin.
 func (s *Server) rejoin(epoch uint64, leaderID, leaderURL string) error {
-	d := s.dur
-	rs := d.repl
-	rs.isFollower.Store(true)
+	rs := s.dur.repl
+	demoted := !rs.isFollower.Swap(true)
 	if s.anom != nil {
 		// Back to silent tracking: the new leader owns alert delivery.
 		s.anom.SetDeliver(false)
 	}
 	rs.stopFollower()
-	if _, led := rs.epoch.State(); !led {
-		return rs.startFollowerTo(s, leaderURL, false)
+	if _, led := rs.epoch.State(); led && demoted {
+		rs.rejoins.Add(1)
+		rs.logger.Warn("deposed: rejoining as follower", slog.String("leader", leaderID),
+			slog.String("leader_url", leaderURL), slog.Uint64("epoch", epoch))
 	}
-	rs.logger.Warn("deposed: negotiating rejoin", slog.String("leader", leaderID), slog.Uint64("epoch", epoch))
-	// Best-effort queue drain: accepted-but-unapplied batches hold WAL
-	// LSNs the truncation may remove; the gate above stops new ones and
-	// this wait lets stragglers clear before the cut.
-	for i := 0; i < 50 && s.ingestQ.Len() > 0; i++ {
-		time.Sleep(10 * time.Millisecond)
-	}
-	fr, err := fetchFrontier(leaderURL, rs.epoch.Epoch())
-	if err != nil {
-		return fmt.Errorf("fetching frontier: %w", err)
-	}
-	if fr.Role != RolePrimary {
-		return fmt.Errorf("leader %q reports role %q — not rejoining", leaderID, fr.Role)
-	}
-	target := epoch
-	if fr.Epoch > target {
-		target = fr.Epoch
-	}
-	d.applyMu.Lock()
-	dropped, err := d.log.TruncateTo(fr.UpstreamLSN)
-	if err != nil {
-		d.applyMu.Unlock()
-		return fmt.Errorf("truncating diverged wal suffix at %d: %w", fr.UpstreamLSN, err)
-	}
-	if dropped > 0 {
-		rs.divergedRecords.Add(int64(dropped))
-		rs.logger.Warn("rolled back diverged records", slog.Int("records", dropped), slog.Uint64("past_lsn", fr.UpstreamLSN))
-	}
-	d.tracker.Store(newApplyTracker(d.log.LastLSN()))
-	// The new leader's LSN space is not ours: restart the pull cursor
-	// from zero and let the forced bootstrap set the real floor.
-	rs.replApplied.Store(0)
-	rs.setBootExtras(nil)
-	if err := rs.epoch.Store(target); err != nil {
-		d.applyMu.Unlock()
-		return fmt.Errorf("adopting epoch %d: %w", target, err)
-	}
-	rs.fenced.Store(false)
-	d.applyMu.Unlock()
-	rs.rejoins.Add(1)
-	rs.logger.Info("rejoining as follower", slog.String("leader", leaderID), slog.String("leader_url", leaderURL),
-		slog.Uint64("epoch", target), slog.Uint64("shared_history_lsn", fr.UpstreamLSN))
-	return rs.startFollowerTo(s, leaderURL, true)
-}
-
-// frontierClient is the rejoin negotiation's HTTP client; the frontier
-// endpoint is a point read, so a short timeout keeps a dead leader
-// from pinning the rejoin loop.
-var frontierClient = &http.Client{Timeout: 5 * time.Second}
-
-// fetchFrontier GETs base's /v1/repl/frontier, carrying our epoch so
-// fencing gossip keeps flowing even on the rejoin path.
-func fetchFrontier(base string, epoch uint64) (repl.Frontier, error) {
-	req, err := http.NewRequest(http.MethodGet, strings.TrimRight(base, "/")+"/v1/repl/frontier", nil)
-	if err != nil {
-		return repl.Frontier{}, err
-	}
-	req.Header.Set(HeaderReplEpoch, strconv.FormatUint(epoch, 10))
-	resp, err := frontierClient.Do(req)
-	if err != nil {
-		return repl.Frontier{}, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 8192))
-	if err != nil {
-		return repl.Frontier{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return repl.Frontier{}, fmt.Errorf("frontier: %s: %s", resp.Status, strings.TrimSpace(string(data)))
-	}
-	return repl.DecodeFrontier(data)
+	return rs.startFollowerTo(s, leaderURL)
 }

@@ -1,12 +1,20 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,32 +27,6 @@ import (
 // the serve-side wiring without a full group.
 func electedNode(dir string, peers ...elect.Peer) testNode {
 	return testNode{dir: dir, elect: &elect.Config{ID: "solo", Peers: peers, HeartbeatEvery: 10 * time.Millisecond}}
-}
-
-// TestFrontierEndpoint: a primary reports its identity, epoch, role,
-// and the upstream watermark frozen at promotion time.
-func TestFrontierEndpoint(t *testing.T) {
-	_, tsP := testNode{dir: t.TempDir()}.start(t)
-	sendAll(t, tsP.URL, stampedBatches(3, 5))
-
-	resp, body := get(t, tsP.URL+"/v1/repl/frontier")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("frontier = %d %s", resp.StatusCode, body)
-	}
-	s := string(body)
-	for _, want := range []string{`"role":"primary"`, `"epoch":`, `"upstream_lsn":0`, `"local_lsn":`} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("frontier body %s lacks %s", s, want)
-		}
-	}
-
-	// A follower answers too (the rejoin path validates the role and
-	// refuses), and its upstream watermark is meaningless-but-present.
-	_, tsF := testNode{dir: t.TempDir(), follow: tsP.URL}.start(t)
-	resp, body = get(t, tsF.URL+"/v1/repl/frontier")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"role":"follower"`) {
-		t.Fatalf("follower frontier = %d %s", resp.StatusCode, body)
-	}
 }
 
 // TestNotPrimaryCarriesLeaderHint: a follower's 503 tells the shipper
@@ -63,21 +45,17 @@ func TestNotPrimaryCarriesLeaderHint(t *testing.T) {
 	}
 }
 
-// TestDeposedPrimaryRejoins: a primary with diverged, never-replicated
-// records is told a foreign leader holds a higher epoch. It must
-// truncate its diverged WAL suffix, count the rollback, re-enter the
-// group as a follower of that leader, and converge to byte-identical
-// analytics.
+// TestDeposedPrimaryRejoins: a primary with records the new leader never
+// had is told a foreign leader holds a higher epoch. It must re-enter the
+// group as that leader's follower through one snapshot install, count
+// one rejoin, and end holding exactly the leader's state.
 func TestDeposedPrimaryRejoins(t *testing.T) {
 	a, tsA := testNode{dir: t.TempDir()}.start(t)
 	b, tsB := testNode{dir: t.TempDir()}.start(t)
-
 	// Divergent histories: nothing A holds was ever replicated to B
 	// and vice versa.
-	totalA := sendAll(t, tsA.URL, stampedBatches(11, 8))
-	waitIngested(t, a, totalA)
-	diverged := sendAll(t, tsB.URL, stampedBatches(99, 4))
-	waitIngested(t, b, diverged)
+	waitIngested(t, a, sendAll(t, tsA.URL, stampedBatches(11, 8)))
+	waitIngested(t, b, sendAll(t, tsB.URL, stampedBatches(99, 4)))
 
 	// A wins an election at a higher epoch; B learns about it.
 	epoch, err := a.PromoteTo(7)
@@ -85,39 +63,192 @@ func TestDeposedPrimaryRejoins(t *testing.T) {
 		t.Fatalf("promote a: epoch %d err %v", epoch, err)
 	}
 	b.maybeRejoin(7, "a", tsA.URL)
-
-	// B must demote, follow A, and converge to A's analytics.
-	deadline := time.Now().Add(10 * time.Second)
-	for b.store.Ingested() != totalA && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got, want := analyticsDump(t, tsB.URL), analyticsDump(t, tsA.URL); got != want {
-		t.Fatal("rejoined node's analytics differ from new leader")
-	}
+	awaitLeaderImage(t, a, b)
 
 	code, m := readyzJSON(t, tsB.URL)
-	if code != http.StatusOK {
-		t.Fatalf("rejoined readyz = %d %v", code, m)
-	}
-	if m["role"] != RoleFollower {
-		t.Fatalf("rejoined role = %v, want follower", m["role"])
-	}
-	if got := m["epoch"].(float64); got != 7 {
-		t.Fatalf("rejoined epoch = %v, want 7", got)
+	if code != http.StatusOK || m["role"] != RoleFollower {
+		t.Fatalf("rejoined readyz = %d %v, want a ready follower", code, m)
 	}
 	if got := m["rejoins"].(float64); got != 1 {
 		t.Fatalf("rejoins = %v, want 1", got)
-	}
-	// Every one of B's pre-deposal records was past the shared
-	// frontier: all of them count as diverged.
-	rs := b.dur.repl
-	if got := rs.divergedRecords.Load(); got == 0 {
-		t.Fatalf("diverged records = %d, want > 0 (all of B's own writes were rolled back)", got)
 	}
 	// Ingest on the rejoined node now redirects to the leader.
 	resp, body := postJSON(t, tsB.URL+"/v1/samples", stampedBatches(1, 1)[0])
 	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), tsA.URL) {
 		t.Fatalf("rejoined ingest = %d %s, want 503 with hint to %s", resp.StatusCode, body, tsA.URL)
+	}
+}
+
+// awaitLeaderImage waits until follower has adopted leader's epoch, which
+// it does only after installing the leader's snapshot, and checks that one
+// install got it there and that it now holds the leader's state.
+func awaitLeaderImage(t *testing.T, leader, follower *Server) {
+	t.Helper()
+	rs, epoch := follower.dur.repl, leader.dur.repl.epoch.Epoch()
+	settled := func() bool {
+		return rs.epoch.Epoch() == epoch && rs.followerStats().SnapshotInstalls > 0 &&
+			rs.replApplied.Load() == leader.dur.repl.source.Watermark()
+	}
+	for deadline := time.Now().Add(5 * time.Second); !settled() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got, installs := rs.epoch.Epoch(), rs.followerStats().SnapshotInstalls; got != epoch || installs != 1 {
+		t.Fatalf("follower at epoch %d after %d snapshot installs (%d samples, the leader %d), want epoch %d after 1",
+			got, installs, follower.store.Ingested(), leader.store.Ingested(), epoch)
+	}
+	checkFollowerMatches(t, leader, follower)
+}
+
+// refusingFront proxies to target but refuses its snapshot and stream
+// endpoints, so a follower behind it reaches the leader and can never
+// install or apply anything from it. It answers the front's URL and a
+// count of the refusals.
+func refusingFront(t *testing.T, target string) (string, *atomic.Int64) {
+	u, err := url.Parse(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(u)
+	refused := new(atomic.Int64)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/repl/snapshot" || r.URL.Path == "/v1/repl/stream" {
+			refused.Add(1)
+			http.Error(w, "refused by the test's front", http.StatusServiceUnavailable)
+			return
+		}
+		proxy.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL, refused
+}
+
+// TestCrashMidRejoin: a deposed primary whose rejoin never got the
+// leader's snapshot — it follows the leader through a front that refuses
+// the snapshot and the stream — still bootstraps from the leader, both
+// after a crash and a restart as the leader's follower and after a rejoin
+// re-fired at the leader's own URL. Either way it ends holding exactly
+// the leader's state, through one snapshot install, with none of its own
+// records left on top.
+func TestCrashMidRejoin(t *testing.T) {
+	for _, crashed := range []bool{true, false} {
+		t.Run(fmt.Sprintf("crashed=%v", crashed), func(t *testing.T) {
+			a, tsA := testNode{dir: t.TempDir()}.start(t)
+			dirB := t.TempDir()
+			b, tsB := testNode{dir: dirB, quiet: true}.start(t)
+			waitIngested(t, a, sendAll(t, tsA.URL, stampedBatches(11, 8)))
+			waitIngested(t, b, sendAll(t, tsB.URL, stampedBatches(99, 4)))
+			// B's own records are in its snapshot as well as its WAL.
+			if _, _, err := b.dur.snapshotOnce(b); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.PromoteTo(7); err != nil {
+				t.Fatal(err)
+			}
+
+			front, refused := refusingFront(t, tsA.URL)
+			if err := b.rejoin(7, "a", front); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "a refused pull", func() bool { return refused.Load() > 0 })
+			if crashed {
+				crash(t, b, tsB)
+				b, _ = testNode{dir: dirB, quiet: true, follow: tsA.URL}.start(t)
+			} else if err := b.rejoin(7, "a", tsA.URL); err != nil {
+				t.Fatal(err)
+			}
+			awaitLeaderImage(t, a, b)
+			if rejoins := b.dur.repl.rejoins.Load(); !crashed && rejoins != 1 {
+				t.Fatalf("rejoins = %d, want 1: a re-fired rejoin is the same demotion", rejoins)
+			}
+		})
+	}
+}
+
+// gatedBody is a request body whose first Read announces itself on
+// reading and then blocks until resume is closed.
+type gatedBody struct {
+	io.Reader
+	once            sync.Once
+	reading, resume chan struct{}
+}
+
+func (g *gatedBody) Read(p []byte) (int, error) {
+	g.once.Do(func() {
+		close(g.reading)
+		<-g.resume
+	})
+	return g.Reader.Read(p)
+}
+
+// TestNoAckAcrossDemotion: a batch in flight when its primary is demoted
+// is refused with the role gate's 503 not_primary, never acked — whether
+// the demotion lands while the handler reads the body, after the gate, or
+// while the batch waits in the queue to be applied; with semi-sync acks
+// too, which skip the follower wait once the node follows. Either way the
+// demoted node then holds exactly the new leader's state.
+func TestNoAckAcrossDemotion(t *testing.T) {
+	for _, queued := range []bool{false, true} {
+		for _, syncAck := range []bool{false, true} {
+			t.Run(fmt.Sprintf("queued=%v/sync=%v", queued, syncAck), func(t *testing.T) {
+				a, tsA := testNode{dir: t.TempDir()}.start(t)
+				b, _ := testNode{dir: t.TempDir(), dur: DurabilityConfig{
+					Replication: &ReplicationConfig{SyncAck: syncAck}}}.start(t)
+				waitIngested(t, a, sendAll(t, tsA.URL, stampedBatches(11, 4)))
+				if _, err := a.PromoteTo(7); err != nil {
+					t.Fatal(err)
+				}
+
+				payload, err := json.Marshal(stampedBatches(99, 1)[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				body := &gatedBody{Reader: bytes.NewReader(payload), reading: make(chan struct{}), resume: make(chan struct{})}
+				req := httptest.NewRequest(http.MethodPost, "/v1/samples", body)
+				req.ContentLength = int64(len(payload))
+				rec := httptest.NewRecorder()
+				logged := b.dur.log.LastLSN()
+				resume := sync.OnceFunc(func() { close(body.resume) })
+				t.Cleanup(resume)
+				release := func() {}
+				if queued {
+					release = sync.OnceFunc(parkWorker(t, b))
+					t.Cleanup(release)
+					resume()
+				}
+				served := make(chan struct{})
+				go func() {
+					defer close(served)
+					b.Handler().ServeHTTP(rec, req)
+				}()
+				<-body.reading
+				if queued {
+					waitFor(t, "the batch to be queued", func() bool { return b.ingestQ.Len() == 1 })
+				}
+				served0 := a.dur.snapshots.Load()
+				if err := b.rejoin(7, "a", tsA.URL); err != nil {
+					t.Fatal(err)
+				}
+				if queued {
+					// The leader's image arrives while the batch is queued: the
+					// install must wait for it, so nothing is adopted yet.
+					waitFor(t, "the leader's snapshot", func() bool { return a.dur.snapshots.Load() > served0 })
+					time.Sleep(50 * time.Millisecond)
+					if got := b.dur.repl.epoch.Epoch(); got == 7 {
+						t.Fatal("the leader's image was installed over a queued batch")
+					}
+				}
+				release()
+				resume()
+				<-served
+				if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), CodeNotPrimary) {
+					t.Fatalf("in-flight batch across a demotion = %d %s, want 503 %s", rec.Code, rec.Body, CodeNotPrimary)
+				}
+				if !queued && b.dur.log.LastLSN() != logged {
+					t.Fatalf("a batch refused before its stamp was logged: last lsn %d, was %d", b.dur.log.LastLSN(), logged)
+				}
+				awaitLeaderImage(t, a, b)
+			})
+		}
 	}
 }
 
@@ -187,10 +318,8 @@ func TestReadyzElectionShape(t *testing.T) {
 	if elb["role"] != "leader" || elb["leader_id"] != "solo" || elb["has_lease"] != true {
 		t.Fatalf("election block = %v, want leading solo with lease", elb)
 	}
-	for _, k := range []string{"rejoins", "diverged_records"} {
-		if _, ok := m[k]; !ok {
-			t.Fatalf("readyz lacks %q: %v", k, m)
-		}
+	if _, ok := m["rejoins"]; !ok {
+		t.Fatalf("readyz lacks %q: %v", "rejoins", m)
 	}
 
 	// The lease gate: while the lease is held ingest flows; a leader

@@ -521,7 +521,7 @@ func TestFailoverRounds(t *testing.T) {
 				t.Fatal(c.describe())
 			}
 			_, metrics := get(t, leader.front.ts.URL+"/metrics")
-			for _, m := range []string{"powserved_repl_epoch ", "powserved_repl_rejoins_total ", "powserved_elect_diverged_records ", "powserved_repl_lag_records 0"} {
+			for _, m := range []string{"powserved_repl_epoch ", "powserved_repl_rejoins_total ", "powserved_repl_lag_records 0"} {
 				if !bytes.Contains(metrics, []byte(m)) {
 					t.Fatalf("leader /metrics lacks %q", m)
 				}

@@ -17,11 +17,11 @@ package serve
 //
 //  1. applyMu.RLock covers stamp → log → enqueue as one unit (and, on
 //     the worker and the follower, apply with its markDone), so the
-//     takers of the write lock — snapshot capture, a follower's snapshot
-//     install, a rejoin's WAL truncation — see store, dedup index and
-//     apply tracker at one batch boundary. The read lock is never
-//     re-entered: with a writer pending, a nested RLock waits behind the
-//     writer while the writer waits for the outer one.
+//     takers of the write lock — snapshot capture and a follower's
+//     snapshot install — see store, dedup index and apply tracker at one
+//     batch boundary. The read lock is never re-entered: with a writer
+//     pending, a nested RLock waits behind the writer while the writer
+//     waits for the outer one.
 //  2. seqMu covers the WAL append together with the queue push, so LSN
 //     order is queue order: replay applies records in LSN order, and
 //     with one ingest worker that is the order the live server applied
@@ -94,6 +94,7 @@ const (
 	outDraining                // Push lost the race with Close
 	outStorage                 // WAL append or fsync failed
 	outReplication             // durable here, no follower ack in time
+	outNotPrimary              // demoted while the batch was in flight
 	outEncode                  // the WAL record could not be encoded
 )
 
@@ -297,10 +298,14 @@ func (s *Server) await(ctx context.Context, qb *queuedBatch) outcome {
 
 // awaitReplicated is await's last gate: under semi-sync replication a
 // primary acks lsn only once every registered follower has durably
-// applied it.
+// applied it, and a node demoted meanwhile never acks it — the leader it
+// now follows does not have it.
 func (s *Server) awaitReplicated(ctx context.Context, lsn uint64) outcome {
 	d := s.dur
-	if d != nil && d.repl.cfg.SyncAck && !d.repl.isFollower.Load() {
+	if d == nil {
+		return outcome{kind: outAccepted, lsn: lsn}
+	}
+	if d.repl.cfg.SyncAck && !d.repl.isFollower.Load() {
 		// The record is fsynced, so publishing the watermark inline starts
 		// the stream hop now instead of on the next tick.
 		d.advanceRepl()
@@ -313,6 +318,9 @@ func (s *Server) awaitReplicated(ctx context.Context, lsn uint64) outcome {
 			// follower holds the record (awaitDuplicate).
 			return outcome{kind: outReplication, err: fmt.Errorf("replication ack: %w", err)}
 		}
+	}
+	if d.repl.isFollower.Load() {
+		return outcome{kind: outNotPrimary}
 	}
 	return outcome{kind: outAccepted, lsn: lsn}
 }
@@ -356,6 +364,13 @@ func (s *Server) accept(ctx context.Context, batch *trace.SampleBatch, traceID s
 	d := s.dur
 	if d != nil {
 		d.applyMu.RLock()
+		// The role gate ran before the body was read: a demotion since
+		// then refuses here, before anything is stamped or logged, and a
+		// snapshot install taking the write lock sees no batch after it.
+		if d.repl.isFollower.Load() {
+			d.applyMu.RUnlock()
+			return outcome{kind: outNotPrimary}
+		}
 	} else if qb.Agent != "" {
 		qb.ticket = s.tickets.last.Add(1) // before the stamp: rule 6
 	}

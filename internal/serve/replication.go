@@ -148,24 +148,16 @@ type replState struct {
 	fencedBy   atomic.Uint64 // highest peer epoch that fenced us
 	promotions atomic.Int64
 
-	// upstreamAtPromote is the highest upstream LSN this node had
-	// durably applied when it was (last) promoted — the divergence
-	// point it serves at /v1/repl/frontier so a deposed primary knows
-	// where to truncate its WAL. Seeded at Recover for a node that
-	// boots primary after having followed.
-	upstreamAtPromote atomic.Uint64
-
 	// hintMu guards the primary hint (best-known primary URL, served
 	// in not_primary bodies) and the follower pull loop's live target.
 	hintMu         sync.Mutex
 	primaryHintURL string
 	activeUpstream string
 
-	// rejoining serializes the automatic-rejoin goroutine; rejoins and
-	// divergedRecords feed /metrics.
-	rejoining       atomic.Bool
-	rejoins         atomic.Int64
-	divergedRecords atomic.Int64
+	// rejoining serializes the automatic-rejoin goroutine; rejoins feeds
+	// /metrics.
+	rejoining atomic.Bool
+	rejoins   atomic.Int64
 
 	// replApplied is the highest primary LSN durably applied locally
 	// (follower side); reconnects resume just after it.
@@ -359,23 +351,20 @@ func (rs *replState) stopStreams() {
 
 // startFollowerTo wires and starts the pull loop against the serving
 // layer's apply path and primaryURL — the rejoin path retargets a
-// deposed primary at its successor, with forceBootstrap set so the
-// first connect installs a snapshot instead of extending a diverged
-// timeline.
-func (rs *replState) startFollowerTo(s *Server, primaryURL string, forceBootstrap bool) error {
+// deposed primary at its successor the same way.
+func (rs *replState) startFollowerTo(s *Server, primaryURL string) error {
 	f, err := repl.StartFollower(repl.FollowerConfig{
-		PrimaryURL:     primaryURL,
-		ID:             rs.cfg.FollowerID,
-		Epoch:          rs.epoch.Epoch,
-		ObserveEpoch:   rs.epoch.Store,
-		Applied:        rs.replApplied.Load,
-		Apply:          s.applyReplicated,
-		Bootstrap:      s.installReplSnapshot,
-		ForceBootstrap: forceBootstrap,
-		AckEvery:       rs.cfg.AckEvery,
-		StallTimeout:   rs.cfg.StallTimeout,
-		Logger:         s.cfg.Logger,
-		ObserveApply:   s.metrics.replApply.ObserveDuration,
+		PrimaryURL:   primaryURL,
+		ID:           rs.cfg.FollowerID,
+		Epoch:        rs.epoch.Epoch,
+		ObserveEpoch: rs.adoptEpoch,
+		Applied:      rs.replApplied.Load,
+		Apply:        s.applyReplicated,
+		Bootstrap:    s.installReplSnapshot,
+		AckEvery:     rs.cfg.AckEvery,
+		StallTimeout: rs.cfg.StallTimeout,
+		Logger:       s.cfg.Logger,
+		ObserveApply: s.metrics.replApply.ObserveDuration,
 	})
 	if err != nil {
 		return err
@@ -387,6 +376,19 @@ func (rs *replState) startFollowerTo(s *Server, primaryURL string, forceBootstra
 	rs.activeUpstream = primaryURL
 	rs.primaryHintURL = primaryURL
 	rs.hintMu.Unlock()
+	return nil
+}
+
+// adoptEpoch is the pull loop's ObserveEpoch hook: it persists the
+// primary's epoch and lifts the fence that epoch put on this node when
+// it was a primary.
+func (rs *replState) adoptEpoch(epoch uint64) error {
+	if err := rs.epoch.Store(epoch); err != nil {
+		return err
+	}
+	if epoch >= rs.fencedBy.Load() {
+		rs.fenced.Store(false)
+	}
 	return nil
 }
 
@@ -464,11 +466,6 @@ func (s *Server) PromoteTo(target uint64) (epoch uint64, err error) {
 	if err := rs.epoch.Lead(next); err != nil {
 		return 0, fmt.Errorf("serve: persisting promotion epoch %d: %w", next, err)
 	}
-	// The upstream frontier freezes at promotion: everything this node
-	// applied from its old primary up to here is shared history; its own
-	// writes beyond are a new timeline. The deposed primary reads this
-	// back via /v1/repl/frontier to find its truncation point.
-	rs.upstreamAtPromote.Store(rs.replApplied.Load())
 	rs.isFollower.Store(false)
 	if next > rs.fencedBy.Load() {
 		rs.fenced.Store(false)
@@ -729,6 +726,12 @@ func (s *Server) applyReplicated(plsn uint64, body []byte) error {
 // snapshot would otherwise rewind the follower to its pre-bootstrap
 // past. If anything fails, the local disk still holds the old
 // consistent state and the bootstrap reruns after the reconnect.
+//
+// The image replaces everything this node logged, so the install first
+// waits until each local LSN is applied or cancelled: a deposed
+// primary's queued batch must not land on top of the image, and the
+// local snapshot's frontier must cover the whole local log, or a
+// restart would replay the straggler over the image.
 func (s *Server) installReplSnapshot(plsn uint64, payload []byte) error {
 	d := s.dur
 	rs := d.repl
@@ -741,6 +744,18 @@ func (s *Server) installReplSnapshot(plsn uint64, payload []byte) error {
 		rs.logger.Warn("bootstrap payload is a JSON snapshot image: the primary predates the binary format", slog.Uint64("lsn", plsn))
 	}
 	d.applyMu.Lock()
+	for last := d.log.LastLSN(); d.tracker.Load().frontierLSN() < last; last = d.log.LastLSN() {
+		d.applyMu.Unlock()
+		// The queue drains in far less; failing the install instead of
+		// waiting forever lets the pull loop stop and retry.
+		ctx, cancel := context.WithTimeout(context.TODO(), 5*time.Second)
+		err := d.tracker.Load().wait(ctx, last)
+		cancel()
+		if err != nil {
+			return fmt.Errorf("waiting for local lsn %d to apply: %w", last, err)
+		}
+		d.applyMu.Lock()
+	}
 	if err := s.install(img); err != nil {
 		d.applyMu.Unlock()
 		return err
@@ -825,7 +840,6 @@ func (rs *replState) collect(e *obs.Exposition) {
 	e.Counter("powserved_repl_promotions_total", float64(rs.promotions.Load()))
 	e.Counter("powserved_repl_streamed_records_total", float64(rs.source.Streamed()))
 	e.Counter("powserved_repl_rejoins_total", float64(rs.rejoins.Load()))
-	e.Counter("powserved_elect_diverged_records", float64(rs.divergedRecords.Load()))
 
 	fs := rs.followerStats()
 	e.Gauge("powserved_repl_applied_lsn", float64(fs.AppliedLSN))

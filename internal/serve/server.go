@@ -228,7 +228,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/repl/stream", s.handleReplStream)
 	s.mux.HandleFunc("GET /v1/repl/snapshot", s.metrics.instrument("repl_snapshot", s.handleReplSnapshot))
 	s.mux.HandleFunc("POST /v1/repl/ack", s.metrics.instrument("repl_ack", s.handleReplAck))
-	s.mux.HandleFunc("GET /v1/repl/frontier", s.metrics.instrument("repl_frontier", s.handleReplFrontier))
 	s.mux.HandleFunc("POST /v1/promote", s.metrics.instrument("promote", s.handlePromote))
 }
 
@@ -518,6 +517,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.drainingUnavailable(w)
 	case outStorage:
 		s.storageUnavailable(w, o.err.Error())
+	case outNotPrimary:
+		s.dur.repl.notPrimary(w, "this node is a read-only follower — send writes to the primary")
 	case outReplication, outEncode:
 		errJSON(w, http.StatusInternalServerError, "%v", o.err)
 	}
@@ -673,7 +674,6 @@ func (s *Server) readyzBody(status string) map[string]any {
 	body["repl_applied_lsn"] = rs.replApplied.Load()
 	body["repl_lag_records"] = rs.lagRecords()
 	body["rejoins"] = rs.rejoins.Load()
-	body["diverged_records"] = rs.divergedRecords.Load()
 	if el := s.elector.Load(); el != nil {
 		body["election"] = el.Status()
 	}

@@ -17,8 +17,8 @@ type refRecord struct {
 }
 
 // TestReadRangeMatchesFullScan drives a log through seeded random
-// interleavings of data appends, tombstones, rotations, TruncateTo, Reap
-// and close/reopen, and after every step checks that ReadRange over
+// interleavings of data appends, tombstones, rotations, Reap and
+// close/reopen, and after every step checks that ReadRange over
 // random ranges returns exactly what a full Replay filtered to the range
 // returns — whichever of the two start points (offset index or segment
 // header) ReadRange picked.
@@ -52,31 +52,14 @@ func checkReadRangeAgainstReplay(t *testing.T, segBytes int64, maxBody int, seed
 	for step := 0; step < 300; step++ {
 		last := l.LastLSN()
 		switch op := rng.Intn(100); {
-		case op < 70:
+		case op < 78:
 			body := make([]byte, rng.Intn(maxBody+1))
 			rng.Read(body)
 			if _, err := l.Append(body); err != nil {
 				t.Fatal(err)
 			}
-		case op < 82:
-			if _, err := l.AppendTombstone(uint64(rng.Int63n(int64(last) + 1))); err != nil {
-				t.Fatal(err)
-			}
 		case op < 90:
-			first, err := l.FirstLSN()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if last < first {
-				continue
-			}
-			// Anywhere in the last 20 records, down to just below the
-			// oldest one on disk (which empties the log).
-			lo := first - 1
-			if last > 20 && last-20 > lo {
-				lo = last - 20
-			}
-			if _, err := l.TruncateTo(lo + uint64(rng.Int63n(int64(last-lo)+1))); err != nil {
+			if _, err := l.AppendTombstone(uint64(rng.Int63n(int64(last) + 1))); err != nil {
 				t.Fatal(err)
 			}
 		case op < 94:

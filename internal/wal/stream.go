@@ -185,17 +185,11 @@ func (l *Log) ReadRange(from, to uint64, fn func(lsn uint64, typ RecordType, bod
 func (l *Log) indexSeek(lsn uint64) (segFirst uint64, e indexEntry, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := l.indexedThrough(lsn)
+	n := sort.Search(len(l.index), func(i int) bool { return l.index[i].lsn > lsn })
 	if n == 0 {
 		return 0, indexEntry{}, false
 	}
 	return l.segFirst, l.index[n-1], true
-}
-
-// indexedThrough counts the index entries at or below lsn. Callers hold
-// l.mu.
-func (l *Log) indexedThrough(lsn uint64) int {
-	return sort.Search(len(l.index), func(i int) bool { return l.index[i].lsn > lsn })
 }
 
 // SetReapHold registers (or moves) a retention hold: Reap will keep
