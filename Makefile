@@ -51,15 +51,17 @@ race:
 bench:
 	$(GO) test -run xxx -bench 'IngestBatch|PredictEndpoint' -benchtime=$(BENCHTIME) .
 
-# Read-path benchmarks: Gorilla encode cost + bytes/sample, chunk decode
-# (ns/point), the range-scan hot path behind /v1/query/range; the
-# fleet-wide 6 h distribution pull behind /v1/query/distribution
-# (blocks only, straddling the frontier, head only) and the head half of
-# it on one ring (window found by search, and by filtering when the ring
-# holds a late arrival); the sort under it (counting for quantised
-# readings, radix for continuous ones, and what a failed counting attempt
-# costs) against sort.Float64s; and the range response's append encoder
-# against encoding/json.
+# Read-path benchmarks: Gorilla encode cost + bytes/sample, the one
+# raw-chunk decoder (ns/point) on quantised, noisy and fleet-shaped
+# (0.1 W, 5 % noise: what a restart and a query decode) chunks and on a
+# windowed read into a tally, the range-scan hot path behind
+# /v1/query/range; the fleet-wide 6 h distribution pull behind
+# /v1/query/distribution (blocks only, straddling the frontier, head
+# only) and the head half of it on one ring (window found by search, and
+# by filtering when the ring holds a late arrival); the sort under it
+# (counting for quantised readings, radix for continuous ones, and what a
+# failed counting attempt costs) against sort.Float64s; and the range
+# response's append encoder against encoding/json.
 bench-block:
 	$(call gobench,'BlockEncode|ChunkDecode|RangeScan',./internal/block/)
 	$(call gobench,'Distribution|RingWindow',./internal/tsdb/)
@@ -81,14 +83,16 @@ bench-wal:
 	$(call gobench,'Append|ReadRangeTail|Replay',./internal/wal/)
 
 # Snapshot microbenchmarks on the end-to-end benchmark's store (1,024
-# nodes x 500 points in 1,440-point rings): ExportState is the time the
+# nodes x 500 points, rings of length 1,440): ExportState is the time the
 # apply lock is held, SnapshotEncode the CPU a snapshot costs after
-# that, SnapshotDecode the decode share of a clean restart (binary image
-# vs the all-JSON one it replaced), RecoverClean the whole restart.
+# that, SnapshotDecode the decode share of a clean restart (binary image,
+# its rings Gorilla-decoded into slices of their own point counts, vs the
+# all-JSON one it replaced), RecoverClean the whole restart.
 # RecoverCrash is the other restart, a replay of 1,000 records x 512
 # samples with no snapshot, on one core and on two: replay decodes the
-# next record while the previous one applies, so -2 should read about
-# 40 % below -1, and -1 no worse than a replay without the hand-off.
+# next record while the previous one applies. The apply stage binds, so
+# -2 reads about a quarter below -1 (170-180 ms and 115-135 ms on two
+# shared cores), and -1 no worse than a replay without the hand-off.
 bench-snapshot:
 	$(call gobench,'ExportState',./internal/tsdb/)
 	$(call gobench,'SnapshotEncode|SnapshotDecode|RecoverClean',./internal/serve/)

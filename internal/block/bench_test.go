@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"hpcpower/internal/stats"
 )
 
 // ringBytesPerSample is the in-memory cost of one retained sample in the
@@ -122,7 +124,11 @@ func BenchmarkBlockEncode(b *testing.B) {
 // points (ns/point): quantized is the phase-structured 0.1 W telemetry
 // of synthGen, where most values repeat; noisy re-draws every value, so
 // every point pays a full XOR window — the upper end of what a chunk
-// costs to read.
+// costs to read; fleet is the end-to-end benchmark's readings, 0.1 W
+// with 5 % noise, the chunks a restart and a query decode. tally is a
+// windowed read of a fleet chunk into a stats.Tally, as a distribution
+// query's edge blocks are read: its ns/point counts the points decoded,
+// the one past the window included.
 func BenchmarkChunkDecode(b *testing.B) {
 	g := newSynthGen(7, 0)
 	rng := rand.New(rand.NewSource(7))
@@ -132,10 +138,11 @@ func BenchmarkChunkDecode(b *testing.B) {
 		quantized[i] = Point{T: ts, V: g.sample()}
 		noisy[i] = Point{T: ts, V: math.Round((200+rng.NormFloat64()*10)*10) / 10}
 	}
+	fleet := fleetPoints(rng, 120)
 	for _, c := range []struct {
 		name string
 		pts  []Point
-	}{{"quantized", quantized}, {"noisy", noisy}} {
+	}{{"quantized", quantized}, {"noisy", noisy}, {"fleet", fleet}} {
 		b.Run(c.name, func(b *testing.B) {
 			chunk := EncodeChunk(c.pts)
 			b.ReportAllocs()
@@ -149,6 +156,21 @@ func BenchmarkChunkDecode(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.pts)), "ns/point")
 		})
 	}
+	b.Run("tally", func(b *testing.B) {
+		chunk := EncodeChunk(fleet)
+		from, hi := fleet[30].T, fleet[89].T
+		tally := stats.GetTally()
+		defer stats.PutTally(tally)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tally.Reset()
+			if err := tallyChunkValues(tally, chunk, from, hi); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*91), "ns/point")
+	})
 }
 
 // BenchmarkRangeScan measures a one-day range query over a week of

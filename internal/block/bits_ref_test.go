@@ -3,10 +3,14 @@ package block
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"hpcpower/internal/stats"
 )
 
 // refBitReader is the byte-at-a-time, error-per-read bit reader the
@@ -44,7 +48,8 @@ func (r *refBitReader) readBits(n uint) (uint64, error) {
 
 // refDecodeChunk is DecodeChunk as it was on the reference reader: the
 // same header rule, delta-of-delta ladder and XOR windows, with an
-// error out of any single read ending the decode.
+// error out of any single read ending the decode. With the error come
+// the points decoded before the bad one.
 func refDecodeChunk(payload []byte) (pts []Point, err error) {
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
@@ -61,7 +66,7 @@ func refDecodeChunk(payload []byte) (pts []Point, err error) {
 			if _, ok := p.(eof); !ok {
 				panic(p)
 			}
-			pts, err = nil, corruptf("chunk truncated")
+			err = corruptf("chunk truncated")
 		}
 	}()
 	bits := func(n uint) uint64 {
@@ -98,11 +103,11 @@ func refDecodeChunk(payload []byte) (pts []Point, err error) {
 						sig = 64
 					}
 					if lead+sig > 64 {
-						return nil, corruptf("xor window %d+%d exceeds 64 bits", lead, sig)
+						return pts, corruptf("xor window %d+%d exceeds 64 bits", lead, sig)
 					}
 					leading, trailing = lead, 64-lead-sig
 				} else if leading > 64 {
-					return nil, corruptf("xor window reuse before any window was declared")
+					return pts, corruptf("xor window reuse before any window was declared")
 				}
 				prev ^= bits(64-leading-trailing) << trailing
 			}
@@ -174,10 +179,11 @@ func FuzzBitReader(f *testing.F) {
 	})
 }
 
-// checkDecodeAgainstReference holds DecodeChunk to the reference
-// decoder on any payload: the same accept/reject verdict (a rejection
-// always wrapping ErrCorrupt) and, when accepted, the same points bit
-// for bit.
+// checkDecodeAgainstReference holds every raw-chunk reader to the
+// reference decoder on any payload: DecodeChunk to the same accept/reject
+// verdict (a rejection always wrapping ErrCorrupt) and, when accepted,
+// the same points bit for bit; the windowed readers to the reference's
+// points filtered by their rule, over a few windows.
 func checkDecodeAgainstReference(t *testing.T, payload []byte) {
 	t.Helper()
 	want, refErr := refDecodeChunk(payload)
@@ -189,32 +195,145 @@ func checkDecodeAgainstReference(t *testing.T, payload []byte) {
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("decode error %v does not wrap ErrCorrupt", err)
 		}
-		return
+	} else {
+		requireSamePoints(t, "DecodeChunk", got, want)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("decoded %d points, reference %d", len(got), len(want))
+	windows := [][2]int64{{math.MinInt64, math.MaxInt64}}
+	if n := len(want); n > 0 {
+		lo, mid, hi := want[0].T, want[n/2].T, want[n-1].T
+		// Stop at the first point, keep the first and stop in the middle
+		// (the window whose tally is compared), filter and stop, and read
+		// to the end keeping nothing.
+		windows = append(windows, [2]int64{math.MinInt64, lo - 1}, [2]int64{lo, mid},
+			[2]int64{want[n/3].T + 1, want[2*n/3].T}, [2]int64{hi + 1, math.MaxInt64})
 	}
-	for i := range want {
-		if got[i].T != want[i].T || math.Float64bits(got[i].V) != math.Float64bits(want[i].V) {
-			t.Fatalf("point %d = %+v, reference %+v", i, got[i], want[i])
+	for i, w := range windows {
+		checkWindowAgainstReference(t, payload, want, refErr, w[0], w[1], i == 2)
+	}
+}
+
+// checkWindowAgainstReference holds appendChunkPoints, appendChunkValues
+// and tallyChunkValues on [from, hi] to the reference's points ref and
+// error refErr under the stop-past-hi rule: the points with from ≤ t,
+// up to the first with t > hi, and refErr only if the reference failed
+// before reaching such a point. The tally's counts are compared only
+// with tallyCounts: Sorted costs a radix sort, and the verdict and the
+// values are checked either way.
+func checkWindowAgainstReference(t *testing.T, payload []byte, ref []Point, refErr error, from, hi int64, tallyCounts bool) {
+	t.Helper()
+	var want []Point
+	wantErr := refErr
+	for _, p := range ref {
+		if p.T > hi {
+			wantErr = nil
+			break
+		}
+		if p.T >= from {
+			want = append(want, p)
 		}
 	}
-	// The values-only path is the same decode with the points dropped.
-	vals, err := appendChunkValues(nil, payload, math.MinInt64, math.MaxInt64)
-	if err != nil || len(vals) != len(want) {
-		t.Fatalf("values-only decode: %d values, err %v; want %d", len(vals), err, len(want))
+	label := fmt.Sprintf("window [%d, %d]", from, hi)
+	requireVerdict := func(reader string, err error) {
+		if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, ErrCorrupt)) {
+			t.Fatalf("%s, %s: error %v, reference %v", label, reader, err, wantErr)
+		}
+	}
+	pts, err := appendChunkPoints([]Point{{T: -7}}, payload, from, hi, func(t int64, v float64) Point { return Point{T: t, V: v} })
+	requireVerdict("appendChunkPoints", err)
+	if pts[0].T != -7 {
+		t.Fatalf("%s: appendChunkPoints overwrote dst", label)
+	}
+	requireSamePoints(t, label+", appendChunkPoints", pts[1:], want)
+
+	vals, err := appendChunkValues(nil, payload, from, hi)
+	requireVerdict("appendChunkValues", err)
+	if len(vals) != len(want) {
+		t.Fatalf("%s: appendChunkValues gave %d values, reference %d", label, len(vals), len(want))
 	}
 	for i := range want {
 		if math.Float64bits(vals[i]) != math.Float64bits(want[i].V) {
-			t.Fatalf("value %d = %v, reference %v", i, vals[i], want[i].V)
+			t.Fatalf("%s: value %d = %v, reference %v", label, i, vals[i], want[i].V)
+		}
+	}
+
+	tally, control := &windowTallies[0], &windowTallies[1]
+	tally.Reset()
+	control.Reset()
+	err = tallyChunkValues(tally, payload, from, hi)
+	for _, p := range want {
+		if !control.Add(p.V) {
+			wantErr = errTallyFull
+			break
+		}
+	}
+	if wantErr == errTallyFull {
+		if err != errTallyFull {
+			t.Fatalf("%s: tallyChunkValues error %v, want errTallyFull", label, err)
+		}
+		return
+	}
+	requireVerdict("tallyChunkValues", err)
+	if !tallyCounts || err != nil {
+		return
+	}
+	if got, want := tally.Sorted(), control.Sorted(); !slices.Equal(got, want) {
+		t.Fatalf("%s: tally %v, reference %v", label, got, want)
+	}
+}
+
+// windowTallies are the tally checkWindowAgainstReference reads into and
+// its control, kept from call to call: a Tally is 0.6 MB, which sync.Pool
+// does not keep under the race detector. The checks never run in parallel.
+var windowTallies [2]stats.Tally
+
+func requireSamePoints(t *testing.T, label string, got, want []Point) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d points, reference %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].T != want[i].T || math.Float64bits(got[i].V) != math.Float64bits(want[i].V) {
+			t.Fatalf("%s: point %d = %+v, reference %+v", label, i, got[i], want[i])
 		}
 	}
 }
 
+// fleetPoints is n one-minute points of 0.1 W readings with 5 % noise
+// around a level, as the end-to-end benchmark's fleet sends them: most
+// values re-declare or reuse a window some 50 bits wide.
+func fleetPoints(rng *rand.Rand, n int) []Point {
+	pts := make([]Point, n)
+	level := 90 + 240*rng.Float64()
+	for i := range pts {
+		pts[i] = Point{T: 1_700_000_000 + int64(i)*60, V: math.Round(level*(1+0.05*rng.NormFloat64())*10) / 10}
+	}
+	return pts
+}
+
+// wideChunk is fleetPoints with the codec's widest fields spliced in: a
+// 64-bit delta-of-delta, windows of 57 to 63 bits declared one after
+// the other and the last reused, then a 64-bit window declared and
+// reused to the end.
+func wideChunk(rng *rand.Rand) []Point {
+	pts := fleetPoints(rng, 120)
+	for i := 40; i < len(pts); i++ {
+		pts[i].T += 1 << 40 // zigzag(dod) ≥ 2^32: '1111' and 64 bits
+	}
+	for i, sig := 60, uint(57); sig < 64; i, sig = i+1, sig+1 {
+		pts[i].V = math.Float64frombits(math.Float64bits(pts[i-1].V) ^ (1<<(sig-1) | 1))
+	}
+	// Sign and last bit both flip: no leading or trailing zero.
+	pts[80].V = math.Float64frombits(math.Float64bits(pts[79].V) ^ (1<<63 | 1))
+	return pts
+}
+
 // TestDecodeMatchesReferenceOnDamage truncates valid chunks at every
-// length and flips every bit of a short one.
+// length and flips every bit of a short one and of a long one: the
+// long chunks are where the decoder's word-at-a-time path runs, so it
+// is held to the reference up to the payload's last byte.
 func TestDecodeMatchesReferenceOnDamage(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
+	var chunks [][]byte
 	for trial := 0; trial < 20; trial++ {
 		pts := make([]Point, 1+rng.Intn(40))
 		ts := int64(1600000000)
@@ -222,12 +341,15 @@ func TestDecodeMatchesReferenceOnDamage(t *testing.T) {
 			ts += 60 + int64(rng.Intn(3)) - 1
 			pts[i] = Point{T: ts, V: math.Round(rng.Float64()*4000) / 10}
 		}
-		enc := EncodeChunk(pts)
+		chunks = append(chunks, EncodeChunk(pts))
+	}
+	chunks = append(chunks, EncodeChunk(fleetPoints(rng, 120)), EncodeChunk(wideChunk(rng)))
+	for i, enc := range chunks {
 		checkDecodeAgainstReference(t, enc)
 		for cut := 0; cut < len(enc); cut++ {
 			checkDecodeAgainstReference(t, enc[:cut])
 		}
-		if trial == 0 {
+		if i == 0 || i == len(chunks)-1 {
 			for bit := 0; bit < len(enc)*8; bit++ {
 				flipped := append([]byte(nil), enc...)
 				flipped[bit/8] ^= 1 << (bit % 8)
@@ -242,5 +364,8 @@ func FuzzDecodeAgainstReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeChunk([]Point{{T: 1600000000, V: 250.5}, {T: 1600000060, V: 250.5}, {T: 1600000121, V: 251.1}}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	rng := rand.New(rand.NewSource(5))
+	f.Add(EncodeChunk(fleetPoints(rng, 120)))
+	f.Add(EncodeChunk(wideChunk(rng)))
 	f.Fuzz(checkDecodeAgainstReference)
 }

@@ -68,23 +68,6 @@ func (e *tsEncoder) write(w *bitWriter, t int64) {
 	e.n++
 }
 
-type tsDecoder struct {
-	n         int
-	prevT     int64
-	prevDelta int64
-}
-
-func (d *tsDecoder) read(r *bitReader) int64 {
-	if d.n == 0 {
-		d.prevT = int64(r.readBits(64))
-	} else {
-		d.prevDelta += unzigzag(readVarBits(r))
-		d.prevT += d.prevDelta
-	}
-	d.n++
-	return d.prevT
-}
-
 // writeVarBits encodes an unsigned value on an exponential bit ladder:
 //
 //	0                  → '0'
@@ -171,42 +154,6 @@ func (e *xorEncoder) write(w *bitWriter, v float64) {
 	w.writeBits(xor>>trailing, sig)
 }
 
-type xorDecoder struct {
-	n        int
-	prev     uint64
-	leading  uint
-	trailing uint
-}
-
-func (d *xorDecoder) read(r *bitReader) (float64, error) {
-	if d.n == 0 {
-		d.prev = r.readBits(64)
-		d.leading = 65
-		d.n++
-		return math.Float64frombits(d.prev), nil
-	}
-	d.n++
-	if r.readBit() == 0 {
-		return math.Float64frombits(d.prev), nil
-	}
-	if r.readBit() != 0 {
-		hdr := uint(r.readBits(11)) // 5 bits of leading zeros, 6 of length
-		lead, sig := hdr>>6, hdr&0x3f
-		if sig == 0 {
-			sig = 64
-		}
-		if lead+sig > 64 {
-			return 0, corruptf("xor window %d+%d exceeds 64 bits", lead, sig)
-		}
-		d.leading = lead
-		d.trailing = 64 - lead - sig
-	} else if d.leading > 64 {
-		return 0, corruptf("xor window reuse before any window was declared")
-	}
-	d.prev ^= r.readBits(64-d.leading-d.trailing) << d.trailing
-	return math.Float64frombits(d.prev), nil
-}
-
 // ---- raw chunk ----------------------------------------------------------
 
 // EncodeChunk compresses a raw series chunk: a uvarint point count
@@ -269,21 +216,40 @@ func preallocCount(count uint64) int {
 	return int(count)
 }
 
-// ChunkIter decodes a raw chunk one point at a time, so each reader
-// keeps what it needs — points, values only, a caller's own point type
-// — without an intermediate []Point.
-type ChunkIter struct {
-	r    bitReader
-	left uint64 // points not yet decoded
-	ts   tsDecoder
-	xd   xorDecoder
+// runLen is the number of points ChunkReader.Next decodes per call:
+// enough that saving and restoring its state between runs costs nothing
+// per point, few enough that a reader on the stack is cheap to zero.
+const runLen = 64
+
+// noWindow is ChunkReader.lead before the stream has declared an XOR
+// window: more leading zeros than a 64-bit value has.
+const noWindow = 65
+
+// ChunkReader is the one decoder of raw chunks. It decodes a run of
+// points per call into T and V, so each reader keeps what it needs —
+// points, values only, a tally, a caller's own point type — with no
+// []Point between and no call per point.
+type ChunkReader struct {
+	// T and V hold the run the last Next decoded, in their first n
+	// entries.
+	T [runLen]int64
+	V [runLen]float64
+
+	b     []byte // the bitstream after the point count
+	pos   uint   // bit cursor into b
+	left  int    // points not yet decoded
+	t     int64  // the last point's timestamp
+	delta int64  // and its distance from the one before
+	v     uint64 // the last point's value bits
+	lead  uint   // the XOR window's leading zeros, or noWindow
+	trail uint   // and its trailing zeros
 }
 
-// Init validates the chunk header and positions the iterator before
-// the first point. A point count the payload could not hold is an
-// error, so Left is safe to size an allocation with: it never exceeds
-// four times len(payload).
-func (it *ChunkIter) Init(payload []byte) error {
+// Init validates the chunk header and positions the reader before the
+// first point. A point count the payload could not hold is an error, so
+// Left is safe to size an allocation with: it never exceeds four times
+// len(payload).
+func (r *ChunkReader) Init(payload []byte) error {
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return corruptf("chunk header: bad point count")
@@ -295,61 +261,193 @@ func (it *ChunkIter) Init(payload []byte) error {
 	if count > maxChunkPoints || (count > 0 && uint64(len(body))*8 < 128+(count-1)*2) {
 		return corruptf("chunk claims %d points in %d bytes", count, len(body))
 	}
-	*it = ChunkIter{r: bitReader{b: body}, left: count}
+	// Field by field: assigning a whole ChunkReader would zero T and V.
+	r.b, r.pos, r.left = body, 0, int(count)
+	r.t, r.delta, r.v, r.lead, r.trail = 0, 0, 0, noWindow, 0
 	return nil
 }
 
-// Left is the number of points not yet decoded.
-func (it *ChunkIter) Left() int { return int(it.left) }
+// Left is the number of points not yet decoded: 0 once Next has met a
+// point past its bound or an error.
+func (r *ChunkReader) Left() int { return r.left }
 
-// Next decodes one point; call it Left times. It never panics and
-// never reads past the payload: truncation and bit flips yield an error.
-func (it *ChunkIter) Next() (int64, float64, error) {
-	t := it.ts.read(&it.r)
-	v, err := it.xd.read(&it.r)
-	if it.r.eof {
-		return 0, 0, errTruncated
+var (
+	errTruncated = corruptf("chunk truncated")
+	errNoWindow  = corruptf("xor window reuse before any window was declared")
+)
+
+// Next decodes the next run of points into T and V and returns its
+// length. It stops before the first point past hi, after which Left is
+// 0: a raw chunk is in time order (WriteRaw refuses one that is not), so
+// nothing after that point can be inside a window ending at hi, and a
+// damaged tail behind it is never read. Truncation and bit flips yield
+// an error, the run's points before the bad one still in T and V. Next
+// never panics and never reads past the payload.
+//
+// The state lives in locals for the run. Each point starts from one
+// 64-bit peek at the cursor, which holds at least 57 unread bits: a zero
+// delta-of-delta takes one of them, and the value's '0' or '10' prefix
+// and its window, or its '11' header, come from the rest. Only a wide
+// field reads again. A peek past the end of b reads zeros; the cursor
+// then lies past the last bit, which the check after each point rejects,
+// so the payload's last bytes go through the same loop; a point that
+// ran past the end is truncated even where the zeros read as a bad
+// window.
+func (r *ChunkReader) Next(hi int64) (int, error) {
+	b, pos, end := r.b, r.pos, uint(len(r.b))*8
+	t, delta, v, lead, trail := r.t, r.delta, r.v, r.lead, r.trail
+	ts, vs := r.T[:min(r.left, runLen)], r.V[:]
+	n, stop := 0, false
+	var err error
+	for n < len(ts) {
+		if pos == 0 {
+			// Two raw words, which Init's size check guarantees.
+			t, v, pos = int64(readWord(b, 0)), readWord(b, 64), 128
+		} else {
+			w := peek(b, pos)
+			if w>>63 == 0 {
+				pos++
+				w <<= 1
+			} else {
+				// The ladder: '10', '110' or '1110' and 8, 16 or 32 bits
+				// fit the peek; '1111' and 64 bits do not.
+				used := uint(68)
+				if ones := uint(bits.LeadingZeros64(^w)); ones < 4 {
+					width := uint(4) << ones
+					delta += unzigzag(w << (ones + 1) >> ((64 - width) & 63))
+					used = ones + 1 + width
+				} else {
+					delta += unzigzag(readWord(b, pos+4))
+				}
+				pos += used
+				w = peek(b, pos)
+			}
+			t += delta
+			// w holds at least 56 unread bits at pos.
+			if w>>63 == 0 {
+				pos++
+			} else {
+				have := uint(54) // bits of w left after the control bits
+				if w>>62 == 2 {
+					if lead == noWindow {
+						err = errNoWindow
+						if pos+2 > end {
+							err = errTruncated
+						}
+						break
+					}
+					pos += 2
+					w <<= 2
+				} else {
+					hdr := uint(w>>51) & 0x7ff // 5 bits of leading zeros, 6 of length
+					l, sig := hdr>>6, hdr&0x3f
+					if sig == 0 {
+						sig = 64
+					}
+					if l+sig > 64 {
+						err = corruptf("xor window %d+%d exceeds 64 bits", l, sig)
+						if pos+13 > end {
+							err = errTruncated
+						}
+						break
+					}
+					lead, trail = l, 64-l-sig
+					pos += 13
+					w <<= 13
+					have = 43
+				}
+				// The window's bits, from w if they are in it.
+				sig := 64 - lead - trail
+				if sig > have {
+					if w = peek(b, pos); sig > 57 {
+						w = readWord(b, pos)
+					}
+				}
+				v ^= w >> ((64 - sig) & 63) << (trail & 63)
+				pos += sig
+			}
+		}
+		if pos > end {
+			err = errTruncated
+			break
+		}
+		if t > hi {
+			stop = true
+			break
+		}
+		ts[n], vs[n] = t, math.Float64frombits(v)
+		n++
 	}
-	it.left--
-	return t, v, err
+	r.pos, r.t, r.delta, r.v, r.lead, r.trail = pos, t, delta, v, lead, trail
+	r.left -= n
+	if stop || err != nil {
+		r.left = 0
+	}
+	return n, err
 }
 
-var errTruncated = corruptf("chunk truncated")
+// peek returns the 64 bits of b from bit pos on, most significant first:
+// at least 57 of them unread, and zeros past the end of b.
+func peek(b []byte, pos uint) uint64 {
+	if i := pos >> 3; i+8 <= uint(len(b)) {
+		return binary.BigEndian.Uint64(b[i:]) << (pos & 7)
+	}
+	return peekTail(b, pos)
+}
+
+func peekTail(b []byte, pos uint) uint64 {
+	var w uint64
+	for i := pos >> 3; i < pos>>3+8; i++ {
+		w <<= 8
+		if i < uint(len(b)) {
+			w |= uint64(b[i])
+		}
+	}
+	return w << (pos & 7)
+}
+
+// readWord returns the 64 bits of b from bit pos on, all of them
+// unread: two peeks of 32.
+func readWord(b []byte, pos uint) uint64 {
+	return peek(b, pos)>>32<<32 | peek(b, pos+32)>>32
+}
 
 // DecodeChunk decompresses a raw chunk. It never panics and never reads
 // past the payload: truncation and bit flips yield an error.
 func DecodeChunk(payload []byte) ([]Point, error) {
-	var it ChunkIter
-	if err := it.Init(payload); err != nil {
+	var r ChunkReader
+	if err := r.Init(payload); err != nil {
 		return nil, err
 	}
-	out := make([]Point, 0, preallocCount(it.left))
-	for it.left > 0 {
-		t, v, err := it.Next()
+	out := make([]Point, 0, preallocCount(uint64(r.left)))
+	for r.left > 0 {
+		n, err := r.Next(math.MaxInt64)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Point{T: t, V: v})
+		for k, t := range r.T[:n] {
+			out = append(out, Point{T: t, V: r.V[k]})
+		}
 	}
 	return out, nil
 }
 
 // appendChunkPoints appends to dst the raw chunk's points with
-// from ≤ t ≤ hi, each built by mk. A raw chunk is in time order
-// (WriteRaw refuses one that is not), so decoding stops at the first
-// point past hi.
+// from ≤ t ≤ hi, each built by mk.
 func appendChunkPoints[P any](dst []P, payload []byte, from, hi int64, mk func(t int64, v float64) P) ([]P, error) {
-	var it ChunkIter
-	if err := it.Init(payload); err != nil {
+	var r ChunkReader
+	if err := r.Init(payload); err != nil {
 		return dst, err
 	}
-	for it.left > 0 {
-		t, v, err := it.Next()
-		if err != nil || t > hi {
-			return dst, err
+	for r.left > 0 {
+		n, err := r.Next(hi)
+		for k, t := range r.T[:n] {
+			if t >= from {
+				dst = append(dst, mk(t, r.V[k]))
+			}
 		}
-		if t >= from {
-			dst = append(dst, mk(t, v))
+		if err != nil {
+			return dst, err
 		}
 	}
 	return dst, nil
@@ -357,17 +455,19 @@ func appendChunkPoints[P any](dst []P, payload []byte, from, hi int64, mk func(t
 
 // appendChunkValues is appendChunkPoints keeping only the values.
 func appendChunkValues(dst []float64, payload []byte, from, hi int64) ([]float64, error) {
-	var it ChunkIter
-	if err := it.Init(payload); err != nil {
+	var r ChunkReader
+	if err := r.Init(payload); err != nil {
 		return dst, err
 	}
-	for it.left > 0 {
-		t, v, err := it.Next()
-		if err != nil || t > hi {
-			return dst, err
+	for r.left > 0 {
+		n, err := r.Next(hi)
+		for k, t := range r.T[:n] {
+			if t >= from {
+				dst = append(dst, r.V[k])
+			}
 		}
-		if t >= from {
-			dst = append(dst, v)
+		if err != nil {
+			return dst, err
 		}
 	}
 	return dst, nil
@@ -376,17 +476,19 @@ func appendChunkValues(dst []float64, payload []byte, from, hi int64) ([]float64
 // tallyChunkValues is appendChunkValues into a tally: errTallyFull when
 // it gives up.
 func tallyChunkValues(tally *stats.Tally, payload []byte, from, hi int64) error {
-	var it ChunkIter
-	if err := it.Init(payload); err != nil {
+	var r ChunkReader
+	if err := r.Init(payload); err != nil {
 		return err
 	}
-	for it.left > 0 {
-		t, v, err := it.Next()
-		if err != nil || t > hi {
-			return err
+	for r.left > 0 {
+		n, err := r.Next(hi)
+		for k, t := range r.T[:n] {
+			if t >= from && !tally.Add(r.V[k]) {
+				return errTallyFull
+			}
 		}
-		if t >= from && !tally.Add(v) {
-			return errTallyFull
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -429,26 +531,56 @@ func DecodeAggChunk(payload []byte) ([]AggPoint, error) {
 		return nil, corruptf("agg chunk claims %d points in %d bytes", count, len(body))
 	}
 	r := &bitReader{b: body}
-	var ts tsDecoder
-	var prevCount int64
-	var xsum, xmin, xmax xorDecoder
+	var t, delta, prevCount int64
+	// The sum, min and max columns, each with its own previous value and
+	// XOR window.
+	var prev [3]uint64
+	lead, trail := [3]uint{noWindow, noWindow, noWindow}, [3]uint{}
 	out := make([]AggPoint, 0, preallocCount(count))
 	for i := uint64(0); i < count; i++ {
-		t := ts.read(r)
+		if i == 0 {
+			t = int64(r.readBits(64))
+		} else {
+			delta += unzigzag(readVarBits(r))
+			t += delta
+		}
 		prevCount += unzigzag(readVarBits(r))
-		sum, errSum := xsum.read(r)
-		mn, errMin := xmin.read(r)
-		mx, errMax := xmax.read(r)
+		var err error
+		for c := range prev {
+			switch {
+			case i == 0:
+				prev[c] = r.readBits(64)
+			case r.readBit() == 0:
+			default:
+				if r.readBit() != 0 {
+					hdr := uint(r.readBits(11)) // 5 bits of leading zeros, 6 of length
+					l, sig := hdr>>6, hdr&0x3f
+					if sig == 0 {
+						sig = 64
+					}
+					if l+sig > 64 {
+						err = cmp.Or(err, corruptf("xor window %d+%d exceeds 64 bits", l, sig))
+						continue
+					}
+					lead[c], trail[c] = l, 64-l-sig
+				} else if lead[c] == noWindow {
+					err = cmp.Or(err, errNoWindow)
+					continue
+				}
+				prev[c] ^= r.readBits(64-lead[c]-trail[c]) << trail[c]
+			}
+		}
 		if r.eof {
 			return nil, errTruncated
 		}
 		if prevCount < 0 {
 			return nil, corruptf("agg chunk has negative count")
 		}
-		if err := cmp.Or(errSum, errMin, errMax); err != nil {
+		if err != nil {
 			return nil, err
 		}
-		out = append(out, AggPoint{T: t, Count: prevCount, Sum: sum, Min: mn, Max: mx})
+		out = append(out, AggPoint{T: t, Count: prevCount,
+			Sum: math.Float64frombits(prev[0]), Min: math.Float64frombits(prev[1]), Max: math.Float64frombits(prev[2])})
 	}
 	return out, nil
 }

@@ -120,9 +120,10 @@ func TestAppendImageOfParent(t *testing.T) {
 }
 
 // TestAppendSteadyStateAllocs: on a store that knows the batch's nodes
-// and jobs, and whose jobs' readings stay within the span their tables
-// already cover, Append allocates nothing — grouped or interleaved. (The
-// race detector drains sync.Pool at random, which the scratch comes from.)
+// and jobs, whose rings have grown to their length, and whose jobs'
+// readings stay within the span their tables already cover, Append
+// allocates nothing — grouped or interleaved. (The race detector drains
+// sync.Pool at random, which the scratch comes from.)
 func TestAppendSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -135,7 +136,8 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 		for i := range batch {
 			batch[i] = trace.PowerSample{Node: i, JobID: jobOf(i), PowerW: 100 + float64(i%50)}
 		}
-		s := New(DefaultConfig())
+		cfg := Config{Shards: 16, RingLen: 64}
+		s := New(cfg)
 		tick := int64(0)
 		appendTick := func() {
 			tick++
@@ -146,7 +148,7 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for tick < spatialWindowMinutes+2 {
+		for tick < max(spatialWindowMinutes+2, int64(cfg.RingLen)+1) {
 			appendTick()
 		}
 		if allocs := testing.AllocsPerRun(50, appendTick); allocs != 0 {

@@ -2,10 +2,10 @@ package tsdb
 
 // Memory accounting for the admission layer's watermark. The store does
 // not track every byte the runtime allocates; it tracks the *structural*
-// footprint — what grows without bound as the fleet grows: one fixed-size
+// footprint — what grows without bound as the fleet grows: one bounded
 // ring per node and one bounded streaming state per job. Rings and job
-// state are accounted once at creation (rings are pre-allocated at full
-// capacity, job state is bounded by the spatial-window cap), a job's
+// state are accounted once at creation (rings at the length they grow
+// to, job state at the bound the spatial-window cap sets), a job's
 // quantile table each time it grows (it is capped at 8 KB), so the hot
 // append path pays nothing per sample: no arithmetic, no atomics.
 const (
@@ -24,7 +24,8 @@ const (
 )
 
 // ringBytes is the accounted footprint of one node ring at the
-// configured retention.
+// configured retention: a reservation, whatever the ring holds yet, so
+// the watermark does not move as rings grow.
 func (s *Store) ringBytes() int64 {
 	return int64(ringOverheadBytes + pointBytes*s.ringLen)
 }

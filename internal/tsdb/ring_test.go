@@ -2,7 +2,9 @@ package tsdb
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -117,6 +119,81 @@ func TestRingWindowMatchesLinearFilter(t *testing.T) {
 			if !stream.wantFlips && sawUnordered {
 				t.Errorf("%s, capacity %d: ring went unordered without a late arrival", stream.name, capacity)
 			}
+		}
+	}
+}
+
+// windowRuns is what r.window yields on [from, hi], run by run.
+func windowRuns(r *ring, from, hi int64) [][]Point {
+	var runs [][]Point
+	r.window(from, hi, func(run []Point) { runs = append(runs, slices.Clone(run)) })
+	return runs
+}
+
+// TestRingGrowthMatchesFullLength: a ring that starts empty and doubles
+// answers every read exactly as a ring allocated at its full length and
+// fed the same appends — before, at and after each growth, with late
+// arrivals on both sides of each growth point, and through the wrap.
+// Through Append, the two stores export the same state.
+func TestRingGrowthMatchesFullLength(t *testing.T) {
+	const base = 1_700_000_000
+	for _, limit := range []int{1, 3, 63, 64, 65, 100, 128, 129, 300} {
+		// The lengths at which a growing ring is full and grows.
+		growAt := map[int]bool{}
+		for n := minRingAlloc; n < limit; n *= 2 {
+			growAt[n] = true
+		}
+		cfg := Config{Shards: 2, RingLen: limit}
+		grown, full := New(cfg), New(cfg)
+		src := rng.New(uint64(limit))
+		for node := 0; node < 3; node++ {
+			full.nodeShard(node).nodes[node] = &ring{buf: make([]Point, limit), limit: limit}
+			now := int64(base)
+			for i := 0; i < 3*limit+2; i++ {
+				ts := now
+				// Late just before a growth, at it, just after it, and
+				// at random, by node.
+				late := growAt[i] || growAt[i+1] || growAt[i-1] || src.Uint64()%(uint64(node)+5) == 0
+				if node > 0 && late && i > 0 {
+					ts = now - 1 - int64(src.Uint64()%150)
+				} else {
+					now += int64(src.Uint64() % 90)
+					ts = now
+				}
+				batch := []trace.PowerSample{{Node: node, JobID: 1, Unix: ts, PowerW: float64(i)}}
+				if err := grown.Append(batch); err != nil {
+					t.Fatal(err)
+				}
+				if err := full.Append(batch); err != nil {
+					t.Fatal(err)
+				}
+				g, f := grown.nodeShard(node).nodes[node], full.nodeShard(node).nodes[node]
+				label := fmt.Sprintf("limit %d, node %d, append %d (buffer %d)", limit, node, i, len(g.buf))
+				if len(g.buf) > limit || len(g.buf) < min(g.count, limit) {
+					t.Fatalf("%s: %d points in a buffer of %d", label, g.count, len(g.buf))
+				}
+				if g.ordered() != f.ordered() || g.count != f.count {
+					t.Fatalf("%s: ordered %v with %d points, full-length %v with %d", label, g.ordered(), g.count, f.ordered(), f.count)
+				}
+				gOld, gNew := g.segments()
+				fOld, fNew := f.segments()
+				if !slices.Equal(gOld, fOld) || !slices.Equal(gNew, fNew) {
+					t.Fatalf("%s: segments %v %v, full-length %v %v", label, gOld, gNew, fOld, fNew)
+				}
+				for k := 0; k < 4; k++ {
+					a, b := base-150+int64(src.Uint64()%uint64(now-base+300)), base-150+int64(src.Uint64()%uint64(now-base+300))
+					from, hi := min(a, b), max(a, b)
+					if gr, fr := windowRuns(g, from, hi), windowRuns(f, from, hi); !reflect.DeepEqual(gr, fr) {
+						t.Fatalf("%s: window [%d, %d] yields %v, full-length %v", label, from, hi, gr, fr)
+					}
+					if g.countWindow(from, hi) != f.countWindow(from, hi) {
+						t.Fatalf("%s: countWindow [%d, %d] %d, full-length %d", label, from, hi, g.countWindow(from, hi), f.countWindow(from, hi))
+					}
+				}
+			}
+		}
+		if gs, fs := grown.ExportState(), full.ExportState(); !reflect.DeepEqual(gs, fs) {
+			t.Fatalf("limit %d: the grown store exports %+v, the full-length one %+v", limit, gs, fs)
 		}
 	}
 }

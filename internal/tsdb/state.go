@@ -153,7 +153,7 @@ func (s *Store) RestoreState(st *StoreState) error {
 // for concurrent readers must quiesce writers around the call (the
 // serving layer holds its apply lock).
 //
-// The store takes ownership of st: a Points slice whose capacity is the
+// The store takes ownership of st: a Points slice of at most the
 // configured ring length becomes that ring's buffer, so the caller must
 // not install st twice into stores that go on ingesting, nor read it
 // after the store has.

@@ -140,38 +140,34 @@ func (st *StoreState) DecodeNodes(b []byte) error {
 }
 
 // decodeRings fills nodes[i].Points from chunks[i], stopping at the first
-// chunk that will not decode or that holds more than a ring.
+// chunk that will not decode or that holds more than a ring. Each ring
+// gets a slice of its point count, which InstallState adopts as the
+// ring's buffer: Init has bounded the count by the chunk's own bytes.
 func (st *StoreState) decodeRings(nodes []NodeState, chunks [][]byte) error {
-	var it block.ChunkIter
+	var r block.ChunkReader
 	for i, chunk := range chunks {
 		id := nodes[i].Node
-		if err := it.Init(chunk); err != nil {
+		if err := r.Init(chunk); err != nil {
 			return fmt.Errorf("tsdb: nodes section: node %d: %w", id, err)
 		}
-		if it.Left() > st.RingLen {
-			return fmt.Errorf("tsdb: nodes section: node %d holds %d points, ring length is %d", id, it.Left(), st.RingLen)
+		if r.Left() > st.RingLen {
+			return fmt.Errorf("tsdb: nodes section: node %d holds %d points, ring length is %d", id, r.Left(), st.RingLen)
 		}
-		// A ring comes back in a buffer of the full ring length, which
-		// InstallState adopts instead of allocating its own and copying.
-		// Below a quarter full it gets just its length: that keeps what a
-		// hostile RingLen can make a short chunk allocate within four
-		// times what the chunk's own bytes justify.
-		capacity := it.Left()
-		if capacity*4 >= st.RingLen {
-			capacity = st.RingLen
-		}
-		pts := make([]Point, it.Left(), capacity)
+		pts := make([]Point, r.Left())
 		late, prev := 0, int64(math.MinInt64) // as lateIndex would find it
-		for j := range pts {
-			t, v, err := it.Next()
+		for j := 0; j < len(pts); {
+			n, err := r.Next(math.MaxInt64)
 			if err != nil {
 				return fmt.Errorf("tsdb: nodes section: node %d: %w", id, err)
 			}
-			if t < prev {
-				late = j
+			for k, t := range r.T[:n] {
+				if t < prev {
+					late = j + k
+				}
+				prev = t
+				pts[j+k] = Point{Unix: t, PowerW: r.V[k]}
 			}
-			prev = t
-			pts[j] = Point{Unix: t, PowerW: v}
+			j += n
 		}
 		nodes[i].Points, nodes[i].sinceLate = pts, len(pts)-late
 	}

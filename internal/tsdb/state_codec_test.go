@@ -24,6 +24,8 @@ func roundTripNodes(t *testing.T, st *StoreState) *StoreState {
 	return &got
 }
 
+// requireSameNodes checks a decoded nodes section against the nodes it
+// was encoded from, bit for bit, each ring in a slice of its point count.
 func requireSameNodes(t *testing.T, ringLen int, got, want []NodeState) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -34,12 +36,8 @@ func requireSameNodes(t *testing.T, ringLen int, got, want []NodeState) {
 		if g.Node != w.Node || len(g.Points) != len(w.Points) {
 			t.Fatalf("node %d: got id %d with %d points, want id %d with %d", i, g.Node, len(g.Points), w.Node, len(w.Points))
 		}
-		wantCap := len(g.Points)
-		if 4*wantCap >= ringLen {
-			wantCap = ringLen
-		}
-		if cap(g.Points) != wantCap {
-			t.Fatalf("node %d: %d points of a %d-point ring decoded into cap %d, want %d", w.Node, len(g.Points), ringLen, cap(g.Points), wantCap)
+		if cap(g.Points) != len(g.Points) {
+			t.Fatalf("node %d: %d points of a %d-point ring decoded into cap %d, want its point count", w.Node, len(g.Points), ringLen, cap(g.Points))
 		}
 		for j := range w.Points {
 			if g.Points[j].Unix != w.Points[j].Unix || math.Float64bits(g.Points[j].PowerW) != math.Float64bits(w.Points[j].PowerW) {
@@ -182,8 +180,9 @@ func TestDecodeNodesRejects(t *testing.T) {
 	}
 }
 
-// TestRingOf: a slice with the ring's capacity is adopted, any other is
-// copied, and both behave like the appends that produced the points.
+// TestRingOf: a slice of at most the ring's length is adopted, whatever
+// its capacity, and a longer one copied; both behave like the appends
+// that produced the points.
 func TestRingOf(t *testing.T) {
 	pts := func(n int) []Point {
 		out := make([]Point, n)
@@ -200,7 +199,8 @@ func TestRingOf(t *testing.T) {
 	}{
 		{"full ring adopted", pts(8), 8, true},
 		{"partial with spare capacity adopted", append(make([]Point, 0, 8), pts(3)...), 8, true},
-		{"partial copied", pts(3), 8, false},
+		{"partial adopted", pts(3), 8, true},
+		{"one point adopted", pts(1), 8, true},
 		{"longer than the ring keeps the newest", pts(11), 8, false},
 		{"empty", nil, 8, false},
 	} {
@@ -208,8 +208,8 @@ func TestRingOf(t *testing.T) {
 		if adopted := len(tc.in) > 0 && &r.buf[0] == &tc.in[0]; adopted != tc.adopted {
 			t.Errorf("%s: adopted %v, want %v", tc.name, adopted, tc.adopted)
 		}
-		if len(r.buf) != tc.capacity || r.count != min(len(tc.in), tc.capacity) {
-			t.Fatalf("%s: ring of %d/%d, want %d/%d", tc.name, r.count, len(r.buf), min(len(tc.in), tc.capacity), tc.capacity)
+		if n := min(len(tc.in), tc.capacity); len(r.buf) != n || r.count != n || r.limit != tc.capacity {
+			t.Fatalf("%s: ring of %d/%d up to %d, want %d/%d up to %d", tc.name, r.count, len(r.buf), r.limit, n, n, tc.capacity)
 		}
 		// Two more appends, then the ring must hold the newest points in order.
 		want := append(append([]Point(nil), tc.in...), Point{Unix: 100}, Point{Unix: 101})
