@@ -19,7 +19,7 @@ GO ?= go
 # a list: both run it straight after the build, because bench/ compiles
 # against the tree and a symbol it uses going missing should fail in the
 # first minute, not the last step.
-FUZZ_TARGETS = fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-epoch fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state fuzz-codec fuzz-snapshot fuzz-sort fuzz-bdt
+FUZZ_TARGETS = fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-epoch fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state fuzz-codec fuzz-snapshot fuzz-sort fuzz-dist fuzz-bdt
 BENCH_TARGETS = bench bench-block bench-codec bench-wal bench-snapshot bench-tsdb bench-mlearn
 SMOKE_TARGETS = smoke
 
@@ -57,16 +57,22 @@ bench:
 # windowed read into a tally, the range-scan hot path behind
 # /v1/query/range; the fleet-wide 6 h distribution pull behind
 # /v1/query/distribution (blocks only, straddling the frontier, head
-# only) and the head half of it on one ring (window found by search, and
-# by filtering when the ring holds a late arrival); the sort under it
-# (counting for quantised readings, radix for continuous ones, and what a
-# failed counting attempt costs) against sort.Float64s; and the range
-# response's append encoder against encoding/json.
+# only) on 18 h of the fleet and, Wrapped, on query-mixed's three days
+# through 1,440-point rings, each case repeated (the head's window tables
+# warm) and -first (every window's generation bumped before each pull:
+# what the first pull over a window pays), and the head half of it on
+# one ring (window found by search, and by filtering when the ring holds
+# a late arrival); the sort under it (counting for quantised readings,
+# radix for continuous ones, and what a failed counting attempt costs)
+# against sort.Float64s; the reduction of a pull's counts (DistFromCounts:
+# its mean a step per binade, not an add per reading); and the range and
+# distribution responses' append encoders against encoding/json.
 bench-block:
 	$(call gobench,'BlockEncode|ChunkDecode|RangeScan',./internal/block/)
 	$(call gobench,'Distribution|RingWindow',./internal/tsdb/)
 	$(call gobench,'SortFloat64s',./internal/stats/)
-	$(call gobench,'RangeResponseEncode',./internal/serve/)
+	$(call gobench,'DistFromCounts',./internal/core/)
+	$(call gobench,'ResponseEncode',./internal/serve/)
 
 # Ingest-codec microbenchmarks on a 512-sample body of 0.1 W readings
 # in the encoder's own layout, so they time the codec's fast paths: the
@@ -166,6 +172,13 @@ fuzz-bdt:
 # order on every path, NaNs first.
 fuzz-sort:
 	$(call gofuzz,FuzzSortFloat64s,15s,./internal/stats/)
+
+# Fuzz the distribution mean's kernel against the serial loop it
+# replaced, one rounded add per reading: starting sums, values and counts
+# from the input (ties, binade crossings, subnormals, −0, counts up to
+# 2^64), then DistFromCounts against DistFromValues on a table of them.
+fuzz-dist:
+	$(call gofuzz,FuzzDistFromCounts,15s,./internal/core/)
 
 # End-to-end smoke: generate a small dataset, export a model, start
 # powserved on a random port, replay the dataset with powload, and check

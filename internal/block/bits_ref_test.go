@@ -209,6 +209,71 @@ func checkDecodeAgainstReference(t *testing.T, payload []byte) {
 	}
 	for i, w := range windows {
 		checkWindowAgainstReference(t, payload, want, refErr, w[0], w[1], i == 2)
+		checkUntallyAgainstReference(t, payload, want, refErr, w[0], i == 2)
+	}
+}
+
+// checkUntallyAgainstReference holds untallyChunkValues, the leading
+// edge by complement, to the reference's points ref and error refErr:
+// from a tally holding every point the reference decoded — the chunk's
+// share of its block's value table — it takes off the values up to the
+// first point at or after from, and fails only where the reference
+// failed before reaching such a point. A table one short of the first
+// value it takes off is corruption. The counts left are compared only
+// with tallyCounts.
+func checkUntallyAgainstReference(t *testing.T, payload []byte, ref []Point, refErr error, from int64, tallyCounts bool) {
+	t.Helper()
+	tally, control := &windowTallies[0], &windowTallies[1]
+	fill := func() bool {
+		tally.Reset()
+		for _, p := range ref {
+			if !tally.Add(p.V) {
+				return false
+			}
+		}
+		return true
+	}
+	if !fill() {
+		return // more distinct values than a table holds
+	}
+	cut, wantErr := len(ref), refErr
+	if from == math.MinInt64 {
+		cut, wantErr = 0, nil
+	}
+	for i, p := range ref[:cut] {
+		if p.T >= from {
+			cut, wantErr = i, nil
+			break
+		}
+	}
+	label := fmt.Sprintf("untally before %d", from)
+	err := untallyChunkValues(tally, payload, from)
+	if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, ErrCorrupt)) {
+		t.Fatalf("%s: error %v, reference %v", label, err, wantErr)
+	}
+	if err == nil && tallyCounts {
+		control.Reset()
+		for _, p := range ref[cut:] {
+			control.Add(p.V)
+		}
+		if got, want := tally.Sorted(), control.Sorted(); !slices.Equal(got, want) {
+			t.Fatalf("%s: tally %v, reference %v", label, got, want)
+		}
+	}
+	if cut > 0 && wantErr == nil {
+		// The table now holds ref[0]'s value once fewer than the prefix
+		// takes off.
+		fill()
+		v, spare := ref[0].V, uint64(1)
+		for _, p := range ref[cut:] {
+			if math.Float64bits(p.V) == math.Float64bits(v) {
+				spare++
+			}
+		}
+		tally.SubN(v, spare)
+		if err := untallyChunkValues(tally, payload, from); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: a table one %v short gave error %v", label, ref[0].V, err)
+		}
 	}
 }
 
@@ -365,7 +430,15 @@ func FuzzDecodeAgainstReference(f *testing.F) {
 	f.Add(EncodeChunk([]Point{{T: 1600000000, V: 250.5}, {T: 1600000060, V: 250.5}, {T: 1600000121, V: 251.1}}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	rng := rand.New(rand.NewSource(5))
-	f.Add(EncodeChunk(fleetPoints(rng, 120)))
-	f.Add(EncodeChunk(wideChunk(rng)))
+	for _, enc := range [][]byte{EncodeChunk(fleetPoints(rng, 120)), EncodeChunk(wideChunk(rng))} {
+		f.Add(enc)
+		// Bit flips a third and two thirds in: the windows before them
+		// decode, and the complement's prefix runs into them.
+		for _, at := range []int{len(enc) * 8 / 3, len(enc) * 16 / 3} {
+			flipped := slices.Clone(enc)
+			flipped[at/8] ^= 1 << (at % 8)
+			f.Add(flipped)
+		}
+	}
 	f.Fuzz(checkDecodeAgainstReference)
 }

@@ -474,7 +474,10 @@ func appendChunkValues(dst []float64, payload []byte, from, hi int64) ([]float64
 }
 
 // tallyChunkValues is appendChunkValues into a tally: errTallyFull when
-// it gives up.
+// it gives up. Each run's values from `from` on are packed to the front
+// of V, point by point (a damaged chunk can decode out of time order, so
+// the points before `from` need not be a prefix), and counted with one
+// AddAll.
 func tallyChunkValues(tally *stats.Tally, payload []byte, from, hi int64) error {
 	var r ChunkReader
 	if err := r.Init(payload); err != nil {
@@ -482,9 +485,45 @@ func tallyChunkValues(tally *stats.Tally, payload []byte, from, hi int64) error 
 	}
 	for r.left > 0 {
 		n, err := r.Next(hi)
+		kept := 0
 		for k, t := range r.T[:n] {
-			if t >= from && !tally.Add(r.V[k]) {
-				return errTallyFull
+			r.V[kept] = r.V[k]
+			if t >= from {
+				kept++
+			}
+		}
+		if !tally.AddAll(r.V[:kept]) {
+			return errTallyFull
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// errNotInTable is a chunk value its block's value table does not
+// account for.
+var errNotInTable = corruptf("chunk value missing from the value table")
+
+// untallyChunkValues takes off tally, which holds the chunk's block's
+// value table, the values of the chunk's points before its first point
+// at or after from: the leading edge of a window, by complement. A value
+// the tally lacks, or holds fewer times, is errNotInTable: the table and
+// the chunk disagree.
+func untallyChunkValues(tally *stats.Tally, payload []byte, from int64) error {
+	if from == math.MinInt64 {
+		return nil
+	}
+	var r ChunkReader
+	if err := r.Init(payload); err != nil {
+		return err
+	}
+	for r.left > 0 {
+		n, err := r.Next(from - 1)
+		for _, v := range r.V[:n] {
+			if !tally.SubN(v, 1) {
+				return errNotInTable
 			}
 		}
 		if err != nil {

@@ -362,14 +362,20 @@ var errTallyFull = errors.New("block: value tally full")
 // given nodes inside [from, to] (to ≤ 0 unbounded; no nodes means all
 // nodes): what AppendValues would append, as counts. A fleet-wide tally
 // adds the value table of each block whose samples all lie inside the
-// window and decodes nothing of it; edge blocks, blocks without a table
+// window and decodes nothing of it. The block the window's start cuts,
+// when the window's end does not, goes by complement: its table is
+// added and the values before from, decoded up to the first point at or
+// after it, are taken off again — the first block a pull visits, so t
+// holds that table alone and a value it lacks, or holds too few times,
+// is corruption of the block. Other edge blocks, blocks without a table
 // and node subsets are decoded, a chunk only up to its first point past
 // to. ok is false when t gave up — more distinct values than a tally
 // holds, or a NaN: t is then spent, and the caller gathers the values
 // with AppendValues instead. degraded is AppendValues's; a retry after a
 // quarantine starts t over.
 //
-// Fleet-wide tallies count the blocks they visit, by path, in Stats.
+// Fleet-wide tallies count the blocks they visit, by path, in Stats;
+// both kinds of edge count as edges.
 func (q *Querier) TallyValues(t *stats.Tally, nodes []int, from, to int64) (ok, degraded bool, err error) {
 	hi := upper(to)
 	nodes = uniqueNodes(nodes)
@@ -379,17 +385,28 @@ func (q *Querier) TallyValues(t *stats.Tally, nodes []int, from, to int64) (ok, 
 		paths = [distPaths]int64{}
 		for _, b := range q.s.tierBlocks(TierRaw, from, to) {
 			whole := b.within(from, hi)
+			table := len(nodes) == 0 && b.Values != nil
 			switch {
 			case !whole:
 				paths[distEdge]++
-			case b.Values == nil:
-				paths[distNoTable]++
-			case len(nodes) == 0:
-				paths[distTable]++
-				for _, c := range b.Values {
-					if !t.AddN(c.V, c.N) {
+				if table && t.Empty() && b.within(math.MinInt64, hi) {
+					if !t.AddCounts(b.Values) {
 						return errTallyFull
 					}
+					err := q.eachChunk(b, nil, math.MinInt64, from-1, func(payload []byte) error {
+						return untallyChunkValues(t, payload, from)
+					})
+					if err != nil {
+						return corruptIn(b, err)
+					}
+					continue
+				}
+			case b.Values == nil:
+				paths[distNoTable]++
+			case table:
+				paths[distTable]++
+				if !t.AddCounts(b.Values) {
+					return errTallyFull
 				}
 				continue
 			}

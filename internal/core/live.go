@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"hpcpower/internal/stats"
 )
@@ -69,17 +70,16 @@ func DistFromValues(values []float64) LiveDist {
 // DistFromCounts is DistFromValues over the values counts stands for —
 // each V repeated N times, ascending by V as stats.Tally.Sorted returns
 // them — and gives the same LiveDist, bit for bit: the mean is the same
-// ascending run of additions (a value added N times, never multiplied by
-// N), and the type-7 quantiles and CDF points read the same ranks
+// ascending run of additions (a value added N times, each add rounded,
+// never one multiply by N; addRepeated takes them a binade at a time),
+// and the type-7 quantiles and CDF points read the same ranks
 // (stats.RankReader).
 func DistFromCounts(counts []stats.ValueCount) LiveDist {
 	n := 0
 	var sum float64
 	for _, c := range counts {
 		n += int(c.N)
-		for range c.N {
-			sum += c.V
-		}
+		sum = addRepeated(sum, c.V, c.N)
 	}
 	if n == 0 {
 		return LiveDist{}
@@ -99,6 +99,68 @@ func DistFromCounts(counts []stats.ValueCount) LiveDist {
 		d.CDF = append(d.CDF, stats.Point{X: r.At(idx), Y: float64(idx+1) / float64(n)})
 	}
 	return d
+}
+
+// addRepeated is s after `for range n { s += v }`, bit for bit, in a
+// step per binade of the sum rather than one per add.
+//
+// While s is positive, normal and finite it is K·u, K an integer in
+// [2^52, 2^53) and u its binade's ulp, and an add that stays in the binade
+// rounds K + v/u to an integer. Unless v/u ends in exactly ½ that is
+// K + R, R = v/u rounded: the same R for every such add, so a run of m of
+// them is one exact s + m·R·u. A ½ rounds to the even neighbour, which is
+// also K + R (R = v/u rounded to even) once K is even — after at most one
+// single add, since R is then even too. The add that would leave the
+// binade, and any s or v this does not cover (zero, subnormal s, a
+// mixed-sign pair, non-finite), is taken singly; a pair of negatives is
+// the positive pair negated. An add that leaves s as it is leaves it so
+// for good, which ends the loop (R = 0, a zero, ±Inf, NaN).
+func addRepeated(s, v float64, n uint64) float64 {
+	if s < 0 && v < 0 {
+		return -addRepeated(-s, -v, n)
+	}
+	for n > 0 {
+		b := math.Float64bits(s)
+		exp := b >> 52 // s ≥ 0 here unless the pair is mixed
+		if !(s > 0 && exp != 0 && exp != 0x7ff && v > 0 && v <= math.MaxFloat64) {
+			next := s + v
+			n--
+			if math.Float64bits(next) == math.Float64bits(s) {
+				break
+			}
+			s = next
+			continue
+		}
+		u := ulpOfBinade(exp)
+		k := b&(1<<52-1) | 1<<52
+		q := v / u // exact, or so small that r is 0
+		r := math.RoundToEven(q)
+		var room uint64
+		switch {
+		case k&1 == 1 && q-math.Floor(q) == 0.5: // rounds up, to an even K
+		case r == 0:
+			return s
+		case r < 1<<53:
+			room = (1<<53 - 1 - k) / uint64(r)
+		}
+		if room == 0 {
+			s += v
+			n--
+			continue
+		}
+		m := min(room, n)
+		s += float64(m) * (r * u) // K + m·R < 2^53: every step exact
+		n -= m
+	}
+	return s
+}
+
+// ulpOfBinade is the ulp of the normal float64s with biased exponent exp.
+func ulpOfBinade(exp uint64) float64 {
+	if exp > 52 {
+		return math.Float64frombits((exp - 52) << 52)
+	}
+	return math.Float64frombits(1 << (exp - 1)) // subnormal
 }
 
 // LiveInput is everything the live analytics need, assembled by the CLI

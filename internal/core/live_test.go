@@ -108,3 +108,151 @@ func TestDistFromValuesMatchesCopyAndSort(t *testing.T) {
 }
 
 func summary(d LiveDist) LiveDist { d.CDF = nil; return d }
+
+// serialSum is what DistFromCounts's mean adds up, one rounding a time:
+// s with v added n times, and how many adds that was. It stops early
+// where an add leaves s as it is, as every later one then does, and
+// after limit adds, so that a test can ask for any n.
+func serialSum(s, v float64, n, limit uint64) (sum float64, done uint64) {
+	for done < n && done < limit {
+		next := s + v
+		done++
+		if math.Float64bits(next) == math.Float64bits(s) {
+			return s, n
+		}
+		s = next
+	}
+	return s, done
+}
+
+// checkAddRepeated holds addRepeated to the serial loop on one case, for
+// as many adds as the loop can take in limit steps.
+func checkAddRepeated(t *testing.T, s, v float64, n uint64) {
+	t.Helper()
+	want, n := serialSum(s, v, n, 1<<20)
+	got := addRepeated(s, v, n)
+	if math.Float64bits(got) != math.Float64bits(want) && !(got != got && want != want) {
+		t.Fatalf("%v + %v × %d: kernel %v (%#x), serial %v (%#x)", s, v, n, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// addCases are the kernel's edges: ties at every parity, sums that cross
+// binades and reach the point where adding no longer moves them,
+// subnormals, zeros of both signs, negatives, non-finite values, and
+// counts far past what a loop could take.
+var addCases = []struct {
+	s, v float64
+	n    uint64
+}{
+	{0, 0.1, 364_000},
+	{0, 250.5, 1 << 40},
+	{1, 0x1p-53, 10},           // v/u = ½ at an even K: stays
+	{1 + 0x1p-52, 0x1p-53, 10}, // ½ at an odd K: one step up, then stays
+	{1, 3 * 0x1p-53, 1000},     // 1½: rounds to 2 at an even K
+	{1 + 0x1p-52, 3 * 0x1p-53, 1000},
+	{1, 5 * 0x1p-53, 1 << 21},    // 2½ → 2, across many binades
+	{0x1p53 - 2, 1, 1 << 40},     // to 2^53, where +1 ties back down
+	{0x1p52, 0.5, 100},           // ½ ulp exactly
+	{0x1p-1022, 5e-324, 1 << 12}, // subnormal v, smallest normal s
+	{5e-324, 5e-324, 1 << 12},    // subnormal s
+	{0, math.Copysign(0, -1), 5},
+	{math.Copysign(0, -1), 0, 5},
+	{math.Copysign(0, -1), math.Copysign(0, -1), 5},
+	{-1e6, -0.3, 1 << 18}, // both negative
+	{-1e3, 0.7, 1 << 12},  // mixed signs, through zero
+	{1e3, -0.7, 1 << 12},
+	{math.MaxFloat64 / 2, math.MaxFloat64 / 4, 10},
+	{1, math.Inf(1), 3},
+	{math.Inf(1), math.Inf(-1), 3},
+	{math.NaN(), 1, 1 << 40},
+	{1e-300, 1e300, 5},       // v/u overflows
+	{1e300, 1e-300, 1 << 40}, // v/u underflows
+	{0x1p53 - 2, 1.3, 3},     // the run's last add crosses the binade
+}
+
+// TestAddRepeatedMatchesSerial: the kernel is the serial loop, bit for
+// bit, on its edges and on random sums of random repeated values, the
+// fleet's 0.1 W readings among them.
+func TestAddRepeatedMatchesSerial(t *testing.T) {
+	for _, c := range addCases {
+		checkAddRepeated(t, c.s, c.v, c.n)
+	}
+	// Sums a few ulps below a binade's top, values of a few ulps: a run
+	// that ends one add too late lands on the next binade's coarser grid.
+	for _, scale := range []float64{1, 0x1p-60, 0x1p40} {
+		for below := 1.0; below <= 9; below++ {
+			for _, v := range []float64{0.3, 0.5, 0.7, 1, 1.3, 1.5, 2.5, 2.7, 3.3} {
+				checkAddRepeated(t, (0x1p53-below)*scale, v*scale, 16)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(38))
+	for i := 0; i < 20_000; i++ {
+		v := math.Round(rng.Float64()*4000) / 10
+		if i%2 == 1 {
+			v = math.Ldexp(rng.Float64(), rng.Intn(40)-20)
+		}
+		s := math.Ldexp(rng.Float64(), rng.Intn(60)-10)
+		checkAddRepeated(t, s, v, uint64(rng.Intn(3000)))
+	}
+}
+
+// FuzzDistFromCounts holds the mean's kernel to the serial loop on
+// starting sums, values and counts drawn from the input, and
+// DistFromCounts to DistFromValues on a short table of them.
+func FuzzDistFromCounts(f *testing.F) {
+	for _, c := range addCases {
+		f.Add(math.Float64bits(c.s), math.Float64bits(c.v), c.n)
+	}
+	f.Fuzz(func(t *testing.T, sBits, vBits, n uint64) {
+		s, v := math.Float64frombits(sBits), math.Float64frombits(vBits)
+		checkAddRepeated(t, s, v, n)
+		// A table of three values, a few of each, against the values
+		// written out. Below the radix cut-over DistFromValues leaves −0
+		// and +0 in input order, so a table holding both has no oracle.
+		counts := []stats.ValueCount{{V: v, N: 1 + n%7}, {V: s, N: 1 + n%5}, {V: v + s, N: 1 + n%3}}
+		var values []float64
+		zeros := 0
+		for _, c := range counts {
+			if c.V == 0 {
+				zeros |= 1 << (math.Float64bits(c.V) >> 63)
+			}
+			for range c.N {
+				values = append(values, c.V)
+			}
+		}
+		if zeros == 3 {
+			return
+		}
+		tally := stats.GetTally()
+		defer stats.PutTally(tally)
+		if !tally.AddAll(values) {
+			return
+		}
+		got, want := DistFromCounts(tally.Sorted()), DistFromValues(values)
+		if fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
+			t.Fatalf("DistFromCounts %#v, DistFromValues %#v", summary(got), summary(want))
+		}
+	})
+}
+
+// BenchmarkDistFromCounts reduces a fleet-wide pull's counts: 368,640
+// readings of 0.1 W over ≈ 2,600 distinct values, the shape
+// BenchmarkDistribution's pulls hand it. Most of the time used to be the
+// mean's one add per reading.
+func BenchmarkDistFromCounts(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	tally := stats.GetTally()
+	defer stats.PutTally(tally)
+	for i := 0; i < 1024*360; i++ {
+		tally.Add(math.Round((90+rng.Float64()*260)*(1+0.05*rng.NormFloat64())*10) / 10)
+	}
+	counts := tally.Sorted()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d := DistFromCounts(counts); d.N != 1024*360 {
+			b.Fatal(d.N)
+		}
+	}
+}

@@ -1,11 +1,14 @@
 package live
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hpcpower/internal/block"
@@ -184,12 +187,151 @@ func TestSamplePowerMatchesDistFromValues(t *testing.T) {
 		}
 		stats.PutTally(tally)
 	}
+	// A window starting at every minute of a block and covering its end
+	// (and, every other minute, the next block whole): the block goes by
+	// complement against its table, bit for bit what its values give.
+	for m := int64(0); m < w/60; m++ {
+		from, to, whole := 2*w+60*m, int64(3*w-1), int64(0)
+		if m%2 == 1 {
+			to, whole = 4*w-1, 1
+		}
+		var values []float64
+		for _, smp := range served {
+			if smp.t >= from && smp.t <= to {
+				values = append(values, smp.v)
+			}
+		}
+		before := bs.Stats()
+		got, degraded, err := SamplePower(s, from, to)
+		if err != nil || degraded {
+			t.Fatalf("from minute %d: degraded %v, err %v", m, degraded, err)
+		}
+		if want := core.DistFromValues(values); !reflect.DeepEqual(got, want) {
+			t.Fatalf("from minute %d of the block: n %d, mean %v, want n %d, mean %v (or the CDFs differ)", m, got.N, got.Mean, want.N, want.Mean)
+		}
+		wantTable, wantEdge := whole, int64(1)
+		if m == 0 {
+			wantTable, wantEdge = whole+1, 0
+		}
+		if after := bs.Stats(); after.DistTable-before.DistTable != wantTable || after.DistEdge-before.DistEdge != wantEdge {
+			t.Fatalf("from minute %d: %d tables, %d edges; want %d, %d", m, after.DistTable-before.DistTable, after.DistEdge-before.DistEdge, wantTable, wantEdge)
+		}
+	}
+
 	in, err := Collect(s, "emmy", 0)
 	if err != nil || in.Frontier != 5*w {
 		t.Fatalf("Collect: frontier %d, err %v", in.Frontier, err)
 	}
 	if got, _, _ := SamplePower(s, 0, 0); !reflect.DeepEqual(in.SamplePower, got) {
 		t.Fatalf("Collect: sample power %+v, SamplePower %+v", in.SamplePower, got)
+	}
+	t.Run("a table that lacks a value", tableLacksValue)
+}
+
+// tableLacksValue: a block whose value table lacks a value its chunks
+// hold — the index CRC-clean, so only the complement can tell — is
+// corruption when a window's start cuts it: the pull degrades, the block
+// is quarantined, and the answer holds each surviving value exactly once.
+func tableLacksValue(t *testing.T) {
+	const w = testWindow
+	dir := t.TempDir()
+	bs, err := block.Open(block.Config{Dir: dir, WindowSeconds: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served []sample
+	for ws := int64(w); ws < 4*w; ws += w {
+		series := map[int][]block.Point{}
+		for n := 0; n < 8; n++ {
+			for unix := ws; unix < ws+w; unix += 60 {
+				series[n] = append(series[n], block.Point{T: unix, V: reading(n, unix)})
+				served = append(served, sample{unix, reading(n, unix)})
+			}
+		}
+		if _, err := bs.WriteRaw(ws, series); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, "raw-0000000000014400.blk")
+	dropFromTable(t, path, reading(0, 2*w))
+
+	bs, err = block.Open(block.Config{Dir: dir, WindowSeconds: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := tsdb.New(tsdb.Config{Shards: 4, RingLen: 1024})
+	s.AttachBlocks(bs)
+	batch := make([]trace.PowerSample, 8)
+	for unix := int64(4 * w); unix < 5*w; unix += 60 {
+		for n := range batch {
+			batch[n] = trace.PowerSample{Node: n, JobID: 1, Unix: unix, PowerW: reading(n, unix)}
+			served = append(served, sample{unix, batch[n].PowerW})
+		}
+		if err := s.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	from := int64(2*w + 600)
+	got, degraded, err := SamplePower(s, from, 0)
+	if err != nil || !degraded {
+		t.Fatalf("degraded %v, err %v; want a degraded answer", degraded, err)
+	}
+	if _, err := os.Stat(path + ".quarantine"); err != nil {
+		t.Fatalf("the block is not quarantined: %v", err)
+	}
+	var surviving []float64
+	for _, smp := range served {
+		if smp.t >= 3*w {
+			surviving = append(surviving, smp.v)
+		}
+	}
+	if want := core.DistFromValues(surviving); !reflect.DeepEqual(got, want) {
+		t.Fatalf("n %d, mean %v; the surviving values give n %d, mean %v", got.N, got.Mean, want.N, want.Mean)
+	}
+}
+
+// dropFromTable rewrites the block file at path with value v gone from
+// its value table, its count moved to a neighbouring value so the counts
+// still sum to the block's samples, and the index frame and trailer
+// checksummed again: a table that is well formed but wrong.
+func dropFromTable(t *testing.T, path string, v float64) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	trailer := b[len(b)-20:]
+	idxOff := int64(le.Uint64(trailer))
+	payload := b[idxOff+8 : len(b)-20]
+	n := int(le.Uint32(payload))
+	entries := payload[:4+64*n]
+	var samples uint64
+	for i := 0; i < n; i++ {
+		samples += le.Uint64(entries[4+64*i+56:])
+	}
+	table, err := block.DecodeTable(nil, payload[len(entries):], samples)
+	if err != nil || len(table) < 2 {
+		t.Fatalf("table of %d values, err %v", len(table), err)
+	}
+	i := slices.IndexFunc(table, func(c stats.ValueCount) bool { return c.V == v })
+	if i < 0 {
+		t.Fatalf("the table lacks %v already", v)
+	}
+	table[(i+1)%len(table)].N += table[i].N
+	table = slices.Delete(table, i, i+1)
+	idx, _ := block.AppendTable(slices.Clone(entries), table)
+	out := slices.Clone(b[:idxOff])
+	out = le.AppendUint32(out, uint32(len(idx)))
+	out = le.AppendUint32(out, crc32.Checksum(idx, castagnoli))
+	out = append(out, idx...)
+	tr := le.AppendUint64(nil, uint64(idxOff))
+	tr = le.AppendUint32(tr, uint32(8+len(idx)))
+	tr = le.AppendUint32(tr, crc32.Checksum(tr, castagnoli))
+	out = append(append(out, tr...), "KLBP"...)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

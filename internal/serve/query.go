@@ -74,7 +74,7 @@ func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.metrics.valuesScanned.With("query_range").Add(int64(len(aggs)))
-		writeRangeResponse(w, &rangeResponse{node: node, step: step, frontier: frontier, degraded: degraded, aggs: aggs})
+		writeResponse(w, &rangeResponse{node: node, step: step, frontier: frontier, degraded: degraded, aggs: aggs})
 		return
 	}
 	points, degraded, err := s.store.QueryRange(node, from, to)
@@ -83,7 +83,7 @@ func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.valuesScanned.With("query_range").Add(int64(len(points)))
-	writeRangeResponse(w, &rangeResponse{node: node, frontier: frontier, degraded: degraded, points: points})
+	writeResponse(w, &rangeResponse{node: node, frontier: frontier, degraded: degraded, points: points})
 }
 
 func (s *Server) handleQueryNodes(w http.ResponseWriter, r *http.Request) {
@@ -104,11 +104,7 @@ func (s *Server) handleQueryDistribution(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	s.metrics.valuesScanned.With("query_distribution").Add(dist.N)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"distribution": dist,
-		"frontier":     s.store.BlockFrontier(),
-		"degraded":     degraded,
-	})
+	writeResponse(w, &distResponse{dist: dist, frontier: s.store.BlockFrontier(), degraded: degraded})
 }
 
 // flushResponse is the body of POST /v1/admin/flush.
@@ -266,7 +262,7 @@ func (s *Server) collectBlocks(e *obs.Exposition) {
 	e.Counter("powserved_scrub_corrupt_total", float64(st.ScrubCorrupt))
 	e.Counter("powserved_quarantine_renamed_total", float64(st.Quarantined))
 	e.Gauge("powserved_quarantine_files", float64(st.QuarantineFiles))
-	e.Help("powserved_distribution_blocks_total", "Raw blocks fleet-wide distribution pulls visited, by path: table added the block's (value, count) table, edge decoded a block the window cuts, no_table decoded a block the window covers that carries no table.")
+	e.Help("powserved_distribution_blocks_total", "Raw blocks fleet-wide distribution pulls visited, by path: table added the block's (value, count) table, edge read a block the window cuts (the one its start cuts by complement: the table added, the values before the start decoded and taken off; otherwise decoded up to the window's end), no_table decoded a block the window covers that carries no table.")
 	e.CounterL("powserved_distribution_blocks_total", "path", "table", float64(st.DistTable))
 	e.CounterL("powserved_distribution_blocks_total", "path", "edge", float64(st.DistEdge))
 	e.CounterL("powserved_distribution_blocks_total", "path", "no_table", float64(st.DistNoTable))

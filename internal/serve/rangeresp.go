@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"hpcpower/internal/block"
+	"hpcpower/internal/core"
 	"hpcpower/internal/trace"
 	"hpcpower/internal/tsdb"
 )
@@ -73,6 +74,51 @@ func (r *rangeResponse) appendJSON(dst []byte) (_ []byte, ok bool) {
 	return append(dst, '}', '\n'), ok
 }
 
+// distResponse is the body of GET /v1/query/distribution.
+type distResponse struct {
+	dist     core.LiveDist
+	frontier int64
+	degraded bool
+}
+
+// appendJSON appends what json.NewEncoder(w).Encode(map[string]any{
+// "distribution", "frontier", "degraded"}) writes for r, byte for byte,
+// as rangeResponse.appendJSON does: keys in sorted order, the LiveDist's
+// fields in its own order (its CDF points' keys X and Y, null for a nil
+// CDF), a trailing newline; ok is false where a value has no JSON form.
+func (r *distResponse) appendJSON(dst []byte) (_ []byte, ok bool) {
+	d := &r.dist
+	dst = append(dst, `{"degraded":`...)
+	dst = strconv.AppendBool(dst, r.degraded)
+	dst = strconv.AppendInt(append(dst, `,"distribution":{"n":`...), d.N, 10)
+	ok = true
+	for _, f := range [...]struct {
+		key string
+		v   float64
+	}{{`,"mean":`, d.Mean}, {`,"min":`, d.Min}, {`,"max":`, d.Max}, {`,"p50":`, d.P50}, {`,"p80":`, d.P80}, {`,"p95":`, d.P95}} {
+		ok = ok && finite(f.v)
+		dst = trace.AppendJSONFloat(append(dst, f.key...), f.v)
+	}
+	dst = append(dst, `,"cdf":`...)
+	if d.CDF == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, p := range d.CDF {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			ok = ok && finite(p.X) && finite(p.Y)
+			dst = trace.AppendJSONFloat(append(dst, `{"X":`...), p.X)
+			dst = trace.AppendJSONFloat(append(dst, `,"Y":`...), p.Y)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = strconv.AppendInt(append(dst, `},"frontier":`...), r.frontier, 10)
+	return append(dst, '}', '\n'), ok
+}
+
 // finite reports whether JSON has a form for v.
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
@@ -83,10 +129,15 @@ const maxPooledResponse = 1 << 18
 
 var responsePool = sync.Pool{New: func() any { return new([]byte) }}
 
-// writeRangeResponse answers 200 with r, encoded into a pooled buffer.
-// Like the json.Encoder it replaces, it sends no body when r cannot be
+// appendResponse is a response body with an append encoder of its own.
+type appendResponse interface {
+	appendJSON(dst []byte) ([]byte, bool)
+}
+
+// writeResponse answers 200 with r, encoded into a pooled buffer. Like
+// the json.Encoder it replaces, it sends no body when r cannot be
 // encoded.
-func writeRangeResponse(w http.ResponseWriter, r *rangeResponse) {
+func writeResponse(w http.ResponseWriter, r appendResponse) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	buf := responsePool.Get().(*[]byte)

@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"hpcpower/internal/block"
+	"hpcpower/internal/core"
 	"hpcpower/internal/rng"
+	"hpcpower/internal/stats"
 	"hpcpower/internal/trace"
 	"hpcpower/internal/tsdb"
 )
@@ -70,6 +72,46 @@ func TestRangeResponseMatchesEncodingJSON(t *testing.T) {
 		}
 		if ok && !bytes.Equal(got, append([]byte("kept:"), want...)) {
 			t.Errorf("%s:\n got %s\nwant kept:%s", name, got, want)
+		}
+	}
+}
+
+// TestDistResponseMatchesEncodingJSON pins the distribution's append
+// encoder to the bytes of the json.NewEncoder(w).Encode(map[string]any{
+// "distribution", "frontier", "degraded"}) it replaced: every float form
+// in every field, a nil and an empty CDF, and no body where a value is
+// not finite.
+func TestDistResponseMatchesEncodingJSON(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), 1, 151.2, 0.30000000000000004, 1e-7, -1e-7, 9.99e-7, 1e20, 1e21,
+		-1.5e21, 1e100, 5e-324, math.MaxFloat64, 1.0 / 3}
+	var cdf []stats.Point
+	for i, f := range floats {
+		cdf = append(cdf, stats.Point{X: f, Y: floats[(i+3)%len(floats)]})
+	}
+	dist := func(i int) core.LiveDist {
+		at := func(k int) float64 { return floats[(i+k)%len(floats)] }
+		return core.LiveDist{N: int64(i) * 1000, Mean: at(0), Min: at(1), Max: at(2), P50: at(3), P80: at(4), P95: at(5), CDF: cdf[i%3:]}
+	}
+	cases := map[string]distResponse{
+		"empty":          {frontier: 7200},
+		"empty CDF":      {dist: core.LiveDist{N: 1, CDF: []stats.Point{}}, degraded: true},
+		"NaN mean":       {dist: core.LiveDist{N: 1, Mean: math.NaN()}},
+		"Inf max":        {dist: core.LiveDist{N: 1, Max: math.Inf(1), CDF: cdf[:1]}},
+		"NaN in the CDF": {dist: core.LiveDist{N: 1, CDF: []stats.Point{{X: 1, Y: 1}, {X: math.NaN(), Y: 1}}}},
+	}
+	for i := range floats {
+		cases[fmt.Sprintf("floats from %d", i)] = distResponse{dist: dist(i), frontier: int64(i) * 7200, degraded: i%2 == 1}
+	}
+	for name, r := range cases {
+		var want bytes.Buffer
+		wantOK := json.NewEncoder(&want).Encode(map[string]any{"distribution": r.dist, "frontier": r.frontier, "degraded": r.degraded}) == nil
+		got, ok := r.appendJSON([]byte("kept:"))
+		if ok != wantOK {
+			t.Errorf("%s: ok = %v, json.Encoder succeeded = %v", name, ok, wantOK)
+			continue
+		}
+		if ok && !bytes.Equal(got, append([]byte("kept:"), want.Bytes()...)) {
+			t.Errorf("%s:\n got %s\nwant kept:%s", name, got, want.Bytes())
 		}
 	}
 }
@@ -146,6 +188,38 @@ func BenchmarkRangeResponseEncode(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			err := json.NewEncoder(io.Discard).Encode(map[string]any{
 				"node": r.node, "frontier": r.frontier, "points": r.points, "degraded": r.degraded})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkDistResponseEncode is the encode share of a distribution
+// pull: a LiveDist of a fleet-wide 6 h pull (its 200 CDF points at the
+// fleet's 0.1 W readings and their ranks) through the append encoder
+// against the encoding/json call it replaced.
+func BenchmarkDistResponseEncode(b *testing.B) {
+	src := rng.New(20)
+	values := make([]float64, 1024*360)
+	for i := range values {
+		values[i] = math.Round((90+260*src.Float64())*10) / 10
+	}
+	r := &distResponse{dist: core.DistFromValues(values), frontier: 1_700_000_000}
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf := responsePool.Get().(*[]byte)
+			*buf, _ = r.appendJSON((*buf)[:0])
+			io.Discard.Write(*buf)
+			responsePool.Put(buf)
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			err := json.NewEncoder(io.Discard).Encode(map[string]any{
+				"distribution": r.dist, "frontier": r.frontier, "degraded": r.degraded})
 			if err != nil {
 				b.Fatal(err)
 			}

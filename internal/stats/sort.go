@@ -193,6 +193,35 @@ func (t *Tally) AddN(x float64, n uint64) bool {
 	return true
 }
 
+// AddCounts adds each value of counts its number of times — a table that
+// AppendCounts or Sorted gave, merged into this tally — and stops where
+// AddN would have returned false.
+func (t *Tally) AddCounts(counts []ValueCount) bool {
+	for _, c := range counts {
+		if !t.AddN(c.V, c.N) {
+			return false
+		}
+	}
+	return true
+}
+
+// SubN takes n off x's count and reports whether it could: false, with
+// nothing changed, when the tally does not hold x at least n times. A
+// count taken to zero keeps its slot, and its place among the distinct
+// values a tally holds, but Sorted leaves it out.
+func (t *Tally) SubN(x float64, n uint64) bool {
+	k := sortKey(x)
+	i := t.slot(k)
+	if s := &t.slots[i]; s.key == k && k != 0 && s.n >= n {
+		s.n -= n
+		return true
+	}
+	return false
+}
+
+// Empty reports whether nothing was added since the last Reset.
+func (t *Tally) Empty() bool { return t.n == 0 }
+
 // claim takes the empty slot i for x, whose key is k, and reports
 // whether it could: no NaN gets in (one of them has the empty slot's
 // key 0), nor value maxDistinct+1.
@@ -217,22 +246,38 @@ func (t *Tally) slot(k uint64) uint64 {
 }
 
 // Sorted returns the values counted, ascending in SortFloat64s's order,
-// each with its count. The slice belongs to the tally: it is valid until
-// the next Add, AddN, Reset or PutTally.
+// each with its count; a value SubN took to zero is left out. The slice
+// belongs to the tally: it is valid until the next Add, AddN, SubN, Reset
+// or PutTally.
 func (t *Tally) Sorted() []ValueCount {
-	if t.n == 0 {
+	vals := t.vals[:0]
+	for _, i := range t.used[:t.n] {
+		if s := &t.slots[i]; s.n != 0 {
+			vals = append(vals, fromSortKey(s.key))
+		}
+	}
+	if len(vals) == 0 {
 		return nil
 	}
-	vals := t.vals[:t.n]
-	for j, i := range t.used[:t.n] {
-		vals[j] = fromSortKey(t.slots[i].key)
-	}
 	sortRadix(vals)
-	pairs := t.pairs[:t.n]
+	pairs := t.pairs[:len(vals)]
 	for j, x := range vals {
 		pairs[j] = ValueCount{V: x, N: t.slots[t.slot(sortKey(x))].n}
 	}
 	return pairs
+}
+
+// AppendCounts appends to dst what Sorted returns, in no particular
+// order: for a reader that only adds the counts up, and need not pay for
+// the sort.
+func (t *Tally) AppendCounts(dst []ValueCount) []ValueCount {
+	dst = slices.Grow(dst, t.n)
+	for _, i := range t.used[:t.n] {
+		if s := &t.slots[i]; s.n != 0 {
+			dst = append(dst, ValueCount{V: fromSortKey(s.key), N: s.n})
+		}
+	}
+	return dst
 }
 
 // Reset empties the tally.

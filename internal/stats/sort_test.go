@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -245,6 +246,13 @@ func TestTally(t *testing.T) {
 		}
 	}
 	same("added")
+	unsorted := tally.AppendCounts([]ValueCount{{V: -7}})
+	slices.SortFunc(unsorted[1:], func(a, b ValueCount) int { return cmp.Compare(sortKey(a.V), sortKey(b.V)) })
+	if unsorted[0].V != -7 || !slices.EqualFunc(unsorted[1:], want, func(a, b ValueCount) bool {
+		return math.Float64bits(a.V) == math.Float64bits(b.V) && a.N == b.N
+	}) {
+		t.Fatal("AppendCounts, put in order, is not what Sorted returns")
+	}
 	for _, bits := range []uint64{0x7ff8000000000001, 0xfff8000000000001, 0xffffffffffffffff, 0x7fffffffffffffff} {
 		nan := math.Float64frombits(bits)
 		if tally.Add(nan) || tally.AddN(nan, 3) || tally.AddAll([]float64{nan}) {
@@ -263,6 +271,43 @@ func TestTally(t *testing.T) {
 	}
 	if !tally.Add(full[0]) || len(tally.Sorted()) != maxDistinct {
 		t.Fatalf("a full tally: %d values, and a held one refused", len(tally.Sorted()))
+	}
+}
+
+// TestTallySubN: SubN takes counts off what was added and refuses, with
+// nothing changed, a value the tally lacks or holds fewer times, a NaN,
+// and −0 for +0; Sorted leaves out a value taken to zero, which comes
+// back when it is added again.
+func TestTallySubN(t *testing.T) {
+	tally := GetTally()
+	defer PutTally(tally)
+	if !tally.Empty() || tally.SubN(1, 1) {
+		t.Fatal("an empty tally is not empty, or took a value off")
+	}
+	tally.AddAll([]float64{250.5, 250.5, 250.5, 0, 99.9})
+	if tally.Empty() {
+		t.Fatal("a tally holding values is empty")
+	}
+	if !tally.SubN(250.5, 2) || !tally.SubN(99.9, 1) {
+		t.Fatal("SubN refused counts the tally holds")
+	}
+	for _, c := range []ValueCount{{250.5, 2}, {99.9, 1}, {1, 1}, {math.Copysign(0, -1), 1}, {math.NaN(), 1}} {
+		if tally.SubN(c.V, c.N) {
+			t.Fatalf("SubN took %d of %v off", c.N, c.V)
+		}
+	}
+	want := []ValueCount{{0, 1}, {250.5, 1}}
+	if got := tally.Sorted(); !slices.Equal(got, want) {
+		t.Fatalf("Sorted %v, want %v", got, want)
+	}
+	if !tally.SubN(0, 1) || !tally.SubN(250.5, 1) || tally.Sorted() != nil || tally.Empty() {
+		t.Fatal("a tally taken to zero still sorts values, or is empty again")
+	}
+	if !tally.Add(99.9) || !slices.Equal(tally.Sorted(), []ValueCount{{99.9, 1}}) {
+		t.Fatalf("a value added back after SubN: %v", tally.Sorted())
+	}
+	if got := tally.AppendCounts(nil); !slices.Equal(got, []ValueCount{{99.9, 1}}) {
+		t.Fatalf("AppendCounts %v, want the nonzero counts alone", got)
 	}
 }
 

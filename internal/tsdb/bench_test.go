@@ -11,12 +11,12 @@ import (
 	"hpcpower/internal/trace"
 )
 
-// benchFleetStore holds 18 h of a 1,024-node fleet at one sample per
-// node per minute, 0.1 W resolution: the first 12 h sealed into 2 h
-// blocks, the last 6 h in the head.
-func benchFleetStore(b *testing.B) (s *Store, frontier int64) {
-	const nodes, hours = 1024, 18
-	s = New(DefaultConfig())
+// benchFleet appends ticks one-minute ticks of a 1,024-node fleet at
+// 0.1 W resolution to a store with a block store attached, sealing every
+// 2 h window that ends by frontier, and returns the store.
+func benchFleet(b *testing.B, ticks, frontier int64) *Store {
+	const nodes = 1024
+	s := New(DefaultConfig())
 	bs, err := block.Open(block.Config{Dir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
@@ -28,57 +28,112 @@ func benchFleetStore(b *testing.B) (s *Store, frontier int64) {
 		level[n] = 90 + rng.Float64()*260
 	}
 	batch := make([]trace.PowerSample, nodes)
-	for tick := int64(1); tick <= hours*60; tick++ {
+	for tick := int64(1); tick <= ticks; tick++ {
+		unix := block.DefaultWindowSeconds + tick*60
 		for n := range batch {
 			w := math.Round(level[n]*(1+0.05*rng.NormFloat64())*10) / 10
-			batch[n] = trace.PowerSample{Node: n, JobID: uint64(n/16 + 1), Unix: block.DefaultWindowSeconds + tick*60, PowerW: math.Max(w, 0)}
+			batch[n] = trace.PowerSample{Node: n, JobID: uint64(n/16 + 1), Unix: unix, PowerW: math.Max(w, 0)}
 		}
 		if err := s.Append(batch); err != nil {
 			b.Fatal(err)
 		}
-	}
-	frontier = block.DefaultWindowSeconds + 12*3600
-	if _, err := s.FlushBlocks(frontier + 60); err != nil {
-		b.Fatal(err)
+		if tick%360 == 0 || tick == ticks {
+			if _, err := s.FlushBlocks(min(unix+60, frontier)); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 	if s.BlockFrontier() != frontier {
 		b.Fatalf("frontier %d, want %d", s.BlockFrontier(), frontier)
 	}
-	return s, frontier
+	return s
 }
 
-// BenchmarkDistribution measures one fleet-wide 6 h distribution pull
+// benchFleetStore holds 18 h of the fleet: the first 12 h sealed into
+// 2 h blocks, the last 6 h in the head. No ring wraps.
+func benchFleetStore(b *testing.B) (s *Store, frontier int64) {
+	frontier = block.DefaultWindowSeconds + 12*3600
+	return benchFleet(b, 18*60, frontier), frontier
+}
+
+// benchWrappedStore is query-mixed's data set: three days of the fleet
+// through 1,440-point rings, which have wrapped twice, all but the last
+// 12 h sealed.
+func benchWrappedStore(b *testing.B) (s *Store, frontier int64) {
+	frontier = block.DefaultWindowSeconds + 60*3600
+	return benchFleet(b, 72*60, frontier), frontier
+}
+
+// pullCase is where a benchmarked pull's window starts.
+type pullCase struct {
+	name string
+	from int64
+}
+
+// benchPulls times one fleet-wide 6 h distribution pull from each start
 // (368,640 values counted and reduced, the work behind GET
-// /v1/query/distribution) with the window in blocks only, straddling
-// the flush frontier, and in the head only. "blocks" is three whole
-// blocks, all answered from their value tables — the best case; the
-// -unaligned windows start mid-block, as query-mixed's do, so the blocks
-// at their edges are decoded.
+// /v1/query/distribution). Each case runs twice: as named, finding the
+// head's window tables the pull before it built, and -first, with every
+// window's generation bumped before each pull, as an append into each
+// would: the pull finds its tables stale and builds them again.
+func benchPulls(b *testing.B, s *Store, cases []pullCase) {
+	const sixHours = 6*3600 - 60
+	for _, c := range cases {
+		for _, first := range []bool{false, true} {
+			name := c.name
+			if first {
+				name += "-first"
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if first {
+						for i := range s.heads.gens {
+							s.heads.gens[i].Add(1)
+						}
+					}
+					tally := stats.GetTally()
+					ok, _, err := s.TallyValues(tally, c.from, c.from+sixHours)
+					if d := core.DistFromCounts(tally.Sorted()); !ok || err != nil || d.N != 1024*360 {
+						b.Fatalf("counted %v: %d values, err %v", ok, d.N, err)
+					}
+					stats.PutTally(tally)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkDistribution pulls 6 h of the 18 h store with the window in
+// blocks only, straddling the flush frontier, and in the head only.
+// "blocks" is three whole blocks, all answered from their value tables —
+// the best case; the -unaligned windows start mid-block, as query-mixed's
+// do, so the block the start cuts goes by complement against its table
+// and the one the end cuts is decoded. "head" starts a minute into a head
+// window, so that window is read in place and the other two come from
+// the head's tables once a pull has built them.
 func BenchmarkDistribution(b *testing.B) {
 	s, f := benchFleetStore(b)
-	const sixHours = 6*3600 - 60
-	for _, c := range []struct {
-		name string
-		from int64
-	}{
+	benchPulls(b, s, []pullCase{
 		{"blocks", f - 8*3600},
 		{"blocks-unaligned", f - 8*3600 + 37*60},
 		{"straddling", f - 3*3600},
 		{"straddling-unaligned", f - 3*3600 - 17*60},
 		{"head", f + 60},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tally := stats.GetTally()
-				ok, _, err := s.TallyValues(tally, c.from, c.from+sixHours)
-				if d := core.DistFromCounts(tally.Sorted()); !ok || err != nil || d.N != 1024*360 {
-					b.Fatalf("counted %v: %d values, err %v", ok, d.N, err)
-				}
-				stats.PutTally(tally)
-			}
-		})
-	}
+	})
+}
+
+// BenchmarkDistributionWrapped pulls 6 h of the three-day store whose
+// rings have wrapped, query-mixed's shape, from starts placed as its
+// dashboards place them: mid-block, across the frontier, and in the head
+// 3 h 17 min above it — two head windows cut and two read from tables.
+func BenchmarkDistributionWrapped(b *testing.B) {
+	s, f := benchWrappedStore(b)
+	benchPulls(b, s, []pullCase{
+		{"blocks-unaligned", f - 20*3600 + 37*60},
+		{"straddling-unaligned", f - 3*3600 - 17*60},
+		{"head-unaligned", f + 3*3600 + 17*60},
+	})
 }
 
 // benchAgentBatches lays a 1,024-node fleet out as two agents of 512

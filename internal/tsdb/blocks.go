@@ -22,10 +22,12 @@ import (
 // and block.Store.WriteRaw refuses existing windows outright.
 
 // AttachBlocks wires a block store under the head. The flush frontier
-// starts at the newest sealed window already on disk.
+// starts at the newest sealed window already on disk, and the head's
+// window tables start over at the block length.
 func (s *Store) AttachBlocks(bs *block.Store) {
 	s.blocks = bs
 	s.raiseFrontier(bs.Frontier())
+	s.memBytes.Add(-s.heads.reset(bs.Window()))
 }
 
 // Blocks returns the attached block store (nil if running head-only).
@@ -317,10 +319,12 @@ func (s *Store) AppendValuesMerged(dst []float64, nodes []int, from, to int64) (
 // TallyValues is the fleet-wide AppendValuesMerged into a tally: every
 // raw value with from ≤ t ≤ to (to ≤ 0 unbounded), blocks and head, is
 // added to t, which must be empty — sealed blocks the window covers by
-// their value tables, edge blocks decoded, each ring read in place under
-// its shard's read lock. ok is false when t gave up (more distinct
-// values than it holds, or a NaN): t is spent, and the caller gathers the
-// values with AppendValuesMerged instead. degraded is
+// their value tables, edge blocks decoded (the leading one by complement
+// against its table), the head's closed windows the range covers whole
+// by their cached tables and the rest of the head read in place under
+// each shard's read lock (tallyHead). ok is false when t gave up (more
+// distinct values than it holds, or a NaN): t is spent, and the caller
+// gathers the values with AppendValuesMerged instead. degraded is
 // AppendValuesMerged's.
 func (s *Store) TallyValues(t *stats.Tally, from, to int64) (ok, degraded bool, err error) {
 	blk, head := s.split(from, to)
@@ -333,20 +337,7 @@ func (s *Store) TallyValues(t *stats.Tally, from, to int64) (ok, degraded bool, 
 	if !head.ok {
 		return ok, degraded, nil
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, r := range sh.nodes {
-			if ok = r.tallyValues(t, head.from, head.to); !ok {
-				break
-			}
-		}
-		sh.mu.RUnlock()
-		if !ok {
-			break
-		}
-	}
-	return ok, degraded, nil
+	return s.tallyHead(t, head.from, head.to), degraded, nil
 }
 
 // NodeIDs returns every node known to head or blocks, ascending.

@@ -3,10 +3,12 @@ package tsdb
 // Memory accounting for the admission layer's watermark. The store does
 // not track every byte the runtime allocates; it tracks the *structural*
 // footprint — what grows without bound as the fleet grows: one bounded
-// ring per node and one bounded streaming state per job. Rings and job
-// state are accounted once at creation (rings at the length they grow
-// to, job state at the bound the spatial-window cap sets), a job's
-// quantile table each time it grows (it is capped at 8 KB), so the hot
+// ring per node and one bounded streaming state per job — plus the
+// head's cached window tables, at most maxHeadTables of them. Rings and
+// job state are accounted once at creation (rings at the length they
+// grow to, job state at the bound the spatial-window cap sets), a job's
+// quantile table each time it grows (it is capped at 8 KB), and a head
+// table when it is cached or evicted, so the hot
 // append path pays nothing per sample: no arithmetic, no atomics.
 const (
 	// pointBytes is sizeof(Point): one int64 + one float64.
@@ -56,7 +58,7 @@ func (s *Store) recountMem() {
 		}
 		js.mu.RUnlock()
 	}
-	s.memBytes.Store(int64(nodes)*s.ringBytes() + jobs)
+	s.memBytes.Store(int64(nodes)*s.ringBytes() + jobs + s.heads.cachedBytes())
 }
 
 // dedupAgentOverheadBytes covers one agentWindow struct, its slice

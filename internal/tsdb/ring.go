@@ -2,7 +2,6 @@ package tsdb
 
 import (
 	"math"
-	"sort"
 
 	"hpcpower/internal/stats"
 )
@@ -29,6 +28,9 @@ type ring struct {
 	// sinceLate points back, so once sinceLate ≥ count the pair is no
 	// longer both retained: see ordered.
 	sinceLate int
+	// last is the newest point's timestamp, kept here so that an append
+	// compares against it without a load from the buffer.
+	last int64
 }
 
 // minRingAlloc is the length of a ring's first buffer: a new node's
@@ -52,7 +54,11 @@ func ringOf(pts []Point, limit, sinceLate int) *ring {
 		pts = append([]Point(nil), pts[len(pts)-limit:]...)
 	}
 	// Full, so the next append grows the buffer or, at limit, wraps.
-	return &ring{buf: pts[:len(pts):len(pts)], limit: limit, count: len(pts), sinceLate: sinceLate}
+	r := &ring{buf: pts[:len(pts):len(pts)], limit: limit, count: len(pts), sinceLate: sinceLate}
+	if len(pts) > 0 {
+		r.last = pts[len(pts)-1].Unix
+	}
+	return r
 }
 
 // lateIndex is the index of the last point of pts that is older than
@@ -66,27 +72,30 @@ func lateIndex(pts []Point) int {
 	return 0
 }
 
-func (r *ring) append(p Point) {
+// append adds p and, when the ring was full, reports the timestamp of
+// the point it overwrote. The slot it writes is the one buffer line it
+// touches.
+func (r *ring) append(p Point) (evicted int64, full bool) {
 	if r.count == len(r.buf) && len(r.buf) < r.limit {
 		r.grow()
 	}
-	prev := r.head
-	if prev == 0 {
-		prev = len(r.buf)
-	}
-	// In an empty ring the slot before head holds no point; whatever the
-	// compare says, sinceLate ≥ count = 1 after this append.
-	if p.Unix < r.buf[prev-1].Unix {
+	// In an empty ring last is no point's; whatever the compare says,
+	// sinceLate ≥ count = 1 after this append.
+	if p.Unix < r.last {
 		r.sinceLate = 0
 	}
 	r.sinceLate++
+	r.last = p.Unix
+	if full = r.count == len(r.buf); full {
+		evicted = r.buf[r.head].Unix
+	} else {
+		r.count++
+	}
 	r.buf[r.head] = p
 	if r.head++; r.head == len(r.buf) {
 		r.head = 0
 	}
-	if r.count < len(r.buf) {
-		r.count++
-	}
+	return evicted, full
 }
 
 // grow moves a full ring that has not reached its limit into a buffer
@@ -156,12 +165,55 @@ func timeRange(seg []Point, from, hi int64) []Point {
 		return nil
 	}
 	if seg[len(seg)-1].Unix > hi {
-		seg = seg[:sort.Search(len(seg), func(i int) bool { return seg[i].Unix > hi })]
+		if seg = seg[:firstAfter(seg, hi)]; seg[len(seg)-1].Unix < from {
+			return nil
+		}
 	}
 	if seg[0].Unix < from {
-		seg = seg[sort.Search(len(seg), func(i int) bool { return seg[i].Unix >= from }):]
+		seg = seg[firstAfter(seg, from-1):]
 	}
 	return seg
+}
+
+// firstAfter is the index of the first point of a time-ordered seg with
+// Unix > t, where seg[0].Unix ≤ t < seg[len(seg)-1].Unix. It guesses by
+// interpolating between the ends — on a series of evenly spaced samples,
+// the spot — and gallops out from the guess to bracket the answer, then
+// halves the bracket: a few loads near the guess where a binary search
+// makes eleven across the ring, and O(log n) however skewed the series.
+func firstAfter(seg []Point, t int64) int {
+	last := len(seg) - 1
+	frac := (float64(t) - float64(seg[0].Unix)) / (float64(seg[last].Unix) - float64(seg[0].Unix))
+	g := min(max(int(frac*float64(last)), 0), last)
+	// Invariant: seg[a].Unix ≤ t < seg[b].Unix.
+	a, b := 0, last
+	if seg[g].Unix <= t {
+		a = g
+		for step := 1; a+step < last; step *= 2 {
+			if seg[a+step].Unix > t {
+				b = a + step
+				break
+			}
+			a += step
+		}
+	} else {
+		b = g
+		for step := 1; b-step > 0; step *= 2 {
+			if seg[b-step].Unix <= t {
+				a = b - step
+				break
+			}
+			b -= step
+		}
+	}
+	for b-a > 1 {
+		if m := int(uint(a+b) >> 1); seg[m].Unix > t {
+			b = m
+		} else {
+			a = m
+		}
+	}
+	return b
 }
 
 // appendWindow appends to dst the retained points with from ≤ Unix ≤ hi,
@@ -182,12 +234,19 @@ func (r *ring) appendValues(dst []float64, from, hi int64) []float64 {
 }
 
 // tallyValues is appendValues into a tally, and reports false where
-// the tally gave up.
+// the tally gave up. Each run goes to AddAll a buffer of values at a
+// time.
 func (r *ring) tallyValues(t *stats.Tally, from, hi int64) bool {
 	ok := true
+	var buf [128]float64
 	r.window(from, hi, func(run []Point) {
-		for i := 0; ok && i < len(run); i++ {
-			ok = t.Add(run[i].PowerW)
+		for ok && len(run) > 0 {
+			vals := buf[:min(len(run), len(buf))]
+			for i := range vals {
+				vals[i] = run[i].PowerW
+			}
+			ok = t.AddAll(vals)
+			run = run[len(vals):]
 		}
 	})
 	return ok

@@ -206,6 +206,7 @@ func (s *Store) InstallState(st *StoreState) error {
 	s.ingested.Store(st.Ingested)
 	s.coarse.Store(int64(coarse))
 	s.raiseFrontier(st.BlockFrontier)
+	s.heads.reset(0)
 	s.recountMem()
 	return nil
 }

@@ -22,6 +22,7 @@ package tsdb
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -63,6 +64,8 @@ type Store struct {
 	// frontier divides block-served from ring-served time.
 	blocks   *block.Store
 	frontier atomic.Int64
+
+	heads headTables // the head's window tables (see headtables.go)
 }
 
 // shard holds the node rings of one partition plus the shard's sample
@@ -107,6 +110,7 @@ func New(cfg Config) *Store {
 		s.jobShards[i].jobs = map[uint64]*jobState{}
 	}
 	s.scratch.New = func() any { return &appendScratch{next: make([]int, n)} }
+	s.heads.init()
 	return s
 }
 
@@ -135,7 +139,9 @@ func (s *Store) jobShard(id uint64) *jobShard {
 // then counting-sorted by node shard so each stripe lock is taken once
 // and each shard sees its samples in batch order, and folded into the
 // job analytics one run of equal job IDs at a time — agents ship a batch
-// grouped by job, so that is one lock and one lookup per job.
+// grouped by job, so that is one lock and one lookup per job. Once the
+// rings hold the batch, the head tables of the windows it wrote to and
+// evicted from are marked stale, before the batch counts as ingested.
 func (s *Store) Append(batch []trace.PowerSample) error {
 	sc := s.scratch.Get().(*appendScratch)
 	defer s.putScratch(sc)
@@ -144,11 +150,16 @@ func (s *Store) Append(batch []trace.PowerSample) error {
 	// batch order kept within a shard.
 	next := sc.next
 	clear(next)
+	// [lo, hi] spans the batch's timestamps, [evLo, evHi] those of the
+	// points it evicts.
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	evLo, evHi := lo, hi
 	for i := range batch {
 		if err := batch[i].Validate(); err != nil {
 			return fmt.Errorf("tsdb: sample %d: %w", i, err)
 		}
 		next[mix(uint64(batch[i].Node))&s.mask]++
+		lo, hi = min(lo, batch[i].Unix), max(hi, batch[i].Unix)
 	}
 	first := 0
 	for k, n := range next {
@@ -179,11 +190,19 @@ func (s *Store) Append(batch []trace.PowerSample) error {
 				sh.nodes[smp.Node] = r
 				s.memBytes.Add(s.ringBytes())
 			}
-			r.append(Point{Unix: smp.Unix, PowerW: smp.PowerW})
+			if old, full := r.append(Point{Unix: smp.Unix, PowerW: smp.PowerW}); full {
+				evLo, evHi = min(evLo, old), max(evHi, old)
+			}
 			sh.acc.Add(smp.PowerW)
 		}
 		sh.mu.Unlock()
 		start = end
+	}
+	if lo <= hi {
+		s.heads.touched(lo, hi)
+	}
+	if evLo <= evHi {
+		s.heads.touched(evLo, evHi)
 	}
 	// Per-job streaming analytics (jobID 0 marks idle/system samples).
 	for rest := batch; len(rest) > 0; {

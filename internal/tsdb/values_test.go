@@ -226,11 +226,25 @@ func TestQueryRangeOrdersLateSample(t *testing.T) {
 
 // TestDistributionPullsBesideAppendAndFlush runs fleet-wide pulls and
 // range reads against a writer that appends and seals windows: under
-// -race this is the check that the in-place ring scan holds the right
-// lock, and in any mode that a pull sees every acknowledged sample
-// exactly once wherever the frontier is when it looks.
+// -race this is the check that the in-place ring scan and the head's
+// window tables hold the right locks, and in any mode that a pull sees
+// every acknowledged sample exactly once wherever the frontier is when it
+// looks — unbounded, and bounded over the newest closed window and the
+// open one, which the head answers from a cached table while it is
+// not yet sealed.
 func TestDistributionPullsBesideAppendAndFlush(t *testing.T) {
 	const nodes, batchLen = 24, 24
+	// inWindow is how many of the first n samples the writer sends lie
+	// in [from, to]: whole ticks of one sample a node, a minute apart.
+	inWindow := func(n, from, to int64) int64 {
+		var in int64
+		for tick := int64(0); tick < n/batchLen; tick++ {
+			if unix := testWindow + tick*60; unix >= from && unix <= to {
+				in += batchLen
+			}
+		}
+		return in
+	}
 	s := newBlockedStore(t, t.TempDir(), 100000)
 	var wg sync.WaitGroup
 	done := make(chan struct{})
@@ -292,6 +306,23 @@ func TestDistributionPullsBesideAppendAndFlush(t *testing.T) {
 				if !counted || err != nil || n < before || n > after+batchLen {
 					t.Errorf("tally (counted %v) held %d values with %d..%d ingested, err %v", counted, n, before, after, err)
 					return
+				}
+				for back := int64(1); back <= 2; back++ {
+					from := (floorDiv(s.heads.newest.Load(), testWindow) - back) * testWindow
+					to := from + (back+1)*testWindow - 1
+					tally := stats.GetTally()
+					before = s.Ingested()
+					counted, _, err := s.TallyValues(tally, from, to)
+					after = s.Ingested()
+					var n int64
+					for _, c := range tally.Sorted() {
+						n += int64(c.N)
+					}
+					stats.PutTally(tally)
+					if lo, hi := inWindow(before, from, to), inWindow(after+batchLen, from, to); !counted || err != nil || n < lo || n > hi {
+						t.Errorf("tally of [%d, %d] (counted %v) held %d values with %d..%d sent there, err %v", from, to, counted, n, lo, hi, err)
+						return
+					}
 				}
 				if _, _, err := s.QueryRange(3, 0, 0); err != nil {
 					t.Error(err)
