@@ -91,9 +91,9 @@ bench-wal:
 # Snapshot microbenchmarks on the end-to-end benchmark's store (1,024
 # nodes x 500 points, rings of length 1,440): ExportState is the time the
 # apply lock is held, SnapshotEncode the CPU a snapshot costs after
-# that, SnapshotDecode the decode share of a clean restart (binary image,
-# its rings Gorilla-decoded into slices of their own point counts, vs the
-# all-JSON one it replaced), RecoverClean the whole restart.
+# that, SnapshotDecode the decode share of a clean restart (the binary
+# image, its rings Gorilla-decoded into slices of their own point counts),
+# RecoverClean the whole restart.
 # RecoverCrash is the other restart, a replay of 1,000 records x 512
 # samples with no snapshot, on one core and on two: replay decodes the
 # next record while the previous one applies. The apply stage binds, so

@@ -327,12 +327,8 @@ func main() {
 		}
 		snap := "no snapshot"
 		if rep.SnapshotFound {
-			format := "binary"
-			if rep.SnapshotLegacy {
-				format = "legacy JSON"
-			}
-			snap = fmt.Sprintf("snapshot lsn %d (%d bytes, %s, loaded in %s)",
-				rep.SnapshotLSN, rep.SnapshotBytes, format, rep.SnapshotLoad.Round(time.Millisecond))
+			snap = fmt.Sprintf("snapshot lsn %d (%d bytes, loaded in %s)",
+				rep.SnapshotLSN, rep.SnapshotBytes, rep.SnapshotLoad.Round(time.Millisecond))
 		}
 		fmt.Printf("powserved: recovered %s in %s%s: %s, %d records (%d samples) replayed, %d tombstoned, %d decode errors, %d bytes truncated\n",
 			*dataDir, rep.Duration.Round(time.Millisecond), stale, snap,

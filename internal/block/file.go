@@ -287,7 +287,7 @@ func OpenBlock(fsys vfs.FS, path string) (*BlockInfo, error) {
 	}
 	version := hdr[4]
 	if version != fileVersion && version != fileVersion-1 {
-		return nil, corruptf("%s: unsupported version %d", filepath.Base(path), version)
+		return nil, corruptf("%s: block file version %d, this build reads versions %d and %d", filepath.Base(path), version, fileVersion-1, fileVersion)
 	}
 	tier := Tier(hdr[5])
 	if tier >= tierCount {

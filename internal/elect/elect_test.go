@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -12,10 +11,6 @@ import (
 
 	"hpcpower/internal/vfs"
 )
-
-func writeLegacyState(path, contents string) error {
-	return os.WriteFile(path, []byte(contents), 0o644)
-}
 
 // fakeClock is a manually-advanced clock; each node gets its own so
 // tests can skew and jump them independently.
@@ -778,40 +773,6 @@ func TestWitnessFrontierSurvivesRestart(t *testing.T) {
 	}
 	if resp := w2.OnVote(VoteRequest{From: "b", URL: "http://b", Epoch: 9, FrontierEpoch: 3, FrontierLSN: 77}); !resp.Granted {
 		t.Fatal("up-to-date candidate refused")
-	}
-}
-
-// TestStateFileParsesLegacySingleField: a promise file written by the
-// pre-frontier format (one field) must still open, with a zero
-// frontier.
-func TestStateFileParsesLegacySingleField(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "promised")
-	if err := writeLegacyState(path, "5\n"); err != nil {
-		t.Fatal(err)
-	}
-	sf, err := OpenStateFile(vfs.OS, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sf.Promised() != 5 {
-		t.Fatalf("promised = %d, want 5", sf.Promised())
-	}
-	if fe, fl := sf.MaxFrontier(); fe != 0 || fl != 0 {
-		t.Fatalf("legacy frontier = %d/%d, want 0/0", fe, fl)
-	}
-	if err := sf.NoteFrontier(2, 9); err != nil {
-		t.Fatal(err)
-	}
-	sf2, err := OpenStateFile(vfs.OS, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sf2.Promised() != 5 {
-		t.Fatalf("promise lost upgrading format: %d", sf2.Promised())
-	}
-	if fe, fl := sf2.MaxFrontier(); fe != 2 || fl != 9 {
-		t.Fatalf("upgraded frontier = %d/%d, want 2/9", fe, fl)
 	}
 }
 

@@ -25,8 +25,9 @@ import (
 // Both are durable (vfs.WriteFileAtomic) before the reply that depends
 // on them leaves the node, and both only move forward.
 //
-// File format: "promised [frontierEpoch frontierLSN]\n". The one-field
-// form is the pre-frontier format and still parses (frontier 0,0).
+// File format: "promised [frontierEpoch frontierLSN]\n", versioned by
+// its field count. The one-field form is the pre-frontier format and
+// still parses (frontier 0,0).
 type StateFile struct {
 	fsys      vfs.FS
 	path      string
@@ -49,7 +50,7 @@ func OpenStateFile(fsys vfs.FS, path string) (*StateFile, error) {
 	}
 	fields := strings.Fields(string(data))
 	if len(fields) != 1 && len(fields) != 3 {
-		return nil, fmt.Errorf("elect: parse state %q: want 1 or 3 fields, got %d", path, len(fields))
+		return nil, fmt.Errorf("elect: %s: elect state version %d, this build reads versions 1 and 3", path, len(fields))
 	}
 	vals := make([]uint64, len(fields))
 	for i, f := range fields {

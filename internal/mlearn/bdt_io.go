@@ -103,7 +103,7 @@ func LoadBDT(r io.Reader) (*BDT, error) {
 		return nil, fmt.Errorf("mlearn: not a BDT model file (format %q)", f.Format)
 	}
 	if f.Version != bdtFileVersion {
-		return nil, fmt.Errorf("mlearn: unsupported BDT model version %d", f.Version)
+		return nil, fmt.Errorf("mlearn: BDT model version %d, this build reads version %d", f.Version, bdtFileVersion)
 	}
 	t := &BDT{params: f.Params, fallback: f.Fallback}
 	if len(f.Nodes) == 0 {

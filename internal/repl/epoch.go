@@ -14,12 +14,13 @@ import (
 
 // EpochFile persists the fencing epoch — a monotonically increasing
 // counter bumped on every promotion — beside the last epoch this node
-// led, as "epoch led\n" (the older one-field form reads as led 0). It is
-// published by vfs.WriteFileAtomic, so a crash mid-write leaves the old
-// record or the new one, never a torn value. An elected node boots from
-// it: led == epoch says its WAL is that epoch's history, led < epoch
-// that it followed the epoch's leader, in whose LSN space its
-// replication cursor counts.
+// led, as "epoch led\n", versioned by its field count (the older
+// one-field form reads as led 0). It is published by
+// vfs.WriteFileAtomic, so a crash mid-write leaves the old record or the
+// new one, never a torn value. An elected node boots from it: led ==
+// epoch says its WAL is that epoch's history, led < epoch that it
+// followed the epoch's leader, in whose LSN space its replication cursor
+// counts.
 type EpochFile struct {
 	fsys vfs.FS
 	path string
@@ -41,12 +42,15 @@ func OpenEpochFile(fsys vfs.FS, path string) (*EpochFile, error) {
 		return nil, fmt.Errorf("repl: reading epoch file %s: %w", path, err)
 	}
 	f := append(strings.Fields(string(data)), "0") // led 0 if absent
+	if len(f) > 3 {
+		return nil, fmt.Errorf("repl: %s: epoch file version %d, this build reads versions 1 and 2", path, len(f)-1)
+	}
 	var perr error
-	if len(f) == 2 || len(f) == 3 {
+	if len(f) >= 2 {
 		e.epoch, err = strconv.ParseUint(f[0], 10, 64)
 		e.led, perr = strconv.ParseUint(f[1], 10, 64)
 	}
-	if len(f) < 2 || len(f) > 3 || err != nil || perr != nil || e.led > e.epoch {
+	if len(f) < 2 || err != nil || perr != nil || e.led > e.epoch {
 		return nil, fmt.Errorf("repl: epoch file %s holds %q, want \"epoch [led]\" with led at most epoch", path, bytes.TrimSpace(data))
 	}
 	return e, nil

@@ -138,6 +138,10 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 		return nil, fmt.Errorf("stream header: %w", ErrTorn)
 	}
 	if string(hdr[:8]) != streamMagic {
+		// Another digit there is another version, not damage.
+		if d := hdr[6]; string(hdr[:6]) == streamMagic[:6] && hdr[7] == '\n' && d >= '0' && d <= '9' {
+			return nil, fmt.Errorf("stream version %c, this build reads version 1", d)
+		}
 		return nil, &CorruptError{Offset: 0, Reason: "bad magic"}
 	}
 	return &StreamReader{

@@ -64,10 +64,11 @@ func FuzzEpochFile(f *testing.F) {
 // FuzzReplStream feeds arbitrary bytes to the replication stream
 // decoder, mirroring the WAL's FuzzSegmentRead. The contract under any
 // mutation: the reader yields frames then io.EOF, a clean truncation
-// (ErrTorn), or a typed *CorruptError — never a panic, a hang, or a
-// silently wrong frame. "Never silently wrong" is checked by
-// re-encoding: whatever was accepted must re-serialize to exactly the
-// byte prefix it consumed.
+// (ErrTorn), a typed *CorruptError, or — for a header "PWRREP<d>\n"
+// with d not '1' only — an error naming the version this build reads;
+// never a panic, a hang, or a silently wrong frame. "Never silently
+// wrong" is checked by re-encoding: whatever was accepted must
+// re-serialize to exactly the byte prefix it consumed.
 func FuzzReplStream(f *testing.F) {
 	// Seed: a healthy stream with data frames and a heartbeat.
 	seed := AppendHeader(nil, 3, 17)
@@ -75,11 +76,12 @@ func FuzzReplStream(f *testing.F) {
 	seed = AppendFrame(seed, FrameData, 18, []byte{})
 	seed = AppendFrame(seed, FrameHeartbeat, 18, HeartbeatBody(18, 3))
 	f.Add(seed)
-	f.Add(seed[:len(seed)-3])             // torn tail
-	f.Add(AppendHeader(nil, 1, 1))        // header only
-	f.Add([]byte{})                       // empty
-	f.Add([]byte("PWRREP1\n"))            // truncated header
-	f.Add(bytes.Repeat([]byte{0xff}, 64)) // garbage
+	f.Add(seed[:len(seed)-3])                       // torn tail
+	f.Add(AppendHeader(nil, 1, 1))                  // header only
+	f.Add([]byte{})                                 // empty
+	f.Add([]byte("PWRREP1\n"))                      // truncated header
+	f.Add(append([]byte("PWRREP2\n"), seed[8:]...)) // a newer version
+	f.Add(bytes.Repeat([]byte{0xff}, 64))           // garbage
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typedOK := func(err error) bool {
@@ -87,6 +89,13 @@ func FuzzReplStream(f *testing.F) {
 			return errors.Is(err, ErrTorn) || errors.As(err, &ce)
 		}
 		sr, err := NewStreamReader(bytes.NewReader(data))
+		newer := len(data) >= headerSize && string(data[:6]) == "PWRREP" && data[6] >= '0' && data[6] <= '9' && data[6] != '1' && data[7] == '\n'
+		if newer {
+			if want := fmt.Sprintf("stream version %c, this build reads version 1", data[6]); err == nil || err.Error() != want {
+				t.Fatalf("header %q: %v, want %q", data[:8], err, want)
+			}
+			return
+		}
 		if err != nil {
 			if !typedOK(err) {
 				t.Fatalf("untyped error from NewStreamReader: %v", err)

@@ -100,12 +100,24 @@ func (b *slowBody) Read(p []byte) (int, error) {
 	return b.r.Read(p)
 }
 
+// firstRead closes gate at the first Read of the body it wraps.
+type firstRead struct {
+	io.ReadCloser
+	once sync.Once
+	gate chan struct{}
+}
+
+func (b *firstRead) Read(p []byte) (int, error) {
+	b.once.Do(func() { close(b.gate) })
+	return b.ReadCloser.Read(p)
+}
+
 // TestIngestE2EIncludesBodyRead: the e2e histogram and the ingest trace
 // event time the request from before the body is read, on the durable
 // path as on the memory-only path (the durable path used to restart the
-// clock after decode and admission). The body's delay waits for a wrapper
-// around the server's handler to be entered, so all of it falls after
-// the server has the request in hand.
+// clock after decode and admission). The body's delay waits for the
+// server's first read of the body, which comes after the handler has
+// started its clock, so all of the delay falls inside the timed span.
 func TestIngestE2EIncludesBodyRead(t *testing.T) {
 	const delay = 60 * time.Millisecond
 	mem, _ := testNode{}.start(t)
@@ -113,10 +125,9 @@ func TestIngestE2EIncludesBodyRead(t *testing.T) {
 
 	for name, s := range map[string]*Server{"memory": mem, "durable": dur} {
 		entered := make(chan struct{})
-		var once sync.Once
 		h := s.Handler()
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			once.Do(func() { close(entered) })
+			r.Body = &firstRead{ReadCloser: r.Body, gate: entered}
 			h.ServeHTTP(w, r)
 		}))
 		body, err := json.Marshal(stampedBatches(13, 1)[0])
@@ -155,20 +166,7 @@ func TestIngestE2EIncludesBodyRead(t *testing.T) {
 // reproduce every record it can read.
 func TestRecoverParentWrittenWAL(t *testing.T) {
 	fixture := filepath.Join("testdata", "wal_pr11")
-	dir := t.TempDir()
-	segs, err := os.ReadDir(filepath.Join(fixture, "wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range segs {
-		b, err := os.ReadFile(filepath.Join(fixture, "wal", e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir := copyFixture(t, filepath.Join(fixture, "wal"))
 	s, srv := testNode{dir: dir}.start(t)
 	ts := srv.URL
 	if rep := s.dur.report; rep.RecordsReplayed != 6 || rep.SamplesReplayed != 13 || rep.Tombstoned != 1 || rep.DecodeErrors != 0 {
@@ -194,7 +192,7 @@ func TestRecoverParentWrittenWAL(t *testing.T) {
 		}
 	}
 
-	err = s.dur.log.Replay(func(lsn uint64, typ wal.RecordType, body []byte) error {
+	err := s.dur.log.Replay(func(lsn uint64, typ wal.RecordType, body []byte) error {
 		if typ != wal.RecordData {
 			return nil
 		}

@@ -115,10 +115,9 @@ type snapshotImage struct {
 type RecoveryReport struct {
 	SnapshotFound    bool
 	SnapshotLSN      uint64
-	SnapshotsSkipped int           // corrupt snapshot files skipped over
+	SnapshotsSkipped int           // corrupt or other-version snapshot files skipped over
 	SnapshotBytes    int           // payload size of the snapshot that was loaded
 	SnapshotLoad     time.Duration // its read + decode + install; Duration − SnapshotLoad is WAL open + replay
-	SnapshotLegacy   bool          // it was the all-JSON image written before the binary format
 	StaleLock        bool
 	RecordsReplayed  int64
 	SamplesReplayed  int64
@@ -449,11 +448,8 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	rep.SnapshotsSkipped = skipped
 	img := &snapshotImage{}
 	if found {
-		if img, rep.SnapshotLegacy, err = decodeSnapshotImage(payload); err != nil {
+		if img, err = decodeSnapshotImage(payload); err != nil {
 			return nil, fmt.Errorf("serve: snapshot %d payload: %w", snapLSN, err)
-		}
-		if rep.SnapshotLegacy {
-			s.metrics.legacySnapshots.Inc()
 		}
 		if err := s.install(img); err != nil {
 			return nil, fmt.Errorf("serve: restoring snapshot %d: %w", snapLSN, err)
@@ -696,8 +692,6 @@ func (d *durability) collect(e *obs.Exposition) {
 		e.Gauge("powserved_recovery_snapshot_bytes", float64(rep.SnapshotBytes))
 		e.Help("powserved_recovery_snapshot_seconds", "Read, decode and install time of that snapshot; recovery_seconds minus this is WAL open and replay.")
 		e.Gauge("powserved_recovery_snapshot_seconds", rep.SnapshotLoad.Seconds())
-		e.Help("powserved_recovery_snapshot_legacy", "1 when that snapshot was the all-JSON image written before the binary format.")
-		e.Gauge("powserved_recovery_snapshot_legacy", float64(b2i(rep.SnapshotLegacy)))
 		e.Gauge("powserved_recovery_records_replayed", float64(rep.RecordsReplayed))
 		e.Gauge("powserved_recovery_samples_replayed", float64(rep.SamplesReplayed))
 		e.Gauge("powserved_recovery_records_skipped", float64(rep.RecordsSkipped))

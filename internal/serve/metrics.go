@@ -30,7 +30,6 @@ type metrics struct {
 	batchesStale     *obs.Counter // duplicate because older than the dedup window
 	redeliveries     *obs.Counter // batches flagged as re-sent by the agent
 	decodeFallback   *obs.Counter // bodies and WAL records decoded by encoding/json, not the scanner
-	legacySnapshots  *obs.Counter // snapshot payloads in the all-JSON form older versions wrote
 
 	// requestLatency is the per-endpoint request distribution; the
 	// legacy powserved_requests_total / _request_seconds_sum /
@@ -96,8 +95,6 @@ func newMetrics(queueDepth func() int) *metrics {
 		redeliveries:     reg.Counter("powserved_redeliveries_total"),
 		decodeFallback: reg.CounterHelp("powserved_ingest_decode_fallback_total",
 			"Ingest bodies and WAL/replication records outside the canonical JSON form, decoded by encoding/json instead of the single-pass scanner."),
-		legacySnapshots: reg.CounterHelp("powserved_snapshot_legacy_decodes_total",
-			"Snapshot payloads (recovery and follower bootstrap) in the all-JSON form written before the binary snapshot image."),
 
 		requestLatency: reg.HistogramVec("powserved_request_latency_seconds", "endpoint", obs.DefaultLatencyBuckets),
 		requestErrors:  reg.CounterVec("powserved_request_errors_total", "endpoint"),

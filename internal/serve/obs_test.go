@@ -45,7 +45,6 @@ var legacyMetricNames = []string{
 	"powserved_snapshot_last_lsn",
 	"powserved_snapshot_last_bytes",
 	"powserved_snapshot_last_seconds",
-	"powserved_snapshot_legacy_decodes_total",
 	"powserved_recovery_seconds",
 	"powserved_recovery_snapshot_found",
 	"powserved_recovery_snapshot_lsn",
@@ -57,7 +56,6 @@ var legacyMetricNames = []string{
 	"powserved_recovery_snapshots_skipped",
 	"powserved_recovery_snapshot_bytes",
 	"powserved_recovery_snapshot_seconds",
-	"powserved_recovery_snapshot_legacy",
 	"powserved_recovery_stale_lock",
 	"powserved_repl_epoch",
 	"powserved_repl_role",

@@ -735,13 +735,9 @@ func (s *Server) applyReplicated(plsn uint64, body []byte) error {
 func (s *Server) installReplSnapshot(plsn uint64, payload []byte) error {
 	d := s.dur
 	rs := d.repl
-	img, legacy, err := decodeSnapshotImage(payload)
+	img, err := decodeSnapshotImage(payload)
 	if err != nil {
 		return fmt.Errorf("decoding snapshot payload: %w", err)
-	}
-	if legacy {
-		s.metrics.legacySnapshots.Inc()
-		rs.logger.Warn("bootstrap payload is a JSON snapshot image: the primary predates the binary format", slog.Uint64("lsn", plsn))
 	}
 	d.applyMu.Lock()
 	for last := d.log.LastLSN(); d.tracker.Load().frontierLSN() < last; last = d.log.LastLSN() {

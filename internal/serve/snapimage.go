@@ -19,8 +19,7 @@ import (
 // tables is the jobs' quantile tables, in the binary form
 // tsdb.StoreState.AppendTables documents, running to the end of the
 // payload. Version 1 is the same without nodesLen and tables, its jobs
-// carrying P² estimators in the meta instead; payloads written before
-// version 1 are the whole snapshotImage as JSON and start with '{'.
+// carrying P² estimators in the meta instead.
 const (
 	snapImageMagic   = "PSNI"
 	snapImageVersion = 2
@@ -53,50 +52,42 @@ func encodeSnapshotImage(img *snapshotImage) ([]byte, error) {
 	return img.Store.AppendTables(out), nil
 }
 
-// decodeSnapshotImage is the one reader: versions 2 and 1 by their
-// magic, and — legacy true — the all-JSON payload that snapshots written
-// before them and bootstrap responses of a not yet upgraded primary
-// carry. A job from a version-1 or JSON payload has no table: restoring
-// it seeds one from its P² estimators.
-func decodeSnapshotImage(payload []byte) (img *snapshotImage, legacy bool, err error) {
-	img = &snapshotImage{}
-	if len(payload) > 0 && payload[0] == '{' {
-		if err := json.Unmarshal(payload, img); err != nil {
-			return nil, true, err
-		}
-		return img, true, nil
-	}
+// decodeSnapshotImage is the one reader: versions 2 and 1, by their
+// magic. A job from a version-1 payload has no table: restoring it seeds
+// one from its P² estimators.
+func decodeSnapshotImage(payload []byte) (*snapshotImage, error) {
 	if len(payload) < snapImageHeader || string(payload[:len(snapImageMagic)]) != snapImageMagic {
-		return nil, false, fmt.Errorf("not a snapshot image: no %q magic and not JSON", snapImageMagic)
+		return nil, fmt.Errorf("snapshot image: this build reads versions 1 and %d, which start %q", snapImageVersion, snapImageMagic)
 	}
 	version := payload[len(snapImageMagic)]
 	if version != 1 && version != snapImageVersion {
-		return nil, false, fmt.Errorf("snapshot image version %d, this build reads versions 1 and %d and JSON", version, snapImageVersion)
+		return nil, fmt.Errorf("snapshot image version %d, this build reads versions 1 and %d", version, snapImageVersion)
 	}
+	img := &snapshotImage{}
 	metaLen := binary.LittleEndian.Uint32(payload[snapImageHeader-4:])
 	body := payload[snapImageHeader:]
 	if uint64(metaLen) > uint64(len(body)) {
-		return nil, false, fmt.Errorf("snapshot image claims %d bytes of meta, %d bytes left", metaLen, len(body))
+		return nil, fmt.Errorf("snapshot image claims %d bytes of meta, %d bytes left", metaLen, len(body))
 	}
 	if err := json.Unmarshal(body[:metaLen], img); err != nil {
-		return nil, false, fmt.Errorf("snapshot image meta: %w", err)
+		return nil, fmt.Errorf("snapshot image meta: %w", err)
 	}
 	if img.Store == nil {
-		return nil, false, fmt.Errorf("snapshot image meta has no store")
+		return nil, fmt.Errorf("snapshot image meta has no store")
 	}
 	nodes := body[metaLen:]
 	if version == snapImageVersion {
 		if len(nodes) < 8 || binary.LittleEndian.Uint64(nodes) > uint64(len(nodes)-8) {
-			return nil, false, fmt.Errorf("snapshot image: nodes section length is cut short or runs past the payload")
+			return nil, fmt.Errorf("snapshot image: nodes section length is cut short or runs past the payload")
 		}
 		n := binary.LittleEndian.Uint64(nodes)
 		if err := img.Store.DecodeTables(nodes[8+n:]); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		nodes = nodes[8 : 8+n]
 	}
 	if err := img.Store.DecodeNodes(nodes); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return img, false, nil
+	return img, nil
 }

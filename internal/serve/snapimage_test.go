@@ -21,7 +21,8 @@ import (
 )
 
 // snapNode is a durable node with detectors on over dir: a 4-shard store
-// with 32-point rings, the shape testdata/snap_pr14 was written with.
+// with 32-point rings, the shape the testdata/snap_* fixtures were
+// written with.
 func snapNode(dir string) testNode { return testNode{dir: dir, ringLen: 32, anomaly: true} }
 
 // fillSnapServer ingests a flatlining job that wraps its ring and fires
@@ -47,112 +48,24 @@ func fillSnapServer(t testing.TB, s *Server, url string) {
 	waitAnomalyFires(t, url, 42, 1)
 }
 
-// legacyPayload is the payload versions before the binary image wrote
-// for the same state: json.Marshal of the whole snapshotImage.
-func legacyPayload(t testing.TB, payload []byte) []byte {
-	t.Helper()
-	img, legacy, err := decodeSnapshotImage(payload)
-	if err != nil || legacy {
-		t.Fatalf("decoding a fresh payload: legacy %v, err %v", legacy, err)
-	}
-	out, err := json.Marshal(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestRecoverBinaryAndLegacyAgree: the same state restored from the
-// binary image and from the all-JSON image serves the same bytes, and
-// the report says which one it read.
-func TestRecoverBinaryAndLegacyAgree(t *testing.T) {
-	src, tsSrc := snapNode(t.TempDir()).start(t)
-	fillSnapServer(t, src, tsSrc.URL)
-	lsn, payload, err := src.dur.snapshotOnce(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := stateOf(src).String()
-	src.Close()
-	if payload[0] == '{' || !bytes.HasPrefix(payload, []byte(snapImageMagic)) {
-		t.Fatalf("snapshotOnce wrote a payload starting %q, want the %q image", payload[:8], snapImageMagic)
-	}
-	if bytes.Contains(payload, []byte(`"t":`)) {
-		t.Fatal("the binary image still carries JSON ring points")
-	}
-
-	for _, tc := range []struct {
-		name    string
-		payload []byte
-		legacy  bool
-	}{{"binary", payload, false}, {"legacy", legacyPayload(t, payload), true}} {
-		dir := t.TempDir()
-		if err := wal.WriteSnapshot(dir, lsn, tc.payload); err != nil {
-			t.Fatal(err)
-		}
-		s, ts := snapNode(dir).start(t)
-		rep := s.dur.report
-		if !rep.SnapshotFound || rep.SnapshotLegacy != tc.legacy || rep.SnapshotBytes != len(tc.payload) || rep.RecordsReplayed != 0 {
-			t.Errorf("%s: report %+v, want a %d-byte snapshot, legacy %v, nothing replayed", tc.name, rep, len(tc.payload), tc.legacy)
-		}
-		if rep.SnapshotLoad <= 0 || rep.SnapshotLoad > rep.Duration {
-			t.Errorf("%s: snapshot load %v of a %v recovery", tc.name, rep.SnapshotLoad, rep.Duration)
-		}
-		if got := s.metrics.legacySnapshots.Value(); got != int64(b2i(tc.legacy)) {
-			t.Errorf("%s: legacy decode counter %d", tc.name, got)
-		}
-		if got := stateOf(s).String(); got != want {
-			t.Errorf("%s: the restored state differs\n got %s\nwant %s", tc.name, got, want)
-		}
-		_, metrics := get(t, ts.URL+"/metrics")
-		for _, line := range []string{
-			"powserved_recovery_snapshot_bytes " + fmtUint(uint64(len(tc.payload))),
-			"powserved_recovery_snapshot_legacy " + fmtUint(uint64(b2i(tc.legacy))),
-		} {
-			if !strings.Contains(string(metrics), line+"\n") {
-				t.Errorf("%s: /metrics lacks %q", tc.name, line)
-			}
-		}
-	}
-}
-
-// TestRecoverParentWrittenSnapshot restores testdata/snap_pr14: a data
-// directory written at PR 14 — an all-JSON snapshot at LSN 41 (wrapped,
-// full, partial and one-point rings, a fired alert, dedup state) and a
-// WAL whose last four records lie past it — with the answers the PR 14
-// server gave before it was killed (median_w and p95_w since replaced by
-// what the count tables seeded from its P² estimators answer). Then the
-// same store is snapshotted by this writer and restarted once more.
-func TestRecoverParentWrittenSnapshot(t *testing.T) {
-	restoreFixture(t, "snap_pr14", true, 41)
-}
-
-// TestRecoverVersion1Snapshot does the same for testdata/snap_v1, written
-// by the last build whose binary image (version 1) carried P² estimators:
+// TestRecoverVersion1Snapshot restores testdata/snap_v1, written by the
+// last build whose binary image (version 1) carried P² estimators:
 // a snapshot at LSN 59 of a 432-reading job at 0.1 W, a three-reading job
 // and a flatline that fired an alert, then four WAL records past it. The
 // three-reading job's median and p95 are its exact ones; the large job's
 // come from a coarse table seeded from its estimators.
 func TestRecoverVersion1Snapshot(t *testing.T) {
-	restoreFixture(t, "snap_v1", false, 59)
+	restoreFixture(t, "snap_v1", 59)
 }
 
-func restoreFixture(t *testing.T, name string, legacy bool, lsn uint64) {
+// restoreFixture starts a node over the data directory of
+// testdata/<name>, which holds a snapshot at lsn and four WAL records
+// past it, and checks that it serves the answers the server that wrote
+// the directory gave; then restarts it once more from the snapshot this
+// build writes at Close.
+func restoreFixture(t *testing.T, name string, lsn uint64) {
 	fixture := filepath.Join("testdata", name)
-	dir := t.TempDir()
-	files, err := os.ReadDir(filepath.Join(fixture, "data"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range files {
-		b, err := os.ReadFile(filepath.Join(fixture, "data", e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir := copyFixture(t, filepath.Join(fixture, "data"))
 	// What the server that wrote the directory answered: the summary, the
 	// job list and every job's power, the alert timeline, every node's ring.
 	served := func(what string, s *Server, url string) {
@@ -173,15 +86,22 @@ func restoreFixture(t *testing.T, name string, legacy bool, lsn uint64) {
 	}
 
 	s, ts := snapNode(dir).start(t)
-	if rep := s.dur.report; !rep.SnapshotFound || rep.SnapshotLegacy != legacy || rep.SnapshotLSN != lsn || rep.RecordsReplayed != 4 || rep.DecodeErrors != 0 {
-		t.Errorf("report %+v, want the snapshot at lsn %d (legacy %v) and 4 records replayed", rep, lsn, legacy)
+	if rep := s.dur.report; !rep.SnapshotFound || rep.SnapshotLSN != lsn || rep.RecordsReplayed != 4 || rep.DecodeErrors != 0 {
+		t.Errorf("report %+v, want the snapshot at lsn %d and 4 records replayed", rep, lsn)
 	}
 	served("parent-written snapshot", s, ts.URL)
 	s.Close() // final snapshot, in the current form
+	_, payload, _, _, err := wal.LatestSnapshot(dir)
+	if err != nil || !bytes.HasPrefix(payload, []byte(snapImageMagic+string(rune(snapImageVersion)))) || bytes.Contains(payload, []byte(`"t":`)) {
+		t.Fatalf("Close wrote a payload starting %q (err %v), want a version-%d image with no JSON ring points", payload[:min(len(payload), 8)], err, snapImageVersion)
+	}
 
 	s, ts = snapNode(dir).start(t)
-	if rep := s.dur.report; !rep.SnapshotFound || rep.SnapshotLegacy || rep.RecordsReplayed != 0 {
-		t.Errorf("second restart: report %+v, want a binary snapshot and nothing replayed", rep)
+	if rep := s.dur.report; !rep.SnapshotFound || rep.RecordsReplayed != 0 || rep.SnapshotBytes != len(payload) || rep.SnapshotLoad <= 0 || rep.SnapshotLoad > rep.Duration {
+		t.Errorf("second restart: report %+v, want the %d-byte snapshot loaded within the recovery and nothing replayed", rep, len(payload))
+	}
+	if _, metrics := get(t, ts.URL+"/metrics"); !strings.Contains(string(metrics), "powserved_recovery_snapshot_bytes "+fmtUint(uint64(len(payload)))+"\n") {
+		t.Errorf("/metrics lacks powserved_recovery_snapshot_bytes %d", len(payload))
 	}
 	served("re-written snapshot", s, ts.URL)
 }
@@ -213,59 +133,43 @@ func TestRecoverDifferentRingLen(t *testing.T) {
 	}
 }
 
-// TestSnapshotImageVersionError: a payload of a version this build does
-// not know fails recovery by naming the version, not as bad JSON.
-func TestSnapshotImageVersionError(t *testing.T) {
-	dir := t.TempDir()
-	payload := append([]byte(snapImageMagic), 9, 0, 0, 0, 0)
-	if err := wal.WriteSnapshot(dir, 7, payload); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := testNode{dir: dir}.tryStart(t)
-	if err == nil || !strings.Contains(err.Error(), "version 9") || strings.Contains(err.Error(), "invalid character") {
-		t.Fatalf("Recover error %v, want one naming version 9", err)
-	}
-	if _, _, err := decodeSnapshotImage([]byte("garbage")); err == nil || !strings.Contains(err.Error(), "not a snapshot image") {
-		t.Fatalf("decoding garbage: %v", err)
-	}
-}
-
-// TestInstallLegacyBootstrapPayload: a follower accepts the all-JSON
-// payload a not yet upgraded primary serves, counts it, and ends up in
-// the state the binary payload installs.
-func TestInstallLegacyBootstrapPayload(t *testing.T) {
+// TestInstallBootstrapPayload: a follower installs a primary's snapshot
+// payload over whatever it held, ends up in the primary's state and
+// persists a local snapshot of it; the all-JSON payload older primaries
+// served is refused before anything is touched.
+func TestInstallBootstrapPayload(t *testing.T) {
 	src, tsSrc := snapNode(t.TempDir()).start(t)
 	fillSnapServer(t, src, tsSrc.URL)
 	lsn, payload, err := src.dur.snapshotOnce(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := stateOf(src).String()
+	img, err := decodeSnapshotImage(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.Marshal(img)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	for _, tc := range []struct {
-		name    string
-		payload []byte
-		legacy  int64
-	}{{"legacy", legacyPayload(t, payload), 1}, {"binary", payload, 0}} {
-		dst, tsDst := snapNode(t.TempDir()).start(t)
-		// The install replaces whatever the follower held.
-		if resp, _ := postJSON(t, tsDst.URL+"/v1/samples", stampedBatches(5, 1)[0]); resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("pre-install ingest: %d", resp.StatusCode)
-		}
-		if err := dst.installReplSnapshot(lsn, tc.payload); err != nil {
-			t.Fatalf("%s: install: %v", tc.name, err)
-		}
-		if got := stateOf(dst).String(); got != want {
-			t.Errorf("%s bootstrap: the installed state differs\n got %s\nwant %s", tc.name, got, want)
-		}
-		if got := dst.metrics.legacySnapshots.Value(); got != tc.legacy {
-			t.Errorf("%s: legacy decode counter %d, want %d", tc.name, got, tc.legacy)
-		}
-		// The install persisted a local snapshot, in the current format.
-		_, local, found, _, err := wal.LatestSnapshot(dst.dur.cfg.Dir)
-		if err != nil || !found || !bytes.HasPrefix(local, []byte(snapImageMagic)) {
-			t.Errorf("%s: local snapshot after install: found %v, err %v", tc.name, found, err)
-		}
+	dst, tsDst := snapNode(t.TempDir()).start(t)
+	if resp, _ := postJSON(t, tsDst.URL+"/v1/samples", stampedBatches(5, 1)[0]); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("pre-install ingest: %d", resp.StatusCode)
+	}
+	held := stateOf(dst).String()
+	if err := dst.installReplSnapshot(lsn, js); err == nil || !strings.Contains(err.Error(), "this build reads versions 1 and 2") || stateOf(dst).String() != held {
+		t.Fatalf("installing a JSON payload: %v", err)
+	}
+	if err := dst.installReplSnapshot(lsn, payload); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stateOf(dst).String(), stateOf(src).String(); got != want {
+		t.Errorf("the installed state differs\n got %s\nwant %s", got, want)
+	}
+	_, local, found, _, err := wal.LatestSnapshot(dst.dur.cfg.Dir)
+	if err != nil || !found || !bytes.HasPrefix(local, []byte(snapImageMagic)) {
+		t.Errorf("local snapshot after install: found %v, err %v", found, err)
 	}
 }
 
@@ -372,7 +276,7 @@ func TestSnapshotImageSizeAndAllocs(t *testing.T) {
 	}
 
 	var got *snapshotImage
-	decode := allocated(func() { got, _, err = decodeSnapshotImage(payload) })
+	decode := allocated(func() { got, err = decodeSnapshotImage(payload) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,21 +356,24 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var img *snapshotImage
 		var err error
-		if alloc := allocated(func() { img, _, err = decodeSnapshotImage(data) }); alloc > 1<<20+4096*uint64(len(data)) {
+		if alloc := allocated(func() { img, err = decodeSnapshotImage(data) }); alloc > 1<<20+4096*uint64(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
 		}
-		if err != nil || img.Store == nil {
+		if err != nil {
 			return
+		}
+		if !bytes.HasPrefix(data, []byte(snapImageMagic)) {
+			t.Fatalf("decoded a payload starting %q", data[:min(len(data), 8)])
 		}
 		prev := -1
 		for _, n := range img.Store.Nodes {
-			if !bytes.HasPrefix(data, []byte("{")) && (n.Node <= prev || len(n.Points) > img.Store.RingLen) {
+			if n.Node <= prev || len(n.Points) > img.Store.RingLen {
 				t.Fatalf("binary image decoded node %d after %d with %d points, ring length %d", n.Node, prev, len(n.Points), img.Store.RingLen)
 			}
 			prev = n.Node
 		}
 		for _, j := range img.Store.Jobs {
-			if data[len(snapImageMagic)] != snapImageVersion || data[0] == '{' {
+			if data[len(snapImageMagic)] != snapImageVersion {
 				break
 			}
 			var sum int64
@@ -508,54 +415,43 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotDecode is the decode share of a clean restart, for
-// the current payload and for the all-JSON one it replaced.
+// BenchmarkSnapshotDecode is the decode share of a clean restart.
 func BenchmarkSnapshotDecode(b *testing.B) {
 	_, payload := benchmarkPayload(b)
-	for _, tc := range []struct {
-		name    string
-		payload []byte
-	}{{"binary", payload}, {"legacy-json", legacyPayload(b, payload)}} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.SetBytes(int64(len(tc.payload)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := decodeSnapshotImage(tc.payload); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("binary", func(b *testing.B) {
+		b.SetBytes(int64(len(payload)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := decodeSnapshotImage(payload); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkRecoverClean is a whole clean restart of the benchmark's
-// store — NewDurable + Recover over a data directory that holds one
-// snapshot and an empty WAL — per payload format.
+// store: NewDurable + Recover over a data directory that holds one
+// snapshot and an empty WAL.
 func BenchmarkRecoverClean(b *testing.B) {
 	_, payload := benchmarkPayload(b)
-	for _, tc := range []struct {
-		name    string
-		payload []byte
-	}{{"binary", payload}, {"legacy-json", legacyPayload(b, payload)}} {
-		b.Run(tc.name, func(b *testing.B) {
-			dir := b.TempDir()
-			if err := wal.WriteSnapshot(dir, 500, tc.payload); err != nil {
+	b.Run("binary", func(b *testing.B) {
+		dir := b.TempDir()
+		if err := wal.WriteSnapshot(dir, 500, payload); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(payload)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s, err := NewDurable(tsdb.New(tsdb.DefaultConfig()), nil, DefaultConfig(), DurabilityConfig{Dir: dir})
+			if err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(int64(len(tc.payload)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s, err := NewDurable(tsdb.New(tsdb.DefaultConfig()), nil, DefaultConfig(), DurabilityConfig{Dir: dir})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.Recover(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				crash(b, s, httptest.NewServer(s.Handler()))
-				b.StartTimer()
+			if _, err := s.Recover(); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			b.StopTimer()
+			crash(b, s, httptest.NewServer(s.Handler()))
+			b.StartTimer()
+		}
+	})
 }

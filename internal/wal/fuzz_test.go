@@ -8,7 +8,8 @@ import (
 
 // FuzzSegmentRead feeds arbitrary bytes to the segment reader. The
 // contract under any mutation: the scan returns records then a clean
-// EOF, a clean truncation (ErrTorn), or a typed *CorruptError — never a
+// EOF, a clean truncation (ErrTorn), a typed *CorruptError, or — for a
+// header "PWRWAL<d>\n" with d not '1' only — a versionError; never a
 // panic, a hang, or a silently wrong record. "Never silently wrong" is
 // checked by re-encoding: whatever the reader accepted must re-serialize
 // to exactly the byte prefix it consumed.
@@ -19,11 +20,12 @@ func FuzzSegmentRead(f *testing.F) {
 	seed = appendFrame(seed, RecordTombstone, tombstoneBody(43))
 	seed = appendFrame(seed, RecordData, []byte{})
 	f.Add(seed)
-	f.Add(seed[:len(seed)-3])             // torn tail
-	f.Add(appendSegmentHeader(nil, 1))    // header only
-	f.Add([]byte{})                       // empty
-	f.Add([]byte("PWRWAL1\n"))            // truncated header
-	f.Add(bytes.Repeat([]byte{0xff}, 64)) // garbage
+	f.Add(seed[:len(seed)-3])                       // torn tail
+	f.Add(appendSegmentHeader(nil, 1))              // header only
+	f.Add([]byte{})                                 // empty
+	f.Add([]byte("PWRWAL1\n"))                      // truncated header
+	f.Add(append([]byte("PWRWAL2\n"), seed[8:]...)) // a newer version
+	f.Add(bytes.Repeat([]byte{0xff}, 64))           // garbage
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var types []RecordType
@@ -33,10 +35,15 @@ func FuzzSegmentRead(f *testing.F) {
 			bodies = append(bodies, append([]byte(nil), body...))
 			return nil
 		})
-		// The error, if any, must be one of the two typed outcomes.
+		// The error, if any, must be one of the typed outcomes.
 		if err != nil {
 			var ce *CorruptError
-			if !errors.Is(err, ErrTorn) && !errors.As(err, &ce) {
+			var ve versionError
+			newer := len(data) >= segHeaderSize && string(data[:6]) == "PWRWAL" && data[6] >= '0' && data[6] <= '9' && data[6] != '1' && data[7] == '\n'
+			if errors.As(err, &ve) != newer {
+				t.Fatalf("scanSegment of a header %q: %v", data[:min(len(data), 8)], err)
+			}
+			if !newer && !errors.Is(err, ErrTorn) && !errors.As(err, &ce) {
 				t.Fatalf("untyped error from scanSegment: %v", err)
 			}
 		}

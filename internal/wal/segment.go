@@ -50,7 +50,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 var ErrTorn = errors.New("wal: torn frame at end of segment")
 
 // CorruptError reports bytes that are present but wrong — a failed CRC,
-// an impossible length, an unknown record type, or a bad header. Recovery
+// an impossible length, an unknown record type, or a bad magic. Recovery
 // treats it like a torn tail (truncate and continue) but the distinct
 // type lets callers and tests tell silent bit rot from a torn append.
 type CorruptError struct {
@@ -126,11 +126,18 @@ func (fr *frameReader) release() {
 func scanSegment(r io.Reader, fn func(typ RecordType, body []byte) error) (firstLSN uint64, records int, validBytes int64, err error) {
 	fr := getFrameReader(r)
 	defer fr.release()
-	if firstLSN, err = readSegmentHeader(fr.br); err != nil {
+	var hdr [segHeaderSize]byte
+	if n, rerr := io.ReadFull(fr.br, hdr[:]); rerr != nil {
+		if n == 0 && rerr == io.EOF {
+			return 0, 0, 0, fmt.Errorf("empty segment: %w", ErrTorn)
+		}
+		return 0, 0, 0, tornOrReadError("segment header", 0, rerr)
+	}
+	if err := checkMagic(hdr[:8], segMagic, "segment"); err != nil {
 		return 0, 0, 0, err
 	}
 	records, validBytes, err = fr.scanFrames(segHeaderSize, fn)
-	return firstLSN, records, validBytes, err
+	return binary.LittleEndian.Uint64(hdr[8:]), records, validBytes, err
 }
 
 // scanFramesAt is scanSegment without the header: r is positioned at the
@@ -143,20 +150,22 @@ func scanFramesAt(r io.Reader, off int64, fn func(typ RecordType, body []byte) e
 	return fr.scanFrames(off, fn)
 }
 
-// readSegmentHeader checks the segment header and returns its first LSN.
-func readSegmentHeader(r io.Reader) (firstLSN uint64, err error) {
-	var hdr [segHeaderSize]byte
-	n, rerr := io.ReadFull(r, hdr[:])
-	if rerr != nil {
-		if n == 0 && rerr == io.EOF {
-			return 0, fmt.Errorf("empty segment: %w", ErrTorn)
-		}
-		return 0, tornOrReadError("segment header", 0, rerr)
+// versionError is a header of another version: a newer (or much older)
+// writer's, not damage, so no recovery truncates over it.
+type versionError string
+
+func (e versionError) Error() string { return string(e) }
+
+// checkMagic checks a header's first 8 bytes against want, a magic of the
+// form "PWRxxx1\n": another digit there is a versionError.
+func checkMagic(got []byte, want, format string) error {
+	if string(got) == want {
+		return nil
 	}
-	if string(hdr[:8]) != segMagic {
-		return 0, &CorruptError{Offset: 0, Reason: "bad magic"}
+	if d := got[6]; string(got[:6]) == want[:6] && got[7] == '\n' && d >= '0' && d <= '9' {
+		return versionError(fmt.Sprintf("%s version %c, this build reads version %c", format, d, want[6]))
 	}
-	return binary.LittleEndian.Uint64(hdr[8:]), nil
+	return &CorruptError{Offset: 0, Reason: "bad magic"}
 }
 
 // scanFrames is the frame loop of a scan, starting at the frame boundary

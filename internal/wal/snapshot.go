@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -61,14 +62,17 @@ func WriteSnapshotFS(fsys vfs.FS, dir string, lsn uint64, payload []byte) error 
 	return nil
 }
 
-// readSnapshot loads and verifies one snapshot file.
-func readSnapshot(fsys vfs.FS, path string) (lsn uint64, payload []byte, err error) {
+// ReadSnapshot loads and verifies one snapshot file.
+func ReadSnapshot(fsys vfs.FS, path string) (lsn uint64, payload []byte, err error) {
 	data, err := vfs.ReadFile(fsys, path)
 	if err != nil {
 		return 0, nil, err
 	}
-	if len(data) < snapHeaderSize || string(data[:8]) != snapMagic {
+	if len(data) < snapHeaderSize {
 		return 0, nil, &CorruptError{Offset: 0, Reason: "bad snapshot header"}
+	}
+	if err := checkMagic(data[:8], snapMagic, "snapshot file"); err != nil {
+		return 0, nil, err
 	}
 	lsn = binary.LittleEndian.Uint64(data[8:16])
 	plen := binary.LittleEndian.Uint64(data[16:24])
@@ -100,9 +104,9 @@ func listSnapshots(fsys vfs.FS, dir string) ([]string, error) {
 }
 
 // LatestSnapshot returns the newest CRC-valid snapshot in dir, skipping
-// (and counting) corrupt ones — a damaged latest snapshot falls back to
-// the previous one rather than failing recovery. found is false when no
-// valid snapshot exists.
+// (and counting) corrupt ones and other versions — a damaged latest
+// snapshot falls back to the previous one rather than failing recovery.
+// found is false when no valid snapshot exists.
 func LatestSnapshot(dir string) (lsn uint64, payload []byte, found bool, skippedCorrupt int, err error) {
 	return LatestSnapshotFS(vfs.OS, dir)
 }
@@ -114,11 +118,12 @@ func LatestSnapshotFS(fsys vfs.FS, dir string) (lsn uint64, payload []byte, foun
 		return 0, nil, false, 0, fmt.Errorf("wal: listing snapshots: %w", err)
 	}
 	for i := len(names) - 1; i >= 0; i-- {
-		l, p, rerr := readSnapshot(fsys, filepath.Join(dir, names[i]))
+		l, p, rerr := ReadSnapshot(fsys, filepath.Join(dir, names[i]))
 		if rerr == nil {
 			return l, p, true, skippedCorrupt, nil
 		}
-		if truncatable(rerr) || os.IsNotExist(rerr) {
+		var ve versionError
+		if truncatable(rerr) || errors.As(rerr, &ve) || os.IsNotExist(rerr) {
 			skippedCorrupt++
 			continue
 		}

@@ -196,6 +196,49 @@ func TestCorruptFrameTruncatesAndDropsLaterSegments(t *testing.T) {
 	}
 }
 
+// TestNewerSegmentVersionIsNeverTruncated: a segment whose header names
+// another version is a newer writer's log, not damage. Open refuses it
+// by name and leaves every segment as it was.
+func TestNewerSegmentVersionIsNeverTruncated(t *testing.T) {
+	dir := t.TempDir()
+	l := openTest(t, dir, Options{Policy: SyncNone, SegmentBytes: 8 * (frameHeaderSize + 24)})
+	for i := 0; i < 40; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("record-%02d-padding-paddin", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	segs, _ := listSegments(vfs.OS, dir)
+	if len(segs) != 5 {
+		t.Fatalf("want 5 segments, got %d", len(segs))
+	}
+	before := map[string][]byte{}
+	for i, name := range segs {
+		data, _ := os.ReadFile(filepath.Join(dir, name))
+		if i == 0 {
+			data[len(segMagic)-2] = '2'
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before[name] = data
+	}
+
+	_, err := Open(dir, Options{Policy: SyncNone})
+	if want := "wal: scanning " + segs[0] + ": segment version 2, this build reads version 1"; err == nil || err.Error() != want {
+		t.Fatalf("Open = %v, want %q", err, want)
+	}
+	after, _ := listSegments(vfs.OS, dir)
+	if len(after) != len(segs) {
+		t.Fatalf("%d segments left of %d", len(after), len(segs))
+	}
+	for name, want := range before {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s changed (err %v)", name, err)
+		}
+	}
+}
+
 func TestRotationAndReap(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, dir, Options{Policy: SyncBatch, SegmentBytes: 256})
