@@ -19,7 +19,7 @@ GO ?= go
 # a list: both run it straight after the build, because bench/ compiles
 # against the tree and a symbol it uses going missing should fail in the
 # first minute, not the last step.
-FUZZ_TARGETS = fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-epoch fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state fuzz-codec fuzz-snapshot fuzz-sort fuzz-dist fuzz-bdt
+FUZZ_TARGETS = fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-epoch fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state fuzz-codec fuzz-snapshot fuzz-sort fuzz-dist fuzz-bdt fuzz-tsdb-index
 BENCH_TARGETS = bench bench-block bench-codec bench-wal bench-snapshot bench-tsdb bench-mlearn
 SMOKE_TARGETS = smoke
 
@@ -104,13 +104,16 @@ bench-snapshot:
 	$(call gobench,'SnapshotEncode|SnapshotDecode|RecoverClean',./internal/serve/)
 	$(GO) test -run xxx -bench 'RecoverCrash' -benchmem -benchtime=$(BENCHTIME) -cpu 1,2 ./internal/serve/
 
-# TSDB write-path microbenchmarks in steady state (rings, jobs and a full
-# open-minute window exist; 0 allocs/op): Append on the batches the fleet
-# ships (512 distinct nodes, jobs on contiguous runs of 1-64 nodes) and
-# on the worst case for its per-run job pass (a new job every sample),
-# plus ExportState, which reads everything Append writes.
+# TSDB write-path microbenchmarks. In steady state (rings, jobs and a
+# full open-minute window exist; 0 allocs/op): Append on the batches the
+# fleet ships (512 distinct nodes, jobs on contiguous runs of 1-64 nodes)
+# and on the worst case for its per-run job pass (a new job every
+# sample). From empty: AppendReplay, a fresh store fed the crash-restart
+# image's 1,000 records, so rings are made and grow and jobs are made —
+# the apply side of RecoverCrash. Plus ExportState, which reads
+# everything Append writes.
 bench-tsdb:
-	$(call gobench,'AppendFleet|AppendInterleaved|ExportState',./internal/tsdb/)
+	$(call gobench,'AppendFleet|AppendInterleaved|AppendReplay|ExportState',./internal/tsdb/)
 
 # The paper's study, microbenchmarked (Emmy at a tenth of the study):
 # BDTFit on 5,000 synthetic jobs (about 125 allocs/op: the columns, the
@@ -172,6 +175,12 @@ fuzz-bdt:
 # order on every path, NaNs first.
 fuzz-sort:
 	$(call gofuzz,FuzzSortFloat64s,15s,./internal/stats/)
+
+# Fuzz a shard's open-addressed node index against a map doing the same
+# puts, on IDs that share a probe start and IDs near the top of int,
+# through growth, ExportState and InstallState.
+fuzz-tsdb-index:
+	$(call gofuzz,FuzzNodeIndex,15s -fuzzminimizetime 2s,./internal/tsdb/)
 
 # Fuzz the distribution mean's kernel against the serial loop it
 # replaced, one rounded add per reading: starting sums, values and counts

@@ -227,6 +227,7 @@ func (e *Engine) observeJob(bj *batchJob, traceID string, events []Event) []Even
 	if fp.Last > now {
 		now = fp.Last
 	}
+	e.evals.Add(int64(len(e.rules)))
 	sh := e.shard(bj.id)
 	sh.mu.Lock()
 	ja := sh.jobs[bj.id]
@@ -238,7 +239,6 @@ func (e *Engine) observeJob(bj *batchJob, traceID string, events []Event) []Even
 		r := &e.rules[i]
 		st := &ja.states[i]
 		active, value, threshold := r.Eval(&fp)
-		e.evals.Add(1)
 		if active {
 			st.clearSince = 0
 			if st.condSince == 0 {

@@ -284,6 +284,37 @@ func TestAnomalyMetricsLint(t *testing.T) {
 	}
 }
 
+// TestAnomalyEvalsCountedPerJob: every rule is evaluated once per job a
+// batch carries, however its samples are split into runs and whatever
+// idle samples lie between them, so after known batches
+// powserved_anomaly_evals_total is exactly jobs × rules.
+func TestAnomalyEvalsCountedPerJob(t *testing.T) {
+	s, ts := anomalyNode.start(t)
+	rules := s.anom.Snapshot().Rules
+	if rules == 0 {
+		t.Fatal("the engine runs no rules")
+	}
+	batch := func(seq uint64) trace.SampleBatch {
+		at := int64(1_700_000_000) + int64(seq)*60
+		return trace.SampleBatch{AgentID: "evals", Seq: seq, Samples: []trace.PowerSample{
+			{Node: 1, JobID: 7, Unix: at, PowerW: 200},
+			{Node: 2, JobID: 8, Unix: at, PowerW: 180},
+			{Node: 3, JobID: 0, Unix: at, PowerW: 60},
+			{Node: 4, JobID: 7, Unix: at, PowerW: 210},
+			{Node: 5, JobID: 9, Unix: at, PowerW: 150},
+		}}
+	}
+	for seq := uint64(1); seq <= 2; seq++ {
+		sendAll(t, ts.URL, []trace.SampleBatch{batch(seq)})
+		waitFor(t, "the engine to observe the batch", func() bool { return s.anom.Snapshot().Batches == int64(seq) })
+		_, body := get(t, ts.URL+"/metrics")
+		want := fmt.Sprintf("\npowserved_anomaly_evals_total %d\n", 3*rules*int(seq))
+		if !strings.Contains(string(body), want) {
+			t.Fatalf("after %d batches of 3 jobs and %d rules, /metrics lacks %q", seq, rules, strings.TrimSpace(want))
+		}
+	}
+}
+
 // The anomaly rounds: labeled synthetic jobs shipped through a faulting
 // proxy into a durable node running the default rules must be scored
 // perfectly, raise exactly the alerts a fault-free control raises however

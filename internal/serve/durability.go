@@ -445,7 +445,11 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: reading snapshots: %w", err)
 	}
-	rep.SnapshotsSkipped = skipped
+	rep.SnapshotsSkipped = len(skipped)
+	for _, sk := range skipped {
+		s.metrics.logger.Warn("recovery skipped a snapshot file it cannot read",
+			slog.String("file", sk.Name), slog.String("reason", sk.Err.Error()))
+	}
 	img := &snapshotImage{}
 	if found {
 		if img, err = decodeSnapshotImage(payload); err != nil {
@@ -496,7 +500,7 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	}
 	if first > covered+1 {
 		return nil, fmt.Errorf("serve: wal starts at lsn %d but the snapshot covers lsns up to %d: lsns %d..%d are in neither (%d corrupt snapshot(s) skipped)",
-			first, covered, covered+1, first-1, skipped)
+			first, covered, covered+1, first-1, len(skipped))
 	}
 
 	// A tombstone cancels an earlier record, so all of them must be known

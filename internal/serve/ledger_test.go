@@ -127,8 +127,8 @@ func formatLedger() []ledgerRow {
 			dir := copyFixture(t, filepath.Dir(v2Snap))
 			newer := filepath.Join(dir, "snap-00000000000000000099.snap")
 			writeVersioned(t, v2Snap, newer, 6, byte('0'+v))
-			if lsn, _, found, skipped, err := wal.LatestSnapshot(dir); err != nil || !found || lsn != 24 || skipped != 1 {
-				t.Errorf("version %d: latest snapshot %d (found %v, skipped %d, err %v), want 24 past one skipped", v, lsn, found, skipped, err)
+			if lsn, _, found, skipped, err := wal.LatestSnapshot(dir); err != nil || !found || lsn != 24 || len(skipped) != 1 {
+				t.Errorf("version %d: latest snapshot %d (found %v, skipped %v, err %v), want 24 past one skipped", v, lsn, found, skipped, err)
 			}
 			_, _, err := wal.ReadSnapshot(vfs.OS, newer)
 			return err

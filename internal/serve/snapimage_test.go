@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -454,4 +455,53 @@ func BenchmarkRecoverClean(b *testing.B) {
 			b.StartTimer()
 		}
 	})
+}
+
+// TestRecoverLogsSkippedSnapshots: newer snapshot files this build
+// cannot read — another version, a CRC mismatch, a torn header — sit
+// beside the good one. Recover falls back to the good one, counts the
+// three, and logs one warning for each that names the file and why.
+func TestRecoverLogsSkippedSnapshots(t *testing.T) {
+	dir := copyFixture(t, filepath.Join("testdata", "snap_v2", "data"))
+	good := filepath.Join(dir, "snap-00000000000000000024.snap")
+	skipped := map[string]string{
+		"snap-00000000000000000099.snap": "snapshot file version 2",
+		"snap-00000000000000000098.snap": "crc mismatch",
+		"snap-00000000000000000097.snap": "bad snapshot header",
+	}
+	writeVersioned(t, good, filepath.Join(dir, "snap-00000000000000000099.snap"), 6, '2')
+	writeVersioned(t, good, filepath.Join(dir, "snap-00000000000000000098.snap"), 40, 0xff)
+	if err := os.WriteFile(filepath.Join(dir, "snap-00000000000000000097.snap"), []byte("PWRSNP1\n\x61"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	node := snapNode(dir)
+	node.cfg.Logger = slog.New(slog.NewTextHandler(&logged, nil))
+	s, ts := node.start(t)
+	if rep := s.dur.report; !rep.SnapshotFound || rep.SnapshotLSN != 24 || rep.SnapshotsSkipped != len(skipped) {
+		t.Errorf("report %+v, want the snapshot at lsn 24 past %d skipped", rep, len(skipped))
+	}
+	if _, metrics := get(t, ts.URL+"/metrics"); !strings.Contains(string(metrics), "\npowserved_recovery_snapshots_skipped 3\n") {
+		t.Errorf("/metrics lacks powserved_recovery_snapshots_skipped 3")
+	}
+	var warns []string
+	for _, line := range strings.Split(logged.String(), "\n") {
+		if strings.Contains(line, "level=WARN") {
+			warns = append(warns, line)
+		}
+	}
+	if len(warns) != len(skipped) {
+		t.Fatalf("%d warnings, want one per skipped file:\n%s", len(warns), logged.String())
+	}
+	for name, reason := range skipped {
+		n := 0
+		for _, w := range warns {
+			if strings.Contains(w, "file="+name) && strings.Contains(w, reason) {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("%d warnings name %s and %q:\n%s", n, name, reason, logged.String())
+		}
+	}
 }

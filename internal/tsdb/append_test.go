@@ -229,3 +229,61 @@ func TestAppendConcurrentSharedJobs(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendConcurrentJobChange: writers append the same nodes at once,
+// each under jobs of its own, and every node changes job half way: the
+// rings' job memos flip between writers while their job passes run. Each
+// round's samples of a node are one reading at one time, so the order
+// the writers' batches land in changes nothing the store keeps, and the
+// image — node sets above all — must equal the writers' batches applied
+// one after another. Run it under -race too.
+func TestAppendConcurrentJobChange(t *testing.T) {
+	const writers, rounds, nodes = 4, spatialWindowMinutes, 64
+	batch := func(w, round int) []trace.PowerSample {
+		var out []trace.PowerSample
+		for n := 0; n < nodes; n++ {
+			if (n+w+round)%5 == 0 {
+				continue
+			}
+			job := uint64(1 + (n/8+w)%5)
+			if round >= rounds/2 {
+				job += 5
+			}
+			out = append(out, trace.PowerSample{Node: n, JobID: job, Unix: 1_700_000_040 + int64(round)*60, PowerW: 150})
+		}
+		return out
+	}
+	cfg := Config{Shards: 4, RingLen: writers * rounds}
+	serial, concurrent := New(cfg), New(cfg)
+	spans := map[uint64]map[int]bool{}
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			for _, smp := range batch(w, round) {
+				if spans[smp.JobID] == nil {
+					spans[smp.JobID] = map[int]bool{}
+				}
+				spans[smp.JobID][smp.Node] = true
+			}
+			if err := serial.Append(batch(w, round)); err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func(b []trace.PowerSample) {
+				defer wg.Done()
+				if err := concurrent.Append(b); err != nil {
+					t.Error(err)
+				}
+			}(batch(w, round))
+		}
+		wg.Wait()
+	}
+	if got, want := storeImage(t, concurrent), storeImage(t, serial); string(got) != string(want) {
+		t.Fatalf("concurrent image differs from the serial one\n got: %s\nwant: %s", got, want)
+	}
+	for id, span := range spans {
+		if st, _ := concurrent.JobPower(id); st.Nodes != len(span) || len(span) == nodes {
+			t.Errorf("job %d spans %d nodes, its samples came from %d of %d", id, st.Nodes, len(span), nodes)
+		}
+	}
+}

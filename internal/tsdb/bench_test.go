@@ -7,6 +7,7 @@ import (
 
 	"hpcpower/internal/block"
 	"hpcpower/internal/core"
+	"hpcpower/internal/rng"
 	"hpcpower/internal/stats"
 	"hpcpower/internal/trace"
 )
@@ -200,4 +201,52 @@ func BenchmarkAppendFleet(b *testing.B) {
 // Append's per-run job pass, which then locks and looks up per sample.
 func BenchmarkAppendInterleaved(b *testing.B) {
 	benchAppendTicks(b, benchAgentBatches(func(*rand.Rand) int { return 1 }))
+}
+
+// crashImageRecords is the sample content of the WAL the crash-restart
+// benchmark replays (internal/serve's writeCrashImage): 1,000 records,
+// the two agents of 512 nodes taking turns a tick each, every job on 16
+// contiguous nodes, 0.1 W readings about each node's level.
+func crashImageRecords() [][]trace.PowerSample {
+	const agentNodes, records = 512, 1000
+	src := rng.New(42)
+	level := make([]float64, 2*agentNodes)
+	for n := range level {
+		level[n] = 90 + 170*src.Float64()
+	}
+	out := make([][]trace.PowerSample, records)
+	for r := range out {
+		agent, tick := r%2, int64(r/2)
+		samples := make([]trace.PowerSample, agentNodes)
+		for i := range samples {
+			n := agent*agentNodes + i
+			w := math.Round(level[n]*(1+0.05*src.Norm())*10) / 10
+			samples[i] = trace.PowerSample{Node: n, JobID: uint64(n/16 + 1), Unix: 1_700_000_040 + tick*60, PowerW: math.Max(w, 0)}
+		}
+		out[r] = samples
+	}
+	return out
+}
+
+// BenchmarkAppendReplay is the apply side of a crash restart: a fresh
+// store fed the crash image's records in log order, so every node's ring
+// is made and grows, every job is made, and each node's first sample
+// writes its job's node set. AppendFleet is the steady state it ends in.
+func BenchmarkAppendReplay(b *testing.B) {
+	records := crashImageRecords()
+	samples := 0
+	for _, rec := range records {
+		samples += len(rec)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New(DefaultConfig())
+		for _, rec := range records {
+			if err := s.Append(rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
 }

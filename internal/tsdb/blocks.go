@@ -91,7 +91,10 @@ func (s *Store) headSpan() (minT, maxT int64, ok bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, r := range sh.nodes {
+		for _, r := range sh.nodes.rings {
+			if r == nil {
+				continue
+			}
 			r.window(math.MinInt64, math.MaxInt64, func(run []Point) {
 				if r.ordered() {
 					run = []Point{run[0], run[len(run)-1]} // a run in time order spans its ends
@@ -119,7 +122,10 @@ func (s *Store) collectWindow(from, to int64) map[int][]block.Point {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for node, r := range sh.nodes {
+		for slot, r := range sh.nodes.rings {
+			if r == nil {
+				continue
+			}
 			var bp []block.Point
 			r.window(from, to, func(run []Point) {
 				bp = slices.Grow(bp, len(run))
@@ -128,7 +134,7 @@ func (s *Store) collectWindow(from, to int64) map[int][]block.Point {
 				}
 			})
 			if len(bp) > 0 {
-				out[node] = bp
+				out[sh.nodes.keys[slot]] = bp
 			}
 		}
 		sh.mu.RUnlock()
@@ -296,8 +302,10 @@ func (s *Store) AppendValuesMerged(dst []float64, nodes []int, from, to int64) (
 		for i := range s.shards {
 			sh := &s.shards[i]
 			sh.mu.RLock()
-			for _, r := range sh.nodes {
-				dst = r.appendValues(dst, head.from, head.to)
+			for _, r := range sh.nodes.rings {
+				if r != nil {
+					dst = r.appendValues(dst, head.from, head.to)
+				}
 			}
 			sh.mu.RUnlock()
 		}
@@ -308,7 +316,7 @@ func (s *Store) AppendValuesMerged(dst []float64, nodes []int, from, to int64) (
 	for _, node := range slices.Compact(nodes) {
 		sh := s.nodeShard(node)
 		sh.mu.RLock()
-		if r := sh.nodes[node]; r != nil {
+		if r := sh.nodes.lookup(node); r != nil {
 			dst = r.appendValues(dst, head.from, head.to)
 		}
 		sh.mu.RUnlock()
@@ -346,8 +354,10 @@ func (s *Store) NodeIDs() []int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for node := range sh.nodes {
-			set[node] = struct{}{}
+		for slot, r := range sh.nodes.rings {
+			if r != nil {
+				set[sh.nodes.keys[slot]] = struct{}{}
+			}
 		}
 		sh.mu.RUnlock()
 	}

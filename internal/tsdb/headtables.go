@@ -257,7 +257,10 @@ func (s *Store) scanHead(scans []headScan) bool {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, r := range sh.nodes {
+		for _, r := range sh.nodes.rings {
+			if r == nil {
+				continue
+			}
 			for _, sc := range scans {
 				if !r.tallyValues(sc.t, sc.from, sc.hi) {
 					sh.mu.RUnlock()

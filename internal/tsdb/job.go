@@ -15,7 +15,7 @@ import (
 type jobState struct {
 	acc   stats.Accumulator // all samples of the job, all nodes
 	table powerTable        // the same samples, counted by reading
-	nodes map[int]struct{}  // distinct nodes seen
+	nodes map[int]struct{}  // distinct nodes seen, added by Store.addToJob
 
 	// fp is the job's anomaly-detection fingerprint (EWMA baselines,
 	// CUSUM phase tracking, shape sketch), updated in the same locked
@@ -54,13 +54,11 @@ func newJobState() *jobState {
 }
 
 // add folds one sample in and returns the bytes the job's table grew by.
-func (j *jobState) add(node int, unix int64, w float64) int64 {
+// The sample's node is the caller's to add to nodes.
+func (j *jobState) add(unix int64, w float64) int64 {
 	j.acc.Add(w)
 	grown := j.table.add(w)
 	j.fp.Update(unix, w)
-	if _, seen := j.nodes[node]; !seen {
-		j.nodes[node] = struct{}{}
-	}
 	if j.firstUnix == 0 || unix < j.firstUnix {
 		j.firstUnix = unix
 	}

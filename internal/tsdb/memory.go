@@ -13,8 +13,8 @@ package tsdb
 const (
 	// pointBytes is sizeof(Point): one int64 + one float64.
 	pointBytes = 16
-	// ringOverheadBytes covers the ring struct, slice header, and map
-	// entry that carry each node's buffer.
+	// ringOverheadBytes covers the ring struct, slice header, and
+	// node-index slots that carry each node's buffer.
 	ringOverheadBytes = 64
 	// jobStateBytes is a fixed estimate of one jobState without its
 	// quantile table: Welford, fingerprint and spread accumulators and the
@@ -38,7 +38,7 @@ func (s *Store) ringBytes() int64 {
 // snapshot restore.
 func (s *Store) MemoryBytes() int64 { return s.memBytes.Load() }
 
-// recountMem rebuilds the memory account from the live maps — used after
+// recountMem rebuilds the memory account from the live indexes — used after
 // bulk loads (restore, follower bootstrap) where incremental accounting
 // would be noise.
 func (s *Store) recountMem() {
@@ -46,7 +46,7 @@ func (s *Store) recountMem() {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		nodes += len(sh.nodes)
+		nodes += sh.nodes.n
 		sh.mu.RUnlock()
 	}
 	var jobs int64

@@ -24,24 +24,24 @@ func TestMemoryBytesAccounting(t *testing.T) {
 	if err := s.Append(idle(0)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.MemoryBytes(); got != s.ringBytes() || len(s.nodeShard(7).nodes[7].buf) >= s.ringLen {
-		t.Fatalf("one-point ring of buffer %d accounted at %d, want %d", len(s.nodeShard(7).nodes[7].buf), got, s.ringBytes())
+	if got := s.MemoryBytes(); got != s.ringBytes() || len(s.nodeShard(7).nodes.lookup(7).buf) >= s.ringLen {
+		t.Fatalf("one-point ring of buffer %d accounted at %d, want %d", len(s.nodeShard(7).nodes.lookup(7).buf), got, s.ringBytes())
 	}
 	grows := 0
 	for unix := int64(60); unix <= 60*int64(s.ringLen+1); unix += 60 {
-		before := len(s.nodeShard(7).nodes[7].buf)
+		before := len(s.nodeShard(7).nodes.lookup(7).buf)
 		if err := s.Append(idle(unix)); err != nil {
 			t.Fatal(err)
 		}
-		if len(s.nodeShard(7).nodes[7].buf) != before {
+		if len(s.nodeShard(7).nodes.lookup(7).buf) != before {
 			grows++
 		}
 		if got := s.MemoryBytes(); got != s.ringBytes() {
-			t.Fatalf("after %d growths to a buffer of %d, MemoryBytes = %d, want %d", grows, len(s.nodeShard(7).nodes[7].buf), got, s.ringBytes())
+			t.Fatalf("after %d growths to a buffer of %d, MemoryBytes = %d, want %d", grows, len(s.nodeShard(7).nodes.lookup(7).buf), got, s.ringBytes())
 		}
 	}
-	if grows < 2 || len(s.nodeShard(7).nodes[7].buf) != s.ringLen {
-		t.Fatalf("%d growths to a buffer of %d, want several to %d", grows, len(s.nodeShard(7).nodes[7].buf), s.ringLen)
+	if grows < 2 || len(s.nodeShard(7).nodes.lookup(7).buf) != s.ringLen {
+		t.Fatalf("%d growths to a buffer of %d, want several to %d", grows, len(s.nodeShard(7).nodes.lookup(7).buf), s.ringLen)
 	}
 	s = New(Config{Shards: 4, RingLen: 100})
 	batch := []trace.PowerSample{

@@ -31,6 +31,10 @@ type ring struct {
 	// last is the newest point's timestamp, kept here so that an append
 	// compares against it without a load from the buffer.
 	last int64
+	// job is the newest point's job, 0 before the first point Append
+	// gives the ring: Append's memo of which job's node set holds the
+	// node already.
+	job uint64
 }
 
 // minRingAlloc is the length of a ring's first buffer: a new node's

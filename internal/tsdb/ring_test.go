@@ -147,7 +147,7 @@ func TestRingGrowthMatchesFullLength(t *testing.T) {
 		grown, full := New(cfg), New(cfg)
 		src := rng.New(uint64(limit))
 		for node := 0; node < 3; node++ {
-			full.nodeShard(node).nodes[node] = &ring{buf: make([]Point, limit), limit: limit}
+			full.nodeShard(node).nodes.put(node, mix(uint64(node)), &ring{buf: make([]Point, limit), limit: limit})
 			now := int64(base)
 			for i := 0; i < 3*limit+2; i++ {
 				ts := now
@@ -167,7 +167,7 @@ func TestRingGrowthMatchesFullLength(t *testing.T) {
 				if err := full.Append(batch); err != nil {
 					t.Fatal(err)
 				}
-				g, f := grown.nodeShard(node).nodes[node], full.nodeShard(node).nodes[node]
+				g, f := grown.nodeShard(node).nodes.lookup(node), full.nodeShard(node).nodes.lookup(node)
 				label := fmt.Sprintf("limit %d, node %d, append %d (buffer %d)", limit, node, i, len(g.buf))
 				if len(g.buf) > limit || len(g.buf) < min(g.count, limit) {
 					t.Fatalf("%s: %d points in a buffer of %d", label, g.count, len(g.buf))
@@ -255,13 +255,13 @@ func TestRingOrderSurvivesRoundTrips(t *testing.T) {
 		}
 		copies := map[string]*Store{"binary + RestoreState": restored, "JSON + InstallState": installed, "ExportState + InstallState": direct}
 		for node := 0; node < 6; node++ {
-			want := s.nodeShard(node).nodes[node]
+			want := s.nodeShard(node).nodes.lookup(node)
 			// The same appends keep all four in step, through the late
 			// point's eviction.
 			now := int64(base + 400*90)
 			for i := 0; i <= cfg.RingLen; i++ {
 				for label, got := range copies {
-					have := got.nodeShard(node).nodes[node]
+					have := got.nodeShard(node).nodes.lookup(node)
 					if have.ordered() != want.ordered() || have.count != want.count {
 						t.Fatalf("seed %d, %s, node %d, %d appends on: ordered %v with %d points, the original is %v with %d",
 							seed, label, node, i, have.ordered(), have.count, want.ordered(), want.count)

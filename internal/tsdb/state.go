@@ -91,10 +91,13 @@ func (s *Store) ExportState() *StoreState {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		st.ShardAccs[i] = sh.acc.State()
-		for node, r := range sh.nodes {
+		for slot, r := range sh.nodes.rings {
+			if r == nil {
+				continue
+			}
 			older, newer := r.segments()
 			pts := append(append(make([]Point, 0, r.count), older...), newer...)
-			st.Nodes = append(st.Nodes, NodeState{Node: node, Points: pts, sinceLate: r.sinceLate})
+			st.Nodes = append(st.Nodes, NodeState{Node: sh.nodes.keys[slot], Points: pts, sinceLate: r.sinceLate})
 		}
 		sh.mu.RUnlock()
 	}
@@ -165,15 +168,20 @@ func (s *Store) InstallState(st *StoreState) error {
 	if len(st.ShardAccs) != st.Shards {
 		return fmt.Errorf("tsdb: snapshot has %d shard accumulators for %d shards", len(st.ShardAccs), st.Shards)
 	}
-	nodes := make([]map[int]*ring, len(s.shards))
-	for i := range nodes {
-		nodes[i] = map[int]*ring{}
-	}
+	perShard := make([]int, len(s.shards))
 	for _, ns := range st.Nodes {
 		if ns.Node < 0 {
 			return fmt.Errorf("tsdb: snapshot has negative node %d", ns.Node)
 		}
-		nodes[mix(uint64(ns.Node))&s.mask][ns.Node] = ringOf(ns.Points, s.ringLen, ns.sinceLate)
+		perShard[mix(uint64(ns.Node))&s.mask]++
+	}
+	nodes := make([]nodeIndex, len(s.shards))
+	for i := range nodes {
+		nodes[i] = newNodeIndex(perShard[i], s.shardBits)
+	}
+	for _, ns := range st.Nodes {
+		h := mix(uint64(ns.Node))
+		nodes[h&s.mask].put(ns.Node, h, ringOf(ns.Points, s.ringLen, ns.sinceLate))
 	}
 	jobs := make([]map[uint64]*jobState, len(s.jobShards))
 	for i := range jobs {

@@ -5,8 +5,9 @@
 // Design:
 //
 //   - node series are partitioned across power-of-two shards by node
-//     index; each shard holds a lock-striped map of bounded ring buffers,
-//     so concurrent agent pushes for different nodes never contend;
+//     index; each shard holds a lock-striped index of bounded ring
+//     buffers, so concurrent agent pushes for different nodes never
+//     contend;
 //   - per-job analytics are *incremental*: every sample folds into
 //     Welford moments, a count table of 0.1 W steps (the median and p95,
 //     exact for readings on that grid), a running peak, and a per-minute
@@ -48,8 +49,9 @@ func DefaultConfig() Config { return Config{Shards: 16, RingLen: 1440} }
 
 // Store is the sharded in-memory TSDB.
 type Store struct {
-	shards []shard
-	mask   uint64
+	shards    []shard
+	mask      uint64
+	shardBits uint // log2(len(shards)): the hash bits the shard takes
 
 	jobShards []jobShard
 	jobMask   uint64
@@ -72,7 +74,7 @@ type Store struct {
 // accumulator (merged on Summary).
 type shard struct {
 	mu    sync.RWMutex
-	nodes map[int]*ring
+	nodes nodeIndex
 	acc   stats.Accumulator
 }
 
@@ -92,19 +94,21 @@ func New(cfg Config) *Store {
 	if cfg.RingLen <= 0 {
 		cfg.RingLen = 1440
 	}
-	n := 1
+	n, bits := 1, uint(0)
 	for n < cfg.Shards {
 		n <<= 1
+		bits++
 	}
 	s := &Store{
 		shards:    make([]shard, n),
 		mask:      uint64(n - 1),
+		shardBits: bits,
 		jobShards: make([]jobShard, n),
 		jobMask:   uint64(n - 1),
 		ringLen:   cfg.RingLen,
 	}
 	for i := range s.shards {
-		s.shards[i].nodes = map[int]*ring{}
+		s.shards[i].nodes = newNodeIndex(0, bits)
 	}
 	for i := range s.jobShards {
 		s.jobShards[i].jobs = map[uint64]*jobState{}
@@ -139,9 +143,19 @@ func (s *Store) jobShard(id uint64) *jobShard {
 // then counting-sorted by node shard so each stripe lock is taken once
 // and each shard sees its samples in batch order, and folded into the
 // job analytics one run of equal job IDs at a time — agents ship a batch
-// grouped by job, so that is one lock and one lookup per job. Once the
-// rings hold the batch, the head tables of the windows it wrote to and
-// evicted from are marked stale, before the batch counts as ingested.
+// grouped by job, so that is one lock and one lookup per job. Each node
+// is hashed once: the hash picks the shard and starts the probe of the
+// shard's node index. Once the rings hold the batch, the head tables of
+// the windows it wrote to and evicted from are marked stale, before the
+// batch counts as ingested.
+//
+// A ring remembers the job of its newest point, and the shard pass flags
+// a sample only when its job differs from that memo: only flagged
+// samples write the job's node set. A sample not flagged follows, on its
+// ring, one of the same job that was flagged or followed one, so its node
+// is in the set once every Append's job pass has run. The flag and the
+// memo change together under the stripe lock, so concurrent Appends of
+// one node flag every change between them.
 func (s *Store) Append(batch []trace.PowerSample) error {
 	sc := s.scratch.Get().(*appendScratch)
 	defer s.putScratch(sc)
@@ -150,6 +164,7 @@ func (s *Store) Append(batch []trace.PowerSample) error {
 	// batch order kept within a shard.
 	next := sc.next
 	clear(next)
+	order, hash, moved := sc.sized(len(batch))
 	// [lo, hi] spans the batch's timestamps, [evLo, evHi] those of the
 	// points it evicts.
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
@@ -158,7 +173,8 @@ func (s *Store) Append(batch []trace.PowerSample) error {
 		if err := batch[i].Validate(); err != nil {
 			return fmt.Errorf("tsdb: sample %d: %w", i, err)
 		}
-		next[mix(uint64(batch[i].Node))&s.mask]++
+		hash[i] = mix(uint64(batch[i].Node))
+		next[hash[i]&s.mask]++
 		lo, hi = min(lo, batch[i].Unix), max(hi, batch[i].Unix)
 	}
 	first := 0
@@ -166,12 +182,8 @@ func (s *Store) Append(batch []trace.PowerSample) error {
 		next[k] = first
 		first += n
 	}
-	if cap(sc.order) < len(batch) {
-		sc.order = make([]int, len(batch))
-	}
-	order := sc.order[:len(batch)]
-	for i := range batch {
-		k := mix(uint64(batch[i].Node)) & s.mask
+	for i, h := range hash {
+		k := h & s.mask
 		order[next[k]] = i
 		next[k]++
 	}
@@ -184,12 +196,14 @@ func (s *Store) Append(batch []trace.PowerSample) error {
 		sh.mu.Lock()
 		for _, i := range order[start:end] {
 			smp := &batch[i]
-			r := sh.nodes[smp.Node]
+			r := sh.nodes.get(smp.Node, hash[i])
 			if r == nil {
 				r = newRing(s.ringLen)
-				sh.nodes[smp.Node] = r
+				sh.nodes.put(smp.Node, hash[i], r)
 				s.memBytes.Add(s.ringBytes())
 			}
+			moved[i] = r.job != smp.JobID
+			r.job = smp.JobID
 			if old, full := r.append(Point{Unix: smp.Unix, PowerW: smp.PowerW}); full {
 				evLo, evHi = min(evLo, old), max(evHi, old)
 			}
@@ -205,23 +219,24 @@ func (s *Store) Append(batch []trace.PowerSample) error {
 		s.heads.touched(evLo, evHi)
 	}
 	// Per-job streaming analytics (jobID 0 marks idle/system samples).
-	for rest := batch; len(rest) > 0; {
-		id := rest[0].JobID
-		n := 1
-		for n < len(rest) && rest[n].JobID == id {
-			n++
+	for at := 0; at < len(batch); {
+		id := batch[at].JobID
+		end := at + 1
+		for end < len(batch) && batch[end].JobID == id {
+			end++
 		}
 		if id != 0 {
-			s.addToJob(id, rest[:n])
+			s.addToJob(id, batch[at:end], moved[at:end])
 		}
-		rest = rest[n:]
+		at = end
 	}
 	s.ingested.Add(int64(len(batch)))
 	return nil
 }
 
-// addToJob folds a run of one job's samples into its streaming state.
-func (s *Store) addToJob(id uint64, run []trace.PowerSample) {
+// addToJob folds a run of one job's samples into its streaming state;
+// moved flags the samples whose node changed job.
+func (s *Store) addToJob(id uint64, run []trace.PowerSample, moved []bool) {
 	js := s.jobShard(id)
 	js.mu.Lock()
 	defer js.mu.Unlock()
@@ -234,7 +249,10 @@ func (s *Store) addToJob(id uint64, run []trace.PowerSample) {
 	wasCoarse := st.table.coarse()
 	var grown int64
 	for i := range run {
-		grown += st.add(run[i].Node, run[i].Unix, run[i].PowerW)
+		if moved[i] {
+			st.nodes[run[i].Node] = struct{}{}
+		}
+		grown += st.add(run[i].Unix, run[i].PowerW)
 	}
 	if grown != 0 {
 		s.memBytes.Add(grown)
@@ -244,9 +262,22 @@ func (s *Store) addToJob(id uint64, run []trace.PowerSample) {
 	}
 }
 
-// appendScratch is the sort space of one Append call: one int per shard
-// and one per sample.
-type appendScratch struct{ next, order []int }
+// appendScratch is the sort space of one Append call: one int per shard,
+// and per sample its place in shard order, its node's hash and its
+// moved flag.
+type appendScratch struct {
+	next, order []int
+	hash        []uint64
+	moved       []bool
+}
+
+// sized returns the per-sample slices at length n.
+func (sc *appendScratch) sized(n int) (order []int, hash []uint64, moved []bool) {
+	if cap(sc.order) < n {
+		sc.order, sc.hash, sc.moved = make([]int, n), make([]uint64, n), make([]bool, n)
+	}
+	return sc.order[:n], sc.hash[:n], sc.moved[:n]
+}
 
 // maxPooledOrder bounds the scratch the pool keeps: agents ship batches
 // of a few hundred samples, and one 8 MiB body of some 200 k samples
@@ -273,7 +304,7 @@ func (s *Store) appendNodeSeries(dst []Point, node int, from, hi int64) []Point 
 	sh := s.nodeShard(node)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	r := sh.nodes[node]
+	r := sh.nodes.lookup(node)
 	if r == nil {
 		return dst
 	}
@@ -344,7 +375,7 @@ func (s *Store) Summarize() Summary {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		acc := sh.acc
-		nodes += len(sh.nodes)
+		nodes += sh.nodes.n
 		sh.mu.RUnlock()
 		merged.Merge(&acc)
 	}

@@ -194,8 +194,8 @@ func TestSnapshotWriteFailureKeepsPrevious(t *testing.T) {
 			if !found || lsn != 5 || !bytes.Equal(payload, goodPayload) {
 				t.Fatalf("LatestSnapshot = (lsn=%d found=%v payload=%q), want the surviving lsn-5 snapshot", lsn, found, payload)
 			}
-			if skipped != 0 {
-				t.Fatalf("skippedCorrupt = %d, want 0 (the failed write must not publish a corrupt snapshot)", skipped)
+			if len(skipped) != 0 {
+				t.Fatalf("skipped %v, want none (the failed write must not publish a corrupt snapshot)", skipped)
 			}
 		})
 	}

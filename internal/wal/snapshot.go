@@ -103,33 +103,42 @@ func listSnapshots(fsys vfs.FS, dir string) ([]string, error) {
 	return names, nil
 }
 
+// SkippedSnapshot is a snapshot file LatestSnapshot passed over, and
+// why: another version, a CRC or length mismatch, a torn header, or a
+// file that went away between listing and reading.
+type SkippedSnapshot struct {
+	Name string
+	Err  error
+}
+
 // LatestSnapshot returns the newest CRC-valid snapshot in dir, skipping
-// (and counting) corrupt ones and other versions — a damaged latest
-// snapshot falls back to the previous one rather than failing recovery.
-// found is false when no valid snapshot exists.
-func LatestSnapshot(dir string) (lsn uint64, payload []byte, found bool, skippedCorrupt int, err error) {
+// corrupt ones and other versions — a damaged latest snapshot falls back
+// to the previous one rather than failing recovery — and naming each
+// file it skipped, newest first. found is false when no valid snapshot
+// exists.
+func LatestSnapshot(dir string) (lsn uint64, payload []byte, found bool, skipped []SkippedSnapshot, err error) {
 	return LatestSnapshotFS(vfs.OS, dir)
 }
 
 // LatestSnapshotFS is LatestSnapshot through an explicit filesystem.
-func LatestSnapshotFS(fsys vfs.FS, dir string) (lsn uint64, payload []byte, found bool, skippedCorrupt int, err error) {
+func LatestSnapshotFS(fsys vfs.FS, dir string) (lsn uint64, payload []byte, found bool, skipped []SkippedSnapshot, err error) {
 	names, err := listSnapshots(fsys, dir)
 	if err != nil {
-		return 0, nil, false, 0, fmt.Errorf("wal: listing snapshots: %w", err)
+		return 0, nil, false, nil, fmt.Errorf("wal: listing snapshots: %w", err)
 	}
 	for i := len(names) - 1; i >= 0; i-- {
 		l, p, rerr := ReadSnapshot(fsys, filepath.Join(dir, names[i]))
 		if rerr == nil {
-			return l, p, true, skippedCorrupt, nil
+			return l, p, true, skipped, nil
 		}
 		var ve versionError
 		if truncatable(rerr) || errors.As(rerr, &ve) || os.IsNotExist(rerr) {
-			skippedCorrupt++
+			skipped = append(skipped, SkippedSnapshot{Name: names[i], Err: rerr})
 			continue
 		}
-		return 0, nil, false, skippedCorrupt, fmt.Errorf("wal: reading snapshot %s: %w", names[i], rerr)
+		return 0, nil, false, skipped, fmt.Errorf("wal: reading snapshot %s: %w", names[i], rerr)
 	}
-	return 0, nil, false, skippedCorrupt, nil
+	return 0, nil, false, skipped, nil
 }
 
 // ReapSnapshotsFS removes all but the newest keep snapshots.

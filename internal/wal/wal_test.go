@@ -353,8 +353,8 @@ func TestSnapshotWriteLatestAndCorruptFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	lsn, payload, found, skipped, err := LatestSnapshot(dir)
-	if err != nil || !found || skipped != 0 {
-		t.Fatalf("LatestSnapshot: lsn=%d found=%v skipped=%d err=%v", lsn, found, skipped, err)
+	if err != nil || !found || len(skipped) != 0 {
+		t.Fatalf("LatestSnapshot: lsn=%d found=%v skipped=%v err=%v", lsn, found, skipped, err)
 	}
 	if lsn != 20 || string(payload) != "state-at-20" {
 		t.Fatalf("latest = (%d, %q), want (20, state-at-20)", lsn, payload)
@@ -368,8 +368,8 @@ func TestSnapshotWriteLatestAndCorruptFallback(t *testing.T) {
 	if err != nil || !found {
 		t.Fatalf("fallback failed: %v", err)
 	}
-	if lsn != 10 || string(payload) != "state-at-10" || skipped != 1 {
-		t.Fatalf("fallback = (%d, %q, skipped %d), want (10, state-at-10, 1)", lsn, payload, skipped)
+	if lsn != 10 || string(payload) != "state-at-10" || len(skipped) != 1 || skipped[0].Name != snapshotName(20) {
+		t.Fatalf("fallback = (%d, %q, skipped %v), want (10, state-at-10, %s)", lsn, payload, skipped, snapshotName(20))
 	}
 
 	// Reap keeps the newest.
