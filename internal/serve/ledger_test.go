@@ -134,9 +134,9 @@ func formatLedger() []ledgerRow {
 			return err
 		},
 	}, {
-		format: "snapshot image", written: 2, before: 1, reads: []int{1, 2},
+		format: "snapshot image", written: 3, before: 2, reads: []int{2, 3},
 		restore: func(t *testing.T, v int) {
-			restoreFixture(t, fmt.Sprintf("snap_v%d", v), map[int]uint64{1: 59, 2: 24}[v])
+			restoreFixture(t, fmt.Sprintf("snap_v%d", v), 24)
 		},
 		craft: func(t *testing.T, v int) error {
 			return recoverPayload(t, append([]byte(snapImageMagic), byte(v), 0, 0, 0, 0))

@@ -57,13 +57,8 @@ type MinuteState struct {
 type JobStateExport struct {
 	ID  uint64           `json:"id"`
 	Acc stats.AccumState `json:"acc"`
-	// Table is the job's readings, counted. The snapshot image carries it
-	// in a binary section of its own (AppendTables), not in its JSON.
-	Table *TableState `json:"table,omitempty"`
-	// Med and P95 are the P² estimators an image written before the count
-	// tables carries in Table's place: restore seeds a table from them.
-	Med       *p2Markers       `json:"med,omitempty"`
-	P95       *p2Markers       `json:"p95,omitempty"`
+	// Table is the job's readings, counted.
+	Table     *TableState      `json:"table,omitempty"`
 	Nodes     []int            `json:"nodes"`
 	FirstUnix int64            `json:"first_unix"`
 	LastUnix  int64            `json:"last_unix"`
@@ -220,13 +215,10 @@ func (s *Store) InstallState(st *StoreState) error {
 }
 
 func restoreJob(e JobStateExport) (*jobState, error) {
-	var table powerTable
-	var err error
-	if e.Table != nil {
-		table, err = tableFromState(e.Table, e.Acc.N)
-	} else {
-		table, err = seedTable(e.Med, e.P95, e.Acc.N)
+	if e.Table == nil {
+		return nil, fmt.Errorf("no quantile table")
 	}
+	table, err := tableFromState(e.Table, e.Acc.N)
 	if err != nil {
 		return nil, err
 	}
