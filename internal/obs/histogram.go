@@ -53,16 +53,17 @@ func NewHistogram(bounds []float64) *Histogram {
 // Histogram registers and returns a histogram; it is rendered as the
 // Prometheus name_bucket{le=...}/name_sum/name_count triplet.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	h := NewHistogram(bounds)
-	r.register(name, func(e *Exposition) { e.Histogram(name, h) })
-	return h
+	return r.HistogramHelp(name, "", bounds)
 }
 
-// HistogramHelp is Histogram with a # HELP line ahead of the family.
+// HistogramHelp is Histogram with a # HELP line ahead of the family, if
+// help is not empty.
 func (r *Registry) HistogramHelp(name, help string, bounds []float64) *Histogram {
 	h := NewHistogram(bounds)
 	r.register(name, func(e *Exposition) {
-		e.Help(name, help)
+		if help != "" {
+			e.Help(name, help)
+		}
 		e.Histogram(name, h)
 	})
 	return h

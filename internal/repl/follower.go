@@ -52,10 +52,6 @@ type FollowerConfig struct {
 	// Logger receives one record per notable event (a failed stream or
 	// bootstrap, a snapshot install) under component "repl". nil discards.
 	Logger *slog.Logger
-	// ObserveApply, if set, receives the wall time of each successful
-	// Apply call — the per-record replication apply latency. It runs on
-	// the stream loop, so it must be cheap.
-	ObserveApply func(d time.Duration)
 }
 
 // FollowerStats is a point-in-time snapshot of the pull loop.
@@ -283,12 +279,8 @@ func (f *Follower) streamOnce() (progressed bool, err error) {
 			if fr.LSN <= applied {
 				break // duplicate delivery after a reconnect race
 			}
-			applyStart := time.Now()
 			if err := f.cfg.Apply(fr.LSN, fr.Body); err != nil {
 				return progressed, fmt.Errorf("applying lsn %d: %w", fr.LSN, err)
-			}
-			if f.cfg.ObserveApply != nil {
-				f.cfg.ObserveApply(time.Since(applyStart))
 			}
 			applied = fr.LSN
 			f.appliedRecords.Add(1)

@@ -258,10 +258,10 @@ func TestSourceStreamTo(t *testing.T) {
 		records[lsn] = []byte(fmt.Sprintf("rec-%d", lsn))
 	}
 	s := testSource(t, records, nil)
-	var reads atomic.Int64 // one ObserveRead per catch-up burst
-	s.cfg.ObserveRead = func(d time.Duration) {
+	var reads atomic.Int64 // one ObserveBurst per catch-up burst
+	s.cfg.ObserveBurst = func(_ int64, d time.Duration) {
 		if d < 0 {
-			t.Errorf("ObserveRead(%v)", d)
+			t.Errorf("ObserveBurst(_, %v)", d)
 		}
 		reads.Add(1)
 	}
@@ -329,7 +329,7 @@ func TestSourceStreamTo(t *testing.T) {
 		t.Fatalf("Streamed() = %d, want %d", s.Streamed(), len(wantAll))
 	}
 	if got := reads.Load(); got != 2 {
-		t.Fatalf("ObserveRead ran %d times, want once per burst ([3,12] and [13,18])", got)
+		t.Fatalf("ObserveBurst ran %d times, want once per burst ([3,12] and [13,18])", got)
 	}
 
 	cancel()

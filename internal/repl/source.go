@@ -22,14 +22,10 @@ type SourceConfig struct {
 	Hold func(id string, lsn uint64)
 	// HeartbeatEvery is the idle heartbeat cadence. 0 means 500 ms.
 	HeartbeatEvery time.Duration
-	// ObserveSend, if set, receives the record count of each catch-up
-	// burst written to a follower connection (only bursts that sent at
-	// least one record). It runs on the stream loop; keep it cheap.
-	ObserveSend func(records int64)
-	// ObserveRead, if set, receives the wall time of each catch-up
-	// burst's Read call — the WAL range read plus writing its frames to
-	// the connection. It runs on the stream loop; keep it cheap.
-	ObserveRead func(time.Duration)
+	// ObserveBurst, if set, receives each catch-up burst's record count
+	// and the wall time of its Read call (WAL range read plus frame
+	// writes). It runs on the stream loop; keep it cheap.
+	ObserveBurst func(records int64, d time.Duration)
 }
 
 // FollowerState is one registered follower's replication progress.
@@ -246,15 +242,12 @@ func (s *Source) StreamTo(ctx context.Context, w io.Writer, flush func(), from u
 				sent++
 				return nil
 			})
-			if s.cfg.ObserveRead != nil {
-				s.cfg.ObserveRead(time.Since(start))
+			if s.cfg.ObserveBurst != nil {
+				s.cfg.ObserveBurst(sent, time.Since(start))
 			}
 			s.mu.Lock()
 			s.streamed += sent
 			s.mu.Unlock()
-			if sent > 0 && s.cfg.ObserveSend != nil {
-				s.cfg.ObserveSend(sent)
-			}
 			if err != nil {
 				return err
 			}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -61,7 +60,7 @@ func (s *Server) initAdmit() {
 		Capacity: s.cfg.QueueDepth,
 		OnShed:   s.onIngestShed,
 		SizeOf:   batchFootprint,
-		Observe:  func(d time.Duration) { s.metrics.admitSojourn.ObserveDuration(d) },
+		Observe:  func(d time.Duration) { s.metrics.stage(stageQueueSojourn, d, obs.TraceEvent{}) },
 	})
 	s.metrics.reg.AddCollector(s.collectAdmit)
 }
@@ -91,26 +90,6 @@ func (s *Server) memBytes() int64 {
 	return s.store.MemoryBytes() + s.ingestQ.Bytes() + s.dedup.MemoryBytes()
 }
 
-// overCapacity counts and answers an admission shed: 429 over_capacity
-// with both retry hints. hint <= 0 derives one from queue occupancy, so
-// an idle refusal asks the shipper back almost immediately while a
-// backed-up one pushes the retry storm out.
-func (s *Server) overCapacity(w http.ResponseWriter, reason string, hint time.Duration) {
-	s.metrics.admitShed.With(reason).Inc()
-	if hint <= 0 {
-		occ := float64(s.ingestQ.Len()) / float64(s.ingestQ.Cap())
-		hint = 50*time.Millisecond + time.Duration(occ*float64(time.Second))
-	}
-	secs := int((hint + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	w.Header().Set(HeaderRetryAfterMs, strconv.FormatInt(hint.Milliseconds(), 10))
-	w.Header().Set(HeaderOverCapacity, "1")
-	errJSONCode(w, http.StatusTooManyRequests, CodeOverCapacity, "over capacity: %s", reason)
-}
-
 // gated wraps a handler in the priority gate: query class sheds at
 // critical pressure (memory watermark), admin class already at elevated
 // pressure, and both respect their concurrency quotas.
@@ -118,7 +97,8 @@ func (s *Server) gated(c admit.Class, reason string, h http.HandlerFunc) http.Ha
 	return func(w http.ResponseWriter, r *http.Request) {
 		release, ok := s.adm.gate.Acquire(c)
 		if !ok {
-			s.overCapacity(w, reason, 0)
+			s.metrics.admitShed.With(reason).Inc()
+			s.refuse(w, http.StatusTooManyRequests, CodeOverCapacity, 0, "over capacity: %s", reason)
 			return
 		}
 		defer release()
@@ -179,7 +159,7 @@ func (s *Server) memEval(now time.Time) {
 			if _, err := s.store.FlushBlocks(now.Unix()); err != nil {
 				s.metrics.logger.Warn("memory-pressure flush failed", "err", err)
 			} else {
-				s.metrics.blockFlush.ObserveDuration(time.Since(start))
+				s.metrics.stage(stageBlockFlush, time.Since(start), obs.TraceEvent{})
 			}
 		}
 	}

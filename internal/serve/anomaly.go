@@ -10,6 +10,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"hpcpower/internal/anomaly"
@@ -23,57 +24,51 @@ const anomalyEventLimit = 256
 // parseAnomalyFilter builds the ring filter from query parameters:
 // job, node, rule, type, severity (minimum name), since (unix),
 // since_seq, limit.
-func parseAnomalyFilter(q map[string][]string) (anomaly.Filter, string) {
-	get := func(k string) string {
-		if v, ok := q[k]; ok && len(v) > 0 {
-			return v[0]
-		}
-		return ""
-	}
+func parseAnomalyFilter(q url.Values) (anomaly.Filter, string) {
 	f := anomaly.Filter{Node: -1, Limit: anomalyEventLimit}
-	if v := get("job"); v != "" {
+	if v := q.Get("job"); v != "" {
 		id, err := strconv.ParseUint(v, 10, 64)
 		if err != nil || id == 0 {
 			return f, "bad job " + strconv.Quote(v)
 		}
 		f.Job = id
 	}
-	if v := get("node"); v != "" {
+	if v := q.Get("node"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			return f, "bad node " + strconv.Quote(v)
 		}
 		f.Node = n
 	}
-	f.Rule = get("rule")
-	switch t := get("type"); t {
+	f.Rule = q.Get("rule")
+	switch t := q.Get("type"); t {
 	case "", anomaly.EventFire, anomaly.EventResolve:
 		f.Type = t
 	default:
 		return f, "bad type " + strconv.Quote(t) + " (want fire or resolve)"
 	}
-	if v := get("severity"); v != "" {
+	if v := q.Get("severity"); v != "" {
 		lvl := anomaly.SeverityLevel(v)
 		if lvl < 0 {
 			return f, "bad severity " + strconv.Quote(v)
 		}
 		f.MinSeverity = lvl
 	}
-	if v := get("since"); v != "" {
+	if v := q.Get("since"); v != "" {
 		u, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || u < 0 {
 			return f, "bad since " + strconv.Quote(v)
 		}
 		f.SinceUnix = u
 	}
-	if v := get("since_seq"); v != "" {
+	if v := q.Get("since_seq"); v != "" {
 		u, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
 			return f, "bad since_seq " + strconv.Quote(v)
 		}
 		f.SinceSeq = u
 	}
-	if v := get("limit"); v != "" {
+	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 || n > anomalyEventLimit {
 			return f, "bad limit " + strconv.Quote(v) + " (1.." + strconv.Itoa(anomalyEventLimit) + ")"
@@ -85,27 +80,27 @@ func parseAnomalyFilter(q map[string][]string) (anomaly.Filter, string) {
 
 func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 	if s.anom == nil {
-		errJSON(w, http.StatusNotImplemented, "anomaly detection is not enabled (-anomaly)")
+		s.refuse(w, http.StatusNotImplemented, "", 0, "anomaly detection is not enabled (-anomaly)")
 		return
 	}
 	q := r.URL.Query()
 	f, badParam := parseAnomalyFilter(q)
 	if badParam != "" {
-		errJSON(w, http.StatusBadRequest, "%s", badParam)
+		s.refuse(w, http.StatusBadRequest, "", 0, "%s", badParam)
 		return
 	}
 	switch {
 	case q.Get("fingerprint") == "1":
 		if f.Job == 0 {
-			errJSON(w, http.StatusBadRequest, "fingerprint=1 needs job=<id>")
+			s.refuse(w, http.StatusBadRequest, "", 0, "fingerprint=1 needs job=<id>")
 			return
 		}
 		fp, ok := s.anom.Fingerprint(f.Job)
 		if !ok || fp.N == 0 {
-			errJSON(w, http.StatusNotFound, "no fingerprint for job %d", f.Job)
+			s.refuse(w, http.StatusNotFound, "", 0, "no fingerprint for job %d", f.Job)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"job": f.Job, "fingerprint": fp})
+		s.writeJSON(w, http.StatusOK, map[string]any{"job": f.Job, "fingerprint": fp})
 	case q.Get("active") == "1":
 		alerts := s.anom.Active()
 		if f.Job != 0 {
@@ -120,12 +115,12 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 		if alerts == nil {
 			alerts = []anomaly.Alert{}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"active": alerts})
+		s.writeJSON(w, http.StatusOK, map[string]any{"active": alerts})
 	case q.Get("stream") == "1":
 		s.streamAnomalies(w, r, f)
 	default:
 		events := s.anom.Events(f)
-		writeJSON(w, http.StatusOK, map[string]any{"events": events, "count": len(events)})
+		s.writeJSON(w, http.StatusOK, map[string]any{"events": events, "count": len(events)})
 	}
 }
 
@@ -136,7 +131,7 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 func (s *Server) streamAnomalies(w http.ResponseWriter, r *http.Request, f anomaly.Filter) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		errJSON(w, http.StatusInternalServerError, "response writer cannot stream")
+		s.refuse(w, http.StatusInternalServerError, "", 0, "response writer cannot stream")
 		return
 	}
 	// Subscribe before the backlog read so no event falls between them;

@@ -140,7 +140,7 @@ func TestIngestE2EIncludesBodyRead(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("%s: %d %s", name, resp.StatusCode, out)
 		}
-		if sum := s.metrics.ingestE2E.Sum(); sum < delay.Seconds() {
+		if sum := s.metrics.stages[stageIngest].Sum(); sum < delay.Seconds() {
 			t.Errorf("%s: powserved_ingest_e2e_seconds observed %.4fs, want at least the %v body read", name, sum, delay)
 		}
 		var ingest *obs.TraceEvent

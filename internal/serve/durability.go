@@ -477,9 +477,9 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 		NextLSNFloor: floor,
 		FS:           d.fsys,
 		// Latency hooks feed the serving registry: append and fsync
-		// distributions, plus records-per-fsync (group-commit size).
-		ObserveAppend:      s.metrics.walAppend.ObserveDuration,
-		ObserveFsync:       s.metrics.walFsync.ObserveDuration,
+		// stages, plus records-per-fsync (group-commit size).
+		ObserveAppend:      func(d time.Duration) { s.metrics.stage(stageWALAppend, d, obs.TraceEvent{}) },
+		ObserveFsync:       func(d time.Duration) { s.metrics.stage(stageWALFsync, d, obs.TraceEvent{}) },
 		ObserveGroupCommit: func(records int64) { s.metrics.groupCommit.Observe(float64(records)) },
 	})
 	if err != nil {

@@ -13,23 +13,19 @@ import (
 )
 
 // metrics is the server's observability surface, built on obs.Registry:
-// one WritePrometheus call renders everything (the ad-hoc emitters this
-// replaces were two divergent hand-rolled paths). Legacy powserved_*
-// series keep their exact names and shapes — they are emitted from the
-// same underlying counters/histograms via collectors — while the new
-// latency histograms add distribution data the old counters could not
-// express.
+// one WritePrometheus call renders everything, every legacy powserved_*
+// series under its exact name and shape.
 type metrics struct {
 	reg *obs.Registry
 
 	samplesIngested  *obs.Counter // powserved_samples_ingested_total
 	batchesAccepted  *obs.Counter
-	batchesRejected  *obs.Counter // backpressure: queue full
-	batchesInvalid   *obs.Counter // malformed body or samples
 	batchesDuplicate *obs.Counter // (agent, seq) already counted — dedup hit
 	batchesStale     *obs.Counter // duplicate because older than the dedup window
 	redeliveries     *obs.Counter // batches flagged as re-sent by the agent
 	decodeFallback   *obs.Counter // bodies and WAL records decoded by encoding/json, not the scanner
+
+	refused [numOutcomes]*obs.Counter // each refusal's legacy counter (refusals table)
 
 	// requestLatency is the per-endpoint request distribution; the
 	// legacy powserved_requests_total / _request_seconds_sum /
@@ -39,25 +35,17 @@ type metrics struct {
 	requestLatency *obs.HistogramVec // powserved_request_latency_seconds{endpoint}
 	requestErrors  *obs.CounterVec   // powserved_request_errors_total{endpoint}
 
-	blockFlush *obs.Histogram // powserved_block_flush_seconds per head→block flush pass
-
 	// valuesScanned is what the query endpoints reduced or returned:
 	// "why was this query slow" answered as "it reduced 3.7 M samples".
 	valuesScanned *obs.CounterVec // powserved_query_values_scanned_total{endpoint}
 
-	// Admission-control surface: sheds by reason (limiter, queue, codel,
-	// agent_rate, memory, query, admin) and the delivered entries'
-	// queue-sojourn distribution — the signal CoDel acts on.
-	admitShed    *obs.CounterVec // powserved_admit_shed_total{reason}
-	admitSojourn *obs.Histogram  // powserved_admit_queue_sojourn_seconds
+	// admitShed counts sheds by reason (limiter, queue, codel,
+	// agent_rate, memory, query, admin).
+	admitShed *obs.CounterVec // powserved_admit_shed_total{reason}
 
-	ingestE2E   *obs.Histogram // powserved_ingest_e2e_seconds: accept → durable ack
-	walAppend   *obs.Histogram // powserved_wal_append_seconds
-	walFsync    *obs.Histogram // powserved_wal_fsync_seconds
-	groupCommit *obs.Histogram // powserved_group_commit_records per fsync
-	replApply   *obs.Histogram // powserved_repl_apply_seconds per streamed record
-	replSend    *obs.Histogram // powserved_repl_send_records per catch-up burst
-	replRead    *obs.Histogram // powserved_repl_stream_read_seconds per catch-up burst
+	stages      [numStages]*obs.Histogram // each stage's legacy histogram (stageTable), or nil
+	groupCommit *obs.Histogram            // powserved_group_commit_records per fsync
+	replSend    *obs.Histogram            // powserved_repl_send_records per catch-up burst
 
 	// Slow-request accounting: requests at or over slowThreshold log a
 	// Warn with the endpoint, duration, and trace ID.
@@ -67,6 +55,55 @@ type metrics struct {
 
 	agentMu sync.Mutex
 	agents  map[string]*agentReport
+}
+
+// stageID is one timed span of the serving pipeline.
+type stageID uint8
+
+const (
+	stageBlockFlush   stageID = iota // one head→block flush pass
+	stageQueueSojourn                // a delivered batch's wait in the ingest queue
+	stageIngest                      // accept → ack of one batch
+	stageApply                       // a worker's apply of one batch
+	stageWALAppend                   // one WAL record write
+	stageWALFsync                    // one WAL segment fsync
+	stageReplApply                   // a follower's apply of one streamed record
+	stageReplRead                    // one catch-up burst: WAL range read and frames written
+	numStages
+)
+
+// stageTable names each stage (trace events, README's Stages table) and
+// gives a traced pass's Debug message and the stage's legacy histogram.
+var stageTable = [numStages]struct{ name, msg, histogram, help string }{
+	stageBlockFlush:   {name: "block_flush", histogram: "powserved_block_flush_seconds"},
+	stageQueueSojourn: {name: "queue_sojourn", histogram: "powserved_admit_queue_sojourn_seconds"},
+	stageIngest:       {name: "ingest", msg: "batch ingested", histogram: "powserved_ingest_e2e_seconds"},
+	stageApply:        {name: "apply", msg: "batch applied"},
+	stageWALAppend:    {name: "wal_append", histogram: "powserved_wal_append_seconds"},
+	stageWALFsync:     {name: "wal_fsync", histogram: "powserved_wal_fsync_seconds"},
+	stageReplApply:    {name: "repl_apply", msg: "replicated batch applied", histogram: "powserved_repl_apply_seconds"},
+	stageReplRead: {name: "repl_read", histogram: "powserved_repl_stream_read_seconds",
+		help: "Time the replication source spent on one catch-up burst: reading its WAL range and writing the frames to the follower connection."},
+}
+
+// stage times one pass through a stage: it observes the stage's
+// histogram and, for a traced batch, records the trace-ring event,
+// stamped with the stage, duration and time, and the Debug line.
+func (m *metrics) stage(id stageID, d time.Duration, ev obs.TraceEvent) {
+	if h := m.stages[id]; h != nil {
+		h.ObserveDuration(d)
+	}
+	if ev.Trace == "" {
+		return
+	}
+	st := &stageTable[id]
+	ev.Stage = st.name
+	ev.DurMS = float64(d) / float64(time.Millisecond)
+	ev.Unix = time.Now().Unix()
+	m.traces.Record(ev)
+	m.logger.Debug(st.msg, slog.String("trace_id", ev.Trace), slog.String("agent", ev.Agent),
+		slog.Int64("seq", ev.Seq), slog.Int64("lsn", ev.LSN), slog.Int64("plsn", ev.PLSN),
+		slog.Int("samples", ev.Samples), slog.Duration("dur", d))
 }
 
 // agentReport is the last delivery-health state an agent self-reported
@@ -85,35 +122,31 @@ func newMetrics(queueDepth func() int) *metrics {
 		agents: map[string]*agentReport{},
 		logger: obs.Component(nil, "serve"),
 		traces: obs.NewTraceRing(0),
-
-		samplesIngested:  reg.Counter("powserved_samples_ingested_total"),
-		batchesAccepted:  reg.Counter("powserved_batches_accepted_total"),
-		batchesRejected:  reg.Counter("powserved_batches_rejected_total"),
-		batchesInvalid:   reg.Counter("powserved_batches_invalid_total"),
-		batchesDuplicate: reg.Counter("powserved_batches_duplicate_total"),
-		batchesStale:     reg.Counter("powserved_batches_stale_total"),
-		redeliveries:     reg.Counter("powserved_redeliveries_total"),
-		decodeFallback: reg.CounterHelp("powserved_ingest_decode_fallback_total",
-			"Ingest bodies and WAL/replication records outside the canonical JSON form, decoded by encoding/json instead of the single-pass scanner."),
-
-		requestLatency: reg.HistogramVec("powserved_request_latency_seconds", "endpoint", obs.DefaultLatencyBuckets),
-		requestErrors:  reg.CounterVec("powserved_request_errors_total", "endpoint"),
-		blockFlush:     reg.Histogram("powserved_block_flush_seconds", obs.DefaultLatencyBuckets),
-		admitShed:      reg.CounterVec("powserved_admit_shed_total", "reason"),
-		admitSojourn:   reg.Histogram("powserved_admit_queue_sojourn_seconds", obs.DefaultLatencyBuckets),
-		ingestE2E:      reg.Histogram("powserved_ingest_e2e_seconds", obs.DefaultLatencyBuckets),
-		walAppend:      reg.Histogram("powserved_wal_append_seconds", obs.DefaultLatencyBuckets),
-		walFsync:       reg.Histogram("powserved_wal_fsync_seconds", obs.DefaultLatencyBuckets),
-		groupCommit:    reg.Histogram("powserved_group_commit_records", obs.SizeBuckets),
-		replApply:      reg.Histogram("powserved_repl_apply_seconds", obs.DefaultLatencyBuckets),
-		replSend:       reg.Histogram("powserved_repl_send_records", obs.SizeBuckets),
-		replRead: reg.HistogramHelp("powserved_repl_stream_read_seconds",
-			"Time the replication source spent on one catch-up burst: reading its WAL range and writing the frames to the follower connection.",
-			obs.DefaultLatencyBuckets),
-		valuesScanned: reg.CounterVecHelp("powserved_query_values_scanned_total",
-			"Stored samples a query endpoint read to build its answer: values reduced by /v1/query/distribution, points returned by /v1/query/range.",
-			"endpoint"),
 	}
+	m.samplesIngested = reg.Counter("powserved_samples_ingested_total")
+	m.batchesAccepted = reg.Counter("powserved_batches_accepted_total")
+	counters := map[string]*obs.Counter{counterRejected: reg.Counter(counterRejected), counterInvalid: reg.Counter(counterInvalid)}
+	for k, rf := range refusals {
+		m.refused[k] = counters[rf.counter]
+	}
+	m.batchesDuplicate = reg.Counter("powserved_batches_duplicate_total")
+	m.batchesStale = reg.Counter("powserved_batches_stale_total")
+	m.redeliveries = reg.Counter("powserved_redeliveries_total")
+	m.decodeFallback = reg.CounterHelp("powserved_ingest_decode_fallback_total",
+		"Ingest bodies and WAL/replication records outside the canonical JSON form, decoded by encoding/json instead of the single-pass scanner.")
+	m.requestLatency = reg.HistogramVec("powserved_request_latency_seconds", "endpoint", obs.DefaultLatencyBuckets)
+	m.requestErrors = reg.CounterVec("powserved_request_errors_total", "endpoint")
+	m.admitShed = reg.CounterVec("powserved_admit_shed_total", "reason")
+	for id, st := range stageTable {
+		if st.histogram != "" {
+			m.stages[id] = reg.HistogramHelp(st.histogram, st.help, obs.DefaultLatencyBuckets)
+		}
+	}
+	m.groupCommit = reg.Histogram("powserved_group_commit_records", obs.SizeBuckets)
+	m.replSend = reg.Histogram("powserved_repl_send_records", obs.SizeBuckets)
+	m.valuesScanned = reg.CounterVecHelp("powserved_query_values_scanned_total",
+		"Stored samples a query endpoint read to build its answer: values reduced by /v1/query/distribution, points returned by /v1/query/range.",
+		"endpoint")
 	if queueDepth != nil {
 		reg.GaugeFunc("powserved_ingest_queue_depth", func() float64 { return float64(queueDepth()) })
 	}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -212,5 +214,64 @@ func TestTracePropagatesToFollower(t *testing.T) {
 	}
 	if err := obs.LintExposition(bytes.NewReader(mp)); err != nil {
 		t.Errorf("primary /metrics with follower violates exposition format: %v", err)
+	}
+}
+
+// readmeTableNames returns the first column of the README table that
+// follows the paragraph opening with marker.
+func readmeTableNames(t *testing.T, readme, marker string) []string {
+	t.Helper()
+	i := strings.Index(readme, "\n"+marker)
+	if i < 0 {
+		t.Fatalf("README.md has no paragraph opening with %s", marker)
+	}
+	var names []string
+	inTable := false
+	for _, line := range strings.Split(readme[i+1:], "\n") {
+		switch {
+		case strings.HasPrefix(line, "|"):
+			if inTable && !strings.HasPrefix(line, "|---") {
+				names = append(names, strings.Trim(strings.SplitN(line, "|", 3)[1], " `"))
+			}
+			inTable = true // the first row is the header
+		case inTable:
+			return names
+		}
+	}
+	return names
+}
+
+// TestREADMEStageAndRefusalTables: README's Stages table lists exactly
+// the stages of stageTable and its Refusals table exactly the reasons of
+// the refusals table, so neither drifts from the code.
+func TestREADMEStageAndRefusalTables(t *testing.T) {
+	raw, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stages, reasons []string
+	for _, st := range stageTable {
+		stages = append(stages, st.name)
+	}
+	for _, rf := range refusals {
+		if rf.reason != "" {
+			reasons = append(reasons, rf.reason)
+		}
+	}
+	for _, tc := range []struct {
+		marker string
+		want   []string
+	}{{"**Stages.**", stages}, {"**Refusals.**", reasons}} {
+		got := readmeTableNames(t, string(raw), tc.marker)
+		for _, name := range tc.want {
+			if !slices.Contains(got, name) {
+				t.Errorf("README.md's %s table lacks %s", tc.marker, name)
+			}
+		}
+		for _, name := range got {
+			if !slices.Contains(tc.want, name) {
+				t.Errorf("README.md's %s table lists %s, which the code does not have", tc.marker, name)
+			}
+		}
 	}
 }

@@ -44,7 +44,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"sync/atomic"
 	"time"
 
@@ -81,8 +80,8 @@ func (tl *ticketLog) markDone(ticket uint64) {
 	}
 }
 
-// outcomeKind is what became of one batch handed to accept. Everything
-// from outShed on is a refusal.
+// outcomeKind is what became of an ingest request's batch past the
+// gates. From outShed on each is a refusal, with a row in refusals.
 type outcomeKind uint8
 
 const (
@@ -92,21 +91,27 @@ const (
 	outShed                    // CoDel shed it after enqueue
 	outFull                    // queue at capacity
 	outDraining                // Push lost the race with Close
-	outStorage                 // WAL append or fsync failed
+	outStorage                 // storage degraded, or WAL append or fsync failed
 	outReplication             // durable here, no follower ack in time
 	outNotPrimary              // demoted while the batch was in flight
 	outEncode                  // the WAL record could not be encoded
+	outMemory                  // over the memory watermark, shed unread
+	outInvalid                 // undecodable, empty or invalid batch
+	outAgentRate               // the agent's token bucket is empty
+	outLimiter                 // no slot left under the AIMD limit
+	numOutcomes
 )
 
 // outcome is accept's by-value answer. held means the batch is still
 // queued: a worker or the shed callback may yet read its samples. lsn is
-// an accepted batch's; err is the cause, worded for the client, of
-// outStorage, outReplication and outEncode.
+// an accepted batch's; err is a refusal's cause, worded for the client;
+// retry is outAgentRate's hint.
 type outcome struct {
-	kind outcomeKind
-	held bool
-	lsn  uint64
-	err  error
+	kind  outcomeKind
+	held  bool
+	lsn   uint64
+	err   error
+	retry time.Duration
 }
 
 // stamp marks (agent, seq) as counted and reports whether it already
@@ -261,12 +266,11 @@ func (s *Server) ingestWorker() {
 			d.advanceRepl()
 		}
 		if err != nil {
-			s.metrics.batchesInvalid.Add(1)
+			s.metrics.refused[outInvalid].Inc()
 		} else {
-			s.traceStage("batch applied", obs.TraceEvent{
-				Trace: qb.Trace, Stage: "apply", LSN: int64(qb.lsn),
-				Samples: len(qb.Samples), Status: "applied",
-			}, time.Since(start))
+			s.metrics.stage(stageApply, time.Since(start), obs.TraceEvent{
+				Trace: qb.Trace, LSN: int64(qb.lsn), Samples: len(qb.Samples), Status: "applied",
+			})
 		}
 		if qb.resc != nil {
 			qb.resc <- true
@@ -401,24 +405,4 @@ func (s *Server) accept(ctx context.Context, batch *trace.SampleBatch, traceID s
 		return o
 	}
 	return s.await(ctx, &qb)
-}
-
-// traceStage records a traced batch's passage through one stage: the
-// trace-ring event, stamped here with its duration and time, and the
-// debug log line.
-func (s *Server) traceStage(msg string, ev obs.TraceEvent, d time.Duration) {
-	if ev.Trace == "" {
-		return
-	}
-	ev.DurMS = float64(d) / float64(time.Millisecond)
-	ev.Unix = time.Now().Unix()
-	s.metrics.traces.Record(ev)
-	s.metrics.logger.Debug(msg,
-		slog.String("trace_id", ev.Trace),
-		slog.String("agent", ev.Agent),
-		slog.Int64("seq", ev.Seq),
-		slog.Int64("lsn", ev.LSN),
-		slog.Int64("plsn", ev.PLSN),
-		slog.Int("samples", ev.Samples),
-		slog.Duration("dur", d))
 }

@@ -1,14 +1,17 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"hpcpower/internal/admit"
+	"hpcpower/internal/elect"
 	"hpcpower/internal/trace"
 	"hpcpower/internal/vfs"
 )
@@ -105,8 +108,8 @@ func readBatchCounters(s *Server) batchCounters {
 	m := s.metrics
 	c := batchCounters{
 		accepted: m.batchesAccepted.Value(), duplicate: m.batchesDuplicate.Value(),
-		stale: m.batchesStale.Value(), rejected: m.batchesRejected.Value(),
-		invalid: m.batchesInvalid.Value(), shed: map[string]int64{},
+		stale: m.batchesStale.Value(), rejected: m.refused[outShed].Value(),
+		invalid: m.refused[outInvalid].Value(), shed: map[string]int64{},
 	}
 	for _, r := range shedReasons {
 		c.shed[r] = m.admitShed.With(r).Value()
@@ -248,6 +251,147 @@ func TestIngestOutcomes(t *testing.T) {
 			status: http.StatusInternalServerError, body: "replication ack",
 			want: batchCounters{rejected: 1}, resend: "unreplicated", stored: n,
 		},
+		// The handler's own refusals, before accept: a gate (drain,
+		// recovery, role, fencing, lease) counts nothing; from the storage
+		// check on, a refusal counts as rejected or invalid.
+		{
+			name:   "draining at the gate",
+			setup:  func(t *testing.T, e *outcomeEnv) { e.s.draining.Store(true) },
+			status: http.StatusServiceUnavailable, body: "server draining",
+			headers: []string{"Retry-After"},
+			heal:    func(e *outcomeEnv) { e.s.draining.Store(false) },
+			resend:  "accepted", stored: n,
+		},
+		{
+			name:   "recovering",
+			setup:  func(t *testing.T, e *outcomeEnv) { e.s.ready.Store(false) },
+			status: http.StatusServiceUnavailable, body: "server recovering",
+			headers: []string{"Retry-After"},
+			heal:    func(e *outcomeEnv) { e.s.ready.Store(true) },
+			resend:  "accepted", stored: n,
+		},
+		{
+			name: "follower", durableOnly: true,
+			setup:  func(t *testing.T, e *outcomeEnv) { e.s.dur.repl.isFollower.Store(true) },
+			status: http.StatusServiceUnavailable, body: "read-only follower", code: CodeNotPrimary,
+			headers: []string{HeaderReplRole},
+			heal:    func(e *outcomeEnv) { e.s.dur.repl.isFollower.Store(false) },
+			resend:  "accepted", stored: n,
+		},
+		{
+			name: "fenced", durableOnly: true,
+			setup:  func(t *testing.T, e *outcomeEnv) { e.s.dur.repl.fenced.Store(true) },
+			status: http.StatusConflict, body: "write fenced", code: CodeStaleEpoch,
+			headers: []string{HeaderReplFenced},
+			heal:    func(e *outcomeEnv) { e.s.dur.repl.fenced.Store(false) },
+			resend:  "accepted", stored: n,
+		},
+		{
+			name: "no lease", durableOnly: true,
+			// An elector that has run no round holds no lease.
+			setup: func(t *testing.T, e *outcomeEnv) {
+				st, err := elect.OpenStateFile(vfs.OS, filepath.Join(t.TempDir(), "ELECT"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				el, err := elect.New(elect.Config{ID: "solo", State: st, Transport: &elect.HTTPTransport{},
+					Epoch: func() uint64 { return 1 }, PromoteTo: func(uint64) error { return nil }})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				el.Run(ctx) // returns at once, so Close does not wait
+				e.s.elector.Store(el)
+			},
+			status: http.StatusServiceUnavailable, body: "leader lease expired", code: CodeNoLease,
+			headers: []string{HeaderReplLease},
+			heal:    func(e *outcomeEnv) { e.s.elector.Store(nil) },
+			resend:  "accepted", stored: n,
+		},
+		{
+			name: "storage degraded", durableOnly: true,
+			// The disk monitor's write probe fails from the first check on.
+			dcfg: func(d *DurabilityConfig) {
+				d.FS.(*vfs.FaultFS).Configure(func(c *vfs.FaultConfig) { c.WriteErrProb = 1; c.PathSubstring = ".disk-probe" })
+			},
+			setup:  func(t *testing.T, e *outcomeEnv) { waitFor(t, "storage degraded", e.s.dur.storageDegraded) },
+			status: http.StatusServiceUnavailable, body: "storage degraded: disk probe failed", code: CodeStorageDegraded,
+			headers: []string{"Retry-After", HeaderStorageDegraded},
+			want:    batchCounters{rejected: 1},
+			heal: func(e *outcomeEnv) {
+				e.ffs.Configure(func(c *vfs.FaultConfig) { c.WriteErrProb = 0 })
+				e.s.dur.checkDisk()
+			},
+			resend: "accepted", stored: n,
+		},
+		{
+			name:   "memory watermark",
+			setup:  func(t *testing.T, e *outcomeEnv) { e.s.adm.memDegraded.Store(true) },
+			status: http.StatusTooManyRequests, body: "over capacity: memory", code: CodeOverCapacity,
+			headers: []string{"Retry-After", HeaderRetryAfterMs, HeaderOverCapacity},
+			want:    batchCounters{rejected: 1}, shed: "memory",
+			heal:   func(e *outcomeEnv) { e.s.adm.memDegraded.Store(false) },
+			resend: "accepted", stored: n,
+		},
+		{
+			name: "undecodable body",
+			run: func(t *testing.T, e *outcomeEnv) (*http.Response, []byte) {
+				return postRaw(t, e.url+"/v1/samples", strings.NewReader(`{"samples":[`))
+			},
+			status: http.StatusBadRequest, body: "decoding batch",
+			want: batchCounters{invalid: 1}, resend: "accepted", stored: n,
+		},
+		{
+			name: "empty batch",
+			run: func(t *testing.T, e *outcomeEnv) (*http.Response, []byte) {
+				return postJSON(t, e.url+"/v1/samples", trace.SampleBatch{AgentID: e.batch.AgentID, Seq: e.batch.Seq})
+			},
+			status: http.StatusBadRequest, body: "empty batch",
+			want: batchCounters{invalid: 1}, resend: "accepted", stored: n,
+		},
+		{
+			name: "invalid sample",
+			run: func(t *testing.T, e *outcomeEnv) (*http.Response, []byte) {
+				bad := sampleBatch(e.batch.AgentID, e.batch.Seq, n)
+				bad.Samples[1].PowerW = -1
+				return postJSON(t, e.url+"/v1/samples", bad)
+			},
+			status: http.StatusBadRequest, body: "invalid batch: sample 1",
+			want: batchCounters{invalid: 1}, resend: "accepted", stored: n,
+		},
+		{
+			name: "agent rate",
+			cfg:  func(c *Config) { c.Admit.AgentRate, c.Admit.AgentBurst = 0.001, 1 },
+			// The agent's one token goes to another of its batches.
+			setup: func(t *testing.T, e *outcomeEnv) {
+				first := sampleBatch(e.batch.AgentID, e.batch.Seq+1, n)
+				if resp, body := postJSON(t, e.url+"/v1/samples", first); resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("first delivery: %d %s", resp.StatusCode, body)
+				}
+			},
+			status: http.StatusTooManyRequests, body: "over capacity: agent_rate", code: CodeOverCapacity,
+			headers: []string{"Retry-After", HeaderRetryAfterMs, HeaderOverCapacity},
+			want:    batchCounters{rejected: 1}, shed: "agent_rate",
+			resend: "free", stored: n,
+		},
+		{
+			name: "limiter",
+			// Every slot held: the next Acquire fails.
+			setup: func(t *testing.T, e *outcomeEnv) {
+				for e.s.adm.limiter.Acquire() {
+				}
+			},
+			status: http.StatusTooManyRequests, body: "over capacity: limiter", code: CodeOverCapacity,
+			headers: []string{"Retry-After", HeaderRetryAfterMs, HeaderOverCapacity},
+			want:    batchCounters{rejected: 1}, shed: "limiter",
+			heal: func(e *outcomeEnv) {
+				for e.s.adm.limiter.Inflight() > 0 {
+					e.s.adm.limiter.Release(0)
+				}
+			},
+			resend: "accepted", stored: n,
+		},
 	}
 	for _, r := range rows {
 		for _, durable := range []bool{false, true} {
@@ -293,7 +437,8 @@ func TestIngestOutcomes(t *testing.T) {
 				if err := json.Unmarshal(body, &eb); err != nil || eb.Code != r.code {
 					t.Errorf("body %s: code %q (%v), want %q", body, eb.Code, err, r.code)
 				}
-				for _, h := range []string{"Retry-After", HeaderRetryAfterMs, HeaderOverCapacity, HeaderStorageDegraded} {
+				for _, h := range []string{"Retry-After", HeaderRetryAfterMs, HeaderOverCapacity, HeaderStorageDegraded,
+					HeaderReplRole, HeaderReplFenced, HeaderReplLease} {
 					if got, want := resp.Header.Get(h) != "", slices.Contains(r.headers, h); got != want {
 						t.Errorf("header %s present=%v, want %v", h, got, want)
 					}
@@ -306,7 +451,7 @@ func TestIngestOutcomes(t *testing.T) {
 				}
 				want := r.want
 				if got.accepted != want.accepted || got.duplicate != want.duplicate || got.stale != want.stale ||
-					got.rejected != want.rejected || got.invalid != 0 {
+					got.rejected != want.rejected || got.invalid != want.invalid {
 					t.Errorf("batch counters moved by %+v, want %+v", got, want)
 				}
 				for _, reason := range shedReasons {

@@ -37,15 +37,15 @@ func parseUnixParam(r *http.Request, name string) (int64, bool, error) {
 
 // parseWindow reads a read's from= and to= Unix bounds (absent is 0, the
 // store's "unbounded") and answers the 400 itself when one is malformed.
-func parseWindow(w http.ResponseWriter, r *http.Request) (from, to int64, ok bool) {
+func (s *Server) parseWindow(w http.ResponseWriter, r *http.Request) (from, to int64, ok bool) {
 	from, _, err := parseUnixParam(r, "from")
 	if err != nil {
-		errJSON(w, http.StatusBadRequest, "bad from: %v", err)
+		s.refuse(w, http.StatusBadRequest, "", 0, "bad from: %v", err)
 		return 0, 0, false
 	}
 	to, _, err = parseUnixParam(r, "to")
 	if err != nil {
-		errJSON(w, http.StatusBadRequest, "bad to: %v", err)
+		s.refuse(w, http.StatusBadRequest, "", 0, "bad to: %v", err)
 		return 0, 0, false
 	}
 	return from, to, true
@@ -54,23 +54,23 @@ func parseWindow(w http.ResponseWriter, r *http.Request) (from, to int64, ok boo
 func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 	node, err := strconv.Atoi(r.URL.Query().Get("node"))
 	if err != nil || node < 0 {
-		errJSON(w, http.StatusBadRequest, "bad node %q", r.URL.Query().Get("node"))
+		s.refuse(w, http.StatusBadRequest, "", 0, "bad node %q", r.URL.Query().Get("node"))
 		return
 	}
-	from, to, ok := parseWindow(w, r)
+	from, to, ok := s.parseWindow(w, r)
 	if !ok {
 		return
 	}
 	step, hasStep, err := parseUnixParam(r, "step")
 	if err != nil || (hasStep && step <= 0) {
-		errJSON(w, http.StatusBadRequest, "bad step %q", r.URL.Query().Get("step"))
+		s.refuse(w, http.StatusBadRequest, "", 0, "bad step %q", r.URL.Query().Get("step"))
 		return
 	}
 	frontier := s.store.BlockFrontier()
 	if hasStep {
 		aggs, degraded, err := s.store.QueryAgg(node, from, to, step)
 		if err != nil {
-			errJSON(w, http.StatusInternalServerError, "aggregate query: %v", err)
+			s.refuse(w, http.StatusInternalServerError, "", 0, "aggregate query: %v", err)
 			return
 		}
 		s.metrics.valuesScanned.With("query_range").Add(int64(len(aggs)))
@@ -79,7 +79,7 @@ func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 	}
 	points, degraded, err := s.store.QueryRange(node, from, to)
 	if err != nil {
-		errJSON(w, http.StatusInternalServerError, "range query: %v", err)
+		s.refuse(w, http.StatusInternalServerError, "", 0, "range query: %v", err)
 		return
 	}
 	s.metrics.valuesScanned.With("query_range").Add(int64(len(points)))
@@ -87,20 +87,20 @@ func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQueryNodes(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	s.writeJSON(w, http.StatusOK, map[string]any{
 		"nodes":    s.store.NodeIDs(),
 		"frontier": s.store.BlockFrontier(),
 	})
 }
 
 func (s *Server) handleQueryDistribution(w http.ResponseWriter, r *http.Request) {
-	from, to, ok := parseWindow(w, r)
+	from, to, ok := s.parseWindow(w, r)
 	if !ok {
 		return
 	}
 	dist, degraded, err := live.SamplePower(s.store, from, to)
 	if err != nil {
-		errJSON(w, http.StatusInternalServerError, "distribution scan: %v", err)
+		s.refuse(w, http.StatusInternalServerError, "", 0, "distribution scan: %v", err)
 		return
 	}
 	s.metrics.valuesScanned.With("query_distribution").Add(dist.N)
@@ -121,22 +121,22 @@ type flushResponse struct {
 func (s *Server) handleAdminFlush(w http.ResponseWriter, r *http.Request) {
 	bs := s.store.Blocks()
 	if bs == nil {
-		errJSON(w, http.StatusServiceUnavailable, "no block store attached")
+		s.refuse(w, http.StatusServiceUnavailable, "", 0, "no block store attached")
 		return
 	}
 	start := time.Now()
 	sealed, err := s.store.FlushBlocks(time.Now().Unix())
 	if err != nil {
-		errJSON(w, http.StatusInternalServerError, "flush: %v", err)
+		s.refuse(w, http.StatusInternalServerError, "", 0, "flush: %v", err)
 		return
 	}
-	s.metrics.blockFlush.ObserveDuration(time.Since(start))
+	s.metrics.stage(stageBlockFlush, time.Since(start), obs.TraceEvent{})
 	compacted, err := bs.CompactPending()
 	if err != nil {
-		errJSON(w, http.StatusInternalServerError, "compact: %v", err)
+		s.refuse(w, http.StatusInternalServerError, "", 0, "compact: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, flushResponse{
+	s.writeJSON(w, http.StatusOK, flushResponse{
 		Sealed: sealed, Compacted: compacted, Frontier: s.store.BlockFrontier(),
 	})
 }
@@ -190,10 +190,10 @@ func (s *Server) handleAdminScrub(w http.ResponseWriter, r *http.Request) {
 		resp.WAL = wr
 	}
 	if resp.Blocks == nil && resp.WAL == nil {
-		errJSON(w, http.StatusServiceUnavailable, "nothing to scrub: no block store or WAL attached")
+		s.refuse(w, http.StatusServiceUnavailable, "", 0, "nothing to scrub: no block store or WAL attached")
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // startBlockLoop launches the background flush loop (and registers the
@@ -230,7 +230,7 @@ func (s *Server) startBlockLoop() {
 					s.metrics.logger.Warn("block flush failed", "err", err)
 					continue
 				}
-				s.metrics.blockFlush.ObserveDuration(time.Since(start))
+				s.metrics.stage(stageBlockFlush, time.Since(start), obs.TraceEvent{})
 			}
 		}
 	}()

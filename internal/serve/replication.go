@@ -17,7 +17,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -174,13 +173,12 @@ type replState struct {
 	streamStop chan struct{}
 	streamOnce sync.Once
 
-	// onSend and onRead receive each catch-up burst's record count and
-	// read time (primary side); logger gets one record per role, epoch or
-	// stream event. All three are set once by NewDurable before the server
-	// accepts connections.
-	onSend func(records int64)
-	onRead func(time.Duration)
-	logger *slog.Logger
+	// metrics receives each catch-up burst's record count and read time
+	// (primary side); logger gets one record per role, epoch or stream
+	// event. Both are set once by NewDurable before the server accepts
+	// connections.
+	metrics *metrics
+	logger  *slog.Logger
 }
 
 func newReplState(cfg ReplicationConfig, ep *repl.EpochFile, d *durability) *replState {
@@ -202,15 +200,11 @@ func newReplState(cfg ReplicationConfig, ep *repl.EpochFile, d *durability) *rep
 			}
 		},
 		HeartbeatEvery: cfg.HeartbeatEvery,
-		ObserveSend: func(records int64) {
-			if rs.onSend != nil {
-				rs.onSend(records)
+		ObserveBurst: func(records int64, d time.Duration) {
+			if records > 0 {
+				rs.metrics.replSend.Observe(float64(records))
 			}
-		},
-		ObserveRead: func(d time.Duration) {
-			if rs.onRead != nil {
-				rs.onRead(d)
-			}
+			rs.metrics.stage(stageReplRead, d, obs.TraceEvent{})
 		},
 	})
 	return rs
@@ -248,24 +242,13 @@ func (rs *replState) currentUpstream() string {
 	return rs.activeUpstream
 }
 
-// notPrimary writes the role header and a not_primary JSON error that
-// carries the primary hint when one is known.
-func (rs *replState) notPrimary(w http.ResponseWriter, msg string) {
-	w.Header().Set(HeaderReplRole, RoleFollower)
-	body := map[string]string{"error": msg, "code": CodeNotPrimary}
-	if hint := rs.primaryHint(); hint != "" {
-		body["primary"] = hint
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	json.NewEncoder(w).Encode(body)
-}
-
-// observeRequestEpoch folds a peer-reported epoch into the fencing
-// state: a primary that sees a higher epoch than its own has been
-// superseded by a promotion and fences itself — stickily, until
-// it rejoins a successor or restarts from its epoch record.
-func (rs *replState) observeRequestEpoch(r *http.Request) {
+// exchangeEpoch stamps this node's epoch on the response and folds the
+// request's into the fencing state: a primary that sees a higher epoch
+// than its own has been superseded by a promotion and fences itself —
+// stickily, until it rejoins a successor or restarts from its epoch
+// record.
+func (rs *replState) exchangeEpoch(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set(HeaderReplEpoch, strconv.FormatUint(rs.epoch.Epoch(), 10))
 	v := r.Header.Get(HeaderReplEpoch)
 	if v == "" {
 		return
@@ -364,7 +347,6 @@ func (rs *replState) startFollowerTo(s *Server, primaryURL string) error {
 		AckEvery:     rs.cfg.AckEvery,
 		StallTimeout: rs.cfg.StallTimeout,
 		Logger:       s.cfg.Logger,
-		ObserveApply: s.metrics.replApply.ObserveDuration,
 	})
 	if err != nil {
 		return err
@@ -490,15 +472,13 @@ func (s *Server) replGateIngest(w http.ResponseWriter, r *http.Request) bool {
 		return true
 	}
 	rs := s.dur.repl
-	rs.observeRequestEpoch(r)
-	w.Header().Set(HeaderReplEpoch, strconv.FormatUint(rs.epoch.Epoch(), 10))
+	rs.exchangeEpoch(w, r)
 	if rs.isFollower.Load() {
-		rs.notPrimary(w, "this node is a read-only follower — send writes to the primary")
+		s.refuse(w, http.StatusServiceUnavailable, CodeNotPrimary, 0, followerMsg)
 		return false
 	}
 	if rs.fenced.Load() {
-		w.Header().Set(HeaderReplFenced, "1")
-		errJSONCode(w, http.StatusConflict, CodeStaleEpoch,
+		s.refuse(w, http.StatusConflict, CodeStaleEpoch, 0,
 			"write fenced: epoch %d is stale, a peer was promoted at epoch %d",
 			rs.epoch.Epoch(), rs.fencedBy.Load())
 		return false
@@ -509,32 +489,29 @@ func (s *Server) replGateIngest(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // replReady answers the common replication-endpoint preconditions,
-// writing the error response when they fail.
-func (s *Server) replReady(w http.ResponseWriter, r *http.Request) (*replState, bool) {
+// writing the error response when they fail. Given a follower message it
+// also answers whether this node may serve its history to a follower:
+// never as a follower (refused with that message), and under an elector
+// only with the lease for its own epoch — else it could hand out a
+// history its successor replaced.
+func (s *Server) replReady(w http.ResponseWriter, r *http.Request, followerMsg string) (*replState, bool) {
 	if s.dur == nil || s.dur.repl == nil {
-		errJSON(w, http.StatusNotImplemented, "replication requires a durable server (-data-dir)")
+		s.refuse(w, http.StatusNotImplemented, "", 0, "replication requires a durable server (-data-dir)")
 		return nil, false
 	}
 	rs := s.dur.repl
-	rs.observeRequestEpoch(r)
-	w.Header().Set(HeaderReplEpoch, strconv.FormatUint(rs.epoch.Epoch(), 10))
-	if !s.ready.Load() {
-		errJSON(w, http.StatusServiceUnavailable, "server recovering")
+	rs.exchangeEpoch(w, r)
+	switch {
+	case !s.ready.Load():
+		s.refuse(w, http.StatusServiceUnavailable, "", 0, "server recovering")
+		return nil, false
+	case followerMsg == "":
+		return rs, true
+	case rs.isFollower.Load():
+		s.refuse(w, http.StatusServiceUnavailable, CodeNotPrimary, 0, "%s", followerMsg)
 		return nil, false
 	}
-	return rs, true
-}
-
-// replServes answers whether this node may serve its history to a
-// follower, writing the refusal if not: never as a follower, and under
-// an elector only with the lease for its own epoch — else it could hand
-// out a history its successor replaced.
-func (s *Server) replServes(w http.ResponseWriter, rs *replState, followerMsg string) bool {
-	if rs.isFollower.Load() {
-		rs.notPrimary(w, followerMsg)
-		return false
-	}
-	return s.leaseHeld(w, rs.epoch.Epoch())
+	return rs, s.leaseHeld(w, rs.epoch.Epoch())
 }
 
 // leaseHeld reports whether an attached elector (if any) holds the lease
@@ -543,8 +520,7 @@ func (s *Server) leaseHeld(w http.ResponseWriter, epoch uint64) bool {
 	if el := s.elector.Load(); el == nil || el.HasLease() && (epoch == 0 || el.Status().Epoch == epoch) {
 		return true
 	}
-	w.Header().Set(HeaderReplLease, "expired")
-	errJSONCode(w, http.StatusServiceUnavailable, CodeNoLease,
+	s.refuse(w, http.StatusServiceUnavailable, CodeNoLease, 0,
 		"leader lease expired: cannot reach an election quorum — writes may be lost, try another node")
 	return false
 }
@@ -554,30 +530,27 @@ func (s *Server) leaseHeld(w http.ResponseWriter, epoch uint64) bool {
 // long-lived by design and needs http.Flusher, which
 // http.TimeoutHandler does not provide.
 func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
-	rs, ok := s.replReady(w, r)
+	rs, ok := s.replReady(w, r, "cascading replication is not supported — stream from the primary")
 	if !ok {
-		return
-	}
-	if !s.replServes(w, rs, "cascading replication is not supported — stream from the primary") {
 		return
 	}
 	id := r.URL.Query().Get("follower")
 	if id == "" {
-		errJSON(w, http.StatusBadRequest, "missing follower id")
+		s.refuse(w, http.StatusBadRequest, "", 0, "missing follower id")
 		return
 	}
 	from := uint64(1)
 	if v := r.URL.Query().Get("from"); v != "" {
 		f, err := strconv.ParseUint(v, 10, 64)
 		if err != nil || f == 0 {
-			errJSON(w, http.StatusBadRequest, "bad from %q", v)
+			s.refuse(w, http.StatusBadRequest, "", 0, "bad from %q", v)
 			return
 		}
 		from = f
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		errJSON(w, http.StatusInternalServerError, "response writer cannot stream")
+		s.refuse(w, http.StatusInternalServerError, "", 0, "response writer cannot stream")
 		return
 	}
 	d := s.dur
@@ -587,11 +560,11 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	rs.source.Register(id, from-1)
 	first, err := d.log.FirstLSN()
 	if err != nil {
-		errJSON(w, http.StatusInternalServerError, "oldest wal lsn: %v", err)
+		s.refuse(w, http.StatusInternalServerError, "", 0, "oldest wal lsn: %v", err)
 		return
 	}
 	if from < first {
-		errJSONCode(w, http.StatusGone, CodeBootstrapRequired,
+		s.refuse(w, http.StatusGone, CodeBootstrapRequired, 0,
 			"lsn %d was reaped (oldest is %d) — install a snapshot", from, first)
 		return
 	}
@@ -616,16 +589,12 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 // wrote — the follower-bootstrap payload, exactly the on-disk snapshot
 // image, without reading the file back.
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
-	rs, ok := s.replReady(w, r)
-	if !ok {
-		return
-	}
-	if !s.replServes(w, rs, "cascading replication is not supported — bootstrap from the primary") {
+	if _, ok := s.replReady(w, r, "cascading replication is not supported — bootstrap from the primary"); !ok {
 		return
 	}
 	lsn, payload, err := s.dur.snapshotOnce(s)
 	if err != nil {
-		errJSON(w, http.StatusInternalServerError, "taking snapshot: %v", err)
+		s.refuse(w, http.StatusInternalServerError, "", 0, "taking snapshot: %v", err)
 		return
 	}
 	w.Header().Set(HeaderReplSnapshotLSN, strconv.FormatUint(lsn, 10))
@@ -638,14 +607,14 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 // handleReplAck records a follower's durably-applied LSN, releasing
 // WAL retention below it and unblocking semi-sync ingest waits.
 func (s *Server) handleReplAck(w http.ResponseWriter, r *http.Request) {
-	rs, ok := s.replReady(w, r)
+	rs, ok := s.replReady(w, r, "")
 	if !ok {
 		return
 	}
 	id := r.URL.Query().Get("follower")
 	lsn, err := strconv.ParseUint(r.URL.Query().Get("lsn"), 10, 64)
 	if id == "" || err != nil {
-		errJSON(w, http.StatusBadRequest, "ack needs follower and lsn")
+		s.refuse(w, http.StatusBadRequest, "", 0, "ack needs follower and lsn")
 		return
 	}
 	rs.source.Ack(id, lsn)
@@ -655,15 +624,15 @@ func (s *Server) handleReplAck(w http.ResponseWriter, r *http.Request) {
 // handlePromote is the operator-facing failover trigger (the smoke
 // drill POSTs it after killing the primary; SIGUSR1 does the same).
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.replReady(w, r); !ok {
+	if _, ok := s.replReady(w, r, ""); !ok {
 		return
 	}
 	epoch, err := s.Promote()
 	if err != nil {
-		errJSON(w, http.StatusInternalServerError, "promote: %v", err)
+		s.refuse(w, http.StatusInternalServerError, "", 0, "promote: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"role": RolePrimary, "epoch": epoch})
+	s.writeJSON(w, http.StatusOK, map[string]any{"role": RolePrimary, "epoch": epoch})
 }
 
 // applyReplicated feeds one streamed record through the ingest
@@ -678,6 +647,7 @@ func (s *Server) applyReplicated(plsn uint64, body []byte) error {
 	if rs.isBootExtra(plsn) {
 		// Already inside the installed bootstrap image: advance only.
 		storeMax(&rs.replApplied, plsn)
+		s.metrics.stage(stageReplApply, time.Since(start), obs.TraceEvent{})
 		return nil
 	}
 	// Everything below that reads the samples finishes before this
@@ -711,11 +681,10 @@ func (s *Server) applyReplicated(plsn uint64, body []byte) error {
 		return fmt.Errorf("wal sync: %w", err)
 	}
 	d.advanceRepl()
-	// The repl.Follower's ObserveApply hook feeds the replApply histogram.
-	s.traceStage("replicated batch applied", obs.TraceEvent{
-		Trace: qb.Trace, Stage: "repl_apply", Agent: qb.Agent, Seq: int64(qb.Seq),
+	s.metrics.stage(stageReplApply, time.Since(start), obs.TraceEvent{
+		Trace: qb.Trace, Agent: qb.Agent, Seq: int64(qb.Seq),
 		LSN: int64(qb.lsn), PLSN: int64(plsn), Samples: len(qb.Samples), Status: "applied",
-	}, time.Since(start))
+	})
 	return nil
 }
 
@@ -858,12 +827,4 @@ func storeMax(a *atomic.Uint64, v uint64) {
 			return
 		}
 	}
-}
-
-// errJSONCode writes a JSON error body carrying a machine-readable
-// code alongside the human-readable message.
-func errJSONCode(w http.ResponseWriter, status int, code, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...), "code": code})
 }

@@ -78,6 +78,12 @@ func TestReplicationEndToEnd(t *testing.T) {
 			t.Fatalf("follower /metrics lacks %q", want)
 		}
 	}
+	// Each of the 40 data frames the follower applied is one observation
+	// of its apply latency, observed before the frame is counted applied.
+	waitFor(t, "40 applied frames", func() bool { return follower.dur.repl.followerStats().AppliedRecords == 40 })
+	if _, mf = get(t, tsF.URL+"/metrics"); !strings.Contains(string(mf), "\npowserved_repl_apply_seconds_count 40\n") {
+		t.Fatalf("follower /metrics lacks powserved_repl_apply_seconds_count 40:\n%s", mf)
+	}
 
 	// Crash the follower, keep feeding the primary, restart the
 	// follower over the same dir: it must resume from its recovered

@@ -191,8 +191,7 @@ func NewDurable(store *tsdb.Store, model *mlearn.BDT, cfg Config, dcfg Durabilit
 		s.anom.SetDeliver(false)
 	}
 	s.metrics.reg.AddCollector(dur.collect)
-	dur.repl.onSend = func(records int64) { s.metrics.replSend.Observe(float64(records)) }
-	dur.repl.onRead = s.metrics.replRead.ObserveDuration
+	dur.repl.metrics = s.metrics
 	dur.repl.logger = obs.Component(cfg.Logger, "repl")
 	s.ready.Store(false) // Recover flips it
 	return s, nil
@@ -282,19 +281,6 @@ func (s *Server) Close() {
 	}
 }
 
-// errJSON writes a JSON error body with the given status.
-func errJSON(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
 // retryAfterSeconds scales the 503 Retry-After hint with ingest queue
 // occupancy: a briefly-full queue asks agents back in a second, a deeply
 // backed-up one pushes the retry storm further out so the workers can
@@ -303,33 +289,14 @@ func retryAfterSeconds(depth, capacity int) int {
 	if capacity <= 0 {
 		return 1
 	}
-	occ := float64(depth) / float64(capacity)
-	if occ < 0 {
-		occ = 0
-	} else if occ > 1 {
-		occ = 1
-	}
+	occ := min(max(float64(depth)/float64(capacity), 0), 1)
 	return 1 + int(occ*4+0.5) // 1 s empty → 5 s full
 }
 
-func (s *Server) retryAfter() int {
-	return retryAfterSeconds(s.ingestQ.Len(), s.ingestQ.Cap())
-}
-
-// drainingUnavailable answers a write that met the drain, at the gate or
-// by losing Push's race with Close.
-func (s *Server) drainingUnavailable(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-	errJSON(w, http.StatusServiceUnavailable, "server draining")
-}
-
-// storageUnavailable answers a write request with the storage-degraded
-// 503: machine-readable code, Retry-After, and the marker header that
-// lets shippers tell "disk trouble, stay put" from "follower, rotate".
-func (s *Server) storageUnavailable(w http.ResponseWriter, reason string) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-	w.Header().Set(HeaderStorageDegraded, "1")
-	errJSONCode(w, http.StatusServiceUnavailable, CodeStorageDegraded, "storage degraded: %s", reason)
+// retryAfter is the wait a write refused while the node cannot take it
+// (draining, recovering, storage degraded) is asked back after.
+func (s *Server) retryAfter() time.Duration {
+	return time.Duration(retryAfterSeconds(s.ingestQ.Len(), s.ingestQ.Cap())) * time.Second
 }
 
 // ingestResponse is the body of a 202 from POST /v1/samples. Duplicate
@@ -395,161 +362,147 @@ func (s *Server) decodeBatch(body []byte, readErr error, dst []trace.PowerSample
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	// The gates refuse before the body is read, and count nothing.
 	if s.draining.Load() {
-		s.drainingUnavailable(w)
+		s.refuse(w, http.StatusServiceUnavailable, "", s.retryAfter(), "server draining")
 		return
 	}
 	if !s.ready.Load() {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		errJSON(w, http.StatusServiceUnavailable, "server recovering")
+		s.refuse(w, http.StatusServiceUnavailable, "", s.retryAfter(), "server recovering")
 		return
 	}
 	if !s.replGateIngest(w, r) {
 		return
 	}
-	if d := s.dur; d != nil && d.storageDegraded() {
-		// Reads keep serving; only the write path refuses while the data
-		// dir cannot make bytes durable. Shippers spill and retry.
-		s.metrics.batchesRejected.Add(1)
-		s.storageUnavailable(w, d.degradeReason())
-		return
-	}
-	if s.adm.memDegraded.Load() {
-		// Memory pressure: shed before even decoding the body — the
-		// cheapest possible refusal while the node works its backlog down.
-		s.metrics.batchesRejected.Add(1)
-		s.overCapacity(w, "memory", 0)
-		return
-	}
 	start := time.Now()
-	bp := bufPool.Get().(*[]byte)
-	if need := int(min(r.ContentLength, maxBatchBytes)) + 1; cap(*bp) < need {
-		*bp = make([]byte, 0, need) // +1: the read that reports EOF needs room too
-	}
-	body, readErr := readInto(*bp, http.MaxBytesReader(w, r.Body, maxBatchBytes))
 	// The samples go back to the pool on every exit but the one that
 	// leaves the batch queued with nobody waiting on it: there a worker or
 	// the shed callback may still be reading them.
 	sp := samplePool.Get().(*[]trace.PowerSample)
-	held := false
-	defer func() {
-		if !held {
-			samplePool.Put(sp)
-		}
-	}()
-	batch, err := s.decodeBatch(body, readErr, *sp)
-	// The decoded batch holds no reference into the body.
-	*bp = body
-	bufPool.Put(bp)
-	if err != nil {
-		s.metrics.batchesInvalid.Add(1)
-		errJSON(w, http.StatusBadRequest, "decoding batch: %v", err)
-		return
-	}
-	*sp = batch.Samples
-	if len(batch.Samples) == 0 {
-		s.metrics.batchesInvalid.Add(1)
-		errJSON(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if err := batch.Validate(); err != nil {
-		s.metrics.batchesInvalid.Add(1)
-		errJSON(w, http.StatusBadRequest, "invalid batch: %v", err)
-		return
-	}
-	if batch.Redelivery {
-		s.metrics.redeliveries.Add(1)
-	}
+	var batch trace.SampleBatch
 	// Propagate the shipper-minted trace ID: echo it on the response and
 	// carry it through the WAL and apply stages so one grep follows the
 	// batch end to end.
 	traceID := r.Header.Get(obs.HeaderTraceID)
-	if traceID != "" {
-		w.Header().Set(obs.HeaderTraceID, traceID)
-	}
-	if batch.AgentID != "" {
-		s.metrics.observeAgent(batch.AgentID, r.Header)
-		// Per-agent token bucket: one misbehaving agent exhausts its own
-		// budget and gets a precise Retry-After; the fleet is untouched.
-		if ok, retry := s.adm.buckets.Allow(batch.AgentID); !ok {
-			s.metrics.batchesRejected.Add(1)
-			s.overCapacity(w, "agent_rate", retry)
-			return
-		}
-	}
-	// AIMD limiter: the primary ingest control. Release feeds the ack
-	// latency (accept → applied/durable) back into the control loop.
-	if !s.adm.limiter.Acquire() {
-		s.metrics.batchesRejected.Add(1)
-		s.overCapacity(w, "limiter", 0)
-		return
-	}
-	defer func() { s.adm.limiter.Release(time.Since(start)) }()
-	o := s.accept(r.Context(), &batch, traceID)
-	held = o.held
-	if o.kind >= outShed {
-		s.metrics.batchesRejected.Add(1)
-	}
+	o := s.take(w, r, &batch, sp, traceID, start)
 	switch o.kind {
 	case outAccepted:
 		s.metrics.batchesAccepted.Add(1)
-		writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: len(batch.Samples)})
-		d := time.Since(start)
-		s.metrics.ingestE2E.ObserveDuration(d)
-		s.traceStage("batch ingested", obs.TraceEvent{
-			Trace: traceID, Stage: "ingest", Agent: batch.AgentID, Seq: int64(batch.Seq),
+		s.writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: len(batch.Samples)})
+		s.metrics.stage(stageIngest, time.Since(start), obs.TraceEvent{
+			Trace: traceID, Agent: batch.AgentID, Seq: int64(batch.Seq),
 			LSN: int64(o.lsn), Samples: len(batch.Samples), Status: "accepted",
-		}, d)
+		})
 	case outDuplicate, outStale:
 		// Already counted — acknowledge, so the agent stops re-sending.
 		s.metrics.batchesDuplicate.Add(1)
 		if o.kind == outStale {
 			s.metrics.batchesStale.Add(1)
 		}
-		writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: 0, Duplicate: true})
-	case outShed:
-		s.overCapacity(w, "codel", 0)
-	case outFull:
-		// Backpressure: the agent owns the retry, and cancel has made sure
-		// it can re-send this sequence number successfully.
-		s.overCapacity(w, "queue", 0)
-	case outDraining:
-		s.drainingUnavailable(w)
-	case outStorage:
-		s.storageUnavailable(w, o.err.Error())
-	case outNotPrimary:
-		s.dur.repl.notPrimary(w, "this node is a read-only follower — send writes to the primary")
-	case outReplication, outEncode:
-		errJSON(w, http.StatusInternalServerError, "%v", o.err)
+		s.writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: 0, Duplicate: true})
+	default:
+		rf := &refusals[o.kind]
+		s.metrics.refused[o.kind].Inc()
+		msg := rf.msg
+		switch {
+		case rf.code == CodeOverCapacity:
+			s.metrics.admitShed.With(rf.reason).Inc()
+			msg = "over capacity: " + rf.reason
+		case o.err != nil:
+			msg += o.err.Error()
+		}
+		if rf.retry {
+			o.retry = s.retryAfter()
+		}
+		s.refuse(w, rf.status, rf.code, o.retry, "%s", msg)
 	}
+	if !o.held {
+		samplePool.Put(sp)
+	}
+}
+
+// take reads, checks and admits one request's batch into batch (the
+// samples into *sp) and hands it to accept: all of handleIngest's work
+// between the gates and the answer.
+func (s *Server) take(w http.ResponseWriter, r *http.Request, batch *trace.SampleBatch, sp *[]trace.PowerSample, traceID string, start time.Time) outcome {
+	if d := s.dur; d != nil && d.storageDegraded() {
+		// Reads keep serving; only the write path refuses while the data
+		// dir cannot make bytes durable. Shippers spill and retry.
+		return outcome{kind: outStorage, err: errors.New(d.degradeReason())}
+	}
+	if s.adm.memDegraded.Load() {
+		// Memory pressure: shed before even decoding the body — the
+		// cheapest possible refusal while the node works its backlog down.
+		return outcome{kind: outMemory}
+	}
+	bp := bufPool.Get().(*[]byte)
+	if need := int(min(r.ContentLength, maxBatchBytes)) + 1; cap(*bp) < need {
+		*bp = make([]byte, 0, need) // +1: the read that reports EOF needs room too
+	}
+	body, readErr := readInto(*bp, http.MaxBytesReader(w, r.Body, maxBatchBytes))
+	b, err := s.decodeBatch(body, readErr, *sp)
+	// The decoded batch holds no reference into the body.
+	*bp = body
+	bufPool.Put(bp)
+	if err != nil {
+		return outcome{kind: outInvalid, err: fmt.Errorf("decoding batch: %w", err)}
+	}
+	*sp, *batch = b.Samples, b
+	if len(b.Samples) == 0 {
+		return outcome{kind: outInvalid, err: errors.New("empty batch")}
+	}
+	if err := b.Validate(); err != nil {
+		return outcome{kind: outInvalid, err: fmt.Errorf("invalid batch: %w", err)}
+	}
+	if b.Redelivery {
+		s.metrics.redeliveries.Add(1)
+	}
+	if traceID != "" {
+		w.Header().Set(obs.HeaderTraceID, traceID)
+	}
+	if b.AgentID != "" {
+		s.metrics.observeAgent(b.AgentID, r.Header)
+		// Per-agent token bucket: one misbehaving agent exhausts its own
+		// budget and gets a precise Retry-After; the fleet is untouched.
+		if ok, retry := s.adm.buckets.Allow(b.AgentID); !ok {
+			return outcome{kind: outAgentRate, retry: retry}
+		}
+	}
+	// AIMD limiter: the primary ingest control. Release feeds the ack
+	// latency (accept → applied/durable) back into the control loop.
+	if !s.adm.limiter.Acquire() {
+		return outcome{kind: outLimiter}
+	}
+	defer func() { s.adm.limiter.Release(time.Since(start)) }()
+	return s.accept(r.Context(), batch, traceID)
 }
 
 func (s *Server) handleNodeSeries(w http.ResponseWriter, r *http.Request) {
 	node, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil || node < 0 {
-		errJSON(w, http.StatusBadRequest, "bad node id %q", r.PathValue("id"))
+		s.refuse(w, http.StatusBadRequest, "", 0, "bad node id %q", r.PathValue("id"))
 		return
 	}
-	from, to, ok := parseWindow(w, r)
+	from, to, ok := s.parseWindow(w, r)
 	if !ok {
 		return
 	}
 	points := s.store.NodeSeries(node, from, to)
-	writeJSON(w, http.StatusOK, map[string]any{"node": node, "points": points})
+	s.writeJSON(w, http.StatusOK, map[string]any{"node": node, "points": points})
 }
 
 func (s *Server) handleJobPower(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil || id == 0 {
-		errJSON(w, http.StatusBadRequest, "bad job id %q", r.PathValue("id"))
+		s.refuse(w, http.StatusBadRequest, "", 0, "bad job id %q", r.PathValue("id"))
 		return
 	}
 	stats, ok := s.store.JobPower(id)
 	if !ok {
-		errJSON(w, http.StatusNotFound, "no samples for job %d", id)
+		s.refuse(w, http.StatusNotFound, "", 0, "no samples for job %d", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, stats)
+	s.writeJSON(w, http.StatusOK, stats)
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -557,7 +510,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if ids == nil {
 		ids = []uint64{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": ids})
+	s.writeJSON(w, http.StatusOK, map[string]any{"jobs": ids})
 }
 
 // PredictRequest is the body of POST /v1/predict: the paper's three
@@ -578,26 +531,26 @@ type PredictResponse struct {
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if s.model == nil {
-		errJSON(w, http.StatusServiceUnavailable, "no model loaded")
+		s.refuse(w, http.StatusServiceUnavailable, "", 0, "no model loaded")
 		return
 	}
 	var req PredictRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		errJSON(w, http.StatusBadRequest, "decoding request: %v", err)
+		s.refuse(w, http.StatusBadRequest, "", 0, "decoding request: %v", err)
 		return
 	}
 	if req.Nodes <= 0 || req.WallHours <= 0 {
-		errJSON(w, http.StatusBadRequest, "nodes and wall_hours must be positive")
+		s.refuse(w, http.StatusBadRequest, "", 0, "nodes and wall_hours must be positive")
 		return
 	}
 	pred, std, n := s.model.PredictWithStd(mlearn.Features{
 		User: req.User, Nodes: req.Nodes, WallHours: req.WallHours,
 	})
-	writeJSON(w, http.StatusOK, PredictResponse{PredictedW: pred, LeafStdW: std, LeafN: n})
+	s.writeJSON(w, http.StatusOK, PredictResponse{PredictedW: pred, LeafStdW: std, LeafN: n})
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.store.Summarize())
+	s.writeJSON(w, http.StatusOK, s.store.Summarize())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -613,7 +566,7 @@ func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
 func (s *Server) Traces() *obs.TraceRing { return s.metrics.traces }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	s.writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"ingested": s.store.Ingested(),
 	})
@@ -628,11 +581,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.draining.Load():
-		writeJSON(w, http.StatusServiceUnavailable, s.readyzBody("draining"))
+		s.writeJSON(w, http.StatusServiceUnavailable, s.readyzBody("draining"))
 	case !s.ready.Load():
-		writeJSON(w, http.StatusServiceUnavailable, s.readyzBody("recovering"))
+		s.writeJSON(w, http.StatusServiceUnavailable, s.readyzBody("recovering"))
 	default:
-		writeJSON(w, http.StatusOK, s.readyzBody("ready"))
+		s.writeJSON(w, http.StatusOK, s.readyzBody("ready"))
 	}
 }
 

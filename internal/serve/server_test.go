@@ -100,6 +100,30 @@ func waitIngested(t testing.TB, s *Server, want int64) {
 	waitFor(t, fmt.Sprintf("%d samples ingested", want), func() bool { return s.store.Ingested() >= want })
 }
 
+// TestUnencodableAnswerIs500: a job whose variance overflowed to +Inf
+// has no JSON form. Its power and the summary answer 500 with the
+// encoder's error, not a 200 with an empty body.
+func TestUnencodableAnswerIs500(t *testing.T) {
+	s, ts := testNode{}.start(t)
+	var batch trace.SampleBatch
+	for i, w := range []float64{120, 1e300, 0, 5} {
+		batch.Samples = append(batch.Samples, trace.PowerSample{Node: 1, JobID: 7, Unix: 1_700_000_000 + 60*int64(i), PowerW: w})
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/samples", batch); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest: %d %s", resp.StatusCode, body)
+	}
+	waitIngested(t, s, 4)
+	for _, path := range []string{"/v1/summary", "/v1/jobs/7/power"} {
+		resp, body := get(t, ts.URL+path)
+		var eb struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &eb); resp.StatusCode != http.StatusInternalServerError || err != nil || !strings.Contains(eb.Error, "+Inf") {
+			t.Errorf("%s = %d %q (%v), want 500 with a JSON error naming +Inf", path, resp.StatusCode, body, err)
+		}
+	}
+}
+
 func TestIngestAndQueryRoundTrip(t *testing.T) {
 	s, ts := testNode{}.start(t)
 	batch := trace.SampleBatch{}
