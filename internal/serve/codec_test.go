@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -211,5 +213,107 @@ func TestRecoverParentWrittenWAL(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// walData is the data records of s's WAL, copied, in LSN order.
+func walData(t *testing.T, s *Server) [][]byte {
+	t.Helper()
+	var out [][]byte
+	err := s.dur.log.ReadRange(1, s.dur.log.LastLSN(), func(_ uint64, typ wal.RecordType, body []byte) error {
+		if typ == wal.RecordData {
+			out = append(out, bytes.Clone(body))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestWALLogsTheBodyItWasSent: a canonical body that is no redelivery is
+// logged as it came, in whatever spelling the scanner accepts, with the
+// trace ID spliced in, and a redelivery (its key is no WAL key) is
+// encoded afresh. A follower stores a record as it came, with the
+// primary's LSN spliced in, unless it already carries a plsn: that one
+// is encoded afresh too, so no record holds a key twice.
+func TestWALLogsTheBodyItWasSent(t *testing.T) {
+	primary, ts := testNode{dir: t.TempDir(), quiet: true}.start(t)
+	follower, _ := testNode{dir: t.TempDir(), quiet: true}.start(t)
+	const traceID = "4f2a9c0d11e8b7a3"
+	spaced := " { \"agent\" : \"a1\" , \"seq\" : 1 ,\n \"samples\" : [ {\"node\":1,\"job\":2,\"t\":1700000000,\"w\":151.20} ] } \n\t"
+	if resp, body := postRaw(t, ts.URL+"/v1/samples", bytes.NewReader([]byte(spaced)), obs.HeaderTraceID, traceID); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("spaced body: %d %s", resp.StatusCode, body)
+	}
+	redelivered := trace.SampleBatch{AgentID: "a1", Seq: 2, Redelivery: true, Samples: []trace.PowerSample{{Node: 1, JobID: 2, Unix: 1_700_000_060, PowerW: 99}}}
+	if resp, body := postJSON(t, ts.URL+"/v1/samples", redelivered, obs.HeaderTraceID, traceID); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("redelivery: %d %s", resp.StatusCode, body)
+	}
+	encoded := func(r trace.WALRecord) string {
+		b, err := trace.AppendWALRecord(nil, &r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	spacedRec := ` { "agent" : "a1" , "seq" : 1 ,` + "\n" + ` "samples" : [ {"node":1,"job":2,"t":1700000000,"w":151.20} ] ,"trace":"` + traceID + `"}`
+	redeliveredRec := trace.WALRecord{Agent: "a1", Seq: 2, Samples: redelivered.Samples, Trace: traceID}
+	logged := walData(t, primary)
+	if want := []string{spacedRec, encoded(redeliveredRec)}; len(logged) != 2 || string(logged[0]) != want[0] || string(logged[1]) != want[1] {
+		t.Fatalf("the primary logged\n %q\nwant\n %q", logged, want)
+	}
+
+	// The follower's side: each record under the primary's LSN, and a
+	// record a former follower logged, its plsn already set.
+	former := trace.WALRecord{Agent: "a2", Seq: 1, Samples: redelivered.Samples, PLSN: 5, Trace: traceID}
+	for i, body := range append(logged, []byte(encoded(former))) {
+		if err := follower.applyReplicated(uint64(11+i), body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	former.PLSN = 13
+	want := []string{
+		strings.TrimSuffix(spacedRec, "}") + `,"plsn":11}`,
+		strings.TrimSuffix(encoded(redeliveredRec), "}") + `,"plsn":12}`,
+		encoded(former),
+	}
+	if stored := walData(t, follower); len(stored) != 3 || string(stored[0]) != want[0] || string(stored[1]) != want[1] || string(stored[2]) != want[2] {
+		t.Fatalf("the follower stored\n %q\nwant\n %q", stored, want)
+	}
+	if n := follower.metrics.decodeFallback.Value() + primary.metrics.decodeFallback.Value(); n != 0 {
+		t.Errorf("%d bodies or records fell back to encoding/json, want 0", n)
+	}
+}
+
+// BenchmarkIngestDurable is one POST /v1/samples through the handler
+// chain into a durable node under -fsync interval: a 512-node tick at
+// 0.1 W in the shipper's layout, stamped and traced, read, scanned,
+// logged, applied and acked. Each post takes the next seq, written over
+// the last one's digits.
+func BenchmarkIngestDurable(b *testing.B) {
+	s, _ := testNode{dir: b.TempDir(), quiet: true, dur: DurabilityConfig{Policy: wal.SyncInterval}}.start(b)
+	h := s.Handler()
+	batch := trace.SampleBatch{AgentID: "rack-0", Seq: 1_000_000_000, Samples: make([]trace.PowerSample, 512)}
+	for i := range batch.Samples {
+		batch.Samples[i] = trace.PowerSample{Node: i, JobID: uint64(1 + i/16), Unix: 1_700_000_000, PowerW: float64(900+i*37%1700) / 10}
+	}
+	body, err := trace.AppendBatch(nil, &batch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seq := bytes.Index(body, []byte(`"seq":`)) + len(`"seq":`)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		strconv.AppendUint(body[seq:seq], batch.Seq+uint64(i), 10)
+		req := httptest.NewRequest(http.MethodPost, "/v1/samples", bytes.NewReader(body))
+		req.Header.Set(obs.HeaderTraceID, "4f2a9c0d11e8b7a3")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusAccepted {
+			b.Fatalf("post %d: %d %s", i, rec.Code, rec.Body)
+		}
 	}
 }

@@ -296,13 +296,19 @@ func openDurability(cfg DurabilityConfig) (*durability, error) {
 // repository writes, encoding/json for anything else (a record written
 // by a foreign tool, or one a future version extends).
 func (s *Server) decodeWALBody(body []byte, dst []trace.PowerSample) (trace.WALRecord, error) {
+	rec, _, err := s.scanWALBody(body, dst)
+	return rec, err
+}
+
+// scanWALBody is decodeWALBody reporting the scanner's path as canonical.
+func (s *Server) scanWALBody(body []byte, dst []trace.PowerSample) (_ trace.WALRecord, canonical bool, _ error) {
 	if rec, ok := trace.ScanWALRecord(body, dst); ok {
-		return rec, nil
+		return rec, true, nil
 	}
 	s.metrics.decodeFallback.Inc()
 	var rec trace.WALRecord
 	err := json.Unmarshal(body, &rec)
-	return rec, err
+	return rec, false, err
 }
 
 // replayBuffers is how many decoded records replay's decoder may run ahead
@@ -565,6 +571,22 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	}
 	return &rep, nil
 }
+
+// startDurable starts waiting for lsn to be durable (WaitDurable, which
+// under wal.SyncBatch joins a group commit) and returns the channel its
+// answer arrives on. Under the other policies there is nothing to wait
+// for, and the answer, nil, is there at once.
+func (d *durability) startDurable(lsn uint64) <-chan error {
+	if d.cfg.Policy != wal.SyncBatch {
+		return durableNow
+	}
+	c := make(chan error, 1)
+	go func() { c <- d.log.WaitDurable(lsn) }()
+	return c
+}
+
+// durableNow is closed: a receive from it is nil at once.
+var durableNow = func() chan error { c := make(chan error); close(c); return c }()
 
 // snapshotLoop takes periodic snapshots, plus one whenever enough WAL
 // appends have accumulated since the last.

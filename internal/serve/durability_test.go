@@ -269,7 +269,7 @@ func TestTombstonesPrunedOnReap(t *testing.T) {
 			AgentID: "a1", Seq: seq,
 			Samples: []trace.PowerSample{{Node: 1, JobID: 7, Unix: int64(60 * seq), PowerW: 123}},
 		}
-		if o := s.accept(context.Background(), &batch, ""); o.kind != outFull {
+		if o := s.accept(context.Background(), &batch, nil, ""); o.kind != outFull {
 			t.Fatalf("full queue: outcome %d, want outFull", o.kind)
 		}
 	}

@@ -125,9 +125,10 @@ func (s *Server) stamp(agent string, seq uint64) (dup, stale bool) {
 
 // log appends qb's record to the WAL, setting qb.lsn, and — for a live
 // batch — pushes qb onto the ingest queue inside the same seqMu hold.
-// The caller holds applyMu.RLock and cancels qb on any answer but
-// outAccepted.
-func (s *Server) log(qb *queuedBatch, enqueue bool) outcome {
+// rec is that record as the sender spelled it (trace.SpliceWALFields),
+// logged as it stands; nil has log encode it. The caller holds
+// applyMu.RLock and cancels qb on any answer but outAccepted.
+func (s *Server) log(qb *queuedBatch, rec []byte, enqueue bool) outcome {
 	d := s.dur
 	var pushErr error
 	if d == nil {
@@ -135,21 +136,23 @@ func (s *Server) log(qb *queuedBatch, enqueue bool) outcome {
 			pushErr = s.ingestQ.Push(*qb)
 		}
 	} else {
-		bp := bufPool.Get().(*[]byte)
-		body, err := trace.AppendWALRecord((*bp)[:0], &qb.WALRecord)
-		if err != nil {
-			bufPool.Put(bp)
-			return outcome{kind: outEncode, err: fmt.Errorf("encoding wal record: %w", err)}
+		if rec == nil {
+			bp := bufPool.Get().(*[]byte)
+			var err error
+			if *bp, err = trace.AppendWALRecord((*bp)[:0], &qb.WALRecord); err != nil {
+				bufPool.Put(bp)
+				return outcome{kind: outEncode, err: fmt.Errorf("encoding wal record: %w", err)}
+			}
+			rec = *bp
+			defer bufPool.Put(bp) // Append copies the record into its own frame
 		}
 		d.seqMu.Lock()
-		qb.lsn, err = d.log.Append(body)
+		var err error
+		qb.lsn, err = d.log.Append(rec)
 		if err == nil && enqueue {
 			pushErr = s.ingestQ.Push(*qb)
 		}
 		d.seqMu.Unlock()
-		// Append copied the record into its own frame.
-		*bp = body
-		bufPool.Put(bp)
 		if err != nil {
 			// A failing WAL (transient ENOSPC/EIO or a poisoned log) is
 			// storage trouble, not a client error: the shipper spills and
@@ -360,43 +363,20 @@ func (s *Server) awaitDuplicate(ctx context.Context, agent string, seq uint64) o
 }
 
 // accept takes one validated batch from the live handler through the
-// pipeline and answers what became of it.
-func (s *Server) accept(ctx context.Context, batch *trace.SampleBatch, traceID string) outcome {
+// pipeline and answers what became of it. rec, unless nil, holds the
+// batch's WAL record as its request body spelled it: it is logged as it
+// stands and goes back to bufPool once logged, before the ack.
+func (s *Server) accept(ctx context.Context, batch *trace.SampleBatch, rec *[]byte, traceID string) outcome {
 	qb := queuedBatch{WALRecord: trace.WALRecord{
 		Agent: batch.AgentID, Seq: batch.Seq, Samples: batch.Samples, Trace: traceID,
 	}}
-	d := s.dur
-	if d != nil {
-		d.applyMu.RLock()
-		// The role gate ran before the body was read: a demotion since
-		// then refuses here, before anything is stamped or logged, and a
-		// snapshot install taking the write lock sees no batch after it.
-		if d.repl.isFollower.Load() {
-			d.applyMu.RUnlock()
-			return outcome{kind: outNotPrimary}
-		}
-	} else if qb.Agent != "" {
-		qb.ticket = s.tickets.last.Add(1) // before the stamp: rule 6
+	var raw []byte
+	if rec != nil {
+		raw = *rec
 	}
-	// Stamp before enqueue so two racing deliveries of the same
-	// (agent, seq) cannot both be counted.
-	var o outcome
-	if dup, stale := s.stamp(qb.Agent, qb.Seq); dup || stale {
-		// Its ticket is done at once, so a duplicate never waits for
-		// itself.
-		s.tickets.markDone(qb.ticket)
-		o.kind = outDuplicate
-		if stale {
-			o.kind = outStale
-		}
-	} else {
-		qb.resc = make(chan bool, 1)
-		if o = s.log(&qb, true); o.kind != outAccepted {
-			s.cancel(&qb)
-		}
-	}
-	if d != nil {
-		d.applyMu.RUnlock()
+	o := s.enter(&qb, raw)
+	if rec != nil {
+		bufPool.Put(rec) // Append copied the record into its own frame
 	}
 	switch {
 	case o.kind == outDuplicate:
@@ -405,4 +385,38 @@ func (s *Server) accept(ctx context.Context, batch *trace.SampleBatch, traceID s
 		return o
 	}
 	return s.await(ctx, &qb)
+}
+
+// enter is accept's stamp → log, under applyMu.RLock when there is a
+// WAL; rec is log's.
+func (s *Server) enter(qb *queuedBatch, rec []byte) outcome {
+	if d := s.dur; d != nil {
+		d.applyMu.RLock()
+		defer d.applyMu.RUnlock()
+		// The role gate ran before the body was read: a demotion since
+		// then refuses here, before anything is stamped or logged, and a
+		// snapshot install taking the write lock sees no batch after it.
+		if d.repl.isFollower.Load() {
+			return outcome{kind: outNotPrimary}
+		}
+	} else if qb.Agent != "" {
+		qb.ticket = s.tickets.last.Add(1) // before the stamp: rule 6
+	}
+	// Stamp before enqueue so two racing deliveries of the same
+	// (agent, seq) cannot both be counted.
+	if dup, stale := s.stamp(qb.Agent, qb.Seq); dup || stale {
+		// Its ticket is done at once, so a duplicate never waits for
+		// itself.
+		s.tickets.markDone(qb.ticket)
+		if stale {
+			return outcome{kind: outStale}
+		}
+		return outcome{kind: outDuplicate}
+	}
+	qb.resc = make(chan bool, 1)
+	o := s.log(qb, rec, true)
+	if o.kind != outAccepted {
+		s.cancel(qb)
+	}
+	return o
 }

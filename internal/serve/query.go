@@ -74,7 +74,7 @@ func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.metrics.valuesScanned.With("query_range").Add(int64(len(aggs)))
-		writeResponse(w, &rangeResponse{node: node, step: step, frontier: frontier, degraded: degraded, aggs: aggs})
+		s.writeResponse(w, &rangeResponse{node: node, step: step, frontier: frontier, degraded: degraded, aggs: aggs})
 		return
 	}
 	points, degraded, err := s.store.QueryRange(node, from, to)
@@ -83,7 +83,7 @@ func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.valuesScanned.With("query_range").Add(int64(len(points)))
-	writeResponse(w, &rangeResponse{node: node, frontier: frontier, degraded: degraded, points: points})
+	s.writeResponse(w, &rangeResponse{node: node, frontier: frontier, degraded: degraded, points: points})
 }
 
 func (s *Server) handleQueryNodes(w http.ResponseWriter, r *http.Request) {
@@ -104,7 +104,7 @@ func (s *Server) handleQueryDistribution(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	s.metrics.valuesScanned.With("query_distribution").Add(dist.N)
-	writeResponse(w, &distResponse{dist: dist, frontier: s.store.BlockFrontier(), degraded: degraded})
+	s.writeResponse(w, &distResponse{dist: dist, frontier: s.store.BlockFrontier(), degraded: degraded})
 }
 
 // flushResponse is the body of POST /v1/admin/flush.

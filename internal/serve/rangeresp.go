@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"math"
 	"net/http"
 	"strconv"
@@ -134,18 +135,35 @@ type appendResponse interface {
 	appendJSON(dst []byte) ([]byte, bool)
 }
 
-// writeResponse answers 200 with r, encoded into a pooled buffer. Like
-// the json.Encoder it replaces, it sends no body when r cannot be
-// encoded.
-func writeResponse(w http.ResponseWriter, r appendResponse) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
+// writeResponse answers 200 with r, encoded into a pooled buffer before
+// the status is sent. A value JSON has no form for is answered 500 with
+// the error encoding/json gives for it, as writeJSON answers.
+func (s *Server) writeResponse(w http.ResponseWriter, r appendResponse) {
 	buf := responsePool.Get().(*[]byte)
 	body, ok := r.appendJSON((*buf)[:0])
 	if ok {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
 		w.Write(body)
+	} else {
+		s.refuse(w, http.StatusInternalServerError, "", 0, "json: unsupported value: %s", nonFinite(body))
 	}
 	if *buf = body; cap(body) <= maxPooledResponse {
 		responsePool.Put(buf)
+	}
+}
+
+// nonFinite is the first value in body, what an appendJSON that failed
+// wrote, that JSON has no form for. AppendJSONFloat spells it as strconv
+// does, +Inf, -Inf or NaN, which is how encoding/json names it; no key of
+// these bodies holds a capital I or N.
+func nonFinite(body []byte) string {
+	switch i := bytes.IndexAny(body, "IN"); {
+	case i < 0:
+		return ""
+	case body[i] == 'N':
+		return string(body[i : i+len("NaN")])
+	default:
+		return string(body[i-1 : i+len("Inf")]) // and its sign
 	}
 }

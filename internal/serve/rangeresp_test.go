@@ -76,6 +76,32 @@ func TestRangeResponseMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestUnencodableQueryIs500: once node 1's minute sums past
+// float64's range, the range aggregate and the distribution have no
+// JSON form. Each is answered 500 with the error encoding/json gives
+// for +Inf, not a 200 with no body.
+func TestUnencodableQueryIs500(t *testing.T) {
+	s, ts := testNode{}.start(t)
+	var batch trace.SampleBatch
+	for i, w := range []float64{1e308, 1e308, 5} {
+		batch.Samples = append(batch.Samples, trace.PowerSample{Node: 1, JobID: 7, Unix: 1_700_000_040 + 5*int64(i), PowerW: w})
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/samples", batch); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest: %d %s", resp.StatusCode, body)
+	}
+	waitIngested(t, s, 3)
+	_, want := json.Marshal(math.Inf(1))
+	for _, path := range []string{"/v1/query/range?node=1&step=60", "/v1/query/distribution"} {
+		resp, body := get(t, ts.URL+path)
+		var eb struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &eb); resp.StatusCode != http.StatusInternalServerError || err != nil || eb.Error != want.Error() {
+			t.Errorf("%s = %d %q (%v), want 500 with the error %q", path, resp.StatusCode, body, err, want)
+		}
+	}
+}
+
 // TestDistResponseMatchesEncodingJSON pins the distribution's append
 // encoder to the bytes of the json.NewEncoder(w).Encode(map[string]any{
 // "distribution", "frontier", "degraded"}) it replaced: every float form

@@ -654,21 +654,34 @@ func (s *Server) applyReplicated(plsn uint64, body []byte) error {
 	// function returns, whichever way it returns.
 	sp := samplePool.Get().(*[]trace.PowerSample)
 	defer samplePool.Put(sp)
-	wb, err := s.decodeWALBody(body, *sp)
+	wb, canonical, err := s.scanWALBody(body, *sp)
 	if err != nil {
 		return fmt.Errorf("decoding replicated record %d: %w", plsn, err)
 	}
 	*sp = wb.Samples
+	// A canonical record without a plsn (the primary ingested it) is
+	// stored as it came, the plsn spliced in; anything else is encoded
+	// afresh.
+	var rec []byte
+	if canonical && wb.PLSN == 0 {
+		bp := bufPool.Get().(*[]byte)
+		defer bufPool.Put(bp)
+		*bp = trace.SpliceWALFields(append((*bp)[:0], body...), plsn, "")
+		rec = *bp
+	}
 	qb := queuedBatch{WALRecord: wb}
 	qb.PLSN = plsn
 	d.applyMu.RLock()
 	// Mirror the primary's dedup decisions; the stream delivers each
 	// primary LSN at most once, so the stamp never gates the apply.
 	s.stamp(qb.Agent, qb.Seq)
-	if o := s.log(&qb, false); o.kind != outAccepted {
+	if o := s.log(&qb, rec, false); o.kind != outAccepted {
 		d.applyMu.RUnlock()
 		return o.err
 	}
+	// The record's fsync runs beside the apply, as the primary's handler
+	// waits for it beside the worker's; it is joined before the ack.
+	durable := d.startDurable(qb.lsn)
 	// The follower's engine tracks alert state in lockstep with the
 	// primary (delivery stays gated off until promotion).
 	err = s.apply(&qb)
@@ -677,7 +690,7 @@ func (s *Server) applyReplicated(plsn uint64, body []byte) error {
 	if err != nil {
 		return fmt.Errorf("store append: %w", err)
 	}
-	if err := d.log.WaitDurable(qb.lsn); err != nil {
+	if err := <-durable; err != nil {
 		return fmt.Errorf("wal sync: %w", err)
 	}
 	d.advanceRepl()

@@ -344,11 +344,11 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 // Anything else goes through the json.Decoder call this handler always
 // made, on the same bytes — followed by readErr when the body could not
 // be read to its end — so such a request is accepted or refused, and
-// worded, exactly as before.
-func (s *Server) decodeBatch(body []byte, readErr error, dst []trace.PowerSample) (trace.SampleBatch, error) {
+// worded, exactly as before. canonical reports the scanner's path.
+func (s *Server) decodeBatch(body []byte, readErr error, dst []trace.PowerSample) (_ trace.SampleBatch, canonical bool, _ error) {
 	if readErr == nil {
 		if batch, ok := trace.ScanBatch(body, dst); ok {
-			return batch, nil
+			return batch, true, nil
 		}
 		s.metrics.decodeFallback.Inc()
 	}
@@ -358,7 +358,7 @@ func (s *Server) decodeBatch(body []byte, readErr error, dst []trace.PowerSample
 	}
 	var batch trace.SampleBatch
 	err := json.NewDecoder(src).Decode(&batch)
-	return batch, err
+	return batch, false, err
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -440,10 +440,24 @@ func (s *Server) take(w http.ResponseWriter, r *http.Request, batch *trace.Sampl
 		*bp = make([]byte, 0, need) // +1: the read that reports EOF needs room too
 	}
 	body, readErr := readInto(*bp, http.MaxBytesReader(w, r.Body, maxBatchBytes))
-	b, err := s.decodeBatch(body, readErr, *sp)
-	// The decoded batch holds no reference into the body.
+	b, canonical, err := s.decodeBatch(body, readErr, *sp)
+	// The decoded batch holds no reference into the body. With a WAL, a
+	// canonical body that is no redelivery is the batch's record but for
+	// the trace ID: rec holds it for accept to log, and a refusal before
+	// that puts it back.
 	*bp = body
-	bufPool.Put(bp)
+	var rec *[]byte
+	if s.dur != nil && canonical && !b.Redelivery {
+		*bp = trace.SpliceWALFields(body, 0, traceID)
+		rec = bp
+		defer func() {
+			if rec != nil {
+				bufPool.Put(rec)
+			}
+		}()
+	} else {
+		bufPool.Put(bp)
+	}
 	if err != nil {
 		return outcome{kind: outInvalid, err: fmt.Errorf("decoding batch: %w", err)}
 	}
@@ -474,7 +488,9 @@ func (s *Server) take(w http.ResponseWriter, r *http.Request, batch *trace.Sampl
 		return outcome{kind: outLimiter}
 	}
 	defer func() { s.adm.limiter.Release(time.Since(start)) }()
-	return s.accept(r.Context(), batch, traceID)
+	held := rec
+	rec = nil // accept puts it back
+	return s.accept(r.Context(), batch, held, traceID)
 }
 
 func (s *Server) handleNodeSeries(w http.ResponseWriter, r *http.Request) {

@@ -32,10 +32,14 @@ import (
 // non-negative integers, node and t plain integers, all in range for
 // their Go type; w is any JSON number in float64's range, converted to
 // the bits strconv.ParseFloat (encoding/json's own conversion) returns;
-// redelivery is true or false. Not accepted, hence left to encoding/json:
-// null anywhere, unknown, duplicate or differently-cased keys, string
-// escapes and non-ASCII, fractions or exponents on integer fields,
-// out-of-range numbers, and anything after the object.
+// redelivery is true and plsn is not 0. Not accepted, hence left to
+// encoding/json: null anywhere, unknown, duplicate or differently-cased
+// keys, string escapes and non-ASCII, fractions or exponents on integer
+// fields, out-of-range numbers, anything after the object, and a
+// spelled-out "redelivery":false or "plsn":0 — what the key's absence
+// means, and what no encoder here writes. So an accepted batch without
+// Redelivery, or record with PLSN 0, holds no such key, and
+// SpliceWALFields can make it a WAL record as it stands.
 //
 // Inside that grammar the scanner and the encoder take exact shortcuts
 // for what the fleet sends: a sample in the encoder's own layout, a
@@ -85,6 +89,30 @@ func AppendBatch(dst []byte, b *SampleBatch) ([]byte, error) {
 // what json.Marshal(r) returns.
 func AppendWALRecord(dst []byte, r *WALRecord) ([]byte, error) {
 	return appendRecord(dst, &fields{agent: r.Agent, seq: r.Seq, samples: r.Samples, plsn: r.PLSN, trace: r.Trace})
+}
+
+// SpliceWALFields makes body, a batch ScanBatch accepted without
+// Redelivery or a record ScanWALRecord accepted with PLSN 0, the WAL
+// record of its own fields plus plsn (none when 0) and traceID (none
+// when ""): its trailing whitespace goes, and the two keys go in before
+// its closing brace, appended in body's own array. ScanWALRecord and
+// encoding/json read the result as they read AppendWALRecord's bytes for
+// the same fields. body must not carry the trace key already when
+// traceID is set; the scanner's grammar keeps the others out.
+func SpliceWALFields(body []byte, plsn uint64, traceID string) []byte {
+	rec := body[:skipSpaceBack(body, len(body)-1)] // up to the closing brace
+	sep := ","
+	if rec[skipSpaceBack(rec, len(rec)-1)] == '{' {
+		sep = "" // an empty object
+	}
+	if plsn != 0 {
+		rec = strconv.AppendUint(append(append(rec, sep...), `"plsn":`...), plsn, 10)
+		sep = ","
+	}
+	if traceID != "" {
+		rec = appendString(append(append(rec, sep...), `"trace":`...), traceID)
+	}
+	return append(rec, '}')
 }
 
 // fields is the union of SampleBatch and WALRecord, in wire order.
@@ -168,9 +196,13 @@ func scanRecord(b []byte, dst []PowerSample, allowed uint) (f fields, ok bool) {
 			case keySeq:
 				f.seq, i = scanUint(b, i)
 			case keyPLSN:
-				f.plsn, i = scanUint(b, i)
+				if f.plsn, i = scanUint(b, i); f.plsn == 0 {
+					return f, false
+				}
 			case keyRedelivery:
-				f.redelivery, i = scanBool(b, i)
+				if f.redelivery, i = scanBool(b, i); !f.redelivery {
+					return f, false
+				}
 			case keySamples:
 				f.samples, i = scanSamples(b, i, dst)
 			}
@@ -328,9 +360,20 @@ func hasLiteral(b []byte, i int, lit string) bool {
 	return len(b)-i >= len(lit) && string(b[i:i+len(lit)]) == lit
 }
 
+func isSpace(c byte) bool { return c == ' ' || c == '\n' || c == '\t' || c == '\r' }
+
 func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
+	for i < len(b) && isSpace(b[i]) {
 		i++
+	}
+	return i
+}
+
+// skipSpaceBack is the position of the last byte at or before i that is
+// not whitespace.
+func skipSpaceBack(b []byte, i int) int {
+	for isSpace(b[i]) {
+		i--
 	}
 	return i
 }

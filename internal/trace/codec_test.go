@@ -322,6 +322,80 @@ func TestNumberBoundaries(t *testing.T) {
 	}
 }
 
+// checkSplice holds SpliceWALFields to its promise on body: for a batch
+// ScanBatch accepts without Redelivery, encoding/json reads the spliced
+// record as the batch's fields plus plsn and traceID, and so does
+// ScanWALRecord, which accepts it unless traceID needs an escape.
+func checkSplice(t *testing.T, body []byte, plsn uint64, traceID string) {
+	t.Helper()
+	b, ok := ScanBatch(body, nil)
+	if !ok || b.Redelivery {
+		return
+	}
+	want := WALRecord{Agent: b.AgentID, Seq: b.Seq, Samples: b.Samples, PLSN: plsn}
+	if err := json.Unmarshal(appendString(nil, traceID), &want.Trace); err != nil {
+		t.Fatal(err)
+	}
+	rec := SpliceWALFields(bytes.Clone(body), plsn, traceID)
+	var viaJSON WALRecord
+	if err := json.Unmarshal(rec, &viaJSON); err != nil || !reflect.DeepEqual(viaJSON, want) || !sameSamples(viaJSON.Samples, want.Samples) {
+		t.Fatalf("SpliceWALFields(%q, %d, %q) = %q\nencoding/json reads %#v (%v)\nwant %#v", body, plsn, traceID, rec, viaJSON, err, want)
+	}
+	got, ok := ScanWALRecord(rec[:len(rec):len(rec)], nil)
+	if ok != plain(traceID) {
+		t.Fatalf("ScanWALRecord(%q) accepted %v, want %v", rec, ok, plain(traceID))
+	}
+	if ok && (!reflect.DeepEqual(got, want) || !sameSamples(got.Samples, want.Samples)) {
+		t.Fatalf("ScanWALRecord(%q)\n got %#v\nwant %#v", rec, got, want)
+	}
+}
+
+// TestSpliceWALFields: a body in any spelling the scanner accepts is
+// the record, byte for byte, but for its trailing whitespace and the
+// two spliced keys; the encoder's own layout gives AppendWALRecord's
+// bytes. A spelled-out "redelivery":false or "plsn":0 is left to
+// encoding/json, so a key the splice adds is never one the body holds.
+func TestSpliceWALFields(t *testing.T) {
+	for _, tc := range []struct {
+		body  string
+		plsn  uint64
+		trace string
+		want  string
+	}{
+		{" { \"agent\" : \"a1\" , \"seq\" : 1 , \"samples\" : [ { \"w\" : 151.20 } ] } \n", 0, "4f2a",
+			` { "agent" : "a1" , "seq" : 1 , "samples" : [ { "w" : 151.20 } ] ,"trace":"4f2a"}`},
+		{`{"samples":[]}`, 9, "", `{"samples":[],"plsn":9}`},
+		{`{"samples":[]}`, 0, "", `{"samples":[]}`},
+		{"{ \n}", 9, "4f2a", "{ \n\"plsn\":9,\"trace\":\"4f2a\"}"},
+		{`{}`, 0, `a<b`, `{"trace":"a\u003cb"}`},
+	} {
+		if got := SpliceWALFields([]byte(tc.body), tc.plsn, tc.trace); string(got) != tc.want {
+			t.Errorf("SpliceWALFields(%q, %d, %q) = %q, want %q", tc.body, tc.plsn, tc.trace, got, tc.want)
+		}
+		checkSplice(t, []byte(tc.body), tc.plsn, tc.trace)
+	}
+	b := SampleBatch{AgentID: "agent-0", Seq: 42, Samples: benchSamples()}
+	body, err := AppendBatch(nil, &b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := AppendWALRecord(nil, &WALRecord{Agent: b.AgentID, Seq: b.Seq, Samples: b.Samples, PLSN: 7, Trace: "4f2a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := SpliceWALFields(body, 7, "4f2a"); !bytes.Equal(got, want) {
+		t.Errorf("the encoder's layout spliced:\n got %s\nwant %s", got, want)
+	}
+	for _, body := range []string{`{"redelivery":false,"samples":[]}`, `{"plsn":0,"samples":[]}`} {
+		_, batchOK := ScanBatch([]byte(body), nil)
+		_, recOK := ScanWALRecord([]byte(body), nil)
+		if batchOK || recOK {
+			t.Errorf("%s: accepted as batch %v, as record %v; want it left to encoding/json", body, batchOK, recOK)
+		}
+		checkScan(t, []byte(body))
+	}
+}
+
 func FuzzBatchCodec(f *testing.F) {
 	f.Add([]byte(canonicalBody), "a1", "4f2a", uint64(7), uint64(9), uint64(42), math.Float64bits(151.2), int64(17), int64(1_700_000_000))
 	f.Add([]byte(`{"samples":[{"node":17,"job":42,"t":1700000000,"w":151.2},{"node":-9223372036854775808,"job":18446744073709551615,"t":9223372036854775807,"w":0.05}]}`), "a", "t", uint64(1), uint64(2), uint64(3), math.Float64bits(0.1), int64(4), int64(5))
@@ -331,10 +405,12 @@ func FuzzBatchCodec(f *testing.F) {
 	f.Add([]byte(" {\"samples\" : [ { } , {\"w\":-0} ] }\n"), "\u00e9\u2028", "t", uint64(1), uint64(1), uint64(1), math.Float64bits(math.Copysign(0, -1)), int64(-1), int64(-1))
 	f.Add([]byte(`{"samples":[{"node":9223372036854775808,"job":18446744073709551616,"w":1e999}]}`), "a", "b", uint64(2), uint64(3), uint64(4), math.Float64bits(1e-7), int64(5), int64(6))
 	f.Fuzz(func(t *testing.T, body []byte, agent, traceID string, seq, plsn, job, wbits uint64, node, unix int64) {
-		// (a) agreement with encoding/json on arbitrary bytes, and
-		// (b) on every truncation of them; short inputs only, so that
+		// (a) agreement with encoding/json on arbitrary bytes, the WAL
+		// record spliced from an accepted batch included, and (b) on
+		// every truncation of them; short inputs only, so that
 		// the quadratic prefix walk stays cheap.
 		checkScan(t, body)
+		checkSplice(t, body, plsn, traceID)
 		if len(body) <= 256 {
 			for n := range body {
 				checkScan(t, body[:n])
