@@ -73,7 +73,7 @@ func electionConfig(id, advertise, dataDir string, peers []elect.Peer, hb time.D
 		return elect.Config{}, fmt.Errorf("elections need -elect-id")
 	}
 	if advertise == "" {
-		return elect.Config{}, fmt.Errorf("elections need -advertise (the URL peers dial; behind a chaos proxy this is the proxy, not the bind address)")
+		return elect.Config{}, fmt.Errorf("elections need -advertise (the URL peers dial; behind a proxy or NAT this is the outside URL, not the bind address)")
 	}
 	if witness {
 		// No server opens (and sweeps) a witness's data dir.

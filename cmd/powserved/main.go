@@ -107,7 +107,7 @@ func main() {
 		addr    = flag.String("addr", ":8080", "listen address (host:port, :0 picks a free port)")
 		model   = flag.String("model", "", "BDT model file from powpredict -save-model")
 		ring    = flag.Int("ring", 1440, "retained samples per node (1440 = one day of minutes)")
-		workers = flag.Int("workers", 4, "ingest worker goroutines")
+		workers = flag.Int("workers", 4, "ingest worker goroutines (above 1, batches apply out of WAL order, so a restart or a follower, which apply in WAL order, may differ from this node in the last bits of order-sensitive folds)")
 
 		admitSpec = flag.String("admit", "", `admission-control spec, comma-separated key=value, e.g. "target=50ms,min-inflight=8,agent-rate=100,mem-watermark=256MiB" (empty = defaults); keys:`+"\n"+new(admit.Config).Spec().Usage())
 
@@ -133,7 +133,7 @@ func main() {
 		replAck    = flag.String("repl-ack", "async", `ack mode: "async", or "sync" to ack ingest only after followers applied (waits at most 5s)`)
 
 		electID   = flag.String("elect-id", "", "this node's election ID (elections are enabled by -peer)")
-		advertise = flag.String("advertise", "", "base URL peers and shippers use to reach this node (required with -peer; behind a chaos proxy, the proxy URL)")
+		advertise = flag.String("advertise", "", "base URL peers and shippers use to reach this node (required with -peer; behind a proxy or NAT, the outside URL)")
 		hbEvery   = flag.Duration("heartbeat-interval", 250*time.Millisecond, "election heartbeat / failure-detection cadence; the leader lease lasts 4 heartbeats")
 
 		anomalyOn    = flag.Bool("anomaly", false, "enable streaming power-fingerprint anomaly detection and alerting (GET /v1/anomalies)")

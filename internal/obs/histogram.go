@@ -9,8 +9,8 @@ import (
 )
 
 // DefaultLatencyBuckets spans 100µs to 10s exponentially — wide enough
-// for an in-memory ingest ack (~hundreds of µs) and a chaos-proxy retry
-// storm (~seconds) on the same axis.
+// for an in-memory ingest ack (~hundreds of µs) and a retry storm on a
+// faulting network (~seconds) on the same axis.
 var DefaultLatencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,

@@ -48,7 +48,7 @@ func NewLogger(cfg LogConfig) *slog.Logger {
 }
 
 // Component derives a per-component child logger (serve, wal, repl,
-// ship, chaos) carrying a component attribute on every record, so one
+// elect, ship) carrying a component attribute on every record, so one
 // grep isolates a subsystem. A nil parent yields a discard logger.
 func Component(parent *slog.Logger, name string) *slog.Logger {
 	if parent == nil {

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"hpcpower/internal/anomaly"
-	"hpcpower/internal/chaos"
 	"hpcpower/internal/gen"
 	"hpcpower/internal/obs"
 	"hpcpower/internal/ship"
@@ -315,8 +314,8 @@ func TestAnomalyEvalsCountedPerJob(t *testing.T) {
 	}
 }
 
-// The anomaly rounds: labeled synthetic jobs shipped through a faulting
-// proxy into a durable node running the default rules must be scored
+// The anomaly rounds: labeled synthetic jobs shipped over a faulting
+// network into a durable node running the default rules must be scored
 // perfectly, raise exactly the alerts a fault-free control raises however
 // often a batch is delivered, and leave a fire's trace ID in the WAL and
 // on the alert log line; the paper's own workload must fire nothing. One
@@ -376,8 +375,9 @@ func anomalyRound(t *testing.T, seed uint64) {
 		labels[job] = p
 		series = append(series, ser)
 	}
-	sh := ship.New(ship.Config{URL: faultyIngestURL(t, ts.URL, chaos.Config{Err5xxRate: 0.05, TruncateRate: 0.02, Seed: int64(seed)}),
-		AgentID: "labeled", Client: &http.Client{Timeout: 5 * time.Second},
+	var net faultNet
+	sh := ship.New(ship.Config{URL: net.ingest(ts.URL, faults{err5xx: 0.05, truncate: 0.02, seed: int64(seed)}),
+		AgentID: "labeled", Client: net.client(),
 		BaseBackoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond, MaxPending: 1 << 10, Seed: int64(seed)})
 	var sent []trace.SampleBatch
 	var total int64
@@ -398,6 +398,7 @@ func anomalyRound(t *testing.T, seed uint64) {
 	if st := sh.Stats(); st.Retries == 0 {
 		t.Fatalf("the faults did not bite: %+v", st)
 	}
+	net.checkFired(t)
 	waitIngested(t, s, total)
 	checkAckedOnce(t, s, sent, len(sent))
 

@@ -728,9 +728,7 @@ func (d *durability) collect(e *obs.Exposition) {
 		e.Gauge("powserved_recovery_stale_lock", float64(b2i(rep.StaleLock)))
 		e.Gauge("powserved_recovery_seconds", rep.Duration.Seconds())
 	}
-	if d.repl != nil {
-		d.repl.collect(e)
-	}
+	d.repl.collect(e)
 }
 
 func b2i(b bool) int {
@@ -746,10 +744,8 @@ func b2i(b bool) int {
 func (d *durability) close(s *Server) {
 	// The pull loop and follower streams go first: both touch the WAL,
 	// which is about to close.
-	if d.repl != nil {
-		d.repl.stopStreams()
-		d.repl.stopFollower()
-	}
+	d.repl.stopStreams()
+	d.repl.stopFollower()
 	d.stopOnce.Do(func() { close(d.stopc) })
 	d.wg.Wait()
 	if d.log != nil {

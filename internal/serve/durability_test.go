@@ -40,10 +40,8 @@ func crash(t testing.TB, s *Server, ts *httptest.Server) {
 	}
 	s.ingestQ.Close(true)
 	d := s.dur
-	if d.repl != nil {
-		d.repl.stopStreams()
-		d.repl.stopFollower()
-	}
+	d.repl.stopStreams()
+	d.repl.stopFollower()
 	d.stopOnce.Do(func() { close(d.stopc) })
 	d.wg.Wait()
 	if d.log != nil {

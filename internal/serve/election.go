@@ -35,7 +35,7 @@ import (
 // no upstream. The elector refuses promotion until recovery completes.
 func (s *Server) StartElection(ctx context.Context, cfg elect.Config) (*elect.Elector, error) {
 	d := s.dur
-	if d == nil || d.repl == nil {
+	if d == nil {
 		return nil, fmt.Errorf("serve: election requires a durable, replication-capable server")
 	}
 	if d.recovered.Load() {
@@ -87,9 +87,6 @@ func (d *durability) commitFrontier() uint64 {
 		return 0
 	}
 	rs := d.repl
-	if rs == nil {
-		return d.tracker.Load().frontierLSN()
-	}
 	if epoch, led := rs.epoch.State(); epoch > 0 && !led {
 		return rs.replApplied.Load()
 	}
@@ -106,7 +103,7 @@ func (d *durability) commitFrontier() uint64 {
 // CAS on rejoining gives all three.
 func (s *Server) maybeRejoin(epoch uint64, leaderID, leaderURL string) {
 	d := s.dur
-	if d == nil || d.repl == nil || !s.ready.Load() {
+	if d == nil || !s.ready.Load() {
 		return
 	}
 	rs := d.repl

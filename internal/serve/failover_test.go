@@ -2,7 +2,7 @@ package serve
 
 // The failover harness: two durable data nodes and a witness elect a
 // leader in-process, one shipper delivers seeded batches to both nodes
-// through fault-injecting proxies, and a seeded schedule of rounds
+// over a seeded faulting network, and a seeded schedule of rounds
 // kills, partitions and flaps the nodes under that load. Every round
 // ends at a settled point where the invariants are checked, and the
 // run ends with the analytics of both nodes compared byte for byte with
@@ -26,7 +26,6 @@ import (
 	"testing"
 	"time"
 
-	"hpcpower/internal/chaos"
 	"hpcpower/internal/elect"
 	"hpcpower/internal/obs"
 	"hpcpower/internal/rng"
@@ -132,6 +131,7 @@ type foCluster struct {
 	nodes   [2]*foNode
 	witness *httptest.Server
 
+	net     faultNet
 	sh      *ship.Shipper
 	kick    chan struct{}
 	batches []trace.SampleBatch // the whole run's load, in shipping order
@@ -165,16 +165,15 @@ func newFailoverCluster(t *testing.T, seed uint64) *foCluster {
 	c.start(a, false)
 	c.start(b, false)
 
-	// The shipper reaches each node through a proxy that fails ≥ 10 % of
+	// The shipper reaches each node over a network that fails ≥ 10 % of
 	// the ingest requests: dropped, answered 502, reset after the node
 	// answered, or truncated.
 	var urls []string
 	for i, n := range c.nodes {
-		urls = append(urls, faultyIngestURL(t, n.front.ts.URL, chaos.Config{
-			DropRate: 0.04, Err5xxRate: 0.03, ResetRate: 0.03, TruncateRate: 0.02,
-			Seed: int64(seed)*10 + int64(i) + 1}))
+		urls = append(urls, c.net.ingest(n.front.ts.URL, faults{drop: 0.04, err5xx: 0.03, reset: 0.03, truncate: 0.02,
+			seed: int64(seed)*10 + int64(i) + 1}))
 	}
-	c.sh = ship.New(ship.Config{URLs: urls, AgentID: "fo", Client: &http.Client{Timeout: 5 * time.Second},
+	c.sh = ship.New(ship.Config{URLs: urls, AgentID: "fo", Client: c.net.client(),
 		BaseBackoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond,
 		BreakerThreshold: 3, BreakerCooldown: 50 * time.Millisecond, FailbackEvery: 200 * time.Millisecond,
 		MaxPending: 1 << 16, Seed: int64(seed)})
@@ -512,6 +511,7 @@ func TestFailoverRounds(t *testing.T) {
 			if st := c.sh.Stats(); st.Retries == 0 || st.Failovers == 0 {
 				t.Fatalf("the faults did not bite: %+v", st)
 			}
+			c.net.checkFired(t)
 
 			control := controlAnalytics(t, testNode{dir: t.TempDir()}, c.batches)
 			for _, n := range c.nodes {

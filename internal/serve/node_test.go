@@ -1,24 +1,29 @@
 package serve
 
 // The one way a test boots a node (testNode), the in-process state two
-// nodes are compared by (stateOf), and the fault-injecting path the
-// harnesses ship through (faultyIngestURL).
+// nodes are compared by (stateOf), and the faulting network the
+// delivery rounds ship through (faultNet).
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"hpcpower/internal/anomaly"
 	"hpcpower/internal/block"
-	"hpcpower/internal/chaos"
 	"hpcpower/internal/elect"
 	"hpcpower/internal/mlearn"
 	"hpcpower/internal/obs"
@@ -213,17 +218,133 @@ func (st nodeState) String() string {
 	return string(out)
 }
 
-// faultyIngestURL puts a seeded chaos.Proxy in front of target's ingest
-// path and returns the ingest URL through it.
-func faultyIngestURL(t testing.TB, target string, faults chaos.Config) string {
-	t.Helper()
-	faults.Target, faults.PathPrefix = target, "/v1/samples"
-	faults.Client = &http.Client{Timeout: 5 * time.Second}
-	p, err := chaos.New(faults)
-	if err != nil {
-		t.Fatal(err)
+// faultNet is the seeded faulting network a delivery round ships
+// through: the RoundTripper of its shippers' client. It faults only the
+// /v1/samples requests to the targets given rates, each target drawing
+// from a seeded source of its own, in two rolls:
+//
+//   - before the node sees the request: dropped (a transport error) or
+//     answered 502, which test pure retry;
+//   - after the node answered: reset (a transport error) or its body cut
+//     to half under the full length, ambiguous failures whose re-sends
+//     arrive as duplicates, the case idempotent ingest exists for.
+//
+// Every other request (/metrics, elections, replication) passes clean.
+type faultNet struct {
+	targets map[string]*faultTarget // by scheme://host
+}
+
+// faults are the rates of the four fault kinds, probabilities in [0, 1]:
+// drop and 502 share the first roll, reset and truncate the second.
+// seed seeds the target's source; 0 means 1.
+type faults struct {
+	drop, err5xx, reset, truncate float64
+	seed                          int64
+}
+
+const (
+	faultDrop = iota
+	fault5xx
+	faultReset
+	faultTruncate
+	numFaults
+)
+
+var faultNames = [numFaults]string{"drop", "502", "reset", "truncate"}
+
+type faultTarget struct {
+	rates [numFaults]float64
+	mu    sync.Mutex
+	rng   *rand.Rand
+	fired [numFaults]atomic.Int64
+}
+
+var (
+	errFaultDrop  = errors.New("faulting network: request dropped")
+	errFaultReset = errors.New("faulting network: reset after the node answered")
+)
+
+// ingest faults target's ingest path at f and answers that path's URL.
+// Every target is added before the first request.
+func (n *faultNet) ingest(target string, f faults) string {
+	if n.targets == nil {
+		n.targets = map[string]*faultTarget{}
 	}
-	ts := httptest.NewServer(p)
-	t.Cleanup(ts.Close)
-	return ts.URL + "/v1/samples"
+	n.targets[target] = &faultTarget{rates: [numFaults]float64{f.drop, f.err5xx, f.reset, f.truncate},
+		rng: rand.New(rand.NewSource(cmp.Or(f.seed, 1)))}
+	return target + "/v1/samples"
+}
+
+// client is an HTTP client over n with the rounds' 5 s timeout.
+func (n *faultNet) client() *http.Client {
+	return &http.Client{Timeout: 5 * time.Second, Transport: n}
+}
+
+// roll draws once for the fault kinds first and first+1 and answers the
+// one that fires, or -1.
+func (f *faultTarget) roll(first int) int {
+	f.mu.Lock()
+	x := f.rng.Float64()
+	f.mu.Unlock()
+	var sum float64
+	for k := first; k < first+2; k++ {
+		if sum += f.rates[k]; x < sum {
+			f.fired[k].Add(1)
+			return k
+		}
+	}
+	return -1
+}
+
+func (n *faultNet) RoundTrip(req *http.Request) (*http.Response, error) {
+	f := n.targets[req.URL.Scheme+"://"+req.URL.Host]
+	if f == nil || req.URL.Path != "/v1/samples" {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	switch f.roll(faultDrop) {
+	case faultDrop:
+		req.Body.Close()
+		return nil, errFaultDrop
+	case fault5xx:
+		req.Body.Close()
+		rec := httptest.NewRecorder()
+		rec.Header().Set("Content-Type", "application/json")
+		rec.WriteHeader(http.StatusBadGateway)
+		io.WriteString(rec, `{"error":"faulting network: injected 502"}`)
+		return rec.Result(), nil
+	}
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	switch f.roll(faultReset) {
+	case faultReset:
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return nil, errFaultReset
+	case faultTruncate:
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		resp.Body = io.NopCloser(io.MultiReader(bytes.NewReader(body[:len(body)/2]), iotest.ErrReader(io.ErrUnexpectedEOF)))
+	}
+	return resp, nil
+}
+
+// checkFired: every fault kind given a rate fired on some target, so the
+// round did ship through its faults.
+func (n *faultNet) checkFired(t testing.TB) {
+	t.Helper()
+	for k, name := range faultNames {
+		var rate float64
+		var fired int64
+		for _, f := range n.targets {
+			rate, fired = rate+f.rates[k], fired+f.fired[k].Load()
+		}
+		if rate > 0 && fired == 0 {
+			t.Errorf("no %s fault fired", name)
+		}
+	}
 }

@@ -2,7 +2,7 @@ package serve
 
 // The overload rounds: admission control under more load than it admits.
 // A durable primary with a per-agent rate ceiling and a memory watermark,
-// its in-process follower, and sixteen shippers delivering through a proxy
+// its in-process follower, and sixteen shippers delivering over a network
 // that answers 502, or resets or truncates the answer; then a memory-only node whose
 // queue of fat batches trips a small watermark and must clear it. Every
 // check counts: acked samples, 429s, admitted batches, accounted bytes.
@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"hpcpower/internal/admit"
-	"hpcpower/internal/chaos"
 	"hpcpower/internal/rng"
 	"hpcpower/internal/ship"
 	"hpcpower/internal/trace"
@@ -64,8 +63,8 @@ func agentBatches(src *rng.Source, prefix string, i, n, first, nodes, minutes in
 	return out
 }
 
-// overloadShipper delivers one agent's batches to url, counting the 429s
-// it is answered.
+// overloadShipper delivers one agent's batches to url over client,
+// counting the 429s it is answered.
 type overloadShipper struct {
 	sh      *ship.Shipper
 	batches []trace.SampleBatch
@@ -74,10 +73,9 @@ type overloadShipper struct {
 	err     error
 }
 
-func newOverloadShipper(url string, batches []trace.SampleBatch, seed int64) *overloadShipper {
+func newOverloadShipper(client *http.Client, url string, batches []trace.SampleBatch, seed int64) *overloadShipper {
 	o := &overloadShipper{batches: batches}
-	o.sh = ship.New(ship.Config{URL: url, AgentID: batches[0].AgentID,
-		Client:      &http.Client{Timeout: 5 * time.Second},
+	o.sh = ship.New(ship.Config{URL: url, AgentID: batches[0].AgentID, Client: client,
 		BaseBackoff: time.Millisecond, MaxBackoff: 200 * time.Millisecond,
 		BreakerThreshold: -1, Seed: seed,
 		Observe: func(_ time.Duration, status int, _ error) {
@@ -157,7 +155,8 @@ func admissionRound(t *testing.T, seed uint64) {
 	primary, tsP := testNode{dir: t.TempDir(),
 		cfg: Config{Admit: admit.Config{AgentRate: ovRate, AgentBurst: ovBurst, MemWatermark: ovWatermark}}}.start(t)
 	follower, _ := testNode{dir: t.TempDir(), follow: tsP.URL}.start(t)
-	url := faultyIngestURL(t, tsP.URL, chaos.Config{Err5xxRate: 0.03, ResetRate: 0.02, TruncateRate: 0.02, Seed: int64(seed)})
+	var net faultNet
+	url := net.ingest(tsP.URL, faults{err5xx: 0.03, reset: 0.02, truncate: 0.02, seed: int64(seed)})
 
 	src := rng.New(seed)
 	var batches []trace.SampleBatch
@@ -165,7 +164,7 @@ func admissionRound(t *testing.T, seed uint64) {
 	for i := range shippers {
 		b := agentBatches(src, "ov", i, ovBatches, i*ovNodes, ovNodes, ovMinutes)
 		batches = append(batches, b...)
-		shippers[i] = newOverloadShipper(url, b, int64(seed)*100+int64(i))
+		shippers[i] = newOverloadShipper(net.client(), url, b, int64(seed)*100+int64(i))
 	}
 
 	var peak atomic.Int64
@@ -201,8 +200,9 @@ func admissionRound(t *testing.T, seed uint64) {
 		}
 	}
 	if retries == 0 || dups == 0 {
-		t.Errorf("the proxy's faults did not bite: %d retries, %d duplicates", retries, dups)
+		t.Errorf("the faults did not bite: %d retries, %d duplicates", retries, dups)
 	}
+	net.checkFired(t)
 	if n := primary.metrics.admitShed.With("agent_rate").Value(); n < 1 {
 		t.Errorf("admit_shed_total{reason=agent_rate} %d: nothing was shed", n)
 	}
@@ -245,7 +245,7 @@ func watermarkRound(t *testing.T, seed uint64) {
 	for i := range shippers {
 		b := agentBatches(src, "fat", i, fatBatches, 0, 64, fatSamples/64)
 		batches = append(batches, b...)
-		shippers[i] = newOverloadShipper(ts.URL+"/v1/samples", b, int64(seed)*100+int64(i))
+		shippers[i] = newOverloadShipper(&http.Client{Timeout: 5 * time.Second}, ts.URL+"/v1/samples", b, int64(seed)*100+int64(i))
 	}
 	late := shippers[fatAgents]
 

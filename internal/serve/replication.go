@@ -417,7 +417,7 @@ func (s *Server) Promote() (epoch uint64, err error) {
 // under the elector's lock).
 func (s *Server) PromoteTo(target uint64) (epoch uint64, err error) {
 	d := s.dur
-	if d == nil || d.repl == nil {
+	if d == nil {
 		return 0, fmt.Errorf("serve: promotion requires a durable server")
 	}
 	if !s.ready.Load() {
@@ -468,7 +468,7 @@ func (s *Server) PromoteTo(target uint64) (epoch uint64, err error) {
 // stamps X-Repl-Epoch on every response so shippers accumulate the
 // highest epoch they have seen and carry it to other nodes.
 func (s *Server) replGateIngest(w http.ResponseWriter, r *http.Request) bool {
-	if s.dur == nil || s.dur.repl == nil {
+	if s.dur == nil {
 		return true
 	}
 	rs := s.dur.repl
@@ -495,7 +495,7 @@ func (s *Server) replGateIngest(w http.ResponseWriter, r *http.Request) bool {
 // only with the lease for its own epoch — else it could hand out a
 // history its successor replaced.
 func (s *Server) replReady(w http.ResponseWriter, r *http.Request, followerMsg string) (*replState, bool) {
-	if s.dur == nil || s.dur.repl == nil {
+	if s.dur == nil {
 		s.refuse(w, http.StatusNotImplemented, "", 0, "replication requires a durable server (-data-dir)")
 		return nil, false
 	}
@@ -774,7 +774,7 @@ func (d *durability) readForRepl(from, to uint64, emit func(lsn uint64, body []b
 // to trade that guarantee for speed on both ends.
 func (d *durability) advanceRepl() {
 	rs := d.repl
-	if rs == nil || d.log == nil || !d.recovered.Load() {
+	if d.log == nil || !d.recovered.Load() {
 		return
 	}
 	wm := d.tracker.Load().frontierLSN()

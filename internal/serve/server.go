@@ -185,7 +185,7 @@ func NewDurable(store *tsdb.Store, model *mlearn.BDT, cfg Config, dcfg Durabilit
 	}
 	s := New(store, model, cfg)
 	s.dur = dur
-	if s.anom != nil && dur.repl != nil && dur.repl.isFollower.Load() {
+	if s.anom != nil && dur.repl.isFollower.Load() {
 		// A follower tracks alert state silently so a failover never
 		// double-pages; promotion re-enables sink delivery.
 		s.anom.SetDeliver(false)
@@ -627,9 +627,6 @@ func (s *Server) readyzBody(status string) map[string]any {
 	body["storage_degraded"] = d.storageDegraded()
 	if reason := d.degradeReason(); reason != "" {
 		body["storage_reason"] = reason
-	}
-	if d.repl == nil {
-		return body
 	}
 	rs := d.repl
 	body["role"] = rs.role()

@@ -645,7 +645,7 @@ func (s *Shipper) post(ctx context.Context, t *target, e *batchEntry) (res postR
 	}
 	switch resp.StatusCode {
 	case http.StatusAccepted:
-		// A decode failure (e.g. a chaos-truncated body) is ambiguous:
+		// A decode failure (e.g. a body cut off mid-answer) is ambiguous:
 		// the 202 status line arrived, so the batch was counted. Treat
 		// it as success — re-sending is also safe, but pointless.
 		_ = json.NewDecoder(resp.Body).Decode(&ack)

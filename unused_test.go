@@ -23,11 +23,6 @@ var allowUnused = map[string]string{
 	// Seams a surviving test drives something else through.
 	"obs.LintExposition":     "the exposition-format lint that serve's /metrics tests and `make obs-check` run over a live scrape",
 	"vfs.NewFault":           "the failing disk the wal, tsdb, elect and serve tests run on",
-	"chaos.New":              "the faulting network every delivery round ships through: chaos, failover, overload and anomaly",
-	"chaos.Config":           "chaos.New's fault rates",
-	"chaos.Proxy":            "what chaos.New returns",
-	"chaos.Proxy.Stats":      "the proxy tests prove each fault kind fired",
-	"chaos.Stats":            "row type of Proxy.Stats",
 	"anomaly.GenProfile":     "the labeled jobs TestEngineProfilesDetected and TestAnomalyRounds score the detectors on",
 	"anomaly.Score":          "precision and recall of fires against GenProfile's labels, in the same two tests",
 	"anomaly.Labels":         "Score's ground truth",
