@@ -91,9 +91,12 @@ bench-codec:
 # WAL microbenchmarks on 24 KB records: Append (0 allocs/op — the frame
 # is encoded into a buffer the log owns), ReadRange of the newest record
 # of a 90 %-full 8 MiB segment (what the replication source does per
-# burst), and one full Replay of that segment.
+# burst), and one full Replay of that segment; then the follower's side,
+# StreamRead: decoding a stream of 1,000 such records through the WAL's
+# frame reader (a few allocs per stream, none per frame).
 bench-wal:
 	$(call gobench,'Append|ReadRangeTail|Replay',./internal/wal/)
+	$(call gobench,StreamRead,./internal/repl/)
 
 # Snapshot microbenchmarks on the end-to-end benchmark's store (1,024
 # nodes x 500 points, rings of length 1,440): ExportState is the time the
@@ -215,7 +218,7 @@ fuzz-wal-bitflip:
 	$(call gofuzz,FuzzWALBitFlip,30s,./internal/wal/)
 
 # Fuzz the replication stream reader: arbitrary bytes must yield clean
-# frames, ErrTorn, or a typed corruption error — never a panic.
+# frames, wal.ErrTorn, or a *wal.CorruptError — never a panic.
 fuzz-repl:
 	$(call gofuzz,FuzzReplStream,30s,./internal/repl/)
 

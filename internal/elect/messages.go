@@ -96,93 +96,83 @@ func checkURL(field, v string) error {
 	return nil
 }
 
-// DecodeHeartbeatRequest parses and validates a heartbeat request.
-// Arbitrary input yields a value or an error — never a panic.
-func DecodeHeartbeatRequest(data []byte) (HeartbeatRequest, error) {
-	var m HeartbeatRequest
+// message is a pointer to an election message type that validates
+// itself once decoded.
+type message[M any] interface {
+	*M
+	check() error
+}
+
+// decode parses and validates one message of type M, named what in its
+// errors. Arbitrary input yields a value or an error — never a panic;
+// a message that fails its check decodes to the zero value.
+func decode[M any, P message[M]](data []byte, what string) (M, error) {
+	var m M
 	if len(data) > maxMessageBytes {
 		return m, errTooLarge
 	}
 	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("elect: bad heartbeat request: %w", err)
+		return m, fmt.Errorf("elect: bad %s: %w", what, err)
 	}
-	if err := checkID("from", m.From); err != nil {
-		return HeartbeatRequest{}, err
-	}
-	if err := checkURL("url", m.URL); err != nil {
-		return HeartbeatRequest{}, err
+	if err := P(&m).check(); err != nil {
+		var zero M
+		return zero, err
 	}
 	return m, nil
+}
+
+// DecodeHeartbeatRequest parses and validates a heartbeat request.
+func DecodeHeartbeatRequest(data []byte) (HeartbeatRequest, error) {
+	return decode[HeartbeatRequest](data, "heartbeat request")
 }
 
 // DecodeHeartbeatResponse parses and validates a heartbeat response.
 func DecodeHeartbeatResponse(data []byte) (HeartbeatResponse, error) {
-	var m HeartbeatResponse
-	if len(data) > maxMessageBytes {
-		return m, errTooLarge
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("elect: bad heartbeat response: %w", err)
-	}
-	if err := checkID("from", m.From); err != nil {
-		return HeartbeatResponse{}, err
-	}
-	if err := checkID("leader_id", orSelf(m.LeaderID, m.From)); err != nil {
-		return HeartbeatResponse{}, err
-	}
-	if err := checkURL("leader_url", m.LeaderURL); err != nil {
-		return HeartbeatResponse{}, err
-	}
-	return m, nil
+	return decode[HeartbeatResponse](data, "heartbeat response")
 }
 
 // DecodeVoteRequest parses and validates a vote request.
 func DecodeVoteRequest(data []byte) (VoteRequest, error) {
-	var m VoteRequest
-	if len(data) > maxMessageBytes {
-		return m, errTooLarge
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("elect: bad vote request: %w", err)
-	}
-	if err := checkID("from", m.From); err != nil {
-		return VoteRequest{}, err
-	}
-	if err := checkURL("url", m.URL); err != nil {
-		return VoteRequest{}, err
-	}
-	if m.Epoch == 0 {
-		return VoteRequest{}, errors.New("elect: vote request for epoch 0")
-	}
-	return m, nil
+	return decode[VoteRequest](data, "vote request")
 }
 
 // DecodeVoteResponse parses and validates a vote response.
 func DecodeVoteResponse(data []byte) (VoteResponse, error) {
-	var m VoteResponse
-	if len(data) > maxMessageBytes {
-		return m, errTooLarge
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("elect: bad vote response: %w", err)
-	}
-	if err := checkID("from", m.From); err != nil {
-		return VoteResponse{}, err
-	}
-	if err := checkID("leader_id", orSelf(m.LeaderID, m.From)); err != nil {
-		return VoteResponse{}, err
-	}
-	if err := checkURL("leader_url", m.LeaderURL); err != nil {
-		return VoteResponse{}, err
-	}
-	return m, nil
+	return decode[VoteResponse](data, "vote response")
 }
 
-// orSelf substitutes fallback when the optional field is empty, so the
-// shared length check still applies to present values.
-func orSelf(v, fallback string) string {
-	if v == "" {
-		return fallback
+func (m *HeartbeatRequest) check() error { return checkSender(m.From, m.URL) }
+
+func (m *HeartbeatResponse) check() error {
+	return checkReply(m.From, m.LeaderID, m.LeaderURL)
+}
+
+func (m *VoteRequest) check() error {
+	if m.Epoch == 0 {
+		return errors.New("elect: vote request for epoch 0")
 	}
-	return v
+	return checkSender(m.From, m.URL)
+}
+
+func (m *VoteResponse) check() error { return checkReply(m.From, m.LeaderID, m.LeaderURL) }
+
+// checkSender checks a request's sender: its ID and its URL.
+func checkSender(from, url string) error {
+	if err := checkID("from", from); err != nil {
+		return err
+	}
+	return checkURL("url", url)
+}
+
+// checkReply checks a response's sender and its optional leader hint.
+func checkReply(from, leaderID, leaderURL string) error {
+	if err := checkID("from", from); err != nil {
+		return err
+	}
+	if leaderID != "" {
+		if err := checkID("leader_id", leaderID); err != nil {
+			return err
+		}
+	}
+	return checkURL("leader_url", leaderURL)
 }

@@ -35,7 +35,8 @@ type FollowerConfig struct {
 	Applied func() uint64
 	// Apply durably applies one replicated record (local WAL append +
 	// TSDB apply). It must only return once the record would survive a
-	// follower crash, because the loop acks it to the primary.
+	// follower crash, because the loop acks it to the primary. body is
+	// the stream reader's buffer: Apply copies what it keeps.
 	Apply func(lsn uint64, body []byte) error
 	// Bootstrap installs a full snapshot taken at lsn, replacing local
 	// state; used when the primary has reaped the records the loop

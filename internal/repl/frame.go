@@ -12,87 +12,56 @@ package repl
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
 	"io"
+
+	"hpcpower/internal/wal"
 )
 
 // Stream wire format, little-endian throughout:
 //
 //	header :=  magic[8] epoch[u64] startLSN[u64]
-//	frame  :=  lsn[u64] bodyLen[u32] crc[u32] type[u8] body[bodyLen]
+//	frame  :=  lsn[u64] walFrame
 //
-// crc is CRC32-C (Castagnoli) over type‖body, mirroring the WAL segment
-// framing so a flipped bit anywhere in a record is detected before the
-// follower applies it. startLSN echoes the requested resume point; lsn
-// is the primary's WAL LSN for the record, which the follower persists
-// alongside its own log so reconnects resume exactly after the last
-// applied record.
+// walFrame is a WAL segment frame (wal.AppendFrame: bodyLen, a CRC32-C
+// over type‖body, type, body), so a flipped bit anywhere in a record is
+// detected before the follower applies it, and the frame limit, the
+// torn and corrupt errors are the WAL's. startLSN echoes the requested
+// resume point; lsn is the primary's WAL LSN for the record, which the
+// follower persists alongside its own log so reconnects resume exactly
+// after the last applied record.
 const (
-	streamMagic     = "PWRREP1\n"
-	headerSize      = 8 + 8 + 8
-	frameHeaderSize = 8 + 4 + 4 + 1
-	heartbeatLen    = 8 + 8
-	// maxBody bounds a frame body so a corrupt length cannot make a
-	// follower allocate gigabytes. Matches the WAL's frame limit.
-	maxBody = 32 << 20
+	streamMagic  = "PWRREP1\n"
+	headerSize   = 8 + 8 + 8
+	lsnSize      = 8
+	heartbeatLen = 8 + 8
 )
 
-// FrameType tags a replication stream frame.
+// FrameType tags a replication stream frame. The WAL frame under it
+// carries the same byte, so the WAL reader's check of its record type
+// ({1, 2}) is the stream's check of its frame type.
 type FrameType byte
 
 const (
 	// FrameData carries one WAL data-record body; its lsn field is the
 	// primary's LSN for that record.
-	FrameData FrameType = 1
+	FrameData = FrameType(wal.RecordData)
 	// FrameHeartbeat carries the primary's durable watermark and current
 	// epoch; its lsn field repeats the watermark. Heartbeats let an idle
 	// follower measure lag and detect a hung connection.
-	FrameHeartbeat FrameType = 2
+	FrameHeartbeat = FrameType(wal.RecordTombstone)
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// ErrTorn marks a stream that ends mid-frame — what a dropped
-// connection leaves behind. The follower resumes from its last applied
-// LSN; nothing before a CRC-valid frame boundary is ever applied.
-var ErrTorn = errors.New("repl: torn frame at end of stream")
-
-// CorruptError reports stream bytes that are present but wrong: a bad
-// magic, a failed CRC, an impossible length, or an unknown frame type.
-// A follower treats it like a torn stream (reconnect and resume) but
-// the distinct type lets tests tell corruption from truncation.
-type CorruptError struct {
-	Offset int64 // byte offset of the bad frame within the stream
-	Reason string
-}
-
-func (e *CorruptError) Error() string {
-	return fmt.Sprintf("repl: corrupt frame at offset %d: %s", e.Offset, e.Reason)
-}
 
 // AppendHeader encodes the stream header onto buf.
 func AppendHeader(buf []byte, epoch, startLSN uint64) []byte {
 	buf = append(buf, streamMagic...)
-	var u [8]byte
-	binary.LittleEndian.PutUint64(u[:], epoch)
-	buf = append(buf, u[:]...)
-	binary.LittleEndian.PutUint64(u[:], startLSN)
-	return append(buf, u[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, epoch)
+	return binary.LittleEndian.AppendUint64(buf, startLSN)
 }
 
 // AppendFrame encodes one frame onto buf.
 func AppendFrame(buf []byte, typ FrameType, lsn uint64, body []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], lsn)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(body)))
-	crc := crc32.Update(0, crcTable, []byte{byte(typ)})
-	crc = crc32.Update(crc, crcTable, body)
-	binary.LittleEndian.PutUint32(hdr[12:16], crc)
-	hdr[16] = byte(typ)
-	buf = append(buf, hdr[:]...)
-	return append(buf, body...)
+	buf = binary.LittleEndian.AppendUint64(buf, lsn)
+	return wal.AppendFrame(buf, wal.RecordType(typ), body)
 }
 
 // HeartbeatBody encodes a heartbeat payload.
@@ -122,30 +91,21 @@ type Frame struct {
 // StreamReader decodes a replication stream: the header once, then
 // frames until the stream ends.
 type StreamReader struct {
-	r        io.Reader
-	off      int64
+	fr       *wal.FrameReader
+	off      int64 // end of the last frame Next returned
 	epoch    uint64
 	startLSN uint64
 }
 
 // NewStreamReader reads and validates the stream header.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
+	fr := wal.NewFrameReader(r, lsnSize)
 	var hdr [headerSize]byte
-	if n, err := io.ReadFull(r, hdr[:]); err != nil {
-		if n == 0 && err == io.EOF {
-			return nil, fmt.Errorf("empty stream: %w", ErrTorn)
-		}
-		return nil, fmt.Errorf("stream header: %w", ErrTorn)
-	}
-	if string(hdr[:8]) != streamMagic {
-		// Another digit there is another version, not damage.
-		if d := hdr[6]; string(hdr[:6]) == streamMagic[:6] && hdr[7] == '\n' && d >= '0' && d <= '9' {
-			return nil, fmt.Errorf("stream version %c, this build reads version 1", d)
-		}
-		return nil, &CorruptError{Offset: 0, Reason: "bad magic"}
+	if err := fr.ReadHeader(hdr[:], streamMagic, "stream"); err != nil {
+		return nil, err
 	}
 	return &StreamReader{
-		r:        r,
+		fr:       fr,
 		off:      headerSize,
 		epoch:    binary.LittleEndian.Uint64(hdr[8:16]),
 		startLSN: binary.LittleEndian.Uint64(hdr[16:24]),
@@ -156,42 +116,22 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 func (sr *StreamReader) Epoch() uint64 { return sr.epoch }
 
 // Next decodes the next frame. It returns io.EOF on a clean end at a
-// frame boundary, an error wrapping ErrTorn on a mid-frame end, and a
-// *CorruptError on damaged bytes. A frame is never returned unless its
-// CRC checks out.
+// frame boundary, an error wrapping wal.ErrTorn on a mid-frame end, a
+// *wal.CorruptError on damaged bytes and the reader's error, wrapped,
+// when a read fails. A frame is never returned unless its CRC checks
+// out. Body is valid until the next call: the reader decodes every
+// frame into one buffer.
 func (sr *StreamReader) Next() (Frame, error) {
-	var fh [frameHeaderSize]byte
-	if _, err := io.ReadFull(sr.r, fh[:]); err != nil {
-		if err == io.EOF {
-			return Frame{}, io.EOF
-		}
-		return Frame{}, fmt.Errorf("frame header at %d: %w", sr.off, ErrTorn)
+	lsn, typ, body, err := sr.fr.Next()
+	if err != nil {
+		return Frame{}, err
 	}
-	lsn := binary.LittleEndian.Uint64(fh[0:8])
-	bodyLen := binary.LittleEndian.Uint32(fh[8:12])
-	wantCRC := binary.LittleEndian.Uint32(fh[12:16])
-	typ := FrameType(fh[16])
-	if bodyLen > maxBody {
-		return Frame{}, &CorruptError{Offset: sr.off, Reason: fmt.Sprintf("frame length %d exceeds limit", bodyLen)}
-	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(sr.r, body); err != nil {
-		return Frame{}, fmt.Errorf("frame body at %d: %w", sr.off, ErrTorn)
-	}
-	crc := crc32.Update(0, crcTable, []byte{byte(typ)})
-	crc = crc32.Update(crc, crcTable, body)
-	if crc != wantCRC {
-		return Frame{}, &CorruptError{Offset: sr.off, Reason: "crc mismatch"}
-	}
-	switch typ {
-	case FrameData:
-	case FrameHeartbeat:
+	f := Frame{Type: FrameType(typ), LSN: binary.LittleEndian.Uint64(lsn), Body: body}
+	if f.Type == FrameHeartbeat {
 		if _, _, ok := DecodeHeartbeat(body); !ok {
-			return Frame{}, &CorruptError{Offset: sr.off, Reason: "malformed heartbeat body"}
+			return Frame{}, &wal.CorruptError{Offset: sr.off, Reason: "malformed heartbeat body"}
 		}
-	default:
-		return Frame{}, &CorruptError{Offset: sr.off, Reason: fmt.Sprintf("unknown frame type %d", typ)}
 	}
-	sr.off += int64(frameHeaderSize) + int64(bodyLen)
-	return Frame{Type: typ, LSN: lsn, Body: body}, nil
+	sr.off = sr.fr.Offset()
+	return f, nil
 }

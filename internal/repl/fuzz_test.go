@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"hpcpower/internal/vfs"
+	"hpcpower/internal/wal"
 )
 
 // FuzzEpochFile writes arbitrary bytes as an EPOCH record and opens it:
@@ -64,10 +65,10 @@ func FuzzEpochFile(f *testing.F) {
 // FuzzReplStream feeds arbitrary bytes to the replication stream
 // decoder, mirroring the WAL's FuzzSegmentRead. The contract under any
 // mutation: the reader yields frames then io.EOF, a clean truncation
-// (ErrTorn), a typed *CorruptError, or — for a header "PWRREP<d>\n"
-// with d not '1' only — an error naming the version this build reads;
-// never a panic, a hang, or a silently wrong frame. "Never silently
-// wrong" is checked by re-encoding: whatever was accepted must
+// (wal.ErrTorn), a typed *wal.CorruptError, or — for a header
+// "PWRREP<d>\n" with d not '1' only — an error naming the version this
+// build reads; never a panic, a hang, or a silently wrong frame. "Never
+// silently wrong" is checked by re-encoding: whatever was accepted must
 // re-serialize to exactly the byte prefix it consumed.
 func FuzzReplStream(f *testing.F) {
 	// Seed: a healthy stream with data frames and a heartbeat.
@@ -85,8 +86,8 @@ func FuzzReplStream(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typedOK := func(err error) bool {
-			var ce *CorruptError
-			return errors.Is(err, ErrTorn) || errors.As(err, &ce)
+			var ce *wal.CorruptError
+			return errors.Is(err, wal.ErrTorn) || errors.As(err, &ce)
 		}
 		sr, err := NewStreamReader(bytes.NewReader(data))
 		newer := len(data) >= headerSize && string(data[:6]) == "PWRREP" && data[6] >= '0' && data[6] <= '9' && data[6] != '1' && data[7] == '\n'

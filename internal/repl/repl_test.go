@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"hpcpower/internal/vfs"
+	"hpcpower/internal/wal"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -63,7 +64,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err == nil {
 			continue
 		}
-		if !errors.Is(err, ErrTorn) {
+		if !errors.Is(err, wal.ErrTorn) {
 			t.Fatalf("truncated stream error = %v, want torn", err)
 		}
 		break
@@ -81,9 +82,78 @@ func TestFrameRoundTrip(t *testing.T) {
 			break
 		}
 	}
-	var ce *CorruptError
+	var ce *wal.CorruptError
 	if !errors.As(lastErr, &ce) {
-		t.Fatalf("mutated stream error = %v, want *CorruptError", lastErr)
+		t.Fatalf("mutated stream error = %v, want *wal.CorruptError", lastErr)
+	}
+}
+
+// TestStreamReaderReusesBody: Next decodes every frame into one buffer,
+// so once it has grown to the largest body a frame costs no allocation.
+func TestStreamReaderReusesBody(t *testing.T) {
+	const frames = 100
+	stream := AppendHeader(nil, 1, 1)
+	for i := 0; i < frames; i++ {
+		stream = AppendFrame(stream, FrameData, uint64(1+i), bytes.Repeat([]byte{byte(i)}, 4096-i))
+	}
+	sr, err := NewStreamReader(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := 0
+	var readErr error
+	// AllocsPerRun calls once before it counts: that call grows the
+	// buffer to the first, largest body.
+	allocs := testing.AllocsPerRun(frames-1, func() {
+		fr, err := sr.Next()
+		if err == nil && (fr.LSN != uint64(1+read) || len(fr.Body) != 4096-read) {
+			err = fmt.Errorf("frame %d: lsn %d, %d body bytes", read, fr.LSN, len(fr.Body))
+		}
+		if err != nil && readErr == nil {
+			readErr = err
+		}
+		read++
+	})
+	if readErr != nil {
+		t.Fatal(readErr)
+	}
+	if _, err := sr.Next(); err != io.EOF || read != frames {
+		t.Fatalf("read %d frames, then %v; want %d, then io.EOF", read, err, frames)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations per frame, want 0", allocs)
+	}
+}
+
+// BenchmarkStreamRead times the follower's decode of a catch-up burst:
+// the header, 1,000 data frames of an ingest record's size (≈ 24 KB)
+// and a heartbeat after every 100.
+func BenchmarkStreamRead(b *testing.B) {
+	stream := AppendHeader(nil, 1, 1)
+	body := bytes.Repeat([]byte(`{"node":17,"job":42,"t":1700000000,"w":151.2},`), 24<<10/46)
+	for lsn := uint64(1); lsn <= 1000; lsn++ {
+		stream = AppendFrame(stream, FrameData, lsn, body)
+		if lsn%100 == 0 {
+			stream = AppendFrame(stream, FrameHeartbeat, lsn, HeartbeatBody(lsn, 1))
+		}
+	}
+	b.SetBytes(int64(len(stream)))
+	b.ReportAllocs()
+	r := bytes.NewReader(stream)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset(stream)
+		sr, err := NewStreamReader(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for {
+			if _, err := sr.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

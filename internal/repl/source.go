@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// SourceConfig wires a Source to the serving layer's WAL and epoch
-// state without repl importing either.
+// SourceConfig wires a Source to the serving layer's log and epoch
+// state through callbacks.
 type SourceConfig struct {
 	// Epoch returns the primary's current fencing epoch.
 	Epoch func() uint64

@@ -232,14 +232,6 @@ type durability struct {
 	// rather than a plain field.
 	tracker atomic.Pointer[applyTracker]
 
-	// tombstoned is the live set of cancelled LSNs (refused batches whose
-	// WAL record must never be applied or streamed). Seeded by the WAL's
-	// open scan, extended by the pipeline's cancel stage,
-	// and pruned below the oldest on-disk LSN whenever a snapshot reaps a
-	// segment.
-	tombMu     sync.Mutex
-	tombstoned map[uint64]struct{}
-
 	// repl is the node's replication state; non-nil for every durable
 	// server (a standalone primary is just a primary with no followers).
 	repl *replState
@@ -280,11 +272,10 @@ func openDurability(cfg DurabilityConfig) (*durability, error) {
 		return nil, err
 	}
 	d := &durability{
-		cfg:        cfg,
-		fsys:       cfg.FS,
-		lock:       lock,
-		tombstoned: map[uint64]struct{}{},
-		stopc:      make(chan struct{}),
+		cfg:   cfg,
+		fsys:  cfg.FS,
+		lock:  lock,
+		stopc: make(chan struct{}),
 	}
 	d.tracker.Store(newApplyTracker(0))
 	d.repl = newReplState(rcfg, ep, d)
@@ -329,7 +320,7 @@ const replayBuffers = 4
 // decodes; one consumer goroutine (applyReplayed) stamps and folds in
 // channel order, which is LSN order. The consumer has exited by the time
 // replay returns, with an error or without.
-func (s *Server) replay(log *wal.Log, img *snapshotImage, tombstoned map[uint64]struct{}, rep *RecoveryReport) (maxPLSN uint64, err error) {
+func (s *Server) replay(log *wal.Log, img *snapshotImage, rep *RecoveryReport) (maxPLSN uint64, err error) {
 	applied := make(map[uint64]struct{}, len(img.Extras))
 	for _, e := range img.Extras {
 		applied[e] = struct{}{}
@@ -352,7 +343,7 @@ func (s *Server) replay(log *wal.Log, img *snapshotImage, tombstoned map[uint64]
 		if typ != wal.RecordData {
 			return nil
 		}
-		if _, ok := tombstoned[lsn]; ok {
+		if log.Cancelled(lsn) {
 			rep.Tombstoned++
 			return nil
 		}
@@ -510,9 +501,8 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	}
 
 	// A tombstone cancels an earlier record, so all of them must be known
-	// before anything is applied; the open scan has already read them.
-	tombstoned := log.Tombstones()
-	maxPLSN, err := s.replay(log, img, tombstoned, &rep)
+	// before anything is applied; the log's open scan has already read them.
+	maxPLSN, err := s.replay(log, img, &rep)
 	if err != nil {
 		return nil, fmt.Errorf("serve: wal replay: %w", err)
 	}
@@ -529,9 +519,6 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	}
 	d.tracker.Store(newApplyTracker(wm))
 	d.snapLSN.Store(img.AppliedLSN)
-	d.tombMu.Lock()
-	d.tombstoned = tombstoned
-	d.tombMu.Unlock()
 
 	// Replication state rebuilds from the same artifacts: the snapshot's
 	// pull-loop watermark, raised by any primary-stamped records the WAL
@@ -657,28 +644,9 @@ func (d *durability) snapshotOnce(s *Server) (uint64, []byte, error) {
 	d.snapLastNanos.Store(int64(time.Since(start)))
 	d.snapLSN.Store(wm)
 	d.appendsSinceSnap.Add(-pending)
-	if removed, _ := d.log.Reap(wm); removed > 0 {
-		d.pruneTombstones()
-	}
+	d.log.Reap(wm)
 	wal.ReapSnapshotsFS(d.fsys, d.cfg.Dir, keepSnapshots)
 	return wm, payload, nil
-}
-
-// pruneTombstones forgets cancellations of records that are no longer on
-// disk: a reaped LSN can be neither streamed nor replayed, and without
-// this the set grows for as long as the queue keeps refusing batches.
-func (d *durability) pruneTombstones() {
-	first, err := d.log.FirstLSN()
-	if err != nil {
-		return
-	}
-	d.tombMu.Lock()
-	for lsn := range d.tombstoned {
-		if lsn < first {
-			delete(d.tombstoned, lsn)
-		}
-	}
-	d.tombMu.Unlock()
 }
 
 // collect emits the wal_*, snapshot_*, recovery_*, and repl_* series

@@ -271,10 +271,13 @@ func TestTombstonesPrunedOnReap(t *testing.T) {
 			t.Fatalf("full queue: outcome %d, want outFull", o.kind)
 		}
 	}
-	tombstones := func() int {
-		dur.tombMu.Lock()
-		defer dur.tombMu.Unlock()
-		return len(dur.tombstoned)
+	tombstones := func() (n int) {
+		for lsn := uint64(1); lsn <= log.LastLSN(); lsn++ {
+			if log.Cancelled(lsn) {
+				n++
+			}
+		}
+		return n
 	}
 	if got := tombstones(); got != refused {
 		t.Fatalf("%d live tombstones after %d refusals", got, refused)

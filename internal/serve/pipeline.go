@@ -28,7 +28,9 @@ package serve
 //     them in — what byte-identical recovery needs.
 //  3. A cancelled LSN enters the tombstone set before it is marked done:
 //     the replication stream is gated on the done watermark and must
-//     see the cancellation first.
+//     see the cancellation first. The set lives in wal.Log, which adds
+//     the LSN in AppendTombstone before writing the tombstone and
+//     answers replay and the stream through Cancelled.
 //  4. The queue's shed callback runs under the queue lock and must touch
 //     neither applyMu nor seqMu — the handler that pushed the entry holds
 //     both around Push. A snapshot cut between a shed and its tombstone
@@ -174,19 +176,18 @@ func (s *Server) log(qb *queuedBatch, rec []byte, enqueue bool) outcome {
 }
 
 // cancel withdraws a batch that was stamped, and perhaps logged, but will
-// never be applied: the record is tombstoned so neither replay nor the
-// replication stream resurrects it, and the sequence number is freed for
-// the agent's retry. It runs under applyMu.RLock from accept and under
-// the queue lock from the shed callback, and takes no lock of its own
-// above the tombstone set's.
+// never be applied: a tombstone cancels the record so neither replay nor
+// the replication stream resurrects it, and the sequence number is freed
+// for the agent's retry. It runs under applyMu.RLock from accept and
+// under the queue lock from the shed callback, and takes no lock but the
+// log's.
 func (s *Server) cancel(qb *queuedBatch) {
 	d := s.dur
 	logged := d != nil && qb.lsn != 0
 	var tlsn uint64
 	if logged {
-		d.tombMu.Lock()
-		d.tombstoned[qb.lsn] = struct{}{}
-		d.tombMu.Unlock()
+		// The log counts the LSN cancelled before it writes the
+		// tombstone, so a failed write still keeps it out of the stream.
 		if l, err := d.log.AppendTombstone(qb.lsn); err == nil {
 			tlsn = l
 		}

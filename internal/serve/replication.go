@@ -750,17 +750,11 @@ func (s *Server) installReplSnapshot(plsn uint64, payload []byte) error {
 }
 
 // readForRepl adapts the WAL's range scan to the stream source,
-// filtering out tombstoned records (cancelled by backpressure — the
-// agent re-sent them under a fresh LSN).
+// filtering out the records the log reports cancelled (refused under
+// backpressure — the agent re-sent them under a fresh LSN).
 func (d *durability) readForRepl(from, to uint64, emit func(lsn uint64, body []byte) error) error {
 	return d.log.ReadRange(from, to, func(lsn uint64, typ wal.RecordType, body []byte) error {
-		if typ != wal.RecordData {
-			return nil
-		}
-		d.tombMu.Lock()
-		_, dead := d.tombstoned[lsn]
-		d.tombMu.Unlock()
-		if dead {
+		if typ != wal.RecordData || d.log.Cancelled(lsn) {
 			return nil
 		}
 		return emit(lsn, body)

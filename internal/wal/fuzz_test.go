@@ -16,9 +16,9 @@ import (
 func FuzzSegmentRead(f *testing.F) {
 	// Seed: a healthy segment with a few frames of each type.
 	seed := appendSegmentHeader(nil, 42)
-	seed = appendFrame(seed, RecordData, []byte(`{"agent":"a","seq":1,"samples":[{"node":1,"job":7,"t":1700000000,"w":212.5}]}`))
-	seed = appendFrame(seed, RecordTombstone, tombstoneBody(43))
-	seed = appendFrame(seed, RecordData, []byte{})
+	seed = AppendFrame(seed, RecordData, []byte(`{"agent":"a","seq":1,"samples":[{"node":1,"job":7,"t":1700000000,"w":212.5}]}`))
+	seed = AppendFrame(seed, RecordTombstone, tombstoneBody(43))
+	seed = AppendFrame(seed, RecordData, []byte{})
 	f.Add(seed)
 	f.Add(seed[:len(seed)-3])                       // torn tail
 	f.Add(appendSegmentHeader(nil, 1))              // header only
@@ -61,7 +61,7 @@ func FuzzSegmentRead(f *testing.F) {
 		if records > 0 || (err == nil && valid >= segHeaderSize) {
 			enc := appendSegmentHeader(nil, first)
 			for i := range bodies {
-				enc = appendFrame(enc, types[i], bodies[i])
+				enc = AppendFrame(enc, types[i], bodies[i])
 			}
 			if !bytes.Equal(enc, data[:valid]) {
 				t.Fatalf("re-encoded records do not match the consumed prefix:\n got %x\nwant %x", enc, data[:valid])

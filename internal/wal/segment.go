@@ -44,26 +44,28 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrTorn marks a clean truncation: the segment ends inside a frame (or
-// inside the header), exactly what a crash mid-append leaves behind.
-// Recovery truncates the segment at the last complete frame and carries on.
-var ErrTorn = errors.New("wal: torn frame at end of segment")
+// ErrTorn marks a clean truncation: the bytes end inside a frame or a
+// header, exactly what a crash mid-append or a dropped connection leaves
+// behind. Recovery truncates the segment at the last complete frame and
+// carries on; a follower reconnects and resumes after it.
+var ErrTorn = errors.New("wal: torn: the input ends inside a frame or header")
 
 // CorruptError reports bytes that are present but wrong — a failed CRC,
-// an impossible length, an unknown record type, or a bad magic. Recovery
-// treats it like a torn tail (truncate and continue) but the distinct
-// type lets callers and tests tell silent bit rot from a torn append.
+// an impossible length, an unknown record type, or a bad magic — in a
+// segment, a replication stream or a snapshot file. Recovery treats it
+// like a torn tail (truncate and continue) but the distinct type lets
+// callers and tests tell silent bit rot from a torn append.
 type CorruptError struct {
-	Offset int64 // byte offset of the bad frame within the segment
+	Offset int64 // byte offset of the bad frame within its file or stream
 	Reason string
 }
 
 func (e *CorruptError) Error() string {
-	return fmt.Sprintf("wal: corrupt frame at offset %d: %s", e.Offset, e.Reason)
+	return fmt.Sprintf("wal: corrupt bytes at offset %d: %s", e.Offset, e.Reason)
 }
 
-// appendFrame encodes one frame onto buf.
-func appendFrame(buf []byte, typ RecordType, body []byte) []byte {
+// AppendFrame encodes one frame onto buf.
+func AppendFrame(buf []byte, typ RecordType, body []byte) []byte {
 	start := len(buf)
 	var hdr [frameHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
@@ -89,27 +91,109 @@ func appendSegmentHeader(buf []byte, firstLSN uint64) []byte {
 // parse.
 const scanBufSize = 64 << 10
 
-// frameReader is the reusable state of a segment scan: a buffered reader
-// and one growing body buffer, which is why a scan callback must not keep
-// `body` past its return.
-type frameReader struct {
-	br   *bufio.Reader
-	body []byte
+// FrameReader pulls frames one at a time off a run of them: the frames
+// of a segment, or those of a replication stream, where each frame
+// follows a fixed-size prefix (the primary's LSN). It keeps a buffered
+// reader and one body buffer that grows as needed, which is why a body
+// is only valid until the next call to Next.
+type FrameReader struct {
+	br     *bufio.Reader
+	body   []byte
+	head   [8 + frameHeaderSize]byte // a frame's prefix and header
+	prefix int
+	off    int64
 }
 
+// NewFrameReader returns a reader of the frames in r, each preceded by
+// prefix bytes (0 for a segment; at most 8). If r opens with a header,
+// ReadHeader must read it before the first Next. Unlike the log's own
+// scans it is not pooled (it lives as long as its stream), and its
+// read-ahead is bufio's default: a body at least that large is read
+// straight into the body buffer.
+func NewFrameReader(r io.Reader, prefix int) *FrameReader {
+	return &FrameReader{br: bufio.NewReader(r), prefix: prefix}
+}
+
+// frameReaders pools the readers of segment scans, which are many and
+// short: a ReadRange per replication burst.
 var frameReaders = sync.Pool{New: func() any {
-	return &frameReader{br: bufio.NewReaderSize(nil, scanBufSize)}
+	return &FrameReader{br: bufio.NewReaderSize(nil, scanBufSize)}
 }}
 
-func getFrameReader(r io.Reader) *frameReader {
-	fr := frameReaders.Get().(*frameReader)
+func getFrameReader(r io.Reader) *FrameReader {
+	fr := frameReaders.Get().(*FrameReader)
 	fr.br.Reset(r)
+	fr.off = 0
 	return fr
 }
 
-func (fr *frameReader) release() {
+func (fr *FrameReader) release() {
 	fr.br.Reset(nil) // do not pin the file in the pool
 	frameReaders.Put(fr)
+}
+
+// ReadHeader reads the len(hdr) bytes that open the input into hdr and
+// checks that they start with magic, the 8-byte magic of the named
+// format ("segment", "stream"). An input that ends first wraps ErrTorn;
+// a magic of another version is an error that names both versions.
+func (fr *FrameReader) ReadHeader(hdr []byte, magic, format string) error {
+	if n, err := io.ReadFull(fr.br, hdr); err != nil {
+		if n == 0 && err == io.EOF {
+			return fmt.Errorf("empty %s: %w", format, ErrTorn)
+		}
+		return tornOrReadError(format+" header", fr.off, err)
+	}
+	if err := checkMagic(hdr[:8], magic, format); err != nil {
+		return err
+	}
+	fr.off += int64(len(hdr))
+	return nil
+}
+
+// Offset is the byte offset of the end of the last frame (or header)
+// read: the end of the valid prefix of the input so far.
+func (fr *FrameReader) Offset() int64 { return fr.off }
+
+// Next reads the next frame: its prefix, its type and its body. err is
+// io.EOF on a clean end at a frame boundary, wraps ErrTorn when the input
+// ends inside the frame, is a *CorruptError on damaged bytes (a length
+// over the limit, a failed CRC, a type other than RecordData and
+// RecordTombstone) and wraps the reader's error when a read fails. A
+// frame is never returned unless its CRC checks out — there is no path
+// that yields a silently wrong record. prefix and body are valid until
+// the next call.
+func (fr *FrameReader) Next() (prefix []byte, typ RecordType, body []byte, err error) {
+	head := fr.head[:fr.prefix+frameHeaderSize]
+	if _, err := io.ReadFull(fr.br, head); err != nil {
+		if err == io.EOF {
+			return nil, 0, nil, io.EOF
+		}
+		return nil, 0, nil, tornOrReadError("frame header", fr.off, err)
+	}
+	prefix, fh := head[:fr.prefix], head[fr.prefix:]
+	bodyLen := binary.LittleEndian.Uint32(fh[0:4])
+	wantCRC := binary.LittleEndian.Uint32(fh[4:8])
+	typ = RecordType(fh[8])
+	if bodyLen > maxBody {
+		return nil, 0, nil, &CorruptError{Offset: fr.off, Reason: fmt.Sprintf("frame length %d exceeds limit", bodyLen)}
+	}
+	if uint32(cap(fr.body)) < bodyLen {
+		fr.body = make([]byte, bodyLen)
+	}
+	body = fr.body[:bodyLen]
+	if _, err := io.ReadFull(fr.br, body); err != nil {
+		return nil, 0, nil, tornOrReadError("frame body", fr.off, err)
+	}
+	crc := crc32.Update(0, crcTable, fh[8:9])
+	crc = crc32.Update(crc, crcTable, body)
+	if crc != wantCRC {
+		return nil, 0, nil, &CorruptError{Offset: fr.off, Reason: "crc mismatch"}
+	}
+	if typ != RecordData && typ != RecordTombstone {
+		return nil, 0, nil, &CorruptError{Offset: fr.off, Reason: fmt.Sprintf("unknown record type %d", typ)}
+	}
+	fr.off += int64(len(head)) + int64(bodyLen)
+	return prefix, typ, body, nil
 }
 
 // scanSegment reads a segment stream: the header, then every complete,
@@ -118,26 +202,17 @@ func (fr *frameReader) release() {
 // of the end of the last valid frame (the safe truncation point). body
 // is only valid during fn: the next frame overwrites it.
 //
-// err is nil on a clean EOF, wraps ErrTorn on an incomplete tail, is a
-// *CorruptError on damaged bytes, wraps the reader's error when a read
-// fails, or is fn's error (scanning stops).
-// A frame is never delivered to fn unless its CRC checks out — there is
-// no path that yields a silently wrong record.
+// err is nil on a clean EOF, or Next's or ReadHeader's error, or fn's
+// error (scanning stops).
 func scanSegment(r io.Reader, fn func(typ RecordType, body []byte) error) (firstLSN uint64, records int, validBytes int64, err error) {
 	fr := getFrameReader(r)
 	defer fr.release()
 	var hdr [segHeaderSize]byte
-	if n, rerr := io.ReadFull(fr.br, hdr[:]); rerr != nil {
-		if n == 0 && rerr == io.EOF {
-			return 0, 0, 0, fmt.Errorf("empty segment: %w", ErrTorn)
-		}
-		return 0, 0, 0, tornOrReadError("segment header", 0, rerr)
-	}
-	if err := checkMagic(hdr[:8], segMagic, "segment"); err != nil {
+	if err := fr.ReadHeader(hdr[:], segMagic, "segment"); err != nil {
 		return 0, 0, 0, err
 	}
-	records, validBytes, err = fr.scanFrames(segHeaderSize, fn)
-	return binary.LittleEndian.Uint64(hdr[8:]), records, validBytes, err
+	records, err = fr.scanFrames(fn)
+	return binary.LittleEndian.Uint64(hdr[8:]), records, fr.Offset(), err
 }
 
 // scanFramesAt is scanSegment without the header: r is positioned at the
@@ -147,7 +222,9 @@ func scanSegment(r io.Reader, fn func(typ RecordType, body []byte) error) (first
 func scanFramesAt(r io.Reader, off int64, fn func(typ RecordType, body []byte) error) (records int, validBytes int64, err error) {
 	fr := getFrameReader(r)
 	defer fr.release()
-	return fr.scanFrames(off, fn)
+	fr.off = off
+	records, err = fr.scanFrames(fn)
+	return records, fr.Offset(), err
 }
 
 // versionError is a header of another version: a newer (or much older)
@@ -168,51 +245,27 @@ func checkMagic(got []byte, want, format string) error {
 	return &CorruptError{Offset: 0, Reason: "bad magic"}
 }
 
-// scanFrames is the frame loop of a scan, starting at the frame boundary
-// at byte offset off. validBytes is the offset of the end of the last
-// valid frame.
-func (fr *frameReader) scanFrames(off int64, fn func(typ RecordType, body []byte) error) (records int, validBytes int64, err error) {
-	var fh [frameHeaderSize]byte
+// scanFrames hands fn every frame up to the end of the input or the
+// first bad one.
+func (fr *FrameReader) scanFrames(fn func(typ RecordType, body []byte) error) (records int, err error) {
 	for {
-		_, rerr := io.ReadFull(fr.br, fh[:])
-		if rerr == io.EOF {
-			return records, off, nil
+		_, typ, body, err := fr.Next()
+		if err == io.EOF {
+			return records, nil
 		}
-		if rerr != nil {
-			return records, off, tornOrReadError("frame header", off, rerr)
-		}
-		bodyLen := binary.LittleEndian.Uint32(fh[0:4])
-		wantCRC := binary.LittleEndian.Uint32(fh[4:8])
-		typ := RecordType(fh[8])
-		if bodyLen > maxBody {
-			return records, off, &CorruptError{Offset: off, Reason: fmt.Sprintf("frame length %d exceeds limit", bodyLen)}
-		}
-		if uint32(cap(fr.body)) < bodyLen {
-			fr.body = make([]byte, bodyLen)
-		}
-		body := fr.body[:bodyLen]
-		if _, rerr := io.ReadFull(fr.br, body); rerr != nil {
-			return records, off, tornOrReadError("frame body", off, rerr)
-		}
-		crc := crc32.Update(0, crcTable, fh[8:9])
-		crc = crc32.Update(crc, crcTable, body)
-		if crc != wantCRC {
-			return records, off, &CorruptError{Offset: off, Reason: "crc mismatch"}
-		}
-		if typ != RecordData && typ != RecordTombstone {
-			return records, off, &CorruptError{Offset: off, Reason: fmt.Sprintf("unknown record type %d", typ)}
+		if err != nil {
+			return records, err
 		}
 		if fn != nil {
 			if err := fn(typ, body); err != nil {
-				return records, off, err
+				return records, err
 			}
 		}
 		records++
-		off += int64(frameHeaderSize) + int64(bodyLen)
 	}
 }
 
-// tornOrReadError tells a stream that ended inside what (ErrTorn: the
+// tornOrReadError tells an input that ended inside what (ErrTorn: the
 // bytes are not there, truncate) from a read that failed (the bytes may
 // well be there: an EIO must stop the scan, not shorten the log).
 func tornOrReadError(what string, off int64, rerr error) error {

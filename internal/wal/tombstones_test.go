@@ -5,13 +5,21 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"hpcpower/internal/vfs"
 )
 
-// replayTombstones is the set a full Replay collects: what Tombstones
-// must report without that pass.
+// cancelledSet copies the set Cancelled answers from.
+func cancelledSet(l *Log) map[uint64]struct{} {
+	l.cmu.Lock()
+	defer l.cmu.Unlock()
+	return maps.Clone(l.cancelled)
+}
+
+// replayTombstones is the set a full Replay collects: what Open must
+// seed Cancelled with without that pass.
 func replayTombstones(t testing.TB, l *Log) map[uint64]struct{} {
 	t.Helper()
 	set := map[uint64]struct{}{}
@@ -65,7 +73,7 @@ func writeCancellingLog(t *testing.T, dir string) []string {
 	return segs
 }
 
-// TestOpenCollectsTombstones: the set Open's scan reports is the set a
+// TestOpenCollectsTombstones: the set Open's scan seeds is the set a
 // Replay of the log it kept collects — all of it on a clean log, the
 // part before the tear on a torn tail, and nothing of a segment dropped
 // for a continuity break (nor of those behind it).
@@ -128,7 +136,7 @@ func TestOpenCollectsTombstones(t *testing.T) {
 			tc.damage(t, dir, segs)
 
 			l := openTest(t, dir, Options{Policy: SyncNone})
-			got, want := l.Tombstones(), replayTombstones(t, l)
+			got, want := cancelledSet(l), replayTombstones(t, l)
 			if !maps.Equal(got, want) {
 				t.Fatalf("Open reports %v, a replay of the kept log sees %v", got, want)
 			}
@@ -143,4 +151,102 @@ func TestOpenCollectsTombstones(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCancelledLifecycle: Cancelled answers from Open's scan, from every
+// AppendTombstone since (from before its write: a tombstone that could
+// not be written still cancels), and forgets what Reap deletes.
+func TestCancelledLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	writeCancellingLog(t, dir)
+	l := openTest(t, dir, Options{Policy: SyncNone, SegmentBytes: 256})
+	seeded := cancelledSet(l)
+	for lsn := range seeded {
+		if !l.Cancelled(lsn) {
+			t.Fatalf("lsn %d: cancelled on disk, Cancelled says no", lsn)
+		}
+	}
+	last, err := l.Append([]byte("record-30-padding-padding"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Cancelled(last) {
+		t.Fatalf("lsn %d cancelled before its tombstone", last)
+	}
+	if _, err := l.AppendTombstone(last); err != nil {
+		t.Fatal(err)
+	}
+	if !l.Cancelled(last) {
+		t.Fatalf("lsn %d not cancelled after its tombstone", last)
+	}
+
+	removed, err := l.Reap(l.LastLSN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := l.FirstLSN()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed == 0 || first <= 1 {
+		t.Fatalf("reap removed %d segments, first lsn %d: the test needs a rotation", removed, first)
+	}
+	for lsn := range seeded {
+		if got, want := l.Cancelled(lsn), lsn >= first; got != want {
+			t.Fatalf("lsn %d with lsns from %d on disk: Cancelled %v, want %v", lsn, first, got, want)
+		}
+	}
+	if !l.Cancelled(last) {
+		t.Fatalf("reap dropped the cancellation of lsn %d, still on disk", last)
+	}
+
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendTombstone(last - 1); err == nil {
+		t.Fatal("tombstone appended to a closed log")
+	}
+	if !l.Cancelled(last - 1) {
+		t.Fatalf("lsn %d: a tombstone that failed to write does not cancel", last-1)
+	}
+}
+
+// TestCancelledConcurrent: the replication stream asks Cancelled while
+// appends, tombstones and reaps run (a check for the race detector; the
+// answers are TestCancelledLifecycle's).
+func TestCancelledConcurrent(t *testing.T) {
+	l := openTest(t, t.TempDir(), Options{Policy: SyncNone, SegmentBytes: 512})
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for lsn := uint64(1); lsn <= l.LastLSN(); lsn++ {
+				l.Cancelled(lsn)
+			}
+			if _, err := l.Reap(l.LastLSN()); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		lsn, err := l.Append([]byte("record-padding-padding"))
+		if err == nil {
+			_, err = l.AppendTombstone(lsn)
+		}
+		if err != nil {
+			close(stop)
+			wg.Wait()
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

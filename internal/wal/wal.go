@@ -161,8 +161,13 @@ type Log struct {
 	truncatedBytes             int64
 	droppedSegments            int
 	recoveredRecords           int64
-	// tombstones is what Open's scan found cancelled; see Tombstones.
-	tombstones map[uint64]struct{}
+
+	// cancelled holds the LSNs that tombstones cancel, for as long as the
+	// records are on disk: Open's scan seeds it, AppendTombstone adds to
+	// it and Reap prunes it (see Cancelled). cmu guards it and is taken
+	// while holding nothing else.
+	cmu       sync.Mutex
+	cancelled map[uint64]struct{}
 
 	closed bool
 }
@@ -257,11 +262,11 @@ func (l *Log) recoverSegments() error {
 	// The scan reads and CRCs every frame anyway, so it also notes which
 	// LSNs the tombstones cancel: per segment, kept only once the segment
 	// (or its valid prefix) is known to stay in the log.
-	l.tombstones = map[uint64]struct{}{}
+	l.cancelled = map[uint64]struct{}{}
 	var cancelled []uint64
 	keepCancelled := func() {
 		for _, lsn := range cancelled {
-			l.tombstones[lsn] = struct{}{}
+			l.cancelled[lsn] = struct{}{}
 		}
 	}
 	for i, name := range names {
@@ -458,9 +463,26 @@ func (l *Log) Append(body []byte) (uint64, error) {
 
 // AppendTombstone logs a cancellation of the record at cancelled: it was
 // appended but then refused upstream (e.g. ingest queue full), so replay
-// must not apply it.
+// must not apply it. Cancelled reports it from before the write on, so a
+// failed write still keeps the record out of this process's replication
+// stream.
 func (l *Log) AppendTombstone(cancelled uint64) (uint64, error) {
+	l.cmu.Lock()
+	l.cancelled[cancelled] = struct{}{}
+	l.cmu.Unlock()
 	return l.append(RecordTombstone, tombstoneBody(cancelled))
+}
+
+// Cancelled reports whether a tombstone cancels the record at lsn: one
+// that Open's scan read in the prefix of the log it kept (a segment
+// dropped for a continuity break contributes none; the frames before a
+// torn tail do), or one appended since. Reap forgets the cancellations of
+// the records it deletes. Safe to call while appends run.
+func (l *Log) Cancelled(lsn uint64) bool {
+	l.cmu.Lock()
+	defer l.cmu.Unlock()
+	_, ok := l.cancelled[lsn]
+	return ok
 }
 
 func (l *Log) append(typ RecordType, body []byte) (uint64, error) {
@@ -482,7 +504,7 @@ func (l *Log) append(typ RecordType, body []byte) (uint64, error) {
 		}
 	}
 	start := time.Now()
-	l.frame = appendFrame(l.frame[:0], typ, body)
+	l.frame = AppendFrame(l.frame[:0], typ, body)
 	if _, err := l.f.Write(l.frame); err != nil {
 		// Try to roll the (possibly partial) frame back off the tail so a
 		// transient failure — ENOSPC above all — leaves the log exactly as
@@ -695,16 +717,9 @@ func (l *Log) Replay(fn func(lsn uint64, typ RecordType, body []byte) error) err
 	return nil
 }
 
-// Tombstones returns the LSNs cancelled by the tombstones Open's recovery
-// scan read in the prefix of the log it kept — the set a Replay right
-// after Open would collect, without reading the log again. A segment
-// dropped for a continuity break contributes none; the frames before a
-// torn tail do. The Log never touches the set after Open: it is the
-// caller's to keep and extend.
-func (l *Log) Tombstones() map[uint64]struct{} { return l.tombstones }
-
 // Reap deletes segments whose records are all ≤ throughLSN (covered by a
-// snapshot), always keeping the active segment. Registered reap holds
+// snapshot), always keeping the active segment, and forgets the
+// cancellations of the records it deleted. Registered reap holds
 // (SetReapHold) lower the effective threshold so records a follower has
 // not acknowledged stay streamable.
 func (l *Log) Reap(throughLSN uint64) (removed int, err error) {
@@ -716,6 +731,7 @@ func (l *Log) Reap(throughLSN uint64) (removed int, err error) {
 	l.mu.Lock()
 	activeFirst := l.segFirst
 	l.mu.Unlock()
+	var kept uint64 // the oldest LSN left on disk, once a segment goes
 	for i := 0; i+1 < len(names); i++ {
 		first, ok := firstLSNFromName(names[i])
 		if !ok || first == activeFirst {
@@ -731,8 +747,16 @@ func (l *Log) Reap(throughLSN uint64) (removed int, err error) {
 				return removed, fmt.Errorf("wal: reaping %s: %w", names[i], err)
 			}
 			removed++
+			kept = next
 		}
 	}
+	l.cmu.Lock()
+	for lsn := range l.cancelled {
+		if lsn < kept {
+			delete(l.cancelled, lsn)
+		}
+	}
+	l.cmu.Unlock()
 	return removed, nil
 }
 
