@@ -19,7 +19,7 @@ GO ?= go
 # a list: both run it straight after the build, because bench/ compiles
 # against the tree and a symbol it uses going missing should fail in the
 # first minute, not the last step.
-FUZZ_TARGETS = fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-epoch fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state fuzz-codec fuzz-snapshot fuzz-sort fuzz-dist fuzz-bdt fuzz-tsdb-index
+FUZZ_TARGETS = fuzz-wal fuzz-wal-bitflip fuzz-repl fuzz-epoch fuzz-block-chunk fuzz-block-index fuzz-block-ref fuzz-spec fuzz-admit fuzz-elect fuzz-anomaly-rules fuzz-anomaly-fingerprint fuzz-anomaly-state fuzz-codec fuzz-snapshot fuzz-moments fuzz-sort fuzz-dist fuzz-bdt fuzz-tsdb-index
 BENCH_TARGETS = bench bench-block bench-codec bench-wal bench-snapshot bench-tsdb bench-mlearn
 SMOKE_TARGETS = smoke
 
@@ -111,10 +111,16 @@ bench-wal:
 # next record while the previous one applies. The apply stage binds, so
 # -2 reads about a quarter below -1 (170-180 ms and 115-135 ms on two
 # shared cores), and -1 no worse than a replay without the hand-off.
+# JobHistory is what finished jobs cost as they pile up: a 1,024-node
+# fleet of 4-node, 60-minute jobs at 3 k, 25 k and 80 k jobs, one
+# snapshot each (building the fleet dominates; the 80 k case holds
+# about 1 GB), reporting accounted bytes, payload bytes per job, the
+# ExportState hold, encode and clean-restart time.
 bench-snapshot:
 	$(call gobench,'ExportState',./internal/tsdb/)
 	$(call gobench,'SnapshotEncode',./internal/serve/)
 	$(GO) test -run xxx -bench 'SnapshotDecode|RecoverClean|RecoverCrash' -benchmem -benchtime=$(BENCHTIME) -cpu 1,2 ./internal/serve/
+	$(GO) test -run xxx -bench 'JobHistory' -benchtime=1x ./internal/serve/
 
 # TSDB write-path microbenchmarks. In steady state (rings, jobs and a
 # full open-minute window exist; 0 allocs/op): Append on the batches the
@@ -180,6 +186,12 @@ fuzz-snapshot:
 # the saved tree must load and predict as the fitted one.
 fuzz-bdt:
 	$(call gofuzz,FuzzBDTFit,15s,./internal/mlearn/)
+
+# Fuzz the exact moment accumulator: any permutation of the readings, and
+# any split of them merged back, gives the same state to the bit, and the
+# mean and variance equal a math/big reference over the same codes.
+fuzz-moments:
+	$(call gofuzz,FuzzMoments,15s,./internal/stats/)
 
 # Fuzz SortFloat64s against slices.Sort on inputs read as float64s, short
 # and repeated up to a length that takes the counting path: the same

@@ -107,7 +107,7 @@ func main() {
 		addr    = flag.String("addr", ":8080", "listen address (host:port, :0 picks a free port)")
 		model   = flag.String("model", "", "BDT model file from powpredict -save-model")
 		ring    = flag.Int("ring", 1440, "retained samples per node (1440 = one day of minutes)")
-		workers = flag.Int("workers", 4, "ingest worker goroutines (above 1, batches apply out of WAL order, so a restart or a follower, which apply in WAL order, may differ from this node in the last bits of order-sensitive folds)")
+		workers = flag.Int("workers", 4, "ingest worker goroutines")
 
 		admitSpec = flag.String("admit", "", `admission-control spec, comma-separated key=value, e.g. "target=50ms,min-inflight=8,agent-rate=100,mem-watermark=256MiB" (empty = defaults); keys:`+"\n"+new(admit.Config).Spec().Usage())
 

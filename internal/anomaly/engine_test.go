@@ -8,8 +8,10 @@ import (
 	"hpcpower/internal/trace"
 )
 
-// fakeStore mirrors what tsdb does with fingerprints: one per job,
-// updated per sample under a lock, copied out on lookup.
+// fakeStore mirrors what tsdb does with fingerprints for jobs of one
+// node and one sample a minute: one per job, updated per sample under a
+// lock (observe), copied out on lookup. tsdb folds each minute L minutes
+// after it opens; the fake folds at once.
 type fakeStore struct {
 	mu  sync.Mutex
 	fps map[uint64]*Fingerprint
@@ -29,7 +31,7 @@ func (s *fakeStore) apply(batch []trace.PowerSample) {
 			fp = &Fingerprint{}
 			s.fps[smp.JobID] = fp
 		}
-		fp.Update(smp.Unix, smp.PowerW)
+		observe(fp, smp.Unix, smp.PowerW)
 	}
 }
 

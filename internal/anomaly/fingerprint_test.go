@@ -7,47 +7,51 @@ import (
 	"testing"
 )
 
+// observe is one sample of a job that reports one reading a minute from
+// one node, as a lookup sees the job: its count, sum, peak and last time
+// move with the sample, and its trend folds the reading — the minute's
+// mean.
+func observe(f *Fingerprint, unix int64, w float64) {
+	if f.N == 0 || w > f.Max {
+		f.Max = w
+	}
+	f.N++
+	f.Sum += w
+	f.Last = max(f.Last, unix)
+	f.Trend.Update(unix, w, 0)
+}
+
 func TestFingerprintBasics(t *testing.T) {
 	var f Fingerprint
 	ws := []float64{100, 110, 90, 105, 95}
 	for i, w := range ws {
-		f.Update(1000+int64(i)*60, w)
-	}
-	if f.N != int64(len(ws)) {
-		t.Fatalf("N = %d, want %d", f.N, len(ws))
-	}
-	if f.Min != 90 || f.Max != 110 {
-		t.Fatalf("min/max = %v/%v, want 90/110", f.Min, f.Max)
-	}
-	if f.First != 1000 || f.Last != 1000+4*60 {
-		t.Fatalf("first/last = %d/%d", f.First, f.Last)
+		observe(&f, 1000+int64(i)*60, w)
 	}
 	wantMean := (100.0 + 110 + 90 + 105 + 95) / 5
-	if f.Mean() != wantMean {
-		t.Fatalf("mean = %v, want %v", f.Mean(), wantMean)
+	if f.Mean() != wantMean || f.OvershootPct() != 100*(110-wantMean)/wantMean {
+		t.Fatalf("mean = %v, overshoot %v; want %v and %v", f.Mean(), f.OvershootPct(), wantMean, 100*(110-wantMean)/wantMean)
 	}
-	if !f.Valid() {
-		t.Fatal("fingerprint of a real series must be Valid")
+	if !f.Trend.Valid() {
+		t.Fatal("the trend of a real series must be Valid")
 	}
-	var total int64
-	for _, c := range f.Shape {
-		total += c
+	if got := f.folds(); got != f.N {
+		t.Fatalf("shape histogram holds %d values, want %d", got, f.N)
 	}
-	if total != f.N {
-		t.Fatalf("shape histogram holds %d samples, want %d", total, f.N)
+	if f.EWFast == 0 || f.EWSlow == 0 || f.FastPeak < f.EWFast {
+		t.Fatalf("trend did not track the series: %+v", f.Trend)
 	}
 }
 
 // TestFingerprintUpdateAllocFree pins the hot-path budget: folding a
-// sample into a fingerprint allocates nothing (it runs inside the tsdb
-// job-shard lock on every ingested sample).
+// value into a trend allocates nothing (it runs inside the tsdb
+// job-shard lock).
 func TestFingerprintUpdateAllocFree(t *testing.T) {
-	var f Fingerprint
-	f.Update(1000, 100)
+	var f Trend
+	f.Update(1000, 100, 0)
 	unix := int64(1060)
 	w := 101.0
 	allocs := testing.AllocsPerRun(1000, func() {
-		f.Update(unix, w)
+		f.Update(unix, w, 0)
 		unix += 60
 		w += 0.5
 		if w > 300 {
@@ -55,13 +59,13 @@ func TestFingerprintUpdateAllocFree(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Fingerprint.Update allocates %v times per call, want 0", allocs)
+		t.Fatalf("Trend.Update allocates %v times per call, want 0", allocs)
 	}
 }
 
 // TestFingerprintSerializeContinues pins the state-riding contract: a
-// fingerprint serialized mid-stream, decoded, and fed the remaining
-// samples ends bit-identical to one that saw the whole stream.
+// trend serialized mid-stream, decoded, and fed the remaining values
+// ends bit-identical to one that saw the whole stream.
 func TestFingerprintSerializeContinues(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	series := make([]float64, 400)
@@ -71,90 +75,88 @@ func TestFingerprintSerializeContinues(t *testing.T) {
 			series[i] = 1
 		}
 	}
-	var whole Fingerprint
+	var whole Trend
 	for i, w := range series {
-		whole.Update(int64(1000+i*60), w)
+		whole.Update(int64(1000+i*60), w, 0)
 	}
 
-	var first Fingerprint
+	var first Trend
 	for i, w := range series[:137] {
-		first.Update(int64(1000+i*60), w)
+		first.Update(int64(1000+i*60), w, 0)
 	}
 	blob, err := json.Marshal(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var restored Fingerprint
+	var restored Trend
 	if err := json.Unmarshal(blob, &restored); err != nil {
 		t.Fatal(err)
 	}
 	if !restored.Valid() {
-		t.Fatal("decoded fingerprint is not Valid")
+		t.Fatal("decoded trend is not Valid")
 	}
 	for i := 137; i < len(series); i++ {
-		restored.Update(int64(1000+i*60), series[i])
+		restored.Update(int64(1000+i*60), series[i], 0)
 	}
 	if restored != whole {
-		t.Fatalf("restored fingerprint diverged:\n got %+v\nwant %+v", restored, whole)
+		t.Fatalf("restored trend diverged:\n got %+v\nwant %+v", restored, whole)
 	}
 }
 
 func TestFingerprintValidRejectsCorruption(t *testing.T) {
-	mk := func() Fingerprint {
-		var f Fingerprint
+	mk := func() Trend {
+		var f Trend
 		for i := 0; i < 30; i++ {
-			f.Update(int64(1000+i*60), 100+float64(i%7))
+			f.Update(int64(1000+i*60), 100+float64(i%7), 0)
 		}
 		return f
 	}
 	cases := []struct {
 		name string
-		mut  func(*Fingerprint)
+		mut  func(*Trend)
 	}{
-		{"nan sum", func(f *Fingerprint) { f.Sum = math.NaN() }},
-		{"inf ewma", func(f *Fingerprint) { f.EWFast = math.Inf(1) }},
-		{"-inf sum", func(f *Fingerprint) { f.Sum = math.Inf(-1) }},
-		{"negative N", func(f *Fingerprint) { f.N = -1 }},
-		{"min above max", func(f *Fingerprint) { f.Min = f.Max + 1 }},
-		{"negative variance", func(f *Fingerprint) { f.EWVar = -0.5 }},
-		{"first after last", func(f *Fingerprint) { f.First = f.Last + 1 }},
-		{"negative shape count", func(f *Fingerprint) { f.Shape[3] = -2 }},
-		{"nonzero fields at N=0", func(f *Fingerprint) { f.N = 0 }},
+		{"nan baseline", func(f *Trend) { f.EWSlow = math.NaN() }},
+		{"inf ewma", func(f *Trend) { f.EWFast = math.Inf(1) }},
+		{"-inf peak", func(f *Trend) { f.FastPeak = math.Inf(-1) }},
+		{"nan variance", func(f *Trend) { f.EWVar = math.NaN() }},
+		{"negative variance", func(f *Trend) { f.EWVar = -0.5 }},
+		{"negative shape count", func(f *Trend) { f.Shape[3] = -2 }},
+		{"nonzero fields with nothing folded", func(f *Trend) { f.Shape = [ShapeBuckets]int64{} }},
 	}
 	for _, tc := range cases {
 		f := mk()
 		tc.mut(&f)
 		if f.Valid() {
-			t.Errorf("%s: corrupted fingerprint passed Valid", tc.name)
+			t.Errorf("%s: corrupted trend passed Valid", tc.name)
 		}
 	}
-	var zero Fingerprint
+	var zero Trend
 	if !zero.Valid() {
-		t.Error("zero fingerprint must be Valid (pre-detection snapshots)")
+		t.Error("the zero trend must be Valid (a job with no closed minute)")
 	}
 	huge := mk()
-	for _, w := range []float64{1e300, 0, 5} {
-		huge.Update(huge.Last+60, w)
+	for i, w := range []float64{1e300, 0, 5} {
+		huge.Update(int64(4000+60*i), w, 0)
 	}
-	if !math.IsInf(huge.SumSq, 1) || !math.IsInf(huge.EWVar, 1) || !huge.Valid() {
-		t.Errorf("after a reading of 1e300 W: SumSq %v, EWVar %v, Valid %v; want +Inf, +Inf and valid", huge.SumSq, huge.EWVar, huge.Valid())
+	if !math.IsInf(huge.EWVar, 1) || !huge.Valid() {
+		t.Errorf("after a reading of 1e300 W: EWVar %v, Valid %v; want +Inf and valid", huge.EWVar, huge.Valid())
 	}
 }
 
 // TestFingerprintPhasesOnStep: a clean step change is detected as phase
 // shifts, and a flat stream after the step re-arms (no runaway firing).
 func TestFingerprintPhasesOnStep(t *testing.T) {
-	var f Fingerprint
+	var f Trend
 	unix := int64(1000)
 	for i := 0; i < 60; i++ {
-		f.Update(unix, 100)
+		f.Update(unix, 100, 0)
 		unix += 60
 	}
 	if f.Phases != 0 {
 		t.Fatalf("flat stream produced %d phase shifts, want 0", f.Phases)
 	}
 	for i := 0; i < 60; i++ {
-		f.Update(unix, 200)
+		f.Update(unix, 200, 0)
 		unix += 60
 	}
 	if f.Phases == 0 {
@@ -165,7 +167,7 @@ func TestFingerprintPhasesOnStep(t *testing.T) {
 	}
 	phasesAfterStep := f.Phases
 	for i := 0; i < 120; i++ {
-		f.Update(unix, 200)
+		f.Update(unix, 200, 0)
 		unix += 60
 	}
 	if f.Phases != phasesAfterStep {

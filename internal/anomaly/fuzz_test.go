@@ -40,33 +40,34 @@ func FuzzParseRules(f *testing.F) {
 	})
 }
 
-// FuzzFingerprintDecode: decoding an arbitrary fingerprint payload
+// FuzzFingerprintDecode: decoding an arbitrary fingerprint trend payload
 // either fails or yields something Valid can classify — and updating a
-// Valid fingerprint never panics or corrupts it into invalidity.
+// Valid trend never panics or corrupts it into invalidity.
 func FuzzFingerprintDecode(f *testing.F) {
-	var fp Fingerprint
+	var fp Trend
 	for i := 0; i < 40; i++ {
-		fp.Update(int64(1000+i*60), 100+float64(i%13))
+		fp.Update(int64(1000+i*60), 100+float64(i%13), 0)
 	}
 	seed, _ := json.Marshal(fp)
 	f.Add(seed)
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"n":-1}`))
-	f.Add([]byte(`{"n":5,"sum":1e308,"min":0,"max":1e308}`))
-	f.Add([]byte(`{"n":1,"min":2,"max":1}`))
+	f.Add([]byte(`{"shape":[0,0,0,-1,0,0,0,1]}`))
+	f.Add([]byte(`{"ew_fast":1e308,"ew_var":1e308,"shape":[0,0,0,0,5,0,0,0]}`))
+	f.Add([]byte(`{"ew_slow":2,"shape":[0,0,0,0,0,0,0,0]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var got Fingerprint
+		var got Trend
 		if err := json.Unmarshal(data, &got); err != nil {
 			return
 		}
 		if !got.Valid() {
 			return // rejected, as the restore path would
 		}
-		// A fingerprint that passed Valid must survive further updates.
-		got.Update(got.Last+60, 123.5)
-		got.Update(got.Last+60, 1)
-		if got.N <= 0 {
-			t.Fatalf("valid fingerprint lost its count after updates: %+v", got)
+		// A trend that passed Valid must survive further updates.
+		folds := got.folds()
+		got.Update(got.LastPhase+60, 123.5, 0)
+		got.Update(got.LastPhase+120, 1, 0)
+		if got.folds() != folds+2 || !got.Valid() {
+			t.Fatalf("valid trend went bad after two updates: %+v", got)
 		}
 	})
 }

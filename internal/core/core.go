@@ -151,17 +151,17 @@ type AppPower struct {
 func AnalyzeAppPower(ds *trace.Dataset, appNames []string) []AppPower {
 	var out []AppPower
 	for _, name := range appNames {
-		var acc stats.Accumulator
+		var acc stats.Moments
 		for i := range ds.Jobs {
 			if ds.Jobs[i].App == name {
 				acc.Add(float64(ds.Jobs[i].AvgPowerPerNode))
 			}
 		}
-		if acc.N() == 0 {
+		if acc.N == 0 {
 			continue
 		}
 		out = append(out, AppPower{
-			App: name, Jobs: int(acc.N()),
+			App: name, Jobs: int(acc.N),
 			MeanPowerW: acc.Mean(), StdW: acc.Std(),
 		})
 	}
@@ -261,14 +261,14 @@ func AnalyzeLengthSizeSplits(ds *trace.Dataset) (LengthSizeSplits, error) {
 		MedianNodes:    stats.Median(sizes),
 	}
 	group := func(label string, pred func(j *trace.Job) bool) SplitGroup {
-		var acc stats.Accumulator
+		var acc stats.Moments
 		for i := range ds.Jobs {
 			if pred(&ds.Jobs[i]) {
 				acc.Add(float64(ds.Jobs[i].AvgPowerPerNode))
 			}
 		}
 		return SplitGroup{
-			Label: label, Jobs: int(acc.N()),
+			Label: label, Jobs: int(acc.N),
 			MeanPowerW: acc.Mean(), StdW: acc.Std(),
 			MeanTDPPct: 100 * acc.Mean() / ds.Meta.NodeTDPW,
 		}

@@ -163,8 +163,10 @@ func TestIngestE2EIncludesBodyRead(t *testing.T) {
 // TestRecoverParentWrittenWAL replays testdata/wal_pr11: a WAL written
 // by PR 11's json.Marshal encoder (stamped, traced, follower-applied
 // plsn, anonymous, tombstoned, and one agent ID that needs escapes)
-// with the answers PR 11's json.Unmarshal replay gave. The scanner must
-// reach the same analytics byte for byte, and the append encoder must
+// with the answers its replay gives. Those were PR 11's json.Unmarshal
+// replay's until exact moments replaced Welford's, which moved ten of
+// the numbers by at most 7.6e-15 of themselves. The scanner must reach
+// the same analytics byte for byte, and the append encoder must
 // reproduce every record it can read.
 func TestRecoverParentWrittenWAL(t *testing.T) {
 	fixture := filepath.Join("testdata", "wal_pr11")

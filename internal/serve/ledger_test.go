@@ -78,7 +78,7 @@ func TestFormatLedger(t *testing.T) {
 }
 
 func formatLedger() []ledgerRow {
-	v2Snap := filepath.Join("testdata", "snap_v2", "data", "snap-00000000000000000024.snap")
+	v3Snap := filepath.Join("testdata", "snap_v3", "data", "snap-00000000000000000024.snap")
 	segment := filepath.Join("testdata", "wal_pr11", "wal", "wal-00000000000000000001.seg")
 	// A stream of epoch 3 from LSN 17: a data frame and a heartbeat.
 	const stream = "PWRREP1\n\x03\x00\x00\x00\x00\x00\x00\x00\x11\x00\x00\x00\x00\x00\x00\x00" +
@@ -118,15 +118,15 @@ func formatLedger() []ledgerRow {
 	}, {
 		format: "snapshot file", written: 1, reads: []int{1},
 		restore: func(t *testing.T, _ int) {
-			if lsn, payload, err := wal.ReadSnapshot(vfs.OS, v2Snap); err != nil || lsn != 24 || !bytes.HasPrefix(payload, []byte(snapImageMagic)) {
+			if lsn, payload, err := wal.ReadSnapshot(vfs.OS, v3Snap); err != nil || lsn != 24 || !bytes.HasPrefix(payload, []byte(snapImageMagic)) {
 				t.Fatalf("lsn %d, err %v", lsn, err)
 			}
 		},
 		// Another version is skipped and counted, as a damaged file is.
 		craft: func(t *testing.T, v int) error {
-			dir := copyFixture(t, filepath.Dir(v2Snap))
+			dir := copyFixture(t, filepath.Dir(v3Snap))
 			newer := filepath.Join(dir, "snap-00000000000000000099.snap")
-			writeVersioned(t, v2Snap, newer, 6, byte('0'+v))
+			writeVersioned(t, v3Snap, newer, 6, byte('0'+v))
 			if lsn, _, found, skipped, err := wal.LatestSnapshot(dir); err != nil || !found || lsn != 24 || len(skipped) != 1 {
 				t.Errorf("version %d: latest snapshot %d (found %v, skipped %v, err %v), want 24 past one skipped", v, lsn, found, skipped, err)
 			}
@@ -134,7 +134,7 @@ func formatLedger() []ledgerRow {
 			return err
 		},
 	}, {
-		format: "snapshot image", written: 3, before: 2, reads: []int{2, 3},
+		format: "snapshot image", written: 4, before: 3, reads: []int{3, 4},
 		restore: func(t *testing.T, v int) {
 			restoreFixture(t, fmt.Sprintf("snap_v%d", v), 24)
 		},
@@ -145,7 +145,7 @@ func formatLedger() []ledgerRow {
 			// What builds before the binary image wrote: the whole image
 			// as JSON.
 			"JSON image": func(t *testing.T) error {
-				_, payload, err := wal.ReadSnapshot(vfs.OS, v2Snap)
+				_, payload, err := wal.ReadSnapshot(vfs.OS, v3Snap)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -7,13 +7,13 @@ import (
 	"hpcpower/internal/rng"
 )
 
-// TestAccumStateRoundTrip: state → restore → continue must be
-// bit-identical to never having serialized, including through JSON (the
-// snapshot wire format).
+// TestAccumStateRoundTrip: a moment accumulator's fields are its state —
+// through JSON (the shape the snapshot's JSON form takes) and on, it must
+// be bit-identical to never having been serialized.
 func TestAccumStateRoundTrip(t *testing.T) {
 	src := rng.New(11)
 	for trial := 0; trial < 20; trial++ {
-		var control, half Accumulator
+		var control, half Moments
 		n := int(src.Uint64()%200) + 1
 		cut := int(src.Uint64() % uint64(n))
 		xs := make([]float64, n)
@@ -26,15 +26,14 @@ func TestAccumStateRoundTrip(t *testing.T) {
 		for _, x := range xs[:cut] {
 			half.Add(x)
 		}
-		buf, err := json.Marshal(half.State())
+		buf, err := json.Marshal(half)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st AccumState
-		if err := json.Unmarshal(buf, &st); err != nil {
+		var restored Moments
+		if err := json.Unmarshal(buf, &restored); err != nil {
 			t.Fatal(err)
 		}
-		restored := AccumFromState(st)
 		for _, x := range xs[cut:] {
 			restored.Add(x)
 		}

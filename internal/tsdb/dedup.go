@@ -10,7 +10,7 @@ import (
 // per-agent sliding window over batch sequence numbers. The transport is
 // at-least-once (the shipper re-sends until it sees a 202), so the same
 // (AgentID, Seq) can arrive twice — once counted, the redelivery must be
-// dropped before it reaches the Welford/count-table/overshoot
+// dropped before it reaches the moments/count-table/overshoot
 // accumulators, which cannot un-add a sample.
 //
 // Per agent it keeps the highest sequence seen plus a fixed bitmap of

@@ -6,25 +6,35 @@ import (
 	"testing"
 
 	"hpcpower/internal/anomaly"
+	"hpcpower/internal/stats"
 	"hpcpower/internal/trace"
 )
 
 // TestJobFingerprintTracksAppend: the fingerprint the store hands the
-// detector engine is exactly what folding the job's samples in append
-// order into a bare anomaly.Fingerprint produces.
+// detector engine is the job's count, sum, peak and newest time, and a
+// trend that has folded each closed minute's mean and variance in minute
+// order: every minute but the newest foldLagMinutes.
 func TestJobFingerprintTracksAppend(t *testing.T) {
 	s := New(Config{Shards: 2, RingLen: 32})
-	var want anomaly.Fingerprint
+	const base = 1_700_000_040 // a minute's start
+	var mom stats.Moments
+	var want anomaly.Trend
 	var batch []trace.PowerSample
 	for i := 0; i < 120; i++ {
-		w := 150 + 40*math.Sin(float64(i)/9)
-		batch = append(batch, trace.PowerSample{
-			Node: i % 3, JobID: 7, Unix: 1_700_000_000 + int64(i)*60, PowerW: w,
-		})
-		want.Update(1_700_000_000+int64(i)*60, w)
+		// Two nodes a minute, the second a little higher.
+		var minute stats.Moments
+		for node := 0; node < 2; node++ {
+			w := 150 + 40*math.Sin(float64(i)/9) + float64(node)
+			batch = append(batch, trace.PowerSample{Node: node, JobID: 7, Unix: base + int64(i)*60 + int64(node), PowerW: w})
+			mom.Add(w)
+			minute.Add(w)
+		}
+		if i < 120-foldLagMinutes {
+			want.Update(base+int64(i)*60, minute.Mean(), minute.Variance())
+		}
 	}
 	// Idle samples (job 0) must not touch any fingerprint.
-	batch = append(batch, trace.PowerSample{Node: 9, JobID: 0, Unix: 1_700_000_000, PowerW: 40})
+	batch = append(batch, trace.PowerSample{Node: 9, JobID: 0, Unix: base, PowerW: 40})
 	if err := s.Append(batch); err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +42,8 @@ func TestJobFingerprintTracksAppend(t *testing.T) {
 	if !ok {
 		t.Fatal("job 7 has no fingerprint")
 	}
-	if got != want {
-		t.Fatalf("fingerprint diverged from direct fold:\n got %+v\nwant %+v", got, want)
+	if wantFP := (anomaly.Fingerprint{N: 240, Sum: mom.Total(), Max: mom.Max, Last: base + 119*60 + 1, Trend: want}); got != wantFP {
+		t.Fatalf("fingerprint diverged from the minute fold:\n got %+v\nwant %+v", got, wantFP)
 	}
 	if _, ok := s.JobFingerprint(999); ok {
 		t.Fatal("unknown job reported a fingerprint")
@@ -104,32 +114,40 @@ func mkJobBatch(job uint64, from, n int) []trace.PowerSample {
 	return out
 }
 
-// TestRestoreRejectsInvalidFingerprint: a corrupt fingerprint in a
-// snapshot fails both restore paths instead of poisoning detector math.
+// TestRestoreRejectsInvalidFingerprint: a corrupt fingerprint trend, or
+// moments no samples give, in a snapshot fail both restore paths instead
+// of poisoning detector math or the analytics.
 func TestRestoreRejectsInvalidFingerprint(t *testing.T) {
 	cfg := Config{Shards: 2, RingLen: 16}
 	s := New(cfg)
 	if err := s.Append(mkJobBatch(5, 0, 30)); err != nil {
 		t.Fatal(err)
 	}
-	st := s.ExportState()
-	st.Jobs[0].FP.Sum = math.NaN()
-	if err := New(cfg).RestoreState(st); err == nil {
-		t.Fatal("RestoreState accepted a NaN fingerprint")
-	}
-	if err := New(cfg).InstallState(st); err == nil {
-		t.Fatal("InstallState accepted a NaN fingerprint")
+	for name, bend := range map[string]func(*JobStateExport){
+		"NaN baseline":    func(j *JobStateExport) { j.Trend.EWSlow = math.NaN() },
+		"moments":         func(j *JobStateExport) { j.Moments.Min = j.Moments.Max + 1 },
+		"spread moments":  func(j *JobStateExport) { j.Spread.N = -1 },
+		"squares too low": func(j *JobStateExport) { j.Moments.SumSq = [3]uint64{} },
+	} {
+		st := s.ExportState()
+		bend(&st.Jobs[0])
+		if err := New(cfg).RestoreState(st); err == nil {
+			t.Errorf("%s: RestoreState accepted it", name)
+		}
+		if err := New(cfg).InstallState(st); err == nil {
+			t.Errorf("%s: InstallState accepted it", name)
+		}
 	}
 
-	// A pre-detection snapshot (zero fingerprint) restores fine: the
-	// detectors just restart their warmup.
+	// A job with no closed minute has a zero trend, and restores fine:
+	// the detectors just restart their warmup.
 	st2 := s.ExportState()
-	st2.Jobs[0].FP = anomaly.Fingerprint{}
+	st2.Jobs[0].Trend = anomaly.Trend{}
 	r := New(cfg)
 	if err := r.RestoreState(st2); err != nil {
-		t.Fatalf("zero fingerprint rejected: %v", err)
+		t.Fatalf("zero trend rejected: %v", err)
 	}
-	if fp, ok := r.JobFingerprint(5); !ok || fp.N != 0 {
-		t.Fatalf("zero fingerprint not preserved: %+v", fp)
+	if fp, ok := r.JobFingerprint(5); !ok || fp.Trend != (anomaly.Trend{}) || fp.N != 30 {
+		t.Fatalf("zero trend not preserved: %+v", fp)
 	}
 }

@@ -2,13 +2,10 @@ package tsdb
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 
-	"hpcpower/internal/block"
 	"hpcpower/internal/rng"
 	"hpcpower/internal/stats"
 	"hpcpower/internal/trace"
@@ -94,29 +91,10 @@ func b2i(b bool) int {
 	return 0
 }
 
-// appendTables writes st's tables section as a version-2 image held it.
-func appendTables(st *StoreState) []byte {
-	dst := binary.AppendUvarint(nil, uint64(len(st.Jobs)))
-	var entries []stats.ValueCount
-	for i := range st.Jobs {
-		t := st.Jobs[i].Table
-		entries = entries[:0]
-		for j, c := range t.Counts {
-			if c != 0 {
-				entries = append(entries, stats.ValueCount{V: float64(t.Lo + int64(j)), N: uint64(c)})
-			}
-		}
-		enc, _ := block.AppendTable(nil, entries)
-		dst = binary.LittleEndian.AppendUint32(append(dst, t.Shift), uint32(len(enc)))
-		dst = append(dst, enc...)
-	}
-	return dst
-}
-
-// TestTablesSectionRoundTrip: exact and coarse tables survive a
-// version-2 image's tables section, and a store restored from the decoded state continues
-// the stream exactly as the original does.
-func TestTablesSectionRoundTrip(t *testing.T) {
+// TestTablesSurviveStateRoundTrip: exact and coarse tables survive a
+// round trip of the store's state through JSON, and a store restored
+// from it continues the stream exactly as the original does.
+func TestTablesSurviveStateRoundTrip(t *testing.T) {
 	src := rng.New(9)
 	s := New(Config{Shards: 4, RingLen: 32})
 	for job := uint64(1); job <= 6; job++ {
@@ -128,18 +106,15 @@ func TestTablesSectionRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.ExportState()
-	got := *st
-	got.Jobs = append([]JobStateExport(nil), st.Jobs...)
-	for i := range got.Jobs {
-		got.Jobs[i].Table = nil
-	}
-	if err := got.DecodeTables(appendTables(st)); err != nil {
+	a, err := json.Marshal(s.ExportState())
+	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := json.Marshal(st)
-	b, _ := json.Marshal(&got)
-	if !bytes.Equal(a, b) {
+	var got StoreState
+	if err := json.Unmarshal(a, &got); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := json.Marshal(&got); !bytes.Equal(a, b) {
 		t.Fatalf("decoded state marshals to\n%s\nwant\n%s", b, a)
 	}
 	r := New(Config{Shards: 4, RingLen: 32})
@@ -166,60 +141,11 @@ func TestTablesSectionRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTablesSectionRejectsCorruption: every structural lie in the tables
-// section is an error that leaves the jobs as they were.
-func TestTablesSectionRejectsCorruption(t *testing.T) {
-	job := func(n int64) JobStateExport { return JobStateExport{ID: 4, Acc: stats.AccumState{N: n}} }
-	entry := func(shift byte, table []stats.ValueCount) []byte {
-		enc, _ := block.AppendTable(nil, table)
-		b := binary.LittleEndian.AppendUint32([]byte{shift}, uint32(len(enc)))
-		return append(b, enc...)
-	}
-	section := func(count uint64, entries ...[]byte) []byte {
-		b := binary.AppendUvarint(nil, count)
-		for _, e := range entries {
-			b = append(b, e...)
-		}
-		return b
-	}
-	ok := entry(0, []stats.ValueCount{{V: 1500, N: 2}, {V: 1502, N: 1}})
-	for name, tc := range map[string]struct {
-		in   []byte
-		n    int64
-		want string
-	}{
-		"count mismatch":      {section(2, ok), 3, "bad table count"},
-		"cut short":           {section(1, ok[:3]), 3, "cut short"},
-		"table over bytes":    {section(1, ok[:len(ok)-1]), 3, "bytes left"},
-		"counts off":          {section(1, ok), 4, "value table counts 3 samples"},
-		"no table":            {section(1, entry(0, nil)), 3, "no table for 3 samples"},
-		"fractional bucket":   {section(1, entry(0, []stats.ValueCount{{V: 150.5, N: 3}})), 3, "in bucket 150.5"},
-		"span over the cap":   {section(1, entry(1, []stats.ValueCount{{V: 10, N: 1}, {V: 10 + MaxTableBuckets, N: 2}})), 3, "buckets"},
-		"count past a uint32": {section(1, entry(0, []stats.ValueCount{{V: 1, N: 1 << 32}})), 1 << 32, "samples in bucket"},
-		"trailing bytes":      {append(section(1, ok), 0), 3, "after the last table"},
-	} {
-		st := &StoreState{Jobs: []JobStateExport{job(tc.n)}}
-		err := st.DecodeTables(tc.in)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %v, want one containing %q", name, err, tc.want)
-		}
-		if st.Jobs[0].Table != nil {
-			t.Errorf("%s: a rejected section left a table behind", name)
-		}
-	}
-	st := &StoreState{Jobs: []JobStateExport{job(3)}}
-	if err := st.DecodeTables(section(1, ok)); err != nil || st.Jobs[0].Table.Lo != 1500 || len(st.Jobs[0].Table.Counts) != 3 {
-		t.Fatalf("a good section: %v, table %+v", err, st.Jobs[0].Table)
-	}
-
-	// Where the buckets lie, and what they add up to, is checked against
-	// the job on restore, for a table from the section or from JSON.
-	past := &StoreState{Jobs: []JobStateExport{job(3)}}
-	if err := past.DecodeTables(section(1, entry(0, []stats.ValueCount{{V: maxCode, N: 3}}))); err != nil {
-		t.Fatalf("a section with a bucket past the codes: %v", err)
-	}
+// TestTableFromStateRejectsCorruption: where a table's buckets lie, and
+// what they add up to, is checked against the job on restore.
+func TestTableFromStateRejectsCorruption(t *testing.T) {
 	for name, tc := range map[string]*TableState{
-		"bucket past codes":          past.Jobs[0].Table,
+		"bucket past codes":          {Lo: maxCode, Counts: []uint32{3}},
 		"bucket past codes at shift": {Shift: 1, Lo: maxCode >> 1, Counts: []uint32{3}},
 		"shift past":                 {Shift: 60, Counts: []uint32{3}},
 		"negative lo":                {Lo: -1, Counts: []uint32{3}},
@@ -228,5 +154,8 @@ func TestTablesSectionRejectsCorruption(t *testing.T) {
 		if _, err := tableFromState(tc, 3); err == nil {
 			t.Errorf("%s: table %+v restored", name, tc)
 		}
+	}
+	if _, err := tableFromState(&TableState{Lo: 1500, Counts: []uint32{2, 0, 1}}, 3); err != nil {
+		t.Errorf("a good table: %v", err)
 	}
 }

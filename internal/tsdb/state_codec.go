@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"hpcpower/internal/block"
-	"hpcpower/internal/stats"
 )
 
 // Binary form of StoreState.Nodes — the rings, which are all but a few
@@ -169,77 +168,6 @@ func (st *StoreState) decodeRings(nodes []NodeState, chunks [][]byte) error {
 			j += n
 		}
 		nodes[i].Points, nodes[i].sinceLate = pts, len(pts)-late
-	}
-	return nil
-}
-
-// Binary form of every job's Table, the section after the rings in a
-// version-2 snapshot image (version 3 writes each table inside its job):
-//
-//	uvarint jobCount
-//	jobCount × { u8 shift, u32le tableLen, table }
-//
-// in the order of st.Jobs. table is an internal/block value table
-// (block.AppendTable) over the buckets in use, each bucket's index as its
-// value: integers, so the codec's scale is 0 and an entry is a one-byte
-// delta and a count of one to three bytes.
-
-// DecodeTables parses a tables section into the Table of each of st.Jobs,
-// which must already hold the jobs it was written for. A table's counts
-// must add up to its job's samples, its values must be integers spanning
-// at most MaxTableBuckets, and nothing may follow the last table;
-// arbitrary bytes yield an error, never a panic, and leave st.Jobs as
-// they were.
-func (st *StoreState) DecodeTables(b []byte) error {
-	count, n := binary.Uvarint(b)
-	if n <= 0 || count != uint64(len(st.Jobs)) {
-		return fmt.Errorf("tsdb: tables section: bad table count for %d jobs", len(st.Jobs))
-	}
-	b = b[n:]
-	tables := make([]*TableState, len(st.Jobs))
-	var entries []stats.ValueCount
-	for i := range tables {
-		id := st.Jobs[i].ID
-		if len(b) < 5 {
-			return fmt.Errorf("tsdb: tables section: job %d is cut short", id)
-		}
-		t := &TableState{Shift: b[0]}
-		tableLen := binary.LittleEndian.Uint32(b[1:])
-		b = b[5:]
-		if uint64(tableLen) > uint64(len(b)) {
-			return fmt.Errorf("tsdb: tables section: job %d claims a %d-byte table, %d bytes left", id, tableLen, len(b))
-		}
-		samples := st.Jobs[i].Acc.N
-		var err error
-		entries, err = block.DecodeTable(entries, b[:tableLen], uint64(samples))
-		b = b[tableLen:]
-		switch {
-		case err != nil:
-			return fmt.Errorf("tsdb: tables section: job %d: %w", id, err)
-		case len(entries) == 0 && samples != 0:
-			return fmt.Errorf("tsdb: tables section: job %d has no table for %d samples", id, samples)
-		case len(entries) > 0:
-			// The span bounds the allocation; where the buckets lie is
-			// tableFromState's to check, as for a table from JSON.
-			lo, hi := entries[0].V, entries[len(entries)-1].V
-			if !(hi-lo < MaxTableBuckets) {
-				return fmt.Errorf("tsdb: tables section: job %d: buckets %v to %v", id, lo, hi)
-			}
-			t.Lo, t.Counts = int64(lo), make([]uint32, int64(hi-lo)+1)
-			for _, e := range entries {
-				if e.V != math.Trunc(e.V) || e.N > math.MaxUint32 {
-					return fmt.Errorf("tsdb: tables section: job %d: %d samples in bucket %v", id, e.N, e.V)
-				}
-				t.Counts[int64(e.V)-t.Lo] = uint32(e.N)
-			}
-		}
-		tables[i] = t
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("tsdb: tables section: %d bytes after the last table", len(b))
-	}
-	for i, t := range tables {
-		st.Jobs[i].Table = t
 	}
 	return nil
 }

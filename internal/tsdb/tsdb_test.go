@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -107,10 +108,7 @@ func testJobPowerMatchesOffline(t *testing.T, onGrid bool) {
 	if !ok {
 		t.Fatal("job 42 not found")
 	}
-	var acc stats.Accumulator
-	for _, w := range all {
-		acc.Add(w)
-	}
+	mean, maxW := stats.Mean(all), slices.Max(all)
 	if st.Samples != int64(len(all)) || st.Nodes != nodes {
 		t.Fatalf("samples=%d nodes=%d", st.Samples, st.Nodes)
 	}
@@ -120,15 +118,15 @@ func testJobPowerMatchesOffline(t *testing.T, onGrid bool) {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
-	close("mean", st.MeanW, acc.Mean(), 1e-9)
-	close("std", st.StdW, acc.Std(), 1e-9)
-	close("min", st.MinW, acc.Min(), 0)
-	close("max", st.MaxW, acc.Max(), 0)
-	wantOvershoot := 100 * (acc.Max() - acc.Mean()) / acc.Mean()
+	close("mean", st.MeanW, mean, 1e-9)
+	close("std", st.StdW, stats.Std(all), 1e-9)
+	close("min", st.MinW, slices.Min(all), 0)
+	close("max", st.MaxW, maxW, 0)
+	wantOvershoot := 100 * (maxW - mean) / mean
 	close("overshoot", st.PeakOvershootPct, wantOvershoot, 1e-9)
 	// Every minute has spread exactly 3·(nodes−1) = 6 W.
 	close("spatial spread", st.AvgSpatialSpreadW, 6, 1e-9)
-	close("spread pct", st.SpatialSpreadPct, 100*6/acc.Mean(), 1e-9)
+	close("spread pct", st.SpatialSpreadPct, 100*6/mean, 1e-9)
 	if st.FirstUnix != base || st.LastUnix != base+int64(60*(mins-1)) {
 		t.Errorf("window [%d, %d]", st.FirstUnix, st.LastUnix)
 	}
@@ -170,12 +168,12 @@ func TestIdleSamplesSkipJobAnalytics(t *testing.T) {
 
 func TestSummarizeMergesShards(t *testing.T) {
 	s := New(Config{Shards: 8, RingLen: 64})
-	var exact stats.Accumulator
+	var all []float64
 	var batch []trace.PowerSample
 	for n := 0; n < 50; n++ {
 		for m := 0; m < 10; m++ {
 			w := float64(80 + n + m)
-			exact.Add(w)
+			all = append(all, w)
 			batch = append(batch, sample(n, uint64(n%5+1), int64(60000+60*m), w))
 		}
 	}
@@ -183,13 +181,13 @@ func TestSummarizeMergesShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := s.Summarize()
-	if sum.Samples != exact.N() || sum.Nodes != 50 || sum.Jobs != 5 {
+	if sum.Samples != int64(len(all)) || sum.Nodes != 50 || sum.Jobs != 5 {
 		t.Fatalf("summary = %+v", sum)
 	}
-	if math.Abs(sum.MeanW-exact.Mean()) > 1e-9 || math.Abs(sum.StdW-exact.Std()) > 1e-9 {
-		t.Errorf("merged moments %v/%v, want %v/%v", sum.MeanW, sum.StdW, exact.Mean(), exact.Std())
+	if math.Abs(sum.MeanW-stats.Mean(all)) > 1e-9 || math.Abs(sum.StdW-stats.Std(all)) > 1e-9 {
+		t.Errorf("merged moments %v/%v, want %v/%v", sum.MeanW, sum.StdW, stats.Mean(all), stats.Std(all))
 	}
-	if sum.MinW != exact.Min() || sum.MaxW != exact.Max() {
+	if sum.MinW != slices.Min(all) || sum.MaxW != slices.Max(all) {
 		t.Errorf("merged extrema [%v, %v]", sum.MinW, sum.MaxW)
 	}
 }
