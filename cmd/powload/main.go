@@ -71,19 +71,37 @@ func main() {
 		samples = samples[:*maxSamples]
 	}
 
-	// Pre-slice the batches; each shipper stamps and marshals on delivery
-	// (the stamp is per-agent, so bodies cannot be shared across pushers).
-	var batches [][]trace.PowerSample
-	for off := 0; off < len(samples); off += *batchSize {
-		end := off + *batchSize
-		if end > len(samples) {
-			end = len(samples)
+	// Each pusher ships whole jobs, the least loaded taking the next one,
+	// in batches pre-sliced from its stream: a job's readings then arrive
+	// in the order they were taken, as from an agent in front of the
+	// job's nodes, and none comes behind its trend (powserved's
+	// powserved_job_late_samples_total). Each shipper stamps and marshals
+	// on delivery (the stamp is per-agent, so bodies cannot be shared).
+	streams := make([][]trace.PowerSample, *concurrency)
+	for at := 0; at < len(samples); {
+		end := at + 1
+		for end < len(samples) && samples[end].JobID == samples[at].JobID {
+			end++
 		}
-		batches = append(batches, samples[off:end])
+		w := 0
+		for i := range streams {
+			if len(streams[i]) < len(streams[w]) {
+				w = i
+			}
+		}
+		streams[w] = append(streams[w], samples[at:end]...)
+		at = end
+	}
+	batches, nBatches := make([][][]trace.PowerSample, *concurrency), 0
+	for w, stream := range streams {
+		for off := 0; off < len(stream); off += *batchSize {
+			batches[w] = append(batches[w], stream[off:min(off+*batchSize, len(stream))])
+		}
+		nBatches += len(batches[w])
 	}
 	base := strings.TrimSuffix(*addr, "/")
 	fmt.Printf("powload: %d samples in %d batches of ≤%d against %s\n",
-		len(samples), len(batches), *batchSize, base)
+		len(samples), nBatches, *batchSize, base)
 
 	ctx := context.Background()
 	client := &http.Client{Timeout: 30 * time.Second}
@@ -91,7 +109,6 @@ func main() {
 	// shippers never serialize on latency accounting (the sorted-slice
 	// approach this replaces took a mutex per request).
 	latency := obs.NewHistogram(obs.DefaultLatencyBuckets)
-	var next atomic.Int64
 	// Overload accounting: raw 429 answers seen on the wire (the server
 	// shedding), complementing the shippers' shed/degraded wait counters.
 	var resp429 atomic.Int64
@@ -132,15 +149,11 @@ func main() {
 		go func(w int) {
 			defer wg.Done()
 			sh := shippers[w]
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(batches) {
-					return
-				}
+			for _, b := range batches[w] {
 				if pace != nil {
-					pace(len(batches[i]))
+					pace(len(b))
 				}
-				sh.Enqueue(batches[i])
+				sh.Enqueue(b)
 				if err := sh.Flush(ctx); err != nil {
 					fatal(fmt.Errorf("pusher %d: %w", w, err))
 				}
@@ -176,10 +189,17 @@ func main() {
 		total.Retries, total.Redeliveries, total.Duplicates, total.BreakerOpens)
 	// Batches the server's single-pass decoder handed to encoding/json:
 	// anything but 0 means some sender left the canonical wire form.
-	if n, err := scrapeCounter(client, base, "powserved_ingest_decode_fallback_total"); err == nil {
-		fmt.Printf("powload: server decode fallbacks %d\n", n)
-	} else {
-		fmt.Printf("powload: server decode fallbacks unknown (%v)\n", err)
+	// Late samples missed their job's anomaly trend: anything but 0
+	// means the pushers did not keep each job's readings in time order.
+	for _, c := range [...]struct{ what, name string }{
+		{"decode fallbacks", "powserved_ingest_decode_fallback_total"},
+		{"late samples", "powserved_job_late_samples_total"},
+	} {
+		if n, err := scrapeCounter(client, base, c.name); err == nil {
+			fmt.Printf("powload: server %s %d\n", c.what, n)
+		} else {
+			fmt.Printf("powload: server %s unknown (%v)\n", c.what, err)
+		}
 	}
 	// Goodput is the acknowledged-sample rate over the whole run,
 	// including time spent waiting out 429/503 windows.

@@ -1,10 +1,12 @@
-package anomaly
+package anomaly_test
 
 import (
 	"testing"
 
+	"hpcpower/internal/anomaly"
 	"hpcpower/internal/gen"
 	"hpcpower/internal/trace"
+	"hpcpower/internal/tsdb"
 )
 
 // TestDefaultRulesZeroFalsePositives is the false-positive bound from
@@ -13,7 +15,8 @@ import (
 // control) through the default rule set fires nothing. Every job in
 // that dataset is healthy by construction — phased, noisy, and inside
 // the paper's overshoot envelope — so any alert here is a detector
-// threshold regression.
+// threshold regression. The fingerprints are a tsdb store's, so a
+// multi-node job's trend folds its minutes as it does in powserved.
 func TestDefaultRulesZeroFalsePositives(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset synthesis is seconds of work; skipped in -short")
@@ -26,13 +29,25 @@ func TestDefaultRulesZeroFalsePositives(t *testing.T) {
 	if len(samples) == 0 {
 		t.Fatal("generator returned no retained series")
 	}
-	h := newHarness(t, Config{})
-	// Feed in the shipper's batch size and order.
-	h.feed(samples, 512, "clean")
+	store := tsdb.New(tsdb.Config{})
+	eng := anomaly.NewEngine(anomaly.Config{Lookup: store.JobFingerprint})
+	defer eng.Close()
+	// Feed in the shipper's batch size and order: store first, then the
+	// engine, as the serving layer does.
+	for off := 0; off < len(samples); off += 512 {
+		batch := samples[off:min(off+512, len(samples))]
+		if err := store.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+		eng.ObserveBatch(batch, "clean")
+	}
+	if n := store.LateSamples(); n != 0 {
+		t.Fatalf("%d of %d samples came late: the trend did not see the workload", n, len(samples))
+	}
 
-	if evs := h.eng.Events(Filter{Node: -1}); len(evs) != 0 {
+	if evs := eng.Events(anomaly.Filter{Node: -1}); len(evs) != 0 {
 		for _, ev := range evs {
-			fp, _ := h.eng.Fingerprint(ev.Job)
+			fp, _ := eng.Fingerprint(ev.Job)
 			t.Errorf("false positive: %s %s job %d (value %.3f threshold %.3f) fp={n %d relstd %.4f overshoot %.1f%% runlen %d drift %.3f}",
 				ev.Type, ev.Rule, ev.Job, ev.Value, ev.Threshold,
 				fp.N, fp.RelStdFast(), fp.OvershootPct(), fp.RunLen, fp.DriftFrac())
@@ -40,7 +55,7 @@ func TestDefaultRulesZeroFalsePositives(t *testing.T) {
 		t.Fatalf("fault-free workload produced %d alert events, want 0 (%d jobs, %d samples)",
 			len(evs), len(ds.Series), len(samples))
 	}
-	st := h.eng.Snapshot()
+	st := eng.Snapshot()
 	if st.Samples != int64(len(samples)) || st.Evals == 0 {
 		t.Fatalf("engine did not observe the workload: %+v", st)
 	}

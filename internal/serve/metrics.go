@@ -293,10 +293,12 @@ func collectSortPaths(e *obs.Exposition) {
 }
 
 // collectJobs emits how many jobs answer their median and p95 from a
-// coarse count table.
+// coarse count table, and how many samples came too late for a trend.
 func (s *Server) collectJobs(e *obs.Exposition) {
 	e.Help("powserved_job_quantiles_coarse", "Jobs held whose median_w and p95_w are within half a bucket rather than exact: a reading off the 0.1 W grid, or readings spanning more than 204.8 W, coarsened the job's count table.")
 	e.Gauge("powserved_job_quantiles_coarse", float64(s.store.CoarseJobs()))
+	e.Help("powserved_job_late_samples_total", "Samples applied for a job minute more than 2 minutes behind the newest minute of the job seen: counted in every analytic but the anomaly trend.")
+	e.Counter("powserved_job_late_samples_total", float64(s.store.LateSamples()))
 }
 
 // breakerStateValue encodes the reported breaker state as a numeric

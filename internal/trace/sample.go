@@ -32,7 +32,7 @@ func (s PowerSample) Validate() error {
 		return fmt.Errorf("trace: sample has negative power %v", s.PowerW)
 	case math.IsNaN(s.PowerW) || math.IsInf(s.PowerW, 1):
 		// NaN is not < 0, so it needs a case of its own: it would poison
-		// the Welford moments and every sort downstream, and the record
+		// the moments' extremes and every sort downstream, and the record
 		// codec cannot write it.
 		return fmt.Errorf("trace: sample has non-finite power %v", s.PowerW)
 	}
@@ -75,26 +75,32 @@ func (b SampleBatch) Validate() error {
 }
 
 // FlattenSeries converts a dataset's time-resolved node series into the
-// wire samples an agent would have pushed live. Per-job node indices are
-// offset by a running base so different jobs do not collide on node 0
-// (a dataset does not record physical node placement).
+// wire samples an agent would have pushed live: job by job, and within a
+// job minute by minute, each minute's readings in node order, as the
+// job's nodes report them. Per-job node indices are offset by a running
+// base so different jobs do not collide on node 0 (a dataset does not
+// record physical node placement).
 func FlattenSeries(d *Dataset) []PowerSample {
 	var out []PowerSample
 	base := 0
 	for _, id := range sortedSeriesIDs(d) {
-		for _, ns := range d.Series[id] {
-			for i, pw := range ns.Power {
+		series := d.Series[id]
+		for i, more := 0, true; more; i++ {
+			more = false
+			for _, ns := range series {
+				if i >= len(ns.Power) {
+					continue
+				}
+				more = true
 				out = append(out, PowerSample{
 					Node:   base + ns.Node,
 					JobID:  ns.JobID,
 					Unix:   ns.Start.Add(sampleOffset(i)).Unix(),
-					PowerW: pw,
+					PowerW: ns.Power[i],
 				})
 			}
 		}
-		if n := len(d.Series[id]); n > 0 {
-			base += n
-		}
+		base += len(series)
 	}
 	return out
 }
