@@ -82,8 +82,7 @@ const replayBatch = 512
 // and compacts, and collects the live input — the same code path a
 // powserved instance runs, minus HTTP. ringLen must be the -ring of the
 // powserved instance being compared against: the sample distribution
-// covers exactly the retained points. (JobStats are order-dependent
-// streams, so that server also needs a single-pusher loader.)
+// covers exactly the retained points.
 func Replay(ds *trace.Dataset, system string, nodeTDPW float64, ringLen int) (core.LiveInput, error) {
 	samples := trace.FlattenSeries(ds)
 	if len(samples) == 0 {

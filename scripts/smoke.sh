@@ -75,6 +75,10 @@ curl -sf "$base/metrics" | grep -q "powserved_samples_ingested_total" || {
 # have taken the single-pass decoder, none the encoding/json fallback.
 curl -sf "$base/metrics" | grep -qx "powserved_ingest_decode_fallback_total 0" || {
     echo "smoke: powload batches fell back to encoding/json"; exit 1; }
+# Each pusher ships whole jobs in time order, so no sample missed its
+# job's anomaly trend.
+curl -sf "$base/metrics" | grep -qx "powserved_job_late_samples_total 0" || {
+    echo "smoke: powload sent samples behind their jobs' trends"; exit 1; }
 
 echo "smoke: graceful shutdown"
 kill -TERM $server_pid
