@@ -103,7 +103,12 @@ bench-wal:
 # apply lock is held, SnapshotEncode the CPU a snapshot costs after
 # that, SnapshotDecode the decode share of a clean restart (the binary
 # image, its rings Gorilla-decoded into slices of their own point counts),
-# RecoverClean the whole restart. Both run on one core and on two: on two,
+# RecoverClean the whole restart over that snapshot and, as on the
+# recover-clean image, an active WAL segment of 300 records (7 MB): /clean
+# covers all of them, so replay reads nothing after the log's open scan
+# (about 20 ms on two cores; about 24 ms when replay re-reads the
+# covered segment), /half covers 150, so replay seeks past them and
+# applies the rest (about 41 ms). Both run on one core and on two: on two,
 # the jobs section decodes beside the ring workers, so -2 reads well
 # below -1 unless that overlap is gone.
 # RecoverCrash is the other restart, a replay of 1,000 records x 512

@@ -330,9 +330,10 @@ func main() {
 			snap = fmt.Sprintf("snapshot lsn %d (%d bytes, loaded in %s)",
 				rep.SnapshotLSN, rep.SnapshotBytes, rep.SnapshotLoad.Round(time.Millisecond))
 		}
-		fmt.Printf("powserved: recovered %s in %s%s: %s, %d records (%d samples) replayed, %d tombstoned, %d decode errors, %d bytes truncated\n",
-			*dataDir, rep.Duration.Round(time.Millisecond), stale, snap,
-			rep.RecordsReplayed, rep.SamplesReplayed, rep.Tombstoned, rep.DecodeErrors, rep.TruncatedBytes)
+		fmt.Printf("powserved: recovered %s in %s%s: %s, wal opened in %s, %d records (%d samples) replayed in %s, %d skipped, %d tombstoned, %d decode errors, %d bytes truncated\n",
+			*dataDir, rep.Duration.Round(time.Millisecond), stale, snap, rep.WALOpen.Round(time.Millisecond),
+			rep.RecordsReplayed, rep.SamplesReplayed, rep.Replay.Round(time.Millisecond),
+			rep.RecordsSkipped, rep.Tombstoned, rep.DecodeErrors, rep.TruncatedBytes)
 	} else {
 		srv = serve.New(store, bdt, cfg)
 	}

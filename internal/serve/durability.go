@@ -117,12 +117,14 @@ type RecoveryReport struct {
 	SnapshotLSN      uint64
 	SnapshotsSkipped int           // corrupt or other-version snapshot files skipped over
 	SnapshotBytes    int           // payload size of the snapshot that was loaded
-	SnapshotLoad     time.Duration // its read + decode + install; Duration − SnapshotLoad is WAL open + replay
+	SnapshotLoad     time.Duration // its read + decode + install
+	WALOpen          time.Duration // wal.Open's scan: every frame read and CRC-checked once
+	Replay           time.Duration // reading, decoding and applying the records past the snapshot
 	StaleLock        bool
 	RecordsReplayed  int64
 	SamplesReplayed  int64
-	RecordsSkipped   int64 // already in the snapshot (LSN gate)
-	Tombstoned       int64 // cancelled by a tombstone
+	RecordsSkipped   int64 // in the snapshot: the LSNs on disk it covers, counted unread, plus the extras replay reads
+	Tombstoned       int64 // read by replay and found cancelled
 	DecodeErrors     int64
 	TruncatedBytes   int64
 	DroppedSegments  int
@@ -309,18 +311,19 @@ func (s *Server) scanWALBody(body []byte, dst []trace.PowerSample) (_ trace.WALR
 // at the pace of the slower stage, not of the hand-off.
 const replayBuffers = 4
 
-// replay applies every data record past the snapshot frontier, in LSN
-// order — the order the live server applied them — and returns the
-// highest primary LSN a replayed record carried. Dedup marks are
-// re-recorded but never gate replay: a mark captured in the snapshot may
-// belong to a record that was still in flight at capture time, and
-// skipping it here would lose acknowledged data.
+// replay applies every data record past covered — the snapshot's
+// watermark and the extras that directly follow it — in LSN order, the
+// order the live server applied them, and returns the highest primary
+// LSN a replayed record carried. It reads nothing at or below covered.
+// Dedup marks are re-recorded but never gate replay: a mark captured in
+// the snapshot may belong to a record that was still in flight at
+// capture time, and skipping it here would lose acknowledged data.
 //
-// It is a two-stage pipeline: the log.Replay callback reads, filters and
-// decodes; one consumer goroutine (applyReplayed) stamps and folds in
+// It is a two-stage pipeline: the log.ReplayFrom callback reads, filters
+// and decodes; one consumer goroutine (applyReplayed) stamps and folds in
 // channel order, which is LSN order. The consumer has exited by the time
 // replay returns, with an error or without.
-func (s *Server) replay(log *wal.Log, img *snapshotImage, rep *RecoveryReport) (maxPLSN uint64, err error) {
+func (s *Server) replay(log *wal.Log, img *snapshotImage, covered uint64, rep *RecoveryReport) (maxPLSN uint64, err error) {
 	applied := make(map[uint64]struct{}, len(img.Extras))
 	for _, e := range img.Extras {
 		applied[e] = struct{}{}
@@ -339,16 +342,12 @@ func (s *Server) replay(log *wal.Log, img *snapshotImage, rep *RecoveryReport) (
 		defer close(done)
 		s.applyReplayed(decoded, free, &folded)
 	}()
-	err = log.Replay(func(lsn uint64, typ wal.RecordType, body []byte) error {
+	err = log.ReplayFrom(covered+1, func(lsn uint64, typ wal.RecordType, body []byte) error {
 		if typ != wal.RecordData {
 			return nil
 		}
 		if log.Cancelled(lsn) {
 			rep.Tombstoned++
-			return nil
-		}
-		if lsn <= img.AppliedLSN {
-			rep.RecordsSkipped++
 			return nil
 		}
 		if _, ok := applied[lsn]; ok {
@@ -467,6 +466,7 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 			floor = e
 		}
 	}
+	opened := time.Now()
 	log, err := wal.Open(d.cfg.Dir, wal.Options{
 		SegmentBytes: d.cfg.SegmentBytes,
 		Policy:       d.cfg.Policy,
@@ -483,6 +483,7 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 		return nil, fmt.Errorf("serve: opening wal: %w", err)
 	}
 	d.log = log
+	rep.WALOpen = time.Since(opened)
 
 	// The log must pick up where the image leaves off. A newer snapshot
 	// skipped as corrupt may have reaped the segments in between, and a
@@ -500,12 +501,22 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 			first, covered, covered+1, first-1, len(skipped))
 	}
 
+	// What the snapshot covers is skipped unread, counted from the LSNs:
+	// every one from first to covered is on disk unless the log ends
+	// below the snapshot (Open then starts a new segment past floor).
+	st := log.Stats()
+	if covered >= first {
+		rep.RecordsSkipped = min(int64(covered-first+1), st.RecoveredRecords)
+	}
+
 	// A tombstone cancels an earlier record, so all of them must be known
 	// before anything is applied; the log's open scan has already read them.
-	maxPLSN, err := s.replay(log, img, &rep)
+	replayed := time.Now()
+	maxPLSN, err := s.replay(log, img, covered, &rep)
 	if err != nil {
 		return nil, fmt.Errorf("serve: wal replay: %w", err)
 	}
+	rep.Replay = time.Since(replayed)
 	if rep.DecodeErrors > 0 {
 		s.metrics.logger.Warn("recovery dropped wal records that passed their CRC: acknowledged data is missing from the recovered state",
 			slog.Int64("records", rep.DecodeErrors))
@@ -538,7 +549,6 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	storeMax(&rs.replApplied, ra)
 	rs.setBootExtras(img.ReplExtras)
 
-	st := log.Stats()
 	rep.TruncatedBytes = st.TruncatedBytes
 	rep.DroppedSegments = st.DroppedSegments
 	rep.Duration = time.Since(start)
@@ -688,7 +698,9 @@ func (d *durability) collect(e *obs.Exposition) {
 		e.Gauge("powserved_recovery_snapshot_seconds", rep.SnapshotLoad.Seconds())
 		e.Gauge("powserved_recovery_records_replayed", float64(rep.RecordsReplayed))
 		e.Gauge("powserved_recovery_samples_replayed", float64(rep.SamplesReplayed))
+		e.Help("powserved_recovery_records_skipped", "WAL records the snapshot already held: the LSNs on disk it covers, counted without reading them, plus its out-of-order extras that replay read.")
 		e.Gauge("powserved_recovery_records_skipped", float64(rep.RecordsSkipped))
+		e.Help("powserved_recovery_tombstoned", "Records past the snapshot that replay read and found cancelled by a tombstone.")
 		e.Gauge("powserved_recovery_tombstoned", float64(rep.Tombstoned))
 		e.Help("powserved_recovery_decode_errors", "CRC-valid WAL records the last recovery could not decode or the store refused: acknowledged data missing from the recovered state.")
 		e.Gauge("powserved_recovery_decode_errors", float64(rep.DecodeErrors))

@@ -2,12 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -239,16 +241,14 @@ func TestReplayMatchesLiveControl(t *testing.T) {
 	}
 }
 
-// TestRestartReadsTheLogTwice: NewDurable + Recover open and read every
-// segment twice — the open scan and the replay — and no third time for
-// the tombstones.
-func TestRestartReadsTheLogTwice(t *testing.T) {
-	fx := buildReplayFixture(t, 512)
-	segs, err := filepath.Glob(filepath.Join(fx.dir, "wal-*.seg"))
-	if err != nil || len(segs) < 4 {
-		t.Fatalf("%d segments (%v), want at least 4", len(segs), err)
+// walSegments answers the data directory's WAL segment files, oldest
+// first, and their total size.
+func walSegments(t *testing.T, dir string) (segs []string, onDisk int64) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var onDisk int64
 	for _, seg := range segs {
 		st, err := vfs.OS.Stat(seg)
 		if err != nil {
@@ -256,14 +256,164 @@ func TestRestartReadsTheLogTwice(t *testing.T) {
 		}
 		onDisk += st.Size()
 	}
-	reads := &segmentReads{FS: vfs.OS}
-	recoverFixture(t, fx, reads)
-	if got, want := reads.opens.Load(), int64(2*len(segs)); got != want {
-		t.Errorf("%d opens of %d segment files, want %d", got, len(segs), want)
+	return segs, onDisk
+}
+
+// frameOffsets answers where each frame of a WAL segment starts, in LSN
+// order: after the 16-byte header, each frame is its 4-byte body length,
+// a 4-byte CRC, a type byte and the body.
+func frameOffsets(t *testing.T, seg string) []int64 {
+	t.Helper()
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := reads.bytes.Load(); got != 2*onDisk {
-		t.Errorf("read %d bytes of a %d-byte log, want %d", got, onDisk, 2*onDisk)
+	var offs []int64
+	for off := int64(16); off < int64(len(data)); off += 9 + int64(binary.LittleEndian.Uint32(data[off:])) {
+		offs = append(offs, off)
 	}
+	return offs
+}
+
+// wideBatches are n batches of one agent, 64 nodes each, a minute apart:
+// ≈ 3 KB records, so half a segment of them is many index strides long.
+func wideBatches(n int) []trace.SampleBatch {
+	out := make([]trace.SampleBatch, n)
+	for b := range out {
+		samples := make([]trace.PowerSample, 64)
+		for i := range samples {
+			samples[i] = trace.PowerSample{Node: i, JobID: uint64(i/16 + 1), Unix: 1_700_000_040 + int64(b)*60, PowerW: float64(1500+(b*7+i*13)%900) / 10}
+		}
+		out[b] = trace.SampleBatch{AgentID: "wide", Seq: uint64(b + 1), Samples: samples}
+	}
+	return out
+}
+
+// TestReplayStartsAtSnapshot: a restart reads no WAL record its snapshot
+// covers. wal.Open reads every segment once; the byte count past that is
+// replay's. Reads may start up to one index stride (4 KiB) before the
+// first record asked for, and that is the slack allowed here.
+func TestReplayStartsAtSnapshot(t *testing.T) {
+	const slack = 4<<10 + 16 // the WAL's index stride and a segment header
+
+	// The old fixture, in 512-byte segments: Open reads each once, replay
+	// each that holds a record past the snapshot (lsn 4 on) once more,
+	// and nothing reads a third time for the tombstones.
+	t.Run("fixture", func(t *testing.T) {
+		fx := buildReplayFixture(t, 512)
+		segs, onDisk := walSegments(t, fx.dir)
+		if len(segs) < 4 {
+			t.Fatalf("%d segments, want at least 4", len(segs))
+		}
+		wantOpens, wantBytes := int64(len(segs)), onDisk
+		for i, seg := range segs {
+			if i+1 < len(segs) {
+				var next uint64
+				if _, err := fmt.Sscanf(filepath.Base(segs[i+1]), "wal-%d.seg", &next); err != nil {
+					t.Fatal(err)
+				}
+				if next <= fixtureSnapLSN+1 {
+					continue // ends at or below the snapshot
+				}
+			}
+			st, err := vfs.OS.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantOpens++
+			wantBytes += st.Size()
+		}
+		if wantOpens == 2*int64(len(segs)) {
+			t.Fatalf("every segment holds a record past lsn %d: the fixture skips none", fixtureSnapLSN)
+		}
+		reads := &segmentReads{FS: vfs.OS}
+		recoverFixture(t, fx, reads)
+		if got := reads.opens.Load(); got != wantOpens {
+			t.Errorf("%d opens of %d segment files, want %d", got, len(segs), wantOpens)
+		}
+		if got := reads.bytes.Load(); got != wantBytes {
+			t.Errorf("read %d bytes of a %d-byte log, want %d", got, onDisk, wantBytes)
+		}
+	})
+
+	// A clean shutdown: the final snapshot covers the whole log.
+	t.Run("clean", func(t *testing.T) {
+		dir := t.TempDir()
+		s, ts := testNode{dir: dir, quiet: true}.start(t)
+		n := sendAll(t, ts.URL, wideBatches(40))
+		waitIngested(t, s, n)
+		ts.Close()
+		s.Close()
+		segs, onDisk := walSegments(t, dir)
+		reads := &segmentReads{FS: vfs.OS}
+		s2, _ := testNode{dir: dir, quiet: true, dur: DurabilityConfig{FS: reads}}.start(t)
+		rep := s2.dur.report
+		if !rep.SnapshotFound || rep.SnapshotLSN != 40 || rep.RecordsReplayed != 0 || rep.RecordsSkipped != 40 || s2.store.Ingested() != n {
+			t.Fatalf("report %+v, %d samples; want the snapshot at lsn 40, 40 records skipped, none replayed, %d samples", rep, s2.store.Ingested(), n)
+		}
+		if opens, read := reads.opens.Load(), reads.bytes.Load(); opens != int64(len(segs)) || read != onDisk {
+			t.Errorf("%d opens and %d bytes read of %d segment(s), %d bytes: replay read %d bytes after wal.Open, want none",
+				opens, read, len(segs), onDisk, read-onDisk)
+		}
+	})
+
+	// A crash after a snapshot that covers half of the active segment:
+	// replay seeks to the first record past it. So does a follower's read
+	// from a record written before the restart.
+	t.Run("half", func(t *testing.T) {
+		dir := t.TempDir()
+		batches := wideBatches(40)
+		s, ts := testNode{dir: dir, quiet: true}.start(t)
+		n := sendAll(t, ts.URL, batches[:20])
+		waitIngested(t, s, n)
+		if lsn, _, err := s.dur.snapshotOnce(s); err != nil || lsn != 20 {
+			t.Fatalf("snapshot at lsn %d (%v), want 20", lsn, err)
+		}
+		n += sendAll(t, ts.URL, batches[20:])
+		waitIngested(t, s, n)
+		crash(t, s, ts)
+
+		segs, onDisk := walSegments(t, dir)
+		if len(segs) != 1 {
+			t.Fatalf("%d segments, want the one active segment", len(segs))
+		}
+		offs := frameOffsets(t, segs[0])
+		if len(offs) != 40 {
+			t.Fatalf("%d frames, want 40", len(offs))
+		}
+		reads := &segmentReads{FS: vfs.OS}
+		s2, _ := testNode{dir: dir, quiet: true, dur: DurabilityConfig{FS: reads}}.start(t)
+		rep := s2.dur.report
+		if rep.SnapshotLSN != 20 || rep.RecordsSkipped != 20 || rep.RecordsReplayed != 20 || s2.store.Ingested() != n {
+			t.Fatalf("report %+v, %d samples; want 20 records skipped and 20 replayed past the snapshot at lsn 20, %d samples", rep, s2.store.Ingested(), n)
+		}
+		uncovered := onDisk - offs[20]
+		if got := reads.bytes.Load() - onDisk; got < uncovered || got > uncovered+slack {
+			t.Errorf("replay read %d bytes, want the %d bytes of lsns 21–40 and at most %d more", got, uncovered, slack)
+		}
+		// The restart's stages are each timed, and within its whole.
+		if rep.SnapshotLoad <= 0 || rep.WALOpen <= 0 || rep.Replay <= 0 || rep.SnapshotLoad+rep.WALOpen+rep.Replay > rep.Duration {
+			t.Errorf("snapshot load %v + wal open %v + replay %v, recovery %v: want each set and their sum within it",
+				rep.SnapshotLoad, rep.WALOpen, rep.Replay, rep.Duration)
+		}
+
+		reads.bytes.Store(0)
+		const from = 10 // written before the restart
+		next := uint64(from)
+		err := s2.dur.log.ReadRange(from, 40, func(lsn uint64, typ wal.RecordType, _ []byte) error {
+			if lsn != next || typ != wal.RecordData {
+				return fmt.Errorf("read lsn %d type %d, want lsn %d data", lsn, typ, next)
+			}
+			next++
+			return nil
+		})
+		if err != nil || next != 41 {
+			t.Fatalf("ReadRange(%d, 40) stopped before lsn %d: %v", from, next, err)
+		}
+		if want := onDisk - offs[from-1]; reads.bytes.Load() > want+slack {
+			t.Errorf("ReadRange(%d, 40) read %d bytes, want the %d bytes of lsns %d–40 and at most %d more", from, reads.bytes.Load(), want, from, slack)
+		}
+	})
 }
 
 // TestReplayReadErrorJoinsConsumer: reads start failing with EIO during
@@ -280,12 +430,16 @@ func TestReplayReadErrorJoinsConsumer(t *testing.T) {
 	}
 	// The consumer is held on lsn 4, so the decoder gets as far as its
 	// replayBuffers records reach — lsn 11 — and the segment that fails
-	// must start no later than that.
-	failing, failingFirst := 0, uint64(0)
+	// must start no later than that. Replay opens the segments from the
+	// one holding lsn 4, the first past the snapshot, on.
+	replayFirst, failing, failingFirst := 0, 0, uint64(0)
 	for i, seg := range segs {
 		var first uint64
 		if _, err := fmt.Sscanf(filepath.Base(seg), "wal-%d.seg", &first); err != nil {
 			t.Fatal(err)
+		}
+		if first <= 4 {
+			replayFirst = i
 		}
 		if first > 4 && first <= 11 {
 			failing, failingFirst = i, first
@@ -304,7 +458,7 @@ func TestReplayReadErrorJoinsConsumer(t *testing.T) {
 		switch n {
 		case int64(len(segs) + 1):
 			hold.Store(true)
-		case int64(len(segs) + failing + 1):
+		case int64(len(segs) + failing - replayFirst + 1):
 			ffs.Configure(func(c *vfs.FaultConfig) { c.ReadErrProb = 1 })
 		}
 	}}
@@ -369,12 +523,18 @@ func sum(m map[uint64]int64) (total int64) {
 
 // writeCrashImage fills dir with what a crash leaves of the end-to-end
 // benchmark's recover-crash run: no snapshot and a WAL of 1,000 records
-// × 512 samples — two agents of 512 nodes each, one record per agent and
-// minute, jobs on runs of 16 nodes. It returns the records' total size.
+// × 512 samples. It returns the records' total size.
 func writeCrashImage(tb testing.TB, dir string) (records int, logBytes int64) {
+	return 1000, writeFleetWAL(tb, dir, 1000, 0)
+}
+
+// writeFleetWAL writes records ≈ 24 KB records of 512 samples into one
+// WAL segment in dir — two agents of 512 nodes each, one record per agent
+// and minute from minute tick0 on, jobs on runs of 16 nodes — and
+// returns their total size.
+func writeFleetWAL(tb testing.TB, dir string, records int, tick0 int64) (logBytes int64) {
 	tb.Helper()
 	const agentNodes = 512
-	records = 1000
 	log, err := wal.Open(dir, wal.Options{Policy: wal.SyncNone})
 	if err != nil {
 		tb.Fatal(err)
@@ -387,7 +547,7 @@ func writeCrashImage(tb testing.TB, dir string) (records int, logBytes int64) {
 	samples := make([]trace.PowerSample, agentNodes)
 	var body []byte
 	for r := 0; r < records; r++ {
-		agent, tick := r%2, int64(r/2)
+		agent, tick := r%2, tick0+int64(r/2)
 		for i := range samples {
 			n := agent*agentNodes + i
 			w := math.Round(level[n]*(1+0.05*src.Norm())*10) / 10
@@ -405,7 +565,7 @@ func writeCrashImage(tb testing.TB, dir string) (records int, logBytes int64) {
 	if err := log.Close(); err != nil {
 		tb.Fatal(err)
 	}
-	return records, logBytes
+	return logBytes
 }
 
 // BenchmarkRecoverCrash is a whole restart after a crash with no snapshot

@@ -609,31 +609,51 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 	})
 }
 
-// BenchmarkRecoverClean is a whole clean restart of the benchmark's
-// store: NewDurable + Recover over a data directory that holds one
-// snapshot and an empty WAL.
+// BenchmarkRecoverClean is a whole restart of the benchmark's store:
+// NewDurable + Recover over a data directory that holds one snapshot and,
+// like the end-to-end recover-clean image, an active WAL segment of 300
+// ≈ 24 KB records that continue the store in time. The snapshot covers
+// all of them ("clean", a clean shutdown: replay reads nothing) or half
+// ("half", a crash after a snapshot: replay seeks past the covered half
+// and applies 150 records).
 func BenchmarkRecoverClean(b *testing.B) {
-	_, payload := benchmarkPayload(b)
-	b.Run("binary", func(b *testing.B) {
-		dir := b.TempDir()
-		if err := wal.WriteSnapshot(dir, 500, payload); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(payload)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s, err := NewDurable(tsdb.New(tsdb.DefaultConfig()), nil, DefaultConfig(), DurabilityConfig{Dir: dir})
+	img := benchShapedImage(b)
+	const records = 300
+	for _, bc := range []struct {
+		name    string
+		covered uint64
+	}{{"clean", records}, {"half", records / 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			dir := b.TempDir()
+			writeFleetWAL(b, dir, records, 500) // the store's ticks end at 499
+			img.AppliedLSN = bc.covered
+			payload, err := encodeSnapshotImage(img)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := s.Recover(); err != nil {
+			if err := wal.WriteSnapshot(dir, bc.covered, payload); err != nil {
 				b.Fatal(err)
 			}
-			b.StopTimer()
-			crash(b, s, httptest.NewServer(s.Handler()))
-			b.StartTimer()
-		}
-	})
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := NewDurable(tsdb.New(tsdb.DefaultConfig()), nil, DefaultConfig(), DurabilityConfig{Dir: dir})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rep, err := s.Recover()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if rep.RecordsReplayed != int64(records-bc.covered) || rep.DecodeErrors != 0 {
+					b.Fatalf("replayed %d records with %d decode errors, want %d and 0", rep.RecordsReplayed, rep.DecodeErrors, records-bc.covered)
+				}
+				crash(b, s, httptest.NewServer(s.Handler()))
+				b.StartTimer()
+			}
+		})
+	}
 }
 
 // TestRecoverLogsSkippedSnapshots: newer snapshot files this build

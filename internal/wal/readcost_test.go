@@ -2,6 +2,9 @@ package wal
 
 import (
 	"io/fs"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -93,5 +96,58 @@ func TestReadRangeTailCostIsWhatItReads(t *testing.T) {
 	const budget = segHeaderSize + 2*(frameHeaderSize+bodyLen)
 	if got := cfs.read.Load(); got > budget {
 		t.Fatalf("ReadRange(last,last) on a 90%%-full %d-byte segment read %d bytes, want at most header + two frames = %d", segBytes, got, budget)
+	}
+}
+
+// TestOpenIndexesActiveSegment: Open's scan leaves the active segment
+// with the offset index its appends built, from the first record on, so
+// a reopened log seeks into records written before it opened. After a
+// torn tail it keeps the entries of the frames that survived.
+func TestOpenIndexesActiveSegment(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Policy: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		if i%7 == 3 {
+			_, err = l.AppendTombstone(uint64(i))
+		} else {
+			_, err = l.Append(make([]byte, 100+(i*397)%3000))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.mu.Lock()
+	built, size, seg := slices.Clone(l.index), l.fSize, segmentName(l.segFirst)
+	l.mu.Unlock()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(built) < 20 {
+		t.Fatalf("appends built %d index entries, want a segment many strides long", len(built))
+	}
+	reopen := func() []indexEntry {
+		t.Helper()
+		l := openTest(t, dir, Options{Policy: SyncNone})
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return slices.Clone(l.index)
+	}
+	if got := reopen(); !slices.Equal(got, built) {
+		t.Fatalf("reopened index has %d entries, appends built %d:\n got %v\nwant %v", len(got), len(built), got, built)
+	}
+
+	// Tear the tail inside the frame of the last entry.
+	cut := built[len(built)-1].off + 3
+	if cut >= size {
+		t.Fatalf("last entry at %d of %d bytes", cut-3, size)
+	}
+	if err := os.Truncate(filepath.Join(dir, seg), cut); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reopen(), built[:len(built)-1]; !slices.Equal(got, want) {
+		t.Fatalf("after a torn tail the index has %d entries, want %d", len(got), len(want))
 	}
 }

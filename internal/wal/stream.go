@@ -3,7 +3,6 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"sort"
 )
@@ -21,12 +20,11 @@ import (
 // into the buffer, but nothing past `to` is ever parsed.
 //
 // What a read costs is what it returns, not what the segment holds:
-// append keeps a sparse (LSN, byte offset) index of the active segment,
-// so streaming the tail seeks to within indexStride bytes of the first
-// record asked for. Sealed segments, and the part of the active segment
-// written before this process opened it, are not indexed and are scanned
-// from their header — a lagging follower pays that once per segment,
-// then lives in the indexed tail.
+// Open's scan and append keep a sparse (LSN, byte offset) index of the
+// active segment, so streaming the tail seeks to within indexStride
+// bytes of the first record asked for. Sealed segments are not indexed
+// and are scanned from their header — a lagging follower pays that once
+// per segment, then lives in the indexed tail.
 
 // ReapedError reports that a requested LSN has already been reaped: the
 // oldest record still on disk is First. Callers recover by bootstrapping
@@ -81,28 +79,34 @@ func (l *Log) SyncedLSN() uint64 {
 // snapshot), fn's error if fn fails, and an error if the log ends before
 // `to` — callers are expected to bound `to` by LastLSN/SyncedLSN. body
 // is only valid during fn.
-//
-// A range that starts in the indexed part of the active segment — the
-// tail a follower streams — is read from the nearest indexed frame at or
-// below `from`, without listing the directory; every other range walks
-// the segments from their headers.
 func (l *Log) ReadRange(from, to uint64, fn func(lsn uint64, typ RecordType, body []byte) error) error {
 	if from == 0 {
 		return fmt.Errorf("wal: read range from lsn 0 (lsns start at 1)")
 	}
-	if to < from {
-		return nil
+	last, err := l.readRange(from, to, fn)
+	if err == nil && last < to {
+		err = fmt.Errorf("wal: read range [%d,%d] ended early at %d", from, to, last)
 	}
-	last := from - 1 // highest LSN delivered so far
+	return err
+}
+
+// readRange is the one reader of records: it hands fn every record on
+// disk with from ≤ LSN ≤ to and returns the highest LSN it delivered
+// (below from if none). from 0 means the oldest record on disk.
+//
+// A range that starts in the active segment — the tail a follower
+// streams, or the records a restart replays past its snapshot — is read
+// from the nearest indexed frame at or below `from`, without listing the
+// directory. Any other range walks the segments from their headers,
+// opening none that ends below `from`.
+func (l *Log) readRange(from, to uint64, fn func(lsn uint64, typ RecordType, body []byte) error) (last uint64, err error) {
+	if from != 0 && to < from {
+		return from - 1, nil
+	}
 	// scan walks one segment file from byte offset off (0: from its
 	// header), whose first frame there is record lsn, and reports whether
 	// it delivered `to`.
 	scan := func(name string, off int64, lsn uint64) (done bool, err error) {
-		f, err := l.fsys.Open(filepath.Join(l.dir, name))
-		if err != nil {
-			return false, err
-		}
-		defer f.Close()
 		emit := func(typ RecordType, body []byte) error {
 			cur := lsn
 			lsn++
@@ -118,11 +122,7 @@ func (l *Log) ReadRange(from, to uint64, fn func(lsn uint64, typ RecordType, bod
 			}
 			return nil
 		}
-		if off == 0 {
-			_, _, _, err = scanSegment(f, emit)
-		} else if _, err = f.Seek(off, io.SeekStart); err == nil {
-			_, _, err = scanFramesAt(f, off, emit)
-		}
+		_, _, _, err = l.scanFile(filepath.Join(l.dir, name), off, emit)
 		if err == errStopScan {
 			return true, nil
 		}
@@ -135,30 +135,33 @@ func (l *Log) ReadRange(from, to uint64, fn func(lsn uint64, typ RecordType, bod
 	if segFirst, e, ok := l.indexSeek(from); ok {
 		// from ≥ the active segment's first LSN, so the whole range lives
 		// in that one file, whatever rotates in the meantime.
-		if done, err := scan(segmentName(segFirst), e.off, e.lsn); err != nil || done {
-			return err
-		}
-		return fmt.Errorf("wal: read range [%d,%d] ended early at %d", from, to, last)
+		last = from - 1
+		_, err := scan(segmentName(segFirst), e.off, e.lsn)
+		return last, err
 	}
 
 	names, err := listSegments(l.fsys, l.dir)
 	if err != nil {
-		return fmt.Errorf("wal: listing %s: %w", l.dir, err)
+		return 0, fmt.Errorf("wal: listing %s: %w", l.dir, err)
 	}
 	if len(names) == 0 {
-		return fmt.Errorf("wal: no segments in %s", l.dir)
+		return 0, fmt.Errorf("wal: no segments in %s", l.dir)
 	}
 	oldest, ok := firstLSNFromName(names[0])
 	if !ok {
-		return fmt.Errorf("wal: unparsable segment name %s", names[0])
+		return 0, fmt.Errorf("wal: unparsable segment name %s", names[0])
 	}
-	if from < oldest {
-		return &ReapedError{Requested: from, First: oldest}
+	switch {
+	case from == 0:
+		from = oldest
+	case from < oldest:
+		return 0, &ReapedError{Requested: from, First: oldest}
 	}
+	last = from - 1
 	for i, name := range names {
 		first, ok := firstLSNFromName(name)
 		if !ok {
-			return fmt.Errorf("wal: unparsable segment name %s", name)
+			return last, fmt.Errorf("wal: unparsable segment name %s", name)
 		}
 		if first > to {
 			break
@@ -170,13 +173,10 @@ func (l *Log) ReadRange(from, to uint64, fn func(lsn uint64, typ RecordType, bod
 			}
 		}
 		if done, err := scan(name, 0, first); err != nil || done {
-			return err
+			return last, err
 		}
 	}
-	if last < to {
-		return fmt.Errorf("wal: read range [%d,%d] ended early at %d", from, to, last)
-	}
-	return nil
+	return last, nil
 }
 
 // indexSeek returns the greatest offset-index entry at or below lsn and

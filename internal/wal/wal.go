@@ -173,14 +173,22 @@ type Log struct {
 }
 
 // indexEntry records that the frame of record lsn starts at byte off of
-// the active segment. append adds one at most every indexStride bytes,
-// so ReadRange can seek next to the records it was asked for instead of
-// scanning the segment from its header. The index is never wrong but may
-// not reach back to the segment's start (records that predate Open are
-// not indexed); a range it does not cover is scanned from the header.
+// the active segment. Open's scan and append add one at most every
+// indexStride bytes, so ReadRange can seek next to the records it was
+// asked for instead of scanning the segment from its header. The index
+// covers the active segment from its first record on.
 type indexEntry struct {
 	lsn uint64
 	off int64
+}
+
+// addIndexEntry notes the frame of record lsn at byte off, if it lies
+// indexStride bytes or more past the last entry (or is the first).
+func addIndexEntry(index []indexEntry, lsn uint64, off int64) []indexEntry {
+	if n := len(index); n == 0 || off-index[n-1].off >= indexStride {
+		index = append(index, indexEntry{lsn: lsn, off: off})
+	}
+	return index
 }
 
 // indexStride spaces index entries by bytes, not records, so a storm of
@@ -260,25 +268,35 @@ func (l *Log) recoverSegments() error {
 	expect := uint64(0) // expected firstLSN of the next segment (0 = any)
 	lastIdx := -1
 	// The scan reads and CRCs every frame anyway, so it also notes which
-	// LSNs the tombstones cancel: per segment, kept only once the segment
-	// (or its valid prefix) is known to stay in the log.
+	// LSNs the tombstones cancel and indexes the frames: per segment, kept
+	// only once the segment (or its valid prefix) is known to stay in the
+	// log. The last index kept is the active segment's, whole from its
+	// header, so a read of records written before this Open seeks too.
 	l.cancelled = map[uint64]struct{}{}
 	var cancelled []uint64
-	keepCancelled := func() {
+	var index, keptIndex []indexEntry
+	keep := func() {
 		for _, lsn := range cancelled {
 			l.cancelled[lsn] = struct{}{}
 		}
+		keptIndex, index = index, keptIndex
 	}
 	for i, name := range names {
 		path := filepath.Join(l.dir, name)
-		cancelled = cancelled[:0]
-		first, records, valid, scanErr := l.scanFile(path, func(typ RecordType, body []byte) error {
+		cancelled, index = cancelled[:0], index[:0]
+		// A segment is kept only if its header's first LSN is its name's,
+		// so the name numbers the index's records.
+		nameLSN, nameOK := firstLSNFromName(name)
+		lsn, off := nameLSN, int64(segHeaderSize)
+		first, records, valid, scanErr := l.scanFile(path, 0, func(typ RecordType, body []byte) error {
 			if typ == RecordTombstone {
 				cancelled = append(cancelled, DecodeTombstone(body))
 			}
+			index = addIndexEntry(index, lsn, off)
+			lsn++
+			off += frameHeaderSize + int64(len(body))
 			return nil
 		})
-		nameLSN, nameOK := firstLSNFromName(name)
 		mismatch := scanErr == nil &&
 			(!nameOK || nameLSN != first || (expect != 0 && first != expect))
 		if scanErr != nil || mismatch {
@@ -302,14 +320,14 @@ func (l *Log) recoverSegments() error {
 				}
 				lastIdx = i - 1
 			} else {
-				keepCancelled()
+				keep()
 				l.recoveredRecords += int64(records)
 				l.nextLSN = first + uint64(records)
 				lastIdx = i
 			}
 			break
 		}
-		keepCancelled()
+		keep()
 		l.recoveredRecords += int64(records)
 		l.nextLSN = first + uint64(records)
 		expect = first + uint64(records)
@@ -347,6 +365,7 @@ func (l *Log) recoverSegments() error {
 		l.f, l.fSize = f, size
 		first, _ := firstLSNFromName(names[lastIdx])
 		l.segFirst = first
+		l.index = keptIndex
 		l.publishSynced(l.nextLSN - 1) // everything on disk at open is as durable as it gets
 		return nil
 	}
@@ -378,16 +397,21 @@ func (l *Log) truncateAt(path string, valid int64, later []string) error {
 	return nil
 }
 
-// scanFile scans one segment file from its header. body is only valid
-// during fn.
-func (l *Log) scanFile(path string, fn func(typ RecordType, body []byte) error) (first uint64, records int, valid int64, err error) {
+// scanFile scans one segment file from byte offset off: from its header
+// (and returns the header's first LSN) when off is 0, else from the frame
+// boundary there. body is only valid during fn.
+func (l *Log) scanFile(path string, off int64, fn func(typ RecordType, body []byte) error) (first uint64, records int, valid int64, err error) {
 	f, err := l.fsys.Open(path)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	defer f.Close()
-	r := &countedReader{Reader: f}
-	first, records, valid, err = scanSegment(r, fn)
+	r := &countedReader{Reader: f, n: off}
+	if off == 0 {
+		first, records, valid, err = scanSegment(r, fn)
+	} else if _, err = f.Seek(off, io.SeekStart); err == nil {
+		records, valid, err = scanFramesAt(r, off, fn)
+	}
 	if err == nil || errors.Is(err, ErrTorn) {
 		// A scan ends, cleanly or at a torn tail, only where the file does:
 		// reads that stopped short of that failed, and must not cut the log.
@@ -400,7 +424,7 @@ func (l *Log) scanFile(path string, fn func(typ RecordType, body []byte) error) 
 	return first, records, valid, err
 }
 
-// countedReader counts the bytes it delivers.
+// countedReader counts the bytes it delivers on top of n.
 type countedReader struct {
 	io.Reader
 	n int64
@@ -527,9 +551,7 @@ func (l *Log) append(typ RecordType, body []byte) (uint64, error) {
 		l.opts.ObserveAppend(time.Since(start))
 	}
 	lsn := l.nextLSN
-	if n := len(l.index); n == 0 || l.fSize-l.index[n-1].off >= indexStride {
-		l.index = append(l.index, indexEntry{lsn: lsn, off: l.fSize})
-	}
+	l.index = addIndexEntry(l.index, lsn, l.fSize)
 	l.fSize += int64(len(l.frame))
 	l.nextLSN++
 	l.appends.Add(1)
@@ -685,36 +707,22 @@ func (l *Log) intervalSyncer() {
 	}
 }
 
-// Replay streams every durable record in LSN order. It reads the
-// segment files directly and must not run concurrently with Append.
-// body is only valid during fn: the scan reuses one buffer, so a
-// callback that keeps a record copies it.
+// Replay streams every durable record in LSN order: ReplayFrom from the
+// oldest record on disk.
 func (l *Log) Replay(fn func(lsn uint64, typ RecordType, body []byte) error) error {
-	names, err := listSegments(l.fsys, l.dir)
-	if err != nil {
-		return fmt.Errorf("wal: listing %s: %w", l.dir, err)
-	}
-	for _, name := range names {
-		lsn := uint64(0)
-		setFirst := false
-		_, _, _, scanErr := l.scanFile(filepath.Join(l.dir, name), func(typ RecordType, body []byte) error {
-			if !setFirst {
-				// scanSegment validated the header before the first frame.
-				first, _ := firstLSNFromName(name)
-				lsn = first
-				setFirst = true
-			}
-			err := fn(lsn, typ, body)
-			lsn++
-			return err
-		})
-		if scanErr != nil && !truncatable(scanErr) {
-			return scanErr
-		}
-		// Open already truncated torn/corrupt tails; a residual torn error
-		// here (e.g. the active segment's fresh header only) is benign.
-	}
-	return nil
+	return l.ReplayFrom(0, fn)
+}
+
+// ReplayFrom streams every record on disk with LSN ≥ from, in LSN order,
+// through ReadRange's reader: a segment that ends below from is never
+// opened, and a start in the active segment seeks. It reads the segment
+// files directly and must not run concurrently with Append. Unlike
+// ReadRange it ends where the records on disk do, even below LastLSN (a
+// log reopened above NextLSNFloor), and from 0 means the oldest record.
+// body is only valid during fn.
+func (l *Log) ReplayFrom(from uint64, fn func(lsn uint64, typ RecordType, body []byte) error) error {
+	_, err := l.readRange(from, l.LastLSN(), fn)
+	return err
 }
 
 // Reap deletes segments whose records are all ≤ throughLSN (covered by a
@@ -820,7 +828,7 @@ func (l *Log) ScrubCold() (scanned, corrupt int, err error) {
 			continue // the active segment legitimately has a volatile tail
 		}
 		scanned++
-		_, _, _, scanErr := l.scanFile(filepath.Join(l.dir, name), nil)
+		_, _, _, scanErr := l.scanFile(filepath.Join(l.dir, name), 0, nil)
 		if scanErr != nil {
 			corrupt++
 		}
