@@ -407,7 +407,7 @@ func anomalyRound(t *testing.T, seed uint64) {
 		t.Fatalf("precision %.2f, recall %.2f: missed %v, false fires on %v", v.Precision, v.Recall, v.Missed, v.FalseJobs)
 	}
 	control := controlAnalytics(t, anomalyNode, sent)
-	checkSameAsControl(t, "the node", analyticsOf(t, s, ts.URL), control, 0)
+	checkSameAsControl(t, "the node", analyticsOf(t, s, ts.URL), control)
 	// Every batch again, as the redelivery it now is: nothing moves.
 	for _, b := range sent {
 		b.Redelivery = true
@@ -417,7 +417,7 @@ func anomalyRound(t *testing.T, seed uint64) {
 		}
 	}
 	checkAckedOnce(t, s, sent, len(sent))
-	checkSameAsControl(t, "after the redeliveries", analyticsOf(t, s, ts.URL), control, 0)
+	checkSameAsControl(t, "after the redeliveries", analyticsOf(t, s, ts.URL), control)
 	if t.Failed() {
 		t.FailNow()
 	}

@@ -502,7 +502,7 @@ func (rec *crashRecording) checkCrashInvariants(t *testing.T, k, torn int, synce
 			t.Fatalf("re-sending batch %d: %d %s", i+1, resp.StatusCode, body)
 		}
 	}
-	checkSameAsControl(t, "after the re-send", analyticsOf(t, s, ts.URL), rec.control, 0)
+	checkSameAsControl(t, "after the re-send", analyticsOf(t, s, ts.URL), rec.control)
 }
 
 // refusedReads are read faults that once started a node on less than its
@@ -597,4 +597,78 @@ func TestCrashPoints(t *testing.T) {
 			t.Errorf("refused with %q, which does not name the missing lsns", err)
 		}
 	})
+}
+
+// TestShortLogCrashPoints crashes a restart over a log that ends below its
+// snapshot at each of its operations: Open's truncation, the snapshot that
+// takes in what the restart recovered, the log's new segment past the
+// snapshot and the removal of the old one. Every crash image must restart
+// to a node that holds every acked batch, and after it acks three more, so
+// must a second restart.
+func TestShortLogCrashPoints(t *testing.T) {
+	batches := stampedBatches(5, 13)
+	fsys := dirImage{}.disk(t)
+	s, ts, _, err := restart(t, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sendAll(t, ts.URL, batches[:10])
+	if lsn, _, err := s.dur.snapshotOnce(s); err != nil || lsn != 10 {
+		t.Fatalf("snapshot at lsn %d (%v), want 10", lsn, err)
+	}
+	crash(t, s, ts)
+	ops := fsys.take()
+	// The snapshot reaped all but the active segment; a body byte of its
+	// first record, which the snapshot covers, goes bad.
+	recorded := crashImage(ops, len(ops), 0, false)
+	var seg string
+	for name := range recorded {
+		if strings.HasPrefix(name, "data/wal-") {
+			if seg != "" {
+				t.Fatalf("segments %s and %s survived the reap, want one", seg, name)
+			}
+			seg = name
+		}
+	}
+	flip := int64(16 + 9 + 2) // past the segment and frame headers
+	ops = append(ops, fsOp{kind: "write", path: seg, off: flip, data: []byte{recorded[seg].data[flip] ^ 0xff}}, fsOp{kind: "sync", path: seg})
+	base := len(ops)
+
+	fsys = crashImage(ops, base, 0, false).disk(t)
+	s, ts, _, err = restart(t, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash(t, s, ts)
+	ops = append(ops, fsys.take()...)
+	if !slices.ContainsFunc(ops[base:], func(op fsOp) bool { return op.kind == "remove" && op.path == seg }) {
+		t.Fatalf("the restart did not remove %s: %+v", seg, ops[base:])
+	}
+
+	check := func(t *testing.T, k, torn int, synced bool) {
+		fsys := crashImage(ops, k, torn, synced).disk(t)
+		s, ts, _, err := restart(t, fsys)
+		if err != nil {
+			t.Fatalf("restart refused: %v", err)
+		}
+		checkAckedOnce(t, s, batches, 10)
+		sendAll(t, ts.URL, batches[10:])
+		crash(t, s, ts)
+		s, ts, _, err = restart(t, fsys)
+		if err != nil {
+			t.Fatalf("second restart refused: %v", err)
+		}
+		checkAckedOnce(t, s, batches, 13)
+		crash(t, s, ts)
+	}
+	for k := base; k <= len(ops); k++ {
+		for _, synced := range []bool{false, true} {
+			model := map[bool]string{false: "applied", true: "synced"}[synced]
+			t.Run(fmt.Sprintf("op%03d-torn0-%s", k-base, model), func(t *testing.T) { check(t, k, 0, synced) })
+		}
+		if k < len(ops) && ops[k].kind == "write" && len(ops[k].data) > 1 {
+			cut := len(ops[k].data) / 2
+			t.Run(fmt.Sprintf("op%03d-torn%d-applied", k-base, cut), func(t *testing.T) { check(t, k, cut, false) })
+		}
+	}
 }

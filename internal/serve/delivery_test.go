@@ -53,7 +53,7 @@ func TestPipelineZeroLossZeroDup(t *testing.T) {
 	net.checkFired(t)
 	waitIngested(t, s, int64(40*8))
 	checkAckedOnce(t, s, sent, len(sent))
-	checkSameAsControl(t, "the node", analyticsOf(t, s, ts.URL), controlAnalytics(t, node, sent), 0)
+	checkSameAsControl(t, "the node", analyticsOf(t, s, ts.URL), controlAnalytics(t, node, sent))
 
 	// The re-sends after a reset or a truncation were duplicates the node
 	// absorbed, counted on /metrics beside the agent's health gauges.

@@ -319,7 +319,7 @@ const replayBuffers = 4
 // the snapshot may belong to a record that was still in flight at
 // capture time, and skipping it here would lose acknowledged data.
 //
-// It is a two-stage pipeline: the log.ReplayFrom callback reads, filters
+// It is a two-stage pipeline: the log.ReadRange callback reads, filters
 // and decodes; one consumer goroutine (applyReplayed) stamps and folds in
 // channel order, which is LSN order. The consumer has exited by the time
 // replay returns, with an error or without.
@@ -342,7 +342,7 @@ func (s *Server) replay(log *wal.Log, img *snapshotImage, covered uint64, rep *R
 		defer close(done)
 		s.applyReplayed(decoded, free, &folded)
 	}()
-	err = log.ReplayFrom(covered+1, func(lsn uint64, typ wal.RecordType, body []byte) error {
+	err = log.ReadRange(covered+1, log.LastLSN(), func(lsn uint64, typ wal.RecordType, body []byte) error {
 		if typ != wal.RecordData {
 			return nil
 		}
@@ -458,8 +458,8 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 		rep.SnapshotBytes, rep.SnapshotLoad = len(payload), time.Since(start)
 	}
 
-	// New appends must never reuse an LSN the snapshot already covers,
-	// even if the WAL tail was lost entirely.
+	// The image holds every LSN up to its floor: past the end of the log,
+	// if the log lost records the image had taken in.
 	floor := img.AppliedLSN
 	for _, e := range img.Extras {
 		if e > floor {
@@ -471,7 +471,6 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 		SegmentBytes: d.cfg.SegmentBytes,
 		Policy:       d.cfg.Policy,
 		Interval:     d.cfg.SyncInterval,
-		NextLSNFloor: floor,
 		FS:           d.fsys,
 		// Latency hooks feed the serving registry: append and fsync
 		// stages, plus records-per-fsync (group-commit size).
@@ -501,12 +500,10 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 			first, covered, covered+1, first-1, len(skipped))
 	}
 
-	// What the snapshot covers is skipped unread, counted from the LSNs:
-	// every one from first to covered is on disk unless the log ends
-	// below the snapshot (Open then starts a new segment past floor).
-	st := log.Stats()
-	if covered >= first {
-		rep.RecordsSkipped = min(int64(covered-first+1), st.RecoveredRecords)
+	// What the snapshot covers is skipped unread, counted from the LSNs on
+	// disk it covers.
+	if hi := min(covered, log.LastLSN()); hi >= first {
+		rep.RecordsSkipped = int64(hi - first + 1)
 	}
 
 	// A tombstone cancels an earlier record, so all of them must be known
@@ -524,11 +521,7 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 
 	// Everything on disk is now in the store: the frontier is the last
 	// LSN the (truncated) WAL holds, or the snapshot floor beyond it.
-	wm := log.LastLSN()
-	if floor > wm {
-		wm = floor
-	}
-	d.tracker.Store(newApplyTracker(wm))
+	d.tracker.Store(newApplyTracker(max(log.LastLSN(), floor)))
 	d.snapLSN.Store(img.AppliedLSN)
 
 	// Replication state rebuilds from the same artifacts: the snapshot's
@@ -549,6 +542,22 @@ func (s *Server) Recover() (*RecoveryReport, error) {
 	storeMax(&rs.replApplied, ra)
 	rs.setBootExtras(img.ReplExtras)
 
+	// A log that ends below the image's floor lost records only the
+	// snapshot holds. New records must not reuse their LSNs, nor may the
+	// log go on past a hole: a snapshot takes in what replay applied, and
+	// the log starts over past the floor.
+	if last := log.LastLSN(); last < floor {
+		s.metrics.logger.Warn("recovery found the wal ending below its snapshot: only the snapshot holds these lsns",
+			slog.Uint64("from", last+1), slog.Uint64("to", floor))
+		if _, _, err := d.snapshotOnce(s); err != nil {
+			return nil, fmt.Errorf("serve: snapshot over a wal that ends at lsn %d: %w", last, err)
+		}
+		if err := log.StartAt(floor + 1); err != nil {
+			return nil, fmt.Errorf("serve: starting the wal at lsn %d: %w", floor+1, err)
+		}
+	}
+
+	st := log.Stats()
 	rep.TruncatedBytes = st.TruncatedBytes
 	rep.DroppedSegments = st.DroppedSegments
 	rep.Duration = time.Since(start)

@@ -254,7 +254,7 @@ func TestFourWorkersRecoverExactly(t *testing.T) {
 	if rep := s.dur.report; rep.SnapshotFound || rep.RecordsReplayed != agents*ticks {
 		t.Fatalf("report %+v, want %d records replayed and no snapshot", rep, agents*ticks)
 	}
-	checkSameAsControl(t, "after the WAL replay", analyticsOf(t, s, ts.URL), before, 0)
+	checkSameAsControl(t, "after the WAL replay", analyticsOf(t, s, ts.URL), before)
 	sameJobs("after the WAL replay", s)
 	s.Close()
 
@@ -262,7 +262,7 @@ func TestFourWorkersRecoverExactly(t *testing.T) {
 	if rep := s.dur.report; !rep.SnapshotFound || rep.RecordsReplayed != 0 {
 		t.Fatalf("report %+v, want the snapshot and nothing replayed", rep)
 	}
-	checkSameAsControl(t, "after the restart from the snapshot", analyticsOf(t, s, ts.URL), before, 0)
+	checkSameAsControl(t, "after the restart from the snapshot", analyticsOf(t, s, ts.URL), before)
 	sameJobs("after the restart from the snapshot", s)
 }
 

@@ -515,7 +515,7 @@ func TestFailoverRounds(t *testing.T) {
 
 			control := controlAnalytics(t, testNode{dir: t.TempDir()}, c.batches)
 			for _, n := range c.nodes {
-				checkSameAsControl(t, n.id, analyticsOf(t, n.srv.Load(), n.front.ts.URL), control, 0)
+				checkSameAsControl(t, n.id, analyticsOf(t, n.srv.Load(), n.front.ts.URL), control)
 			}
 			if t.Failed() {
 				t.Fatal(c.describe())

@@ -6,19 +6,15 @@ package serve
 // them; TestInvariantsBite feeds each a crafted violation.
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
 	"hpcpower/internal/anomaly"
 	"hpcpower/internal/ship"
 	"hpcpower/internal/trace"
-	"hpcpower/internal/tsdb"
 )
 
 // checkAckedOnce is the first claim: every acked (agent, seq) is present
@@ -121,40 +117,18 @@ func controlAnalytics(t testing.TB, n testNode, batches []trace.SampleBatch) ana
 }
 
 // checkSameAsControl is the fourth claim: a node serves the analytics,
-// and holds the alert history, of a fault-free control. tol bounds the
-// relative difference of the store-wide mean and spread; 0 asks for
-// every byte, which exact moments give whatever order the node applied
-// its batches in, as long as its agents stay within the 16-minute spread
-// window of each other (and within 2 minutes for the alerts).
-func checkSameAsControl(t testing.TB, what string, got, want analytics, tol float64) {
+// and holds the alert history, of a fault-free control, to the byte —
+// which exact moments give whatever order the node applied its batches
+// in, as long as its agents stay within the 16-minute spread window of
+// each other (and within 2 minutes for the alerts).
+func checkSameAsControl(t testing.TB, what string, got, want analytics) {
 	t.Helper()
-	gs, gjobs, _ := strings.Cut(got.served, "\n")
-	ws, wjobs, _ := strings.Cut(want.served, "\n")
-	switch {
-	case tol == 0 && got.served != want.served:
+	if got.served != want.served {
 		t.Errorf("%s: analytics differ from the control's\n got %s\nwant %s", what, got.served, want.served)
-	case gjobs != wjobs:
-		t.Errorf("%s: job analytics differ from the control's\n got %s\nwant %s", what, gjobs, wjobs)
-	case !sameSummary(gs, ws, tol):
-		t.Errorf("%s: summary %s, the control's %s", what, gs, ws)
 	}
 	if g, w := fmt.Sprintf("%+v", got.alerts), fmt.Sprintf("%+v", want.alerts); g != w {
 		t.Errorf("%s: alerts differ from the control's\n got %s\nwant %s", what, g, w)
 	}
-}
-
-// sameSummary compares two /v1/summary bodies, mean and spread to tol.
-func sameSummary(got, want string, tol float64) bool {
-	var g, w tsdb.Summary
-	if json.Unmarshal([]byte(got), &g) != nil || json.Unmarshal([]byte(want), &w) != nil {
-		return false
-	}
-	near := func(a, b float64) bool { return math.Abs(a-b) <= tol*math.Max(1, math.Abs(b)) }
-	if !near(g.MeanW, w.MeanW) || !near(g.StdW, w.StdW) {
-		return false
-	}
-	g.MeanW, g.StdW, w.MeanW, w.StdW = 0, 0, 0, 0
-	return g == w
 }
 
 // checkFrontierHeld is the fifth claim: the frontier never regresses — a
@@ -270,7 +244,7 @@ func TestInvariantsBite(t *testing.T) {
 			s, url := node(got, false)
 			ctl, ctlURL := node(batches, false)
 			return func(t testing.TB) {
-				checkSameAsControl(t, "the node", analyticsOf(t, s, url), analyticsOf(t, ctl, ctlURL), 0)
+				checkSameAsControl(t, "the node", analyticsOf(t, s, url), analyticsOf(t, ctl, ctlURL))
 			}
 		}},
 		{"a shipper that dropped a batch", func(bent bool) func(t testing.TB) {

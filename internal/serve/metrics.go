@@ -153,7 +153,7 @@ func newMetrics(queueDepth func() int) *metrics {
 	// Legacy per-endpoint and per-agent families, derived at scrape time.
 	reg.AddCollector(m.collectLegacyRequests)
 	reg.AddCollector(m.collectAgents)
-	reg.AddCollector(collectSortPaths)
+	reg.AddCollector(collectRadixSorts)
 	obs.RegisterRuntime(reg)
 	return m
 }
@@ -282,14 +282,12 @@ func (m *metrics) collectAgents(e *obs.Exposition) {
 	}
 }
 
-// collectSortPaths emits stats.SortPaths: which way the process's large
-// sorts went — in a server, the ones under /v1/query/distribution.
-func collectSortPaths(e *obs.Exposition) {
-	counted, radix, gaveUp := stats.SortPaths()
-	e.Help("powserved_sort_total", "Sorts of 1,024 values or more by path: count sorted by counting distinct values, radix ran the radix passes, gave_up are the radix sorts that tried counting first and found too many distinct values.")
-	e.CounterL("powserved_sort_total", "path", "count", float64(counted))
-	e.CounterL("powserved_sort_total", "path", "radix", float64(radix))
-	e.CounterL("powserved_sort_total", "path", "gave_up", float64(gaveUp))
+// collectRadixSorts emits stats.RadixSorts: the process's sorts of 1,024
+// values or more — in a server, the distribution pulls whose readings a
+// tally could not count.
+func collectRadixSorts(e *obs.Exposition) {
+	e.Help("powserved_sort_total", "Sorts of 1,024 values or more by path: radix ran the radix passes, on values a tally could not count.")
+	e.CounterL("powserved_sort_total", "path", "radix", float64(stats.RadixSorts()))
 }
 
 // collectJobs emits how many jobs answer their median and p95 from a

@@ -224,7 +224,7 @@ func admissionRound(t *testing.T, seed uint64) {
 	checkAckedOnce(t, primary, batches, len(batches))
 	checkFollowerMatches(t, primary, follower)
 	checkSameAsControl(t, "the primary", analyticsOf(t, primary, tsP.URL),
-		controlAnalytics(t, testNode{dir: t.TempDir()}, batches), 0)
+		controlAnalytics(t, testNode{dir: t.TempDir()}, batches))
 }
 
 // watermarkRound parks the one ingest worker of a memory-only node while

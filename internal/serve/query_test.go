@@ -434,9 +434,7 @@ func TestQueryDistributionGolden(t *testing.T) {
 		`powserved_query_values_scanned_total{endpoint="query_distribution"} ` + strconv.FormatInt(scanned, 10) + "\n",
 		`powserved_query_values_scanned_total{endpoint="query_range"} 60` + "\n",
 		"# HELP powserved_sort_total ",
-		`powserved_sort_total{path="count"} `,
 		`powserved_sort_total{path="radix"} `,
-		`powserved_sort_total{path="gave_up"} `,
 		"# HELP powserved_distribution_blocks_total ",
 		// Unbounded adds both blocks' tables; blocks only and straddling
 		// cut them: three edges.

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -414,6 +416,134 @@ func TestReplayStartsAtSnapshot(t *testing.T) {
 			t.Errorf("ReadRange(%d, 40) read %d bytes, want the %d bytes of lsns %d–40 and at most %d more", from, reads.bytes.Load(), want, from, slack)
 		}
 	})
+}
+
+// shortLogDir leaves in dir what a node leaves that acked batches[:10]
+// (LSNs 1–10), snapshotted at LSN 10 and crashed, after which one body
+// byte of LSN 6 went bad: a log that ends at LSN 5, below its snapshot.
+func shortLogDir(t *testing.T, dir string, batches []trace.SampleBatch) {
+	t.Helper()
+	s, ts := testNode{dir: dir, quiet: true}.start(t)
+	waitIngested(t, s, sendAll(t, ts.URL, batches[:10]))
+	if lsn, _, err := s.dur.snapshotOnce(s); err != nil || lsn != 10 {
+		t.Fatalf("snapshot at lsn %d (%v), want 10", lsn, err)
+	}
+	crash(t, s, ts)
+	segs, _ := walSegments(t, dir)
+	if len(segs) != 1 {
+		t.Fatalf("%d segments, want one", len(segs))
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[frameOffsets(t, segs[0])[5]+9+2] ^= 0xff // a body byte of LSN 6
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShortLogKeepsAckedBatches: a restart over a log that ends below its
+// snapshot names the LSNs only the snapshot holds, snapshots what it
+// recovered and starts the log past the snapshot, so the batches it acks
+// next survive a second crash. That second restart writes no snapshot.
+func TestShortLogKeepsAckedBatches(t *testing.T) {
+	dir := t.TempDir()
+	batches := stampedBatches(6, 13)
+	shortLogDir(t, dir, batches)
+
+	var logged bytes.Buffer
+	s, ts := testNode{dir: dir, quiet: true, cfg: Config{Logger: slog.New(slog.NewTextHandler(&logged, nil))}}.start(t)
+	if warns := strings.Count(logged.String(), "level=WARN"); warns != 1 || !strings.Contains(logged.String(), "from=6 to=10") {
+		t.Errorf("want one warning naming lsns 6–10, logged:\n%s", logged.String())
+	}
+	checkAckedOnce(t, s, batches, 10)
+	if first, err := s.dur.log.FirstLSN(); err != nil || first != 11 || s.dur.log.LastLSN() != 10 {
+		t.Errorf("the log holds lsns %d–%d (%v), want it started at 11", first, s.dur.log.LastLSN(), err)
+	}
+	sendAll(t, ts.URL, batches[10:])
+	crash(t, s, ts)
+
+	s2, _ := testNode{dir: dir, quiet: true}.start(t)
+	checkAckedOnce(t, s2, batches, 13)
+	if rep := s2.dur.report; rep.SnapshotLSN != 10 || rep.RecordsReplayed != 3 || s2.dur.snapshots.Load() != 0 {
+		t.Errorf("report %+v and %d snapshots written; want the 3 records past the snapshot at lsn 10 replayed and none written",
+			rep, s2.dur.snapshots.Load())
+	}
+}
+
+// TestShortLogSnapshotsWhatReplayApplied: the fixture's snapshot covers
+// LSNs 1–3 and 5; with LSN 5 gone bad the log ends at 4, which replay
+// applies. The restart must put LSN 4 in a snapshot before the log starts
+// past 5: a crash after it must come back to the same state, not refuse
+// to start over LSN 4, which would then be in neither.
+func TestShortLogSnapshotsWhatReplayApplied(t *testing.T) {
+	fx := buildReplayFixture(t, 0)
+	segs, _ := walSegments(t, fx.dir)
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[frameOffsets(t, segs[0])[fixtureExtraLSN-1]+9+2] ^= 0xff
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := testNode{dir: fx.dir, quiet: true, anomaly: true}.start(t)
+	if rep := s.dur.report; rep.RecordsReplayed != 1 || s.dur.log.LastLSN() != fixtureExtraLSN {
+		t.Fatalf("report %+v, log ends at lsn %d; want lsn 4 replayed and the log started past %d", rep, s.dur.log.LastLSN(), fixtureExtraLSN)
+	}
+	want := stateOf(s).String()
+	crash(t, s, ts)
+	s2, _ := testNode{dir: fx.dir, quiet: true, anomaly: true}.start(t)
+	if got := stateOf(s2).String(); got != want {
+		t.Errorf("a second restart arrived elsewhere\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestShortLogSendsFollowerToBootstrap: a follower that stopped at LSN 3
+// resumes against a primary whose log ended below its snapshot at 10.
+// Only the snapshot holds LSNs 6–10, so the primary answers 410
+// bootstrap_required, and the follower installs the snapshot and matches
+// the primary.
+func TestShortLogSendsFollowerToBootstrap(t *testing.T) {
+	dirP, dirF := t.TempDir(), t.TempDir()
+	batches := stampedBatches(8, 13)
+	p, tsP := testNode{dir: dirP, quiet: true}.start(t)
+	f, tsF := testNode{dir: dirF, quiet: true, follow: tsP.URL}.start(t)
+	n := sendAll(t, tsP.URL, batches[:3])
+	waitIngested(t, f, n)
+	crash(t, f, tsF)
+	crash(t, p, tsP)
+	// The primary goes on to LSN 10 and loses LSN 6 under its snapshot.
+	shortLogDir(t, dirP, batches)
+
+	p2, tsP2 := testNode{dir: dirP, quiet: true}.start(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, tsP2.URL+"/v1/repl/stream?follower=probe&from=4", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Fatalf("stream from lsn 4: %d, want 410", resp.StatusCode)
+	}
+	if body, _ := io.ReadAll(resp.Body); !strings.Contains(string(body), CodeBootstrapRequired) {
+		t.Fatalf("stream from lsn 4: 410 %q, want code %s", body, CodeBootstrapRequired)
+	}
+
+	f2, _ := testNode{dir: dirF, quiet: true, follow: tsP2.URL}.start(t)
+	sendAll(t, tsP2.URL, batches[10:])
+	waitFor(t, "the follower to apply lsn 13", func() bool { return f2.dur.repl.replApplied.Load() == 13 })
+	if got := f2.dur.repl.followerStats().SnapshotInstalls; got != 1 {
+		t.Errorf("%d snapshot installs, want 1", got)
+	}
+	checkFollowerMatches(t, p2, f2)
+	checkAckedOnce(t, f2, batches, 13)
 }
 
 // TestReplayReadErrorJoinsConsumer: reads start failing with EIO during

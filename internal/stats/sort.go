@@ -19,26 +19,19 @@ import (
 // histograms taken in one read of the input, and a pass skipped when
 // every key shares its digit. Cost is linear, for quantised and
 // continuous values alike; the one scratch slice comes from the
-// GetFloats pool. Below the cut-over it is slices.Sort.
+// GetFloats pool. Below the cut-over it is slices.Sort. The radix sorts
+// are counted in RadixSorts.
 //
-// From countCutover up the radix passes are tried second: sensor
-// readings repeat (a fleet-wide pull of 368,640 values at 0.1 W holds
-// some 2,400 distinct ones), and an input with at most maxDistinct
-// distinct values is sorted by counting them — see sortCounted. Which
-// of the three ran is counted in SortPaths.
+// It tries no counting of its own: a server counts repeated readings in
+// a Tally first, and sorts only the values the tally gave up on (more
+// than maxDistinct distinct, or a NaN).
 func SortFloat64s(xs []float64) {
-	switch {
-	case len(xs) < radixCutover || len(xs) > math.MaxUint32:
+	if len(xs) < radixCutover || len(xs) > math.MaxUint32 {
 		slices.Sort(xs)
-	case len(xs) >= countCutover && sortCounted(xs):
-		sortPaths[pathCounted].Add(1)
-	default:
-		if len(xs) >= countCutover {
-			sortPaths[pathGaveUp].Add(1)
-		}
-		sortPaths[pathRadix].Add(1)
-		sortRadix(xs)
+		return
 	}
+	radixSorts.Add(1)
+	sortRadix(xs)
 }
 
 // sortRadix is the radix sort of SortFloat64s, for 1 to math.MaxUint32
@@ -103,32 +96,6 @@ func sortRadix(xs []float64) {
 	}
 }
 
-// sortCounted sorts xs by counting its distinct values in a Tally, and
-// reports whether it did; each distinct value is then written back as a
-// run. The result is the one the radix passes produce — the tally's
-// order is the key's, so −0 still precedes +0 — and depends on the
-// multiset alone.
-//
-// It gives up, with xs untouched, on the first NaN (the radix path owns
-// moving those to the front) and on distinct value maxDistinct+1: a
-// continuous input costs maxDistinct table inserts, not a pass.
-func sortCounted(xs []float64) bool {
-	t := GetTally()
-	defer PutTally(t)
-	if !t.AddAll(xs) {
-		return false
-	}
-	out := xs
-	for _, c := range t.Sorted() {
-		run := out[:c.N]
-		for j := range run {
-			run[j] = c.V
-		}
-		out = out[len(run):]
-	}
-	return true
-}
-
 // Tally counts how often each distinct value occurs, in an
 // open-addressing table keyed by the value's order key and small enough
 // to stay in L2. For readings that repeat — 0.1 W power samples — the
@@ -160,7 +127,7 @@ func (t *Tally) Add(x float64) bool { return t.AddN(x, 1) }
 // AddAll counts every value of xs once, and stops where Add would have
 // returned false. It is AddN's probe written out in the loop: a value
 // already held — most of them, for readings that repeat — costs a probe
-// and no call, which is a quarter of the counting sort's time.
+// and no call.
 func (t *Tally) AddAll(xs []float64) bool {
 	for _, x := range xs {
 		k := sortKey(x)
@@ -301,21 +268,10 @@ func PutTally(t *Tally) {
 }
 
 const (
-	// countCutover is the least input counting is tried on. It is set by
-	// the attempt that fails, not the one that succeeds (which already
-	// wins at 16 k values with 2,600 distinct: 0.16 against 0.28 ms): a
-	// continuous input pays maxDistinct inserts and their clearing,
-	// ≈ 60 µs (BenchmarkSortFloat64sGiveUp), before its radix passes, and
-	// at 131,072 values those take ≈ 2.2 ms — under 3 %. The fleet-wide
-	// pulls (368,640 values) are above it, an offline ECDF of some 6 k
-	// values far below.
-	countCutover = 1 << 17
-
-	// maxDistinct is the number of distinct values counting gives up
-	// beyond: 0.1 W readings over 0–819 W. With 8,000 distinct counting
-	// still takes 1.6 against 2.9 ms at countCutover and 2.1–3.1 against
-	// 8.1–9.1 ms at 368,640 values; doubling it would double what a
-	// failed attempt costs, and countCutover with it.
+	// maxDistinct is the number of distinct values a Tally gives up
+	// beyond: 0.1 W readings over 0–819 W. With 8,000 distinct, counting
+	// 368,640 values takes 2.1–3.1 ms against the radix sort's 8.1–9.1;
+	// doubling it would double what a pull that gives up has spent.
 	maxDistinct = 1 << 13
 
 	// The table has four slots per admitted key, so probes stay short;
@@ -334,24 +290,11 @@ type countSlot struct {
 	n   uint64
 }
 
-// Indices into sortPaths.
-const (
-	pathCounted = iota
-	pathRadix
-	pathGaveUp
-)
+var radixSorts atomic.Uint64
 
-var sortPaths [3]atomic.Uint64
-
-// SortPaths reports, process-wide, which way the SortFloat64s calls of
-// radixCutover values or more went: counted were sorted by counting
-// distinct values, radix went to the radix passes, and gaveUp of those
-// had first tried counting and abandoned it (too many distinct values,
-// or a NaN). A fleet whose readings are not quantised shows up as gaveUp
-// climbing where counted should.
-func SortPaths() (counted, radix, gaveUp uint64) {
-	return sortPaths[pathCounted].Load(), sortPaths[pathRadix].Load(), sortPaths[pathGaveUp].Load()
-}
+// RadixSorts reports, process-wide, how many SortFloat64s calls ran the
+// radix passes: those of radixCutover values or more.
+func RadixSorts() uint64 { return radixSorts.Load() }
 
 const (
 	radixBits    = 11

@@ -95,95 +95,6 @@ func TestSortFloat64sMatchesSortFloat64s(t *testing.T) {
 			}
 		}
 	}
-
-	// From countCutover up counting is tried first. Each shape says
-	// whether it must succeed; when it must not, xs has to reach the
-	// radix passes as it came.
-	const n = countCutover + 4097
-	for name, tc := range map[string]struct {
-		gen     func() []float64
-		counted bool
-	}{
-		"quantised":    {func() []float64 { return quantised(rng, n) }, true},
-		"continuous":   {func() []float64 { return continuous(rng, n) }, false},
-		"one value":    {func() []float64 { return distinctValues(rng, n, 1) }, true},
-		"few distinct": {func() []float64 { return distinctValues(rng, n, 40) }, true},
-		// The one NaN whose order key is the empty slot's.
-		"few distinct and an all-ones NaN": {func() []float64 {
-			xs := distinctValues(rng, n, 40)
-			xs[n/2] = math.Float64frombits(0xffffffffffffffff)
-			return xs
-		}, false},
-		"exactly maxDistinct": {func() []float64 { return distinctValues(rng, n, maxDistinct) }, true},
-		"maxDistinct + 1":     {func() []float64 { return distinctValues(rng, n, maxDistinct+1) }, false},
-		"few distinct, then continuous": {func() []float64 {
-			xs := distinctValues(rng, n, 40)
-			copy(xs[n-n/8:], continuous(rng, n/8))
-			return xs
-		}, false},
-		// Duplicates of everything the key has a special case for. The
-		// NaNs send the first attempt to the radix path, which moves
-		// them to the front and sorts the rest — by counting.
-		"duplicated specials": {func() []float64 {
-			pool := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
-				math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, -1, 1, 1e-310, -1e-310, 151.2, 90.1}
-			xs := make([]float64, n)
-			for i := range xs {
-				xs[i] = pool[rng.Intn(len(pool))]
-			}
-			return xs
-		}, true},
-		"duplicated specials and NaNs": {func() []float64 {
-			pool := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 5e-324, 151.2,
-				math.NaN(), math.Float64frombits(0xfff8000000000001), math.Float64frombits(0xffffffffffffffff)}
-			xs := make([]float64, 2*n) // a third are NaNs; what is left must still be worth counting
-			for i := range xs {
-				xs[i] = pool[rng.Intn(len(pool))]
-			}
-			return xs
-		}, false},
-	} {
-		xs := tc.gen()
-		in := append([]float64(nil), xs...)
-		want := append([]float64(nil), xs...)
-		sort.Float64s(want)
-		if got := sortCounted(xs); got != tc.counted {
-			t.Fatalf("%s: sortCounted = %v, want %v", name, got, tc.counted)
-		}
-		if !tc.counted {
-			for i := range in {
-				if math.Float64bits(xs[i]) != math.Float64bits(in[i]) {
-					t.Fatalf("%s: counting gave up and left element %d changed", name, i)
-				}
-			}
-		}
-		counted0, radix0, gaveUp0 := SortPaths()
-		SortFloat64s(xs)
-		if err := sameOrder(xs, want); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// −0 sorts before +0 on either path: the order is the key's.
-		for i := 1; i < len(xs); i++ {
-			if xs[i] == 0 && xs[i-1] == 0 && math.Signbit(xs[i]) && !math.Signbit(xs[i-1]) {
-				t.Fatalf("%s: +0 before −0 at %d", name, i)
-			}
-		}
-		counted, radix, gaveUp := SortPaths()
-		switch name {
-		case "duplicated specials and NaNs", "few distinct and an all-ones NaN": // gave up, partitioned, then counted the rest
-			if counted-counted0 != 1 || gaveUp-gaveUp0 != 1 {
-				t.Errorf("%s: SortPaths moved by %d counted, %d gave up, want 1 and 1", name, counted-counted0, gaveUp-gaveUp0)
-			}
-		default:
-			wantCounted, wantRadix := uint64(1), uint64(0)
-			if !tc.counted {
-				wantCounted, wantRadix = 0, 1
-			}
-			if counted-counted0 != wantCounted || radix-radix0 != wantRadix || gaveUp-gaveUp0 != wantRadix {
-				t.Errorf("%s: SortPaths moved by %d counted, %d radix, %d gave up", name, counted-counted0, radix-radix0, gaveUp-gaveUp0)
-			}
-		}
-	}
 }
 
 // distinctValues is n draws from exactly d distinct 0.1 W readings, each
@@ -313,11 +224,10 @@ func TestTallySubN(t *testing.T) {
 
 // TestSortFloat64sOrderIndependent pins what live/offline parity rests
 // on: one output, bit for bit, per multiset, whatever order the values
-// arrive in — with NaNs first on both sides of the cut-over, and from
-// countCutover up, where the values behind the NaNs are counted.
+// arrive in — with NaNs first on both sides of the cut-over.
 func TestSortFloat64sOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for _, n := range []int{8, 4 * radixCutover, countCutover + 3} {
+	for _, n := range []int{8, 4 * radixCutover} {
 		xs := quantised(rng, n)
 		copy(xs, []float64{math.NaN(), math.Inf(-1), math.NaN(), -3.5})
 		var first []float64
@@ -369,20 +279,8 @@ func BenchmarkSortFloat64s(b *testing.B) {
 	}
 }
 
-// BenchmarkSortFloat64sGiveUp is what the counting attempt costs an
-// input it cannot sort: maxDistinct inserts and their clearing. It is
-// the number countCutover is set by.
-func BenchmarkSortFloat64sGiveUp(b *testing.B) {
-	xs := continuous(rand.New(rand.NewSource(13)), 368640)
-	for i := 0; i < b.N; i++ {
-		if sortCounted(xs) {
-			b.Fatal("a continuous input was counted")
-		}
-	}
-}
-
 // FuzzSortFloat64s reads the input as float64s, repeats them up to a
-// length that takes the counting path when the first byte says so, and
+// length that takes the radix path when the first byte says so, and
 // checks SortFloat64s against slices.Sort with the NaNs moved to the
 // front.
 func FuzzSortFloat64s(f *testing.F) {
@@ -412,9 +310,8 @@ func FuzzSortFloat64s(f *testing.F) {
 			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(data)))
 		}
 		if big && len(xs) > 0 {
-			// The same values over and over: few distinct, so counted,
-			// unless the input itself holds more than maxDistinct.
-			for base := len(xs); len(xs) < countCutover+len(data); {
+			// The same values over and over, past the radix cut-over.
+			for base := len(xs); len(xs) < radixCutover+len(data); {
 				xs = append(xs, xs[:base]...)
 			}
 		}

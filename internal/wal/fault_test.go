@@ -314,14 +314,22 @@ func buildWALTemplate() {
 // flip in the 16-byte segment header either invalidates the magic —
 // dropping the whole segment — or shifts the base LSN, which the lsn
 // monotonicity check below still constrains.)
+//
+// Then the log starts over gap LSNs past the template's last, as a
+// restart does over a log that ends below its snapshot: the records
+// appended after StartAt replay intact across a reopen, and a read from
+// below the start point is refused as reaped.
 func FuzzWALBitFlip(f *testing.F) {
-	f.Add(uint32(0), uint8(0x01))   // segment magic
-	f.Add(uint32(8), uint8(0x80))   // base LSN in the header
-	f.Add(uint32(16), uint8(0xff))  // first frame's length field
-	f.Add(uint32(20), uint8(0x10))  // first frame's CRC
-	f.Add(uint32(25), uint8(0x01))  // first frame's body
-	f.Add(uint32(200), uint8(0x40)) // somewhere mid-log
-	f.Fuzz(func(t *testing.T, off uint32, mask uint8) {
+	f.Add(uint32(0), uint8(0x01), uint8(0))   // segment magic
+	f.Add(uint32(8), uint8(0x80), uint8(0))   // base LSN in the header
+	f.Add(uint32(16), uint8(0xff), uint8(0))  // first frame's length field
+	f.Add(uint32(20), uint8(0x10), uint8(0))  // first frame's CRC
+	f.Add(uint32(25), uint8(0x01), uint8(0))  // first frame's body
+	f.Add(uint32(200), uint8(0x40), uint8(0)) // somewhere mid-log
+	f.Add(uint32(200), uint8(0x40), uint8(7)) // mid-log, started past a gap
+	f.Add(uint32(9), uint8(0x02), uint8(1))   // an emptied log, started past the template
+	f.Add(uint32(1<<20), uint8(0x04), uint8(255))
+	f.Fuzz(func(t *testing.T, off uint32, mask, gap uint8) {
 		walTemplateOnce.Do(buildWALTemplate)
 		if walTemplateErr != nil {
 			t.Fatalf("building template log: %v", walTemplateErr)
@@ -391,6 +399,45 @@ func FuzzWALBitFlip(f *testing.F) {
 			if len(got) > idx {
 				t.Fatalf("flip at offset %d lands in frame %d, yet %d records survived replay", pos, idx, len(got))
 			}
+		}
+
+		next := uint64(len(walTemplateBodies)) + 1 + uint64(gap)
+		if err := l.StartAt(next); err != nil {
+			t.Fatalf("StartAt(%d) over a log ending at lsn %d: %v", next, l.LastLSN(), err)
+		}
+		appended := [][]byte{[]byte("after-0"), {}, []byte("after-2")}
+		for i, body := range appended {
+			if lsn, err := l.Append(body); err != nil || lsn != next+uint64(i) {
+				t.Fatalf("append after StartAt(%d): lsn %d, %v; want lsn %d", next, lsn, err, next+uint64(i))
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l, err = Open(dir, Options{Policy: SyncBatch})
+		if err != nil {
+			t.Fatalf("reopening after StartAt: %v", err)
+		}
+		defer l.Close()
+		var after [][]byte
+		err = l.Replay(func(lsn uint64, typ RecordType, body []byte) error {
+			if want := next + uint64(len(after)); lsn != want || typ != RecordData {
+				return fmt.Errorf("replayed lsn %d type %d, want lsn %d data", lsn, typ, want)
+			}
+			after = append(after, append([]byte(nil), body...))
+			return nil
+		})
+		if err != nil || len(after) != len(appended) {
+			t.Fatalf("replay after StartAt(%d) and a reopen: %d of %d records (%v)", next, len(after), len(appended), err)
+		}
+		for i := range appended {
+			if !bytes.Equal(after[i], appended[i]) {
+				t.Fatalf("record %d after StartAt: got %q, want %q", next+uint64(i), after[i], appended[i])
+			}
+		}
+		var reaped *ReapedError
+		if err := l.ReadRange(1, l.LastLSN(), func(uint64, RecordType, []byte) error { return nil }); !errors.As(err, &reaped) || reaped.First != next {
+			t.Fatalf("ReadRange from lsn 1 after StartAt(%d): %v, want a *ReapedError naming %d", next, err, next)
 		}
 	})
 }

@@ -76,9 +76,10 @@ func (l *Log) SyncedLSN() uint64 {
 // ReadRange invokes fn for every record with from ≤ LSN ≤ to, in LSN
 // order, reading the segment files directly. It returns a *ReapedError
 // if from predates the oldest segment (the caller must bootstrap from a
-// snapshot), fn's error if fn fails, and an error if the log ends before
-// `to` — callers are expected to bound `to` by LastLSN/SyncedLSN. body
-// is only valid during fn.
+// snapshot), fn's error if fn fails, the read's error if a frame cannot
+// be read, and an error if the log ends before `to` — callers are
+// expected to bound `to` by LastLSN/SyncedLSN. body is only valid during
+// fn.
 func (l *Log) ReadRange(from, to uint64, fn func(lsn uint64, typ RecordType, body []byte) error) error {
 	if from == 0 {
 		return fmt.Errorf("wal: read range from lsn 0 (lsns start at 1)")
@@ -90,9 +91,10 @@ func (l *Log) ReadRange(from, to uint64, fn func(lsn uint64, typ RecordType, bod
 	return err
 }
 
-// readRange is the one reader of records: it hands fn every record on
-// disk with from ≤ LSN ≤ to and returns the highest LSN it delivered
-// (below from if none). from 0 means the oldest record on disk.
+// readRange hands fn every record on disk with from ≤ LSN ≤ to and
+// returns the highest LSN it delivered (from-1 if none). It stops at the
+// first frame it cannot read: Open has checked every frame on disk, so
+// that is damage since, and the records past it would not follow on.
 //
 // A range that starts in the active segment — the tail a follower
 // streams, or the records a restart replays past its snapshot — is read
@@ -100,8 +102,9 @@ func (l *Log) ReadRange(from, to uint64, fn func(lsn uint64, typ RecordType, bod
 // directory. Any other range walks the segments from their headers,
 // opening none that ends below `from`.
 func (l *Log) readRange(from, to uint64, fn func(lsn uint64, typ RecordType, body []byte) error) (last uint64, err error) {
-	if from != 0 && to < from {
-		return from - 1, nil
+	last = from - 1
+	if to < from {
+		return last, nil
 	}
 	// scan walks one segment file from byte offset off (0: from its
 	// header), whose first frame there is record lsn, and reports whether
@@ -126,38 +129,30 @@ func (l *Log) readRange(from, to uint64, fn func(lsn uint64, typ RecordType, bod
 		if err == errStopScan {
 			return true, nil
 		}
-		if err != nil && !truncatable(err) {
-			return false, err
-		}
-		return false, nil
+		return false, err
 	}
 
 	if segFirst, e, ok := l.indexSeek(from); ok {
 		// from ≥ the active segment's first LSN, so the whole range lives
 		// in that one file, whatever rotates in the meantime.
-		last = from - 1
 		_, err := scan(segmentName(segFirst), e.off, e.lsn)
 		return last, err
 	}
 
 	names, err := listSegments(l.fsys, l.dir)
 	if err != nil {
-		return 0, fmt.Errorf("wal: listing %s: %w", l.dir, err)
+		return last, fmt.Errorf("wal: listing %s: %w", l.dir, err)
 	}
 	if len(names) == 0 {
-		return 0, fmt.Errorf("wal: no segments in %s", l.dir)
+		return last, fmt.Errorf("wal: no segments in %s", l.dir)
 	}
 	oldest, ok := firstLSNFromName(names[0])
 	if !ok {
-		return 0, fmt.Errorf("wal: unparsable segment name %s", names[0])
+		return last, fmt.Errorf("wal: unparsable segment name %s", names[0])
 	}
-	switch {
-	case from == 0:
-		from = oldest
-	case from < oldest:
-		return 0, &ReapedError{Requested: from, First: oldest}
+	if from < oldest {
+		return last, &ReapedError{Requested: from, First: oldest}
 	}
-	last = from - 1
 	for i, name := range names {
 		first, ok := firstLSNFromName(name)
 		if !ok {

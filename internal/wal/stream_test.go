@@ -3,6 +3,8 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -76,6 +78,38 @@ func TestReadRangeAcrossSegments(t *testing.T) {
 	// silent short read.
 	if err := l.ReadRange(48, 60, func(uint64, RecordType, []byte) error { return nil }); err == nil {
 		t.Fatal("ReadRange past LastLSN succeeded")
+	}
+}
+
+// TestReadRangeStopsAtDamage: a frame damaged after Open ends a read
+// with the damage's error, and no record past it is delivered: the next
+// segment's records would not follow on from the last one read.
+func TestReadRangeStopsAtDamage(t *testing.T) {
+	dir := t.TempDir()
+	l := openTest(t, dir, Options{Policy: SyncNone, SegmentBytes: 64})
+	last := fillLog(t, l, 12)
+	segs, _ := listSegments(vfs.OS, dir)
+	if len(segs) < 3 {
+		t.Fatalf("%d segments, want at least 3", len(segs))
+	}
+	path := filepath.Join(dir, segs[1])
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[segHeaderSize+frameHeaderSize+1] ^= 0xff // the first record's body
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	damaged, _ := firstLSNFromName(segs[1])
+	var got []uint64
+	err = l.ReadRange(1, last, func(lsn uint64, _ RecordType, _ []byte) error {
+		got = append(got, lsn)
+		return nil
+	})
+	var ce *CorruptError
+	if !errors.As(err, &ce) || uint64(len(got)) != damaged-1 || got[len(got)-1] != damaged-1 {
+		t.Fatalf("ReadRange(1, %d) over damaged lsn %d delivered %v, err %v; want lsns 1–%d and a *CorruptError", last, damaged, got, err, damaged-1)
 	}
 }
 

@@ -19,7 +19,11 @@
 //     frame (dropping any later segments) instead of refusing to start —
 //     after a crash the longest valid prefix is the log;
 //   - Reap deletes segments fully covered by a snapshot, always keeping
-//     the active segment so the LSN sequence never restarts.
+//     the active segment so the LSN sequence never restarts;
+//   - the segments on disk are always one contiguous run of LSNs: Open
+//     opens exactly what is there (an empty directory starts at LSN 1),
+//     and StartAt, for a log that ends below its snapshot, starts a new
+//     segment past it and removes every older one.
 package wal
 
 import (
@@ -88,10 +92,6 @@ type Options struct {
 	Policy SyncPolicy
 	// Interval is the SyncInterval period. 0 means 100 ms.
 	Interval time.Duration
-	// NextLSNFloor forces new appends to get LSNs strictly above it even
-	// if the log on disk ends earlier (e.g. the tail was truncated after
-	// a snapshot at this LSN was taken). 0 means no floor.
-	NextLSNFloor uint64
 	// ObserveAppend, if set, receives the wall time of each record write
 	// (frame encode + file write, excluding lock wait). Must be cheap
 	// and non-blocking — it runs under the log's write lock.
@@ -334,41 +334,26 @@ func (l *Log) recoverSegments() error {
 		lastIdx = i
 	}
 
-	floorNext := l.opts.NextLSNFloor + 1
-	switch {
-	case lastIdx < 0:
-		// Empty log: start at 1, or after the snapshot floor.
-		if l.nextLSN < floorNext {
-			l.nextLSN = floorNext
-		}
-		if l.nextLSN == 0 {
-			l.nextLSN = 1
-		}
-		return l.newSegment(l.nextLSN)
-	case l.nextLSN < floorNext:
-		// The surviving tail ends below an already-snapshotted LSN
-		// (the truncation bit into replayed territory). New records
-		// must not reuse those LSNs: rotate to a fresh segment.
-		l.nextLSN = floorNext
-		return l.newSegment(l.nextLSN)
-	default:
-		path := filepath.Join(l.dir, names[lastIdx])
-		f, err := l.fsys.OpenFile(path, os.O_RDWR, 0o644)
-		if err != nil {
-			return fmt.Errorf("wal: reopening active segment: %w", err)
-		}
-		size, err := f.Seek(0, 2)
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("wal: seeking active segment: %w", err)
-		}
-		l.f, l.fSize = f, size
-		first, _ := firstLSNFromName(names[lastIdx])
-		l.segFirst = first
-		l.index = keptIndex
-		l.publishSynced(l.nextLSN - 1) // everything on disk at open is as durable as it gets
-		return nil
+	if lastIdx < 0 {
+		// Empty log: it starts at LSN 1.
+		l.nextLSN = 1
+		return l.newSegment(1)
 	}
+	path := filepath.Join(l.dir, names[lastIdx])
+	f, err := l.fsys.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: reopening active segment: %w", err)
+	}
+	size, err := f.Seek(0, 2)
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("wal: seeking active segment: %w", err)
+	}
+	l.f, l.fSize = f, size
+	l.segFirst, _ = firstLSNFromName(names[lastIdx])
+	l.index = keptIndex
+	l.publishSynced(l.nextLSN - 1) // everything on disk at open is as durable as it gets
+	return nil
 }
 
 // truncateAt truncates path to valid bytes and deletes the later
@@ -707,22 +692,14 @@ func (l *Log) intervalSyncer() {
 	}
 }
 
-// Replay streams every durable record in LSN order: ReplayFrom from the
-// oldest record on disk.
+// Replay streams every record on disk in LSN order: ReadRange from the
+// oldest record to LastLSN. It must not run concurrently with Append.
 func (l *Log) Replay(fn func(lsn uint64, typ RecordType, body []byte) error) error {
-	return l.ReplayFrom(0, fn)
-}
-
-// ReplayFrom streams every record on disk with LSN ≥ from, in LSN order,
-// through ReadRange's reader: a segment that ends below from is never
-// opened, and a start in the active segment seeks. It reads the segment
-// files directly and must not run concurrently with Append. Unlike
-// ReadRange it ends where the records on disk do, even below LastLSN (a
-// log reopened above NextLSNFloor), and from 0 means the oldest record.
-// body is only valid during fn.
-func (l *Log) ReplayFrom(from uint64, fn func(lsn uint64, typ RecordType, body []byte) error) error {
-	_, err := l.readRange(from, l.LastLSN(), fn)
-	return err
+	first, err := l.FirstLSN()
+	if err != nil {
+		return err
+	}
+	return l.ReadRange(first, l.LastLSN(), fn)
 }
 
 // Reap deletes segments whose records are all ≤ throughLSN (covered by a
@@ -731,7 +708,12 @@ func (l *Log) ReplayFrom(from uint64, fn func(lsn uint64, typ RecordType, body [
 // (SetReapHold) lower the effective threshold so records a follower has
 // not acknowledged stay streamable.
 func (l *Log) Reap(throughLSN uint64) (removed int, err error) {
-	throughLSN = l.reapCeiling(throughLSN)
+	return l.removeThrough(l.reapCeiling(throughLSN))
+}
+
+// removeThrough is Reap without the holds: it deletes every segment but
+// the active one whose records are all ≤ through.
+func (l *Log) removeThrough(through uint64) (removed int, err error) {
 	names, err := listSegments(l.fsys, l.dir)
 	if err != nil {
 		return 0, fmt.Errorf("wal: listing %s: %w", l.dir, err)
@@ -750,7 +732,7 @@ func (l *Log) Reap(throughLSN uint64) (removed int, err error) {
 			continue
 		}
 		// Segment i holds LSNs [first, next): fully covered iff next-1 ≤ through.
-		if next-1 <= throughLSN {
+		if next-1 <= through {
 			if err := l.fsys.Remove(filepath.Join(l.dir, names[i])); err != nil {
 				return removed, fmt.Errorf("wal: reaping %s: %w", names[i], err)
 			}
@@ -766,6 +748,42 @@ func (l *Log) Reap(throughLSN uint64) (removed int, err error) {
 	}
 	l.cmu.Unlock()
 	return removed, nil
+}
+
+// StartAt starts the log over at next, for a log that ends below what a
+// snapshot already holds: it makes a new, empty active segment at next,
+// removes every older segment, whatever the reap holds, and fsyncs the
+// directory. The LSNs below next are then in no segment, so no record
+// reuses one, ReadRange refuses them with a *ReapedError, and the
+// segments on disk stay one contiguous run. A crash before the removals
+// are durable leaves the new segment past a gap, which Open drops as
+// it drops any break in the run. next must be at least LastLSN+1.
+func (l *Log) StartAt(next uint64) error {
+	l.mu.Lock()
+	switch {
+	case l.closed:
+		l.mu.Unlock()
+		return ErrClosed
+	case l.err != nil:
+		l.mu.Unlock()
+		return l.err
+	case next < l.nextLSN:
+		l.mu.Unlock()
+		return fmt.Errorf("wal: starting at lsn %d would reuse lsns up to %d", next, l.nextLSN-1)
+	}
+	old := l.f
+	if err := l.newSegment(next); err != nil {
+		l.mu.Unlock()
+		return err
+	}
+	old.Close() // its segment goes next; nothing in it needs a sync
+	l.nextLSN = next
+	l.publishSynced(next - 1)
+	l.mu.Unlock()
+	if _, err := l.removeThrough(next - 1); err != nil {
+		return err
+	}
+	return syncDir(l.fsys, l.dir)
 }
 
 // LastLSN returns the highest assigned LSN (0 if the log is empty).

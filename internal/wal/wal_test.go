@@ -279,25 +279,41 @@ func TestRotationAndReap(t *testing.T) {
 	}
 }
 
-func TestNextLSNFloorAfterFullReap(t *testing.T) {
+// TestStartAtAfterLosingEverySegment: a log whose every segment is gone
+// reopens empty at LSN 1, and StartAt moves it past a snapshot at LSN 5,
+// so the next record gets LSN 6, and keeps it across a reopen.
+func TestStartAtAfterLosingEverySegment(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, dir, Options{Policy: SyncNone})
 	for i := 0; i < 5; i++ {
 		l.Append([]byte("r"))
 	}
 	l.Close()
-	// Simulate a snapshot at LSN 5 plus loss of every segment.
 	segs, _ := listSegments(vfs.OS, dir)
 	for _, s := range segs {
 		os.Remove(filepath.Join(dir, s))
 	}
-	l2 := openTest(t, dir, Options{Policy: SyncNone, NextLSNFloor: 5})
+	l2 := openTest(t, dir, Options{Policy: SyncNone})
+	if last := l2.LastLSN(); last != 0 {
+		t.Fatalf("an empty directory opened at LastLSN %d, want 0", last)
+	}
+	if err := l2.StartAt(6); err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.StartAt(5); err == nil {
+		t.Fatal("StartAt below LastLSN+1 succeeded")
+	}
 	lsn, err := l2.Append([]byte("next"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lsn != 6 {
-		t.Fatalf("lsn = %d, want 6 (above the snapshot floor)", lsn)
+		t.Fatalf("lsn = %d, want 6 (past the snapshot)", lsn)
+	}
+	l2.Close()
+	l3 := openTest(t, dir, Options{Policy: SyncNone})
+	if first, err := l3.FirstLSN(); err != nil || first != 6 || l3.LastLSN() != 6 {
+		t.Fatalf("reopened at lsns %d–%d (%v), want 6–6", first, l3.LastLSN(), err)
 	}
 }
 
